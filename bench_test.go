@@ -187,7 +187,7 @@ func BenchmarkUpdateCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		msg := hintcache.EncodeUpdates(batch)
-		if _, err := hintcache.DecodeUpdates(msg); err != nil {
+		if _, err := hintcache.AppendDecodedUpdates(nil, msg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,9 +18,10 @@
 // The X-Cache response header reports LOCAL, REMOTE (direct cache-to-cache
 // transfer), or MISS (origin fetch).
 //
-// With -update-targets, hint batches go to the listed metadata relays
-// instead of being broadcast to every peer (the paper's hint hierarchy);
-// data transfers remain direct either way.
+// Hint batches are broadcast to every peer; with -hint-partition on every
+// node they route to each object's Plaxton hint homes instead (the paper's
+// self-configuring metadata hierarchy). Data transfers are direct
+// cache-to-cache either way.
 package main
 
 import (
@@ -59,7 +60,6 @@ func run(args []string, out io.Writer, wait func()) error {
 		originMode  = fs.Bool("origin", false, "run as the origin server instead of a cache node")
 		originURL   = fs.String("origin-url", "", "origin server base URL (cache nodes)")
 		peers       = fs.String("peers", "", "comma-separated peer base URLs")
-		updateTo    = fs.String("update-targets", "", "comma-separated metadata relay URLs (default: broadcast to peers)")
 		name        = fs.String("name", "", "node name for stats (default: listen address)")
 		cacheBytes  = fs.Int64("cache-bytes", 64<<20, "object cache capacity in bytes")
 		cacheShards = fs.Int("cache-shards", 0, "object cache shard count, rounded up to a power of two (0: sized from GOMAXPROCS)")
@@ -74,12 +74,11 @@ func run(args []string, out io.Writer, wait func()) error {
 		hintQueue   = fs.Int("hint-queue", 0, "pending and per-peer hint queue capacity in records; overflow drops oldest informs first (0: 8192 default)")
 		digWorkers  = fs.Int("digest-workers", 0, "concurrent peer digest pulls in digest mode (0: 4 default)")
 		digests     = fs.Bool("digests", false, "exchange Bloom-filter cache digests instead of exact hint records")
-		digDelta    = fs.Bool("digest-delta", true, "pull cursor-based digest deltas (ops since last pull) instead of full snapshots every round")
 		wireComp    = fs.Bool("wire-compress", false, "flate-compress metadata frames (hint batches, digests) past 256 bytes")
 		hintPart    = fs.Bool("hint-partition", false, "partition the hint directory across the fleet: each object's hints live on a Plaxton-routed owner set instead of every node (DESIGN.md \u00a714)")
 		hintReps    = fs.Int("hint-replicas", 0, "owner-set size R per object in partitioned mode (0: 2 default)")
 		objectSize  = fs.Int64("object-size", 8<<10, "origin default object size")
-		traceSample = fs.Float64("trace-sample", 0, "fraction of fetches recorded in /debug/traces (0: node default of 1/64, >=1: all, <0: none)")
+		traceSample = fs.Float64("trace-sample", 0, "fraction of fetches recorded in /debug/spans (0: node default of 1/64, >=1: all, <0: none)")
 		spanRing    = fs.Int("span-ring", 0, "structured-span ring capacity behind /debug/spans, rounded up to a power of two (0: 4096 default)")
 		debugAddr   = fs.String("debug-addr", "", "optional address for a net/http/pprof debug listener (off when empty)")
 
@@ -118,9 +117,6 @@ func run(args []string, out io.Writer, wait func()) error {
 	if *originURL == "" {
 		return fmt.Errorf("-origin-url is required for cache nodes")
 	}
-	if *hintPart && *updateTo != "" {
-		return fmt.Errorf("-hint-partition routes hint batches by object ownership and cannot be combined with -update-targets relays")
-	}
 	n, err := cluster.NewNode(cluster.NodeConfig{
 		Name:            *name,
 		CacheBytes:      *cacheBytes,
@@ -137,7 +133,6 @@ func run(args []string, out io.Writer, wait func()) error {
 		HintQueue:       *hintQueue,
 		DigestWorkers:   *digWorkers,
 		UseDigests:      *digests,
-		DigestFull:      !*digDelta,
 		WireCompress:    *wireComp,
 		HintPartition:   *hintPart,
 		HintReplicas:    *hintReps,
@@ -169,20 +164,11 @@ func run(args []string, out io.Writer, wait func()) error {
 		_ = n.Close()
 		return err
 	}
-	relayURLs, err := normalizeTargets(*updateTo, "-update-targets", n.Addr())
-	if err != nil {
-		_ = n.Close()
-		return err
-	}
 	for _, p := range peerURLs {
 		n.AddPeer(p)
 	}
-	for _, u := range relayURLs {
-		n.AddUpdateTarget(u)
-	}
-	npeers := len(peerURLs)
 	fmt.Fprintf(out, "cache node serving on %s (origin %s, %d peers)\n",
-		n.URL(), *originURL, npeers)
+		n.URL(), *originURL, len(peerURLs))
 	wait()
 	return n.Close()
 }

@@ -101,9 +101,9 @@ func TestDebugAndMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for url, wantBody := range map[string]string{
-		debugURL:                  "Types of profiles available", // pprof index (already /debug/pprof/)
-		nodeURL + "/metrics":      "beyondcache_fetch_total",
-		nodeURL + "/debug/traces": `"hops"`,
+		debugURL:                 "Types of profiles available", // pprof index (already /debug/pprof/)
+		nodeURL + "/metrics":     "beyondcache_fetch_total",
+		nodeURL + "/debug/spans": "MISS", // binary span records carry the outcome verbatim
 	} {
 		resp, err := client.Get(url)
 		if err != nil {
@@ -159,16 +159,6 @@ func TestNormalizeTargets(t *testing.T) {
 		t.Error("own listen address accepted")
 	} else if !strings.Contains(err.Error(), "own listen address") {
 		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-func TestPartitionRejectsUpdateTargets(t *testing.T) {
-	err := run([]string{
-		"-origin-url", "http://127.0.0.1:1",
-		"-hint-partition", "-update-targets", "http://127.0.0.1:2",
-	}, &bytes.Buffer{}, func() {})
-	if err == nil || !strings.Contains(err.Error(), "update-targets") {
-		t.Errorf("partition + relays not rejected: %v", err)
 	}
 }
 

@@ -63,7 +63,6 @@ type NodeView struct {
 	PendingRecords      float64    `json:"pending_records"`
 	DirectoryLagObjects float64    `json:"directory_lag_objects"`
 	SpansRecorded       float64    `json:"spans_recorded"`
-	TracesSampled       float64    `json:"traces_sampled"`
 	SpansLost           uint64     `json:"spans_lost"`
 	Peers               []PeerView `json:"peers,omitempty"`
 }
@@ -160,7 +159,6 @@ func (s *scraper) scrapeNode(base string) NodeView {
 	view.PendingRecords = value(p, "beyondcache_hint_pending_records")
 	view.DirectoryLagObjects = value(p, "beyondcache_hint_directory_lag_objects")
 	view.SpansRecorded = value(p, "beyondcache_spans_recorded_total")
-	view.TracesSampled = value(p, "beyondcache_traces_sampled_total")
 
 	// Per-peer rows: every peer with a sender queue, joined with its
 	// breaker and hint-lag series.

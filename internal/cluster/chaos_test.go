@@ -359,7 +359,7 @@ func TestEndpointMethodGuards(t *testing.T) {
 	base := f.nodes[0].URL()
 	q := "?url=" + neturl.QueryEscape("http://chaos.example/guard")
 
-	getOnly := []string{"/metrics", "/debug/traces", "/stats", "/fetch" + q, "/object" + q, "/digest"}
+	getOnly := []string{"/metrics", "/debug/spans", "/fetch" + q, "/object" + q, "/digest"}
 	for _, path := range getOnly {
 		resp, err := f.client.Post(base+path, "", nil)
 		if err != nil {
@@ -383,6 +383,19 @@ func TestEndpointMethodGuards(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("GET %s = %d, want 405", path, resp.StatusCode)
+		}
+	}
+
+	// The removed duplicates of /debug/spans and /metrics are gone, not
+	// aliased.
+	for _, path := range []string{"/debug/traces", "/stats"} {
+		resp, err := f.client.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"beyondcache/internal/hintcache"
 )
 
 // startFleet boots a small fleet with a long batch interval (tests flush
@@ -217,6 +221,19 @@ func TestUpdatesEndpointRejectsGarbage(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage updates accepted with status %d", resp.StatusCode)
 	}
+	// So are well-formed records without a frame around them.
+	bare := hintcache.EncodeUpdates([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: 1, Machine: 2}})
+	resp, err = client.Post(f.Nodes[0].URL()+"/updates", "application/octet-stream", bytes.NewReader(bare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unframed updates body got %d, want 400", resp.StatusCode)
+	}
+	if st := f.Nodes[0].Stats(); st.UpdatesReceived != 0 {
+		t.Errorf("UpdatesReceived = %d after rejected bodies, want 0", st.UpdatesReceived)
+	}
 	// GET is rejected too.
 	resp, err = client.Get(f.Nodes[0].URL() + "/updates")
 	if err != nil {
@@ -243,22 +260,28 @@ func TestMissingURLParameterRejected(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint checks the miss a fetch caused shows in both views of
+// the node's counters: Stats() in process and /metrics over HTTP.
 func TestStatsEndpoint(t *testing.T) {
 	f := startFleet(t, 1, FleetConfig{})
 	if _, err := f.Fetch(0, "http://example.com/s"); err != nil {
 		t.Fatal(err)
 	}
+	if st := f.Nodes[0].Stats(); st.Misses != 1 || st.LocalHits != 0 || st.RemoteHits != 0 {
+		t.Errorf("Stats() = %+v, want exactly one miss", st)
+	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(f.Nodes[0].URL() + "/stats")
+	resp, err := client.Get(f.Nodes[0].URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	buf := make([]byte, 4096)
-	n, _ := resp.Body.Read(buf)
-	body := string(buf[:n])
-	if !strings.Contains(body, `"misses":1`) {
-		t.Errorf("stats body missing miss count: %s", body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `beyondcache_fetch_total{outcome="miss"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }
 

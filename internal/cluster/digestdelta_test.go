@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"beyondcache/internal/digest"
-	"beyondcache/internal/hintcache"
 	"beyondcache/internal/wire"
 )
 
@@ -361,62 +360,6 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 	n.digestMu.RUnlock()
 	if got := replica.AppendBinary(nil); !bytes.Equal(got, want) {
 		t.Error("replayed replica diverged from the owner filter")
-	}
-}
-
-// TestDigestLegacyPeerFallback points a puller at a peer that predates the
-// wire plane — its GET /digest serves raw plain-filter bytes with no frame
-// header — and checks the pull still lands during a rolling upgrade: the
-// bits widen into the counting slot and probe identically, and the cursor
-// stays zero (legacy peers journal nothing to resume from).
-func TestDigestLegacyPeerFallback(t *testing.T) {
-	legacy, err := digest.NewForCapacity(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 32; i++ {
-		legacy.Add(i)
-	}
-	body, err := legacy.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.RawQuery != "" {
-			t.Errorf("legacy peer got query %q, want none (nothing to resume)", r.URL.RawQuery)
-		}
-		w.Write(body)
-	}))
-	defer peer.Close()
-
-	n := newMetaNode(t, NodeConfig{Name: "legacy-pull", UseDigests: true})
-	n.AddPeer(peer.URL)
-	n.PullDigests()
-	n.PullDigests() // the re-pull must also be cursorless
-
-	st := n.Stats()
-	if st.SendErrors != 0 {
-		t.Fatalf("send errors = %d, want 0 (legacy body must not be treated as a bad frame)", st.SendErrors)
-	}
-	if st.DigestsPulled != 2 {
-		t.Fatalf("digests pulled = %d, want 2", st.DigestsPulled)
-	}
-
-	peerID := hintcache.HashMachine(hostPortOf(peer.URL))
-	n.digestMu.RLock()
-	f, ok := n.peerDigests[peerID]
-	cursor := n.peerCursor[peerID]
-	n.digestMu.RUnlock()
-	if !ok {
-		t.Fatal("no peer digest installed from the legacy body")
-	}
-	if cursor != 0 {
-		t.Errorf("peer cursor = %d, want 0 for a legacy peer", cursor)
-	}
-	for i := uint64(1); i <= 4096; i++ {
-		if f.MayContain(i) != legacy.MayContain(i) {
-			t.Fatalf("widened copy disagrees with the source filter on id %d", i)
-		}
 	}
 }
 

@@ -304,20 +304,18 @@ func (n *Node) PullDigests() {
 
 // pullDigest fetches one peer's digest, retrying under jittered backoff (a
 // pull is an idempotent read) before leaving the old digest stale until the
-// next exchange. In delta mode the request presents the cursor from the
-// last exchange; the peer answers with either the ops since (applied in
-// place) or a full snapshot (decoded into the existing filter's storage).
+// next exchange. The request presents the cursor from the last exchange;
+// the peer answers with either the ops since (applied in place) or a full
+// snapshot (decoded into the existing filter's storage).
 func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
-	// Snapshot the cursor for the request. Full mode never sends one, and
-	// neither does a first pull (no filter to patch yet).
+	// Snapshot the cursor for the request. A first pull sends none (no
+	// filter to patch yet).
 	var since uint64
-	if !n.cfg.DigestFull {
-		n.digestMu.RLock()
-		if _, ok := n.peerDigests[p.id]; ok {
-			since = n.peerCursor[p.id]
-		}
-		n.digestMu.RUnlock()
+	n.digestMu.RLock()
+	if _, ok := n.peerDigests[p.id]; ok {
+		since = n.peerCursor[p.id]
 	}
+	n.digestMu.RUnlock()
 	reqURL := p.url + "/digest"
 	if since > 0 {
 		reqURL += "?since=" + strconv.FormatUint(since, 10)
@@ -326,7 +324,6 @@ func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
 	var genNs int64
 	var cursor uint64
 	var frame wire.Frame
-	var legacy bool
 	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
@@ -355,15 +352,6 @@ func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
 		if err != nil {
 			return err
 		}
-		// A peer that predates the wire plane serves raw Bloom-filter
-		// bytes with no frame header (their first byte is a filter bit
-		// count, never 'b'); keep pulling from it during a rolling
-		// upgrade instead of erroring until the fleet converges.
-		legacy = !wire.IsFrame(scratch.body)
-		if legacy {
-			frame = wire.Frame{}
-			return nil
-		}
 		frame, _, err = wire.Decode(scratch.body)
 		return err
 	})
@@ -372,28 +360,21 @@ func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
 		n.stats.sendErrors.Add(1)
 		return
 	}
-	if legacy {
-		if err := n.applyLegacyDigest(p.id, scratch.body); err != nil {
-			n.stats.sendErrors.Add(1)
-			return
-		}
-	} else {
-		if frame.RawLen > digestBodyLimit {
-			n.stats.sendErrors.Add(1)
-			return
-		}
-		payload, err := frame.Payload(scratch.payload[:0])
-		if err != nil {
-			n.stats.sendErrors.Add(1)
-			return
-		}
-		if frame.Compressed {
-			scratch.payload = payload[:0]
-		}
-		if err := n.applyDigestResponse(p.id, frame.Kind, payload, cursor, scratch); err != nil {
-			n.stats.sendErrors.Add(1)
-			return
-		}
+	if frame.RawLen > digestBodyLimit {
+		n.stats.sendErrors.Add(1)
+		return
+	}
+	payload, err := frame.Payload(scratch.payload[:0])
+	if err != nil {
+		n.stats.sendErrors.Add(1)
+		return
+	}
+	if frame.Compressed {
+		scratch.payload = payload[:0]
+	}
+	if err := n.applyDigestResponse(p.id, frame.Kind, payload, cursor, scratch); err != nil {
+		n.stats.sendErrors.Add(1)
+		return
 	}
 	now := time.Now().UnixNano()
 	if genNs == 0 {
@@ -460,28 +441,6 @@ func (n *Node) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte
 	default:
 		return fmt.Errorf("unexpected digest frame kind %s", kind)
 	}
-}
-
-// applyLegacyDigest installs a pre-framing digest body: raw plain-filter
-// bits from a peer that predates the wire plane, widened into the peer's
-// counting slot (which probes identically). Legacy peers journal nothing,
-// so the cursor resets and every pull from them stays a full fetch until
-// the peer upgrades.
-func (n *Node) applyLegacyDigest(peerID uint64, body []byte) error {
-	n.digestMu.Lock()
-	defer n.digestMu.Unlock()
-	f, ok := n.peerDigests[peerID]
-	if !ok {
-		f = &digest.Counting{}
-		n.peerDigests[peerID] = f
-	}
-	if err := f.UnmarshalFilter(body); err != nil {
-		delete(n.peerDigests, peerID)
-		delete(n.peerCursor, peerID)
-		return err
-	}
-	n.peerCursor[peerID] = 0
-	return nil
 }
 
 // digestPeer returns the base URL of the first peer whose digest claims the

@@ -19,9 +19,6 @@ import (
 type Fleet struct {
 	Origin *Origin
 	Nodes  []*Node
-	// Relays are the metadata-relay tree nodes of a hierarchical fleet
-	// (empty for a full-mesh fleet).
-	Relays []*Relay
 	client *http.Client
 	faults *faults.Injector
 	// cfg remembers the boot configuration so RestartNode can rebuild a
@@ -54,10 +51,9 @@ type FleetConfig struct {
 	// ObjectSize is the origin's default object size (<= 0 for 8 KB).
 	ObjectSize int64
 	// UseDigests switches every node to Bloom-filter digest exchange.
-	// DigestFull and WireCompress pass through to every node's NodeConfig
-	// (full-snapshot-only pulls; framed-metadata compression).
+	// WireCompress passes through to every node's NodeConfig (framed-
+	// metadata compression).
 	UseDigests   bool
-	DigestFull   bool
 	WireCompress bool
 	// HintPartition switches every node to the partitioned hint directory
 	// (Plaxton-routed hint homes; see NodeConfig.HintPartition);
@@ -119,7 +115,6 @@ func (cfg FleetConfig) nodeConfig(i int, originURL string) NodeConfig {
 		DigestWorkers:   cfg.DigestWorkers,
 		Seed:            int64(i) + 1,
 		UseDigests:      cfg.UseDigests,
-		DigestFull:      cfg.DigestFull,
 		HintPartition:   cfg.HintPartition,
 		HintReplicas:    cfg.HintReplicas,
 		WireCompress:    cfg.WireCompress,
@@ -270,17 +265,11 @@ func (f *Fleet) SetFaultSpec(spec string) error {
 	return nil
 }
 
-// Close shuts down every node, relay, and the origin, returning the first
-// error.
+// Close shuts down every node and the origin, returning the first error.
 func (f *Fleet) Close() error {
 	var first error
 	for _, n := range f.Nodes {
 		if err := n.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, r := range f.Relays {
-		if err := r.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -9,8 +9,7 @@ import (
 	"beyondcache/internal/hintcache"
 )
 
-// BenchmarkFlushFanout measures one coalesced flush round to four update
-// targets: 4096 hot-set events over 512 distinct objects are queued and
+// BenchmarkFlushFanout measures one coalesced flush round to four peers: 4096 hot-set events over 512 distinct objects are queued and
 // delivered per iteration. It doubles as the coalescing regression check —
 // each target may see at most one record per distinct object per round.
 // CI runs it once (-benchtime=1x) as a smoke test.
@@ -26,7 +25,7 @@ func BenchmarkFlushFanout(b *testing.B) {
 	}
 	n := newMetaNode(b, NodeConfig{Name: "bench-flush"})
 	for _, s := range sinks {
-		n.AddUpdateTarget(s.srv.URL)
+		n.AddPeer(s.srv.URL)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -55,7 +54,7 @@ func BenchmarkUpdatesIngest(b *testing.B) {
 	for i := range batch {
 		batch[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 0xABCD}
 	}
-	msg := hintcache.EncodeUpdates(batch)
+	msg := hintFrame(batch...)
 	b.SetBytes(int64(len(msg)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -297,8 +297,7 @@ func (n *Node) rehome(old, cur *overlay.View) {
 // into per-owner minibatches on the same senders and KindHintBatch frames
 // the broadcast path uses. Every known sender contributes a generation to
 // the returned barrier, so Flush keeps its delivery contract in both
-// modes. The explicit update-target relay list is ignored here: routing
-// IS the distribution topology (cachenode rejects the flag combination).
+// modes.
 func (n *Node) distributePartitioned(batch []hintcache.Update, stampNs int64) (senders []*peerSender, seqs []int64, records int) {
 	view := n.overlay.View()
 	var owners [overlay.MaxReplicas]uint64

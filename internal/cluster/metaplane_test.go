@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,14 +50,12 @@ func newUpdateSink(t testing.TB) *updateSink {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		// Senders frame batches (KindHintBatch); accept raw record bodies
-		// too, as a real node does.
 		records, _, _, err := unframeUpdates(body, int64(len(body)), nil)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		us, err := hintcache.DecodeUpdates(records)
+		us, err := hintcache.AppendDecodedUpdates(nil, records)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -70,6 +70,12 @@ func newUpdateSink(t testing.TB) *updateSink {
 	}))
 	t.Cleanup(s.srv.Close)
 	return s
+}
+
+// hintFrame encodes updates the way a sender puts them on the wire: one
+// uncompressed KindHintBatch frame.
+func hintFrame(us ...hintcache.Update) []byte {
+	return wire.AppendFrame(nil, wire.KindHintBatch, hintcache.EncodeUpdates(us), 0)
 }
 
 func (s *updateSink) records() []hintcache.Update {
@@ -141,7 +147,7 @@ func newMetaNode(t testing.TB, cfg NodeConfig) *Node {
 func TestFlushCoalescesOverWire(t *testing.T) {
 	sink := newUpdateSink(t)
 	n := newMetaNode(t, NodeConfig{Name: "coalesce"})
-	n.AddUpdateTarget(sink.srv.URL)
+	n.AddPeer(sink.srv.URL)
 
 	n.queueInform(1)
 	n.enqueueLocal(hintcache.Update{Action: hintcache.ActionInvalidate, URLHash: 1, Machine: n.machineID})
@@ -175,6 +181,54 @@ func TestFlushCoalescesOverWire(t *testing.T) {
 	}
 }
 
+// TestSenderCountsErrorStatusAsFailure points a sender at a target that
+// answers every hint batch with an error page: the batch must burn its
+// retry budget and count as undelivered — no delivery counter moves — and
+// in partition mode the failed contact must reach the membership tracker
+// instead of marking the peer alive.
+func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
+	for _, status := range []int{http.StatusInternalServerError, http.StatusRequestEntityTooLarge} {
+		for _, partitioned := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d/partitioned=%v", status, partitioned), func(t *testing.T) {
+				var posts atomic.Int64
+				sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != "/updates" {
+						w.WriteHeader(http.StatusNoContent) // liveness probes succeed
+						return
+					}
+					posts.Add(1)
+					http.Error(w, "refused", status)
+				}))
+				t.Cleanup(sink.Close)
+				n := newMetaNode(t, NodeConfig{Name: "error-status", HintPartition: partitioned})
+				n.AddPeer(sink.URL)
+
+				n.queueInform(7)
+				n.Flush()
+
+				if got := posts.Load(); got != 3 {
+					t.Errorf("target saw %d attempts, want the full retry budget of 3", got)
+				}
+				st := n.Stats()
+				if st.UpdatesSent != 0 || st.BatchesSent != 0 || st.WireHintBytes != 0 || st.WireHintBytesPartitioned != 0 {
+					t.Errorf("delivery counters moved on a refused batch: %+v", st)
+				}
+				if st.SendErrors != 1 || st.Retries != 2 {
+					t.Errorf("SendErrors = %d, Retries = %d; want 1 and 2", st.SendErrors, st.Retries)
+				}
+				if partitioned {
+					n.mbr.mu.Lock()
+					fails, contact := n.mbr.fails[sink.URL], n.mbr.contact[sink.URL]
+					n.mbr.mu.Unlock()
+					if fails != 1 || contact != 0 {
+						t.Errorf("membership saw fails=%d contact=%d, want one failed contact and no good one", fails, contact)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestPendingQueueBounded checks satellite 1: the node-level pending queue
 // is capped, overflow drops the oldest informs first, and drops are
 // counted.
@@ -191,9 +245,9 @@ func TestPendingQueueBounded(t *testing.T) {
 	}
 }
 
-// TestUpdatesOversizeRejected checks satellite 2 on both receivers: a body
-// over the limit draws 413 whole instead of being truncated mid-record,
-// and the node counts the reject.
+// TestUpdatesOversizeRejected checks that a body over the limit draws 413
+// whole instead of being truncated mid-record, and the node counts the
+// reject.
 func TestUpdatesOversizeRejected(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "oversize"}) // default limit: 1 MB
 	big := bytes.Repeat([]byte{0}, 1<<20+hintcache.UpdateSize)
@@ -215,7 +269,7 @@ func TestUpdatesOversizeRejected(t *testing.T) {
 	for i := range fit {
 		fit[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 42}
 	}
-	resp, err = http.Post(n.URL()+"/updates", "application/octet-stream", bytes.NewReader(hintcache.EncodeUpdates(fit)))
+	resp, err = http.Post(n.URL()+"/updates", "application/octet-stream", bytes.NewReader(hintFrame(fit...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,43 +278,47 @@ func TestUpdatesOversizeRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("node valid POST /updates = %d, want 204", resp.StatusCode)
 	}
+}
 
-	relay := NewRelay("r")
-	rs := httptest.NewServer(relay.Handler())
-	defer rs.Close()
-	resp, err = http.Post(rs.URL+"/updates", "application/octet-stream", bytes.NewReader(big))
+// TestDigestPullChecksStatusFirst checks that a non-200 digest response is
+// an error without the body being decoded, that a 200 whose body is not a
+// digest frame (bare filter bytes, as nodes served before the wire plane)
+// is one too, and that the peer's digest stays absent either way.
+func TestDigestPullChecksStatusFirst(t *testing.T) {
+	bare, err := digest.NewForCapacity(64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("relay oversized POST /updates = %d, want 413", resp.StatusCode)
+	bare.Add(1)
+	bareBody, err := bare.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	for name, handler := range map[string]http.HandlerFunc{
+		"status-500": func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "digest rebuild failed", http.StatusInternalServerError)
+		},
+		"unframed-body": func(w http.ResponseWriter, r *http.Request) { w.Write(bareBody) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			errSrv := httptest.NewServer(handler)
+			defer errSrv.Close()
 
-// TestDigestPullChecksStatusFirst checks satellite 3: a non-200 digest
-// response is an error without the body being decoded, and the peer's
-// digest stays absent.
-func TestDigestPullChecksStatusFirst(t *testing.T) {
-	errSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "digest rebuild failed", http.StatusInternalServerError)
-	}))
-	defer errSrv.Close()
+			n := newMetaNode(t, NodeConfig{Name: name, UseDigests: true})
+			n.AddPeer(errSrv.URL)
+			n.PullDigests()
 
-	n := newMetaNode(t, NodeConfig{Name: "status-first", UseDigests: true})
-	n.AddPeer(errSrv.URL)
-	n.PullDigests()
-
-	st := n.Stats()
-	if st.DigestsPulled != 0 {
-		t.Errorf("DigestsPulled = %d, want 0", st.DigestsPulled)
-	}
-	if st.SendErrors != 1 {
-		t.Errorf("SendErrors = %d, want 1", st.SendErrors)
-	}
-	if peer := n.digestPeer(1); peer != "" {
-		t.Errorf("digestPeer after failed pull = %q, want none", peer)
+			st := n.Stats()
+			if st.DigestsPulled != 0 {
+				t.Errorf("DigestsPulled = %d, want 0", st.DigestsPulled)
+			}
+			if st.SendErrors != 1 {
+				t.Errorf("SendErrors = %d, want 1", st.SendErrors)
+			}
+			if peer := n.digestPeer(1); peer != "" {
+				t.Errorf("digestPeer after failed pull = %q, want none", peer)
+			}
+		})
 	}
 }
 
@@ -323,7 +381,7 @@ func TestChaosMetadataPlaneIsolation(t *testing.T) {
 	})
 	t.Cleanup(func() { _ = inj.SetSpec("") }) // heal before the close-time flush
 	for _, s := range sinks {
-		n.AddUpdateTarget(s.srv.URL)
+		n.AddPeer(s.srv.URL)
 	}
 
 	n.queueInform(42)
@@ -390,7 +448,7 @@ func TestRecordClusterBench(t *testing.T) {
 	}
 	client := newClient(nil, inj)
 	backoff := resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, 1)
-	body := hintcache.EncodeUpdates([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: 99, Machine: 7}})
+	body := hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: 99, Machine: 7})
 	serialStart := time.Now()
 	for _, s := range sinks {
 		_, _ = backoff.Retry(context.Background(), 3, func() error {
@@ -423,7 +481,7 @@ func TestRecordClusterBench(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "bench-fanout", UpdateInterval: interval, Faults: pinj})
 	t.Cleanup(func() { _ = pinj.SetSpec("") })
 	for _, s := range sinks {
-		n.AddUpdateTarget(s.srv.URL)
+		n.AddPeer(s.srv.URL)
 	}
 	n.queueInform(99)
 	pipeStart := time.Now()
@@ -437,7 +495,7 @@ func TestRecordClusterBench(t *testing.T) {
 	// --- Wire bytes per round under a hot-set workload. ---
 	wireSink := newUpdateSink(t)
 	wn := newMetaNode(t, NodeConfig{Name: "bench-wire"})
-	wn.AddUpdateTarget(wireSink.srv.URL)
+	wn.AddPeer(wireSink.srv.URL)
 	for i := 0; i < events; i++ {
 		wn.queueInform(uint64(i%distinct) + 1)
 	}
@@ -453,15 +511,15 @@ func TestRecordClusterBench(t *testing.T) {
 	}
 	msg := hintcache.EncodeUpdates(batch)
 
-	// Before: the pre-pipeline handler body — fresh ReadAll, fresh
-	// DecodeUpdates allocation, one table lock per record.
+	// Before: the pre-pipeline handler body — fresh ReadAll, fresh decode
+	// allocation over the bare records, one table lock per record.
 	oldHandler := func(w http.ResponseWriter, r *http.Request) {
 		m, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
 			http.Error(w, "read body", http.StatusBadRequest)
 			return
 		}
-		us, err := hintcache.DecodeUpdates(m)
+		us, err := hintcache.AppendDecodedUpdates(nil, m)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -474,7 +532,7 @@ func TestRecordClusterBench(t *testing.T) {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}
-	measure := func(h http.HandlerFunc) float64 {
+	measure := func(h http.HandlerFunc, msg []byte) float64 {
 		start := time.Now()
 		for i := 0; i < ingestIters; i++ {
 			req := httptest.NewRequest(http.MethodPost, "/updates", bytes.NewReader(msg))
@@ -482,8 +540,8 @@ func TestRecordClusterBench(t *testing.T) {
 		}
 		return float64(ingestIters*events) / time.Since(start).Seconds()
 	}
-	ingestBefore := measure(oldHandler)
-	ingestAfter := measure(in.handleUpdates)
+	ingestBefore := measure(oldHandler, msg)
+	ingestAfter := measure(in.handleUpdates, hintFrame(batch...))
 
 	out := struct {
 		Description               string  `json:"description"`

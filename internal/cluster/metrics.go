@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
@@ -13,8 +12,8 @@ import (
 	"beyondcache/internal/store"
 )
 
-// Prometheus text-format /metrics endpoints for the three server kinds of
-// the prototype (Node, Origin, Relay). The exposition is hand-rolled on top
+// Prometheus text-format /metrics endpoints for the two server kinds of
+// the prototype (Node, Origin). The exposition is hand-rolled on top
 // of internal/obs — no client library, matching the repository's
 // zero-dependency stance. Metric names are frozen by the golden list in
 // testdata/metric_names.golden; renaming one is an interface change and
@@ -184,8 +183,7 @@ func (n *Node) Metrics() *obs.Expo {
 		"Peers whose breaker is currently not closed.", float64(open))
 
 	// Per-peer sender queues. Senders are created eagerly alongside the
-	// breakers (AddPeer/AddUpdateTarget), so every target reports from
-	// the first scrape.
+	// breakers (AddPeer), so every target reports from the first scrape.
 	n.peerMu.RLock()
 	targets := make([]string, 0, len(n.senders))
 	for t := range n.senders {
@@ -377,9 +375,6 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Gauge("beyondcache_hint_table_bytes",
 		"Hint-table size in bytes (16 per slot).", float64(n.hints.SizeBytes()))
 
-	e.Counter("beyondcache_traces_sampled_total",
-		"Requests whose full trace was recorded in the /debug/traces ring.",
-		n.traces.Sampled())
 	e.Counter("beyondcache_spans_recorded_total",
 		"Structured spans recorded in the /debug/spans ring.",
 		n.spans.Recorded())
@@ -394,51 +389,6 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeExpo(w, n.Metrics())
-}
-
-// tracesMaxN caps how many traces one /debug/traces response returns; it
-// doubles as the default when no ?n= is given (the ring itself is smaller
-// in every stock configuration).
-const tracesMaxN = 1024
-
-// handleTraces serves GET /debug/traces: the sampled-trace ring as JSON,
-// oldest first, plus the effective sample rate so a reader knows how much
-// traffic the ring represents. ?n= trims the response to the newest n
-// traces (capped at tracesMaxN).
-func (n *Node) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if !expoGET(w, r) {
-		return
-	}
-	limit := tracesMaxN
-	if v := r.URL.Query().Get("n"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil || p <= 0 {
-			http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		if p < limit {
-			limit = p
-		}
-	}
-	traces := n.traces.Snapshot()
-	if len(traces) > limit {
-		traces = traces[len(traces)-limit:]
-	}
-	payload := struct {
-		Node       string      `json:"node"`
-		SampleRate float64     `json:"sampleRate"`
-		Sampled    int64       `json:"sampled"`
-		Traces     []obs.Trace `json:"traces"`
-	}{
-		Node:       n.label(),
-		SampleRate: n.sampler.Rate(),
-		Sampled:    n.traces.Sampled(),
-		Traces:     traces,
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // spansMaxPull caps how many spans one /debug/spans response carries; it is
@@ -507,30 +457,4 @@ func (o *Origin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeExpo(w, o.Metrics())
-}
-
-// Metrics builds the relay's exposition.
-func (r *Relay) Metrics() *obs.Expo {
-	e := obs.NewExpo()
-	r.mu.RLock()
-	subs := len(r.subscribers)
-	r.mu.RUnlock()
-	e.Counter("beyondcache_relay_updates_received_total",
-		"Hint updates received for forwarding.", r.received.Load())
-	e.Counter("beyondcache_relay_updates_forwarded_total",
-		"Hint-update deliveries made (updates x subscribers reached).", r.forwarded.Load())
-	e.Counter("beyondcache_relay_retries_total",
-		"Forward re-attempts spent after a failed delivery.", r.retries.Load())
-	e.Gauge("beyondcache_relay_subscribers",
-		"Registered forwarding targets.", float64(subs))
-	e.Histogram("beyondcache_relay_forward_seconds",
-		"Time to fan one batch out to all subscribers.", r.forwardHist.Snapshot())
-	return e
-}
-
-func (r *Relay) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if !expoGET(w, req) {
-		return
-	}
-	writeExpo(w, r.Metrics())
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -69,6 +68,11 @@ const (
 	// next pull to receive only the membership ops it has not seen. The
 	// delta twin of /debug/spans' X-Span-Cursor.
 	headerDigestCursor = "X-Digest-Cursor"
+	// headerHintSender carries the base URL of the node that built a
+	// hint-batch POST. Receivers key the batch's propagation-lag
+	// observation by it and, in partition mode, count it as a sign of life
+	// from that peer.
+	headerHintSender = "X-Hint-Sender"
 )
 
 // NodeConfig parameterizes a cache node.
@@ -115,12 +119,6 @@ type NodeConfig struct {
 	UseDigests         bool
 	DigestCapacity     int
 	DigestBitsPerEntry float64
-	// DigestFull disables cursor-based delta pulls: every pull transfers
-	// the complete digest, the pre-delta behavior. The zero value (delta
-	// pulls on) is the default — pullers present their journal cursor and
-	// receive only the membership ops since, falling back to a full
-	// transfer when the cursor has aged out of the owner's journal.
-	DigestFull bool
 	// WireCompress flate-compresses metadata frames (hint batches, digest
 	// snapshots and deltas) that reach wireCompressMin bytes. Off by
 	// default: the framing layer is zero-copy either way, and most
@@ -174,18 +172,15 @@ type NodeConfig struct {
 	// fault layer (tests).
 	Transport http.RoundTripper
 
-	// TraceSample is the fraction of /fetch requests whose full trace is
-	// recorded in the /debug/traces ring: 0 picks the default (1/64),
+	// TraceSample is the fraction of /fetch requests whose span group is
+	// recorded in the /debug/spans ring: 0 picks the default (1/64),
 	// anything >= 1 records every request, negative disables ring
 	// capture. The X-Trace response header is unconditional — sampling
 	// only gates the in-memory ring.
 	TraceSample float64
-	// TraceRing bounds the /debug/traces ring (<= 0 means 256 traces).
-	TraceRing int
 	// SpanRing bounds the structured-span ring behind /debug/spans,
-	// rounded up to a power of two (<= 0 means 4096 spans). Sampling
-	// (TraceSample) gates span recording exactly as it gates the trace
-	// ring: unsampled requests record nothing and allocate nothing.
+	// rounded up to a power of two (<= 0 means 4096 spans). Unsampled
+	// requests record nothing and allocate nothing.
 	SpanRing int
 
 	// CacheDir enables the persistent disk tier: memory evictions spill
@@ -458,15 +453,14 @@ type Node struct {
 	// next batch round (at most one record per object; see pendq).
 	pend *pendq
 
-	// peerMu guards the peer table, update-target list, and sender table.
+	// peerMu guards the peer table and sender table.
 	peerMu sync.RWMutex
 	peers  map[uint64]string // machine ID -> base URL
 	// peerOrder fixes a deterministic scan order for digest lookups.
 	peerOrder []uint64
-	updates   []string // update targets; empty means all peers
-	// senders holds one running peerSender per known target (peers and
-	// update targets), keyed by base URL and created eagerly so /metrics
-	// exposes every queue from the first scrape.
+	// senders holds one running peerSender per peer, keyed by base URL
+	// and created eagerly so /metrics exposes every queue from the first
+	// scrape.
 	senders map[string]*peerSender
 
 	// overlay is the partitioned hint directory's live routing plane (nil
@@ -520,11 +514,9 @@ type Node struct {
 	hintLag     *obs.HistogramVec
 	digestStale *obs.HistogramVec
 
-	// traces is the bounded ring behind /debug/traces; spans is the
-	// lock-free structured-span ring behind /debug/spans (same sampling
-	// decision feeds both). sampler decides which requests are recorded.
-	// reqSeq numbers generated request IDs.
-	traces  *obs.TraceRing
+	// spans is the lock-free structured-span ring behind /debug/spans;
+	// sampler decides which requests are recorded. reqSeq numbers
+	// generated request IDs.
 	spans   *obs.SpanRing
 	sampler *obs.Sampler
 	reqSeq  atomic.Int64
@@ -603,7 +595,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	sample := cfg.TraceSample
 	if sample == 0 {
 		// Default: every 64th request. Cheap enough for the hit path
-		// (ring adds take a mutex) while keeping /debug/traces fresh.
+		// while keeping /debug/spans fresh.
 		sample = 1.0 / 64
 	}
 	inj := cfg.Faults
@@ -643,7 +635,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		hist:          newNodeHists(),
 		hintLag:       obs.NewHistogramVec(nil),
 		digestStale:   obs.NewHistogramVec(nil),
-		traces:        obs.NewTraceRing(cfg.TraceRing),
 		spans:         obs.NewSpanRing(cfg.SpanRing),
 		sampler:       obs.NewSampler(sample),
 		pend:          newPendq(cfg.HintQueue),
@@ -743,9 +734,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("/object", n.handleObject)
 	mux.HandleFunc("/updates", n.handleUpdates)
 	mux.HandleFunc("/purge", n.handlePurge)
-	mux.HandleFunc("/stats", n.handleStats)
 	mux.HandleFunc("/metrics", n.handleMetrics)
-	mux.HandleFunc("/debug/traces", n.handleTraces)
 	mux.HandleFunc("/debug/spans", n.handleSpans)
 	mux.HandleFunc("/digest", n.handleDigest)
 	mux.HandleFunc("/hinthome", n.handleHintHome)
@@ -906,17 +895,6 @@ func (n *Node) senderLocked(baseURL string) *peerSender {
 	return s
 }
 
-// AddUpdateTarget directs hint-update batches to baseURL (a metadata relay
-// or parent) instead of broadcasting to every peer. Data-path peer
-// resolution (AddPeer) is unaffected: transfers remain direct cache-to-
-// cache regardless of how metadata travels (the paper's core separation).
-func (n *Node) AddUpdateTarget(baseURL string) {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	n.updates = append(n.updates, baseURL)
-	n.senderLocked(baseURL)
-}
-
 // hostPortOf strips an "http://" prefix.
 func hostPortOf(baseURL string) string {
 	const prefix = "http://"
@@ -1051,14 +1029,8 @@ func (n *Node) distribute() (senders []*peerSender, seqs []int64, records int) {
 	batch, stampNs := n.pend.drain(nil)
 
 	n.peerMu.RLock()
-	if len(n.updates) > 0 {
-		for _, t := range n.updates {
-			senders = append(senders, n.senders[t])
-		}
-	} else {
-		for _, id := range n.peerOrder {
-			senders = append(senders, n.senders[n.peers[id]])
-		}
+	for _, id := range n.peerOrder {
+		senders = append(senders, n.senders[n.peers[id]])
 	}
 	n.peerMu.RUnlock()
 
@@ -1191,7 +1163,7 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 	// Local cache.
 	if obj, body, ok := n.data.Get(h); ok {
 		n.stats.localHits.Add(1)
-		n.finishFetch(w, reqID, url, start, "LOCAL", obj.Version, body, nil, sampled)
+		n.finishFetch(w, reqID, start, "LOCAL", obj.Version, body, nil, sampled)
 		return
 	}
 
@@ -1208,30 +1180,26 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		n.stats.coalescedHits.Add(1)
 		how = "LOCAL,COALESCED"
 	}
-	n.finishFetch(w, reqID, url, start, how, out.version, out.body, out.hops, sampled)
+	n.finishFetch(w, reqID, start, how, out.version, out.body, out.hops, sampled)
 }
 
 // finishFetch completes a successful /fetch: it observes the outcome
 // histogram, appends the node's terminal hop to the upstream chain (waiters
 // sharing a fill each get their own copy — out.hops is shared across every
-// coalesced request), records the structured span group and the trace if
-// sampled, and serves the object with the trace headers. The terminal hop's
-// outcome is the X-Cache value and the X-Trace header is rendered from the
-// same hop data the spans are built from, so the three views can never
-// disagree. Recording happens before the response is written: a client
-// holding the response can immediately pull its spans from /debug/spans.
-func (n *Node) finishFetch(w http.ResponseWriter, reqID, url string, start time.Time, how string, version int64, body []byte, upstream []obs.Hop, sampled bool) {
+// coalesced request), records the structured span group if sampled, and
+// serves the object with the trace headers. The terminal hop's outcome is
+// the X-Cache value and the X-Trace header is rendered from the same hop
+// data the spans are built from, so the three views can never disagree.
+// Recording happens before the response is written: a client holding the
+// response can immediately pull its spans from /debug/spans.
+func (n *Node) finishFetch(w http.ResponseWriter, reqID string, start time.Time, how string, version int64, body []byte, upstream []obs.Hop, sampled bool) {
 	elapsed := time.Since(start)
 	n.hist.observeFetch(how, elapsed)
 	term := obs.Hop{Node: n.label(), Outcome: how, Elapsed: elapsed}
 	if sampled {
-		// The span group and combined hop slice are built only for
-		// sampled requests; the unsampled majority never allocates.
+		// The span group is built only for sampled requests; the
+		// unsampled majority never allocates.
 		n.spans.AddGroup(obs.SpansFromHops(obs.TraceID(reqID), upstream, term))
-		hops := make([]obs.Hop, 0, len(upstream)+1)
-		hops = append(hops, upstream...)
-		hops = append(hops, term)
-		n.traces.Add(obs.Trace{ID: reqID, URL: url, Outcome: how, Start: start, Total: elapsed, Hops: hops})
 	}
 	// The header keys are pre-canonicalized constants: direct map
 	// assignment skips Set's canonicalization scan on the hot path.
@@ -1481,20 +1449,11 @@ var (
 )
 
 // unframeUpdates extracts the hint-record payload from a POST /updates
-// body: either a single KindHintBatch frame (the framed wire plane) or a
-// bare record concatenation (the legacy encoding — raw records start with
-// an action byte 0x01/0x02, frames with 'b', so the two are unambiguous).
-// limit bounds the decoded record bytes; scratch is the caller's pooled
-// inflate buffer, returned possibly regrown. On error the returned status
-// is the HTTP response code (413 for oversize, 400 otherwise).
+// body, which must be exactly one KindHintBatch frame. limit bounds the
+// decoded record bytes; scratch is the caller's pooled inflate buffer,
+// returned possibly regrown. On error the returned status is the HTTP
+// response code (413 for oversize, 400 otherwise).
 func unframeUpdates(msg []byte, limit int64, scratch []byte) (records []byte, _ []byte, status int, err error) {
-	if !wire.IsFrame(msg) {
-		if int64(len(msg)) > limit {
-			return nil, scratch, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body %d bytes exceeds limit %d", len(msg), limit)
-		}
-		return msg, scratch, 0, nil
-	}
 	f, rest, err := wire.Decode(msg)
 	if err != nil {
 		return nil, scratch, http.StatusBadRequest, err
@@ -1560,8 +1519,8 @@ func (n *Node) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	buf.Reset()
 	defer updatesBodyPool.Put(buf)
 	// The body limit admits one frame header over the record limit; the
-	// record bytes themselves (raw or declared by the frame) are held to
-	// updatesLimit by unframeUpdates.
+	// record bytes the frame declares are held to updatesLimit by
+	// unframeUpdates.
 	if status, err := readUpdatesBody(buf, r, n.updatesLimit+wire.HeaderSize); err != nil {
 		if status == http.StatusRequestEntityTooLarge {
 			n.stats.oversizeRejects.Add(1)
@@ -1598,18 +1557,17 @@ func (n *Node) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = n.hints.ApplyBatch(kept)
 	n.stats.updatesReceived.Add(int64(total))
-	// Freshness telemetry: the sender (or the relay forwarding for it)
-	// stamped the batch with its oldest enqueue wall clock; the difference
-	// to our clock is how stale these hints already were on arrival.
-	if st, ok := hintcache.ParseStamp(r.Header.Get(headerHintBatch)); ok {
-		if from := r.Header.Get("X-Relay-From"); from != "" {
-			n.hintLag.Observe(hostPortOf(from), time.Since(time.Unix(0, st.UnixNs)))
-		}
+	// Freshness telemetry: the sender stamped the batch with its oldest
+	// enqueue wall clock; the difference to our clock is how stale these
+	// hints already were on arrival.
+	from := r.Header.Get(headerHintSender)
+	if st, ok := hintcache.ParseStamp(r.Header.Get(headerHintBatch)); ok && from != "" {
+		n.hintLag.Observe(hostPortOf(from), time.Since(time.Unix(0, st.UnixNs)))
 	}
 	// An inbound batch is a sign of life from its sender: feed the
 	// membership tracker so a revived peer rejoins the routing plane
 	// without waiting out a probe round.
-	n.noteInboundContact(r.Header.Get("X-Relay-From"))
+	n.noteInboundContact(from)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1639,22 +1597,6 @@ func (n *Node) handlePurge(w http.ResponseWriter, r *http.Request) {
 	}
 	n.queueInvalidate(h)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleStats serves GET /stats as JSON.
-func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	payload := struct {
-		Name string `json:"name"`
-		Stats
-	}{Name: n.cfg.Name, Stats: n.Stats()}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // fetched is one successful upstream fetch (peer or origin).

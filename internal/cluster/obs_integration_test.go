@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +22,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // obsFleet is a testFleet whose nodes trace every request (TraceSample 1),
-// so /debug/traces assertions are deterministic. Optional mutators adjust
+// so /debug/spans assertions are deterministic. Optional mutators adjust
 // each node's config before construction (the golden test gives one node a
 // disk tier, for example).
 func newObsFleet(t *testing.T, n int, muts ...func(i int, cfg *NodeConfig)) *testFleet {
@@ -193,13 +192,17 @@ func histConsistent(t *testing.T, p *obs.Exposition) {
 
 // TestFleetObservabilityEndToEnd drives a 3-node fleet through every
 // outcome class, then checks the trace headers, /metrics exposition, and
-// /debug/traces ring against each other.
+// /debug/spans ring against each other.
 func TestFleetObservabilityEndToEnd(t *testing.T) {
 	f := newObsFleet(t, 3)
 	f.origin.SetLatency(5 * time.Millisecond)
+	// node0 maps each request ID node 0 answered to the X-Trace chain its
+	// response carried, for the span-ring check at the end.
+	node0 := map[string][]obs.Hop{}
 
 	// MISS then LOCAL on node 0.
-	if how, hops, _ := tracedFetch(t, f, 0, "http://example.com/a"); true {
+	if how, hops, reqID := tracedFetch(t, f, 0, "http://example.com/a"); true {
+		node0[reqID] = hops
 		if how != "MISS" {
 			t.Errorf("first fetch X-Cache %q, want MISS", how)
 		}
@@ -214,10 +217,12 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("miss chain lacks origin hops: %v", hops)
 		}
 	}
-	if how, hops, _ := tracedFetch(t, f, 0, "http://example.com/a"); how != "LOCAL" {
+	if how, hops, reqID := tracedFetch(t, f, 0, "http://example.com/a"); how != "LOCAL" {
 		t.Errorf("second fetch X-Cache %q, want LOCAL", how)
 	} else if len(hops) != 1 {
 		t.Errorf("local hit should have exactly the terminal hop: %v", hops)
+	} else {
+		node0[reqID] = hops
 	}
 
 	// REMOTE on node 1 after hints propagate.
@@ -307,7 +312,8 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 
 	// More traffic, then a second scrape: counters must be monotone.
 	for i := 0; i < 4; i++ {
-		tracedFetch(t, f, 0, "http://example.com/a")
+		_, hops, reqID := tracedFetch(t, f, 0, "http://example.com/a")
+		node0[reqID] = hops
 	}
 	second := scrape(t, f.client, f.nodes[0].URL())
 	histConsistent(t, second)
@@ -334,51 +340,37 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("node 0 local after re-fetches = %v, want 5", v)
 	}
 
-	// The origin and a relay expose their own expositions.
+	// The origin exposes its own exposition.
 	originExpo := scrape(t, f.client, f.originS.URL)
 	histConsistent(t, originExpo)
 	if v, ok := originExpo.Value("beyondcache_origin_fetches_total"); !ok || v < 2 {
 		t.Errorf("origin fetches = %v, %v; want >= 2", v, ok)
 	}
 
-	relay := NewRelay("relay-test")
-	relayS := httptest.NewServer(relay.Handler())
-	defer relayS.Close()
-	relayExpo := scrape(t, f.client, relayS.URL)
-	histConsistent(t, relayExpo)
-	if _, ok := relayExpo.Value("beyondcache_relay_updates_received_total"); !ok {
-		t.Error("relay exposition missing updates counter")
+	// /debug/spans: sampling is 1-in-1, so every fetch node 0 answered is in
+	// the ring as one span group (next to the PEER-SERVE record it kept for
+	// node 1's request), and each group renders back to the byte-exact
+	// X-Trace chain the client was handed.
+	spans, _, lost := pullSpans(t, f.client, f.nodes[0].URL(), 0)
+	if lost != 0 {
+		t.Errorf("span ring lost %d spans", lost)
 	}
-
-	// /debug/traces: sampling is 1-in-1, so every request is in the ring.
-	resp, err := f.client.Get(f.nodes[0].URL() + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
+	groups := map[uint64][]obs.Span{}
+	for _, s := range spans {
+		groups[s.TraceID] = append(groups[s.TraceID], s)
 	}
-	defer resp.Body.Close()
-	var payload struct {
-		Node       string      `json:"node"`
-		SampleRate float64     `json:"sampleRate"`
-		Sampled    int64       `json:"sampled"`
-		Traces     []obs.Trace `json:"traces"`
+	if len(node0) != 6 || len(groups) != 7 {
+		t.Errorf("node 0 answered %d fetches and holds %d span groups, want 6 and 7", len(node0), len(groups))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatalf("/debug/traces is not JSON: %v", err)
-	}
-	if payload.Node != "obs-0" || payload.SampleRate != 1 {
-		t.Errorf("trace payload header wrong: %+v", payload)
-	}
-	if payload.Sampled != 6 || len(payload.Traces) != 6 {
-		t.Errorf("node 0 served 6 fetches; ring has sampled=%d len=%d", payload.Sampled, len(payload.Traces))
-	}
-	for _, tr := range payload.Traces {
-		if tr.ID == "" || tr.URL == "" || len(tr.Hops) == 0 {
-			t.Errorf("incomplete trace: %+v", tr)
-			continue
+	for reqID, hops := range node0 {
+		group := groups[obs.TraceID(reqID)]
+		want := obs.FormatChain(hops[:len(hops)-1], hops[len(hops)-1])
+		if got := obs.RenderXTrace(group); got != want {
+			t.Errorf("request %s: span group renders %q, header was %q", reqID, got, want)
 		}
-		if term := tr.Hops[len(tr.Hops)-1]; term.Outcome != tr.Outcome {
-			t.Errorf("trace outcome %q != terminal hop %q", tr.Outcome, term.Outcome)
-		}
+	}
+	if v, ok := second.Value("beyondcache_spans_recorded_total"); !ok || v != float64(len(spans)) {
+		t.Errorf("spans_recorded_total = %v, %v; ring holds %d", v, ok, len(spans))
 	}
 }
 
@@ -405,10 +397,9 @@ func TestMetricNamesGolden(t *testing.T) {
 	if spilled := f.nodes[0].tier.SpillStats().Spilled; spilled < 1 {
 		t.Fatalf("golden fleet spilled %d objects, want >= 1", spilled)
 	}
-	relay := NewRelay("golden")
 
 	names := map[string]bool{}
-	for _, e := range []*obs.Expo{f.nodes[0].Metrics(), f.origin.Metrics(), relay.Metrics()} {
+	for _, e := range []*obs.Expo{f.nodes[0].Metrics(), f.origin.Metrics()} {
 		for _, name := range e.FamilyNames() {
 			names[name] = true
 		}

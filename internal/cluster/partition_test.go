@@ -121,9 +121,7 @@ func TestOwnershipFilterRejectsForeignRecords(t *testing.T) {
 			break
 		}
 	}
-	body := hintcache.EncodeUpdates([]hintcache.Update{
-		{Action: hintcache.ActionInform, URLHash: h, Machine: f.Nodes[1].machineID},
-	})
+	body := hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: h, Machine: f.Nodes[1].machineID})
 	resp, err := http.Post(n.URL()+"/updates", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

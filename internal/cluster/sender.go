@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -180,7 +181,7 @@ func (s *peerSender) send(body []byte, records int, stampNs int64) {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set("X-Relay-From", n.URL())
+		req.Header.Set(headerHintSender, n.URL())
 		if stamp != "" {
 			req.Header.Set(headerHintBatch, stamp)
 		}
@@ -188,8 +189,13 @@ func (s *peerSender) send(body []byte, records int, stampNs int64) {
 		if err != nil {
 			return err
 		}
-		io.Copy(io.Discard, resp.Body)
+		// An error page is not an acknowledgement: drain a token amount
+		// for connection reuse and count the attempt as failed.
+		io.CopyN(io.Discard, resp.Body, 4<<10)
 		resp.Body.Close()
+		if resp.StatusCode < 200 || resp.StatusCode > 299 {
+			return fmt.Errorf("hint batch: status %d", resp.StatusCode)
+		}
 		return nil
 	})
 	n.stats.retries.Add(int64(retries))

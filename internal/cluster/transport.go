@@ -9,7 +9,7 @@ import (
 )
 
 // The package's HTTP clients are all built here, in one place, so every
-// server kind (Node, Relay, Fleet driver) shares the same tuned transport
+// server kind (Node, Fleet driver) shares the same tuned transport
 // and the fault-injection layer has a single seam to wrap. The bare
 // &http.Client{Timeout: 10s} the prototype started with used
 // http.DefaultTransport's 2-connections-per-host idle pool, which made

@@ -69,48 +69,6 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// UnmarshalFilter decodes a plain-filter encoding (the Filter wire layout
-// above) into the counting filter, widening each bit into a counter of 0
-// or 1. Filter and Counting probe identical positions for equal m, so the
-// widened copy answers MayContain exactly as the source filter would —
-// this is how a puller absorbs a digest from a peer that predates the
-// counting wire format.
-func (c *Counting) UnmarshalFilter(data []byte) error {
-	if len(data) < headerSize {
-		return fmt.Errorf("digest: message too short (%d bytes)", len(data))
-	}
-	m := binary.LittleEndian.Uint64(data[0:8])
-	k := int(binary.LittleEndian.Uint32(data[8:12]))
-	if k < 1 || k > 16 {
-		return fmt.Errorf("digest: bad hash count %d", k)
-	}
-	if m == 0 || m%64 != 0 {
-		return fmt.Errorf("digest: bad bit count %d", m)
-	}
-	// Derive the word count from the body length, not m, so an absurd m
-	// cannot overflow the expected-length arithmetic.
-	if (len(data)-headerSize)%8 != 0 || m/64 != uint64(len(data)-headerSize)/8 {
-		return fmt.Errorf("digest: length %d does not match %d bits", len(data), m)
-	}
-	counts := c.counts
-	if uint64(cap(counts)) < m {
-		counts = make([]uint8, m)
-	}
-	counts = counts[:m]
-	for w := uint64(0); w < m/64; w++ {
-		word := binary.LittleEndian.Uint64(data[headerSize+w*8:])
-		for b := uint64(0); b < 64; b++ {
-			counts[w*64+b] = uint8(word >> b & 1)
-		}
-	}
-	c.counts = counts
-	c.m = m
-	c.k = k
-	c.n = 0 // unknown after transfer; only stats are affected
-	c.unsound = false
-	return nil
-}
-
 // Decode parses a marshaled filter into a fresh Filter.
 func Decode(data []byte) (*Filter, error) {
 	f := &Filter{}

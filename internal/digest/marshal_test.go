@@ -64,62 +64,6 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestUnmarshalFilterWidensExactly decodes a plain-filter encoding into a
-// Counting and checks the widened copy answers MayContain identically —
-// the legacy-peer fallback path of the cluster's digest puller.
-func TestUnmarshalFilterWidensExactly(t *testing.T) {
-	f, err := NewForCapacity(500, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	ids := make([]uint64, 500)
-	for i := range ids {
-		ids[i] = rng.Uint64()
-		f.Add(ids[i])
-	}
-	data, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Counting
-	if err := c.UnmarshalFilter(data); err != nil {
-		t.Fatal(err)
-	}
-	if c.Bits() != f.Bits() || c.K() != f.K() {
-		t.Fatalf("shape changed: %d/%d -> %d/%d", f.Bits(), f.K(), c.Bits(), c.K())
-	}
-	for _, id := range ids {
-		if !c.MayContain(id) {
-			t.Fatalf("widened copy lost %#x", id)
-		}
-	}
-	for i := 0; i < 5000; i++ {
-		id := rng.Uint64()
-		if f.MayContain(id) != c.MayContain(id) {
-			t.Fatalf("filter and widened copy disagree on %#x", id)
-		}
-	}
-
-	// The same garbage the plain decoder rejects must be rejected here.
-	for i, bad := range [][]byte{
-		nil,
-		make([]byte, 5),
-		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		append(make([]byte, 12), 1, 2, 3),
-	} {
-		var g Counting
-		if err := g.UnmarshalFilter(bad); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-	data[8] = 200 // bad hash count
-	var g Counting
-	if err := g.UnmarshalFilter(data); err == nil {
-		t.Error("bad hash count accepted")
-	}
-}
-
 func TestMarshalRoundTripQuick(t *testing.T) {
 	f := func(ids []uint64) bool {
 		fl, err := NewForCapacity(len(ids)+1, 8)

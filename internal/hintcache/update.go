@@ -58,21 +58,11 @@ func EncodeUpdates(updates []Update) []byte {
 	return out
 }
 
-// DecodeUpdates parses a wire message into updates. It rejects messages
-// whose length is not a multiple of UpdateSize or that contain an unknown
-// action.
-func DecodeUpdates(msg []byte) ([]Update, error) {
-	out, err := AppendDecodedUpdates(make([]Update, 0, len(msg)/UpdateSize), msg)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AppendDecodedUpdates parses a wire message onto dst and returns the
-// extended slice — DecodeUpdates for callers that recycle the decode
-// buffer across batches. Validation matches DecodeUpdates; on error the
-// returned slice holds whatever decoded cleanly before the fault.
+// extended slice, so callers can recycle the decode buffer across batches.
+// It rejects messages whose length is not a multiple of UpdateSize or that
+// contain an unknown action; on error the returned slice holds whatever
+// decoded cleanly before the fault.
 func AppendDecodedUpdates(dst []Update, msg []byte) ([]Update, error) {
 	if len(msg)%UpdateSize != 0 {
 		return dst, fmt.Errorf("hintcache: update message length %d not a multiple of %d",

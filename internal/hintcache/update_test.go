@@ -19,7 +19,7 @@ func TestUpdatesRoundTrip(t *testing.T) {
 		{Action: ActionInvalidate, URLHash: 7, Machine: 9},
 		{Action: ActionInform, URLHash: ^uint64(0), Machine: ^uint64(0)},
 	}
-	out, err := DecodeUpdates(EncodeUpdates(in))
+	out, err := AppendDecodedUpdates(nil, EncodeUpdates(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,14 @@ func TestUpdatesRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsBadInput(t *testing.T) {
-	if _, err := DecodeUpdates(make([]byte, 19)); err == nil {
+	if _, err := AppendDecodedUpdates(nil, make([]byte, 19)); err == nil {
 		t.Error("misaligned message accepted")
 	}
 	bad := EncodeUpdates([]Update{{Action: Action(99), URLHash: 1, Machine: 2}})
-	if _, err := DecodeUpdates(bad); err == nil {
+	if _, err := AppendDecodedUpdates(nil, bad); err == nil {
 		t.Error("unknown action accepted")
 	}
-	out, err := DecodeUpdates(nil)
+	out, err := AppendDecodedUpdates(nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty message: got (%v, %v), want ([], nil)", out, err)
 	}
@@ -82,7 +82,7 @@ func TestUpdateRoundTripQuick(t *testing.T) {
 			a = ActionInform
 		}
 		in := Update{Action: a, URLHash: urlHash, Machine: machine}
-		out, err := DecodeUpdates(AppendUpdate(nil, in))
+		out, err := AppendDecodedUpdates(nil, AppendUpdate(nil, in))
 		return err == nil && len(out) == 1 && out[0] == in
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -20,10 +20,8 @@ type BenchObs struct {
 	HintPropagationCount int64   `json:"hint_propagation_count"`
 	HintPropagationP50Ms float64 `json:"hint_propagation_p50_ms"`
 	HintPropagationP99Ms float64 `json:"hint_propagation_p99_ms"`
-	// SpansRecorded and TracesSampled total the tracing plane's output
-	// over the window (structured spans and /debug/traces entries).
+	// SpansRecorded totals the tracing plane's output over the window.
 	SpansRecorded int64 `json:"spans_recorded"`
-	TracesSampled int64 `json:"traces_sampled"`
 	// DirectoryLagObjects sums the fleet's directory lag gauges at the end
 	// of the run: updates still enqueued but undelivered when load stopped.
 	DirectoryLagObjects float64 `json:"directory_lag_objects"`
@@ -91,13 +89,9 @@ func summarizeObs(before, after []*obs.Exposition) *BenchObs {
 				}
 			}
 		}
-		counter := func(name string) int64 {
-			a, _ := after[i].Value(name)
-			b, _ := before[i].Value(name)
-			return int64(a - b)
-		}
-		o.SpansRecorded += counter("beyondcache_spans_recorded_total")
-		o.TracesSampled += counter("beyondcache_traces_sampled_total")
+		spansAfter, _ := after[i].Value("beyondcache_spans_recorded_total")
+		spansBefore, _ := before[i].Value("beyondcache_spans_recorded_total")
+		o.SpansRecorded += int64(spansAfter - spansBefore)
 		if v, ok := after[i].Value("beyondcache_hint_directory_lag_objects"); ok {
 			o.DirectoryLagObjects += v
 		}

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -60,18 +58,6 @@ func (h Hop) appendSegment(b []byte) []byte {
 // Segment renders the hop as one X-Trace segment.
 func (h Hop) Segment() string { return string(h.appendSegment(nil)) }
 
-// FormatHops renders a hop chain as an X-Trace header value.
-func FormatHops(hops []Hop) string {
-	b := make([]byte, 0, 48*len(hops))
-	for i, h := range hops {
-		if i > 0 {
-			b = append(b, '|')
-		}
-		b = h.appendSegment(b)
-	}
-	return string(b)
-}
-
 // FormatChain renders upstream hops plus a terminal hop as one X-Trace
 // value without materializing the combined slice — the /fetch hot path
 // calls this per request, so it builds through a stack scratch buffer and
@@ -120,79 +106,7 @@ func ParseHops(v string) []Hop {
 	return hops
 }
 
-// Trace is one sampled request's full record.
-type Trace struct {
-	ID      string        `json:"id"`
-	URL     string        `json:"url"`
-	Outcome string        `json:"outcome"`
-	Start   time.Time     `json:"start"`
-	Total   time.Duration `json:"totalUs"`
-	Hops    []Hop         `json:"hops"`
-}
-
-// MarshalJSON reports the total in whole microseconds, matching the hops
-// (time.Duration's default marshaling would emit nanoseconds under a
-// field name that promises µs).
-func (t Trace) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		ID      string    `json:"id"`
-		URL     string    `json:"url"`
-		Outcome string    `json:"outcome"`
-		Start   time.Time `json:"start"`
-		TotalUs int64     `json:"totalUs"`
-		Hops    []Hop     `json:"hops"`
-	}{t.ID, t.URL, t.Outcome, t.Start, t.Total.Microseconds(), t.Hops})
-}
-
-// TraceRing is a bounded ring buffer of recent traces. Add overwrites the
-// oldest entry once full; Snapshot returns oldest-first. A single mutex
-// guards the ring — sampling keeps it off the per-request hot path.
-type TraceRing struct {
-	mu      sync.Mutex
-	buf     []Trace
-	next    int
-	full    bool
-	sampled atomic.Int64
-}
-
-// NewTraceRing builds a ring holding up to n traces (n <= 0 means 256).
-func NewTraceRing(n int) *TraceRing {
-	if n <= 0 {
-		n = 256
-	}
-	return &TraceRing{buf: make([]Trace, n)}
-}
-
-// Add records one trace.
-func (r *TraceRing) Add(t Trace) {
-	r.sampled.Add(1)
-	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Sampled returns how many traces have been recorded (including ones the
-// ring has since overwritten).
-func (r *TraceRing) Sampled() int64 { return r.sampled.Load() }
-
-// Snapshot copies the ring's contents, oldest first.
-func (r *TraceRing) Snapshot() []Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Trace(nil), r.buf[:r.next]...)
-	}
-	out := make([]Trace, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
-// Sampler decides deterministically which requests get a full trace
+// Sampler decides deterministically which requests get their span group
 // recorded: a rate of r keeps roughly every 1/r-th request (exactly every
 // k-th, k = round(1/r)), spreading samples evenly instead of in random
 // bursts and costing one atomic add per request.

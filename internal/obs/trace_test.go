@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -13,7 +12,7 @@ func TestHopSegmentRoundTrip(t *testing.T) {
 		{Node: "edge-1", Outcome: "PEER-SERVE", Elapsed: 42 * time.Microsecond},
 		{Node: "edge-0", Outcome: "LOCAL,COALESCED", Elapsed: 1500 * time.Nanosecond},
 	}
-	s := FormatHops(hops)
+	s := FormatChain(hops[:1], hops[1])
 	// Outcomes contain commas, so the chain separator must not be a comma.
 	if strings.Count(s, "|") != 1 {
 		t.Fatalf("chain %q should have exactly one separator", s)
@@ -57,57 +56,6 @@ func TestHopJSONElapsedMicros(t *testing.T) {
 	}
 	if want := `{"node":"n","outcome":"LOCAL","elapsedUs":2}`; string(b) != want {
 		t.Errorf("JSON = %s, want %s", b, want)
-	}
-}
-
-func TestTraceJSONTotalMicros(t *testing.T) {
-	b, err := json.Marshal(Trace{ID: "r1", Total: 2500 * time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"totalUs":2`) {
-		t.Errorf("totalUs not in microseconds: %s", b)
-	}
-}
-
-func TestTraceRingBoundedOldestFirst(t *testing.T) {
-	r := NewTraceRing(3)
-	for i := 0; i < 5; i++ {
-		r.Add(Trace{ID: string(rune('a' + i))})
-	}
-	got := r.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	for i, want := range []string{"c", "d", "e"} {
-		if got[i].ID != want {
-			t.Errorf("trace %d = %q, want %q", i, got[i].ID, want)
-		}
-	}
-	if r.Sampled() != 5 {
-		t.Errorf("Sampled = %d, want 5", r.Sampled())
-	}
-}
-
-func TestTraceRingConcurrent(t *testing.T) {
-	r := NewTraceRing(16)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Add(Trace{ID: "x"})
-				_ = r.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Sampled() != 4000 {
-		t.Errorf("Sampled = %d, want 4000", r.Sampled())
-	}
-	if len(r.Snapshot()) != 16 {
-		t.Errorf("ring not full: %d", len(r.Snapshot()))
 	}
 }
 

@@ -11,22 +11,28 @@ import (
 // Spiller is the bounded write-behind queue between the memory tier's
 // eviction callback and the disk store. Enqueue never blocks on disk I/O:
 // items coalesce by id (a re-evicted object replaces its queued copy) and
-// when the bound is hit the OLDEST queued item is dropped — under sustained
+// when the bound is hit the OLDEST waiting item is dropped — under sustained
 // pressure the freshest evictions are the ones most worth persisting, and a
 // dropped item's object has now left both tiers, so the drop callback fires
 // to advertise non-presence.
+//
+// The front of the queue belongs to the worker: it stays queued and indexed
+// while it is written, so peek keeps the object resident until the disk
+// index has it. A Discard of the front drops only its index entry; the
+// write checks for the entry as it commits (store lock, then spiller lock)
+// and abandons the file if it is gone, so a purged object never lands on
+// disk behind the purge.
 type Spiller struct {
 	st     *Store
 	limit  int
 	onDrop func(cache.Object)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    *list.List // of *spillItem; front = oldest
-	byID     map[uint64]*list.Element
-	inFlight bool
-	closed   bool
-	done     chan struct{}
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  *list.List // of *spillItem; front = oldest, being written
+	byID   map[uint64]*list.Element
+	closed bool
+	done   chan struct{}
 
 	spilled   atomic.Int64
 	drops     atomic.Int64
@@ -81,10 +87,10 @@ func (s *Spiller) Enqueue(obj cache.Object, body []byte) {
 		s.mu.Unlock()
 		return
 	}
-	if s.items.Len() >= s.limit {
-		front := s.items.Front()
-		it := front.Value.(*spillItem)
-		s.items.Remove(front)
+	if s.items.Len() > s.limit {
+		oldest := s.items.Front().Next() // the front is mid-write, not waiting
+		it := oldest.Value.(*spillItem)
+		s.items.Remove(oldest)
 		delete(s.byID, it.obj.ID)
 		dropped, drop = it.obj, true
 		s.drops.Add(1)
@@ -99,8 +105,9 @@ func (s *Spiller) Enqueue(obj cache.Object, body []byte) {
 }
 
 // peek returns the queued copy of an object, if any — the in-between state
-// where an object has left memory but not yet reached disk. The returned
-// body aliases the queued slice; bodies are immutable throughout the node.
+// where an object has left memory but its disk write has not yet committed.
+// The returned body aliases the queued slice; bodies are immutable
+// throughout the node.
 func (s *Spiller) peek(id uint64) (cache.Object, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -119,10 +126,9 @@ func (s *Spiller) Discard(id uint64) bool {
 	defer s.mu.Unlock()
 	e, ok := s.byID[id]
 	if ok {
-		s.items.Remove(e)
 		delete(s.byID, id)
-		if s.items.Len() == 0 && !s.inFlight {
-			s.cond.Broadcast()
+		if e != s.items.Front() {
+			s.items.Remove(e)
 		}
 	}
 	return ok
@@ -132,7 +138,7 @@ func (s *Spiller) Discard(id uint64) bool {
 // (or dropped).
 func (s *Spiller) Flush() {
 	s.mu.Lock()
-	for s.items.Len() > 0 || s.inFlight {
+	for s.items.Len() > 0 {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -153,7 +159,7 @@ func (s *Spiller) Close() {
 	<-s.done
 }
 
-// Depth returns the current queue length.
+// Depth returns the current queue length, the item being written included.
 func (s *Spiller) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,25 +202,39 @@ func (s *Spiller) run() {
 		}
 		front := s.items.Front()
 		it := front.Value.(*spillItem)
-		s.items.Remove(front)
-		delete(s.byID, it.obj.ID)
-		s.inFlight = true
+		obj, body := it.obj, it.body
 		s.mu.Unlock()
 
-		err := s.st.Put(it.obj, it.body)
-		if err == nil {
-			s.spilled.Add(1)
-		} else {
-			s.errs.Add(1)
-			if s.onDrop != nil {
-				s.onDrop(it.obj)
-			}
-		}
+		err := s.st.put(obj, body, func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.byID[obj.ID] == front
+		})
 
 		s.mu.Lock()
-		s.inFlight = false
+		if s.byID[obj.ID] == front {
+			if err == nil {
+				s.spilled.Add(1)
+			} else {
+				s.errs.Add(1)
+			}
+			if it.obj.Version > obj.Version {
+				// Re-evicted at a newer version during the write: it is
+				// still the front, so the next pass writes it over this one.
+				continue
+			}
+			delete(s.byID, obj.ID)
+		} else {
+			err = nil // discarded during the write: the purge owns the invalidate
+		}
+		s.items.Remove(front)
 		if s.items.Len() == 0 {
 			s.cond.Broadcast() // wake Flush waiters
+		}
+		if err != nil && s.onDrop != nil {
+			s.mu.Unlock()
+			s.onDrop(obj)
+			s.mu.Lock()
 		}
 	}
 }

@@ -145,6 +145,14 @@ func (s *Store) touch(d *dent) {
 // re-evicted from memory unchanged). Capacity overflow evicts
 // least-recently-read objects, firing the drop callback for each.
 func (s *Store) Put(obj cache.Object, body []byte) error {
+	return s.put(obj, body, nil)
+}
+
+// put is Put with a veto at the commit point: keep, when non-nil, runs
+// under the index lock immediately before the rename, and a false answer
+// abandons the write. A Remove ordered after the caller withdrew its claim
+// therefore never loses to a write that was already in progress.
+func (s *Store) put(obj cache.Object, body []byte, keep func() bool) error {
 	s.mu.Lock()
 	if d, ok := s.index[obj.ID]; ok && d.obj.Version >= obj.Version {
 		s.mu.Unlock()
@@ -180,6 +188,11 @@ func (s *Store) Put(obj cache.Object, body []byte) error {
 	if d, ok := s.index[obj.ID]; ok && d.obj.Version >= obj.Version {
 		s.mu.Unlock()
 		s.putSkipped.Add(1)
+		os.Remove(tmp)
+		return nil
+	}
+	if keep != nil && !keep() {
+		s.mu.Unlock()
 		os.Remove(tmp)
 		return nil
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -515,4 +516,196 @@ func BenchmarkRecoveryScan(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n), "objects/op")
+}
+
+// tierModel drives a Tier the way a node does — memory first, then the
+// spill queue and disk — next to a map of what must be resident. The gate
+// is the disk store's own mutex: while the test holds it, Store.Put cannot
+// commit, so every write-behind item stays "being written".
+type tierModel struct {
+	t     *testing.T
+	mem   *cache.Sharded
+	disk  *Store
+	tier  *Tier
+	gated bool
+	ref   map[uint64]int64 // id -> version that must be locally servable
+}
+
+func newTierModel(t *testing.T) *tierModel {
+	m := &tierModel{t: t, ref: make(map[uint64]int64)}
+	m.mem = cache.NewSharded(1, 3*16) // three 16-byte objects
+	m.disk = openT(t, Options{})
+	// Eight objects never fill a 64-item queue or an unbounded disk, so
+	// nothing is dropped involuntarily: only purges end residency here.
+	m.tier = NewTier(m.mem, m.disk, 64, func(o cache.Object) {
+		t.Errorf("object %d v%d dropped from both tiers", o.ID, o.Version)
+	})
+	m.mem.OnEvict(func(o cache.Object, body []byte) { m.tier.Spill(o, body) })
+	t.Cleanup(func() {
+		m.openGate()
+		m.tier.Close()
+	})
+	return m
+}
+
+func modelBody(id uint64, version int64) []byte {
+	return []byte(fmt.Sprintf("%07d:%08d", id, version)) // 16 bytes
+}
+
+func (m *tierModel) closeGate() {
+	if !m.gated {
+		m.disk.mu.Lock()
+		m.gated = true
+		// Let the worker reach the gate with whatever is at the front. No
+		// assertion depends on it having got there; it only makes the
+		// mid-write interleavings the common case.
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+func (m *tierModel) openGate() {
+	if m.gated {
+		m.disk.mu.Unlock()
+		m.gated = false
+	}
+}
+
+func (m *tierModel) put(id uint64, version int64) {
+	m.ref[id] = version
+	m.mem.Put(cache.Object{ID: id, Size: 16, Version: version}, modelBody(id, version))
+}
+
+// purge is the node's purge path: out of memory, then out of the tier.
+func (m *tierModel) purge(id uint64) {
+	delete(m.ref, id)
+	m.mem.Discard(id)
+	if m.gated {
+		// The disk half of Tier.Discard needs the mutex the gate holds.
+		// The worker may get one step further meanwhile; that is one more
+		// interleaving, not a hole in the gate.
+		m.disk.mu.Unlock()
+		defer m.disk.mu.Lock()
+	}
+	m.tier.Discard(id)
+}
+
+// lookup is the node's local probe. Behind a closed gate the disk index is
+// read directly (the test holds its mutex) and nothing is promoted.
+func (m *tierModel) lookup(id uint64) (int64, []byte, bool) {
+	if obj, body, ok := m.mem.Get(id); ok {
+		return obj.Version, body, true
+	}
+	if !m.gated {
+		obj, body, ok := m.tier.Get(id)
+		return obj.Version, body, ok
+	}
+	if obj, body, ok := m.tier.sp.peek(id); ok {
+		return obj.Version, body, true
+	}
+	if d, ok := m.disk.index[id]; ok {
+		return d.obj.Version, nil, true
+	}
+	return 0, nil, false
+}
+
+// check asserts resident-until-purged for one id: what the model holds is
+// servable at exactly that version, and what was purged is gone.
+func (m *tierModel) check(step int, id uint64) {
+	m.t.Helper()
+	want, resident := m.ref[id]
+	got, body, ok := m.lookup(id)
+	switch {
+	case resident && !ok:
+		m.t.Fatalf("step %d: object %d v%d is in neither memory, the spill queue nor the disk index (gate closed: %v)", step, id, want, m.gated)
+	case resident && got != want:
+		m.t.Fatalf("step %d: object %d served at v%d, want v%d", step, id, got, want)
+	case resident && body != nil && !bytes.Equal(body, modelBody(id, want)):
+		m.t.Fatalf("step %d: object %d v%d body = %q", step, id, want, body)
+	case !resident && ok:
+		m.t.Fatalf("step %d: purged object %d reappeared at v%d", step, id, got)
+	}
+}
+
+// TestTierModelResidentUntilDropped runs random put / purge / re-put
+// traffic over eight objects and three memory slots, opening and
+// closing the write gate as it goes, and checks every object against the
+// model after every step: resident means servable until dropped or purged,
+// through the write-behind window included.
+func TestTierModelResidentUntilDropped(t *testing.T) {
+	const ids = 8
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := newTierModel(t)
+		version := int64(0)
+		for step := 0; step < 400; step++ {
+			id := uint64(rng.Intn(ids))
+			switch r := rng.Intn(16); {
+			case r < 10:
+				version++
+				m.put(id, version)
+			case r < 13:
+				m.purge(id)
+			case r < 14:
+				m.closeGate()
+			default:
+				m.openGate()
+				if r == 15 {
+					m.tier.Flush()
+				}
+			}
+			// With the gate open these lookups promote, so every step
+			// also shuffles memory and re-evicts.
+			for id := uint64(0); id < ids; id++ {
+				m.check(step, id)
+			}
+		}
+		m.openGate()
+		m.tier.Flush()
+		for id := uint64(0); id < ids; id++ {
+			m.check(-1, id)
+			if _, resident := m.ref[id]; !resident && m.tier.Contains(id) {
+				t.Fatalf("seed %d: purged object %d is on disk after the queue drained", seed, id)
+			}
+		}
+	}
+}
+
+// TestSpillerRacesDuringWrite pins the two interleavings with a write the
+// gate holds open: a newer version evicted meanwhile must be the one on
+// disk afterwards, and a purge meanwhile must leave nothing on disk.
+func TestSpillerRacesDuringWrite(t *testing.T) {
+	t.Run("re-enqueue", func(t *testing.T) {
+		m := newTierModel(t)
+		m.closeGate()
+		m.tier.Spill(cache.Object{ID: 1, Size: 16, Version: 1}, modelBody(1, 1))
+		time.Sleep(5 * time.Millisecond) // worker is in Put(v1), at the gate
+		m.tier.Spill(cache.Object{ID: 1, Size: 16, Version: 2}, modelBody(1, 2))
+		if obj, _, ok := m.tier.sp.peek(1); !ok || obj.Version != 2 {
+			t.Fatalf("peek during the write = v%d %v, want v2", obj.Version, ok)
+		}
+		m.openGate()
+		m.tier.Flush()
+		obj, body, ok := m.disk.Get(1)
+		if !ok || obj.Version != 2 || !bytes.Equal(body, modelBody(1, 2)) {
+			t.Fatalf("disk holds v%d %q %v after the write, want v2", obj.Version, body, ok)
+		}
+	})
+	t.Run("discard", func(t *testing.T) {
+		m := newTierModel(t)
+		m.closeGate()
+		m.tier.Spill(cache.Object{ID: 1, Size: 16, Version: 1}, modelBody(1, 1))
+		time.Sleep(5 * time.Millisecond) // worker is in Put(v1), at the gate
+		m.purge(1)
+		if _, _, ok := m.lookup(1); ok {
+			t.Fatal("purged object still visible during its write")
+		}
+		m.openGate()
+		m.tier.Flush()
+		if m.tier.Contains(1) {
+			t.Fatal("purged object is on disk after its write completed")
+		}
+		if st := m.tier.SpillStats(); st.Depth != 0 {
+			t.Fatalf("Depth = %d after Flush, want 0", st.Depth)
+		}
+	})
 }

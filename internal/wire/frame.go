@@ -60,7 +60,7 @@ func (k Kind) String() string {
 	case KindDigestFull:
 		return "digest-full"
 	case KindDigestDelta:
-		return "digest-delta"
+		return "digest-ops"
 	case KindSchedule:
 		return "schedule"
 	default:
@@ -76,14 +76,6 @@ const frameVersion = 1
 
 // flagFlate marks a flate-compressed payload.
 const flagFlate = 0x01
-
-// IsFrame reports whether buf starts with a wire frame header. It is how
-// /updates distinguishes framed bodies from legacy raw record batches: a
-// raw batch starts with a 4-byte little-endian action in {1, 2}, so its
-// first byte can never be 'b'.
-func IsFrame(buf []byte) bool {
-	return len(buf) >= 3 && buf[0] == 'b' && buf[1] == 'w' && buf[2] == frameVersion
-}
 
 // AppendFrame appends one framed payload to dst and returns the extended
 // slice. When compressMin > 0 and the payload is at least that many bytes,
