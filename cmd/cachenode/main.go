@@ -64,7 +64,7 @@ func run(args []string, out io.Writer, wait func()) error {
 		cacheBytes  = fs.Int64("cache-bytes", 64<<20, "object cache capacity in bytes")
 		cacheShards = fs.Int("cache-shards", 0, "object cache shard count, rounded up to a power of two (0: sized from GOMAXPROCS)")
 		cacheDir    = fs.String("cache-dir", "", "directory for the persistent disk tier; evictions spill here and the population is recovered and re-advertised on boot (off when empty)")
-		diskCap     = fs.Int64("disk-capacity", 0, "disk tier capacity in bytes; overflow evicts least-recently-read objects (0: unbounded; requires -cache-dir)")
+		diskCap     = fs.Int64("disk-capacity", 0, "disk tier capacity in bytes; overflow retires the oldest log segment (0: unbounded; requires -cache-dir)")
 		spillQueue  = fs.Int("spill-queue", 0, "bounded write-behind spill queue, in evicted objects; overflow drops oldest (0: 1024 default)")
 		compressMin = fs.Int64("compress-min", 0, "deflate spilled objects of at least this many bytes, kept only when smaller (0: never compress)")
 		recWorkers  = fs.Int("recovery-workers", 0, "concurrent verify-on-read workers for the boot recovery scan (0: 4 default)")

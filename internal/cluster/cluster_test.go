@@ -361,3 +361,41 @@ func TestBackgroundBatcherDeliversWithoutFlush(t *testing.T) {
 	}
 	t.Fatal("hint never propagated via background batcher")
 }
+
+// TestReadObjectSizedAndChecked: a peer's or the origin's body is read
+// into one allocation of its declared length, a body that ends short of
+// that length is refused rather than cached, and a header alone never buys
+// more than maxBodyPrealloc of memory.
+func TestReadObjectSizedAndChecked(t *testing.T) {
+	resp := func(declared int64, body string) *http.Response {
+		return &http.Response{
+			Header:        http.Header{headerVersion: []string{"3"}},
+			ContentLength: declared,
+			Body:          io.NopCloser(strings.NewReader(body)),
+		}
+	}
+	big := strings.Repeat("x", maxBodyPrealloc+1)
+	for _, c := range []struct {
+		name     string
+		declared int64
+		body     string
+		ok       bool
+	}{
+		{"exact", 5, "hello", true},
+		{"undeclared", -1, "hello", true},
+		{"short", 10, "hello", false},
+		{"above the cap, whole", int64(len(big)), big, true},
+		{"above the cap, short", 1 << 40, "hello", false},
+	} {
+		version, body, err := readObject(resp(c.declared, c.body))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+		if c.ok && (version != 3 || string(body) != c.body) {
+			t.Errorf("%s: read v%d and %d bytes, want v3 and %d", c.name, version, len(body), len(c.body))
+		}
+		if c.name == "exact" && cap(body) != 5 {
+			t.Errorf("exact: body capacity %d, want one allocation of 5", cap(body))
+		}
+	}
+}

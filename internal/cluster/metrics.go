@@ -329,9 +329,9 @@ func (n *Node) Metrics() *obs.Expo {
 		"Disk writes skipped because the same or a newer version was already stored.",
 		ds.PutSkipped)
 	e.Counter("beyondcache_store_evictions_total",
-		"Objects evicted from the disk tier by capacity pressure.", ds.Evictions)
+		"Objects dropped with a segment retired by capacity pressure.", ds.Evictions)
 	e.Counter("beyondcache_store_verify_failures_total",
-		"Object files quarantined after failing header or body-checksum verification.",
+		"Records dropped after failing header or body-checksum verification, and recovery walks ended by a torn tail.",
 		ds.VerifyFailures)
 	e.Counter("beyondcache_store_compressed_total",
 		"Bodies stored flate-compressed (at least CompressMin bytes and actually shrank).",
@@ -341,7 +341,7 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Gauge("beyondcache_store_disk_objects",
 		"Objects indexed in the disk tier.", float64(ds.Objects))
 	e.Gauge("beyondcache_store_disk_bytes_used",
-		"On-disk bytes (object headers included) charged against the disk capacity.",
+		"Segment bytes (headers, superseded records and tombstones included) charged against the disk capacity.",
 		float64(ds.UsedBytes))
 	e.Gauge("beyondcache_store_disk_bytes_capacity",
 		"Configured disk-tier capacity in bytes (0 = unbounded).", float64(ds.Capacity))
@@ -362,10 +362,10 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Gauge("beyondcache_store_recovery_objects",
 		"Valid objects recovered and republished by the boot scan.", float64(rec.Objects))
 	e.Counter("beyondcache_store_recovery_tmp_removed_total",
-		"Orphaned tmp files (crash mid-write) removed by the boot recovery scan.",
-		int64(rec.TmpRemoved))
+		"Segment files the boot recovery scan deleted because nothing live was left in them (the name predates the segment log).",
+		int64(rec.SegmentsRemoved))
 	e.Counter("beyondcache_store_recovery_quarantined_total",
-		"Files quarantined by the boot recovery scan for invalid or truncated headers.",
+		"Segments whose boot recovery walk stopped at an invalid or truncated record (a torn tail).",
 		int64(rec.Quarantined))
 
 	e.Gauge("beyondcache_hint_table_entries",

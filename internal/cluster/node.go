@@ -184,13 +184,13 @@ type NodeConfig struct {
 	SpanRing int
 
 	// CacheDir enables the persistent disk tier: memory evictions spill
-	// (write-behind) into a content-addressed store under this directory,
+	// (write-behind) into a segment-log store under this directory,
 	// misses probe it before peers or the origin, and on boot a recovery
 	// scan republishes the surviving population into the hint plane.
 	// Empty keeps the node memory-only. See DESIGN.md §12.
 	CacheDir string
 	// DiskCapacity bounds the disk tier's on-disk footprint in bytes
-	// (<= 0 means unbounded).
+	// (<= 0 means unbounded); overflow retires the oldest log segment.
 	DiskCapacity int64
 	// SpillQueue bounds the write-behind queue in objects (<= 0 means
 	// 1024). Overflow drops the oldest queued eviction — which then left
@@ -666,8 +666,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 		}
 		// An object that involuntarily leaves BOTH tiers — spill-queue
-		// overflow, failed spill write, disk eviction, quarantine — is no
-		// longer locally resident, so its hints must be withdrawn.
+		// overflow, failed spill write, segment retirement, a record that
+		// fails verification — is no longer locally resident, so its hints
+		// must be withdrawn.
 		n.tier = store.NewTier(n.data, st, cfg.SpillQueue, func(o cache.Object) {
 			n.queueInvalidate(o.ID)
 		})
@@ -794,8 +795,8 @@ func (n *Node) Bind(baseURL string) {
 }
 
 // recoverDisk is the boot-time disk recovery: rebuild the on-disk index
-// (removing orphaned tmp files, quarantining files with invalid headers)
-// and republish every recovered object into the hint plane through the
+// (walking each log segment up to its first invalid or torn record) and
+// republish every recovered object into the hint plane through the
 // pending queue, then flush so peers re-learn a restarted node's contents
 // within one update interval instead of waiting out a cold start. Runs
 // after Start/Bind fixes machineID — the informs must carry it. Recovered
@@ -1666,12 +1667,28 @@ func (n *Node) fetchOrigin(ctx context.Context, url, reqID string, sampled bool)
 	return fetched{version: version, body: body, hops: hops}, nil
 }
 
+// maxBodyPrealloc is the most readObject allocates on a Content-Length
+// header's say-so; a longer (or undeclared) body is read incrementally.
+const maxBodyPrealloc = 4 << 20
+
+// readObject reads a peer's or the origin's object response. A body that
+// ends short of its declared length is an error, never an object to cache.
 func readObject(resp *http.Response) (int64, []byte, error) {
 	version, err := strconv.ParseInt(resp.Header.Get(headerVersion), 10, 64)
 	if err != nil {
 		return 0, nil, fmt.Errorf("bad %s header: %w", headerVersion, err)
 	}
-	body, err := io.ReadAll(resp.Body)
+	n := resp.ContentLength
+	var body []byte
+	if n >= 0 && n <= maxBodyPrealloc {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(resp.Body)
+	}
+	if err == nil && n >= 0 && int64(len(body)) != n {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
 		return 0, nil, fmt.Errorf("read body: %w", err)
 	}

@@ -4,43 +4,49 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 )
 
-// On-disk object format: a fixed 40-byte header followed by the stored body
+// Log record format: a fixed 40-byte header followed by the stored body
 // (possibly flate-compressed). Everything is little-endian.
 //
-//	[0:4)   magic "BCS1"
-//	[4:8)   flags (bit 0: body is flate-compressed)
-//	[8:16)  object id (the url hash — files are content-addressed by it)
+//	[0:4)   magic "BCS2"
+//	[4:8)   flags (bit 0: body is flate-compressed; bit 1: tombstone)
+//	[8:16)  object id (the url hash)
 //	[16:24) object version
-//	[24:32) uncompressed body length
+//	[24:28) uncompressed body length
+//	[28:32) stored body length (what follows the header in the segment)
 //	[32:36) CRC-32C of the stored body bytes (post-compression)
 //	[36:40) CRC-32C of header bytes [0:36)
 //
-// The header checksum lets the recovery scan validate a file without reading
-// its body; the body checksum is verified on every read so a torn write
-// (files are not fsynced) or bit rot is caught before the object is served.
+// The header checksum and the stored length let recovery walk a segment
+// header to header without reading a body; the body checksum is verified on
+// every read, so a torn write (nothing is fsynced) or bit rot is caught
+// before the object is served. A tombstone is a header with no body: every
+// earlier record of its id is void.
 const (
-	magic     = 0x42435331 // "BCS1"
+	magic     = 0x42435332 // "BCS2"
 	headerLen = 40
+	maxBody   = math.MaxUint32
 
 	flagFlate = 1 << 0
+	flagTomb  = 1 << 1
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
-	errBadHeader = errors.New("store: bad object header")
-	errCorrupt   = errors.New("store: body checksum mismatch")
-	errTruncated = errors.New("store: truncated object file")
+	errTooLarge = errors.New("store: body exceeds the 4 GiB record limit")
+	errClosed   = errors.New("store: closed")
 )
 
 type header struct {
 	flags   uint32
 	id      uint64
 	version int64
-	size    int64  // uncompressed body length
-	bodyCRC uint32 // CRC-32C over the stored (possibly compressed) body
+	size    uint32 // uncompressed body length
+	stored  uint32 // stored (possibly compressed) body length
+	bodyCRC uint32 // CRC-32C over the stored body
 }
 
 func (h header) encode(buf *[headerLen]byte) {
@@ -48,30 +54,25 @@ func (h header) encode(buf *[headerLen]byte) {
 	binary.LittleEndian.PutUint32(buf[4:8], h.flags)
 	binary.LittleEndian.PutUint64(buf[8:16], h.id)
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(h.version))
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(h.size))
+	binary.LittleEndian.PutUint32(buf[24:28], h.size)
+	binary.LittleEndian.PutUint32(buf[28:32], h.stored)
 	binary.LittleEndian.PutUint32(buf[32:36], h.bodyCRC)
 	binary.LittleEndian.PutUint32(buf[36:40], crc32.Checksum(buf[0:36], castagnoli))
 }
 
-func decodeHeader(buf []byte) (header, error) {
-	if len(buf) < headerLen {
-		return header{}, errBadHeader
+// decodeHeader reports false for a header that fails its checksum or magic.
+func decodeHeader(buf []byte) (header, bool) {
+	if len(buf) < headerLen ||
+		binary.LittleEndian.Uint32(buf[36:40]) != crc32.Checksum(buf[0:36], castagnoli) ||
+		binary.LittleEndian.Uint32(buf[0:4]) != magic {
+		return header{}, false
 	}
-	if binary.LittleEndian.Uint32(buf[36:40]) != crc32.Checksum(buf[0:36], castagnoli) {
-		return header{}, errBadHeader
-	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != magic {
-		return header{}, errBadHeader
-	}
-	h := header{
+	return header{
 		flags:   binary.LittleEndian.Uint32(buf[4:8]),
 		id:      binary.LittleEndian.Uint64(buf[8:16]),
 		version: int64(binary.LittleEndian.Uint64(buf[16:24])),
-		size:    int64(binary.LittleEndian.Uint64(buf[24:32])),
+		size:    binary.LittleEndian.Uint32(buf[24:28]),
+		stored:  binary.LittleEndian.Uint32(buf[28:32]),
 		bodyCRC: binary.LittleEndian.Uint32(buf[32:36]),
-	}
-	if h.size < 0 {
-		return header{}, errBadHeader
-	}
-	return h, nil
+	}, true
 }

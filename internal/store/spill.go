@@ -20,8 +20,8 @@ import (
 // while it is written, so peek keeps the object resident until the disk
 // index has it. A Discard of the front drops only its index entry; the
 // write checks for the entry as it commits (store lock, then spiller lock)
-// and abandons the file if it is gone, so a purged object never lands on
-// disk behind the purge.
+// and voids the record with a tombstone if it is gone, so a purged object
+// never lands on disk behind the purge.
 type Spiller struct {
 	st     *Store
 	limit  int
@@ -205,7 +205,7 @@ func (s *Spiller) run() {
 		obj, body := it.obj, it.body
 		s.mu.Unlock()
 
-		err := s.st.put(obj, body, func() bool {
+		wrote, err := s.st.put(obj, body, func() bool {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return s.byID[obj.ID] == front
@@ -213,9 +213,9 @@ func (s *Spiller) run() {
 
 		s.mu.Lock()
 		if s.byID[obj.ID] == front {
-			if err == nil {
+			if wrote {
 				s.spilled.Add(1)
-			} else {
+			} else if err != nil {
 				s.errs.Add(1)
 			}
 			if it.obj.Version > obj.Version {

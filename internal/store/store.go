@@ -1,22 +1,24 @@
-// Package store is the persistent second tier behind cache.Sharded: a
-// content-addressed on-disk object store plus the spill/promote plumbing
-// (Tier, Spiller) that composes it under the memory tier.
+// Package store is the persistent second tier behind cache.Sharded: an
+// append-only segment log of checksummed object records plus the
+// spill/promote plumbing (Tier, Spiller) that composes it under the memory
+// tier.
 //
-// Files are named by object id (the url hash) in hex, sharded into 256
-// subdirectories by the id's top byte, and written to a tmp directory then
-// atomically renamed into place, so a crash never leaves a partially
-// written file under objects/. Files are deliberately not fsynced — a torn
-// write after a power cut shows up as a checksum mismatch and the file is
-// quarantined on first read instead of served.
+// A record (format.go) is appended to the active segment file; an in-memory
+// index maps each object id to its newest record. Segment files stay open,
+// so a read is one pread and a write one pwrite. Space comes back a segment
+// at a time: the oldest is retired at capacity, an emptied one deleted at
+// once. Nothing is fsynced: a torn write ends its segment's recovery walk or
+// fails its checksum on first read, and is never served.
 package store
 
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,35 +29,40 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Capacity bounds the on-disk footprint in bytes (headers included);
-	// <= 0 means unbounded. Overflow evicts least-recently-read objects.
+	// Capacity bounds the on-disk footprint in bytes, dead records
+	// included; <= 0 means unbounded. Overflow retires the oldest segment.
 	Capacity int64
 	// CompressMin flate-compresses bodies of at least this many bytes
-	// before storing them (kept only when compression actually shrinks
-	// the body); <= 0 disables compression.
+	// (kept only when that shrinks the body); <= 0 disables compression.
 	CompressMin int64
 }
 
-// Store is the on-disk object store. File I/O happens outside the index
-// mutex; only the in-memory index, the recency list, and the (cheap,
-// same-filesystem) commit rename run under it.
+// Store is the on-disk object store.
 type Store struct {
-	objDir  string
-	tmpDir  string
-	quarDir string
+	dir     string
 	opts    Options
-
-	mu     sync.Mutex
-	index  map[uint64]*dent
-	byAge  *dent // circular recency list sentinel-free: head = LRU
-	tail   *dent // MRU
-	used   int64
-	tmpSeq uint64
-
+	segSize int64 // a segment is sealed when the next record would pass this
 	// onDrop fires (with no store lock held) when an object leaves the
-	// disk tier involuntarily: capacity eviction, quarantine, or a failed
-	// spill write. The tier uses it to advertise non-presence.
+	// disk tier involuntarily: its segment was retired or its record failed
+	// verification. The tier uses it to advertise non-presence.
 	onDrop func(cache.Object)
+	// wmu serializes appenders: a record is written and committed to the
+	// index before the next one starts, so log order is commit order, which
+	// recovery replays. It is held across file I/O; mu never is.
+	wmu     sync.Mutex
+	nextSeq uint64
+
+	mu         sync.Mutex
+	index      map[uint64]rec
+	segs       []*segment // oldest first
+	active     *segment   // tail of segs, taking appends; nil before the first
+	pending    []*segment // a previous run's, unopened until Recover walks them
+	used, live int64      // sums of segs[i].size and segs[i].live
+	closed     bool
+	// purged is non-nil from Open until Recover has replayed a previous
+	// run's segments: the ids tombstoned meanwhile, whose old records must
+	// stay dead. While it is, nothing is retired (see trimLocked).
+	purged map[uint64]struct{}
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -66,312 +73,413 @@ type Store struct {
 	compressed  atomic.Int64
 }
 
-// dent is a disk-index entry, doubly linked in read-recency order.
-type dent struct {
-	obj        cache.Object
-	stored     int64 // on-disk file size, header included
-	flags      uint32
-	prev, next *dent
+type segment struct {
+	seq  uint64
+	f    *os.File
+	size int64    // bytes appended: live, superseded and tombstones alike
+	live int64    // bytes of records the index points at
+	ids  []uint64 // ids with a record committed here, for retirement
+	// tombs counts tombstones: while an older segment exists they may be
+	// all that keeps a purged record there from coming back at restart.
+	tombs int
+}
+
+// rec is an index entry: where an object's newest record lies.
+type rec struct {
+	seg   *segment
+	off   int64
+	n     int64 // record length, header included
+	obj   cache.Object
+	flags uint32
+}
+
+// debris is what an index update leaves for its caller to finish once mu
+// is released: emptied segment files to delete, departures to announce.
+type debris struct {
+	segs []*segment
+	objs []cache.Object
 }
 
 // Open creates or reopens a store rooted at dir. The object index starts
-// empty — call Recover to repopulate it from a previous run's files.
+// empty — call Recover to repopulate it from a previous run's segments.
 func Open(dir string, opts Options) (*Store, error) {
-	s := &Store{
-		objDir:  filepath.Join(dir, "objects"),
-		tmpDir:  filepath.Join(dir, "tmp"),
-		quarDir: filepath.Join(dir, "quarantine"),
-		opts:    opts,
-		index:   make(map[uint64]*dent),
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, d := range []string{s.tmpDir, s.quarDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+	// Earlier versions' file-per-object layout: cleared, not migrated.
+	for _, old := range []string{"objects", "tmp", "quarantine"} {
+		os.RemoveAll(filepath.Join(dir, old))
+	}
+	s := &Store{dir: dir, opts: opts, index: make(map[uint64]rec), nextSeq: 1, segSize: 64 << 20}
+	s.onDrop = func(cache.Object) {}
+	if opts.Capacity > 0 {
+		// Never more than half the capacity: only a sealed segment can be
+		// retired, so the one taking appends must leave room for another.
+		s.segSize = min(max(opts.Capacity/8, 1<<20), 64<<20, max(opts.Capacity/2, 1))
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	for _, e := range ents { // sorted by name: fixed-width hex is log order
+		name, ok := strings.CutSuffix(e.Name(), ".seg")
+		fi, ierr := e.Info()
+		if seq, err := strconv.ParseUint(name, 16, 64); ok && err == nil && ierr == nil {
+			s.pending = append(s.pending, &segment{seq: seq, size: fi.Size()})
+			s.nextSeq = max(s.nextSeq, seq+1)
 		}
 	}
-	for i := 0; i < 256; i++ {
-		if err := os.MkdirAll(filepath.Join(s.objDir, fmt.Sprintf("%02x", i)), 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if len(s.pending) > 0 {
+		s.purged = make(map[uint64]struct{})
 	}
 	return s, nil
 }
 
-// OnDrop registers the involuntary-departure callback. Set before the store
-// is shared.
+// OnDrop registers the involuntary-departure callback, before the store is shared.
 func (s *Store) OnDrop(fn func(cache.Object)) { s.onDrop = fn }
 
-func (s *Store) pathFor(id uint64) string {
-	name := fmt.Sprintf("%016x", id)
-	return filepath.Join(s.objDir, name[:2], name)
+func (s *Store) segPath(seq uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%016x.seg", seq))
 }
 
-// recency-list helpers; callers hold s.mu.
-
-func (s *Store) pushBack(d *dent) {
-	d.prev, d.next = s.tail, nil
-	if s.tail != nil {
-		s.tail.next = d
-	} else {
-		s.byAge = d
+// Close closes the segment files, once Recover has returned. Afterwards the
+// store is empty: reads miss and writes fail.
+func (s *Store) Close() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	segs := s.segs
+	s.segs, s.active, s.used, s.live, s.closed = nil, nil, 0, 0, true
+	s.index = make(map[uint64]rec)
+	s.mu.Unlock()
+	for _, seg := range segs {
+		seg.f.Close() // appends are unbuffered pwrites: an error here loses nothing
 	}
-	s.tail = d
 }
 
-func (s *Store) unlink(d *dent) {
-	if d.prev != nil {
-		d.prev.next = d.next
-	} else {
-		s.byAge = d.next
+// clear finishes what an index update left behind; no lock is held.
+func (s *Store) clear(d debris) {
+	for _, seg := range d.segs {
+		seg.f.Close()
+		os.Remove(s.segPath(seg.seq))
 	}
-	if d.next != nil {
-		d.next.prev = d.prev
-	} else {
-		s.tail = d.prev
+	for _, o := range d.objs {
+		s.onDrop(o)
 	}
-	d.prev, d.next = nil, nil
 }
 
-func (s *Store) touch(d *dent) {
-	if s.tail == d {
+// unrefLocked takes n live bytes off seg. A sealed segment left with none
+// leaves the log, unless its tombstones still shadow records in an older
+// segment; and when the oldest goes, so do emptied ones behind it.
+func (s *Store) unrefLocked(seg *segment, n int64, d *debris) {
+	seg.live -= n
+	s.live -= n
+	i := slices.Index(s.segs, seg)
+	if i > 0 && seg.tombs > 0 {
 		return
 	}
-	s.unlink(d)
-	s.pushBack(d)
+	for i >= 0 && i < len(s.segs) && s.segs[i].live == 0 && s.segs[i] != s.active {
+		s.used -= s.segs[i].size
+		d.segs = append(d.segs, s.segs[i])
+		s.segs = slices.Delete(s.segs, i, i+1)
+		i = 0 // and any emptied segment that is now the oldest
+	}
 }
 
-// Put writes an object to disk. A copy already stored at the same or a
-// newer version is left alone (the common case when a promoted object is
-// re-evicted from memory unchanged). Capacity overflow evicts
-// least-recently-read objects, firing the drop callback for each.
+// pointLocked makes at its object's index entry, releasing the old one.
+func (s *Store) pointLocked(at rec, d *debris) {
+	old, ok := s.index[at.obj.ID]
+	s.index[at.obj.ID] = at
+	at.seg.live += at.n
+	s.live += at.n
+	if !ok || old.seg != at.seg { // listed already; a repeat costs a lookup
+		at.seg.ids = append(at.seg.ids, at.obj.ID)
+	}
+	if ok {
+		s.unrefLocked(old.seg, old.n, d)
+	}
+}
+
+// liveLocked collects the records in seg that the index points at.
+func (s *Store) liveLocked(seg *segment) map[uint64]rec {
+	live := make(map[uint64]rec)
+	for _, id := range seg.ids {
+		if e, ok := s.index[id]; ok && e.seg == seg {
+			live[id] = e
+		}
+	}
+	return live
+}
+
+// slackLocked is the capacity left once the active segment has filled.
+func (s *Store) slackLocked() int64 {
+	slack := s.opts.Capacity - s.used
+	if s.active != nil {
+		slack -= max(0, s.segSize-s.active.size)
+	}
+	return slack
+}
+
+// doomedLocked reports whether seg is the oldest segment and the next roll
+// will retire it (a bounded log within a segment of its capacity) or
+// compact it (an unbounded one holding more dead bytes than live).
+func (s *Store) doomedLocked(seg *segment) bool {
+	if seg != s.segs[0] || seg == s.active {
+		return false
+	}
+	if s.opts.Capacity > 0 {
+		return s.slackLocked() < s.segSize
+	}
+	return s.used-s.live > s.live
+}
+
+// trimLocked retires the oldest segment, with every object whose newest
+// record is in it, until the log fits its capacity. Not before Recover has
+// replayed the previous run: an object dropped from the index now would come
+// back from there at an older version.
+func (s *Store) trimLocked(d *debris) {
+	for s.purged == nil && s.opts.Capacity > 0 && s.slackLocked() < 0 && len(s.segs) > 1 {
+		for id, e := range s.liveLocked(s.segs[0]) {
+			delete(s.index, id)
+			d.objs = append(d.objs, e.obj)
+			s.evictions.Add(1)
+		}
+		s.unrefLocked(s.segs[0], s.segs[0].live, d)
+	}
+}
+
+// append writes one record (e.obj, e.flags) at the log's tail, starting a
+// new segment when the active one would overflow, and commits it under the
+// index lock: an object record becomes its id's index entry — unless keep
+// (may be nil) says no, and then a tombstone voids the bytes already written.
+// Only then is the old end trimmed to the capacity, so a record moved to the
+// tail is not lost with the segment it came from. Caller holds wmu.
+func (s *Store) append(raw []byte, e rec, keep func() bool) (wrote bool, err error) {
+	if s.closed {
+		return false, errClosed
+	}
+	e.n = int64(len(raw))
+	var d debris
+	if s.active == nil || s.active.size > 0 && s.active.size+e.n > s.segSize {
+		f, err := os.OpenFile(s.segPath(s.nextSeq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return false, fmt.Errorf("store: new segment: %w", err)
+		}
+		s.mu.Lock()
+		sealed := s.active
+		s.active = &segment{seq: s.nextSeq, f: f}
+		s.segs = append(s.segs, s.active)
+		if sealed != nil {
+			s.unrefLocked(sealed, 0, &d) // nothing live in it: delete it
+		}
+		s.mu.Unlock()
+		s.nextSeq++
+	}
+	e.seg, e.off = s.active, s.active.size
+	if _, err := e.seg.f.WriteAt(raw, e.off); err != nil {
+		s.clear(d)
+		return false, fmt.Errorf("store: append: %w", err)
+	}
+	tomb := e.flags&flagTomb != 0
+	s.mu.Lock()
+	e.seg.size += e.n
+	s.used += e.n
+	switch {
+	case tomb:
+		e.seg.tombs++
+		if s.purged != nil {
+			s.purged[e.obj.ID] = struct{}{}
+		}
+	case keep == nil || keep():
+		s.pointLocked(e, &d)
+		wrote = true
+	}
+	s.trimLocked(&d)
+	s.mu.Unlock()
+	s.clear(d)
+	if !wrote && !tomb {
+		s.tombstone(e.obj.ID)
+	}
+	return wrote, nil
+}
+
+// tombstone appends a record that voids every earlier record of id: a restart
+// cannot bring back what was purged, vetoed or found corrupt. Best effort,
+// like every unsynced write here. Caller holds wmu.
+func (s *Store) tombstone(id uint64) {
+	var hb [headerLen]byte
+	header{flags: flagTomb, id: id}.encode(&hb)
+	_, _ = s.append(hb[:], rec{obj: cache.Object{ID: id}, flags: flagTomb}, nil)
+}
+
+// skip reports, and counts, a write that would add nothing: the log holds
+// the object at this version or newer. Second chance is the exception: an
+// equal version in the segment next to go is written again (and only objects
+// read back into memory since they were written come here twice).
+func (s *Store) skip(obj cache.Object) bool {
+	s.mu.Lock()
+	e, ok := s.index[obj.ID]
+	skip := ok && (e.obj.Version > obj.Version ||
+		e.obj.Version == obj.Version && !s.doomedLocked(e.seg))
+	s.mu.Unlock()
+	if skip {
+		s.putSkipped.Add(1)
+	}
+	return skip
+}
+
+// Put appends an object to the log, unless it is there already (see skip).
+// Capacity overflow fires the drop callback for each object retired.
 func (s *Store) Put(obj cache.Object, body []byte) error {
-	return s.put(obj, body, nil)
+	_, err := s.put(obj, body, nil)
+	return err
 }
 
 // put is Put with a veto at the commit point: keep, when non-nil, runs
-// under the index lock immediately before the rename, and a false answer
-// abandons the write. A Remove ordered after the caller withdrew its claim
-// therefore never loses to a write that was already in progress.
-func (s *Store) put(obj cache.Object, body []byte, keep func() bool) error {
-	s.mu.Lock()
-	if d, ok := s.index[obj.ID]; ok && d.obj.Version >= obj.Version {
-		s.mu.Unlock()
-		s.putSkipped.Add(1)
-		return nil
+// under the index lock once the record is in the file, and a false answer
+// leaves the index alone (see append), so a Remove ordered after the caller
+// withdrew its claim never loses to a write already in progress.
+func (s *Store) put(obj cache.Object, body []byte, keep func() bool) (wrote bool, err error) {
+	if n := int64(headerLen + len(body)); len(body) > maxBody || s.opts.Capacity > 0 && n > s.opts.Capacity {
+		return false, errTooLarge
 	}
-	s.tmpSeq++
-	seq := s.tmpSeq
-	s.mu.Unlock()
-
-	h := header{id: obj.ID, version: obj.Version, size: int64(len(body))}
-	stored := body
-	wasCompressed := false
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.skip(obj) {
+		return false, nil
+	}
+	h := header{id: obj.ID, version: obj.Version, size: uint32(len(body))}
+	raw := make([]byte, headerLen, headerLen+len(body))
+	flate := false
 	if s.opts.CompressMin > 0 && int64(len(body)) >= s.opts.CompressMin {
-		if c, ok := deflateBody(body); ok {
-			stored = c
-			h.flags |= flagFlate
-			wasCompressed = true
-		}
+		raw, flate = wire.AppendDeflate(raw, body)
 	}
-	h.bodyCRC = crc32Of(stored)
-
-	tmp := filepath.Join(s.tmpDir, fmt.Sprintf("put-%d.tmp", seq))
-	if err := writeObjectFile(tmp, h, stored); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-
-	path := s.pathFor(obj.ID)
-	fileSize := int64(headerLen + len(stored))
-
-	s.mu.Lock()
-	if d, ok := s.index[obj.ID]; ok && d.obj.Version >= obj.Version {
-		s.mu.Unlock()
-		s.putSkipped.Add(1)
-		os.Remove(tmp)
-		return nil
-	}
-	if keep != nil && !keep() {
-		s.mu.Unlock()
-		os.Remove(tmp)
-		return nil
-	}
-	// Rename under the lock so the index can never describe a file that
-	// is not yet (or no longer) in place; it is a metadata-only op on the
-	// same filesystem.
-	if err := os.Rename(tmp, path); err != nil {
-		s.mu.Unlock()
-		os.Remove(tmp)
-		return fmt.Errorf("store: commit: %w", err)
-	}
-	if d, ok := s.index[obj.ID]; ok {
-		s.used += fileSize - d.stored
-		d.obj, d.stored, d.flags = obj, fileSize, h.flags
-		s.touch(d)
+	if flate {
+		h.flags |= flagFlate
 	} else {
-		d := &dent{obj: obj, stored: fileSize, flags: h.flags}
-		s.index[obj.ID] = d
-		s.pushBack(d)
-		s.used += fileSize
+		raw = append(raw, body...)
 	}
-	dropped, paths := s.evictOverflowLocked()
-	s.mu.Unlock()
-
-	s.puts.Add(1)
-	if wasCompressed {
-		s.compressed.Add(1)
-	}
-	for _, p := range paths {
-		os.Remove(p)
-	}
-	if s.onDrop != nil {
-		for _, o := range dropped {
-			s.onDrop(o)
+	h.stored = uint32(len(raw) - headerLen)
+	h.bodyCRC = crc32.Checksum(raw[headerLen:], castagnoli)
+	h.encode((*[headerLen]byte)(raw))
+	obj.Size = int64(len(body)) // the index mirrors what the header says
+	sealed := s.active
+	wrote, err = s.append(raw, rec{obj: obj, flags: h.flags}, keep)
+	if wrote {
+		s.puts.Add(1)
+		if flate {
+			s.compressed.Add(1)
 		}
 	}
-	return nil
+	// Compaction: while an unbounded log's dead bytes outweigh the live, each
+	// roll moves the oldest segment's live records to the tail, which empties
+	// it (unrefLocked deletes the file): never more writes than the puts made.
+	if s.active != sealed && s.opts.Capacity <= 0 {
+		s.mu.Lock()
+		var move map[uint64]rec
+		if s.doomedLocked(s.segs[0]) {
+			move = s.liveLocked(s.segs[0])
+		}
+		s.mu.Unlock()
+		for _, e := range move {
+			if raw, ok := e.read(); !ok {
+				s.condemn(e)
+			} else {
+				// On error the record stays put and the next roll retries.
+				_, _ = s.append(raw, rec{obj: e.obj, flags: e.flags}, nil)
+			}
+		}
+	}
+	return wrote, err
 }
 
-// evictOverflowLocked trims least-recently-read entries until used fits
-// capacity, returning the dropped objects and their file paths for the
-// caller to finish (deletes and callbacks run unlocked).
-func (s *Store) evictOverflowLocked() ([]cache.Object, []string) {
-	if s.opts.Capacity <= 0 {
-		return nil, nil
-	}
-	var dropped []cache.Object
-	var paths []string
-	for s.used > s.opts.Capacity && s.byAge != nil {
-		d := s.byAge
-		s.unlink(d)
-		delete(s.index, d.obj.ID)
-		s.used -= d.stored
-		dropped = append(dropped, d.obj)
-		paths = append(paths, s.pathFor(d.obj.ID))
-		s.evictions.Add(1)
-	}
-	return dropped, paths
-}
-
-// Get reads an object back, verifying the body checksum. A file that fails
-// verification is quarantined (moved aside, dropped from the index, counted
-// in VerifyFailures) and reported as a miss. The returned body is a fresh
-// allocation — the read scratch is pooled — so callers may retain it (the
-// tier promotes it straight into the memory cache).
+// Get reads an object back: one pread of exactly its record, verified
+// before anything is returned (see read). The body is the caller's to keep;
+// an uncompressed one is the tail of the read buffer itself. A record that
+// fails is condemned; a read that merely lost a race looks again.
 func (s *Store) Get(id uint64) (cache.Object, []byte, bool) {
-	s.mu.Lock()
-	d, ok := s.index[id]
-	if !ok {
+	for {
+		s.mu.Lock()
+		e, ok := s.index[id]
 		s.mu.Unlock()
-		s.misses.Add(1)
-		return cache.Object{}, nil, false
-	}
-	s.touch(d)
-	s.mu.Unlock()
-
-	obj, body, err := s.readObject(id)
-	if err != nil {
-		s.quarantine(id)
-		s.misses.Add(1)
-		return cache.Object{}, nil, false
-	}
-	s.hits.Add(1)
-	return obj, body, true
-}
-
-// readObject loads and verifies one object file. The file's own header is
-// the source of truth for version/size (a concurrent Put may have replaced
-// the file since the index was consulted).
-func (s *Store) readObject(id uint64) (cache.Object, []byte, error) {
-	f, err := os.Open(s.pathFor(id))
-	if err != nil {
-		return cache.Object{}, nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return cache.Object{}, nil, err
-	}
-	n := fi.Size()
-	if n < headerLen {
-		return cache.Object{}, nil, errTruncated
-	}
-
-	bp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(bp)
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
-	}
-	raw := (*bp)[:n]
-	if _, err := io.ReadFull(f, raw); err != nil {
-		return cache.Object{}, nil, err
-	}
-
-	h, err := decodeHeader(raw)
-	if err != nil {
-		return cache.Object{}, nil, err
-	}
-	if h.id != id {
-		return cache.Object{}, nil, errBadHeader
-	}
-	storedBody := raw[headerLen:]
-	if crc32Of(storedBody) != h.bodyCRC {
-		return cache.Object{}, nil, errCorrupt
-	}
-
-	var body []byte
-	if h.flags&flagFlate != 0 {
-		body, err = inflateBody(storedBody, h.size)
-		if err != nil {
-			return cache.Object{}, nil, errCorrupt
+		if !ok {
+			break
 		}
-	} else {
-		if int64(len(storedBody)) != h.size {
-			return cache.Object{}, nil, errTruncated
+		raw, ok := e.read()
+		body := raw[headerLen:]
+		if ok && e.flags&flagFlate != 0 {
+			var err error
+			body, err = wire.InflateInto(nil, body, int(e.obj.Size))
+			ok = err == nil
 		}
-		body = append([]byte(nil), storedBody...)
+		if ok {
+			s.hits.Add(1)
+			return e.obj, body, true
+		}
+		s.wmu.Lock()
+		bad := s.condemn(e)
+		s.wmu.Unlock()
+		if bad {
+			break
+		}
 	}
-	return cache.Object{ID: h.id, Size: h.size, Version: h.version}, body, nil
+	s.misses.Add(1)
+	return cache.Object{}, nil, false
 }
 
-// quarantine moves a corrupt object file aside (never deleting potential
-// forensic evidence) and drops the index entry.
-func (s *Store) quarantine(id uint64) {
-	s.mu.Lock()
-	d, ok := s.index[id]
-	var obj cache.Object
-	if ok {
-		s.unlink(d)
-		delete(s.index, id)
-		s.used -= d.stored
-		obj = d.obj
-	}
-	s.mu.Unlock()
-
-	s.verifyFails.Add(1)
-	path := s.pathFor(id)
-	os.Rename(path, filepath.Join(s.quarDir, filepath.Base(path)+".bad"))
-	if ok && s.onDrop != nil {
-		s.onDrop(obj)
-	}
+// read fetches the record e points at and verifies it: header checksum and
+// magic, the id, version and flags it carries, its lengths against the
+// index entry, and the body checksum.
+func (e rec) read() ([]byte, bool) {
+	raw := make([]byte, e.n)
+	_, err := e.seg.f.ReadAt(raw, e.off)
+	h, ok := decodeHeader(raw)
+	return raw, err == nil && ok &&
+		h.id == e.obj.ID && h.version == e.obj.Version && h.flags == e.flags &&
+		int64(h.stored) == e.n-headerLen && int64(h.size) == e.obj.Size &&
+		crc32.Checksum(raw[headerLen:], castagnoli) == h.bodyCRC
 }
 
-// Remove deletes an object from disk without firing the drop callback —
-// the purge path owns the invalidate it implies. It reports whether the
-// object was indexed.
-func (s *Store) Remove(id uint64) bool {
+// forget takes id out of the index — when only is given, only while it still
+// points at that record — and tombstones its records. Caller holds wmu.
+func (s *Store) forget(id uint64, only *rec) bool {
+	var d debris
 	s.mu.Lock()
-	d, ok := s.index[id]
-	if ok {
-		s.unlink(d)
+	e, ok := s.index[id]
+	if ok = ok && (only == nil || e.seg == only.seg && e.off == only.off); ok {
 		delete(s.index, id)
-		s.used -= d.stored
+		s.unrefLocked(e.seg, e.n, &d)
 	}
+	unscanned := only == nil && s.purged != nil // its record may be ahead of Recover
 	s.mu.Unlock()
-	if ok {
-		os.Remove(s.pathFor(id))
+	s.clear(d)
+	if ok || unscanned {
+		s.tombstone(id)
 	}
 	return ok
+}
+
+// condemn settles a failed read through e. If the index has moved on since
+// — the record was retired, removed or rewritten under the read — nothing
+// is wrong and it reports false. Otherwise the bytes are bad: the record is
+// dropped, voided with a tombstone (an older version in an older segment
+// must not take its place at restart), counted and announced. Holds wmu.
+func (s *Store) condemn(e rec) bool {
+	if !s.forget(e.obj.ID, &e) {
+		return false
+	}
+	s.verifyFails.Add(1)
+	s.clear(debris{objs: []cache.Object{e.obj}})
+	return true
+}
+
+// Remove drops an object from the index and voids its records with a
+// tombstone, without firing the drop callback — the purge path owns the
+// invalidate it implies. It reports whether the object was indexed.
+func (s *Store) Remove(id uint64) bool {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.forget(id, nil)
 }
 
 // Contains reports whether the object is indexed on disk.
@@ -382,10 +490,7 @@ func (s *Store) Contains(id uint64) bool {
 	return ok
 }
 
-// IDs snapshots the IDs of every indexed object, in no particular order.
-// The snapshot is taken under the index lock; callers acting on an ID
-// re-check residency as usual (the re-homing scan only enqueues advisory
-// informs, so a racing eviction is harmless).
+// IDs snapshots the indexed IDs, unordered; callers re-check residency as usual.
 func (s *Store) IDs() []uint64 {
 	s.mu.Lock()
 	ids := make([]uint64, 0, len(s.index))
@@ -398,151 +503,143 @@ func (s *Store) IDs() []uint64 {
 
 // RecoverStats summarizes a boot-time recovery scan.
 type RecoverStats struct {
-	Objects     int           // valid objects indexed
-	Bytes       int64         // their on-disk footprint
-	TmpRemoved  int           // orphaned tmp files deleted
-	Quarantined int           // files with bad/truncated headers moved aside
-	Duration    time.Duration //
+	Objects         int   // valid objects indexed
+	Bytes           int64 // their on-disk footprint
+	SegmentsRemoved int   // segment files deleted: nothing live was left in them
+	Quarantined     int   // segments whose walk stopped at a torn tail, or never started
+	Duration        time.Duration
 }
 
-// Recover rebuilds the index from a previous run's files: orphaned tmp
-// files (a crash mid-write) are removed, each object file's header is
-// validated by a bounded worker pool, and every valid object is published
-// (outside the store lock) so the caller can republish it into the hint
-// plane. Bodies are NOT read here — a torn body is caught by verify-on-read
-// — but a file too short to hold its uncompressed body is quarantined
-// immediately. Valid objects become visible to Get incrementally as the
-// scan proceeds.
+// walked is one of a previous run's segments and the records found in it.
+type walked struct {
+	seg  *segment
+	recs []rec
+	torn bool // the walk ended at a bad header, short of the end of the file
+}
+
+// Recover rebuilds the index from a previous run's segments: a bounded
+// pool walks them, then all are replayed in log order under one hold of the
+// index lock, so the later record of an id wins, a tombstone included, and
+// no recovered record is visible — to Get, skip, compaction or retirement —
+// before whatever supersedes or voids it has been applied. Every object
+// then indexed is published (outside the store lock) for the caller to
+// republish into the hint plane.
 func (s *Store) Recover(workers int, publish func(cache.Object)) RecoverStats {
 	start := time.Now()
 	var st RecoverStats
-
-	if ents, err := os.ReadDir(s.tmpDir); err == nil {
-		for _, e := range ents {
-			if os.Remove(filepath.Join(s.tmpDir, e.Name())) == nil {
-				st.TmpRemoved++
-			}
-		}
-	}
-
+	pending := s.pending // Open's, and nobody else's
+	s.pending = nil
+	walks := make([]walked, len(pending))
 	if workers <= 0 {
 		workers = 4
 	}
-	paths := make(chan string, workers)
+	pool := make(chan struct{}, workers) // a semaphore: that many walks at once
 	var wg sync.WaitGroup
-	var mu sync.Mutex // guards st.Objects/Bytes/Quarantined
-	for i := 0; i < workers; i++ {
+	for i, seg := range pending {
 		wg.Add(1)
+		pool <- struct{}{}
 		go func() {
 			defer wg.Done()
-			for p := range paths {
-				obj, stored, flags, err := s.scanFile(p)
-				if err != nil {
-					os.Rename(p, filepath.Join(s.quarDir, filepath.Base(p)+".bad"))
-					s.verifyFails.Add(1)
-					mu.Lock()
-					st.Quarantined++
-					mu.Unlock()
-					continue
-				}
-				s.mu.Lock()
-				if d, ok := s.index[obj.ID]; ok {
-					// A live Put beat the scan to this id; keep
-					// whichever version is newer.
-					if d.obj.Version >= obj.Version {
-						s.mu.Unlock()
-						continue
-					}
-					s.used += stored - d.stored
-					d.obj, d.stored, d.flags = obj, stored, flags
-					s.mu.Unlock()
-				} else {
-					d := &dent{obj: obj, stored: stored, flags: flags}
-					s.index[obj.ID] = d
-					s.pushBack(d)
-					s.used += stored
-					s.mu.Unlock()
-				}
-				mu.Lock()
-				st.Objects++
-				st.Bytes += stored
-				mu.Unlock()
-				if publish != nil {
-					publish(obj)
-				}
-			}
+			walks[i] = s.walk(seg)
+			<-pool
 		}()
 	}
-
-	var subdirs []string
-	if ents, err := os.ReadDir(s.objDir); err == nil {
-		for _, e := range ents {
-			if e.IsDir() {
-				subdirs = append(subdirs, e.Name())
-			}
-		}
-	}
-	sort.Strings(subdirs)
-	for _, sub := range subdirs {
-		ents, err := os.ReadDir(filepath.Join(s.objDir, sub))
-		if err != nil {
-			continue
-		}
-		for _, e := range ents {
-			if !e.IsDir() {
-				paths <- filepath.Join(s.objDir, sub, e.Name())
-			}
-		}
-	}
-	close(paths)
 	wg.Wait()
-
-	// A shrunk capacity across restarts: trim to fit before serving.
+	var d debris
 	s.mu.Lock()
-	dropped, drops := s.evictOverflowLocked()
-	s.mu.Unlock()
-	for _, p := range drops {
-		os.Remove(p)
+	run, objects, live := s.segs, len(s.index), s.live
+	s.segs = nil // this run's are newer than every recovered one: back on at the end
+	for _, w := range walks {
+		if w.torn {
+			st.Quarantined++
+			s.verifyFails.Add(1)
+		}
+		s.replayLocked(w, &d)
 	}
-	if s.onDrop != nil {
-		for _, o := range dropped {
-			s.onDrop(o)
+	s.segs = append(s.segs, run...)
+	st.Objects, st.Bytes, st.SegmentsRemoved = len(s.index)-objects, s.live-live, len(d.segs)
+	// The index is whole: retirement is safe again, and a capacity shrunk
+	// across the restart is trimmed to before anything is served from it.
+	s.purged = nil
+	s.trimLocked(&d)
+	s.mu.Unlock()
+	s.clear(d)
+	for _, w := range walks {
+		for _, at := range w.recs {
+			// Not a tombstone, nor superseded, purged or retired since.
+			if publish != nil && at.flags&flagTomb == 0 && s.points(at) {
+				publish(at.obj)
+			}
 		}
 	}
-
 	st.Duration = time.Since(start)
 	return st
 }
 
-// scanFile header-validates one object file for recovery.
-func (s *Store) scanFile(path string) (cache.Object, int64, uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return cache.Object{}, 0, 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return cache.Object{}, 0, 0, err
-	}
+// points reports whether e is still its object's index entry.
+func (s *Store) points(e rec) bool {
+	s.mu.Lock()
+	cur, ok := s.index[e.obj.ID]
+	s.mu.Unlock()
+	return ok && cur.seg == e.seg && cur.off == e.off
+}
+
+// walk reads a segment header to header — bodies are NOT read; a torn body
+// is caught by verify-on-read — up to the first record that fails its
+// header checksum or runs past the end of the file: a torn tail, which is
+// cut off so that one crash is one failure, not one at every later boot. A
+// segment that cannot be opened is all tail: it recovers empty and is deleted.
+func (s *Store) walk(seg *segment) walked {
+	w := walked{seg: seg}
+	f, err := os.OpenFile(s.segPath(seg.seq), os.O_RDWR, 0)
+	seg.f, w.torn = f, err != nil
 	var hb [headerLen]byte
-	if _, err := io.ReadFull(f, hb[:]); err != nil {
-		return cache.Object{}, 0, 0, errTruncated
+	off := int64(0)
+	for off < seg.size && !w.torn {
+		_, err := f.ReadAt(hb[:], off)
+		h, ok := decodeHeader(hb[:])
+		n := headerLen + int64(h.stored)
+		// Uncompressed bodies have a known stored length, tombstones none.
+		w.torn = err != nil || !ok || off+n > seg.size ||
+			h.flags&flagTomb != 0 && h.stored != 0 ||
+			h.flags&(flagFlate|flagTomb) == 0 && h.stored != h.size
+		if !w.torn {
+			w.recs = append(w.recs, rec{seg: seg, off: off, n: n, flags: h.flags,
+				obj: cache.Object{ID: h.id, Size: int64(h.size), Version: h.version}})
+			off += n
+		}
 	}
-	h, err := decodeHeader(hb[:])
-	if err != nil {
-		return cache.Object{}, 0, 0, err
+	if w.torn {
+		seg.size = off
+		_ = f.Truncate(off) // best effort: failing, the tail is counted again next boot
 	}
-	if fmt.Sprintf("%016x", h.id) != filepath.Base(path) {
-		return cache.Object{}, 0, 0, errBadHeader
+	return w
+}
+
+// replayLocked applies a walked segment to the index. What this run wrote
+// or purged meanwhile is later still.
+func (s *Store) replayLocked(w walked, d *debris) {
+	for _, at := range w.recs {
+		cur, ok := s.index[at.obj.ID]
+		_, purged := s.purged[at.obj.ID]
+		tomb := at.flags&flagTomb != 0
+		if tomb {
+			w.seg.tombs++
+		}
+		if purged || ok && cur.seg.seq > w.seg.seq {
+			continue
+		}
+		if tomb && ok { // cur is an earlier recovered record
+			delete(s.index, at.obj.ID)
+			s.unrefLocked(cur.seg, cur.n, d)
+		} else if !tomb {
+			s.pointLocked(at, d)
+		}
 	}
-	// Uncompressed bodies have a known on-disk length; enforce it so a
-	// truncated file never even enters the index. Compressed bodies are
-	// caught by verify-on-read.
-	if h.flags&flagFlate == 0 && fi.Size() != headerLen+h.size {
-		return cache.Object{}, 0, 0, errTruncated
-	}
-	return cache.Object{ID: h.id, Size: h.size, Version: h.version}, fi.Size(), h.flags, nil
+	// Only now does the segment join the log, behind the older ones.
+	s.segs = append(s.segs, w.seg)
+	s.used += w.seg.size
+	s.unrefLocked(w.seg, 0, d) // nothing live in it: delete it
 }
 
 // Stats is a point-in-time snapshot of store counters and occupancy.
@@ -576,53 +673,4 @@ func (s *Store) StatsSnapshot() Stats {
 		VerifyFailures: s.verifyFails.Load(),
 		Compressed:     s.compressed.Load(),
 	}
-}
-
-// --- file and compression helpers ---
-
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func crc32Of(b []byte) uint32 {
-	return crc32.Checksum(b, castagnoli)
-}
-
-func writeObjectFile(path string, h header, stored []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: write: %w", err)
-	}
-	var hb [headerLen]byte
-	h.encode(&hb)
-	if _, err := f.Write(hb[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("store: write: %w", err)
-	}
-	if _, err := f.Write(stored); err != nil {
-		f.Close()
-		return fmt.Errorf("store: write: %w", err)
-	}
-	// Intentionally no fsync: durability is best-effort, and a torn body
-	// is caught by verify-on-read.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: write: %w", err)
-	}
-	return nil
-}
-
-// deflateBody compresses body with flate (BestSpeed) through the shared
-// pooled wire plumbing, reporting false when compression does not shrink
-// it.
-func deflateBody(body []byte) ([]byte, bool) {
-	return wire.AppendDeflate(nil, body)
-}
-
-// inflateBody decompresses a flate-stored body into a fresh buffer of the
-// recorded uncompressed size, rejecting streams that do not decode to
-// exactly that size.
-func inflateBody(stored []byte, size int64) ([]byte, error) {
-	out, err := wire.InflateInto(nil, stored, int(size))
-	if err != nil {
-		return nil, errCorrupt
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,10 +16,16 @@ import (
 
 func openT(t testing.TB, opts Options) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir(), opts)
+	return openDir(t, t.TempDir(), opts)
+}
+
+func openDir(t testing.TB, dir string, opts Options) *Store {
+	t.Helper()
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -57,14 +64,14 @@ func TestStorePutSkipsSameOrOlderVersion(t *testing.T) {
 	if st := s.StatsSnapshot(); st.PutSkipped != 2 {
 		t.Errorf("PutSkipped = %d, want 2", st.PutSkipped)
 	}
-	// A genuinely newer version replaces the file in place.
+	// A genuinely newer version supersedes the record.
 	s.Put(cache.Object{ID: 1, Size: 2, Version: 9}, []byte("v9"))
 	obj, body, _ = s.Get(1)
 	if obj.Version != 9 || string(body) != "v9" {
 		t.Errorf("upgrade not applied: %+v %q", obj, body)
 	}
 	if st := s.StatsSnapshot(); st.Objects != 1 {
-		t.Errorf("Objects = %d after in-place upgrade, want 1", st.Objects)
+		t.Errorf("Objects = %d after the upgrade, want 1", st.Objects)
 	}
 }
 
@@ -114,28 +121,110 @@ func TestStoreIncompressibleStoredRaw(t *testing.T) {
 	}
 }
 
-func TestStoreCapacityEvictsLRUAndFiresDrop(t *testing.T) {
-	// Each object costs headerLen+10 bytes; capacity fits exactly two.
-	s := openT(t, Options{Capacity: 2 * (headerLen + 10)})
+// body100 is a 100-byte body unique to (id, version).
+func body100(id uint64, version int64) []byte {
+	return []byte(fmt.Sprintf("%050d%050d", id, version))
+}
+
+const rec100 = headerLen + 100 // one body100 record
+
+// putRange stores ids from..to at version 1.
+func putRange(t testing.TB, s *Store, from, to uint64) {
+	t.Helper()
+	for id := from; id <= to; id++ {
+		if err := s.Put(cache.Object{ID: id, Size: 100, Version: 1}, body100(id, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// wantBody asserts id reads back at version with its body100.
+func wantBody(t testing.TB, s *Store, id uint64, version int64) {
+	t.Helper()
+	obj, b, ok := s.Get(id)
+	if !ok || obj.Version != version || !bytes.Equal(b, body100(id, version)) {
+		t.Fatalf("Get(%d) = v%d %q %v, want v%d", id, obj.Version, b, ok, version)
+	}
+}
+
+func segFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// place returns where id's record lies: its segment file and offset.
+func place(t testing.TB, s *Store, id uint64) (path string, off, n int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.index[id]
+	if !ok {
+		t.Fatalf("object %d is not indexed", id)
+	}
+	return s.segPath(e.seg.seq), e.off, e.n
+}
+
+// patch rewrites id's record in its segment file through edit.
+func patch(t testing.TB, s *Store, id uint64, edit func(raw []byte)) {
+	t.Helper()
+	path, off, n := place(t, s, id)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw := make([]byte, n)
+	if _, err := f.ReadAt(raw, off); err != nil {
+		t.Fatal(err)
+	}
+	edit(raw)
+	if _, err := f.WriteAt(raw, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reopen is a restart: a fresh Store over s's directory, recovered.
+func reopen(t testing.TB, s *Store, opts Options) (*Store, RecoverStats) {
+	t.Helper()
+	s.Close()
+	s2 := openDir(t, s.dir, opts)
+	return s2, s2.Recover(4, nil)
+}
+
+// TestStoreCapacityRetiresOldestAndFiresDrop: the footprint, the room the
+// active segment may still take included, never passes the capacity; the
+// oldest segment goes whole, its file with it, and every object in it is
+// announced.
+func TestStoreCapacityRetiresOldestAndFiresDrop(t *testing.T) {
+	s := openT(t, Options{Capacity: 4 * 2 * rec100})
+	s.segSize = 2 * rec100 // four segments of two records
 	var dropped []uint64
 	s.OnDrop(func(o cache.Object) { dropped = append(dropped, o.ID) })
-	body := bytes.Repeat([]byte("x"), 10)
-	for id := uint64(1); id <= 2; id++ {
-		s.Put(cache.Object{ID: id, Size: 10, Version: 1}, body)
+	putRange(t, s, 1, 8)
+	if len(dropped) != 0 || len(segFiles(t, s.dir)) != 4 {
+		t.Fatalf("at capacity: dropped %v, %d segments; want none, 4", dropped, len(segFiles(t, s.dir)))
 	}
-	s.Get(1) // make 2 the LRU
-	s.Put(cache.Object{ID: 3, Size: 10, Version: 1}, body)
-	if len(dropped) != 1 || dropped[0] != 2 {
-		t.Fatalf("dropped = %v, want [2]", dropped)
+	first, _, _ := place(t, s, 1)
+	putRange(t, s, 9, 9) // opens a fifth segment
+	if slices.Sort(dropped); !slices.Equal(dropped, []uint64{1, 2}) {
+		t.Fatalf("dropped = %v, want [1 2] (the oldest segment)", dropped)
 	}
-	if s.Contains(2) {
-		t.Error("evicted object still indexed")
+	if s.Contains(1) || s.Contains(2) {
+		t.Error("retired objects still indexed")
 	}
-	if _, err := os.Stat(s.pathFor(2)); !os.IsNotExist(err) {
-		t.Error("evicted object's file still on disk")
+	if _, err := os.Stat(first); !os.IsNotExist(err) {
+		t.Error("retired segment's file still on disk")
 	}
-	if st := s.StatsSnapshot(); st.Evictions != 1 || st.Objects != 2 {
+	st := s.StatsSnapshot()
+	if st.Evictions != 2 || st.Objects != 7 || st.UsedBytes > st.Capacity {
 		t.Errorf("stats = %+v", st)
+	}
+	for id := uint64(3); id <= 9; id++ {
+		wantBody(t, s, id, 1)
 	}
 }
 
@@ -159,105 +248,108 @@ func TestStoreRemoveSilent(t *testing.T) {
 }
 
 // TestStoreCorruptBodyQuarantined is the verify-on-read contract: a flipped
-// bit in the body means the object is never served — the file moves to
-// quarantine, the index entry drops, and the drop callback advertises the
-// departure.
+// bit in a body means that object is never served — the record is dropped
+// from the index, counted, and the drop callback advertises the departure —
+// while its neighbours in the segment still read, and a restart does not
+// bring it back.
 func TestStoreCorruptBodyQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openT(t, Options{})
 	var dropped []uint64
 	s.OnDrop(func(o cache.Object) { dropped = append(dropped, o.ID) })
-	body := []byte("pristine content")
-	s.Put(cache.Object{ID: 77, Size: int64(len(body)), Version: 1}, body)
-
-	// Flip one body bit on disk.
-	path := s.pathFor(77)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[headerLen] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	putRange(t, s, 76, 78)
+	patch(t, s, 77, func(raw []byte) { raw[headerLen+10] ^= 0x01 })
 
 	if _, _, ok := s.Get(77); ok {
 		t.Fatal("corrupt object was served")
 	}
-	if st := s.StatsSnapshot(); st.VerifyFailures != 1 || st.Objects != 0 {
-		t.Errorf("stats = %+v, want 1 verify failure and empty index", st)
+	if st := s.StatsSnapshot(); st.VerifyFailures != 1 || st.Objects != 2 {
+		t.Errorf("stats = %+v, want 1 verify failure and 2 objects left", st)
 	}
 	if len(dropped) != 1 || dropped[0] != 77 {
 		t.Errorf("dropped = %v, want [77]", dropped)
 	}
-	quar, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
-	if len(quar) != 1 {
-		t.Fatalf("quarantine holds %d files, want 1", len(quar))
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt file still in objects/")
-	}
-	// A subsequent Get is a clean miss, not another quarantine.
+	wantBody(t, s, 76, 1)
+	wantBody(t, s, 78, 1)
+	// A subsequent Get is a clean miss, not another failure.
 	if _, _, ok := s.Get(77); ok {
-		t.Error("quarantined object resurrected")
+		t.Error("condemned object resurrected")
+	}
+	if got := s.StatsSnapshot().VerifyFailures; got != 1 {
+		t.Errorf("VerifyFailures = %d after a second Get, want 1", got)
+	}
+	// Its header is still valid on disk; the tombstone keeps it out.
+	s2, st := reopen(t, s, Options{})
+	if st.Objects != 2 || s2.Contains(77) {
+		t.Errorf("after restart: %+v, Contains(77) = %v; want the 2 neighbours only", st, s2.Contains(77))
 	}
 }
 
-// TestRecoverCrashMidWrite simulates a node killed between the tmp write
-// and the rename: the orphaned tmp file must be removed by recovery and
-// never indexed.
+// TestStoreLogWrongIDNeverServed: a record that is intact but belongs to
+// another object — a misdirected write — fails the id check.
+func TestStoreLogWrongIDNeverServed(t *testing.T) {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 2)
+	path, off, n := place(t, s, 2)
+	other := make([]byte, n)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(other, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	patch(t, s, 1, func(raw []byte) { copy(raw, other) })
+	if obj, b, ok := s.Get(1); ok {
+		t.Fatalf("Get(1) served object %d's record: %+v %q", 2, obj, b)
+	}
+	if got := s.StatsSnapshot().VerifyFailures; got != 1 {
+		t.Errorf("VerifyFailures = %d, want 1", got)
+	}
+	wantBody(t, s, 2, 1)
+}
+
+// TestRecoverCrashMidWrite simulates a node killed in the middle of an
+// append: the active segment ends in a partial header. Recovery must index
+// everything before the torn tail, nothing of it, and not panic.
 func TestRecoverCrashMidWrite(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, Options{})
-	s.Put(cache.Object{ID: 1, Size: 4, Version: 1}, []byte("keep"))
-
-	// A crash mid-write leaves a half-written tmp file behind.
-	orphan := filepath.Join(dir, "tmp", "put-999.tmp")
-	if err := os.WriteFile(orphan, []byte("half-writ"), 0o644); err != nil {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 3)
+	path, off, _ := place(t, s, 3)
+	if err := os.Truncate(path, off+headerLen/2); err != nil {
 		t.Fatal(err)
 	}
-
-	// "Restart": fresh Store over the same dir.
-	s2, _ := Open(dir, Options{})
 	var recovered []uint64
+	s.Close()
+	s2 := openDir(t, s.dir, Options{})
 	st := s2.Recover(4, func(o cache.Object) { recovered = append(recovered, o.ID) })
-	if st.TmpRemoved != 1 {
-		t.Errorf("TmpRemoved = %d, want 1", st.TmpRemoved)
+	if st.Objects != 2 || st.Quarantined != 1 || len(recovered) != 2 {
+		t.Errorf("recover stats = %+v, published %v; want objects 1 and 2 and one torn tail", st, recovered)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphaned tmp file survived recovery")
+	wantBody(t, s2, 1, 1)
+	wantBody(t, s2, 2, 1)
+	if _, _, ok := s2.Get(3); ok {
+		t.Error("torn record served after recovery")
 	}
-	if st.Objects != 1 || len(recovered) != 1 || recovered[0] != 1 {
-		t.Errorf("recovered %d objects (%v), want just object 1", st.Objects, recovered)
-	}
-	_, b, ok := s2.Get(1)
-	if !ok || string(b) != "keep" {
-		t.Error("surviving object lost in recovery")
-	}
+	// The log carries on behind the torn segment.
+	putRange(t, s2, 3, 3)
+	wantBody(t, s2, 3, 1)
 }
 
-// TestRecoverTruncatedFileQuarantined: a torn object file (full header,
-// truncated body — e.g. power cut before the data blocks hit disk) must
-// never be served. Uncompressed files are caught at scan time by the length
-// check; either way the partial object is quarantined, not indexed.
+// TestRecoverTruncatedFileQuarantined: a torn record with its header intact
+// and its body cut short (e.g. power cut before the data blocks hit disk)
+// runs past the end of its segment, which ends the walk there: the partial
+// object is never indexed, let alone served.
 func TestRecoverTruncatedFileQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, Options{})
-	body := bytes.Repeat([]byte("d"), 1000)
-	s.Put(cache.Object{ID: 9, Size: 1000, Version: 1}, body)
-
-	path := s.pathFor(9)
-	if err := os.Truncate(path, headerLen+100); err != nil {
+	s := openT(t, Options{})
+	putRange(t, s, 8, 9)
+	path, off, _ := place(t, s, 9)
+	if err := os.Truncate(path, off+headerLen+40); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, _ := Open(dir, Options{})
-	st := s2.Recover(2, nil)
-	if st.Objects != 0 || st.Quarantined != 1 {
-		t.Fatalf("recover stats = %+v, want 0 objects, 1 quarantined", st)
+	s2, st := reopen(t, s, Options{})
+	if st.Objects != 1 || st.Quarantined != 1 {
+		t.Fatalf("recover stats = %+v, want 1 object, 1 quarantined", st)
 	}
 	if _, _, ok := s2.Get(9); ok {
 		t.Fatal("partial object served after recovery")
@@ -265,23 +357,31 @@ func TestRecoverTruncatedFileQuarantined(t *testing.T) {
 	if got := s2.StatsSnapshot().VerifyFailures; got != 1 {
 		t.Errorf("VerifyFailures = %d, want 1", got)
 	}
+	wantBody(t, s2, 8, 1)
 }
 
-// TestRecoverTruncatedCompressedCaughtOnRead: compressed files can't be
-// length-checked at scan time; verify-on-read must still refuse to serve.
+// TestRecoverTruncatedCompressedCaughtOnRead: a record whose file length
+// survived a power cut but whose last data blocks did not (they read back
+// as zeroes) walks fine — recovery reads no bodies — so verify-on-read must
+// still refuse to serve it.
 func TestRecoverTruncatedCompressedCaughtOnRead(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, Options{CompressMin: 1})
+	s := openT(t, Options{CompressMin: 1})
 	body := bytes.Repeat([]byte("compressible "), 200)
 	s.Put(cache.Object{ID: 4, Size: int64(len(body)), Version: 1}, body)
-	path := s.pathFor(4)
-	fi, _ := os.Stat(path)
-	if err := os.Truncate(path, fi.Size()-10); err != nil {
+	if s.StatsSnapshot().Compressed != 1 {
+		t.Fatal("body was not stored compressed")
+	}
+	path, off, n := place(t, s, 4)
+	if err := os.Truncate(path, off+n-10); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, _ := Open(dir, Options{CompressMin: 1})
-	s2.Recover(2, nil)
+	if err := os.Truncate(path, off+n); err != nil {
+		t.Fatal(err)
+	}
+	s2, st := reopen(t, s, Options{CompressMin: 1})
+	if st.Objects != 1 {
+		t.Fatalf("recover stats = %+v, want the record indexed", st)
+	}
 	if _, _, ok := s2.Get(4); ok {
 		t.Fatal("truncated compressed object served")
 	}
@@ -290,29 +390,47 @@ func TestRecoverTruncatedCompressedCaughtOnRead(t *testing.T) {
 	}
 }
 
+// TestRecoverGarbageFileQuarantined: a segment that is not one, and junk
+// behind good records, cost only themselves.
 func TestRecoverGarbageFileQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, Options{})
-	junk := filepath.Join(dir, "objects", "00", "0000000000000000")
-	if err := os.WriteFile(junk, []byte("not an object file at all"), 0o644); err != nil {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 2)
+	path, _, _ := place(t, s, 1)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Recover(2, nil)
-	if st.Objects != 0 || st.Quarantined != 1 {
-		t.Fatalf("recover stats = %+v", st)
+	f.WriteString("not a record at all, but longer than a header is")
+	f.Close()
+	junk := s.segPath(99)
+	if err := os.WriteFile(junk, bytes.Repeat([]byte("junk"), 64), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	s2, st := reopen(t, s, Options{})
+	if st.Objects != 2 || st.Quarantined != 2 {
+		t.Fatalf("recover stats = %+v, want 2 objects and 2 torn segments", st)
+	}
+	if _, err := os.Stat(junk); !os.IsNotExist(err) || st.SegmentsRemoved != 1 {
+		t.Errorf("the all-junk segment was kept (removed %d)", st.SegmentsRemoved)
+	}
+	wantBody(t, s2, 1, 1)
+	wantBody(t, s2, 2, 1)
 }
 
 func TestRecoverManyObjectsParallel(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, Options{})
+	s := openT(t, Options{})
+	s.segSize = 1 << 10 // dozens of segments for the pool to share
 	const n = 300
 	for i := 1; i <= n; i++ {
 		body := []byte(fmt.Sprintf("body-%d", i))
 		s.Put(cache.Object{ID: uint64(i), Size: int64(len(body)), Version: int64(i)}, body)
 	}
+	if len(segFiles(t, s.dir)) < 8 {
+		t.Fatalf("only %d segments: the scan would not be parallel", len(segFiles(t, s.dir)))
+	}
+	s.Close()
 
-	s2, _ := Open(dir, Options{})
+	s2 := openDir(t, s.dir, Options{})
 	var mu sync.Mutex
 	seen := map[uint64]bool{}
 	st := s2.Recover(8, func(o cache.Object) {
@@ -333,24 +451,162 @@ func TestRecoverManyObjectsParallel(t *testing.T) {
 	}
 }
 
+// TestRecoverShrunkCapacityTrims: reopened with less room, the log gives up
+// its oldest segments before serving, announcing what was in them.
 func TestRecoverShrunkCapacityTrims(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir, Options{})
-	body := bytes.Repeat([]byte("x"), 100)
-	for i := 1; i <= 10; i++ {
-		s.Put(cache.Object{ID: uint64(i), Size: 100, Version: 1}, body)
-	}
-	// Reopen with room for only ~3 objects.
-	s2, _ := Open(dir, Options{Capacity: 3 * (headerLen + 100)})
-	dropped := 0
-	s2.OnDrop(func(cache.Object) { dropped++ })
+	s := openT(t, Options{})
+	s.segSize = 2 * rec100
+	putRange(t, s, 1, 10) // five segments of two
+	s.Close()
+	s2 := openDir(t, s.dir, Options{Capacity: 3 * rec100})
+	var dropped []uint64
+	s2.OnDrop(func(o cache.Object) { dropped = append(dropped, o.ID) })
 	s2.Recover(4, nil)
 	st := s2.StatsSnapshot()
-	if st.UsedBytes > 3*(headerLen+100) {
-		t.Errorf("UsedBytes = %d exceeds shrunk capacity", st.UsedBytes)
+	if st.UsedBytes > st.Capacity {
+		t.Errorf("UsedBytes = %d exceeds shrunk capacity %d", st.UsedBytes, st.Capacity)
 	}
-	if dropped != 7 {
-		t.Errorf("dropped %d objects, want 7", dropped)
+	if len(dropped) != 8 || st.Objects != 2 {
+		t.Errorf("dropped %v, kept %d objects; want 8 dropped, 2 kept", dropped, st.Objects)
+	}
+	wantBody(t, s2, 9, 1) // the newest segment is the one that stays
+	wantBody(t, s2, 10, 1)
+}
+
+// TestStoreLogRecoveryOrder: whatever order the workers reach the segments
+// in, the later record of an id wins — a tombstone included — so a restart
+// neither goes back a version nor brings back a purged object.
+func TestStoreLogRecoveryOrder(t *testing.T) {
+	s := openT(t, Options{})
+	s.segSize = 2 * rec100
+	putRange(t, s, 1, 6)
+	for id := uint64(1); id <= 2; id++ { // newer versions, segments later
+		s.Put(cache.Object{ID: id, Size: 100, Version: 2}, body100(id, 2))
+	}
+	s.Remove(3) // 4 and 6 keep the records of 3 and 5 on disk
+	s.Remove(5)
+	s.Put(cache.Object{ID: 5, Size: 100, Version: 3}, body100(5, 3)) // back after its purge
+	for workers := 1; workers <= 8; workers *= 2 {
+		s.Close()
+		s = openDir(t, s.dir, Options{})
+		s.segSize = 2 * rec100
+		st := s.Recover(workers, nil)
+		if st.Objects != 5 {
+			t.Fatalf("%d workers: recovered %d objects, want 5 (%+v)", workers, st.Objects, st)
+		}
+		wantBody(t, s, 1, 2)
+		wantBody(t, s, 2, 2)
+		wantBody(t, s, 4, 1)
+		wantBody(t, s, 5, 3)
+		wantBody(t, s, 6, 1)
+		if s.Contains(3) {
+			t.Fatalf("%d workers: purged object 3 came back", workers)
+		}
+	}
+}
+
+// TestStoreLogGetRacesRetireAndRemove: a read that loses a race with a
+// segment's retirement, a Remove or a rewrite is a miss or a retry, never a
+// verify failure and never another object's bytes.
+func TestStoreLogGetRacesRetireAndRemove(t *testing.T) {
+	s := openT(t, Options{Capacity: 8 * 4 * rec100})
+	s.segSize = 4 * rec100
+	const ids = 64 // twice what the capacity holds: constant retirement
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := uint64(rng.Intn(ids))
+				if obj, b, ok := s.Get(id); ok && !bytes.Equal(b, body100(id, obj.Version)) {
+					t.Errorf("Get(%d) = v%d %q", id, obj.Version, b)
+					return
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 1; i <= 4000; i++ {
+		id := uint64(rng.Intn(ids))
+		if rng.Intn(8) == 0 {
+			s.Remove(id)
+		} else if err := s.Put(cache.Object{ID: id, Size: 100, Version: int64(i)}, body100(id, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	st := s.StatsSnapshot()
+	if st.VerifyFailures != 0 {
+		t.Errorf("VerifyFailures = %d, want 0: a lost race was taken for corruption", st.VerifyFailures)
+	}
+	if st.Evictions == 0 || st.UsedBytes > st.Capacity {
+		t.Errorf("stats = %+v: want retirements, within capacity", st)
+	}
+}
+
+// TestStoreLogCompaction: an unbounded log whose records keep being
+// superseded moves the survivors of its oldest segment forward and deletes
+// it, so the footprint follows the live set, and nothing is dropped.
+func TestStoreLogCompaction(t *testing.T) {
+	s := openT(t, Options{})
+	s.segSize = 4 * rec100
+	s.OnDrop(func(o cache.Object) { t.Errorf("object %d dropped by compaction", o.ID) })
+	putRange(t, s, 100, 103) // written once, never again: must be carried along
+	for v := int64(1); v <= 200; v++ {
+		for id := uint64(1); id <= 4; id++ {
+			if err := s.Put(cache.Object{ID: id, Size: 100, Version: v}, body100(id, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for id := uint64(1); id <= 4; id++ {
+		wantBody(t, s, id, 200)
+		wantBody(t, s, id+99, 1)
+	}
+	st := s.StatsSnapshot()
+	if live := int64(8 * rec100); st.UsedBytes > 2*live+2*s.segSize {
+		t.Errorf("UsedBytes = %d for %d live bytes: dead records are not reclaimed", st.UsedBytes, live)
+	}
+	if n := len(segFiles(t, s.dir)); int64(n)*s.segSize > st.UsedBytes+s.segSize {
+		t.Errorf("%d segment files for %d used bytes", n, st.UsedBytes)
+	}
+	s2, rec := reopen(t, s, Options{})
+	if rec.Objects != 8 {
+		t.Errorf("recovered %d objects, want 8", rec.Objects)
+	}
+	wantBody(t, s2, 3, 200)
+	wantBody(t, s2, 102, 1)
+}
+
+// TestStoreLogOpenClearsOldLayout: the file-per-object tree of earlier
+// versions is removed, and a closed store misses and refuses.
+func TestStoreLogOpenClearsOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "objects", "ab")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(filepath.Join(old, "ab00000000000000"), []byte("x"), 0o644)
+	s := openDir(t, dir, Options{})
+	if _, err := os.Stat(filepath.Join(dir, "objects")); !os.IsNotExist(err) {
+		t.Error("objects/ tree survived Open")
+	}
+	putRange(t, s, 1, 1)
+	s.Close()
+	if _, _, ok := s.Get(1); ok {
+		t.Error("closed store served an object")
+	}
+	if err := s.Put(cache.Object{ID: 2, Size: 100, Version: 1}, body100(2, 1)); err == nil {
+		t.Error("closed store accepted a Put")
 	}
 }
 
@@ -376,8 +632,8 @@ func TestSpillerWriteBehindAndCoalesce(t *testing.T) {
 
 func TestSpillerDropOldestFiresCallback(t *testing.T) {
 	s := openT(t, Options{})
-	// Stall the worker by holding the store lock so the queue backs up.
-	s.mu.Lock()
+	// Stall the worker by holding the append lock so the queue backs up.
+	s.wmu.Lock()
 	var mu sync.Mutex
 	var dropped []uint64
 	sp := NewSpiller(s, 2, func(o cache.Object) {
@@ -386,13 +642,13 @@ func TestSpillerDropOldestFiresCallback(t *testing.T) {
 		mu.Unlock()
 	})
 	// Give the worker a moment to pull item 1 into flight (it will block
-	// on the store lock), then overflow the bound.
+	// on the append lock), then overflow the bound.
 	sp.Enqueue(cache.Object{ID: 1, Size: 1, Version: 1}, []byte("a"))
 	time.Sleep(20 * time.Millisecond)
 	sp.Enqueue(cache.Object{ID: 2, Size: 1, Version: 1}, []byte("b"))
 	sp.Enqueue(cache.Object{ID: 3, Size: 1, Version: 1}, []byte("c"))
 	sp.Enqueue(cache.Object{ID: 4, Size: 1, Version: 1}, []byte("d")) // drops 2
-	s.mu.Unlock()
+	s.wmu.Unlock()
 	sp.Flush()
 	sp.Close()
 
@@ -414,7 +670,7 @@ func TestSpillerDropOldestFiresCallback(t *testing.T) {
 
 func TestSpillerPeekCoversInFlightWindow(t *testing.T) {
 	s := openT(t, Options{})
-	s.mu.Lock() // stall the worker
+	s.wmu.Lock() // stall the worker
 	sp := NewSpiller(s, 8, nil)
 	sp.Enqueue(cache.Object{ID: 1, Size: 1, Version: 1}, []byte("a"))
 	sp.Enqueue(cache.Object{ID: 2, Size: 1, Version: 3}, []byte("b"))
@@ -427,7 +683,7 @@ func TestSpillerPeekCoversInFlightWindow(t *testing.T) {
 	if _, _, ok := sp.peek(2); ok {
 		t.Error("discarded item still visible")
 	}
-	s.mu.Unlock()
+	s.wmu.Unlock()
 	sp.Close()
 	if s.Contains(2) {
 		t.Error("discarded item reached disk anyway")
@@ -520,8 +776,8 @@ func BenchmarkRecoveryScan(b *testing.B) {
 
 // tierModel drives a Tier the way a node does — memory first, then the
 // spill queue and disk — next to a map of what must be resident. The gate
-// is the disk store's own mutex: while the test holds it, Store.Put cannot
-// commit, so every write-behind item stays "being written".
+// is the disk store's append lock: while the test holds it, nothing can be
+// written, so every write-behind item stays "being written".
 type tierModel struct {
 	t     *testing.T
 	mem   *cache.Sharded
@@ -533,19 +789,46 @@ type tierModel struct {
 
 func newTierModel(t *testing.T) *tierModel {
 	m := &tierModel{t: t, ref: make(map[uint64]int64)}
-	m.mem = cache.NewSharded(1, 3*16) // three 16-byte objects
-	m.disk = openT(t, Options{})
-	// Eight objects never fill a 64-item queue or an unbounded disk, so
-	// nothing is dropped involuntarily: only purges end residency here.
-	m.tier = NewTier(m.mem, m.disk, 64, func(o cache.Object) {
-		t.Errorf("object %d v%d dropped from both tiers", o.ID, o.Version)
-	})
-	m.mem.OnEvict(func(o cache.Object, body []byte) { m.tier.Spill(o, body) })
+	m.boot(t.TempDir())
 	t.Cleanup(func() {
 		m.openGate()
 		m.tier.Close()
 	})
 	return m
+}
+
+// boot builds the tiers over dir. Segments hold four records, so the
+// traffic keeps sealing, emptying and compacting them.
+func (m *tierModel) boot(dir string) {
+	m.mem = cache.NewSharded(1, 3*16) // three 16-byte objects
+	disk, err := Open(dir, Options{}) // closed by tier.Close
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	m.disk = disk
+	m.disk.segSize = 4 * (headerLen + 16)
+	// Eight objects never fill a 64-item queue or an unbounded disk, so
+	// nothing is dropped involuntarily: only purges end residency here.
+	m.tier = NewTier(m.mem, m.disk, 64, func(o cache.Object) {
+		m.t.Errorf("object %d v%d dropped from both tiers", o.ID, o.Version)
+	})
+	m.mem.OnEvict(func(o cache.Object, body []byte) { m.tier.Spill(o, body) })
+}
+
+// restart is a drained shutdown and a boot over the same directory: memory
+// is written out first (a node's memory is lost with it; the model's is
+// not), so afterwards the disk alone must hold every resident object at its
+// newest version and no purged one.
+func (m *tierModel) restart() {
+	m.openGate()
+	for id := range m.ref {
+		if obj, body, ok := m.mem.Get(id); ok {
+			m.tier.Spill(obj, body)
+		}
+	}
+	m.tier.Close()
+	m.boot(m.disk.dir)
+	m.tier.Recover(2, nil)
 }
 
 func modelBody(id uint64, version int64) []byte {
@@ -554,7 +837,7 @@ func modelBody(id uint64, version int64) []byte {
 
 func (m *tierModel) closeGate() {
 	if !m.gated {
-		m.disk.mu.Lock()
+		m.disk.wmu.Lock()
 		m.gated = true
 		// Let the worker reach the gate with whatever is at the front. No
 		// assertion depends on it having got there; it only makes the
@@ -565,7 +848,7 @@ func (m *tierModel) closeGate() {
 
 func (m *tierModel) openGate() {
 	if m.gated {
-		m.disk.mu.Unlock()
+		m.disk.wmu.Unlock()
 		m.gated = false
 	}
 }
@@ -580,17 +863,17 @@ func (m *tierModel) purge(id uint64) {
 	delete(m.ref, id)
 	m.mem.Discard(id)
 	if m.gated {
-		// The disk half of Tier.Discard needs the mutex the gate holds.
-		// The worker may get one step further meanwhile; that is one more
-		// interleaving, not a hole in the gate.
-		m.disk.mu.Unlock()
-		defer m.disk.mu.Lock()
+		// The disk half of Tier.Discard appends a tombstone, which needs
+		// the lock the gate holds. The worker may get one step further
+		// meanwhile; that is one more interleaving, not a hole in the gate.
+		m.disk.wmu.Unlock()
+		defer m.disk.wmu.Lock()
 	}
 	m.tier.Discard(id)
 }
 
 // lookup is the node's local probe. Behind a closed gate the disk index is
-// read directly (the test holds its mutex) and nothing is promoted.
+// consulted without reading the record, and nothing is promoted.
 func (m *tierModel) lookup(id uint64) (int64, []byte, bool) {
 	if obj, body, ok := m.mem.Get(id); ok {
 		return obj.Version, body, true
@@ -602,10 +885,10 @@ func (m *tierModel) lookup(id uint64) (int64, []byte, bool) {
 	if obj, body, ok := m.tier.sp.peek(id); ok {
 		return obj.Version, body, true
 	}
-	if d, ok := m.disk.index[id]; ok {
-		return d.obj.Version, nil, true
-	}
-	return 0, nil, false
+	m.disk.mu.Lock()
+	e, ok := m.disk.index[id]
+	m.disk.mu.Unlock()
+	return e.obj.Version, nil, ok
 }
 
 // check asserts resident-until-purged for one id: what the model holds is
@@ -628,9 +911,10 @@ func (m *tierModel) check(step int, id uint64) {
 
 // TestTierModelResidentUntilDropped runs random put / purge / re-put
 // traffic over eight objects and three memory slots, opening and
-// closing the write gate as it goes, and checks every object against the
-// model after every step: resident means servable until dropped or purged,
-// through the write-behind window included.
+// closing the write gate and restarting the tier as it goes, and checks
+// every object against the model after every step: resident means servable
+// — at the model's version, never an older one — until dropped or purged,
+// through the write-behind window and across restarts included.
 func TestTierModelResidentUntilDropped(t *testing.T) {
 	const ids = 8
 	for seed := int64(1); seed <= 4; seed++ {
@@ -639,17 +923,19 @@ func TestTierModelResidentUntilDropped(t *testing.T) {
 		version := int64(0)
 		for step := 0; step < 400; step++ {
 			id := uint64(rng.Intn(ids))
-			switch r := rng.Intn(16); {
-			case r < 10:
+			switch r := rng.Intn(32); {
+			case r < 20:
 				version++
 				m.put(id, version)
-			case r < 13:
+			case r < 26:
 				m.purge(id)
-			case r < 14:
+			case r < 28:
 				m.closeGate()
+			case r == 28:
+				m.restart()
 			default:
 				m.openGate()
-				if r == 15 {
+				if r == 31 {
 					m.tier.Flush()
 				}
 			}
@@ -708,4 +994,296 @@ func TestSpillerRacesDuringWrite(t *testing.T) {
 			t.Fatalf("Depth = %d after Flush, want 0", st.Depth)
 		}
 	})
+}
+
+// TestStoreLogSecondChance: what was read back into memory since it was
+// written is written again when evicted from there while its record lies in
+// the segment about to be retired, and so outlives the objects beside it
+// that nobody read.
+func TestStoreLogSecondChance(t *testing.T) {
+	mem := cache.NewSharded(1, 2*100) // two objects
+	disk := openT(t, Options{Capacity: 4 * 4 * rec100})
+	disk.segSize = 4 * rec100
+	var mu sync.Mutex
+	var dropped []uint64
+	tier := NewTier(mem, disk, 64, func(o cache.Object) {
+		mu.Lock()
+		dropped = append(dropped, o.ID)
+		mu.Unlock()
+	})
+	defer tier.Close()
+	mem.OnEvict(func(o cache.Object, body []byte) { tier.Spill(o, body) })
+	putRange(t, disk, 1, 16) // four full segments: the disk is at capacity
+
+	// Read 1 and 2 from the oldest segment, then push them out of memory.
+	// The gate holds the writes back so that both are queued before either
+	// write retires the segment.
+	for _, id := range []uint64{1, 2, 13, 14} {
+		if id == 13 {
+			disk.wmu.Lock()
+		}
+		if _, _, ok := tier.Get(id); !ok {
+			t.Fatalf("tier.Get(%d) missed", id)
+		}
+	}
+	disk.wmu.Unlock()
+	tier.Flush()
+
+	mu.Lock()
+	defer mu.Unlock()
+	slices.Sort(dropped)
+	if !slices.Equal(dropped, []uint64{3, 4}) {
+		t.Fatalf("dropped = %v, want [3 4]: the unread half of the oldest segment", dropped)
+	}
+	for _, id := range []uint64{1, 2} {
+		if !disk.Contains(id) {
+			t.Errorf("object %d, read since it was written, was retired with its segment", id)
+		}
+	}
+	if st := disk.StatsSnapshot(); st.Puts != 16+2 || st.UsedBytes > st.Capacity {
+		t.Errorf("stats = %+v, want 18 puts within capacity", st)
+	}
+}
+
+// TestStoreLogReadOnlyLoopAppendsNothing: reading a resident population
+// below capacity promotes and re-evicts all the time and writes nothing.
+func TestStoreLogReadOnlyLoopAppendsNothing(t *testing.T) {
+	mem := cache.NewSharded(1, 4*100)
+	disk := openT(t, Options{Capacity: 1 << 30})
+	tier := NewTier(mem, disk, 64, func(o cache.Object) { t.Errorf("object %d dropped", o.ID) })
+	defer tier.Close()
+	mem.OnEvict(func(o cache.Object, body []byte) { tier.Spill(o, body) })
+	const n = 32
+	for id := uint64(1); id <= n; id++ {
+		mem.Put(cache.Object{ID: id, Size: 100, Version: 1}, body100(id, 1))
+	}
+	for id := uint64(1); id <= n; id++ { // everything through memory once more: all of it on disk
+		if _, _, ok := mem.Get(id); !ok {
+			if _, _, ok := tier.Get(id); !ok {
+				t.Fatalf("object %d lost during the fill", id)
+			}
+		}
+	}
+	tier.Flush()
+	before, spilled := disk.StatsSnapshot(), tier.SpillStats().Spilled
+	if before.Objects != n {
+		t.Fatalf("%d objects on disk after the fill, want %d", before.Objects, n)
+	}
+	for round := 0; round < 10; round++ {
+		for id := uint64(1); id <= n; id++ {
+			if _, _, ok := mem.Get(id); ok {
+				continue
+			}
+			if _, b, ok := tier.Get(id); !ok || !bytes.Equal(b, body100(id, 1)) {
+				t.Fatalf("round %d: tier.Get(%d) = %q %v", round, id, b, ok)
+			}
+		}
+	}
+	tier.Flush()
+	after := disk.StatsSnapshot()
+	if after.UsedBytes != before.UsedBytes || after.Puts != before.Puts {
+		t.Errorf("a read-only loop appended: %d -> %d bytes, %d -> %d puts",
+			before.UsedBytes, after.UsedBytes, before.Puts, after.Puts)
+	}
+	if got := tier.SpillStats().Spilled; got != spilled {
+		t.Errorf("Spilled = %d -> %d over a loop that wrote nothing", spilled, got)
+	}
+	if after.PutSkipped <= before.PutSkipped {
+		t.Errorf("PutSkipped = %d: the no-op evictions were not counted", after.PutSkipped)
+	}
+}
+
+// TestStoreLogHeaderBitFlip: a flipped bit in a header is caught by the
+// header checksum, on read and — where nothing else vouches for a record —
+// by the recovery walk, which ends there rather than index a wrong version.
+func TestStoreLogHeaderBitFlip(t *testing.T) {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 3)
+	path, off, _ := place(t, s, 2)
+	patch(t, s, 2, func(raw []byte) { raw[16] ^= 0x04 }) // version 1 -> 5
+	if _, _, ok := s.Get(2); ok {
+		t.Fatal("record with a corrupt header was served")
+	}
+	// Undo the condemnation's tombstone so that recovery meets the header
+	// with nothing else against it.
+	if err := os.Truncate(path, off+2*rec100); err != nil {
+		t.Fatal(err)
+	}
+	s2, st := reopen(t, s, Options{})
+	if st.Objects != 1 || st.Quarantined != 1 {
+		t.Errorf("recover stats = %+v, want object 1 and a walk ended at record 2", st)
+	}
+	if obj, _, ok := s2.Get(2); ok {
+		t.Fatalf("recovery indexed the corrupt header: served v%d", obj.Version)
+	}
+	wantBody(t, s2, 1, 1)
+}
+
+// TestStoreLogRecoverBehindTraffic: what a run writes or purges before its
+// recovery scan gets there is newer than anything the scan finds.
+func TestStoreLogRecoverBehindTraffic(t *testing.T) {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 3)
+	s.Close()
+	s2 := openDir(t, s.dir, Options{})
+	s2.Put(cache.Object{ID: 1, Size: 100, Version: 2}, body100(1, 2))
+	if s2.Remove(2) {
+		t.Fatal("Remove found an object the scan has not reached yet")
+	}
+	var published []uint64
+	st := s2.Recover(2, func(o cache.Object) { published = append(published, o.ID) })
+	if st.Objects != 1 || !slices.Equal(published, []uint64{3}) {
+		t.Errorf("recovered %+v, published %v; want object 3 alone", st, published)
+	}
+	wantBody(t, s2, 1, 2)
+	wantBody(t, s2, 3, 1)
+	if s2.Contains(2) {
+		t.Error("an object purged before the scan reached it came back")
+	}
+	s3, st := reopen(t, s2, Options{})
+	if st.Objects != 2 || s3.Contains(2) {
+		t.Errorf("second restart recovered %+v, Contains(2) = %v; want objects 1 and 3", st, s3.Contains(2))
+	}
+	wantBody(t, s3, 1, 2)
+}
+
+// TestStoreLogSecondChanceKeepsWhatItMoves: a record written again from the
+// segment about to go is committed before that segment is retired, so the
+// object is neither dropped nor announced with its old neighbours.
+func TestStoreLogSecondChanceKeepsWhatItMoves(t *testing.T) {
+	s := openT(t, Options{Capacity: 4 * 2 * rec100})
+	s.segSize = 2 * rec100
+	var dropped []uint64
+	s.OnDrop(func(o cache.Object) { dropped = append(dropped, o.ID) })
+	putRange(t, s, 1, 8) // at capacity: the next roll retires [1 2]
+	putRange(t, s, 1, 1) // same version again: not skipped
+	if !slices.Equal(dropped, []uint64{2}) {
+		t.Fatalf("dropped = %v, want [2]", dropped)
+	}
+	wantBody(t, s, 1, 1)
+	if st := s.StatsSnapshot(); st.Puts != 9 || st.PutSkipped != 0 || st.Objects != 7 {
+		t.Errorf("stats = %+v, want 9 puts, none skipped, 7 objects", st)
+	}
+	putRange(t, s, 8, 8) // same version, nowhere near retirement: skipped
+	if st := s.StatsSnapshot(); st.Puts != 9 || st.PutSkipped != 1 {
+		t.Errorf("stats = %+v, want the re-put of a safe record skipped", st)
+	}
+}
+
+// TestStoreLogRecoverIsAtomic: a previous run left seg1 {1 v1, 5 v8, 2 v1}
+// and seg2 {5 v9, tombstone(1)}. Traffic that arrives while the scan is under way
+// — here from the publish callback, and from a goroutine hammering the store
+// throughout — never sees the purged object or the older version, and a write
+// that compacts seg1 meanwhile cannot carry its dead records past the records
+// that voided them, in this run or after the next restart.
+func TestStoreLogRecoverIsAtomic(t *testing.T) {
+	s := openT(t, Options{})
+	s.segSize = 3 * rec100
+	putRange(t, s, 1, 1)
+	s.Put(cache.Object{ID: 5, Size: 100, Version: 8}, body100(5, 8))
+	putRange(t, s, 2, 2) // keeps seg1 alive
+	s.Put(cache.Object{ID: 5, Size: 100, Version: 9}, body100(5, 9))
+	s.Remove(1)
+	if len(segFiles(t, s.dir)) != 2 {
+		t.Fatalf("%d segments, want 2", len(segFiles(t, s.dir)))
+	}
+	s.Close()
+
+	s2 := openDir(t, s.dir, Options{})
+	s2.segSize = 3 * rec100
+	look := func(when string) {
+		if obj, _, ok := s2.Get(1); ok {
+			t.Errorf("%s: purged object 1 served at v%d", when, obj.Version)
+		}
+		if obj, _, ok := s2.Get(5); ok && obj.Version != 9 {
+			t.Errorf("%s: object 5 served at v%d, want v9", when, obj.Version)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := uint64(100); ; id++ {
+			select {
+			case <-stop:
+				return
+			default:
+				look("during the scan")
+				s2.Put(cache.Object{ID: id, Size: 100, Version: 1}, body100(id, 1)) // rolls, so compacts
+			}
+		}
+	}()
+	var published []uint64
+	s2.Recover(1, func(o cache.Object) {
+		published = append(published, o.ID)
+		look("from publish")
+		putRange(t, s2, 50, 53)
+	})
+	close(stop)
+	<-done
+	if slices.Sort(published); !slices.Equal(published, []uint64{2, 5}) {
+		t.Errorf("published %v, want objects 2 and 5, once each", published)
+	}
+	look("after recovery")
+	wantBody(t, s2, 5, 9)
+	s3, _ := reopen(t, s2, Options{})
+	if s3.Contains(1) {
+		t.Error("purged object 1 came back at the second restart")
+	}
+	wantBody(t, s3, 5, 9)
+}
+
+// TestStoreLogSmallCapacityBounded: with the segment size the store derives
+// for itself, the footprint stays within a capacity far below the 1 MiB
+// floor, and an object that could never fit is refused rather than kept.
+func TestStoreLogSmallCapacityBounded(t *testing.T) {
+	s := openT(t, Options{Capacity: 64 << 10})
+	body := bytes.Repeat([]byte("x"), 1<<10)
+	for id := uint64(1); id <= 500; id++ {
+		if err := s.Put(cache.Object{ID: id, Size: int64(len(body)), Version: 1}, body); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.StatsSnapshot(); st.UsedBytes > st.Capacity {
+			t.Fatalf("after %d puts: UsedBytes = %d exceeds the capacity %d", id, st.UsedBytes, st.Capacity)
+		}
+	}
+	if st := s.StatsSnapshot(); st.Evictions == 0 || st.Objects < 16 {
+		t.Errorf("stats = %+v, want retirements and at least a quarter of the capacity in use", st)
+	}
+	big := make([]byte, 64<<10)
+	if err := s.Put(cache.Object{ID: 999, Size: int64(len(big)), Version: 1}, big); err == nil {
+		t.Error("an object larger than the capacity was accepted")
+	}
+}
+
+// TestStoreLogTornTailCountedOnce: the walk cuts a torn tail off, so a second
+// restart finds a clean segment; and a segment that cannot be opened is
+// counted and deleted, not left on disk uncharged.
+func TestStoreLogTornTailCountedOnce(t *testing.T) {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 3)
+	path, off, _ := place(t, s, 3)
+	if err := os.Truncate(path, off+headerLen+40); err != nil {
+		t.Fatal(err)
+	}
+	unopenable := s.segPath(77)
+	if err := os.Mkdir(unopenable, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s2, st := reopen(t, s, Options{})
+	if st.Objects != 2 || st.Quarantined != 2 || st.SegmentsRemoved != 1 {
+		t.Errorf("first restart: %+v, want 2 objects, the torn and the unopenable segment counted, the latter removed", st)
+	}
+	if _, err := os.Stat(unopenable); !os.IsNotExist(err) {
+		t.Error("the unopenable segment is still on disk")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != off || s2.StatsSnapshot().UsedBytes != off {
+		t.Errorf("torn segment not cut back to %d bytes: %v, used %d", off, fi, s2.StatsSnapshot().UsedBytes)
+	}
+	s3, st := reopen(t, s2, Options{})
+	if st.Objects != 2 || st.Quarantined != 0 || s3.StatsSnapshot().VerifyFailures != 0 {
+		t.Errorf("second restart: %+v with %d verify failures, want the same 2 objects and no new failure",
+			st, s3.StatsSnapshot().VerifyFailures)
+	}
+	wantBody(t, s3, 1, 1)
+	wantBody(t, s3, 2, 1)
 }

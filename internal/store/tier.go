@@ -22,21 +22,37 @@ type Tier struct {
 // NewTier wires mem and disk together. spillQueue bounds the write-behind
 // queue (<= 0 for the Spiller default). onDrop fires whenever an object
 // involuntarily leaves BOTH tiers — spill-queue overflow, failed spill
-// write, disk eviction, or quarantine — and is the seam the node uses to
-// queue invalidate hints; it runs with no tier locks held and may be nil.
+// write, segment retirement, or a record failing verification — and is the
+// seam the node uses to queue invalidate hints; it runs with no tier locks
+// held and may be nil.
 func NewTier(mem *cache.Sharded, disk *Store, spillQueue int, onDrop func(cache.Object)) *Tier {
-	disk.OnDrop(onDrop)
-	return &Tier{
+	t := &Tier{
 		mem:  mem,
 		disk: disk,
 		sp:   NewSpiller(disk, spillQueue, onDrop),
 	}
+	if onDrop != nil {
+		// The log retires by age, not by read: a record can go while its
+		// object sits in memory or waits in the queue to be written again,
+		// and that object has not left the node.
+		disk.OnDrop(func(o cache.Object) {
+			if _, _, queued := t.sp.peek(o.ID); !queued && !mem.Contains(o.ID) {
+				onDrop(o)
+			}
+		})
+	}
+	return t
 }
 
-// Spill queues a memory-tier eviction for write-behind. Called from the
-// cache's eviction callback (outside the shard lock); never blocks on disk.
+// Spill queues a memory-tier eviction for write-behind, unless the disk
+// already holds that version (Store.skip: the usual fate of a promoted
+// object evicted again unchanged). Called from the cache's eviction callback
+// (outside the shard lock): it takes the index lock, then the queue lock,
+// and never blocks on disk.
 func (t *Tier) Spill(obj cache.Object, body []byte) {
-	t.sp.Enqueue(obj, body)
+	if !t.disk.skip(obj) {
+		t.sp.Enqueue(obj, body)
+	}
 }
 
 // Get serves an object from the disk tier (or the spill queue, for the
@@ -90,8 +106,12 @@ func (t *Tier) Recover(workers int, publish func(cache.Object)) RecoverStats {
 // Flush blocks until the spill queue is drained to disk.
 func (t *Tier) Flush() { t.sp.Flush() }
 
-// Close drains the spill queue and stops the write-behind worker.
-func (t *Tier) Close() { t.sp.Close() }
+// Close drains the spill queue, stops the write-behind worker and closes the
+// disk store.
+func (t *Tier) Close() {
+	t.sp.Close()
+	t.disk.Close()
+}
 
 // Promotions returns the number of disk hits promoted into memory.
 func (t *Tier) Promotions() int64 { return t.promotions.Load() }
