@@ -483,14 +483,12 @@ func benchNodeFetch(b *testing.B, mode string, cfg cluster.NodeConfig, wrap func
 	})
 }
 
-// BenchmarkNodeFetchParallel compares three lockings of the node fetch path
+// BenchmarkNodeFetchParallel compares two lockings of the node fetch path
 // under the two workloads benchNodeFetch describes:
 //
 //	global-mutex: every request serialized behind one mutex — the single-lock
 //	              baseline, where one lock guards cache, hints, and stats;
-//	one-shard:    the new code with striping disabled (one cache shard, one
-//	              hint stripe), isolating the win from atomics + singleflight;
-//	sharded:      the new code at its defaults.
+//	sharded:      the node as it ships.
 func BenchmarkNodeFetchParallel(b *testing.B) {
 	for _, mode := range []string{"hits", "coldmiss"} {
 		b.Run(mode, func(b *testing.B) {
@@ -504,9 +502,6 @@ func BenchmarkNodeFetchParallel(b *testing.B) {
 							h.ServeHTTP(w, r)
 						})
 					})
-			})
-			b.Run("one-shard", func(b *testing.B) {
-				benchNodeFetch(b, mode, cluster.NodeConfig{Name: "bench", CacheShards: 1, HintStripes: 1}, nil)
 			})
 			b.Run("sharded", func(b *testing.B) {
 				benchNodeFetch(b, mode, cluster.NodeConfig{Name: "bench"}, nil)

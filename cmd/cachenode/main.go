@@ -18,10 +18,11 @@
 // The X-Cache response header reports LOCAL, REMOTE (direct cache-to-cache
 // transfer), or MISS (origin fetch).
 //
-// Hint batches are broadcast to every peer; with -hint-partition on every
-// node they route to each object's Plaxton hint homes instead (the paper's
-// self-configuring metadata hierarchy). Data transfers are direct
-// cache-to-cache either way.
+// Hint batches are broadcast to every peer; with -hint-replicas R (R > 0)
+// on every node they route to each object's R Plaxton hint homes instead
+// (the paper's self-configuring metadata hierarchy); with -digests nodes
+// pull each other's Bloom-filter digests. Data transfers are direct
+// cache-to-cache in every case.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"beyondcache/internal/cluster"
-	"beyondcache/internal/resilience"
 )
 
 func main() {
@@ -62,35 +62,25 @@ func run(args []string, out io.Writer, wait func()) error {
 		peers       = fs.String("peers", "", "comma-separated peer base URLs")
 		name        = fs.String("name", "", "node name for stats (default: listen address)")
 		cacheBytes  = fs.Int64("cache-bytes", 64<<20, "object cache capacity in bytes")
-		cacheShards = fs.Int("cache-shards", 0, "object cache shard count, rounded up to a power of two (0: sized from GOMAXPROCS)")
 		cacheDir    = fs.String("cache-dir", "", "directory for the persistent disk tier; evictions spill here and the population is recovered and re-advertised on boot (off when empty)")
 		diskCap     = fs.Int64("disk-capacity", 0, "disk tier capacity in bytes; overflow retires the oldest log segment (0: unbounded; requires -cache-dir)")
 		spillQueue  = fs.Int("spill-queue", 0, "bounded write-behind spill queue, in evicted objects; overflow drops oldest (0: 1024 default)")
 		compressMin = fs.Int64("compress-min", 0, "deflate spilled objects of at least this many bytes, kept only when smaller (0: never compress)")
-		recWorkers  = fs.Int("recovery-workers", 0, "concurrent verify-on-read workers for the boot recovery scan (0: 4 default)")
 		hintEntries = fs.Int("hint-entries", 65536, "hint table entries (16 bytes each)")
-		hintStripes = fs.Int("hint-stripes", 0, "hint table lock stripes, rounded up to a power of two (0: sized from GOMAXPROCS)")
 		interval    = fs.Duration("update-interval", time.Second, "mean hint batch interval")
-		hintQueue   = fs.Int("hint-queue", 0, "pending and per-peer hint queue capacity in records; overflow drops oldest informs first (0: 8192 default)")
-		digWorkers  = fs.Int("digest-workers", 0, "concurrent peer digest pulls in digest mode (0: 4 default)")
 		digests     = fs.Bool("digests", false, "exchange Bloom-filter cache digests instead of exact hint records")
 		wireComp    = fs.Bool("wire-compress", false, "flate-compress metadata frames (hint batches, digests) past 256 bytes")
-		hintPart    = fs.Bool("hint-partition", false, "partition the hint directory across the fleet: each object's hints live on a Plaxton-routed owner set instead of every node (DESIGN.md \u00a714)")
-		hintReps    = fs.Int("hint-replicas", 0, "owner-set size R per object in partitioned mode (0: 2 default)")
+		hintReps    = fs.Int("hint-replicas", 0, "partition the hint directory across the fleet: each object's hints live on a Plaxton-routed owner set of this many nodes instead of on every node (0: broadcast; DESIGN.md \u00a714)")
 		objectSize  = fs.Int64("object-size", 8<<10, "origin default object size")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of fetches recorded in /debug/spans (0: node default of 1/64, >=1: all, <0: none)")
-		spanRing    = fs.Int("span-ring", 0, "structured-span ring capacity behind /debug/spans, rounded up to a power of two (0: 4096 default)")
 		debugAddr   = fs.String("debug-addr", "", "optional address for a net/http/pprof debug listener (off when empty)")
 
-		inject       = fs.String("inject", "", `outbound fault spec, e.g. "127.0.0.1:8002:latency=200ms,errrate=0.1;*:droprate=0.01" (see internal/faults)`)
-		injectIn     = fs.String("inject-inbound", "", "inbound fault spec: this node misbehaving as seen by its clients (rules match the node's own address)")
-		faultSeed    = fs.Int64("fault-seed", 0, "seed for injected-fault randomness")
-		hedgeBudget  = fs.Duration("hedge-budget", 0, "how long a hinted peer may stay silent before the origin is raced (0: 50ms default, negative: disable hedging)")
-		peerTimeout  = fs.Duration("peer-timeout", 0, "deadline for one cache-to-cache probe (0: 2s default)")
-		originTO     = fs.Duration("origin-timeout", 0, "deadline for one origin fetch (0: 10s default)")
-		brkWindow    = fs.Int("breaker-window", 0, "per-peer breaker outcome window (0: 10)")
-		brkThreshold = fs.Float64("breaker-threshold", 0, "windowed failure rate that opens a peer's breaker (0: 0.5; >1 disables breaking)")
-		brkCooldown  = fs.Duration("breaker-cooldown", 0, "how long an open breaker refuses before half-open probes (0: 5s)")
+		inject      = fs.String("inject", "", `outbound fault spec, e.g. "127.0.0.1:8002:latency=200ms,errrate=0.1;*:droprate=0.01" (see internal/faults)`)
+		injectIn    = fs.String("inject-inbound", "", "inbound fault spec: this node misbehaving as seen by its clients (rules match the node's own address)")
+		faultSeed   = fs.Int64("fault-seed", 0, "seed for injected-fault randomness")
+		hedgeBudget = fs.Duration("hedge-budget", 0, "how long a hinted peer may stay silent before the origin is raced (0: 50ms default, negative: disable hedging)")
+		peerTimeout = fs.Duration("peer-timeout", 0, "deadline for one cache-to-cache probe (0: 2s default)")
+		originTO    = fs.Duration("origin-timeout", 0, "deadline for one origin fetch (0: 10s default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,34 +108,22 @@ func run(args []string, out io.Writer, wait func()) error {
 		return fmt.Errorf("-origin-url is required for cache nodes")
 	}
 	n, err := cluster.NewNode(cluster.NodeConfig{
-		Name:            *name,
-		CacheBytes:      *cacheBytes,
-		CacheShards:     *cacheShards,
-		CacheDir:        *cacheDir,
-		DiskCapacity:    *diskCap,
-		SpillQueue:      *spillQueue,
-		CompressMin:     *compressMin,
-		RecoveryWorkers: *recWorkers,
-		HintEntries:     *hintEntries,
-		HintStripes:     *hintStripes,
-		OriginURL:       *originURL,
-		UpdateInterval:  *interval,
-		HintQueue:       *hintQueue,
-		DigestWorkers:   *digWorkers,
-		UseDigests:      *digests,
-		WireCompress:    *wireComp,
-		HintPartition:   *hintPart,
-		HintReplicas:    *hintReps,
-		TraceSample:     *traceSample,
-		SpanRing:        *spanRing,
-		PeerTimeout:     *peerTimeout,
-		OriginTimeout:   *originTO,
-		HedgeBudget:     *hedgeBudget,
-		Breaker: resilience.BreakerConfig{
-			Window:           *brkWindow,
-			FailureThreshold: *brkThreshold,
-			Cooldown:         *brkCooldown,
-		},
+		Name:             *name,
+		CacheBytes:       *cacheBytes,
+		CacheDir:         *cacheDir,
+		DiskCapacity:     *diskCap,
+		SpillQueue:       *spillQueue,
+		CompressMin:      *compressMin,
+		HintEntries:      *hintEntries,
+		OriginURL:        *originURL,
+		UpdateInterval:   *interval,
+		UseDigests:       *digests,
+		WireCompress:     *wireComp,
+		HintReplicas:     *hintReps,
+		TraceSample:      *traceSample,
+		PeerTimeout:      *peerTimeout,
+		OriginTimeout:    *originTO,
+		HedgeBudget:      *hedgeBudget,
 		FaultSpec:        *inject,
 		FaultSeed:        *faultSeed,
 		InboundFaultSpec: *injectIn,
@@ -159,7 +137,7 @@ func run(args []string, out io.Writer, wait func()) error {
 	if err := n.Start(*listen); err != nil {
 		return err
 	}
-	peerURLs, err := normalizeTargets(*peers, "-peers", n.Addr())
+	peerURLs, err := normalizeTargets(*peers, n.Addr())
 	if err != nil {
 		_ = n.Close()
 		return err
@@ -173,13 +151,13 @@ func run(args []string, out io.Writer, wait func()) error {
 	return n.Close()
 }
 
-// normalizeTargets splits a comma-separated URL list, trims whitespace,
+// normalizeTargets splits the comma-separated -peers list, trims whitespace,
 // drops empty entries, dedupes (first occurrence wins, compared on the
 // host:port behind any scheme and trailing slash), and rejects the node's
 // own listen address — a node feeding hints or probes back to itself is
 // always a misconfiguration and in partitioned mode would double-count the
 // local machine in the overlay.
-func normalizeTargets(list, kind, self string) ([]string, error) {
+func normalizeTargets(list, self string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
 	for _, raw := range strings.Split(list, ",") {
@@ -191,7 +169,7 @@ func normalizeTargets(list, kind, self string) ([]string, error) {
 		key = strings.TrimPrefix(key, "http://")
 		key = strings.TrimPrefix(key, "https://")
 		if self != "" && key == self {
-			return nil, fmt.Errorf("%s includes this node's own listen address %s", kind, self)
+			return nil, fmt.Errorf("-peers includes this node's own listen address %s", self)
 		}
 		if seen[key] {
 			continue

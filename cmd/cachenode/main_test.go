@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -139,9 +142,64 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 }
 
+// registeredFlags returns the name of every flag run registers, read from
+// the usage text -h prints (the flag set's output is the process's stderr).
+func registeredFlags(t *testing.T) []string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-h"}, io.Discard, func() {})
+	os.Stderr = stderr
+	w.Close()
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	usage, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z][a-z-]*)`).FindAllSubmatch(usage, -1) {
+		names = append(names, string(m[1]))
+	}
+	return names
+}
+
+// TestFlagsAndReadmeAgree keeps README.md and the flag set from drifting:
+// every registered flag is documented there as `-name` (arguments may follow
+// inside the backticks), and every "| `-name` |" row of a README table names
+// a flag that exists. A flag table for another command would have to
+// lead its rows with something other than a bare backticked flag.
+func TestFlagsAndReadmeAgree(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := registeredFlags(t)
+	if len(flags) == 0 || len(flags) > 24 {
+		t.Errorf("cachenode registers %d flags, want 1..24: %v", len(flags), flags)
+	}
+	registered := make(map[string]bool)
+	for _, name := range flags {
+		registered[name] = true
+		if !regexp.MustCompile("`-" + name + "[` ]").Match(readme) {
+			t.Errorf("flag -%s is not documented in README.md", name)
+		}
+	}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z][a-z-]*)` \\|").FindAllSubmatch(readme, -1) {
+		if !registered[string(m[1])] {
+			t.Errorf("README.md has a table row for -%s, which cachenode does not register", m[1])
+		}
+	}
+}
+
 func TestNormalizeTargets(t *testing.T) {
 	got, err := normalizeTargets(
-		" http://a:1 ,, http://b:2/ ,http://a:1, b:2 , https://c:3", "-peers", "")
+		" http://a:1 ,, http://b:2/ ,http://a:1, b:2 , https://c:3", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +213,7 @@ func TestNormalizeTargets(t *testing.T) {
 		}
 	}
 
-	if _, err := normalizeTargets("http://x:1,http://127.0.0.1:9999", "-peers", "127.0.0.1:9999"); err == nil {
+	if _, err := normalizeTargets("http://x:1,http://127.0.0.1:9999", "127.0.0.1:9999"); err == nil {
 		t.Error("own listen address accepted")
 	} else if !strings.Contains(err.Error(), "own listen address") {
 		t.Errorf("unexpected error: %v", err)
@@ -184,11 +242,11 @@ func TestPartitionedPairEndToEnd(t *testing.T) {
 	defer stopOrigin()
 	addrA, addrB := freeAddr(t), freeAddr(t)
 	aURL, stopA := startDaemon(t, []string{
-		"-origin-url", originURL, "-hint-partition", "-update-interval", "50ms",
+		"-origin-url", originURL, "-hint-replicas", "2", "-update-interval", "50ms",
 		"-listen", addrA, "-peers", "http://" + addrB})
 	defer stopA()
 	_, stopB := startDaemon(t, []string{
-		"-origin-url", originURL, "-hint-partition", "-update-interval", "50ms",
+		"-origin-url", originURL, "-hint-replicas", "2", "-update-interval", "50ms",
 		"-listen", addrB, "-peers", "http://" + addrA})
 	defer stopB()
 	client := &http.Client{Timeout: 5 * time.Second}

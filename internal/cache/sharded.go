@@ -48,11 +48,19 @@ type evictedObject struct {
 	body []byte
 }
 
+// minShardBytes is the smallest slice of the byte budget a derived shard
+// count leaves one shard: splitting a small cache by core count alone made
+// objects uncacheable that the cache as a whole had room for (1 MiB over
+// the 64 shards of a 32-core box is 16 KiB a shard).
+const minShardBytes = 256 << 10
+
 // NewSharded builds a sharded cache with the given shard count (rounded up
-// to a power of two; <= 0 picks a default sized to GOMAXPROCS) over a total
-// byte capacity (<= 0 means unbounded, like NewLRU).
+// to a power of two) over a total byte capacity (<= 0 means unbounded, like
+// NewLRU). A count <= 0 derives one: sized to GOMAXPROCS, then halved until
+// every shard holds at least minShardBytes, down to a single shard.
 func NewSharded(shards int, capacity int64) *Sharded {
-	if shards <= 0 {
+	derived := shards <= 0
+	if derived {
 		shards = 2 * runtime.GOMAXPROCS(0)
 		if shards < 8 {
 			shards = 8
@@ -61,6 +69,9 @@ func NewSharded(shards int, capacity int64) *Sharded {
 	n := 1
 	for n < shards {
 		n <<= 1
+	}
+	for derived && capacity > 0 && n > 1 && capacity/int64(n) < minShardBytes {
+		n >>= 1
 	}
 	perShard := capacity
 	if capacity > 0 {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,36 @@ func TestShardedRoundsToPowerOfTwo(t *testing.T) {
 	}
 	if got := NewSharded(0, 0).Shards(); got < 8 {
 		t.Errorf("default shard count = %d, want >= 8", got)
+	}
+}
+
+// TestShardedDerivedCountKeepsShardFloor: a derived shard count never cuts a
+// shard's slice below minShardBytes, so a small cache holds what its byte
+// budget says it can however many cores the box has.
+func TestShardedDerivedCountKeepsShardFloor(t *testing.T) {
+	small := NewSharded(0, 6<<10)
+	for id := uint64(1); id <= 6; id++ {
+		if !small.Put(Object{ID: id, Size: 1 << 10, Version: 1}, nil) {
+			t.Fatalf("6 KiB cache refused 1 KiB object %d", id)
+		}
+	}
+	if got := small.Len(); got != 6 {
+		t.Errorf("6 KiB cache over %d shard(s) holds %d of six 1 KiB objects", small.Shards(), got)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(32))
+	wide := NewSharded(0, 1<<20)
+	if got := wide.Shards(); got != 4 {
+		t.Errorf("1 MiB at GOMAXPROCS=32: %d shards, want 4 of 256 KiB", got)
+	}
+	if !wide.Put(Object{ID: 1, Size: 64 << 10, Version: 1}, nil) {
+		t.Error("1 MiB cache at GOMAXPROCS=32 cannot cache a 64 KiB object")
+	}
+	if got := NewSharded(0, 64<<20).Shards(); got != 64 {
+		t.Errorf("64 MiB at GOMAXPROCS=32: %d shards, want the GOMAXPROCS-sized 64", got)
+	}
+	if got := NewSharded(0, 2<<20).Shards(); got != 8 {
+		t.Errorf("2 MiB: %d shards, want 8 of exactly 256 KiB", got)
 	}
 }
 

@@ -33,9 +33,14 @@ import (
 var benchResilienceOut = flag.String("bench-resilience-out", "", "write the resilience bench JSON to this path")
 
 // chaosFleet is a testFleet whose nodes are built by the caller's config
-// hook, so chaos tests can set fault specs, hedge budgets, and breaker
-// shapes per test.
+// hook, so chaos tests can set fault specs and hedge budgets per test.
 func newChaosFleet(t *testing.T, n int, tweak func(i int, cfg *NodeConfig)) *testFleet {
+	return newChaosFleetBreakers(t, n, resilience.BreakerConfig{}, tweak)
+}
+
+// newChaosFleetBreakers also swaps in per-peer breakers of the given shape
+// (the shipped one is the resilience default, not a knob).
+func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig, tweak func(i int, cfg *NodeConfig)) *testFleet {
 	t.Helper()
 	f := &testFleet{
 		origin: NewOrigin(256),
@@ -57,6 +62,7 @@ func newChaosFleet(t *testing.T, n int, tweak func(i int, cfg *NodeConfig)) *tes
 		if err != nil {
 			t.Fatal(err)
 		}
+		node.breakers = resilience.NewBreakerSet(brk)
 		srv := httptest.NewServer(node.Handler())
 		node.Bind(srv.URL)
 		f.nodes = append(f.nodes, node)
@@ -119,8 +125,7 @@ func TestChaosHedgedMissLatencyBudget(t *testing.T) {
 	const samples = 30
 
 	var peerHost string
-	f := newChaosFleet(t, 2, func(i int, cfg *NodeConfig) {
-		cfg.Breaker = noBreaker
+	f := newChaosFleetBreakers(t, 2, noBreaker, func(i int, cfg *NodeConfig) {
 		cfg.HedgeBudget = budget
 		if i == 0 {
 			// The spec targets node 1's host:port, rewritten below once
@@ -189,14 +194,9 @@ func TestChaosHedgedMissLatencyBudget(t *testing.T) {
 // the half-open probe closes the breaker again.
 func TestChaosBreakerOpensAndSkips(t *testing.T) {
 	const cooldown = 200 * time.Millisecond
-	f := newChaosFleet(t, 2, func(i int, cfg *NodeConfig) {
+	brk := resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: cooldown}
+	f := newChaosFleetBreakers(t, 2, brk, func(i int, cfg *NodeConfig) {
 		cfg.HedgeBudget = 10 * time.Millisecond
-		cfg.Breaker = resilience.BreakerConfig{
-			Window:           4,
-			FailureThreshold: 0.5,
-			MinSamples:       2,
-			Cooldown:         cooldown,
-		}
 		if i == 0 {
 			inj, err := faults.New("", 1)
 			if err != nil {
@@ -275,8 +275,7 @@ func TestChaosBreakerOpensAndSkips(t *testing.T) {
 // surface only as outcome taxonomy (REMOTE vs MISS variants), never as
 // client errors.
 func TestChaosFlappingPeerNeverFailsClient(t *testing.T) {
-	f := newChaosFleet(t, 2, func(i int, cfg *NodeConfig) {
-		cfg.Breaker = noBreaker
+	f := newChaosFleetBreakers(t, 2, noBreaker, func(i int, cfg *NodeConfig) {
 		cfg.HedgeBudget = 10 * time.Millisecond
 		if i == 0 {
 			inj, err := faults.New("", 1)
@@ -417,8 +416,7 @@ func TestRecordResilienceBench(t *testing.T) {
 	)
 
 	measure := func(hedge time.Duration, prefix string) (miss []time.Duration) {
-		f := newChaosFleet(t, 2, func(i int, cfg *NodeConfig) {
-			cfg.Breaker = noBreaker
+		f := newChaosFleetBreakers(t, 2, noBreaker, func(i int, cfg *NodeConfig) {
 			cfg.HedgeBudget = hedge
 			cfg.PeerTimeout = peerTimeout
 			if i == 0 {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"beyondcache/internal/hintcache"
+	"beyondcache/internal/overlay"
 )
 
 // startFleet boots a small fleet with a long batch interval (tests flush
@@ -33,12 +35,75 @@ func startFleet(t *testing.T, nodes int, cfg FleetConfig) *Fleet {
 	return f
 }
 
+// The tests reach a node's mechanism state through its locator: these name
+// the one the test configured.
+func digestsOf(n *Node) *digestLocator      { return n.loc.(*digestLocator) }
+func partitionOf(n *Node) *partitionLocator { return n.loc.(*partitionLocator) }
+
+// homedView is the membership view a partitioned node last re-homed against.
+func homedView(n *Node) *overlay.View { return partitionOf(n).homedView.Load() }
+
+// ownDigestBytes marshals a digest node's own filter.
+func ownDigestBytes(n *Node) []byte {
+	d := digestsOf(n)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.own.AppendBinary(nil)
+}
+
+// TestFleetClosePrompt: closing a fleet that has carried concurrent traffic
+// must not wait out a shutdown grace period. Transports keep connections
+// they dialed but never used; the server at the other end sees those as
+// StateNew, which Shutdown will not reap for 5 s, so a node closed while any
+// process still held one burned its whole 3 s grace (two rounds in three of
+// this test, before the fleet dropped idle connections first).
+func TestFleetClosePrompt(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		f, err := StartFleet(FleetConfig{Nodes: 4, ObjectSize: 512, UpdateInterval: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 400; i++ {
+					if _, err := f.Fetch((c+i)%4, fmt.Sprintf("http://example.com/close/%d", i%200)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		start := time.Now()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("round %d: Fleet.Close took %v, want well under the 3 s shutdown grace", round, took)
+		}
+	}
+}
+
+// TestNodeConfigFieldBudget: a knob only one value of which is ever used is
+// a constant, not a field; adding one means arguing with this number.
+func TestNodeConfigFieldBudget(t *testing.T) {
+	if got := reflect.TypeOf(NodeConfig{}).NumField(); got > 24 {
+		t.Errorf("NodeConfig has %d fields, want at most 24", got)
+	}
+}
+
 func TestFleetValidation(t *testing.T) {
 	if _, err := StartFleet(FleetConfig{Nodes: 0}); err == nil {
 		t.Error("zero-node fleet accepted")
 	}
 	if _, err := NewNode(NodeConfig{}); err == nil {
 		t.Error("node without origin accepted")
+	}
+	if _, err := NewNode(NodeConfig{OriginURL: "http://127.0.0.1:1", UseDigests: true, HintReplicas: 2}); err == nil {
+		t.Error("digests with a partitioned hint directory accepted")
 	}
 }
 

@@ -61,7 +61,7 @@ func TestDigestDeltaBytesBound(t *testing.T) {
 	const objects = 64 << 10
 	n := newMetaNode(t, NodeConfig{Name: "delta-bound", UseDigests: true, DigestCapacity: objects})
 	for i := uint64(1); i <= objects; i++ {
-		n.digestTrack(i, true)
+		n.loc.publish(i, true)
 	}
 
 	fullFrame, _, fullBytes, cursor := digestGet(t, n, 0)
@@ -73,8 +73,8 @@ func TestDigestDeltaBytesBound(t *testing.T) {
 	// objects, so adds+removes together touch 1% of the population.
 	const churn = objects / 100 / 2
 	for i := uint64(1); i <= churn; i++ {
-		n.digestTrack(i, false)
-		n.digestTrack(objects+i, true)
+		n.loc.publish(i, false)
+		n.loc.publish(objects+i, true)
 	}
 
 	deltaFrame, payload, deltaBytes, _ := digestGet(t, n, cursor)
@@ -131,20 +131,19 @@ func TestDigestDeltaFleetEquivalence(t *testing.T) {
 	if ops := puller.Stats().DigestDeltaOps; ops == 0 {
 		t.Fatal("second exchange applied no delta ops (pull fell back to a full snapshot)")
 	}
-	owner.digestMu.RLock()
-	want := owner.own.AppendBinary(nil)
-	owner.digestMu.RUnlock()
+	want := ownDigestBytes(owner)
 
-	puller.digestMu.RLock()
-	if len(puller.peerDigests) != 1 {
-		puller.digestMu.RUnlock()
-		t.Fatalf("puller tracks %d peer digests, want 1", len(puller.peerDigests))
+	pulled := digestsOf(puller)
+	pulled.mu.RLock()
+	if len(pulled.peerDigests) != 1 {
+		pulled.mu.RUnlock()
+		t.Fatalf("puller tracks %d peer digests, want 1", len(pulled.peerDigests))
 	}
 	var got []byte
-	for _, copyOf := range puller.peerDigests {
+	for _, copyOf := range pulled.peerDigests {
 		got = copyOf.AppendBinary(nil)
 	}
-	puller.digestMu.RUnlock()
+	pulled.mu.RUnlock()
 
 	if !bytes.Equal(got, want) {
 		t.Errorf("delta-maintained peer copy diverged from owner filter (%d vs %d bytes)", len(got), len(want))
@@ -157,14 +156,14 @@ func TestDigestDeltaFleetEquivalence(t *testing.T) {
 func TestDigestCursorLossFallsBackToFull(t *testing.T) {
 	// DigestCapacity 16 floors the journal at 1024 slots.
 	n := newMetaNode(t, NodeConfig{Name: "cursor-loss", UseDigests: true, DigestCapacity: 16})
-	n.digestTrack(1, true)
+	n.loc.publish(1, true)
 	_, _, _, cursor := digestGet(t, n, 0)
 
 	// Push more ops than the ring holds; the early cursor ages out. Track
 	// add+remove pairs so the tiny filter never saturates into a rebuild.
 	for i := uint64(2); i <= 602; i++ {
-		n.digestTrack(i, true)
-		n.digestTrack(i, false)
+		n.loc.publish(i, true)
+		n.loc.publish(i, false)
 	}
 	frame, _, _, _ := digestGet(t, n, cursor)
 	if frame.Kind != wire.KindDigestFull {
@@ -183,12 +182,12 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 	// Capacity 16 at 8 bits/entry: a 140-byte snapshot; 16 journaled ops
 	// (144 bytes) already exceed it.
 	n := newMetaNode(t, NodeConfig{Name: "delta-beats-full", UseDigests: true, DigestCapacity: 16})
-	n.digestTrack(1, true)
+	n.loc.publish(1, true)
 	_, _, _, cursor := digestGet(t, n, 0)
 
 	for i := uint64(2); i <= 40; i++ {
-		n.digestTrack(i, true)
-		n.digestTrack(i, false)
+		n.loc.publish(i, true)
+		n.loc.publish(i, false)
 	}
 	frame, _, _, _ := digestGet(t, n, cursor)
 	if frame.Kind != wire.KindDigestFull {
@@ -209,7 +208,7 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 func TestDigestServeCoalesces(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "serve-coalesce", UseDigests: true})
 	for i := uint64(1); i <= 2048; i++ {
-		n.digestTrack(i, true)
+		n.loc.publish(i, true)
 	}
 
 	const scrapers = 16
@@ -230,7 +229,7 @@ func TestDigestServeCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 
-	if builds := n.snapBuilds.Load(); builds != 1 {
+	if builds := digestsOf(n).snapBuilds.Load(); builds != 1 {
 		t.Errorf("snapshot builds = %d, want 1 (stampede must coalesce)", builds)
 	}
 	for i := 1; i < scrapers; i++ {
@@ -241,9 +240,9 @@ func TestDigestServeCoalesces(t *testing.T) {
 
 	// The cache invalidates when the journal moves: one more transition,
 	// one more build.
-	n.digestTrack(3000, true)
+	n.loc.publish(3000, true)
 	digestGet(t, n, 0)
-	if builds := n.snapBuilds.Load(); builds != 2 {
+	if builds := digestsOf(n).snapBuilds.Load(); builds != 2 {
 		t.Errorf("snapshot builds after churn = %d, want 2", builds)
 	}
 }
@@ -259,7 +258,7 @@ func TestDigestServeCoalesces(t *testing.T) {
 func TestDigestCursorAtomicWithFrame(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "cursor-atomic", UseDigests: true, DigestCapacity: 64 << 10})
 	for i := uint64(1); i <= 1024; i++ {
-		n.digestTrack(i, true)
+		n.loc.publish(i, true)
 	}
 
 	// Serve through the handler directly (no real HTTP round trip), so the
@@ -312,8 +311,8 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 				return
 			default:
 			}
-			n.digestTrack(i, true)
-			n.digestTrack(i, false)
+			n.loc.publish(i, true)
+			n.loc.publish(i, false)
 		}
 	}()
 
@@ -355,9 +354,7 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 	frame, payload, next := serve(cursor)
 	apply(-1, frame.Kind, payload, cursor, next)
 
-	n.digestMu.RLock()
-	want := n.own.AppendBinary(nil)
-	n.digestMu.RUnlock()
+	want := ownDigestBytes(n)
 	if got := replica.AppendBinary(nil); !bytes.Equal(got, want) {
 		t.Error("replayed replica diverged from the owner filter")
 	}
@@ -369,7 +366,7 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 func TestWireCompressDigestRoundTrip(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "wire-comp", UseDigests: true, WireCompress: true, DigestCapacity: 4096})
 	for i := uint64(1); i <= 512; i++ {
-		n.digestTrack(i, true)
+		n.loc.publish(i, true)
 	}
 	frame, payload, wireBytes, _ := digestGet(t, n, 0)
 	if !frame.Compressed {
@@ -378,9 +375,7 @@ func TestWireCompressDigestRoundTrip(t *testing.T) {
 	if wireBytes >= int(frame.RawLen) {
 		t.Errorf("compressed frame %d bytes >= raw payload %d", wireBytes, frame.RawLen)
 	}
-	n.digestMu.RLock()
-	want := n.own.AppendBinary(nil)
-	n.digestMu.RUnlock()
+	want := ownDigestBytes(n)
 	if !bytes.Equal(payload, want) {
 		t.Error("decompressed digest payload differs from the owner filter")
 	}

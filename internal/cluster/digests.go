@@ -21,7 +21,7 @@ import (
 // incremental end to end:
 //
 //   - The node's own digest is a counting Bloom filter maintained in place
-//     by digestTrack on every residency transition — GET /digest never
+//     by publish on every residency transition — GET /digest never
 //     walks the cache. Each transition is also journaled, and full
 //     snapshots are served from a generation-stamped cached frame that is
 //     only re-marshaled when the journal head has moved (concurrent scrape
@@ -35,7 +35,7 @@ import (
 //     proportional to churn, not cache size.
 //
 // Locking: all digest state (own filter, resident set, journal, peer
-// copies, cursors, snapshot cache) lives under digestMu. digestTrack and
+// copies, cursors, snapshot cache) lives under the locator's mu. publish and
 // delta application take it in write mode; probes and cached-snapshot
 // serves take it in read mode.
 
@@ -52,52 +52,132 @@ func (n *Node) frameCompressMin() int {
 	return 0
 }
 
-// digestTrack feeds one cache residency transition into the incremental
-// digest plane. It is a no-op outside digest mode. The exact resident set
-// dedupes non-transitions (a version refresh of an already-resident object
-// informs again without the object ever leaving), so the filter and the
-// journal see each object enter and leave exactly once per actual
-// transition. Counter saturation triggers an immediate rebuild from the
-// exact set, which invalidates every outstanding delta cursor.
-func (n *Node) digestTrack(urlHash uint64, present bool) {
-	if n.own == nil {
-		return
+// digestWorkers bounds one round's concurrent peer digest pulls;
+// digestBitsPerEntry sizes the filters.
+const (
+	digestWorkers      = 4
+	digestBitsPerEntry = 8
+)
+
+// digestLocator is the digest mechanism. It runs no hint plane: a
+// residency transition touches the own filter and its journal, nothing is
+// queued and nothing is pushed — peers pull.
+type digestLocator struct {
+	n *Node
+
+	// mu guards everything below. The node's own digest is a counting
+	// filter maintained incrementally: publish converts every cache
+	// residency transition into an add/remove against own plus a journal
+	// entry, so GET /digest never rebuilds from cache contents. ownPresent
+	// is the exact resident set backing it — the dedup layer (refreshes of
+	// an already-resident object are not transitions) and the rebuild
+	// source when a counter saturates. digestGen remembers each peer
+	// digest's generation wall clock (from its X-Digest-Generated stamp) so
+	// the next pull can observe how stale the snapshot it replaces had
+	// become; peerCursor is the journal cursor to present on the next delta
+	// pull from each peer.
+	mu          sync.RWMutex
+	own         *digest.Counting
+	ownPresent  map[uint64]struct{}
+	journal     *digest.Journal
+	peerDigests map[uint64]*digest.Counting
+	peerCursor  map[uint64]uint64
+	digestGen   map[uint64]int64
+	// snapGen/snapFrame cache the framed full-snapshot encoding at journal
+	// generation snapGen (snapValid distinguishes a cached empty-journal
+	// snapshot from no cache); flight coalesces concurrent snapshot builds
+	// so a scrape stampede marshals once. snapBuilds counts builds (read by
+	// the coalescing test).
+	snapGen    uint64
+	snapValid  bool
+	snapFrame  []byte
+	flight     flightGroup[digestSnap]
+	snapBuilds atomic.Int64
+	// seq numbers the digest snapshots this node serves.
+	seq atomic.Int64
+}
+
+// newDigestLocator sizes the own filter for capacity entries (<= 0 means
+// 8192). Digests replace the hint directory, so asking for a partitioned
+// one as well is a configuration error.
+func newDigestLocator(n *Node, capacity, hintReplicas int) (*digestLocator, error) {
+	if hintReplicas > 0 {
+		return nil, fmt.Errorf("HintReplicas and UseDigests are mutually exclusive (digests already replace the hint directory)")
 	}
-	n.digestMu.Lock()
-	defer n.digestMu.Unlock()
+	if capacity <= 0 {
+		capacity = 8192
+	}
+	own, err := digest.NewCountingForCapacity(capacity, digestBitsPerEntry)
+	if err != nil {
+		return nil, err
+	}
+	jcap := capacity
+	if jcap < 1024 {
+		jcap = 1024
+	}
+	return &digestLocator{
+		n:           n,
+		own:         own,
+		ownPresent:  make(map[uint64]struct{}),
+		journal:     digest.NewJournal(jcap),
+		peerDigests: make(map[uint64]*digest.Counting),
+		peerCursor:  make(map[uint64]uint64),
+		digestGen:   make(map[uint64]int64),
+	}, nil
+}
+
+// Peers are pulled from the node's own peer table, a filter bit cannot be
+// retracted (a stale one ages out at the next pull), and the mechanism
+// tracks no liveness and runs no goroutines of its own.
+func (d *digestLocator) sync()                  {}
+func (d *digestLocator) demote(_, _ uint64)     {}
+func (d *digestLocator) contact(string, bool)   {}
+func (d *digestLocator) collect() locatorGauges { return locatorGauges{} }
+func (d *digestLocator) close()                 {}
+
+// publish feeds one cache residency transition into the incremental digest
+// plane. The exact resident set dedupes non-transitions (a version refresh
+// of an already-resident object informs again without the object ever
+// leaving), so the filter and the journal see each object enter and leave
+// exactly once per actual transition. Counter saturation triggers an
+// immediate rebuild from the exact set, which invalidates every outstanding
+// delta cursor.
+func (d *digestLocator) publish(urlHash uint64, present bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if present {
-		if _, ok := n.ownPresent[urlHash]; ok {
+		if _, ok := d.ownPresent[urlHash]; ok {
 			return
 		}
-		n.ownPresent[urlHash] = struct{}{}
-		n.own.Add(urlHash)
-		n.journal.Append(digest.Op{ID: urlHash})
+		d.ownPresent[urlHash] = struct{}{}
+		d.own.Add(urlHash)
+		d.journal.Append(digest.Op{ID: urlHash})
 	} else {
-		if _, ok := n.ownPresent[urlHash]; !ok {
+		if _, ok := d.ownPresent[urlHash]; !ok {
 			return
 		}
-		delete(n.ownPresent, urlHash)
-		n.own.Remove(urlHash)
-		n.journal.Append(digest.Op{ID: urlHash, Remove: true})
+		delete(d.ownPresent, urlHash)
+		d.own.Remove(urlHash)
+		d.journal.Append(digest.Op{ID: urlHash, Remove: true})
 	}
-	if n.own.Unsound() {
-		n.rebuildDigestLocked()
+	if d.own.Unsound() {
+		d.rebuildDigestLocked()
 	}
 }
 
 // rebuildDigestLocked rebuilds the own digest from the exact resident set
 // and invalidates the journal: every outstanding cursor now forces a full
-// transfer. Called under digestMu in write mode. Map iteration order is
+// transfer. Called under mu in write mode. Map iteration order is
 // nondeterministic, but saturating adds commute, so any order produces the
 // same counters.
-func (n *Node) rebuildDigestLocked() {
-	n.own.Reset()
-	for id := range n.ownPresent {
-		n.own.Add(id)
+func (d *digestLocator) rebuildDigestLocked() {
+	d.own.Reset()
+	for id := range d.ownPresent {
+		d.own.Add(id)
 	}
-	n.journal.Invalidate()
-	n.snapValid = false
-	n.stats.digestRebuilds.Add(1)
+	d.journal.Invalidate()
+	d.snapValid = false
+	d.n.stats.digestRebuilds.Add(1)
 }
 
 // digestSnap is one generation-stamped snapshot frame: the cursor a serve
@@ -114,59 +194,62 @@ type digestSnap struct {
 // Concurrent callers coalesce onto one marshal. The returned slice is
 // immutable: each build allocates a fresh frame, so a served reference
 // stays valid across later rebuilds.
-func (n *Node) digestSnapshotFrame() ([]byte, uint64) {
-	n.digestMu.RLock()
-	if n.snapValid && n.snapGen == n.journal.Head() {
-		s := digestSnap{frame: n.snapFrame, gen: n.snapGen}
-		n.digestMu.RUnlock()
+func (d *digestLocator) digestSnapshotFrame() ([]byte, uint64) {
+	d.mu.RLock()
+	if d.snapValid && d.snapGen == d.journal.Head() {
+		s := digestSnap{frame: d.snapFrame, gen: d.snapGen}
+		d.mu.RUnlock()
 		return s.frame, s.gen
 	}
-	n.digestMu.RUnlock()
+	d.mu.RUnlock()
 
-	out, _ := n.digestFlight.do("snapshot", func() digestSnap {
-		n.digestMu.RLock()
-		if n.snapValid && n.snapGen == n.journal.Head() {
+	out, _ := d.flight.do("snapshot", func() digestSnap {
+		d.mu.RLock()
+		if d.snapValid && d.snapGen == d.journal.Head() {
 			// Another builder won between our check and the flight.
-			s := digestSnap{frame: n.snapFrame, gen: n.snapGen}
-			n.digestMu.RUnlock()
+			s := digestSnap{frame: d.snapFrame, gen: d.snapGen}
+			d.mu.RUnlock()
 			return s
 		}
-		gen := n.journal.Head()
-		payload := n.own.AppendBinary(make([]byte, 0, wire.HeaderSize+int(n.own.SizeBytes())+16))
-		n.digestMu.RUnlock()
+		gen := d.journal.Head()
+		payload := d.own.AppendBinary(make([]byte, 0, wire.HeaderSize+int(d.own.SizeBytes())+16))
+		d.mu.RUnlock()
 
-		n.snapBuilds.Add(1)
-		frame := wire.AppendFrame(nil, wire.KindDigestFull, payload, n.frameCompressMin())
+		d.snapBuilds.Add(1)
+		frame := wire.AppendFrame(nil, wire.KindDigestFull, payload, d.n.frameCompressMin())
 
-		n.digestMu.Lock()
+		d.mu.Lock()
 		// A build raced with concurrent churn iff the head moved while we
 		// marshaled; the stale frame is still internally consistent (it
 		// matches generation gen), so cache it only if nothing newer
 		// exists.
-		if !n.snapValid || n.snapGen <= gen {
-			n.snapGen = gen
-			n.snapValid = true
-			n.snapFrame = frame
+		if !d.snapValid || d.snapGen <= gen {
+			d.snapGen = gen
+			d.snapValid = true
+			d.snapFrame = frame
 		}
-		n.digestMu.Unlock()
+		d.mu.Unlock()
 		return digestSnap{frame: frame, gen: gen}
 	})
 	return out.frame, out.gen
 }
 
-// handleDigest serves GET /digest: the node's current contents summary as
-// one wire frame — a delta of membership ops when the client's ?since=
-// cursor is still journaled and the delta is the smaller transfer, the
-// full counting-filter snapshot otherwise.
+// handleDigest guards GET /digest; the locator decides what, if anything,
+// it has to serve.
 func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	if !n.cfg.UseDigests {
-		http.Error(w, "digests disabled", http.StatusNotFound)
-		return
-	}
+	n.loc.serveDigest(w, r)
+}
+
+// serveDigest serves the node's current contents summary as one wire
+// frame — a delta of membership ops when the client's ?since= cursor is
+// still journaled and the delta is the smaller transfer, the full
+// counting-filter snapshot otherwise.
+func (d *digestLocator) serveDigest(w http.ResponseWriter, r *http.Request) {
+	n := d.n
 	start := time.Now()
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
@@ -186,17 +269,17 @@ func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 	var head uint64
 	var delta bool
 	if since > 0 {
-		frame, head, delta = n.digestDeltaFrame(since)
+		frame, head, delta = d.digestDeltaFrame(since)
 	}
 	if !delta {
-		frame, head = n.digestSnapshotFrame()
+		frame, head = d.digestSnapshotFrame()
 	}
 
 	// Stamp the response with its generation sequence and wall clock so
 	// the puller can measure how stale each pulled digest grows between
 	// exchanges (the digest twin of the hint batch's X-Hint-Batch stamp),
 	// plus the journal cursor for the puller's next delta request.
-	stamp := hintcache.Stamp{Seq: n.digestSeq.Add(1), UnixNs: time.Now().UnixNano()}
+	stamp := hintcache.Stamp{Seq: d.seq.Add(1), UnixNs: time.Now().UnixNano()}
 	hdr := w.Header()
 	hdr.Set(headerDigestGenerated, stamp.HeaderValue())
 	hdr.Set(headerDigestCursor, strconv.FormatUint(head, 10))
@@ -222,18 +305,18 @@ var digestDeltaBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // frame carries). ok is false — and the caller serves a full snapshot
 // instead — when the cursor has aged out of the journal (counted as a
 // cursor loss) or when the delta would not beat the full transfer.
-func (n *Node) digestDeltaFrame(since uint64) (frame []byte, head uint64, ok bool) {
+func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint64, ok bool) {
 	bufp := digestDeltaBufPool.Get().(*[]byte)
 	defer digestDeltaBufPool.Put(bufp)
 
-	n.digestMu.RLock()
-	ops, served := n.journal.AppendSince((*bufp)[:0], since)
-	head = n.journal.Head()
-	snapSize := int(n.own.SizeBytes())
-	n.digestMu.RUnlock()
+	d.mu.RLock()
+	ops, served := d.journal.AppendSince((*bufp)[:0], since)
+	head = d.journal.Head()
+	snapSize := int(d.own.SizeBytes())
+	d.mu.RUnlock()
 	*bufp = ops[:0]
 	if !served {
-		n.stats.digestCursorLost.Add(1)
+		d.n.stats.digestCursorLost.Add(1)
 		return nil, 0, false
 	}
 	if len(ops) >= snapSize {
@@ -241,18 +324,12 @@ func (n *Node) digestDeltaFrame(since uint64) (frame []byte, head uint64, ok boo
 		// cacheable) transfer. The cursor itself was fine — not a loss.
 		return nil, 0, false
 	}
-	return wire.AppendFrame(nil, wire.KindDigestDelta, ops, n.frameCompressMin()), head, true
+	return wire.AppendFrame(nil, wire.KindDigestDelta, ops, d.n.frameCompressMin()), head, true
 }
 
 // digestBodyLimit bounds one pulled digest's wire size (stored frame and
 // declared payload alike).
 const digestBodyLimit = 8 << 20
-
-// digestSource is one peer to pull a digest from.
-type digestSource struct {
-	id  uint64
-	url string
-}
 
 // digestPullScratch is one worker's reusable buffers: the HTTP body, the
 // inflate scratch, and the decoded-op slice. Reusing them across a
@@ -263,29 +340,16 @@ type digestPullScratch struct {
 	ops     []digest.Op
 }
 
-// PullDigests fetches every peer's digest now. The batcher calls it
-// periodically in digest mode; tests call it directly. Pulls fan out over
-// a bounded worker pool (NodeConfig.DigestWorkers), so one round costs
-// roughly the slowest peer rather than the sum of all peers, and a sick
-// peer burning its retry budget delays only the worker holding it.
-func (n *Node) PullDigests() {
-	n.peerMu.RLock()
-	peers := make([]digestSource, 0, len(n.peers))
-	for _, id := range n.peerOrder {
-		peers = append(peers, digestSource{id: id, url: n.peers[id]})
-	}
-	n.peerMu.RUnlock()
-	if len(peers) == 0 {
-		return
-	}
-
-	workers := n.digestWorkers
-	if workers > len(peers) {
-		workers = len(peers)
-	}
+// round fetches every peer's digest now, waited or not: the batcher's
+// periodic round has nothing else to do meanwhile. Pulls fan out over a
+// bounded worker pool (digestWorkers), so one round costs roughly the
+// slowest peer rather than the sum of all peers, and a sick peer burning
+// its retry budget delays only the worker holding it.
+func (d *digestLocator) round(bool) {
+	peers := d.n.peerList()
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < digestWorkers && w < len(peers); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -295,7 +359,7 @@ func (n *Node) PullDigests() {
 				if i >= len(peers) {
 					return
 				}
-				n.pullDigest(peers[i], &scratch)
+				d.pullDigest(peers[i], &scratch)
 			}
 		}()
 	}
@@ -307,15 +371,16 @@ func (n *Node) PullDigests() {
 // next exchange. The request presents the cursor from the last exchange;
 // the peer answers with either the ops since (applied in place) or a full
 // snapshot (decoded into the existing filter's storage).
-func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
+func (d *digestLocator) pullDigest(p peerRef, scratch *digestPullScratch) {
+	n := d.n
 	// Snapshot the cursor for the request. A first pull sends none (no
 	// filter to patch yet).
 	var since uint64
-	n.digestMu.RLock()
-	if _, ok := n.peerDigests[p.id]; ok {
-		since = n.peerCursor[p.id]
+	d.mu.RLock()
+	if _, ok := d.peerDigests[p.id]; ok {
+		since = d.peerCursor[p.id]
 	}
-	n.digestMu.RUnlock()
+	d.mu.RUnlock()
 	reqURL := p.url + "/digest"
 	if since > 0 {
 		reqURL += "?since=" + strconv.FormatUint(since, 10)
@@ -372,7 +437,7 @@ func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
 	if frame.Compressed {
 		scratch.payload = payload[:0]
 	}
-	if err := n.applyDigestResponse(p.id, frame.Kind, payload, cursor, scratch); err != nil {
+	if err := d.applyDigestResponse(p.id, frame.Kind, payload, cursor, scratch); err != nil {
 		n.stats.sendErrors.Add(1)
 		return
 	}
@@ -382,10 +447,10 @@ func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
 		// staleness still measures the exchange interval.
 		genNs = now
 	}
-	n.digestMu.Lock()
-	prev := n.digestGen[p.id]
-	n.digestGen[p.id] = genNs
-	n.digestMu.Unlock()
+	d.mu.Lock()
+	prev := d.digestGen[p.id]
+	d.digestGen[p.id] = genNs
+	d.mu.Unlock()
 	if prev != 0 {
 		// The snapshot this pull replaces was generated at prev; it has
 		// been the node's view of this peer ever since — that age is the
@@ -398,22 +463,22 @@ func (n *Node) pullDigest(p digestSource, scratch *digestPullScratch) {
 // applyDigestResponse installs one pulled digest frame: a full snapshot
 // replaces (reusing the existing filter's storage when shapes match) and a
 // delta patches in place. The peer's next-pull cursor advances either way.
-func (n *Node) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte, cursor uint64, scratch *digestPullScratch) error {
+func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte, cursor uint64, scratch *digestPullScratch) error {
 	switch kind {
 	case wire.KindDigestFull:
-		n.digestMu.Lock()
-		defer n.digestMu.Unlock()
-		f, ok := n.peerDigests[peerID]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		f, ok := d.peerDigests[peerID]
 		if !ok {
 			f = &digest.Counting{}
-			n.peerDigests[peerID] = f
+			d.peerDigests[peerID] = f
 		}
 		if err := f.UnmarshalBinary(payload); err != nil {
-			delete(n.peerDigests, peerID)
-			delete(n.peerCursor, peerID)
+			delete(d.peerDigests, peerID)
+			delete(d.peerCursor, peerID)
 			return err
 		}
-		n.peerCursor[peerID] = cursor
+		d.peerCursor[peerID] = cursor
 		return nil
 
 	case wire.KindDigestDelta:
@@ -422,20 +487,20 @@ func (n *Node) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte
 		if err != nil {
 			return err
 		}
-		n.digestMu.Lock()
-		defer n.digestMu.Unlock()
-		f, ok := n.peerDigests[peerID]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		f, ok := d.peerDigests[peerID]
 		if !ok {
 			// A delta with no base to patch: drop the cursor so the next
 			// pull fetches a full snapshot.
-			delete(n.peerCursor, peerID)
+			delete(d.peerCursor, peerID)
 			return fmt.Errorf("digest delta for unknown peer filter")
 		}
 		for _, op := range ops {
 			f.Apply(op)
 		}
-		n.peerCursor[peerID] = cursor
-		n.stats.digestDeltaOps.Add(int64(len(ops)))
+		d.peerCursor[peerID] = cursor
+		d.n.stats.digestDeltaOps.Add(int64(len(ops)))
 		return nil
 
 	default:
@@ -443,44 +508,23 @@ func (n *Node) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte
 	}
 }
 
-// digestPeer returns the base URL of the first peer whose digest claims the
-// object, or "" if none does.
-func (n *Node) digestPeer(urlHash uint64) string {
-	n.peerMu.RLock()
-	order := make([]uint64, len(n.peerOrder))
-	copy(order, n.peerOrder)
-	n.peerMu.RUnlock()
-
-	var found uint64
-	n.digestMu.RLock()
-	for _, id := range order {
-		if f, ok := n.peerDigests[id]; ok && f.MayContain(urlHash) {
-			found = id
-			break
+// holder returns the first peer, in AddPeer order, whose digest claims the
+// object.
+func (d *digestLocator) holder(urlHash uint64) (uint64, bool) {
+	peers := d.n.peerList()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, p := range peers {
+		if f, ok := d.peerDigests[p.id]; ok && f.MayContain(urlHash) {
+			return p.id, true
 		}
 	}
-	n.digestMu.RUnlock()
-	if found == 0 {
-		return ""
-	}
-	n.peerMu.RLock()
-	defer n.peerMu.RUnlock()
-	return n.peers[found]
+	return 0, false
 }
 
-// validateDigestConfig applies digest-mode defaults.
-func validateDigestConfig(cfg *NodeConfig) error {
-	if !cfg.UseDigests {
-		return nil
-	}
-	if cfg.DigestCapacity <= 0 {
-		cfg.DigestCapacity = 8192
-	}
-	if cfg.DigestBitsPerEntry <= 0 {
-		cfg.DigestBitsPerEntry = 8
-	}
-	if cfg.DigestBitsPerEntry > 64 {
-		return fmt.Errorf("cluster: digest bits/entry %g implausibly large", cfg.DigestBitsPerEntry)
-	}
-	return nil
+// lookup probes that peer. A filter match names no hint record to
+// retract, so the candidate carries no holder.
+func (d *digestLocator) lookup(urlHash uint64) candidate {
+	id, _ := d.holder(urlHash)
+	return candidate{peerURL: d.n.peerURL(id)}
 }

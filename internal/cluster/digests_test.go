@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"beyondcache/internal/obs"
 	"beyondcache/internal/trace"
 )
 
@@ -50,6 +52,44 @@ func TestDigestFleetRemoteHit(t *testing.T) {
 	}
 	if f.Nodes[2].Stats().DigestsPulled == 0 {
 		t.Error("no digests pulled")
+	}
+}
+
+// TestDigestModeLeavesHintPlaneIdle: a digest node's fills feed its filter
+// and journal only. They used to be queued as hint records as well, into a
+// pending queue nothing drains in digest mode — the queue filled to its
+// bound and every further fill counted as a dropped hint. The hint-plane
+// families are still exposed, at zero.
+func TestDigestModeLeavesHintPlaneIdle(t *testing.T) {
+	f := startDigestFleet(t, 3)
+	for i := 0; i < 100; i++ {
+		if _, err := f.Fetch(i%3, fmt.Sprintf("http://example.com/idle/%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// More transitions than the hint queue bound, past the HTTP surface.
+	for h := uint64(1); h <= hintQueueCap+100; h++ {
+		f.Nodes[0].loc.publish(h, true)
+	}
+	f.FlushAll()
+	for i, n := range f.Nodes {
+		p := scrape(t, f.client, n.URL())
+		for _, family := range []string{
+			"beyondcache_hint_pending_dropped_total",
+			"beyondcache_hint_pending_records",
+			"beyondcache_hint_directory_lag_objects",
+		} {
+			if v, ok := p.Value(family); !ok || v != 0 {
+				t.Errorf("node %d %s = (%v, %v), want (0, true)", i, family, v, ok)
+			}
+		}
+		peer := obs.L("peer", hostPortOf(f.Nodes[(i+1)%3].URL()))
+		if v, ok := p.Value("beyondcache_hint_queue_depth", peer); !ok || v != 0 {
+			t.Errorf("node %d hint_queue_depth%v = (%v, %v), want (0, true)", i, peer, v, ok)
+		}
+		if st := n.Stats(); st.UpdatesSent != 0 || st.DigestsPulled == 0 {
+			t.Errorf("node %d sent %d hint updates and pulled %d digests, want none and some", i, st.UpdatesSent, st.DigestsPulled)
+		}
 	}
 }
 

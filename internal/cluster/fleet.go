@@ -11,7 +11,6 @@ import (
 
 	"beyondcache/internal/faults"
 	"beyondcache/internal/obs"
-	"beyondcache/internal/resilience"
 )
 
 // Fleet is a running set of cache nodes plus their origin server, fully
@@ -35,19 +34,10 @@ type FleetConfig struct {
 	Nodes int
 	// CacheBytes per node (<= 0 for the node default).
 	CacheBytes int64
-	// CacheShards per node (<= 0 for the node default). Tests squeezing
-	// CacheBytes use 1 so the byte budget is not split across shards.
-	CacheShards int
 	// HintEntries per node (<= 0 for the node default).
 	HintEntries int
 	// UpdateInterval between hint batches or digest pulls (<= 0 for 1s).
 	UpdateInterval time.Duration
-	// HintQueue bounds each node's pending and per-peer sender queues in
-	// records (<= 0 for the node default of 8192).
-	HintQueue int
-	// DigestWorkers bounds each node's concurrent digest pulls (<= 0 for
-	// the node default of 4).
-	DigestWorkers int
 	// ObjectSize is the origin's default object size (<= 0 for 8 KB).
 	ObjectSize int64
 	// UseDigests switches every node to Bloom-filter digest exchange.
@@ -56,18 +46,17 @@ type FleetConfig struct {
 	UseDigests   bool
 	WireCompress bool
 	// HintPartition switches every node to the partitioned hint directory
-	// (Plaxton-routed hint homes; see NodeConfig.HintPartition);
-	// HintReplicas is the owner-set size R (<= 0 for the node default
-	// of 2).
+	// (Plaxton-routed hint homes; see NodeConfig.HintReplicas), with an
+	// owner-set size R of HintReplicas (<= 0 means 2). Without
+	// HintPartition, HintReplicas is ignored.
 	HintPartition bool
 	HintReplicas  int
 
-	// PeerTimeout, OriginTimeout, HedgeBudget, and Breaker pass through
-	// to every node's NodeConfig (see there for semantics and defaults).
+	// PeerTimeout, OriginTimeout and HedgeBudget pass through to every
+	// node's NodeConfig (see there for semantics and defaults).
 	PeerTimeout   time.Duration
 	OriginTimeout time.Duration
 	HedgeBudget   time.Duration
-	Breaker       resilience.BreakerConfig
 	// FaultSpec applies the same outbound fault spec to every node;
 	// FaultSeed seeds node i with FaultSeed+i so injected randomness is
 	// deterministic but not lock-stepped across the fleet.
@@ -83,14 +72,12 @@ type FleetConfig struct {
 
 	// CacheDirs gives node i a persistent disk tier rooted at
 	// CacheDirs[i] (see NodeConfig.CacheDir); nodes beyond the slice —
-	// or all nodes, when nil — stay memory-only. DiskCapacity,
-	// SpillQueue, CompressMin, and RecoveryWorkers pass through to every
-	// disk-tiered node.
-	CacheDirs       []string
-	DiskCapacity    int64
-	SpillQueue      int
-	CompressMin     int64
-	RecoveryWorkers int
+	// or all nodes, when nil — stay memory-only. DiskCapacity, SpillQueue
+	// and CompressMin pass through to every disk-tiered node.
+	CacheDirs    []string
+	DiskCapacity int64
+	SpillQueue   int
+	CompressMin  int64
 }
 
 // nodeConfig builds node i's NodeConfig from the fleet-wide settings.
@@ -99,33 +86,34 @@ func (cfg FleetConfig) nodeConfig(i int, originURL string) NodeConfig {
 	if i < len(cfg.CacheDirs) {
 		cacheDir = cfg.CacheDirs[i]
 	}
+	replicas := 0
+	if cfg.HintPartition {
+		replicas = cfg.HintReplicas
+		if replicas <= 0 {
+			replicas = 2
+		}
+	}
 	return NodeConfig{
-		CacheDir:        cacheDir,
-		DiskCapacity:    cfg.DiskCapacity,
-		SpillQueue:      cfg.SpillQueue,
-		CompressMin:     cfg.CompressMin,
-		RecoveryWorkers: cfg.RecoveryWorkers,
-		Name:            fmt.Sprintf("node-%d", i),
-		CacheBytes:      cfg.CacheBytes,
-		CacheShards:     cfg.CacheShards,
-		HintEntries:     cfg.HintEntries,
-		OriginURL:       originURL,
-		UpdateInterval:  cfg.UpdateInterval,
-		HintQueue:       cfg.HintQueue,
-		DigestWorkers:   cfg.DigestWorkers,
-		Seed:            int64(i) + 1,
-		UseDigests:      cfg.UseDigests,
-		HintPartition:   cfg.HintPartition,
-		HintReplicas:    cfg.HintReplicas,
-		WireCompress:    cfg.WireCompress,
-		PeerTimeout:     cfg.PeerTimeout,
-		OriginTimeout:   cfg.OriginTimeout,
-		HedgeBudget:     cfg.HedgeBudget,
-		Breaker:         cfg.Breaker,
-		FaultSpec:       cfg.FaultSpec,
-		FaultSeed:       cfg.FaultSeed + int64(i),
-		Faults:          cfg.Faults,
-		InboundFaults:   cfg.InboundFaults,
+		CacheDir:       cacheDir,
+		DiskCapacity:   cfg.DiskCapacity,
+		SpillQueue:     cfg.SpillQueue,
+		CompressMin:    cfg.CompressMin,
+		Name:           fmt.Sprintf("node-%d", i),
+		CacheBytes:     cfg.CacheBytes,
+		HintEntries:    cfg.HintEntries,
+		OriginURL:      originURL,
+		UpdateInterval: cfg.UpdateInterval,
+		Seed:           int64(i) + 1,
+		UseDigests:     cfg.UseDigests,
+		HintReplicas:   replicas,
+		WireCompress:   cfg.WireCompress,
+		PeerTimeout:    cfg.PeerTimeout,
+		OriginTimeout:  cfg.OriginTimeout,
+		HedgeBudget:    cfg.HedgeBudget,
+		FaultSpec:      cfg.FaultSpec,
+		FaultSeed:      cfg.FaultSeed + int64(i),
+		Faults:         cfg.Faults,
+		InboundFaults:  cfg.InboundFaults,
 	}
 }
 
@@ -185,6 +173,7 @@ func (f *Fleet) RestartNode(i int) error {
 	if i < len(f.killed) {
 		f.killed[i] = false
 	}
+	f.dropIdleConns()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("cluster: restart: close node %d: %w", i, err)
 	}
@@ -224,6 +213,7 @@ func (f *Fleet) KillNode(i int) error {
 		f.killed = make([]bool, len(f.Nodes))
 	}
 	f.killed[i] = true
+	f.dropIdleConns()
 	return f.Nodes[i].Close()
 }
 
@@ -265,8 +255,22 @@ func (f *Fleet) SetFaultSpec(spec string) error {
 	return nil
 }
 
+// dropIdleConns closes every idle connection the fleet's nodes and its own
+// client hold, before any server shuts down. A transport keeps connections
+// it dialed but never used; the server at the other end sees them as
+// StateNew, which http.Server.Shutdown will not reap for 5 s, so a node
+// closed while ANY process still holds one burns its whole 3 s grace — a
+// node dropping only its own at its own Close is not enough.
+func (f *Fleet) dropIdleConns() {
+	f.client.CloseIdleConnections()
+	for _, n := range f.Nodes {
+		n.client.CloseIdleConnections()
+	}
+}
+
 // Close shuts down every node and the origin, returning the first error.
 func (f *Fleet) Close() error {
+	f.dropIdleConns()
 	var first error
 	for _, n := range f.Nodes {
 		if err := n.Close(); err != nil && first == nil {
@@ -282,25 +286,25 @@ func (f *Fleet) Close() error {
 }
 
 // FlushAll forces a metadata round on every node now — a hint-update flush,
-// or a digest pull in digest mode. Tests and demos use it instead of
-// waiting for the batch timers.
+// or a digest pull. Tests and demos use it instead of waiting for the batch
+// timers.
 func (f *Fleet) FlushAll() {
-	// Partition mode: converge membership across the whole fleet before any
-	// node routes records. Without this pre-pass a node flushing early in
-	// the loop can deliver re-homed records to a peer whose stale view
-	// still rejects them at the ownership filter (in a real deployment the
-	// jittered flush timers interleave probe and delivery rounds, which
-	// closes the same window).
+	// Every locator first brings its picture of the fleet up to date, so a
+	// partitioned directory's membership converges across the whole fleet
+	// before any node routes records. Without this pre-pass a node
+	// flushing early in the loop can deliver re-homed records to a peer
+	// whose stale view still rejects them at the ownership filter (in a
+	// real deployment the jittered flush timers interleave probe and
+	// delivery rounds, which closes the same window).
 	for i, n := range f.Nodes {
-		if f.Alive(i) && n.partitioned() {
-			n.syncMembership()
+		if f.Alive(i) {
+			n.loc.sync()
 		}
 	}
 	for i, n := range f.Nodes {
-		if !f.Alive(i) {
-			continue
+		if f.Alive(i) {
+			n.Flush()
 		}
-		n.exchange()
 	}
 }
 

@@ -31,7 +31,7 @@ func BenchmarkFlushFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for e := 0; e < events; e++ {
-			n.queueInform(uint64(e%distinct) + 1)
+			n.loc.publish(uint64(e%distinct)+1, true)
 		}
 		n.Flush()
 	}

@@ -1,0 +1,278 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync/atomic"
+	"time"
+
+	"beyondcache/internal/obs"
+	"beyondcache/internal/resilience"
+)
+
+// locator is the node's metadata path: how it learns where copies live and
+// tells the fleet about its own. The paper keeps it apart from the data
+// path, behind a local find-nearest lookup that must never slow a miss.
+// NewNode picks one implementation — broadcast hints (sender.go),
+// partitioned hint homes (members.go) or pulled digests (digests.go) — and
+// nothing outside those files asks which. Each owns its state; the hint
+// table, the peer table, the breakers and the counters stay the node's.
+type locator interface {
+	// sync brings the mechanism's picture of the fleet up to date: once the
+	// machine ID is fixed (Start, Bind), at the top of every round, and in
+	// Fleet.FlushAll on every node before any node's round.
+	sync()
+	// lookup is the local find-nearest, no network hop: where to probe for h.
+	lookup(h uint64) candidate
+	// holder answers a peer asking who holds h (GET /hinthome).
+	holder(h uint64) (machine uint64, ok bool)
+	// publish feeds in one residency transition of a local object: present
+	// after a fill or a boot recovery, absent once it left every tier.
+	publish(h uint64, present bool)
+	// demote withdraws a location a probe just proved wrong; holder is the
+	// machine that was named, 0 when the mechanism knows none.
+	demote(h, holder uint64)
+	// contact is liveness evidence about a peer: a hint batch arrived from
+	// it, or a delivery to it succeeded or burned its retry budget.
+	contact(peerURL string, ok bool)
+	// round runs one metadata exchange. The periodic one (wait false) does
+	// not wait for what it pushes to arrive; a waited one returns once
+	// every peer's share has been delivered or abandoned.
+	round(wait bool)
+	// serveDigest answers GET /digest, collect reports the gauges for
+	// /metrics, close stops the mechanism's goroutines after the last round.
+	serveDigest(w http.ResponseWriter, r *http.Request)
+	collect() locatorGauges
+	close()
+}
+
+// candidate is a lookup's answer: at most one place to try before the
+// origin. The zero value means the object is not known to be anywhere.
+type candidate struct {
+	// peerURL is a peer believed to hold the object and holder its
+	// machine ID, when the mechanism knows one (digests do not).
+	peerURL string
+	holder  uint64
+	// homeURL is a hint home to ask for the holder first: the local
+	// directory had no record and is not authoritative for the object.
+	homeURL string
+}
+
+// locatorGauges is what a locator reports into /metrics; every family is
+// emitted whatever the mechanism, at zero where it has no such state.
+// pending is the records queued for the next round, queues the per-peer
+// sender backlogs by peer base URL, partitionObjects the directory records
+// held as a hint home and overlayMembers the live routing membership.
+type locatorGauges struct {
+	pending                          int
+	queues                           map[string]queueGauge
+	partitionObjects, overlayMembers int
+}
+
+// queueGauge is one per-peer sender queue: its depth and its drops so far.
+type queueGauge struct {
+	depth   int
+	dropped int64
+}
+
+// fill resolves a cache miss as the singleflight leader: peer transfer if
+// the locator points somewhere (raced against the origin under the hedge
+// budget), origin otherwise. Leader-side stats are counted here so waiters
+// sharing the outcome do not double-count them.
+func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
+	// Re-check the cache: the object may have been filled between the
+	// caller's miss and winning flight leadership.
+	if obj, body, ok := n.data.Get(h); ok {
+		n.stats.localHits.Add(1)
+		return fetchOutcome{how: "LOCAL", version: obj.Version, body: body}
+	}
+
+	// Disk tier: a spilled object is still a local hit — promoted back
+	// into memory by the read — just a slower one. Probing here keeps
+	// the memory-tier hot path (handleFetch) untouched: only flight
+	// leaders, already off the fast path, pay the disk lookup.
+	if n.tier != nil {
+		if obj, body, ok := n.tier.Get(h); ok {
+			n.stats.localHits.Add(1)
+			n.stats.diskHits.Add(1)
+			return fetchOutcome{how: "LOCAL-DISK", version: obj.Version, body: body}
+		}
+	}
+
+	// Local metadata lookup (the find-nearest command). A miss is detected
+	// locally — no candidate means go straight to the origin — except where
+	// the locator names a hint home to consult: one extra hop, hedged
+	// against the origin so it can never slow the miss down.
+	c := n.loc.lookup(h)
+	var hops []obs.Hop
+	switch {
+	case c.homeURL != "":
+		return n.fillRaced(h, url, reqID, c, sampled)
+	case c.peerURL != "" && n.breakers.Get(c.peerURL).Allow():
+		return n.fillRaced(h, url, reqID, c, sampled)
+	case c.peerURL != "":
+		// The peer's breaker is open: a known-bad peer must not cost
+		// this request anything. Straight to the origin, hint kept —
+		// the half-open probe will revalidate the peer later.
+		n.stats.breakerSkips.Add(1)
+		hops = append(hops, obs.Hop{Node: hostPortOf(c.peerURL), Outcome: "BREAKER-SKIP"})
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.OriginTimeout)
+	defer cancel()
+	got, err := n.fetchOrigin(ctx, url, reqID, sampled)
+	if err != nil {
+		return fetchOutcome{err: err}
+	}
+	hops = append(hops, got.hops...)
+	n.store(h, got.version, got.body)
+	n.stats.misses.Add(1)
+	return fetchOutcome{how: "MISS", version: got.version, body: got.body, hops: hops}
+}
+
+// probed is the peer a raced fill fetches from: named by the local lookup,
+// or by the hint home the primary leg consulted first. Its breaker has
+// already admitted the probe.
+type probed struct {
+	url     string
+	machine uint64
+	br      *resilience.Breaker
+}
+
+// errHintHomeMiss distinguishes a definitive "no holder" answer (or a
+// holder this node cannot use) from a failed consult (errHintHomeFail);
+// the two resolve a lost race differently — a clean miss is the home
+// working as designed, a failed consult feeds the home's breaker.
+var (
+	errHintHomeMiss = errors.New("hint home: no holder")
+	errHintHomeFail = errors.New("hint home unavailable")
+)
+
+// fillRaced resolves a miss the locator had a candidate for. The primary
+// leg asks the hint home who holds the object, if the candidate names one
+// (the HINT-HOME hop, under the metadata timeout), then runs the
+// cache-to-cache transfer under its own deadline; if the leg stays silent
+// past the hedge budget the origin fetch starts in parallel and the first
+// success wins (a negative budget keeps the pre-resilience sequential
+// path). Either way a failed or abandoned peer is demoted and feeds its
+// breaker, and a failed consult feeds the home's, so a dead peer or a dead
+// home stops costing anything — the paper's principles 1–2 enforced under
+// faults: neither a stale hint nor the extra metadata hop may make a
+// request slower than going straight to the origin.
+func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool) fetchOutcome {
+	homeHost := hostPortOf(c.homeURL)
+	start := time.Now()
+	// Written by the primary goroutine, read at resolution: atomics cover
+	// the abandoned primary, which may still be running then. peer stays
+	// nil until a holder is known — from the start on the direct path,
+	// once the home has named a usable one otherwise.
+	var probeNS, consultNS atomic.Int64
+	var peer atomic.Pointer[probed]
+	if c.homeURL == "" {
+		peer.Store(&probed{url: c.peerURL, machine: c.holder, br: n.breakers.Get(c.peerURL)})
+	}
+	primary := func(ctx context.Context) (fetched, error) {
+		var chain []obs.Hop
+		if c.homeURL != "" {
+			p, err := n.consultHome(ctx, c.homeURL, h, reqID, sampled)
+			consult := time.Since(start)
+			consultNS.Store(int64(consult))
+			probeNS.Store(int64(consult))
+			if err != nil {
+				return fetched{}, err
+			}
+			peer.Store(p)
+			chain = []obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: consult}}
+		}
+		pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
+		defer cancel()
+		got, err := n.fetchPeer(pctx, peer.Load().url, url, reqID, sampled)
+		probeNS.Store(int64(time.Since(start)))
+		if chain != nil {
+			got.hops = append(chain, got.hops...)
+		}
+		return got, err
+	}
+	fallback := func(ctx context.Context) (fetched, error) {
+		octx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
+		defer cancel()
+		return n.fetchOrigin(octx, url, reqID, sampled)
+	}
+	r := resilience.Race(context.Background(), n.cfg.HedgeBudget, primary, fallback)
+	if r.Hedged {
+		n.stats.hedgesStarted.Add(1)
+	}
+	p := peer.Load()
+	if p != nil {
+		p.br.Record(r.Winner == resilience.PrimaryWon)
+	}
+	if c.homeURL != "" {
+		n.settleConsult(c.homeURL, r.Winner, r.PrimaryErr, p != nil)
+	}
+	switch r.Winner {
+	case resilience.PrimaryWon:
+		if r.Hedged {
+			n.stats.hedgePeerWins.Add(1)
+		}
+		n.store(h, r.Value.version, r.Value.body)
+		n.stats.remoteHits.Add(1)
+		return fetchOutcome{how: "REMOTE", version: r.Value.version, body: r.Value.body, hops: r.Value.hops}
+	case resilience.BothFailed:
+		return fetchOutcome{err: fmt.Errorf("peer: %v; origin: %w", r.PrimaryErr, r.Err)}
+	}
+
+	// The origin served. What the primary leg cost, and what it says about
+	// the hint, depends on how far it got.
+	if r.Hedged {
+		n.stats.hedgeOriginWins.Add(1)
+	}
+	abandoned := r.Winner == resilience.FallbackWon
+	probe := time.Duration(probeNS.Load())
+	if abandoned {
+		probe = time.Since(start)
+	}
+	consult := time.Duration(consultNS.Load())
+	var hops []obs.Hop
+	how, wasted := "MISS", true // wasted: the probe time bought nothing
+	switch {
+	case p != nil && abandoned:
+		// The named peer never answered inside the budget and the origin
+		// beat it: abandon the transfer, demote the hint; the breaker
+		// record above makes later requests skip the peer.
+		n.loc.demote(h, p.machine)
+		how = "MISS,HEDGE"
+		hops = append(hops, obs.Hop{Node: hostPortOf(p.url), Outcome: "PEER-ABANDON", Elapsed: probe})
+	case p != nil:
+		// Stale hint or digest false positive: the peer definitively
+		// rejected (or errored) and the origin served. Pay the wasted
+		// probe, drop the hint (at its home too, if it has one), never
+		// search further (Section 3.1.1).
+		n.loc.demote(h, p.machine)
+		n.stats.falsePositives.Add(1)
+		how = "MISS,STALE-HINT"
+		hops = append(hops, obs.Hop{Node: hostPortOf(p.url), Outcome: "PEER-REJECT", Elapsed: probe})
+	case abandoned:
+		// The consult itself never finished inside the budget.
+		how = "MISS,HEDGE"
+		hops = append(hops, obs.Hop{Node: homeHost, Outcome: "PEER-ABANDON", Elapsed: probe})
+	case errors.Is(r.PrimaryErr, errHintHomeMiss):
+		// Clean directory miss: nobody in the fleet holds it. One cheap
+		// extra hop, then the origin — working as designed.
+		wasted = false
+		hops = append(hops, obs.Hop{Node: homeHost, Outcome: "HINT-HOME-MISS", Elapsed: consult})
+	default:
+		hops = append(hops, obs.Hop{Node: homeHost, Outcome: "HINT-HOME-FAIL", Elapsed: probe})
+	}
+	if p != nil && c.homeURL != "" {
+		hops = append([]obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: consult}}, hops...)
+	}
+	if wasted {
+		n.hist.falsePositive.Observe(probe)
+	}
+	hops = append(hops, r.Value.hops...)
+	n.store(h, r.Value.version, r.Value.body)
+	n.stats.misses.Add(1)
+	return fetchOutcome{how: how, version: r.Value.version, body: r.Value.body, hops: hops}
+}

@@ -2,16 +2,16 @@ package cluster
 
 // Partitioned hint directory (DESIGN.md §14).
 //
-// Broadcast mode replicates the full hint directory on every node: O(total
-// objects) memory and O(N) fanout per update. Partition mode instead
-// derives a Plaxton embedding over the hashed addresses of the LIVE
-// membership (internal/overlay) and routes each object's hint records to
-// its owner set — the object's Plaxton root plus R-1 ring successors — so
-// each node holds and receives only its O(R/N) share. The price is one
-// extra metadata hop on the miss path when the missing node is not itself
-// an owner (the HINT-HOME consult), paid under the same breaker and hedge
-// discipline as any peer call so it can never slow a miss below the
-// straight-to-origin baseline.
+// The broadcast locator replicates the full hint directory on every node:
+// O(total objects) memory and O(N) fanout per update. The partitioned
+// locator instead derives a Plaxton embedding over the hashed addresses of
+// the LIVE membership (internal/overlay) and routes each object's hint
+// records to its owner set — the object's Plaxton root plus R-1 ring
+// successors — so each node holds and receives only its O(R/N) share. The
+// price is one extra metadata hop on the miss path when the missing node is
+// not itself an owner (the HINT-HOME consult), paid under the same breaker
+// and hedge discipline as any peer call so it can never slow a miss below
+// the straight-to-origin baseline.
 //
 // Membership is maintained from liveness evidence the node already
 // generates — successful hint-batch deliveries, inbound batches, breaker
@@ -37,6 +37,37 @@ import (
 	"beyondcache/internal/overlay"
 	"beyondcache/internal/resilience"
 )
+
+// partitionLocator is the partitioned hint directory: the broadcast
+// locator's queues, senders and records, routed to owner sets over a live
+// membership instead of to every peer.
+type partitionLocator struct {
+	*hintPlane
+	// overlay is the live routing plane; mbr tracks the per-peer liveness
+	// evidence that feeds it; homedView is the membership view the
+	// directory was last re-homed against — sync compares it to the
+	// overlay's current view and runs one incremental re-homing pass per
+	// version step.
+	overlay   *overlay.Overlay
+	mbr       membership
+	homedView atomic.Pointer[overlay.View]
+}
+
+// newPartitionLocator builds the locator for an owner-set size of replicas
+// (capped at overlay.MaxReplicas).
+func newPartitionLocator(n *Node, replicas int) (*partitionLocator, error) {
+	if replicas > overlay.MaxReplicas {
+		replicas = overlay.MaxReplicas
+	}
+	ov, err := overlay.New(overlayBits, replicas)
+	if err != nil {
+		return nil, err
+	}
+	l := &partitionLocator{hintPlane: newHintPlane(n, &n.stats.wireHintBytesPart), overlay: ov}
+	l.mbr.fails = make(map[string]int)
+	l.mbr.contact = make(map[string]uint64)
+	return l, nil
+}
 
 const (
 	// overlayBits is the Plaxton digit width of the hint-routing plane
@@ -66,57 +97,23 @@ type membership struct {
 	gen     uint64
 }
 
-// partitioned reports whether this node runs the partitioned hint
-// directory.
-func (n *Node) partitioned() bool { return n.overlay != nil }
-
-// initOverlay seeds the routing plane with the node itself once Start or
-// Bind has fixed its machine ID. The first membership sync folds the peer
-// table in (and runs the resulting re-homing pass, which is what lets a
-// restarted node's boot-recovered residents re-announce to their homes).
-func (n *Node) initOverlay() {
-	if !n.partitioned() {
+// contact feeds one piece of liveness evidence into the tracker. A
+// delivered hint batch is contact; a delivery that burned the sender's full
+// retry budget counts toward deadAfterFails; an inbound batch is contact
+// too — a restarted or healed node re-announces itself by flushing to us,
+// which must revive it even if our own probes to it still fail.
+func (l *partitionLocator) contact(peerURL string, ok bool) {
+	if peerURL == "" {
 		return
 	}
-	n.overlay.Join(n.machineID, n.URL())
-	n.homedView.Store(n.overlay.View())
-	// Ownership admission: the directory only stores records for objects
-	// this node is currently a home of. Records for everything else are
-	// refused at insert (counted in hintcache FilterRejects) — directory
-	// memory stays O(R/N) no matter what arrives on the wire.
-	n.hints.SetInsertFilter(func(h uint64) bool {
-		return n.overlay.View().IsOwner(h, n.machineID)
-	})
-}
-
-// noteSendOutcome feeds one hint-batch delivery result into the liveness
-// tracker: success is contact; failure (after the sender's full retry
-// budget) counts toward deadAfterFails.
-func (n *Node) noteSendOutcome(target string, ok bool) {
-	if !n.partitioned() {
-		return
-	}
-	n.mbr.mu.Lock()
+	l.mbr.mu.Lock()
 	if ok {
-		n.mbr.fails[target] = 0
-		n.mbr.contact[target] = n.mbr.gen
+		l.mbr.fails[peerURL] = 0
+		l.mbr.contact[peerURL] = l.mbr.gen
 	} else {
-		n.mbr.fails[target]++
+		l.mbr.fails[peerURL]++
 	}
-	n.mbr.mu.Unlock()
-}
-
-// noteInboundContact records an inbound sign of life from a peer — a
-// restarted or healed node re-announces itself by flushing to us, which
-// must revive it even if our own probes to it still fail.
-func (n *Node) noteInboundContact(fromURL string) {
-	if !n.partitioned() || fromURL == "" {
-		return
-	}
-	n.mbr.mu.Lock()
-	n.mbr.fails[fromURL] = 0
-	n.mbr.contact[fromURL] = n.mbr.gen
-	n.mbr.mu.Unlock()
+	l.mbr.mu.Unlock()
 }
 
 // handlePing answers liveness probes: GET /ping -> 204. It goes through
@@ -131,11 +128,7 @@ func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
 func (n *Node) ping(baseURL string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/ping", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.client.Do(req)
+	resp, err := n.get(ctx, baseURL+"/ping", "", false)
 	if err != nil {
 		return false
 	}
@@ -144,36 +137,45 @@ func (n *Node) ping(baseURL string) bool {
 	return resp.StatusCode == http.StatusNoContent
 }
 
-// syncMembership runs at the top of each partition-mode flush round: fold
-// the round's liveness evidence into the overlay and re-home against the
-// resulting view before any records are routed. Peers with recent contact
-// are alive for free; the rest get one bounded-concurrency probe. A peer
-// is dead when its consecutive failures reach deadAfterFails or its
-// breaker is open (breaker-detected peer death); dead peers keep being
-// probed, so revival is symmetric.
-func (n *Node) syncMembership() {
-	type peerRef struct {
-		id  uint64
-		url string
+// sync runs at the top of each round: fold the round's liveness evidence
+// into the overlay and re-home against the resulting view before any
+// records are routed. Peers with recent contact are alive for free; the
+// rest get one bounded-concurrency probe. A peer is dead when its
+// consecutive failures reach deadAfterFails or its breaker is open
+// (breaker-detected peer death); dead peers keep being probed, so revival
+// is symmetric.
+//
+// The first call, from Start or Bind, only seeds the routing plane with the
+// node itself, now that its machine ID is fixed. The first real sync folds
+// the peer table in (and runs the resulting re-homing pass, which is what
+// lets a restarted node's boot-recovered residents re-announce to their
+// homes).
+func (l *partitionLocator) sync() {
+	n := l.n
+	if l.homedView.Load() == nil {
+		l.overlay.Join(n.machineID, n.URL())
+		l.homedView.Store(l.overlay.View())
+		// Ownership admission: the directory only stores records for
+		// objects this node is currently a home of. Records for everything
+		// else are refused at insert (counted in hintcache FilterRejects) —
+		// directory memory stays O(R/N) no matter what arrives on the wire.
+		n.hints.SetInsertFilter(func(h uint64) bool {
+			return l.overlay.View().IsOwner(h, n.machineID)
+		})
+		return
 	}
-	n.peerMu.RLock()
-	peers := make([]peerRef, 0, len(n.peerOrder))
-	for _, id := range n.peerOrder {
-		peers = append(peers, peerRef{id: id, url: n.peers[id]})
-	}
-	n.peerMu.RUnlock()
-
-	n.mbr.mu.Lock()
-	n.mbr.gen++
-	gen := n.mbr.gen
+	peers := n.peerList()
+	l.mbr.mu.Lock()
+	l.mbr.gen++
+	gen := l.mbr.gen
 	probe := peers[:0:0]
 	for _, p := range peers {
-		if n.mbr.contact[p.url]+1 >= gen {
+		if l.mbr.contact[p.url]+1 >= gen {
 			continue // heard from it this round or the last
 		}
 		probe = append(probe, p)
 	}
-	n.mbr.mu.Unlock()
+	l.mbr.mu.Unlock()
 
 	alive := make([]bool, len(probe))
 	var wg sync.WaitGroup
@@ -189,39 +191,39 @@ func (n *Node) syncMembership() {
 	}
 	wg.Wait()
 
-	n.mbr.mu.Lock()
+	l.mbr.mu.Lock()
 	for i, p := range probe {
 		if alive[i] {
-			n.mbr.fails[p.url] = 0
-			n.mbr.contact[p.url] = gen
+			l.mbr.fails[p.url] = 0
+			l.mbr.contact[p.url] = gen
 		} else {
-			n.mbr.fails[p.url]++
+			l.mbr.fails[p.url]++
 		}
 	}
 	dead := make(map[uint64]bool, len(peers))
 	for _, p := range peers {
-		dead[p.id] = n.mbr.fails[p.url] >= deadAfterFails
+		dead[p.id] = l.mbr.fails[p.url] >= deadAfterFails
 	}
-	n.mbr.mu.Unlock()
+	l.mbr.mu.Unlock()
 
 	for _, p := range peers {
 		if !dead[p.id] && n.breakers.Get(p.url).State() == resilience.Open {
 			dead[p.id] = true
 		}
 		if dead[p.id] {
-			n.overlay.Leave(p.id)
+			l.overlay.Leave(p.id)
 		} else {
-			n.overlay.Join(p.id, p.url)
+			l.overlay.Join(p.id, p.url)
 		}
 	}
 
-	view := n.overlay.View()
-	old := n.homedView.Load()
+	view := l.overlay.View()
+	old := l.homedView.Load()
 	if old != nil && old.Version() == view.Version() {
 		return
 	}
-	n.homedView.Store(view)
-	n.rehome(old, view)
+	l.homedView.Store(view)
+	l.rehome(old, view)
 }
 
 // rehome is the incremental re-homing pass after a membership change:
@@ -232,7 +234,8 @@ func (n *Node) syncMembership() {
 // churn — plaxton.TableDiff gates the whole pass when the embeddings
 // agree — never to directory size: objects with unmoved owners produce
 // nothing.
-func (n *Node) rehome(old, cur *overlay.View) {
+func (l *partitionLocator) rehome(old, cur *overlay.View) {
+	n := l.n
 	if old == nil || old.Size() == 0 {
 		return
 	}
@@ -245,11 +248,7 @@ func (n *Node) rehome(old, cur *overlay.View) {
 			return
 		}
 		count++
-		n.enqueueLocal(hintcache.Update{
-			Action:  hintcache.ActionInform,
-			URLHash: id,
-			Machine: n.machineID,
-		})
+		l.publish(id, true)
 	}
 	for _, o := range n.data.Objects() {
 		announce(o.ID)
@@ -274,11 +273,7 @@ func (n *Node) rehome(old, cur *overlay.View) {
 			drop = append(drop, r)
 			return true
 		}
-		n.enqueueLocal(hintcache.Update{
-			Action:  hintcache.ActionInform,
-			URLHash: r.URLHash,
-			Machine: r.Machine,
-		})
+		l.enqueue(hintcache.Update{Action: hintcache.ActionInform, URLHash: r.URLHash, Machine: r.Machine})
 		if !cur.IsOwner(r.URLHash, n.machineID) {
 			drop = append(drop, r)
 		}
@@ -292,72 +287,77 @@ func (n *Node) rehome(old, cur *overlay.View) {
 	}
 }
 
-// distributePartitioned routes one drained batch to owner sets: records
-// this node owns apply straight to the local directory, the rest group
-// into per-owner minibatches on the same senders and KindHintBatch frames
-// the broadcast path uses. Every known sender contributes a generation to
-// the returned barrier, so Flush keeps its delivery contract in both
-// modes.
-func (n *Node) distributePartitioned(batch []hintcache.Update, stampNs int64) (senders []*peerSender, seqs []int64, records int) {
-	view := n.overlay.View()
+// round syncs the membership first, so any re-homing informs it enqueues
+// ride this same round, then routes the pending records to their owner
+// sets over the senders and KindHintBatch frames the broadcast locator uses.
+func (l *partitionLocator) round(wait bool) {
+	l.sync()
+	l.flush(wait, l.route)
+}
+
+// route splits one drained batch by owner: records this node owns apply
+// straight to the local directory, the rest group into per-owner
+// minibatches keyed by the owner's base URL (an owner not in the peer table
+// yet gets nothing).
+func (l *partitionLocator) route(batch []hintcache.Update) map[string][]hintcache.Update {
+	n := l.n
+	view := l.overlay.View()
 	var owners [overlay.MaxReplicas]uint64
 	var local []hintcache.Update
-	var routed map[*peerSender][]hintcache.Update
-
-	n.peerMu.RLock()
+	routed := make(map[string][]hintcache.Update)
 	for _, u := range batch {
 		for _, m := range view.Owners(u.URLHash, owners[:0]) {
 			if m == n.machineID {
 				local = append(local, u)
-				continue
+			} else if target := n.peerURL(m); target != "" {
+				routed[target] = append(routed[target], u)
 			}
-			s, ok := n.senders[n.peers[m]]
-			if !ok {
-				continue // owner not in the peer table (yet)
-			}
-			if routed == nil {
-				routed = make(map[*peerSender][]hintcache.Update, len(owners))
-			}
-			routed[s] = append(routed[s], u)
-		}
-	}
-	senders = make([]*peerSender, 0, len(n.senders))
-	for _, s := range n.senders {
-		senders = append(senders, s)
-	}
-	n.peerMu.RUnlock()
-
-	seqs = make([]int64, len(senders))
-	for i, s := range senders {
-		if mb := routed[s]; len(mb) > 0 {
-			seqs[i] = s.enqueue(mb, stampNs)
-		} else {
-			seqs[i] = s.currentSeq()
 		}
 	}
 	if len(local) > 0 {
 		_ = n.hints.ApplyBatch(local)
 	}
-	return senders, seqs, len(batch)
+	return routed
 }
 
-// errHintHomeMiss distinguishes a definitive "no holder" answer (or a
-// holder this node cannot use) from a failed consult (errHintHomeFail);
-// the two resolve a lost race differently — a clean miss is the home
-// working as designed, a failed consult feeds the home's breaker.
-var (
-	errHintHomeMiss = errors.New("hint home: no holder")
-	errHintHomeFail = errors.New("hint home unavailable")
-)
+// lookup consults the local directory first. Its miss is only
+// authoritative when this node is one of the object's hint homes;
+// otherwise the candidate names the home to ask.
+func (l *partitionLocator) lookup(h uint64) candidate {
+	c, ok := l.directory(h)
+	if !ok {
+		c.homeURL = l.hintHomeFor(h)
+	}
+	return c
+}
+
+// demote drops the local record; the authoritative one lives at the
+// object's hint homes, so a routed machine-matched invalidate withdraws the
+// stale record there too — machine-matched so a home that already learned
+// of a fresher holder keeps it.
+func (l *partitionLocator) demote(h, holder uint64) {
+	l.hintPlane.demote(h, holder)
+	if holder != 0 {
+		l.enqueue(hintcache.Update{Action: hintcache.ActionInvalidate, URLHash: h, Machine: holder})
+	}
+}
+
+func (l *partitionLocator) collect() locatorGauges {
+	g := l.hintPlane.collect()
+	g.partitionObjects = l.n.hints.Occupied()
+	g.overlayMembers = l.overlay.View().Size()
+	return g
+}
 
 // hintHomeFor picks the hint home to consult for object h: the first of
 // its owners, in ring order, that is a known peer whose breaker admits the
 // call. Empty when this node is itself an owner (the local directory was
 // already authoritative — its miss is the answer) or when no owner is
 // usable.
-func (n *Node) hintHomeFor(h uint64) string {
+func (l *partitionLocator) hintHomeFor(h uint64) string {
+	n := l.n
 	var buf [overlay.MaxReplicas]uint64
-	owners := n.homedView.Load().Owners(h, buf[:0])
+	owners := l.homedView.Load().Owners(h, buf[:0])
 	for _, m := range owners {
 		if m == n.machineID {
 			return ""
@@ -392,15 +392,7 @@ func (n *Node) hintHomeFor(h uint64) string {
 // definitive miss (machine 0, nil error); anything else is a consult
 // failure.
 func (n *Node) queryHintHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, homeURL+"/hinthome?h="+strconv.FormatUint(h, 16), nil)
-	if err != nil {
-		return 0, err
-	}
-	if sampled {
-		req.Header[headerRequestID] = []string{reqID}
-		req.Header[headerTraceSampled] = []string{"1"}
-	}
-	resp, err := n.client.Do(req)
+	resp, err := n.get(ctx, homeURL+"/hinthome?h="+strconv.FormatUint(h, 16), reqID, sampled)
 	if err != nil {
 		return 0, err
 	}
@@ -423,11 +415,9 @@ func (n *Node) queryHintHome(ctx context.Context, homeURL string, h uint64, reqI
 	}
 }
 
-// handleHintHome serves this node's directory partition to peers. The
-// node's own residency counts (a home may itself hold the object); a
-// record naming a machine the current view considers dead is dropped
-// lazily instead of served, and a stale self-record with no backing
-// residency likewise.
+// handleHintHome answers a peer's consult from the locator's local
+// knowledge. The node's own residency counts (a home may itself hold the
+// object).
 func (n *Node) handleHintHome(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -440,19 +430,7 @@ func (n *Node) handleHintHome(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	machine, ok := n.hints.Lookup(h)
-	if ok && n.partitioned() {
-		switch {
-		case machine == n.machineID:
-			if !n.residesLocally(h) {
-				n.hints.Delete(h, machine)
-				machine, ok = 0, false
-			}
-		case !n.overlay.View().Contains(machine):
-			n.hints.Delete(h, machine)
-			machine, ok = 0, false
-		}
-	}
+	machine, ok := n.loc.holder(h)
 	if !ok && n.residesLocally(h) {
 		machine, ok = n.machineID, true
 	}
@@ -470,6 +448,25 @@ func (n *Node) handleHintHome(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, strconv.FormatUint(machine, 16))
 }
 
+// holder serves this node's directory partition to peers. A record naming
+// a machine the current view considers dead is dropped lazily instead of
+// served, and a stale self-record with no backing residency likewise.
+func (l *partitionLocator) holder(h uint64) (uint64, bool) {
+	machine, ok := l.n.hints.Lookup(h)
+	if !ok {
+		return 0, false
+	}
+	stale := !l.overlay.View().Contains(machine)
+	if machine == l.n.machineID {
+		stale = !l.n.residesLocally(h)
+	}
+	if stale {
+		l.n.hints.Delete(h, machine)
+		return 0, false
+	}
+	return machine, true
+}
+
 // residesLocally reports residency in either local tier without touching
 // recency or promoting.
 func (n *Node) residesLocally(h uint64) bool {
@@ -479,158 +476,53 @@ func (n *Node) residesLocally(h uint64) bool {
 	return n.tier != nil && n.tier.Contains(h)
 }
 
-// fillViaHome resolves a partition-mode miss through the object's hint
-// home. The primary leg performs the directory consult (the HINT-HOME
-// hop, under the metadata timeout) and then the cache-to-cache transfer
-// it names; the origin is the hedged fallback under the same budget as
-// any peer race — a slow or dead home can never make the miss slower than
-// going straight to the origin (the paper's principle 1 applied to the
-// extra metadata hop).
-func (n *Node) fillViaHome(h uint64, url, reqID, homeURL string, sampled bool) fetchOutcome {
-	homeHost := hostPortOf(homeURL)
-	homeBr := n.breakers.Get(homeURL)
-	probeStart := time.Now()
-	// Written by the primary goroutine, read at resolution (atomics cover
-	// the abandoned-primary case; see fillRaced).
-	var probeNS, consultNS atomic.Int64
-	var holderMach atomic.Uint64
-
-	primary := func(ctx context.Context) (fetched, error) {
-		cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
-		machine, err := n.queryHintHome(cctx, homeURL, h, reqID, sampled)
-		cancel()
-		consult := time.Since(probeStart)
-		consultNS.Store(int64(consult))
-		probeNS.Store(int64(consult))
-		if err != nil {
-			return fetched{}, fmt.Errorf("%w: %v", errHintHomeFail, err)
-		}
-		if machine == 0 || machine == n.machineID {
-			// 404, or the home thinks WE hold it — we just checked both
-			// tiers, so that record is stale; treat as a miss.
-			return fetched{}, errHintHomeMiss
-		}
-		n.peerMu.RLock()
-		holderURL := n.peers[machine]
-		n.peerMu.RUnlock()
-		if holderURL == "" {
-			return fetched{}, errHintHomeMiss
-		}
-		holderBr := n.breakers.Get(holderURL)
-		if !holderBr.Allow() {
-			n.stats.breakerSkips.Add(1)
-			return fetched{}, errHintHomeMiss
-		}
-		holderMach.Store(machine)
-		pctx, pcancel := context.WithTimeout(ctx, n.peerTimeout)
-		defer pcancel()
-		got, err := n.fetchPeer(pctx, holderURL, url, reqID, sampled)
-		probeNS.Store(int64(time.Since(probeStart)))
-		if err != nil {
-			if ctx.Err() == nil { // not our own abandonment
-				holderBr.Record(false)
-			}
-			return fetched{}, err
-		}
-		holderBr.Record(true)
-		got.hops = append([]obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: consult}}, got.hops...)
-		return got, nil
+// consultHome is the optional first step of a raced fill's primary leg: ask
+// the hint home who holds h (under the metadata timeout) and turn the
+// answer into a peer to probe. errHintHomeMiss covers every definitive
+// "nobody you can use" — no record, a record naming this node (it just
+// checked both tiers, so that record is stale), an unknown machine, a
+// holder whose breaker refuses the probe.
+func (n *Node) consultHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (*probed, error) {
+	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
+	machine, err := n.queryHintHome(cctx, homeURL, h, reqID, sampled)
+	cancel()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errHintHomeFail, err)
 	}
-	fallback := func(ctx context.Context) (fetched, error) {
-		octx, cancel := context.WithTimeout(ctx, n.originTimeout)
-		defer cancel()
-		return n.fetchOrigin(octx, url, reqID, sampled)
+	holderURL := n.peerURL(machine)
+	if machine == n.machineID || holderURL == "" {
+		return nil, errHintHomeMiss
 	}
-	r := resilience.Race(context.Background(), n.hedgeBudget, primary, fallback)
-	if r.Hedged {
-		n.stats.hedgesStarted.Add(1)
+	if ctx.Err() != nil {
+		// Abandoned while the home answered: ask no breaker for a probe
+		// the resolution will never record.
+		return nil, fmt.Errorf("%w: %v", errHintHomeFail, ctx.Err())
 	}
-	switch r.Winner {
-	case resilience.PrimaryWon:
-		homeBr.Record(true)
-		n.stats.hintHomeHits.Add(1)
-		if r.Hedged {
-			n.stats.hedgePeerWins.Add(1)
-		}
-		n.store(h, r.Value.version, r.Value.body)
-		n.stats.remoteHits.Add(1)
-		return fetchOutcome{how: "REMOTE", version: r.Value.version, body: r.Value.body, hops: r.Value.hops}
-
-	case resilience.FallbackWon:
-		// The consult-then-transfer leg never finished inside the budget.
-		n.stats.hedgeOriginWins.Add(1)
-		probe := time.Since(probeStart)
-		n.hist.falsePositive.Observe(probe)
-		if holder := holderMach.Load(); holder != 0 {
-			// The home answered in time; the named holder was the slow
-			// leg. Demote its record, keep the home healthy.
-			homeBr.Record(true)
-			n.stats.hintHomeHits.Add(1)
-			n.demoteHint(h, holder)
-		} else {
-			homeBr.Record(false)
-			n.stats.hintHomeErrors.Add(1)
-		}
-		hops := append([]obs.Hop{{Node: homeHost, Outcome: "PEER-ABANDON", Elapsed: probe}}, r.Value.hops...)
-		n.store(h, r.Value.version, r.Value.body)
-		n.stats.misses.Add(1)
-		return fetchOutcome{how: "MISS,HEDGE", version: r.Value.version, body: r.Value.body, hops: hops}
-
-	case resilience.FallbackAfterPrimary:
-		if r.Hedged {
-			n.stats.hedgeOriginWins.Add(1)
-		}
-		probe := time.Duration(probeNS.Load())
-		var hops []obs.Hop
-		how := "MISS"
-		switch {
-		case errors.Is(r.PrimaryErr, errHintHomeMiss):
-			// Clean directory miss: nobody in the fleet holds it. One
-			// cheap extra hop, then the origin — working as designed.
-			homeBr.Record(true)
-			n.stats.hintHomeMisses.Add(1)
-			hops = append([]obs.Hop{{Node: homeHost, Outcome: "HINT-HOME-MISS", Elapsed: time.Duration(consultNS.Load())}}, r.Value.hops...)
-		case errors.Is(r.PrimaryErr, errHintHomeFail):
-			homeBr.Record(false)
-			n.stats.hintHomeErrors.Add(1)
-			n.hist.falsePositive.Observe(probe)
-			hops = append([]obs.Hop{{Node: homeHost, Outcome: "HINT-HOME-FAIL", Elapsed: probe}}, r.Value.hops...)
-		default:
-			// The home answered, the named holder rejected or errored: a
-			// stale record. Pay the wasted probe, demote at the home,
-			// never search further (Section 3.1.1).
-			homeBr.Record(true)
-			n.stats.hintHomeHits.Add(1)
-			n.stats.falsePositives.Add(1)
-			n.hist.falsePositive.Observe(probe)
-			if holder := holderMach.Load(); holder != 0 {
-				n.demoteHint(h, holder)
-			}
-			hops = append([]obs.Hop{
-				{Node: homeHost, Outcome: "HINT-HOME", Elapsed: time.Duration(consultNS.Load())},
-				{Node: n.holderHost(holderMach.Load()), Outcome: "PEER-REJECT", Elapsed: probe},
-			}, r.Value.hops...)
-			how = "MISS,STALE-HINT"
-		}
-		n.store(h, r.Value.version, r.Value.body)
-		n.stats.misses.Add(1)
-		return fetchOutcome{how: how, version: r.Value.version, body: r.Value.body, hops: hops}
-
-	default: // BothFailed
-		homeBr.Record(false)
-		n.stats.hintHomeErrors.Add(1)
-		return fetchOutcome{err: fmt.Errorf("hint home: %v; origin: %w", r.PrimaryErr, r.Err)}
+	br := n.breakers.Get(holderURL)
+	if !br.Allow() {
+		n.stats.breakerSkips.Add(1)
+		return nil, errHintHomeMiss
 	}
+	return &probed{url: holderURL, machine: machine, br: br}, nil
 }
 
-// holderHost resolves a machine ID to its host:port for hop labels
-// ("unknown-holder" when the peer table no longer has it).
-func (n *Node) holderHost(machine uint64) string {
-	n.peerMu.RLock()
-	u := n.peers[machine]
-	n.peerMu.RUnlock()
-	if u == "" {
-		return "unknown-holder"
+// settleConsult accounts one resolved hint-home consult on the home's
+// breaker and the hint_home_hops counters: named says the home answered
+// with a holder this node went on to probe.
+func (n *Node) settleConsult(homeURL string, winner resilience.Winner, primaryErr error, named bool) {
+	br := n.breakers.Get(homeURL)
+	switch {
+	case winner == resilience.BothFailed:
+		br.Record(false)
+		n.stats.hintHomeErrors.Add(1)
+	case named:
+		br.Record(true)
+		n.stats.hintHomeHits.Add(1)
+	case errors.Is(primaryErr, errHintHomeMiss):
+		br.Record(true)
+		n.stats.hintHomeMisses.Add(1)
+	default: // the consult failed, or was still running when the origin won
+		br.Record(false)
+		n.stats.hintHomeErrors.Add(1)
 	}
-	return hostPortOf(u)
 }

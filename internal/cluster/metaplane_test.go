@@ -149,11 +149,11 @@ func TestFlushCoalescesOverWire(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "coalesce"})
 	n.AddPeer(sink.srv.URL)
 
-	n.queueInform(1)
-	n.enqueueLocal(hintcache.Update{Action: hintcache.ActionInvalidate, URLHash: 1, Machine: n.machineID})
-	n.queueInform(2)
-	n.queueInform(2)
-	n.queueInform(2)
+	n.loc.publish(1, true)
+	n.loc.publish(1, false)
+	n.loc.publish(2, true)
+	n.loc.publish(2, true)
+	n.loc.publish(2, true)
 	n.Flush()
 
 	got := sink.records()
@@ -200,10 +200,14 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 					http.Error(w, "refused", status)
 				}))
 				t.Cleanup(sink.Close)
-				n := newMetaNode(t, NodeConfig{Name: "error-status", HintPartition: partitioned})
+				cfg := NodeConfig{Name: "error-status"}
+				if partitioned {
+					cfg.HintReplicas = 2
+				}
+				n := newMetaNode(t, cfg)
 				n.AddPeer(sink.URL)
 
-				n.queueInform(7)
+				n.loc.publish(7, true)
 				n.Flush()
 
 				if got := posts.Load(); got != 3 {
@@ -217,9 +221,10 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 					t.Errorf("SendErrors = %d, Retries = %d; want 1 and 2", st.SendErrors, st.Retries)
 				}
 				if partitioned {
-					n.mbr.mu.Lock()
-					fails, contact := n.mbr.fails[sink.URL], n.mbr.contact[sink.URL]
-					n.mbr.mu.Unlock()
+					mbr := &partitionOf(n).mbr
+					mbr.mu.Lock()
+					fails, contact := mbr.fails[sink.URL], mbr.contact[sink.URL]
+					mbr.mu.Unlock()
 					if fails != 1 || contact != 0 {
 						t.Errorf("membership saw fails=%d contact=%d, want one failed contact and no good one", fails, contact)
 					}
@@ -231,16 +236,18 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 
 // TestPendingQueueBounded checks satellite 1: the node-level pending queue
 // is capped, overflow drops the oldest informs first, and drops are
-// counted.
+// counted. The shipped bound (hintQueueCap) is squeezed to 4 records.
 func TestPendingQueueBounded(t *testing.T) {
-	n := newMetaNode(t, NodeConfig{Name: "bounded", HintQueue: 4})
+	n := newMetaNode(t, NodeConfig{Name: "bounded"})
+	plane := n.loc.(*hintPlane)
+	plane.pend = newPendq(4)
 	for h := uint64(1); h <= 6; h++ {
-		n.queueInform(h)
+		n.loc.publish(h, true)
 	}
 	if st := n.Stats(); st.PendingDropped != 2 {
 		t.Errorf("PendingDropped = %d, want 2", st.PendingDropped)
 	}
-	if got := n.pend.len(); got != 4 {
+	if got := plane.pend.len(); got != 4 {
 		t.Errorf("pending queue holds %d records, want 4", got)
 	}
 }
@@ -306,7 +313,7 @@ func TestDigestPullChecksStatusFirst(t *testing.T) {
 
 			n := newMetaNode(t, NodeConfig{Name: name, UseDigests: true})
 			n.AddPeer(errSrv.URL)
-			n.PullDigests()
+			n.Flush()
 
 			st := n.Stats()
 			if st.DigestsPulled != 0 {
@@ -315,8 +322,8 @@ func TestDigestPullChecksStatusFirst(t *testing.T) {
 			if st.SendErrors != 1 {
 				t.Errorf("SendErrors = %d, want 1", st.SendErrors)
 			}
-			if peer := n.digestPeer(1); peer != "" {
-				t.Errorf("digestPeer after failed pull = %q, want none", peer)
+			if peer := n.loc.lookup(1).peerURL; peer != "" {
+				t.Errorf("lookup after failed pull = %q, want none", peer)
 			}
 		})
 	}
@@ -335,7 +342,7 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := wire.AppendFrame(nil, wire.KindDigestFull, payload, 0)
-	n := newMetaNode(t, NodeConfig{Name: "parallel-pull", UseDigests: true, DigestWorkers: 4})
+	n := newMetaNode(t, NodeConfig{Name: "parallel-pull", UseDigests: true})
 	for i := 0; i < 4; i++ {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			time.Sleep(delay)
@@ -346,7 +353,7 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 	}
 
 	start := time.Now()
-	n.PullDigests()
+	n.Flush()
 	elapsed := time.Since(start)
 
 	if st := n.Stats(); st.DigestsPulled != 4 {
@@ -355,7 +362,7 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 	// Serial pulls would cost 4 x delay = 1.2s; allow generous headroom
 	// over one delay for scheduling noise.
 	if elapsed > 3*delay {
-		t.Errorf("PullDigests took %v for 4 peers at %v each, want concurrent (< %v)", elapsed, delay, 3*delay)
+		t.Errorf("the digest round took %v for 4 peers at %v each, want concurrent (< %v)", elapsed, delay, 3*delay)
 	}
 }
 
@@ -384,9 +391,9 @@ func TestChaosMetadataPlaneIsolation(t *testing.T) {
 		n.AddPeer(s.srv.URL)
 	}
 
-	n.queueInform(42)
+	n.loc.publish(42, true)
 	start := time.Now()
-	n.flushAsync()
+	n.loc.round(false)
 
 	for i, s := range sinks[1:] {
 		at := s.firstArrival(t, 2*interval)
@@ -483,7 +490,7 @@ func TestRecordClusterBench(t *testing.T) {
 	for _, s := range sinks {
 		n.AddPeer(s.srv.URL)
 	}
-	n.queueInform(99)
+	n.loc.publish(99, true)
 	pipeStart := time.Now()
 	n.Flush() // synchronous: returns once every sender delivered or abandoned
 	pipeRound := time.Since(pipeStart)
@@ -497,7 +504,7 @@ func TestRecordClusterBench(t *testing.T) {
 	wn := newMetaNode(t, NodeConfig{Name: "bench-wire"})
 	wn.AddPeer(wireSink.srv.URL)
 	for i := 0; i < events; i++ {
-		wn.queueInform(uint64(i%distinct) + 1)
+		wn.loc.publish(uint64(i%distinct)+1, true)
 	}
 	wn.Flush()
 	wireAfter := wireSink.wireBytes()

@@ -116,15 +116,11 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Counter("beyondcache_hint_rehome_objects_total",
 		"Re-homing work units: records re-announced, forwarded, or dropped because their owner set changed.",
 		st.RehomedObjects)
-	var partitionObjects, overlayMembers float64
-	if n.partitioned() {
-		partitionObjects = float64(n.hints.Occupied())
-		overlayMembers = float64(n.overlay.View().Size())
-	}
+	loc := n.loc.collect()
 	e.Gauge("beyondcache_hint_directory_partition_objects",
-		"Directory records held as a hint home (0 in broadcast mode).", partitionObjects)
+		"Directory records held as a hint home (0 in broadcast mode).", float64(loc.partitionObjects))
 	e.Gauge("beyondcache_overlay_members",
-		"Live members in the hint-routing overlay (0 in broadcast mode).", overlayMembers)
+		"Live members in the hint-routing overlay (0 in broadcast mode).", float64(loc.overlayMembers))
 
 	// Metadata-plane pipeline: coalescing, queue bounds, and oversize
 	// rejects (see DESIGN.md §10).
@@ -135,7 +131,7 @@ func (n *Node) Metrics() *obs.Expo {
 		"Records dropped by the bounded node-level pending queue (oldest informs first).",
 		st.PendingDropped)
 	e.Gauge("beyondcache_hint_pending_records",
-		"Hint updates queued for the next batch round.", float64(n.pend.len()))
+		"Hint updates queued for the next batch round.", float64(loc.pending))
 	e.Counter("beyondcache_updates_oversize_total",
 		"POST /updates bodies refused with 413 for exceeding the size limit.",
 		st.OversizeRejects)
@@ -155,20 +151,25 @@ func (n *Node) Metrics() *obs.Expo {
 		"Metadata-path re-attempts (hint-batch POSTs, digest pulls) spent after a failure.",
 		st.Retries)
 
-	// Per-peer breaker families. Breakers are created eagerly in AddPeer,
-	// so every peer reports from the first scrape. The aggregate open
-	// gauge is emitted even with no peers so the family always exists.
+	// Per-peer families: the breaker and the locator's sender queue.
+	// Breakers are created eagerly in AddPeer, so every peer reports from
+	// the first scrape (a queue the locator does not run reports zeros).
+	// The aggregate open gauge is emitted even with no peers so the family
+	// always exists.
 	breakers := n.breakers.Snapshot()
 	peerNames := make([]string, 0, len(breakers))
 	for peer := range breakers {
 		peerNames = append(peerNames, peer)
 	}
 	sort.Strings(peerNames)
-	open := 0
+	open, maxQueued := 0, 0
 	for _, peer := range peerNames {
-		bs := breakers[peer]
+		bs, q := breakers[peer], loc.queues[peer]
 		if bs.State != resilience.Closed {
 			open++
+		}
+		if q.depth > maxQueued {
+			maxQueued = q.depth
 		}
 		label := obs.L("peer", hostPortOf(peer))
 		e.Gauge("beyondcache_breaker_state",
@@ -178,37 +179,14 @@ func (n *Node) Metrics() *obs.Expo {
 			"Per-peer breaker state changes.", bs.Transitions, label)
 		e.Counter("beyondcache_breaker_refusals_total",
 			"Per-peer requests refused while the breaker was open or probing.", bs.Refusals, label)
+		e.Gauge("beyondcache_hint_queue_depth",
+			"Records waiting in the per-peer sender queue.", float64(q.depth), label)
+		e.Counter("beyondcache_hint_queue_dropped_total",
+			"Records dropped from the per-peer sender queue under backpressure (oldest informs first).",
+			q.dropped, label)
 	}
 	e.Gauge("beyondcache_breakers_open",
 		"Peers whose breaker is currently not closed.", float64(open))
-
-	// Per-peer sender queues. Senders are created eagerly alongside the
-	// breakers (AddPeer), so every target reports from the first scrape.
-	n.peerMu.RLock()
-	targets := make([]string, 0, len(n.senders))
-	for t := range n.senders {
-		targets = append(targets, t)
-	}
-	senders := make(map[string]*peerSender, len(n.senders))
-	for t, s := range n.senders {
-		senders[t] = s
-	}
-	n.peerMu.RUnlock()
-	sort.Strings(targets)
-	maxQueued := 0
-	for _, t := range targets {
-		s := senders[t]
-		depth := s.q.len()
-		if depth > maxQueued {
-			maxQueued = depth
-		}
-		label := obs.L("peer", hostPortOf(t))
-		e.Gauge("beyondcache_hint_queue_depth",
-			"Records waiting in the per-peer sender queue.", float64(depth), label)
-		e.Counter("beyondcache_hint_queue_dropped_total",
-			"Records dropped from the per-peer sender queue under backpressure (oldest informs first).",
-			s.dropped.Load(), label)
-	}
 
 	// Metadata freshness (DESIGN.md §11). The aggregate (unlabeled) series
 	// of each histogram family exists from the first scrape; per-peer series
@@ -230,7 +208,7 @@ func (n *Node) Metrics() *obs.Expo {
 	})
 	e.Gauge("beyondcache_hint_directory_lag_objects",
 		"Updates enqueued locally but not yet delivered to every peer: pending records plus the deepest sender queue.",
-		float64(n.pend.len()+maxQueued))
+		float64(loc.pending+maxQueued))
 
 	// Injected-fault counters, one series per fault kind; all zero (but
 	// present) when the node runs without a fault spec.

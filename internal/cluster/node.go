@@ -16,11 +16,9 @@ import (
 	"time"
 
 	"beyondcache/internal/cache"
-	"beyondcache/internal/digest"
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/obs"
-	"beyondcache/internal/overlay"
 	"beyondcache/internal/resilience"
 	"beyondcache/internal/store"
 	"beyondcache/internal/wire"
@@ -81,17 +79,8 @@ type NodeConfig struct {
 	Name string
 	// CacheBytes bounds the object cache (<= 0 means 64 MB).
 	CacheBytes int64
-	// CacheShards is the lock-stripe count of the object cache (rounded
-	// up to a power of two; <= 0 picks a default sized to GOMAXPROCS).
-	// One shard serializes all object accesses behind a single mutex —
-	// the pre-sharding behavior, kept for benchmarks.
-	CacheShards int
-	// HintEntries and HintWays shape the hint table (defaults 65536 x 4).
+	// HintEntries sizes the 4-way hint table (<= 0 means 65536).
 	HintEntries int
-	HintWays    int
-	// HintStripes is the lock-stripe count of the hint table (rounded up
-	// to a power of two; <= 0 picks a default sized to GOMAXPROCS).
-	HintStripes int
 	// OriginURL is the origin server's base URL.
 	OriginURL string
 	// UpdateInterval is the mean delay between hint-update batches. The
@@ -99,44 +88,31 @@ type NodeConfig struct {
 	// avoid synchronization effects (Section 3.2 cites Floyd & Jacobson).
 	// Zero means 1 second. In digest mode it is the digest pull interval.
 	UpdateInterval time.Duration
-	// HintQueue bounds the pending hint queues in records (<= 0 means
-	// 8192): both the node-level queue feeding the batcher and each
-	// per-peer sender queue. Overflow drops the oldest informs first
-	// (invalidates are preserved) and is counted in /metrics. It also
-	// sizes the /updates body limit (HintQueue x 20 bytes, floor 1 MB).
-	HintQueue int
-	// DigestWorkers bounds concurrent peer digest pulls in digest mode
-	// (<= 0 means 4).
-	DigestWorkers int
 	// Seed feeds the update-interval jitter.
 	Seed int64
 
 	// UseDigests switches the node from exact hint records to pulling
 	// Bloom-filter cache digests from its peers (the Summary Cache /
-	// Squid Cache Digests alternative). DigestCapacity and
-	// DigestBitsPerEntry size each digest (defaults 8192 entries x 8
-	// bits).
-	UseDigests         bool
-	DigestCapacity     int
-	DigestBitsPerEntry float64
+	// Squid Cache Digests alternative). DigestCapacity sizes each digest
+	// in entries (<= 0 means 8192), at 8 bits an entry.
+	UseDigests     bool
+	DigestCapacity int
 	// WireCompress flate-compresses metadata frames (hint batches, digest
 	// snapshots and deltas) that reach wireCompressMin bytes. Off by
 	// default: the framing layer is zero-copy either way, and most
 	// metadata payloads are small or incompressible.
 	WireCompress bool
 
-	// HintPartition partitions the hint directory over the fleet: instead
-	// of broadcasting every hint record to every peer, each object's
-	// records route to its owner set — the object's Plaxton root plus
-	// ring successors over the live membership (internal/overlay) — so
-	// per-node directory memory and update fanout are O(R/N). The miss
-	// path consults the local directory first and then the object's hint
-	// home (one extra breaker-gated, hedged hop). Off keeps the broadcast
+	// HintReplicas > 0 partitions the hint directory over the fleet:
+	// instead of broadcasting every hint record to every peer, each
+	// object's records route to its owner set of R = HintReplicas nodes
+	// (capped at overlay.MaxReplicas) — the object's Plaxton root plus ring
+	// successors over the live membership (internal/overlay) — so per-node
+	// directory memory and update fanout are O(R/N). The miss path
+	// consults the local directory first and then the object's hint home
+	// (one extra breaker-gated, hedged hop). 0 keeps the broadcast
 	// behavior. Mutually exclusive with UseDigests (digests are already a
 	// non-directory design). See DESIGN.md §14.
-	HintPartition bool
-	// HintReplicas is the owner-set size R in partition mode (<= 0 means
-	// 2, capped at overlay.MaxReplicas).
 	HintReplicas int
 
 	// PeerTimeout bounds one cache-to-cache probe (<= 0 means 2s). A
@@ -151,10 +127,6 @@ type NodeConfig struct {
 	// be abandoned). 0 means the 50ms default; negative disables
 	// hedging, restoring the sequential peer-then-origin path.
 	HedgeBudget time.Duration
-	// Breaker parameterizes the per-peer circuit breakers (zero value
-	// picks the resilience defaults: 10-outcome window, 0.5 failure
-	// threshold, 3 min samples, 5s cooldown).
-	Breaker resilience.BreakerConfig
 
 	// FaultSpec is a fault-DSL spec (internal/faults) applied to every
 	// outbound request; FaultSeed seeds its randomness. Faults, when
@@ -176,12 +148,9 @@ type NodeConfig struct {
 	// recorded in the /debug/spans ring: 0 picks the default (1/64),
 	// anything >= 1 records every request, negative disables ring
 	// capture. The X-Trace response header is unconditional — sampling
-	// only gates the in-memory ring.
+	// only gates the in-memory ring (4096 spans); unsampled requests
+	// record nothing and allocate nothing.
 	TraceSample float64
-	// SpanRing bounds the structured-span ring behind /debug/spans,
-	// rounded up to a power of two (<= 0 means 4096 spans). Unsampled
-	// requests record nothing and allocate nothing.
-	SpanRing int
 
 	// CacheDir enables the persistent disk tier: memory evictions spill
 	// (write-behind) into a segment-log store under this directory,
@@ -199,9 +168,6 @@ type NodeConfig struct {
 	// CompressMin flate-compresses spilled bodies of at least this many
 	// bytes (<= 0 disables compression).
 	CompressMin int64
-	// RecoveryWorkers bounds the boot recovery scan's worker pool (<= 0
-	// means 4).
-	RecoveryWorkers int
 }
 
 // Stats counts node activity.
@@ -267,8 +233,9 @@ type Stats struct {
 	DigestDeltaOps   int64 `json:"digestDeltaOps"`
 	// WireHintBytes counts framed hint-batch bytes successfully POSTed to
 	// /updates targets (after optional compression — actual wire bytes).
-	// In partition mode the same bytes land in WireHintBytesPartitioned
-	// instead, so the two modes' wire costs stay separately comparable.
+	// Under the partitioned locator the same bytes land in
+	// WireHintBytesPartitioned instead, so the two wire costs stay
+	// separately comparable.
 	WireHintBytes            int64 `json:"wireHintBytes"`
 	WireHintBytesPartitioned int64 `json:"wireHintBytesPartitioned"`
 	// HintHomeHits/Misses/Errors classify hint-home consults on the miss
@@ -448,61 +415,14 @@ type Node struct {
 	hints *hintcache.Striped
 	// flights collapses duplicate in-flight fills per URL.
 	flights flightGroup[fetchOutcome]
+	// loc is the metadata path (see locator), chosen once in NewNode.
+	loc locator
 
-	// pend is the bounded coalescing queue of hint updates awaiting the
-	// next batch round (at most one record per object; see pendq).
-	pend *pendq
-
-	// peerMu guards the peer table and sender table.
+	// peerMu guards the peer table.
 	peerMu sync.RWMutex
 	peers  map[uint64]string // machine ID -> base URL
-	// peerOrder fixes a deterministic scan order for digest lookups.
+	// peerOrder fixes a deterministic scan order (AddPeer order).
 	peerOrder []uint64
-	// senders holds one running peerSender per peer, keyed by base URL
-	// and created eagerly so /metrics exposes every queue from the first
-	// scrape.
-	senders map[string]*peerSender
-
-	// overlay is the partitioned hint directory's live routing plane (nil
-	// in broadcast mode); mbr tracks the per-peer liveness evidence that
-	// feeds it; homedView is the membership view the directory was last
-	// re-homed against — syncMembership compares it to the overlay's
-	// current view and runs one incremental re-homing pass per version
-	// step. See members.go.
-	overlay   *overlay.Overlay
-	mbr       membership
-	homedView atomic.Pointer[overlay.View]
-
-	// digestMu guards the digest state (own and pulled). The node's own
-	// digest is a counting filter maintained incrementally: digestTrack
-	// converts every cache residency transition into an add/remove against
-	// own plus a journal entry, so GET /digest never rebuilds from cache
-	// contents. ownPresent is the exact resident set backing it — the
-	// dedup layer (refreshes of an already-resident object are not
-	// transitions) and the rebuild source when a counter saturates.
-	// digestGen remembers each peer digest's generation wall clock (from
-	// its X-Digest-Generated stamp) so the next pull can observe how stale
-	// the snapshot it replaces had become; peerCursor is the journal
-	// cursor to present on the next delta pull from each peer.
-	digestMu    sync.RWMutex
-	own         *digest.Counting
-	ownPresent  map[uint64]struct{}
-	journal     *digest.Journal
-	peerDigests map[uint64]*digest.Counting
-	peerCursor  map[uint64]uint64
-	digestGen   map[uint64]int64
-	// snapGen/snapFrame cache the framed full-snapshot encoding at journal
-	// generation snapGen (snapValid distinguishes a cached empty-journal
-	// snapshot from no cache); digestFlight coalesces concurrent snapshot
-	// builds so a scrape stampede marshals once. snapBuilds counts builds
-	// (read by the coalescing test).
-	snapGen      uint64
-	snapValid    bool
-	snapFrame    []byte
-	digestFlight flightGroup[digestSnap]
-	snapBuilds   atomic.Int64
-	// digestSeq numbers the digest snapshots this node serves.
-	digestSeq atomic.Int64
 
 	stats counters
 	hist  nodeHists
@@ -527,19 +447,12 @@ type Node struct {
 
 	// breakers holds one circuit breaker per peer (keyed by base URL),
 	// created eagerly in AddPeer; backoff paces metadata-path retries;
-	// inj is the outbound fault injector (nil without chaos). The
-	// resolved per-hop budgets live beside them.
-	breakers      *resilience.BreakerSet
-	backoff       *resilience.Backoff
-	inj           *faults.Injector
-	inboundInj    *faults.Injector
-	peerTimeout   time.Duration
-	originTimeout time.Duration
-	hedgeBudget   time.Duration
-	digestWorkers int
-	// updatesLimit bounds a POST /updates body (bytes); larger bodies
-	// are refused with 413 instead of silently truncated.
-	updatesLimit int64
+	// inj is the outbound fault injector (nil without chaos). The per-hop
+	// budgets are cfg's, resolved in NewNode.
+	breakers   *resilience.BreakerSet
+	backoff    *resilience.Backoff
+	inj        *faults.Injector
+	inboundInj *faults.Injector
 
 	machineID uint64
 	// nodeLabel names the node in hop segments and request IDs: the
@@ -568,29 +481,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.HintEntries <= 0 {
 		cfg.HintEntries = 65536
 	}
-	if cfg.HintWays <= 0 {
-		cfg.HintWays = 4
-	}
 	if cfg.UpdateInterval <= 0 {
 		cfg.UpdateInterval = time.Second
-	}
-	if cfg.HintQueue <= 0 {
-		cfg.HintQueue = 8192
-	}
-	if cfg.DigestWorkers <= 0 {
-		cfg.DigestWorkers = 4
-	}
-	if err := validateDigestConfig(&cfg); err != nil {
-		return nil, err
-	}
-	if cfg.HintReplicas <= 0 {
-		cfg.HintReplicas = 2
-	}
-	if cfg.HintReplicas > overlay.MaxReplicas {
-		cfg.HintReplicas = overlay.MaxReplicas
-	}
-	if cfg.HintPartition && cfg.UseDigests {
-		return nil, fmt.Errorf("cluster: node %q: HintPartition and UseDigests are mutually exclusive (digests already replace the hint directory)", cfg.Name)
 	}
 	sample := cfg.TraceSample
 	if sample == 0 {
@@ -612,50 +504,38 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 		}
 	}
-	peerTimeout := cfg.PeerTimeout
-	if peerTimeout <= 0 {
-		peerTimeout = 2 * time.Second
+	if cfg.PeerTimeout <= 0 {
+		cfg.PeerTimeout = 2 * time.Second
 	}
-	originTimeout := cfg.OriginTimeout
-	if originTimeout <= 0 {
-		originTimeout = 10 * time.Second
+	if cfg.OriginTimeout <= 0 {
+		cfg.OriginTimeout = 10 * time.Second
 	}
-	hedgeBudget := cfg.HedgeBudget
-	if hedgeBudget == 0 {
-		hedgeBudget = 50 * time.Millisecond
-	}
-	updatesLimit := int64(cfg.HintQueue) * hintcache.UpdateSize
-	if updatesLimit < 1<<20 {
-		updatesLimit = 1 << 20
+	if cfg.HedgeBudget == 0 {
+		cfg.HedgeBudget = 50 * time.Millisecond
 	}
 	n := &Node{
-		cfg:           cfg,
-		data:          cache.NewSharded(cfg.CacheShards, cfg.CacheBytes),
-		hints:         hintcache.NewStriped(cfg.HintEntries, cfg.HintWays, cfg.HintStripes),
-		hist:          newNodeHists(),
-		hintLag:       obs.NewHistogramVec(nil),
-		digestStale:   obs.NewHistogramVec(nil),
-		spans:         obs.NewSpanRing(cfg.SpanRing),
-		sampler:       obs.NewSampler(sample),
-		pend:          newPendq(cfg.HintQueue),
-		peers:         make(map[uint64]string),
-		senders:       make(map[string]*peerSender),
-		nodeLabel:     cfg.Name,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		breakers:      resilience.NewBreakerSet(cfg.Breaker),
-		backoff:       resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
-		inj:           inj,
-		inboundInj:    inboundInj,
-		peerTimeout:   peerTimeout,
-		originTimeout: originTimeout,
-		hedgeBudget:   hedgeBudget,
-		digestWorkers: cfg.DigestWorkers,
-		updatesLimit:  updatesLimit,
-		client:        newClient(cfg.Transport, inj),
-		stopBatch:     make(chan struct{}),
-		batchDone:     make(chan struct{}),
-		srvDone:       make(chan struct{}),
-		recoveryDone:  make(chan struct{}),
+		cfg: cfg,
+		// Shard, stripe, ring and breaker shapes are the callees' own
+		// defaults; the hint table is the paper's 4-way one.
+		data:         cache.NewSharded(0, cfg.CacheBytes),
+		hints:        hintcache.NewStriped(cfg.HintEntries, 4, 0),
+		hist:         newNodeHists(),
+		hintLag:      obs.NewHistogramVec(nil),
+		digestStale:  obs.NewHistogramVec(nil),
+		spans:        obs.NewSpanRing(0),
+		sampler:      obs.NewSampler(sample),
+		peers:        make(map[uint64]string),
+		nodeLabel:    cfg.Name,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		breakers:     resilience.NewBreakerSet(resilience.BreakerConfig{}),
+		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
+		inj:          inj,
+		inboundInj:   inboundInj,
+		client:       newClient(cfg.Transport, inj),
+		stopBatch:    make(chan struct{}),
+		batchDone:    make(chan struct{}),
+		srvDone:      make(chan struct{}),
+		recoveryDone: make(chan struct{}),
 	}
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir, store.Options{
@@ -670,33 +550,21 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		// fails verification — is no longer locally resident, so its hints
 		// must be withdrawn.
 		n.tier = store.NewTier(n.data, st, cfg.SpillQueue, func(o cache.Object) {
-			n.queueInvalidate(o.ID)
+			n.loc.publish(o.ID, false)
 		})
 	}
-	if cfg.HintPartition {
-		ov, err := overlay.New(overlayBits, cfg.HintReplicas)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
-		}
-		n.overlay = ov
-		n.mbr.fails = make(map[string]int)
-		n.mbr.contact = make(map[string]uint64)
+	// The one place that knows there is more than one mechanism.
+	var err error
+	switch {
+	case cfg.UseDigests:
+		n.loc, err = newDigestLocator(n, cfg.DigestCapacity, cfg.HintReplicas)
+	case cfg.HintReplicas > 0:
+		n.loc, err = newPartitionLocator(n, cfg.HintReplicas)
+	default:
+		n.loc = newHintPlane(n, &n.stats.wireHintBytes)
 	}
-	if cfg.UseDigests {
-		own, err := digest.NewCountingForCapacity(cfg.DigestCapacity, cfg.DigestBitsPerEntry)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
-		}
-		n.own = own
-		n.ownPresent = make(map[uint64]struct{})
-		jcap := cfg.DigestCapacity
-		if jcap < 1024 {
-			jcap = 1024
-		}
-		n.journal = digest.NewJournal(jcap)
-		n.peerDigests = make(map[uint64]*digest.Counting)
-		n.peerCursor = make(map[uint64]uint64)
-		n.digestGen = make(map[uint64]int64)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}
 	// Capacity evictions either spill to the disk tier (hints stay valid:
 	// the object is still locally resident) or, memory-only, advertise
@@ -708,21 +576,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			n.tier.Spill(o, body)
 			return
 		}
-		n.queueInvalidate(o.ID)
+		n.loc.publish(o.ID, false)
 	})
 	return n, nil
-}
-
-// enqueueLocal folds one locally generated update into the pending queue,
-// counting coalesces and bound-overflow drops.
-func (n *Node) enqueueLocal(u hintcache.Update) {
-	coalesced, dropped := n.pend.add(u)
-	if coalesced {
-		n.stats.coalesced.Add(1)
-	}
-	if dropped {
-		n.stats.pendingDropped.Add(1)
-	}
 }
 
 // Handler returns the node's HTTP handler. Most callers use Start, which
@@ -759,12 +615,7 @@ func (n *Node) Start(addr string) error {
 		return fmt.Errorf("cluster: node %q listen: %w", n.cfg.Name, err)
 	}
 	n.lis = lis
-	n.machineID = hintcache.HashMachine(lis.Addr().String())
-	if n.nodeLabel == "" {
-		n.nodeLabel = lis.Addr().String()
-	}
-	n.initOverlay()
-
+	n.boot(lis.Addr().String())
 	n.srv = &http.Server{
 		Handler:           n.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -774,8 +625,6 @@ func (n *Node) Start(addr string) error {
 		defer close(n.srvDone)
 		_ = n.srv.Serve(lis)
 	}()
-	go n.batchLoop()
-	go n.recoverDisk()
 	return nil
 }
 
@@ -785,35 +634,41 @@ func (n *Node) Start(addr string) error {
 // usual; it stops the batcher and leaves the caller's server alone.
 func (n *Node) Bind(baseURL string) {
 	n.extURL = baseURL
-	n.machineID = hintcache.HashMachine(hostPortOf(baseURL))
+	n.boot(hostPortOf(baseURL))
+}
+
+// boot fixes the node's identity from its served address and starts the
+// batcher and the disk recovery.
+func (n *Node) boot(hostport string) {
+	n.machineID = hintcache.HashMachine(hostport)
 	if n.nodeLabel == "" {
-		n.nodeLabel = hostPortOf(baseURL)
+		n.nodeLabel = hostport
 	}
-	n.initOverlay()
+	n.loc.sync()
 	go n.batchLoop()
 	go n.recoverDisk()
 }
 
 // recoverDisk is the boot-time disk recovery: rebuild the on-disk index
 // (walking each log segment up to its first invalid or torn record) and
-// republish every recovered object into the hint plane through the
-// pending queue, then flush so peers re-learn a restarted node's contents
-// within one update interval instead of waiting out a cold start. Runs
-// after Start/Bind fixes machineID — the informs must carry it. Recovered
-// objects become visible to fill() incrementally as the scan proceeds.
+// republish every recovered object through the locator, then run a round
+// so peers re-learn a restarted node's contents within one update interval
+// instead of waiting out a cold start. Runs after Start/Bind fixes
+// machineID — the informs must carry it. Recovered objects become visible
+// to fill() incrementally as the scan proceeds.
 func (n *Node) recoverDisk() {
 	defer close(n.recoveryDone)
 	if n.tier == nil {
 		return
 	}
-	st := n.tier.Recover(n.cfg.RecoveryWorkers, func(o cache.Object) {
-		n.queueInform(o.ID)
+	st := n.tier.Recover(0, func(o cache.Object) { // 0: the store's default of 4 workers
+		n.loc.publish(o.ID, true)
 	})
 	n.recoveryMu.Lock()
 	n.recovery = st
 	n.recoveryMu.Unlock()
 	if st.Objects > 0 {
-		n.flushAsync()
+		n.loc.round(false)
 	}
 }
 
@@ -867,33 +722,44 @@ func (n *Node) URL() string {
 // MachineID returns the node's 8-byte machine identifier.
 func (n *Node) MachineID() uint64 { return n.machineID }
 
-// AddPeer registers a peer node by base URL ("http://host:port"). Hint
-// updates are broadcast to all peers, and hints pointing at a peer are
-// resolved through this table.
+// AddPeer registers a peer node by base URL ("http://host:port"): the
+// locator exchanges metadata with every peer in this table, and machine IDs
+// naming one resolve through it.
 func (n *Node) AddPeer(baseURL string) {
-	hostport := hostPortOf(baseURL)
-	id := hintcache.HashMachine(hostport)
+	id := hintcache.HashMachine(hostPortOf(baseURL))
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
 	if _, known := n.peers[id]; !known {
 		n.peerOrder = append(n.peerOrder, id)
 	}
 	n.peers[id] = baseURL
-	// Eagerly create the peer's breaker and sender so /metrics exposes
-	// their state from the first scrape, not the first failure or flush.
+	// Eagerly create the peer's breaker so /metrics exposes its state from
+	// the first scrape, not the first failure.
 	n.breakers.Get(baseURL)
-	n.senderLocked(baseURL)
 }
 
-// senderLocked returns the running sender for a target, creating it on
-// first sight. Callers hold peerMu in write mode.
-func (n *Node) senderLocked(baseURL string) *peerSender {
-	s, ok := n.senders[baseURL]
-	if !ok {
-		s = newPeerSender(n, baseURL, n.cfg.HintQueue)
-		n.senders[baseURL] = s
+// peerURL resolves a machine ID to its base URL ("" when unknown).
+func (n *Node) peerURL(machine uint64) string {
+	n.peerMu.RLock()
+	defer n.peerMu.RUnlock()
+	return n.peers[machine]
+}
+
+// peerRef is one row of the peer table.
+type peerRef struct {
+	id  uint64
+	url string
+}
+
+// peerList snapshots the peer table in AddPeer order.
+func (n *Node) peerList() []peerRef {
+	n.peerMu.RLock()
+	defer n.peerMu.RUnlock()
+	peers := make([]peerRef, 0, len(n.peerOrder))
+	for _, id := range n.peerOrder {
+		peers = append(peers, peerRef{id: id, url: n.peers[id]})
 	}
-	return s
+	return peers
 }
 
 // hostPortOf strips an "http://" prefix.
@@ -911,7 +777,7 @@ func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		// Wait out the boot recovery scan first: its republish rides the
-		// hint plane, which shuts down below, and a restart test reusing
+		// locator, which shuts down below, and a restart test reusing
 		// the same cache dir must not race a still-running scan.
 		<-n.recoveryDone
 		if n.tier != nil {
@@ -921,18 +787,11 @@ func (n *Node) Close() error {
 		}
 		close(n.stopBatch)
 		<-n.batchDone
-		// The batcher's final synchronous flush has completed; stop the
-		// per-peer senders (anything still queued on a failing target
-		// has already burned its retry budget).
-		n.peerMu.RLock()
-		senders := make([]*peerSender, 0, len(n.senders))
-		for _, s := range n.senders {
-			senders = append(senders, s)
-		}
-		n.peerMu.RUnlock()
-		for _, s := range senders {
-			s.shutdown()
-		}
+		n.loc.close()
+		// Connections this node dialed but never used sit in StateNew at
+		// the peer's server, whose Shutdown will not reap them for 5 s: a
+		// closing process must not leave them behind.
+		n.client.CloseIdleConnections()
 		if n.srv == nil {
 			return
 		}
@@ -972,26 +831,20 @@ func (n *Node) Breakers() map[string]resilience.BreakerStats {
 // targets mid-run (Injector.SetSpec).
 func (n *Node) FaultInjector() *faults.Injector { return n.inj }
 
-// batchLoop periodically flushes pending hint updates to all peers, with a
-// randomized period to avoid synchronization. Periodic rounds distribute to
-// the per-peer senders without waiting for delivery — a target burning its
-// retry budget never delays the next round, so healthy peers keep receiving
-// hints at the configured interval. The final round on shutdown is
-// synchronous so Close does not abandon queued updates untried.
+// batchLoop runs the locator's periodic metadata round, with a randomized
+// period to avoid synchronization. Periodic rounds do not wait for delivery;
+// the final round on shutdown does, so Close does not abandon queued updates
+// untried.
 func (n *Node) batchLoop() {
 	defer close(n.batchDone)
 	for {
 		interval := n.jitteredInterval()
 		select {
 		case <-n.stopBatch:
-			n.exchange()
+			n.loc.round(true)
 			return
 		case <-time.After(interval):
-			if n.cfg.UseDigests {
-				n.PullDigests()
-			} else {
-				n.flushAsync()
-			}
+			n.loc.round(false)
 		}
 	}
 }
@@ -1003,112 +856,17 @@ func (n *Node) jitteredInterval() time.Duration {
 	return time.Duration(float64(n.cfg.UpdateInterval) * f)
 }
 
-// exchange performs one metadata round: hint-update flush, or digest pull.
-func (n *Node) exchange() {
-	if n.cfg.UseDigests {
-		n.PullDigests()
-		return
-	}
-	n.Flush()
-}
+// Flush runs one metadata round now — a hint flush, or a digest pull — and
+// waits until every peer's share has been delivered (or abandoned). Tests
+// call it to avoid sleeping.
+func (n *Node) Flush() { n.loc.round(true) }
 
-// distribute drains the pending queue and hands the batch to every
-// target's sender. It returns the senders together with the generation to
-// wait on for this round's delivery, plus the record count. With an empty
-// batch nothing is enqueued; the returned generations make waiting a
-// barrier on whatever the senders already had in flight.
-//
-// In partition mode the round starts with a membership sync (so any
-// re-homing informs it enqueues ride this same round) and records route to
-// their owner sets instead of broadcasting.
-func (n *Node) distribute() (senders []*peerSender, seqs []int64, records int) {
-	if n.partitioned() {
-		n.syncMembership()
-		batch, stampNs := n.pend.drain(nil)
-		return n.distributePartitioned(batch, stampNs)
-	}
-	batch, stampNs := n.pend.drain(nil)
-
-	n.peerMu.RLock()
-	for _, id := range n.peerOrder {
-		senders = append(senders, n.senders[n.peers[id]])
-	}
-	n.peerMu.RUnlock()
-
-	seqs = make([]int64, len(senders))
-	for i, s := range senders {
-		if len(batch) > 0 {
-			seqs[i] = s.enqueue(batch, stampNs)
-		} else {
-			seqs[i] = s.currentSeq()
-		}
-	}
-	return senders, seqs, len(batch)
-}
-
-// Flush sends all pending hint updates to every peer immediately and waits
-// until each target's sender has delivered (or abandoned) them. It is also
-// called by the batcher's final round; tests call it directly to avoid
-// sleeping. The fan-out is concurrent — one sender per target — so a round
-// costs the slowest target, not the sum of all targets. Rounds that
-// actually send something are timed into the flush histogram (empty rounds
-// would swamp it with no-ops).
-func (n *Node) Flush() {
-	start := time.Now()
-	senders, seqs, records := n.distribute()
-	for i, s := range senders {
-		s.wait(seqs[i])
-	}
-	if records > 0 && len(senders) > 0 {
-		n.hist.flush.Observe(time.Since(start))
-	}
-}
-
-// flushAsync distributes the pending batch to the senders without waiting
-// for delivery — the batcher's periodic round. A goroutine waits out the
-// round solely to time it into the flush histogram.
-func (n *Node) flushAsync() {
-	start := time.Now()
-	senders, seqs, records := n.distribute()
-	if records == 0 || len(senders) == 0 {
-		return
-	}
-	go func() {
-		for i, s := range senders {
-			s.wait(seqs[i])
-		}
-		n.hist.flush.Observe(time.Since(start))
-	}()
-}
-
-// queueInform records a local copy and schedules its advertisement, and
-// feeds the residency transition into the incremental digest.
-func (n *Node) queueInform(urlHash uint64) {
-	n.digestTrack(urlHash, true)
-	n.enqueueLocal(hintcache.Update{
-		Action:  hintcache.ActionInform,
-		URLHash: urlHash,
-		Machine: n.machineID,
-	})
-}
-
-// queueInvalidate withdraws an object's advertisement — the object left
-// every local tier — and feeds the departure into the incremental digest.
-func (n *Node) queueInvalidate(urlHash uint64) {
-	n.digestTrack(urlHash, false)
-	n.enqueueLocal(hintcache.Update{
-		Action:  hintcache.ActionInvalidate,
-		URLHash: urlHash,
-		Machine: n.machineID,
-	})
-}
-
-// store caches a fetched object. PutNewer refuses version downgrades, so a
-// fill that raced with an invalidation and a fresher refill can never
-// clobber the newer copy.
+// store caches a fetched object and publishes the new residency. PutNewer
+// refuses version downgrades, so a fill that raced with an invalidation and
+// a fresher refill can never clobber the newer copy.
 func (n *Node) store(urlHash uint64, version int64, body []byte) {
 	if n.data.PutNewer(cache.Object{ID: urlHash, Size: int64(len(body)), Version: version}, body) {
-		n.queueInform(urlHash)
+		n.loc.publish(urlHash, true)
 	}
 }
 
@@ -1208,175 +966,6 @@ func (n *Node) finishFetch(w http.ResponseWriter, reqID string, start time.Time,
 	hdr[headerRequestID] = []string{reqID}
 	hdr[headerTrace] = []string{obs.FormatChain(upstream, term)}
 	serveObject(w, how, version, body)
-}
-
-// fill resolves a cache miss as the singleflight leader: peer transfer if a
-// hint or digest points somewhere (raced against the origin under the hedge
-// budget), origin otherwise. Leader-side stats are counted here so waiters
-// sharing the outcome do not double-count them.
-func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
-	// Re-check the cache: the object may have been filled between the
-	// caller's miss and winning flight leadership.
-	if obj, body, ok := n.data.Get(h); ok {
-		n.stats.localHits.Add(1)
-		return fetchOutcome{how: "LOCAL", version: obj.Version, body: body}
-	}
-
-	// Disk tier: a spilled object is still a local hit — promoted back
-	// into memory by the read — just a slower one. Probing here keeps
-	// the memory-tier hot path (handleFetch) untouched: only flight
-	// leaders, already off the fast path, pay the disk lookup.
-	if n.tier != nil {
-		if obj, body, ok := n.tier.Get(h); ok {
-			n.stats.localHits.Add(1)
-			n.stats.diskHits.Add(1)
-			return fetchOutcome{how: "LOCAL-DISK", version: obj.Version, body: body}
-		}
-	}
-
-	// Local metadata lookup (the find-nearest command). Misses are
-	// detected locally in broadcast and digest modes: no hint or digest
-	// match means go straight to the origin. In partition mode a local
-	// miss is only authoritative when this node is one of the object's
-	// hint homes; otherwise the home is consulted — one extra hop, hedged
-	// against the origin so it can never slow the miss down.
-	var peerURL string
-	var holder uint64
-	if n.cfg.UseDigests {
-		peerURL = n.digestPeer(h)
-	} else if machine, ok := n.hints.Lookup(h); ok && machine != n.machineID {
-		holder = machine
-		n.peerMu.RLock()
-		peerURL = n.peers[machine]
-		n.peerMu.RUnlock()
-	} else if !ok && n.partitioned() {
-		if homeURL := n.hintHomeFor(h); homeURL != "" {
-			return n.fillViaHome(h, url, reqID, homeURL, sampled)
-		}
-	}
-
-	var hops []obs.Hop
-	if peerURL != "" {
-		br := n.breakers.Get(peerURL)
-		if br.Allow() {
-			return n.fillRaced(h, url, reqID, peerURL, holder, br, sampled)
-		}
-		// The peer's breaker is open: a known-bad peer must not cost
-		// this request anything. Straight to the origin, hint kept —
-		// the half-open probe will revalidate the peer later.
-		n.stats.breakerSkips.Add(1)
-		hops = append(hops, obs.Hop{Node: hostPortOf(peerURL), Outcome: "BREAKER-SKIP"})
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), n.originTimeout)
-	defer cancel()
-	got, err := n.fetchOrigin(ctx, url, reqID, sampled)
-	if err != nil {
-		return fetchOutcome{err: err}
-	}
-	hops = append(hops, got.hops...)
-	n.store(h, got.version, got.body)
-	n.stats.misses.Add(1)
-	return fetchOutcome{how: "MISS", version: got.version, body: got.body, hops: hops}
-}
-
-// fillRaced resolves a miss whose hint points at peerURL. The peer probe
-// runs under its own deadline; if it stays silent past the hedge budget
-// the origin fetch starts in parallel and the first success wins (a
-// negative budget keeps the pre-resilience sequential path). Either way a
-// failed or abandoned peer demotes the hint and feeds the breaker, so a
-// dead peer's hints stop costing anything — the paper's principles 1–2
-// enforced under faults: a stale hint must never make a request slower
-// than going straight to the origin.
-func (n *Node) fillRaced(h uint64, url, reqID, peerURL string, holder uint64, br *resilience.Breaker, sampled bool) fetchOutcome {
-	peerHost := hostPortOf(peerURL)
-	probeStart := time.Now()
-	// The probe's elapsed time is written by the primary goroutine and
-	// read by this one only after the race reports the primary done
-	// (atomic to cover the abandoned-primary case).
-	var probeNS atomic.Int64
-	primary := func(ctx context.Context) (fetched, error) {
-		pctx, cancel := context.WithTimeout(ctx, n.peerTimeout)
-		defer cancel()
-		got, err := n.fetchPeer(pctx, peerURL, url, reqID, sampled)
-		probeNS.Store(int64(time.Since(probeStart)))
-		return got, err
-	}
-	fallback := func(ctx context.Context) (fetched, error) {
-		octx, cancel := context.WithTimeout(ctx, n.originTimeout)
-		defer cancel()
-		return n.fetchOrigin(octx, url, reqID, sampled)
-	}
-	r := resilience.Race(context.Background(), n.hedgeBudget, primary, fallback)
-	if r.Hedged {
-		n.stats.hedgesStarted.Add(1)
-	}
-	switch r.Winner {
-	case resilience.PrimaryWon:
-		br.Record(true)
-		if r.Hedged {
-			n.stats.hedgePeerWins.Add(1)
-		}
-		n.store(h, r.Value.version, r.Value.body)
-		n.stats.remoteHits.Add(1)
-		return fetchOutcome{how: "REMOTE", version: r.Value.version, body: r.Value.body, hops: r.Value.hops}
-
-	case resilience.FallbackWon:
-		// The peer never answered inside the budget and the origin beat
-		// it: abandon the transfer, demote the hint, mark the peer
-		// unhealthy so later requests skip it.
-		br.Record(false)
-		n.stats.hedgeOriginWins.Add(1)
-		n.demoteHint(h, holder)
-		probe := time.Since(probeStart)
-		n.hist.falsePositive.Observe(probe)
-		hops := append([]obs.Hop{{Node: peerHost, Outcome: "PEER-ABANDON", Elapsed: probe}}, r.Value.hops...)
-		n.store(h, r.Value.version, r.Value.body)
-		n.stats.misses.Add(1)
-		return fetchOutcome{how: "MISS,HEDGE", version: r.Value.version, body: r.Value.body, hops: hops}
-
-	case resilience.FallbackAfterPrimary:
-		// Stale hint or digest false positive: the peer definitively
-		// rejected (or errored) and the origin served. Pay the wasted
-		// probe, drop the exact hint (digests cannot delete), never
-		// search further (Section 3.1.1).
-		br.Record(false)
-		if r.Hedged {
-			n.stats.hedgeOriginWins.Add(1)
-		}
-		n.demoteHint(h, holder)
-		probe := time.Duration(probeNS.Load())
-		n.hist.falsePositive.Observe(probe)
-		n.stats.falsePositives.Add(1)
-		hops := append([]obs.Hop{{Node: peerHost, Outcome: "PEER-REJECT", Elapsed: probe}}, r.Value.hops...)
-		n.store(h, r.Value.version, r.Value.body)
-		n.stats.misses.Add(1)
-		return fetchOutcome{how: "MISS,STALE-HINT", version: r.Value.version, body: r.Value.body, hops: hops}
-
-	default: // BothFailed
-		br.Record(false)
-		return fetchOutcome{err: fmt.Errorf("peer: %v; origin: %w", r.PrimaryErr, r.Err)}
-	}
-}
-
-// demoteHint drops the exact hint for h (digest mode has nothing to
-// delete — the stale bit ages out at the next digest pull). In partition
-// mode the authoritative record lives at the object's hint homes, so a
-// routed machine-matched invalidate withdraws the stale record there too;
-// machine-matched so a home that already learned of a fresher holder
-// keeps it.
-func (n *Node) demoteHint(h, machine uint64) {
-	if n.cfg.UseDigests {
-		return
-	}
-	n.hints.Delete(h, 0)
-	if n.partitioned() && machine != 0 {
-		n.enqueueLocal(hintcache.Update{
-			Action:  hintcache.ActionInvalidate,
-			URLHash: h,
-			Machine: machine,
-		})
-	}
 }
 
 // handleObject is the cache-to-cache path: GET /object?url=U serves only
@@ -1505,9 +1094,13 @@ func readUpdatesBody(buf *bytes.Buffer, r *http.Request, limit int64) (status in
 	return 0, nil
 }
 
-// handleUpdates ingests a batch of hint updates: POST /updates. The body
-// limit is sized from the hint-queue cap (a batch can never legitimately
-// exceed one full queue), records from this node are filtered out (our own
+// updatesLimit bounds the record bytes of one POST /updates body (a full
+// hintQueueCap batch is 160 KB); larger bodies are refused with 413 instead
+// of silently truncated.
+const updatesLimit = 1 << 20
+
+// handleUpdates ingests a batch of hint updates: POST /updates. Records
+// from this node are filtered out (our own
 // copies are tracked by the data cache), and the rest apply through
 // ApplyBatch, which takes each hint-table stripe lock once per batch
 // instead of once per record.
@@ -1522,7 +1115,7 @@ func (n *Node) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// The body limit admits one frame header over the record limit; the
 	// record bytes the frame declares are held to updatesLimit by
 	// unframeUpdates.
-	if status, err := readUpdatesBody(buf, r, n.updatesLimit+wire.HeaderSize); err != nil {
+	if status, err := readUpdatesBody(buf, r, updatesLimit+wire.HeaderSize); err != nil {
 		if status == http.StatusRequestEntityTooLarge {
 			n.stats.oversizeRejects.Add(1)
 		}
@@ -1531,7 +1124,7 @@ func (n *Node) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	payloadBuf := updatesPayloadPool.Get().(*[]byte)
 	defer updatesPayloadPool.Put(payloadBuf)
-	msg, pb, status, err := unframeUpdates(buf.Bytes(), n.updatesLimit, *payloadBuf)
+	msg, pb, status, err := unframeUpdates(buf.Bytes(), updatesLimit, *payloadBuf)
 	*payloadBuf = pb
 	if err != nil {
 		if status == http.StatusRequestEntityTooLarge {
@@ -1565,10 +1158,10 @@ func (n *Node) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if st, ok := hintcache.ParseStamp(r.Header.Get(headerHintBatch)); ok && from != "" {
 		n.hintLag.Observe(hostPortOf(from), time.Since(time.Unix(0, st.UnixNs)))
 	}
-	// An inbound batch is a sign of life from its sender: feed the
-	// membership tracker so a revived peer rejoins the routing plane
+	// An inbound batch is a sign of life from its sender: a locator that
+	// tracks membership lets a revived peer rejoin the routing plane
 	// without waiting out a probe round.
-	n.noteInboundContact(from)
+	n.loc.contact(from, true)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1596,7 +1189,7 @@ func (n *Node) handlePurge(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not cached", http.StatusNotFound)
 		return
 	}
-	n.queueInvalidate(h)
+	n.loc.publish(h, false)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1607,20 +1200,25 @@ type fetched struct {
 	hops    []obs.Hop
 }
 
-// fetchGet performs one upstream GET under ctx and decodes the object plus
-// the upstream's self-timed hop segment. Sampled requests forward the
+// get issues one upstream GET under ctx. Sampled requests forward the
 // request ID and the sampled flag so the upstream can record its own span
 // group under the same trace ID.
-func (n *Node) fetchGet(ctx context.Context, reqURL, reqID string, sampled bool) (int64, []byte, []obs.Hop, error) {
+func (n *Node) get(ctx context.Context, reqURL, reqID string, sampled bool) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, reqURL, nil)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 	if sampled {
 		req.Header[headerRequestID] = []string{reqID}
 		req.Header[headerTraceSampled] = []string{"1"}
 	}
-	resp, err := n.client.Do(req)
+	return n.client.Do(req)
+}
+
+// fetchGet performs one upstream GET and decodes the object plus the
+// upstream's self-timed hop segment.
+func (n *Node) fetchGet(ctx context.Context, reqURL, reqID string, sampled bool) (int64, []byte, []obs.Hop, error) {
+	resp, err := n.get(ctx, reqURL, reqID, sampled)
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -387,7 +387,6 @@ func TestMetricNamesGolden(t *testing.T) {
 		if i == 0 {
 			cfg.CacheDir = t.TempDir()
 			cfg.CacheBytes = 1500 // origin bodies are 1024 B: two never fit
-			cfg.CacheShards = 1
 		}
 	})
 	tracedFetch(t, f, 0, "http://example.com/g") // populate per-outcome series

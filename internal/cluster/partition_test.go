@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/overlay"
 )
@@ -52,7 +53,7 @@ func startPartFleet(t *testing.T, nodes int, tweak func(*FleetConfig)) *Fleet {
 	})
 	f.FlushAll()
 	for i, n := range f.Nodes {
-		if got := n.homedView.Load().Size(); got != nodes {
+		if got := homedView(n).Size(); got != nodes {
 			t.Fatalf("node %d membership = %d after first sync, want %d", i, got, nodes)
 		}
 	}
@@ -72,13 +73,13 @@ func TestPartitionedRoutingTargetsOwners(t *testing.T) {
 		h := hintcache.HashURL(url)
 
 		var want [overlay.MaxReplicas]uint64
-		owners := f.Nodes[0].homedView.Load().Owners(h, want[:0])
+		owners := homedView(f.Nodes[0]).Owners(h, want[:0])
 		if len(owners) != 2 {
 			t.Fatalf("object %d has %d owners, want R=2", i, len(owners))
 		}
 		for j := 1; j < nodes; j++ {
 			var buf [overlay.MaxReplicas]uint64
-			got := f.Nodes[j].homedView.Load().Owners(h, buf[:0])
+			got := homedView(f.Nodes[j]).Owners(h, buf[:0])
 			if len(got) != len(owners) || got[0] != owners[0] || got[1] != owners[1] {
 				t.Fatalf("node %d owners(%#x) = %v, node 0 says %v", j, h, got, owners)
 			}
@@ -117,7 +118,7 @@ func TestOwnershipFilterRejectsForeignRecords(t *testing.T) {
 	var h uint64
 	for i := 0; ; i++ {
 		h = hintcache.HashURL(fmt.Sprintf("http://part.example/foreign-%d", i))
-		if !n.homedView.Load().IsOwner(h, n.machineID) {
+		if !homedView(n).IsOwner(h, n.machineID) {
 			break
 		}
 	}
@@ -153,7 +154,7 @@ func TestHintHomeConsultResolvesMiss(t *testing.T) {
 	for i := 0; ; i++ {
 		url = fmt.Sprintf("http://part.example/consult-%d", i)
 		h = hintcache.HashURL(url)
-		v := f.Nodes[0].homedView.Load()
+		v := homedView(f.Nodes[0])
 		if !v.IsOwner(h, f.Nodes[0].machineID) && !v.IsOwner(h, f.Nodes[1].machineID) {
 			break
 		}
@@ -179,6 +180,65 @@ func TestHintHomeConsultResolvesMiss(t *testing.T) {
 	}
 	if serves != 1 {
 		t.Errorf("fleet HintHomeServes = %d, want 1", serves)
+	}
+}
+
+// TestHintHomeAbandonedHolderResolvesLikeDirectPath pins the one event the
+// direct and the via-home fills used to resolve differently: the home
+// answers in time, the holder it names stays silent past the hedge budget,
+// the origin wins. As on the direct path the abandoned holder feeds its own
+// breaker, and the PEER-ABANDON hop names the holder — the slow leg — not
+// the home that answered (which keeps its HINT-HOME hop and a healthy
+// breaker).
+func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
+	inj, err := faults.New("", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startPartFleet(t, 8, func(cfg *FleetConfig) {
+		cfg.Faults = inj
+		cfg.HedgeBudget = 20 * time.Millisecond
+	})
+	holder, fetcher := f.Nodes[0], f.Nodes[1]
+	var url string
+	for i := 0; ; i++ {
+		url = fmt.Sprintf("http://part.example/abandon-%d", i)
+		h, v := hintcache.HashURL(url), homedView(holder)
+		if !v.IsOwner(h, holder.machineID) && !v.IsOwner(h, fetcher.machineID) {
+			break
+		}
+	}
+	if _, err := f.Fetch(0, url); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+	holderHost := hostPortOf(holder.URL())
+	if err := f.SetFaultSpec(holderHost + ":latency=500ms"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Fetch(1, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.How != "MISS,HEDGE" || len(res.Hops) < 3 {
+		t.Fatalf("fetch past a silent holder = %q %v, want MISS,HEDGE behind a consult and an abandoned probe", res.How, res.Hops)
+	}
+	consult, abandon := res.Hops[0], res.Hops[1]
+	if consult.Outcome != "HINT-HOME" || consult.Node == holderHost {
+		t.Errorf("first hop = %+v, want the HINT-HOME consult at the home", consult)
+	}
+	if abandon.Outcome != "PEER-ABANDON" || abandon.Node != holderHost {
+		t.Errorf("second hop = %+v, want PEER-ABANDON at the holder %s", abandon, holderHost)
+	}
+	brk := fetcher.Breakers()
+	if got := brk[holder.URL()]; got.Failures != 1 {
+		t.Errorf("abandoned holder's breaker = %+v, want one failure recorded", got)
+	}
+	if got := brk["http://"+consult.Node]; got.Failures != 0 || got.Successes == 0 {
+		t.Errorf("answering home's breaker = %+v, want successes only", got)
+	}
+	if st := fetcher.Stats(); st.HintHomeHits != 1 || st.HedgeOriginWins != 1 {
+		t.Errorf("fetcher stats: HintHomeHits=%d HedgeOriginWins=%d, want 1 and 1", st.HintHomeHits, st.HedgeOriginWins)
 	}
 }
 
@@ -320,7 +380,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 		}
 	}
 	f.FlushAll()
-	viewBefore := f.Nodes[0].homedView.Load()
+	viewBefore := homedView(f.Nodes[0])
 
 	dead := map[int]bool{5: true, 11: true}
 	for i := range dead {
@@ -339,7 +399,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 			if dead[i] {
 				continue
 			}
-			if n.homedView.Load().Size() != nodes-len(dead) {
+			if homedView(n).Size() != nodes-len(dead) {
 				ok = false
 				break
 			}
@@ -355,7 +415,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 	t.Logf("membership re-converged after %d flush rounds", reconverged)
 	f.FlushAll() // settle: deliver the re-homed records everywhere
 
-	viewAfter := f.Nodes[0].homedView.Load()
+	viewAfter := homedView(f.Nodes[0])
 	changedAll, changedSurvivorHeld := 0, 0
 	for i, u := range urls {
 		if overlay.SameOwners(viewBefore, viewAfter, hintcache.HashURL(u)) {

@@ -24,11 +24,10 @@ func TestRestartRecoveryFleet(t *testing.T) {
 		Nodes:          3,
 		ObjectSize:     objectSize,
 		UpdateInterval: time.Hour, // hints move only on explicit FlushAll
-		// Memory holds 6 objects (one shard, so the budget is not
+		// Memory holds 6 objects (a budget this small is one shard, not
 		// split); the rest of the population must survive on disk alone.
-		CacheBytes:  6 * objectSize,
-		CacheShards: 1,
-		CacheDirs:   []string{t.TempDir()},
+		CacheBytes: 6 * objectSize,
+		CacheDirs:  []string{t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,6 @@ func TestRestartRecoveryRepublishReachesNewPeer(t *testing.T) {
 		ObjectSize:     512,
 		UpdateInterval: time.Hour,
 		CacheBytes:     1024, // two objects in memory, rest on disk
-		CacheShards:    1,
 		CacheDirs:      []string{t.TempDir()},
 	})
 	if err != nil {

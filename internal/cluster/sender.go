@@ -14,8 +14,174 @@ import (
 	"beyondcache/internal/wire"
 )
 
+// hintQueueCap bounds the pending hint queues in records: both the queue
+// feeding the batcher and each per-peer sender queue. Overflow drops the
+// oldest informs first (invalidates are preserved) and is counted in
+// /metrics.
+const hintQueueCap = 8192
+
+// hintPlane is the broadcast locator, the paper's own mechanism: every
+// residency transition becomes an exact 20-byte hint record, each round
+// sends the coalesced records to every peer, and a miss consults the local
+// hint table and nothing else. It owns the pending queue and the per-peer
+// senders; the partitioned locator (members.go) embeds it and routes the
+// same records to owner sets instead.
+type hintPlane struct {
+	n *Node
+	// pend is the bounded coalescing queue of hint updates awaiting the
+	// next round (at most one record per object; see pendq).
+	pend *pendq
+	// wire counts the frame bytes delivered: Stats.WireHintBytes, or
+	// WireHintBytesPartitioned when the records are routed, so the two
+	// mechanisms' wire costs stay separately comparable.
+	wire *atomic.Int64
+
+	// mu guards senders: one running peerSender per peer, keyed by base
+	// URL, started by the first round that sees the peer.
+	mu      sync.Mutex
+	senders map[string]*peerSender
+}
+
+func newHintPlane(n *Node, wire *atomic.Int64) *hintPlane {
+	return &hintPlane{n: n, pend: newPendq(hintQueueCap), wire: wire, senders: make(map[string]*peerSender)}
+}
+
+func (p *hintPlane) sync() {}
+
+// directory consults the local hint table: the candidate the record names
+// (none for a record naming this node), and whether there was a record.
+func (p *hintPlane) directory(h uint64) (candidate, bool) {
+	machine, ok := p.n.hints.Lookup(h)
+	if !ok || machine == p.n.machineID {
+		return candidate{}, ok
+	}
+	return candidate{peerURL: p.n.peerURL(machine), holder: machine}, true
+}
+
+// lookup: with the whole directory replicated here, no record means no
+// copy — straight to the origin.
+func (p *hintPlane) lookup(h uint64) candidate {
+	c, _ := p.directory(h)
+	return c
+}
+
+func (p *hintPlane) holder(h uint64) (uint64, bool) { return p.n.hints.Lookup(h) }
+
+func (p *hintPlane) publish(h uint64, present bool) {
+	action := hintcache.ActionInvalidate
+	if present {
+		action = hintcache.ActionInform
+	}
+	p.enqueue(hintcache.Update{Action: action, URLHash: h, Machine: p.n.machineID})
+}
+
+// enqueue folds one update into the pending queue, counting coalesces and
+// bound-overflow drops.
+func (p *hintPlane) enqueue(u hintcache.Update) {
+	coalesced, dropped := p.pend.add(u)
+	if coalesced {
+		p.n.stats.coalesced.Add(1)
+	}
+	if dropped {
+		p.n.stats.pendingDropped.Add(1)
+	}
+}
+
+// demote drops the exact hint, whoever it named.
+func (p *hintPlane) demote(h, _ uint64) { p.n.hints.Delete(h, 0) }
+
+func (p *hintPlane) contact(string, bool) {}
+
+// round sends every pending record to every peer.
+func (p *hintPlane) round(wait bool) { p.flush(wait, nil) }
+
+// flush drains the pending queue and hands each sender its share of the
+// batch: all of it, or what route (records by target base URL) assigns it.
+// Every sender contributes a generation to the round's barrier — with
+// nothing to enqueue, the one it already had in flight — so a waited flush
+// returns only once each target's sender has delivered or abandoned its
+// share; tests rely on that to avoid sleeping. The periodic round hands
+// over without waiting — a target burning its retry budget never delays
+// the next round, so healthy peers keep receiving hints at the configured
+// interval. The fan-out is concurrent, one sender per target, so a round
+// costs the slowest target, not the sum; rounds that send something are
+// timed into the flush histogram (empty rounds would swamp it with no-ops).
+func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[string][]hintcache.Update) {
+	start := time.Now()
+	batch, stampNs := p.pend.drain(nil)
+	var routed map[string][]hintcache.Update
+	if route != nil {
+		routed = route(batch)
+	}
+	peers := p.n.peerList()
+	senders := make([]*peerSender, len(peers))
+	p.mu.Lock()
+	for i, peer := range peers {
+		if p.senders[peer.url] == nil {
+			p.senders[peer.url] = newPeerSender(p, peer.url)
+		}
+		senders[i] = p.senders[peer.url]
+	}
+	p.mu.Unlock()
+	seqs := make([]int64, len(senders))
+	for i, s := range senders {
+		share := batch
+		if route != nil {
+			share = routed[s.target]
+		}
+		if len(share) > 0 {
+			seqs[i] = s.enqueue(share, stampNs)
+		} else {
+			seqs[i] = s.currentSeq()
+		}
+	}
+	timed := len(batch) > 0 && len(senders) > 0
+	await := func() {
+		for i, s := range senders {
+			s.wait(seqs[i])
+		}
+		if timed {
+			p.n.hist.flush.Observe(time.Since(start))
+		}
+	}
+	if wait {
+		await()
+	} else if timed {
+		go await()
+	}
+}
+
+func (p *hintPlane) serveDigest(w http.ResponseWriter, _ *http.Request) {
+	http.Error(w, "digests disabled", http.StatusNotFound)
+}
+
+func (p *hintPlane) collect() locatorGauges {
+	g := locatorGauges{pending: p.pend.len(), queues: make(map[string]queueGauge)}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for target, s := range p.senders {
+		g.queues[target] = queueGauge{depth: s.q.len(), dropped: s.dropped.Load()}
+	}
+	return g
+}
+
+// close stops the per-peer senders. The batcher's final waited round has
+// completed by now; anything still queued on a failing target has already
+// burned its retry budget.
+func (p *hintPlane) close() {
+	p.mu.Lock()
+	senders := make([]*peerSender, 0, len(p.senders))
+	for _, s := range p.senders {
+		senders = append(senders, s)
+	}
+	p.mu.Unlock()
+	for _, s := range senders {
+		s.shutdown()
+	}
+}
+
 // peerSender owns the hint-update pipeline to one target: a bounded
-// coalescing queue fed by distribute, drained by a dedicated goroutine that
+// coalescing queue fed by hintPlane.flush, drained by a dedicated goroutine that
 // encodes and POSTs batches under the per-attempt metadata timeout with
 // jittered backoff retries. Because every target has its own sender, a slow
 // or blackholed peer burns its retry budget on its own goroutine while the
@@ -25,11 +191,9 @@ import (
 //
 // Generations make the asynchronous pipeline awaitable: enqueue stamps the
 // queue with a new seq, the loop records done = the seq it observed before
-// draining, and wait blocks until done catches up. Flush distributes a
-// batch and waits on every sender, so the synchronous contract tests rely
-// on (delivery attempted before Flush returns) survives the rebuild.
+// draining, and wait blocks until done catches up.
 type peerSender struct {
-	n      *Node
+	p      *hintPlane
 	target string // base URL
 
 	q *pendq
@@ -52,11 +216,11 @@ type peerSender struct {
 }
 
 // newPeerSender builds and starts a sender for one target.
-func newPeerSender(n *Node, target string, queueCap int) *peerSender {
+func newPeerSender(p *hintPlane, target string) *peerSender {
 	s := &peerSender{
-		n:      n,
+		p:      p,
 		target: target,
-		q:      newPendq(queueCap),
+		q:      newPendq(hintQueueCap),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		exited: make(chan struct{}),
@@ -73,7 +237,7 @@ func (s *peerSender) enqueue(batch []hintcache.Update, stampNs int64) int64 {
 	_, dropped := s.q.addBatch(batch, stampNs)
 	if dropped > 0 {
 		s.dropped.Add(int64(dropped))
-		s.n.stats.queueDropped.Add(int64(dropped))
+		s.p.n.stats.queueDropped.Add(int64(dropped))
 	}
 	s.mu.Lock()
 	s.seq++
@@ -105,8 +269,8 @@ func (s *peerSender) wait(seq int64) {
 }
 
 // shutdown stops the loop and waits for it to exit. Pending records are
-// abandoned (Close runs a final synchronous flush before shutting senders
-// down, so anything queued in normal operation has already been attempted).
+// abandoned (Close runs a final waited round before shutting senders down,
+// so anything queued in normal operation has already been attempted).
 func (s *peerSender) shutdown() {
 	close(s.stop)
 	<-s.exited
@@ -144,7 +308,7 @@ func (s *peerSender) loop() {
 				}
 				// One frame per batch: the records ride as a KindHintBatch
 				// payload, optionally flate-compressed past the threshold.
-				frame = wire.AppendFrame(frame[:0], wire.KindHintBatch, recs, s.n.frameCompressMin())
+				frame = wire.AppendFrame(frame[:0], wire.KindHintBatch, recs, s.p.n.frameCompressMin())
 				s.send(frame, len(scratch), stampNs)
 			}
 			s.mu.Lock()
@@ -167,7 +331,7 @@ func (s *peerSender) loop() {
 // serial flush did; the node's counters and the per-target fan-out
 // histogram record the outcome.
 func (s *peerSender) send(body []byte, records int, stampNs int64) {
-	n := s.n
+	n := s.p.n
 	start := time.Now()
 	stamp := ""
 	if stampNs > 0 {
@@ -199,20 +363,15 @@ func (s *peerSender) send(body []byte, records int, stampNs int64) {
 		return nil
 	})
 	n.stats.retries.Add(int64(retries))
-	// Delivery outcomes double as membership liveness evidence in
-	// partition mode (noteSendOutcome is a no-op otherwise): a target that
-	// burned the whole retry budget counts one failed contact.
-	n.noteSendOutcome(s.target, err == nil)
+	// Delivery outcomes double as liveness evidence: a target that burned
+	// the whole retry budget counts one failed contact.
+	n.loc.contact(s.target, err == nil)
 	if err != nil {
 		n.stats.sendErrors.Add(1)
 		return
 	}
 	n.stats.batchesSent.Add(1)
 	n.stats.updatesSent.Add(int64(records))
-	if n.partitioned() {
-		n.stats.wireHintBytesPart.Add(int64(len(body)))
-	} else {
-		n.stats.wireHintBytes.Add(int64(len(body)))
-	}
+	s.p.wire.Add(int64(len(body)))
 	n.hist.fanout.Observe(time.Since(start))
 }

@@ -261,12 +261,12 @@ func TestDigestStalenessRecorded(t *testing.T) {
 	if _, err := f.Fetch(1, "http://example.com/d"); err != nil {
 		t.Fatal(err)
 	}
-	f.Nodes[0].PullDigests()
+	f.Nodes[0].Flush()
 	if got := f.Nodes[0].digestStale.Labels(); len(got) != 0 {
 		t.Fatalf("first pull already observed staleness: %v", got)
 	}
 	time.Sleep(20 * time.Millisecond)
-	f.Nodes[0].PullDigests()
+	f.Nodes[0].Flush()
 
 	peer := hostPortOf(f.Nodes[1].URL())
 	h := f.Nodes[0].digestStale.Get(peer)

@@ -67,13 +67,13 @@ func TestRecordWireBench(t *testing.T) {
 	const objects = 64 << 10
 	n := newMetaNode(t, NodeConfig{Name: "wire-bench", UseDigests: true, DigestCapacity: objects})
 	for i := uint64(1); i <= objects; i++ {
-		n.digestTrack(i, true)
+		n.loc.publish(i, true)
 	}
 	_, _, fullBytes, cursor := digestGet(t, n, 0)
 	const churn = objects / 100 / 2
 	for i := uint64(1); i <= churn; i++ {
-		n.digestTrack(i, false)
-		n.digestTrack(objects+i, true)
+		n.loc.publish(i, false)
+		n.loc.publish(objects+i, true)
 	}
 	_, _, deltaBytes, _ := digestGet(t, n, cursor)
 
@@ -87,11 +87,12 @@ func TestRecordWireBench(t *testing.T) {
 			Name: fmt.Sprintf("wire-bench-%d", size), UseDigests: true, DigestCapacity: size,
 		})
 		for i := uint64(1); i <= uint64(size); i++ {
-			node.digestTrack(i, true)
+			node.loc.publish(i, true)
 		}
-		node.digestMu.RLock()
-		snapKiB := float64(node.own.SizeBytes()) / 1024
-		node.digestMu.RUnlock()
+		d := digestsOf(node)
+		d.mu.RLock()
+		snapKiB := float64(d.own.SizeBytes()) / 1024
+		d.mu.RUnlock()
 
 		measure := func(since uint64) []time.Duration {
 			target := "/digest"
@@ -111,7 +112,7 @@ func TestRecordWireBench(t *testing.T) {
 		full := measure(0)
 		// One journaled op past the cursor: the steady delta-serve path.
 		_, _, _, cur := digestGet(t, node, 0)
-		node.digestTrack(uint64(size)+1, true)
+		node.loc.publish(uint64(size)+1, true)
 		delta := measure(cur)
 
 		servePoints = append(servePoints, wireServePoint{
@@ -121,7 +122,7 @@ func TestRecordWireBench(t *testing.T) {
 			FullP99Us:    quantileUs(full, 0.99),
 			DeltaP50Us:   quantileUs(delta, 0.50),
 			DeltaP99Us:   quantileUs(delta, 0.99),
-			SnapBuilds:   node.snapBuilds.Load(),
+			SnapBuilds:   digestsOf(node).snapBuilds.Load(),
 			ServesSample: samples,
 		})
 	}
@@ -145,9 +146,7 @@ func TestRecordWireBench(t *testing.T) {
 
 	// --- Frame compression: a populated counting filter's snapshot raw vs
 	// flate (WireCompress). Sparse counter bytes compress well. ---
-	n.digestMu.RLock()
-	payload := n.own.AppendBinary(nil)
-	n.digestMu.RUnlock()
+	payload := ownDigestBytes(n)
 	rawFrame := wire.AppendFrame(nil, wire.KindDigestFull, payload, 0)
 	compFrame := wire.AppendFrame(nil, wire.KindDigestFull, payload, wireCompressMin)
 

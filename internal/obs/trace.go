@@ -22,26 +22,12 @@ import (
 // Hop is one annotated step of a request's path through the fleet.
 type Hop struct {
 	// Node labels who did the work ("node-1", "origin", a host:port).
-	Node string `json:"node"`
+	Node string
 	// Outcome is what happened there: LOCAL, REMOTE, MISS, PEER,
 	// PEER-SERVE, PEER-REJECT, ORIGIN, "LOCAL,COALESCED", ...
-	Outcome string `json:"outcome"`
+	Outcome string
 	// Elapsed is the hop's duration as measured by whoever reported it.
-	Elapsed time.Duration `json:"elapsedUs"`
-}
-
-// MarshalJSON reports elapsed in whole microseconds, matching the header
-// format.
-func (h Hop) MarshalJSON() ([]byte, error) {
-	var b []byte
-	b = append(b, `{"node":`...)
-	b = strconv.AppendQuote(b, h.Node)
-	b = append(b, `,"outcome":`...)
-	b = strconv.AppendQuote(b, h.Outcome)
-	b = append(b, `,"elapsedUs":`...)
-	b = strconv.AppendInt(b, h.Elapsed.Microseconds(), 10)
-	b = append(b, '}')
-	return b, nil
+	Elapsed time.Duration
 }
 
 // appendSegment appends the hop's header segment to b.
@@ -132,14 +118,6 @@ func NewSampler(rate float64) *Sampler {
 		}
 	}
 	return s
-}
-
-// Rate returns the effective sample rate.
-func (s *Sampler) Rate() float64 {
-	if s.every == 0 {
-		return 0
-	}
-	return 1 / float64(s.every)
 }
 
 // Sample reports whether this request should be recorded.
