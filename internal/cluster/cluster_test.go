@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +13,7 @@ import (
 
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/overlay"
+	"beyondcache/internal/wire"
 )
 
 // startFleet boots a small fleet with a long batch interval (tests flush
@@ -57,7 +58,19 @@ func ownDigestBytes(n *Node) []byte {
 // StateNew, which Shutdown will not reap for 5 s, so a node closed while any
 // process still held one burned its whole 3 s grace (two rounds in three of
 // this test, before the fleet dropped idle connections first).
+//
+// Nor may it leave anything behind. http.Server.Shutdown does not track
+// hijacked connections, so every Node.Close — in KillNode, RestartNode and
+// Fleet.Close alike — must cut the peer connections it dialed and the ones
+// it accepted, and once the fleet is closed the goroutine count is back at
+// its baseline.
 func TestFleetClosePrompt(t *testing.T) {
+	base := runtime.NumGoroutine()
+	live := func(n *Node) int {
+		n.plane.mu.RLock()
+		defer n.plane.mu.RUnlock()
+		return len(n.plane.conns)
+	}
 	for round := 0; round < 3; round++ {
 		f, err := StartFleet(FleetConfig{Nodes: 4, ObjectSize: 512, UpdateInterval: 20 * time.Millisecond})
 		if err != nil {
@@ -77,6 +90,27 @@ func TestFleetClosePrompt(t *testing.T) {
 			}(c)
 		}
 		wg.Wait()
+		if live(f.Nodes[0]) == 0 {
+			t.Fatal("the traffic opened no peer connection; the leak checks exercise nothing")
+		}
+		nodes := append([]*Node(nil), f.Nodes...)
+		if round == 2 {
+			if err := f.KillNode(3); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.RestartNode(2); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nodes[2:] {
+				if got := live(n); got != 0 {
+					t.Errorf("node %s holds %d peer connections after its Close", n.label(), got)
+				}
+			}
+			nodes = append(nodes, f.Nodes[2])
+			if _, err := f.Fetch(0, "http://example.com/close/after"); err != nil {
+				t.Error(err)
+			}
+		}
 		start := time.Now()
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
@@ -84,14 +118,20 @@ func TestFleetClosePrompt(t *testing.T) {
 		if took := time.Since(start); took > time.Second {
 			t.Errorf("round %d: Fleet.Close took %v, want well under the 3 s shutdown grace", round, took)
 		}
+		for _, n := range nodes {
+			if got := live(n); got != 0 {
+				t.Errorf("round %d: node %s holds %d peer connections after Fleet.Close", round, n.label(), got)
+			}
+		}
 	}
+	goroutinesSettle(t, base, "after three fleets opened and closed")
 }
 
 // TestNodeConfigFieldBudget: a knob only one value of which is ever used is
 // a constant, not a field; adding one means arguing with this number.
 func TestNodeConfigFieldBudget(t *testing.T) {
-	if got := reflect.TypeOf(NodeConfig{}).NumField(); got > 24 {
-		t.Errorf("NodeConfig has %d fields, want at most 24", got)
+	if got := reflect.TypeOf(NodeConfig{}).NumField(); got > 23 {
+		t.Errorf("NodeConfig has %d fields, want at most 23", got)
 	}
 }
 
@@ -276,52 +316,42 @@ func TestCapacityEvictionAdvertisesInvalidate(t *testing.T) {
 
 func TestUpdatesEndpointRejectsGarbage(t *testing.T) {
 	f := startFleet(t, 1, FleetConfig{})
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Post(f.Nodes[0].URL()+"/updates", "application/octet-stream",
-		strings.NewReader("not a multiple of twenty"))
-	if err != nil {
-		t.Fatal(err)
+	c := dialTestPeer(t, f.Nodes[0].URL())
+	if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, []byte("not a multiple of twenty")); r.Status != http.StatusBadRequest {
+		t.Errorf("garbage hint batch answered %d, want 400", r.Status)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage updates accepted with status %d", resp.StatusCode)
-	}
-	// So are well-formed records without a frame around them.
+	// So are well-formed records without a frame around them, and a frame
+	// of the wrong kind.
 	bare := hintcache.EncodeUpdates([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: 1, Machine: 2}})
-	resp, err = client.Post(f.Nodes[0].URL()+"/updates", "application/octet-stream", bytes.NewReader(bare))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unframed updates body got %d, want 400", resp.StatusCode)
+	for name, body := range map[string][]byte{
+		"unframed":   bare,
+		"wrong kind": wire.AppendFrame(nil, wire.KindDigestDelta, bare, 0),
+		"torn":       hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: 1, Machine: 2})[:30],
+	} {
+		if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, body); r.Status != http.StatusBadRequest {
+			t.Errorf("%s hint batch answered %d, want 400", name, r.Status)
+		}
 	}
 	if st := f.Nodes[0].Stats(); st.UpdatesReceived != 0 {
 		t.Errorf("UpdatesReceived = %d after rejected bodies, want 0", st.UpdatesReceived)
-	}
-	// GET is rejected too.
-	resp, err = client.Get(f.Nodes[0].URL() + "/updates")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /updates got %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestMissingURLParameterRejected(t *testing.T) {
 	f := startFleet(t, 1, FleetConfig{})
 	client := &http.Client{Timeout: 5 * time.Second}
-	for _, path := range []string{"/fetch", "/object"} {
-		resp, err := client.Get(f.Nodes[0].URL() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s without url got %d, want 400", path, resp.StatusCode)
-		}
+	resp, err := client.Get(f.Nodes[0].URL() + "/fetch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/fetch without url got %d, want 400", resp.StatusCode)
+	}
+	// An object call naming no URL names nothing cached.
+	r := dialTestPeer(t, f.Nodes[0].URL()).mustCall(wire.PeerHeader{Op: wire.PeerObject}, nil)
+	if r.Status != http.StatusNotFound {
+		t.Errorf("object call without url answered %d, want 404", r.Status)
 	}
 }
 

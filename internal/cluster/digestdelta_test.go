@@ -3,10 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -14,43 +11,27 @@ import (
 	"beyondcache/internal/wire"
 )
 
-// digestGet performs GET /digest (optionally with a ?since= cursor) against
-// a node's real HTTP listener and returns the decoded frame, its wire size,
-// and the journal cursor the node stamped on the response.
+// digestGet pulls a node's digest over the peer plane (optionally presenting
+// a cursor) and returns the decoded frame, its wire size, and the journal
+// cursor the node stamped on the answer.
 func digestGet(t *testing.T, n *Node, since uint64) (frame wire.Frame, payload []byte, wireBytes int, cursor uint64) {
 	t.Helper()
-	url := n.URL() + "/digest"
-	if since > 0 {
-		url += "?since=" + strconv.FormatUint(since, 10)
+	r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
+	if r.Status != http.StatusOK {
+		t.Fatalf("digest pull status %d", r.Status)
 	}
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /digest status %d: %s", resp.StatusCode, body)
-	}
-	cursor, err = strconv.ParseUint(resp.Header.Get(headerDigestCursor), 10, 64)
-	if err != nil {
-		t.Fatalf("bad %s header: %v", headerDigestCursor, err)
-	}
-	frame, rest, err := wire.Decode(body)
+	frame, rest, err := wire.Decode(r.body)
 	if err != nil {
 		t.Fatalf("decode digest frame: %v", err)
 	}
 	if len(rest) != 0 {
-		t.Fatalf("digest response has %d trailing bytes after the frame", len(rest))
+		t.Fatalf("digest answer has %d trailing bytes after the frame", len(rest))
 	}
 	payload, err = frame.Payload(nil)
 	if err != nil {
 		t.Fatalf("digest frame payload: %v", err)
 	}
-	return frame, payload, len(body), cursor
+	return frame, payload, len(r.body), r.B
 }
 
 // TestDigestDeltaBytesBound is the wire-bench smoke the CI runs on every
@@ -202,8 +183,9 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 	}
 }
 
-// TestDigestServeCoalesces fires a stampede of concurrent GET /digest
-// requests and checks exactly one snapshot marshal ran: the rest either
+// TestDigestServeCoalesces fires a stampede of concurrent digest pulls —
+// over one shared connection, so the node serves them off its read loop —
+// and checks exactly one snapshot marshal ran: the rest either
 // joined the singleflight or read the cached generation-stamped frame.
 func TestDigestServeCoalesces(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "serve-coalesce", UseDigests: true})
@@ -212,19 +194,19 @@ func TestDigestServeCoalesces(t *testing.T) {
 	}
 
 	const scrapers = 16
+	c := dialTestPeer(t, n.URL())
 	var wg sync.WaitGroup
 	frames := make([][]byte, scrapers)
 	for i := 0; i < scrapers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Get(n.URL() + "/digest")
+			r, err := c.call(wire.PeerHeader{Op: wire.PeerDigest}, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			defer resp.Body.Close()
-			frames[i], _ = io.ReadAll(resp.Body)
+			frames[i] = r.body
 		}(i)
 	}
 	wg.Wait()
@@ -249,7 +231,7 @@ func TestDigestServeCoalesces(t *testing.T) {
 
 // TestDigestCursorAtomicWithFrame hammers the journal with churn while a
 // puller replays serves against a local replica, checking two things on
-// every response: the advertised X-Digest-Cursor matches the ops the frame
+// every response: the advertised cursor matches the ops the frame
 // actually carries (head == since + ops), and — once the churn quiesces —
 // the delta-maintained replica is byte-identical to the owner's filter. A
 // cursor read outside the lock that encoded the frame attributes ops
@@ -261,26 +243,12 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 		n.loc.publish(i, true)
 	}
 
-	// Serve through the handler directly (no real HTTP round trip), so the
+	// Serve through the locator directly (no connection in between), so the
 	// serve path runs tens of thousands of times against live churn.
 	serve := func(since uint64) (wire.Frame, []byte, uint64) {
 		t.Helper()
-		url := "/digest"
-		if since > 0 {
-			url += "?since=" + strconv.FormatUint(since, 10)
-		}
-		rec := httptest.NewRecorder()
-		n.handleDigest(rec, httptest.NewRequest(http.MethodGet, url, nil))
-		resp := rec.Result()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s status %d: %s", url, resp.StatusCode, body)
-		}
-		cursor, err := strconv.ParseUint(resp.Header.Get(headerDigestCursor), 10, 64)
-		if err != nil {
-			t.Fatalf("bad %s header: %v", headerDigestCursor, err)
-		}
-		frame, _, err := wire.Decode(body)
+		var resp wire.PeerHeader
+		frame, _, err := wire.Decode(n.loc.serveDigest(since, &resp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +256,7 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frame, payload, cursor
+		return frame, payload, resp.B
 	}
 
 	replica := &digest.Counting{}

@@ -3,15 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/digest"
-	"beyondcache/internal/hintcache"
 	"beyondcache/internal/wire"
 )
 
@@ -21,13 +18,13 @@ import (
 // incremental end to end:
 //
 //   - The node's own digest is a counting Bloom filter maintained in place
-//     by publish on every residency transition — GET /digest never
+//     by publish on every residency transition — serving a pull never
 //     walks the cache. Each transition is also journaled, and full
 //     snapshots are served from a generation-stamped cached frame that is
 //     only re-marshaled when the journal head has moved (concurrent scrape
 //     stampedes coalesce onto one build via a singleflight).
-//   - Pullers present their journal cursor as ?since=; the owner answers
-//     with just the membership ops past it (KindDigestDelta) when the
+//   - Pullers present their journal cursor in the digest call; the owner
+//     answers with just the membership ops past it (KindDigestDelta) when the
 //     journal still holds them and the delta is smaller than a full
 //     snapshot, falling back to the full frame (KindDigestFull) otherwise.
 //     Replaying ops is deterministic, so a delta-maintained peer copy is
@@ -68,11 +65,11 @@ type digestLocator struct {
 	// mu guards everything below. The node's own digest is a counting
 	// filter maintained incrementally: publish converts every cache
 	// residency transition into an add/remove against own plus a journal
-	// entry, so GET /digest never rebuilds from cache contents. ownPresent
+	// entry, so a digest serve never rebuilds from cache contents. ownPresent
 	// is the exact resident set backing it — the dedup layer (refreshes of
 	// an already-resident object are not transitions) and the rebuild
 	// source when a counter saturates. digestGen remembers each peer
-	// digest's generation wall clock (from its X-Digest-Generated stamp) so
+	// digest's generation wall clock (from its answer's generated-at stamp) so
 	// the next pull can observe how stale the snapshot it replaces had
 	// become; peerCursor is the journal cursor to present on the next delta
 	// pull from each peer.
@@ -234,32 +231,13 @@ func (d *digestLocator) digestSnapshotFrame() ([]byte, uint64) {
 	return out.frame, out.gen
 }
 
-// handleDigest guards GET /digest; the locator decides what, if anything,
-// it has to serve.
-func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	n.loc.serveDigest(w, r)
-}
-
 // serveDigest serves the node's current contents summary as one wire
-// frame — a delta of membership ops when the client's ?since= cursor is
-// still journaled and the delta is the smaller transfer, the full
-// counting-filter snapshot otherwise.
-func (d *digestLocator) serveDigest(w http.ResponseWriter, r *http.Request) {
+// frame — a delta of membership ops when the puller's cursor is still
+// journaled and the delta is the smaller transfer, the full counting-filter
+// snapshot otherwise.
+func (d *digestLocator) serveDigest(since uint64, resp *wire.PeerHeader) []byte {
 	n := d.n
 	start := time.Now()
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		var err error
-		since, err = strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad since cursor", http.StatusBadRequest)
-			return
-		}
-	}
 
 	// The advertised cursor is captured under the same lock that encoded
 	// the frame: a head read taken afterwards could attribute ops journaled
@@ -274,18 +252,6 @@ func (d *digestLocator) serveDigest(w http.ResponseWriter, r *http.Request) {
 	if !delta {
 		frame, head = d.digestSnapshotFrame()
 	}
-
-	// Stamp the response with its generation sequence and wall clock so
-	// the puller can measure how stale each pulled digest grows between
-	// exchanges (the digest twin of the hint batch's X-Hint-Batch stamp),
-	// plus the journal cursor for the puller's next delta request.
-	stamp := hintcache.Stamp{Seq: d.seq.Add(1), UnixNs: time.Now().UnixNano()}
-	hdr := w.Header()
-	hdr.Set(headerDigestGenerated, stamp.HeaderValue())
-	hdr.Set(headerDigestCursor, strconv.FormatUint(head, 10))
-	hdr.Set("Content-Type", "application/octet-stream")
-	w.Write(frame)
-
 	if delta {
 		n.stats.digestServesDelta.Add(1)
 		n.stats.digestServeBytesDelta.Add(int64(len(frame)))
@@ -294,6 +260,13 @@ func (d *digestLocator) serveDigest(w http.ResponseWriter, r *http.Request) {
 		n.stats.digestServeBytesFull.Add(int64(len(frame)))
 	}
 	n.hist.digestServe.Observe(time.Since(start))
+
+	// The answer is stamped with its generation sequence and wall clock so
+	// the puller can measure how stale each pulled digest grows between
+	// exchanges (the digest twin of the hint batch's stamp), and carries
+	// the journal cursor for the puller's next delta request.
+	resp.A, resp.B, resp.C = uint64(d.seq.Add(1)), head, uint64(time.Now().UnixNano())
+	return frame
 }
 
 // digestDeltaBufPool recycles the op-payload scratch of delta serves.
@@ -331,11 +304,11 @@ func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint6
 // declared payload alike).
 const digestBodyLimit = 8 << 20
 
-// digestPullScratch is one worker's reusable buffers: the HTTP body, the
-// inflate scratch, and the decoded-op slice. Reusing them across a
-// worker's pulls keeps a round from allocating per peer.
+// digestPullScratch is one worker's reusable buffers: the inflate scratch
+// and the decoded-op slice. (The frame itself arrives in a slice the peer
+// plane's read loop allocated: a caller that timed out must not share a
+// buffer with the loop still filling it.)
 type digestPullScratch struct {
-	body    []byte
 	payload []byte
 	ops     []digest.Op
 }
@@ -381,43 +354,24 @@ func (d *digestLocator) pullDigest(p peerRef, scratch *digestPullScratch) {
 		since = d.peerCursor[p.id]
 	}
 	d.mu.RUnlock()
-	reqURL := p.url + "/digest"
-	if since > 0 {
-		reqURL += "?since=" + strconv.FormatUint(since, 10)
-	}
-
 	var genNs int64
 	var cursor uint64
 	var frame wire.Frame
 	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, reqURL, nil)
+		r, err := n.call(ctx, p.url, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
+		if err == nil && r.Status != http.StatusOK {
+			err = fmt.Errorf("digest pull: status %d", r.Status)
+		}
 		if err != nil {
 			return err
 		}
-		resp, err := n.client.Do(req)
-		if err != nil {
-			return err
+		genNs, cursor = int64(r.C), r.B
+		var rest []byte
+		if frame, rest, err = wire.Decode(r.body); err == nil && len(rest) != 0 {
+			err = fmt.Errorf("digest pull: %d trailing bytes after frame", len(rest))
 		}
-		if st, ok := hintcache.ParseStamp(resp.Header.Get(headerDigestGenerated)); ok {
-			genNs = st.UnixNs
-		}
-		cursor, _ = strconv.ParseUint(resp.Header.Get(headerDigestCursor), 10, 64)
-		if resp.StatusCode != http.StatusOK {
-			// Check the status before touching the body so an error
-			// page is never slurped at full digest size; drain a token
-			// amount for connection reuse and give up on this attempt.
-			io.CopyN(io.Discard, resp.Body, 4<<10)
-			resp.Body.Close()
-			return fmt.Errorf("digest pull: status %d", resp.StatusCode)
-		}
-		scratch.body, err = wire.ReadAllInto(scratch.body[:0], io.LimitReader(resp.Body, digestBodyLimit))
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		frame, _, err = wire.Decode(scratch.body)
 		return err
 	})
 	n.stats.retries.Add(int64(retries))

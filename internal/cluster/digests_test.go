@@ -7,6 +7,7 @@ import (
 
 	"beyondcache/internal/obs"
 	"beyondcache/internal/trace"
+	"beyondcache/internal/wire"
 )
 
 func startDigestFleet(t *testing.T, nodes int) *Fleet {
@@ -151,12 +152,8 @@ func TestDigestFleetReplay(t *testing.T) {
 
 func TestDigestEndpointDisabledInHintMode(t *testing.T) {
 	f := startFleet(t, 1, FleetConfig{})
-	resp, err := f.client.Get(f.Nodes[0].URL() + "/digest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("hint-mode /digest returned %d, want 404", resp.StatusCode)
+	r := dialTestPeer(t, f.Nodes[0].URL()).mustCall(wire.PeerHeader{Op: wire.PeerDigest}, nil)
+	if r.Status != 404 {
+		t.Errorf("hint-mode digest pull answered %d, want 404", r.Status)
 	}
 }

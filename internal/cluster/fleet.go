@@ -125,7 +125,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{
 		Origin: NewOrigin(cfg.ObjectSize),
-		client: newClient(nil, nil),
+		client: newClient(nil),
 		faults: cfg.Faults,
 		cfg:    cfg,
 	}
@@ -255,18 +255,14 @@ func (f *Fleet) SetFaultSpec(spec string) error {
 	return nil
 }
 
-// dropIdleConns closes every idle connection the fleet's nodes and its own
-// client hold, before any server shuts down. A transport keeps connections
-// it dialed but never used; the server at the other end sees them as
-// StateNew, which http.Server.Shutdown will not reap for 5 s, so a node
-// closed while ANY process still holds one burns its whole 3 s grace — a
-// node dropping only its own at its own Close is not enough.
-func (f *Fleet) dropIdleConns() {
-	f.client.CloseIdleConnections()
-	for _, n := range f.Nodes {
-		n.client.CloseIdleConnections()
-	}
-}
+// dropIdleConns closes the idle HTTP connections the fleet's own client
+// holds to the nodes, before any of them shuts down. A transport keeps
+// connections it dialed but never used; the server at the other end sees
+// them as StateNew, which http.Server.Shutdown will not reap for 5 s, so a
+// node closed while ANY process still holds one burns its whole 3 s grace.
+// (Each node drops its own to the origin, and cuts its peer-plane
+// connections — hijacked, hence untracked — in its Close.)
+func (f *Fleet) dropIdleConns() { f.client.CloseIdleConnections() }
 
 // Close shuts down every node and the origin, returning the first error.
 func (f *Fleet) Close() error {

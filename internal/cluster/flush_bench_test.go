@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"beyondcache/internal/hintcache"
 )
 
-// BenchmarkFlushFanout measures one coalesced flush round to four peers: 4096 hot-set events over 512 distinct objects are queued and
+// BenchmarkFlushFanout measures one coalesced flush round to four peers over
+// the peer plane: 4096 hot-set events over 512 distinct objects are queued and
 // delivered per iteration. It doubles as the coalescing regression check —
 // each target may see at most one record per distinct object per round.
 // CI runs it once (-benchtime=1x) as a smoke test.
@@ -44,9 +43,9 @@ func BenchmarkFlushFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdatesIngest measures POST /updates handling throughput: one
-// pre-encoded 4096-record batch per iteration through the real handler
-// (pooled body buffer, pooled decode scratch, batched hint apply).
+// BenchmarkUpdatesIngest measures hint-batch ingest throughput: one
+// pre-encoded 4096-record batch per iteration through the function the peer
+// plane hands a batch to (pooled decode scratch, batched hint apply).
 func BenchmarkUpdatesIngest(b *testing.B) {
 	const records = 4096
 	n := newMetaNode(b, NodeConfig{Name: "bench-ingest"})
@@ -59,11 +58,8 @@ func BenchmarkUpdatesIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/updates", bytes.NewReader(msg))
-		rec := httptest.NewRecorder()
-		n.handleUpdates(rec, req)
-		if rec.Code != http.StatusNoContent {
-			b.Fatalf("handleUpdates = %d, want 204", rec.Code)
+		if status := n.ingestHints(msg, 0, 0); status != http.StatusNoContent {
+			b.Fatalf("ingestHints = %d, want 204", status)
 		}
 	}
 }

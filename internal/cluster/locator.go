@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/obs"
 	"beyondcache/internal/resilience"
+	"beyondcache/internal/wire"
 )
 
 // locator is the node's metadata path: how it learns where copies live and
@@ -26,7 +26,7 @@ type locator interface {
 	sync()
 	// lookup is the local find-nearest, no network hop: where to probe for h.
 	lookup(h uint64) candidate
-	// holder answers a peer asking who holds h (GET /hinthome).
+	// holder answers a peer asking who holds h (a holder call).
 	holder(h uint64) (machine uint64, ok bool)
 	// publish feeds in one residency transition of a local object: present
 	// after a fill or a boot recovery, absent once it left every tier.
@@ -41,9 +41,12 @@ type locator interface {
 	// not wait for what it pushes to arrive; a waited one returns once
 	// every peer's share has been delivered or abandoned.
 	round(wait bool)
-	// serveDigest answers GET /digest, collect reports the gauges for
-	// /metrics, close stops the mechanism's goroutines after the last round.
-	serveDigest(w http.ResponseWriter, r *http.Request)
+	// serveDigest answers a peer's digest pull from cursor since: it
+	// returns one digest frame and fills in the answer's fixed fields (or a
+	// 404 status: this mechanism serves none). collect reports the gauges
+	// for /metrics, close stops the mechanism's goroutines after the last
+	// round.
+	serveDigest(since uint64, resp *wire.PeerHeader) []byte
 	collect() locatorGauges
 	close()
 }
@@ -122,7 +125,7 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.OriginTimeout)
 	defer cancel()
-	got, err := n.fetchOrigin(ctx, url, reqID, sampled)
+	got, err := n.fetchOrigin(ctx, url)
 	if err != nil {
 		return fetchOutcome{err: err}
 	}
@@ -198,7 +201,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	fallback := func(ctx context.Context) (fetched, error) {
 		octx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
 		defer cancel()
-		return n.fetchOrigin(octx, url, reqID, sampled)
+		return n.fetchOrigin(octx, url)
 	}
 	r := resilience.Race(context.Background(), n.cfg.HedgeBudget, primary, fallback)
 	if r.Hedged {

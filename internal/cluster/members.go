@@ -15,7 +15,7 @@ package cluster
 //
 // Membership is maintained from liveness evidence the node already
 // generates — successful hint-batch deliveries, inbound batches, breaker
-// state — topped up with cheap GET /ping probes for peers that were silent
+// state — topped up with cheap ping calls for peers that were silent
 // a whole flush round. A membership change re-homes incrementally: only
 // objects whose owner set actually moved are re-announced or forwarded,
 // with plaxton.TableDiff gating the scan outright when nothing moved.
@@ -24,18 +24,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/hintcache"
-	"beyondcache/internal/obs"
 	"beyondcache/internal/overlay"
 	"beyondcache/internal/resilience"
+	"beyondcache/internal/wire"
 )
 
 // partitionLocator is the partitioned hint directory: the broadcast
@@ -116,25 +113,14 @@ func (l *partitionLocator) contact(peerURL string, ok bool) {
 	l.mbr.mu.Unlock()
 }
 
-// handlePing answers liveness probes: GET /ping -> 204. It goes through
-// the node's inbound fault middleware, so a blackholed or stalled node
-// fails its peers' probes exactly as it fails their real traffic.
-func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// ping performs one liveness probe through the node's (fault-injected)
-// client.
+// ping performs one liveness probe: a ping call, judged by both ends' fault
+// injectors like any other, so a blackholed or stalled node fails its peers'
+// probes exactly as it fails their real traffic.
 func (n *Node) ping(baseURL string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
 	defer cancel()
-	resp, err := n.get(ctx, baseURL+"/ping", "", false)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusNoContent
+	r, err := n.call(ctx, baseURL, wire.PeerHeader{Op: wire.PeerPing}, nil)
+	return err == nil && r.Status == http.StatusNoContent
 }
 
 // sync runs at the top of each round: fold the round's liveness evidence
@@ -387,65 +373,42 @@ func (l *partitionLocator) hintHomeFor(h uint64) string {
 	return home
 }
 
-// queryHintHome asks a hint home which machine holds h: GET
-// /hinthome?h=<hex>. 200 carries the holder's hex machine ID; 404 is a
-// definitive miss (machine 0, nil error); anything else is a consult
-// failure.
+// queryHintHome asks a hint home which machine holds h: one holder call.
+// 200 carries the holder's machine ID; 404 is a definitive miss (machine 0,
+// nil error); anything else is a consult failure.
 func (n *Node) queryHintHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (uint64, error) {
-	resp, err := n.get(ctx, homeURL+"/hinthome?h="+strconv.FormatUint(h, 16), reqID, sampled)
-	if err != nil {
+	req := sampledCall(wire.PeerHolder, reqID, sampled)
+	req.B = h
+	r, err := n.call(ctx, homeURL, req, nil)
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64))
-	if err != nil {
-		return 0, err
-	}
-	switch resp.StatusCode {
-	case http.StatusNotFound:
+	case r.Status == http.StatusNotFound:
 		return 0, nil
-	case http.StatusOK:
-		machine, err := strconv.ParseUint(strings.TrimSpace(string(body)), 16, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad holder id: %w", err)
-		}
-		return machine, nil
-	default:
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
+	case r.Status == http.StatusOK:
+		return r.A, nil
 	}
+	return 0, fmt.Errorf("status %d", r.Status)
 }
 
-// handleHintHome answers a peer's consult from the locator's local
-// knowledge. The node's own residency counts (a home may itself hold the
-// object).
-func (n *Node) handleHintHome(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	hv := r.URL.Query().Get("h")
-	h, err := strconv.ParseUint(hv, 16, 64)
-	if err != nil || h == 0 {
-		http.Error(w, "bad h parameter", http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	machine, ok := n.loc.holder(h)
-	if !ok && n.residesLocally(h) {
+// answerHolder answers a peer's consult (hash in h.B) from the locator's
+// local knowledge. The node's own residency counts (a home may itself hold
+// the object).
+func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time.Time) {
+	machine, ok := n.loc.holder(h.B)
+	if !ok && n.residesLocally(h.B) {
 		machine, ok = n.machineID, true
 	}
 	elapsed := time.Since(start)
 	if !ok {
 		n.stats.hintHomeServeMisses.Add(1)
-		n.recordPeerSpan(r, "HINT-MISS", elapsed)
-		http.Error(w, "no hint", http.StatusNotFound)
+		n.recordPeerSpan(h, "HINT-MISS", elapsed)
+		resp.Status = http.StatusNotFound
 		return
 	}
 	n.stats.hintHomeServes.Add(1)
-	n.recordPeerSpan(r, "HINT-SERVE", elapsed)
-	w.Header().Set(headerTraceHop,
-		obs.Hop{Node: n.label(), Outcome: "HINT-SERVE", Elapsed: elapsed}.Segment())
-	io.WriteString(w, strconv.FormatUint(machine, 16))
+	n.recordPeerSpan(h, "HINT-SERVE", elapsed)
+	resp.A, resp.B = machine, uint64(elapsed)
 }
 
 // holder serves this node's directory partition to peers. A record naming

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -29,11 +28,11 @@ import (
 //	    -bench-cluster-out ../../BENCH_cluster.json
 var benchClusterOut = flag.String("bench-cluster-out", "", "write the cluster metadata-plane bench JSON to this path")
 
-// updateSink is a stub /updates receiver: it decodes every delivered batch
+// updateSink is a stub hint-batch receiver: it decodes every delivered batch
 // and records the updates, the wire bytes, and the arrival time of each
-// batch.
+// batch. Anything else it is asked (liveness probes) it acknowledges.
 type updateSink struct {
-	srv *httptest.Server
+	srv *stubPeer
 
 	mu      sync.Mutex
 	recs    []hintcache.Update
@@ -44,21 +43,20 @@ type updateSink struct {
 func newUpdateSink(t testing.TB) *updateSink {
 	t.Helper()
 	s := &updateSink{}
-	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	s.srv = newStubPeer(t, func(h wire.PeerHeader, body []byte) (wire.PeerHeader, []byte) {
+		if h.Op != wire.PeerHints {
+			return wire.PeerHeader{Status: http.StatusNoContent}, nil
 		}
-		records, _, _, err := unframeUpdates(body, int64(len(body)), nil)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		var us []hintcache.Update
+		f, _, err := wire.Decode(body)
+		if err == nil {
+			var records []byte
+			if records, err = f.Payload(nil); err == nil {
+				us, err = hintcache.AppendDecodedUpdates(nil, records)
+			}
 		}
-		us, err := hintcache.AppendDecodedUpdates(nil, records)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return wire.PeerHeader{Status: http.StatusBadRequest}, nil
 		}
 		now := time.Now()
 		s.mu.Lock()
@@ -66,9 +64,8 @@ func newUpdateSink(t testing.TB) *updateSink {
 		s.recs = append(s.recs, us...)
 		s.arrived = append(s.arrived, now)
 		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(s.srv.Close)
+		return wire.PeerHeader{Status: http.StatusNoContent}, nil
+	})
 	return s
 }
 
@@ -182,7 +179,7 @@ func TestFlushCoalescesOverWire(t *testing.T) {
 }
 
 // TestSenderCountsErrorStatusAsFailure points a sender at a target that
-// answers every hint batch with an error page: the batch must burn its
+// answers every hint batch with an error status: the batch must burn its
 // retry budget and count as undelivered — no delivery counter moves — and
 // in partition mode the failed contact must reach the membership tracker
 // instead of marking the peer alive.
@@ -191,15 +188,13 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 		for _, partitioned := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%d/partitioned=%v", status, partitioned), func(t *testing.T) {
 				var posts atomic.Int64
-				sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path != "/updates" {
-						w.WriteHeader(http.StatusNoContent) // liveness probes succeed
-						return
+				sink := newStubPeer(t, func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
+					if h.Op != wire.PeerHints {
+						return wire.PeerHeader{Status: http.StatusNoContent}, nil // liveness probes succeed
 					}
 					posts.Add(1)
-					http.Error(w, "refused", status)
-				}))
-				t.Cleanup(sink.Close)
+					return wire.PeerHeader{Status: uint16(status)}, nil
+				})
 				cfg := NodeConfig{Name: "error-status"}
 				if partitioned {
 					cfg.HintReplicas = 2
@@ -252,45 +247,37 @@ func TestPendingQueueBounded(t *testing.T) {
 	}
 }
 
-// TestUpdatesOversizeRejected checks that a body over the limit draws 413
+// TestUpdatesOversizeRejected checks that a batch over the limit draws 413
 // whole instead of being truncated mid-record, and the node counts the
 // reject.
 func TestUpdatesOversizeRejected(t *testing.T) {
-	n := newMetaNode(t, NodeConfig{Name: "oversize"}) // default limit: 1 MB
-	big := bytes.Repeat([]byte{0}, 1<<20+hintcache.UpdateSize)
-	resp, err := http.Post(n.URL()+"/updates", "application/octet-stream", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("node oversized POST /updates = %d, want 413", resp.StatusCode)
+	n := newMetaNode(t, NodeConfig{Name: "oversize"}) // limit: 1 MB of records
+	big := wire.AppendFrame(nil, wire.KindHintBatch, bytes.Repeat([]byte{0}, 1<<20+hintcache.UpdateSize), 0)
+	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, big); r.Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("node oversized hint batch = %d, want 413", r.Status)
 	}
 	if st := n.Stats(); st.OversizeRejects != 1 {
 		t.Errorf("OversizeRejects = %d, want 1", st.OversizeRejects)
 	}
 
-	// A batch that exactly fits the limit still decodes (no shearing).
-	fit := make([]hintcache.Update, 8)
+	// A batch that exactly fits the limit still decodes (no shearing). The
+	// refusal above cost its connection, so this one dials afresh.
+	fit := make([]hintcache.Update, updatesLimit/hintcache.UpdateSize)
 	for i := range fit {
 		fit[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 42}
 	}
-	resp, err = http.Post(n.URL()+"/updates", "application/octet-stream", bytes.NewReader(hintFrame(fit...)))
-	if err != nil {
-		t.Fatal(err)
+	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, hintFrame(fit...)); r.Status != http.StatusNoContent {
+		t.Errorf("node valid hint batch = %d, want 204", r.Status)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Errorf("node valid POST /updates = %d, want 204", resp.StatusCode)
+	if st := n.Stats(); st.UpdatesReceived != int64(len(fit)) {
+		t.Errorf("UpdatesReceived = %d, want %d", st.UpdatesReceived, len(fit))
 	}
 }
 
-// TestDigestPullChecksStatusFirst checks that a non-200 digest response is
+// TestDigestPullChecksStatusFirst checks that a non-200 digest answer is
 // an error without the body being decoded, that a 200 whose body is not a
-// digest frame (bare filter bytes, as nodes served before the wire plane)
-// is one too, and that the peer's digest stays absent either way.
+// digest frame (bare filter bytes) is one too, and that the peer's digest
+// stays absent either way.
 func TestDigestPullChecksStatusFirst(t *testing.T) {
 	bare, err := digest.NewForCapacity(64, 8)
 	if err != nil {
@@ -301,15 +288,16 @@ func TestDigestPullChecksStatusFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, handler := range map[string]http.HandlerFunc{
-		"status-500": func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "digest rebuild failed", http.StatusInternalServerError)
+	for name, answer := range map[string]func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte){
+		"status-500": func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
+			return wire.PeerHeader{Status: http.StatusInternalServerError}, []byte("digest rebuild failed")
 		},
-		"unframed-body": func(w http.ResponseWriter, r *http.Request) { w.Write(bareBody) },
+		"unframed-body": func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
+			return wire.PeerHeader{Status: http.StatusOK}, bareBody
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			errSrv := httptest.NewServer(handler)
-			defer errSrv.Close()
+			errSrv := newStubPeer(t, answer)
 
 			n := newMetaNode(t, NodeConfig{Name: name, UseDigests: true})
 			n.AddPeer(errSrv.URL)
@@ -344,11 +332,10 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 	frame := wire.AppendFrame(nil, wire.KindDigestFull, payload, 0)
 	n := newMetaNode(t, NodeConfig{Name: "parallel-pull", UseDigests: true})
 	for i := 0; i < 4; i++ {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv := newStubPeer(t, func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 			time.Sleep(delay)
-			w.Write(frame)
-		}))
-		t.Cleanup(srv.Close)
+			return wire.PeerHeader{Status: http.StatusOK}, frame
+		})
 		n.AddPeer(srv.URL)
 	}
 
@@ -453,7 +440,8 @@ func TestRecordClusterBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := newClient(nil, inj)
+	serial := newMetaNode(t, NodeConfig{Name: "bench-serial", Faults: inj})
+	t.Cleanup(func() { _ = inj.SetSpec("") })
 	backoff := resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, 1)
 	body := hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: 99, Machine: 7})
 	serialStart := time.Now()
@@ -461,17 +449,8 @@ func TestRecordClusterBench(t *testing.T) {
 		_, _ = backoff.Retry(context.Background(), 3, func() error {
 			ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.srv.URL+"/updates", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return err
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return nil
+			_, err := serial.call(ctx, s.srv.URL, wire.PeerHeader{Op: wire.PeerHints}, body)
+			return err
 		})
 	}
 	serialRound := time.Since(serialStart)
@@ -510,26 +489,19 @@ func TestRecordClusterBench(t *testing.T) {
 	wireAfter := wireSink.wireBytes()
 	wireBefore := int64(events) * hintcache.UpdateSize // one record per event, no coalescing
 
-	// --- Ingest throughput through POST /updates handling. ---
+	// --- Ingest throughput of one hint batch. ---
 	in := newMetaNode(t, NodeConfig{Name: "bench-ingest"})
 	batch := make([]hintcache.Update, events)
 	for i := range batch {
 		batch[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 0xABCD}
 	}
-	msg := hintcache.EncodeUpdates(batch)
 
-	// Before: the pre-pipeline handler body — fresh ReadAll, fresh decode
-	// allocation over the bare records, one table lock per record.
-	oldHandler := func(w http.ResponseWriter, r *http.Request) {
-		m, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, "read body", http.StatusBadRequest)
-			return
-		}
+	// Before: the pre-pipeline ingest — fresh decode allocation over the
+	// bare records, one table lock per record.
+	oldIngest := func(m []byte) {
 		us, err := hintcache.AppendDecodedUpdates(nil, m)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			t.Fatal(err)
 		}
 		for _, u := range us {
 			if u.Machine == in.machineID {
@@ -537,18 +509,16 @@ func TestRecordClusterBench(t *testing.T) {
 			}
 			_ = in.hints.Apply(u)
 		}
-		w.WriteHeader(http.StatusNoContent)
 	}
-	measure := func(h http.HandlerFunc, msg []byte) float64 {
+	measure := func(ingest func([]byte), msg []byte) float64 {
 		start := time.Now()
 		for i := 0; i < ingestIters; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/updates", bytes.NewReader(msg))
-			h(httptest.NewRecorder(), req)
+			ingest(msg)
 		}
 		return float64(ingestIters*events) / time.Since(start).Seconds()
 	}
-	ingestBefore := measure(oldHandler, msg)
-	ingestAfter := measure(in.handleUpdates, hintFrame(batch...))
+	ingestBefore := measure(oldIngest, hintcache.EncodeUpdates(batch))
+	ingestAfter := measure(func(m []byte) { in.ingestHints(m, 0, 0) }, hintFrame(batch...))
 
 	out := struct {
 		Description               string  `json:"description"`
@@ -567,7 +537,7 @@ func TestRecordClusterBench(t *testing.T) {
 		SerialWireBytesPerRound   int64   `json:"serial_wire_bytes_per_round"`
 		PipelineWireBytesPerRound int64   `json:"pipeline_wire_bytes_per_round"`
 	}{
-		Description:               "Metadata plane with one blackholed target among 4: serial flush loop (before) vs per-peer sender pipeline (after); /updates ingest throughput; wire bytes per round under a hot-set workload.",
+		Description:               "Metadata plane with one blackholed target among 4: serial flush loop (before) vs per-peer sender pipeline (after); hint-batch ingest throughput; wire bytes per round under a hot-set workload.",
 		Targets:                   targets,
 		Blackholed:                1,
 		IntervalMs:                float64(interval.Milliseconds()),

@@ -56,13 +56,13 @@ func (n *Node) Metrics() *obs.Expo {
 		"Stale hints and digest false positives: peer probes paid before the origin.",
 		st.FalsePositives)
 	e.Counter("beyondcache_peer_serves_total",
-		"Objects served to peers over /object.", st.PeerServes)
+		"Objects served to peers (object calls answered 200).", st.PeerServes)
 	e.Counter("beyondcache_peer_rejects_total",
-		"Peer /object probes rejected because the object was not cached.", st.PeerRejects)
+		"Peer object calls rejected because the object was not cached.", st.PeerRejects)
 	e.Counter("beyondcache_hint_updates_sent_total",
 		"Hint updates sent (updates x targets reached).", st.UpdatesSent)
 	e.Counter("beyondcache_hint_updates_received_total",
-		"Hint updates received over /updates.", st.UpdatesReceived)
+		"Hint updates received in peers' hint batches.", st.UpdatesReceived)
 	e.Counter("beyondcache_hint_batches_sent_total",
 		"Hint-update batch POSTs completed.", st.BatchesSent)
 	e.Counter("beyondcache_hint_send_errors_total",
@@ -74,12 +74,12 @@ func (n *Node) Metrics() *obs.Expo {
 	// cursor losses, saturation rebuilds, and framed hint-batch wire bytes
 	// (see DESIGN.md §13).
 	e.Counter("beyondcache_digest_serves_total",
-		"GET /digest responses by transfer mode.",
+		"Digest pulls served, by transfer mode.",
 		st.DigestServesFull, obs.L("mode", "full"))
 	e.Counter("beyondcache_digest_serves_total", "",
 		st.DigestServesDelta, obs.L("mode", "delta"))
 	e.Counter("beyondcache_digest_serve_bytes_total",
-		"Frame bytes shipped by GET /digest responses, by transfer mode.",
+		"Frame bytes shipped by digest serves, by transfer mode.",
 		st.DigestServeBytesFull, obs.L("mode", "full"))
 	e.Counter("beyondcache_digest_serve_bytes_total", "",
 		st.DigestServeBytesDelta, obs.L("mode", "delta"))
@@ -93,7 +93,7 @@ func (n *Node) Metrics() *obs.Expo {
 		"Membership ops applied from pulled digest deltas.",
 		st.DigestDeltaOps)
 	e.Counter("beyondcache_hint_wire_bytes_total",
-		"Framed hint-batch bytes successfully POSTed to /updates targets, by routing mode.",
+		"Framed hint-batch bytes successfully delivered to their targets, by routing mode.",
 		st.WireHintBytes, obs.L("mode", "broadcast"))
 	e.Counter("beyondcache_hint_wire_bytes_total", "",
 		st.WireHintBytesPartitioned, obs.L("mode", "partitioned"))
@@ -109,7 +109,7 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Counter("beyondcache_hint_home_hops_total", "",
 		st.HintHomeErrors, obs.L("outcome", "error"))
 	e.Counter("beyondcache_hint_home_serves_total",
-		"GET /hinthome consults served as a hint home, by outcome.",
+		"Holder consults served as a hint home, by outcome.",
 		st.HintHomeServes, obs.L("outcome", "hit"))
 	e.Counter("beyondcache_hint_home_serves_total", "",
 		st.HintHomeServeMisses, obs.L("outcome", "miss"))
@@ -133,7 +133,7 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Gauge("beyondcache_hint_pending_records",
 		"Hint updates queued for the next batch round.", float64(loc.pending))
 	e.Counter("beyondcache_updates_oversize_total",
-		"POST /updates bodies refused with 413 for exceeding the size limit.",
+		"Hint batches refused with status 413 for exceeding the size limit.",
 		st.OversizeRejects)
 
 	// Resilience: breaker activity, hedged races, and metadata retries.
@@ -255,10 +255,10 @@ func (n *Node) Metrics() *obs.Expo {
 		"Per-target hint-batch delivery time (one sender's successful POST, retries included).",
 		n.hist.fanout.Snapshot())
 	e.Histogram("beyondcache_peer_serve_seconds",
-		"Time to serve a cached object to a peer over /object.",
+		"Time to serve a cached object to a peer.",
 		n.hist.peerServe.Snapshot())
 	e.Histogram("beyondcache_digest_serve_seconds",
-		"Time to serve GET /digest (cached full snapshot or delta encode).",
+		"Time to serve a digest pull (cached full snapshot or delta encode).",
 		n.hist.digestServe.Snapshot())
 
 	e.Gauge("beyondcache_cache_bytes_used",

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -43,34 +42,10 @@ const (
 	// the serving node's terminal hop (whose outcome equals X-Cache)
 	// last. See internal/obs and DESIGN.md §7.
 	headerTrace = "X-Trace"
-	// headerTraceHop is how an upstream server (a peer's /object, the
-	// origin's /obj) hands its own self-timed hop segment to the
-	// fetching node, which splices it into the chain.
+	// headerTraceHop is how the origin hands its own self-timed hop
+	// segment (/obj) to the fetching node, which splices it into the
+	// chain. A peer's serve time rides its answer frame instead.
 	headerTraceHop = "X-Trace-Hop"
-	// headerTraceSampled marks an upstream request as part of a sampled
-	// trace: the fetching node forwards its X-Request-Id plus this flag,
-	// and the peer records its own span group under the same trace ID so
-	// a fleet scraper can assemble the complete cross-node tree.
-	headerTraceSampled = "X-Trace-Sampled"
-	// headerHintBatch stamps a hint-batch POST with the sender's batch
-	// sequence and the oldest enqueue wall clock it carries
-	// (hintcache.Stamp); receivers turn it into per-peer
-	// hint-propagation-lag observations.
-	headerHintBatch = "X-Hint-Batch"
-	// headerDigestGenerated stamps a /digest response with the snapshot's
-	// generation sequence and wall clock; pullers turn it into
-	// digest-staleness observations.
-	headerDigestGenerated = "X-Digest-Generated"
-	// headerDigestCursor carries the digest journal's head sequence on a
-	// /digest response: the cursor the puller presents as ?since= on its
-	// next pull to receive only the membership ops it has not seen. The
-	// delta twin of /debug/spans' X-Span-Cursor.
-	headerDigestCursor = "X-Digest-Cursor"
-	// headerHintSender carries the base URL of the node that built a
-	// hint-batch POST. Receivers key the batch's propagation-lag
-	// observation by it and, in partition mode, count it as a sign of life
-	// from that peer.
-	headerHintSender = "X-Hint-Sender"
 )
 
 // NodeConfig parameterizes a cache node.
@@ -140,9 +115,6 @@ type NodeConfig struct {
 	// node's own label). InboundFaults supplies a prebuilt injector.
 	InboundFaultSpec string
 	InboundFaults    *faults.Injector
-	// Transport overrides the shared tuned transport underneath the
-	// fault layer (tests).
-	Transport http.RoundTripper
 
 	// TraceSample is the fraction of /fetch requests whose span group is
 	// recorded in the /debug/spans ring: 0 picks the default (1/64),
@@ -201,8 +173,8 @@ type Stats struct {
 	HedgesStarted   int64 `json:"hedgesStarted"`
 	HedgeOriginWins int64 `json:"hedgeOriginWins"`
 	HedgePeerWins   int64 `json:"hedgePeerWins"`
-	// Retries counts metadata-path re-attempts (hint-batch POSTs and
-	// digest pulls) spent after a failure.
+	// Retries counts metadata-path re-attempts (hint batches and digest
+	// pulls) spent after a failure.
 	Retries int64 `json:"retries"`
 	// Coalesced counts pending hint updates folded onto an existing
 	// record for the same object before being sent (repeated informs
@@ -213,10 +185,10 @@ type Stats struct {
 	// the same for the per-peer sender queues, summed across peers.
 	PendingDropped int64 `json:"pendingDropped"`
 	QueueDropped   int64 `json:"queueDropped"`
-	// OversizeRejects counts POST /updates bodies refused with 413 for
-	// exceeding the size limit.
+	// OversizeRejects counts hint batches refused as too large (status
+	// 413) for exceeding the size limit.
 	OversizeRejects int64 `json:"oversizeRejects"`
-	// DigestServesFull / DigestServesDelta split GET /digest responses by
+	// DigestServesFull / DigestServesDelta split digest serves by
 	// transfer mode, and DigestServeBytesFull / DigestServeBytesDelta
 	// count the frame bytes each mode shipped — the delta-proportional
 	// metadata claim is the ratio of these.
@@ -231,8 +203,8 @@ type Stats struct {
 	DigestCursorLost int64 `json:"digestCursorLost"`
 	DigestRebuilds   int64 `json:"digestRebuilds"`
 	DigestDeltaOps   int64 `json:"digestDeltaOps"`
-	// WireHintBytes counts framed hint-batch bytes successfully POSTed to
-	// /updates targets (after optional compression — actual wire bytes).
+	// WireHintBytes counts framed hint-batch bytes successfully delivered
+	// to their targets (after optional compression — actual wire bytes).
 	// Under the partitioned locator the same bytes land in
 	// WireHintBytesPartitioned instead, so the two wire costs stay
 	// separately comparable.
@@ -241,7 +213,7 @@ type Stats struct {
 	// HintHomeHits/Misses/Errors classify hint-home consults on the miss
 	// path (partition mode): the home named a live holder / answered "no
 	// holder" / failed or timed out. HintHomeServes/ServeMisses are the
-	// serving side of GET /hinthome.
+	// serving side of the consult.
 	HintHomeHits        int64 `json:"hintHomeHits"`
 	HintHomeMisses      int64 `json:"hintHomeMisses"`
 	HintHomeErrors      int64 `json:"hintHomeErrors"`
@@ -299,7 +271,7 @@ type counters struct {
 // nodeHists are the node's latency histograms: client-facing fetch time per
 // outcome class, plus the internal latencies the paper's design principles
 // are stated in terms of — the wasted false-positive peer probe, the
-// hint-batch flush round, and the peer-serve (/object) path.
+// hint-batch flush round, and the peer-serve path.
 type nodeHists struct {
 	local         *obs.Histogram // X-Cache LOCAL
 	localDisk     *obs.Histogram // X-Cache LOCAL-DISK (disk-tier hit)
@@ -308,9 +280,9 @@ type nodeHists struct {
 	miss          *obs.Histogram // X-Cache MISS and "MISS,STALE-HINT"
 	falsePositive *obs.Histogram // failed peer probe paid before origin
 	flush         *obs.Histogram // one flush round (slowest target's delivery)
-	fanout        *obs.Histogram // one sender's successful batch POST
-	peerServe     *obs.Histogram // serving /object to a peer
-	digestServe   *obs.Histogram // serving GET /digest (full or delta)
+	fanout        *obs.Histogram // one sender's successful batch delivery
+	peerServe     *obs.Histogram // serving an object to a peer
+	digestServe   *obs.Histogram // serving a digest pull (full or delta)
 }
 
 func newNodeHists() nodeHists {
@@ -461,7 +433,10 @@ type Node struct {
 	extURL    string // set by Bind; empty when Start owns the listener
 	lis       net.Listener
 	srv       *http.Server
-	client    *http.Client
+	// client reaches the origin and nothing else; plane carries everything
+	// said to or by a peer (peer.go).
+	client *http.Client
+	plane  peerPlane
 
 	stopBatch chan struct{}
 	batchDone chan struct{}
@@ -531,12 +506,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
 		inj:          inj,
 		inboundInj:   inboundInj,
-		client:       newClient(cfg.Transport, inj),
+		client:       newClient(inj),
 		stopBatch:    make(chan struct{}),
 		batchDone:    make(chan struct{}),
 		srvDone:      make(chan struct{}),
 		recoveryDone: make(chan struct{}),
 	}
+	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
+	n.plane.dialed, n.plane.conns = make(map[string]*peerConn), make(map[*peerConn]struct{})
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir, store.Options{
 			Capacity:    cfg.DiskCapacity,
@@ -588,23 +565,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fetch", n.handleFetch)
-	mux.HandleFunc("/object", n.handleObject)
-	mux.HandleFunc("/updates", n.handleUpdates)
 	mux.HandleFunc("/purge", n.handlePurge)
 	mux.HandleFunc("/metrics", n.handleMetrics)
 	mux.HandleFunc("/debug/spans", n.handleSpans)
-	mux.HandleFunc("/digest", n.handleDigest)
-	mux.HandleFunc("/hinthome", n.handleHintHome)
-	mux.HandleFunc("/ping", n.handlePing)
 	if n.inboundInj == nil {
+		mux.HandleFunc("/peer", n.handlePeer)
 		return mux
 	}
 	// Server-side chaos: the middleware matches rules against the node's
 	// label, resolved per request because Start/Bind fix it after Handler
-	// may already have been called.
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// may already have been called. The peer plane draws its own decision
+	// for every call on a connection, so its handshake is not judged.
+	outer := http.NewServeMux()
+	outer.HandleFunc("/peer", n.handlePeer)
+	outer.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		faults.Middleware(n.inboundInj, n.label(), mux).ServeHTTP(w, r)
 	})
+	return outer
 }
 
 // Start listens on addr ("127.0.0.1:0" for ephemeral) and starts the update
@@ -788,8 +765,9 @@ func (n *Node) Close() error {
 		close(n.stopBatch)
 		<-n.batchDone
 		n.loc.close()
+		n.plane.close()
 		// Connections this node dialed but never used sit in StateNew at
-		// the peer's server, whose Shutdown will not reap them for 5 s: a
+		// the origin's server, whose Shutdown will not reap them for 5 s: a
 		// closing process must not leave them behind.
 		n.client.CloseIdleConnections()
 		if n.srv == nil {
@@ -872,7 +850,7 @@ func (n *Node) store(urlHash uint64, version int64, body []byte) {
 
 // queryURL extracts the "url" query parameter. Equivalent to
 // r.URL.Query().Get("url") without materializing the full url.Values map —
-// every object-path request (/fetch, /object, /purge) pays this parse.
+// every object-path request (/fetch, /purge) pays this parse.
 func queryURL(r *http.Request) string {
 	q := r.URL.RawQuery
 	for q != "" {
@@ -913,9 +891,9 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		reqID = n.newRequestID()
 	}
 	// The sampling decision is made on entry so the whole request shares
-	// it: a sampled request's upstream fetches forward the request ID and
-	// sampled flag, letting the contacted peer record its own span group
-	// under the same trace ID. Unsampled requests record nothing.
+	// it: a sampled request's peer calls carry its trace ID, letting the
+	// contacted peer record its own span group under it. Unsampled requests
+	// record nothing.
 	sampled := n.sampler.Sample()
 	h := hintcache.HashURL(url)
 
@@ -968,201 +946,22 @@ func (n *Node) finishFetch(w http.ResponseWriter, reqID string, start time.Time,
 	serveObject(w, how, version, body)
 }
 
-// handleObject is the cache-to-cache path: GET /object?url=U serves only
-// locally cached data.
-func (n *Node) handleObject(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	url := queryURL(r)
-	if url == "" {
-		http.Error(w, "missing url parameter", http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	h := hintcache.HashURL(url)
-	obj, body, ok := n.data.Get(h)
-	if !ok && n.tier != nil {
-		// The hint that led the peer here may point at a spilled (or
-		// just-recovered) object: still locally cached, just on disk.
-		obj, body, ok = n.tier.Get(h)
-	}
-	if !ok {
-		n.stats.peerRejects.Add(1)
-		elapsed := time.Since(start)
-		n.recordPeerSpan(r, "PEER-REJECT", elapsed)
-		w.Header().Set(headerTraceHop,
-			obs.Hop{Node: n.label(), Outcome: "PEER-REJECT", Elapsed: elapsed}.Segment())
-		http.Error(w, "not cached", http.StatusNotFound)
-		return
-	}
-	n.stats.peerServes.Add(1)
-	elapsed := time.Since(start)
-	n.hist.peerServe.Observe(elapsed)
-	n.recordPeerSpan(r, "PEER-SERVE", elapsed)
-	w.Header().Set(headerTraceHop,
-		obs.Hop{Node: n.label(), Outcome: "PEER-SERVE", Elapsed: elapsed}.Segment())
-	serveObject(w, "PEER", obj.Version, body)
-}
-
-// recordPeerSpan records this node's side of a cache-to-cache transfer as
-// a single-span group under the fetching node's trace ID, but only when
-// the fetcher marked the request sampled — the unsampled majority of peer
-// serves records nothing.
-func (n *Node) recordPeerSpan(r *http.Request, outcome string, elapsed time.Duration) {
-	if r.Header.Get(headerTraceSampled) == "" {
-		return
-	}
-	reqID := r.Header.Get(headerRequestID)
-	if reqID == "" {
+// recordPeerSpan records this node's side of a peer's call as a
+// single-span group under the calling node's trace ID (the call's A field),
+// but only when the caller marked the call sampled — the unsampled majority
+// of peer serves records nothing.
+func (n *Node) recordPeerSpan(h wire.PeerHeader, outcome string, elapsed time.Duration) {
+	if !h.Sampled {
 		return
 	}
 	n.spans.Add(obs.Span{
-		TraceID:  obs.TraceID(reqID),
+		TraceID:  h.A,
 		Index:    0,
 		Parent:   obs.SpanRoot,
 		Node:     n.label(),
 		Outcome:  outcome,
 		Duration: elapsed,
 	})
-}
-
-// updatesBodyPool, updatesScratchPool, and updatesPayloadPool recycle the
-// body buffer, the decoded-update scratch slice, and the frame-payload
-// inflate scratch of the /updates ingest path, so a steady stream of hint
-// batches does not allocate per request.
-var (
-	updatesBodyPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	updatesScratchPool = sync.Pool{New: func() any { return new([]hintcache.Update) }}
-	updatesPayloadPool = sync.Pool{New: func() any { return new([]byte) }}
-)
-
-// unframeUpdates extracts the hint-record payload from a POST /updates
-// body, which must be exactly one KindHintBatch frame. limit bounds the
-// decoded record bytes; scratch is the caller's pooled inflate buffer,
-// returned possibly regrown. On error the returned status is the HTTP
-// response code (413 for oversize, 400 otherwise).
-func unframeUpdates(msg []byte, limit int64, scratch []byte) (records []byte, _ []byte, status int, err error) {
-	f, rest, err := wire.Decode(msg)
-	if err != nil {
-		return nil, scratch, http.StatusBadRequest, err
-	}
-	if len(rest) != 0 {
-		return nil, scratch, http.StatusBadRequest,
-			fmt.Errorf("%d trailing bytes after frame", len(rest))
-	}
-	if f.Kind != wire.KindHintBatch {
-		return nil, scratch, http.StatusBadRequest,
-			fmt.Errorf("unexpected frame kind %s", f.Kind)
-	}
-	// The declared raw length is checked before inflating so a compressed
-	// bomb cannot expand past the limit.
-	if int64(f.RawLen) > limit {
-		return nil, scratch, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("frame payload %d bytes exceeds limit %d", f.RawLen, limit)
-	}
-	payload, err := f.Payload(scratch[:0])
-	if err != nil {
-		return nil, scratch, http.StatusBadRequest, err
-	}
-	if f.Compressed {
-		scratch = payload
-	}
-	return payload, scratch, 0, nil
-}
-
-// readUpdatesBody reads a POST /updates body into buf, enforcing limit. A
-// body that exceeds the limit is refused whole — the old behavior of
-// silently truncating at the limit could shear a 20-byte record mid-encode
-// and reject an otherwise valid batch as garbage. On error it returns the
-// HTTP status to respond with (413 for oversize, 400 otherwise).
-func readUpdatesBody(buf *bytes.Buffer, r *http.Request, limit int64) (status int, err error) {
-	if r.ContentLength > limit {
-		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body %d bytes exceeds limit %d", r.ContentLength, limit)
-	}
-	// Read one byte past the limit so an unannounced oversized body is
-	// distinguishable from one that exactly fits.
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, limit+1)); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("read body: %w", err)
-	}
-	if int64(buf.Len()) > limit {
-		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds limit %d", limit)
-	}
-	return 0, nil
-}
-
-// updatesLimit bounds the record bytes of one POST /updates body (a full
-// hintQueueCap batch is 160 KB); larger bodies are refused with 413 instead
-// of silently truncated.
-const updatesLimit = 1 << 20
-
-// handleUpdates ingests a batch of hint updates: POST /updates. Records
-// from this node are filtered out (our own
-// copies are tracked by the data cache), and the rest apply through
-// ApplyBatch, which takes each hint-table stripe lock once per batch
-// instead of once per record.
-func (n *Node) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	buf := updatesBodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer updatesBodyPool.Put(buf)
-	// The body limit admits one frame header over the record limit; the
-	// record bytes the frame declares are held to updatesLimit by
-	// unframeUpdates.
-	if status, err := readUpdatesBody(buf, r, updatesLimit+wire.HeaderSize); err != nil {
-		if status == http.StatusRequestEntityTooLarge {
-			n.stats.oversizeRejects.Add(1)
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	payloadBuf := updatesPayloadPool.Get().(*[]byte)
-	defer updatesPayloadPool.Put(payloadBuf)
-	msg, pb, status, err := unframeUpdates(buf.Bytes(), updatesLimit, *payloadBuf)
-	*payloadBuf = pb
-	if err != nil {
-		if status == http.StatusRequestEntityTooLarge {
-			n.stats.oversizeRejects.Add(1)
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	scratch := updatesScratchPool.Get().(*[]hintcache.Update)
-	defer updatesScratchPool.Put(scratch)
-	updates, err := hintcache.AppendDecodedUpdates((*scratch)[:0], msg)
-	*scratch = updates[:0]
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	total := len(updates)
-	kept := updates[:0]
-	for _, u := range updates {
-		if u.Machine == n.machineID {
-			continue
-		}
-		kept = append(kept, u)
-	}
-	_ = n.hints.ApplyBatch(kept)
-	n.stats.updatesReceived.Add(int64(total))
-	// Freshness telemetry: the sender stamped the batch with its oldest
-	// enqueue wall clock; the difference to our clock is how stale these
-	// hints already were on arrival.
-	from := r.Header.Get(headerHintSender)
-	if st, ok := hintcache.ParseStamp(r.Header.Get(headerHintBatch)); ok && from != "" {
-		n.hintLag.Observe(hostPortOf(from), time.Since(time.Unix(0, st.UnixNs)))
-	}
-	// An inbound batch is a sign of life from its sender: a locator that
-	// tracks membership lets a revived peer rejoin the routing plane
-	// without waiting out a probe round.
-	n.loc.contact(from, true)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handlePurge drops the local copy of a URL: POST /purge?url=U. The
@@ -1200,97 +999,111 @@ type fetched struct {
 	hops    []obs.Hop
 }
 
-// get issues one upstream GET under ctx. Sampled requests forward the
-// request ID and the sampled flag so the upstream can record its own span
-// group under the same trace ID.
-func (n *Node) get(ctx context.Context, reqURL, reqID string, sampled bool) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, reqURL, nil)
+// fetchPeer performs a cache-to-cache transfer: one object call on the
+// peer plane. On success it returns the hop chain for the transfer: the
+// peer's self-timed serve segment (from its answer's fixed fields) followed
+// by this node's round-trip measurement — the difference between the two is
+// time on the wire. ctx carries the per-hop peer deadline (and, on the
+// hedged path, the race's abandon signal).
+func (n *Node) fetchPeer(ctx context.Context, peerURL, url, reqID string, sampled bool) (fetched, error) {
+	start := time.Now()
+	r, err := n.call(ctx, peerURL, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
+	if err == nil && r.Status != http.StatusOK {
+		err = fmt.Errorf("status %d", r.Status)
+	}
 	if err != nil {
-		return nil, err
+		return fetched{}, fmt.Errorf("peer fetch: %w", err)
 	}
-	if sampled {
-		req.Header[headerRequestID] = []string{reqID}
-		req.Header[headerTraceSampled] = []string{"1"}
-	}
-	return n.client.Do(req)
+	return fetched{version: int64(r.A), body: r.body, hops: []obs.Hop{
+		{Node: r.label, Outcome: "PEER-SERVE", Elapsed: time.Duration(r.B)},
+		{Node: hostPortOf(peerURL), Outcome: "PEER", Elapsed: time.Since(start)},
+	}}, nil
 }
 
-// fetchGet performs one upstream GET and decodes the object plus the
-// upstream's self-timed hop segment.
-func (n *Node) fetchGet(ctx context.Context, reqURL, reqID string, sampled bool) (int64, []byte, []obs.Hop, error) {
-	resp, err := n.get(ctx, reqURL, reqID, sampled)
+// sampledCall starts a peer call's header; a sampled request's calls carry
+// its trace ID so the peer can record its own span under it.
+func sampledCall(op wire.PeerOp, reqID string, sampled bool) wire.PeerHeader {
+	h := wire.PeerHeader{Op: op, Sampled: sampled}
+	if sampled {
+		h.A = obs.TraceID(reqID)
+	}
+	return h
+}
+
+// fetchOrigin fetches from the origin server — the one upstream still
+// reached over HTTP, being the one party outside the fleet — returning the
+// origin's self-timed serve segment (when present) plus the measured round
+// trip.
+func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("origin fetch: %w", err)
+		}
+	}()
+	start := time.Now()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.cfg.OriginURL+"/obj?url="+neturl.QueryEscape(url), nil)
 	if err != nil {
-		return 0, nil, nil, err
+		return fetched{}, err
+	}
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return fetched{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return 0, nil, nil, fmt.Errorf("status %d", resp.StatusCode)
+		// An error page is not an object: drain a token amount for
+		// connection reuse and let Close drop the connection otherwise.
+		io.CopyN(io.Discard, resp.Body, 4<<10)
+		return fetched{}, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	version, body, err := readObject(resp)
 	if err != nil {
-		return 0, nil, nil, err
+		return fetched{}, err
 	}
 	var hops []obs.Hop
 	if h, ok := obs.ParseSegment(resp.Header.Get(headerTraceHop)); ok {
 		hops = append(hops, h)
 	}
-	return version, body, hops, nil
-}
-
-// fetchPeer performs a cache-to-cache transfer. On success it returns the
-// hop chain for the transfer: the peer's self-timed serve segment (from its
-// X-Trace-Hop header) followed by this node's round-trip measurement — the
-// difference between the two is time on the wire. ctx carries the per-hop
-// peer deadline (and, on the hedged path, the race's abandon signal).
-func (n *Node) fetchPeer(ctx context.Context, peerURL, url, reqID string, sampled bool) (fetched, error) {
-	start := time.Now()
-	version, body, hops, err := n.fetchGet(ctx, peerURL+"/object?url="+neturl.QueryEscape(url), reqID, sampled)
-	if err != nil {
-		return fetched{}, fmt.Errorf("peer fetch: %w", err)
-	}
-	hops = append(hops, obs.Hop{Node: hostPortOf(peerURL), Outcome: "PEER", Elapsed: time.Since(start)})
-	return fetched{version: version, body: body, hops: hops}, nil
-}
-
-// fetchOrigin fetches from the origin server, returning the origin's
-// self-timed serve segment (when present) plus the measured round trip.
-func (n *Node) fetchOrigin(ctx context.Context, url, reqID string, sampled bool) (fetched, error) {
-	start := time.Now()
-	version, body, hops, err := n.fetchGet(ctx, n.cfg.OriginURL+"/obj?url="+neturl.QueryEscape(url), reqID, sampled)
-	if err != nil {
-		return fetched{}, fmt.Errorf("origin fetch: %w", err)
-	}
 	hops = append(hops, obs.Hop{Node: "origin", Outcome: "ORIGIN", Elapsed: time.Since(start)})
 	return fetched{version: version, body: body, hops: hops}, nil
 }
 
-// maxBodyPrealloc is the most readObject allocates on a Content-Length
-// header's say-so; a longer (or undeclared) body is read incrementally.
+// maxBodyPrealloc is the most readSized allocates on a declared length's
+// say-so; a longer (or undeclared) body is read incrementally.
 const maxBodyPrealloc = 4 << 20
 
-// readObject reads a peer's or the origin's object response. A body that
-// ends short of its declared length is an error, never an object to cache.
+// readObject reads the origin's object response.
 func readObject(resp *http.Response) (int64, []byte, error) {
 	version, err := strconv.ParseInt(resp.Header.Get(headerVersion), 10, 64)
 	if err != nil {
 		return 0, nil, fmt.Errorf("bad %s header: %w", headerVersion, err)
 	}
-	n := resp.ContentLength
+	body, err := readSized(resp.Body, resp.ContentLength)
+	return version, body, err
+}
+
+// readSized reads a body of declared length n (negative: undeclared, read
+// to EOF) into one slice the caller owns. A body that ends short of its
+// declared length is an error, never an object to cache.
+func readSized(r io.Reader, n int64) ([]byte, error) {
 	var body []byte
-	if n >= 0 && n <= maxBodyPrealloc {
+	var err error
+	switch {
+	case n < 0:
+		body, err = io.ReadAll(r)
+	case n <= maxBodyPrealloc:
 		body = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, body)
-	} else {
-		body, err = io.ReadAll(resp.Body)
+		_, err = io.ReadFull(r, body)
+	default:
+		body, err = io.ReadAll(io.LimitReader(r, n))
 	}
 	if err == nil && n >= 0 && int64(len(body)) != n {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("read body: %w", err)
+		return nil, fmt.Errorf("read body: %w", err)
 	}
-	return version, body, nil
+	return body, nil
 }
 
 func serveObject(w http.ResponseWriter, how string, version int64, body []byte) {

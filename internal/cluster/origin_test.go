@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -106,5 +109,42 @@ func TestReplayStatsHitRatio(t *testing.T) {
 	s = ReplayStats{Requests: 10, LocalHits: 3, RemoteHits: 2, Misses: 5}
 	if s.HitRatio() != 0.5 {
 		t.Errorf("hit ratio = %g, want 0.5", s.HitRatio())
+	}
+}
+
+// TestOriginErrorPageIsNotDrained: the origin is the one upstream outside
+// the fleet, so a non-200 answer of any length must cost a token drain, not
+// a read to the end (or to OriginTimeout) on the miss path.
+func TestOriginErrorPageIsNotDrained(t *testing.T) {
+	stop := make(chan struct{})
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		page := bytes.Repeat([]byte("error "), 1<<10)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-r.Context().Done():
+				return
+			default:
+			}
+			if _, err := w.Write(page); err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(endless.Close)
+	t.Cleanup(func() { close(stop) })
+	n := newMetaNode(t, NodeConfig{Name: "drain", OriginURL: endless.URL, OriginTimeout: 5 * time.Second})
+
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.OriginTimeout)
+	defer cancel()
+	start := time.Now()
+	_, err := n.fetchOrigin(ctx, "http://example.com/broken")
+	if err == nil || !strings.Contains(err.Error(), "status 500") {
+		t.Errorf("fetch from a failing origin = %v, want a status 500 error", err)
+	}
+	if took := time.Since(start); took > n.cfg.OriginTimeout/5 {
+		t.Errorf("fetch read an endless error page for %v, want well under OriginTimeout %v", took, n.cfg.OriginTimeout)
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/overlay"
+	"beyondcache/internal/wire"
 )
 
 // Partitioned hint directory integration tests (DESIGN.md §14): ownership
@@ -123,13 +123,8 @@ func TestOwnershipFilterRejectsForeignRecords(t *testing.T) {
 		}
 	}
 	body := hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: h, Machine: f.Nodes[1].machineID})
-	resp, err := http.Post(n.URL()+"/updates", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("POST /updates = %d, want 204", resp.StatusCode)
+	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, body); r.Status != http.StatusNoContent {
+		t.Fatalf("hint batch = %d, want 204", r.Status)
 	}
 	if _, ok := n.hints.Lookup(h); ok {
 		t.Error("non-owned record was stored")

@@ -1,0 +1,573 @@
+package cluster
+
+// The peer plane (DESIGN.md §15): everything one cache node says to another
+// — object transfers, hint-home consults, hint batches, digest pulls,
+// liveness probes — is a wire.PeerHeader frame on one connection per peer
+// pair, dialed lazily on the peer's ordinary listener (GET /peer, upgraded
+// and hijacked). Every call carries an ID and a read loop hands each answer
+// to the caller waiting on it, so calls share the connection and a slow one
+// holds up nothing behind it. Deadlines, breakers, retries and fault
+// injection stay per call, above this file.
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"sync"
+	"time"
+
+	"beyondcache/internal/faults"
+	"beyondcache/internal/hintcache"
+	"beyondcache/internal/wire"
+)
+
+const (
+	// peerProto names the protocol in the Upgrade handshake; in its 101 the
+	// accepting node sends the label its self-timed hop segments carry.
+	peerProto       = "beyondcache-peer/1"
+	headerPeerLabel = "X-Peer-Label"
+	// peerRequestLimit bounds a request body other than a hint batch (in
+	// practice a URL); updatesLimit bounds the record bytes of one hint
+	// batch (a full hintQueueCap batch is 160 KB).
+	peerRequestLimit = 16 << 10
+	updatesLimit     = 1 << 20
+	// peerInflight caps the calls of one inbound connection that may be off
+	// its read loop at once; at the cap the loop stops reading, so a peer
+	// cannot queue unbounded work here by not waiting for answers.
+	peerInflight = 64
+	// peerDialTimeout bounds connect plus handshake. peerWriteTimeout
+	// bounds one frame write where the caller's own deadline does not: a
+	// peer that stops reading costs a closed connection, not a stuck lock.
+	peerDialTimeout  = 2 * time.Second
+	peerWriteTimeout = 5 * time.Second
+	// peerInlineBody is the largest body copied behind its header into one
+	// write; larger ones go out as a two-part vectored write instead.
+	peerInlineBody = 4 << 10
+)
+
+var (
+	errPlaneClosed = errors.New("peer plane closed")
+	errPeerAborted = errors.New("peer aborted the call")
+)
+
+// peerPlane is a node's connection state: the connection calls to each peer
+// share, and every live connection, dialed or accepted, for close to cut —
+// http.Server.Shutdown does not track hijacked ones.
+type peerPlane struct {
+	// ctx ends with the plane, cutting short faulted calls' sleeps; wg
+	// counts read loops, serve loops and calls taken off a serve loop.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
+
+	mu     sync.RWMutex
+	dialed map[string]*peerConn // by peer base URL; may be dead, until redialed
+	conns  map[*peerConn]struct{}
+	closed bool
+}
+
+// adopt registers pc (dialed to peerURL, or accepted: "") and starts loop
+// on it, which runs until the connection dies. It refuses, returning the
+// connection to use instead if there is one, once the plane has closed or
+// another dial to peerURL has won.
+func (p *peerPlane) adopt(pc *peerConn, peerURL string, loop func(*peerConn)) *peerConn {
+	p.mu.Lock()
+	cur := p.dialed[peerURL]
+	if p.closed || cur != nil && cur.alive() {
+		p.mu.Unlock()
+		pc.c.Close()
+		return cur
+	}
+	if peerURL != "" {
+		p.dialed[peerURL] = pc
+	}
+	p.conns[pc] = struct{}{}
+	p.wg.Add(1)
+	p.mu.Unlock()
+	go func() {
+		defer p.wg.Done()
+		loop(pc)
+		pc.fail(io.EOF)
+		p.mu.Lock()
+		delete(p.conns, pc)
+		p.mu.Unlock()
+	}()
+	return pc
+}
+
+func (p *peerPlane) close() {
+	p.mu.Lock()
+	p.closed = true
+	for pc := range p.conns {
+		pc.fail(errPlaneClosed)
+	}
+	p.mu.Unlock()
+	p.stop()
+	p.wg.Wait()
+}
+
+// conn returns the connection to peerURL, dialing under the caller's own
+// deadline if there is no live one. Two first callers may both dial; the
+// later one closes its connection and shares the earlier.
+func (p *peerPlane) conn(ctx context.Context, peerURL string) (*peerConn, error) {
+	p.mu.RLock()
+	pc := p.dialed[peerURL]
+	p.mu.RUnlock()
+	if pc != nil && pc.alive() {
+		return pc, nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, peerDialTimeout)
+	defer cancel()
+	pc, err := dialPeer(ctx, hostPortOf(peerURL))
+	if err != nil {
+		return nil, err
+	}
+	if pc = p.adopt(pc, peerURL, (*peerConn).readLoop); pc == nil {
+		return nil, errPlaneClosed
+	}
+	return pc, nil
+}
+
+// dialPeer connects to host and upgrades the connection: GET /peer on the
+// peer's ordinary listener, answered 101 with the peer's label.
+func dialPeer(ctx context.Context, host string) (*peerConn, error) {
+	c, err := (&net.Dialer{KeepAlive: 30 * time.Second}).DialContext(ctx, "tcp", host)
+	if err != nil {
+		return nil, err
+	}
+	deadline, _ := ctx.Deadline()
+	c.SetDeadline(deadline)
+	br := bufio.NewReaderSize(c, 64<<10)
+	_, err = io.WriteString(c, "GET /peer HTTP/1.1\r\nHost: "+host+"\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n\r\n")
+	var resp *http.Response
+	if err == nil {
+		resp, err = http.ReadResponse(br, nil)
+	}
+	if err == nil && (resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != peerProto) {
+		err = fmt.Errorf("upgrade refused: %s", resp.Status)
+	}
+	if err != nil {
+		c.Close()
+		return nil, fmt.Errorf("peer dial %s: %w", host, err)
+	}
+	c.SetDeadline(time.Time{})
+	return newPeerConn(c, br, resp.Header.Get(headerPeerLabel)), nil
+}
+
+// peerReply is a peer's answer to one call: the response header, its body,
+// and the label the peer gave itself in the handshake.
+type peerReply struct {
+	wire.PeerHeader
+	body  []byte
+	label string
+	err   error
+}
+
+// peerConn is one upgraded connection, either end.
+type peerConn struct {
+	c     net.Conn
+	br    *bufio.Reader
+	label string // the far end's label (dialed connections)
+
+	// wlock serializes writers. It is a channel so that a caller whose
+	// deadline fires while queued behind another writer can stop waiting;
+	// wbuf is the header (and small-body) scratch it guards.
+	wlock chan struct{}
+	wbuf  []byte
+
+	// mu guards the calls awaiting an answer (dialed connections) and err,
+	// what killed the connection.
+	mu      sync.Mutex
+	pending map[uint64]chan peerReply
+	nextID  uint64
+	err     error
+}
+
+func newPeerConn(c net.Conn, br *bufio.Reader, label string) *peerConn {
+	return &peerConn{c: c, br: br, label: label, wlock: make(chan struct{}, 1), pending: make(map[uint64]chan peerReply)}
+}
+
+func (pc *peerConn) alive() bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.err == nil
+}
+
+// fail kills the connection and fails every call still waiting on it.
+func (pc *peerConn) fail(err error) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.err != nil {
+		return
+	}
+	pc.err = err
+	pc.c.Close()
+	for id, ch := range pc.pending {
+		ch <- peerReply{err: err} // buffered: never blocks
+		delete(pc.pending, id)
+	}
+}
+
+// take claims the channel awaiting call id's answer (nil if the answer, or
+// the connection's death, got there first).
+func (pc *peerConn) take(id uint64) chan peerReply {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	ch := pc.pending[id]
+	delete(pc.pending, id)
+	return ch
+}
+
+// write sends one frame. It gives up, leaving the connection alone, if ctx
+// ends while it waits its turn. Once it has the turn the write must finish
+// by the earlier of ctx's deadline and peerWriteTimeout: half a frame
+// leaves the far end nothing to resynchronize on, so a write that fails
+// kills the connection.
+func (pc *peerConn) write(ctx context.Context, h wire.PeerHeader, body []byte) error {
+	select {
+	case pc.wlock <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-pc.wlock }()
+	if err := ctx.Err(); err != nil {
+		return err // expired as the turn came: nothing written, nothing broken
+	}
+	deadline := time.Now().Add(peerWriteTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	pc.c.SetWriteDeadline(deadline)
+	h.Len = len(body)
+	pc.wbuf = wire.AppendPeerHeader(pc.wbuf[:0], h)
+	var err error
+	if len(body) <= peerInlineBody {
+		pc.wbuf = append(pc.wbuf, body...)
+		_, err = pc.c.Write(pc.wbuf)
+	} else {
+		_, err = (&net.Buffers{pc.wbuf, body}).WriteTo(pc.c)
+	}
+	if err != nil {
+		pc.fail(err)
+	}
+	return err
+}
+
+// readLoop delivers answers to the calls waiting for them until the
+// connection dies. A request where an answer belongs, an undecodable header
+// or a body declared past what the op allows (none; a digest frame; for an
+// object any length, readSized bounding what the length alone can allocate)
+// kills it; an answer nobody is waiting for — its caller's deadline fired
+// first — is read and discarded.
+func (pc *peerConn) readLoop() {
+	hdr := make([]byte, wire.PeerHeaderSize)
+	for {
+		_, err := io.ReadFull(pc.br, hdr)
+		var h wire.PeerHeader
+		if err == nil {
+			h, err = wire.DecodePeerHeader(hdr)
+		}
+		if err == nil && (!h.Response || h.Len > 0 && h.Op != wire.PeerObject && (h.Op != wire.PeerDigest || h.Len > digestBodyLimit)) {
+			err = fmt.Errorf("peer plane: unexpected frame (op %d, %d body bytes)", h.Op, h.Len)
+		}
+		ch := pc.take(h.ID)
+		var body []byte
+		switch {
+		case err != nil:
+		case ch == nil:
+			_, err = pc.br.Discard(h.Len)
+		default:
+			// A slice of its own, exactly sized: for an object, the one the
+			// cache will keep.
+			body, err = readSized(pc.br, int64(h.Len))
+		}
+		if ch != nil {
+			ch <- peerReply{PeerHeader: h, body: body, label: pc.label, err: err}
+		}
+		if err != nil {
+			pc.fail(err)
+			return
+		}
+	}
+}
+
+// call sends one request on the connection and waits for its answer, both
+// bounded by ctx: a caller whose deadline fires deregisters its ID and
+// returns on time, and the late answer is discarded by the read loop.
+func (pc *peerConn) call(ctx context.Context, h wire.PeerHeader, body []byte) (peerReply, error) {
+	ch := make(chan peerReply, 1)
+	pc.mu.Lock()
+	if pc.err != nil {
+		pc.mu.Unlock()
+		return peerReply{}, pc.err
+	}
+	pc.nextID++
+	h.ID = pc.nextID
+	pc.pending[h.ID] = ch
+	pc.mu.Unlock()
+	if err := pc.write(ctx, h, body); err != nil {
+		pc.take(h.ID)
+		return peerReply{}, err
+	}
+	select {
+	case r := <-ch:
+		if r.err == nil && r.Status == 0 {
+			r.err = errPeerAborted
+		}
+		return r, r.err
+	case <-ctx.Done():
+		pc.take(h.ID)
+		return peerReply{}, ctx.Err()
+	}
+}
+
+// call makes one call to a peer. The outbound fault decision is drawn once
+// per call and touches only this call. A nil error means the peer answered;
+// the status is the caller's to judge.
+func (n *Node) call(ctx context.Context, peerURL string, h wire.PeerHeader, body []byte) (peerReply, error) {
+	if n.inj != nil {
+		host := hostPortOf(peerURL)
+		code, err := n.inj.Decide(host).Apply(ctx, host)
+		if err != nil || code > 0 {
+			return peerReply{PeerHeader: wire.PeerHeader{Status: uint16(code)}}, err
+		}
+	}
+	// A connection the peer closed while it sat idle (a restart) is found
+	// out by the first call to use it. Every op is idempotent, so — as
+	// net/http does for a stale pooled connection — that call is tried once
+	// more, on a fresh connection, if its deadline still allows.
+	for attempt := 0; ; attempt++ {
+		pc, err := n.plane.conn(ctx, peerURL)
+		if err != nil {
+			return peerReply{}, err
+		}
+		r, err := pc.call(ctx, h, body)
+		if err == nil || attempt > 0 || pc.alive() || ctx.Err() != nil {
+			return r, err
+		}
+	}
+}
+
+// handlePeer accepts a peer's connection: GET /peer with the upgrade
+// header, hijacked and served as frames until either side closes it. It
+// sits outside the inbound fault middleware — faults are drawn per call.
+func (n *Node) handlePeer(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Upgrade") != peerProto {
+		w.Header().Set("Upgrade", peerProto)
+		http.Error(w, "peer plane: upgrade required", http.StatusUpgradeRequired)
+		return
+	}
+	c, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	c.SetDeadline(time.Now().Add(peerWriteTimeout))
+	if _, err := io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n"+headerPeerLabel+": "+n.label()+"\r\n\r\n"); err != nil {
+		c.Close()
+		return
+	}
+	c.SetDeadline(time.Time{})
+	n.plane.adopt(newPeerConn(c, brw.Reader, ""), "", n.servePeer)
+}
+
+// updatesScratchPool and updatesPayloadPool recycle the decoded-update
+// scratch slice and the frame-payload inflate scratch of the hint-batch
+// ingest path, so a steady stream of hint batches does not allocate per
+// record.
+var (
+	updatesScratchPool = sync.Pool{New: func() any { return new([]hintcache.Update) }}
+	updatesPayloadPool = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// servePeer is an accepted connection's read loop. It answers inline only
+// what memory can answer — a memory-tier object, a directory lookup, a ping
+// — and hands a disk-tier read, a batch apply, a digest serve or a faulted
+// call to a goroutine of its own, so one slow call never holds up the
+// frames behind it.
+func (n *Node) servePeer(pc *peerConn) {
+	// ctx ends with the connection, and with it the faulted calls' sleeps.
+	ctx, cancel := context.WithCancel(n.plane.ctx)
+	defer cancel()
+	inflight := make(chan struct{}, peerInflight)
+	hdr := make([]byte, wire.PeerHeaderSize)
+	var small []byte // scratch for a request body consumed before the next read
+	for {
+		if _, err := io.ReadFull(pc.br, hdr); err != nil {
+			return
+		}
+		h, err := wire.DecodePeerHeader(hdr)
+		if err != nil || h.Response {
+			return
+		}
+		limit := peerRequestLimit
+		if h.Op == wire.PeerHints {
+			// One frame header over the record limit; the record bytes the
+			// frame declares are held to updatesLimit by ingestHints.
+			limit = updatesLimit + wire.HeaderSize
+		}
+		if h.Len > limit {
+			// Refused unread, so the stream cannot be picked up again: an
+			// oversized batch is told why, then the connection goes.
+			if h.Op == wire.PeerHints {
+				n.stats.oversizeRejects.Add(1)
+				pc.write(ctx, wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusRequestEntityTooLarge}, nil)
+			}
+			return
+		}
+		var body, batch []byte
+		if h.Op == wire.PeerHints {
+			// A batch outlives this iteration: it is applied off the loop.
+			batch = make([]byte, h.Len)
+			body = batch
+		} else {
+			if cap(small) < h.Len {
+				small = make([]byte, h.Len)
+			}
+			body = small[:h.Len]
+		}
+		if _, err := io.ReadFull(pc.br, body); err != nil {
+			return
+		}
+		if h.Op == wire.PeerObject {
+			h.B = hintcache.HashURL(string(body)) // all the call needs of its URL
+		}
+		var d faults.Decision
+		if n.inboundInj != nil {
+			d = n.inboundInj.Decide(n.label())
+		}
+		if d == (faults.Decision{}) && (h.Op == wire.PeerPing || h.Op == wire.PeerHolder ||
+			h.Op == wire.PeerObject && (n.tier == nil || n.data.Contains(h.B))) {
+			n.serveCall(ctx, pc, h, d, nil)
+			continue
+		}
+		inflight <- struct{}{} // at the cap: stop reading until a call finishes
+		n.plane.wg.Add(1)
+		go func() {
+			defer n.plane.wg.Done()
+			defer func() { <-inflight }()
+			n.serveCall(ctx, pc, h, d, batch)
+		}()
+	}
+}
+
+// serveCall plays out the fault one call drew, if any, runs it and writes
+// its answer. batch is a hint call's body; no other op's body is kept.
+func (n *Node) serveCall(ctx context.Context, pc *peerConn, h wire.PeerHeader, d faults.Decision, batch []byte) {
+	resp := wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID}
+	var err error
+	if d != (faults.Decision{}) {
+		// An injected hang outlasts no caller: clientTimeout is the ceiling
+		// on any deadline in the package.
+		fctx, cancel := context.WithTimeout(ctx, clientTimeout)
+		var code int
+		code, err = d.Apply(fctx, n.label())
+		cancel()
+		resp.Status = uint16(code)
+	}
+	// A dropped or hung call is answered with status zero: the caller, if
+	// it still waits, learns at once that no answer is coming.
+	var out []byte
+	if err == nil && resp.Status == 0 {
+		out = n.answer(&resp, h, batch)
+	}
+	pc.write(ctx, resp, out)
+}
+
+// answer runs one peer call, filling in resp and returning the body.
+func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, batch []byte) []byte {
+	resp.Status = http.StatusOK
+	start := time.Now()
+	switch h.Op {
+	case wire.PeerPing:
+		resp.Status = http.StatusNoContent
+	case wire.PeerHolder:
+		n.answerHolder(resp, h, start)
+	case wire.PeerHints:
+		resp.Status = uint16(n.ingestHints(batch, h.A, int64(h.C)))
+	case wire.PeerDigest:
+		return n.loc.serveDigest(h.A, resp)
+	case wire.PeerObject:
+		obj, body, ok := n.data.Get(h.B)
+		if !ok && n.tier != nil {
+			// The hint that led the peer here may point at a spilled (or
+			// just-recovered) object: still locally cached, just on disk.
+			obj, body, ok = n.tier.Get(h.B)
+		}
+		elapsed := time.Since(start)
+		if !ok {
+			n.stats.peerRejects.Add(1)
+			n.recordPeerSpan(h, "PEER-REJECT", elapsed)
+			resp.Status = http.StatusNotFound
+			break
+		}
+		n.stats.peerServes.Add(1)
+		n.hist.peerServe.Observe(elapsed)
+		n.recordPeerSpan(h, "PEER-SERVE", elapsed)
+		resp.A, resp.B = uint64(obj.Version), uint64(elapsed)
+		return body
+	}
+	return nil
+}
+
+// ingestHints applies one hint batch — msg is the call's body, which must
+// be exactly one KindHintBatch frame, sender and stampNs its fixed fields —
+// and returns the status to answer with (413 for oversize, 400 for
+// anything else undecodable). Records from this node are filtered out (our
+// own copies are tracked by the data cache), and the rest apply through
+// ApplyBatch, which takes each hint-table stripe lock once per batch
+// instead of once per record.
+func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
+	f, rest, err := wire.Decode(msg)
+	if err != nil || len(rest) != 0 || f.Kind != wire.KindHintBatch {
+		return http.StatusBadRequest
+	}
+	// The declared raw length is checked before inflating so a compressed
+	// bomb cannot expand past the limit.
+	if f.RawLen > updatesLimit {
+		n.stats.oversizeRejects.Add(1)
+		return http.StatusRequestEntityTooLarge
+	}
+	payloadBuf := updatesPayloadPool.Get().(*[]byte)
+	defer updatesPayloadPool.Put(payloadBuf)
+	records, err := f.Payload((*payloadBuf)[:0])
+	if err != nil {
+		return http.StatusBadRequest
+	}
+	if f.Compressed {
+		*payloadBuf = records
+	}
+	scratch := updatesScratchPool.Get().(*[]hintcache.Update)
+	defer updatesScratchPool.Put(scratch)
+	updates, err := hintcache.AppendDecodedUpdates((*scratch)[:0], records)
+	*scratch = updates[:0]
+	if err != nil {
+		return http.StatusBadRequest
+	}
+	total := len(updates)
+	kept := updates[:0]
+	for _, u := range updates {
+		if u.Machine == n.machineID {
+			continue
+		}
+		kept = append(kept, u)
+	}
+	_ = n.hints.ApplyBatch(kept)
+	n.stats.updatesReceived.Add(int64(total))
+	// Freshness telemetry: the sender stamped the batch with its oldest
+	// enqueue wall clock; the difference to our clock is how stale these
+	// hints already were on arrival.
+	from := n.peerURL(sender)
+	if stampNs > 0 && from != "" {
+		n.hintLag.Observe(hostPortOf(from), time.Since(time.Unix(0, stampNs)))
+	}
+	// An inbound batch is a sign of life from its sender: a locator that
+	// tracks membership lets a revived peer rejoin the routing plane
+	// without waiting out a probe round.
+	n.loc.contact(from, true)
+	return http.StatusNoContent
+}

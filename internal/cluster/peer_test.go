@@ -1,0 +1,659 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"beyondcache/internal/faults"
+	"beyondcache/internal/hintcache"
+	"beyondcache/internal/resilience"
+	"beyondcache/internal/wire"
+)
+
+// Peer-plane tests: what a shared connection can get wrong. Each fails if
+// the property it names is dropped — no head-of-line blocking, per-call
+// faults, deadlines against a stuck peer, bounded work on hostile frames, a
+// small call beside a large body, and no leak after Close.
+
+// testPeerClient is a bare peer-plane caller: the production dial, write
+// and read loop without a node (or its fault injector) around them.
+type testPeerClient struct {
+	t  testing.TB
+	pc *peerConn
+}
+
+func dialTestPeer(t testing.TB, baseURL string) *testPeerClient {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pc, err := dialPeer(ctx, hostPortOf(baseURL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go pc.readLoop()
+	t.Cleanup(func() { pc.fail(io.EOF) })
+	return &testPeerClient{t: t, pc: pc}
+}
+
+// call makes one call and waits up to five seconds for its answer.
+func (c *testPeerClient) call(h wire.PeerHeader, body []byte) (peerReply, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return c.pc.call(ctx, h, body)
+}
+
+// mustCall is call for the tests that expect an answer.
+func (c *testPeerClient) mustCall(h wire.PeerHeader, body []byte) peerReply {
+	c.t.Helper()
+	r, err := c.call(h, body)
+	if err != nil {
+		c.t.Fatalf("peer call op %d: %v", h.Op, err)
+	}
+	return r
+}
+
+// stubPeer is a frame-speaking stand-in for a node: it accepts the upgrade
+// and answers every call, one at a time per connection, with whatever
+// answer returns (op, response flag and ID are filled in).
+type stubPeer struct {
+	*httptest.Server
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func newStubPeer(t testing.TB, answer func(h wire.PeerHeader, body []byte) (wire.PeerHeader, []byte)) *stubPeer {
+	t.Helper()
+	s := &stubPeer{}
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c, brw := s.upgrade(w)
+		if c == nil {
+			return
+		}
+		hdr := make([]byte, wire.PeerHeaderSize)
+		for {
+			if _, err := io.ReadFull(brw, hdr); err != nil {
+				return
+			}
+			h, err := wire.DecodePeerHeader(hdr)
+			if err != nil {
+				return
+			}
+			body := make([]byte, h.Len)
+			if _, err := io.ReadFull(brw, body); err != nil {
+				return
+			}
+			resp, out := answer(h, body)
+			resp.Op, resp.Response, resp.ID, resp.Len = h.Op, true, h.ID, len(out)
+			if _, err := c.Write(append(wire.AppendPeerHeader(nil, resp), out...)); err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(s.close)
+	return s
+}
+
+// upgrade hijacks w's connection and completes the handshake.
+func (s *stubPeer) upgrade(w http.ResponseWriter) (net.Conn, *bufio.Reader) {
+	c, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		return nil, nil
+	}
+	s.mu.Lock()
+	s.conns = append(s.conns, c)
+	s.mu.Unlock()
+	c.SetDeadline(time.Time{})
+	io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n\r\n")
+	return c, brw.Reader
+}
+
+func (s *stubPeer) close() {
+	s.mu.Lock()
+	for _, c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	s.Server.Close()
+}
+
+func pingHeader() wire.PeerHeader { return wire.PeerHeader{Op: wire.PeerPing} }
+
+// dialedConn is the connection n's calls to peerURL currently share.
+func dialedConn(n *Node, peerURL string) *peerConn {
+	n.plane.mu.RLock()
+	defer n.plane.mu.RUnlock()
+	return n.plane.dialed[peerURL]
+}
+
+// TestPeerNoHeadOfLineBlocking: with one call held by an inbound latency
+// rule, a ping and a holder lookup on the same connection finish at once.
+func TestPeerNoHeadOfLineBlocking(t *testing.T) {
+	const stall = 400 * time.Millisecond
+	inj, err := faults.New("slow:latency="+stall.String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newMetaNode(t, NodeConfig{Name: "slow", InboundFaults: inj})
+	c := dialTestPeer(t, n.URL())
+
+	slow := make(chan time.Duration, 1)
+	start := time.Now()
+	go func() {
+		c.call(wire.PeerHeader{Op: wire.PeerObject}, []byte("http://example.com/hol"))
+		slow <- time.Since(start)
+	}()
+	// The rule is drawn when the server reads the frame; once it has been,
+	// heal, so only that one call is delayed.
+	for deadline := time.Now().Add(5 * time.Second); inj.Counts().Latency == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled call never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := inj.SetSpec(""); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []wire.PeerHeader{pingHeader(), {Op: wire.PeerHolder, B: 42}} {
+		t0 := time.Now()
+		r := c.mustCall(h, nil)
+		if took := time.Since(t0); took > stall/4 {
+			t.Errorf("op %d behind a stalled call took %v, want single-digit milliseconds", h.Op, took)
+		}
+		if r.Status != http.StatusNoContent && r.Status != http.StatusNotFound {
+			t.Errorf("op %d status %d", h.Op, r.Status)
+		}
+	}
+	if took := <-slow; took < stall {
+		t.Errorf("the delayed call returned after %v, want >= %v", took, stall)
+	}
+}
+
+// TestPeerFaultsArePerCall: a fault rule fails exactly the calls it was
+// drawn for and Injector.Counts sees one decision per call; the calls
+// around them, on the same connection, are untouched.
+func TestPeerFaultsArePerCall(t *testing.T) {
+	in, err := faults.New("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := newMetaNode(t, NodeConfig{Name: "target", InboundFaults: in})
+	inj, err := faults.New("", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newMetaNode(t, NodeConfig{Name: "caller", Faults: inj})
+	host := hostPortOf(target.URL())
+	ping := func() (peerReply, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		return n.call(ctx, target.URL(), pingHeader(), nil)
+	}
+	healthy := func(when string) {
+		t.Helper()
+		if r, err := ping(); err != nil || r.Status != http.StatusNoContent {
+			t.Fatalf("%s: ping = status %d, %v; want 204", when, r.Status, err)
+		}
+	}
+	healthy("before any fault")
+	pc := dialedConn(n, target.URL())
+
+	for _, c := range []struct {
+		spec  string
+		check func(r peerReply, err error) bool
+		count func(faults.Counts) int64
+	}{
+		{"droprate=1", func(_ peerReply, err error) bool { return err != nil }, func(c faults.Counts) int64 { return c.Drops }},
+		{"errrate=1,errcode=502", func(r peerReply, err error) bool { return err == nil && r.Status == 502 }, func(c faults.Counts) int64 { return c.Errors }},
+		{"blackhole", func(_ peerReply, err error) bool { return err == context.DeadlineExceeded }, func(c faults.Counts) int64 { return c.Hangs }},
+	} {
+		before := c.count(inj.Counts())
+		if err := inj.SetSpec(host + ":" + c.spec); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if r, err := ping(); !c.check(r, err) {
+				t.Errorf("%s: ping = status %d, %v", c.spec, r.Status, err)
+			}
+		}
+		if got := c.count(inj.Counts()) - before; got != 3 {
+			t.Errorf("%s: injector counted %d decisions for 3 calls", c.spec, got)
+		}
+		if err := inj.SetSpec(""); err != nil {
+			t.Fatal(err)
+		}
+		healthy("after " + c.spec)
+	}
+	// Nor does a caller whose deadline has already passed: it may win the
+	// write turn, but must not write (and fail) against its dead deadline.
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		if _, err := n.call(ctx, target.URL(), pingHeader(), nil); err != context.DeadlineExceeded {
+			t.Errorf("ping under an expired deadline = %v", err)
+		}
+		cancel()
+	}
+	if got := dialedConn(n, target.URL()); got != pc || !pc.alive() {
+		t.Error("per-call faults or an expired caller cost the connection; they must touch only their own calls")
+	}
+
+	// The serving side draws per call too: its drops abort single calls.
+	if err := in.SetSpec("target:droprate=1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ping(); err != errPeerAborted {
+		t.Errorf("ping into an inbound drop = %v, want %v", err, errPeerAborted)
+	}
+	if err := in.SetSpec(""); err != nil {
+		t.Fatal(err)
+	}
+	healthy("after the inbound drop")
+	if got := in.Counts().Drops; got != 1 {
+		t.Errorf("inbound injector counted %d drops for 1 call", got)
+	}
+	if got := dialedConn(n, target.URL()); got != pc {
+		t.Error("an inbound per-call drop replaced the connection")
+	}
+}
+
+// TestPeerStuckPeerCostsDeadlinesOnly: a peer that has stopped reading and
+// never answers — an in-process connection whose far end takes 64 KiB, a
+// socket buffer's worth, and then nothing. Every call returns by its own
+// deadline, including ones queued behind a 1 MiB hint batch that cannot be
+// written; the breaker opens; the batch's write deadline costs the
+// connection, and the next call redials.
+func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
+	healthy := newStubPeer(t, func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
+		return wire.PeerHeader{Status: http.StatusNoContent}, nil
+	})
+	n := newMetaNode(t, NodeConfig{Name: "patient", PeerTimeout: 150 * time.Millisecond})
+	n.breakers = resilience.NewBreakerSet(resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Hour})
+	n.AddPeer(healthy.URL)
+
+	near, far := net.Pipe()
+	t.Cleanup(func() { far.Close() })
+	go io.CopyN(io.Discard, far, 64<<10)
+	stuck := newPeerConn(near, bufio.NewReader(near), "stuck")
+	go stuck.readLoop()
+	n.plane.mu.Lock()
+	n.plane.dialed[healthy.URL] = stuck
+	n.plane.mu.Unlock()
+
+	// The data path sees a string of timeouts, each on time, and the
+	// peer's breaker opens.
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PeerTimeout)
+		start := time.Now()
+		_, err := n.fetchPeer(ctx, healthy.URL, "http://example.com/stuck", "", false)
+		cancel()
+		if took := time.Since(start); err == nil || took > n.cfg.PeerTimeout+100*time.Millisecond {
+			t.Errorf("object call into a stuck peer: %v after %v, want a timeout at %v", err, took, n.cfg.PeerTimeout)
+		}
+		n.breakers.Get(healthy.URL).Record(err == nil)
+	}
+	if st := n.Breakers()[healthy.URL]; st.State != resilience.Open {
+		t.Errorf("breaker after calls into a stuck peer = %v, want open", st.State)
+	}
+
+	timed := func(name string, d time.Duration, h wire.PeerHeader, body []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		start := time.Now()
+		_, err := n.call(ctx, healthy.URL, h, body)
+		if took := time.Since(start); err == nil || took > d+100*time.Millisecond {
+			t.Errorf("%s: %v after %v, want an error by its own %v deadline", name, err, took, d)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		timed("1 MiB batch", 600*time.Millisecond, wire.PeerHeader{Op: wire.PeerHints}, make([]byte, updatesLimit))
+	}()
+	for len(stuck.wlock) == 0 { // until the batch holds the write turn
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			timed("ping queued behind the batch", 200*time.Millisecond, pingHeader(), nil)
+		}()
+	}
+	wg.Wait()
+	if stuck.alive() {
+		t.Fatal("a write that missed its deadline left the connection alive")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if r, err := n.call(ctx, healthy.URL, pingHeader(), nil); err != nil || r.Status != http.StatusNoContent {
+		t.Errorf("ping after the stuck connection died = status %d, %v; want 204 over a fresh one", r.Status, err)
+	}
+	if got := dialedConn(n, healthy.URL); got == stuck {
+		t.Error("the link still holds the dead connection")
+	}
+}
+
+// TestPeerCallRetriesOnceOnStaleConnection: a connection the peer closed
+// while it sat idle — it restarted — is found out by the call that next uses
+// it. That call is retried once on a fresh connection, as net/http retries
+// on a stale pooled one; a peer that keeps hanging up costs two dials, not a
+// loop.
+func TestPeerCallRetriesOnceOnStaleConnection(t *testing.T) {
+	var upgrades, hangUps atomic.Int64 // hangUps: how many connections, from the first, hang up
+	hangUps.Store(1)
+	s := &stubPeer{}
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c, br := s.upgrade(w)
+		if c == nil {
+			return
+		}
+		nth := upgrades.Add(1)
+		hdr := make([]byte, wire.PeerHeaderSize)
+		for {
+			if _, err := io.ReadFull(br, hdr); err != nil {
+				return
+			}
+			if nth <= hangUps.Load() {
+				c.Close() // the request arrived on a connection already given up
+				return
+			}
+			h, _ := wire.DecodePeerHeader(hdr)
+			c.Write(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusNoContent}))
+		}
+	}))
+	t.Cleanup(s.close)
+	n := newMetaNode(t, NodeConfig{Name: "redialer"})
+	ping := func() (peerReply, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return n.call(ctx, s.URL, pingHeader(), nil)
+	}
+	if r, err := ping(); err != nil || r.Status != http.StatusNoContent {
+		t.Fatalf("ping across a hang-up = status %d, %v; want 204 from the second connection", r.Status, err)
+	}
+	if got := upgrades.Load(); got != 2 {
+		t.Errorf("%d connections dialed, want 2", got)
+	}
+	hangUps.Store(1 << 62)
+	dialedConn(n, s.URL).fail(io.EOF) // start from a dead one: both attempts are fresh dials
+	if _, err := ping(); err == nil {
+		t.Error("ping to a peer that always hangs up succeeded")
+	}
+	if got := upgrades.Load(); got != 4 {
+		t.Errorf("%d connections dialed in all, want 4: one retry per call, no more", got)
+	}
+}
+
+// rawPeerConn upgrades a connection to n and returns it bare, for tests that
+// must write bytes no honest peer would.
+func rawPeerConn(t *testing.T, n *Node) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pc, err := dialPeer(ctx, hostPortOf(n.URL()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.c.Close() })
+	pc.c.SetDeadline(time.Now().Add(5 * time.Second))
+	return pc.c, pc.br
+}
+
+// dropped reports whether the far end closed c without sending anything.
+func dropped(br *bufio.Reader) bool {
+	_, err := br.ReadByte()
+	return err == io.EOF
+}
+
+// TestPeerHostileFrames: what a peer sends cannot make a node allocate past
+// the op's limit, panic, or lose its footing — the frame is refused or the
+// connection dropped, and an oversized batch still counts.
+func TestPeerHostileFrames(t *testing.T) {
+	n := newMetaNode(t, NodeConfig{Name: "wary"})
+	frame := func(h wire.PeerHeader, body []byte) []byte {
+		if h.Len == 0 {
+			h.Len = len(body)
+		}
+		return append(wire.AppendPeerHeader(nil, h), body...)
+	}
+
+	t.Run("declared length over the op's limit", func(t *testing.T) {
+		for _, h := range []wire.PeerHeader{
+			{Op: wire.PeerObject, Len: peerRequestLimit + 1},
+			{Op: wire.PeerHolder, Len: 1 << 30},
+		} {
+			c, br := rawPeerConn(t, n)
+			c.Write(frame(h, nil)) // the body never follows: nothing may wait for it
+			if !dropped(br) {
+				t.Errorf("op %d declaring %d body bytes was not dropped", h.Op, h.Len)
+			}
+		}
+		before := n.Stats().OversizeRejects
+		c, br := rawPeerConn(t, n)
+		c.Write(frame(wire.PeerHeader{Op: wire.PeerHints, ID: 7, Len: updatesLimit + wire.HeaderSize + 1}, nil))
+		hdr := make([]byte, wire.PeerHeaderSize)
+		if _, err := io.ReadFull(br, hdr); err != nil {
+			t.Fatalf("oversized batch got no refusal: %v", err)
+		}
+		if h, _ := wire.DecodePeerHeader(hdr); h.Status != http.StatusRequestEntityTooLarge || h.ID != 7 {
+			t.Errorf("oversized batch answered %+v, want status 413 for call 7", h)
+		}
+		if !dropped(br) {
+			t.Error("connection survived an unread oversized batch")
+		}
+		if got := n.Stats().OversizeRejects - before; got != 1 {
+			t.Errorf("OversizeRejects moved by %d, want 1", got)
+		}
+	})
+
+	t.Run("a compressed batch whose raw length lies", func(t *testing.T) {
+		before := n.Stats().OversizeRejects
+		c := dialTestPeer(t, n.URL())
+		// Claims to inflate past the limit: refused on the declared length,
+		// before any inflating.
+		bomb := wire.AppendFrame(nil, wire.KindHintBatch, make([]byte, 4096), 1)
+		bomb[12], bomb[13], bomb[14], bomb[15] = 0, 0, 0x20, 0 // raw length 2 MiB
+		if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, bomb); r.Status != http.StatusRequestEntityTooLarge {
+			t.Errorf("raw length over the limit answered %d, want 413", r.Status)
+		}
+		if got := n.Stats().OversizeRejects - before; got != 1 {
+			t.Errorf("OversizeRejects moved by %d, want 1", got)
+		}
+		// Claims less than it inflates to: refused by the exact-length inflate.
+		liar := wire.AppendFrame(nil, wire.KindHintBatch, make([]byte, 4000), 1)
+		liar[12], liar[13] = 0xA0, 0x00 // raw length 160
+		if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, liar); r.Status != http.StatusBadRequest {
+			t.Errorf("understated raw length answered %d, want 400", r.Status)
+		}
+		if got := n.Stats().UpdatesReceived; got != 0 {
+			t.Errorf("UpdatesReceived = %d after refused batches, want 0", got)
+		}
+		if r := c.mustCall(pingHeader(), nil); r.Status != http.StatusNoContent {
+			t.Errorf("ping after refused batches = %d: a refused frame must not cost the connection", r.Status)
+		}
+	})
+
+	t.Run("garbage where a header belongs", func(t *testing.T) {
+		for name, raw := range map[string][]byte{
+			"unknown op":       frame(wire.PeerHeader{Op: 99}, nil),
+			"bad magic":        bytes.Repeat([]byte{0xFF}, wire.PeerHeaderSize),
+			"answer as a call": frame(wire.PeerHeader{Op: wire.PeerPing, Response: true}, nil),
+		} {
+			c, br := rawPeerConn(t, n)
+			c.Write(raw)
+			if !dropped(br) {
+				t.Errorf("%s: connection not dropped", name)
+			}
+		}
+	})
+
+	t.Run("half a header then silence", func(t *testing.T) {
+		c, _ := rawPeerConn(t, n)
+		c.Write(frame(pingHeader(), nil)[:wire.PeerHeaderSize/2])
+		// Costs the node one parked goroutine, no more; the others' calls
+		// are served and Close (in cleanup) still returns.
+		if r := dialTestPeer(t, n.URL()).mustCall(pingHeader(), nil); r.Status != http.StatusNoContent {
+			t.Errorf("ping beside a half-sent header = %d", r.Status)
+		}
+	})
+
+	t.Run("an answer nobody waits for", func(t *testing.T) {
+		var extra wire.PeerHeader
+		s := newStubPeer(t, func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
+			return wire.PeerHeader{Status: http.StatusNoContent}, nil
+		})
+		c := dialTestPeer(t, s.URL)
+		// An unsolicited answer carrying a body, then a real exchange: the
+		// stray one is read and discarded, the connection keeps working.
+		extra = wire.PeerHeader{Op: wire.PeerObject, Response: true, ID: 12345, Status: http.StatusOK}
+		s.mu.Lock()
+		s.conns[0].Write(frame(extra, make([]byte, 3000)))
+		s.mu.Unlock()
+		if r := c.mustCall(pingHeader(), nil); r.Status != http.StatusNoContent {
+			t.Errorf("ping after a stray answer = %d", r.Status)
+		}
+		// An answer whose body exceeds its op's limit kills the connection.
+		s.mu.Lock()
+		s.conns[0].Write(frame(wire.PeerHeader{Op: wire.PeerPing, Response: true, Len: 1}, nil))
+		s.mu.Unlock()
+		if _, err := c.call(pingHeader(), nil); err == nil {
+			t.Error("connection survived a ping answer declaring a body")
+		}
+	})
+}
+
+// FuzzPeerFrame feeds arbitrary bytes to both decoders in place: as the
+// request stream of an accepted connection and as the answer stream of a
+// dialed one. Neither may panic, hang, or be talked into allocating past
+// the op limits; each must end by dropping the connection or running dry.
+func FuzzPeerFrame(f *testing.F) {
+	f.Add(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerPing, ID: 1}))
+	f.Add(append(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerObject, ID: 1, Len: 5}), "hello"...))
+	f.Add(append(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerHints, ID: 1, Len: 36}),
+		hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: 1, Machine: 2})...))
+	f.Add(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerDigest, Response: true, ID: 1, Len: 1 << 30}))
+	f.Add(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerHolder, ID: 1, B: 9, Len: 1 << 20}))
+	f.Add([]byte("bp\x01\x00"))
+	n := newMetaNode(f, NodeConfig{Name: "fuzzed"})
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		// pipe runs loop against one end of an in-process connection and
+		// plays stream into the other, draining whatever comes back.
+		pipe := func(loop func(*peerConn)) {
+			near, far := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				loop(newPeerConn(near, bufio.NewReader(near), ""))
+			}()
+			go io.Copy(io.Discard, far)
+			far.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			far.Write(stream)
+			far.Close()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("frame loop still running 10 s after its connection closed")
+			}
+		}
+		pipe(n.servePeer)
+		pipe(func(pc *peerConn) {
+			// One call waiting, so a well-formed answer has somewhere to go.
+			pc.pending[1] = make(chan peerReply, 1)
+			pc.readLoop()
+		})
+	})
+}
+
+// TestPeerSmallCallBesideLargeBody: a holder lookup issued while an 8 MiB
+// object crosses the same connection completes correctly. One frame per
+// object is the plane's limit: the lookup waits for the body's bytes, it
+// is not failed by them.
+func TestPeerSmallCallBesideLargeBody(t *testing.T) {
+	const size = 8 << 20
+	f := startFleet(t, 2, FleetConfig{ObjectSize: size, CacheBytes: 1 << 30, PeerTimeout: 10 * time.Second, HedgeBudget: 10 * time.Second})
+	const url = "http://example.com/large"
+	if _, err := f.Fetch(0, url); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+	holder, caller := f.Nodes[0], f.Nodes[1]
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res, err := f.Fetch(1, url)
+		if err != nil || !res.Remote() || res.Bytes != size {
+			t.Errorf("8 MiB fetch = %+v, %v; want a complete REMOTE transfer", res, err)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		machine, err := caller.queryHintHome(ctx, holder.URL(), hintcache.HashURL(url), "", false)
+		cancel()
+		if err != nil || machine != holder.machineID {
+			t.Fatalf("holder lookup %d beside the transfer = %#x, %v; want %#x", i, machine, err, holder.machineID)
+		}
+	}
+	wg.Wait()
+}
+
+// TestPeerObjectBodyExactlySized: the body of a transfer lands in one
+// allocation of its declared length — the slice the cache keeps — and a
+// length past maxBodyPrealloc is not allocated on the header's say-so.
+func TestPeerObjectBodyExactlySized(t *testing.T) {
+	s := newStubPeer(t, func(h wire.PeerHeader, body []byte) (wire.PeerHeader, []byte) {
+		return wire.PeerHeader{Status: http.StatusOK, A: 3}, bytes.Repeat([]byte("x"), 1234)
+	})
+	n := newMetaNode(t, NodeConfig{Name: "sized"})
+	got, err := n.fetchPeer(context.Background(), s.URL, "http://example.com/sized", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.version != 3 || len(got.body) != 1234 || cap(got.body) != 1234 {
+		t.Errorf("fetched v%d, len %d, cap %d; want v3 in one allocation of 1234", got.version, len(got.body), cap(got.body))
+	}
+	// A header declaring 1 GiB with nothing behind it: the read fails at
+	// EOF having allocated no more than arrived.
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	hdr := wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerObject, Response: true, ID: 1, Len: 1 << 30})
+	near, far := net.Pipe()
+	pc := newPeerConn(near, bufio.NewReader(near), "")
+	ch := make(chan peerReply, 1)
+	pc.pending[1] = ch
+	go func() { far.Write(hdr); far.Close() }()
+	pc.readLoop()
+	if r := <-ch; r.err == nil {
+		t.Error("a 1 GiB body that never arrived was delivered")
+	}
+	runtime.ReadMemStats(&ms1)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > maxBodyPrealloc {
+		t.Errorf("allocated %d bytes on a header's say-so, want <= %d", grew, maxBodyPrealloc)
+	}
+}
+
+// goroutinesSettle waits for the goroutine count to settle back to at most
+// base, failing with a dump if it does not.
+func goroutinesSettle(t *testing.T, base int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: %d goroutines, baseline %d\n%s", when, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

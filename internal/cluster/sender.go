@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -151,8 +149,9 @@ func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[string][
 	}
 }
 
-func (p *hintPlane) serveDigest(w http.ResponseWriter, _ *http.Request) {
-	http.Error(w, "digests disabled", http.StatusNotFound)
+func (p *hintPlane) serveDigest(_ uint64, resp *wire.PeerHeader) []byte {
+	resp.Status = http.StatusNotFound
+	return nil
 }
 
 func (p *hintPlane) collect() locatorGauges {
@@ -182,7 +181,7 @@ func (p *hintPlane) close() {
 
 // peerSender owns the hint-update pipeline to one target: a bounded
 // coalescing queue fed by hintPlane.flush, drained by a dedicated goroutine that
-// encodes and POSTs batches under the per-attempt metadata timeout with
+// encodes and sends batches under the per-attempt metadata timeout with
 // jittered backoff retries. Because every target has its own sender, a slow
 // or blackholed peer burns its retry budget on its own goroutine while the
 // other senders deliver at full speed — the serial flush loop's
@@ -201,7 +200,7 @@ type peerSender struct {
 	// and drops surface per peer in /metrics.
 	dropped atomic.Int64
 	// batchSeq numbers the batches actually sent to this target; it rides
-	// the X-Hint-Batch stamp so the receiver can see delivery gaps.
+	// the hint call's stamp so the receiver can see delivery gaps.
 	batchSeq atomic.Int64
 
 	mu      sync.Mutex
@@ -325,42 +324,27 @@ func (s *peerSender) loop() {
 	}
 }
 
-// send POSTs one encoded batch, retrying under jittered backoff (hint
-// batches are idempotent — the table applies them by record). Failure past
-// the retry budget abandons the batch for this target, exactly as the
-// serial flush did; the node's counters and the per-target fan-out
+// send delivers one encoded batch as a hint call, retrying under jittered
+// backoff (hint batches are idempotent — the table applies them by record).
+// Failure past the retry budget abandons the batch for this target, exactly
+// as the serial flush did; the node's counters and the per-target fan-out
 // histogram record the outcome.
 func (s *peerSender) send(body []byte, records int, stampNs int64) {
 	n := s.p.n
 	start := time.Now()
-	stamp := ""
+	h := wire.PeerHeader{Op: wire.PeerHints, A: n.machineID, C: uint64(stampNs)}
 	if stampNs > 0 {
-		stamp = hintcache.Stamp{Seq: s.batchSeq.Add(1), UnixNs: stampNs}.HeaderValue()
+		h.B = uint64(s.batchSeq.Add(1))
 	}
 	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.target+"/updates", bytes.NewReader(body))
-		if err != nil {
-			return err
+		r, err := n.call(ctx, s.target, h, body)
+		// A refusal is not an acknowledgement: count the attempt as failed.
+		if err == nil && r.Status != http.StatusNoContent {
+			err = fmt.Errorf("hint batch: status %d", r.Status)
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(headerHintSender, n.URL())
-		if stamp != "" {
-			req.Header.Set(headerHintBatch, stamp)
-		}
-		resp, err := n.client.Do(req)
-		if err != nil {
-			return err
-		}
-		// An error page is not an acknowledgement: drain a token amount
-		// for connection reuse and count the attempt as failed.
-		io.CopyN(io.Discard, resp.Body, 4<<10)
-		resp.Body.Close()
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return fmt.Errorf("hint batch: status %d", resp.StatusCode)
-		}
-		return nil
+		return err
 	})
 	n.stats.retries.Add(int64(retries))
 	// Delivery outcomes double as liveness evidence: a target that burned

@@ -8,23 +8,24 @@ import (
 	"beyondcache/internal/faults"
 )
 
-// The package's HTTP clients are all built here, in one place, so every
-// server kind (Node, Fleet driver) shares the same tuned transport
-// and the fault-injection layer has a single seam to wrap. The bare
-// &http.Client{Timeout: 10s} the prototype started with used
-// http.DefaultTransport's 2-connections-per-host idle pool, which made
-// hot cache-to-cache paths re-dial under load; the tuned transport keeps
-// a deep per-host idle pool and bounds dial/TLS setup so a dead peer
-// fails a connection attempt in seconds, not minutes.
+// The package's HTTP clients are built here, in one place: the node's
+// client, which after the peer plane reaches only the origin, and the Fleet
+// driver's. The fault-injection layer has a single seam to wrap, and the
+// tuned transport keeps enough idle connections per host that concurrent
+// misses do not re-dial the origin (http.DefaultTransport keeps two) and
+// bounds dial/TLS setup so a dead origin fails a connection attempt in
+// seconds, not minutes.
 
 // clientTimeout is the overall request ceiling. Data-path operations run
 // under much tighter per-hop context deadlines (NodeConfig.PeerTimeout,
-// OriginTimeout); this is the backstop for everything else.
+// OriginTimeout); this is the backstop for everything else, and the ceiling
+// on how long an injected inbound hang holds a peer call.
 const clientTimeout = 10 * time.Second
 
-// metadataTimeout bounds one metadata-path attempt (a hint-batch POST or a
-// digest pull). Metadata is retried and eventually consistent, so one
-// attempt to a dead target should fail fast, not ride out clientTimeout.
+// metadataTimeout bounds one metadata-path attempt (a hint batch, a digest
+// pull or a hint-home consult). Metadata is retried and eventually
+// consistent, so one attempt to a dead target should fail fast, not ride out
+// clientTimeout.
 const metadataTimeout = 2 * time.Second
 
 // newTransport builds the shared tuned http.Transport.
@@ -34,7 +35,6 @@ func newTransport() *http.Transport {
 			Timeout:   2 * time.Second,
 			KeepAlive: 30 * time.Second,
 		}).DialContext,
-		MaxIdleConns:          256,
 		MaxIdleConnsPerHost:   32,
 		IdleConnTimeout:       90 * time.Second,
 		TLSHandshakeTimeout:   2 * time.Second,
@@ -42,13 +42,11 @@ func newTransport() *http.Transport {
 	}
 }
 
-// newClient wraps rt (nil means a fresh tuned transport) in the package's
-// standard client. inj, when non-nil, interposes the fault-injecting
-// transport between the client and the wire.
-func newClient(rt http.RoundTripper, inj *faults.Injector) *http.Client {
-	if rt == nil {
-		rt = newTransport()
-	}
+// newClient wraps a fresh tuned transport in the package's standard client.
+// inj, when non-nil, interposes the fault-injecting transport between the
+// client and the wire.
+func newClient(inj *faults.Injector) *http.Client {
+	var rt http.RoundTripper = newTransport()
 	if inj != nil {
 		rt = faults.NewTransport(rt, inj)
 	}

@@ -10,7 +10,7 @@ import (
 // saturating uint8 counter per position instead of one bit. Counters buy
 // what the cluster's incremental digests need and a plain Filter cannot
 // give: deletion. The node maintains its own Counting in place on every
-// insert/evict transition (no more O(objects) rebuild per GET /digest), and
+// insert/evict transition (no more O(objects) rebuild per digest pull), and
 // peers replay the same add/remove op stream against their pulled copies —
 // counters, and therefore membership bits, stay byte-identical to the
 // owner's by construction (the delta-equivalence contract, DESIGN.md §13).

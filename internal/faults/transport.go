@@ -2,6 +2,7 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,31 +43,42 @@ func NewTransport(inner http.RoundTripper, inj *Injector) *Transport {
 	return &Transport{inner: inner, inj: inj}
 }
 
-// RoundTrip applies the injector's decision: delay, then hang/drop/
-// synthetic status, then the real round trip. Delays and hangs respect
-// the request context, so per-hop deadlines still bound a faulted call.
+// Apply plays the decision out for one call to target under ctx, the way
+// every injection point (Transport, Middleware, the cluster's peer plane)
+// must: wait out the delay, then fail a hang — once it has run its course —
+// or a drop with an *InjectedError. A positive code is the synthetic status
+// to answer with instead of doing the work. Delays and hangs respect ctx
+// (its error is returned bare), so per-hop deadlines still bound a faulted
+// call.
+func (d Decision) Apply(ctx context.Context, target string) (code int, err error) {
+	if d.Delay > 0 {
+		if err := sleepCtx(ctx, d.Delay); err != nil {
+			return 0, err
+		}
+	}
+	if d.Hang > 0 {
+		if err := sleepCtx(ctx, d.Hang); err != nil {
+			return 0, err
+		}
+		return 0, &InjectedError{Target: target, Kind: "timeout"}
+	}
+	if d.Drop {
+		return 0, &InjectedError{Target: target, Kind: "drop"}
+	}
+	return d.Code, nil
+}
+
+// RoundTrip applies the injector's decision, then the real round trip.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.inj == nil {
 		return t.inner.RoundTrip(req)
 	}
-	target := req.URL.Host
-	d := t.inj.Decide(target)
-	if d.Delay > 0 {
-		if err := sleepCtx(req.Context(), d.Delay); err != nil {
-			return nil, err
-		}
+	code, err := t.inj.Decide(req.URL.Host).Apply(req.Context(), req.URL.Host)
+	if err != nil {
+		return nil, err
 	}
-	if d.Hang > 0 {
-		if err := sleepCtx(req.Context(), d.Hang); err != nil {
-			return nil, err
-		}
-		return nil, &InjectedError{Target: target, Kind: "timeout"}
-	}
-	if d.Drop {
-		return nil, &InjectedError{Target: target, Kind: "drop"}
-	}
-	if d.Code > 0 {
-		return syntheticResponse(req, d.Code), nil
+	if code > 0 {
+		return syntheticResponse(req, code), nil
 	}
 	return t.inner.RoundTrip(req)
 }
@@ -99,23 +111,16 @@ func Middleware(inj *Injector, self string, next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := inj.Decide(self)
-		if d.Delay > 0 {
-			if sleepCtx(r.Context(), d.Delay) != nil {
-				return
-			}
-		}
-		if d.Hang > 0 {
-			if sleepCtx(r.Context(), d.Hang) != nil {
-				return
-			}
+		code, err := inj.Decide(self).Apply(r.Context(), self)
+		var injected *InjectedError
+		if errors.As(err, &injected) {
 			panic(http.ErrAbortHandler)
 		}
-		if d.Drop {
-			panic(http.ErrAbortHandler)
+		if err != nil {
+			return // the client gave up during the delay or the hang
 		}
-		if d.Code > 0 {
-			http.Error(w, fmt.Sprintf("injected %d", d.Code), d.Code)
+		if code > 0 {
+			http.Error(w, fmt.Sprintf("injected %d", code), code)
 			return
 		}
 		next.ServeHTTP(w, r)

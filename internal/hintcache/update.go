@@ -3,8 +3,6 @@ package hintcache
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Action identifies what a hint update announces.
@@ -80,43 +78,6 @@ func AppendDecodedUpdates(dst []Update, msg []byte) ([]Update, error) {
 		dst = append(dst, u)
 	}
 	return dst, nil
-}
-
-// Stamp is the freshness mark a sender attaches to a hint batch or digest
-// snapshot: its own monotonic sequence plus the wall-clock nanosecond of
-// the *oldest* enqueue the payload carries. Receivers subtract the clock
-// from their own to get per-peer propagation lag; the sequence makes gaps
-// (dropped batches) visible. It travels as an HTTP header value so the
-// 20-byte record format stays untouched.
-type Stamp struct {
-	// Seq is the sender's batch or snapshot sequence, starting at 1.
-	Seq int64
-	// UnixNs is the enqueue wall clock (oldest record for a batch,
-	// generation time for a digest), in Unix nanoseconds.
-	UnixNs int64
-}
-
-// HeaderValue renders the stamp as "seq,unixNanos".
-func (s Stamp) HeaderValue() string {
-	return strconv.FormatInt(s.Seq, 10) + "," + strconv.FormatInt(s.UnixNs, 10)
-}
-
-// ParseStamp parses a HeaderValue; ok is false on malformed or
-// non-positive input (an absent header parses as not-ok).
-func ParseStamp(v string) (Stamp, bool) {
-	seqStr, nsStr, found := strings.Cut(v, ",")
-	if !found {
-		return Stamp{}, false
-	}
-	seq, err := strconv.ParseInt(seqStr, 10, 64)
-	if err != nil || seq <= 0 {
-		return Stamp{}, false
-	}
-	ns, err := strconv.ParseInt(nsStr, 10, 64)
-	if err != nil || ns <= 0 {
-		return Stamp{}, false
-	}
-	return Stamp{Seq: seq, UnixNs: ns}, true
 }
 
 // Apply folds an update into the cache: informs insert, invalidates delete

@@ -1,11 +1,12 @@
 // Package wire is the metadata plane's single binary framing: one
-// length-prefixed, append-based frame layout shared by /updates hint
+// length-prefixed, append-based frame layout shared by hint
 // batches, digest transfer (full snapshots and cursor deltas), and the load
 // generator's schedule stream — replacing the three ad-hoc encodings those
 // paths grew independently. Encoding appends into caller-supplied buffers
 // (no per-record allocations), and a frame's payload may be flate-
 // compressed per batch through the pooled helpers in flate.go, which also
-// back internal/store's body compression.
+// back internal/store's body compression. Between cache nodes a frame rides
+// as the body of a peer-plane call, whose own header is in peer.go.
 //
 // Frame layout (all integers little-endian):
 //
@@ -37,13 +38,13 @@ type Kind uint8
 // Frame kinds. The zero value is invalid on the wire.
 const (
 	// KindHintBatch is a batch of 20-byte hint-update records
-	// (hintcache.AppendUpdate encoding), POSTed to /updates.
+	// (hintcache.AppendUpdate encoding), the body of a PeerHints call.
 	KindHintBatch Kind = 1
 	// KindDigestFull is a complete counting-filter digest snapshot
-	// (digest.Counting.AppendBinary encoding), served by GET /digest.
+	// (digest.Counting.AppendBinary encoding), the body of a PeerDigest answer.
 	KindDigestFull Kind = 2
 	// KindDigestDelta is an ordered run of digest add/remove ops
-	// (digest.AppendOps encoding), served by GET /digest?since=.
+	// (digest.AppendOps encoding), a PeerDigest answer to a cursor still journaled.
 	KindDigestDelta Kind = 3
 	// KindSchedule is a load-generator schedule (loadgen columnar
 	// encoding).

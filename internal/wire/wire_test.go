@@ -331,3 +331,45 @@ func BenchmarkAppendFrame(b *testing.B) {
 		buf = AppendFrame(buf[:0], KindHintBatch, payload, 0)
 	}
 }
+
+// --- Peer-plane header ---
+
+func TestPeerHeaderRoundTrip(t *testing.T) {
+	for _, h := range []PeerHeader{
+		{Op: PeerObject, Sampled: true, ID: 1, A: 0xDEADBEEF, Len: 27},
+		{Op: PeerHolder, Response: true, Status: 404, ID: 1<<64 - 1, A: 7, B: 1500},
+		{Op: PeerHints, ID: 9, A: 1, B: 2, C: 1<<64 - 1, Len: 1<<31 - 1},
+		{Op: PeerPing},
+	} {
+		buf := AppendPeerHeader([]byte("prefix"), h)
+		if len(buf) != len("prefix")+PeerHeaderSize {
+			t.Fatalf("%+v encoded to %d bytes, want %d", h, len(buf)-len("prefix"), PeerHeaderSize)
+		}
+		got, err := DecodePeerHeader(buf[len("prefix"):])
+		if err != nil || got != h {
+			t.Errorf("round trip of %+v = %+v, %v", h, got, err)
+		}
+	}
+}
+
+func TestPeerHeaderDecodeRejects(t *testing.T) {
+	good := AppendPeerHeader(nil, PeerHeader{Op: PeerPing, ID: 1})
+	corrupt := func(off int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[off] = v
+		return b
+	}
+	for name, buf := range map[string][]byte{
+		"short":           good[:PeerHeaderSize-1],
+		"bad magic":       corrupt(0, 'x'),
+		"op zero":         corrupt(2, 0),
+		"op past the end": corrupt(2, byte(peerOpMax)+1),
+		"unknown flag":    corrupt(3, 0x80),
+		"reserved byte":   corrupt(7, 1),
+		"length past max": corrupt(43, 0x80),
+	} {
+		if h, err := DecodePeerHeader(buf); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, h)
+		}
+	}
+}
