@@ -7,8 +7,13 @@ package beyondcache_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	neturl "net/url"
 	"os"
 	"testing"
+	"time"
 
 	"beyondcache/internal/cluster"
 )
@@ -66,5 +71,57 @@ func TestHitPathAllocBudget(t *testing.T) {
 				t.Errorf("hit path allocates %d B/op, budget is %d B/op (+25%%)", bytes, limit)
 			}
 		})
+	}
+}
+
+// remoteFillAllocBudget is what one REMOTE fill may allocate, both nodes
+// counted: the requesting node's handler and flight, the raced fill (the
+// primary's context, the hedge timer and its state, the leg closures), the
+// peer deadline's context, the object call and its cancellation hook, the
+// serving node's answer, the body, the cache insert and the hint it queues.
+// Measured at 35; the race that ran its primary on a goroutine of its own,
+// behind a channel and two contexts, took 43.
+const remoteFillAllocBudget = 37
+
+// TestRemoteFillAllocBudget holds a hint-driven cache-to-cache fill to its
+// allocation budget: the straight-line race must not grow back a goroutine,
+// a channel or a context per leg.
+func TestRemoteFillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const objects = 300
+	f, err := cluster.StartFleet(cluster.FleetConfig{Nodes: 2, ObjectSize: 1024, UpdateInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reqs := make([]*http.Request, objects)
+	for i := range reqs {
+		url := fmt.Sprintf("http://example.com/remote/%d", i)
+		if _, err := f.Fetch(1, url); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/fetch?url="+neturl.QueryEscape(url), nil)
+	}
+	f.FlushAll() // node 0 now holds a hint for every object, all naming node 1
+	h := f.Nodes[0].Handler()
+	w := &nullResponseWriter{h: make(http.Header)}
+	next := 0
+	fetch := func() {
+		w.code = 0
+		h.ServeHTTP(w, reqs[next])
+		next++
+	}
+	fetch() // dials the peer connection
+	before := f.Nodes[0].Stats()
+	allocs := testing.AllocsPerRun(objects-2, fetch)
+	after := f.Nodes[0].Stats()
+	if got := after.RemoteHits - before.RemoteHits; got != objects-1 {
+		t.Fatalf("%d of %d fills were REMOTE: the budget below would measure something else", got, objects-1)
+	}
+	t.Logf("REMOTE fill: %.1f allocs (budget %d)", allocs, remoteFillAllocBudget)
+	if allocs > remoteFillAllocBudget {
+		t.Errorf("a REMOTE fill allocates %.1f, budget is %d", allocs, remoteFillAllocBudget)
 	}
 }

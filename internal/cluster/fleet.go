@@ -125,7 +125,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{
 		Origin: NewOrigin(cfg.ObjectSize),
-		client: newClient(nil),
+		client: newClient(nil, clientTimeout),
 		faults: cfg.Faults,
 		cfg:    cfg,
 	}
@@ -181,6 +181,13 @@ func (f *Fleet) RestartNode(i int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: restart: %w", err)
 	}
+	// Peers first: Start begins the boot recovery, and its republish round
+	// goes to the peers known when it ends — lost, if the scan beat the mesh.
+	for j, p := range f.Nodes {
+		if j != i {
+			n.AddPeer(p.URL())
+		}
+	}
 	// The old listener just closed; give the kernel a few tries to hand
 	// the exact port back.
 	startErr := n.Start(addr)
@@ -192,11 +199,6 @@ func (f *Fleet) RestartNode(i int) error {
 		return fmt.Errorf("cluster: restart: rebind %s: %w", addr, startErr)
 	}
 	f.Nodes[i] = n
-	for j, p := range f.Nodes {
-		if j != i {
-			n.AddPeer(p.URL())
-		}
-	}
 	return nil
 }
 

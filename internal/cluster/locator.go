@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/obs"
@@ -123,9 +122,7 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 		hops = append(hops, obs.Hop{Node: hostPortOf(c.peerURL), Outcome: "BREAKER-SKIP"})
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.OriginTimeout)
-	defer cancel()
-	got, err := n.fetchOrigin(ctx, url)
+	got, err := n.fetchOrigin(context.Background(), url)
 	if err != nil {
 		return fetchOutcome{err: err}
 	}
@@ -167,47 +164,44 @@ var (
 func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool) fetchOutcome {
 	homeHost := hostPortOf(c.homeURL)
 	start := time.Now()
-	// Written by the primary goroutine, read at resolution: atomics cover
-	// the abandoned primary, which may still be running then. peer stays
-	// nil until a holder is known — from the start on the direct path,
-	// once the home has named a usable one otherwise.
-	var probeNS, consultNS atomic.Int64
-	var peer atomic.Pointer[probed]
+	// What the primary leg learned and took, read once the race is over:
+	// Race returns only after the leg has, abandoned or not. peer stays nil
+	// until a holder is known — from the start on the direct path, once the
+	// home has named a usable one otherwise.
+	var leg struct {
+		probe, consult time.Duration
+		peer           *probed
+	}
 	if c.homeURL == "" {
-		peer.Store(&probed{url: c.peerURL, machine: c.holder, br: n.breakers.Get(c.peerURL)})
+		leg.peer = &probed{url: c.peerURL, machine: c.holder, br: n.breakers.Get(c.peerURL)}
 	}
 	primary := func(ctx context.Context) (fetched, error) {
 		var chain []obs.Hop
 		if c.homeURL != "" {
 			p, err := n.consultHome(ctx, c.homeURL, h, reqID, sampled)
-			consult := time.Since(start)
-			consultNS.Store(int64(consult))
-			probeNS.Store(int64(consult))
+			leg.consult = time.Since(start)
+			leg.probe = leg.consult
 			if err != nil {
 				return fetched{}, err
 			}
-			peer.Store(p)
-			chain = []obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: consult}}
+			leg.peer = p
+			chain = []obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: leg.consult}}
 		}
 		pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
 		defer cancel()
-		got, err := n.fetchPeer(pctx, peer.Load().url, url, reqID, sampled)
-		probeNS.Store(int64(time.Since(start)))
+		got, err := n.fetchPeer(pctx, leg.peer.url, url, reqID, sampled)
+		leg.probe = time.Since(start)
 		if chain != nil {
 			got.hops = append(chain, got.hops...)
 		}
 		return got, err
 	}
-	fallback := func(ctx context.Context) (fetched, error) {
-		octx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
-		defer cancel()
-		return n.fetchOrigin(octx, url)
-	}
+	fallback := func(ctx context.Context) (fetched, error) { return n.fetchOrigin(ctx, url) }
 	r := resilience.Race(context.Background(), n.cfg.HedgeBudget, primary, fallback)
+	p, probe, consult := leg.peer, leg.probe, leg.consult
 	if r.Hedged {
 		n.stats.hedgesStarted.Add(1)
 	}
-	p := peer.Load()
 	if p != nil {
 		p.br.Record(r.Winner == resilience.PrimaryWon)
 	}
@@ -232,11 +226,6 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		n.stats.hedgeOriginWins.Add(1)
 	}
 	abandoned := r.Winner == resilience.FallbackWon
-	probe := time.Duration(probeNS.Load())
-	if abandoned {
-		probe = time.Since(start)
-	}
-	consult := time.Duration(consultNS.Load())
 	var hops []obs.Hop
 	how, wasted := "MISS", true // wasted: the probe time bought nothing
 	switch {

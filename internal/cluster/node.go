@@ -506,7 +506,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
 		inj:          inj,
 		inboundInj:   inboundInj,
-		client:       newClient(inj),
+		client:       newClient(inj, 0),
 		stopBatch:    make(chan struct{}),
 		batchDone:    make(chan struct{}),
 		srvDone:      make(chan struct{}),
@@ -1033,8 +1033,10 @@ func sampledCall(op wire.PeerOp, reqID string, sampled bool) wire.PeerHeader {
 // fetchOrigin fetches from the origin server — the one upstream still
 // reached over HTTP, being the one party outside the fleet — returning the
 // origin's self-timed serve segment (when present) plus the measured round
-// trip.
+// trip. OriginTimeout is applied here, so the client carries no timeout.
 func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
+	defer cancel()
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("origin fetch: %w", err)
@@ -1106,9 +1108,14 @@ func readSized(r io.Reader, n int64) ([]byte, error) {
 	return body, nil
 }
 
+// octetStream is every object body's Content-Type (shared, read-only):
+// with none set, net/http sniffs 512 bytes of each body for one.
+var octetStream = []string{"application/octet-stream"}
+
 func serveObject(w http.ResponseWriter, how string, version int64, body []byte) {
 	// Direct map assignment with canonical keys (see finishFetch).
 	hdr := w.Header()
+	hdr["Content-Type"] = octetStream
 	hdr[headerCache] = []string{how}
 	hdr[headerVersion] = []string{strconv.FormatInt(version, 10)}
 	hdr["Content-Length"] = []string{strconv.Itoa(len(body))}

@@ -177,8 +177,9 @@ func (o *Origin) handleObj(w http.ResponseWriter, r *http.Request) {
 		obs.Hop{Node: "origin", Outcome: "ORIGIN-SERVE", Elapsed: elapsed}.Segment())
 	w.Header().Set(headerVersion, strconv.FormatInt(version, 10))
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	w.Header()["Content-Type"] = octetStream
 	w.WriteHeader(http.StatusOK)
-	writeBody(w, url, version, size)
+	w.Write(objectBody(url, version, size))
 }
 
 // handleBump serves POST /bump?url=U, invalidating the current body.
@@ -196,24 +197,14 @@ func (o *Origin) handleBump(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "%d", v)
 }
 
-// writeBody streams the deterministic body for (url, version, size): a
+// objectBody builds the deterministic body for (url, version, size): a
 // repeating pattern derived from both, so any version change is visible in
-// the payload.
-func writeBody(w http.ResponseWriter, url string, version int64, size int64) {
-	pattern := []byte(fmt.Sprintf("%s#%d|", url, version))
-	buf := make([]byte, 0, 4096)
-	for int64(len(buf)) < 4096 {
-		buf = append(buf, pattern...)
+// the payload. It is built whole so that it leaves in one Write: written in
+// pieces, each piece is a syscall here and a wake-up of the fetching node.
+func objectBody(url string, version int64, size int64) []byte {
+	body := make([]byte, max(size, 0))
+	for n := copy(body, fmt.Sprintf("%s#%d|", url, version)); n < len(body); {
+		n += copy(body[n:], body[:n])
 	}
-	remaining := size
-	for remaining > 0 {
-		n := int64(len(buf))
-		if n > remaining {
-			n = remaining
-		}
-		if _, err := w.Write(buf[:n]); err != nil {
-			return
-		}
-		remaining -= n
-	}
+	return body
 }

@@ -40,10 +40,12 @@ const (
 	// cannot queue unbounded work here by not waiting for answers.
 	peerInflight = 64
 	// peerDialTimeout bounds connect plus handshake. peerWriteTimeout
-	// bounds one frame write where the caller's own deadline does not: a
+	// bounds one frame write where the caller's own context does not: a
 	// peer that stops reading costs a closed connection, not a stuck lock.
-	peerDialTimeout  = 2 * time.Second
-	peerWriteTimeout = 5 * time.Second
+	// peerLingerTimeout bounds the reading-off of a refused batch.
+	peerDialTimeout   = 2 * time.Second
+	peerWriteTimeout  = 5 * time.Second
+	peerLingerTimeout = 500 * time.Millisecond
 	// peerInlineBody is the largest body copied behind its header into one
 	// write; larger ones go out as a two-part vectored write instead.
 	peerInlineBody = 4 << 10
@@ -52,6 +54,8 @@ const (
 var (
 	errPlaneClosed = errors.New("peer plane closed")
 	errPeerAborted = errors.New("peer aborted the call")
+	// longAgo is the deadline that cuts short a blocked read or write.
+	longAgo = time.Unix(1, 0)
 )
 
 // peerPlane is a node's connection state: the connection calls to each peer
@@ -133,15 +137,16 @@ func (p *peerPlane) conn(ctx context.Context, peerURL string) (*peerConn, error)
 }
 
 // dialPeer connects to host and upgrades the connection: GET /peer on the
-// peer's ordinary listener, answered 101 with the peer's label.
+// peer's ordinary listener, answered 101 with the peer's label. It gives up
+// when ctx ends: a peer that accepts and says nothing holds no abandoned caller.
 func dialPeer(ctx context.Context, host string) (*peerConn, error) {
 	c, err := (&net.Dialer{KeepAlive: 30 * time.Second}).DialContext(ctx, "tcp", host)
 	if err != nil {
 		return nil, err
 	}
-	deadline, _ := ctx.Deadline()
-	c.SetDeadline(deadline)
-	br := bufio.NewReaderSize(c, 64<<10)
+	stop := context.AfterFunc(ctx, func() { c.SetDeadline(longAgo) })
+	// Small, like the accepted side's: a body is read past it, into its slice.
+	br := bufio.NewReaderSize(c, 4<<10)
 	_, err = io.WriteString(c, "GET /peer HTTP/1.1\r\nHost: "+host+"\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n\r\n")
 	var resp *http.Response
 	if err == nil {
@@ -150,11 +155,13 @@ func dialPeer(ctx context.Context, host string) (*peerConn, error) {
 	if err == nil && (resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != peerProto) {
 		err = fmt.Errorf("upgrade refused: %s", resp.Status)
 	}
+	if !stop() && err == nil {
+		err = ctx.Err() // the deadline may yet be cut: not a connection to keep
+	}
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("peer dial %s: %w", host, err)
 	}
-	c.SetDeadline(time.Time{})
 	return newPeerConn(c, br, resp.Header.Get(headerPeerLabel)), nil
 }
 
@@ -174,10 +181,14 @@ type peerConn struct {
 	label string // the far end's label (dialed connections)
 
 	// wlock serializes writers. It is a channel so that a caller whose
-	// deadline fires while queued behind another writer can stop waiting;
-	// wbuf is the header (and small-body) scratch it guards.
+	// context ends while queued behind another writer can stop waiting;
+	// wbuf is the header (and small-body) scratch it guards. cut is the
+	// hook a turn arms on its context — it fails the write in progress by
+	// moving its deadline into the past — and reports on wcut that it ran.
 	wlock chan struct{}
 	wbuf  []byte
+	cut   func()
+	wcut  chan struct{}
 
 	// mu guards the calls awaiting an answer (dialed connections) and err,
 	// what killed the connection.
@@ -188,7 +199,12 @@ type peerConn struct {
 }
 
 func newPeerConn(c net.Conn, br *bufio.Reader, label string) *peerConn {
-	return &peerConn{c: c, br: br, label: label, wlock: make(chan struct{}, 1), pending: make(map[uint64]chan peerReply)}
+	pc := &peerConn{c: c, br: br, label: label, wlock: make(chan struct{}, 1), wcut: make(chan struct{}, 1), pending: make(map[uint64]chan peerReply)}
+	pc.cut = func() {
+		c.SetWriteDeadline(longAgo)
+		pc.wcut <- struct{}{}
+	}
+	return pc
 }
 
 func (pc *peerConn) alive() bool {
@@ -224,9 +240,10 @@ func (pc *peerConn) take(id uint64) chan peerReply {
 
 // write sends one frame. It gives up, leaving the connection alone, if ctx
 // ends while it waits its turn. Once it has the turn the write must finish
-// by the earlier of ctx's deadline and peerWriteTimeout: half a frame
-// leaves the far end nothing to resynchronize on, so a write that fails
-// kills the connection.
+// before ctx ends (a deadline, or a hedge's abandon) and within
+// peerWriteTimeout: half a frame leaves the far end nothing to resynchronize
+// on, so a write cut short kills the connection. Answers are written under
+// context.Background(): closing the connection is what ends their writes.
 func (pc *peerConn) write(ctx context.Context, h wire.PeerHeader, body []byte) error {
 	select {
 	case pc.wlock <- struct{}{}:
@@ -235,13 +252,17 @@ func (pc *peerConn) write(ctx context.Context, h wire.PeerHeader, body []byte) e
 	}
 	defer func() { <-pc.wlock }()
 	if err := ctx.Err(); err != nil {
-		return err // expired as the turn came: nothing written, nothing broken
+		return err // ended as the turn came: nothing written, nothing broken
 	}
-	deadline := time.Now().Add(peerWriteTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	pc.c.SetWriteDeadline(time.Now().Add(peerWriteTimeout))
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, pc.cut)
+		defer func() {
+			if !stop() {
+				<-pc.wcut // the hook is running: it must not cut the next turn's write
+			}
+		}()
 	}
-	pc.c.SetWriteDeadline(deadline)
 	h.Len = len(body)
 	pc.wbuf = wire.AppendPeerHeader(pc.wbuf[:0], h)
 	var err error
@@ -415,7 +436,11 @@ func (n *Node) servePeer(pc *peerConn) {
 			// oversized batch is told why, then the connection goes.
 			if h.Op == wire.PeerHints {
 				n.stats.oversizeRejects.Add(1)
-				pc.write(ctx, wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusRequestEntityTooLarge}, nil)
+				pc.write(context.Background(), wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusRequestEntityTooLarge}, nil)
+				// Closing on unread bytes would reset the connection under a
+				// caller still writing: read its batch off first, briefly.
+				pc.c.SetReadDeadline(time.Now().Add(peerLingerTimeout))
+				io.CopyN(io.Discard, pc.br, int64(h.Len))
 			}
 			return
 		}
@@ -475,7 +500,7 @@ func (n *Node) serveCall(ctx context.Context, pc *peerConn, h wire.PeerHeader, d
 	if err == nil && resp.Status == 0 {
 		out = n.answer(&resp, h, batch)
 	}
-	pc.write(ctx, resp, out)
+	pc.write(context.Background(), resp, out)
 }
 
 // answer runs one peer call, filling in resp and returning the body.

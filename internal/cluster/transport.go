@@ -16,10 +16,9 @@ import (
 // bounds dial/TLS setup so a dead origin fails a connection attempt in
 // seconds, not minutes.
 
-// clientTimeout is the overall request ceiling. Data-path operations run
-// under much tighter per-hop context deadlines (NodeConfig.PeerTimeout,
-// OriginTimeout); this is the backstop for everything else, and the ceiling
-// on how long an injected inbound hang holds a peer call.
+// clientTimeout is the Fleet driver's request ceiling, and the ceiling on
+// how long an injected inbound hang holds a peer call. The node's own client
+// has none: fetchOrigin sets OriginTimeout, without Client.Timeout's goroutine.
 const clientTimeout = 10 * time.Second
 
 // metadataTimeout bounds one metadata-path attempt (a hint batch, a digest
@@ -42,13 +41,12 @@ func newTransport() *http.Transport {
 	}
 }
 
-// newClient wraps a fresh tuned transport in the package's standard client.
-// inj, when non-nil, interposes the fault-injecting transport between the
-// client and the wire.
-func newClient(inj *faults.Injector) *http.Client {
+// newClient wraps a fresh tuned transport in a client with the given overall
+// timeout (zero: none); inj, when non-nil, injects faults in front of the wire.
+func newClient(inj *faults.Injector, timeout time.Duration) *http.Client {
 	var rt http.RoundTripper = newTransport()
 	if inj != nil {
 		rt = faults.NewTransport(rt, inj)
 	}
-	return &http.Client{Transport: rt, Timeout: clientTimeout}
+	return &http.Client{Transport: rt, Timeout: timeout}
 }

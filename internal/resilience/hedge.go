@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -38,99 +39,86 @@ type RaceResult[T any] struct {
 	Err error
 }
 
-// Race runs primary and, if it has not succeeded within budget, races the
-// fallback against it, returning the first success (the loser's context
-// is canceled). A primary failure before the budget fires starts the
-// fallback immediately. A negative budget disables hedging entirely: the
-// fallback runs only after the primary fails, sequentially — the
-// pre-resilience behavior, kept for comparison benchmarks.
+// Race runs primary on the caller's goroutine and, if it has not returned
+// within budget, starts the fallback beside it on a goroutine of its own;
+// the first success wins and the loser's context is canceled. A primary that
+// fails inside the budget is followed by the fallback at once, inline, so a
+// race that never hedges spawns nothing and makes no fallback context. A
+// negative budget disables hedging: the fallback runs only after the primary
+// fails — the pre-resilience behavior, kept for comparison benchmarks.
+//
+// Race returns only when its inline primary has: a primary must return
+// promptly once its context is canceled, or it holds up the leg that beat it.
 //
 // The node's hedged miss path is this function with primary = hinted-peer
 // fetch and fallback = origin fetch.
 func Race[T any](ctx context.Context, budget time.Duration, primary, fallback func(context.Context) (T, error)) RaceResult[T] {
-	if budget < 0 {
-		v, err := primary(ctx)
-		if err == nil {
-			return RaceResult[T]{Value: v, Winner: PrimaryWon}
+	var h hedge[T]
+	pctx := ctx
+	if budget >= 0 {
+		var abandon context.CancelFunc
+		pctx, abandon = context.WithCancel(ctx)
+		defer abandon()
+		defer time.AfterFunc(budget, func() { h.run(ctx, fallback, abandon) }).Stop()
+	}
+	v, err := primary(pctx)
+	h.mu.Lock()
+	h.settled = true
+	hedged := h.done != nil
+	h.mu.Unlock()
+	if err == nil {
+		if hedged {
+			h.cancel() // abandon the hedge
 		}
-		fv, ferr := fallback(ctx)
-		if ferr == nil {
-			return RaceResult[T]{Value: fv, Winner: FallbackAfterPrimary, PrimaryErr: err}
-		}
-		return RaceResult[T]{Winner: BothFailed, PrimaryErr: err, Err: ferr}
+		return RaceResult[T]{Value: v, Winner: PrimaryWon, Hedged: hedged}
 	}
-
-	type res struct {
-		v   T
-		err error
+	if hedged {
+		<-h.done
+	} else {
+		h.v, h.err = fallback(ctx) // sequential fall-through, inline
 	}
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	fctx, fcancel := context.WithCancel(ctx)
-	defer fcancel()
-
-	pch := make(chan res, 1)
-	go func() {
-		v, err := primary(pctx)
-		pch <- res{v, err}
-	}()
-
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-
-	var (
-		fch          chan res
-		hedged       bool
-		primaryErr   error
-		primaryDone  bool
-		fallbackErr  error
-		fallbackDead bool
-	)
-	startFallback := func() {
-		fch = make(chan res, 1)
-		go func() {
-			v, err := fallback(fctx)
-			fch <- res{v, err}
-		}()
+	switch {
+	case h.err != nil:
+		return RaceResult[T]{Winner: BothFailed, Hedged: hedged, PrimaryErr: err, Err: h.err}
+	case h.beat:
+		// An abandoned primary's error is the echo of its cancellation.
+		return RaceResult[T]{Value: h.v, Winner: FallbackWon, Hedged: true}
 	}
+	return RaceResult[T]{Value: h.v, Winner: FallbackAfterPrimary, Hedged: hedged, PrimaryErr: err}
+}
 
-	for {
-		select {
-		case r := <-pch:
-			primaryDone = true
-			pch = nil
-			if r.err == nil {
-				fcancel() // abandon the hedge, if any
-				return RaceResult[T]{Value: r.v, Winner: PrimaryWon, Hedged: hedged}
-			}
-			primaryErr = r.err
-			if fallbackDead {
-				return RaceResult[T]{Winner: BothFailed, Hedged: hedged, PrimaryErr: primaryErr, Err: fallbackErr}
-			}
-			if fch == nil {
-				startFallback() // sequential fall-through
-			}
-		case <-timer.C:
-			if !primaryDone && fch == nil {
-				hedged = true
-				startFallback()
-			}
-		case r := <-fch:
-			if r.err == nil {
-				pcancel() // abandon the primary, if still running
-				w := FallbackWon
-				if primaryDone {
-					w = FallbackAfterPrimary
-				}
-				return RaceResult[T]{Value: r.v, Winner: w, Hedged: hedged, PrimaryErr: primaryErr}
-			}
-			if primaryDone {
-				return RaceResult[T]{Winner: BothFailed, Hedged: hedged, PrimaryErr: primaryErr, Err: r.err}
-			}
-			// The fallback died first; the primary is still in flight
-			// and is now the only hope.
-			fallbackErr, fallbackDead = r.err, true
-			fch = nil
-		}
+// hedge is a race's fallback leg: its outcome, and what the budget timer's
+// goroutine shares with the caller's once it has started the leg. mu orders
+// the two around the one moment they meet, the primary's return; v, err and
+// beat are read after done.
+type hedge[T any] struct {
+	mu      sync.Mutex
+	settled bool               // the primary has returned: too late to start
+	cancel  context.CancelFunc // the fallback's context, once it runs
+	done    chan struct{}      // closed when the fallback has returned
+	v       T
+	err     error
+	beat    bool // it succeeded while the primary was still running
+}
+
+// run is the budget timer's function: the fallback, unless the primary
+// returned first, abandoning the primary if the fallback succeeds.
+func (h *hedge[T]) run(ctx context.Context, fallback func(context.Context) (T, error), abandon context.CancelFunc) {
+	h.mu.Lock()
+	if h.settled {
+		h.mu.Unlock()
+		return
 	}
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	h.cancel, h.done = cancel, make(chan struct{})
+	h.mu.Unlock()
+	v, err := fallback(fctx)
+	h.mu.Lock()
+	h.v, h.err, h.beat = v, err, err == nil && !h.settled
+	h.mu.Unlock()
+	if err == nil {
+		abandon()
+	}
+	close(h.done)
 }

@@ -3,7 +3,10 @@ package resilience
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -273,5 +276,90 @@ func TestRaceNegativeBudgetIsSequential(t *testing.T) {
 	}
 	if fallbackStarted.Before(<-primaryDone) {
 		t.Error("negative budget still hedged: fallback started before primary finished")
+	}
+}
+
+// raceAllocBudget is what one unhedged Race may allocate: the primary's
+// cancelable context (two), the hedge timer, its function and the state the
+// two share. The fallback's context is not among them: it is made only when
+// a fallback runs.
+const raceAllocBudget = 5
+
+// goroutineID names the calling goroutine, from its stack trace's header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	fields := strings.Fields(string(buf[:runtime.Stack(buf, false)]))
+	return fields[1] // "goroutine N [running]:"
+}
+
+// TestRaceUnhedgedIsStraightLine: a race the budget timer never fires in is
+// a straight line — the primary, and after a failed primary the fallback,
+// run on the caller's goroutine, nothing is spawned beside them, and the
+// whole costs raceAllocBudget allocations.
+func TestRaceUnhedgedIsStraightLine(t *testing.T) {
+	caller := goroutineID()
+	base := runtime.NumGoroutine()
+	inline := func(leg string, v int, err error) func(context.Context) (int, error) {
+		return func(context.Context) (int, error) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("%s ran on goroutine %s, the caller is %s", leg, id, caller)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines while the %s ran, %d before the race", n, leg, base)
+			}
+			return v, err
+		}
+	}
+	if r := Race(context.Background(), time.Hour, inline("primary", 1, nil), inline("fallback", 2, nil)); r.Winner != PrimaryWon || r.Value != 1 {
+		t.Errorf("result = %+v", r)
+	}
+	r := Race(context.Background(), time.Hour, inline("primary", 0, errors.New("refused")), inline("fallback", 2, nil))
+	if r.Winner != FallbackAfterPrimary || r.Value != 2 || r.Hedged {
+		t.Errorf("result = %+v", r)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after two unhedged races, %d before", n, base)
+	}
+
+	instant := func(context.Context) (int, error) { return 1, nil }
+	allocs := testing.AllocsPerRun(1000, func() {
+		Race(context.Background(), 50*time.Millisecond, instant, instant)
+	})
+	if allocs > raceAllocBudget {
+		t.Errorf("an unhedged race allocates %.0f, budget is %d", allocs, raceAllocBudget)
+	}
+}
+
+// TestRaceAbandonedPrimaryIsWaitedFor pins the other half of the inline
+// contract: when the fallback wins, Race cancels the primary's context and
+// returns once the primary has — with the fallback's value, FallbackWon and
+// no PrimaryErr — and a fallback that fails first leaves the primary to
+// finish as the only hope.
+func TestRaceAbandonedPrimaryIsWaitedFor(t *testing.T) {
+	var primaryReturned atomic.Bool
+	r := Race(context.Background(), time.Millisecond,
+		func(ctx context.Context) (string, error) {
+			<-ctx.Done()
+			primaryReturned.Store(true)
+			return "", ctx.Err()
+		},
+		func(context.Context) (string, error) { return "origin", nil })
+	if !primaryReturned.Load() {
+		t.Error("Race returned while its inline primary was still running")
+	}
+	if r.Winner != FallbackWon || r.Value != "origin" || !r.Hedged || r.PrimaryErr != nil {
+		t.Errorf("result = %+v", r)
+	}
+
+	down := errors.New("origin down")
+	fallbackDone := make(chan struct{})
+	r = Race(context.Background(), time.Millisecond,
+		func(ctx context.Context) (string, error) {
+			<-fallbackDone
+			return "peer", ctx.Err()
+		},
+		func(context.Context) (string, error) { defer close(fallbackDone); return "", down })
+	if r.Winner != PrimaryWon || r.Value != "peer" || !r.Hedged {
+		t.Errorf("after a failed hedge, result = %+v; want the primary's answer", r)
 	}
 }
