@@ -125,3 +125,51 @@ func TestRemoteFillAllocBudget(t *testing.T) {
 		t.Errorf("a REMOTE fill allocates %.1f, budget is %d", allocs, remoteFillAllocBudget)
 	}
 }
+
+// missFillAllocBudget is what one candidate-less MISS fill may allocate,
+// the in-process origin's serving side counted: the node's handler and
+// flight, the origin deadline's context and its cancel hook, the request
+// line's escaped URL, http.ReadResponse's response, header and body reader,
+// the body, the two hops, the cache insert and the hint it queues — and the
+// origin's net/http server. Measured at 67; through http.Client and
+// http.Transport (a request, its context, a round trip handed between three
+// goroutines) it took 105.
+const missFillAllocBudget = 72
+
+// TestMissFillAllocBudget holds an origin fill to its allocation budget: the
+// origin link must not grow back a request object, a pool round trip or a
+// goroutine per fetch.
+func TestMissFillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const objects = 300
+	f, err := cluster.StartFleet(cluster.FleetConfig{Nodes: 1, ObjectSize: 1024, UpdateInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reqs := make([]*http.Request, objects)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/fetch?url="+neturl.QueryEscape(fmt.Sprintf("http://example.com/miss/%d", i)), nil)
+	}
+	h := f.Nodes[0].Handler()
+	w := &nullResponseWriter{h: make(http.Header)}
+	next := 0
+	fetch := func() {
+		w.code = 0
+		h.ServeHTTP(w, reqs[next])
+		next++
+	}
+	fetch() // dials the origin connection
+	before := f.Nodes[0].Stats()
+	allocs := testing.AllocsPerRun(objects-2, fetch)
+	after := f.Nodes[0].Stats()
+	if got := after.Misses - before.Misses; got != objects-1 {
+		t.Fatalf("%d of %d fills were MISS: the budget below would measure something else", got, objects-1)
+	}
+	t.Logf("MISS fill: %.1f allocs (budget %d)", allocs, missFillAllocBudget)
+	if allocs > missFillAllocBudget {
+		t.Errorf("a MISS fill allocates %.1f, budget is %d", allocs, missFillAllocBudget)
+	}
+}

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/overlay"
+	"beyondcache/internal/resilience"
 	"beyondcache/internal/wire"
 )
 
@@ -64,6 +67,10 @@ func ownDigestBytes(n *Node) []byte {
 // Fleet.Close alike — must cut the peer connections it dialed and the ones
 // it accepted, and once the fleet is closed the goroutine count is back at
 // its baseline.
+//
+// The origin link is the other thing a node keeps connections in: 64 misses
+// at once hold 64, of which the idle set keeps originIdleConns and closes
+// the rest, and Node.Close closes those.
 func TestFleetClosePrompt(t *testing.T) {
 	base := runtime.NumGoroutine()
 	live := func(n *Node) int {
@@ -93,6 +100,28 @@ func TestFleetClosePrompt(t *testing.T) {
 		if live(f.Nodes[0]) == 0 {
 			t.Fatal("the traffic opened no peer connection; the leak checks exercise nothing")
 		}
+		var idle []*originConn
+		if round == 0 {
+			f.Origin.SetLatency(100 * time.Millisecond) // every miss below is at the origin at once
+			for c := 0; c < 2*originIdleConns; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					if res, err := f.Fetch(0, fmt.Sprintf("http://example.com/close/cold/%d", c)); err != nil || !res.Miss() {
+						t.Errorf("concurrent miss %d = %+v, %v", c, res, err)
+					}
+				}(c)
+			}
+			wg.Wait()
+			f.Origin.SetLatency(0)
+			link := f.Nodes[0].origin
+			link.mu.Lock()
+			idle = append(idle, link.idle...)
+			link.mu.Unlock()
+			if len(idle) != originIdleConns {
+				t.Errorf("%d idle origin connections after %d concurrent misses, want %d", len(idle), 2*originIdleConns, originIdleConns)
+			}
+		}
 		nodes := append([]*Node(nil), f.Nodes...)
 		if round == 2 {
 			if err := f.KillNode(3); err != nil {
@@ -121,6 +150,14 @@ func TestFleetClosePrompt(t *testing.T) {
 		for _, n := range nodes {
 			if got := live(n); got != 0 {
 				t.Errorf("round %d: node %s holds %d peer connections after Fleet.Close", round, n.label(), got)
+			}
+			if got := idleOriginConns(n); got != 0 {
+				t.Errorf("round %d: node %s holds %d idle origin connections after Fleet.Close", round, n.label(), got)
+			}
+		}
+		for _, oc := range idle {
+			if err := oc.c.SetDeadline(time.Time{}); !errors.Is(err, net.ErrClosed) {
+				t.Errorf("round %d: an idle origin connection outlived Node.Close (%v)", round, err)
 			}
 		}
 	}
@@ -241,6 +278,47 @@ func TestStaleHintFallsThroughToOrigin(t *testing.T) {
 	}
 	if res.StaleHint() {
 		t.Errorf("stale hint not dropped after false positive: %+v", res)
+	}
+}
+
+// TestStaleHintDoesNotTripBreaker: a peer that promptly answers "not here"
+// is healthy — it is the hint that was wrong (DESIGN §8). More stale hints
+// than the breaker's window holds, all naming one live peer, leave its
+// breaker closed, and the next valid hint naming it is a REMOTE transfer,
+// not a BREAKER-SKIP.
+func TestStaleHintDoesNotTripBreaker(t *testing.T) {
+	f := startFleet(t, 2, FleetConfig{})
+	urls := urlsN("breaker-stale", 12) // the default window is 10
+	for _, u := range urls {
+		if _, err := f.Fetch(0, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.FlushAll()
+	for _, u := range urls {
+		if err := f.Purge(0, u); err != nil { // invalidates not flushed: node 1's hints are stale
+			t.Fatal(err)
+		}
+	}
+	for _, u := range urls {
+		if res, err := f.Fetch(1, u); err != nil || !res.StaleHint() {
+			t.Fatalf("fetch under a stale hint = %+v, %v; want MISS,STALE-HINT", res, err)
+		}
+	}
+	br := f.Nodes[1].Breakers()[f.Nodes[0].URL()]
+	if br.State != resilience.Closed || br.Failures != 0 || br.Successes != int64(len(urls)) {
+		t.Errorf("breaker for the live peer = %+v after %d definitive 404s; want closed, all successes", br, len(urls))
+	}
+	const valid = "http://example.com/breaker-valid"
+	if _, err := f.Fetch(0, valid); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+	if res, err := f.Fetch(1, valid); err != nil || !res.Remote() {
+		t.Errorf("fetch under a valid hint = %+v, %v; want REMOTE", res, err)
+	}
+	if got := f.Nodes[1].Stats().BreakerSkips; got != 0 {
+		t.Errorf("%d breaker skips against a peer that never failed", got)
 	}
 }
 

@@ -125,7 +125,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{
 		Origin: NewOrigin(cfg.ObjectSize),
-		client: newClient(nil, clientTimeout),
+		client: newClient(clientTimeout),
 		faults: cfg.Faults,
 		cfg:    cfg,
 	}

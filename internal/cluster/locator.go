@@ -156,7 +156,8 @@ var (
 // cache-to-cache transfer under its own deadline; if the leg stays silent
 // past the hedge budget the origin fetch starts in parallel and the first
 // success wins (a negative budget keeps the pre-resilience sequential
-// path). Either way a failed or abandoned peer is demoted and feeds its
+// path). Either way a peer that did not serve is demoted; one that failed
+// or was abandoned — not one that promptly said "not here" — feeds its
 // breaker, and a failed consult feeds the home's, so a dead peer or a dead
 // home stops costing anything — the paper's principles 1–2 enforced under
 // faults: neither a stale hint nor the extra metadata hop may make a
@@ -203,7 +204,9 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		n.stats.hedgesStarted.Add(1)
 	}
 	if p != nil {
-		p.br.Record(r.Winner == resilience.PrimaryWon)
+		// A prompt "not here" is a healthy peer under a stale hint; an error,
+		// a timeout, a 5xx or an abandon is a peer to stop asking.
+		p.br.Record(r.Winner == resilience.PrimaryWon || errors.Is(r.PrimaryErr, errPeerMiss))
 	}
 	if c.homeURL != "" {
 		n.settleConsult(c.homeURL, r.Winner, r.PrimaryErr, p != nil)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -433,9 +434,9 @@ type Node struct {
 	extURL    string // set by Bind; empty when Start owns the listener
 	lis       net.Listener
 	srv       *http.Server
-	// client reaches the origin and nothing else; plane carries everything
-	// said to or by a peer (peer.go).
-	client *http.Client
+	// origin reaches the origin and nothing else (originlink.go); plane
+	// carries everything said to or by a peer (peer.go).
+	origin *originLink
 	plane  peerPlane
 
 	stopBatch chan struct{}
@@ -449,6 +450,10 @@ type Node struct {
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.OriginURL == "" {
 		return nil, fmt.Errorf("cluster: node %q: OriginURL required", cfg.Name)
+	}
+	origin, err := newOriginLink(cfg.OriginURL)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
@@ -467,14 +472,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	inj := cfg.Faults
 	if inj == nil && cfg.FaultSpec != "" {
-		var err error
 		if inj, err = faults.New(cfg.FaultSpec, cfg.FaultSeed); err != nil {
 			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 		}
 	}
 	inboundInj := cfg.InboundFaults
 	if inboundInj == nil && cfg.InboundFaultSpec != "" {
-		var err error
 		if inboundInj, err = faults.New(cfg.InboundFaultSpec, cfg.FaultSeed+1); err != nil {
 			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 		}
@@ -506,7 +509,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
 		inj:          inj,
 		inboundInj:   inboundInj,
-		client:       newClient(inj, 0),
+		origin:       origin,
 		stopBatch:    make(chan struct{}),
 		batchDone:    make(chan struct{}),
 		srvDone:      make(chan struct{}),
@@ -531,7 +534,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		})
 	}
 	// The one place that knows there is more than one mechanism.
-	var err error
 	switch {
 	case cfg.UseDigests:
 		n.loc, err = newDigestLocator(n, cfg.DigestCapacity, cfg.HintReplicas)
@@ -766,10 +768,7 @@ func (n *Node) Close() error {
 		<-n.batchDone
 		n.loc.close()
 		n.plane.close()
-		// Connections this node dialed but never used sit in StateNew at
-		// the origin's server, whose Shutdown will not reap them for 5 s: a
-		// closing process must not leave them behind.
-		n.client.CloseIdleConnections()
+		n.origin.close()
 		if n.srv == nil {
 			return
 		}
@@ -999,6 +998,10 @@ type fetched struct {
 	hops    []obs.Hop
 }
 
+// errPeerMiss is a peer's definitive "not here" (status 404): the hint was
+// stale, but the peer answered — the metadata is suspect, not the peer.
+var errPeerMiss = errors.New("status 404")
+
 // fetchPeer performs a cache-to-cache transfer: one object call on the
 // peer plane. On success it returns the hop chain for the transfer: the
 // peer's self-timed serve segment (from its answer's fixed fields) followed
@@ -1008,7 +1011,10 @@ type fetched struct {
 func (n *Node) fetchPeer(ctx context.Context, peerURL, url, reqID string, sampled bool) (fetched, error) {
 	start := time.Now()
 	r, err := n.call(ctx, peerURL, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
-	if err == nil && r.Status != http.StatusOK {
+	switch {
+	case err == nil && r.Status == http.StatusNotFound:
+		err = errPeerMiss
+	case err == nil && r.Status != http.StatusOK:
 		err = fmt.Errorf("status %d", r.Status)
 	}
 	if err != nil {
@@ -1030,10 +1036,10 @@ func sampledCall(op wire.PeerOp, reqID string, sampled bool) wire.PeerHeader {
 	return h
 }
 
-// fetchOrigin fetches from the origin server — the one upstream still
-// reached over HTTP, being the one party outside the fleet — returning the
-// origin's self-timed serve segment (when present) plus the measured round
-// trip. OriginTimeout is applied here, so the client carries no timeout.
+// fetchOrigin fetches from the origin server over the origin link, on the
+// calling goroutine, returning the origin's self-timed serve segment (when
+// present) plus the measured round trip. OriginTimeout is applied here; the
+// outbound fault decision is drawn once per fetch and touches only it.
 func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
 	defer cancel()
@@ -1043,27 +1049,21 @@ func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err erro
 		}
 	}()
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.cfg.OriginURL+"/obj?url="+neturl.QueryEscape(url), nil)
-	if err != nil {
-		return fetched{}, err
+	if n.inj != nil {
+		code, err := n.inj.Decide(n.origin.host).Apply(ctx, n.origin.host)
+		if err == nil && code > 0 {
+			err = fmt.Errorf("status %d", code)
+		}
+		if err != nil {
+			return fetched{}, err
+		}
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return fetched{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// An error page is not an object: drain a token amount for
-		// connection reuse and let Close drop the connection otherwise.
-		io.CopyN(io.Discard, resp.Body, 4<<10)
-		return fetched{}, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	version, body, err := readObject(resp)
+	version, body, hop, err := n.origin.get(ctx, url)
 	if err != nil {
 		return fetched{}, err
 	}
 	var hops []obs.Hop
-	if h, ok := obs.ParseSegment(resp.Header.Get(headerTraceHop)); ok {
+	if h, ok := obs.ParseSegment(hop); ok {
 		hops = append(hops, h)
 	}
 	hops = append(hops, obs.Hop{Node: "origin", Outcome: "ORIGIN", Elapsed: time.Since(start)})

@@ -144,8 +144,9 @@ func (o *Origin) Fetches() int64 {
 	return o.fetches
 }
 
-// lookup returns (version, size) for a URL.
-func (o *Origin) lookup(url string) (int64, int64) {
+// lookup counts one fetch of a URL and returns its version and size, and
+// the service delay to apply, under one hold of the lock.
+func (o *Origin) lookup(url string) (version, size int64, delay time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.fetches++
@@ -153,7 +154,7 @@ func (o *Origin) lookup(url string) (int64, int64) {
 	if !ok {
 		size = o.defaultSize
 	}
-	return o.versions[url] + 1, size
+	return o.versions[url] + 1, size, o.latency
 }
 
 // handleObj serves GET /obj?url=U.
@@ -164,10 +165,7 @@ func (o *Origin) handleObj(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	version, size := o.lookup(url)
-	o.mu.Lock()
-	delay := o.latency
-	o.mu.Unlock()
+	version, size, delay := o.lookup(url)
 	if delay > 0 {
 		time.Sleep(delay)
 	}

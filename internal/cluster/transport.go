@@ -4,21 +4,18 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"beyondcache/internal/faults"
 )
 
-// The package's HTTP clients are built here, in one place: the node's
-// client, which after the peer plane reaches only the origin, and the Fleet
-// driver's. The fault-injection layer has a single seam to wrap, and the
-// tuned transport keeps enough idle connections per host that concurrent
-// misses do not re-dial the origin (http.DefaultTransport keeps two) and
-// bounds dial/TLS setup so a dead origin fails a connection attempt in
-// seconds, not minutes.
+// The package's one HTTP client is built here: the Fleet driver's, which
+// talks to the nodes the way a browser would. Nodes themselves hold none —
+// peers are reached over the peer plane (peer.go) and the origin over the
+// origin link (originlink.go). The tuned transport keeps enough idle
+// connections per host that a driver's concurrent requests do not re-dial a
+// node (http.DefaultTransport keeps two) and bounds dial/TLS setup so a dead
+// node fails a connection attempt in seconds, not minutes.
 
 // clientTimeout is the Fleet driver's request ceiling, and the ceiling on
-// how long an injected inbound hang holds a peer call. The node's own client
-// has none: fetchOrigin sets OriginTimeout, without Client.Timeout's goroutine.
+// how long an injected inbound hang holds a peer call.
 const clientTimeout = 10 * time.Second
 
 // metadataTimeout bounds one metadata-path attempt (a hint batch, a digest
@@ -27,9 +24,10 @@ const clientTimeout = 10 * time.Second
 // clientTimeout.
 const metadataTimeout = 2 * time.Second
 
-// newTransport builds the shared tuned http.Transport.
-func newTransport() *http.Transport {
-	return &http.Transport{
+// newClient wraps a fresh tuned transport in a client with the given overall
+// timeout.
+func newClient(timeout time.Duration) *http.Client {
+	return &http.Client{Timeout: timeout, Transport: &http.Transport{
 		DialContext: (&net.Dialer{
 			Timeout:   2 * time.Second,
 			KeepAlive: 30 * time.Second,
@@ -38,15 +36,5 @@ func newTransport() *http.Transport {
 		IdleConnTimeout:       90 * time.Second,
 		TLSHandshakeTimeout:   2 * time.Second,
 		ExpectContinueTimeout: time.Second,
-	}
-}
-
-// newClient wraps a fresh tuned transport in a client with the given overall
-// timeout (zero: none); inj, when non-nil, injects faults in front of the wire.
-func newClient(inj *faults.Injector, timeout time.Duration) *http.Client {
-	var rt http.RoundTripper = newTransport()
-	if inj != nil {
-		rt = faults.NewTransport(rt, inj)
-	}
-	return &http.Client{Transport: rt, Timeout: timeout}
+	}}
 }

@@ -3,10 +3,8 @@ package faults
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -154,28 +152,18 @@ func TestFlapSchedule(t *testing.T) {
 	}
 }
 
-func TestTransportInjectsErrorAndDrop(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "real")
-	}))
-	defer backend.Close()
+// The three TestTransport tests drive Decide(...).Apply, the sequence every
+// outbound injection point (the cluster's peer plane and origin link) runs in
+// front of the wire.
 
+func TestTransportInjectsErrorAndDrop(t *testing.T) {
+	const target = "127.0.0.1:9"
 	inj, err := New("*:errrate=1,errcode=503", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &http.Client{Transport: NewTransport(nil, inj)}
-	resp, err := client.Get(backend.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 503 || resp.Header.Get("X-Injected") != "true" {
-		t.Errorf("status %d, X-Injected %q; want injected 503", resp.StatusCode, resp.Header.Get("X-Injected"))
-	}
-	if !strings.Contains(string(body), "injected") {
-		t.Errorf("body %q", body)
+	if code, err := inj.Decide(target).Apply(context.Background(), target); err != nil || code != 503 {
+		t.Errorf("Apply = %d, %v; want the injected 503", code, err)
 	}
 	if inj.Counts().Errors != 1 {
 		t.Errorf("counts = %+v", inj.Counts())
@@ -184,40 +172,32 @@ func TestTransportInjectsErrorAndDrop(t *testing.T) {
 	if err := inj.SetSpec("*:droprate=1"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Get(backend.URL)
+	_, err = inj.Decide(target).Apply(context.Background(), target)
 	var ie *InjectedError
-	if err == nil || !errors.As(err, &ie) || ie.Kind != "drop" {
+	if err == nil || !errors.As(err, &ie) || ie.Kind != "drop" || ie.Target != target {
 		t.Errorf("drop not injected: %v", err)
 	}
 
-	// Healing the spec restores real responses.
+	// Healing the spec lets the call through: no status, no error.
 	if err := inj.SetSpec(""); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = client.Get(backend.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "real" {
-		t.Errorf("healed body %q", body)
+	if code, err := inj.Decide(target).Apply(context.Background(), target); err != nil || code != 0 {
+		t.Errorf("healed Apply = %d, %v; want 0, nil", code, err)
 	}
 }
 
 func TestTransportHangRespectsContext(t *testing.T) {
+	const target = "192.0.2.1:9"
 	inj, err := New("*:blackhole", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewTransport(nil, inj)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://192.0.2.1:9/x", nil)
 	start := time.Now()
-	_, err = rt.RoundTrip(req)
-	if err == nil {
-		t.Fatal("blackholed request succeeded")
+	if _, err := inj.Decide(target).Apply(ctx, target); err != context.DeadlineExceeded {
+		t.Fatalf("blackholed call = %v, want the context's own error", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("blackhole ignored context deadline: took %v", elapsed)
@@ -228,19 +208,15 @@ func TestTransportHangRespectsContext(t *testing.T) {
 }
 
 func TestTransportAddsLatency(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer backend.Close()
+	const target = "127.0.0.1:9"
 	inj, err := New("*:latency=40ms", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &http.Client{Transport: NewTransport(nil, inj)}
 	start := time.Now()
-	resp, err := client.Get(backend.URL)
-	if err != nil {
-		t.Fatal(err)
+	if code, err := inj.Decide(target).Apply(context.Background(), target); err != nil || code != 0 {
+		t.Fatalf("delayed Apply = %d, %v; want 0, nil", code, err)
 	}
-	resp.Body.Close()
 	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
 		t.Errorf("latency not injected: %v", elapsed)
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -26,30 +24,13 @@ func (e *InjectedError) Error() string {
 // so generic retry logic treats injected hangs like real deadline misses.
 func (e *InjectedError) Timeout() bool { return e.Kind == "timeout" }
 
-// Transport is a fault-injecting http.RoundTripper: every outbound
-// request is first judged by the injector (keyed on the request's
-// host:port), then forwarded to the inner transport if it survives.
-type Transport struct {
-	inner http.RoundTripper
-	inj   *Injector
-}
-
-// NewTransport wraps inner (nil means http.DefaultTransport) with inj.
-// A nil injector passes everything through untouched.
-func NewTransport(inner http.RoundTripper, inj *Injector) *Transport {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return &Transport{inner: inner, inj: inj}
-}
-
 // Apply plays the decision out for one call to target under ctx, the way
-// every injection point (Transport, Middleware, the cluster's peer plane)
-// must: wait out the delay, then fail a hang — once it has run its course —
-// or a drop with an *InjectedError. A positive code is the synthetic status
-// to answer with instead of doing the work. Delays and hangs respect ctx
-// (its error is returned bare), so per-hop deadlines still bound a faulted
-// call.
+// every injection point (Middleware, the cluster's peer plane and origin
+// link) must: wait out the delay, then fail a hang — once it has run its
+// course — or a drop with an *InjectedError. A positive code is the
+// synthetic status to answer with instead of doing the work. Delays and
+// hangs respect ctx (its error is returned bare), so per-hop deadlines still
+// bound a faulted call.
 func (d Decision) Apply(ctx context.Context, target string) (code int, err error) {
 	if d.Delay > 0 {
 		if err := sleepCtx(ctx, d.Delay); err != nil {
@@ -68,39 +49,7 @@ func (d Decision) Apply(ctx context.Context, target string) (code int, err error
 	return d.Code, nil
 }
 
-// RoundTrip applies the injector's decision, then the real round trip.
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.inj == nil {
-		return t.inner.RoundTrip(req)
-	}
-	code, err := t.inj.Decide(req.URL.Host).Apply(req.Context(), req.URL.Host)
-	if err != nil {
-		return nil, err
-	}
-	if code > 0 {
-		return syntheticResponse(req, code), nil
-	}
-	return t.inner.RoundTrip(req)
-}
-
-// syntheticResponse builds the injected 5xx reply without touching the
-// network. X-Injected marks it so traces and tests can tell it apart.
-func syntheticResponse(req *http.Request, code int) *http.Response {
-	body := fmt.Sprintf("injected %d for %s\n", code, req.URL.Host)
-	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", code, http.StatusText(code)),
-		StatusCode:    code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        http.Header{"X-Injected": []string{"true"}},
-		Body:          io.NopCloser(strings.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}
-}
-
-// Middleware is the server-side twin of Transport: inbound requests to a
+// Middleware is the server-side injection point: inbound requests to a
 // node running under chaos are judged against the node's own label (its
 // name or host:port), so a spec like "peerB:latency=50ms" can make peerB
 // serve slowly instead of (or as well as) making calls *to* peerB slow.
