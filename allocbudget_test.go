@@ -6,8 +6,10 @@
 package beyondcache_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
@@ -171,5 +173,67 @@ func TestMissFillAllocBudget(t *testing.T) {
 	t.Logf("MISS fill: %.1f allocs (budget %d)", allocs, missFillAllocBudget)
 	if allocs > missFillAllocBudget {
 		t.Errorf("a MISS fill allocates %.1f, budget is %d", allocs, missFillAllocBudget)
+	}
+}
+
+// frontDoorHitAllocBudget is what the serving side of one LOCAL hit over a
+// real loopback connection may allocate, the client (one write of a prepared
+// request, reads into a fixed buffer) allocating nothing: http.ReadRequest's
+// request, URL, header map and values, the request's copy under the door's
+// context, the handler's 9 (TestHitPathAllocBudget), and nothing for the
+// response — header map, head scratch and write vector are the connection's,
+// reused. Measured at 17; through http.Server, with a response and its
+// writers, a cancel context and a background read per request, it took 27.
+const frontDoorHitAllocBudget = 19
+
+// TestFrontDoorHitAllocBudget holds the client-facing hop to its allocation
+// budget: the front door must not grow back a per-request response object,
+// header map or buffer.
+func TestFrontDoorHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const size = 4096
+	f, err := cluster.StartFleet(cluster.FleetConfig{Nodes: 1, ObjectSize: size, UpdateInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const url = "http://example.com/frontdoor/hit"
+	if _, err := f.Fetch(0, url); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", f.Nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(30 * time.Second))
+	req := []byte("GET /fetch?url=" + neturl.QueryEscape(url) + " HTTP/1.1\r\nHost: node\r\n\r\n")
+	buf, headEnd := make([]byte, 16<<10), []byte("\r\n\r\n")
+	hit := func() {
+		if _, err := c.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		for n, want := 0, -1; want < 0 || n < want; {
+			m, err := c.Read(buf[n:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += m
+			if i := bytes.Index(buf[:n], headEnd); want < 0 && i >= 0 {
+				want = i + len(headEnd) + size
+			}
+		}
+	}
+	hit() // the connection's goroutine and buffers
+	before := f.Nodes[0].Stats()
+	allocs := testing.AllocsPerRun(2000, hit)
+	if got := f.Nodes[0].Stats().LocalHits - before.LocalHits; got != 2001 {
+		t.Fatalf("%d of 2001 fetches were LOCAL hits: the budget below would measure something else", got)
+	}
+	t.Logf("LOCAL hit through the front door: %.1f allocs (budget %d)", allocs, frontDoorHitAllocBudget)
+	if allocs > frontDoorHitAllocBudget {
+		t.Errorf("a LOCAL hit through the front door allocates %.1f, budget is %d", allocs, frontDoorHitAllocBudget)
 	}
 }

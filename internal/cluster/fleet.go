@@ -258,12 +258,10 @@ func (f *Fleet) SetFaultSpec(spec string) error {
 }
 
 // dropIdleConns closes the idle HTTP connections the fleet's own client
-// holds to the nodes, before any of them shuts down. A transport keeps
-// connections it dialed but never used; the server at the other end sees
-// them as StateNew, which http.Server.Shutdown will not reap for 5 s, so a
-// node closed while ANY process still holds one burns its whole 3 s grace.
-// (Each node drops its own to the origin, and cuts its peer-plane
-// connections — hijacked, hence untracked — in its Close.)
+// holds to the nodes, before any of them shuts down. A node's front door
+// cuts idle connections itself, at once; but the client would find one of
+// its pooled connections dead only by using it, and a POST (a purge) that
+// meets a dead connection is not retried the way a GET is.
 func (f *Fleet) dropIdleConns() { f.client.CloseIdleConnections() }
 
 // Close shuts down every node and the origin, returning the first error.

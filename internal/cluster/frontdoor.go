@@ -1,0 +1,300 @@
+package cluster
+
+// The front door (DESIGN.md §16): the client-facing listener, served without
+// net/http's server. One goroutine per connection parses each request with
+// http.ReadRequest and hands it to the node's ordinary http.Handler; the
+// connection is the http.ResponseWriter too, reused from request to request,
+// and sends a response as one vectored write of status line, headers and
+// body. No request carries a body and no response is chunked.
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"io"
+	"log"
+	"net"
+	"net/http"
+	"runtime/debug"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// An idle connection's, a header's (from its first byte) and close's time
+// limits. Variables only so that tests can shorten them, before a door starts.
+var doorIdleTimeout, doorHeaderTimeout, doorCloseGrace = 30 * time.Second, 5 * time.Second, 3 * time.Second
+
+const (
+	// doorHeaderLimit bounds one request's line and header (a 4 KiB
+	// read-ahead included): past it the answer is 431.
+	doorHeaderLimit = 1 << 20
+	// doorDrain is how much is read off behind a refused request (its body,
+	// typically) before the connection closes.
+	doorDrain = 64 << 10
+)
+
+// frontDoor owns a listener and the connections accepted on it.
+type frontDoor struct {
+	lis          net.Listener
+	handler      http.Handler
+	idle, header time.Duration // the timeouts, as they were at the start
+	// quit ends when close begins, and idle connections with it. ctx — every
+	// request's context, which a client going away does not end — ends when
+	// the grace has run out, and every connection left with it.
+	quit, ctx     context.Context
+	begin, finish context.CancelFunc
+	wg            sync.WaitGroup // the accept loop and the connections
+}
+
+// startFrontDoor serves handler on lis until close.
+func startFrontDoor(lis net.Listener, handler http.Handler) *frontDoor {
+	d := &frontDoor{lis: lis, handler: handler, idle: doorIdleTimeout, header: doorHeaderTimeout}
+	d.quit, d.begin = context.WithCancel(context.Background())
+	d.ctx, d.finish = context.WithCancel(context.Background())
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		for {
+			c, err := lis.Accept()
+			if err != nil && d.quit.Err() != nil {
+				return
+			}
+			if err != nil {
+				time.Sleep(10 * time.Millisecond) // out of descriptors, most likely
+				continue
+			}
+			d.serve(c)
+		}
+	}()
+	return d
+}
+
+// serve starts a connection's goroutine. The connection is closed under it
+// when quit ends, if idle then (else it sees for itself), and when ctx ends.
+func (d *frontDoor) serve(c net.Conn) {
+	dc := &doorConn{d: d, c: c, hdr: make(http.Header)}
+	dc.lr.R = c
+	dc.br = bufio.NewReaderSize(&dc.lr, 4<<10)
+	idle := context.AfterFunc(d.quit, func() {
+		if !dc.busy.Load() {
+			c.Close()
+		}
+	})
+	all := context.AfterFunc(d.ctx, func() { c.Close() })
+	dc.unhook = func() { idle(); all() }
+	d.wg.Add(1)
+	go dc.loop()
+}
+
+// close stops accepting, cuts idle connections at once, gives requests in
+// flight doorCloseGrace to finish, then closes their connections too and ends
+// their context. A handler that outlives that is not waited for.
+func (d *frontDoor) close() {
+	d.begin()
+	d.lis.Close()
+	done := make(chan struct{})
+	go func() { d.wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(doorCloseGrace):
+	}
+	d.finish()
+}
+
+// doorConn is a connection and each request's http.ResponseWriter (and Hijacker).
+type doorConn struct {
+	d *frontDoor
+	c net.Conn
+	// lr meters what br reads off c while a header is being parsed.
+	lr io.LimitedReader
+	br *bufio.Reader
+	// busy is set from a request's first byte to its answer's last: before
+	// quit is read here, and read after quit ends, so one always sees the other.
+	busy   atomic.Bool
+	unhook func() // from quit and ctx
+
+	// The response in progress. hdr, head, body and the write vector are the
+	// connection's, reused across its requests: cleared, not reallocated.
+	req               *http.Request
+	hdr               http.Header
+	head              bytes.Buffer // status line and header block
+	body              []byte       // a response that declared no length, gathered
+	status            int          // 0 until WriteHeader
+	declared, written int64        // declared: the Content-Length the handler set, or -1
+	sent, last        bool         // the head has left; the connection closes after this response
+	hijacked          bool
+	werr              error
+	iov               [2][]byte
+	vec               net.Buffers
+}
+
+func (dc *doorConn) loop() {
+	defer func() {
+		dc.unhook()
+		if !dc.hijacked {
+			dc.c.Close()
+		}
+		dc.d.wg.Done()
+	}()
+	for {
+		dc.busy.Store(false)
+		if dc.d.quit.Err() != nil {
+			return
+		}
+		dc.lr.N = doorHeaderLimit
+		dc.c.SetReadDeadline(time.Now().Add(dc.d.idle))
+		if _, err := dc.br.Peek(1); err != nil {
+			return
+		}
+		dc.busy.Store(true)
+		if dc.d.quit.Err() != nil {
+			return // close may have read this connection as idle
+		}
+		dc.c.SetReadDeadline(time.Now().Add(dc.d.header))
+		req, err := http.ReadRequest(dc.br)
+		switch {
+		case err != nil && dc.lr.N <= 0:
+			dc.refuse(http.StatusRequestHeaderFieldsTooLarge)
+			return
+		case err != nil: // malformed; or the client left or stalled, and nobody reads this
+			dc.refuse(http.StatusBadRequest)
+			return
+		case !dc.serve(req):
+			return
+		}
+	}
+}
+
+// refuse answers a request the handler will not see; the connection closes
+// behind it. Closing on unread bytes would reset it, and the refusal away, so
+// a little is read off first, briefly: nothing behind a refusal is parsed.
+func (dc *doorConn) refuse(code int) (keep bool) {
+	text := strconv.Itoa(code) + " " + http.StatusText(code)
+	io.WriteString(dc.c, "HTTP/1.1 "+text+"\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: "+
+		strconv.Itoa(len(text))+"\r\nConnection: close\r\n\r\n"+text)
+	dc.lr.N = doorDrain
+	dc.c.SetReadDeadline(time.Now().Add(peerLingerTimeout))
+	io.Copy(io.Discard, dc.br)
+	return false
+}
+
+// serve answers one request; keep says the connection may carry another.
+func (dc *doorConn) serve(req *http.Request) (keep bool) {
+	switch {
+	case req.ProtoAtLeast(1, 1) && req.Host == "":
+		return dc.refuse(http.StatusBadRequest)
+	case req.ContentLength != 0 || len(req.TransferEncoding) > 0:
+		// No endpoint takes a body, so none is ever framed. The refusal goes
+		// out before any of it is read: Expect: 100-continue gets it at once.
+		return dc.refuse(http.StatusRequestEntityTooLarge)
+	}
+	clear(dc.hdr)
+	dc.req, dc.status, dc.declared, dc.written = req, 0, -1, 0
+	dc.sent, dc.last, dc.werr, dc.body = false, req.Close, nil, dc.body[:0]
+	dc.head.Reset()
+	defer func() {
+		// A panicking handler (the chaos middleware's http.ErrAbortHandler
+		// among them) costs its connection, unanswered, and nothing else.
+		if p := recover(); p != nil {
+			if p != http.ErrAbortHandler {
+				log.Printf("cluster: front door: panic serving %v: %v\n%s", dc.c.RemoteAddr(), p, debug.Stack())
+			}
+			keep = false
+		}
+	}()
+	dc.d.handler.ServeHTTP(dc, req.WithContext(dc.d.ctx))
+	if dc.hijacked || dc.d.ctx.Err() != nil {
+		return false // out of grace: a handler that gave up has no answer to send
+	}
+	// What is left: a head nothing was written behind, or a gathered body.
+	dc.WriteHeader(http.StatusOK)
+	if dc.written < dc.declared && req.Method != http.MethodHead {
+		dc.last = true // short of its declared length: the framing is lost
+	}
+	if dc.declared < 0 {
+		dc.head.WriteString("Content-Length: ")
+		dc.head.Write(strconv.AppendInt(dc.head.AvailableBuffer(), dc.written, 10))
+		dc.head.WriteString("\r\n")
+	}
+	if !dc.sent {
+		dc.send(dc.body)
+	}
+	return dc.werr == nil && !dc.last
+}
+
+func (dc *doorConn) Header() http.Header { return dc.hdr }
+
+// WriteHeader fixes the status and renders the head from the headers as they
+// stand; only a gathered body's Content-Length is still to come.
+func (dc *doorConn) WriteHeader(code int) {
+	if dc.status != 0 {
+		return
+	}
+	dc.status = code
+	n, err := strconv.ParseInt(dc.hdr.Get("Content-Length"), 10, 64)
+	switch {
+	case code < 200 || code == http.StatusNoContent || code == http.StatusNotModified:
+		dc.declared = 0 // no body goes with these, and no length
+		dc.hdr.Del("Content-Length")
+	case err == nil && n >= 0:
+		dc.declared = n
+	default:
+		dc.hdr.Del("Content-Length")
+	}
+	h := &dc.head
+	h.WriteString("HTTP/1.1 ")
+	h.Write(strconv.AppendInt(h.AvailableBuffer(), int64(code), 10))
+	h.WriteByte(' ')
+	h.WriteString(http.StatusText(code))
+	h.WriteString("\r\n")
+	dc.hdr.Write(h) // sorted, and a line break in a value written as a space
+	h.WriteString("Date: ")
+	h.Write(time.Now().UTC().AppendFormat(h.AvailableBuffer(), http.TimeFormat))
+	if dc.last {
+		h.WriteString("\r\nConnection: close")
+	} else if !dc.req.ProtoAtLeast(1, 1) {
+		h.WriteString("\r\nConnection: keep-alive")
+	}
+	h.WriteString("\r\n")
+}
+
+// Write sends p if the handler declared a Content-Length — the first time,
+// head and p in one write — and otherwise gathers it, to go with its length.
+func (dc *doorConn) Write(p []byte) (int, error) {
+	dc.WriteHeader(http.StatusOK)
+	if dc.declared >= 0 && dc.written+int64(len(p)) > dc.declared {
+		return 0, http.ErrContentLength
+	}
+	dc.written += int64(len(p))
+	switch {
+	case dc.req.Method == http.MethodHead: // counted, never sent
+	case dc.declared < 0:
+		dc.body = append(dc.body, p...)
+	case !dc.sent:
+		dc.send(p)
+	case dc.werr == nil:
+		_, dc.werr = dc.c.Write(p)
+	}
+	return len(p), dc.werr
+}
+
+// send finishes the head and writes it with p behind it: one writev on a
+// TCP connection, so the client wakes once, with all of it.
+func (dc *doorConn) send(p []byte) {
+	dc.head.WriteString("\r\n")
+	dc.sent, dc.iov[0], dc.iov[1] = true, dc.head.Bytes(), p
+	dc.vec = dc.iov[:]
+	_, dc.werr = dc.vec.WriteTo(dc.c)
+	dc.iov[1] = nil // the body is the cache's: not ours to pin
+}
+
+// Hijack hands the connection, and whatever was read behind the request, to
+// the handler: the peer plane's upgrade. The door forgets it.
+func (dc *doorConn) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	dc.hijacked = true
+	dc.unhook()
+	dc.lr.N = 1 << 62 // no header is being parsed any more; the deadline is the caller's to clear
+	return dc.c, bufio.NewReadWriter(dc.br, bufio.NewWriter(dc.c)), nil
+}

@@ -433,7 +433,7 @@ type Node struct {
 	nodeLabel string
 	extURL    string // set by Bind; empty when Start owns the listener
 	lis       net.Listener
-	srv       *http.Server
+	door      *frontDoor // nil when the caller serves Handler itself (Bind)
 	// origin reaches the origin and nothing else (originlink.go); plane
 	// carries everything said to or by a peer (peer.go).
 	origin *originLink
@@ -441,7 +441,6 @@ type Node struct {
 
 	stopBatch chan struct{}
 	batchDone chan struct{}
-	srvDone   chan struct{}
 	closeOnce sync.Once
 }
 
@@ -512,7 +511,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		origin:       origin,
 		stopBatch:    make(chan struct{}),
 		batchDone:    make(chan struct{}),
-		srvDone:      make(chan struct{}),
 		recoveryDone: make(chan struct{}),
 	}
 	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
@@ -561,9 +559,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // Handler returns the node's HTTP handler. Most callers use Start, which
-// serves the handler from the node's own listener; tests that want to serve
-// the node from an httptest.Server mount this handler there and call Bind
-// with the server's URL.
+// serves the handler from the node's own listener through the front door
+// (frontdoor.go); tests that want to serve the node from an httptest.Server
+// mount this handler there and call Bind with the server's URL.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fetch", n.handleFetch)
@@ -595,15 +593,7 @@ func (n *Node) Start(addr string) error {
 	}
 	n.lis = lis
 	n.boot(lis.Addr().String())
-	n.srv = &http.Server{
-		Handler:           n.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       30 * time.Second,
-	}
-	go func() {
-		defer close(n.srvDone)
-		_ = n.srv.Serve(lis)
-	}()
+	n.door = startFrontDoor(lis, n.Handler())
 	return nil
 }
 
@@ -750,10 +740,9 @@ func hostPortOf(baseURL string) string {
 	return baseURL
 }
 
-// Close stops the batcher (flushing once) and shuts the server down. Close
+// Close stops the batcher (flushing once) and shuts the front door. Close
 // is idempotent. It must only be called after Start or Bind.
 func (n *Node) Close() error {
-	var err error
 	n.closeOnce.Do(func() {
 		// Wait out the boot recovery scan first: its republish rides the
 		// locator, which shuts down below, and a restart test reusing
@@ -769,22 +758,11 @@ func (n *Node) Close() error {
 		n.loc.close()
 		n.plane.close()
 		n.origin.close()
-		if n.srv == nil {
-			return
+		if n.door != nil {
+			n.door.close()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		err = n.srv.Shutdown(ctx)
-		if err != nil {
-			// A connection stuck between states can hold Shutdown
-			// open indefinitely; force-close stragglers. This is
-			// not an application error.
-			_ = n.srv.Close()
-			err = nil
-		}
-		<-n.srvDone
 	})
-	return err
+	return nil
 }
 
 // Stats returns a snapshot of the node's counters.

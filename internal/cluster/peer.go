@@ -60,7 +60,7 @@ var (
 
 // peerPlane is a node's connection state: the connection calls to each peer
 // share, and every live connection, dialed or accepted, for close to cut —
-// http.Server.Shutdown does not track hijacked ones.
+// the front door forgets a connection it has handed over.
 type peerPlane struct {
 	// ctx ends with the plane, cutting short faulted calls' sleeps; wg
 	// counts read loops, serve loops and calls taken off a serve loop.

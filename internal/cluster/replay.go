@@ -3,8 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"net/http"
-	neturl "net/url"
+	"sync"
 
 	"beyondcache/internal/trace"
 )
@@ -104,15 +103,17 @@ func (f *Fleet) Replay(r trace.Reader, cfg ReplayConfig) (ReplayStats, error) {
 }
 
 // PurgeAll drops every node's copy of a URL, ignoring nodes that do not
-// have one.
+// have one (their 404) or cannot be reached. The nodes are asked at once —
+// a purge costs the slowest node's round trip, not the sum — and PurgeAll
+// returns when all have answered.
 func (f *Fleet) PurgeAll(url string) {
-	for _, n := range f.Nodes {
-		resp, err := f.client.Post(n.URL()+"/purge?url="+neturl.QueryEscape(url), "", nil)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		_ = resp.StatusCode == http.StatusNotFound // absent copies are fine
+	var wg sync.WaitGroup
+	for i := range f.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = f.Purge(i, url) // an absent copy or an unreachable node is fine
+		}()
 	}
+	wg.Wait()
 }
