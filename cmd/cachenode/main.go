@@ -134,16 +134,19 @@ func run(args []string, out io.Writer, wait func()) error {
 	if *inject != "" || *injectIn != "" {
 		fmt.Fprintf(out, "chaos enabled (outbound %q, inbound %q, seed %d)\n", *inject, *injectIn, *faultSeed)
 	}
+	// Peers first: Start begins boot recovery, whose republish round must
+	// find a mesh to go to. Only once it has bound is the node's own address
+	// known, and a -peers entry naming it refused (the one error there is).
+	peerURLs, _ := normalizeTargets(*peers, "")
+	for _, p := range peerURLs {
+		n.AddPeer(p)
+	}
 	if err := n.Start(*listen); err != nil {
 		return err
 	}
-	peerURLs, err := normalizeTargets(*peers, n.Addr())
-	if err != nil {
+	if _, err := normalizeTargets(*peers, n.Addr()); err != nil {
 		_ = n.Close()
 		return err
-	}
-	for _, p := range peerURLs {
-		n.AddPeer(p)
 	}
 	fmt.Fprintf(out, "cache node serving on %s (origin %s, %d peers)\n",
 		n.URL(), *originURL, len(peerURLs))

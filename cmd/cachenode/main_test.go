@@ -220,6 +220,24 @@ func TestNormalizeTargets(t *testing.T) {
 	}
 }
 
+// TestOwnAddressAmongPeersRefused: the peers are added before the node starts
+// (and binds), and one that turns out to be the address it bound is still
+// refused, the node closed behind the refusal.
+func TestOwnAddressAmongPeersRefused(t *testing.T) {
+	originURL, stopOrigin := startDaemon(t, []string{"-origin"})
+	defer stopOrigin()
+	addr := freeAddr(t)
+	err := run([]string{"-origin-url", originURL, "-listen", addr, "-peers", "http://127.0.0.1:1, http://" + addr + "/"},
+		&bytes.Buffer{}, func() { t.Error("the node came up with itself for a peer") })
+	if err == nil || !strings.Contains(err.Error(), "own listen address "+addr) {
+		t.Errorf("run = %v, want the own-listen-address refusal", err)
+	}
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Error("the refused node is still listening")
+	}
+}
+
 // freeAddr reserves an ephemeral port and releases it, so two nodes can be
 // started with each other's address on the command line.
 func freeAddr(t *testing.T) string {

@@ -1,11 +1,13 @@
 package cluster
 
 // The front door (DESIGN.md §16): the client-facing listener, served without
-// net/http's server. One goroutine per connection parses each request with
-// http.ReadRequest and hands it to the node's ordinary http.Handler; the
-// connection is the http.ResponseWriter too, reused from request to request,
-// and sends a response as one vectored write of status line, headers and
-// body. No request carries a body and no response is chunked.
+// net/http's server. One goroutine per connection reads each request — a plain
+// GET whole in the buffer into the connection's reused request
+// (frontdoor_head.go), anything else with http.ReadRequest — and hands it to
+// the node's ordinary http.Handler; the connection is the http.ResponseWriter
+// too, reused from request to request, and sends a response as one vectored
+// write of status line, headers and body. No request carries a body and no
+// response is chunked.
 
 import (
 	"bufio"
@@ -23,8 +25,11 @@ import (
 )
 
 // An idle connection's, a header's (from its first byte) and close's time
-// limits. Variables only so that tests can shorten them, before a door starts.
-var doorIdleTimeout, doorHeaderTimeout, doorCloseGrace = 30 * time.Second, 5 * time.Second, 3 * time.Second
+// limits, and how long a response may take to leave: a client that stops
+// reading costs its connection then, not a goroutine and a body for ever.
+// Variables only so that tests can shorten them, before a door starts: it
+// reads the idle and header limits then, the other two when it uses them.
+var doorIdleTimeout, doorHeaderTimeout, doorCloseGrace, doorWriteTimeout = 30 * time.Second, 5 * time.Second, 3 * time.Second, 30 * time.Second
 
 const (
 	// doorHeaderLimit bounds one request's line and header (a 4 KiB
@@ -36,6 +41,12 @@ const (
 )
 
 // frontDoor owns a listener and the connections accepted on it.
+//
+// The handler's side of it: a request, its URL and its Header are the
+// connection's, filled again for the next request, so a handler neither keeps
+// nor changes them once it has returned (the strings in them are its to keep).
+// A handler that hijacks outlives its call, and is never handed the reused
+// request: the recogniser declines a head with Upgrade in it.
 type frontDoor struct {
 	lis          net.Listener
 	handler      http.Handler
@@ -75,6 +86,7 @@ func startFrontDoor(lis net.Listener, handler http.Handler) *frontDoor {
 // when quit ends, if idle then (else it sees for itself), and when ctx ends.
 func (d *frontDoor) serve(c net.Conn) {
 	dc := &doorConn{d: d, c: c, hdr: make(http.Header)}
+	dc.plain.init(d.ctx)
 	dc.lr.R = c
 	dc.br = bufio.NewReaderSize(&dc.lr, 4<<10)
 	idle := context.AfterFunc(d.quit, func() {
@@ -108,8 +120,9 @@ type doorConn struct {
 	d *frontDoor
 	c net.Conn
 	// lr meters what br reads off c while a header is being parsed.
-	lr io.LimitedReader
-	br *bufio.Reader
+	lr    io.LimitedReader
+	br    *bufio.Reader
+	plain plainHead // the request a recognised head is read into
 	// busy is set from a request's first byte to its answer's last: before
 	// quit is read here, and read after quit ends, so one always sees the other.
 	busy   atomic.Bool
@@ -128,6 +141,8 @@ type doorConn struct {
 	werr              error
 	iov               [2][]byte
 	vec               net.Buffers
+	date              []byte // the Date value, as formatted in second dateAt
+	dateAt            int64
 }
 
 func (dc *doorConn) loop() {
@@ -152,6 +167,16 @@ func (dc *doorConn) loop() {
 		if dc.d.quit.Err() != nil {
 			return // close may have read this connection as idle
 		}
+		// A plain head is whole in the buffer: no header byte is waited for,
+		// and no deadline armed for the wait.
+		b, _ := dc.br.Peek(dc.br.Buffered())
+		if n := dc.plain.read(b); n > 0 {
+			dc.br.Discard(n)
+			if !dc.serve(&dc.plain.req) {
+				return
+			}
+			continue
+		}
 		dc.c.SetReadDeadline(time.Now().Add(dc.d.header))
 		req, err := http.ReadRequest(dc.br)
 		switch {
@@ -161,7 +186,7 @@ func (dc *doorConn) loop() {
 		case err != nil: // malformed; or the client left or stalled, and nobody reads this
 			dc.refuse(http.StatusBadRequest)
 			return
-		case !dc.serve(req):
+		case !dc.serve(req.WithContext(dc.d.ctx)):
 			return
 		}
 	}
@@ -172,15 +197,16 @@ func (dc *doorConn) loop() {
 // a little is read off first, briefly: nothing behind a refusal is parsed.
 func (dc *doorConn) refuse(code int) (keep bool) {
 	text := strconv.Itoa(code) + " " + http.StatusText(code)
+	dc.c.SetDeadline(time.Now().Add(peerLingerTimeout)) // the last response's write deadline may be past
 	io.WriteString(dc.c, "HTTP/1.1 "+text+"\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: "+
 		strconv.Itoa(len(text))+"\r\nConnection: close\r\n\r\n"+text)
 	dc.lr.N = doorDrain
-	dc.c.SetReadDeadline(time.Now().Add(peerLingerTimeout))
 	io.Copy(io.Discard, dc.br)
 	return false
 }
 
-// serve answers one request; keep says the connection may carry another.
+// serve answers one request, which carries the door's context; keep says the
+// connection may carry another.
 func (dc *doorConn) serve(req *http.Request) (keep bool) {
 	switch {
 	case req.ProtoAtLeast(1, 1) && req.Host == "":
@@ -204,7 +230,7 @@ func (dc *doorConn) serve(req *http.Request) (keep bool) {
 			keep = false
 		}
 	}()
-	dc.d.handler.ServeHTTP(dc, req.WithContext(dc.d.ctx))
+	dc.d.handler.ServeHTTP(dc, req)
 	if dc.hijacked || dc.d.ctx.Err() != nil {
 		return false // out of grace: a handler that gave up has no answer to send
 	}
@@ -251,7 +277,10 @@ func (dc *doorConn) WriteHeader(code int) {
 	h.WriteString("\r\n")
 	dc.hdr.Write(h) // sorted, and a line break in a value written as a space
 	h.WriteString("Date: ")
-	h.Write(time.Now().UTC().AppendFormat(h.AvailableBuffer(), http.TimeFormat))
+	if now := time.Now(); now.Unix() != dc.dateAt {
+		dc.dateAt, dc.date = now.Unix(), now.UTC().AppendFormat(dc.date[:0], http.TimeFormat)
+	}
+	h.Write(dc.date)
 	if dc.last {
 		h.WriteString("\r\nConnection: close")
 	} else if !dc.req.ProtoAtLeast(1, 1) {
@@ -281,8 +310,10 @@ func (dc *doorConn) Write(p []byte) (int, error) {
 }
 
 // send finishes the head and writes it with p behind it: one writev on a
-// TCP connection, so the client wakes once, with all of it.
+// TCP connection, so the client wakes once, with all of it. The response's
+// one write deadline is armed here, for this write and any behind it.
 func (dc *doorConn) send(p []byte) {
+	dc.c.SetWriteDeadline(time.Now().Add(doorWriteTimeout))
 	dc.head.WriteString("\r\n")
 	dc.sent, dc.iov[0], dc.iov[1] = true, dc.head.Bytes(), p
 	dc.vec = dc.iov[:]
@@ -295,6 +326,6 @@ func (dc *doorConn) send(p []byte) {
 func (dc *doorConn) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	dc.hijacked = true
 	dc.unhook()
-	dc.lr.N = 1 << 62 // no header is being parsed any more; the deadline is the caller's to clear
+	dc.lr.N = 1 << 62 // no header is being parsed any more; the deadlines are the caller's to clear
 	return dc.c, bufio.NewReadWriter(dc.br, bufio.NewWriter(dc.c)), nil
 }

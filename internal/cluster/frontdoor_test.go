@@ -130,9 +130,15 @@ type exchange struct {
 	Closed   bool
 }
 
-func exchangeOn(t *testing.T, addr, raw string, methods ...string) (exchange, []*http.Response) {
+// exchangeOn sends raw — with cut > 0 as two TCP segments, the first of cut
+// bytes — and reads one response per method.
+func exchangeOn(t *testing.T, addr, raw string, cut int, methods ...string) (exchange, []*http.Response) {
 	t.Helper()
-	rc := dialRaw(t, addr).send(raw)
+	rc := dialRaw(t, addr).send(raw[:cut])
+	if cut > 0 {
+		time.Sleep(10 * time.Millisecond) // the server reads the first before the second is sent
+	}
+	rc.send(raw[cut:])
 	var ex exchange
 	var resps []*http.Response
 	for _, m := range methods {
@@ -158,7 +164,10 @@ func exchangeOn(t *testing.T, addr, raw string, methods ...string) (exchange, []
 // connection's fate must agree. The differences allowed are the documented
 // ones: the door sends Date from its own clock, gives a long response that
 // declared no length a Content-Length where net/http chunks it (/metrics),
-// and refuses request bodies (TestFrontDoorHostileRequests).
+// and refuses request bodies (TestFrontDoorHostileRequests). Every GET is sent
+// to the door a second time with its request line split across two segments:
+// whole it may be read by the recogniser, split it is http.ReadRequest's, and
+// the two must be answered alike.
 func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 	n, origin := doorNode(t, NodeConfig{Name: "door", TraceSample: -1})
 	ref := httptest.NewServer(n.Handler())
@@ -219,14 +228,22 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 			if tc.methods == nil {
 				tc.methods = []string{"GET"}
 			}
-			var got [2]exchange
-			for i, addr := range []string{n.Addr(), refAddr} {
+			type side struct {
+				addr string
+				cut  int
+			}
+			sides := []side{{n.Addr(), 0}, {refAddr, 0}}
+			if strings.HasPrefix(tc.raw, "GET ") {
+				sides = append(sides, side{n.Addr(), 12})
+			}
+			got := make([]exchange, len(sides))
+			for i, s := range sides {
 				warm()
 				if tc.prep != nil {
 					tc.prep()
 				}
-				ex, resps := exchangeOn(t, addr, tc.raw, tc.methods...)
-				if i == 0 {
+				ex, resps := exchangeOn(t, s.addr, tc.raw, s.cut, tc.methods...)
+				if s.addr == n.Addr() {
 					for _, resp := range resps {
 						if _, err := http.ParseTime(resp.Header.Get("Date")); err != nil {
 							t.Errorf("the door's Date header: %v", err)
@@ -251,6 +268,9 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 			}
 			if !reflect.DeepEqual(door, want) {
 				t.Errorf("the door and net/http disagree\n door:     %+v\n net/http: %+v", door, want)
+			}
+			if len(got) > 2 && !reflect.DeepEqual(door, got[2]) {
+				t.Errorf("the door answers a head it got whole and one it got in two segments differently\n whole: %+v\n split: %+v", door, got[2])
 			}
 		})
 	}
@@ -339,6 +359,8 @@ func TestFrontDoorOneWrite(t *testing.T) {
 func TestFrontDoorWriter(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(io.Discard) // the panic below is logged with its stack
+	shorten(t, &doorWriteTimeout, 200*time.Millisecond)
+	unread := make(chan error, 1)
 	overrun := make(chan error, 1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/split", func(w http.ResponseWriter, r *http.Request) {
@@ -368,6 +390,11 @@ func TestFrontDoorWriter(t *testing.T) {
 		io.WriteString(w, "never sent")
 	})
 	mux.HandleFunc("/silent", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/unread", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(32<<20))
+		_, err := w.Write(make([]byte, 32<<20))
+		unread <- err
+	})
 	mux.HandleFunc("/abort", func(w http.ResponseWriter, r *http.Request) { panic(http.ErrAbortHandler) })
 	mux.HandleFunc("/panic", func(w http.ResponseWriter, r *http.Request) { panic("handler bug") })
 	addr := stubDoor(t, mux)
@@ -414,6 +441,23 @@ func TestFrontDoorWriter(t *testing.T) {
 	rc := dialRaw(t, addr).send(get("GET", "/short"))
 	if got, closed := rc.rest(time.Second); !closed || !bytes.HasSuffix(got, []byte("\r\n\r\nshort")) {
 		t.Errorf("a short response: %q, closed %v; want the head, \"short\", then the close", got, closed)
+	}
+
+	// A client that asks and never reads: the response's write deadline ends
+	// the write, and the connection with it.
+	start := time.Now()
+	rc = dialRaw(t, addr).send(get("GET", "/unread"))
+	select {
+	case err := <-unread:
+		var ne net.Error
+		if took := time.Since(start); !errors.As(err, &ne) || !ne.Timeout() || took < doorWriteTimeout || took > doorWriteTimeout+2*time.Second {
+			t.Errorf("writing 32 MiB to a client that does not read returned %v after %v; want a timeout at %v", err, took, doorWriteTimeout)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("still writing to a client that does not read, %v past the %v write timeout", time.Since(start), doorWriteTimeout)
+	}
+	if got, closed := rc.rest(5 * time.Second); !closed || len(got) >= 32<<20 {
+		t.Errorf("after the write timeout: %d bytes, closed %v; want part of the response, then the close", len(got), closed)
 	}
 
 	// A panic closes its own connection unanswered; the next one is served.
