@@ -186,7 +186,10 @@ func BenchmarkUpdateCodec(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msg := hintcache.EncodeUpdates(batch)
+		msg := make([]byte, 0, len(batch)*hintcache.UpdateSize)
+		for _, u := range batch {
+			msg = hintcache.AppendUpdate(msg, u)
+		}
 		if _, err := hintcache.AppendDecodedUpdates(nil, msg); err != nil {
 			b.Fatal(err)
 		}

@@ -180,9 +180,6 @@ func TestFlagsAndReadmeAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	flags := registeredFlags(t)
-	if len(flags) == 0 || len(flags) > 24 {
-		t.Errorf("cachenode registers %d flags, want 1..24: %v", len(flags), flags)
-	}
 	registered := make(map[string]bool)
 	for _, name := range flags {
 		registered[name] = true
@@ -194,6 +191,16 @@ func TestFlagsAndReadmeAgree(t *testing.T) {
 		if !registered[string(m[1])] {
 			t.Errorf("README.md has a table row for -%s, which cachenode does not register", m[1])
 		}
+	}
+}
+
+// TestFlagCountOnlyShrinks pins how many flags an operator can set, as
+// cluster's TestConfigSurfaceOnlyShrinks pins the config fields behind them.
+func TestFlagCountOnlyShrinks(t *testing.T) {
+	const pinned = 24
+	if flags := registeredFlags(t); len(flags) != pinned {
+		t.Errorf("cachenode registers %d flags, pinned at %d: the count may only go down without a ROADMAP entry (lower the pin here when it does): %v",
+			len(flags), pinned, flags)
 	}
 }
 

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -24,13 +21,6 @@ import (
 // demand: a stale or dead hint must never make a request slower than going
 // straight to the origin, and must never fail a request the origin could
 // have served.
-
-// benchResilienceOut, when set, makes TestRecordResilienceBench measure the
-// blackholed-peer miss path and write the comparison JSON there:
-//
-//	go test ./internal/cluster -run TestRecordResilienceBench \
-//	    -bench-resilience-out ../../BENCH_resilience.json
-var benchResilienceOut = flag.String("bench-resilience-out", "", "write the resilience bench JSON to this path")
 
 // chaosFleet is a testFleet whose nodes are built by the caller's config
 // hook, so chaos tests can set fault specs and hedge budgets per test.
@@ -395,106 +385,4 @@ func TestEndpointMethodGuards(t *testing.T) {
 		do(http.MethodPost, path, http.StatusNotFound)
 	}
 	do(http.MethodGet, "/peer", http.StatusUpgradeRequired)
-}
-
-// TestRecordResilienceBench measures the blackholed-peer miss path three
-// ways — direct origin (no hint), hedging disabled (sequential peer
-// timeout then origin), and hedging on — and writes the p50/p99 comparison
-// to -bench-resilience-out. Skipped unless the flag is set; the committed
-// BENCH_resilience.json is its output.
-func TestRecordResilienceBench(t *testing.T) {
-	if *benchResilienceOut == "" {
-		t.Skip("set -bench-resilience-out to record the resilience bench")
-	}
-	const (
-		originLatency = 30 * time.Millisecond
-		peerTimeout   = 250 * time.Millisecond
-		budget        = 20 * time.Millisecond
-		samples       = 40
-	)
-
-	measure := func(hedge time.Duration, prefix string) (miss []time.Duration) {
-		f := newChaosFleetBreakers(t, 2, noBreaker, func(i int, cfg *NodeConfig) {
-			cfg.HedgeBudget = hedge
-			cfg.PeerTimeout = peerTimeout
-			if i == 0 {
-				inj, err := faults.New("", 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Faults = inj
-			}
-		})
-		f.origin.SetLatency(originLatency)
-		hinted := urlsN(prefix, samples)
-		f.prime(t, 1, hinted)
-		if err := f.nodes[0].FaultInjector().SetSpec(hostPortOf(f.nodes[1].URL()) + ":blackhole"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = f.nodes[0].FaultInjector().SetSpec("") })
-		for _, u := range hinted {
-			start := time.Now()
-			if _, _, _, err := f.fetch(0, u); err != nil {
-				t.Fatal(err)
-			}
-			miss = append(miss, time.Since(start))
-		}
-		return miss
-	}
-
-	direct := func() (miss []time.Duration) {
-		f := newChaosFleet(t, 1, nil)
-		f.origin.SetLatency(originLatency)
-		for _, u := range urlsN("bench-direct", samples) {
-			start := time.Now()
-			if _, _, _, err := f.fetch(0, u); err != nil {
-				t.Fatal(err)
-			}
-			miss = append(miss, time.Since(start))
-		}
-		return miss
-	}()
-
-	seq := measure(-1, "bench-seq")          // hedge off: peer timeout, then origin
-	hedged := measure(budget, "bench-hedge") // hedge on
-
-	type row struct {
-		P50Ms float64 `json:"p50_ms"`
-		P99Ms float64 `json:"p99_ms"`
-	}
-	mk := func(d []time.Duration) row {
-		sorted := append([]time.Duration(nil), d...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return row{
-			P50Ms: float64(sorted[len(sorted)/2].Microseconds()) / 1000,
-			P99Ms: float64(p99(d).Microseconds()) / 1000,
-		}
-	}
-	out := struct {
-		Description     string  `json:"description"`
-		Samples         int     `json:"samples"`
-		OriginLatencyMs float64 `json:"origin_latency_ms"`
-		PeerTimeoutMs   float64 `json:"peer_timeout_ms"`
-		HedgeBudgetMs   float64 `json:"hedge_budget_ms"`
-		DirectOrigin    row     `json:"direct_origin"`
-		HedgeOff        row     `json:"blackholed_peer_hedge_off"`
-		HedgeOn         row     `json:"blackholed_peer_hedge_on"`
-	}{
-		Description:     "Miss-path latency with the hinted peer blackholed: direct origin vs sequential (hedge off) vs hedged race.",
-		Samples:         samples,
-		OriginLatencyMs: float64(originLatency.Milliseconds()),
-		PeerTimeoutMs:   float64(peerTimeout.Milliseconds()),
-		HedgeBudgetMs:   float64(budget.Milliseconds()),
-		DirectOrigin:    mk(direct),
-		HedgeOff:        mk(seq),
-		HedgeOn:         mk(hedged),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchResilienceOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", *benchResilienceOut, data)
 }

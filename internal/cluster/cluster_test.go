@@ -400,7 +400,7 @@ func TestUpdatesEndpointRejectsGarbage(t *testing.T) {
 	}
 	// So are well-formed records without a frame around them, and a frame
 	// of the wrong kind.
-	bare := hintcache.EncodeUpdates([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: 1, Machine: 2}})
+	bare := hintcache.AppendUpdate(nil, hintcache.Update{Action: hintcache.ActionInform, URLHash: 1, Machine: 2})
 	for name, body := range map[string][]byte{
 		"unframed":   bare,
 		"wrong kind": wire.AppendFrame(nil, wire.KindDigestDelta, bare, 0),

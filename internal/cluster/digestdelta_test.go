@@ -183,52 +183,6 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 	}
 }
 
-// TestDigestServeCoalesces fires a stampede of concurrent digest pulls —
-// over one shared connection, so the node serves them off its read loop —
-// and checks exactly one snapshot marshal ran: the rest either
-// joined the singleflight or read the cached generation-stamped frame.
-func TestDigestServeCoalesces(t *testing.T) {
-	n := newMetaNode(t, NodeConfig{Name: "serve-coalesce", UseDigests: true})
-	for i := uint64(1); i <= 2048; i++ {
-		n.loc.publish(i, true)
-	}
-
-	const scrapers = 16
-	c := dialTestPeer(t, n.URL())
-	var wg sync.WaitGroup
-	frames := make([][]byte, scrapers)
-	for i := 0; i < scrapers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := c.call(wire.PeerHeader{Op: wire.PeerDigest}, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			frames[i] = r.body
-		}(i)
-	}
-	wg.Wait()
-
-	if builds := digestsOf(n).snapBuilds.Load(); builds != 1 {
-		t.Errorf("snapshot builds = %d, want 1 (stampede must coalesce)", builds)
-	}
-	for i := 1; i < scrapers; i++ {
-		if !bytes.Equal(frames[i], frames[0]) {
-			t.Fatalf("scraper %d got a different frame than scraper 0", i)
-		}
-	}
-
-	// The cache invalidates when the journal moves: one more transition,
-	// one more build.
-	n.loc.publish(3000, true)
-	digestGet(t, n, 0)
-	if builds := digestsOf(n).snapBuilds.Load(); builds != 2 {
-		t.Errorf("snapshot builds after churn = %d, want 2", builds)
-	}
-}
-
 // TestDigestCursorAtomicWithFrame hammers the journal with churn while a
 // puller replays serves against a local replica, checking two things on
 // every response: the advertised cursor matches the ops the frame

@@ -19,10 +19,7 @@ import (
 //
 //   - The node's own digest is a counting Bloom filter maintained in place
 //     by publish on every residency transition — serving a pull never
-//     walks the cache. Each transition is also journaled, and full
-//     snapshots are served from a generation-stamped cached frame that is
-//     only re-marshaled when the journal head has moved (concurrent scrape
-//     stampedes coalesce onto one build via a singleflight).
+//     walks the cache. Each transition is also journaled.
 //   - Pullers present their journal cursor in the digest call; the owner
 //     answers with just the membership ops past it (KindDigestDelta) when the
 //     journal still holds them and the delta is smaller than a full
@@ -32,9 +29,8 @@ import (
 //     proportional to churn, not cache size.
 //
 // Locking: all digest state (own filter, resident set, journal, peer
-// copies, cursors, snapshot cache) lives under the locator's mu. publish and
-// delta application take it in write mode; probes and cached-snapshot
-// serves take it in read mode.
+// copies, cursors) lives under the locator's mu. publish and delta
+// application take it in write mode; probes and serves take it in read mode.
 
 // wireCompressMin is the frame-compression threshold when
 // NodeConfig.WireCompress is on: payloads below it ship raw.
@@ -80,16 +76,6 @@ type digestLocator struct {
 	peerDigests map[uint64]*digest.Counting
 	peerCursor  map[uint64]uint64
 	digestGen   map[uint64]int64
-	// snapGen/snapFrame cache the framed full-snapshot encoding at journal
-	// generation snapGen (snapValid distinguishes a cached empty-journal
-	// snapshot from no cache); flight coalesces concurrent snapshot builds
-	// so a scrape stampede marshals once. snapBuilds counts builds (read by
-	// the coalescing test).
-	snapGen    uint64
-	snapValid  bool
-	snapFrame  []byte
-	flight     flightGroup[digestSnap]
-	snapBuilds atomic.Int64
 	// seq numbers the digest snapshots this node serves.
 	seq atomic.Int64
 }
@@ -173,62 +159,18 @@ func (d *digestLocator) rebuildDigestLocked() {
 		d.own.Add(id)
 	}
 	d.journal.Invalidate()
-	d.snapValid = false
 	d.n.stats.digestRebuilds.Add(1)
 }
 
-// digestSnap is one generation-stamped snapshot frame: the cursor a serve
-// advertises MUST be the generation the frame was encoded at, so the two
-// travel together through the cache and the singleflight.
-type digestSnap struct {
-	frame []byte
-	gen   uint64
-}
-
 // digestSnapshotFrame returns the framed full-snapshot encoding of the own
-// digest plus the journal generation it encodes (the client's next delta
-// cursor), rebuilding the cached frame only when the generation has moved.
-// Concurrent callers coalesce onto one marshal. The returned slice is
-// immutable: each build allocates a fresh frame, so a served reference
-// stays valid across later rebuilds.
+// digest plus the journal head it encodes (the puller's next delta cursor).
+// A node serves one per peer per cursor loss, so each serve marshals afresh.
 func (d *digestLocator) digestSnapshotFrame() ([]byte, uint64) {
 	d.mu.RLock()
-	if d.snapValid && d.snapGen == d.journal.Head() {
-		s := digestSnap{frame: d.snapFrame, gen: d.snapGen}
-		d.mu.RUnlock()
-		return s.frame, s.gen
-	}
+	head := d.journal.Head()
+	payload, _ := d.own.MarshalBinary()
 	d.mu.RUnlock()
-
-	out, _ := d.flight.do("snapshot", func() digestSnap {
-		d.mu.RLock()
-		if d.snapValid && d.snapGen == d.journal.Head() {
-			// Another builder won between our check and the flight.
-			s := digestSnap{frame: d.snapFrame, gen: d.snapGen}
-			d.mu.RUnlock()
-			return s
-		}
-		gen := d.journal.Head()
-		payload := d.own.AppendBinary(make([]byte, 0, wire.HeaderSize+int(d.own.SizeBytes())+16))
-		d.mu.RUnlock()
-
-		d.snapBuilds.Add(1)
-		frame := wire.AppendFrame(nil, wire.KindDigestFull, payload, d.n.frameCompressMin())
-
-		d.mu.Lock()
-		// A build raced with concurrent churn iff the head moved while we
-		// marshaled; the stale frame is still internally consistent (it
-		// matches generation gen), so cache it only if nothing newer
-		// exists.
-		if !d.snapValid || d.snapGen <= gen {
-			d.snapGen = gen
-			d.snapValid = true
-			d.snapFrame = frame
-		}
-		d.mu.Unlock()
-		return digestSnap{frame: frame, gen: gen}
-	})
-	return out.frame, out.gen
+	return wire.AppendFrame(nil, wire.KindDigestFull, payload, d.n.frameCompressMin()), head
 }
 
 // serveDigest serves the node's current contents summary as one wire
@@ -269,9 +211,6 @@ func (d *digestLocator) serveDigest(since uint64, resp *wire.PeerHeader) []byte 
 	return frame
 }
 
-// digestDeltaBufPool recycles the op-payload scratch of delta serves.
-var digestDeltaBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // digestDeltaFrame encodes the membership ops since the given cursor as a
 // KindDigestDelta frame, plus the journal head observed under the same
 // lock (the cursor the serve must advertise — exactly the last op the
@@ -279,22 +218,18 @@ var digestDeltaBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // instead — when the cursor has aged out of the journal (counted as a
 // cursor loss) or when the delta would not beat the full transfer.
 func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint64, ok bool) {
-	bufp := digestDeltaBufPool.Get().(*[]byte)
-	defer digestDeltaBufPool.Put(bufp)
-
 	d.mu.RLock()
-	ops, served := d.journal.AppendSince((*bufp)[:0], since)
+	ops, served := d.journal.AppendSince(nil, since)
 	head = d.journal.Head()
 	snapSize := int(d.own.SizeBytes())
 	d.mu.RUnlock()
-	*bufp = ops[:0]
 	if !served {
 		d.n.stats.digestCursorLost.Add(1)
 		return nil, 0, false
 	}
 	if len(ops) >= snapSize {
-		// More churn than filter: the full snapshot is the cheaper (and
-		// cacheable) transfer. The cursor itself was fine — not a loss.
+		// More churn than filter: the full snapshot is the cheaper
+		// transfer. The cursor itself was fine — not a loss.
 		return nil, 0, false
 	}
 	return wire.AppendFrame(nil, wire.KindDigestDelta, ops, d.n.frameCompressMin()), head, true
@@ -303,15 +238,6 @@ func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint6
 // digestBodyLimit bounds one pulled digest's wire size (stored frame and
 // declared payload alike).
 const digestBodyLimit = 8 << 20
-
-// digestPullScratch is one worker's reusable buffers: the inflate scratch
-// and the decoded-op slice. (The frame itself arrives in a slice the peer
-// plane's read loop allocated: a caller that timed out must not share a
-// buffer with the loop still filling it.)
-type digestPullScratch struct {
-	payload []byte
-	ops     []digest.Op
-}
 
 // round fetches every peer's digest now, waited or not: the batcher's
 // periodic round has nothing else to do meanwhile. Pulls fan out over a
@@ -326,13 +252,12 @@ func (d *digestLocator) round(bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch digestPullScratch
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(peers) {
 					return
 				}
-				d.pullDigest(peers[i], &scratch)
+				d.pullDigest(peers[i])
 			}
 		}()
 	}
@@ -344,7 +269,7 @@ func (d *digestLocator) round(bool) {
 // next exchange. The request presents the cursor from the last exchange;
 // the peer answers with either the ops since (applied in place) or a full
 // snapshot (decoded into the existing filter's storage).
-func (d *digestLocator) pullDigest(p peerRef, scratch *digestPullScratch) {
+func (d *digestLocator) pullDigest(p peerRef) {
 	n := d.n
 	// Snapshot the cursor for the request. A first pull sends none (no
 	// filter to patch yet).
@@ -383,15 +308,12 @@ func (d *digestLocator) pullDigest(p peerRef, scratch *digestPullScratch) {
 		n.stats.sendErrors.Add(1)
 		return
 	}
-	payload, err := frame.Payload(scratch.payload[:0])
+	payload, err := frame.Payload(nil)
 	if err != nil {
 		n.stats.sendErrors.Add(1)
 		return
 	}
-	if frame.Compressed {
-		scratch.payload = payload[:0]
-	}
-	if err := d.applyDigestResponse(p.id, frame.Kind, payload, cursor, scratch); err != nil {
+	if err := d.applyDigestResponse(p.id, frame.Kind, payload, cursor); err != nil {
 		n.stats.sendErrors.Add(1)
 		return
 	}
@@ -417,7 +339,7 @@ func (d *digestLocator) pullDigest(p peerRef, scratch *digestPullScratch) {
 // applyDigestResponse installs one pulled digest frame: a full snapshot
 // replaces (reusing the existing filter's storage when shapes match) and a
 // delta patches in place. The peer's next-pull cursor advances either way.
-func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte, cursor uint64, scratch *digestPullScratch) error {
+func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte, cursor uint64) error {
 	switch kind {
 	case wire.KindDigestFull:
 		d.mu.Lock()
@@ -436,8 +358,7 @@ func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, paylo
 		return nil
 
 	case wire.KindDigestDelta:
-		ops, err := digest.AppendDecodedOps(scratch.ops[:0], payload)
-		scratch.ops = ops[:0]
+		ops, err := digest.AppendDecodedOps(nil, payload)
 		if err != nil {
 			return err
 		}

@@ -322,15 +322,6 @@ type FetchResult struct {
 	Hops []obs.Hop
 }
 
-// Terminal returns the chain's terminal hop (the serving node's own
-// segment), or a zero Hop when the chain is empty.
-func (r FetchResult) Terminal() obs.Hop {
-	if len(r.Hops) == 0 {
-		return obs.Hop{}
-	}
-	return r.Hops[len(r.Hops)-1]
-}
-
 // Local reports whether the fetch was a local cache hit (including hits on
 // another request's in-flight fill).
 func (r FetchResult) Local() bool { return strings.HasPrefix(r.How, "LOCAL") }

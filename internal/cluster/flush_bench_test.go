@@ -45,7 +45,7 @@ func BenchmarkFlushFanout(b *testing.B) {
 
 // BenchmarkUpdatesIngest measures hint-batch ingest throughput: one
 // pre-encoded 4096-record batch per iteration through the function the peer
-// plane hands a batch to (pooled decode scratch, batched hint apply).
+// plane hands a batch to (one decode slice per batch, one Apply per record).
 func BenchmarkUpdatesIngest(b *testing.B) {
 	const records = 4096
 	n := newMetaNode(b, NodeConfig{Name: "bench-ingest"})

@@ -2,13 +2,9 @@ package cluster
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,16 +13,8 @@ import (
 	"beyondcache/internal/digest"
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
-	"beyondcache/internal/resilience"
 	"beyondcache/internal/wire"
 )
-
-// Run with -bench-cluster-out to measure the metadata plane before/after
-// the per-peer sender pipeline and write the comparison JSON there:
-//
-//	go test ./internal/cluster -run TestRecordClusterBench \
-//	    -bench-cluster-out ../../BENCH_cluster.json
-var benchClusterOut = flag.String("bench-cluster-out", "", "write the cluster metadata-plane bench JSON to this path")
 
 // updateSink is a stub hint-batch receiver: it decodes every delivered batch
 // and records the updates, the wire bytes, and the arrival time of each
@@ -72,7 +60,11 @@ func newUpdateSink(t testing.TB) *updateSink {
 // hintFrame encodes updates the way a sender puts them on the wire: one
 // uncompressed KindHintBatch frame.
 func hintFrame(us ...hintcache.Update) []byte {
-	return wire.AppendFrame(nil, wire.KindHintBatch, hintcache.EncodeUpdates(us), 0)
+	var records []byte
+	for _, u := range us {
+		records = hintcache.AppendUpdate(records, u)
+	}
+	return wire.AppendFrame(nil, wire.KindHintBatch, records, 0)
 }
 
 func (s *updateSink) records() []hintcache.Update {
@@ -85,12 +77,6 @@ func (s *updateSink) wireBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.wire
-}
-
-func (s *updateSink) reset() {
-	s.mu.Lock()
-	s.recs, s.arrived, s.wire = nil, nil, 0
-	s.mu.Unlock()
 }
 
 // firstArrival blocks until the sink has received at least one batch (or
@@ -400,165 +386,4 @@ func TestChaosMetadataPlaneIsolation(t *testing.T) {
 	if got := sinks[1].records(); len(got) != 1 || got[0].URLHash != 42 {
 		t.Errorf("healthy sink records = %v, want exactly the queued inform", got)
 	}
-}
-
-// TestRecordClusterBench measures the metadata plane before (the serial
-// flush loop, emulated faithfully) and after (the per-peer sender
-// pipeline) and writes the comparison to -bench-cluster-out. Skipped
-// unless the flag is set; the committed BENCH_cluster.json is its output.
-func TestRecordClusterBench(t *testing.T) {
-	if *benchClusterOut == "" {
-		t.Skip("set -bench-cluster-out to record the cluster bench")
-	}
-	const (
-		targets     = 4
-		interval    = 200 * time.Millisecond
-		events      = 4096
-		distinct    = 512
-		ingestIters = 500
-	)
-
-	// --- Flush fan-out with one blackholed target among four. ---
-	sinks := make([]*updateSink, targets)
-	for i := range sinks {
-		sinks[i] = newUpdateSink(t)
-	}
-	maxHealthyArrival := func(t0 time.Time) time.Duration {
-		var worst time.Duration
-		for _, s := range sinks[1:] {
-			if d := s.firstArrival(t, time.Second).Sub(t0); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-
-	// Before: the pre-pipeline serial loop — one POST per target in
-	// order, each with 3 attempts under the metadata timeout, the
-	// blackholed target first (the worst case the old code admitted).
-	inj, err := faults.New(hostPortOf(sinks[0].srv.URL)+":blackhole", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := newMetaNode(t, NodeConfig{Name: "bench-serial", Faults: inj})
-	t.Cleanup(func() { _ = inj.SetSpec("") })
-	backoff := resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, 1)
-	body := hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: 99, Machine: 7})
-	serialStart := time.Now()
-	for _, s := range sinks {
-		_, _ = backoff.Retry(context.Background(), 3, func() error {
-			ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
-			defer cancel()
-			_, err := serial.call(ctx, s.srv.URL, wire.PeerHeader{Op: wire.PeerHints}, body)
-			return err
-		})
-	}
-	serialRound := time.Since(serialStart)
-	serialHealthy := maxHealthyArrival(serialStart)
-	for _, s := range sinks {
-		s.reset()
-	}
-
-	// After: the sender pipeline, same fault.
-	pinj, err := faults.New(hostPortOf(sinks[0].srv.URL)+":blackhole", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newMetaNode(t, NodeConfig{Name: "bench-fanout", UpdateInterval: interval, Faults: pinj})
-	t.Cleanup(func() { _ = pinj.SetSpec("") })
-	for _, s := range sinks {
-		n.AddPeer(s.srv.URL)
-	}
-	n.loc.publish(99, true)
-	pipeStart := time.Now()
-	n.Flush() // synchronous: returns once every sender delivered or abandoned
-	pipeRound := time.Since(pipeStart)
-	pipeHealthy := maxHealthyArrival(pipeStart)
-	if pipeHealthy > 2*interval {
-		t.Errorf("pipeline healthy delivery %v exceeds 2x interval %v", pipeHealthy, 2*interval)
-	}
-
-	// --- Wire bytes per round under a hot-set workload. ---
-	wireSink := newUpdateSink(t)
-	wn := newMetaNode(t, NodeConfig{Name: "bench-wire"})
-	wn.AddPeer(wireSink.srv.URL)
-	for i := 0; i < events; i++ {
-		wn.loc.publish(uint64(i%distinct)+1, true)
-	}
-	wn.Flush()
-	wireAfter := wireSink.wireBytes()
-	wireBefore := int64(events) * hintcache.UpdateSize // one record per event, no coalescing
-
-	// --- Ingest throughput of one hint batch. ---
-	in := newMetaNode(t, NodeConfig{Name: "bench-ingest"})
-	batch := make([]hintcache.Update, events)
-	for i := range batch {
-		batch[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 0xABCD}
-	}
-
-	// Before: the pre-pipeline ingest — fresh decode allocation over the
-	// bare records, one table lock per record.
-	oldIngest := func(m []byte) {
-		us, err := hintcache.AppendDecodedUpdates(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range us {
-			if u.Machine == in.machineID {
-				continue
-			}
-			_ = in.hints.Apply(u)
-		}
-	}
-	measure := func(ingest func([]byte), msg []byte) float64 {
-		start := time.Now()
-		for i := 0; i < ingestIters; i++ {
-			ingest(msg)
-		}
-		return float64(ingestIters*events) / time.Since(start).Seconds()
-	}
-	ingestBefore := measure(oldIngest, hintcache.EncodeUpdates(batch))
-	ingestAfter := measure(func(m []byte) { in.ingestHints(m, 0, 0) }, hintFrame(batch...))
-
-	out := struct {
-		Description               string  `json:"description"`
-		Targets                   int     `json:"targets"`
-		Blackholed                int     `json:"blackholed_targets"`
-		IntervalMs                float64 `json:"batch_interval_ms"`
-		SerialHealthyDeliveryMs   float64 `json:"serial_healthy_delivery_ms"`
-		SerialRoundMs             float64 `json:"serial_round_ms"`
-		PipelineHealthyDeliveryMs float64 `json:"pipeline_healthy_delivery_ms"`
-		PipelineRoundMs           float64 `json:"pipeline_round_ms"`
-		IngestBatchRecords        int     `json:"ingest_batch_records"`
-		SerialIngestPerSec        float64 `json:"serial_ingest_updates_per_sec"`
-		PipelineIngestPerSec      float64 `json:"pipeline_ingest_updates_per_sec"`
-		HotSetEvents              int     `json:"hot_set_events"`
-		HotSetDistinct            int     `json:"hot_set_distinct_objects"`
-		SerialWireBytesPerRound   int64   `json:"serial_wire_bytes_per_round"`
-		PipelineWireBytesPerRound int64   `json:"pipeline_wire_bytes_per_round"`
-	}{
-		Description:               "Metadata plane with one blackholed target among 4: serial flush loop (before) vs per-peer sender pipeline (after); hint-batch ingest throughput; wire bytes per round under a hot-set workload.",
-		Targets:                   targets,
-		Blackholed:                1,
-		IntervalMs:                float64(interval.Milliseconds()),
-		SerialHealthyDeliveryMs:   float64(serialHealthy.Microseconds()) / 1000,
-		SerialRoundMs:             float64(serialRound.Microseconds()) / 1000,
-		PipelineHealthyDeliveryMs: float64(pipeHealthy.Microseconds()) / 1000,
-		PipelineRoundMs:           float64(pipeRound.Microseconds()) / 1000,
-		IngestBatchRecords:        events,
-		SerialIngestPerSec:        ingestBefore,
-		PipelineIngestPerSec:      ingestAfter,
-		HotSetEvents:              events,
-		HotSetDistinct:            distinct,
-		SerialWireBytesPerRound:   wireBefore,
-		PipelineWireBytesPerRound: wireAfter,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchClusterOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", *benchClusterOut, data)
 }

@@ -9,6 +9,7 @@ import (
 	neturl "net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -430,6 +431,24 @@ func TestMetricNamesGolden(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("metric family drift at %d: got %q, golden %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestConfigSurfaceOnlyShrinks pins how many things a caller can set on a
+// node and on a fleet, as TestMetricNamesGolden pins the metric families.
+func TestConfigSurfaceOnlyShrinks(t *testing.T) {
+	for _, c := range []struct {
+		cfg  any
+		want int
+	}{
+		{NodeConfig{}, 23},
+		{FleetConfig{}, 20},
+	} {
+		typ := reflect.TypeOf(c.cfg)
+		if got := typ.NumField(); got != c.want {
+			t.Errorf("%s has %d fields, pinned at %d: the count may only go down without a ROADMAP entry (lower the pin here when it does)",
+				typ.Name(), got, c.want)
 		}
 	}
 }

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
-	"os"
 	"testing"
 	"time"
 
@@ -19,14 +16,6 @@ import (
 // routing over the wire, the ownership admission filter, the hint-home
 // consult on the miss path, the partition-vs-broadcast footprint bound the
 // PR is accepted on, and re-convergence after killing part of the fleet.
-
-// benchPartitionOut, when set, makes TestRecordPartitionBench run the
-// 16-node broadcast-vs-partitioned comparison and merge a "partition"
-// section into the JSON file at that path (BENCH_cluster.json):
-//
-//	go test ./internal/cluster -run TestRecordPartitionBench \
-//	    -bench-partition-out ../../BENCH_cluster.json
-var benchPartitionOut = flag.String("bench-partition-out", "", "merge the partitioned-directory bench JSON into this file")
 
 // startPartFleet boots a partitioned fleet with manual flushing and runs
 // one empty flush round so every node's membership view converges on the
@@ -306,48 +295,6 @@ func TestPartitionBytesBound(t *testing.T) {
 	if partEntries > 0.25*bcastEntries {
 		t.Errorf("partitioned directory entries %.1f exceed 25%% of broadcast %.1f", partEntries, bcastEntries)
 	}
-}
-
-// TestRecordPartitionBench records the broadcast-vs-partitioned footprint
-// comparison as a "partition" section merged into the existing
-// BENCH_cluster.json (other sections untouched). Skipped unless
-// -bench-partition-out is set.
-func TestRecordPartitionBench(t *testing.T) {
-	if *benchPartitionOut == "" {
-		t.Skip("set -bench-partition-out to record the partition bench")
-	}
-	const objects, rounds = 96, 2
-	bcastBytes, bcastEntries := partitionFootprint(t, false, objects, rounds)
-	partBytes, partEntries := partitionFootprint(t, true, objects, rounds)
-
-	doc := map[string]any{}
-	if prev, err := os.ReadFile(*benchPartitionOut); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			t.Fatalf("existing %s is not JSON: %v", *benchPartitionOut, err)
-		}
-	}
-	doc["partition"] = map[string]any{
-		"description":                          "16-node fleet, 96 objects round-robin: full hint broadcast vs Plaxton-partitioned hint homes at R=2.",
-		"nodes":                                16,
-		"hint_replicas":                        2,
-		"objects":                              objects,
-		"flush_rounds":                         rounds,
-		"broadcast_wire_bytes_per_node_round":  bcastBytes,
-		"partition_wire_bytes_per_node_round":  partBytes,
-		"wire_bytes_ratio":                     partBytes / bcastBytes,
-		"broadcast_directory_entries_per_node": bcastEntries,
-		"partition_directory_entries_per_node": partEntries,
-		"directory_entries_ratio":              partEntries / bcastEntries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchPartitionOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("merged partition section into %s: bytes ratio %.3f, entries ratio %.3f",
-		*benchPartitionOut, partBytes/bcastBytes, partEntries/bcastEntries)
 }
 
 // TestChaosPartitionedHintsReconverge kills 2 of 16 nodes (12.5% of the

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -145,13 +146,20 @@ func dialPeer(ctx context.Context, host string) (*peerConn, error) {
 		return nil, err
 	}
 	stop := context.AfterFunc(ctx, func() { c.SetDeadline(longAgo) })
+	// lr meters what br reads while the 101 is parsed, as the origin link
+	// meters an answer's header: whatever answers at a peer's address cannot
+	// make the dialer buffer one endless header line until ctx ends.
+	lr := &io.LimitedReader{R: c, N: originHeaderLimit}
 	// Small, like the accepted side's: a body is read past it, into its slice.
-	br := bufio.NewReaderSize(c, 4<<10)
+	br := bufio.NewReaderSize(lr, 4<<10)
 	_, err = io.WriteString(c, "GET /peer HTTP/1.1\r\nHost: "+host+"\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n\r\n")
 	var resp *http.Response
 	if err == nil {
-		resp, err = http.ReadResponse(br, nil)
+		if resp, err = http.ReadResponse(br, nil); err != nil && lr.N <= 0 {
+			err = errOriginHeader
+		}
 	}
+	lr.N = math.MaxInt64
 	if err == nil && (resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != peerProto) {
 		err = fmt.Errorf("upgrade refused: %s", resp.Status)
 	}
@@ -396,15 +404,6 @@ func (n *Node) handlePeer(w http.ResponseWriter, r *http.Request) {
 	n.plane.adopt(newPeerConn(c, brw.Reader, ""), "", n.servePeer)
 }
 
-// updatesScratchPool and updatesPayloadPool recycle the decoded-update
-// scratch slice and the frame-payload inflate scratch of the hint-batch
-// ingest path, so a steady stream of hint batches does not allocate per
-// record.
-var (
-	updatesScratchPool = sync.Pool{New: func() any { return new([]hintcache.Update) }}
-	updatesPayloadPool = sync.Pool{New: func() any { return new([]byte) }}
-)
-
 // servePeer is an accepted connection's read loop. It answers inline only
 // what memory can answer — a memory-tier object, a directory lookup, a ping
 // — and hands a disk-tier read, a batch apply, a digest serve or a faulted
@@ -543,9 +542,7 @@ func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, batch []byte) []
 // be exactly one KindHintBatch frame, sender and stampNs its fixed fields —
 // and returns the status to answer with (413 for oversize, 400 for
 // anything else undecodable). Records from this node are filtered out (our
-// own copies are tracked by the data cache), and the rest apply through
-// ApplyBatch, which takes each hint-table stripe lock once per batch
-// instead of once per record.
+// own copies are tracked by the data cache).
 func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	f, rest, err := wire.Decode(msg)
 	if err != nil || len(rest) != 0 || f.Kind != wire.KindHintBatch {
@@ -557,19 +554,11 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 		n.stats.oversizeRejects.Add(1)
 		return http.StatusRequestEntityTooLarge
 	}
-	payloadBuf := updatesPayloadPool.Get().(*[]byte)
-	defer updatesPayloadPool.Put(payloadBuf)
-	records, err := f.Payload((*payloadBuf)[:0])
+	records, err := f.Payload(nil)
 	if err != nil {
 		return http.StatusBadRequest
 	}
-	if f.Compressed {
-		*payloadBuf = records
-	}
-	scratch := updatesScratchPool.Get().(*[]hintcache.Update)
-	defer updatesScratchPool.Put(scratch)
-	updates, err := hintcache.AppendDecodedUpdates((*scratch)[:0], records)
-	*scratch = updates[:0]
+	updates, err := hintcache.AppendDecodedUpdates(make([]hintcache.Update, 0, len(records)/hintcache.UpdateSize), records)
 	if err != nil {
 		return http.StatusBadRequest
 	}

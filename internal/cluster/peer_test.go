@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -415,6 +416,46 @@ func rawPeerConn(t *testing.T, n *Node) (net.Conn, *bufio.Reader) {
 func dropped(br *bufio.Reader) bool {
 	_, err := br.ReadByte()
 	return err == io.EOF
+}
+
+// TestPeerDialBoundsHandshakeHeader: whatever answers at a peer's address
+// with a 101 and then one endless header line fails the dial at the header
+// limit — the error only the exhausted 64 KiB meter raises, so no more than
+// that was read — and long before the dial timeout, not by it.
+func TestPeerDialBoundsHandshakeHeader(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nX-Filler: ")
+		for filler := bytes.Repeat([]byte("x"), 4<<10); ; {
+			if _, err := c.Write(filler); err != nil {
+				return
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), peerDialTimeout)
+	defer cancel()
+	start := time.Now()
+	pc, err := dialPeer(ctx, lis.Addr().String())
+	if err == nil {
+		pc.fail(io.EOF)
+		t.Fatal("dial accepted a handshake whose header never ends")
+	}
+	if !errors.Is(err, errOriginHeader) {
+		t.Fatalf("dial failed with %v, want the header-limit error", err)
+	}
+	if took := time.Since(start); took > peerDialTimeout/2 {
+		t.Errorf("dial took %v to refuse: the limit must fire, not the %v dial timeout", took, peerDialTimeout)
+	}
 }
 
 // TestPeerHostileFrames: what a peer sends cannot make a node allocate past

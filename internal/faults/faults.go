@@ -151,15 +151,6 @@ func (i *Injector) SetClock(now func() time.Time) {
 	i.start = now()
 }
 
-// Rules returns a copy of the active rules.
-func (i *Injector) Rules() []Rule {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make([]Rule, len(i.rules))
-	copy(out, i.rules)
-	return out
-}
-
 // Counts snapshots the injected-fault counters.
 func (i *Injector) Counts() Counts {
 	return Counts{

@@ -90,17 +90,8 @@ func (s *Striped) SizeBytes() int64 { return int64(s.Entries()) * RecordSize }
 // stripe comes from the high mixed bits and the set from the low ones, so
 // the two reductions stay decorrelated.
 func (s *Striped) locate(urlHash uint64) (*hintStripe, int) {
-	return &s.stripes[s.stripeIndex(urlHash)], s.setBase(urlHash)
-}
-
-// stripeIndex maps a URL hash to its stripe's index.
-func (s *Striped) stripeIndex(urlHash uint64) int {
-	return int(((urlHash * 0x9e3779b97f4a7c15) >> 48) & s.mask)
-}
-
-// setBase maps a URL hash to the base index of its set within the stripe.
-func (s *Striped) setBase(urlHash uint64) int {
-	return int((urlHash*0x9e3779b97f4a7c15)%uint64(s.sets)) * s.ways
+	mixed := urlHash * 0x9e3779b97f4a7c15
+	return &s.stripes[(mixed>>48)&s.mask], int(mixed%uint64(s.sets)) * s.ways
 }
 
 // Lookup returns the machine holding the nearest known copy of the object.
@@ -176,14 +167,7 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 	st, base := s.locate(urlHash)
 	s.inserts.Add(1)
 	st.mu.Lock()
-	s.insertLocked(st, base, urlHash, machine)
-	st.mu.Unlock()
-	return nil
-}
-
-// insertLocked is Insert's body under st's write lock; urlHash is already
-// normalized.
-func (s *Striped) insertLocked(st *hintStripe, base int, urlHash, machine uint64) {
+	defer st.mu.Unlock()
 	set := st.recs[base : base+s.ways]
 	pos := -1
 	for i, r := range set {
@@ -207,6 +191,7 @@ func (s *Striped) insertLocked(st *hintStripe, base int, urlHash, machine uint64
 	}
 	copy(set[1:pos+1], set[:pos])
 	set[0] = Record{URLHash: urlHash, Machine: machine}
+	return nil
 }
 
 // Delete removes the hint for an object if the recorded machine matches (or
@@ -217,14 +202,7 @@ func (s *Striped) Delete(urlHash, machine uint64) bool {
 	urlHash = normalizeHash(urlHash)
 	st, base := s.locate(urlHash)
 	st.mu.Lock()
-	removed := s.deleteLocked(st, base, urlHash, machine)
-	st.mu.Unlock()
-	return removed
-}
-
-// deleteLocked is Delete's body under st's write lock; urlHash is already
-// normalized.
-func (s *Striped) deleteLocked(st *hintStripe, base int, urlHash, machine uint64) bool {
+	defer st.mu.Unlock()
 	set := st.recs[base : base+s.ways]
 	for i, r := range set {
 		if r.URLHash == urlHash {
@@ -254,88 +232,16 @@ func (s *Striped) Apply(u Update) error {
 	}
 }
 
-// applyScratch recycles ApplyBatch's stripe-grouping working memory.
-type applyScratch struct {
-	offsets []int32  // one slot per stripe plus a terminator
-	order   []uint32 // record indices, grouped by stripe
-}
-
-var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
-
-// ApplyBatch folds a batch of updates into the table with one lock
-// acquisition per touched stripe instead of one per record. Records are
-// grouped by stripe with a stable counting sort over their batch
-// positions, which preserves the batch's relative order within each
-// stripe — and therefore within each set — so the resulting table state is
-// identical to applying the records one at a time (cross-stripe order
-// never matters: stripes share no slots). Records carrying an unknown
-// action are skipped; the first such fault is returned after the valid
-// remainder has been applied.
+// ApplyBatch folds a batch of updates into the table in order. Records
+// carrying an unknown action are skipped; the first such fault is returned
+// after the valid remainder has been applied.
 func (s *Striped) ApplyBatch(updates []Update) error {
-	if len(updates) == 0 {
-		return nil
-	}
 	var firstErr error
-	nst := len(s.stripes)
-	sp := applyScratchPool.Get().(*applyScratch)
-	offsets := sp.offsets
-	if cap(offsets) < nst+1 {
-		offsets = make([]int32, nst+1)
-	} else {
-		offsets = offsets[:nst+1]
-		clear(offsets)
-	}
 	for _, u := range updates {
-		if u.Action != ActionInform && u.Action != ActionInvalidate {
-			if firstErr == nil {
-				firstErr = applyUnknown(u)
-			}
-			continue
+		if err := s.Apply(u); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		offsets[s.stripeIndex(normalizeHash(u.URLHash))+1]++
 	}
-	for i := 1; i <= nst; i++ {
-		offsets[i] += offsets[i-1]
-	}
-	total := int(offsets[nst])
-	order := sp.order
-	if cap(order) < total {
-		order = make([]uint32, total)
-	} else {
-		order = order[:total]
-	}
-	for i, u := range updates {
-		if u.Action != ActionInform && u.Action != ActionInvalidate {
-			continue
-		}
-		si := s.stripeIndex(normalizeHash(u.URLHash))
-		order[offsets[si]] = uint32(i)
-		offsets[si]++
-	}
-	for j := 0; j < total; {
-		si := s.stripeIndex(normalizeHash(updates[order[j]].URLHash))
-		st := &s.stripes[si]
-		st.mu.Lock()
-		for ; j < total; j++ {
-			u := updates[order[j]]
-			h := normalizeHash(u.URLHash)
-			if s.stripeIndex(h) != si {
-				break
-			}
-			if u.Action == ActionInform {
-				if !s.admit(h) {
-					continue
-				}
-				s.inserts.Add(1)
-				s.insertLocked(st, s.setBase(h), h, u.Machine)
-			} else {
-				s.deleteLocked(st, s.setBase(h), h, u.Machine)
-			}
-		}
-		st.mu.Unlock()
-	}
-	sp.offsets, sp.order = offsets, order
-	applyScratchPool.Put(sp)
 	return firstErr
 }
 

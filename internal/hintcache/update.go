@@ -47,15 +47,6 @@ func AppendUpdate(dst []byte, u Update) []byte {
 	return append(dst, b[:]...)
 }
 
-// EncodeUpdates encodes a batch of updates into a single wire message.
-func EncodeUpdates(updates []Update) []byte {
-	out := make([]byte, 0, len(updates)*UpdateSize)
-	for _, u := range updates {
-		out = AppendUpdate(out, u)
-	}
-	return out
-}
-
 // AppendDecodedUpdates parses a wire message onto dst and returns the
 // extended slice, so callers can recycle the decode buffer across batches.
 // It rejects messages whose length is not a multiple of UpdateSize or that

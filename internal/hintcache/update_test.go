@@ -2,12 +2,13 @@ package hintcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
 
 func TestUpdateWireSize(t *testing.T) {
-	msg := EncodeUpdates([]Update{{Action: ActionInform, URLHash: 1, Machine: 2}})
+	msg := AppendUpdate(nil, Update{Action: ActionInform, URLHash: 1, Machine: 2})
 	if len(msg) != UpdateSize {
 		t.Fatalf("encoded update is %d bytes, want %d (paper: 20-byte updates)", len(msg), UpdateSize)
 	}
@@ -19,7 +20,11 @@ func TestUpdatesRoundTrip(t *testing.T) {
 		{Action: ActionInvalidate, URLHash: 7, Machine: 9},
 		{Action: ActionInform, URLHash: ^uint64(0), Machine: ^uint64(0)},
 	}
-	out, err := AppendDecodedUpdates(nil, EncodeUpdates(in))
+	var msg []byte
+	for _, u := range in {
+		msg = AppendUpdate(msg, u)
+	}
+	out, err := AppendDecodedUpdates(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +42,7 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 	if _, err := AppendDecodedUpdates(nil, make([]byte, 19)); err == nil {
 		t.Error("misaligned message accepted")
 	}
-	bad := EncodeUpdates([]Update{{Action: Action(99), URLHash: 1, Machine: 2}})
+	bad := AppendUpdate(nil, Update{Action: Action(99), URLHash: 1, Machine: 2})
 	if _, err := AppendDecodedUpdates(nil, bad); err == nil {
 		t.Error("unknown action accepted")
 	}
@@ -90,16 +95,22 @@ func TestUpdateRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestEncodeAppendEquivalence: records appended one after another are the
+// documented layout back to back — a little-endian 4-byte action, 8-byte
+// object hash and 8-byte machine each — behind whatever dst already held.
 func TestEncodeAppendEquivalence(t *testing.T) {
 	us := []Update{
 		{Action: ActionInform, URLHash: 1, Machine: 2},
 		{Action: ActionInvalidate, URLHash: 3, Machine: 4},
 	}
-	var appended []byte
+	appended, want := []byte("prefix"), []byte("prefix")
 	for _, u := range us {
 		appended = AppendUpdate(appended, u)
+		want = binary.LittleEndian.AppendUint32(want, uint32(u.Action))
+		want = binary.LittleEndian.AppendUint64(want, u.URLHash)
+		want = binary.LittleEndian.AppendUint64(want, u.Machine)
 	}
-	if !bytes.Equal(appended, EncodeUpdates(us)) {
-		t.Error("AppendUpdate and EncodeUpdates disagree")
+	if !bytes.Equal(appended, want) {
+		t.Errorf("AppendUpdate wrote % x, want % x", appended, want)
 	}
 }

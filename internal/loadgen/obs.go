@@ -1,11 +1,11 @@
 package loadgen
 
 import (
+	"io"
 	"net/http"
 	"time"
 
 	"beyondcache/internal/obs"
-	"beyondcache/internal/wire"
 )
 
 // BenchObs is the per-scenario observability section of a bench row: what
@@ -32,19 +32,15 @@ type BenchObs struct {
 var obsScrapeClient = &http.Client{Timeout: 5 * time.Second}
 
 // captureExpos scrapes and parses every target's /metrics. A slot is nil
-// when that node's scrape failed; summarizeObs skips those pairs. One body
-// buffer is reused across targets (wire.ReadAllInto), so a sweep reads
-// every exposition through a single allocation that grows to the largest
-// body.
+// when that node's scrape failed; summarizeObs skips those pairs.
 func captureExpos(targets []string) []*obs.Exposition {
 	out := make([]*obs.Exposition, len(targets))
-	var body []byte
 	for i, base := range targets {
 		resp, err := obsScrapeClient.Get(base + "/metrics")
 		if err != nil {
 			continue
 		}
-		body, err = wire.ReadAllInto(body[:0], resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue

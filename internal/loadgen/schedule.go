@@ -283,17 +283,14 @@ const scheduleVersion = 1
 // payload is deterministic little-endian bytes: format version, count,
 // then the six columns in order. Equal schedules marshal to equal bytes —
 // the determinism tests and the bench row's schedule fingerprint rely on
-// it. The columns are appended in place between BeginFrame and
-// FinishFrame, so the record stream is encoded exactly once with no
-// intermediate payload buffer.
+// it.
 func (s *Schedule) MarshalBinary() ([]byte, error) {
 	n := s.Len()
 	if len(s.Phases) != n || len(s.Objects) != n || len(s.Clients) != n ||
 		len(s.Sizes) != n || len(s.Versions) != n {
 		return nil, fmt.Errorf("loadgen: ragged schedule columns")
 	}
-	size := wire.HeaderSize + 4 + 8 + n*(8+1+8+4+8+8)
-	out, start := wire.BeginFrame(make([]byte, 0, size), wire.KindSchedule)
+	out := make([]byte, 0, 4+8+n*(8+1+8+4+8+8))
 	out = binary.LittleEndian.AppendUint32(out, scheduleVersion)
 	out = binary.LittleEndian.AppendUint64(out, uint64(n))
 	for _, v := range s.Offsets {
@@ -312,66 +309,7 @@ func (s *Schedule) MarshalBinary() ([]byte, error) {
 	for _, v := range s.Versions {
 		out = binary.LittleEndian.AppendUint64(out, uint64(v))
 	}
-	return wire.FinishFrame(out, start), nil
-}
-
-// UnmarshalBinary decodes a marshaled schedule, replacing the receiver's
-// contents.
-func (s *Schedule) UnmarshalBinary(data []byte) error {
-	f, rest, err := wire.Decode(data)
-	if err != nil {
-		return fmt.Errorf("loadgen: schedule frame: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("loadgen: %d trailing bytes after schedule frame", len(rest))
-	}
-	if f.Kind != wire.KindSchedule {
-		return fmt.Errorf("loadgen: unexpected frame kind %s", f.Kind)
-	}
-	p, err := f.Payload(nil)
-	if err != nil {
-		return fmt.Errorf("loadgen: schedule payload: %w", err)
-	}
-	if len(p) < 12 {
-		return fmt.Errorf("loadgen: schedule payload too short (%d bytes)", len(p))
-	}
-	if v := binary.LittleEndian.Uint32(p[0:4]); v != scheduleVersion {
-		return fmt.Errorf("loadgen: unsupported schedule version %d", v)
-	}
-	count := binary.LittleEndian.Uint64(p[4:12])
-	const perRecord = 8 + 1 + 8 + 4 + 8 + 8
-	if count > uint64(maxScheduleRequests) || uint64(len(p)) != 12+count*perRecord {
-		return fmt.Errorf("loadgen: schedule payload %d bytes does not match %d records", len(p), count)
-	}
-	n := int(count)
-	p = p[12:]
-	s.Offsets = make([]time.Duration, n)
-	for i := range s.Offsets {
-		s.Offsets[i] = time.Duration(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	p = p[n*8:]
-	s.Phases = append([]uint8(nil), p[:n]...)
-	p = p[n:]
-	s.Objects = make([]uint64, n)
-	for i := range s.Objects {
-		s.Objects[i] = binary.LittleEndian.Uint64(p[i*8:])
-	}
-	p = p[n*8:]
-	s.Clients = make([]int32, n)
-	for i := range s.Clients {
-		s.Clients[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	p = p[n*4:]
-	s.Sizes = make([]int64, n)
-	for i := range s.Sizes {
-		s.Sizes[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	p = p[n*8:]
-	s.Versions = make([]int64, n)
-	for i := range s.Versions {
-		s.Versions[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	return nil
+	return wire.AppendFrame(nil, wire.KindSchedule, out, 0), nil
 }
 
 // Fingerprint returns the hex SHA-256 of the schedule's binary form: the

@@ -2,8 +2,11 @@ package loadgen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
+
+	"beyondcache/internal/wire"
 )
 
 func mustParse(t *testing.T, text string) *Scenario {
@@ -191,10 +194,10 @@ phase p 10s rate=10000000
 	}
 }
 
-// TestScheduleWireRoundTrip pins the framed schedule codec: Unmarshal of
-// Marshal reproduces every column exactly (checked via re-marshal byte
-// equality plus spot fields), and truncated or mislabeled frames are
-// rejected.
+// TestScheduleWireRoundTrip pins the framed schedule encoding the
+// fingerprint hashes: one uncompressed KindSchedule frame whose payload is
+// the version, the count and 37 bytes per request, and ragged columns are
+// refused.
 func TestScheduleWireRoundTrip(t *testing.T) {
 	sc := mustParse(t, `
 name roundtrip
@@ -208,32 +211,30 @@ phase hot 2s rate=60 hotset=16
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Schedule
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
+	f, rest, err := wire.Decode(data)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("Decode: %v, %d trailing bytes", err, len(rest))
 	}
-	if got.Len() != orig.Len() {
-		t.Fatalf("decoded %d requests, want %d", got.Len(), orig.Len())
+	if f.Kind != wire.KindSchedule || f.Compressed {
+		t.Fatalf("frame kind %s compressed %v, want an uncompressed %s", f.Kind, f.Compressed, wire.KindSchedule)
 	}
-	redata, err := got.MarshalBinary()
+	p, err := f.Payload(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(redata, data) {
-		t.Fatal("re-marshal of decoded schedule differs from the original bytes")
+	if want := 12 + orig.Len()*37; len(p) != want {
+		t.Fatalf("payload is %d bytes, want %d", len(p), want)
 	}
-	last := orig.Len() - 1
-	if got.Offsets[last] != orig.Offsets[last] || got.Objects[last] != orig.Objects[last] ||
-		got.Clients[last] != orig.Clients[last] || got.Sizes[last] != orig.Sizes[last] ||
-		got.Versions[last] != orig.Versions[last] || got.Phases[last] != orig.Phases[last] {
-		t.Fatal("decoded columns diverge from the original schedule")
+	if v, n := binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint64(p[4:12]); v != scheduleVersion || n != uint64(orig.Len()) {
+		t.Fatalf("payload opens with version %d count %d, want %d and %d", v, n, scheduleVersion, orig.Len())
+	}
+	if first := time.Duration(binary.LittleEndian.Uint64(p[12:20])); first != orig.Offsets[0] {
+		t.Fatalf("first encoded offset %v, want %v", first, orig.Offsets[0])
 	}
 
-	var bad Schedule
-	if err := bad.UnmarshalBinary(data[:len(data)-1]); err == nil {
-		t.Fatal("UnmarshalBinary accepted a truncated frame")
-	}
-	if err := bad.UnmarshalBinary(append([]byte(nil), data[:0]...)); err == nil {
-		t.Fatal("UnmarshalBinary accepted an empty buffer")
+	ragged := *orig
+	ragged.Sizes = ragged.Sizes[:len(ragged.Sizes)-1]
+	if _, err := ragged.MarshalBinary(); err == nil {
+		t.Fatal("MarshalBinary accepted ragged columns")
 	}
 }

@@ -31,7 +31,6 @@ type outcomeAgg struct {
 	count int64
 	time  time.Duration
 	bytes int64
-	hist  *obs.Histogram
 }
 
 // Response aggregates per-request outcomes.
@@ -66,10 +65,7 @@ func (r *Response) agg(outcome string) *outcomeAgg {
 	if a := r.find(outcome); a != nil {
 		return a
 	}
-	r.aggs = append(r.aggs, outcomeAgg{
-		label: outcome,
-		hist:  obs.NewHistogram(responseBounds()),
-	})
+	r.aggs = append(r.aggs, outcomeAgg{label: outcome})
 	return &r.aggs[len(r.aggs)-1]
 }
 
@@ -84,23 +80,12 @@ func (r *Response) Add(outcome string, d time.Duration, size int64) {
 	a.time += d
 	a.bytes += size
 	r.hist.Observe(d)
-	a.hist.Observe(d)
 }
 
 // Quantile estimates the q-quantile of the response-time distribution by
 // bucket interpolation (see obs.Histogram.Quantile).
 func (r *Response) Quantile(q float64) time.Duration {
 	return r.hist.Quantile(q)
-}
-
-// QuantileOf estimates the q-quantile of one outcome class, or 0 when the
-// outcome was never recorded.
-func (r *Response) QuantileOf(outcome string, q float64) time.Duration {
-	a := r.find(outcome)
-	if a == nil {
-		return 0
-	}
-	return a.hist.Quantile(q)
 }
 
 // N returns the number of recorded requests.

@@ -25,13 +25,6 @@ import (
 // fixed-size stack scratch.
 const MaxReplicas = 8
 
-// Member is one live node: its machine ID (hintcache.HashMachine of the
-// listen address) and base URL.
-type Member struct {
-	ID   uint64
-	Addr string
-}
-
 // View is an immutable snapshot of the routing plane at one membership
 // version. All methods are safe for concurrent use and never block.
 type View struct {
@@ -48,9 +41,6 @@ func (v *View) Version() uint64 { return v.version }
 
 // Size returns the live-member count.
 func (v *View) Size() int { return len(v.sorted) }
-
-// Members returns the live machine IDs, ascending.
-func (v *View) Members() []uint64 { return append([]uint64(nil), v.sorted...) }
 
 // Network exposes the underlying embedding for churn accounting
 // (plaxton.TableDiff); nil for an empty view.

@@ -85,7 +85,8 @@ const flagFlate = 0x01
 // never compresses.
 func AppendFrame(dst []byte, kind Kind, payload []byte, compressMin int) []byte {
 	start := len(dst)
-	dst = appendHeader(dst, kind)
+	// Flags and lengths are filled in once the stored form is known.
+	dst = append(dst, 'b', 'w', frameVersion, byte(kind), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	flags := byte(0)
 	if compressMin > 0 && len(payload) >= compressMin {
 		if c, ok := AppendDeflate(dst, payload); ok {
@@ -96,35 +97,9 @@ func AppendFrame(dst []byte, kind Kind, payload []byte, compressMin int) []byte 
 	if flags == 0 {
 		dst = append(dst, payload...)
 	}
-	return patchHeader(dst, start, flags, len(payload))
-}
-
-// BeginFrame reserves an uncompressed frame header at the end of dst,
-// returning the extended slice and the header's offset. The caller appends
-// the payload directly (no intermediate buffer) and then calls FinishFrame.
-func BeginFrame(dst []byte, kind Kind) (out []byte, start int) {
-	start = len(dst)
-	return appendHeader(dst, kind), start
-}
-
-// FinishFrame completes a frame begun with BeginFrame at offset start:
-// everything appended after the reserved header is the (uncompressed)
-// payload.
-func FinishFrame(dst []byte, start int) []byte {
-	return patchHeader(dst, start, 0, len(dst)-start-HeaderSize)
-}
-
-// appendHeader appends a header with the lengths and flags left zero.
-func appendHeader(dst []byte, kind Kind) []byte {
-	return append(dst, 'b', 'w', frameVersion, byte(kind), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-}
-
-// patchHeader fills in the flags and length fields of the header at start,
-// deriving the stored length from the bytes appended since.
-func patchHeader(dst []byte, start int, flags byte, rawLen int) []byte {
 	dst[start+4] = flags
 	binary.LittleEndian.PutUint32(dst[start+8:], uint32(len(dst)-start-HeaderSize))
-	binary.LittleEndian.PutUint32(dst[start+12:], uint32(rawLen))
+	binary.LittleEndian.PutUint32(dst[start+12:], uint32(len(payload)))
 	return dst
 }
 
@@ -140,10 +115,6 @@ type Frame struct {
 
 	stored []byte
 }
-
-// StoredLen returns the payload's on-the-wire length (compressed form for
-// compressed frames).
-func (f *Frame) StoredLen() int { return len(f.stored) }
 
 // Decode parses one frame at the start of buf. rest is whatever follows the
 // frame (empty for a single-frame message). The returned frame's payload

@@ -3,9 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -91,17 +89,6 @@ func TestFrameAppendsToExistingBuffer(t *testing.T) {
 	}
 	if got, _ := f.Payload(nil); string(got) != "payload" {
 		t.Fatalf("payload = %q", got)
-	}
-}
-
-func TestBeginFinishFrameMatchesAppendFrame(t *testing.T) {
-	payload := []byte("columnar bytes appended in place")
-	direct := AppendFrame(nil, KindSchedule, payload, 0)
-	out, start := BeginFrame(nil, KindSchedule)
-	out = append(out, payload...)
-	out = FinishFrame(out, start)
-	if !bytes.Equal(direct, out) {
-		t.Fatal("BeginFrame/FinishFrame bytes differ from AppendFrame")
 	}
 }
 
@@ -223,104 +210,6 @@ func TestAppendDeflateInflateRoundTrip(t *testing.T) {
 		t.Error("InflateInto ignored usable scratch capacity")
 	}
 }
-
-// --- ReadAllInto (the shared body reader) ---
-
-func TestReadAllIntoGrowth(t *testing.T) {
-	payload := make([]byte, 70_000) // forces several growth rounds from zero capacity
-	rand.New(rand.NewSource(3)).Read(payload)
-	got, err := ReadAllInto(nil, bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("grown read differs from payload")
-	}
-	// A second read reusing the grown buffer must not reallocate.
-	buf := got[:0]
-	got2, err := ReadAllInto(buf, bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got2[0] != &buf[0:1][0] {
-		t.Error("ReadAllInto reallocated despite sufficient capacity")
-	}
-	if !bytes.Equal(got2, payload) {
-		t.Fatal("reused-buffer read differs from payload")
-	}
-}
-
-func TestReadAllIntoEOFAtBoundary(t *testing.T) {
-	// Reader returns exactly the buffer capacity then EOF on the next
-	// call: the boundary case where the buffer is full but the stream is
-	// done.
-	payload := []byte("0123456789abcdef")
-	buf := make([]byte, 0, len(payload))
-	got, err := ReadAllInto(buf, bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %q", got)
-	}
-	// iotest-style reader that returns (n, io.EOF) together.
-	got, err = ReadAllInto(nil, &eofWithData{data: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("eof-with-data read = %q", got)
-	}
-}
-
-// eofWithData returns all its data plus io.EOF in one Read call.
-type eofWithData struct {
-	data []byte
-	done bool
-}
-
-func (r *eofWithData) Read(p []byte) (int, error) {
-	if r.done {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data)
-	if n == len(r.data) {
-		r.done = true
-		return n, io.EOF
-	}
-	r.data = r.data[n:]
-	return n, nil
-}
-
-func TestReadAllIntoLimitBehavior(t *testing.T) {
-	payload := strings.Repeat("x", 100)
-	// Under the limit: the whole payload arrives.
-	got, err := ReadAllInto(nil, io.LimitReader(strings.NewReader(payload), 200))
-	if err != nil || len(got) != 100 {
-		t.Fatalf("under-limit read: %d bytes, err %v", len(got), err)
-	}
-	// Over the limit: LimitReader truncates silently (EOF at the limit) —
-	// which is why protocol paths read with limit+1 and compare, exactly
-	// as readUpdatesBody does.
-	got, err = ReadAllInto(nil, io.LimitReader(strings.NewReader(payload), 60))
-	if err != nil || len(got) != 60 {
-		t.Fatalf("over-limit read: %d bytes, err %v", len(got), err)
-	}
-	// Appending to a partially filled buffer keeps the existing bytes.
-	got, err = ReadAllInto([]byte("pre-"), strings.NewReader("fix"))
-	if err != nil || string(got) != "pre-fix" {
-		t.Fatalf("append read = %q, err %v", got, err)
-	}
-	// Errors propagate with whatever was read so far.
-	_, err = ReadAllInto(nil, io.MultiReader(strings.NewReader("abc"), &failReader{}))
-	if err == nil {
-		t.Fatal("reader error swallowed")
-	}
-}
-
-type failReader struct{}
-
-func (*failReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
 
 func BenchmarkAppendFrame(b *testing.B) {
 	payload := bytes.Repeat([]byte("record-bytes-20-long"), 512) // ~10 KB batch
