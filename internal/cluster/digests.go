@@ -383,14 +383,14 @@ func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, paylo
 	}
 }
 
-// holder returns the first peer, in AddPeer order, whose digest claims the
-// object.
-func (d *digestLocator) holder(urlHash uint64) (uint64, bool) {
+// holder returns the first peer other than asker, in AddPeer order, whose
+// digest claims the object.
+func (d *digestLocator) holder(urlHash, asker uint64) (uint64, bool) {
 	peers := d.n.peerList()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for _, p := range peers {
-		if f, ok := d.peerDigests[p.id]; ok && f.MayContain(urlHash) {
+		if f, ok := d.peerDigests[p.id]; ok && p.id != asker && f.MayContain(urlHash) {
 			return p.id, true
 		}
 	}
@@ -400,6 +400,6 @@ func (d *digestLocator) holder(urlHash uint64) (uint64, bool) {
 // lookup probes that peer. A filter match names no hint record to
 // retract, so the candidate carries no holder.
 func (d *digestLocator) lookup(urlHash uint64) candidate {
-	id, _ := d.holder(urlHash)
+	id, _ := d.holder(urlHash, 0)
 	return candidate{peerURL: d.n.peerURL(id)}
 }

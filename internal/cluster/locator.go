@@ -25,8 +25,10 @@ type locator interface {
 	sync()
 	// lookup is the local find-nearest, no network hop: where to probe for h.
 	lookup(h uint64) candidate
-	// holder answers a peer asking who holds h (a holder call).
-	holder(h uint64) (machine uint64, ok bool)
+	// holder answers a peer asking who holds h (a holder call): a machine
+	// other than the asker, which has just missed locally (0: nobody to
+	// pass over).
+	holder(h, asker uint64) (machine uint64, ok bool)
 	// publish feeds in one residency transition of a local object: present
 	// after a fill or a boot recovery, absent once it left every tier.
 	publish(h uint64, present bool)

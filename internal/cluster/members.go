@@ -319,8 +319,8 @@ func (l *partitionLocator) lookup(h uint64) candidate {
 
 // demote drops the local record; the authoritative one lives at the
 // object's hint homes, so a routed machine-matched invalidate withdraws the
-// stale record there too — machine-matched so a home that already learned
-// of a fresher holder keeps it.
+// stale record there too — machine-matched, here and there, so the object's
+// other holder stays on record.
 func (l *partitionLocator) demote(h, holder uint64) {
 	l.hintPlane.demote(h, holder)
 	if holder != 0 {
@@ -373,12 +373,12 @@ func (l *partitionLocator) hintHomeFor(h uint64) string {
 	return home
 }
 
-// queryHintHome asks a hint home which machine holds h: one holder call.
-// 200 carries the holder's machine ID; 404 is a definitive miss (machine 0,
-// nil error); anything else is a consult failure.
+// queryHintHome asks a hint home which machine other than this one holds h:
+// one holder call. 200 carries the holder's machine ID; 404 is a definitive
+// miss (machine 0, nil error); anything else is a consult failure.
 func (n *Node) queryHintHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (uint64, error) {
 	req := sampledCall(wire.PeerHolder, reqID, sampled)
-	req.B = h
+	req.B, req.C = h, n.machineID
 	r, err := n.call(ctx, homeURL, req, nil)
 	switch {
 	case err != nil:
@@ -391,11 +391,11 @@ func (n *Node) queryHintHome(ctx context.Context, homeURL string, h uint64, reqI
 	return 0, fmt.Errorf("status %d", r.Status)
 }
 
-// answerHolder answers a peer's consult (hash in h.B) from the locator's
-// local knowledge. The node's own residency counts (a home may itself hold
-// the object).
+// answerHolder answers a peer's consult (hash in h.B, the asker's machine ID
+// in h.C) from the locator's local knowledge. The node's own residency
+// counts (a home may itself hold the object).
 func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time.Time) {
-	machine, ok := n.loc.holder(h.B)
+	machine, ok := n.loc.holder(h.B, h.C)
 	if !ok && n.residesLocally(h.B) {
 		machine, ok = n.machineID, true
 	}
@@ -411,23 +411,26 @@ func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time
 	resp.A, resp.B = machine, uint64(elapsed)
 }
 
-// holder serves this node's directory partition to peers. A record naming
-// a machine the current view considers dead is dropped lazily instead of
-// served, and a stale self-record with no backing residency likewise.
-func (l *partitionLocator) holder(h uint64) (uint64, bool) {
-	machine, ok := l.n.hints.Lookup(h)
-	if !ok {
-		return 0, false
-	}
-	stale := !l.overlay.View().Contains(machine)
-	if machine == l.n.machineID {
-		stale = !l.n.residesLocally(h)
-	}
-	if stale {
+// holder serves this node's directory partition to peers: the most recent
+// holder on record other than the asker. A record naming a machine the
+// current view considers dead is dropped lazily instead of served, and a
+// stale self-record with no backing residency likewise; the object's next
+// record, if it has one, is then the answer.
+func (l *partitionLocator) holder(h, asker uint64) (uint64, bool) {
+	for {
+		machine, ok := l.n.hints.LookupExcept(h, asker)
+		if !ok {
+			return 0, false
+		}
+		stale := !l.overlay.View().Contains(machine)
+		if machine == l.n.machineID {
+			stale = !l.n.residesLocally(h)
+		}
+		if !stale {
+			return machine, true
+		}
 		l.n.hints.Delete(h, machine)
-		return 0, false
 	}
-	return machine, true
 }
 
 // residesLocally reports residency in either local tier without touching
@@ -442,9 +445,10 @@ func (n *Node) residesLocally(h uint64) bool {
 // consultHome is the optional first step of a raced fill's primary leg: ask
 // the hint home who holds h (under the metadata timeout) and turn the
 // answer into a peer to probe. errHintHomeMiss covers every definitive
-// "nobody you can use" — no record, a record naming this node (it just
-// checked both tiers, so that record is stale), an unknown machine, a
-// holder whose breaker refuses the probe.
+// "nobody you can use" — no record of a holder other than this node (the
+// home passes over a record naming the asker: it just checked both tiers,
+// so that record is stale), an unknown machine, a holder whose breaker
+// refuses the probe.
 func (n *Node) consultHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (*probed, error) {
 	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
 	machine, err := n.queryHintHome(cctx, homeURL, h, reqID, sampled)

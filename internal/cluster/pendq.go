@@ -11,15 +11,18 @@ import (
 // both the node-level pending queue (updates awaiting the next batch round)
 // and each per-peer sender queue (updates awaiting that peer's next send).
 //
-// Coalescing: the queue holds at most one record per URL hash. A second
-// update for the same object overwrites the first in place — inform after
-// inform dedupes, inform followed by invalidate collapses to the
-// invalidate, and invalidate followed by a re-fill's inform collapses to
-// the inform. The receiver applies records independently, so sending only
-// the last action per object is observationally equivalent to sending the
-// whole history, and the wire batch shrinks to one 20-byte record per
-// object per round instead of one per event (the paper's principle 2: the
-// metadata path must stay cheap).
+// Coalescing: the queue holds at most one record per (URL hash, machine) —
+// per copy. A second update for the same copy overwrites the first in
+// place — inform after inform dedupes, inform followed by invalidate
+// collapses to the invalidate, and invalidate followed by a re-fill's
+// inform collapses to the inform. The receiver applies records
+// independently and keeps a record per holder, so sending only the last
+// action per copy is observationally equivalent to sending the whole
+// history, and the wire batch shrinks to one 20-byte record per copy per
+// round instead of one per event (the paper's principle 2: the metadata
+// path must stay cheap). A node's own publishes all name itself, so they
+// coalesce per object; the invalidate a demote routes for another
+// machine's stale record is a different copy and rides beside them.
 //
 // Bounding: when the queue is full, the oldest inform is dropped first —
 // informs are advisory (a lost inform costs a possible remote hit), while
@@ -37,19 +40,17 @@ type pendq struct {
 	mu  sync.Mutex
 	cap int // max records; <= 0 means unbounded
 
-	order    []uint64 // URL hashes in arrival order, oldest first
-	m        map[uint64]pendRec
+	order    []pendKey // copies in arrival order, oldest first
+	m        map[pendKey]hintcache.Action
 	oldestNs int64 // wall clock of the oldest held enqueue; 0 when empty
 }
 
-// pendRec is the queue's view of one object's latest pending action.
-type pendRec struct {
-	action  hintcache.Action
-	machine uint64
-}
+// pendKey names one machine's copy of one object; the queue maps it to the
+// latest pending action on that copy.
+type pendKey struct{ hash, machine uint64 }
 
 func newPendq(capRecords int) *pendq {
-	return &pendq{cap: capRecords, m: make(map[uint64]pendRec)}
+	return &pendq{cap: capRecords, m: make(map[pendKey]hintcache.Action)}
 }
 
 // add folds one update into the queue. It reports whether the update
@@ -91,17 +92,18 @@ func (q *pendq) addBatch(batch []hintcache.Update, stampNs int64) (coalesced, dr
 }
 
 func (q *pendq) addLocked(u hintcache.Update) (coalesced, dropped bool) {
-	if _, ok := q.m[u.URLHash]; ok {
+	k := pendKey{u.URLHash, u.Machine}
+	if _, ok := q.m[k]; ok {
 		// Last action wins; the record keeps its queue position.
-		q.m[u.URLHash] = pendRec{action: u.Action, machine: u.Machine}
+		q.m[k] = u.Action
 		return true, false
 	}
 	if q.cap > 0 && len(q.order) >= q.cap {
 		q.evictLocked()
 		dropped = true
 	}
-	q.order = append(q.order, u.URLHash)
-	q.m[u.URLHash] = pendRec{action: u.Action, machine: u.Machine}
+	q.order = append(q.order, k)
+	q.m[k] = u.Action
 	return false, dropped
 }
 
@@ -109,8 +111,8 @@ func (q *pendq) addLocked(u hintcache.Update) (coalesced, dropped bool) {
 // the queue holds only invalidates.
 func (q *pendq) evictLocked() {
 	victim := 0
-	for i, h := range q.order {
-		if q.m[h].action == hintcache.ActionInform {
+	for i, k := range q.order {
+		if q.m[k] == hintcache.ActionInform {
 			victim = i
 			break
 		}
@@ -126,9 +128,8 @@ func (q *pendq) evictLocked() {
 // reuse.
 func (q *pendq) drain(dst []hintcache.Update) ([]hintcache.Update, int64) {
 	q.mu.Lock()
-	for _, h := range q.order {
-		r := q.m[h]
-		dst = append(dst, hintcache.Update{Action: r.action, URLHash: h, Machine: r.machine})
+	for _, k := range q.order {
+		dst = append(dst, hintcache.Update{Action: q.m[k], URLHash: k.hash, Machine: k.machine})
 	}
 	q.order = q.order[:0]
 	clear(q.m)

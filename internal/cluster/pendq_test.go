@@ -54,6 +54,33 @@ func TestPendqInvalidateThenInform(t *testing.T) {
 	}
 }
 
+// TestPendqCoalescesPerCopy: the queue coalesces per machine's copy, not per
+// object. The invalidate a demote routes for stale holder B must leave the
+// node beside the asker's own inform for the same object — keyed by hash
+// alone the inform overwrote it and B's record lingered at the hint home —
+// while an inform and an invalidate for the same copy still collapse.
+func TestPendqCoalescesPerCopy(t *testing.T) {
+	const A, B = 7, 8
+	q := newPendq(0)
+	q.add(invalidate(1, B))
+	if c, _ := q.add(inform(1, A)); c {
+		t.Error("A's inform coalesced onto the invalidate for B's copy")
+	}
+	got, _ := q.drain(nil)
+	if len(got) != 2 || got[0] != invalidate(1, B) || got[1] != inform(1, A) {
+		t.Errorf("drained %v, want invalidate(1, B) then inform(1, A)", got)
+	}
+
+	q.add(inform(1, A))
+	if c, _ := q.add(invalidate(1, A)); !c {
+		t.Error("invalidate after inform for the same copy did not coalesce")
+	}
+	got, _ = q.drain(nil)
+	if len(got) != 1 || got[0] != invalidate(1, A) {
+		t.Errorf("drained %v, want the single invalidate(1, A)", got)
+	}
+}
+
 // TestPendqBoundDropsOldestInformFirst fills a bounded queue and checks
 // that overflow evicts the oldest inform — never an invalidate while an
 // inform remains — and that an all-invalidate queue falls back to dropping

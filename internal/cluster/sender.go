@@ -27,7 +27,7 @@ const hintQueueCap = 8192
 type hintPlane struct {
 	n *Node
 	// pend is the bounded coalescing queue of hint updates awaiting the
-	// next round (at most one record per object; see pendq).
+	// next round (at most one record per machine's copy; see pendq).
 	pend *pendq
 	// wire counts the frame bytes delivered: Stats.WireHintBytes, or
 	// WireHintBytesPartitioned when the records are routed, so the two
@@ -46,12 +46,13 @@ func newHintPlane(n *Node, wire *atomic.Int64) *hintPlane {
 
 func (p *hintPlane) sync() {}
 
-// directory consults the local hint table: the candidate the record names
-// (none for a record naming this node), and whether there was a record.
+// directory consults the local hint table: the most recent holder on
+// record other than this node (which has just missed in both tiers, so a
+// record naming it is stale), and whether there was one.
 func (p *hintPlane) directory(h uint64) (candidate, bool) {
-	machine, ok := p.n.hints.Lookup(h)
-	if !ok || machine == p.n.machineID {
-		return candidate{}, ok
+	machine, ok := p.n.hints.LookupExcept(h, p.n.machineID)
+	if !ok {
+		return candidate{}, false
 	}
 	return candidate{peerURL: p.n.peerURL(machine), holder: machine}, true
 }
@@ -63,7 +64,7 @@ func (p *hintPlane) lookup(h uint64) candidate {
 	return c
 }
 
-func (p *hintPlane) holder(h uint64) (uint64, bool) { return p.n.hints.Lookup(h) }
+func (p *hintPlane) holder(h, asker uint64) (uint64, bool) { return p.n.hints.LookupExcept(h, asker) }
 
 func (p *hintPlane) publish(h uint64, present bool) {
 	action := hintcache.ActionInvalidate
@@ -85,8 +86,9 @@ func (p *hintPlane) enqueue(u hintcache.Update) {
 	}
 }
 
-// demote drops the exact hint, whoever it named.
-func (p *hintPlane) demote(h, _ uint64) { p.n.hints.Delete(h, 0) }
+// demote drops the record naming the holder that was probed; another
+// holder's record for the same object stays.
+func (p *hintPlane) demote(h, holder uint64) { p.n.hints.Delete(h, holder) }
 
 func (p *hintPlane) contact(string, bool) {}
 

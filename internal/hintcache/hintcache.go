@@ -6,10 +6,16 @@
 // hint cache can index two to three orders of magnitude more objects than
 // the data cache it sits next to.
 //
-// Two backing stores are provided: an in-memory array (the common case, with
-// lookups measured in nanoseconds) and a file-backed array (for hint tables
-// larger than memory, with one pread per lookup, mirroring the paper's
-// memory-mapped file).
+// Two tables share the record and the set layout. Cache is the paper's: one
+// record per object, the nearest known copy, behind a Store; it is the
+// simulator's table, and Figures 4-5 are drawn from it. Two backing stores
+// are provided for it: an in-memory array (the common case, with lookups
+// measured in nanoseconds) and a file-backed array (for hint tables larger
+// than memory, with one pread per lookup, mirroring the paper's
+// memory-mapped file). Striped is the live table a cluster node runs: lock
+// striped for concurrent probes, and keeping an object's two most recent
+// holders, so that the newest copy going first does not leave the older one
+// invisible to the fleet.
 package hintcache
 
 import (

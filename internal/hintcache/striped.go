@@ -9,9 +9,12 @@ import (
 // Striped is a concurrency-safe k-way set-associative hint table: the entry
 // array is partitioned into stripes, each guarded by its own sync.RWMutex,
 // so hint probes on the fetch hot path never contend with hint-update
-// batches landing on other stripes. Within a stripe the semantics match
-// Cache exactly — slot 0 of a set is MRU, replacement evicts the last slot,
-// informs insert, invalidates delete only on a machine match.
+// batches landing on other stripes. Slot 0 of a set is MRU, informs insert
+// and invalidates delete only on a machine match, as in Cache — but where
+// Cache keeps the paper's single nearest-copy record per object, a set here
+// keeps up to holdersPerObject records for one object, most recent first:
+// when the newest holder evicts, its machine-matched invalidate withdraws
+// its own record and the holder before it is still on record.
 //
 // Probes take a stripe in read mode and upgrade to write mode only when an
 // MRU promotion is needed (a repeat probe of the hottest record stays
@@ -37,6 +40,11 @@ type Striped struct {
 	// what arrives on the wire.
 	filter atomic.Pointer[func(urlHash uint64) bool]
 }
+
+// holdersPerObject is how many location records one object may hold in its
+// set. Two win back the remote hits lost when the newest holder evicts
+// first; four were measured and bought nothing more (DESIGN.md §10).
+const holdersPerObject = 2
 
 // hintStripe is one independently locked slice of the table.
 type hintStripe struct {
@@ -94,8 +102,15 @@ func (s *Striped) locate(urlHash uint64) (*hintStripe, int) {
 	return &s.stripes[(mixed>>48)&s.mask], int(mixed%uint64(s.sets)) * s.ways
 }
 
-// Lookup returns the machine holding the nearest known copy of the object.
+// Lookup returns the most recently recorded holder of the object.
 func (s *Striped) Lookup(urlHash uint64) (machine uint64, ok bool) {
+	return s.LookupExcept(urlHash, 0)
+}
+
+// LookupExcept is Lookup passing over a record that names except: the most
+// recent holder other than the caller, who has just missed locally and has
+// no use for its own stale record while another holder is on record.
+func (s *Striped) LookupExcept(urlHash, except uint64) (machine uint64, ok bool) {
 	urlHash = normalizeHash(urlHash)
 	s.lookups.Add(1)
 	st, base := s.locate(urlHash)
@@ -104,7 +119,7 @@ func (s *Striped) Lookup(urlHash uint64) (machine uint64, ok bool) {
 	set := st.recs[base : base+s.ways]
 	pos := -1
 	for i, r := range set {
-		if r.URLHash == urlHash {
+		if r.URLHash == urlHash && r.Machine != except {
 			machine, pos = r.Machine, i
 			break
 		}
@@ -123,7 +138,7 @@ func (s *Striped) Lookup(urlHash uint64) (machine uint64, ok bool) {
 		st.mu.Lock()
 		set = st.recs[base : base+s.ways]
 		for i, r := range set {
-			if r.URLHash == urlHash {
+			if r.URLHash == urlHash && r.Machine == machine {
 				copy(set[1:i+1], set[:i])
 				set[0] = r
 				break
@@ -156,9 +171,10 @@ func (s *Striped) admit(urlHash uint64) bool {
 	return false
 }
 
-// Insert records that machine holds a copy of the object, replacing any
-// previous hint for the same object and evicting the set's LRU slot if the
-// set is full.
+// Insert records that machine holds a copy of the object, at MRU. A record
+// for the same (object, machine) is replaced; an object already holding
+// holdersPerObject records loses its oldest; otherwise the record takes a
+// free slot or, in a full set, the slot victim picks.
 func (s *Striped) Insert(urlHash, machine uint64) error {
 	urlHash = normalizeHash(urlHash)
 	if !s.admit(urlHash) {
@@ -169,22 +185,32 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	set := st.recs[base : base+s.ways]
-	pos := -1
+	// same: this (object, machine)'s record; oldest: the object's least
+	// recent record, held counting them; free: the first empty slot.
+	same, oldest, held, free := -1, -1, 0, -1
 	for i, r := range set {
-		if r.URLHash == urlHash {
-			pos = i
-			break
+		switch {
+		case r.URLHash == urlHash:
+			if r.Machine == machine {
+				same = i
+			}
+			oldest = i
+			held++
+		case r.URLHash == invalidHash && free < 0:
+			free = i
 		}
 	}
-	if pos == -1 {
-		pos = s.ways - 1
-		for i, r := range set {
-			if r.URLHash == invalidHash {
-				pos = i
-				break
-			}
-		}
-		if set[pos].URLHash != invalidHash {
+	var pos int
+	switch {
+	case same >= 0:
+		pos = same
+	case held == holdersPerObject:
+		pos = oldest
+	case free >= 0:
+		pos = free
+	default:
+		pos = victim(set, oldest)
+		if set[pos].URLHash != urlHash {
 			s.evicts.Add(1)
 			s.conflict.Add(1)
 		}
@@ -194,28 +220,52 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 	return nil
 }
 
-// Delete removes the hint for an object if the recorded machine matches (or
-// machine == 0, which removes unconditionally). It reports whether a record
-// was removed. A mismatched machine leaves the record in place because a
-// fresher hint must not be destroyed by a stale invalidation.
+// victim picks the slot a full set gives up to a record it has no room for:
+// the least recent record that is not its object's most recent one, else
+// the incoming object's own record (own, -1 when it has none), else the
+// set's LRU slot. No object loses its only record while another holds two,
+// and an object's second holder never costs another object its only one.
+func victim(set []Record, own int) int {
+	for j := len(set) - 1; j > 0; j-- {
+		for _, r := range set[:j] {
+			if r.URLHash == set[j].URLHash {
+				return j
+			}
+		}
+	}
+	if own >= 0 {
+		return own
+	}
+	return len(set) - 1
+}
+
+// Delete removes the object's record naming machine, or every record the
+// object has when machine is 0, and reports whether any was removed. A
+// machine that matches none leaves the records in place: a stale
+// invalidation must not destroy another holder's hint.
 func (s *Striped) Delete(urlHash, machine uint64) bool {
 	urlHash = normalizeHash(urlHash)
 	st, base := s.locate(urlHash)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	set := st.recs[base : base+s.ways]
+	kept := 0
 	for i, r := range set {
-		if r.URLHash == urlHash {
-			if machine != 0 && r.Machine != machine {
-				return false
-			}
-			copy(set[i:], set[i+1:])
-			set[s.ways-1] = Record{}
-			s.deletes.Add(1)
-			return true
+		if r.URLHash == urlHash && (machine == 0 || r.Machine == machine) {
+			continue
 		}
+		if kept != i { // an invalidate that matches nothing writes nothing
+			set[kept] = r
+		}
+		kept++
 	}
-	return false
+	removed := len(set) - kept
+	if removed == 0 {
+		return false
+	}
+	clear(set[kept:])
+	s.deletes.Add(int64(removed))
+	return true
 }
 
 // Apply folds an update into the table: informs insert, invalidates delete

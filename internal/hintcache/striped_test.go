@@ -150,3 +150,163 @@ func TestStripedConcurrentProbesAndUpdates(t *testing.T) {
 		t.Errorf("lookups = %d, want %d", st.Lookups, 16*500)
 	}
 }
+
+// holdersOf lists the machines on record for an object, most recent first
+// (Range walks a set in slot order, and slot 0 is MRU).
+func holdersOf(s *Striped, h uint64) []uint64 {
+	var ms []uint64
+	s.Range(func(r Record) bool {
+		if r.URLHash == h {
+			ms = append(ms, r.Machine)
+		}
+		return true
+	})
+	return ms
+}
+
+// checkHolders compares the table against want (object -> holders, most
+// recent first) three ways: the records themselves, Lookup naming the most
+// recent holder, and LookupExcept passing over it to the one before. It
+// runs last: LookupExcept promotes what it returns.
+func checkHolders(t *testing.T, s *Striped, objects []uint64, want map[uint64][]uint64) {
+	t.Helper()
+	occupied := 0
+	for _, h := range objects {
+		w := want[h]
+		occupied += len(w)
+		got := holdersOf(s, h)
+		if len(got) != len(w) {
+			t.Errorf("object %d: holders %v, want %v", h, got, w)
+			continue
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Errorf("object %d: holders %v, want %v", h, got, w)
+				break
+			}
+		}
+		first, second := uint64(0), uint64(0)
+		if len(w) > 0 {
+			first = w[0]
+		}
+		if len(w) > 1 {
+			second = w[1]
+		}
+		if m, ok := s.Lookup(h); m != first || ok != (first != 0) {
+			t.Errorf("object %d: Lookup = (%d, %v), want most recent holder %d", h, m, ok, first)
+		}
+		if m, ok := s.LookupExcept(h, first); m != second || ok != (second != 0) {
+			t.Errorf("object %d: LookupExcept(%d) = (%d, %v), want %d", h, first, m, ok, second)
+		}
+	}
+	if got := s.Occupied(); got != occupied {
+		t.Errorf("Occupied = %d, want %d", got, occupied)
+	}
+}
+
+// TestStripedTwoHolders pins what a record is in the live table: an object
+// keeps its two most recent distinct holders, a machine-matched delete
+// withdraws one of them, and a full set takes a slot from an object that
+// holds two before it takes any object's only record. One stripe, one set
+// of four ways: every hash lands in it.
+func TestStripedTwoHolders(t *testing.T) {
+	const A, B, C = 11, 12, 13
+	type step struct {
+		del  bool
+		h, m uint64
+	}
+	ins := func(h, m uint64) step { return step{false, h, m} }
+	del := func(h, m uint64) step { return step{true, h, m} }
+	cases := []struct {
+		name      string
+		steps     []step
+		want      map[uint64][]uint64
+		evictions int64
+	}{
+		{"second holder kept",
+			[]step{ins(1, A), ins(1, B)},
+			map[uint64][]uint64{1: {B, A}}, 0},
+		{"same holder re-informed is not duplicated",
+			[]step{ins(1, A), ins(1, B), ins(1, A), ins(1, A)},
+			map[uint64][]uint64{1: {A, B}}, 0},
+		{"third holder replaces the older of two",
+			[]step{ins(1, A), ins(1, B), ins(1, C)},
+			map[uint64][]uint64{1: {C, B}}, 0},
+		{"machine-matched delete of the newer leaves the older",
+			[]step{ins(1, A), ins(1, B), del(1, B)},
+			map[uint64][]uint64{1: {A}}, 0},
+		{"machine-matched delete of the older leaves the newer",
+			[]step{ins(1, A), ins(1, B), del(1, A)},
+			map[uint64][]uint64{1: {B}}, 0},
+		{"mismatched delete removes neither",
+			[]step{ins(1, A), ins(1, B), del(1, C)},
+			map[uint64][]uint64{1: {B, A}}, 0},
+		{"unconditional delete removes both",
+			[]step{ins(1, A), ins(1, B), ins(2, A), del(1, 0)},
+			map[uint64][]uint64{2: {A}}, 0},
+		{"full set: a new object takes a second holder's slot, not the LRU object's only record",
+			[]step{ins(1, A), ins(2, A), ins(3, A), ins(3, B), ins(4, A)},
+			map[uint64][]uint64{1: {A}, 2: {A}, 3: {B}, 4: {A}}, 1},
+		{"full set: a second holder takes another object's second slot",
+			[]step{ins(1, A), ins(1, B), ins(2, A), ins(3, A), ins(2, B)},
+			map[uint64][]uint64{1: {B}, 2: {B, A}, 3: {A}}, 1},
+		{"full set of only records: a second holder replaces its own object's record",
+			[]step{ins(1, A), ins(2, A), ins(3, A), ins(4, A), ins(1, B)},
+			map[uint64][]uint64{1: {B}, 2: {A}, 3: {A}, 4: {A}}, 0},
+		{"full set of only records: a new object takes the LRU slot",
+			[]step{ins(1, A), ins(2, A), ins(3, A), ins(4, A), ins(5, A)},
+			map[uint64][]uint64{2: {A}, 3: {A}, 4: {A}, 5: {A}}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStriped(4, 4, 1)
+			for _, st := range tc.steps {
+				if st.del {
+					s.Delete(st.h, st.m)
+				} else if err := s.Insert(st.h, st.m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.Stats().Evictions; got != tc.evictions {
+				t.Errorf("evictions = %d, want %d", got, tc.evictions)
+			}
+			checkHolders(t, s, []uint64{1, 2, 3, 4, 5}, tc.want)
+		})
+	}
+}
+
+// TestStripedTwoHoldersModel drives a seeded inform/invalidate mix
+// through ApplyBatch into a table large enough that no set overflows, and
+// checks it against the plain statement of the rule: per object, the two
+// most recent distinct holders not since invalidated.
+func TestStripedTwoHoldersModel(t *testing.T) {
+	const objects = 256
+	us := randomUpdates(8192, objects, 5, 22)
+	s := NewStriped(1<<16, 4, 8)
+	model := make(map[uint64][]uint64)
+	for off := 0; off < len(us); off += 64 {
+		if err := s.ApplyBatch(us[off : off+64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range us {
+		kept := make([]uint64, 0, holdersPerObject+1)
+		if u.Action == ActionInform {
+			kept = append(kept, u.Machine)
+		}
+		for _, m := range model[u.URLHash] {
+			if m != u.Machine {
+				kept = append(kept, m)
+			}
+		}
+		model[u.URLHash] = kept[:min(len(kept), holdersPerObject)]
+	}
+	if got := s.Stats().Evictions; got != 0 {
+		t.Fatalf("%d evictions: the table is too small for the model to hold", got)
+	}
+	ids := make([]uint64, objects)
+	for i := range ids {
+		ids[i] = uint64(i) + 1
+	}
+	checkHolders(t, s, ids, model)
+}

@@ -30,7 +30,8 @@ import (
 //
 //	op      request                              response
 //	object  A trace ID if sampled; body = URL    A version, B serve self-time ns; body = object
-//	holder  A trace ID if sampled, B URL hash    A holder machine ID, B serve self-time ns
+//	holder  A trace ID if sampled, B URL hash,   A holder machine ID, B serve self-time ns
+//	        C asker machine ID (0: none)
 //	hints   A sender machine ID, B batch seq,    status only
 //	        C oldest-enqueue Unix ns;
 //	        body = one KindHintBatch frame
