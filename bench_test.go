@@ -516,9 +516,9 @@ func BenchmarkNodeFetchParallel(b *testing.B) {
 // BenchmarkNodeFetchSpans measures what structured-span recording costs the
 // prewarmed hit path at the three sampling settings: recording disabled
 // (TraceSample < 0), the 1/64 default, and every request sampled. The
-// guard this backs (BENCH_obs.json): an unsampled request must record
-// nothing and allocate nothing — off and default must stay within noise of
-// the BenchmarkNodeFetchParallel/hits/sharded baseline — and even
+// guard this backs (TestHitPathAllocBudget): an unsampled request must
+// record nothing and allocate nothing — off and default must stay within
+// noise of the BenchmarkNodeFetchParallel/hits/sharded baseline — and even
 // sample=all must stay within a few percent of it.
 func BenchmarkNodeFetchSpans(b *testing.B) {
 	for _, c := range []struct {

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"beyondcache/internal/cluster"
+	"beyondcache/internal/faults"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func run(args []string, out io.Writer, wait func()) error {
 		inject      = fs.String("inject", "", `outbound fault spec, e.g. "127.0.0.1:8002:latency=200ms,errrate=0.1;*:droprate=0.01" (see internal/faults)`)
 		injectIn    = fs.String("inject-inbound", "", "inbound fault spec: this node misbehaving as seen by its clients (rules match the node's own address)")
 		faultSeed   = fs.Int64("fault-seed", 0, "seed for injected-fault randomness")
-		hedgeBudget = fs.Duration("hedge-budget", 0, "how long a hinted peer may stay silent before the origin is raced (0: 50ms default, negative: disable hedging)")
+		hedgeBudget = fs.Duration("hedge-budget", 0, "how long a hinted peer may stay silent before the origin is raced (0: 50ms default)")
 		peerTimeout = fs.Duration("peer-timeout", 0, "deadline for one cache-to-cache probe (0: 2s default)")
 		originTO    = fs.Duration("origin-timeout", 0, "deadline for one origin fetch (0: 10s default)")
 	)
@@ -107,26 +108,33 @@ func run(args []string, out io.Writer, wait func()) error {
 	if *originURL == "" {
 		return fmt.Errorf("-origin-url is required for cache nodes")
 	}
+	outbound, err := injector(*inject, *faultSeed)
+	if err != nil {
+		return err
+	}
+	inbound, err := injector(*injectIn, *faultSeed+1)
+	if err != nil {
+		return err
+	}
 	n, err := cluster.NewNode(cluster.NodeConfig{
-		Name:             *name,
-		CacheBytes:       *cacheBytes,
-		CacheDir:         *cacheDir,
-		DiskCapacity:     *diskCap,
-		SpillQueue:       *spillQueue,
-		CompressMin:      *compressMin,
-		HintEntries:      *hintEntries,
-		OriginURL:        *originURL,
-		UpdateInterval:   *interval,
-		UseDigests:       *digests,
-		WireCompress:     *wireComp,
-		HintReplicas:     *hintReps,
-		TraceSample:      *traceSample,
-		PeerTimeout:      *peerTimeout,
-		OriginTimeout:    *originTO,
-		HedgeBudget:      *hedgeBudget,
-		FaultSpec:        *inject,
-		FaultSeed:        *faultSeed,
-		InboundFaultSpec: *injectIn,
+		Name:           *name,
+		CacheBytes:     *cacheBytes,
+		CacheDir:       *cacheDir,
+		DiskCapacity:   *diskCap,
+		SpillQueue:     *spillQueue,
+		CompressMin:    *compressMin,
+		HintEntries:    *hintEntries,
+		OriginURL:      *originURL,
+		UpdateInterval: *interval,
+		UseDigests:     *digests,
+		WireCompress:   *wireComp,
+		HintReplicas:   *hintReps,
+		TraceSample:    *traceSample,
+		PeerTimeout:    *peerTimeout,
+		OriginTimeout:  *originTO,
+		HedgeBudget:    *hedgeBudget,
+		Faults:         outbound,
+		InboundFaults:  inbound,
 	})
 	if err != nil {
 		return err
@@ -152,6 +160,14 @@ func run(args []string, out io.Writer, wait func()) error {
 		n.URL(), *originURL, len(peerURLs))
 	wait()
 	return n.Close()
+}
+
+// injector builds the fault injector a spec flag asks for: none when empty.
+func injector(spec string, seed int64) (*faults.Injector, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	return faults.New(spec, seed)
 }
 
 // normalizeTargets splits the comma-separated -peers list, trims whitespace,

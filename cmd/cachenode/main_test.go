@@ -140,6 +140,11 @@ func TestBadFlagsRejected(t *testing.T) {
 	if err := run([]string{"-origin", "-listen", "999.999.999.999:1"}, &bytes.Buffer{}, func() {}); err == nil {
 		t.Error("unlistenable address accepted")
 	}
+	for _, flag := range []string{"-inject", "-inject-inbound"} {
+		if err := run([]string{"-origin-url", "http://127.0.0.1:1", flag, "*:latency=soon"}, &bytes.Buffer{}, func() {}); err == nil {
+			t.Errorf("unparsable %s spec accepted", flag)
+		}
+	}
 }
 
 // registeredFlags returns the name of every flag run registers, read from

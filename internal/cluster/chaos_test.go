@@ -52,7 +52,7 @@ func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig, tw
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.breakers = resilience.NewBreakerSet(brk)
+		node.breakerCfg = brk
 		srv := httptest.NewServer(node.Handler())
 		node.Bind(srv.URL)
 		f.nodes = append(f.nodes, node)

@@ -112,11 +112,12 @@ func newDigestLocator(n *Node, capacity, hintReplicas int) (*digestLocator, erro
 // Peers are pulled from the node's own peer table, a filter bit cannot be
 // retracted (a stale one ages out at the next pull), and the mechanism
 // tracks no liveness and runs no goroutines of its own.
-func (d *digestLocator) sync()                  {}
-func (d *digestLocator) demote(_, _ uint64)     {}
-func (d *digestLocator) contact(string, bool)   {}
-func (d *digestLocator) collect() locatorGauges { return locatorGauges{} }
-func (d *digestLocator) close()                 {}
+func (d *digestLocator) sync()                     {}
+func (d *digestLocator) demote(_, _ uint64)        {}
+func (d *digestLocator) contact(*peer, bool)       {}
+func (d *digestLocator) collect() locatorGauges    { return locatorGauges{} }
+func (d *digestLocator) queued(*peer) (int, int64) { return 0, 0 }
+func (d *digestLocator) close()                    {}
 
 // publish feeds one cache residency transition into the incremental digest
 // plane. The exact resident set dedupes non-transitions (a version refresh
@@ -269,7 +270,7 @@ func (d *digestLocator) round(bool) {
 // next exchange. The request presents the cursor from the last exchange;
 // the peer answers with either the ops since (applied in place) or a full
 // snapshot (decoded into the existing filter's storage).
-func (d *digestLocator) pullDigest(p peerRef) {
+func (d *digestLocator) pullDigest(p *peer) {
 	n := d.n
 	// Snapshot the cursor for the request. A first pull sends none (no
 	// filter to patch yet).
@@ -285,7 +286,7 @@ func (d *digestLocator) pullDigest(p peerRef) {
 	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
-		r, err := n.call(ctx, p.url, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
+		r, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
 		if err == nil && r.Status != http.StatusOK {
 			err = fmt.Errorf("digest pull: status %d", r.Status)
 		}
@@ -331,7 +332,7 @@ func (d *digestLocator) pullDigest(p peerRef) {
 		// The snapshot this pull replaces was generated at prev; it has
 		// been the node's view of this peer ever since — that age is the
 		// digest staleness the paper's summary-scheme tradeoff pays.
-		n.digestStale.Observe(hostPortOf(p.url), time.Duration(now-prev))
+		n.digestStale.Observe(p.host, time.Duration(now-prev))
 	}
 	n.stats.digestsPulled.Add(1)
 }
@@ -397,9 +398,8 @@ func (d *digestLocator) holder(urlHash, asker uint64) (uint64, bool) {
 	return 0, false
 }
 
-// lookup probes that peer. A filter match names no hint record to
-// retract, so the candidate carries no holder.
+// lookup probes that peer.
 func (d *digestLocator) lookup(urlHash uint64) candidate {
 	id, _ := d.holder(urlHash, 0)
-	return candidate{peerURL: d.n.peerURL(id)}
+	return candidate{peer: d.n.peerByID(id)}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	neturl "net/url"
 	"strconv"
@@ -80,8 +81,17 @@ type FleetConfig struct {
 	CompressMin  int64
 }
 
-// nodeConfig builds node i's NodeConfig from the fleet-wide settings.
-func (cfg FleetConfig) nodeConfig(i int, originURL string) NodeConfig {
+// newNode builds node i from the fleet-wide settings, with an outbound
+// injector of its own from FaultSpec where the fleet shares none.
+func (cfg FleetConfig) newNode(i int, originURL string) (*Node, error) {
+	name := fmt.Sprintf("node-%d", i)
+	inj := cfg.Faults
+	if inj == nil && cfg.FaultSpec != "" {
+		var err error
+		if inj, err = faults.New(cfg.FaultSpec, cfg.FaultSeed+int64(i)); err != nil {
+			return nil, fmt.Errorf("cluster: node %q: %w", name, err)
+		}
+	}
 	var cacheDir string
 	if i < len(cfg.CacheDirs) {
 		cacheDir = cfg.CacheDirs[i]
@@ -93,12 +103,12 @@ func (cfg FleetConfig) nodeConfig(i int, originURL string) NodeConfig {
 			replicas = 2
 		}
 	}
-	return NodeConfig{
+	return NewNode(NodeConfig{
 		CacheDir:       cacheDir,
 		DiskCapacity:   cfg.DiskCapacity,
 		SpillQueue:     cfg.SpillQueue,
 		CompressMin:    cfg.CompressMin,
-		Name:           fmt.Sprintf("node-%d", i),
+		Name:           name,
 		CacheBytes:     cfg.CacheBytes,
 		HintEntries:    cfg.HintEntries,
 		OriginURL:      originURL,
@@ -110,11 +120,9 @@ func (cfg FleetConfig) nodeConfig(i int, originURL string) NodeConfig {
 		PeerTimeout:    cfg.PeerTimeout,
 		OriginTimeout:  cfg.OriginTimeout,
 		HedgeBudget:    cfg.HedgeBudget,
-		FaultSpec:      cfg.FaultSpec,
-		FaultSeed:      cfg.FaultSeed + int64(i),
-		Faults:         cfg.Faults,
+		Faults:         inj,
 		InboundFaults:  cfg.InboundFaults,
-	}
+	})
 }
 
 // StartFleet boots an origin and n meshed nodes on loopback ephemeral
@@ -125,7 +133,15 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{
 		Origin: NewOrigin(cfg.ObjectSize),
-		client: newClient(clientTimeout),
+		// The driver talks to the nodes the way a browser would. Its
+		// concurrent requests must not re-dial a node (the default
+		// transport keeps two idle connections per host), and a dead node
+		// must fail a connection attempt in seconds, not minutes.
+		client: &http.Client{Timeout: clientTimeout, Transport: &http.Transport{
+			DialContext:         (&net.Dialer{Timeout: 2 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			MaxIdleConnsPerHost: 32,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		faults: cfg.Faults,
 		cfg:    cfg,
 	}
@@ -133,7 +149,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n, err := NewNode(cfg.nodeConfig(i, f.Origin.URL()))
+		n, err := cfg.newNode(i, f.Origin.URL())
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -177,7 +193,7 @@ func (f *Fleet) RestartNode(i int) error {
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("cluster: restart: close node %d: %w", i, err)
 	}
-	n, err := NewNode(f.cfg.nodeConfig(i, f.Origin.URL()))
+	n, err := f.cfg.newNode(i, f.Origin.URL())
 	if err != nil {
 		return fmt.Errorf("cluster: restart: %w", err)
 	}

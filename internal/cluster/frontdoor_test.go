@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"beyondcache/internal/faults"
 	"beyondcache/internal/wire"
 )
 
@@ -639,7 +640,11 @@ func TestFrontDoorClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer origin.Close()
-	n, err := NewNode(NodeConfig{Name: "closing", OriginURL: origin.URL(), UpdateInterval: time.Hour, InboundFaultSpec: "closing:blackhole"})
+	in, err := faults.New("closing:blackhole", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(NodeConfig{Name: "closing", OriginURL: origin.URL(), UpdateInterval: time.Hour, InboundFaults: in})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/trace"
@@ -132,7 +133,7 @@ func TestHintMissBudget(t *testing.T) {
 	f := startFleet(t, nodes, FleetConfig{
 		CacheBytes:  slots * objectSize,
 		ObjectSize:  objectSize,
-		HedgeBudget: -1, // sequential peer-then-origin: no timing in the outcome
+		HedgeBudget: time.Hour, // peer-then-origin: no timer in the outcome
 	})
 	rng := rand.New(rand.NewSource(1))
 	urls := make([]string, population)

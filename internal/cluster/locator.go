@@ -33,11 +33,12 @@ type locator interface {
 	// after a fill or a boot recovery, absent once it left every tier.
 	publish(h uint64, present bool)
 	// demote withdraws a location a probe just proved wrong; holder is the
-	// machine that was named, 0 when the mechanism knows none.
+	// machine that was probed.
 	demote(h, holder uint64)
-	// contact is liveness evidence about a peer: a hint batch arrived from
-	// it, or a delivery to it succeeded or burned its retry budget.
-	contact(peerURL string, ok bool)
+	// contact is liveness evidence about a peer (nil: a machine this node
+	// does not know): a hint batch arrived from it, or a delivery to it
+	// succeeded or burned its retry budget.
+	contact(p *peer, ok bool)
 	// round runs one metadata exchange. The periodic one (wait false) does
 	// not wait for what it pushes to arrive; a waited one returns once
 	// every peer's share has been delivered or abandoned.
@@ -45,40 +46,31 @@ type locator interface {
 	// serveDigest answers a peer's digest pull from cursor since: it
 	// returns one digest frame and fills in the answer's fixed fields (or a
 	// 404 status: this mechanism serves none). collect reports the gauges
-	// for /metrics, close stops the mechanism's goroutines after the last
-	// round.
+	// for /metrics and queued one peer's sender backlog and its drops so
+	// far; close stops the mechanism's goroutines after the last round.
 	serveDigest(since uint64, resp *wire.PeerHeader) []byte
 	collect() locatorGauges
+	queued(p *peer) (depth int, dropped int64)
 	close()
 }
 
 // candidate is a lookup's answer: at most one place to try before the
 // origin. The zero value means the object is not known to be anywhere.
 type candidate struct {
-	// peerURL is a peer believed to hold the object and holder its
-	// machine ID, when the mechanism knows one (digests do not).
-	peerURL string
-	holder  uint64
-	// homeURL is a hint home to ask for the holder first: the local
-	// directory had no record and is not authoritative for the object.
-	homeURL string
+	// peer is believed to hold the object.
+	peer *peer
+	// home is a hint home to ask for the holder first: the local directory
+	// had no record and is not authoritative for the object.
+	home *peer
 }
 
 // locatorGauges is what a locator reports into /metrics; every family is
 // emitted whatever the mechanism, at zero where it has no such state.
-// pending is the records queued for the next round, queues the per-peer
-// sender backlogs by peer base URL, partitionObjects the directory records
-// held as a hint home and overlayMembers the live routing membership.
+// pending is the records queued for the next round, partitionObjects the
+// directory records held as a hint home and overlayMembers the live routing
+// membership.
 type locatorGauges struct {
-	pending                          int
-	queues                           map[string]queueGauge
-	partitionObjects, overlayMembers int
-}
-
-// queueGauge is one per-peer sender queue: its depth and its drops so far.
-type queueGauge struct {
-	depth   int
-	dropped int64
+	pending, partitionObjects, overlayMembers int
 }
 
 // fill resolves a cache miss as the singleflight leader: peer transfer if
@@ -112,16 +104,16 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	c := n.loc.lookup(h)
 	var hops []obs.Hop
 	switch {
-	case c.homeURL != "":
+	case c.home != nil:
 		return n.fillRaced(h, url, reqID, c, sampled)
-	case c.peerURL != "" && n.breakers.Get(c.peerURL).Allow():
+	case c.peer != nil && c.peer.br.Allow():
 		return n.fillRaced(h, url, reqID, c, sampled)
-	case c.peerURL != "":
+	case c.peer != nil:
 		// The peer's breaker is open: a known-bad peer must not cost
 		// this request anything. Straight to the origin, hint kept —
 		// the half-open probe will revalidate the peer later.
 		n.stats.breakerSkips.Add(1)
-		hops = append(hops, obs.Hop{Node: hostPortOf(c.peerURL), Outcome: "BREAKER-SKIP"})
+		hops = append(hops, obs.Hop{Node: c.peer.host, Outcome: "BREAKER-SKIP"})
 	}
 
 	got, err := n.fetchOrigin(context.Background(), url)
@@ -132,15 +124,6 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	n.store(h, got.version, got.body)
 	n.stats.misses.Add(1)
 	return fetchOutcome{how: "MISS", version: got.version, body: got.body, hops: hops}
-}
-
-// probed is the peer a raced fill fetches from: named by the local lookup,
-// or by the hint home the primary leg consulted first. Its breaker has
-// already admitted the probe.
-type probed struct {
-	url     string
-	machine uint64
-	br      *resilience.Breaker
 }
 
 // errHintHomeMiss distinguishes a definitive "no holder" answer (or a
@@ -157,42 +140,39 @@ var (
 // (the HINT-HOME hop, under the metadata timeout), then runs the
 // cache-to-cache transfer under its own deadline; if the leg stays silent
 // past the hedge budget the origin fetch starts in parallel and the first
-// success wins (a negative budget keeps the pre-resilience sequential
-// path). Either way a peer that did not serve is demoted; one that failed
-// or was abandoned — not one that promptly said "not here" — feeds its
-// breaker, and a failed consult feeds the home's, so a dead peer or a dead
-// home stops costing anything — the paper's principles 1–2 enforced under
-// faults: neither a stale hint nor the extra metadata hop may make a
+// success wins. Either way a peer that did not serve is demoted; one that
+// failed or was abandoned — not one that promptly said "not here" — feeds
+// its breaker, and a failed consult feeds the home's, so a dead peer or a
+// dead home stops costing anything — the paper's principles 1–2 enforced
+// under faults: neither a stale hint nor the extra metadata hop may make a
 // request slower than going straight to the origin.
 func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool) fetchOutcome {
-	homeHost := hostPortOf(c.homeURL)
 	start := time.Now()
 	// What the primary leg learned and took, read once the race is over:
-	// Race returns only after the leg has, abandoned or not. peer stays nil
-	// until a holder is known — from the start on the direct path, once the
-	// home has named a usable one otherwise.
+	// Race returns only after the leg has, abandoned or not. peer — the one
+	// the transfer is asked of, its breaker having admitted the probe —
+	// stays nil until a holder is known: from the start on the direct path,
+	// once the home has named a usable one otherwise.
 	var leg struct {
 		probe, consult time.Duration
-		peer           *probed
+		peer           *peer
 	}
-	if c.homeURL == "" {
-		leg.peer = &probed{url: c.peerURL, machine: c.holder, br: n.breakers.Get(c.peerURL)}
-	}
+	leg.peer = c.peer // nil when there is a home to ask first
 	primary := func(ctx context.Context) (fetched, error) {
 		var chain []obs.Hop
-		if c.homeURL != "" {
-			p, err := n.consultHome(ctx, c.homeURL, h, reqID, sampled)
+		if c.home != nil {
+			p, err := n.consultHome(ctx, c.home, h, reqID, sampled)
 			leg.consult = time.Since(start)
 			leg.probe = leg.consult
 			if err != nil {
 				return fetched{}, err
 			}
 			leg.peer = p
-			chain = []obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: leg.consult}}
+			chain = []obs.Hop{{Node: c.home.host, Outcome: "HINT-HOME", Elapsed: leg.consult}}
 		}
 		pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
 		defer cancel()
-		got, err := n.fetchPeer(pctx, leg.peer.url, url, reqID, sampled)
+		got, err := n.fetchPeer(pctx, leg.peer, url, reqID, sampled)
 		leg.probe = time.Since(start)
 		if chain != nil {
 			got.hops = append(chain, got.hops...)
@@ -210,8 +190,8 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		// a timeout, a 5xx or an abandon is a peer to stop asking.
 		p.br.Record(r.Winner == resilience.PrimaryWon || errors.Is(r.PrimaryErr, errPeerMiss))
 	}
-	if c.homeURL != "" {
-		n.settleConsult(c.homeURL, r.Winner, r.PrimaryErr, p != nil)
+	if c.home != nil {
+		n.settleConsult(c.home, r.Winner, r.PrimaryErr, p != nil)
 	}
 	switch r.Winner {
 	case resilience.PrimaryWon:
@@ -238,32 +218,32 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		// The named peer never answered inside the budget and the origin
 		// beat it: abandon the transfer, demote the hint; the breaker
 		// record above makes later requests skip the peer.
-		n.loc.demote(h, p.machine)
+		n.loc.demote(h, p.id)
 		how = "MISS,HEDGE"
-		hops = append(hops, obs.Hop{Node: hostPortOf(p.url), Outcome: "PEER-ABANDON", Elapsed: probe})
+		hops = append(hops, obs.Hop{Node: p.host, Outcome: "PEER-ABANDON", Elapsed: probe})
 	case p != nil:
 		// Stale hint or digest false positive: the peer definitively
 		// rejected (or errored) and the origin served. Pay the wasted
 		// probe, drop the hint (at its home too, if it has one), never
 		// search further (Section 3.1.1).
-		n.loc.demote(h, p.machine)
+		n.loc.demote(h, p.id)
 		n.stats.falsePositives.Add(1)
 		how = "MISS,STALE-HINT"
-		hops = append(hops, obs.Hop{Node: hostPortOf(p.url), Outcome: "PEER-REJECT", Elapsed: probe})
+		hops = append(hops, obs.Hop{Node: p.host, Outcome: "PEER-REJECT", Elapsed: probe})
 	case abandoned:
 		// The consult itself never finished inside the budget.
 		how = "MISS,HEDGE"
-		hops = append(hops, obs.Hop{Node: homeHost, Outcome: "PEER-ABANDON", Elapsed: probe})
+		hops = append(hops, obs.Hop{Node: c.home.host, Outcome: "PEER-ABANDON", Elapsed: probe})
 	case errors.Is(r.PrimaryErr, errHintHomeMiss):
 		// Clean directory miss: nobody in the fleet holds it. One cheap
 		// extra hop, then the origin — working as designed.
 		wasted = false
-		hops = append(hops, obs.Hop{Node: homeHost, Outcome: "HINT-HOME-MISS", Elapsed: consult})
+		hops = append(hops, obs.Hop{Node: c.home.host, Outcome: "HINT-HOME-MISS", Elapsed: consult})
 	default:
-		hops = append(hops, obs.Hop{Node: homeHost, Outcome: "HINT-HOME-FAIL", Elapsed: probe})
+		hops = append(hops, obs.Hop{Node: c.home.host, Outcome: "HINT-HOME-FAIL", Elapsed: probe})
 	}
-	if p != nil && c.homeURL != "" {
-		hops = append([]obs.Hop{{Node: homeHost, Outcome: "HINT-HOME", Elapsed: consult}}, hops...)
+	if p != nil && c.home != nil {
+		hops = append([]obs.Hop{{Node: c.home.host, Outcome: "HINT-HOME", Elapsed: consult}}, hops...)
 	}
 	if wasted {
 		n.hist.falsePositive.Observe(probe)

@@ -60,10 +60,7 @@ func newPartitionLocator(n *Node, replicas int) (*partitionLocator, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &partitionLocator{hintPlane: newHintPlane(n, &n.stats.wireHintBytesPart), overlay: ov}
-	l.mbr.fails = make(map[string]int)
-	l.mbr.contact = make(map[string]uint64)
-	return l, nil
+	return &partitionLocator{hintPlane: newHintPlane(n, &n.stats.wireHintBytesPart), overlay: ov}, nil
 }
 
 const (
@@ -84,14 +81,12 @@ const (
 )
 
 // membership accumulates per-peer liveness evidence between membership
-// syncs. Keys are target base URLs (the same keys the sender and breaker
-// tables use). gen counts sync rounds: a peer whose last good contact is
-// older than the previous round gets probed.
+// syncs: mu guards gen and every peer record's fails and contact. gen counts
+// sync rounds: a peer whose last good contact is older than the previous
+// round gets probed.
 type membership struct {
-	mu      sync.Mutex
-	fails   map[string]int    // consecutive failed contacts
-	contact map[string]uint64 // sync gen of last good contact
-	gen     uint64
+	mu  sync.Mutex
+	gen uint64
 }
 
 // contact feeds one piece of liveness evidence into the tracker. A
@@ -99,16 +94,15 @@ type membership struct {
 // retry budget counts toward deadAfterFails; an inbound batch is contact
 // too — a restarted or healed node re-announces itself by flushing to us,
 // which must revive it even if our own probes to it still fail.
-func (l *partitionLocator) contact(peerURL string, ok bool) {
-	if peerURL == "" {
+func (l *partitionLocator) contact(p *peer, ok bool) {
+	if p == nil {
 		return
 	}
 	l.mbr.mu.Lock()
 	if ok {
-		l.mbr.fails[peerURL] = 0
-		l.mbr.contact[peerURL] = l.mbr.gen
+		p.fails, p.contact = 0, l.mbr.gen
 	} else {
-		l.mbr.fails[peerURL]++
+		p.fails++
 	}
 	l.mbr.mu.Unlock()
 }
@@ -116,10 +110,10 @@ func (l *partitionLocator) contact(peerURL string, ok bool) {
 // ping performs one liveness probe: a ping call, judged by both ends' fault
 // injectors like any other, so a blackholed or stalled node fails its peers'
 // probes exactly as it fails their real traffic.
-func (n *Node) ping(baseURL string) bool {
+func (n *Node) ping(p *peer) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
 	defer cancel()
-	r, err := n.call(ctx, baseURL, wire.PeerHeader{Op: wire.PeerPing}, nil)
+	r, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerPing}, nil)
 	return err == nil && r.Status == http.StatusNoContent
 }
 
@@ -156,7 +150,7 @@ func (l *partitionLocator) sync() {
 	gen := l.mbr.gen
 	probe := peers[:0:0]
 	for _, p := range peers {
-		if l.mbr.contact[p.url]+1 >= gen {
+		if p.contact+1 >= gen {
 			continue // heard from it this round or the last
 		}
 		probe = append(probe, p)
@@ -169,34 +163,30 @@ func (l *partitionLocator) sync() {
 	for i, p := range probe {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, url string) {
+		go func(i int, p *peer) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			alive[i] = n.ping(url)
-		}(i, p.url)
+			alive[i] = n.ping(p)
+		}(i, p)
 	}
 	wg.Wait()
 
 	l.mbr.mu.Lock()
 	for i, p := range probe {
 		if alive[i] {
-			l.mbr.fails[p.url] = 0
-			l.mbr.contact[p.url] = gen
+			p.fails, p.contact = 0, gen
 		} else {
-			l.mbr.fails[p.url]++
+			p.fails++
 		}
 	}
-	dead := make(map[uint64]bool, len(peers))
-	for _, p := range peers {
-		dead[p.id] = l.mbr.fails[p.url] >= deadAfterFails
+	dead := make([]bool, len(peers))
+	for i, p := range peers {
+		dead[i] = p.fails >= deadAfterFails
 	}
 	l.mbr.mu.Unlock()
 
-	for _, p := range peers {
-		if !dead[p.id] && n.breakers.Get(p.url).State() == resilience.Open {
-			dead[p.id] = true
-		}
-		if dead[p.id] {
+	for i, p := range peers {
+		if dead[i] || p.br.State() == resilience.Open {
 			l.overlay.Leave(p.id)
 		} else {
 			l.overlay.Join(p.id, p.url)
@@ -283,19 +273,18 @@ func (l *partitionLocator) round(wait bool) {
 
 // route splits one drained batch by owner: records this node owns apply
 // straight to the local directory, the rest group into per-owner
-// minibatches keyed by the owner's base URL (an owner not in the peer table
-// yet gets nothing).
-func (l *partitionLocator) route(batch []hintcache.Update) map[string][]hintcache.Update {
+// minibatches (an owner not in the peer table yet gets nothing).
+func (l *partitionLocator) route(batch []hintcache.Update) map[*peer][]hintcache.Update {
 	n := l.n
 	view := l.overlay.View()
 	var owners [overlay.MaxReplicas]uint64
 	var local []hintcache.Update
-	routed := make(map[string][]hintcache.Update)
+	routed := make(map[*peer][]hintcache.Update)
 	for _, u := range batch {
 		for _, m := range view.Owners(u.URLHash, owners[:0]) {
 			if m == n.machineID {
 				local = append(local, u)
-			} else if target := n.peerURL(m); target != "" {
+			} else if target := n.peerByID(m); target != nil {
 				routed[target] = append(routed[target], u)
 			}
 		}
@@ -312,7 +301,7 @@ func (l *partitionLocator) route(batch []hintcache.Update) map[string][]hintcach
 func (l *partitionLocator) lookup(h uint64) candidate {
 	c, ok := l.directory(h)
 	if !ok {
-		c.homeURL = l.hintHomeFor(h)
+		c.home = l.hintHomeFor(h)
 	}
 	return c
 }
@@ -323,9 +312,7 @@ func (l *partitionLocator) lookup(h uint64) candidate {
 // other holder stays on record.
 func (l *partitionLocator) demote(h, holder uint64) {
 	l.hintPlane.demote(h, holder)
-	if holder != 0 {
-		l.enqueue(hintcache.Update{Action: hintcache.ActionInvalidate, URLHash: h, Machine: holder})
-	}
+	l.enqueue(hintcache.Update{Action: hintcache.ActionInvalidate, URLHash: h, Machine: holder})
 }
 
 func (l *partitionLocator) collect() locatorGauges {
@@ -337,49 +324,44 @@ func (l *partitionLocator) collect() locatorGauges {
 
 // hintHomeFor picks the hint home to consult for object h: the first of
 // its owners, in ring order, that is a known peer whose breaker admits the
-// call. Empty when this node is itself an owner (the local directory was
+// call. Nil when this node is itself an owner (the local directory was
 // already authoritative — its miss is the answer) or when no owner is
 // usable.
-func (l *partitionLocator) hintHomeFor(h uint64) string {
+func (l *partitionLocator) hintHomeFor(h uint64) *peer {
 	n := l.n
 	var buf [overlay.MaxReplicas]uint64
 	owners := l.homedView.Load().Owners(h, buf[:0])
 	for _, m := range owners {
 		if m == n.machineID {
-			return ""
+			return nil
 		}
 	}
-	var home string
 	skipped := false
-	n.peerMu.RLock()
 	for _, m := range owners {
-		u, ok := n.peers[m]
-		if !ok {
+		p := n.peerByID(m)
+		if p == nil {
 			continue
 		}
-		if !n.breakers.Get(u).Allow() {
-			skipped = true
-			continue
+		if p.br.Allow() {
+			return p
 		}
-		home = u
-		break
+		skipped = true
 	}
-	n.peerMu.RUnlock()
-	if home == "" && skipped {
+	if skipped {
 		// Owners exist but every one was breaker-refused: straight to
 		// the origin, same accounting as a breaker-skipped peer probe.
 		n.stats.breakerSkips.Add(1)
 	}
-	return home
+	return nil
 }
 
 // queryHintHome asks a hint home which machine other than this one holds h:
 // one holder call. 200 carries the holder's machine ID; 404 is a definitive
 // miss (machine 0, nil error); anything else is a consult failure.
-func (n *Node) queryHintHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (uint64, error) {
+func (n *Node) queryHintHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (uint64, error) {
 	req := sampledCall(wire.PeerHolder, reqID, sampled)
 	req.B, req.C = h, n.machineID
-	r, err := n.call(ctx, homeURL, req, nil)
+	r, err := n.call(ctx, home, req, nil)
 	switch {
 	case err != nil:
 		return 0, err
@@ -449,15 +431,15 @@ func (n *Node) residesLocally(h uint64) bool {
 // home passes over a record naming the asker: it just checked both tiers,
 // so that record is stale), an unknown machine, a holder whose breaker
 // refuses the probe.
-func (n *Node) consultHome(ctx context.Context, homeURL string, h uint64, reqID string, sampled bool) (*probed, error) {
+func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (*peer, error) {
 	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
-	machine, err := n.queryHintHome(cctx, homeURL, h, reqID, sampled)
+	machine, err := n.queryHintHome(cctx, home, h, reqID, sampled)
 	cancel()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errHintHomeFail, err)
 	}
-	holderURL := n.peerURL(machine)
-	if machine == n.machineID || holderURL == "" {
+	holder := n.peerByID(machine)
+	if machine == n.machineID || holder == nil {
 		return nil, errHintHomeMiss
 	}
 	if ctx.Err() != nil {
@@ -465,19 +447,18 @@ func (n *Node) consultHome(ctx context.Context, homeURL string, h uint64, reqID 
 		// the resolution will never record.
 		return nil, fmt.Errorf("%w: %v", errHintHomeFail, ctx.Err())
 	}
-	br := n.breakers.Get(holderURL)
-	if !br.Allow() {
+	if !holder.br.Allow() {
 		n.stats.breakerSkips.Add(1)
 		return nil, errHintHomeMiss
 	}
-	return &probed{url: holderURL, machine: machine, br: br}, nil
+	return holder, nil
 }
 
 // settleConsult accounts one resolved hint-home consult on the home's
 // breaker and the hint_home_hops counters: named says the home answered
 // with a holder this node went on to probe.
-func (n *Node) settleConsult(homeURL string, winner resilience.Winner, primaryErr error, named bool) {
-	br := n.breakers.Get(homeURL)
+func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr error, named bool) {
+	br := home.br
 	switch {
 	case winner == resilience.BothFailed:
 		br.Record(false)

@@ -204,7 +204,7 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 				if partitioned {
 					mbr := &partitionOf(n).mbr
 					mbr.mu.Lock()
-					fails, contact := mbr.fails[sink.URL], mbr.contact[sink.URL]
+					fails, contact := peerOf(n, sink.URL).fails, peerOf(n, sink.URL).contact
 					mbr.mu.Unlock()
 					if fails != 1 || contact != 0 {
 						t.Errorf("membership saw fails=%d contact=%d, want one failed contact and no good one", fails, contact)
@@ -296,8 +296,8 @@ func TestDigestPullChecksStatusFirst(t *testing.T) {
 			if st.SendErrors != 1 {
 				t.Errorf("SendErrors = %d, want 1", st.SendErrors)
 			}
-			if peer := n.loc.lookup(1).peerURL; peer != "" {
-				t.Errorf("lookup after failed pull = %q, want none", peer)
+			if peer := n.loc.lookup(1).peer; peer != nil {
+				t.Errorf("lookup after failed pull = %q, want none", peer.url)
 			}
 		})
 	}

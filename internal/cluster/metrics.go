@@ -3,7 +3,6 @@ package cluster
 import (
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"beyondcache/internal/faults"
@@ -151,27 +150,22 @@ func (n *Node) Metrics() *obs.Expo {
 		"Metadata-path re-attempts (hint-batch POSTs, digest pulls) spent after a failure.",
 		st.Retries)
 
-	// Per-peer families: the breaker and the locator's sender queue.
-	// Breakers are created eagerly in AddPeer, so every peer reports from
-	// the first scrape (a queue the locator does not run reports zeros).
-	// The aggregate open gauge is emitted even with no peers so the family
-	// always exists.
-	breakers := n.breakers.Snapshot()
-	peerNames := make([]string, 0, len(breakers))
-	for peer := range breakers {
-		peerNames = append(peerNames, peer)
-	}
-	sort.Strings(peerNames)
+	// Per-peer families: the breaker and the locator's sender queue, in
+	// AddPeer order. Breakers are made in AddPeer, so every peer reports
+	// from the first scrape (a queue the locator does not run reports
+	// zeros). The aggregate open gauge is emitted even with no peers so the
+	// family always exists.
 	open, maxQueued := 0, 0
-	for _, peer := range peerNames {
-		bs, q := breakers[peer], loc.queues[peer]
+	for _, p := range n.peerList() {
+		bs := p.br.Stats()
+		depth, dropped := n.loc.queued(p)
 		if bs.State != resilience.Closed {
 			open++
 		}
-		if q.depth > maxQueued {
-			maxQueued = q.depth
+		if depth > maxQueued {
+			maxQueued = depth
 		}
-		label := obs.L("peer", hostPortOf(peer))
+		label := obs.L("peer", p.host)
 		e.Gauge("beyondcache_breaker_state",
 			"Per-peer breaker position: 0 closed, 1 open, 2 half-open.",
 			float64(bs.State), label)
@@ -180,10 +174,10 @@ func (n *Node) Metrics() *obs.Expo {
 		e.Counter("beyondcache_breaker_refusals_total",
 			"Per-peer requests refused while the breaker was open or probing.", bs.Refusals, label)
 		e.Gauge("beyondcache_hint_queue_depth",
-			"Records waiting in the per-peer sender queue.", float64(q.depth), label)
+			"Records waiting in the per-peer sender queue.", float64(depth), label)
 		e.Counter("beyondcache_hint_queue_dropped_total",
 			"Records dropped from the per-peer sender queue under backpressure (oldest informs first).",
-			q.dropped, label)
+			dropped, label)
 	}
 	e.Gauge("beyondcache_breakers_open",
 		"Peers whose breaker is currently not closed.", float64(open))

@@ -100,22 +100,15 @@ type NodeConfig struct {
 	// HedgeBudget is how long a hinted peer may stay silent before the
 	// origin fetch is started in parallel and the two race (the hedged
 	// miss path; the paper: cache-to-cache transfer must beat origin or
-	// be abandoned). 0 means the 50ms default; negative disables
-	// hedging, restoring the sequential peer-then-origin path.
+	// be abandoned). <= 0 means the 50ms default.
 	HedgeBudget time.Duration
 
-	// FaultSpec is a fault-DSL spec (internal/faults) applied to every
-	// outbound request; FaultSeed seeds its randomness. Faults, when
-	// non-nil, supplies a prebuilt injector instead (tests pin its
-	// clock). Empty/nil means no injected faults.
-	FaultSpec string
-	FaultSeed int64
-	Faults    *faults.Injector
-	// InboundFaultSpec injects faults on the serving side instead: this
-	// node misbehaving as seen by its clients and peers (rules match the
-	// node's own label). InboundFaults supplies a prebuilt injector.
-	InboundFaultSpec string
-	InboundFaults    *faults.Injector
+	// Faults injects faults (internal/faults) into every outbound call and
+	// origin fetch; nil means none. InboundFaults injects them on the
+	// serving side instead: this node misbehaving as seen by its clients
+	// and peers (rules match the node's own label).
+	Faults        *faults.Injector
+	InboundFaults *faults.Injector
 
 	// TraceSample is the fraction of /fetch requests whose span group is
 	// recorded in the /debug/spans ring: 0 picks the default (1/64),
@@ -391,11 +384,11 @@ type Node struct {
 	// loc is the metadata path (see locator), chosen once in NewNode.
 	loc locator
 
-	// peerMu guards the peer table.
+	// peerMu guards the peer table: one record per peer address, appended
+	// by AddPeer and never removed, so a snapshot of peers stays valid.
 	peerMu sync.RWMutex
-	peers  map[uint64]string // machine ID -> base URL
-	// peerOrder fixes a deterministic scan order (AddPeer order).
-	peerOrder []uint64
+	peers  []*peer // AddPeer order
+	byID   map[uint64]*peer
 
 	stats counters
 	hist  nodeHists
@@ -418,11 +411,11 @@ type Node struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// breakers holds one circuit breaker per peer (keyed by base URL),
-	// created eagerly in AddPeer; backoff paces metadata-path retries;
-	// inj is the outbound fault injector (nil without chaos). The per-hop
-	// budgets are cfg's, resolved in NewNode.
-	breakers   *resilience.BreakerSet
+	// breakerCfg shapes the breaker AddPeer gives each peer (the zero value
+	// is resilience's defaults; tests tighten it before AddPeer); backoff
+	// paces metadata-path retries; inj is the outbound fault injector (nil
+	// without chaos). The per-hop budgets are cfg's, resolved in NewNode.
+	breakerCfg resilience.BreakerConfig
 	backoff    *resilience.Backoff
 	inj        *faults.Injector
 	inboundInj *faults.Injector
@@ -469,25 +462,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		// while keeping /debug/spans fresh.
 		sample = 1.0 / 64
 	}
-	inj := cfg.Faults
-	if inj == nil && cfg.FaultSpec != "" {
-		if inj, err = faults.New(cfg.FaultSpec, cfg.FaultSeed); err != nil {
-			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
-		}
-	}
-	inboundInj := cfg.InboundFaults
-	if inboundInj == nil && cfg.InboundFaultSpec != "" {
-		if inboundInj, err = faults.New(cfg.InboundFaultSpec, cfg.FaultSeed+1); err != nil {
-			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
-		}
-	}
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = 2 * time.Second
 	}
 	if cfg.OriginTimeout <= 0 {
 		cfg.OriginTimeout = 10 * time.Second
 	}
-	if cfg.HedgeBudget == 0 {
+	if cfg.HedgeBudget <= 0 {
 		cfg.HedgeBudget = 50 * time.Millisecond
 	}
 	n := &Node{
@@ -501,20 +482,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		digestStale:  obs.NewHistogramVec(nil),
 		spans:        obs.NewSpanRing(0),
 		sampler:      obs.NewSampler(sample),
-		peers:        make(map[uint64]string),
+		byID:         make(map[uint64]*peer),
 		nodeLabel:    cfg.Name,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		breakers:     resilience.NewBreakerSet(resilience.BreakerConfig{}),
 		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
-		inj:          inj,
-		inboundInj:   inboundInj,
+		inj:          cfg.Faults,
+		inboundInj:   cfg.InboundFaults,
 		origin:       origin,
 		stopBatch:    make(chan struct{}),
 		batchDone:    make(chan struct{}),
 		recoveryDone: make(chan struct{}),
 	}
 	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
-	n.plane.dialed, n.plane.conns = make(map[string]*peerConn), make(map[*peerConn]struct{})
+	n.plane.conns = make(map[*peerConn]struct{})
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir, store.Options{
 			Capacity:    cfg.DiskCapacity,
@@ -691,44 +671,59 @@ func (n *Node) URL() string {
 // MachineID returns the node's 8-byte machine identifier.
 func (n *Node) MachineID() uint64 { return n.machineID }
 
+// peer is everything the node keeps about one other node: built once by
+// AddPeer, found by machine ID in the hint table's answer, and passed by
+// pointer from there on. The identity fields and the breaker never change;
+// each of the rest is guarded by the mutex of the code that owns it.
+type peer struct {
+	id   uint64 // hintcache.HashMachine(host)
+	url  string // as given to AddPeer: the key Breakers reports
+	host string // dial address, outbound-fault target, hop and metric label
+	br   *resilience.Breaker
+
+	// conn is the dialed connection (plane.mu); it may be dead, until
+	// redialed. sender is the hint locators' pipeline to the peer, started
+	// by the first round that sees it (hintPlane.mu). fails counts
+	// consecutive failed contacts and contact is the sync round of the last
+	// good one (the partitioned locator's membership.mu).
+	conn    *peerConn
+	sender  *peerSender
+	fails   int
+	contact uint64
+}
+
 // AddPeer registers a peer node by base URL ("http://host:port"): the
 // locator exchanges metadata with every peer in this table, and machine IDs
-// naming one resolve through it.
+// naming one resolve through it. An address already registered, under
+// either spelling, is left as it is.
 func (n *Node) AddPeer(baseURL string) {
-	id := hintcache.HashMachine(hostPortOf(baseURL))
+	host := hostPortOf(baseURL)
+	id := hintcache.HashMachine(host)
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	if _, known := n.peers[id]; !known {
-		n.peerOrder = append(n.peerOrder, id)
+	if n.byID[id] != nil {
+		return
 	}
-	n.peers[id] = baseURL
-	// Eagerly create the peer's breaker so /metrics exposes its state from
-	// the first scrape, not the first failure.
-	n.breakers.Get(baseURL)
+	// The breaker is made here so /metrics exposes its state from the first
+	// scrape, not the first failure.
+	p := &peer{id: id, url: baseURL, host: host, br: resilience.NewBreaker(n.breakerCfg)}
+	n.peers = append(n.peers, p)
+	n.byID[id] = p
 }
 
-// peerURL resolves a machine ID to its base URL ("" when unknown).
-func (n *Node) peerURL(machine uint64) string {
+// peerByID resolves a machine ID to its record (nil when unknown).
+func (n *Node) peerByID(machine uint64) *peer {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	return n.peers[machine]
+	return n.byID[machine]
 }
 
-// peerRef is one row of the peer table.
-type peerRef struct {
-	id  uint64
-	url string
-}
-
-// peerList snapshots the peer table in AddPeer order.
-func (n *Node) peerList() []peerRef {
+// peerList snapshots the peer table in AddPeer order. The table only
+// grows, so the slice is shared, not copied.
+func (n *Node) peerList() []*peer {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	peers := make([]peerRef, 0, len(n.peerOrder))
-	for _, id := range n.peerOrder {
-		peers = append(peers, peerRef{id: id, url: n.peers[id]})
-	}
-	return peers
+	return n.peers
 }
 
 // hostPortOf strips an "http://" prefix.
@@ -778,7 +773,12 @@ func (n *Node) HintStats() hintcache.Stats {
 // Breakers snapshots every per-peer circuit breaker, keyed by peer base
 // URL.
 func (n *Node) Breakers() map[string]resilience.BreakerStats {
-	return n.breakers.Snapshot()
+	peers := n.peerList()
+	out := make(map[string]resilience.BreakerStats, len(peers))
+	for _, p := range peers {
+		out[p.url] = p.br.Stats()
+	}
+	return out
 }
 
 // FaultInjector returns the node's outbound fault injector, or nil when
@@ -986,9 +986,9 @@ var errPeerMiss = errors.New("status 404")
 // by this node's round-trip measurement — the difference between the two is
 // time on the wire. ctx carries the per-hop peer deadline (and, on the
 // hedged path, the race's abandon signal).
-func (n *Node) fetchPeer(ctx context.Context, peerURL, url, reqID string, sampled bool) (fetched, error) {
+func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sampled bool) (fetched, error) {
 	start := time.Now()
-	r, err := n.call(ctx, peerURL, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
+	r, err := n.call(ctx, p, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
 	switch {
 	case err == nil && r.Status == http.StatusNotFound:
 		err = errPeerMiss
@@ -1000,7 +1000,7 @@ func (n *Node) fetchPeer(ctx context.Context, peerURL, url, reqID string, sample
 	}
 	return fetched{version: int64(r.A), body: r.body, hops: []obs.Hop{
 		{Node: r.label, Outcome: "PEER-SERVE", Elapsed: time.Duration(r.B)},
-		{Node: hostPortOf(peerURL), Outcome: "PEER", Elapsed: time.Since(start)},
+		{Node: p.host, Outcome: "PEER", Elapsed: time.Since(start)},
 	}}, nil
 }
 

@@ -442,7 +442,7 @@ func TestConfigSurfaceOnlyShrinks(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{NodeConfig{}, 23},
+		{NodeConfig{}, 20},
 		{FleetConfig{}, 20},
 	} {
 		typ := reflect.TypeOf(c.cfg)

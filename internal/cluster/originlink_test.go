@@ -16,7 +16,6 @@ import (
 
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
-	"beyondcache/internal/resilience"
 	"beyondcache/internal/wire"
 )
 
@@ -219,7 +218,7 @@ func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 				return wire.PeerHeader{Status: http.StatusOK, A: 7}, []byte("from the peer")
 			})
 			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url, OriginTimeout: timeout, HedgeBudget: budget})
-			n.breakers = resilience.NewBreakerSet(noBreaker)
+			n.breakerCfg = noBreaker
 			n.AddPeer(peer.URL)
 
 			// The budget is the host's to keep as well: best of five.

@@ -311,7 +311,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 	f := startPartFleet(t, nodes, func(cfg *FleetConfig) {
 		// Hedging off: a reconverged fetch must succeed through the consult
 		// path on its own, not because the origin hedge papered over it.
-		cfg.HedgeBudget = -1
+		cfg.HedgeBudget = time.Hour
 	})
 
 	urls := make([]string, objects)

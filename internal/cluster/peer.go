@@ -50,6 +50,15 @@ const (
 	// peerInlineBody is the largest body copied behind its header into one
 	// write; larger ones go out as a two-part vectored write instead.
 	peerInlineBody = 4 << 10
+	// clientTimeout is the ceiling on any deadline in the package: the Fleet
+	// driver's per request, and how long an injected inbound hang holds a
+	// peer call.
+	clientTimeout = 10 * time.Second
+	// metadataTimeout bounds one metadata-path attempt (a hint batch, a
+	// digest pull or a hint-home consult). Metadata is retried and
+	// eventually consistent, so one attempt to a dead target should fail
+	// fast, not ride out clientTimeout.
+	metadataTimeout = 2 * time.Second
 )
 
 var (
@@ -69,26 +78,29 @@ type peerPlane struct {
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 
+	// mu guards conns, closed and every peer record's conn.
 	mu     sync.RWMutex
-	dialed map[string]*peerConn // by peer base URL; may be dead, until redialed
 	conns  map[*peerConn]struct{}
 	closed bool
 }
 
-// adopt registers pc (dialed to peerURL, or accepted: "") and starts loop
+// adopt registers pc (dialed to peer to, or accepted: nil) and starts loop
 // on it, which runs until the connection dies. It refuses, returning the
 // connection to use instead if there is one, once the plane has closed or
-// another dial to peerURL has won.
-func (p *peerPlane) adopt(pc *peerConn, peerURL string, loop func(*peerConn)) *peerConn {
+// another dial to the peer has won.
+func (p *peerPlane) adopt(pc *peerConn, to *peer, loop func(*peerConn)) *peerConn {
 	p.mu.Lock()
-	cur := p.dialed[peerURL]
+	var cur *peerConn
+	if to != nil {
+		cur = to.conn
+	}
 	if p.closed || cur != nil && cur.alive() {
 		p.mu.Unlock()
 		pc.c.Close()
 		return cur
 	}
-	if peerURL != "" {
-		p.dialed[peerURL] = pc
+	if to != nil {
+		to.conn = pc
 	}
 	p.conns[pc] = struct{}{}
 	p.wg.Add(1)
@@ -115,23 +127,23 @@ func (p *peerPlane) close() {
 	p.wg.Wait()
 }
 
-// conn returns the connection to peerURL, dialing under the caller's own
+// conn returns the connection to a peer, dialing under the caller's own
 // deadline if there is no live one. Two first callers may both dial; the
 // later one closes its connection and shares the earlier.
-func (p *peerPlane) conn(ctx context.Context, peerURL string) (*peerConn, error) {
+func (p *peerPlane) conn(ctx context.Context, to *peer) (*peerConn, error) {
 	p.mu.RLock()
-	pc := p.dialed[peerURL]
+	pc := to.conn
 	p.mu.RUnlock()
 	if pc != nil && pc.alive() {
 		return pc, nil
 	}
 	ctx, cancel := context.WithTimeout(ctx, peerDialTimeout)
 	defer cancel()
-	pc, err := dialPeer(ctx, hostPortOf(peerURL))
+	pc, err := dialPeer(ctx, to.host)
 	if err != nil {
 		return nil, err
 	}
-	if pc = p.adopt(pc, peerURL, (*peerConn).readLoop); pc == nil {
+	if pc = p.adopt(pc, to, (*peerConn).readLoop); pc == nil {
 		return nil, errPlaneClosed
 	}
 	return pc, nil
@@ -357,10 +369,9 @@ func (pc *peerConn) call(ctx context.Context, h wire.PeerHeader, body []byte) (p
 // call makes one call to a peer. The outbound fault decision is drawn once
 // per call and touches only this call. A nil error means the peer answered;
 // the status is the caller's to judge.
-func (n *Node) call(ctx context.Context, peerURL string, h wire.PeerHeader, body []byte) (peerReply, error) {
+func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte) (peerReply, error) {
 	if n.inj != nil {
-		host := hostPortOf(peerURL)
-		code, err := n.inj.Decide(host).Apply(ctx, host)
+		code, err := n.inj.Decide(p.host).Apply(ctx, p.host)
 		if err != nil || code > 0 {
 			return peerReply{PeerHeader: wire.PeerHeader{Status: uint16(code)}}, err
 		}
@@ -370,7 +381,7 @@ func (n *Node) call(ctx context.Context, peerURL string, h wire.PeerHeader, body
 	// net/http does for a stale pooled connection — that call is tried once
 	// more, on a fresh connection, if its deadline still allows.
 	for attempt := 0; ; attempt++ {
-		pc, err := n.plane.conn(ctx, peerURL)
+		pc, err := n.plane.conn(ctx, p)
 		if err != nil {
 			return peerReply{}, err
 		}
@@ -401,7 +412,7 @@ func (n *Node) handlePeer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.SetDeadline(time.Time{})
-	n.plane.adopt(newPeerConn(c, brw.Reader, ""), "", n.servePeer)
+	n.plane.adopt(newPeerConn(c, brw.Reader, ""), nil, n.servePeer)
 }
 
 // servePeer is an accepted connection's read loop. It answers inline only
@@ -575,9 +586,9 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	// Freshness telemetry: the sender stamped the batch with its oldest
 	// enqueue wall clock; the difference to our clock is how stale these
 	// hints already were on arrival.
-	from := n.peerURL(sender)
-	if stampNs > 0 && from != "" {
-		n.hintLag.Observe(hostPortOf(from), time.Since(time.Unix(0, stampNs)))
+	from := n.peerByID(sender)
+	if stampNs > 0 && from != nil {
+		n.hintLag.Observe(from.host, time.Since(time.Unix(0, stampNs)))
 	}
 	// An inbound batch is a sign of life from its sender: a locator that
 	// tracks membership lets a revived peer rejoin the routing plane

@@ -130,11 +130,17 @@ func (s *stubPeer) close() {
 
 func pingHeader() wire.PeerHeader { return wire.PeerHeader{Op: wire.PeerPing} }
 
+// peerOf is n's record of the peer at url, added if it is new to n.
+func peerOf(n *Node, url string) *peer {
+	n.AddPeer(url)
+	return n.peerByID(hintcache.HashMachine(hostPortOf(url)))
+}
+
 // dialedConn is the connection n's calls to peerURL currently share.
 func dialedConn(n *Node, peerURL string) *peerConn {
 	n.plane.mu.RLock()
 	defer n.plane.mu.RUnlock()
-	return n.plane.dialed[peerURL]
+	return peerOf(n, peerURL).conn
 }
 
 // TestPeerNoHeadOfLineBlocking: with one call held by an inbound latency
@@ -198,7 +204,7 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 	ping := func() (peerReply, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		return n.call(ctx, target.URL(), pingHeader(), nil)
+		return n.call(ctx, peerOf(n, target.URL()), pingHeader(), nil)
 	}
 	healthy := func(when string) {
 		t.Helper()
@@ -239,7 +245,7 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 	// write turn, but must not write (and fail) against its dead deadline.
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		if _, err := n.call(ctx, target.URL(), pingHeader(), nil); err != context.DeadlineExceeded {
+		if _, err := n.call(ctx, peerOf(n, target.URL()), pingHeader(), nil); err != context.DeadlineExceeded {
 			t.Errorf("ping under an expired deadline = %v", err)
 		}
 		cancel()
@@ -278,7 +284,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 		return wire.PeerHeader{Status: http.StatusNoContent}, nil
 	})
 	n := newMetaNode(t, NodeConfig{Name: "patient", PeerTimeout: 150 * time.Millisecond})
-	n.breakers = resilience.NewBreakerSet(resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Hour})
+	n.breakerCfg = resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Hour}
 	n.AddPeer(healthy.URL)
 
 	near, far := net.Pipe()
@@ -287,7 +293,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 	stuck := newPeerConn(near, bufio.NewReader(near), "stuck")
 	go stuck.readLoop()
 	n.plane.mu.Lock()
-	n.plane.dialed[healthy.URL] = stuck
+	peerOf(n, healthy.URL).conn = stuck
 	n.plane.mu.Unlock()
 
 	// The data path sees a string of timeouts, each on time, and the
@@ -295,12 +301,12 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PeerTimeout)
 		start := time.Now()
-		_, err := n.fetchPeer(ctx, healthy.URL, "http://example.com/stuck", "", false)
+		_, err := n.fetchPeer(ctx, peerOf(n, healthy.URL), "http://example.com/stuck", "", false)
 		cancel()
 		if took := time.Since(start); err == nil || took > n.cfg.PeerTimeout+100*time.Millisecond {
 			t.Errorf("object call into a stuck peer: %v after %v, want a timeout at %v", err, took, n.cfg.PeerTimeout)
 		}
-		n.breakers.Get(healthy.URL).Record(err == nil)
+		peerOf(n, healthy.URL).br.Record(err == nil)
 	}
 	if st := n.Breakers()[healthy.URL]; st.State != resilience.Open {
 		t.Errorf("breaker after calls into a stuck peer = %v, want open", st.State)
@@ -310,7 +316,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), d)
 		defer cancel()
 		start := time.Now()
-		_, err := n.call(ctx, healthy.URL, h, body)
+		_, err := n.call(ctx, peerOf(n, healthy.URL), h, body)
 		if took := time.Since(start); err == nil || took > d+100*time.Millisecond {
 			t.Errorf("%s: %v after %v, want an error by its own %v deadline", name, err, took, d)
 		}
@@ -338,7 +344,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if r, err := n.call(ctx, healthy.URL, pingHeader(), nil); err != nil || r.Status != http.StatusNoContent {
+	if r, err := n.call(ctx, peerOf(n, healthy.URL), pingHeader(), nil); err != nil || r.Status != http.StatusNoContent {
 		t.Errorf("ping after the stuck connection died = status %d, %v; want 204 over a fresh one", r.Status, err)
 	}
 	if got := dialedConn(n, healthy.URL); got == stuck {
@@ -379,7 +385,7 @@ func TestPeerCallRetriesOnceOnStaleConnection(t *testing.T) {
 	ping := func() (peerReply, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		return n.call(ctx, s.URL, pingHeader(), nil)
+		return n.call(ctx, peerOf(n, s.URL), pingHeader(), nil)
 	}
 	if r, err := ping(); err != nil || r.Status != http.StatusNoContent {
 		t.Fatalf("ping across a hang-up = status %d, %v; want 204 from the second connection", r.Status, err)
@@ -642,7 +648,7 @@ func TestPeerSmallCallBesideLargeBody(t *testing.T) {
 	}()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		machine, err := caller.queryHintHome(ctx, holder.URL(), hintcache.HashURL(url), "", false)
+		machine, err := caller.queryHintHome(ctx, peerOf(caller, holder.URL()), hintcache.HashURL(url), "", false)
 		cancel()
 		if err != nil || machine != holder.machineID {
 			t.Fatalf("holder lookup %d beside the transfer = %#x, %v; want %#x", i, machine, err, holder.machineID)
@@ -659,7 +665,7 @@ func TestPeerObjectBodyExactlySized(t *testing.T) {
 		return wire.PeerHeader{Status: http.StatusOK, A: 3}, bytes.Repeat([]byte("x"), 1234)
 	})
 	n := newMetaNode(t, NodeConfig{Name: "sized"})
-	got, err := n.fetchPeer(context.Background(), s.URL, "http://example.com/sized", "", false)
+	got, err := n.fetchPeer(context.Background(), peerOf(n, s.URL), "http://example.com/sized", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +731,7 @@ func TestPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 		pc := newPeerConn(near, bufio.NewReader(near), "stuck")
 		go pc.readLoop()
 		n.plane.mu.Lock()
-		n.plane.dialed[peerURL] = pc
+		peerOf(n, peerURL).conn = pc
 		n.plane.mu.Unlock()
 	}
 	for name, stick := range map[string]func(t *testing.T, n *Node, peerURL string){
@@ -739,7 +745,7 @@ func TestPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			n := newMetaNode(t, NodeConfig{Name: "hedger", OriginURL: osrv.URL, HedgeBudget: budget})
-			n.breakers = resilience.NewBreakerSet(noBreaker)
+			n.breakerCfg = noBreaker
 			// The peer accepts connections and says nothing on them. Its
 			// cleanup (and a pipe's) runs before the node's Close, whose flush
 			// is then refused at once instead of waiting out three dials.

@@ -34,14 +34,13 @@ type hintPlane struct {
 	// mechanisms' wire costs stay separately comparable.
 	wire *atomic.Int64
 
-	// mu guards senders: one running peerSender per peer, keyed by base
-	// URL, started by the first round that sees the peer.
-	mu      sync.Mutex
-	senders map[string]*peerSender
+	// mu guards every peer record's sender: one running peerSender per
+	// peer, started by the first round that sees the peer.
+	mu sync.Mutex
 }
 
 func newHintPlane(n *Node, wire *atomic.Int64) *hintPlane {
-	return &hintPlane{n: n, pend: newPendq(hintQueueCap), wire: wire, senders: make(map[string]*peerSender)}
+	return &hintPlane{n: n, pend: newPendq(hintQueueCap), wire: wire}
 }
 
 func (p *hintPlane) sync() {}
@@ -54,7 +53,7 @@ func (p *hintPlane) directory(h uint64) (candidate, bool) {
 	if !ok {
 		return candidate{}, false
 	}
-	return candidate{peerURL: p.n.peerURL(machine), holder: machine}, true
+	return candidate{peer: p.n.peerByID(machine)}, true
 }
 
 // lookup: with the whole directory replicated here, no record means no
@@ -90,13 +89,13 @@ func (p *hintPlane) enqueue(u hintcache.Update) {
 // holder's record for the same object stays.
 func (p *hintPlane) demote(h, holder uint64) { p.n.hints.Delete(h, holder) }
 
-func (p *hintPlane) contact(string, bool) {}
+func (p *hintPlane) contact(*peer, bool) {}
 
 // round sends every pending record to every peer.
 func (p *hintPlane) round(wait bool) { p.flush(wait, nil) }
 
 // flush drains the pending queue and hands each sender its share of the
-// batch: all of it, or what route (records by target base URL) assigns it.
+// batch: all of it, or what route (records by target) assigns it.
 // Every sender contributes a generation to the round's barrier — with
 // nothing to enqueue, the one it already had in flight — so a waited flush
 // returns only once each target's sender has delivered or abandoned its
@@ -106,25 +105,25 @@ func (p *hintPlane) round(wait bool) { p.flush(wait, nil) }
 // interval. The fan-out is concurrent, one sender per target, so a round
 // costs the slowest target, not the sum; rounds that send something are
 // timed into the flush histogram (empty rounds would swamp it with no-ops).
-func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[string][]hintcache.Update) {
+func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[*peer][]hintcache.Update) {
 	start := time.Now()
 	batch, stampNs := p.pend.drain(nil)
-	var routed map[string][]hintcache.Update
+	var routed map[*peer][]hintcache.Update
 	if route != nil {
 		routed = route(batch)
 	}
 	peers := p.n.peerList()
-	senders := make([]*peerSender, len(peers))
+	targets := make([]*peerSender, len(peers))
 	p.mu.Lock()
 	for i, peer := range peers {
-		if p.senders[peer.url] == nil {
-			p.senders[peer.url] = newPeerSender(p, peer.url)
+		if peer.sender == nil {
+			peer.sender = newPeerSender(p, peer)
 		}
-		senders[i] = p.senders[peer.url]
+		targets[i] = peer.sender
 	}
 	p.mu.Unlock()
-	seqs := make([]int64, len(senders))
-	for i, s := range senders {
+	seqs := make([]int64, len(targets))
+	for i, s := range targets {
 		share := batch
 		if route != nil {
 			share = routed[s.target]
@@ -135,9 +134,9 @@ func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[string][
 			seqs[i] = s.currentSeq()
 		}
 	}
-	timed := len(batch) > 0 && len(senders) > 0
+	timed := len(batch) > 0 && len(targets) > 0
 	await := func() {
-		for i, s := range senders {
+		for i, s := range targets {
 			s.wait(seqs[i])
 		}
 		if timed {
@@ -156,28 +155,30 @@ func (p *hintPlane) serveDigest(_ uint64, resp *wire.PeerHeader) []byte {
 	return nil
 }
 
-func (p *hintPlane) collect() locatorGauges {
-	g := locatorGauges{pending: p.pend.len(), queues: make(map[string]queueGauge)}
+func (p *hintPlane) collect() locatorGauges { return locatorGauges{pending: p.pend.len()} }
+
+// started returns the peer's sender, nil before its first round.
+func (p *hintPlane) started(peer *peer) *peerSender {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for target, s := range p.senders {
-		g.queues[target] = queueGauge{depth: s.q.len(), dropped: s.dropped.Load()}
+	return peer.sender
+}
+
+func (p *hintPlane) queued(peer *peer) (depth int, dropped int64) {
+	if s := p.started(peer); s != nil {
+		depth, dropped = s.q.len(), s.dropped.Load()
 	}
-	return g
+	return depth, dropped
 }
 
 // close stops the per-peer senders. The batcher's final waited round has
 // completed by now; anything still queued on a failing target has already
 // burned its retry budget.
 func (p *hintPlane) close() {
-	p.mu.Lock()
-	senders := make([]*peerSender, 0, len(p.senders))
-	for _, s := range p.senders {
-		senders = append(senders, s)
-	}
-	p.mu.Unlock()
-	for _, s := range senders {
-		s.shutdown()
+	for _, peer := range p.n.peerList() {
+		if s := p.started(peer); s != nil {
+			s.shutdown()
+		}
 	}
 }
 
@@ -195,7 +196,7 @@ func (p *hintPlane) close() {
 // draining, and wait blocks until done catches up.
 type peerSender struct {
 	p      *hintPlane
-	target string // base URL
+	target *peer
 
 	q *pendq
 	// dropped counts records this sender's queue bound discarded; depth
@@ -217,7 +218,7 @@ type peerSender struct {
 }
 
 // newPeerSender builds and starts a sender for one target.
-func newPeerSender(p *hintPlane, target string) *peerSender {
+func newPeerSender(p *hintPlane, target *peer) *peerSender {
 	s := &peerSender{
 		p:      p,
 		target: target,

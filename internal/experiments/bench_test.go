@@ -12,7 +12,7 @@ import (
 // BenchmarkAllPoliciesCell measures one grand-comparison cell — the hint
 // architecture on the DEC trace under the testbed model — end to end,
 // including allocations. This is the unit of work the parallel scheduler
-// distributes; BENCH_sim.json tracks it across optimization rounds.
+// distributes (DESIGN.md §9 has its before and after).
 func BenchmarkAllPoliciesCell(b *testing.B) {
 	p := trace.DECProfile(trace.Scale(0.005))
 	if _, err := trace.MaterializedFor(p); err != nil {

@@ -143,16 +143,3 @@ func WriteBenchFile(path string, rows []BenchRow) error {
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
-
-// ReadBenchFile parses a BENCH_load.json document.
-func ReadBenchFile(path string) (BenchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return BenchFile{}, err
-	}
-	var doc BenchFile
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return BenchFile{}, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	return doc, nil
-}

@@ -159,8 +159,7 @@ type Scenario struct {
 	StrongConsistency bool
 	// OriginLatency is the origin's baseline artificial service latency.
 	OriginLatency time.Duration
-	// HedgeBudget passes through to every node (0 = node default 50ms,
-	// the "hedging enabled" configuration; negative disables hedging).
+	// HedgeBudget passes through to every node (0 = node default 50ms).
 	HedgeBudget time.Duration
 	// UpdateInterval is the fleet's metadata exchange interval (0 = 100ms).
 	UpdateInterval time.Duration

@@ -231,46 +231,3 @@ func (b *Breaker) rate() float64 {
 func (b *Breaker) resetWindow() {
 	b.head, b.filled = 0, 0
 }
-
-// BreakerSet is a keyed collection of breakers sharing one config — one
-// breaker per peer, created on first use (or eagerly via Get).
-type BreakerSet struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
-	m   map[string]*Breaker
-}
-
-// NewBreakerSet builds an empty set whose breakers use cfg.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	cfg.defaults()
-	return &BreakerSet{cfg: cfg, m: make(map[string]*Breaker)}
-}
-
-// Get returns the breaker for key, creating it (closed) if needed.
-func (s *BreakerSet) Get(key string) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.m[key]
-	if !ok {
-		b = NewBreaker(s.cfg)
-		s.m[key] = b
-	}
-	return b
-}
-
-// Snapshot returns per-key breaker stats.
-func (s *BreakerSet) Snapshot() map[string]BreakerStats {
-	s.mu.Lock()
-	keys := make([]*Breaker, 0, len(s.m))
-	names := make([]string, 0, len(s.m))
-	for k, b := range s.m {
-		names = append(names, k)
-		keys = append(keys, b)
-	}
-	s.mu.Unlock()
-	out := make(map[string]BreakerStats, len(names))
-	for i, k := range names {
-		out[k] = keys[i].Stats()
-	}
-	return out
-}

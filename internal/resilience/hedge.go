@@ -43,9 +43,7 @@ type RaceResult[T any] struct {
 // within budget, starts the fallback beside it on a goroutine of its own;
 // the first success wins and the loser's context is canceled. A primary that
 // fails inside the budget is followed by the fallback at once, inline, so a
-// race that never hedges spawns nothing and makes no fallback context. A
-// negative budget disables hedging: the fallback runs only after the primary
-// fails — the pre-resilience behavior, kept for comparison benchmarks.
+// race that never hedges spawns nothing and makes no fallback context.
 //
 // Race returns only when its inline primary has: a primary must return
 // promptly once its context is canceled, or it holds up the leg that beat it.
@@ -54,13 +52,9 @@ type RaceResult[T any] struct {
 // fetch and fallback = origin fetch.
 func Race[T any](ctx context.Context, budget time.Duration, primary, fallback func(context.Context) (T, error)) RaceResult[T] {
 	var h hedge[T]
-	pctx := ctx
-	if budget >= 0 {
-		var abandon context.CancelFunc
-		pctx, abandon = context.WithCancel(ctx)
-		defer abandon()
-		defer time.AfterFunc(budget, func() { h.run(ctx, fallback, abandon) }).Stop()
-	}
+	pctx, abandon := context.WithCancel(ctx)
+	defer abandon()
+	defer time.AfterFunc(budget, func() { h.run(ctx, fallback, abandon) }).Stop()
 	v, err := primary(pctx)
 	h.mu.Lock()
 	h.settled = true

@@ -119,19 +119,6 @@ func TestBreakerThresholdAboveOneNeverOpens(t *testing.T) {
 	}
 }
 
-func TestBreakerSet(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{MinSamples: 1, FailureThreshold: 0.5})
-	a := s.Get("peerA")
-	if s.Get("peerA") != a {
-		t.Error("Get returned a different breaker for the same key")
-	}
-	a.Record(false)
-	snap := s.Snapshot()
-	if snap["peerA"].State != Open {
-		t.Errorf("snapshot = %+v", snap)
-	}
-}
-
 func TestBackoffGrowthCapAndJitter(t *testing.T) {
 	b := NewBackoff(100*time.Millisecond, 400*time.Millisecond, 2, 7)
 	for attempt, full := range []time.Duration{
@@ -254,28 +241,6 @@ func TestRaceBothFail(t *testing.T) {
 		func(ctx context.Context) (string, error) { return "", f })
 	if r.Winner != BothFailed || !errors.Is(r.PrimaryErr, p) || !errors.Is(r.Err, f) {
 		t.Errorf("result = %+v", r)
-	}
-}
-
-func TestRaceNegativeBudgetIsSequential(t *testing.T) {
-	var fallbackStarted time.Time
-	primaryDone := make(chan time.Time, 1)
-	boom := errors.New("down")
-	r := Race(context.Background(), -1,
-		func(ctx context.Context) (string, error) {
-			time.Sleep(20 * time.Millisecond)
-			primaryDone <- time.Now()
-			return "", boom
-		},
-		func(ctx context.Context) (string, error) {
-			fallbackStarted = time.Now()
-			return "origin", nil
-		})
-	if r.Winner != FallbackAfterPrimary || r.Value != "origin" || r.Hedged {
-		t.Errorf("result = %+v", r)
-	}
-	if fallbackStarted.Before(<-primaryDone) {
-		t.Error("negative budget still hedged: fallback started before primary finished")
 	}
 }
 
