@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -671,61 +670,6 @@ func (n *Node) URL() string {
 // MachineID returns the node's 8-byte machine identifier.
 func (n *Node) MachineID() uint64 { return n.machineID }
 
-// peer is everything the node keeps about one other node: built once by
-// AddPeer, found by machine ID in the hint table's answer, and passed by
-// pointer from there on. The identity fields and the breaker never change;
-// each of the rest is guarded by the mutex of the code that owns it.
-type peer struct {
-	id   uint64 // hintcache.HashMachine(host)
-	url  string // as given to AddPeer: the key Breakers reports
-	host string // dial address, outbound-fault target, hop and metric label
-	br   *resilience.Breaker
-
-	// conn is the dialed connection (plane.mu); it may be dead, until
-	// redialed. sender is the hint locators' pipeline to the peer, started
-	// by the first round that sees it (hintPlane.mu). fails counts
-	// consecutive failed contacts and contact is the sync round of the last
-	// good one (the partitioned locator's membership.mu).
-	conn    *peerConn
-	sender  *peerSender
-	fails   int
-	contact uint64
-}
-
-// AddPeer registers a peer node by base URL ("http://host:port"): the
-// locator exchanges metadata with every peer in this table, and machine IDs
-// naming one resolve through it. An address already registered, under
-// either spelling, is left as it is.
-func (n *Node) AddPeer(baseURL string) {
-	host := hostPortOf(baseURL)
-	id := hintcache.HashMachine(host)
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if n.byID[id] != nil {
-		return
-	}
-	// The breaker is made here so /metrics exposes its state from the first
-	// scrape, not the first failure.
-	p := &peer{id: id, url: baseURL, host: host, br: resilience.NewBreaker(n.breakerCfg)}
-	n.peers = append(n.peers, p)
-	n.byID[id] = p
-}
-
-// peerByID resolves a machine ID to its record (nil when unknown).
-func (n *Node) peerByID(machine uint64) *peer {
-	n.peerMu.RLock()
-	defer n.peerMu.RUnlock()
-	return n.byID[machine]
-}
-
-// peerList snapshots the peer table in AddPeer order. The table only
-// grows, so the slice is shared, not copied.
-func (n *Node) peerList() []*peer {
-	n.peerMu.RLock()
-	defer n.peerMu.RUnlock()
-	return n.peers
-}
-
 // hostPortOf strips an "http://" prefix.
 func hostPortOf(baseURL string) string {
 	const prefix = "http://"
@@ -768,17 +712,6 @@ func (n *Node) Stats() Stats {
 // HintStats returns the hint table's counters.
 func (n *Node) HintStats() hintcache.Stats {
 	return n.hints.Stats()
-}
-
-// Breakers snapshots every per-peer circuit breaker, keyed by peer base
-// URL.
-func (n *Node) Breakers() map[string]resilience.BreakerStats {
-	peers := n.peerList()
-	out := make(map[string]resilience.BreakerStats, len(peers))
-	for _, p := range peers {
-		out[p.url] = p.br.Stats()
-	}
-	return out
 }
 
 // FaultInjector returns the node's outbound fault injector, or nil when
@@ -974,44 +907,6 @@ type fetched struct {
 	version int64
 	body    []byte
 	hops    []obs.Hop
-}
-
-// errPeerMiss is a peer's definitive "not here" (status 404): the hint was
-// stale, but the peer answered — the metadata is suspect, not the peer.
-var errPeerMiss = errors.New("status 404")
-
-// fetchPeer performs a cache-to-cache transfer: one object call on the
-// peer plane. On success it returns the hop chain for the transfer: the
-// peer's self-timed serve segment (from its answer's fixed fields) followed
-// by this node's round-trip measurement — the difference between the two is
-// time on the wire. ctx carries the per-hop peer deadline (and, on the
-// hedged path, the race's abandon signal).
-func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sampled bool) (fetched, error) {
-	start := time.Now()
-	r, err := n.call(ctx, p, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
-	switch {
-	case err == nil && r.Status == http.StatusNotFound:
-		err = errPeerMiss
-	case err == nil && r.Status != http.StatusOK:
-		err = fmt.Errorf("status %d", r.Status)
-	}
-	if err != nil {
-		return fetched{}, fmt.Errorf("peer fetch: %w", err)
-	}
-	return fetched{version: int64(r.A), body: r.body, hops: []obs.Hop{
-		{Node: r.label, Outcome: "PEER-SERVE", Elapsed: time.Duration(r.B)},
-		{Node: p.host, Outcome: "PEER", Elapsed: time.Since(start)},
-	}}, nil
-}
-
-// sampledCall starts a peer call's header; a sampled request's calls carry
-// its trace ID so the peer can record its own span under it.
-func sampledCall(op wire.PeerOp, reqID string, sampled bool) wire.PeerHeader {
-	h := wire.PeerHeader{Op: op, Sampled: sampled}
-	if sampled {
-		h.A = obs.TraceID(reqID)
-	}
-	return h
 }
 
 // fetchOrigin fetches from the origin server over the origin link, on the

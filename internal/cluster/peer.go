@@ -23,6 +23,7 @@ import (
 
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
+	"beyondcache/internal/obs"
 	"beyondcache/internal/wire"
 )
 
@@ -390,6 +391,44 @@ func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte
 			return r, err
 		}
 	}
+}
+
+// errPeerMiss is a peer's definitive "not here" (status 404): the hint was
+// stale, but the peer answered — the metadata is suspect, not the peer.
+var errPeerMiss = errors.New("status 404")
+
+// fetchPeer performs a cache-to-cache transfer: one object call on the
+// peer plane. On success it returns the hop chain for the transfer: the
+// peer's self-timed serve segment (from its answer's fixed fields) followed
+// by this node's round-trip measurement — the difference between the two is
+// time on the wire. ctx carries the per-hop peer deadline (and, on the
+// hedged path, the race's abandon signal).
+func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sampled bool) (fetched, error) {
+	start := time.Now()
+	r, err := n.call(ctx, p, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
+	switch {
+	case err == nil && r.Status == http.StatusNotFound:
+		err = errPeerMiss
+	case err == nil && r.Status != http.StatusOK:
+		err = fmt.Errorf("status %d", r.Status)
+	}
+	if err != nil {
+		return fetched{}, fmt.Errorf("peer fetch: %w", err)
+	}
+	return fetched{version: int64(r.A), body: r.body, hops: []obs.Hop{
+		{Node: r.label, Outcome: "PEER-SERVE", Elapsed: time.Duration(r.B)},
+		{Node: p.host, Outcome: "PEER", Elapsed: time.Since(start)},
+	}}, nil
+}
+
+// sampledCall starts a peer call's header; a sampled request's calls carry
+// its trace ID so the peer can record its own span under it.
+func sampledCall(op wire.PeerOp, reqID string, sampled bool) wire.PeerHeader {
+	h := wire.PeerHeader{Op: op, Sampled: sampled}
+	if sampled {
+		h.A = obs.TraceID(reqID)
+	}
+	return h
 }
 
 // handlePeer accepts a peer's connection: GET /peer with the upgrade
