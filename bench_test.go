@@ -436,8 +436,10 @@ func benchNodeFetch(b *testing.B, mode string, cfg cluster.NodeConfig, wrap func
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.Bind("http://bench.node.invalid:80")
 	defer n.Close()
+	if err := n.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
 
 	h := n.Handler()
 	if wrap != nil {

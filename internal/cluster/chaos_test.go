@@ -53,24 +53,9 @@ func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig, tw
 			t.Fatal(err)
 		}
 		node.breakerCfg = brk
-		srv := httptest.NewServer(node.Handler())
-		node.Bind(srv.URL)
-		f.nodes = append(f.nodes, node)
-		f.servers = append(f.servers, srv)
-		t.Cleanup(func() {
-			if err := node.Close(); err != nil {
-				t.Errorf("node close: %v", err)
-			}
-			srv.Close()
-		})
+		f.start(t, node)
 	}
-	for _, a := range f.nodes {
-		for _, b := range f.nodes {
-			if a != b {
-				a.AddPeer(b.URL())
-			}
-		}
-	}
+	f.mesh()
 	return f
 }
 
@@ -323,7 +308,6 @@ func TestPeerDeathHintDemotion(t *testing.T) {
 	if err := f.nodes[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.servers[1].Close()
 
 	how, _, _, err := f.fetch(0, url)
 	if err != nil {

@@ -114,16 +114,14 @@ func TestDigestDeltaFleetEquivalence(t *testing.T) {
 	}
 	want := ownDigestBytes(owner)
 
+	copyOf := peerOf(puller, owner.URL())
 	pulled := digestsOf(puller)
 	pulled.mu.RLock()
-	if len(pulled.peerDigests) != 1 {
+	if copyOf.digest == nil {
 		pulled.mu.RUnlock()
-		t.Fatalf("puller tracks %d peer digests, want 1", len(pulled.peerDigests))
+		t.Fatal("puller holds no copy of the owner's digest")
 	}
-	var got []byte
-	for _, copyOf := range pulled.peerDigests {
-		got = copyOf.AppendBinary(nil)
-	}
+	got := copyOf.digest.AppendBinary(nil)
 	pulled.mu.RUnlock()
 
 	if !bytes.Equal(got, want) {

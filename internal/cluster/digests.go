@@ -28,9 +28,10 @@ import (
 //     byte-identical to the owner's filter — metadata bytes per round are
 //     proportional to churn, not cache size.
 //
-// Locking: all digest state (own filter, resident set, journal, peer
-// copies, cursors) lives under the locator's mu. publish and delta
-// application take it in write mode; probes and serves take it in read mode.
+// Locking: all digest state (own filter, resident set, journal, and on each
+// peer record the copy, its cursor and its generation stamp) lives under the
+// locator's mu. publish and delta application take it in write mode; probes
+// and serves take it in read mode.
 
 // wireCompressMin is the frame-compression threshold when
 // NodeConfig.WireCompress is on: payloads below it ship raw.
@@ -64,18 +65,12 @@ type digestLocator struct {
 	// entry, so a digest serve never rebuilds from cache contents. ownPresent
 	// is the exact resident set backing it — the dedup layer (refreshes of
 	// an already-resident object are not transitions) and the rebuild
-	// source when a counter saturates. digestGen remembers each peer
-	// digest's generation wall clock (from its answer's generated-at stamp) so
-	// the next pull can observe how stale the snapshot it replaces had
-	// become; peerCursor is the journal cursor to present on the next delta
-	// pull from each peer.
-	mu          sync.RWMutex
-	own         *digest.Counting
-	ownPresent  map[uint64]struct{}
-	journal     *digest.Journal
-	peerDigests map[uint64]*digest.Counting
-	peerCursor  map[uint64]uint64
-	digestGen   map[uint64]int64
+	// source when a counter saturates. mu also guards every peer record's
+	// digest, cursor and digestGen (peers.go).
+	mu         sync.RWMutex
+	own        *digest.Counting
+	ownPresent map[uint64]struct{}
+	journal    *digest.Journal
 	// seq numbers the digest snapshots this node serves.
 	seq atomic.Int64
 }
@@ -99,25 +94,20 @@ func newDigestLocator(n *Node, capacity, hintReplicas int) (*digestLocator, erro
 		jcap = 1024
 	}
 	return &digestLocator{
-		n:           n,
-		own:         own,
-		ownPresent:  make(map[uint64]struct{}),
-		journal:     digest.NewJournal(jcap),
-		peerDigests: make(map[uint64]*digest.Counting),
-		peerCursor:  make(map[uint64]uint64),
-		digestGen:   make(map[uint64]int64),
+		n:          n,
+		own:        own,
+		ownPresent: make(map[uint64]struct{}),
+		journal:    digest.NewJournal(jcap),
 	}, nil
 }
 
 // Peers are pulled from the node's own peer table, a filter bit cannot be
 // retracted (a stale one ages out at the next pull), and the mechanism
 // tracks no liveness and runs no goroutines of its own.
-func (d *digestLocator) sync()                     {}
-func (d *digestLocator) demote(_, _ uint64)        {}
-func (d *digestLocator) contact(*peer, bool)       {}
-func (d *digestLocator) collect() locatorGauges    { return locatorGauges{} }
-func (d *digestLocator) queued(*peer) (int, int64) { return 0, 0 }
-func (d *digestLocator) close()                    {}
+func (d *digestLocator) sync()                  {}
+func (d *digestLocator) demote(_, _ uint64)     {}
+func (d *digestLocator) contact(*peer, bool)    {}
+func (d *digestLocator) collect() locatorGauges { return locatorGauges{} }
 
 // publish feeds one cache residency transition into the incremental digest
 // plane. The exact resident set dedupes non-transitions (a version refresh
@@ -274,11 +264,8 @@ func (d *digestLocator) pullDigest(p *peer) {
 	n := d.n
 	// Snapshot the cursor for the request. A first pull sends none (no
 	// filter to patch yet).
-	var since uint64
 	d.mu.RLock()
-	if _, ok := d.peerDigests[p.id]; ok {
-		since = d.peerCursor[p.id]
-	}
+	since := p.cursor
 	d.mu.RUnlock()
 	var genNs int64
 	var cursor uint64
@@ -314,7 +301,7 @@ func (d *digestLocator) pullDigest(p *peer) {
 		n.stats.sendErrors.Add(1)
 		return
 	}
-	if err := d.applyDigestResponse(p.id, frame.Kind, payload, cursor); err != nil {
+	if err := d.applyDigestResponse(p, frame.Kind, payload, cursor); err != nil {
 		n.stats.sendErrors.Add(1)
 		return
 	}
@@ -325,37 +312,36 @@ func (d *digestLocator) pullDigest(p *peer) {
 		genNs = now
 	}
 	d.mu.Lock()
-	prev := d.digestGen[p.id]
-	d.digestGen[p.id] = genNs
+	prev := p.digestGen
+	p.digestGen = genNs
 	d.mu.Unlock()
 	if prev != 0 {
 		// The snapshot this pull replaces was generated at prev; it has
 		// been the node's view of this peer ever since — that age is the
 		// digest staleness the paper's summary-scheme tradeoff pays.
-		n.digestStale.Observe(p.host, time.Duration(now-prev))
+		p.digestStale.Observe(time.Duration(now - prev))
 	}
 	n.stats.digestsPulled.Add(1)
 }
 
-// applyDigestResponse installs one pulled digest frame: a full snapshot
-// replaces (reusing the existing filter's storage when shapes match) and a
-// delta patches in place. The peer's next-pull cursor advances either way.
-func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, payload []byte, cursor uint64) error {
+// applyDigestResponse installs one pulled digest frame on the peer's
+// record: a full snapshot replaces (reusing the existing filter's storage
+// when shapes match) and a delta patches in place. The peer's next-pull
+// cursor advances either way.
+func (d *digestLocator) applyDigestResponse(p *peer, kind wire.Kind, payload []byte, cursor uint64) error {
 	switch kind {
 	case wire.KindDigestFull:
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		f, ok := d.peerDigests[peerID]
-		if !ok {
+		f := p.digest
+		if f == nil {
 			f = &digest.Counting{}
-			d.peerDigests[peerID] = f
 		}
 		if err := f.UnmarshalBinary(payload); err != nil {
-			delete(d.peerDigests, peerID)
-			delete(d.peerCursor, peerID)
+			p.digest, p.cursor = nil, 0
 			return err
 		}
-		d.peerCursor[peerID] = cursor
+		p.digest, p.cursor = f, cursor
 		return nil
 
 	case wire.KindDigestDelta:
@@ -365,17 +351,15 @@ func (d *digestLocator) applyDigestResponse(peerID uint64, kind wire.Kind, paylo
 		}
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		f, ok := d.peerDigests[peerID]
-		if !ok {
-			// A delta with no base to patch: drop the cursor so the next
-			// pull fetches a full snapshot.
-			delete(d.peerCursor, peerID)
+		if p.digest == nil {
+			// A delta with no base to patch: the cursor is already 0, so the
+			// next pull fetches a full snapshot.
 			return fmt.Errorf("digest delta for unknown peer filter")
 		}
 		for _, op := range ops {
-			f.Apply(op)
+			p.digest.Apply(op)
 		}
-		d.peerCursor[peerID] = cursor
+		p.cursor = cursor
 		d.n.stats.digestDeltaOps.Add(int64(len(ops)))
 		return nil
 
@@ -391,7 +375,7 @@ func (d *digestLocator) holder(urlHash, asker uint64) (uint64, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for _, p := range peers {
-		if f, ok := d.peerDigests[p.id]; ok && p.id != asker && f.MayContain(urlHash) {
+		if p.digest != nil && p.id != asker && p.digest.MayContain(urlHash) {
 			return p.id, true
 		}
 	}

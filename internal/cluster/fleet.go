@@ -154,11 +154,11 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 			f.Close()
 			return nil, err
 		}
+		f.Nodes = append(f.Nodes, n) // Close releases it, started or not
 		if err := n.Start("127.0.0.1:0"); err != nil {
 			f.Close()
 			return nil, err
 		}
-		f.Nodes = append(f.Nodes, n)
 	}
 	// Full mesh.
 	for _, a := range f.Nodes {
@@ -183,9 +183,6 @@ func (f *Fleet) RestartNode(i int) error {
 	}
 	old := f.Nodes[i]
 	addr := old.Addr()
-	if addr == "" {
-		return fmt.Errorf("cluster: restart: node %d does not own its listener", i)
-	}
 	if i < len(f.killed) {
 		f.killed[i] = false
 	}
@@ -212,6 +209,9 @@ func (f *Fleet) RestartNode(i int) error {
 		startErr = n.Start(addr)
 	}
 	if startErr != nil {
+		// The slot keeps the closed node: release this one's cache directory
+		// for the next attempt.
+		n.Close()
 		return fmt.Errorf("cluster: restart: rebind %s: %w", addr, startErr)
 	}
 	f.Nodes[i] = n

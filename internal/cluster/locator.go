@@ -16,11 +16,13 @@ import (
 // path, behind a local find-nearest lookup that must never slow a miss.
 // NewNode picks one implementation — broadcast hints (sender.go),
 // partitioned hint homes (members.go) or pulled digests (digests.go) — and
-// nothing outside those files asks which. Each owns its state; the hint
-// table, the peer table, the breakers and the counters stay the node's.
+// nothing outside those files asks which. Each owns its state, what it keeps
+// per peer being fields of the peer record (peers.go); the hint table, the
+// peer table, the breakers and the counters stay the node's. None runs a
+// goroutine between rounds, so there is nothing to stop when the node closes.
 type locator interface {
 	// sync brings the mechanism's picture of the fleet up to date: once the
-	// machine ID is fixed (Start, Bind), at the top of every round, and in
+	// machine ID is fixed (Start), at the top of every round, and in
 	// Fleet.FlushAll on every node before any node's round.
 	sync()
 	// lookup is the local find-nearest, no network hop: where to probe for h.
@@ -46,12 +48,9 @@ type locator interface {
 	// serveDigest answers a peer's digest pull from cursor since: it
 	// returns one digest frame and fills in the answer's fixed fields (or a
 	// 404 status: this mechanism serves none). collect reports the gauges
-	// for /metrics and queued one peer's sender backlog and its drops so
-	// far; close stops the mechanism's goroutines after the last round.
+	// for /metrics.
 	serveDigest(since uint64, resp *wire.PeerHeader) []byte
 	collect() locatorGauges
-	queued(p *peer) (depth int, dropped int64)
-	close()
 }
 
 // candidate is a lookup's answer: at most one place to try before the

@@ -36,7 +36,7 @@ import (
 )
 
 // partitionLocator is the partitioned hint directory: the broadcast
-// locator's queues, senders and records, routed to owner sets over a live
+// locator's queue, senders and records, routed to owner sets over a live
 // membership instead of to every peer.
 type partitionLocator struct {
 	*hintPlane
@@ -125,7 +125,7 @@ func (n *Node) ping(p *peer) bool {
 // (breaker-detected peer death); dead peers keep being probed, so revival
 // is symmetric.
 //
-// The first call, from Start or Bind, only seeds the routing plane with the
+// The first call, from Start, only seeds the routing plane with the
 // node itself, now that its machine ID is fixed. The first real sync folds
 // the peer table in (and runs the resulting re-homing pass, which is what
 // lets a restarted node's boot-recovered residents re-announce to their

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,14 +34,7 @@ func newUpdateSink(t testing.TB) *updateSink {
 		if h.Op != wire.PeerHints {
 			return wire.PeerHeader{Status: http.StatusNoContent}, nil
 		}
-		var us []hintcache.Update
-		f, _, err := wire.Decode(body)
-		if err == nil {
-			var records []byte
-			if records, err = f.Payload(nil); err == nil {
-				us, err = hintcache.AppendDecodedUpdates(nil, records)
-			}
-		}
+		us, err := decodeHintBody(body)
 		if err != nil {
 			return wire.PeerHeader{Status: http.StatusBadRequest}, nil
 		}
@@ -55,6 +47,20 @@ func newUpdateSink(t testing.TB) *updateSink {
 		return wire.PeerHeader{Status: http.StatusNoContent}, nil
 	})
 	return s
+}
+
+// decodeHintBody reads a hint call's body the way a node does: one frame,
+// its payload the records.
+func decodeHintBody(body []byte) ([]hintcache.Update, error) {
+	f, _, err := wire.Decode(body)
+	if err != nil {
+		return nil, err
+	}
+	records, err := f.Payload(nil)
+	if err != nil {
+		return nil, err
+	}
+	return hintcache.AppendDecodedUpdates(nil, records)
 }
 
 // hintFrame encodes updates the way a sender puts them on the wire: one
@@ -99,8 +105,8 @@ func (s *updateSink) firstArrival(t testing.TB, deadline time.Duration) time.Tim
 	}
 }
 
-// newMetaNode boots a node over httptest for metadata-plane tests. The
-// origin URL points nowhere: these tests never fetch objects.
+// newMetaNode starts a node for metadata-plane tests. The origin URL points
+// nowhere: these tests never fetch objects.
 func newMetaNode(t testing.TB, cfg NodeConfig) *Node {
 	t.Helper()
 	if cfg.OriginURL == "" {
@@ -113,13 +119,13 @@ func newMetaNode(t testing.TB, cfg NodeConfig) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(n.Handler())
-	n.Bind(srv.URL)
+	if err := n.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		if err := n.Close(); err != nil {
 			t.Errorf("node close: %v", err)
 		}
-		srv.Close()
 	})
 	return n
 }

@@ -63,9 +63,9 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Counter("beyondcache_hint_updates_received_total",
 		"Hint updates received in peers' hint batches.", st.UpdatesReceived)
 	e.Counter("beyondcache_hint_batches_sent_total",
-		"Hint-update batch POSTs completed.", st.BatchesSent)
+		"Hint-update batches (hint calls) completed.", st.BatchesSent)
 	e.Counter("beyondcache_hint_send_errors_total",
-		"Hint-update batch POSTs that failed.", st.SendErrors)
+		"Hint-update batches (hint calls) that failed.", st.SendErrors)
 	e.Counter("beyondcache_digest_pulls_total",
 		"Peer digest pulls completed (digest mode).", st.DigestsPulled)
 
@@ -147,18 +147,18 @@ func (n *Node) Metrics() *obs.Expo {
 		st.HedgeOriginWins, obs.L("winner", "origin"))
 	e.Counter("beyondcache_hedges_total", "", st.HedgePeerWins, obs.L("winner", "peer"))
 	e.Counter("beyondcache_retries_total",
-		"Metadata-path re-attempts (hint-batch POSTs, digest pulls) spent after a failure.",
+		"Metadata-path re-attempts (hint calls, digest pulls) spent after a failure.",
 		st.Retries)
 
-	// Per-peer families: the breaker and the locator's sender queue, in
-	// AddPeer order. Breakers are made in AddPeer, so every peer reports
-	// from the first scrape (a queue the locator does not run reports
-	// zeros). The aggregate open gauge is emitted even with no peers so the
-	// family always exists.
+	// Per-peer families: the breaker and the hint sender's queue, in AddPeer
+	// order. Both are made in AddPeer, so every peer reports from the first
+	// scrape (a queue the locator never feeds reports zeros). The aggregate
+	// open gauge is emitted even with no peers so the family always exists.
+	peers := n.peerList()
 	open, maxQueued := 0, 0
-	for _, p := range n.peerList() {
+	for _, p := range peers {
 		bs := p.br.Stats()
-		depth, dropped := n.loc.queued(p)
+		depth, dropped := p.sender.q.len(), p.sender.dropped.Load()
 		if bs.State != resilience.Closed {
 			open++
 		}
@@ -182,24 +182,15 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Gauge("beyondcache_breakers_open",
 		"Peers whose breaker is currently not closed.", float64(open))
 
-	// Metadata freshness (DESIGN.md §11). The aggregate (unlabeled) series
-	// of each histogram family exists from the first scrape; per-peer series
-	// appear once that peer has contributed an observation. Directory lag is
-	// the node's view of how far its peers' hint directories trail reality:
-	// records still pending the next batch round plus the deepest per-peer
-	// sender backlog.
-	e.Histogram("beyondcache_hint_propagation_seconds",
+	// Metadata freshness (DESIGN.md §11). Directory lag is the node's view
+	// of how far its peers' hint directories trail reality: records still
+	// pending the next batch round plus the deepest per-peer sender backlog.
+	peerHistograms(e, "beyondcache_hint_propagation_seconds",
 		"Age of hint batches at receipt: receiver wall clock minus the batch's oldest-enqueue stamp, by sending peer.",
-		n.hintLag.All().Snapshot())
-	n.hintLag.Each(func(label string, s obs.HistogramSnapshot) {
-		e.Histogram("beyondcache_hint_propagation_seconds", "", s, obs.L("peer", label))
-	})
-	e.Histogram("beyondcache_digest_staleness_seconds",
+		peers, func(p *peer) *obs.Histogram { return p.hintLag })
+	peerHistograms(e, "beyondcache_digest_staleness_seconds",
 		"Age of the peer digest each pull replaces: time since that snapshot was generated, by peer.",
-		n.digestStale.All().Snapshot())
-	n.digestStale.Each(func(label string, s obs.HistogramSnapshot) {
-		e.Histogram("beyondcache_digest_staleness_seconds", "", s, obs.L("peer", label))
-	})
+		peers, func(p *peer) *obs.Histogram { return p.digestStale })
 	e.Gauge("beyondcache_hint_directory_lag_objects",
 		"Updates enqueued locally but not yet delivered to every peer: pending records plus the deepest sender queue.",
 		float64(loc.pending+maxQueued))
@@ -246,7 +237,7 @@ func (n *Node) Metrics() *obs.Expo {
 		"Duration of one hint-batch flush round across all targets.",
 		n.hist.flush.Snapshot())
 	e.Histogram("beyondcache_hint_fanout_seconds",
-		"Per-target hint-batch delivery time (one sender's successful POST, retries included).",
+		"Per-target hint-batch delivery time (one sender's successful hint call, retries included).",
 		n.hist.fanout.Snapshot())
 	e.Histogram("beyondcache_peer_serve_seconds",
 		"Time to serve a cached object to a peer.",
@@ -353,6 +344,25 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Gauge("beyondcache_node_info",
 		"Constant 1; the name label identifies the node.", 1, obs.L("name", n.label()))
 	return e
+}
+
+// peerHistograms emits one per-peer histogram family. The unlabeled
+// aggregate is the merge of the peers' snapshots, so it exists from the
+// first scrape and its count is the sum of the labelled ones; a labelled
+// series appears, in AddPeer order, once its peer has an observation.
+func peerHistograms(e *obs.Expo, name, help string, peers []*peer, of func(*peer) *obs.Histogram) {
+	all := obs.NewHistogram(nil)
+	snaps := make([]obs.HistogramSnapshot, len(peers))
+	for i, p := range peers {
+		snaps[i] = of(p).Snapshot()
+		_ = all.Merge(snaps[i]) // every one has the default bounds
+	}
+	e.Histogram(name, help, all.Snapshot())
+	for i, p := range peers {
+		if snaps[i].Count() > 0 {
+			e.Histogram(name, "", snaps[i], obs.L("peer", p.host))
+		}
+	}
 }
 
 // handleMetrics serves GET /metrics in Prometheus text format.

@@ -392,13 +392,6 @@ type Node struct {
 	stats counters
 	hist  nodeHists
 
-	// hintLag records, per sending peer, how old a hint batch's oldest
-	// record was on arrival (the live hint-propagation-lag signal);
-	// digestStale records, per pulled peer, how stale each digest
-	// snapshot had grown when its replacement arrived.
-	hintLag     *obs.HistogramVec
-	digestStale *obs.HistogramVec
-
 	// spans is the lock-free structured-span ring behind /debug/spans;
 	// sampler decides which requests are recorded. reqSeq numbers
 	// generated request IDs.
@@ -421,11 +414,10 @@ type Node struct {
 
 	machineID uint64
 	// nodeLabel names the node in hop segments and request IDs: the
-	// configured Name, or the listen address once Start/Bind fixes it.
+	// configured Name, or the listen address once Start fixes it.
 	nodeLabel string
-	extURL    string // set by Bind; empty when Start owns the listener
 	lis       net.Listener
-	door      *frontDoor // nil when the caller serves Handler itself (Bind)
+	door      *frontDoor // nil until Start
 	// origin reaches the origin and nothing else (originlink.go); plane
 	// carries everything said to or by a peer (peer.go).
 	origin *originLink
@@ -436,8 +428,8 @@ type Node struct {
 	closeOnce sync.Once
 }
 
-// NewNode builds a node; call Start (or Handler plus Bind) to begin
-// serving.
+// NewNode builds a node; call Start to begin serving, and Close whether or
+// not Start was called or succeeded.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.OriginURL == "" {
 		return nil, fmt.Errorf("cluster: node %q: OriginURL required", cfg.Name)
@@ -477,8 +469,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		data:         cache.NewSharded(0, cfg.CacheBytes),
 		hints:        hintcache.NewStriped(cfg.HintEntries, 4, 0),
 		hist:         newNodeHists(),
-		hintLag:      obs.NewHistogramVec(nil),
-		digestStale:  obs.NewHistogramVec(nil),
 		spans:        obs.NewSpanRing(0),
 		sampler:      obs.NewSampler(sample),
 		byID:         make(map[uint64]*peer),
@@ -537,10 +527,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// Handler returns the node's HTTP handler. Most callers use Start, which
-// serves the handler from the node's own listener through the front door
-// (frontdoor.go); tests that want to serve the node from an httptest.Server
-// mount this handler there and call Bind with the server's URL.
+// Handler returns the node's HTTP handler. Start serves it from the node's
+// own listener through the front door (frontdoor.go); the benchmark's probes
+// call it in process.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fetch", n.handleFetch)
@@ -552,7 +541,7 @@ func (n *Node) Handler() http.Handler {
 		return mux
 	}
 	// Server-side chaos: the middleware matches rules against the node's
-	// label, resolved per request because Start/Bind fix it after Handler
+	// label, resolved per request because Start fixes it after Handler
 	// may already have been called. The peer plane draws its own decision
 	// for every call on a connection, so its handshake is not judged.
 	outer := http.NewServeMux()
@@ -576,15 +565,6 @@ func (n *Node) Start(addr string) error {
 	return nil
 }
 
-// Bind registers the node's externally served base URL and starts the
-// update batcher. Use it instead of Start when the caller owns the HTTP
-// server (an httptest.Server wrapping Handler, typically). Call Close as
-// usual; it stops the batcher and leaves the caller's server alone.
-func (n *Node) Bind(baseURL string) {
-	n.extURL = baseURL
-	n.boot(hostPortOf(baseURL))
-}
-
 // boot fixes the node's identity from its served address and starts the
 // batcher and the disk recovery.
 func (n *Node) boot(hostport string) {
@@ -601,7 +581,7 @@ func (n *Node) boot(hostport string) {
 // (walking each log segment up to its first invalid or torn record) and
 // republish every recovered object through the locator, then run a round
 // so peers re-learn a restarted node's contents within one update interval
-// instead of waiting out a cold start. Runs after Start/Bind fixes
+// instead of waiting out a cold start. Runs after Start fixes
 // machineID — the informs must carry it. Recovered objects become visible
 // to fill() incrementally as the scan proceeds.
 func (n *Node) recoverDisk() {
@@ -621,8 +601,7 @@ func (n *Node) recoverDisk() {
 }
 
 // WaitRecovery blocks until the boot disk-recovery scan has finished. It
-// returns immediately for memory-only nodes. Must be called after Start or
-// Bind.
+// returns immediately for memory-only nodes. Must be called after Start.
 func (n *Node) WaitRecovery() { <-n.recoveryDone }
 
 // RecoveryStats returns the boot recovery scan's result (zero value until
@@ -660,12 +639,7 @@ func (n *Node) Addr() string {
 }
 
 // URL returns the node's base URL.
-func (n *Node) URL() string {
-	if n.extURL != "" {
-		return n.extURL
-	}
-	return "http://" + n.Addr()
-}
+func (n *Node) URL() string { return "http://" + n.Addr() }
 
 // MachineID returns the node's 8-byte machine identifier.
 func (n *Node) MachineID() uint64 { return n.machineID }
@@ -680,24 +654,32 @@ func hostPortOf(baseURL string) string {
 }
 
 // Close stops the batcher (flushing once) and shuts the front door. Close
-// is idempotent. It must only be called after Start or Bind.
+// is idempotent. On a node that was never started — Start not called, or
+// failed — there is no batcher, scan or door, and it releases the rest: the
+// disk tier's log and spiller, the origin link and the peer plane.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
-		// Wait out the boot recovery scan first: its republish rides the
-		// locator, which shuts down below, and a restart test reusing
-		// the same cache dir must not race a still-running scan.
-		<-n.recoveryDone
+		started := n.door != nil
+		if started {
+			// Wait out the boot recovery scan first: its republish rides the
+			// peer plane, which shuts down below, and a restart test reusing
+			// the same cache dir must not race a still-running scan.
+			<-n.recoveryDone
+		}
 		if n.tier != nil {
 			// Drain the write-behind queue so the directory survives
 			// the restart intact.
 			n.tier.Close()
 		}
-		close(n.stopBatch)
-		<-n.batchDone
-		n.loc.close()
+		if started {
+			// The batcher's last round is a waited one: when it returns
+			// every sender is idle, so nothing of the locator's is running.
+			close(n.stopBatch)
+			<-n.batchDone
+		}
 		n.plane.close()
 		n.origin.close()
-		if n.door != nil {
+		if started {
 			n.door.close()
 		}
 	})

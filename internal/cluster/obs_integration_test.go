@@ -49,24 +49,9 @@ func newObsFleet(t *testing.T, n int, muts ...func(i int, cfg *NodeConfig)) *tes
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(node.Handler())
-		node.Bind(srv.URL)
-		f.nodes = append(f.nodes, node)
-		f.servers = append(f.servers, srv)
-		t.Cleanup(func() {
-			if err := node.Close(); err != nil {
-				t.Errorf("node close: %v", err)
-			}
-			srv.Close()
-		})
+		f.start(t, node)
 	}
-	for _, a := range f.nodes {
-		for _, b := range f.nodes {
-			if a != b {
-				a.AddPeer(b.URL())
-			}
-		}
-	}
+	f.mesh()
 	return f
 }
 

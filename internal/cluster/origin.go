@@ -1,9 +1,10 @@
 // Package cluster is the networked prototype of the hint architecture,
 // mirroring the paper's Squid modification (Section 3.2): cache nodes speak
-// HTTP over TCP, keep 16-byte location-hint records in a set-associative
+// HTTP over TCP to clients and the origin and a framed protocol to each
+// other (peer.go), keep 16-byte location-hint records in a set-associative
 // table, exchange batched 20-byte hint updates (4-byte action, 8-byte object
-// hash, 8-byte machine ID) via periodic POSTs, and serve each other's misses
-// with direct cache-to-cache transfers. A miss whose hint turns out stale
+// hash, 8-byte machine ID) as periodic hint frames, and serve each other's
+// misses with direct cache-to-cache transfers. A miss whose hint turns out stale
 // gets an error from the peer and falls through to the origin server — the
 // false-positive path of Section 3.1.1.
 package cluster

@@ -627,7 +627,7 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	// hints already were on arrival.
 	from := n.peerByID(sender)
 	if stampNs > 0 && from != nil {
-		n.hintLag.Observe(from.host, time.Since(time.Unix(0, stampNs)))
+		from.hintLag.Observe(time.Since(time.Unix(0, stampNs)))
 	}
 	// An inbound batch is a sign of life from its sender: a locator that
 	// tracks membership lets a revived peer rejoin the routing plane

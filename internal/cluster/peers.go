@@ -1,29 +1,54 @@
 package cluster
 
 import (
+	"beyondcache/internal/digest"
 	"beyondcache/internal/hintcache"
+	"beyondcache/internal/obs"
 	"beyondcache/internal/resilience"
 )
 
-// peer is everything the node keeps about one other node: built once by
+// peer is everything the node keeps about one other node: built whole by
 // AddPeer, found by machine ID in the hint table's answer, and passed by
-// pointer from there on. The identity fields and the breaker never change;
-// each of the rest is guarded by the mutex of the code that owns it.
+// pointer from there on. The identity fields, the breaker and the two
+// histograms (lock-free) never change; each of the rest is guarded by the
+// mutex of the code that owns it.
 type peer struct {
 	id   uint64 // hintcache.HashMachine(host)
 	url  string // as given to AddPeer: the key Breakers reports
 	host string // dial address, outbound-fault target, hop and metric label
 	br   *resilience.Breaker
 
-	// conn is the dialed connection (plane.mu); it may be dead, until
-	// redialed. sender is the hint locators' pipeline to the peer, started
-	// by the first round that sees it (hintPlane.mu). fails counts
-	// consecutive failed contacts and contact is the sync round of the last
-	// good one (the partitioned locator's membership.mu).
-	conn    *peerConn
-	sender  *peerSender
+	// hintLag is how old each hint batch from the peer was on arrival (its
+	// oldest record's enqueue stamp against this node's clock); digestStale
+	// how stale each digest pulled from it had grown when its replacement
+	// arrived. /metrics labels them by host and merges them into each
+	// family's aggregate.
+	hintLag     *obs.Histogram
+	digestStale *obs.Histogram
+
+	// conn is the dialed connection; it may be dead, until redialed.
+	// Guarded by plane.mu.
+	conn *peerConn
+
+	// sender is the hint locators' pipeline to the peer (sender.go): never
+	// nil, idle until a round feeds it. Its queue and counters lock
+	// themselves; the rest of it is under sender.mu.
+	sender *peerSender
+
+	// fails counts consecutive failed contacts and contact is the sync
+	// round of the last good one. Guarded by the partitioned locator's
+	// membership.mu.
 	fails   int
 	contact uint64
+
+	// digest is this node's copy of the peer's cache digest (nil before the
+	// first pull), cursor the journal cursor to present on the next pull (0
+	// whenever digest is nil: ask for a full snapshot) and digestGen the
+	// wall clock at which the peer generated that copy. Guarded by
+	// digestLocator.mu.
+	digest    *digest.Counting
+	cursor    uint64
+	digestGen int64
 }
 
 // AddPeer registers a peer node by base URL ("http://host:port"): the
@@ -40,7 +65,11 @@ func (n *Node) AddPeer(baseURL string) {
 	}
 	// The breaker is made here so /metrics exposes its state from the first
 	// scrape, not the first failure.
-	p := &peer{id: id, url: baseURL, host: host, br: resilience.NewBreaker(n.breakerCfg)}
+	p := &peer{
+		id: id, url: baseURL, host: host, br: resilience.NewBreaker(n.breakerCfg),
+		hintLag: obs.NewHistogram(nil), digestStale: obs.NewHistogram(nil),
+	}
+	p.sender = &peerSender{target: p, q: newPendq(hintQueueCap)}
 	n.peers = append(n.peers, p)
 	n.byID[id] = p
 }

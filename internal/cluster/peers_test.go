@@ -17,7 +17,6 @@ func TestAddPeerOneRecordPerAddress(t *testing.T) {
 		n := newMetaNode(t, NodeConfig{Name: "one-record"})
 		n.AddPeer(spellings[0])
 		n.AddPeer(spellings[1])
-		n.Flush() // nothing to send: starts the peer's sender and no more
 
 		br := n.Breakers()
 		if _, ok := br[spellings[0]]; !ok || len(br) != 1 {
@@ -43,7 +42,7 @@ func TestAddPeerOneRecordPerAddress(t *testing.T) {
 // that reads it runs — fetches that resolve a hint to a record and transfer
 // from it, metadata rounds, scrapes — and while one peer restarts under its
 // records elsewhere. Once the node has closed, every record's connection is
-// dead and every sender a round started has exited: read off the records,
+// dead and no record's sender has a drain running: read off the records,
 // which is where a leak would be.
 func TestPeerTableConcurrent(t *testing.T) {
 	for name, cfg := range map[string]FleetConfig{
@@ -134,7 +133,7 @@ func TestPeerTableConcurrent(t *testing.T) {
 			}
 
 			// Everything that wrote a record has returned: read them bare.
-			conns, senders := 0, 0
+			conns, sent := 0, int64(0)
 			for _, p := range n.peerList() {
 				if p.conn != nil {
 					conns++
@@ -142,21 +141,13 @@ func TestPeerTableConcurrent(t *testing.T) {
 						t.Errorf("connection to %s outlived Close", p.host)
 					}
 				}
-				if p.sender != nil {
-					senders++
-					select {
-					case <-p.sender.exited:
-					default:
-						t.Errorf("sender to %s outlived Close", p.host)
-					}
+				if draining(p) {
+					t.Errorf("sender to %s has a drain running after Close", p.host)
 				}
+				sent += p.sender.batchSeq.Load()
 			}
-			wantSenders := 4
-			if cfg.UseDigests {
-				wantSenders = 0 // nothing is pushed
-			}
-			if conns == 0 || senders != wantSenders {
-				t.Errorf("%d connections dialed and %d senders started, want some and %d", conns, senders, wantSenders)
+			if conns == 0 || (sent == 0) != cfg.UseDigests {
+				t.Errorf("%d connections dialed and %d batches sent, want some of each (no batch under digests: nothing is pushed)", conns, sent)
 			}
 		})
 	}

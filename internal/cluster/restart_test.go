@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,5 +199,109 @@ func TestRestartRecoveryRepublishReachesNewPeer(t *testing.T) {
 	}
 	if got := f.Origin.Fetches(); got != objects+pads {
 		t.Errorf("origin fetches = %d, want %d (fill only; recovery must not refetch)", got, objects+pads)
+	}
+}
+
+// spillerRunning reports whether any disk tier's write-behind goroutine
+// exists in the process, with the goroutine dump that shows it.
+func spillerRunning() (dump string, running bool) {
+	buf := make([]byte, 1<<20)
+	dump = string(buf[:runtime.Stack(buf, true)])
+	return dump, strings.Contains(dump, "store.(*Spiller).run")
+}
+
+// TestCloseBeforeStart: a node that was built but never started — Start not
+// called, or refused its port — still holds a disk tier (its spiller's
+// goroutine), an origin link and a peer plane. Close releases them without
+// waiting for a batcher or a recovery scan that never began, and the cache
+// directory is free for the next node.
+func TestCloseBeforeStart(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := NodeConfig{Name: "unstarted", OriginURL: "http://127.0.0.1:1", UpdateInterval: time.Hour, CacheDir: t.TempDir()}
+	for _, start := range []bool{false, true} {
+		n, err := NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start {
+			if err := n.Start(taken.Addr().String()); err == nil {
+				t.Fatal("Start on a taken port succeeded")
+			}
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- n.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close on a node that never started (Start tried: %v) did not return", start)
+		}
+		if dump, running := spillerRunning(); running {
+			t.Errorf("Close on a node that never started (Start tried: %v) left its spiller running:\n%s", start, dump)
+		}
+	}
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatalf("reopening the cache directory: %v", err)
+	}
+	if err := n.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	n.WaitRecovery()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestartNodeFailedStartReleasesNode: a replacement that cannot get its
+// port back is closed, not dropped — nothing of it is left running — and the
+// next RestartNode opens the same cache directory and recovers from it.
+func TestRestartNodeFailedStartReleasesNode(t *testing.T) {
+	f := startFleet(t, 2, FleetConfig{ObjectSize: 256, CacheBytes: 4 * 256, CacheDirs: []string{t.TempDir()}})
+	for _, u := range urlsN("reopen", 12) {
+		if _, err := f.Fetch(0, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Nodes[0].tier.Flush()
+	onDisk := f.Nodes[0].tier.DiskStats().Objects
+	if onDisk == 0 {
+		t.Fatal("nothing spilled: the restart would recover nothing")
+	}
+	addr := f.Nodes[0].Addr()
+	if err := f.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	var squatter net.Listener
+	for attempt := 0; ; attempt++ { // the port was closed a moment ago
+		var err error
+		if squatter, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		if attempt == 50 {
+			t.Fatalf("could not take %s over: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := f.RestartNode(0); err == nil {
+		t.Fatal("RestartNode onto an occupied port succeeded")
+	}
+	// Node 0 is the only one with a disk tier, and it is down.
+	if dump, running := spillerRunning(); running {
+		t.Errorf("the replacement that could not bind left its spiller running:\n%s", dump)
+	}
+	squatter.Close()
+	if err := f.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	f.Nodes[0].WaitRecovery()
+	if got := f.Nodes[0].RecoveryStats().Objects; got != int(onDisk) {
+		t.Errorf("recovered %d objects from the reopened directory, want %d", got, onDisk)
 	}
 }

@@ -21,9 +21,9 @@ const hintQueueCap = 8192
 // hintPlane is the broadcast locator, the paper's own mechanism: every
 // residency transition becomes an exact 20-byte hint record, each round
 // sends the coalesced records to every peer, and a miss consults the local
-// hint table and nothing else. It owns the pending queue and the per-peer
-// senders; the partitioned locator (members.go) embeds it and routes the
-// same records to owner sets instead.
+// hint table and nothing else. It owns the pending queue and drives the
+// senders on the peer records; the partitioned locator (members.go) embeds
+// it and routes the same records to owner sets instead.
 type hintPlane struct {
 	n *Node
 	// pend is the bounded coalescing queue of hint updates awaiting the
@@ -33,10 +33,6 @@ type hintPlane struct {
 	// WireHintBytesPartitioned when the records are routed, so the two
 	// mechanisms' wire costs stay separately comparable.
 	wire *atomic.Int64
-
-	// mu guards every peer record's sender: one running peerSender per
-	// peer, started by the first round that sees the peer.
-	mu sync.Mutex
 }
 
 func newHintPlane(n *Node, wire *atomic.Int64) *hintPlane {
@@ -94,17 +90,17 @@ func (p *hintPlane) contact(*peer, bool) {}
 // round sends every pending record to every peer.
 func (p *hintPlane) round(wait bool) { p.flush(wait, nil) }
 
-// flush drains the pending queue and hands each sender its share of the
-// batch: all of it, or what route (records by target) assigns it.
-// Every sender contributes a generation to the round's barrier — with
-// nothing to enqueue, the one it already had in flight — so a waited flush
-// returns only once each target's sender has delivered or abandoned its
-// share; tests rely on that to avoid sleeping. The periodic round hands
-// over without waiting — a target burning its retry budget never delays
-// the next round, so healthy peers keep receiving hints at the configured
-// interval. The fan-out is concurrent, one sender per target, so a round
-// costs the slowest target, not the sum; rounds that send something are
-// timed into the flush histogram (empty rounds would swamp it with no-ops).
+// flush drains the pending queue and hands each peer's sender its share of
+// the batch: all of it, or what route (records by target) assigns it. A
+// waited flush then returns only once every sender has gone idle, so each
+// target's share, and anything an earlier round left in flight, has been
+// delivered or abandoned; tests rely on that to avoid sleeping. The periodic
+// round hands over without waiting — a target burning its retry budget
+// never delays the next round, so healthy peers keep receiving hints at the
+// configured interval. The fan-out is concurrent, one drain per target, so a
+// round costs the slowest target, not the sum; rounds that send something
+// are timed into the flush histogram (empty rounds would swamp it with
+// no-ops), up to the moment the senders are idle again.
 func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[*peer][]hintcache.Update) {
 	start := time.Now()
 	batch, stampNs := p.pend.drain(nil)
@@ -113,31 +109,19 @@ func (p *hintPlane) flush(wait bool, route func([]hintcache.Update) map[*peer][]
 		routed = route(batch)
 	}
 	peers := p.n.peerList()
-	targets := make([]*peerSender, len(peers))
-	p.mu.Lock()
-	for i, peer := range peers {
-		if peer.sender == nil {
-			peer.sender = newPeerSender(p, peer)
-		}
-		targets[i] = peer.sender
-	}
-	p.mu.Unlock()
-	seqs := make([]int64, len(targets))
-	for i, s := range targets {
+	for _, target := range peers {
 		share := batch
 		if route != nil {
-			share = routed[s.target]
+			share = routed[target]
 		}
 		if len(share) > 0 {
-			seqs[i] = s.enqueue(share, stampNs)
-		} else {
-			seqs[i] = s.currentSeq()
+			target.sender.enqueue(p, share, stampNs)
 		}
 	}
-	timed := len(batch) > 0 && len(targets) > 0
+	timed := len(batch) > 0 && len(peers) > 0
 	await := func() {
-		for i, s := range targets {
-			s.wait(seqs[i])
+		for _, target := range peers {
+			target.sender.wait()
 		}
 		if timed {
 			p.n.hist.flush.Observe(time.Since(start))
@@ -157,45 +141,14 @@ func (p *hintPlane) serveDigest(_ uint64, resp *wire.PeerHeader) []byte {
 
 func (p *hintPlane) collect() locatorGauges { return locatorGauges{pending: p.pend.len()} }
 
-// started returns the peer's sender, nil before its first round.
-func (p *hintPlane) started(peer *peer) *peerSender {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return peer.sender
-}
-
-func (p *hintPlane) queued(peer *peer) (depth int, dropped int64) {
-	if s := p.started(peer); s != nil {
-		depth, dropped = s.q.len(), s.dropped.Load()
-	}
-	return depth, dropped
-}
-
-// close stops the per-peer senders. The batcher's final waited round has
-// completed by now; anything still queued on a failing target has already
-// burned its retry budget.
-func (p *hintPlane) close() {
-	for _, peer := range p.n.peerList() {
-		if s := p.started(peer); s != nil {
-			s.shutdown()
-		}
-	}
-}
-
-// peerSender owns the hint-update pipeline to one target: a bounded
-// coalescing queue fed by hintPlane.flush, drained by a dedicated goroutine that
-// encodes and sends batches under the per-attempt metadata timeout with
-// jittered backoff retries. Because every target has its own sender, a slow
-// or blackholed peer burns its retry budget on its own goroutine while the
-// other senders deliver at full speed — the serial flush loop's
-// head-of-line blocking (one sick peer delaying every healthy peer behind
-// it by up to the whole retry budget) becomes a per-peer property.
-//
-// Generations make the asynchronous pipeline awaitable: enqueue stamps the
-// queue with a new seq, the loop records done = the seq it observed before
-// draining, and wait blocks until done catches up.
+// peerSender is the hint-update pipeline to one target: a bounded
+// coalescing queue fed by hintPlane.flush and emptied by a drain goroutine
+// that lives only while there is something to send. Because every target
+// drains on its own goroutine, a slow or blackholed peer burns its retry
+// budget there while the others deliver at full speed — the head-of-line
+// blocking of a serial flush loop (one sick peer delaying every healthy
+// peer behind it by up to the whole retry budget) stays a per-peer property.
 type peerSender struct {
-	p      *hintPlane
 	target *peer
 
 	q *pendq
@@ -206,134 +159,79 @@ type peerSender struct {
 	// the hint call's stamp so the receiver can see delivery gaps.
 	batchSeq atomic.Int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     int64 // generation of the newest enqueued work
-	done    int64 // generation the loop has finished (sent or abandoned)
-	stopped bool
+	// mu guards idle: nil while no drain runs, else the channel the running
+	// drain closes on its way out. The drain empties q under mu, so a share
+	// enqueued after it found q empty finds idle nil and starts the next one.
+	mu   sync.Mutex
+	idle chan struct{}
 
-	notify chan struct{}
-	stop   chan struct{}
-	exited chan struct{}
-}
-
-// newPeerSender builds and starts a sender for one target.
-func newPeerSender(p *hintPlane, target *peer) *peerSender {
-	s := &peerSender{
-		p:      p,
-		target: target,
-		q:      newPendq(hintQueueCap),
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		exited: make(chan struct{}),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	go s.loop()
-	return s
+	// scratch, recs and frame belong to the running drain and are reused
+	// from one to the next, so steady-state sending does not allocate per
+	// round.
+	scratch     []hintcache.Update
+	recs, frame []byte
 }
 
 // enqueue folds a batch into the sender's queue (carrying the batch's
-// oldest-enqueue stamp forward) and returns the generation to wait on for
-// its delivery.
-func (s *peerSender) enqueue(batch []hintcache.Update, stampNs int64) int64 {
+// oldest-enqueue stamp forward) and starts a drain unless one is running:
+// that one will come to these records after what it is sending now.
+func (s *peerSender) enqueue(p *hintPlane, batch []hintcache.Update, stampNs int64) {
 	_, dropped := s.q.addBatch(batch, stampNs)
 	if dropped > 0 {
 		s.dropped.Add(int64(dropped))
-		s.p.n.stats.queueDropped.Add(int64(dropped))
+		p.n.stats.queueDropped.Add(int64(dropped))
 	}
 	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-	return seq
-}
-
-// currentSeq returns the newest generation without enqueueing anything —
-// what an empty flush waits on to act as a delivery barrier.
-func (s *peerSender) currentSeq() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// wait blocks until generation seq has been sent or abandoned (or the
-// sender is stopped).
-func (s *peerSender) wait(seq int64) {
-	s.mu.Lock()
-	for s.done < seq && !s.stopped {
-		s.cond.Wait()
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+		go s.drain(p)
 	}
 	s.mu.Unlock()
 }
 
-// shutdown stops the loop and waits for it to exit. Pending records are
-// abandoned (Close runs a final waited round before shutting senders down,
-// so anything queued in normal operation has already been attempted).
-func (s *peerSender) shutdown() {
-	close(s.stop)
-	<-s.exited
+// wait blocks until no drain is running: everything enqueued before the
+// call has been sent or abandoned.
+func (s *peerSender) wait() {
+	s.mu.Lock()
+	idle := s.idle
+	s.mu.Unlock()
+	if idle != nil {
+		<-idle
+	}
 }
 
-// loop drains and sends until stopped. The scratch batch and wire buffer
-// are loop-owned and reused across rounds, so steady-state sending does not
-// allocate per round.
-func (s *peerSender) loop() {
-	defer func() {
-		s.mu.Lock()
-		s.stopped = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		close(s.exited)
-	}()
-	var scratch []hintcache.Update
-	var recs, frame []byte
+// drain sends what is queued, one batch after another in enqueue order —
+// records that arrive during a send coalesce into the next batch — and
+// leaves when it finds the queue empty.
+func (s *peerSender) drain(p *hintPlane) {
 	for {
-		select {
-		case <-s.stop:
+		var stampNs int64
+		s.mu.Lock()
+		s.scratch, stampNs = s.q.drain(s.scratch[:0])
+		if len(s.scratch) == 0 {
+			close(s.idle)
+			s.idle = nil
+			s.mu.Unlock()
 			return
-		case <-s.notify:
 		}
-		for {
-			s.mu.Lock()
-			target := s.seq
-			s.mu.Unlock()
-			var stampNs int64
-			scratch, stampNs = s.q.drain(scratch[:0])
-			if len(scratch) > 0 {
-				recs = recs[:0]
-				for _, u := range scratch {
-					recs = hintcache.AppendUpdate(recs, u)
-				}
-				// One frame per batch: the records ride as a KindHintBatch
-				// payload, optionally flate-compressed past the threshold.
-				frame = wire.AppendFrame(frame[:0], wire.KindHintBatch, recs, s.p.n.frameCompressMin())
-				s.send(frame, len(scratch), stampNs)
-			}
-			s.mu.Lock()
-			if s.done < target {
-				s.done = target
-			}
-			more := s.seq > s.done
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			if !more {
-				break
-			}
+		s.mu.Unlock()
+		s.recs = s.recs[:0]
+		for _, u := range s.scratch {
+			s.recs = hintcache.AppendUpdate(s.recs, u)
 		}
+		// One frame per batch: the records ride as a KindHintBatch payload,
+		// optionally flate-compressed past the threshold.
+		s.frame = wire.AppendFrame(s.frame[:0], wire.KindHintBatch, s.recs, p.n.frameCompressMin())
+		s.send(p, s.frame, len(s.scratch), stampNs)
 	}
 }
 
 // send delivers one encoded batch as a hint call, retrying under jittered
 // backoff (hint batches are idempotent — the table applies them by record).
-// Failure past the retry budget abandons the batch for this target, exactly
-// as the serial flush did; the node's counters and the per-target fan-out
-// histogram record the outcome.
-func (s *peerSender) send(body []byte, records int, stampNs int64) {
-	n := s.p.n
+// Failure past the retry budget abandons the batch for this target; the
+// node's counters and the per-target fan-out histogram record the outcome.
+func (s *peerSender) send(p *hintPlane, body []byte, records int, stampNs int64) {
+	n := p.n
 	start := time.Now()
 	h := wire.PeerHeader{Op: wire.PeerHints, A: n.machineID, C: uint64(stampNs)}
 	if stampNs > 0 {
@@ -359,6 +257,6 @@ func (s *peerSender) send(body []byte, records int, stampNs int64) {
 	}
 	n.stats.batchesSent.Add(1)
 	n.stats.updatesSent.Add(int64(records))
-	s.p.wire.Add(int64(len(body)))
+	p.wire.Add(int64(len(body)))
 	n.hist.fanout.Observe(time.Since(start))
 }

@@ -216,41 +216,56 @@ func TestAssembledFleetTraceByteStable(t *testing.T) {
 }
 
 // TestHintPropagationLagRecorded checks metadata-freshness layer 1: a
-// delivered hint batch shows up in the receiver's per-peer propagation
-// histogram with a plausible lag.
+// delivered hint batch shows up in the receiver's propagation histogram for
+// the sending peer, with a plausible lag.
 func TestHintPropagationLagRecorded(t *testing.T) {
-	f := newTestFleet(t, 2, 512)
+	f := newTestFleet(t, 3, 512)
 	if _, _, _, err := f.fetch(0, "http://example.com/lag"); err != nil {
 		t.Fatal(err)
 	}
 	f.nodes[0].Flush()
 
-	peer := hostPortOf(f.nodes[0].URL())
-	h := f.nodes[1].hintLag.Get(peer)
-	if h == nil {
-		t.Fatalf("node 1 has no propagation histogram for peer %s (labels %v)", peer, f.nodes[1].hintLag.Labels())
+	from := peerOf(f.nodes[1], f.nodes[0].URL())
+	if got := from.hintLag.Count(); got != 1 {
+		t.Errorf("propagation observations from %s = %d, want 1", from.host, got)
 	}
-	if h.Count() != 1 {
-		t.Errorf("propagation observations = %d, want 1", h.Count())
-	}
-	if lag := h.Sum(); lag <= 0 || lag > 10*time.Second {
+	if lag := from.hintLag.Sum(); lag <= 0 || lag > 10*time.Second {
 		t.Errorf("recorded lag %v implausible", lag)
 	}
+	// The node that never sent us hints has no observation.
+	if silent := peerOf(f.nodes[1], f.nodes[2].URL()); silent.hintLag.Count() != 0 {
+		t.Errorf("node 1 recorded propagation lag from %s, which sent nothing", silent.host)
+	}
 
-	// The family is in the exposition: aggregate plus the per-peer series.
+	// The family is in the exposition: the aggregate plus a series for the
+	// one peer that has an observation, under its host:port.
 	p := scrape(t, f.client, f.nodes[1].URL())
-	hists := p.HistogramsOf("beyondcache_hint_propagation_seconds")
-	if len(hists) != 2 {
-		t.Fatalf("exposition has %d propagation histograms, want 2 (aggregate + peer)", len(hists))
+	checkPeerHistograms(t, p, "beyondcache_hint_propagation_seconds", map[string]int64{from.host: 1})
+}
+
+// checkPeerHistograms checks one per-peer histogram family of a scrape: a
+// labelled series for exactly the peers in want, with those counts, and an
+// unlabeled aggregate whose count is their sum.
+func checkPeerHistograms(t *testing.T, p *obs.Exposition, family string, want map[string]int64) {
+	t.Helper()
+	hists := p.HistogramsOf(family)
+	if len(hists) != len(want)+1 {
+		t.Fatalf("%s has %d series, want %d (aggregate + one per observed peer)", family, len(hists), len(want)+1)
 	}
+	var aggregate, labelled int64
 	for _, ph := range hists {
-		if ph.Snapshot.Count() != 1 {
-			t.Errorf("series %v count = %d, want 1", ph.Labels, ph.Snapshot.Count())
+		host, ok := ph.Labels["peer"]
+		if !ok {
+			aggregate = ph.Snapshot.Count()
+			continue
 		}
+		if count, known := want[host]; !known || ph.Snapshot.Count() != count {
+			t.Errorf("%s{peer=%q} count = %d, want %d (expected peers %v)", family, host, ph.Snapshot.Count(), count, want)
+		}
+		labelled += ph.Snapshot.Count()
 	}
-	// The node that never sent us hints has no series.
-	if h := f.nodes[1].hintLag.Get(hostPortOf(f.nodes[1].URL())); h != nil {
-		t.Error("node 1 recorded propagation lag from itself")
+	if aggregate != labelled {
+		t.Errorf("%s aggregate count = %d, sum of labelled series = %d", family, aggregate, labelled)
 	}
 }
 
@@ -262,28 +277,21 @@ func TestDigestStalenessRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Nodes[0].Flush()
-	if got := f.Nodes[0].digestStale.Labels(); len(got) != 0 {
-		t.Fatalf("first pull already observed staleness: %v", got)
+	from := peerOf(f.Nodes[0], f.Nodes[1].URL())
+	if got := from.digestStale.Count(); got != 0 {
+		t.Fatalf("first pull already observed staleness %d times", got)
 	}
 	time.Sleep(20 * time.Millisecond)
 	f.Nodes[0].Flush()
 
-	peer := hostPortOf(f.Nodes[1].URL())
-	h := f.Nodes[0].digestStale.Get(peer)
-	if h == nil {
-		t.Fatalf("no staleness histogram for %s (labels %v)", peer, f.Nodes[0].digestStale.Labels())
+	if got := from.digestStale.Count(); got != 1 {
+		t.Errorf("staleness observations = %d, want 1", got)
 	}
-	if h.Count() != 1 {
-		t.Errorf("staleness observations = %d, want 1", h.Count())
-	}
-	if age := h.Sum(); age < 20*time.Millisecond || age > 10*time.Second {
+	if age := from.digestStale.Sum(); age < 20*time.Millisecond || age > 10*time.Second {
 		t.Errorf("recorded staleness %v, want >= 20ms (the inter-pull gap)", age)
 	}
 	p := scrape(t, f.client, f.Nodes[0].URL())
-	hists := p.HistogramsOf("beyondcache_digest_staleness_seconds")
-	if len(hists) != 2 {
-		t.Errorf("exposition has %d staleness histograms, want 2", len(hists))
-	}
+	checkPeerHistograms(t, p, "beyondcache_digest_staleness_seconds", map[string]int64{from.host: 1})
 }
 
 // TestDirectoryLagGauge checks the directory-lag gauge: zero at rest,

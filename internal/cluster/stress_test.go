@@ -14,19 +14,44 @@ import (
 	"time"
 )
 
-// testFleet is a fleet served from httptest servers instead of Start's own
-// listeners: the stress tests exercise exactly the handlers production
-// serves, but with httptest owning every socket.
+// testFleet is a fleet whose nodes the test builds one by one (a config or
+// a breaker shape apart) and which serve through their own front doors like
+// any deployed node; only the origin is an httptest server.
 type testFleet struct {
 	origin  *Origin
 	originS *httptest.Server
 	nodes   []*Node
-	servers []*httptest.Server
 	client  *http.Client
 }
 
-// newTestFleet boots an origin and n meshed nodes over httptest with a long
-// batch interval (tests flush explicitly).
+// start starts the node on a loopback port of its own, adds it to the fleet
+// and closes it with the test.
+func (f *testFleet) start(t *testing.T, node *Node) {
+	t.Helper()
+	if err := node.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	f.nodes = append(f.nodes, node)
+	t.Cleanup(func() {
+		if err := node.Close(); err != nil {
+			t.Errorf("node close: %v", err)
+		}
+	})
+}
+
+// mesh makes every node a peer of every other.
+func (f *testFleet) mesh() {
+	for _, a := range f.nodes {
+		for _, b := range f.nodes {
+			if a != b {
+				a.AddPeer(b.URL())
+			}
+		}
+	}
+}
+
+// newTestFleet boots an origin and n meshed nodes with a long batch
+// interval (tests flush explicitly).
 func newTestFleet(t *testing.T, n int, objectSize int64) *testFleet {
 	t.Helper()
 	f := &testFleet{
@@ -45,24 +70,9 @@ func newTestFleet(t *testing.T, n int, objectSize int64) *testFleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(node.Handler())
-		node.Bind(srv.URL)
-		f.nodes = append(f.nodes, node)
-		f.servers = append(f.servers, srv)
-		t.Cleanup(func() {
-			if err := node.Close(); err != nil {
-				t.Errorf("node close: %v", err)
-			}
-			srv.Close()
-		})
+		f.start(t, node)
 	}
-	for _, a := range f.nodes {
-		for _, b := range f.nodes {
-			if a != b {
-				a.AddPeer(b.URL())
-			}
-		}
-	}
+	f.mesh()
 	return f
 }
 

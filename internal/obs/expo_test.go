@@ -117,3 +117,77 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramsOfRoundTrip writes histograms through Expo and parses them
+// back: bounds, per-bucket counts, and sums must survive exactly, for both
+// the unlabeled aggregate and labeled series of one family.
+func TestHistogramsOfRoundTrip(t *testing.T) {
+	p1, p2 := NewHistogram(nil), NewHistogram(nil)
+	p1.Observe(70 * time.Microsecond)
+	p1.Observe(3 * time.Millisecond)
+	p2.Observe(2 * time.Hour) // lands in the overflow bucket
+	all, err := MergeAll(p1, p2)
+	if err != nil {
+		t.Fatalf("MergeAll: %v", err)
+	}
+
+	e := NewExpo()
+	e.Histogram("x_seconds", "help", all.Snapshot())
+	e.Histogram("x_seconds", "", p1.Snapshot(), L("peer", "p1"))
+	e.Histogram("x_seconds", "", p2.Snapshot(), L("peer", "p2"))
+	parsed, err := ParseExposition(e.String())
+	if err != nil {
+		t.Fatalf("ParseExposition: %v", err)
+	}
+	hists := parsed.HistogramsOf("x_seconds")
+	if len(hists) != 3 {
+		t.Fatalf("got %d histograms, want 3", len(hists))
+	}
+	want := map[string]HistogramSnapshot{
+		"":   all.Snapshot(),
+		"p1": p1.Snapshot(),
+		"p2": p2.Snapshot(),
+	}
+	for _, ph := range hists {
+		w := want[ph.Labels["peer"]]
+		if len(ph.Snapshot.Bounds) != len(w.Bounds) {
+			t.Fatalf("peer %q: %d bounds, want %d", ph.Labels["peer"], len(ph.Snapshot.Bounds), len(w.Bounds))
+		}
+		for i := range w.Bounds {
+			if ph.Snapshot.Bounds[i] != w.Bounds[i] {
+				t.Fatalf("peer %q bound %d = %v, want %v", ph.Labels["peer"], i, ph.Snapshot.Bounds[i], w.Bounds[i])
+			}
+		}
+		for i := range w.Counts {
+			if ph.Snapshot.Counts[i] != w.Counts[i] {
+				t.Errorf("peer %q bucket %d = %d, want %d", ph.Labels["peer"], i, ph.Snapshot.Counts[i], w.Counts[i])
+			}
+		}
+		if ph.Snapshot.Count() != w.Count() {
+			t.Errorf("peer %q count = %d, want %d", ph.Labels["peer"], ph.Snapshot.Count(), w.Count())
+		}
+	}
+	// A parsed snapshot diffs cleanly against a later parse — the scraper's
+	// actual usage.
+	all.Observe(5 * time.Millisecond)
+	e2 := NewExpo()
+	e2.Histogram("x_seconds", "help", all.Snapshot())
+	parsed2, err := ParseExposition(e2.String())
+	if err != nil {
+		t.Fatalf("ParseExposition 2: %v", err)
+	}
+	after := parsed2.HistogramsOf("x_seconds")[0].Snapshot
+	before := hists[0].Snapshot
+	d, err := after.Diff(before)
+	if err != nil {
+		t.Fatalf("Diff of parsed snapshots: %v", err)
+	}
+	if d.Count() != 1 {
+		t.Errorf("parsed interval count = %d, want 1", d.Count())
+	}
+	// 5ms falls in the (2.56ms, 5.12ms] bucket of the default bounds; the
+	// interval quantile must land inside that bucket.
+	if q := d.Quantile(0.5); q <= 2560*time.Microsecond || q > 5120*time.Microsecond {
+		t.Errorf("parsed interval p50 = %v, want in (2.56ms, 5.12ms]", q)
+	}
+}

@@ -77,3 +77,74 @@ func TestMergeAllEmpty(t *testing.T) {
 		t.Errorf("MergeAll() = (%v, %v), want (nil, nil)", h, err)
 	}
 }
+
+// TestHistogramDiffIdentity: the diff of a snapshot with itself is zero.
+func TestHistogramDiffIdentity(t *testing.T) {
+	h := NewHistogram(nil)
+	for i := 0; i < 50; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	s := h.Snapshot()
+	d, err := s.Diff(s)
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if d.Count() != 0 || d.Sum != 0 {
+		t.Errorf("self-diff = (count %d, sum %v), want zero", d.Count(), d.Sum)
+	}
+	for i, c := range d.Counts {
+		if c != 0 {
+			t.Errorf("self-diff bucket %d = %d, want 0", i, c)
+		}
+	}
+}
+
+// TestHistogramDiffMergeInverse: Merge(a, Diff(b, a)) reconstructs b, the
+// contract interval-quantile scrapers rely on.
+func TestHistogramDiffMergeInverse(t *testing.T) {
+	h := NewHistogram(nil)
+	h.Observe(time.Millisecond)
+	h.Observe(20 * time.Millisecond)
+	a := h.Snapshot()
+	h.Observe(300 * time.Millisecond)
+	h.Observe(4 * time.Second)
+	b := h.Snapshot()
+
+	d, err := b.Diff(a)
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if d.Count() != 2 {
+		t.Errorf("interval count = %d, want 2", d.Count())
+	}
+	rebuilt := NewHistogram(a.Bounds)
+	if err := rebuilt.Merge(a); err != nil {
+		t.Fatalf("Merge(a): %v", err)
+	}
+	if err := rebuilt.Merge(d); err != nil {
+		t.Fatalf("Merge(diff): %v", err)
+	}
+	got := rebuilt.Snapshot()
+	if got.Count() != b.Count() || got.Sum != b.Sum {
+		t.Errorf("rebuilt = (count %d, sum %v), want (count %d, sum %v)",
+			got.Count(), got.Sum, b.Count(), b.Sum)
+	}
+	for i := range b.Counts {
+		if got.Counts[i] != b.Counts[i] {
+			t.Errorf("rebuilt bucket %d = %d, want %d", i, got.Counts[i], b.Counts[i])
+		}
+	}
+}
+
+// TestHistogramDiffMismatch rejects snapshots with different bounds.
+func TestHistogramDiffMismatch(t *testing.T) {
+	a := NewHistogram(ExpBounds(time.Millisecond, 2, 4)).Snapshot()
+	b := NewHistogram(ExpBounds(time.Millisecond, 2, 5)).Snapshot()
+	if _, err := b.Diff(a); err == nil {
+		t.Error("Diff across mismatched bounds succeeded")
+	}
+	c := NewHistogram(ExpBounds(2*time.Millisecond, 2, 4)).Snapshot()
+	if _, err := c.Diff(a); err == nil {
+		t.Error("Diff across different bound values succeeded")
+	}
+}
