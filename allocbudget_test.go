@@ -67,8 +67,9 @@ func TestHitPathAllocBudget(t *testing.T) {
 // primary's context, the hedge timer and its state, the leg closures), the
 // peer deadline's context, the object call and its cancellation hook, the
 // serving node's answer, the body, the cache insert and the hint it queues.
-// Measured at 35; the race that ran its primary on a goroutine of its own,
-// behind a channel and two contexts, took 43.
+// Measured at 33 on a leased connection (35 when calls shared one, each
+// behind a channel of its own); the race that ran its primary on a goroutine
+// of its own, behind a channel and two contexts, took 43.
 const remoteFillAllocBudget = 37
 
 // TestRemoteFillAllocBudget holds a hint-driven cache-to-cache fill to its

@@ -62,21 +62,21 @@ func ownDigestBytes(n *Node) []byte {
 // process still held one burned its whole 3 s grace (two rounds in three of
 // this test, before the fleet dropped idle connections first).
 //
-// Nor may it leave anything behind. http.Server.Shutdown does not track
-// hijacked connections, so every Node.Close — in KillNode, RestartNode and
-// Fleet.Close alike — must cut the peer connections it dialed and the ones
-// it accepted, and once the fleet is closed the goroutine count is back at
-// its baseline.
+// Nor may it leave anything behind. The front door forgets a connection it
+// hands to the peer plane, so every Node.Close — in KillNode, RestartNode and
+// Fleet.Close alike — must cut the peer connections it dialed (idle or
+// leased) and the ones it accepted, and once the fleet is closed the
+// goroutine count is back at its baseline.
 //
 // The origin link is the other thing a node keeps connections in: 64 misses
-// at once hold 64, of which the idle set keeps originIdleConns and closes
-// the rest, and Node.Close closes those.
+// at once hold 64, of which the idle set keeps idleConns and closes the
+// rest, and Node.Close closes those.
 func TestFleetClosePrompt(t *testing.T) {
 	base := runtime.NumGoroutine()
-	live := func(n *Node) int {
-		n.plane.mu.RLock()
-		defer n.plane.mu.RUnlock()
-		return len(n.plane.conns)
+	live := func(s *connSet) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
 	}
 	for round := 0; round < 3; round++ {
 		f, err := StartFleet(FleetConfig{Nodes: 4, ObjectSize: 512, UpdateInterval: 20 * time.Millisecond})
@@ -97,13 +97,13 @@ func TestFleetClosePrompt(t *testing.T) {
 			}(c)
 		}
 		wg.Wait()
-		if live(f.Nodes[0]) == 0 {
+		if live(&f.Nodes[0].plane.connSet) == 0 {
 			t.Fatal("the traffic opened no peer connection; the leak checks exercise nothing")
 		}
-		var idle []*originConn
+		var idle []*upConn
 		if round == 0 {
 			f.Origin.SetLatency(100 * time.Millisecond) // every miss below is at the origin at once
-			for c := 0; c < 2*originIdleConns; c++ {
+			for c := 0; c < 2*idleConns; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
@@ -118,8 +118,8 @@ func TestFleetClosePrompt(t *testing.T) {
 			link.mu.Lock()
 			idle = append(idle, link.idle...)
 			link.mu.Unlock()
-			if len(idle) != originIdleConns {
-				t.Errorf("%d idle origin connections after %d concurrent misses, want %d", len(idle), 2*originIdleConns, originIdleConns)
+			if len(idle) != idleConns {
+				t.Errorf("%d idle origin connections after %d concurrent misses, want %d", len(idle), 2*idleConns, idleConns)
 			}
 		}
 		nodes := append([]*Node(nil), f.Nodes...)
@@ -131,7 +131,7 @@ func TestFleetClosePrompt(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range nodes[2:] {
-				if got := live(n); got != 0 {
+				if got := live(&n.plane.connSet); got != 0 {
 					t.Errorf("node %s holds %d peer connections after its Close", n.label(), got)
 				}
 			}
@@ -148,11 +148,11 @@ func TestFleetClosePrompt(t *testing.T) {
 			t.Errorf("round %d: Fleet.Close took %v, want well under the 3 s shutdown grace", round, took)
 		}
 		for _, n := range nodes {
-			if got := live(n); got != 0 {
+			if got := live(&n.plane.connSet); got != 0 {
 				t.Errorf("round %d: node %s holds %d peer connections after Fleet.Close", round, n.label(), got)
 			}
-			if got := idleOriginConns(n); got != 0 {
-				t.Errorf("round %d: node %s holds %d idle origin connections after Fleet.Close", round, n.label(), got)
+			if got := live(&n.origin.connSet); got != 0 {
+				t.Errorf("round %d: node %s holds %d origin connections after Fleet.Close", round, n.label(), got)
 			}
 		}
 		for _, oc := range idle {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -20,6 +21,7 @@ type Fleet struct {
 	Origin *Origin
 	Nodes  []*Node
 	client *http.Client
+	nw     network // every node's, the origin's and the client's
 	faults *faults.Injector
 	// cfg remembers the boot configuration so RestartNode can rebuild a
 	// node identically (same cache dir, same knobs).
@@ -83,7 +85,8 @@ type FleetConfig struct {
 
 // newNode builds node i from the fleet-wide settings, with an outbound
 // injector of its own from FaultSpec where the fleet shares none.
-func (cfg FleetConfig) newNode(i int, originURL string) (*Node, error) {
+func (f *Fleet) newNode(i int) (*Node, error) {
+	cfg := f.cfg
 	name := fmt.Sprintf("node-%d", i)
 	inj := cfg.Faults
 	if inj == nil && cfg.FaultSpec != "" {
@@ -103,7 +106,7 @@ func (cfg FleetConfig) newNode(i int, originURL string) (*Node, error) {
 			replicas = 2
 		}
 	}
-	return NewNode(NodeConfig{
+	return newNodeOn(NodeConfig{
 		CacheDir:       cacheDir,
 		DiskCapacity:   cfg.DiskCapacity,
 		SpillQueue:     cfg.SpillQueue,
@@ -111,7 +114,7 @@ func (cfg FleetConfig) newNode(i int, originURL string) (*Node, error) {
 		Name:           name,
 		CacheBytes:     cfg.CacheBytes,
 		HintEntries:    cfg.HintEntries,
-		OriginURL:      originURL,
+		OriginURL:      f.Origin.URL(),
 		UpdateInterval: cfg.UpdateInterval,
 		Seed:           int64(i) + 1,
 		UseDigests:     cfg.UseDigests,
@@ -122,12 +125,16 @@ func (cfg FleetConfig) newNode(i int, originURL string) (*Node, error) {
 		HedgeBudget:    cfg.HedgeBudget,
 		Faults:         inj,
 		InboundFaults:  cfg.InboundFaults,
-	})
+	}, f.nw)
 }
 
 // StartFleet boots an origin and n meshed nodes on loopback ephemeral
 // ports. Call Close when done.
-func StartFleet(cfg FleetConfig) (*Fleet, error) {
+func StartFleet(cfg FleetConfig) (*Fleet, error) { return startFleetOn(cfg, tcp()) }
+
+// startFleetOn is StartFleet on the network nw, which the origin, every node
+// and the fleet's own client listen on and dial through.
+func startFleetOn(cfg FleetConfig, nw network) (*Fleet, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: fleet needs at least one node, got %d", cfg.Nodes)
 	}
@@ -138,18 +145,22 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		// transport keeps two idle connections per host), and a dead node
 		// must fail a connection attempt in seconds, not minutes.
 		client: &http.Client{Timeout: clientTimeout, Transport: &http.Transport{
-			DialContext:         (&net.Dialer{Timeout: 2 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+				return nw.dial(ctx, addr)
+			},
 			MaxIdleConnsPerHost: 32,
 			IdleConnTimeout:     90 * time.Second,
 		}},
+		nw:     nw,
 		faults: cfg.Faults,
 		cfg:    cfg,
 	}
+	f.Origin.nw = nw
 	if err := f.Origin.Start("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n, err := cfg.newNode(i, f.Origin.URL())
+		n, err := f.newNode(i)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -190,7 +201,7 @@ func (f *Fleet) RestartNode(i int) error {
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("cluster: restart: close node %d: %w", i, err)
 	}
-	n, err := f.cfg.newNode(i, f.Origin.URL())
+	n, err := f.newNode(i)
 	if err != nil {
 		return fmt.Errorf("cluster: restart: %w", err)
 	}

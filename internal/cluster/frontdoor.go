@@ -45,11 +45,14 @@ const (
 // The handler's side of it: a request, its URL and its Header are the
 // connection's, filled again for the next request, so a handler neither keeps
 // nor changes them once it has returned (the strings in them are its to keep).
-// A handler that hijacks outlives its call, and is never handed the reused
-// request: the recogniser declines a head with Upgrade in it.
 type frontDoor struct {
-	lis          net.Listener
-	handler      http.Handler
+	lis     net.Listener
+	handler http.Handler
+	// upgrade, if set, is handed a connection that asked for the peer plane
+	// (GET /peer, Upgrade: beyondcache-peer/1) with what was read behind the
+	// request; the door forgets it. The recogniser declines a head with
+	// Upgrade in it, so such a request is always http.ReadRequest's.
+	upgrade      func(net.Conn, *bufio.Reader)
 	idle, header time.Duration // the timeouts, as they were at the start
 	// quit ends when close begins, and idle connections with it. ctx — every
 	// request's context, which a client going away does not end — ends when
@@ -59,9 +62,10 @@ type frontDoor struct {
 	wg            sync.WaitGroup // the accept loop and the connections
 }
 
-// startFrontDoor serves handler on lis until close.
-func startFrontDoor(lis net.Listener, handler http.Handler) *frontDoor {
-	d := &frontDoor{lis: lis, handler: handler, idle: doorIdleTimeout, header: doorHeaderTimeout}
+// startFrontDoor serves handler on lis until close, handing peer upgrades to
+// upgrade.
+func startFrontDoor(lis net.Listener, handler http.Handler, upgrade func(net.Conn, *bufio.Reader)) *frontDoor {
+	d := &frontDoor{lis: lis, handler: handler, upgrade: upgrade, idle: doorIdleTimeout, header: doorHeaderTimeout}
 	d.quit, d.begin = context.WithCancel(context.Background())
 	d.ctx, d.finish = context.WithCancel(context.Background())
 	d.wg.Add(1)
@@ -115,7 +119,7 @@ func (d *frontDoor) close() {
 	d.finish()
 }
 
-// doorConn is a connection and each request's http.ResponseWriter (and Hijacker).
+// doorConn is a connection and each request's http.ResponseWriter.
 type doorConn struct {
 	d *frontDoor
 	c net.Conn
@@ -137,7 +141,7 @@ type doorConn struct {
 	status            int          // 0 until WriteHeader
 	declared, written int64        // declared: the Content-Length the handler set, or -1
 	sent, last        bool         // the head has left; the connection closes after this response
-	hijacked          bool
+	handedOver        bool         // to upgrade
 	werr              error
 	iov               [2][]byte
 	vec               net.Buffers
@@ -148,7 +152,7 @@ type doorConn struct {
 func (dc *doorConn) loop() {
 	defer func() {
 		dc.unhook()
-		if !dc.hijacked {
+		if !dc.handedOver {
 			dc.c.Close()
 		}
 		dc.d.wg.Done()
@@ -215,6 +219,12 @@ func (dc *doorConn) serve(req *http.Request) (keep bool) {
 		// No endpoint takes a body, so none is ever framed. The refusal goes
 		// out before any of it is read: Expect: 100-continue gets it at once.
 		return dc.refuse(http.StatusRequestEntityTooLarge)
+	case dc.d.upgrade != nil && req.URL.Path == "/peer" && req.Header.Get("Upgrade") == peerProto:
+		dc.handedOver = true
+		dc.unhook()
+		dc.lr.N = 1 << 62 // no header is being parsed any more; the deadlines are upgrade's to clear
+		dc.d.upgrade(dc.c, dc.br)
+		return false
 	}
 	clear(dc.hdr)
 	dc.req, dc.status, dc.declared, dc.written = req, 0, -1, 0
@@ -231,7 +241,7 @@ func (dc *doorConn) serve(req *http.Request) (keep bool) {
 		}
 	}()
 	dc.d.handler.ServeHTTP(dc, req)
-	if dc.hijacked || dc.d.ctx.Err() != nil {
+	if dc.d.ctx.Err() != nil {
 		return false // out of grace: a handler that gave up has no answer to send
 	}
 	// What is left: a head nothing was written behind, or a gathered body.
@@ -319,13 +329,4 @@ func (dc *doorConn) send(p []byte) {
 	dc.vec = dc.iov[:]
 	_, dc.werr = dc.vec.WriteTo(dc.c)
 	dc.iov[1] = nil // the body is the cache's: not ours to pin
-}
-
-// Hijack hands the connection, and whatever was read behind the request, to
-// the handler: the peer plane's upgrade. The door forgets it.
-func (dc *doorConn) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	dc.hijacked = true
-	dc.unhook()
-	dc.lr.N = 1 << 62 // no header is being parsed any more; the deadlines are the caller's to clear
-	return dc.c, bufio.NewReadWriter(dc.br, bufio.NewWriter(dc.c)), nil
 }

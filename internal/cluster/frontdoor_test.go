@@ -54,7 +54,7 @@ func stubDoor(t *testing.T, h http.Handler) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := startFrontDoor(lis, h)
+	d := startFrontDoor(lis, h, nil)
 	t.Cleanup(d.close)
 	return lis.Addr().String()
 }
@@ -318,7 +318,7 @@ func TestFrontDoorOneWrite(t *testing.T) {
 		return &countedListener{Listener: lis}
 	}
 	doorLis, httpLis := listen(), listen()
-	d := startFrontDoor(doorLis, n.Handler())
+	d := startFrontDoor(doorLis, n.Handler(), nil)
 	defer d.close()
 	srv := &http.Server{Handler: n.Handler()}
 	go srv.Serve(httpLis)
@@ -598,7 +598,13 @@ func TestFrontDoorHostileRequests(t *testing.T) {
 	})
 	t.Run("a frame pipelined behind the upgrade", func(t *testing.T) {
 		shorten(t, &doorHeaderTimeout, 50*time.Millisecond)
-		addr := stubDoor(t, n.Handler())
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := startFrontDoor(lis, n.Handler(), n.acceptPeer)
+		t.Cleanup(d.close)
+		addr := lis.Addr().String()
 		ping := wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerPing, ID: 7})
 		rc := dialRaw(t, addr).send("GET /peer HTTP/1.1\r\nHost: node\r\nConnection: Upgrade\r\nUpgrade: " + peerProto + "\r\n\r\n" + string(ping))
 		resp, err := http.ReadResponse(rc.br, nil)
@@ -697,7 +703,7 @@ func TestFrontDoorClose(t *testing.T) {
 	d := startFrontDoor(lis, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		close(entered)
 		<-release
-	}))
+	}), nil)
 	deaf := dialRaw(t, lis.Addr().String()).send("GET / HTTP/1.1\r\nHost: x\r\n\r\n")
 	<-entered
 	start = time.Now()
@@ -727,7 +733,7 @@ func TestFrontDoorCloseWaitsForRequests(t *testing.T) {
 			t.Error("the request's context ended inside the grace")
 		}
 		io.WriteString(w, "done")
-	}))
+	}), nil)
 	rc := dialRaw(t, lis.Addr().String()).send("GET / HTTP/1.1\r\nHost: x\r\n\r\n")
 	<-entered
 	var wg sync.WaitGroup
@@ -762,7 +768,7 @@ func FuzzFrontDoorRequest(f *testing.F) {
 	f.Add([]byte("PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"))
 	n := newMetaNode(f, NodeConfig{Name: "fuzzed"})
 	// No listener: connections are handed to it.
-	d := &frontDoor{handler: n.Handler(), idle: 2 * time.Second, header: 2 * time.Second}
+	d := &frontDoor{handler: n.Handler(), upgrade: n.acceptPeer, idle: 2 * time.Second, header: 2 * time.Second}
 	d.quit, d.begin = context.WithCancel(context.Background())
 	d.ctx, d.finish = context.WithCancel(context.Background())
 	f.Cleanup(func() { d.begin(); d.finish() })

@@ -416,8 +416,10 @@ type Node struct {
 	// nodeLabel names the node in hop segments and request IDs: the
 	// configured Name, or the listen address once Start fixes it.
 	nodeLabel string
-	lis       net.Listener
-	door      *frontDoor // nil until Start
+	// nw is the network the node listens on and dials through.
+	nw   network
+	lis  net.Listener
+	door *frontDoor // nil until Start
 	// origin reaches the origin and nothing else (originlink.go); plane
 	// carries everything said to or by a peer (peer.go).
 	origin *originLink
@@ -430,11 +432,14 @@ type Node struct {
 
 // NewNode builds a node; call Start to begin serving, and Close whether or
 // not Start was called or succeeded.
-func NewNode(cfg NodeConfig) (*Node, error) {
+func NewNode(cfg NodeConfig) (*Node, error) { return newNodeOn(cfg, tcp()) }
+
+// newNodeOn is NewNode on the network nw.
+func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	if cfg.OriginURL == "" {
 		return nil, fmt.Errorf("cluster: node %q: OriginURL required", cfg.Name)
 	}
-	origin, err := newOriginLink(cfg.OriginURL)
+	origin, err := newOriginLink(cfg.OriginURL, nw)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}
@@ -477,13 +482,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
 		inj:          cfg.Faults,
 		inboundInj:   cfg.InboundFaults,
+		nw:           nw,
 		origin:       origin,
 		stopBatch:    make(chan struct{}),
 		batchDone:    make(chan struct{}),
 		recoveryDone: make(chan struct{}),
 	}
 	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
-	n.plane.conns = make(map[*peerConn]struct{})
+	n.plane.conns = make(map[*upConn]struct{})
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir, store.Options{
 			Capacity:    cfg.DiskCapacity,
@@ -536,32 +542,29 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("/purge", n.handlePurge)
 	mux.HandleFunc("/metrics", n.handleMetrics)
 	mux.HandleFunc("/debug/spans", n.handleSpans)
+	mux.HandleFunc("/peer", n.handlePeer)
 	if n.inboundInj == nil {
-		mux.HandleFunc("/peer", n.handlePeer)
 		return mux
 	}
 	// Server-side chaos: the middleware matches rules against the node's
 	// label, resolved per request because Start fixes it after Handler
-	// may already have been called. The peer plane draws its own decision
-	// for every call on a connection, so its handshake is not judged.
-	outer := http.NewServeMux()
-	outer.HandleFunc("/peer", n.handlePeer)
-	outer.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	// may already have been called. A peer upgrade never reaches it: the
+	// front door hands it to the plane, which draws a decision per call.
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		faults.Middleware(n.inboundInj, n.label(), mux).ServeHTTP(w, r)
 	})
-	return outer
 }
 
 // Start listens on addr ("127.0.0.1:0" for ephemeral) and starts the update
 // batcher.
 func (n *Node) Start(addr string) error {
-	lis, err := net.Listen("tcp", addr)
+	lis, err := n.nw.listen(addr)
 	if err != nil {
 		return fmt.Errorf("cluster: node %q listen: %w", n.cfg.Name, err)
 	}
 	n.lis = lis
 	n.boot(lis.Addr().String())
-	n.door = startFrontDoor(lis, n.Handler())
+	n.door = startFrontDoor(lis, n.Handler(), n.acceptPeer)
 	return nil
 }
 
@@ -653,10 +656,12 @@ func hostPortOf(baseURL string) string {
 	return baseURL
 }
 
-// Close stops the batcher (flushing once) and shuts the front door. Close
-// is idempotent. On a node that was never started — Start not called, or
-// failed — there is no batcher, scan or door, and it releases the rest: the
-// disk tier's log and spiller, the origin link and the peer plane.
+// Close stops the batcher (flushing once), shuts the front door — requests
+// in flight finish over working links, within its grace — and then cuts the
+// peer plane's and the origin link's connections. Close is idempotent. On a
+// node that was never started — Start not called, or failed — there is no
+// batcher, scan or door, and it releases the rest: the disk tier's log and
+// spiller, the origin link and the peer plane.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		started := n.door != nil
@@ -676,12 +681,10 @@ func (n *Node) Close() error {
 			// every sender is idle, so nothing of the locator's is running.
 			close(n.stopBatch)
 			<-n.batchDone
+			n.door.close()
 		}
 		n.plane.close()
 		n.origin.close()
-		if started {
-			n.door.close()
-		}
 	})
 	return nil
 }

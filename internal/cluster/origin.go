@@ -37,6 +37,7 @@ type Origin struct {
 	latency time.Duration
 	// serveHist times /obj service, artificial latency included.
 	serveHist *obs.Histogram
+	nw        network // what Start listens on
 	srv       *http.Server
 	lis       net.Listener
 	done      chan struct{}
@@ -52,6 +53,7 @@ func NewOrigin(defaultSize int64) *Origin {
 		sizes:       make(map[string]int64),
 		defaultSize: defaultSize,
 		serveHist:   obs.NewHistogram(nil),
+		nw:          tcp(),
 		done:        make(chan struct{}),
 	}
 }
@@ -70,7 +72,7 @@ func (o *Origin) Handler() http.Handler {
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and serves
 // until Close.
 func (o *Origin) Start(addr string) error {
-	lis, err := net.Listen("tcp", addr)
+	lis, err := o.nw.listen(addr)
 	if err != nil {
 		return fmt.Errorf("origin listen: %w", err)
 	}

@@ -1,9 +1,12 @@
 package cluster
 
-// The origin link (DESIGN.md §15): the one upstream that is not a peer, and
-// so the one still spoken to in HTTP/1.1 — but by the goroutine that wants
-// the object, over a keep-alive connection it holds for that one exchange,
-// not through http.Transport's pool and per-connection read and write loops.
+// Upstream links (DESIGN.md §15): how a node reaches the origin and each of
+// its peers. A call leases a keep-alive connection — nothing else touches it
+// meanwhile — does its one exchange on the calling goroutine, not through
+// http.Transport's pool and per-connection read and write loops, and hands
+// the connection back only at the end of an answer it read whole. The origin
+// is spoken to in HTTP/1.1 (below), a peer in frames (peer.go); the lease,
+// the idle set and the retry are the same code.
 
 import (
 	"bufio"
@@ -20,170 +23,274 @@ import (
 )
 
 const (
-	// originIdleConns bounds the idle set: enough that concurrent misses do
-	// not redial the origin, few enough to be no burden on it.
-	originIdleConns = 32
-	// originHeaderLimit bounds what one answer's status line and header may
-	// read off the connection (a 4 KiB read-ahead of the body included).
-	originHeaderLimit = 64 << 10
+	// idleConns bounds each upstream's idle set: enough that concurrent calls
+	// do not redial it, few enough to be no burden on it.
+	idleConns = 32
+	// headLimit bounds what the head of one answer — the origin's status line
+	// and header, a peer's 101 or frame header — may read off the connection
+	// (a 4 KiB read-ahead of the body included).
+	headLimit = 64 << 10
 )
 
-var errOriginHeader = errors.New("response header over 64 KiB")
+var (
+	errHeadTooLong = errors.New("response head over 64 KiB")
+	errClosed      = errors.New("node closed")
+)
 
-// originLink holds the idle keep-alive connections to the origin. A fetch
-// leases one — nothing else touches it meanwhile — and hands it back only
-// at the end of an answer it read whole.
-type originLink struct {
-	// host is OriginURL's authority: the Host header, and the target the
-	// outbound fault rules match. addr is where to dial it; path is the
-	// request path up to the escaped object URL.
-	host, addr, path string
-
-	mu     sync.Mutex
-	idle   []*originConn // most recently used last
-	closed bool
+// network is how the package reaches sockets: a node's links and listener,
+// an origin's listener and a Fleet's own client each go through one. It is
+// real TCP unless a test fleet is started on another (startFleetOn).
+type network struct {
+	dial   func(ctx context.Context, addr string) (net.Conn, error)
+	listen func(addr string) (net.Listener, error)
 }
 
-// originConn is one connection to the origin, leased or idle.
-type originConn struct {
+func tcp() network {
+	return network{
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return (&net.Dialer{Timeout: peerDialTimeout, KeepAlive: 30 * time.Second}).DialContext(ctx, "tcp", addr)
+		},
+		listen: func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) },
+	}
+}
+
+// connSet is what a holder — the origin link, or the peer plane — keeps of
+// its connections: every live one, leased, idle or (the plane's) served, for
+// close to cut. mu also guards the idle sets of the holder's links.
+type connSet struct {
+	mu     sync.Mutex
+	conns  map[*upConn]struct{}
+	closed bool
+	wg     sync.WaitGroup // serve loops
+}
+
+// add registers uc, or closes it if the holder has closed. Given serve, it
+// runs serve(uc) on a goroutine of its own and drops uc when that returns.
+func (s *connSet) add(uc *upConn, serve func(*upConn)) bool {
+	s.mu.Lock()
+	ok := !s.closed
+	if ok {
+		s.conns[uc] = struct{}{}
+		if serve != nil {
+			s.wg.Add(1)
+		}
+	}
+	s.mu.Unlock()
+	switch {
+	case !ok:
+		uc.c.Close()
+	case serve != nil:
+		go func() {
+			defer s.wg.Done()
+			serve(uc)
+			s.drop(uc)
+		}()
+	}
+	return ok
+}
+
+// drop closes uc and forgets it.
+func (s *connSet) drop(uc *upConn) {
+	s.mu.Lock()
+	delete(s.conns, uc)
+	s.mu.Unlock()
+	uc.c.Close()
+}
+
+// close cuts every live connection — a leased one fails its call, and what
+// the idle sets still hold is never leased — refuses any dialed, accepted or
+// handed back from then on, and waits for the serve loops.
+func (s *connSet) close() {
+	s.mu.Lock()
+	s.closed = true
+	for uc := range s.conns {
+		uc.c.Close()
+	}
+	clear(s.conns)
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+// upConn is one connection to an upstream, leased or idle — or, on the
+// serving side of the peer plane, accepted.
+type upConn struct {
 	c net.Conn
-	// lr meters what br reads off c while a header is being parsed.
+	// lr meters what br reads off c while a head is being parsed.
 	lr  io.LimitedReader
 	br  *bufio.Reader
-	req []byte // request scratch
-	// cut is the hook a fetch arms on its context: it fails the read or
+	buf []byte // the request (or frame) scratch
+	// cut is the hook a call arms on its context: it fails the read or
 	// write in progress by moving the deadline into the past.
 	cut    func()
 	reused bool
+	label  string // a dialed peer's, from its 101
+	calls  uint64 // calls made on it; the last one's ID
 }
 
-// newOriginLink parses a node's OriginURL. The link is plain TCP, as the
-// peer plane is, so the scheme must be http; a path prefix is kept.
-func newOriginLink(originURL string) (*originLink, error) {
-	u, err := neturl.Parse(originURL)
-	if err != nil || u.Scheme != "http" || u.Host == "" {
-		return nil, fmt.Errorf("OriginURL %q: want http://host[:port][/prefix]", originURL)
-	}
-	l := &originLink{host: u.Host, addr: u.Host, path: u.EscapedPath() + "/obj?url="}
-	if u.Port() == "" {
-		l.addr = net.JoinHostPort(u.Hostname(), "80")
-	}
-	return l, nil
+func newUpConn(c net.Conn) *upConn {
+	uc := &upConn{c: c, cut: func() { c.SetDeadline(longAgo) }}
+	uc.lr = io.LimitedReader{R: c, N: headLimit}
+	// Small, like the front door's: a body is read past it, into its slice.
+	uc.br = bufio.NewReaderSize(&uc.lr, 4<<10)
+	return uc
+}
+
+// link is one upstream's idle set, under its holder's connSet, and how to
+// dial it: the origin link holds one, and each peer record one.
+type link struct {
+	set  *connSet
+	idle []*upConn // most recently used last; guarded by set.mu
+	dial func(context.Context) (*upConn, error)
 }
 
 // lease takes the most recently used idle connection, or dials one (always,
 // if fresh) under the caller's deadline.
-func (l *originLink) lease(ctx context.Context, fresh bool) (*originConn, error) {
-	if !fresh {
-		l.mu.Lock()
-		if n := len(l.idle); n > 0 {
-			oc := l.idle[n-1]
-			l.idle = l.idle[:n-1]
-			l.mu.Unlock()
-			oc.reused = true
-			return oc, nil
-		}
-		l.mu.Unlock()
+func (l *link) lease(ctx context.Context, fresh bool) (*upConn, error) {
+	l.set.mu.Lock()
+	closed := l.set.closed
+	var uc *upConn
+	if n := len(l.idle); !closed && !fresh && n > 0 {
+		uc, l.idle = l.idle[n-1], l.idle[:n-1]
 	}
-	c, err := (&net.Dialer{Timeout: peerDialTimeout, KeepAlive: 30 * time.Second}).DialContext(ctx, "tcp", l.addr)
+	l.set.mu.Unlock()
+	switch {
+	case closed:
+		return nil, errClosed
+	case uc != nil:
+		uc.reused = true
+		return uc, nil
+	}
+	uc, err := l.dial(ctx)
 	if err != nil {
 		return nil, err
 	}
-	oc := &originConn{c: c, cut: func() { c.SetDeadline(longAgo) }}
-	oc.lr.R = c
-	// Small, like the peer plane's: a body is read past it, into its slice.
-	oc.br = bufio.NewReaderSize(&oc.lr, 4<<10)
-	return oc, nil
+	if !l.set.add(uc, nil) {
+		return nil, errClosed
+	}
+	return uc, nil
 }
 
-// release returns a connection to the idle set, or closes it if the set is
-// full or the link closed.
-func (l *originLink) release(oc *originConn) {
-	l.mu.Lock()
-	if !l.closed && len(l.idle) < originIdleConns {
-		l.idle = append(l.idle, oc)
-		oc = nil
+// release returns a connection to the idle set, or drops it if the set is
+// full or the holder closed.
+func (l *link) release(uc *upConn) {
+	l.set.mu.Lock()
+	if !l.set.closed && len(l.idle) < idleConns {
+		l.idle = append(l.idle, uc)
+		uc = nil
 	}
-	l.mu.Unlock()
-	if oc != nil {
-		oc.c.Close()
+	l.set.mu.Unlock()
+	if uc != nil {
+		l.set.drop(uc)
 	}
 }
 
-// close closes the idle connections; one out on lease is closed when its
-// fetch hands it back.
-func (l *originLink) close() {
-	l.mu.Lock()
-	idle := l.idle
-	l.idle, l.closed = nil, true
-	l.mu.Unlock()
-	for _, oc := range idle {
-		oc.c.Close()
+// do runs one exchange on a leased connection, returning promptly once ctx
+// ends. The connection goes back to the idle set only if exchange says it
+// read its answer whole, nothing is buffered behind that answer, and the
+// cancel hook has not fired (its deadline may yet be cut); otherwise it is
+// closed, so a call cut short costs its own connection and nothing else. A
+// call whose context has already ended leases nothing.
+func (l *link) do(ctx context.Context, exchange func(*upConn) (keep bool, err error)) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	for fresh := false; ; fresh = true {
+		uc, err := l.lease(ctx, fresh)
+		if err != nil {
+			return err
+		}
+		uc.lr.N = headLimit
+		stop := context.AfterFunc(ctx, uc.cut)
+		keep, err := exchange(uc)
+		if stop() && keep && uc.br.Buffered() == 0 {
+			l.release(uc)
+		} else {
+			l.set.drop(uc)
+		}
+		if err != nil && ctx.Err() != nil {
+			return ctx.Err() // not the cut deadline's "i/o timeout"
+		}
+		// A connection the upstream closed while it sat idle (its
+		// IdleTimeout, a restart) is found out by the first call to use it:
+		// nothing of an answer arrives. Every exchange is idempotent, so — as
+		// net/http does with a stale pooled connection — that call is tried
+		// once more, on a fresh connection, if its deadline allows; a fresh
+		// connection that fails is the upstream failing.
+		if err == nil || !uc.reused || uc.lr.N != headLimit {
+			return err
+		}
+	}
+}
+
+// originLink holds the keep-alive connections to the origin.
+type originLink struct {
+	connSet
+	link
+	// host is OriginURL's authority: the Host header, and the target the
+	// outbound fault rules match. path is the request path up to the
+	// escaped object URL.
+	host, path string
+}
+
+// newOriginLink parses a node's OriginURL. The link is plain TCP, as the
+// peer plane is, so the scheme must be http; a path prefix is kept.
+func newOriginLink(originURL string, nw network) (*originLink, error) {
+	u, err := neturl.Parse(originURL)
+	if err != nil || u.Scheme != "http" || u.Host == "" {
+		return nil, fmt.Errorf("OriginURL %q: want http://host[:port][/prefix]", originURL)
+	}
+	addr := u.Host
+	if u.Port() == "" {
+		addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	l := &originLink{host: u.Host, path: u.EscapedPath() + "/obj?url="}
+	l.conns = make(map[*upConn]struct{})
+	l.link = link{set: &l.connSet, dial: func(ctx context.Context) (*upConn, error) {
+		c, err := nw.dial(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		return newUpConn(c), nil
+	}}
+	return l, nil
 }
 
 // get fetches url's object on the calling goroutine, returning with it the
-// origin's self-timed hop segment. It returns promptly once ctx ends.
-func (l *originLink) get(ctx context.Context, url string) (int64, []byte, string, error) {
-	for fresh := false; ; fresh = true {
-		oc, err := l.lease(ctx, fresh)
-		if err != nil {
-			return 0, nil, "", err
-		}
-		version, body, hop, err := l.exchange(ctx, oc, url)
-		if err != nil && ctx.Err() != nil {
-			return 0, nil, "", ctx.Err() // not the cut deadline's "i/o timeout"
-		}
-		// A connection the origin closed while it sat idle (its IdleTimeout,
-		// a restart) is found out by the first fetch to use it: nothing of an
-		// answer arrives. The GET is idempotent, so — as Node.call does — it
-		// is tried once more, on a fresh connection, if its deadline allows.
-		if err == nil || !oc.reused || oc.lr.N != originHeaderLimit {
-			return version, body, hop, err
-		}
-	}
+// origin's self-timed hop segment.
+func (l *originLink) get(ctx context.Context, url string) (version int64, body []byte, hop string, err error) {
+	err = l.do(ctx, func(uc *upConn) (keep bool, err error) {
+		version, body, hop, keep, err = l.exchange(uc, url)
+		return keep, err
+	})
+	return version, body, hop, err
 }
 
-// exchange writes one GET on a leased connection and reads its answer. The
-// connection goes back to the idle set only if the answer was read to its
-// end, the origin did not ask to close and the cancel hook has not fired
-// (its deadline may yet be cut); otherwise it is closed.
-func (l *originLink) exchange(ctx context.Context, oc *originConn, url string) (version int64, body []byte, hop string, err error) {
-	stop := context.AfterFunc(ctx, oc.cut)
-	keep := false
-	defer func() {
-		if stop() && keep {
-			l.release(oc)
-		} else {
-			oc.c.Close()
-		}
-	}()
-	oc.req = append(oc.req[:0], "GET "...)
-	oc.req = append(oc.req, l.path...)
-	oc.req = append(oc.req, neturl.QueryEscape(url)...)
-	oc.req = append(oc.req, " HTTP/1.1\r\nHost: "...)
-	oc.req = append(oc.req, l.host...)
-	oc.req = append(oc.req, "\r\n\r\n"...)
-	oc.lr.N = originHeaderLimit
-	if _, err = oc.c.Write(oc.req); err != nil {
-		return 0, nil, "", err
+// exchange writes one GET on a leased connection and reads its answer. keep
+// says the answer was read to its end and the origin did not ask to close.
+func (l *originLink) exchange(uc *upConn, url string) (version int64, body []byte, hop string, keep bool, err error) {
+	uc.buf = append(uc.buf[:0], "GET "...)
+	uc.buf = append(uc.buf, l.path...)
+	uc.buf = append(uc.buf, neturl.QueryEscape(url)...)
+	uc.buf = append(uc.buf, " HTTP/1.1\r\nHost: "...)
+	uc.buf = append(uc.buf, l.host...)
+	uc.buf = append(uc.buf, "\r\n\r\n"...)
+	if _, err = uc.c.Write(uc.buf); err != nil {
+		return 0, nil, "", false, err
 	}
-	resp, err := http.ReadResponse(oc.br, nil)
+	resp, err := http.ReadResponse(uc.br, nil)
 	if err != nil {
-		if oc.lr.N <= 0 {
-			err = errOriginHeader
+		if uc.lr.N <= 0 {
+			err = errHeadTooLong
 		}
-		return 0, nil, "", err
+		return 0, nil, "", false, err
 	}
-	oc.lr.N = math.MaxInt64
+	uc.lr.N = math.MaxInt64
 	if resp.StatusCode != http.StatusOK {
 		// An error page is not an object: a token amount is read for the
 		// connection's sake, and a longer page costs the connection.
 		_, derr := io.CopyN(io.Discard, resp.Body, 4<<10)
-		keep = derr == io.EOF && !resp.Close
-		return 0, nil, "", fmt.Errorf("status %d", resp.StatusCode)
+		return 0, nil, "", derr == io.EOF && !resp.Close, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	version, body, err = readObject(resp)
-	keep = err == nil && !resp.Close && oc.br.Buffered() == 0
-	return version, body, resp.Header.Get(headerTraceHop), err
+	return version, body, resp.Header.Get(headerTraceHop), err == nil && !resp.Close, err
 }

@@ -276,7 +276,7 @@ func TestOriginHostileResponses(t *testing.T) {
 		pooled int // connections in the idle set afterwards
 	}{
 		// The header never ends: see the loop below.
-		{"header past the bound", ok, false, "", errOriginHeader, 0},
+		{"header past the bound", ok, false, "", errHeadTooLong, 0},
 		{"body shorter than declared", ok + "Content-Length: 10\r\n\r\nshort", true, "", io.ErrUnexpectedEOF, 0},
 		{"undeclared length", ok + "\r\nuntil the connection closes", true, "until the connection closes", nil, 0},
 		{"chunked", ok + "Transfer-Encoding: chunked\r\n\r\n5\r\nchunk\r\n3\r\ned!\r\n0\r\n\r\n", false, "chunked!", nil, 1},
@@ -288,7 +288,7 @@ func TestOriginHostileResponses(t *testing.T) {
 			var o *rawOrigin
 			o = newRawOrigin(t, func(_ int64, conn net.Conn, _ *bufio.Reader) {
 				io.WriteString(conn, c.answer)
-				for filler := []byte("X-Filler: " + strings.Repeat("x", 1000) + "\r\n"); c.err == errOriginHeader; {
+				for filler := []byte("X-Filler: " + strings.Repeat("x", 1000) + "\r\n"); c.err == errHeadTooLong; {
 					if _, err := conn.Write(filler); err != nil {
 						break
 					}

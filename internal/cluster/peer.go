@@ -2,12 +2,12 @@ package cluster
 
 // The peer plane (DESIGN.md §15): everything one cache node says to another
 // — object transfers, hint-home consults, hint batches, digest pulls,
-// liveness probes — is a wire.PeerHeader frame on one connection per peer
-// pair, dialed lazily on the peer's ordinary listener (GET /peer, upgraded
-// and hijacked). Every call carries an ID and a read loop hands each answer
-// to the caller waiting on it, so calls share the connection and a slow one
-// holds up nothing behind it. Deadlines, breakers, retries and fault
-// injection stay per call, above this file.
+// liveness probes — is a wire.PeerHeader frame on a connection dialed on the
+// peer's ordinary listener (GET /peer, upgraded; the front door hands the
+// accepted end over). A call leases a connection from the peer's record, as
+// an origin fetch does from the origin link (originlink.go), and holds it for
+// that one call, so nothing waits behind a slow one. Deadlines, breakers,
+// retries and fault injection stay per call, above this file.
 
 import (
 	"bufio"
@@ -18,7 +18,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"beyondcache/internal/faults"
@@ -37,13 +36,9 @@ const (
 	// batch (a full hintQueueCap batch is 160 KB).
 	peerRequestLimit = 16 << 10
 	updatesLimit     = 1 << 20
-	// peerInflight caps the calls of one inbound connection that may be off
-	// its read loop at once; at the cap the loop stops reading, so a peer
-	// cannot queue unbounded work here by not waiting for answers.
-	peerInflight = 64
 	// peerDialTimeout bounds connect plus handshake. peerWriteTimeout
-	// bounds one frame write where the caller's own context does not: a
-	// peer that stops reading costs a closed connection, not a stuck lock.
+	// bounds the write of an answer (and of the 101): a peer that stops
+	// reading costs its connection, not a serve loop for ever.
 	// peerLingerTimeout bounds the reading-off of a refused batch.
 	peerDialTimeout   = 2 * time.Second
 	peerWriteTimeout  = 5 * time.Second
@@ -63,116 +58,50 @@ const (
 )
 
 var (
-	errPlaneClosed = errors.New("peer plane closed")
 	errPeerAborted = errors.New("peer aborted the call")
 	// longAgo is the deadline that cuts short a blocked read or write.
 	longAgo = time.Unix(1, 0)
 )
 
-// peerPlane is a node's connection state: the connection calls to each peer
-// share, and every live connection, dialed or accepted, for close to cut —
-// the front door forgets a connection it has handed over.
+// peerPlane is a node's side of the connections between it and its peers:
+// every live one, dialed or accepted, for close to cut — the front door
+// forgets a connection it has handed over — and, under the same lock, each
+// peer record's idle set.
 type peerPlane struct {
-	// ctx ends with the plane, cutting short faulted calls' sleeps; wg
-	// counts read loops, serve loops and calls taken off a serve loop.
+	connSet
+	// ctx ends with the plane, cutting short faulted calls' sleeps.
 	ctx  context.Context
 	stop context.CancelFunc
-	wg   sync.WaitGroup
-
-	// mu guards conns, closed and every peer record's conn.
-	mu     sync.RWMutex
-	conns  map[*peerConn]struct{}
-	closed bool
-}
-
-// adopt registers pc (dialed to peer to, or accepted: nil) and starts loop
-// on it, which runs until the connection dies. It refuses, returning the
-// connection to use instead if there is one, once the plane has closed or
-// another dial to the peer has won.
-func (p *peerPlane) adopt(pc *peerConn, to *peer, loop func(*peerConn)) *peerConn {
-	p.mu.Lock()
-	var cur *peerConn
-	if to != nil {
-		cur = to.conn
-	}
-	if p.closed || cur != nil && cur.alive() {
-		p.mu.Unlock()
-		pc.c.Close()
-		return cur
-	}
-	if to != nil {
-		to.conn = pc
-	}
-	p.conns[pc] = struct{}{}
-	p.wg.Add(1)
-	p.mu.Unlock()
-	go func() {
-		defer p.wg.Done()
-		loop(pc)
-		pc.fail(io.EOF)
-		p.mu.Lock()
-		delete(p.conns, pc)
-		p.mu.Unlock()
-	}()
-	return pc
 }
 
 func (p *peerPlane) close() {
-	p.mu.Lock()
-	p.closed = true
-	for pc := range p.conns {
-		pc.fail(errPlaneClosed)
-	}
-	p.mu.Unlock()
 	p.stop()
-	p.wg.Wait()
-}
-
-// conn returns the connection to a peer, dialing under the caller's own
-// deadline if there is no live one. Two first callers may both dial; the
-// later one closes its connection and shares the earlier.
-func (p *peerPlane) conn(ctx context.Context, to *peer) (*peerConn, error) {
-	p.mu.RLock()
-	pc := to.conn
-	p.mu.RUnlock()
-	if pc != nil && pc.alive() {
-		return pc, nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, peerDialTimeout)
-	defer cancel()
-	pc, err := dialPeer(ctx, to.host)
-	if err != nil {
-		return nil, err
-	}
-	if pc = p.adopt(pc, to, (*peerConn).readLoop); pc == nil {
-		return nil, errPlaneClosed
-	}
-	return pc, nil
+	p.connSet.close()
 }
 
 // dialPeer connects to host and upgrades the connection: GET /peer on the
 // peer's ordinary listener, answered 101 with the peer's label. It gives up
-// when ctx ends: a peer that accepts and says nothing holds no abandoned caller.
-func dialPeer(ctx context.Context, host string) (*peerConn, error) {
-	c, err := (&net.Dialer{KeepAlive: 30 * time.Second}).DialContext(ctx, "tcp", host)
+// when ctx ends, or after peerDialTimeout: a peer that accepts and says
+// nothing holds no abandoned caller.
+func dialPeer(ctx context.Context, nw network, host string) (*upConn, error) {
+	ctx, cancel := context.WithTimeout(ctx, peerDialTimeout)
+	defer cancel()
+	c, err := nw.dial(ctx, host)
 	if err != nil {
 		return nil, err
 	}
-	stop := context.AfterFunc(ctx, func() { c.SetDeadline(longAgo) })
-	// lr meters what br reads while the 101 is parsed, as the origin link
-	// meters an answer's header: whatever answers at a peer's address cannot
-	// make the dialer buffer one endless header line until ctx ends.
-	lr := &io.LimitedReader{R: c, N: originHeaderLimit}
-	// Small, like the accepted side's: a body is read past it, into its slice.
-	br := bufio.NewReaderSize(lr, 4<<10)
+	// The 101 is metered as an origin answer's head is: whatever answers at
+	// a peer's address cannot make the dialer buffer one endless header line
+	// until ctx ends.
+	uc := newUpConn(c)
+	stop := context.AfterFunc(ctx, uc.cut)
 	_, err = io.WriteString(c, "GET /peer HTTP/1.1\r\nHost: "+host+"\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n\r\n")
 	var resp *http.Response
 	if err == nil {
-		if resp, err = http.ReadResponse(br, nil); err != nil && lr.N <= 0 {
-			err = errOriginHeader
+		if resp, err = http.ReadResponse(uc.br, nil); err != nil && uc.lr.N <= 0 {
+			err = errHeadTooLong
 		}
 	}
-	lr.N = math.MaxInt64
 	if err == nil && (resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != peerProto) {
 		err = fmt.Errorf("upgrade refused: %s", resp.Status)
 	}
@@ -183,7 +112,8 @@ func dialPeer(ctx context.Context, host string) (*peerConn, error) {
 		c.Close()
 		return nil, fmt.Errorf("peer dial %s: %w", host, err)
 	}
-	return newPeerConn(c, br, resp.Header.Get(headerPeerLabel)), nil
+	uc.label = resp.Header.Get(headerPeerLabel)
+	return uc, nil
 }
 
 // peerReply is a peer's answer to one call: the response header, its body,
@@ -192,205 +122,75 @@ type peerReply struct {
 	wire.PeerHeader
 	body  []byte
 	label string
-	err   error
 }
 
-// peerConn is one upgraded connection, either end.
-type peerConn struct {
-	c     net.Conn
-	br    *bufio.Reader
-	label string // the far end's label (dialed connections)
-
-	// wlock serializes writers. It is a channel so that a caller whose
-	// context ends while queued behind another writer can stop waiting;
-	// wbuf is the header (and small-body) scratch it guards. cut is the
-	// hook a turn arms on its context — it fails the write in progress by
-	// moving its deadline into the past — and reports on wcut that it ran.
-	wlock chan struct{}
-	wbuf  []byte
-	cut   func()
-	wcut  chan struct{}
-
-	// mu guards the calls awaiting an answer (dialed connections) and err,
-	// what killed the connection.
-	mu      sync.Mutex
-	pending map[uint64]chan peerReply
-	nextID  uint64
-	err     error
-}
-
-func newPeerConn(c net.Conn, br *bufio.Reader, label string) *peerConn {
-	pc := &peerConn{c: c, br: br, label: label, wlock: make(chan struct{}, 1), wcut: make(chan struct{}, 1), pending: make(map[uint64]chan peerReply)}
-	pc.cut = func() {
-		c.SetWriteDeadline(longAgo)
-		pc.wcut <- struct{}{}
+// call writes one call on a leased connection, under the next ID, and reads
+// its answer. An answer that is not this call's — another ID, a request, a
+// body past what its op allows (none; a digest frame; for an object any
+// length, readSized bounding what the length alone can allocate) — fails the
+// call, and the connection with it.
+func (uc *upConn) call(h wire.PeerHeader, body []byte) (peerReply, error) {
+	uc.calls++
+	h.ID = uc.calls
+	if err := uc.writeFrame(h, body); err != nil {
+		return peerReply{}, err
 	}
-	return pc
-}
-
-func (pc *peerConn) alive() bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.err == nil
-}
-
-// fail kills the connection and fails every call still waiting on it.
-func (pc *peerConn) fail(err error) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.err != nil {
-		return
+	hdr, err := uc.br.Peek(wire.PeerHeaderSize)
+	if err != nil {
+		return peerReply{}, err
 	}
-	pc.err = err
-	pc.c.Close()
-	for id, ch := range pc.pending {
-		ch <- peerReply{err: err} // buffered: never blocks
-		delete(pc.pending, id)
-	}
-}
-
-// take claims the channel awaiting call id's answer (nil if the answer, or
-// the connection's death, got there first).
-func (pc *peerConn) take(id uint64) chan peerReply {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	ch := pc.pending[id]
-	delete(pc.pending, id)
-	return ch
-}
-
-// write sends one frame. It gives up, leaving the connection alone, if ctx
-// ends while it waits its turn. Once it has the turn the write must finish
-// before ctx ends (a deadline, or a hedge's abandon) and within
-// peerWriteTimeout: half a frame leaves the far end nothing to resynchronize
-// on, so a write cut short kills the connection. Answers are written under
-// context.Background(): closing the connection is what ends their writes.
-func (pc *peerConn) write(ctx context.Context, h wire.PeerHeader, body []byte) error {
-	select {
-	case pc.wlock <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-pc.wlock }()
-	if err := ctx.Err(); err != nil {
-		return err // ended as the turn came: nothing written, nothing broken
-	}
-	pc.c.SetWriteDeadline(time.Now().Add(peerWriteTimeout))
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, pc.cut)
-		defer func() {
-			if !stop() {
-				<-pc.wcut // the hook is running: it must not cut the next turn's write
-			}
-		}()
-	}
-	h.Len = len(body)
-	pc.wbuf = wire.AppendPeerHeader(pc.wbuf[:0], h)
-	var err error
-	if len(body) <= peerInlineBody {
-		pc.wbuf = append(pc.wbuf, body...)
-		_, err = pc.c.Write(pc.wbuf)
-	} else {
-		_, err = (&net.Buffers{pc.wbuf, body}).WriteTo(pc.c)
+	a, err := wire.DecodePeerHeader(hdr)
+	uc.br.Discard(wire.PeerHeaderSize)
+	uc.lr.N = math.MaxInt64
+	if err == nil && (!a.Response || a.ID != h.ID || a.Len > 0 && a.Op != wire.PeerObject && (a.Op != wire.PeerDigest || a.Len > digestBodyLimit)) {
+		err = fmt.Errorf("peer plane: unexpected frame (op %d, call %d, %d body bytes)", a.Op, a.ID, a.Len)
 	}
 	if err != nil {
-		pc.fail(err)
+		return peerReply{}, err
 	}
+	// A slice of its own, exactly sized: for an object, the one the cache
+	// will keep.
+	out, err := readSized(uc.br, int64(a.Len))
+	if err != nil {
+		return peerReply{}, err
+	}
+	return peerReply{PeerHeader: a, body: out, label: uc.label}, nil
+}
+
+// writeFrame sends one frame: its header, and a small body behind it, in one
+// write from the connection's scratch; a larger body as a vectored write
+// behind the header.
+func (uc *upConn) writeFrame(h wire.PeerHeader, body []byte) error {
+	h.Len = len(body)
+	uc.buf = wire.AppendPeerHeader(uc.buf[:0], h)
+	if len(body) > peerInlineBody {
+		_, err := (&net.Buffers{uc.buf, body}).WriteTo(uc.c)
+		return err
+	}
+	uc.buf = append(uc.buf, body...)
+	_, err := uc.c.Write(uc.buf)
 	return err
 }
 
-// readLoop delivers answers to the calls waiting for them until the
-// connection dies. A request where an answer belongs, an undecodable header
-// or a body declared past what the op allows (none; a digest frame; for an
-// object any length, readSized bounding what the length alone can allocate)
-// kills it; an answer nobody is waiting for — its caller's deadline fired
-// first — is read and discarded.
-func (pc *peerConn) readLoop() {
-	hdr := make([]byte, wire.PeerHeaderSize)
-	for {
-		_, err := io.ReadFull(pc.br, hdr)
-		var h wire.PeerHeader
-		if err == nil {
-			h, err = wire.DecodePeerHeader(hdr)
-		}
-		if err == nil && (!h.Response || h.Len > 0 && h.Op != wire.PeerObject && (h.Op != wire.PeerDigest || h.Len > digestBodyLimit)) {
-			err = fmt.Errorf("peer plane: unexpected frame (op %d, %d body bytes)", h.Op, h.Len)
-		}
-		ch := pc.take(h.ID)
-		var body []byte
-		switch {
-		case err != nil:
-		case ch == nil:
-			_, err = pc.br.Discard(h.Len)
-		default:
-			// A slice of its own, exactly sized: for an object, the one the
-			// cache will keep.
-			body, err = readSized(pc.br, int64(h.Len))
-		}
-		if ch != nil {
-			ch <- peerReply{PeerHeader: h, body: body, label: pc.label, err: err}
-		}
-		if err != nil {
-			pc.fail(err)
-			return
-		}
-	}
-}
-
-// call sends one request on the connection and waits for its answer, both
-// bounded by ctx: a caller whose deadline fires deregisters its ID and
-// returns on time, and the late answer is discarded by the read loop.
-func (pc *peerConn) call(ctx context.Context, h wire.PeerHeader, body []byte) (peerReply, error) {
-	ch := make(chan peerReply, 1)
-	pc.mu.Lock()
-	if pc.err != nil {
-		pc.mu.Unlock()
-		return peerReply{}, pc.err
-	}
-	pc.nextID++
-	h.ID = pc.nextID
-	pc.pending[h.ID] = ch
-	pc.mu.Unlock()
-	if err := pc.write(ctx, h, body); err != nil {
-		pc.take(h.ID)
-		return peerReply{}, err
-	}
-	select {
-	case r := <-ch:
-		if r.err == nil && r.Status == 0 {
-			r.err = errPeerAborted
-		}
-		return r, r.err
-	case <-ctx.Done():
-		pc.take(h.ID)
-		return peerReply{}, ctx.Err()
-	}
-}
-
-// call makes one call to a peer. The outbound fault decision is drawn once
-// per call and touches only this call. A nil error means the peer answered;
-// the status is the caller's to judge.
-func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte) (peerReply, error) {
+// call makes one call to a peer on a connection leased from its record. The
+// outbound fault decision is drawn once per call and touches only this call.
+// A nil error means the peer answered; the status is the caller's to judge.
+func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte) (r peerReply, err error) {
 	if n.inj != nil {
 		code, err := n.inj.Decide(p.host).Apply(ctx, p.host)
 		if err != nil || code > 0 {
 			return peerReply{PeerHeader: wire.PeerHeader{Status: uint16(code)}}, err
 		}
 	}
-	// A connection the peer closed while it sat idle (a restart) is found
-	// out by the first call to use it. Every op is idempotent, so — as
-	// net/http does for a stale pooled connection — that call is tried once
-	// more, on a fresh connection, if its deadline still allows.
-	for attempt := 0; ; attempt++ {
-		pc, err := n.plane.conn(ctx, p)
-		if err != nil {
-			return peerReply{}, err
-		}
-		r, err := pc.call(ctx, h, body)
-		if err == nil || attempt > 0 || pc.alive() || ctx.Err() != nil {
-			return r, err
-		}
+	err = p.link.do(ctx, func(uc *upConn) (bool, error) {
+		var err error
+		r, err = uc.call(h, body)
+		return err == nil, err
+	})
+	if err == nil && r.Status == 0 {
+		err = errPeerAborted
 	}
+	return r, err
 }
 
 // errPeerMiss is a peer's definitive "not here" (status 404): the hint was
@@ -431,49 +231,44 @@ func sampledCall(op wire.PeerOp, reqID string, sampled bool) wire.PeerHeader {
 	return h
 }
 
-// handlePeer accepts a peer's connection: GET /peer with the upgrade
-// header, hijacked and served as frames until either side closes it. It
-// sits outside the inbound fault middleware — faults are drawn per call.
-func (n *Node) handlePeer(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Upgrade") != peerProto {
-		w.Header().Set("Upgrade", peerProto)
-		http.Error(w, "peer plane: upgrade required", http.StatusUpgradeRequired)
-		return
-	}
-	c, brw, err := http.NewResponseController(w).Hijack()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+// handlePeer answers a GET /peer that was not handed to the plane — one
+// without the upgrade token, or served by something other than the node's
+// front door — with 426.
+func (n *Node) handlePeer(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Upgrade", peerProto)
+	http.Error(w, "peer plane: upgrade required", http.StatusUpgradeRequired)
+}
+
+// acceptPeer takes a connection the front door read a GET /peer upgrade on,
+// with br holding whatever the peer sent behind it: it answers 101 with this
+// node's label and serves the connection's calls until either side closes
+// it. Faults are drawn per call, so the handshake is not judged.
+func (n *Node) acceptPeer(c net.Conn, br *bufio.Reader) {
 	c.SetDeadline(time.Now().Add(peerWriteTimeout))
 	if _, err := io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n"+headerPeerLabel+": "+n.label()+"\r\n\r\n"); err != nil {
 		c.Close()
 		return
 	}
 	c.SetDeadline(time.Time{})
-	n.plane.adopt(newPeerConn(c, brw.Reader, ""), nil, n.servePeer)
+	n.plane.add(&upConn{c: c, br: br}, n.servePeer)
 }
 
-// servePeer is an accepted connection's read loop. It answers inline only
-// what memory can answer — a memory-tier object, a directory lookup, a ping
-// — and hands a disk-tier read, a batch apply, a digest serve or a faulted
-// call to a goroutine of its own, so one slow call never holds up the
-// frames behind it.
-func (n *Node) servePeer(pc *peerConn) {
-	// ctx ends with the connection, and with it the faulted calls' sleeps.
-	ctx, cancel := context.WithCancel(n.plane.ctx)
-	defer cancel()
-	inflight := make(chan struct{}, peerInflight)
-	hdr := make([]byte, wire.PeerHeaderSize)
-	var small []byte // scratch for a request body consumed before the next read
+// servePeer is an accepted connection's loop. It reads one call, plays out
+// its fault, answers it and writes the answer, in order: the caller holds its
+// connection for that one call, so nothing can wait behind a slow one, and
+// concurrent calls arrive on connections of their own.
+func (n *Node) servePeer(uc *upConn) {
+	var small []byte // scratch for a request body other than a batch
 	for {
-		if _, err := io.ReadFull(pc.br, hdr); err != nil {
+		hdr, err := uc.br.Peek(wire.PeerHeaderSize)
+		if err != nil {
 			return
 		}
 		h, err := wire.DecodePeerHeader(hdr)
 		if err != nil || h.Response {
 			return
 		}
+		uc.br.Discard(wire.PeerHeaderSize)
 		limit := peerRequestLimit
 		if h.Op == wire.PeerHints {
 			// One frame header over the record limit; the record bytes the
@@ -485,26 +280,26 @@ func (n *Node) servePeer(pc *peerConn) {
 			// oversized batch is told why, then the connection goes.
 			if h.Op == wire.PeerHints {
 				n.stats.oversizeRejects.Add(1)
-				pc.write(context.Background(), wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusRequestEntityTooLarge}, nil)
+				uc.reply(wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusRequestEntityTooLarge}, nil)
 				// Closing on unread bytes would reset the connection under a
 				// caller still writing: read its batch off first, briefly.
-				pc.c.SetReadDeadline(time.Now().Add(peerLingerTimeout))
-				io.CopyN(io.Discard, pc.br, int64(h.Len))
+				uc.c.SetReadDeadline(time.Now().Add(peerLingerTimeout))
+				io.CopyN(io.Discard, uc.br, int64(h.Len))
 			}
 			return
 		}
-		var body, batch []byte
+		var body []byte
 		if h.Op == wire.PeerHints {
-			// A batch outlives this iteration: it is applied off the loop.
-			batch = make([]byte, h.Len)
-			body = batch
+			// A batch (up to 1 MiB) is read into a slice of its own, not
+			// kept as the connection's scratch.
+			body = make([]byte, h.Len)
 		} else {
 			if cap(small) < h.Len {
 				small = make([]byte, h.Len)
 			}
 			body = small[:h.Len]
 		}
-		if _, err := io.ReadFull(pc.br, body); err != nil {
+		if _, err := io.ReadFull(uc.br, body); err != nil {
 			return
 		}
 		if h.Op == wire.PeerObject {
@@ -514,30 +309,21 @@ func (n *Node) servePeer(pc *peerConn) {
 		if n.inboundInj != nil {
 			d = n.inboundInj.Decide(n.label())
 		}
-		if d == (faults.Decision{}) && (h.Op == wire.PeerPing || h.Op == wire.PeerHolder ||
-			h.Op == wire.PeerObject && (n.tier == nil || n.data.Contains(h.B))) {
-			n.serveCall(ctx, pc, h, d, nil)
-			continue
+		if n.serveCall(uc, h, d, body) != nil {
+			return
 		}
-		inflight <- struct{}{} // at the cap: stop reading until a call finishes
-		n.plane.wg.Add(1)
-		go func() {
-			defer n.plane.wg.Done()
-			defer func() { <-inflight }()
-			n.serveCall(ctx, pc, h, d, batch)
-		}()
 	}
 }
 
 // serveCall plays out the fault one call drew, if any, runs it and writes
-// its answer. batch is a hint call's body; no other op's body is kept.
-func (n *Node) serveCall(ctx context.Context, pc *peerConn, h wire.PeerHeader, d faults.Decision, batch []byte) {
+// its answer. body is the call's; a hint batch is applied from it.
+func (n *Node) serveCall(uc *upConn, h wire.PeerHeader, d faults.Decision, body []byte) error {
 	resp := wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID}
 	var err error
 	if d != (faults.Decision{}) {
 		// An injected hang outlasts no caller: clientTimeout is the ceiling
 		// on any deadline in the package.
-		fctx, cancel := context.WithTimeout(ctx, clientTimeout)
+		fctx, cancel := context.WithTimeout(n.plane.ctx, clientTimeout)
 		var code int
 		code, err = d.Apply(fctx, n.label())
 		cancel()
@@ -547,13 +333,19 @@ func (n *Node) serveCall(ctx context.Context, pc *peerConn, h wire.PeerHeader, d
 	// it still waits, learns at once that no answer is coming.
 	var out []byte
 	if err == nil && resp.Status == 0 {
-		out = n.answer(&resp, h, batch)
+		out = n.answer(&resp, h, body)
 	}
-	pc.write(context.Background(), resp, out)
+	return uc.reply(resp, out)
+}
+
+// reply writes an answer within peerWriteTimeout.
+func (uc *upConn) reply(h wire.PeerHeader, body []byte) error {
+	uc.c.SetWriteDeadline(time.Now().Add(peerWriteTimeout))
+	return uc.writeFrame(h, body)
 }
 
 // answer runs one peer call, filling in resp and returning the body.
-func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, batch []byte) []byte {
+func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, body []byte) []byte {
 	resp.Status = http.StatusOK
 	start := time.Now()
 	switch h.Op {
@@ -562,7 +354,7 @@ func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, batch []byte) []
 	case wire.PeerHolder:
 		n.answerHolder(resp, h, start)
 	case wire.PeerHints:
-		resp.Status = uint16(n.ingestHints(batch, h.A, int64(h.C)))
+		resp.Status = uint16(n.ingestHints(body, h.A, int64(h.C)))
 	case wire.PeerDigest:
 		return n.loc.serveDigest(h.A, resp)
 	case wire.PeerObject:

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,36 +23,39 @@ import (
 	"beyondcache/internal/wire"
 )
 
-// Peer-plane tests: what a shared connection can get wrong. Each fails if
+// Peer-plane tests: what a leased connection can get wrong. Each fails if
 // the property it names is dropped — no head-of-line blocking, per-call
 // faults, deadlines against a stuck peer, bounded work on hostile frames, a
-// small call beside a large body, and no leak after Close.
+// small call beside a stalled body, and no leak after Close.
 
-// testPeerClient is a bare peer-plane caller: the production dial, write
-// and read loop without a node (or its fault injector) around them.
+// testPeerClient is a bare peer-plane caller: the production dial and
+// exchange on one connection, without a node (or its fault injector) around
+// them.
 type testPeerClient struct {
 	t  testing.TB
-	pc *peerConn
+	uc *upConn
 }
 
 func dialTestPeer(t testing.TB, baseURL string) *testPeerClient {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	pc, err := dialPeer(ctx, hostPortOf(baseURL))
+	uc, err := dialPeer(ctx, tcp(), hostPortOf(baseURL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	go pc.readLoop()
-	t.Cleanup(func() { pc.fail(io.EOF) })
-	return &testPeerClient{t: t, pc: pc}
+	t.Cleanup(func() { uc.c.Close() })
+	return &testPeerClient{t: t, uc: uc}
 }
 
 // call makes one call and waits up to five seconds for its answer.
 func (c *testPeerClient) call(h wire.PeerHeader, body []byte) (peerReply, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return c.pc.call(ctx, h, body)
+	c.uc.c.SetDeadline(time.Now().Add(5 * time.Second))
+	r, err := c.uc.call(h, body)
+	if err == nil && r.Status == 0 {
+		err = errPeerAborted
+	}
+	return r, err
 }
 
 // mustCall is call for the tests that expect an answer.
@@ -136,28 +140,53 @@ func peerOf(n *Node, url string) *peer {
 	return n.peerByID(hintcache.HashMachine(hostPortOf(url)))
 }
 
-// dialedConn is the connection n's calls to peerURL currently share.
-func dialedConn(n *Node, peerURL string) *peerConn {
-	n.plane.mu.RLock()
-	defer n.plane.mu.RUnlock()
-	return peerOf(n, peerURL).conn
+// idleOf is n's idle set for the peer at peerURL, most recently used last.
+func idleOf(n *Node, peerURL string) []*upConn {
+	p := peerOf(n, peerURL)
+	n.plane.mu.Lock()
+	defer n.plane.mu.Unlock()
+	return slices.Clone(p.link.idle)
 }
 
-// TestPeerNoHeadOfLineBlocking: with one call held by an inbound latency
-// rule, a ping and a holder lookup on the same connection finish at once.
+// putIdle makes c the idle connection n's next call to the peer at peerURL
+// leases.
+func putIdle(n *Node, peerURL string, c net.Conn) *upConn {
+	p, uc := peerOf(n, peerURL), newUpConn(c)
+	n.plane.add(uc, nil)
+	n.plane.mu.Lock()
+	p.link.idle = append(p.link.idle, uc)
+	n.plane.mu.Unlock()
+	return uc
+}
+
+// pingPeer pings the peer at peerURL from n, with a deadline of d.
+func pingPeer(n *Node, peerURL string, d time.Duration) (peerReply, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return n.call(ctx, peerOf(n, peerURL), pingHeader(), nil)
+}
+
+// TestPeerNoHeadOfLineBlocking: with one call from a node held by an inbound
+// latency rule, a ping and a holder lookup the node makes to the same peer
+// finish at once, each on a connection of its own.
 func TestPeerNoHeadOfLineBlocking(t *testing.T) {
 	const stall = 400 * time.Millisecond
 	inj, err := faults.New("slow:latency="+stall.String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := newMetaNode(t, NodeConfig{Name: "slow", InboundFaults: inj})
-	c := dialTestPeer(t, n.URL())
+	target := newMetaNode(t, NodeConfig{Name: "slow", InboundFaults: inj})
+	n := newMetaNode(t, NodeConfig{Name: "caller"})
+	call := func(h wire.PeerHeader, body []byte) (peerReply, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return n.call(ctx, peerOf(n, target.URL()), h, body)
+	}
 
 	slow := make(chan time.Duration, 1)
 	start := time.Now()
 	go func() {
-		c.call(wire.PeerHeader{Op: wire.PeerObject}, []byte("http://example.com/hol"))
+		call(wire.PeerHeader{Op: wire.PeerObject}, []byte("http://example.com/hol"))
 		slow <- time.Since(start)
 	}()
 	// The rule is drawn when the server reads the frame; once it has been,
@@ -173,9 +202,9 @@ func TestPeerNoHeadOfLineBlocking(t *testing.T) {
 	}
 	for _, h := range []wire.PeerHeader{pingHeader(), {Op: wire.PeerHolder, B: 42}} {
 		t0 := time.Now()
-		r := c.mustCall(h, nil)
-		if took := time.Since(t0); took > stall/4 {
-			t.Errorf("op %d behind a stalled call took %v, want single-digit milliseconds", h.Op, took)
+		r, err := call(h, nil)
+		if took := time.Since(t0); err != nil || took > stall/4 {
+			t.Errorf("op %d beside a stalled call: %v after %v, want an answer in single-digit milliseconds", h.Op, err, took)
 		}
 		if r.Status != http.StatusNoContent && r.Status != http.StatusNotFound {
 			t.Errorf("op %d status %d", h.Op, r.Status)
@@ -184,11 +213,15 @@ func TestPeerNoHeadOfLineBlocking(t *testing.T) {
 	if took := <-slow; took < stall {
 		t.Errorf("the delayed call returned after %v, want >= %v", took, stall)
 	}
+	if got := len(idleOf(n, target.URL())); got != 2 {
+		t.Errorf("%d idle connections after a stalled call and two beside it, want 2: one leased by the stalled call, one by the others in turn", got)
+	}
 }
 
 // TestPeerFaultsArePerCall: a fault rule fails exactly the calls it was
 // drawn for and Injector.Counts sees one decision per call; the calls
-// around them, on the same connection, are untouched.
+// around them are untouched, and so is the connection: the idle one after
+// the faults is the one before them.
 func TestPeerFaultsArePerCall(t *testing.T) {
 	in, err := faults.New("", 4)
 	if err != nil {
@@ -213,7 +246,10 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 		}
 	}
 	healthy("before any fault")
-	pc := dialedConn(n, target.URL())
+	before := idleOf(n, target.URL())
+	if len(before) != 1 {
+		t.Fatalf("%d idle connections after one ping, want 1", len(before))
+	}
 
 	for _, c := range []struct {
 		spec  string
@@ -241,8 +277,8 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 		}
 		healthy("after " + c.spec)
 	}
-	// Nor does a caller whose deadline has already passed: it may win the
-	// write turn, but must not write (and fail) against its dead deadline.
+	// Nor does a caller whose deadline has already passed: it leases
+	// nothing, so it cannot cut the connection it would have leased.
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		if _, err := n.call(ctx, peerOf(n, target.URL()), pingHeader(), nil); err != context.DeadlineExceeded {
@@ -250,7 +286,7 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 		}
 		cancel()
 	}
-	if got := dialedConn(n, target.URL()); got != pc || !pc.alive() {
+	if got := idleOf(n, target.URL()); !slices.Equal(got, before) {
 		t.Error("per-call faults or an expired caller cost the connection; they must touch only their own calls")
 	}
 
@@ -268,17 +304,17 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 	if got := in.Counts().Drops; got != 1 {
 		t.Errorf("inbound injector counted %d drops for 1 call", got)
 	}
-	if got := dialedConn(n, target.URL()); got != pc {
+	if got := idleOf(n, target.URL()); !slices.Equal(got, before) {
 		t.Error("an inbound per-call drop replaced the connection")
 	}
 }
 
 // TestPeerStuckPeerCostsDeadlinesOnly: a peer that has stopped reading and
-// never answers — an in-process connection whose far end takes 64 KiB, a
+// never answers — in-process connections whose far end takes 64 KiB, a
 // socket buffer's worth, and then nothing. Every call returns by its own
-// deadline, including ones queued behind a 1 MiB hint batch that cannot be
-// written; the breaker opens; the batch's write deadline costs the
-// connection, and the next call redials.
+// deadline, a 1 MiB hint batch that cannot be written included; the breaker
+// opens; each call cut short costs its connection, and the next call
+// redials.
 func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 	healthy := newStubPeer(t, func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 		return wire.PeerHeader{Status: http.StatusNoContent}, nil
@@ -286,80 +322,64 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "patient", PeerTimeout: 150 * time.Millisecond})
 	n.breakerCfg = resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Hour}
 	n.AddPeer(healthy.URL)
+	p := peerOf(n, healthy.URL)
+	stuck := make([]*upConn, 3)
+	for i := range stuck {
+		near, far := net.Pipe()
+		t.Cleanup(func() { far.Close() })
+		go io.CopyN(io.Discard, far, 64<<10)
+		stuck[i] = putIdle(n, healthy.URL, near)
+	}
 
-	near, far := net.Pipe()
-	t.Cleanup(func() { far.Close() })
-	go io.CopyN(io.Discard, far, 64<<10)
-	stuck := newPeerConn(near, bufio.NewReader(near), "stuck")
-	go stuck.readLoop()
-	n.plane.mu.Lock()
-	peerOf(n, healthy.URL).conn = stuck
-	n.plane.mu.Unlock()
-
+	timed := func(name string, d time.Duration, call func(context.Context) error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		start := time.Now()
+		err := call(ctx)
+		if took := time.Since(start); err == nil || took > d+100*time.Millisecond {
+			t.Errorf("%s: %v after %v, want an error by its own %v deadline", name, err, took, d)
+		}
+		p.br.Record(err == nil)
+	}
 	// The data path sees a string of timeouts, each on time, and the
 	// peer's breaker opens.
 	for i := 0; i < 2; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PeerTimeout)
-		start := time.Now()
-		_, err := n.fetchPeer(ctx, peerOf(n, healthy.URL), "http://example.com/stuck", "", false)
-		cancel()
-		if took := time.Since(start); err == nil || took > n.cfg.PeerTimeout+100*time.Millisecond {
-			t.Errorf("object call into a stuck peer: %v after %v, want a timeout at %v", err, took, n.cfg.PeerTimeout)
-		}
-		peerOf(n, healthy.URL).br.Record(err == nil)
+		timed("object call into a stuck peer", n.cfg.PeerTimeout, func(ctx context.Context) error {
+			_, err := n.fetchPeer(ctx, p, "http://example.com/stuck", "", false)
+			return err
+		})
 	}
 	if st := n.Breakers()[healthy.URL]; st.State != resilience.Open {
 		t.Errorf("breaker after calls into a stuck peer = %v, want open", st.State)
 	}
+	timed("1 MiB batch", 200*time.Millisecond, func(ctx context.Context) error {
+		_, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerHints}, make([]byte, updatesLimit))
+		return err
+	})
 
-	timed := func(name string, d time.Duration, h wire.PeerHeader, body []byte) {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		defer cancel()
-		start := time.Now()
-		_, err := n.call(ctx, peerOf(n, healthy.URL), h, body)
-		if took := time.Since(start); err == nil || took > d+100*time.Millisecond {
-			t.Errorf("%s: %v after %v, want an error by its own %v deadline", name, err, took, d)
+	if r, err := pingPeer(n, healthy.URL, time.Second); err != nil || r.Status != http.StatusNoContent {
+		t.Errorf("ping after the stuck connections = status %d, %v; want 204 over a fresh one", r.Status, err)
+	}
+	n.plane.mu.Lock()
+	defer n.plane.mu.Unlock()
+	for _, uc := range stuck {
+		if _, live := n.plane.conns[uc]; live || slices.Contains(p.link.idle, uc) {
+			t.Error("a connection whose call was cut short outlived its call")
 		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		timed("1 MiB batch", 600*time.Millisecond, wire.PeerHeader{Op: wire.PeerHints}, make([]byte, updatesLimit))
-	}()
-	for len(stuck.wlock) == 0 { // until the batch holds the write turn
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			timed("ping queued behind the batch", 200*time.Millisecond, pingHeader(), nil)
-		}()
-	}
-	wg.Wait()
-	if stuck.alive() {
-		t.Fatal("a write that missed its deadline left the connection alive")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if r, err := n.call(ctx, peerOf(n, healthy.URL), pingHeader(), nil); err != nil || r.Status != http.StatusNoContent {
-		t.Errorf("ping after the stuck connection died = status %d, %v; want 204 over a fresh one", r.Status, err)
-	}
-	if got := dialedConn(n, healthy.URL); got == stuck {
-		t.Error("the link still holds the dead connection")
 	}
 }
 
-// TestPeerCallRetriesOnceOnStaleConnection: a connection the peer closed
-// while it sat idle — it restarted — is found out by the call that next uses
-// it. That call is retried once on a fresh connection, as net/http retries
-// on a stale pooled one; a peer that keeps hanging up costs two dials, not a
-// loop.
+// TestPeerCallRetriesOnceOnStaleConnection: the origin link's rule, on the
+// peer plane. A connection the peer closed while it sat idle — it restarted
+// — is found out by the call that next leases it; nothing of an answer
+// arrived on a reused connection, so the call is tried once more, on a
+// fresh one. A peer that keeps hanging up costs a call on a reused
+// connection that one and one fresh dial, and a call that starts on a fresh
+// connection exactly it: not a loop.
 func TestPeerCallRetriesOnceOnStaleConnection(t *testing.T) {
-	var upgrades, hangUps atomic.Int64 // hangUps: how many connections, from the first, hang up
-	hangUps.Store(1)
+	var upgrades atomic.Int64
+	var hangsUp atomic.Bool // every connection hangs up on its first call
 	s := &stubPeer{}
 	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c, br := s.upgrade(w)
@@ -368,12 +388,12 @@ func TestPeerCallRetriesOnceOnStaleConnection(t *testing.T) {
 		}
 		nth := upgrades.Add(1)
 		hdr := make([]byte, wire.PeerHeaderSize)
-		for {
+		for calls := 0; ; calls++ {
 			if _, err := io.ReadFull(br, hdr); err != nil {
 				return
 			}
-			if nth <= hangUps.Load() {
-				c.Close() // the request arrived on a connection already given up
+			if hangsUp.Load() || nth == 1 && calls == 1 {
+				c.Close() // the call arrived on a connection already given up
 				return
 			}
 			h, _ := wire.DecodePeerHeader(hdr)
@@ -382,24 +402,28 @@ func TestPeerCallRetriesOnceOnStaleConnection(t *testing.T) {
 	}))
 	t.Cleanup(s.close)
 	n := newMetaNode(t, NodeConfig{Name: "redialer"})
-	ping := func() (peerReply, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return n.call(ctx, peerOf(n, s.URL), pingHeader(), nil)
+	ping := func() (peerReply, error) { return pingPeer(n, s.URL, 5*time.Second) }
+	for i, want := range []int64{1, 2} {
+		if r, err := ping(); err != nil || r.Status != http.StatusNoContent {
+			t.Fatalf("ping %d = status %d, %v; want 204 (the second across a hang-up, from a second connection)", i+1, r.Status, err)
+		}
+		if got := upgrades.Load(); got != want {
+			t.Errorf("%d connections dialed after ping %d, want %d", got, i+1, want)
+		}
 	}
-	if r, err := ping(); err != nil || r.Status != http.StatusNoContent {
-		t.Fatalf("ping across a hang-up = status %d, %v; want 204 from the second connection", r.Status, err)
-	}
-	if got := upgrades.Load(); got != 2 {
-		t.Errorf("%d connections dialed, want 2", got)
-	}
-	hangUps.Store(1 << 62)
-	dialedConn(n, s.URL).fail(io.EOF) // start from a dead one: both attempts are fresh dials
+
+	hangsUp.Store(true)
 	if _, err := ping(); err == nil {
-		t.Error("ping to a peer that always hangs up succeeded")
+		t.Error("ping to a peer that hangs up succeeded")
+	}
+	if got := upgrades.Load(); got != 3 {
+		t.Errorf("%d connections dialed after a reused one failed, want 3: one retry", got)
+	}
+	if _, err := ping(); err == nil {
+		t.Error("ping to a peer that hangs up succeeded")
 	}
 	if got := upgrades.Load(); got != 4 {
-		t.Errorf("%d connections dialed in all, want 4: one retry per call, no more", got)
+		t.Errorf("%d connections dialed after a fresh one failed, want 4: no retry", got)
 	}
 }
 
@@ -409,13 +433,13 @@ func rawPeerConn(t *testing.T, n *Node) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	pc, err := dialPeer(ctx, hostPortOf(n.URL()))
+	uc, err := dialPeer(ctx, tcp(), hostPortOf(n.URL()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { pc.c.Close() })
-	pc.c.SetDeadline(time.Now().Add(5 * time.Second))
-	return pc.c, pc.br
+	t.Cleanup(func() { uc.c.Close() })
+	uc.c.SetDeadline(time.Now().Add(5 * time.Second))
+	return uc.c, uc.br
 }
 
 // dropped reports whether the far end closed c without sending anything.
@@ -451,16 +475,43 @@ func TestPeerDialBoundsHandshakeHeader(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), peerDialTimeout)
 	defer cancel()
 	start := time.Now()
-	pc, err := dialPeer(ctx, lis.Addr().String())
+	uc, err := dialPeer(ctx, tcp(), lis.Addr().String())
 	if err == nil {
-		pc.fail(io.EOF)
+		uc.c.Close()
 		t.Fatal("dial accepted a handshake whose header never ends")
 	}
-	if !errors.Is(err, errOriginHeader) {
+	if !errors.Is(err, errHeadTooLong) {
 		t.Fatalf("dial failed with %v, want the header-limit error", err)
 	}
 	if took := time.Since(start); took > peerDialTimeout/2 {
 		t.Errorf("dial took %v to refuse: the limit must fire, not the %v dial timeout", took, peerDialTimeout)
+	}
+}
+
+// TestPeerPipelinedCallsAnsweredInOrder: a caller that writes several calls
+// before reading any answer — an older node's, whose calls shared one
+// connection — gets its answers in order, each under its own call's ID.
+func TestPeerPipelinedCallsAnsweredInOrder(t *testing.T) {
+	n := newMetaNode(t, NodeConfig{Name: "pipelined"})
+	c, br := rawPeerConn(t, n)
+	const url = "http://example.com/pipelined"
+	calls := []wire.PeerHeader{{Op: wire.PeerPing, ID: 5}, {Op: wire.PeerHolder, ID: 9, B: 42}, {Op: wire.PeerObject, ID: 7, Len: len(url)}}
+	var raw []byte
+	for _, h := range calls {
+		raw = wire.AppendPeerHeader(raw, h)
+	}
+	if _, err := c.Write(append(raw, url...)); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, wire.PeerHeaderSize)
+	for i, call := range calls {
+		if _, err := io.ReadFull(br, hdr); err != nil {
+			t.Fatalf("answer %d: %v", i+1, err)
+		}
+		h, err := wire.DecodePeerHeader(hdr)
+		if err != nil || !h.Response || h.Op != call.Op || h.ID != call.ID || h.Len != 0 || h.Status == 0 {
+			t.Errorf("answer %d = %+v, %v; want op %d's answer under ID %d", i+1, h, err, call.Op, call.ID)
+		}
 	}
 }
 
@@ -557,34 +608,49 @@ func TestPeerHostileFrames(t *testing.T) {
 	})
 
 	t.Run("an answer nobody waits for", func(t *testing.T) {
-		var extra wire.PeerHeader
 		s := newStubPeer(t, func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
+			if h.Op == wire.PeerHolder {
+				return wire.PeerHeader{Status: http.StatusOK}, []byte{1} // a body no holder answer carries
+			}
 			return wire.PeerHeader{Status: http.StatusNoContent}, nil
 		})
-		c := dialTestPeer(t, s.URL)
-		// An unsolicited answer carrying a body, then a real exchange: the
-		// stray one is read and discarded, the connection keeps working.
-		extra = wire.PeerHeader{Op: wire.PeerObject, Response: true, ID: 12345, Status: http.StatusOK}
-		s.mu.Lock()
-		s.conns[0].Write(frame(extra, make([]byte, 3000)))
-		s.mu.Unlock()
-		if r := c.mustCall(pingHeader(), nil); r.Status != http.StatusNoContent {
-			t.Errorf("ping after a stray answer = %d", r.Status)
+		caller := newMetaNode(t, NodeConfig{Name: "caller"})
+		ping := func() (peerReply, error) { return pingPeer(caller, s.URL, 5*time.Second) }
+		if _, err := ping(); err != nil {
+			t.Fatal(err)
 		}
-		// An answer whose body exceeds its op's limit kills the connection.
+		// An unsolicited answer lands on the idle connection: the next call
+		// reads it where its own answer belongs, under another ID, and fails,
+		// and the connection goes with it.
 		s.mu.Lock()
-		s.conns[0].Write(frame(wire.PeerHeader{Op: wire.PeerPing, Response: true, Len: 1}, nil))
+		s.conns[0].Write(frame(wire.PeerHeader{Op: wire.PeerObject, Response: true, ID: 12345, Status: http.StatusOK}, make([]byte, 3000)))
 		s.mu.Unlock()
-		if _, err := c.call(pingHeader(), nil); err == nil {
-			t.Error("connection survived a ping answer declaring a body")
+		if _, err := ping(); err == nil {
+			t.Error("a call took a stray answer, under another ID, for its own")
+		}
+		if got := idleOf(caller, s.URL); len(got) != 0 {
+			t.Error("the connection that carried a stray answer was kept")
+		}
+		if r, err := ping(); err != nil || r.Status != http.StatusNoContent {
+			t.Errorf("ping after a stray answer = %d, %v; want 204 over a fresh connection", r.Status, err)
+		}
+		// An answer whose body exceeds its op's limit fails its call too.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if _, err := caller.call(ctx, peerOf(caller, s.URL), wire.PeerHeader{Op: wire.PeerHolder}, nil); err == nil {
+			t.Error("a holder answer declaring a body was taken")
+		}
+		if got := idleOf(caller, s.URL); len(got) != 0 {
+			t.Error("the connection that carried a bad answer was kept")
 		}
 	})
 }
 
 // FuzzPeerFrame feeds arbitrary bytes to both decoders in place: as the
-// request stream of an accepted connection and as the answer stream of a
-// dialed one. Neither may panic, hang, or be talked into allocating past
-// the op limits; each must end by dropping the connection or running dry.
+// request stream of an accepted connection and as the answer to one call on
+// a dialed one. Neither may panic, hang, or be talked into allocating past
+// the op limits; each must end by dropping the connection, running dry or
+// (the dialed side) taking one answer.
 func FuzzPeerFrame(f *testing.F) {
 	f.Add(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerPing, ID: 1}))
 	f.Add(append(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerObject, ID: 1, Len: 5}), "hello"...))
@@ -595,14 +661,16 @@ func FuzzPeerFrame(f *testing.F) {
 	f.Add([]byte("bp\x01\x00"))
 	n := newMetaNode(f, NodeConfig{Name: "fuzzed"})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		// pipe runs loop against one end of an in-process connection and
-		// plays stream into the other, draining whatever comes back.
-		pipe := func(loop func(*peerConn)) {
+		// pipe runs end against one end of an in-process connection, closing
+		// it when end returns, and plays stream into the other, draining
+		// whatever comes back.
+		pipe := func(end func(net.Conn)) {
 			near, far := net.Pipe()
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				loop(newPeerConn(near, bufio.NewReader(near), ""))
+				defer near.Close()
+				end(near)
 			}()
 			go io.Copy(io.Discard, far)
 			far.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -614,47 +682,82 @@ func FuzzPeerFrame(f *testing.F) {
 				t.Fatal("frame loop still running 10 s after its connection closed")
 			}
 		}
-		pipe(n.servePeer)
-		pipe(func(pc *peerConn) {
-			// One call waiting, so a well-formed answer has somewhere to go.
-			pc.pending[1] = make(chan peerReply, 1)
-			pc.readLoop()
-		})
+		pipe(func(c net.Conn) { n.servePeer(&upConn{c: c, br: bufio.NewReader(c)}) })
+		pipe(func(c net.Conn) { newUpConn(c).call(pingHeader(), nil) })
 	})
 }
 
-// TestPeerSmallCallBesideLargeBody: a holder lookup issued while an 8 MiB
-// object crosses the same connection completes correctly. One frame per
-// object is the plane's limit: the lookup waits for the body's bytes, it
-// is not failed by them.
-func TestPeerSmallCallBesideLargeBody(t *testing.T) {
+// TestPeerSmallCallBesideStalledBody: a peer that sends half of an 8 MiB
+// object answer and then stalls holds up that one call and nothing else. A
+// holder lookup to the same peer, issued meanwhile, is answered within
+// 100 ms; the transfer, once the peer resumes, completes. (When a node's
+// calls to a peer shared one connection, the lookup queued behind the
+// body's missing bytes and timed out.)
+func TestPeerSmallCallBesideStalledBody(t *testing.T) {
 	const size = 8 << 20
-	f := startFleet(t, 2, FleetConfig{ObjectSize: size, CacheBytes: 1 << 30, PeerTimeout: 10 * time.Second, HedgeBudget: 10 * time.Second})
-	const url = "http://example.com/large"
-	if _, err := f.Fetch(0, url); err != nil {
-		t.Fatal(err)
-	}
-	f.FlushAll()
-	holder, caller := f.Nodes[0], f.Nodes[1]
+	halfway, resume := make(chan struct{}), make(chan struct{})
+	s := &stubPeer{}
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c, br := s.upgrade(w)
+		if c == nil {
+			return
+		}
+		hdr := make([]byte, wire.PeerHeaderSize)
+		for {
+			if _, err := io.ReadFull(br, hdr); err != nil {
+				return
+			}
+			h, err := wire.DecodePeerHeader(hdr)
+			if err != nil {
+				return
+			}
+			if _, err := br.Discard(h.Len); err != nil {
+				return
+			}
+			resp := wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusOK, A: 42}
+			if h.Op != wire.PeerObject {
+				c.Write(wire.AppendPeerHeader(nil, resp))
+				continue
+			}
+			resp.Len = size
+			c.Write(append(wire.AppendPeerHeader(nil, resp), make([]byte, size/2)...))
+			close(halfway)
+			<-resume
+			c.Write(make([]byte, size/2))
+		}
+	}))
+	t.Cleanup(s.close)
+	n := newMetaNode(t, NodeConfig{Name: "caller"})
+	p := peerOf(n, s.URL)
 
-	var wg sync.WaitGroup
-	wg.Add(1)
+	transfer := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		res, err := f.Fetch(1, url)
-		if err != nil || !res.Remote() || res.Bytes != size {
-			t.Errorf("8 MiB fetch = %+v, %v; want a complete REMOTE transfer", res, err)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		got, err := n.fetchPeer(ctx, p, "http://example.com/large", "", false)
+		if err == nil && len(got.body) != size {
+			err = fmt.Errorf("%d bytes", len(got.body))
 		}
+		transfer <- err
 	}()
-	for i := 0; i < 50; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		machine, err := caller.queryHintHome(ctx, peerOf(caller, holder.URL()), hintcache.HashURL(url), "", false)
-		cancel()
-		if err != nil || machine != holder.machineID {
-			t.Fatalf("holder lookup %d beside the transfer = %#x, %v; want %#x", i, machine, err, holder.machineID)
-		}
+	select {
+	case <-halfway:
+	case <-time.After(5 * time.Second):
+		close(resume)
+		t.Fatal("the transfer never started")
 	}
-	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	start := time.Now()
+	machine, err := n.queryHintHome(ctx, p, hintcache.HashURL("http://example.com/large"), "", false)
+	took := time.Since(start)
+	cancel()
+	close(resume)
+	if err != nil || machine != 42 || took > 100*time.Millisecond {
+		t.Errorf("holder lookup beside a stalled body = %d, %v after %v; want machine 42 within 100 ms", machine, err, took)
+	}
+	if err := <-transfer; err != nil {
+		t.Errorf("the 8 MiB transfer, resumed: %v; want it whole", err)
+	}
 }
 
 // TestPeerObjectBodyExactlySized: the body of a transfer lands in one
@@ -678,12 +781,13 @@ func TestPeerObjectBodyExactlySized(t *testing.T) {
 	runtime.ReadMemStats(&ms0)
 	hdr := wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerObject, Response: true, ID: 1, Len: 1 << 30})
 	near, far := net.Pipe()
-	pc := newPeerConn(near, bufio.NewReader(near), "")
-	ch := make(chan peerReply, 1)
-	pc.pending[1] = ch
-	go func() { far.Write(hdr); far.Close() }()
-	pc.readLoop()
-	if r := <-ch; r.err == nil {
+	defer near.Close()
+	go func() {
+		io.CopyN(io.Discard, far, wire.PeerHeaderSize) // the call
+		far.Write(hdr)
+		far.Close()
+	}()
+	if _, err := newUpConn(near).call(wire.PeerHeader{Op: wire.PeerObject}, nil); err == nil {
 		t.Error("a 1 GiB body that never arrived was delivered")
 	}
 	runtime.ReadMemStats(&ms1)
@@ -722,17 +826,13 @@ func TestPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 	osrv := httptest.NewServer(origin.Handler())
 	t.Cleanup(osrv.Close)
 
-	// pipe installs, as the node's connection to the peer, one end of an
-	// in-process pipe whose other end is given to far.
+	// pipe installs, as the node's idle connection to the peer, one end of
+	// an in-process pipe whose other end is given to far.
 	pipe := func(t *testing.T, n *Node, peerURL string, far func(net.Conn)) {
 		near, other := net.Pipe()
 		t.Cleanup(func() { other.Close() })
 		go far(other)
-		pc := newPeerConn(near, bufio.NewReader(near), "stuck")
-		go pc.readLoop()
-		n.plane.mu.Lock()
-		peerOf(n, peerURL).conn = pc
-		n.plane.mu.Unlock()
+		putIdle(n, peerURL, near)
 	}
 	for name, stick := range map[string]func(t *testing.T, n *Node, peerURL string){
 		"upgrade answer never sent": func(*testing.T, *Node, string) {},

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+
 	"beyondcache/internal/digest"
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/obs"
@@ -26,9 +28,9 @@ type peer struct {
 	hintLag     *obs.Histogram
 	digestStale *obs.Histogram
 
-	// conn is the dialed connection; it may be dead, until redialed.
-	// Guarded by plane.mu.
-	conn *peerConn
+	// link is the peer's idle set (its slice guarded by plane.mu) and how to
+	// dial it: a call leases a connection from it.
+	link link
 
 	// sender is the hint locators' pipeline to the peer (sender.go): never
 	// nil, idle until a round feeds it. Its queue and counters lock
@@ -69,6 +71,9 @@ func (n *Node) AddPeer(baseURL string) {
 		id: id, url: baseURL, host: host, br: resilience.NewBreaker(n.breakerCfg),
 		hintLag: obs.NewHistogram(nil), digestStale: obs.NewHistogram(nil),
 	}
+	p.link = link{set: &n.plane.connSet, dial: func(ctx context.Context) (*upConn, error) {
+		return dialPeer(ctx, n.nw, host)
+	}}
 	p.sender = &peerSender{target: p, q: newPendq(hintQueueCap)}
 	n.peers = append(n.peers, p)
 	n.byID[id] = p

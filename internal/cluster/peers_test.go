@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"beyondcache/internal/obs"
 )
@@ -41,9 +44,10 @@ func TestAddPeerOneRecordPerAddress(t *testing.T) {
 // TestPeerTableConcurrent: the peer table is appended to while everything
 // that reads it runs — fetches that resolve a hint to a record and transfer
 // from it, metadata rounds, scrapes — and while one peer restarts under its
-// records elsewhere. Once the node has closed, every record's connection is
-// dead and no record's sender has a drain running: read off the records,
-// which is where a leak would be.
+// records elsewhere. Once the node has closed, the plane holds no live
+// connection, every one left in a record's idle set is closed, and no
+// record's sender has a drain running: read off the records, which is where
+// a leak would be.
 func TestPeerTableConcurrent(t *testing.T) {
 	for name, cfg := range map[string]FleetConfig{
 		"broadcast":   {},
@@ -66,7 +70,7 @@ func TestPeerTableConcurrent(t *testing.T) {
 			// Repeated ones: its two peers, under both spellings.
 			addrs := []string{f.Nodes[1].URL(), f.Nodes[1].Addr(), f.Nodes[2].URL(), f.Nodes[2].Addr()}
 			for i := 0; i < 2; i++ {
-				extra, err := f.cfg.newNode(3+i, f.Origin.URL())
+				extra, err := f.newNode(3 + i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,12 +137,15 @@ func TestPeerTableConcurrent(t *testing.T) {
 			}
 
 			// Everything that wrote a record has returned: read them bare.
+			if len(n.plane.conns) != 0 {
+				t.Errorf("%d peer connections outlived Close", len(n.plane.conns))
+			}
 			conns, sent := 0, int64(0)
 			for _, p := range n.peerList() {
-				if p.conn != nil {
+				for _, uc := range p.link.idle {
 					conns++
-					if p.conn.alive() {
-						t.Errorf("connection to %s outlived Close", p.host)
+					if err := uc.c.SetDeadline(time.Time{}); !errors.Is(err, net.ErrClosed) {
+						t.Errorf("an idle connection to %s outlived Close (%v)", p.host, err)
 					}
 				}
 				if draining(p) {

@@ -1,0 +1,169 @@
+//go:build goexperiment.synctest
+
+//go:debug asynctimerchan=0
+
+package cluster
+
+// A fleet in a bubble (ROADMAP direction 1): the origin, the nodes and the
+// fleet's client run on an in-memory network inside testing/synctest's Run,
+// where time is fake and moves only when every goroutine in the bubble is
+// durably blocked. Run with
+//
+//	GOEXPERIMENT=synctest go test -run TestSim ./internal/cluster
+//
+// Two things a harness built on this has to know:
+//   - The //go:debug line above is required. go.mod says go 1.22, which
+//     keeps asynchronous timer channels, and Run panics on them ("not
+//     supported with asynctimerchan!=0").
+//   - A leaked goroutine that keeps ticking does not make Run panic. Skip
+//     Fleet.Close and the batcher keeps taking its turns on the fake clock,
+//     which Run spins forward until the binary is killed: for a goroutine
+//     that ticks, "no leak" is caught by the -timeout, not by a panic.
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"strconv"
+	"sync"
+	"testing"
+	"testing/synctest"
+	"time"
+)
+
+// memNet is an in-memory network: a dial is one net.Pipe, whose far end the
+// listener at the dialed address accepts. Listening on port 0 picks a port.
+type memNet struct {
+	mu    sync.Mutex
+	ports int
+	lis   map[string]*memListener
+}
+
+func (m *memNet) network() network { return network{dial: m.dial, listen: m.listen} }
+
+func (m *memNet) listen(addr string) (net.Listener, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if port == "0" {
+		m.ports++
+		addr = net.JoinHostPort(host, strconv.Itoa(20000+m.ports))
+	}
+	if m.lis[addr] != nil {
+		return nil, fmt.Errorf("listen %s: address in use", addr)
+	}
+	l := &memListener{net: m, addr: memAddr(addr), conns: make(chan net.Conn), done: make(chan struct{})}
+	m.lis[addr] = l
+	return l, nil
+}
+
+func (m *memNet) dial(ctx context.Context, addr string) (net.Conn, error) {
+	m.mu.Lock()
+	l := m.lis[addr]
+	m.mu.Unlock()
+	err := fmt.Errorf("dial %s: connection refused", addr)
+	if l == nil {
+		return nil, err
+	}
+	near, far := net.Pipe()
+	select {
+	case l.conns <- far:
+		return near, nil
+	case <-l.done:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	near.Close()
+	far.Close()
+	return nil, err
+}
+
+type memListener struct {
+	net   *memNet
+	addr  memAddr
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *memListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *memListener) Close() error {
+	l.once.Do(func() {
+		close(l.done)
+		l.net.mu.Lock()
+		delete(l.net.lis, string(l.addr))
+		l.net.mu.Unlock()
+	})
+	return nil
+}
+
+func (l *memListener) Addr() net.Addr { return l.addr }
+
+type memAddr string
+
+func (a memAddr) Network() string { return "mem" }
+func (a memAddr) String() string  { return string(a) }
+
+// TestSimFleet boots three nodes in a bubble, fills an object at one and
+// fetches it from another, then lets an hour of fake time pass — every idle
+// connection the origin and the front doors keep is closed under the fleet by
+// their idle timeouts — and fetches again before closing the fleet. For each
+// of the three locators.
+func TestSimFleet(t *testing.T) {
+	for name, cfg := range map[string]FleetConfig{
+		"broadcast":   {},
+		"partitioned": {HintPartition: true},
+		"digests":     {UseDigests: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			synctest.Run(func() {
+				cfg.Nodes, cfg.ObjectSize, cfg.UpdateInterval = 3, 1024, time.Hour
+				f, err := startFleetOn(cfg, (&memNet{lis: make(map[string]*memListener)}).network())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer f.Close()
+				fetch := func(i int, url, want string) bool {
+					res, err := f.Fetch(i, url)
+					if err != nil || res.How != want {
+						t.Errorf("node %d fetch %s = %q, %v; want %s", i, url, res.How, err, want)
+						return false
+					}
+					return true
+				}
+				const a, b = "http://example.com/sim/a", "http://example.com/sim/b"
+				if !fetch(0, a, "MISS") {
+					return
+				}
+				f.FlushAll()
+				if !fetch(1, a, "REMOTE") {
+					return
+				}
+				start := time.Now()
+				time.Sleep(time.Hour)
+				if took := time.Since(start); took != time.Hour {
+					t.Errorf("an hour's sleep took %v of the bubble's clock", took)
+				}
+				// The node's pooled origin connection is stale by now: the
+				// miss finds it out and redials once.
+				if fetch(2, a, "REMOTE") && fetch(1, a, "LOCAL") && fetch(0, b, "MISS") {
+					if got := f.Origin.Fetches(); got != 2 {
+						t.Errorf("the origin served %d fetches, want 2", got)
+					}
+				}
+			})
+		})
+	}
+}

@@ -126,9 +126,11 @@ func TestHistogramsOfRoundTrip(t *testing.T) {
 	p1.Observe(70 * time.Microsecond)
 	p1.Observe(3 * time.Millisecond)
 	p2.Observe(2 * time.Hour) // lands in the overflow bucket
-	all, err := MergeAll(p1, p2)
-	if err != nil {
-		t.Fatalf("MergeAll: %v", err)
+	all := NewHistogram(nil)
+	for _, p := range []*Histogram{p1, p2} {
+		if err := all.Merge(p.Snapshot()); err != nil {
+			t.Fatalf("Merge: %v", err)
+		}
 	}
 
 	e := NewExpo()

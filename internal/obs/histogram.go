@@ -131,21 +131,6 @@ func (h *Histogram) Merge(s HistogramSnapshot) error {
 	return nil
 }
 
-// MergeAll snapshots and merges every source histogram into one new
-// histogram sharing the first source's bounds (nil for no sources).
-func MergeAll(hs ...*Histogram) (*Histogram, error) {
-	if len(hs) == 0 {
-		return nil, nil
-	}
-	out := NewHistogram(hs[0].bounds)
-	for _, h := range hs {
-		if err := out.Merge(h.Snapshot()); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts has one extra slot for

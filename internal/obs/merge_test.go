@@ -38,9 +38,11 @@ func TestHistogramMergeEqualsSingleHistogram(t *testing.T) {
 		whole.Observe(d)
 		parts[i%len(parts)].Observe(d)
 	}
-	merged, err := MergeAll(parts...)
-	if err != nil {
-		t.Fatal(err)
+	merged := NewHistogram(nil)
+	for _, p := range parts {
+		if err := merged.Merge(p.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ws, ms := whole.Snapshot(), merged.Snapshot()
 	if ws.Count() != ms.Count() || ws.Sum != ms.Sum {
@@ -68,13 +70,6 @@ func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
 	c := NewHistogram(ExpBounds(2*time.Millisecond, 2, 8))
 	if err := a.Merge(c.Snapshot()); err == nil {
 		t.Error("merge across differing bounds accepted")
-	}
-}
-
-func TestMergeAllEmpty(t *testing.T) {
-	h, err := MergeAll()
-	if err != nil || h != nil {
-		t.Errorf("MergeAll() = (%v, %v), want (nil, nil)", h, err)
 	}
 }
 
