@@ -18,11 +18,11 @@
 // The X-Cache response header reports LOCAL, REMOTE (direct cache-to-cache
 // transfer), or MISS (origin fetch).
 //
-// Hint batches are broadcast to every peer; with -hint-replicas R (R > 0)
-// on every node they route to each object's R Plaxton hint homes instead
-// (the paper's self-configuring metadata hierarchy); with -digests nodes
-// pull each other's Bloom-filter digests. Data transfers are direct
-// cache-to-cache in every case.
+// Hint batches go to every peer, each node keeping the whole hint directory;
+// with -hint-replicas R (R > 0) on every node they route to each object's R
+// Plaxton hint homes instead (the paper's self-configuring metadata
+// hierarchy); with -digests nodes pull each other's Bloom-filter digests.
+// Data transfers are direct cache-to-cache in every case.
 package main
 
 import (
@@ -71,7 +71,7 @@ func run(args []string, out io.Writer, wait func()) error {
 		interval    = fs.Duration("update-interval", time.Second, "mean hint batch interval")
 		digests     = fs.Bool("digests", false, "exchange Bloom-filter cache digests instead of exact hint records")
 		wireComp    = fs.Bool("wire-compress", false, "flate-compress metadata frames (hint batches, digests) past 256 bytes")
-		hintReps    = fs.Int("hint-replicas", 0, "partition the hint directory across the fleet: each object's hints live on a Plaxton-routed owner set of this many nodes instead of on every node (0: broadcast; DESIGN.md \u00a714)")
+		hintReps    = fs.Int("hint-replicas", 0, "hint directory owner-set size R: each object's hints live on a Plaxton-routed owner set of this many nodes (0: every node owns every object and keeps the whole directory; DESIGN.md \u00a714)")
 		objectSize  = fs.Int64("object-size", 8<<10, "origin default object size")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of fetches recorded in /debug/spans (0: node default of 1/64, >=1: all, <0: none)")
 		debugAddr   = fs.String("debug-addr", "", "optional address for a net/http/pprof debug listener (off when empty)")
@@ -174,8 +174,8 @@ func injector(spec string, seed int64) (*faults.Injector, error) {
 // drops empty entries, dedupes (first occurrence wins, compared on the
 // host:port behind any scheme and trailing slash), and rejects the node's
 // own listen address — a node feeding hints or probes back to itself is
-// always a misconfiguration and in partitioned mode would double-count the
-// local machine in the overlay.
+// always a misconfiguration and would double-count the local machine in the
+// hint overlay.
 func normalizeTargets(list, self string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string

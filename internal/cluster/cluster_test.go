@@ -41,11 +41,11 @@ func startFleet(t *testing.T, nodes int, cfg FleetConfig) *Fleet {
 
 // The tests reach a node's mechanism state through its locator: these name
 // the one the test configured.
-func digestsOf(n *Node) *digestLocator      { return n.loc.(*digestLocator) }
-func partitionOf(n *Node) *partitionLocator { return n.loc.(*partitionLocator) }
+func digestsOf(n *Node) *digestLocator { return n.loc.(*digestLocator) }
+func hintsOf(n *Node) *hintLocator     { return n.loc.(*hintLocator) }
 
-// homedView is the membership view a partitioned node last re-homed against.
-func homedView(n *Node) *overlay.View { return partitionOf(n).homedView.Load() }
+// homedView is the membership view a hint node last re-homed against.
+func homedView(n *Node) *overlay.View { return hintsOf(n).homedView.Load() }
 
 // ownDigestBytes marshals a digest node's own filter.
 func ownDigestBytes(n *Node) []byte {

@@ -77,7 +77,7 @@ type digestLocator struct {
 
 // newDigestLocator sizes the own filter for capacity entries (<= 0 means
 // 8192). Digests replace the hint directory, so asking for a partitioned
-// one as well is a configuration error.
+// one (HintReplicas > 0) as well is a configuration error.
 func newDigestLocator(n *Node, capacity, hintReplicas int) (*digestLocator, error) {
 	if hintReplicas > 0 {
 		return nil, fmt.Errorf("HintReplicas and UseDigests are mutually exclusive (digests already replace the hint directory)")

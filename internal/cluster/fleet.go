@@ -48,10 +48,10 @@ type FleetConfig struct {
 	// metadata compression).
 	UseDigests   bool
 	WireCompress bool
-	// HintPartition switches every node to the partitioned hint directory
-	// (Plaxton-routed hint homes; see NodeConfig.HintReplicas), with an
-	// owner-set size R of HintReplicas (<= 0 means 2). Without
-	// HintPartition, HintReplicas is ignored.
+	// HintPartition partitions every node's hint directory over Plaxton-routed
+	// hint homes, with an owner-set size R of HintReplicas (<= 0 means 2;
+	// see NodeConfig.HintReplicas). Without HintPartition, HintReplicas is
+	// ignored and R is 0: every node owns every object.
 	HintPartition bool
 	HintReplicas  int
 
@@ -231,7 +231,7 @@ func (f *Fleet) RestartNode(i int) error {
 
 // KillNode shuts node i down and leaves its slot dead — the fleet-level
 // model of a crash (RestartNode revives the slot). The dead node's URL
-// stays in every survivor's peer table; a partition-mode fleet detects
+// stays in every survivor's peer table; a hint fleet detects
 // the death through failed deliveries and probes within two flush rounds
 // and re-homes its directory share.
 func (f *Fleet) KillNode(i int) error {
@@ -313,12 +313,14 @@ func (f *Fleet) Close() error {
 // timers.
 func (f *Fleet) FlushAll() {
 	// Every locator first brings its picture of the fleet up to date, so a
-	// partitioned directory's membership converges across the whole fleet
-	// before any node routes records. Without this pre-pass a node
-	// flushing early in the loop can deliver re-homed records to a peer
-	// whose stale view still rejects them at the ownership filter (in a
-	// real deployment the jittered flush timers interleave probe and
-	// delivery rounds, which closes the same window).
+	// hint directory's membership converges across the whole fleet before
+	// any node routes records. Without this pre-pass a node flushing early
+	// in the loop can deliver re-homed records to a peer whose stale view
+	// still rejects them at the ownership filter (in a real deployment the
+	// jittered flush timers interleave probe and delivery rounds, which
+	// closes the same window). The pre-pass is not a round: it does not
+	// advance the membership generation, so it pings only peers a round
+	// has already found silent.
 	for i, n := range f.Nodes {
 		if f.Alive(i) {
 			n.loc.sync()

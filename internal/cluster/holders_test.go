@@ -37,7 +37,7 @@ func nonOwners(f *Fleet, url string) []int {
 // only record, and C paid an origin fetch for an object a peer held.
 func TestSecondHolderSurvivesFirstEviction(t *testing.T) {
 	const url = "http://holders.example/second"
-	for _, mode := range []string{"broadcast", "partition"} {
+	for _, mode := range []string{"R=0", "partition"} {
 		t.Run(mode, func(t *testing.T) {
 			var f *Fleet
 			a, b, c := 0, 1, 2

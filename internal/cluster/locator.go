@@ -14,8 +14,9 @@ import (
 // locator is the node's metadata path: how it learns where copies live and
 // tells the fleet about its own. The paper keeps it apart from the data
 // path, behind a local find-nearest lookup that must never slow a miss.
-// NewNode picks one implementation — broadcast hints (sender.go),
-// partitioned hint homes (members.go) or pulled digests (digests.go) — and
+// NewNode picks one of two implementations — hint records routed to their
+// objects' owners (members.go, over the per-peer senders of sender.go), with
+// every member an owner at R = 0, or pulled digests (digests.go) — and
 // nothing outside those files asks which. Each owns its state, what it keeps
 // per peer being fields of the peer record (peers.go); the hint table, the
 // peer table, the breakers and the counters stay the node's. None runs a

@@ -1,17 +1,18 @@
 package cluster
 
-// Partitioned hint directory (DESIGN.md §14).
+// The hint locator (DESIGN.md §14): the paper's exact location hints, kept in
+// a hint directory over a Plaxton embedding of the live membership
+// (internal/overlay).
 //
-// The broadcast locator replicates the full hint directory on every node:
-// O(total objects) memory and O(N) fanout per update. The partitioned
-// locator instead derives a Plaxton embedding over the hashed addresses of
-// the LIVE membership (internal/overlay) and routes each object's hint
-// records to its owner set — the object's Plaxton root plus R-1 ring
-// successors — so each node holds and receives only its O(R/N) share. The
-// price is one extra metadata hop on the miss path when the missing node is
-// not itself an owner (the HINT-HOME consult), paid under the same breaker
-// and hedge discipline as any peer call so it can never slow a miss below
-// the straight-to-origin baseline.
+// Every residency transition becomes a 20-byte hint record, and each round
+// routes the coalesced records to their object's owner set: the object's
+// Plaxton root plus R-1 ring successors, or with R = 0 every live member —
+// the paper's prototype, a whole directory on every node. A miss consults
+// the local directory first. Its miss is the answer when this node owns the
+// object (always, at R = 0); otherwise it asks the object's hint home, one
+// extra metadata hop paid under the same breaker and hedge discipline as any
+// peer call, so it can never slow a miss below the straight-to-origin
+// baseline. At R > 0 each node holds and receives only its O(R/N) share.
 //
 // Membership is maintained from liveness evidence the node already
 // generates — successful hint-batch deliveries, inbound batches, breaker
@@ -35,11 +36,18 @@ import (
 	"beyondcache/internal/wire"
 )
 
-// partitionLocator is the partitioned hint directory: the broadcast
-// locator's queue, senders and records, routed to owner sets over a live
-// membership instead of to every peer.
-type partitionLocator struct {
-	*hintPlane
+// hintLocator is the hint directory: the pending queue that feeds the peer
+// records' senders (sender.go), the routing overlay, the membership that
+// feeds it and the view the directory was last re-homed against.
+type hintLocator struct {
+	n *Node
+	// pend is the bounded coalescing queue of hint updates awaiting the
+	// next round (at most one record per machine's copy; see pendq).
+	pend *pendq
+	// wire counts the frame bytes delivered: Stats.WireHintBytes at R = 0,
+	// WireHintBytesPartitioned at R > 0, so the two settings' wire costs
+	// stay separately comparable.
+	wire *atomic.Int64
 	// overlay is the live routing plane; mbr tracks the per-peer liveness
 	// evidence that feeds it; homedView is the membership view the
 	// directory was last re-homed against — sync compares it to the
@@ -50,9 +58,9 @@ type partitionLocator struct {
 	homedView atomic.Pointer[overlay.View]
 }
 
-// newPartitionLocator builds the locator for an owner-set size of replicas
-// (capped at overlay.MaxReplicas).
-func newPartitionLocator(n *Node, replicas int) (*partitionLocator, error) {
+// newHintLocator builds the locator for an owner-set size of replicas (0:
+// every live member; capped at overlay.MaxReplicas).
+func newHintLocator(n *Node, replicas int) (*hintLocator, error) {
 	if replicas > overlay.MaxReplicas {
 		replicas = overlay.MaxReplicas
 	}
@@ -60,7 +68,11 @@ func newPartitionLocator(n *Node, replicas int) (*partitionLocator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &partitionLocator{hintPlane: newHintPlane(n, &n.stats.wireHintBytesPart), overlay: ov}, nil
+	delivered := &n.stats.wireHintBytes
+	if replicas > 0 {
+		delivered = &n.stats.wireHintBytesPart
+	}
+	return &hintLocator{n: n, pend: newPendq(hintQueueCap), wire: delivered, overlay: ov}, nil
 }
 
 const (
@@ -82,8 +94,8 @@ const (
 
 // membership accumulates per-peer liveness evidence between membership
 // syncs: mu guards gen and every peer record's fails and contact. gen counts
-// sync rounds: a peer whose last good contact is older than the previous
-// round gets probed.
+// rounds, not syncs: a peer whose last good contact is older than the
+// previous round gets probed.
 type membership struct {
 	mu  sync.Mutex
 	gen uint64
@@ -94,7 +106,7 @@ type membership struct {
 // retry budget counts toward deadAfterFails; an inbound batch is contact
 // too — a restarted or healed node re-announces itself by flushing to us,
 // which must revive it even if our own probes to it still fail.
-func (l *partitionLocator) contact(p *peer, ok bool) {
+func (l *hintLocator) contact(p *peer, ok bool) {
 	if p == nil {
 		return
 	}
@@ -117,20 +129,20 @@ func (n *Node) ping(p *peer) bool {
 	return err == nil && r.Status == http.StatusNoContent
 }
 
-// sync runs at the top of each round: fold the round's liveness evidence
-// into the overlay and re-home against the resulting view before any
-// records are routed. Peers with recent contact are alive for free; the
-// rest get one bounded-concurrency probe. A peer is dead when its
-// consecutive failures reach deadAfterFails or its breaker is open
-// (breaker-detected peer death); dead peers keep being probed, so revival
-// is symmetric.
+// sync runs at the top of each round, and in Fleet.FlushAll's pre-pass:
+// fold the round's liveness evidence into the overlay and re-home against
+// the resulting view before any records are routed. Peers with recent
+// contact are alive for free; the rest get one bounded-concurrency probe.
+// A peer is dead when its consecutive failures reach deadAfterFails or its
+// breaker is open (breaker-detected peer death); dead peers keep being
+// probed, so revival is symmetric.
 //
 // The first call, from Start, only seeds the routing plane with the
 // node itself, now that its machine ID is fixed. The first real sync folds
 // the peer table in (and runs the resulting re-homing pass, which is what
 // lets a restarted node's boot-recovered residents re-announce to their
 // homes).
-func (l *partitionLocator) sync() {
+func (l *hintLocator) sync() {
 	n := l.n
 	if l.homedView.Load() == nil {
 		l.overlay.Join(n.machineID, n.URL())
@@ -138,7 +150,8 @@ func (l *partitionLocator) sync() {
 		// Ownership admission: the directory only stores records for
 		// objects this node is currently a home of. Records for everything
 		// else are refused at insert (counted in hintcache FilterRejects) —
-		// directory memory stays O(R/N) no matter what arrives on the wire.
+		// at R > 0 directory memory stays O(R/N) no matter what arrives on
+		// the wire.
 		n.hints.SetInsertFilter(func(h uint64) bool {
 			return l.overlay.View().IsOwner(h, n.machineID)
 		})
@@ -146,7 +159,6 @@ func (l *partitionLocator) sync() {
 	}
 	peers := n.peerList()
 	l.mbr.mu.Lock()
-	l.mbr.gen++
 	gen := l.mbr.gen
 	probe := peers[:0:0]
 	for _, p := range peers {
@@ -195,7 +207,7 @@ func (l *partitionLocator) sync() {
 
 	view := l.overlay.View()
 	old := l.homedView.Load()
-	if old != nil && old.Version() == view.Version() {
+	if old.Version() == view.Version() {
 		return
 	}
 	l.homedView.Store(view)
@@ -210,11 +222,8 @@ func (l *partitionLocator) sync() {
 // churn — plaxton.TableDiff gates the whole pass when the embeddings
 // agree — never to directory size: objects with unmoved owners produce
 // nothing.
-func (l *partitionLocator) rehome(old, cur *overlay.View) {
+func (l *hintLocator) rehome(old, cur *overlay.View) {
 	n := l.n
-	if old == nil || old.Size() == 0 {
-		return
-	}
 	if changed, total := overlay.Diff(old, cur); total > 0 && changed == 0 {
 		return
 	}
@@ -245,7 +254,7 @@ func (l *partitionLocator) rehome(old, cur *overlay.View) {
 			return true
 		}
 		count++
-		if r.Machine != n.machineID && !cur.Contains(r.Machine) {
+		if !cur.Contains(r.Machine) {
 			drop = append(drop, r)
 			return true
 		}
@@ -263,63 +272,132 @@ func (l *partitionLocator) rehome(old, cur *overlay.View) {
 	}
 }
 
-// round syncs the membership first, so any re-homing informs it enqueues
-// ride this same round, then routes the pending records to their owner
-// sets over the senders and KindHintBatch frames the broadcast locator uses.
-func (l *partitionLocator) round(wait bool) {
+// round advances the membership generation and syncs, so any re-homing
+// informs the sync enqueues ride this same round, then hands the pending
+// records to their owners. Only a round advances the generation: a sync
+// outside one (Fleet.FlushAll's pre-pass) probes no peer a round has not
+// yet found silent.
+func (l *hintLocator) round(wait bool) {
+	l.mbr.mu.Lock()
+	l.mbr.gen++
+	l.mbr.mu.Unlock()
 	l.sync()
-	l.flush(wait, l.route)
+	l.flush(wait)
 }
 
-// route splits one drained batch by owner: records this node owns apply
-// straight to the local directory, the rest group into per-owner
-// minibatches (an owner not in the peer table yet gets nothing).
-func (l *partitionLocator) route(batch []hintcache.Update) map[*peer][]hintcache.Update {
-	n := l.n
-	view := l.overlay.View()
-	var owners [overlay.MaxReplicas]uint64
-	var local []hintcache.Update
-	routed := make(map[*peer][]hintcache.Update)
-	for _, u := range batch {
-		for _, m := range view.Owners(u.URLHash, owners[:0]) {
-			if m == n.machineID {
-				local = append(local, u)
-			} else if target := n.peerByID(m); target != nil {
-				routed[target] = append(routed[target], u)
-			}
+// flush drains the pending queue and hands each peer's sender its share of
+// the batch, as route assigns it. A waited flush then returns only once
+// every sender has gone idle, so each target's share, and anything an
+// earlier round left in flight, has been delivered or abandoned; tests rely
+// on that to avoid sleeping. The periodic round hands over without waiting
+// — a target burning its retry budget never delays the next round, so
+// healthy peers keep receiving hints at the configured interval. The
+// fan-out is concurrent, one drain per target, so a round costs the slowest
+// target, not the sum; rounds that send something are timed into the flush
+// histogram (empty rounds would swamp it with no-ops), up to the moment the
+// senders are idle again.
+func (l *hintLocator) flush(wait bool) {
+	start := time.Now()
+	batch, stampNs := l.pend.drain(nil)
+	routed := l.route(batch)
+	peers := l.n.peerList()
+	for _, target := range peers {
+		if share := routed[target.id]; len(share) > 0 {
+			target.sender.enqueue(l, share, stampNs)
 		}
 	}
-	if len(local) > 0 {
-		_ = n.hints.ApplyBatch(local)
+	timed := len(batch) > 0 && len(peers) > 0
+	await := func() {
+		for _, target := range peers {
+			target.sender.wait()
+		}
+		if timed {
+			l.n.hist.flush.Observe(time.Since(start))
+		}
+	}
+	if wait {
+		await()
+	} else if timed {
+		go await()
+	}
+}
+
+// route splits one drained batch by owner: records for objects this node
+// owns apply straight to the local directory (applyHint: never a record
+// naming this node), the rest group into per-owner minibatches keyed by
+// machine ID (an owner not in the peer table yet gets nothing). One owner
+// scratch per round, sized to the view, holds any owner set.
+func (l *hintLocator) route(batch []hintcache.Update) map[uint64][]hintcache.Update {
+	n := l.n
+	view := l.overlay.View()
+	owners := make([]uint64, 0, view.Size())
+	routed := make(map[uint64][]hintcache.Update)
+	for _, u := range batch {
+		for _, m := range view.Owners(u.URLHash, owners) {
+			if m == n.machineID {
+				n.applyHint(u)
+			} else {
+				routed[m] = append(routed[m], u)
+			}
+		}
 	}
 	return routed
 }
 
-// lookup consults the local directory first. Its miss is only
-// authoritative when this node is one of the object's hint homes;
-// otherwise the candidate names the home to ask.
-func (l *partitionLocator) lookup(h uint64) candidate {
-	c, ok := l.directory(h)
-	if !ok {
-		c.home = l.hintHomeFor(h)
+func (l *hintLocator) publish(h uint64, present bool) {
+	action := hintcache.ActionInvalidate
+	if present {
+		action = hintcache.ActionInform
 	}
-	return c
+	l.enqueue(hintcache.Update{Action: action, URLHash: h, Machine: l.n.machineID})
 }
 
-// demote drops the local record; the authoritative one lives at the
-// object's hint homes, so a routed machine-matched invalidate withdraws the
-// stale record there too — machine-matched, here and there, so the object's
-// other holder stays on record.
-func (l *partitionLocator) demote(h, holder uint64) {
-	l.hintPlane.demote(h, holder)
+// enqueue folds one update into the pending queue, counting coalesces and
+// bound-overflow drops.
+func (l *hintLocator) enqueue(u hintcache.Update) {
+	coalesced, dropped := l.pend.add(u)
+	if coalesced {
+		l.n.stats.coalesced.Add(1)
+	}
+	if dropped {
+		l.n.stats.pendingDropped.Add(1)
+	}
+}
+
+// lookup consults the local directory: the most recent holder on record
+// other than this node (which has just missed in both tiers, so a record
+// naming it is stale). No record is the answer when this node is one of
+// the object's owners (always, at R = 0); otherwise the candidate names the
+// home to ask.
+func (l *hintLocator) lookup(h uint64) candidate {
+	n := l.n
+	if machine, ok := n.hints.LookupExcept(h, n.machineID); ok {
+		return candidate{peer: n.peerByID(machine)}
+	}
+	return candidate{home: l.hintHomeFor(h)}
+}
+
+// demote drops the local record naming the holder that was probed, and
+// routes a machine-matched invalidate to the object's owners so the stale
+// record leaves its hint homes too — machine-matched, here and there, so
+// the object's other holder stays on record.
+func (l *hintLocator) demote(h, holder uint64) {
+	l.n.hints.Delete(h, holder)
 	l.enqueue(hintcache.Update{Action: hintcache.ActionInvalidate, URLHash: h, Machine: holder})
 }
 
-func (l *partitionLocator) collect() locatorGauges {
-	g := l.hintPlane.collect()
-	g.partitionObjects = l.n.hints.Occupied()
-	g.overlayMembers = l.overlay.View().Size()
-	return g
+// serveDigest: the hint locator serves no digest.
+func (l *hintLocator) serveDigest(_ uint64, resp *wire.PeerHeader) []byte {
+	resp.Status = http.StatusNotFound
+	return nil
+}
+
+func (l *hintLocator) collect() locatorGauges {
+	return locatorGauges{
+		pending:          l.pend.len(),
+		partitionObjects: l.n.hints.Occupied(),
+		overlayMembers:   l.overlay.View().Size(),
+	}
 }
 
 // hintHomeFor picks the hint home to consult for object h: the first of
@@ -327,17 +405,15 @@ func (l *partitionLocator) collect() locatorGauges {
 // call. Nil when this node is itself an owner (the local directory was
 // already authoritative — its miss is the answer) or when no owner is
 // usable.
-func (l *partitionLocator) hintHomeFor(h uint64) *peer {
+func (l *hintLocator) hintHomeFor(h uint64) *peer {
 	n := l.n
-	var buf [overlay.MaxReplicas]uint64
-	owners := l.homedView.Load().Owners(h, buf[:0])
-	for _, m := range owners {
-		if m == n.machineID {
-			return nil
-		}
+	view := l.homedView.Load()
+	if view.IsOwner(h, n.machineID) {
+		return nil
 	}
+	var buf [overlay.MaxReplicas]uint64
 	skipped := false
-	for _, m := range owners {
+	for _, m := range view.Owners(h, buf[:0]) {
 		p := n.peerByID(m)
 		if p == nil {
 			continue
@@ -395,21 +471,15 @@ func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time
 
 // holder serves this node's directory partition to peers: the most recent
 // holder on record other than the asker. A record naming a machine the
-// current view considers dead is dropped lazily instead of served, and a
-// stale self-record with no backing residency likewise; the object's next
-// record, if it has one, is then the answer.
-func (l *partitionLocator) holder(h, asker uint64) (uint64, bool) {
+// current view considers dead is dropped lazily instead of served; the
+// object's next record, if it has one, is then the answer. No record names
+// this node (applyHint), so its own copy is answered from residency
+// (answerHolder).
+func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 	for {
 		machine, ok := l.n.hints.LookupExcept(h, asker)
-		if !ok {
-			return 0, false
-		}
-		stale := !l.overlay.View().Contains(machine)
-		if machine == l.n.machineID {
-			stale = !l.n.residesLocally(h)
-		}
-		if !stale {
-			return machine, true
+		if !ok || l.overlay.View().Contains(machine) {
+			return machine, ok
 		}
 		l.n.hints.Delete(h, machine)
 	}

@@ -173,8 +173,8 @@ func TestFlushCoalescesOverWire(t *testing.T) {
 // TestSenderCountsErrorStatusAsFailure points a sender at a target that
 // answers every hint batch with an error status: the batch must burn its
 // retry budget and count as undelivered — no delivery counter moves — and
-// in partition mode the failed contact must reach the membership tracker
-// instead of marking the peer alive.
+// the failed contact must reach the membership tracker instead of marking
+// the peer alive, at R = 0 (partitioned=false) as at R = 2.
 func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 	for _, status := range []int{http.StatusInternalServerError, http.StatusRequestEntityTooLarge} {
 		for _, partitioned := range []bool{false, true} {
@@ -207,14 +207,12 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 				if st.SendErrors != 1 || st.Retries != 2 {
 					t.Errorf("SendErrors = %d, Retries = %d; want 1 and 2", st.SendErrors, st.Retries)
 				}
-				if partitioned {
-					mbr := &partitionOf(n).mbr
-					mbr.mu.Lock()
-					fails, contact := peerOf(n, sink.URL).fails, peerOf(n, sink.URL).contact
-					mbr.mu.Unlock()
-					if fails != 1 || contact != 0 {
-						t.Errorf("membership saw fails=%d contact=%d, want one failed contact and no good one", fails, contact)
-					}
+				mbr := &hintsOf(n).mbr
+				mbr.mu.Lock()
+				fails, contact := peerOf(n, sink.URL).fails, peerOf(n, sink.URL).contact
+				mbr.mu.Unlock()
+				if fails != 1 || contact != 0 {
+					t.Errorf("membership saw fails=%d contact=%d, want one failed contact and no good one", fails, contact)
 				}
 			})
 		}
@@ -226,7 +224,7 @@ func TestSenderCountsErrorStatusAsFailure(t *testing.T) {
 // counted. The shipped bound (hintQueueCap) is squeezed to 4 records.
 func TestPendingQueueBounded(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "bounded"})
-	plane := n.loc.(*hintPlane)
+	plane := hintsOf(n)
 	plane.pend = newPendq(4)
 	for h := uint64(1); h <= 6; h++ {
 		n.loc.publish(h, true)

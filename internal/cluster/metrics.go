@@ -92,13 +92,14 @@ func (n *Node) Metrics() *obs.Expo {
 		"Membership ops applied from pulled digest deltas.",
 		st.DigestDeltaOps)
 	e.Counter("beyondcache_hint_wire_bytes_total",
-		"Framed hint-batch bytes successfully delivered to their targets, by routing mode.",
+		"Framed hint-batch bytes successfully delivered to their targets, by owner-set size: mode=broadcast is R = 0 (every member an owner), mode=partitioned R > 0.",
 		st.WireHintBytes, obs.L("mode", "broadcast"))
 	e.Counter("beyondcache_hint_wire_bytes_total", "",
 		st.WireHintBytesPartitioned, obs.L("mode", "partitioned"))
 
-	// Partitioned hint directory (DESIGN.md §14). Families are emitted in
-	// every mode (zero-valued under broadcast) so the /metrics surface is
+	// Hint directory (DESIGN.md §14). Families are emitted in every mode
+	// (zero-valued under digests, and the hint-home hops at R = 0, where
+	// every node is every object's home) so the /metrics surface is
 	// mode-independent.
 	e.Counter("beyondcache_hint_home_hops_total",
 		"Hint-home consults taken on the miss path, by outcome.",
@@ -117,9 +118,9 @@ func (n *Node) Metrics() *obs.Expo {
 		st.RehomedObjects)
 	loc := n.loc.collect()
 	e.Gauge("beyondcache_hint_directory_partition_objects",
-		"Directory records held as a hint home (0 in broadcast mode).", float64(loc.partitionObjects))
+		"Directory records held as a hint home (at R = 0 every node homes every object: its whole directory; 0 under digests).", float64(loc.partitionObjects))
 	e.Gauge("beyondcache_overlay_members",
-		"Live members in the hint-routing overlay (0 in broadcast mode).", float64(loc.overlayMembers))
+		"Live members in the hint-routing overlay, this node included (0 under digests).", float64(loc.overlayMembers))
 
 	// Metadata-plane pipeline: coalescing, queue bounds, and oversize
 	// rejects (see DESIGN.md §10).

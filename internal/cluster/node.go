@@ -78,16 +78,17 @@ type NodeConfig struct {
 	// metadata payloads are small or incompressible.
 	WireCompress bool
 
-	// HintReplicas > 0 partitions the hint directory over the fleet:
-	// instead of broadcasting every hint record to every peer, each
-	// object's records route to its owner set of R = HintReplicas nodes
-	// (capped at overlay.MaxReplicas) — the object's Plaxton root plus ring
-	// successors over the live membership (internal/overlay) — so per-node
-	// directory memory and update fanout are O(R/N). The miss path
-	// consults the local directory first and then the object's hint home
-	// (one extra breaker-gated, hedged hop). 0 keeps the broadcast
-	// behavior. Mutually exclusive with UseDigests (digests are already a
-	// non-directory design). See DESIGN.md §14.
+	// HintReplicas is the hint directory's owner-set size R. 0: every live
+	// member owns every object, so every node holds the whole directory and
+	// a miss consults nothing but its own. R > 0 (capped at
+	// overlay.MaxReplicas) routes each object's records to its owner set of
+	// R nodes — the object's Plaxton root plus ring successors over the live
+	// membership (internal/overlay) — so per-node directory memory and
+	// update fanout are O(R/N), and a miss at a node that is not one of the
+	// object's owners consults the object's hint home (one extra
+	// breaker-gated, hedged hop). Negative values are rejected. Must be 0
+	// with UseDigests (digests are already a non-directory design). See
+	// DESIGN.md §14.
 	HintReplicas int
 
 	// PeerTimeout bounds one cache-to-cache probe (<= 0 means 2s). A
@@ -197,14 +198,13 @@ type Stats struct {
 	DigestRebuilds   int64 `json:"digestRebuilds"`
 	DigestDeltaOps   int64 `json:"digestDeltaOps"`
 	// WireHintBytes counts framed hint-batch bytes successfully delivered
-	// to their targets (after optional compression — actual wire bytes).
-	// Under the partitioned locator the same bytes land in
-	// WireHintBytesPartitioned instead, so the two wire costs stay
-	// separately comparable.
+	// to their targets (after optional compression — actual wire bytes) at
+	// R = 0. At R > 0 the same bytes land in WireHintBytesPartitioned
+	// instead, so the two wire costs stay separately comparable.
 	WireHintBytes            int64 `json:"wireHintBytes"`
 	WireHintBytesPartitioned int64 `json:"wireHintBytesPartitioned"`
 	// HintHomeHits/Misses/Errors classify hint-home consults on the miss
-	// path (partition mode): the home named a live holder / answered "no
+	// path (R > 0): the home named a live holder / answered "no
 	// holder" / failed or timed out. HintHomeServes/ServeMisses are the
 	// serving side of the consult.
 	HintHomeHits        int64 `json:"hintHomeHits"`
@@ -507,13 +507,10 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 		})
 	}
 	// The one place that knows there is more than one mechanism.
-	switch {
-	case cfg.UseDigests:
+	if cfg.UseDigests {
 		n.loc, err = newDigestLocator(n, cfg.DigestCapacity, cfg.HintReplicas)
-	case cfg.HintReplicas > 0:
-		n.loc, err = newPartitionLocator(n, cfg.HintReplicas)
-	default:
-		n.loc = newHintPlane(n, &n.stats.wireHintBytes)
+	} else {
+		n.loc, err = newHintLocator(n, cfg.HintReplicas)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)

@@ -383,8 +383,7 @@ func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, body []byte) []b
 // ingestHints applies one hint batch — msg is the call's body, which must
 // be exactly one KindHintBatch frame, sender and stampNs its fixed fields —
 // and returns the status to answer with (413 for oversize, 400 for
-// anything else undecodable). Records from this node are filtered out (our
-// own copies are tracked by the data cache).
+// anything else undecodable).
 func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	f, rest, err := wire.Decode(msg)
 	if err != nil || len(rest) != 0 || f.Kind != wire.KindHintBatch {
@@ -404,16 +403,10 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	if err != nil {
 		return http.StatusBadRequest
 	}
-	total := len(updates)
-	kept := updates[:0]
+	n.stats.updatesReceived.Add(int64(len(updates)))
 	for _, u := range updates {
-		if u.Machine == n.machineID {
-			continue
-		}
-		kept = append(kept, u)
+		n.applyHint(u)
 	}
-	_ = n.hints.ApplyBatch(kept)
-	n.stats.updatesReceived.Add(int64(total))
 	// Freshness telemetry: the sender stamped the batch with its oldest
 	// enqueue wall clock; the difference to our clock is how stale these
 	// hints already were on arrival.
@@ -426,4 +419,13 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	// without waiting out a probe round.
 	n.loc.contact(from, true)
 	return http.StatusNoContent
+}
+
+// applyHint applies one hint record to the local directory unless it names
+// this node: its own copies are tracked by the data cache, and a record of
+// itself would spend one of the object's two holder slots.
+func (n *Node) applyHint(u hintcache.Update) {
+	if u.Machine != n.machineID {
+		_ = n.hints.Apply(u)
+	}
 }

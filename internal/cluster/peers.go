@@ -32,13 +32,13 @@ type peer struct {
 	// dial it: a call leases a connection from it.
 	link link
 
-	// sender is the hint locators' pipeline to the peer (sender.go): never
+	// sender is the hint locator's pipeline to the peer (sender.go): never
 	// nil, idle until a round feeds it. Its queue and counters lock
 	// themselves; the rest of it is under sender.mu.
 	sender *peerSender
 
 	// fails counts consecutive failed contacts and contact is the sync
-	// round of the last good one. Guarded by the partitioned locator's
+	// round of the last good one. Guarded by the hint locator's
 	// membership.mu.
 	fails   int
 	contact uint64

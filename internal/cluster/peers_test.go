@@ -50,7 +50,7 @@ func TestAddPeerOneRecordPerAddress(t *testing.T) {
 // a leak would be.
 func TestPeerTableConcurrent(t *testing.T) {
 	for name, cfg := range map[string]FleetConfig{
-		"broadcast":   {},
+		"R=0":         {},
 		"partitioned": {HintPartition: true, HintReplicas: 2},
 		"digests":     {UseDigests: true},
 	} {

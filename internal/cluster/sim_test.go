@@ -118,11 +118,11 @@ func (a memAddr) String() string  { return string(a) }
 // TestSimFleet boots three nodes in a bubble, fills an object at one and
 // fetches it from another, then lets an hour of fake time pass — every idle
 // connection the origin and the front doors keep is closed under the fleet by
-// their idle timeouts — and fetches again before closing the fleet. For each
-// of the three locators.
+// their idle timeouts — and fetches again before closing the fleet. For hints
+// at R = 0 and R = 2, and for digests.
 func TestSimFleet(t *testing.T) {
 	for name, cfg := range map[string]FleetConfig{
-		"broadcast":   {},
+		"R=0":         {},
 		"partitioned": {HintPartition: true},
 		"digests":     {UseDigests: true},
 	} {

@@ -34,7 +34,7 @@ type Striped struct {
 	rejects  atomic.Int64
 
 	// filter, when set, gates inform inserts: records whose URL hash the
-	// predicate rejects are dropped instead of stored. The partitioned
+	// predicate rejects are dropped instead of stored. The cluster's
 	// hint directory installs an ownership predicate here, so a node only
 	// ever stores records for objects it is a hint home of, regardless of
 	// what arrives on the wire.
@@ -46,11 +46,13 @@ type Striped struct {
 // first; four were measured and bought nothing more (DESIGN.md §10).
 const holdersPerObject = 2
 
-// hintStripe is one independently locked slice of the table.
+// hintStripe is one independently locked slice of the table. live counts
+// its records, so walks skip an empty stripe and occupancy is a sum.
 type hintStripe struct {
 	mu   sync.RWMutex
 	recs []Record // sets*ways, flat; set i occupies recs[i*ways : (i+1)*ways]
-	_    [24]byte
+	live int
+	_    [16]byte
 }
 
 // NewStriped builds a striped hint table with at least the requested total
@@ -208,6 +210,7 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 		pos = oldest
 	case free >= 0:
 		pos = free
+		st.live++
 	default:
 		pos = victim(set, oldest)
 		if set[pos].URLHash != urlHash {
@@ -264,6 +267,7 @@ func (s *Striped) Delete(urlHash, machine uint64) bool {
 		return false
 	}
 	clear(set[kept:])
+	st.live -= removed
 	s.deletes.Add(int64(removed))
 	return true
 }
@@ -296,35 +300,34 @@ func (s *Striped) ApplyBatch(updates []Update) error {
 }
 
 // Occupied counts live records across the table — an occupancy gauge for
-// /metrics. Each stripe is scanned under its read lock; the total is not a
-// cross-stripe atomic snapshot (fine for monitoring).
+// /metrics — from the stripes' counts, each read under its read lock; the
+// total is not a cross-stripe atomic snapshot (fine for monitoring).
 func (s *Striped) Occupied() int {
 	total := 0
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		for _, r := range st.recs {
-			if r.URLHash != invalidHash {
-				total++
-			}
-		}
+		total += st.live
 		st.mu.RUnlock()
 	}
 	return total
 }
 
 // Range calls fn for every live record, stripe by stripe under each
-// stripe's read lock, stopping early when fn returns false. fn must not
-// call back into the table (it would deadlock on the stripe lock); the
-// iteration is not a cross-stripe atomic snapshot.
+// stripe's read lock, stopping early when fn returns false. A stripe is
+// walked only as far as its last live record, so an empty table costs one
+// lock per stripe. fn must not call back into the table (it would deadlock
+// on the stripe lock); the iteration is not a cross-stripe atomic snapshot.
 func (s *Striped) Range(fn func(Record) bool) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		for _, r := range st.recs {
+		for j, left := 0, st.live; left > 0; j++ {
+			r := st.recs[j]
 			if r.URLHash == invalidHash {
 				continue
 			}
+			left--
 			if !fn(r) {
 				st.mu.RUnlock()
 				return

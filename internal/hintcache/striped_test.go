@@ -149,6 +149,43 @@ func TestStripedConcurrentProbesAndUpdates(t *testing.T) {
 	if st.Lookups != 16*500 {
 		t.Errorf("lookups = %d, want %d", st.Lookups, 16*500)
 	}
+	checkLiveCounts(t, s)
+}
+
+// checkLiveCounts holds the stripes' live counts to the slots: Occupied and
+// what Range visits both equal the records a full scan finds.
+func checkLiveCounts(t *testing.T, s *Striped) {
+	t.Helper()
+	scanned, ranged := 0, 0
+	for i := range s.stripes {
+		for _, r := range s.stripes[i].recs {
+			if r.URLHash != invalidHash {
+				scanned++
+			}
+		}
+	}
+	s.Range(func(Record) bool { ranged++; return true })
+	if got := s.Occupied(); got != scanned || ranged != scanned {
+		t.Errorf("Occupied = %d, Range visited %d, slots hold %d", got, ranged, scanned)
+	}
+}
+
+// TestStripedLiveCountsUnderConflicts: the per-stripe counts follow inserts
+// into free slots, replacements, conflict evictions and deletes, on a table
+// small enough that sets overflow.
+func TestStripedLiveCountsUnderConflicts(t *testing.T) {
+	s := NewStriped(64, 4, 4)
+	us := randomUpdates(4096, 512, 6, 27)
+	for off := 0; off < len(us); off += 256 {
+		if err := s.ApplyBatch(us[off : off+256]); err != nil {
+			t.Fatal(err)
+		}
+		s.Delete(us[off].URLHash, 0)
+		checkLiveCounts(t, s)
+	}
+	if s.Stats().Conflicts == 0 {
+		t.Fatal("no set overflowed: the conflict path went untested")
+	}
 }
 
 // holdersOf lists the machines on record for an object, most recent first

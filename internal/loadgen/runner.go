@@ -380,8 +380,8 @@ func runRestarts(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf f
 
 // runKills walks the scenario's kill events in offset order, sleeping to
 // each one and taking the named node down for good. Load keeps flowing:
-// requests pointed at the dead node fail and are recorded, and a
-// partitioned fleet re-homes the dead node's directory share.
+// requests pointed at the dead node fail and are recorded, and the
+// survivors re-home the dead node's directory share.
 func runKills(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf func(string, ...any)) error {
 	events := append([]KillEvent(nil), sc.Kills...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })

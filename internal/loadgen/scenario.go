@@ -169,7 +169,7 @@ type Scenario struct {
 	// HintPartition > 0 switches the fleet to the partitioned hint
 	// directory (Plaxton-routed hint homes, DESIGN.md §14) with an
 	// owner-set size of HintPartition replicas per object; 0 keeps the
-	// default full broadcast.
+	// default R = 0, every node an owner of every object.
 	HintPartition int
 	// DiskTier gives every node a persistent disk tier in a run-scoped
 	// temporary directory: memory evictions spill to disk, and a restart

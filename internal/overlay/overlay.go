@@ -1,11 +1,11 @@
 // Package overlay maintains the cluster's live hint-routing plane: the
 // set of nodes currently believed alive, the Plaxton embedding derived
 // from their hashed addresses (internal/plaxton), and the owner set every
-// object ID routes to. The partitioned hint directory (DESIGN.md §14)
-// stores each object's hint records only at its owners — the object's
-// Plaxton root plus R-1 successors on the sorted machine-ID ring — so
-// per-node directory memory and update fanout are O(R/N) of the broadcast
-// design's.
+// object ID routes to. The hint directory (DESIGN.md §14) stores each
+// object's hint records only at its owners — the object's Plaxton root plus
+// R-1 successors on the sorted machine-ID ring, or with R = 0 every member —
+// so at R > 0 per-node directory memory and update fanout are O(R/N) of
+// what a whole directory on every node costs.
 //
 // Membership mutates through Overlay (Join/Leave); routing reads go
 // through the immutable View it publishes, so lookups on the miss path
@@ -14,6 +14,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,8 +22,8 @@ import (
 	"beyondcache/internal/plaxton"
 )
 
-// MaxReplicas bounds the owner-set size R so owner lookups can use
-// fixed-size stack scratch.
+// MaxReplicas bounds a nonzero owner-set size R, so an owner list at R > 0
+// fits fixed-size stack scratch.
 const MaxReplicas = 8
 
 // View is an immutable snapshot of the routing plane at one membership
@@ -42,63 +43,77 @@ func (v *View) Version() uint64 { return v.version }
 // Size returns the live-member count.
 func (v *View) Size() int { return len(v.sorted) }
 
-// Network exposes the underlying embedding for churn accounting
-// (plaxton.TableDiff); nil for an empty view.
-func (v *View) Network() *plaxton.Network { return v.nw }
-
 // Contains reports whether id is a live member.
 func (v *View) Contains(id uint64) bool {
-	i := sort.Search(len(v.sorted), func(i int) bool { return v.sorted[i] >= id })
-	return i < len(v.sorted) && v.sorted[i] == id
+	_, ok := slices.BinarySearch(v.sorted, id)
+	return ok
+}
+
+// owners is the owner-set size: R, or every member when R is 0 or the
+// membership is smaller than R. Zero for a nil or empty view.
+func (v *View) owners() int {
+	switch {
+	case v == nil:
+		return 0
+	case v.replicas > 0 && v.replicas < len(v.sorted):
+		return v.replicas
+	}
+	return len(v.sorted)
+}
+
+// root is the ring position of object's Plaxton root: where its owner set
+// starts. The view must not be empty.
+func (v *View) root(object uint64) int {
+	p, _ := slices.BinarySearch(v.sorted, v.nw.Node(v.nw.Root(object)).ID)
+	return p
 }
 
 // Owners appends object's owner set onto dst and returns it: the object's
 // Plaxton root first, then its successors on the sorted-ID ring, R members
-// total (fewer when the membership is smaller than R). Empty for an empty
-// view. dst lets callers reuse stack scratch ([MaxReplicas]uint64).
+// total (every member at R = 0, or when the membership is smaller than R).
+// Empty for an empty view. dst lets callers reuse scratch: [MaxReplicas]uint64
+// on the stack holds any R > 0, a slice of Size() any R.
 func (v *View) Owners(object uint64, dst []uint64) []uint64 {
 	dst = dst[:0]
-	if v == nil || v.nw == nil {
+	r := v.owners()
+	if r == 0 {
 		return dst
 	}
-	rootID := v.nw.Node(v.nw.Root(object)).ID
-	p := sort.Search(len(v.sorted), func(i int) bool { return v.sorted[i] >= rootID })
-	if p == len(v.sorted) {
-		p = 0
-	}
-	r := v.replicas
-	if r > len(v.sorted) {
-		r = len(v.sorted)
-	}
+	p := v.root(object)
 	for k := 0; k < r; k++ {
 		dst = append(dst, v.sorted[(p+k)%len(v.sorted)])
 	}
 	return dst
 }
 
-// IsOwner reports whether member is in object's owner set.
+// IsOwner reports whether member is in object's owner set: a live member
+// whose ring distance from the object's root is under the owner-set size.
 func (v *View) IsOwner(object, member uint64) bool {
-	var buf [MaxReplicas]uint64
-	for _, m := range v.Owners(object, buf[:0]) {
-		if m == member {
-			return true
-		}
+	if v == nil {
+		return false
 	}
-	return false
+	i, ok := slices.BinarySearch(v.sorted, member)
+	if !ok {
+		return false
+	}
+	r, n := v.owners(), len(v.sorted)
+	return r == n || (i-v.root(object)+n)%n < r
 }
 
 // SameOwners reports whether object's owner set is identical in a and b —
 // the re-homing predicate: an object whose owners did not move needs no
 // re-announcement.
 func SameOwners(a, b *View, object uint64) bool {
-	var ab, bb [MaxReplicas]uint64
-	ao := a.Owners(object, ab[:0])
-	bo := b.Owners(object, bb[:0])
-	if len(ao) != len(bo) {
+	r := a.owners()
+	if r != b.owners() {
 		return false
 	}
-	for i := range ao {
-		if ao[i] != bo[i] {
+	if r == 0 {
+		return true
+	}
+	pa, pb := a.root(object), b.root(object)
+	for k := 0; k < r; k++ {
+		if a.sorted[(pa+k)%len(a.sorted)] != b.sorted[(pb+k)%len(b.sorted)] {
 			return false
 		}
 	}
@@ -129,13 +144,14 @@ type Overlay struct {
 }
 
 // New builds an empty overlay. bits is the Plaxton digit width; replicas
-// is the owner-set size R, in [1, MaxReplicas].
+// is the owner-set size R, in [0, MaxReplicas], where 0 makes every member
+// an owner of every object.
 func New(bits uint, replicas int) (*Overlay, error) {
 	if bits < 1 || bits > 16 {
 		return nil, fmt.Errorf("overlay: bits must be in [1,16], got %d", bits)
 	}
-	if replicas < 1 || replicas > MaxReplicas {
-		return nil, fmt.Errorf("overlay: replicas must be in [1,%d], got %d", MaxReplicas, replicas)
+	if replicas < 0 || replicas > MaxReplicas {
+		return nil, fmt.Errorf("overlay: replicas must be in [0,%d], got %d", MaxReplicas, replicas)
 	}
 	o := &Overlay{bits: bits, replicas: replicas, members: make(map[uint64]string)}
 	o.view.Store(&View{replicas: replicas})

@@ -26,8 +26,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0, 2); err == nil {
 		t.Fatal("bits 0 accepted")
 	}
-	if _, err := New(4, 0); err == nil {
-		t.Fatal("replicas 0 accepted")
+	if _, err := New(4, 0); err != nil {
+		t.Fatalf("replicas 0 (every member an owner) rejected: %v", err)
+	}
+	if _, err := New(4, -1); err == nil {
+		t.Fatal("negative replicas accepted")
 	}
 	if _, err := New(4, MaxReplicas+1); err == nil {
 		t.Fatal("oversized replicas accepted")
@@ -92,6 +95,38 @@ func TestOwnersClampToMembership(t *testing.T) {
 	owners := o.View().Owners(999, buf[:0])
 	if len(owners) != 2 {
 		t.Fatalf("%d owners from a 2-member overlay at R=4, want 2", len(owners))
+	}
+}
+
+// TestOwnersAtZeroAreEveryMember: at R = 0 every live member owns every
+// object, past MaxReplicas members too, and a leave moves every owner set.
+func TestOwnersAtZeroAreEveryMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	o := newOverlay(t, 0)
+	ids := make([]uint64, 2*MaxReplicas)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+		join(t, o, ids[i])
+	}
+	before := o.View()
+	dst := make([]uint64, 0, before.Size())
+	for i := 0; i < 200; i++ {
+		obj := rng.Uint64()
+		if owners := before.Owners(obj, dst); len(owners) != len(ids) {
+			t.Fatalf("object %#x: %d owners of %d members at R=0", obj, len(owners), len(ids))
+		}
+		for _, m := range ids {
+			if !before.IsOwner(obj, m) {
+				t.Fatalf("object %#x: member %#x is not an owner at R=0", obj, m)
+			}
+		}
+		if before.IsOwner(obj, 1) {
+			t.Fatalf("object %#x: a non-member owns it", obj)
+		}
+	}
+	o.Leave(ids[0])
+	if SameOwners(before, o.View(), 42) {
+		t.Fatal("a leave at R=0 left an owner set unmoved")
 	}
 }
 
@@ -202,3 +237,41 @@ func TestViewsAgreeAcrossBuildOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnerLookupsAllocateNothing pins the owner lookups at zero allocations:
+// at R = 0 they run for every routed record and every admitted insert. Owners
+// gets scratch the size of the view, as the locator's round gives it.
+func TestOwnerLookupsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, members := range []int{4, 16} {
+		for _, replicas := range []int{0, 2} {
+			t.Run(fmt.Sprintf("N=%d/R=%d", members, replicas), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(members)))
+				o := newOverlay(t, replicas)
+				for i := 1; i < members; i++ {
+					join(t, o, rng.Uint64())
+				}
+				before := o.View() // one member short of v: every lookup walks both
+				id := rng.Uint64()
+				join(t, o, id)
+				v := o.View()
+				dst := make([]uint64, 0, v.Size())
+				obj := rng.Uint64()
+				for name, fn := range map[string]func(){
+					"IsOwner":    func() { v.IsOwner(obj, id) },
+					"Owners":     func() { dst = v.Owners(obj, dst) },
+					"SameOwners": func() { SameOwners(before, v, obj) },
+				} {
+					if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+						t.Errorf("%s allocates %.1f per call, want 0", name, allocs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// raceEnabled is set in a -race binary (race_test.go).
+var raceEnabled bool

@@ -273,10 +273,18 @@ func (nw *Network) Path(object uint64, from int) []int {
 }
 
 // Root returns the index of the object's root node: the endpoint every
-// node's Path converges to.
+// node's Path converges to. It walks Path's route from node 0 without
+// recording it, so an owner lookup allocates nothing.
 func (nw *Network) Root(object uint64) int {
-	p := nw.Path(object, 0)
-	return p[len(p)-1]
+	cur := 0
+	for l := 0; l < nw.levels && nw.groupSize[cur][l] > 1; l++ {
+		next := nw.step(object, cur, l)
+		if next < 0 {
+			break
+		}
+		cur = int(next)
+	}
+	return cur
 }
 
 // ParentDistance returns the distance from node i to its level-l next hop
