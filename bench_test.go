@@ -431,7 +431,6 @@ func benchNodeFetch(b *testing.B, mode string, cfg cluster.NodeConfig, wrap func
 	defer osrv.Close()
 	cfg.OriginURL = osrv.URL
 	cfg.UpdateInterval = time.Hour
-	cfg.Seed = 1
 	n, err := cluster.NewNode(cfg)
 	if err != nil {
 		b.Fatal(err)

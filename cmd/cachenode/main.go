@@ -66,11 +66,9 @@ func run(args []string, out io.Writer, wait func()) error {
 		cacheDir    = fs.String("cache-dir", "", "directory for the persistent disk tier; evictions spill here and the population is recovered and re-advertised on boot (off when empty)")
 		diskCap     = fs.Int64("disk-capacity", 0, "disk tier capacity in bytes; overflow retires the oldest log segment (0: unbounded; requires -cache-dir)")
 		spillQueue  = fs.Int("spill-queue", 0, "bounded write-behind spill queue, in evicted objects; overflow drops oldest (0: 1024 default)")
-		compressMin = fs.Int64("compress-min", 0, "deflate spilled objects of at least this many bytes, kept only when smaller (0: never compress)")
 		hintEntries = fs.Int("hint-entries", 65536, "hint table entries (16 bytes each)")
 		interval    = fs.Duration("update-interval", time.Second, "mean hint batch interval")
 		digests     = fs.Bool("digests", false, "exchange Bloom-filter cache digests instead of exact hint records")
-		wireComp    = fs.Bool("wire-compress", false, "flate-compress metadata frames (hint batches, digests) past 256 bytes")
 		hintReps    = fs.Int("hint-replicas", 0, "hint directory owner-set size R: each object's hints live on a Plaxton-routed owner set of this many nodes (0: every node owns every object and keeps the whole directory; DESIGN.md \u00a714)")
 		objectSize  = fs.Int64("object-size", 8<<10, "origin default object size")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of fetches recorded in /debug/spans (0: node default of 1/64, >=1: all, <0: none)")
@@ -108,6 +106,10 @@ func run(args []string, out io.Writer, wait func()) error {
 	if *originURL == "" {
 		return fmt.Errorf("-origin-url is required for cache nodes")
 	}
+	peerURLs, err := normalizeTargets(*peers, "")
+	if err != nil {
+		return err
+	}
 	outbound, err := injector(*inject, *faultSeed)
 	if err != nil {
 		return err
@@ -122,12 +124,10 @@ func run(args []string, out io.Writer, wait func()) error {
 		CacheDir:       *cacheDir,
 		DiskCapacity:   *diskCap,
 		SpillQueue:     *spillQueue,
-		CompressMin:    *compressMin,
 		HintEntries:    *hintEntries,
 		OriginURL:      *originURL,
 		UpdateInterval: *interval,
 		UseDigests:     *digests,
-		WireCompress:   *wireComp,
 		HintReplicas:   *hintReps,
 		TraceSample:    *traceSample,
 		PeerTimeout:    *peerTimeout,
@@ -144,8 +144,7 @@ func run(args []string, out io.Writer, wait func()) error {
 	}
 	// Peers first: Start begins boot recovery, whose republish round must
 	// find a mesh to go to. Only once it has bound is the node's own address
-	// known, and a -peers entry naming it refused (the one error there is).
-	peerURLs, _ := normalizeTargets(*peers, "")
+	// known, and a -peers entry naming it refused.
 	for _, p := range peerURLs {
 		n.AddPeer(p)
 	}
@@ -172,8 +171,9 @@ func injector(spec string, seed int64) (*faults.Injector, error) {
 
 // normalizeTargets splits the comma-separated -peers list, trims whitespace,
 // drops empty entries, dedupes (first occurrence wins, compared on the
-// host:port behind any scheme and trailing slash), and rejects the node's
-// own listen address — a node feeding hints or probes back to itself is
+// host:port behind any "http://" and trailing slash), and rejects a peer
+// with any other scheme — the peer plane speaks plain HTTP — and the node's
+// own listen address: a node feeding hints or probes back to itself is
 // always a misconfiguration and would double-count the local machine in the
 // hint overlay.
 func normalizeTargets(list, self string) ([]string, error) {
@@ -184,9 +184,10 @@ func normalizeTargets(list, self string) ([]string, error) {
 		if u == "" {
 			continue
 		}
-		key := strings.TrimSuffix(u, "/")
-		key = strings.TrimPrefix(key, "http://")
-		key = strings.TrimPrefix(key, "https://")
+		key := strings.TrimPrefix(strings.TrimSuffix(u, "/"), "http://")
+		if strings.Contains(key, "://") {
+			return nil, fmt.Errorf("-peers entry %q: want http://host:port", u)
+		}
 		if self != "" && key == self {
 			return nil, fmt.Errorf("-peers includes this node's own listen address %s", self)
 		}

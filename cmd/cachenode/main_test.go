@@ -202,7 +202,7 @@ func TestFlagsAndReadmeAgree(t *testing.T) {
 // TestFlagCountOnlyShrinks pins how many flags an operator can set, as
 // cluster's TestConfigSurfaceOnlyShrinks pins the config fields behind them.
 func TestFlagCountOnlyShrinks(t *testing.T) {
-	const pinned = 24
+	const pinned = 22
 	if flags := registeredFlags(t); len(flags) != pinned {
 		t.Errorf("cachenode registers %d flags, pinned at %d: the count may only go down without a ROADMAP entry (lower the pin here when it does): %v",
 			len(flags), pinned, flags)
@@ -211,11 +211,11 @@ func TestFlagCountOnlyShrinks(t *testing.T) {
 
 func TestNormalizeTargets(t *testing.T) {
 	got, err := normalizeTargets(
-		" http://a:1 ,, http://b:2/ ,http://a:1, b:2 , https://c:3", "")
+		" http://a:1 ,, http://b:2/ ,http://a:1, b:2 , c:3", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"http://a:1", "http://b:2/", "https://c:3"}
+	want := []string{"http://a:1", "http://b:2/", "c:3"}
 	if len(got) != len(want) {
 		t.Fatalf("normalizeTargets = %v, want %v", got, want)
 	}
@@ -223,6 +223,11 @@ func TestNormalizeTargets(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("normalizeTargets = %v, want %v", got, want)
 		}
+	}
+
+	// The peer plane speaks plain HTTP: a peer it could never reach is refused.
+	if _, err := normalizeTargets("http://a:1, https://c:3", ""); err == nil {
+		t.Error("https peer accepted")
 	}
 
 	if _, err := normalizeTargets("http://x:1,http://127.0.0.1:9999", "127.0.0.1:9999"); err == nil {

@@ -43,7 +43,6 @@ func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig, tw
 			Name:           fmt.Sprintf("chaos-%d", i),
 			OriginURL:      f.originS.URL,
 			UpdateInterval: time.Hour,
-			Seed:           int64(i) + 1,
 		}
 		if tweak != nil {
 			tweak(i, &cfg)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -164,11 +163,22 @@ func TestFleetClosePrompt(t *testing.T) {
 	goroutinesSettle(t, base, "after three fleets opened and closed")
 }
 
-// TestNodeConfigFieldBudget: a knob only one value of which is ever used is
-// a constant, not a field; adding one means arguing with this number.
-func TestNodeConfigFieldBudget(t *testing.T) {
-	if got := reflect.TypeOf(NodeConfig{}).NumField(); got > 23 {
-		t.Errorf("NodeConfig has %d fields, want at most 23", got)
+// TestJitterSeededPerNode: two nodes built from one NodeConfig, as cachenode
+// builds them, and started on different addresses draw different update
+// intervals — the randomization exists to keep nodes out of lockstep.
+func TestJitterSeededPerNode(t *testing.T) {
+	cfg := NodeConfig{UpdateInterval: time.Hour}
+	a, b := newMetaNode(t, cfg), newMetaNode(t, cfg)
+	// Each batch loop draws once of its own, whenever it gets there, so the
+	// two sequences are compared as sets: distinct seeds share no draw.
+	drawn := make(map[time.Duration]bool)
+	for i := 0; i < 8; i++ {
+		drawn[a.jitteredInterval()] = true
+	}
+	for i := 0; i < 8; i++ {
+		if d := b.jitteredInterval(); drawn[d] {
+			t.Fatalf("nodes at %s and %s both drew %v: their jitter is lock-stepped", a.Addr(), b.Addr(), d)
+		}
 	}
 }
 

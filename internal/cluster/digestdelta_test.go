@@ -279,24 +279,3 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 		t.Error("replayed replica diverged from the owner filter")
 	}
 }
-
-// TestWireCompressDigestRoundTrip runs a full+delta exchange with frame
-// compression on and checks the compressed full snapshot both shrinks on
-// the wire and decodes to the identical filter.
-func TestWireCompressDigestRoundTrip(t *testing.T) {
-	n := newMetaNode(t, NodeConfig{Name: "wire-comp", UseDigests: true, WireCompress: true, DigestCapacity: 4096})
-	for i := uint64(1); i <= 512; i++ {
-		n.loc.publish(i, true)
-	}
-	frame, payload, wireBytes, _ := digestGet(t, n, 0)
-	if !frame.Compressed {
-		t.Fatal("full snapshot frame not compressed despite WireCompress")
-	}
-	if wireBytes >= int(frame.RawLen) {
-		t.Errorf("compressed frame %d bytes >= raw payload %d", wireBytes, frame.RawLen)
-	}
-	want := ownDigestBytes(n)
-	if !bytes.Equal(payload, want) {
-		t.Error("decompressed digest payload differs from the owner filter")
-	}
-}

@@ -33,19 +33,6 @@ import (
 // locator's mu. publish and delta application take it in write mode; probes
 // and serves take it in read mode.
 
-// wireCompressMin is the frame-compression threshold when
-// NodeConfig.WireCompress is on: payloads below it ship raw.
-const wireCompressMin = 256
-
-// frameCompressMin resolves the node's compression threshold for metadata
-// frames (0 disables compression in wire.AppendFrame).
-func (n *Node) frameCompressMin() int {
-	if n.cfg.WireCompress {
-		return wireCompressMin
-	}
-	return 0
-}
-
 // digestWorkers bounds one round's concurrent peer digest pulls;
 // digestBitsPerEntry sizes the filters.
 const (
@@ -161,7 +148,7 @@ func (d *digestLocator) digestSnapshotFrame() ([]byte, uint64) {
 	head := d.journal.Head()
 	payload, _ := d.own.MarshalBinary()
 	d.mu.RUnlock()
-	return wire.AppendFrame(nil, wire.KindDigestFull, payload, d.n.frameCompressMin()), head
+	return wire.AppendFrame(nil, wire.KindDigestFull, payload, 0), head
 }
 
 // serveDigest serves the node's current contents summary as one wire
@@ -223,7 +210,7 @@ func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint6
 		// transfer. The cursor itself was fine — not a loss.
 		return nil, 0, false
 	}
-	return wire.AppendFrame(nil, wire.KindDigestDelta, ops, d.n.frameCompressMin()), head, true
+	return wire.AppendFrame(nil, wire.KindDigestDelta, ops, 0), head, true
 }
 
 // digestBodyLimit bounds one pulled digest's wire size (stored frame and

@@ -44,10 +44,7 @@ type FleetConfig struct {
 	// ObjectSize is the origin's default object size (<= 0 for 8 KB).
 	ObjectSize int64
 	// UseDigests switches every node to Bloom-filter digest exchange.
-	// WireCompress passes through to every node's NodeConfig (framed-
-	// metadata compression).
-	UseDigests   bool
-	WireCompress bool
+	UseDigests bool
 	// HintPartition partitions every node's hint directory over Plaxton-routed
 	// hint homes, with an owner-set size R of HintReplicas (<= 0 means 2;
 	// see NodeConfig.HintReplicas). Without HintPartition, HintReplicas is
@@ -60,11 +57,10 @@ type FleetConfig struct {
 	PeerTimeout   time.Duration
 	OriginTimeout time.Duration
 	HedgeBudget   time.Duration
-	// FaultSpec applies the same outbound fault spec to every node;
-	// FaultSeed seeds node i with FaultSeed+i so injected randomness is
+	// FaultSpec applies the same outbound fault spec to every node; node
+	// i's injector is seeded with i, so injected randomness is
 	// deterministic but not lock-stepped across the fleet.
 	FaultSpec string
-	FaultSeed int64
 	// Faults, when non-nil, shares ONE prebuilt outbound injector across
 	// every node instead of per-node injectors built from FaultSpec. A
 	// shared injector is the live fault plane of the load scenarios: one
@@ -75,12 +71,11 @@ type FleetConfig struct {
 
 	// CacheDirs gives node i a persistent disk tier rooted at
 	// CacheDirs[i] (see NodeConfig.CacheDir); nodes beyond the slice —
-	// or all nodes, when nil — stay memory-only. DiskCapacity, SpillQueue
-	// and CompressMin pass through to every disk-tiered node.
+	// or all nodes, when nil — stay memory-only. DiskCapacity and
+	// SpillQueue pass through to every disk-tiered node.
 	CacheDirs    []string
 	DiskCapacity int64
 	SpillQueue   int
-	CompressMin  int64
 }
 
 // newNode builds node i from the fleet-wide settings, with an outbound
@@ -91,7 +86,7 @@ func (f *Fleet) newNode(i int) (*Node, error) {
 	inj := cfg.Faults
 	if inj == nil && cfg.FaultSpec != "" {
 		var err error
-		if inj, err = faults.New(cfg.FaultSpec, cfg.FaultSeed+int64(i)); err != nil {
+		if inj, err = faults.New(cfg.FaultSpec, int64(i)); err != nil {
 			return nil, fmt.Errorf("cluster: node %q: %w", name, err)
 		}
 	}
@@ -110,16 +105,13 @@ func (f *Fleet) newNode(i int) (*Node, error) {
 		CacheDir:       cacheDir,
 		DiskCapacity:   cfg.DiskCapacity,
 		SpillQueue:     cfg.SpillQueue,
-		CompressMin:    cfg.CompressMin,
 		Name:           name,
 		CacheBytes:     cfg.CacheBytes,
 		HintEntries:    cfg.HintEntries,
 		OriginURL:      f.Origin.URL(),
 		UpdateInterval: cfg.UpdateInterval,
-		Seed:           int64(i) + 1,
 		UseDigests:     cfg.UseDigests,
 		HintReplicas:   replicas,
-		WireCompress:   cfg.WireCompress,
 		PeerTimeout:    cfg.PeerTimeout,
 		OriginTimeout:  cfg.OriginTimeout,
 		HedgeBudget:    cfg.HedgeBudget,
@@ -194,9 +186,9 @@ func (f *Fleet) RestartNode(i int) error {
 	}
 	old := f.Nodes[i]
 	addr := old.Addr()
-	if i < len(f.killed) {
-		f.killed[i] = false
-	}
+	// The slot is dead from here until a replacement has started: a failed
+	// restart leaves it holding the closed node.
+	f.setKilled(i, true)
 	f.dropIdleConns()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("cluster: restart: close node %d: %w", i, err)
@@ -226,6 +218,7 @@ func (f *Fleet) RestartNode(i int) error {
 		return fmt.Errorf("cluster: restart: rebind %s: %w", addr, startErr)
 	}
 	f.Nodes[i] = n
+	f.setKilled(i, false)
 	return nil
 }
 
@@ -238,12 +231,17 @@ func (f *Fleet) KillNode(i int) error {
 	if i < 0 || i >= len(f.Nodes) {
 		return fmt.Errorf("cluster: kill: no node %d", i)
 	}
+	f.setKilled(i, true)
+	f.dropIdleConns()
+	return f.Nodes[i].Close()
+}
+
+// setKilled marks slot i dead or alive.
+func (f *Fleet) setKilled(i int, dead bool) {
 	if f.killed == nil {
 		f.killed = make([]bool, len(f.Nodes))
 	}
-	f.killed[i] = true
-	f.dropIdleConns()
-	return f.Nodes[i].Close()
+	f.killed[i] = dead
 }
 
 // Alive reports whether node i has not been killed.

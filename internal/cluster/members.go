@@ -18,8 +18,7 @@ package cluster
 // generates — successful hint-batch deliveries, inbound batches, breaker
 // state — topped up with cheap ping calls for peers that were silent
 // a whole flush round. A membership change re-homes incrementally: only
-// objects whose owner set actually moved are re-announced or forwarded,
-// with plaxton.TableDiff gating the scan outright when nothing moved.
+// objects whose owner set actually moved are re-announced or forwarded.
 
 import (
 	"context"
@@ -218,15 +217,14 @@ func (l *hintLocator) sync() {
 // re-announce every locally resident object whose owner set moved (ground
 // truth — this is what repopulates a partition whose homes all died),
 // forward directory records likewise, and drop records this node no
-// longer owns or whose holder died. Work is proportional to ownership
-// churn — plaxton.TableDiff gates the whole pass when the embeddings
-// agree — never to directory size: objects with unmoved owners produce
-// nothing.
+// longer owns or whose holder died. The pass walks the resident set and
+// the directory (empty stripes cost nothing), but its work is proportional
+// to ownership churn: objects with unmoved owners produce nothing. Owner
+// sets are ring positions over the sorted members, so a join or a leave
+// moves them even when no routing-table entry changes: there is no cheaper
+// test than SameOwners, object by object.
 func (l *hintLocator) rehome(old, cur *overlay.View) {
 	n := l.n
-	if changed, total := overlay.Diff(old, cur); total > 0 && changed == 0 {
-		return
-	}
 	var count int64
 	announce := func(id uint64) {
 		if overlay.SameOwners(old, cur, id) {

@@ -297,9 +297,6 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Counter("beyondcache_store_verify_failures_total",
 		"Records dropped after failing header or body-checksum verification, and recovery walks ended by a torn tail.",
 		ds.VerifyFailures)
-	e.Counter("beyondcache_store_compressed_total",
-		"Bodies stored flate-compressed (at least CompressMin bytes and actually shrank).",
-		ds.Compressed)
 	e.Counter("beyondcache_store_promotions_total",
 		"Disk hits promoted back into the memory tier.", promotions)
 	e.Gauge("beyondcache_store_disk_objects",

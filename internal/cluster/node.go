@@ -62,9 +62,9 @@ type NodeConfig struct {
 	// actual period is randomized uniformly in [0.5, 1.5] x interval to
 	// avoid synchronization effects (Section 3.2 cites Floyd & Jacobson).
 	// Zero means 1 second. In digest mode it is the digest pull interval.
+	// Each node seeds the jitter (and its retry backoff) from its machine
+	// ID, so no two nodes draw the same sequence.
 	UpdateInterval time.Duration
-	// Seed feeds the update-interval jitter.
-	Seed int64
 
 	// UseDigests switches the node from exact hint records to pulling
 	// Bloom-filter cache digests from its peers (the Summary Cache /
@@ -72,11 +72,6 @@ type NodeConfig struct {
 	// in entries (<= 0 means 8192), at 8 bits an entry.
 	UseDigests     bool
 	DigestCapacity int
-	// WireCompress flate-compresses metadata frames (hint batches, digest
-	// snapshots and deltas) that reach wireCompressMin bytes. Off by
-	// default: the framing layer is zero-copy either way, and most
-	// metadata payloads are small or incompressible.
-	WireCompress bool
 
 	// HintReplicas is the hint directory's owner-set size R. 0: every live
 	// member owns every object, so every node holds the whole directory and
@@ -131,9 +126,6 @@ type NodeConfig struct {
 	// 1024). Overflow drops the oldest queued eviction — which then left
 	// both tiers, so an invalidate hint is queued for it.
 	SpillQueue int
-	// CompressMin flate-compresses spilled bodies of at least this many
-	// bytes (<= 0 disables compression).
-	CompressMin int64
 }
 
 // Stats counts node activity.
@@ -198,9 +190,9 @@ type Stats struct {
 	DigestRebuilds   int64 `json:"digestRebuilds"`
 	DigestDeltaOps   int64 `json:"digestDeltaOps"`
 	// WireHintBytes counts framed hint-batch bytes successfully delivered
-	// to their targets (after optional compression — actual wire bytes) at
-	// R = 0. At R > 0 the same bytes land in WireHintBytesPartitioned
-	// instead, so the two wire costs stay separately comparable.
+	// to their targets at R = 0. At R > 0 the same bytes land in
+	// WireHintBytesPartitioned instead, so the two wire costs stay
+	// separately comparable.
 	WireHintBytes            int64 `json:"wireHintBytes"`
 	WireHintBytesPartitioned int64 `json:"wireHintBytesPartitioned"`
 	// HintHomeHits/Misses/Errors classify hint-home consults on the miss
@@ -399,7 +391,8 @@ type Node struct {
 	sampler *obs.Sampler
 	reqSeq  atomic.Int64
 
-	// rngMu guards the jitter source used by the batch loop.
+	// rngMu guards the batch loop's jitter source. It and backoff are
+	// seeded from machineID, so both are built in boot.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -478,8 +471,6 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 		sampler:      obs.NewSampler(sample),
 		byID:         make(map[uint64]*peer),
 		nodeLabel:    cfg.Name,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		backoff:      resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, cfg.Seed+1),
 		inj:          cfg.Faults,
 		inboundInj:   cfg.InboundFaults,
 		nw:           nw,
@@ -491,10 +482,7 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
 	n.plane.conns = make(map[*upConn]struct{})
 	if cfg.CacheDir != "" {
-		st, err := store.Open(cfg.CacheDir, store.Options{
-			Capacity:    cfg.DiskCapacity,
-			CompressMin: cfg.CompressMin,
-		})
+		st, err := store.Open(cfg.CacheDir, store.Options{Capacity: cfg.DiskCapacity})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 		}
@@ -565,10 +553,13 @@ func (n *Node) Start(addr string) error {
 	return nil
 }
 
-// boot fixes the node's identity from its served address and starts the
-// batcher and the disk recovery.
+// boot fixes the node's identity from its served address, seeds the jitter
+// and the retry backoff from it, and starts the batcher and the disk recovery.
 func (n *Node) boot(hostport string) {
 	n.machineID = hintcache.HashMachine(hostport)
+	seed := int64(n.machineID)
+	n.rng = rand.New(rand.NewSource(seed))
+	n.backoff = resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, seed+1)
 	if n.nodeLabel == "" {
 		n.nodeLabel = hostport
 	}
@@ -644,11 +635,11 @@ func (n *Node) URL() string { return "http://" + n.Addr() }
 // MachineID returns the node's 8-byte machine identifier.
 func (n *Node) MachineID() uint64 { return n.machineID }
 
-// hostPortOf strips an "http://" prefix.
+// hostPortOf returns the host:port of a base URL ("http://host:port/"), or
+// the string itself when it is a bare host:port.
 func hostPortOf(baseURL string) string {
-	const prefix = "http://"
-	if len(baseURL) > len(prefix) && baseURL[:len(prefix)] == prefix {
-		return baseURL[len(prefix):]
+	if u, err := neturl.Parse(baseURL); err == nil && u.Host != "" {
+		return u.Host
 	}
 	return baseURL
 }

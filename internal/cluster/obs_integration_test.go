@@ -39,7 +39,6 @@ func newObsFleet(t *testing.T, n int, muts ...func(i int, cfg *NodeConfig)) *tes
 			Name:           fmt.Sprintf("obs-%d", i),
 			OriginURL:      f.originS.URL,
 			UpdateInterval: time.Hour,
-			Seed:           int64(i) + 1,
 			TraceSample:    1,
 		}
 		for _, mut := range muts {
@@ -427,8 +426,8 @@ func TestConfigSurfaceOnlyShrinks(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{NodeConfig{}, 20},
-		{FleetConfig{}, 20},
+		{NodeConfig{}, 17},
+		{FleetConfig{}, 17},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		if got := typ.NumField(); got != c.want {

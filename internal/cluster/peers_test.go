@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"beyondcache/internal/hintcache"
 	"beyondcache/internal/obs"
 )
 
@@ -38,6 +39,18 @@ func TestAddPeerOneRecordPerAddress(t *testing.T) {
 				t.Errorf("%s has series %+v, want one labelled peer=%q", family, series, host)
 			}
 		}
+	}
+}
+
+// TestAddPeerURLWithPath: a peer written with a trailing slash is reached at,
+// and identified by, its host:port — the machine ID its own hints carry.
+func TestAddPeerURLWithPath(t *testing.T) {
+	const host = "127.0.0.1:9"
+	n := newMetaNode(t, NodeConfig{Name: "slash"})
+	n.AddPeer("http://" + host + "/")
+	p := n.peerByID(hintcache.HashMachine(host))
+	if p == nil || p.host != host {
+		t.Fatalf("peerByID(HashMachine(%q)) = %+v, want the peer added as http://%s/", host, p, host)
 	}
 }
 

@@ -292,6 +292,9 @@ func TestRestartNodeFailedStartReleasesNode(t *testing.T) {
 	if err := f.RestartNode(0); err == nil {
 		t.Fatal("RestartNode onto an occupied port succeeded")
 	}
+	if f.Alive(0) {
+		t.Error("a failed restart left its closed node counted as alive")
+	}
 	// Node 0 is the only one with a disk tier, and it is down.
 	if dump, running := spillerRunning(); running {
 		t.Errorf("the replacement that could not bind left its spiller running:\n%s", dump)
@@ -299,6 +302,9 @@ func TestRestartNodeFailedStartReleasesNode(t *testing.T) {
 	squatter.Close()
 	if err := f.RestartNode(0); err != nil {
 		t.Fatal(err)
+	}
+	if !f.Alive(0) {
+		t.Error("the restarted node is not counted as alive")
 	}
 	f.Nodes[0].WaitRecovery()
 	if got := f.Nodes[0].RecoveryStats().Objects; got != int(onDisk) {

@@ -96,9 +96,8 @@ func (s *peerSender) drain(l *hintLocator) {
 		for _, u := range s.scratch {
 			s.recs = hintcache.AppendUpdate(s.recs, u)
 		}
-		// One frame per batch: the records ride as a KindHintBatch payload,
-		// optionally flate-compressed past the threshold.
-		s.frame = wire.AppendFrame(s.frame[:0], wire.KindHintBatch, s.recs, l.n.frameCompressMin())
+		// One frame per batch: the records ride raw as a KindHintBatch payload.
+		s.frame = wire.AppendFrame(s.frame[:0], wire.KindHintBatch, s.recs, 0)
 		s.send(l, s.frame, len(s.scratch), stampNs)
 	}
 }

@@ -65,7 +65,6 @@ func newTestFleet(t *testing.T, n int, objectSize int64) *testFleet {
 			Name:           fmt.Sprintf("stress-%d", i),
 			OriginURL:      f.originS.URL,
 			UpdateInterval: time.Hour,
-			Seed:           int64(i) + 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -120,17 +120,6 @@ func SameOwners(a, b *View, object uint64) bool {
 	return true
 }
 
-// Diff counts routing-table entries that changed between two views'
-// embeddings over their shared nodes; (0, 0) when either view is empty.
-// A zero changed count with a nonzero total proves no owner set moved, so
-// re-homing can be skipped outright.
-func Diff(a, b *View) (changed, total int) {
-	if a == nil || b == nil || a.nw == nil || b.nw == nil {
-		return 0, 0
-	}
-	return plaxton.TableDiff(a.nw, b.nw)
-}
-
 // Overlay derives routing views from membership events. Join and Leave
 // serialize on an internal lock; View is a lock-free atomic load.
 type Overlay struct {

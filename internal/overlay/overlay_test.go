@@ -198,13 +198,6 @@ func TestChurnMovesBoundedShare(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("leave moved nothing — victim owned no objects?")
 	}
-	if ch, total := Diff(before, after); total == 0 || ch == 0 {
-		t.Fatalf("Diff(before, after) = (%d, %d), want nonzero churn", ch, total)
-	}
-	// No membership change → identical views → zero diff gate holds.
-	if ch, total := Diff(after, o.View()); ch != 0 || total == 0 {
-		t.Fatalf("Diff of identical views = (%d, %d)", ch, total)
-	}
 }
 
 func TestViewsAgreeAcrossBuildOrder(t *testing.T) {

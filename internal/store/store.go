@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"beyondcache/internal/cache"
-	"beyondcache/internal/wire"
 )
 
 // Options configures a Store.
@@ -32,9 +31,6 @@ type Options struct {
 	// Capacity bounds the on-disk footprint in bytes, dead records
 	// included; <= 0 means unbounded. Overflow retires the oldest segment.
 	Capacity int64
-	// CompressMin flate-compresses bodies of at least this many bytes
-	// (kept only when that shrinks the body); <= 0 disables compression.
-	CompressMin int64
 }
 
 // Store is the on-disk object store.
@@ -70,7 +66,6 @@ type Store struct {
 	putSkipped  atomic.Int64
 	evictions   atomic.Int64
 	verifyFails atomic.Int64
-	compressed  atomic.Int64
 }
 
 type segment struct {
@@ -348,28 +343,14 @@ func (s *Store) put(obj cache.Object, body []byte, keep func() bool) (wrote bool
 	if s.skip(obj) {
 		return false, nil
 	}
-	h := header{id: obj.ID, version: obj.Version, size: uint32(len(body))}
-	raw := make([]byte, headerLen, headerLen+len(body))
-	flate := false
-	if s.opts.CompressMin > 0 && int64(len(body)) >= s.opts.CompressMin {
-		raw, flate = wire.AppendDeflate(raw, body)
-	}
-	if flate {
-		h.flags |= flagFlate
-	} else {
-		raw = append(raw, body...)
-	}
-	h.stored = uint32(len(raw) - headerLen)
-	h.bodyCRC = crc32.Checksum(raw[headerLen:], castagnoli)
-	h.encode((*[headerLen]byte)(raw))
+	raw := append(make([]byte, headerLen, headerLen+len(body)), body...)
+	header{id: obj.ID, version: obj.Version, size: uint32(len(body)), stored: uint32(len(body)),
+		bodyCRC: crc32.Checksum(body, castagnoli)}.encode((*[headerLen]byte)(raw))
 	obj.Size = int64(len(body)) // the index mirrors what the header says
 	sealed := s.active
-	wrote, err = s.append(raw, rec{obj: obj, flags: h.flags}, keep)
+	wrote, err = s.append(raw, rec{obj: obj}, keep)
 	if wrote {
 		s.puts.Add(1)
-		if flate {
-			s.compressed.Add(1)
-		}
 	}
 	// Compaction: while an unbounded log's dead bytes outweigh the live, each
 	// roll moves the oldest segment's live records to the tail, which empties
@@ -394,9 +375,9 @@ func (s *Store) put(obj cache.Object, body []byte, keep func() bool) (wrote bool
 }
 
 // Get reads an object back: one pread of exactly its record, verified
-// before anything is returned (see read). The body is the caller's to keep;
-// an uncompressed one is the tail of the read buffer itself. A record that
-// fails is condemned; a read that merely lost a race looks again.
+// before anything is returned (see read). The body is the caller's to keep:
+// the tail of the read buffer itself. A record that fails is condemned; a
+// read that merely lost a race looks again.
 func (s *Store) Get(id uint64) (cache.Object, []byte, bool) {
 	for {
 		s.mu.Lock()
@@ -405,16 +386,9 @@ func (s *Store) Get(id uint64) (cache.Object, []byte, bool) {
 		if !ok {
 			break
 		}
-		raw, ok := e.read()
-		body := raw[headerLen:]
-		if ok && e.flags&flagFlate != 0 {
-			var err error
-			body, err = wire.InflateInto(nil, body, int(e.obj.Size))
-			ok = err == nil
-		}
-		if ok {
+		if raw, ok := e.read(); ok {
 			s.hits.Add(1)
-			return e.obj, body, true
+			return e.obj, raw[headerLen:], true
 		}
 		s.wmu.Lock()
 		bad := s.condemn(e)
@@ -427,9 +401,9 @@ func (s *Store) Get(id uint64) (cache.Object, []byte, bool) {
 	return cache.Object{}, nil, false
 }
 
-// read fetches the record e points at and verifies it: header checksum and
-// magic, the id, version and flags it carries, its lengths against the
-// index entry, and the body checksum.
+// read fetches the record e points at and verifies it: header checksum,
+// magic and flags (see decodeHeader), the id, version and flags it carries,
+// its lengths against the index entry, and the body checksum.
 func (e rec) read() ([]byte, bool) {
 	raw := make([]byte, e.n)
 	_, err := e.seg.f.ReadAt(raw, e.off)
@@ -585,10 +559,11 @@ func (s *Store) points(e rec) bool {
 }
 
 // walk reads a segment header to header — bodies are NOT read; a torn body
-// is caught by verify-on-read — up to the first record that fails its
-// header checksum or runs past the end of the file: a torn tail, which is
-// cut off so that one crash is one failure, not one at every later boot. A
-// segment that cannot be opened is all tail: it recovers empty and is deleted.
+// is caught by verify-on-read — up to the first record whose header is
+// invalid (see decodeHeader) or that runs past the end of the file: a torn
+// tail, which is cut off so that one crash is one failure, not one at every
+// later boot. A segment that cannot be opened is all tail: it recovers empty
+// and is deleted.
 func (s *Store) walk(seg *segment) walked {
 	w := walked{seg: seg}
 	f, err := os.OpenFile(s.segPath(seg.seq), os.O_RDWR, 0)
@@ -599,10 +574,7 @@ func (s *Store) walk(seg *segment) walked {
 		_, err := f.ReadAt(hb[:], off)
 		h, ok := decodeHeader(hb[:])
 		n := headerLen + int64(h.stored)
-		// Uncompressed bodies have a known stored length, tombstones none.
-		w.torn = err != nil || !ok || off+n > seg.size ||
-			h.flags&flagTomb != 0 && h.stored != 0 ||
-			h.flags&(flagFlate|flagTomb) == 0 && h.stored != h.size
+		w.torn = err != nil || !ok || off+n > seg.size
 		if !w.torn {
 			w.recs = append(w.recs, rec{seg: seg, off: off, n: n, flags: h.flags,
 				obj: cache.Object{ID: h.id, Size: int64(h.size), Version: h.version}})
@@ -653,7 +625,6 @@ type Stats struct {
 	PutSkipped     int64
 	Evictions      int64
 	VerifyFailures int64
-	Compressed     int64
 }
 
 // StatsSnapshot returns current counters and occupancy.
@@ -671,6 +642,5 @@ func (s *Store) StatsSnapshot() Stats {
 		PutSkipped:     s.putSkipped.Load(),
 		Evictions:      s.evictions.Load(),
 		VerifyFailures: s.verifyFails.Load(),
-		Compressed:     s.compressed.Load(),
 	}
 }

@@ -75,52 +75,6 @@ func TestStorePutSkipsSameOrOlderVersion(t *testing.T) {
 	}
 }
 
-func TestStoreCompression(t *testing.T) {
-	s := openT(t, Options{CompressMin: 64})
-	big := bytes.Repeat([]byte("compressible "), 100)
-	small := []byte("tiny")
-	s.Put(cache.Object{ID: 1, Size: int64(len(big)), Version: 1}, big)
-	s.Put(cache.Object{ID: 2, Size: int64(len(small)), Version: 1}, small)
-
-	st := s.StatsSnapshot()
-	if st.Compressed != 1 {
-		t.Fatalf("Compressed = %d, want 1 (only the big body)", st.Compressed)
-	}
-	if st.UsedBytes >= int64(len(big)) {
-		t.Errorf("UsedBytes = %d, want < %d (compression should shrink)", st.UsedBytes, len(big))
-	}
-	// Round-trips decompress to the original bytes.
-	_, b, ok := s.Get(1)
-	if !ok || !bytes.Equal(b, big) {
-		t.Fatal("compressed body did not round-trip")
-	}
-	_, b, _ = s.Get(2)
-	if !bytes.Equal(b, small) {
-		t.Error("small body mangled")
-	}
-}
-
-func TestStoreIncompressibleStoredRaw(t *testing.T) {
-	s := openT(t, Options{CompressMin: 1})
-	// High-entropy bytes that flate cannot shrink.
-	body := make([]byte, 4096)
-	x := uint32(2463534242)
-	for i := range body {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		body[i] = byte(x)
-	}
-	s.Put(cache.Object{ID: 3, Size: int64(len(body)), Version: 1}, body)
-	if st := s.StatsSnapshot(); st.Compressed != 0 {
-		t.Errorf("Compressed = %d, want 0 for incompressible body", st.Compressed)
-	}
-	_, b, ok := s.Get(3)
-	if !ok || !bytes.Equal(b, body) {
-		t.Fatal("incompressible body did not round-trip")
-	}
-}
-
 // body100 is a 100-byte body unique to (id, version).
 func body100(id uint64, version int64) []byte {
 	return []byte(fmt.Sprintf("%050d%050d", id, version))
@@ -360,34 +314,40 @@ func TestRecoverTruncatedFileQuarantined(t *testing.T) {
 	wantBody(t, s2, 8, 1)
 }
 
-// TestRecoverTruncatedCompressedCaughtOnRead: a record whose file length
-// survived a power cut but whose last data blocks did not (they read back
-// as zeroes) walks fine — recovery reads no bodies — so verify-on-read must
-// still refuse to serve it.
-func TestRecoverTruncatedCompressedCaughtOnRead(t *testing.T) {
-	s := openT(t, Options{CompressMin: 1})
-	body := bytes.Repeat([]byte("compressible "), 200)
-	s.Put(cache.Object{ID: 4, Size: int64(len(body)), Version: 1}, body)
-	if s.StatsSnapshot().Compressed != 1 {
-		t.Fatal("body was not stored compressed")
+// TestStoreLogUnknownFlagInvalid: bit 0 of a header's flags once marked a
+// compressed body. A record carrying it — every checksum valid, its stored
+// length its body's — is never served, and the recovery walk cuts it off
+// with whatever follows it in its segment.
+func TestStoreLogUnknownFlagInvalid(t *testing.T) {
+	s := openT(t, Options{})
+	putRange(t, s, 1, 3)
+	path, off, _ := place(t, s, 2)
+	patch(t, s, 2, func(raw []byte) {
+		h, ok := decodeHeader(raw)
+		if !ok {
+			t.Fatal("setup: record 2 does not decode")
+		}
+		h.flags |= 1 << 0
+		h.encode((*[headerLen]byte)(raw))
+	})
+	if _, _, ok := s.Get(2); ok {
+		t.Fatal("record with flag bit 0 was served")
 	}
-	path, off, n := place(t, s, 4)
-	if err := os.Truncate(path, off+n-10); err != nil {
+	// Undo the condemnation's tombstone so that recovery meets the record
+	// with nothing else against it.
+	if err := os.Truncate(path, off+2*rec100); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, off+n); err != nil {
-		t.Fatal(err)
+	s2, st := reopen(t, s, Options{})
+	if st.Objects != 1 || st.Quarantined != 1 {
+		t.Errorf("recover stats = %+v, want object 1 and a walk cut at record 2", st)
 	}
-	s2, st := reopen(t, s, Options{CompressMin: 1})
-	if st.Objects != 1 {
-		t.Fatalf("recover stats = %+v, want the record indexed", st)
+	for _, id := range []uint64{2, 3} {
+		if _, _, ok := s2.Get(id); ok {
+			t.Errorf("object %d served from behind the cut", id)
+		}
 	}
-	if _, _, ok := s2.Get(4); ok {
-		t.Fatal("truncated compressed object served")
-	}
-	if got := s2.StatsSnapshot().VerifyFailures; got != 1 {
-		t.Errorf("VerifyFailures = %d, want 1", got)
-	}
+	wantBody(t, s2, 1, 1)
 }
 
 // TestRecoverGarbageFileQuarantined: a segment that is not one, and junk
