@@ -115,6 +115,81 @@ func TestRemoteFillAllocBudget(t *testing.T) {
 	}
 }
 
+// homeServedFillAllocBudget is what one fill answered by the hint home's own
+// copy may allocate, both nodes counted: the REMOTE fill's parts
+// (remoteFillAllocBudget), with the consult's deadline context and its
+// cancellation hook where the transfer's were, the holder call's answer
+// carrying the body where the object call's did, and the home's record of
+// the asker. Measured at 32; when the home answered with its own machine ID
+// and was then asked for the object in a second call, the fill took 45.
+const homeServedFillAllocBudget = 34
+
+// TestHomeServedFillAllocBudget holds a fill that the hint home serves from
+// its own copy to its allocation budget. On a 3-node fleet at R = 2, objects
+// are filled at nodes 1 and 2 and fetched once at node 0: those that come
+// back REMOTE from their home, in one consult, are kept; node
+// 0 purges them and a round clears its records. Their second fills are
+// measured.
+func TestHomeServedFillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const objects = 300
+	f, err := cluster.StartFleet(cluster.FleetConfig{Nodes: 3, HintPartition: true, ObjectSize: 1024, UpdateInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.FlushAll() // membership: every node sees the other two
+	var reqs []*http.Request
+	for i := 0; len(reqs) < objects; i++ {
+		if i == 20*objects {
+			t.Fatalf("%d of %d objects came back REMOTE from their home", len(reqs), i)
+		}
+		url := fmt.Sprintf("http://example.com/home/%d", i)
+		for _, at := range []int{1, 2} {
+			if _, err := f.Fetch(at, url); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// No round has run: an owner of the object goes to the origin, or to
+		// a holder a consult of nodes 1 and 2 recorded at it; a non-owner's
+		// consult finds a home holding the object.
+		consults := f.Nodes[0].Stats().HintHomeHits
+		res, err := f.Fetch(0, url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Remote() || f.Nodes[0].Stats().HintHomeHits == consults {
+			continue
+		}
+		if err := f.Purge(0, url); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, httptest.NewRequest(http.MethodGet, "/fetch?url="+neturl.QueryEscape(url), nil))
+	}
+	f.FlushAll() // node 0's invalidates reach the homes; its queue is empty
+	h := f.Nodes[0].Handler()
+	w := &nullResponseWriter{h: make(http.Header)}
+	next := 0
+	fetch := func() {
+		w.code = 0
+		h.ServeHTTP(w, reqs[next])
+		next++
+	}
+	fetch() // the connection's first lease
+	before := f.Nodes[0].Stats()
+	allocs := testing.AllocsPerRun(objects-2, fetch)
+	after := f.Nodes[0].Stats()
+	if remote, consults := after.RemoteHits-before.RemoteHits, after.HintHomeHits-before.HintHomeHits; remote != objects-1 || consults != objects-1 {
+		t.Fatalf("%d REMOTE fills and %d consult hits of %d: the budget below would measure something else", remote, consults, objects-1)
+	}
+	t.Logf("home-served fill: %.1f allocs (budget %d; a REMOTE fill's is %d)", allocs, homeServedFillAllocBudget, remoteFillAllocBudget)
+	if allocs > homeServedFillAllocBudget {
+		t.Errorf("a fill served by the home allocates %.1f, budget is %d", allocs, homeServedFillAllocBudget)
+	}
+}
+
 // missFillAllocBudget is what one candidate-less MISS fill may allocate,
 // the in-process origin's serving side counted: the node's handler and
 // flight, the origin deadline's context and its cancel hook, the request

@@ -198,6 +198,7 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 		closed  bool
 		loose   bool // the body holds counters, and net/http chunks it
 		prep    func()
+		once    string // the first body says this exactly once
 	}{
 		{name: "local hit", raw: get("/fetch" + q), status: 200},
 		{name: "missing url", raw: get("/fetch"), status: 400},
@@ -222,7 +223,7 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 		{name: "Connection: close", raw: get("/fetch"+q, "Connection: close\r\n"), status: 200, closed: true},
 		{name: "two pipelined", raw: get("/fetch"+q) + get("/fetch"), methods: []string{"GET", "GET"}, status: 200},
 		{name: "pipelined behind a close", raw: get("/fetch"+q, "Connection: close\r\n") + get("/fetch"+q), status: 200, closed: true},
-		{name: "dead origin", raw: get("/fetch?url=cold"), status: 502, prep: func() { origin.Close() }},
+		{name: "dead origin", raw: get("/fetch?url=cold"), status: 502, prep: func() { origin.Close() }, once: "origin fetch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,6 +267,9 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 			door, want := got[0], got[1]
 			if door.Statuses[0] != tc.status || door.Closed != tc.closed {
 				t.Errorf("the door answered %d, closed %v; want %d, closed %v", door.Statuses[0], door.Closed, tc.status, tc.closed)
+			}
+			if tc.once != "" && strings.Count(door.Bodies[0], tc.once) != 1 {
+				t.Errorf("the door's body %q says %q %d times, want once", door.Bodies[0], tc.once, strings.Count(door.Bodies[0], tc.once))
 			}
 			if !reflect.DeepEqual(door, want) {
 				t.Errorf("the door and net/http disagree\n door:     %+v\n net/http: %+v", door, want)

@@ -124,36 +124,70 @@ func TestHintHomeNamesHolderOtherThanAsker(t *testing.T) {
 //
 //	go test -run TestHintMissBudget -v ./internal/cluster
 func TestHintMissBudget(t *testing.T) {
-	const (
-		nodes, slots, population = 4, 512, 2048
-		objectSize               = 64
-		requests, flushEvery     = 24000, 457
-		peerHeldBound            = 0.019
-	)
+	const nodes, slots, objectSize = 4, 512, 64
 	f := startFleet(t, nodes, FleetConfig{
 		CacheBytes:  slots * objectSize,
 		ObjectSize:  objectSize,
 		HedgeBudget: time.Hour, // peer-then-origin: no timer in the outcome
 	})
+	missBudget(t, f, budgetRun{population: 2048, requests: 24000, flushEvery: 457, peerHeldBound: 0.019})
+}
+
+// TestPartitionedHintMissBudget is TestHintMissBudget at R = 2, shaped like
+// `partition-churn`: 6 nodes of 683 slots, 4096 objects, Zipf 0.8, one
+// request in 50 a write (Origin.Bump and PurgeAll, then the fetch), FlushAll
+// every 200 requests. Every non-owner's miss pays a consult here, and what
+// the consult does decides the share: answering "me" from a home that holds
+// the object and recording the asker only at its next round left 1.02 % of
+// fetches missing while a peer held the object (2.09 % wasted probes); a
+// home that serves its own copy in the answer and records the asker at
+// once, 0.42 % (1.78 %).
+//
+//	go test -run TestPartitionedHintMissBudget -v ./internal/cluster
+func TestPartitionedHintMissBudget(t *testing.T) {
+	const slots, objectSize = 683, 64
+	f := startPartFleet(t, 6, func(cfg *FleetConfig) {
+		cfg.CacheBytes = slots * objectSize
+		cfg.ObjectSize = objectSize
+		cfg.HedgeBudget = time.Hour
+	})
+	missBudget(t, f, budgetRun{population: 4096, requests: 30000, flushEvery: 200, writeEvery: 50, peerHeldBound: 0.006})
+}
+
+// budgetRun shapes one miss-budget run: writeEvery 0 means no writes.
+type budgetRun struct {
+	population, requests, flushEvery, writeEvery int
+	peerHeldBound                                float64
+}
+
+// missBudget drives f with one seeded request at a time and logs where the
+// fetches went, failing if more than run.peerHeldBound of them missed while
+// a peer held the object in memory. The ranks are drawn first, then a node
+// per request (and, with writes, whether it is one), from the one rng.
+func missBudget(t *testing.T, f *Fleet, run budgetRun) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	urls := make([]string, population)
-	hashes := make([]uint64, population)
+	urls := make([]string, run.population)
+	hashes := make([]uint64, run.population)
 	for i := range urls {
 		urls[i] = fmt.Sprintf("http://budget.example/obj-%d", i)
 		hashes[i] = hintcache.HashURL(urls[i])
 	}
-	// The ranks are drawn first, then a node per request, from the one rng.
-	zipf := trace.NewZipf(population, 0.8)
-	ranks := make([]int, requests)
+	zipf := trace.NewZipf(run.population, 0.8)
+	ranks := make([]int, run.requests)
 	for i := range ranks {
 		ranks[i] = zipf.Sample(rng)
 	}
 	var local, remote, missNoCopy, missPeerHeld, wasted int
 	for i, rank := range ranks {
-		if i > 0 && i%flushEvery == 0 {
+		if i > 0 && i%run.flushEvery == 0 {
 			f.FlushAll()
 		}
-		at := rng.Intn(nodes)
+		at := rng.Intn(len(f.Nodes))
+		if run.writeEvery > 0 && rng.Intn(run.writeEvery) == 0 {
+			f.Origin.Bump(urls[rank])
+			f.PurgeAll(urls[rank])
+		}
 		peerHolds := false
 		for j, n := range f.Nodes {
 			peerHolds = peerHolds || (j != at && n.data.Contains(hashes[rank]))
@@ -176,10 +210,10 @@ func TestHintMissBudget(t *testing.T) {
 			wasted++
 		}
 	}
-	share := func(n int) float64 { return float64(n) / requests }
+	share := func(n int) float64 { return float64(n) / float64(run.requests) }
 	t.Logf("%d fetches: LOCAL %.4f  REMOTE %.4f  MISS, no copy anywhere %.4f  MISS while a peer held it %.4f  (wasted probes %.4f)",
-		requests, share(local), share(remote), share(missNoCopy), share(missPeerHeld), share(wasted))
-	if got := share(missPeerHeld); got > peerHeldBound {
-		t.Errorf("%.4f of fetches missed while a peer held the object, bound %.4f: the hint table is forgetting holders again", got, peerHeldBound)
+		run.requests, share(local), share(remote), share(missNoCopy), share(missPeerHeld), share(wasted))
+	if got := share(missPeerHeld); got > run.peerHeldBound {
+		t.Errorf("%.4f of fetches missed while a peer held the object, bound %.4f: the hint table is forgetting holders again", got, run.peerHeldBound)
 	}
 }

@@ -137,7 +137,8 @@ var (
 
 // fillRaced resolves a miss the locator had a candidate for. The primary
 // leg asks the hint home who holds the object, if the candidate names one
-// (the HINT-HOME hop, under the metadata timeout), then runs the
+// (the HINT-HOME hop; a home that holds the object serves it in its answer,
+// and that is the transfer), then runs the
 // cache-to-cache transfer under its own deadline; if the leg stays silent
 // past the hedge budget the origin fetch starts in parallel and the first
 // success wins. Either way a peer that did not serve is demoted; one that
@@ -152,7 +153,9 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	// Race returns only after the leg has, abandoned or not. peer — the one
 	// the transfer is asked of, its breaker having admitted the probe —
 	// stays nil until a holder is known: from the start on the direct path,
-	// once the home has named a usable one otherwise.
+	// once the home has named a usable one otherwise — and for good when the
+	// home served the object itself, so its breaker is recorded once, as
+	// the home's.
 	var leg struct {
 		probe, consult time.Duration
 		peer           *peer
@@ -161,11 +164,11 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	primary := func(ctx context.Context) (fetched, error) {
 		var chain []obs.Hop
 		if c.home != nil {
-			p, err := n.consultHome(ctx, c.home, h, reqID, sampled)
+			p, got, err := n.consultHome(ctx, c.home, h, reqID, sampled)
 			leg.consult = time.Since(start)
 			leg.probe = leg.consult
-			if err != nil {
-				return fetched{}, err
+			if err != nil || p == nil {
+				return got, err
 			}
 			leg.peer = p
 			chain = []obs.Hop{{Node: c.home.host, Outcome: "HINT-HOME", Elapsed: leg.consult}}
@@ -186,9 +189,10 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		n.stats.hedgesStarted.Add(1)
 	}
 	if p != nil {
-		// A prompt "not here" is a healthy peer under a stale hint; an error,
-		// a timeout, a 5xx or an abandon is a peer to stop asking.
-		p.br.Record(r.Winner == resilience.PrimaryWon || errors.Is(r.PrimaryErr, errPeerMiss))
+		// A prompt "not here" or "not yet" is a healthy peer under a stale
+		// or early hint; an error, a timeout, a 5xx or an abandon is a peer
+		// to stop asking.
+		p.br.Record(r.Winner == resilience.PrimaryWon || errors.Is(r.PrimaryErr, errPeerMiss) || errors.Is(r.PrimaryErr, errPeerFilling))
 	}
 	if c.home != nil {
 		n.settleConsult(c.home, r.Winner, r.PrimaryErr, p != nil)
@@ -202,7 +206,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		n.stats.remoteHits.Add(1)
 		return fetchOutcome{how: "REMOTE", version: r.Value.version, body: r.Value.body, hops: r.Value.hops}
 	case resilience.BothFailed:
-		return fetchOutcome{err: fmt.Errorf("peer: %v; origin: %w", r.PrimaryErr, r.Err)}
+		return fetchOutcome{err: fmt.Errorf("peer: %v; %w", r.PrimaryErr, r.Err)}
 	}
 
 	// The origin served. What the primary leg cost, and what it says about
@@ -225,8 +229,12 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		// Stale hint or digest false positive: the peer definitively
 		// rejected (or errored) and the origin served. Pay the wasted
 		// probe, drop the hint (at its home too, if it has one), never
-		// search further (Section 3.1.1).
-		n.loc.demote(h, p.id)
+		// search further (Section 3.1.1). A peer still filling keeps its
+		// hint: an invalidate routed now would reach the homes after its
+		// fill, and delete a record that had come true.
+		if !errors.Is(r.PrimaryErr, errPeerFilling) {
+			n.loc.demote(h, p.id)
+		}
 		n.stats.falsePositives.Add(1)
 		how = "MISS,STALE-HINT"
 		hops = append(hops, obs.Hop{Node: p.host, Outcome: "PEER-REJECT", Elapsed: probe})

@@ -12,7 +12,9 @@ package cluster
 // object (always, at R = 0); otherwise it asks the object's hint home, one
 // extra metadata hop paid under the same breaker and hedge discipline as any
 // peer call, so it can never slow a miss below the straight-to-origin
-// baseline. At R > 0 each node holds and receives only its O(R/N) share.
+// baseline. A home that holds the object answers with it, and every consult
+// records its asker as a holder at the home. At R > 0 each node holds and
+// receives only its O(R/N) share.
 //
 // Membership is maintained from liveness evidence the node already
 // generates — successful hint-batch deliveries, inbound batches, breaker
@@ -429,49 +431,57 @@ func (l *hintLocator) hintHomeFor(h uint64) *peer {
 	return nil
 }
 
-// queryHintHome asks a hint home which machine other than this one holds h:
-// one holder call. 200 carries the holder's machine ID; 404 is a definitive
-// miss (machine 0, nil error); anything else is a consult failure.
-func (n *Node) queryHintHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (uint64, error) {
+// queryHintHome asks a hint home for h: one holder call. A 200 carries the
+// machine ID of a holder other than this node, or the home's own and its
+// copy of the object; a 404 is a definitive miss. Any other status is a
+// consult failure.
+func (n *Node) queryHintHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (peerReply, error) {
 	req := sampledCall(wire.PeerHolder, reqID, sampled)
 	req.B, req.C = h, n.machineID
 	r, err := n.call(ctx, home, req, nil)
-	switch {
-	case err != nil:
-		return 0, err
-	case r.Status == http.StatusNotFound:
-		return 0, nil
-	case r.Status == http.StatusOK:
-		return r.A, nil
+	if err == nil && r.Status != http.StatusOK && r.Status != http.StatusNotFound {
+		err = fmt.Errorf("status %d", r.Status)
 	}
-	return 0, fmt.Errorf("status %d", r.Status)
+	return r, err
 }
 
 // answerHolder answers a peer's consult (hash in h.B, the asker's machine ID
-// in h.C) from the locator's local knowledge. The node's own residency
-// counts (a home may itself hold the object).
-func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time.Time) {
-	machine, ok := n.loc.holder(h.B, h.C)
-	if !ok && n.residesLocally(h.B) {
-		machine, ok = n.machineID, true
-	}
-	elapsed := time.Since(start)
-	if !ok {
+// in h.C). A home that holds the object serves it, as an object call would:
+// its own machine ID in A, the version in C, the object as the body.
+// Otherwise the locator names a holder other than the asker, or none (404).
+//
+// Whatever the answer, the asker has just missed in both tiers and is about
+// to hold the object — from the holder named, from this answer, or from the
+// origin — so the consult is also its inform: recorded here at once, the
+// next consult from a third node names it without waiting for its round.
+// The answer is computed first, so the asker's record cannot displace the
+// holder it names.
+func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time.Time) []byte {
+	version, body, ok := n.serveCopy(resp, h, start)
+	if ok {
+		n.stats.hintHomeServes.Add(1)
+		resp.A, resp.C = n.machineID, uint64(version)
+	} else if machine, named := n.loc.holder(h.B, h.C); named {
+		elapsed := time.Since(start)
+		n.stats.hintHomeServes.Add(1)
+		n.recordPeerSpan(h, "HINT-SERVE", elapsed)
+		resp.A, resp.B = machine, uint64(elapsed)
+	} else {
 		n.stats.hintHomeServeMisses.Add(1)
-		n.recordPeerSpan(h, "HINT-MISS", elapsed)
+		n.recordPeerSpan(h, "HINT-MISS", time.Since(start))
 		resp.Status = http.StatusNotFound
-		return
 	}
-	n.stats.hintHomeServes.Add(1)
-	n.recordPeerSpan(h, "HINT-SERVE", elapsed)
-	resp.A, resp.B = machine, uint64(elapsed)
+	if h.C != 0 {
+		n.applyHint(hintcache.Update{Action: hintcache.ActionInform, URLHash: h.B, Machine: h.C})
+	}
+	return body
 }
 
 // holder serves this node's directory partition to peers: the most recent
 // holder on record other than the asker. A record naming a machine the
 // current view considers dead is dropped lazily instead of served; the
 // object's next record, if it has one, is then the answer. No record names
-// this node (applyHint), so its own copy is answered from residency
+// this node (applyHint): its own copy is served in the answer instead
 // (answerHolder).
 func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 	for {
@@ -483,55 +493,56 @@ func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 	}
 }
 
-// residesLocally reports residency in either local tier without touching
-// recency or promoting.
-func (n *Node) residesLocally(h uint64) bool {
-	if n.data.Contains(h) {
-		return true
-	}
-	return n.tier != nil && n.tier.Contains(h)
-}
-
 // consultHome is the optional first step of a raced fill's primary leg: ask
-// the hint home who holds h (under the metadata timeout) and turn the
-// answer into a peer to probe. errHintHomeMiss covers every definitive
-// "nobody you can use" — no record of a holder other than this node (the
-// home passes over a record naming the asker: it just checked both tiers,
-// so that record is stale), an unknown machine, a holder whose breaker
-// refuses the probe.
-func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (*peer, error) {
-	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
-	machine, err := n.queryHintHome(cctx, home, h, reqID, sampled)
+// the hint home for h, under the shorter of the metadata and the peer
+// timeouts (the answer may carry the object). A home that holds h serves it
+// in its answer, and consultHome returns that as the transfer, with no peer
+// to probe: one round trip where asking the home again took two. Otherwise
+// it turns the holder the home names into a peer to probe. errHintHomeMiss
+// covers every definitive "nobody you can use" — no record of a holder other
+// than this node (the home passes over a record naming the asker: it just
+// checked both tiers, so that record is stale), an unknown machine, a holder
+// whose breaker refuses the probe.
+func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (*peer, fetched, error) {
+	start := time.Now()
+	cctx, cancel := context.WithTimeout(ctx, min(metadataTimeout, n.cfg.PeerTimeout))
+	r, err := n.queryHintHome(cctx, home, h, reqID, sampled)
 	cancel()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errHintHomeFail, err)
+	switch {
+	case err != nil:
+		return nil, fetched{}, fmt.Errorf("%w: %v", errHintHomeFail, err)
+	case r.Status == http.StatusNotFound:
+		return nil, fetched{}, errHintHomeMiss
+	case r.A == home.id:
+		return nil, servedBy(home, r, int64(r.C), start), nil
 	}
-	holder := n.peerByID(machine)
-	if machine == n.machineID || holder == nil {
-		return nil, errHintHomeMiss
+	holder := n.peerByID(r.A)
+	if r.A == n.machineID || holder == nil {
+		return nil, fetched{}, errHintHomeMiss
 	}
 	if ctx.Err() != nil {
 		// Abandoned while the home answered: ask no breaker for a probe
 		// the resolution will never record.
-		return nil, fmt.Errorf("%w: %v", errHintHomeFail, ctx.Err())
+		return nil, fetched{}, fmt.Errorf("%w: %v", errHintHomeFail, ctx.Err())
 	}
 	if !holder.br.Allow() {
 		n.stats.breakerSkips.Add(1)
-		return nil, errHintHomeMiss
+		return nil, fetched{}, errHintHomeMiss
 	}
-	return holder, nil
+	return holder, fetched{}, nil
 }
 
 // settleConsult accounts one resolved hint-home consult on the home's
 // breaker and the hint_home_hops counters: named says the home answered
-// with a holder this node went on to probe.
+// with a holder this node went on to probe. A primary win is a hit as well:
+// the home served its own copy, or named the holder that did.
 func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr error, named bool) {
 	br := home.br
 	switch {
 	case winner == resilience.BothFailed:
 		br.Record(false)
 		n.stats.hintHomeErrors.Add(1)
-	case named:
+	case named || winner == resilience.PrimaryWon:
 		br.Record(true)
 		n.stats.hintHomeHits.Add(1)
 	case errors.Is(primaryErr, errHintHomeMiss):

@@ -55,9 +55,9 @@ func (n *Node) Metrics() *obs.Expo {
 		"Stale hints and digest false positives: peer probes paid before the origin.",
 		st.FalsePositives)
 	e.Counter("beyondcache_peer_serves_total",
-		"Objects served to peers (object calls answered 200).", st.PeerServes)
+		"Objects served to peers: object calls answered 200, and hint-home consults answered with this node's own copy.", st.PeerServes)
 	e.Counter("beyondcache_peer_rejects_total",
-		"Peer object calls rejected because the object was not cached.", st.PeerRejects)
+		"Peer object calls rejected because the object was not cached (404, or 409 while a fill of it was in flight).", st.PeerRejects)
 	e.Counter("beyondcache_hint_updates_sent_total",
 		"Hint updates sent (updates x targets reached).", st.UpdatesSent)
 	e.Counter("beyondcache_hint_updates_received_total",

@@ -196,9 +196,10 @@ type Stats struct {
 	WireHintBytes            int64 `json:"wireHintBytes"`
 	WireHintBytesPartitioned int64 `json:"wireHintBytesPartitioned"`
 	// HintHomeHits/Misses/Errors classify hint-home consults on the miss
-	// path (R > 0): the home named a live holder / answered "no
-	// holder" / failed or timed out. HintHomeServes/ServeMisses are the
-	// serving side of the consult.
+	// path (R > 0): the home served its own copy or named a live holder /
+	// answered "no holder" / failed or timed out. HintHomeServes/ServeMisses
+	// are the serving side of the consult; a served copy counts in
+	// PeerServes too.
 	HintHomeHits        int64 `json:"hintHomeHits"`
 	HintHomeMisses      int64 `json:"hintHomeMisses"`
 	HintHomeErrors      int64 `json:"hintHomeErrors"`
@@ -789,7 +790,9 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 
 	out, shared := n.flights.do(url, func() fetchOutcome { return n.fill(h, url, reqID, sampled) })
 	if out.err != nil {
-		http.Error(w, fmt.Sprintf("origin fetch: %v", out.err), http.StatusBadGateway)
+		// fetchOrigin names itself in the error; a peer leg's failure,
+		// when both failed, is named beside it.
+		http.Error(w, out.err.Error(), http.StatusBadGateway)
 		return
 	}
 	how := out.how

@@ -3,11 +3,13 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
+	"beyondcache/internal/obs"
 	"beyondcache/internal/overlay"
 	"beyondcache/internal/wire"
 )
@@ -190,6 +192,146 @@ func TestHintHomeConsultResolvesMiss(t *testing.T) {
 	}
 	if serves != 1 {
 		t.Errorf("fleet HintHomeServes = %d, want 1", serves)
+	}
+}
+
+// countHops counts the hops in chain with the given outcome.
+func countHops(chain []obs.Hop, outcome string) int {
+	n := 0
+	for _, hop := range chain {
+		if hop.Outcome == outcome {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHomeServesItsOwnCopy: a non-owner's consult reaches a home that holds
+// the object, and the home serves it in its answer — REMOTE in one round
+// trip, one PEER hop with the home's PEER-SERVE in it and no HINT-HOME hop,
+// one record on the home's breaker. A home that answered "me" was asked a
+// second time.
+func TestHomeServesItsOwnCopy(t *testing.T) {
+	const url = "http://part.example/home-copy"
+	f := startPartFleet(t, 6, nil)
+	var buf [overlay.MaxReplicas]uint64
+	first := homedView(f.Nodes[0]).Owners(hintcache.HashURL(url), buf[:0])[0]
+	var home *Node
+	for _, n := range f.Nodes {
+		if n.machineID == first {
+			home = n
+		}
+	}
+	if home == nil {
+		t.Fatal("the object's first owner is not in the fleet")
+	}
+	if _, err := FetchFrom(f.client, home.URL(), url); err != nil {
+		t.Fatal(err)
+	}
+	fetcher := f.Nodes[nonOwners(f, url)[0]]
+	before := home.Stats()
+	res, err := FetchFrom(f.client, fetcher.URL(), url)
+	if err != nil || !res.Remote() {
+		t.Fatalf("non-owner's fetch = %+v, %v; want REMOTE", res, err)
+	}
+	if peer, consult := countHops(res.Hops, "PEER"), countHops(res.Hops, "HINT-HOME"); peer != 1 || consult != 0 {
+		t.Errorf("hops %v: %d PEER and %d HINT-HOME, want one PEER and no HINT-HOME", res.Hops, peer, consult)
+	}
+	after := home.Stats()
+	if got := after.PeerServes - before.PeerServes; got != 1 {
+		t.Errorf("the home's PeerServes moved by %d, want 1", got)
+	}
+	if got := after.HintHomeServes - before.HintHomeServes; got != 1 {
+		t.Errorf("the home's HintHomeServes moved by %d, want 1", got)
+	}
+	if st := fetcher.Stats(); st.HintHomeHits != 1 || st.RemoteHits != 1 {
+		t.Errorf("fetcher: HintHomeHits=%d RemoteHits=%d, want 1 and 1", st.HintHomeHits, st.RemoteHits)
+	}
+	if got := fetcher.Breakers()[home.URL()]; got.Successes != 1 || got.Failures != 0 {
+		t.Errorf("the home's breaker at the fetcher = %+v, want one success recorded", got)
+	}
+}
+
+// TestConsultRecordsAsker: a consult is its asker's inform. Non-owner A's
+// consult is a clean miss and A fills from the origin; with no round in
+// between, non-owner B's consult at the same home names A, and B's fetch is
+// REMOTE from A. Waiting for A's round left B a clean miss too.
+func TestConsultRecordsAsker(t *testing.T) {
+	const url = "http://part.example/asker-recorded"
+	f := startPartFleet(t, 6, nil)
+	ns := nonOwners(f, url)
+	a, b := ns[0], ns[1]
+	res, err := f.Fetch(a, url)
+	if err != nil || !res.Miss() || countHops(res.Hops, "HINT-HOME-MISS") != 1 {
+		t.Fatalf("A's fetch = %+v, %v; want MISS behind a clean-miss consult", res, err)
+	}
+	if res, err := f.Fetch(b, url); err != nil || !res.Remote() {
+		t.Fatalf("B's fetch = %+v, %v; want REMOTE from A before any round", res, err)
+	}
+	if got := f.Nodes[a].Stats().PeerServes; got != 1 {
+		t.Errorf("A served %d peers, want 1 (B)", got)
+	}
+	if got := f.Origin.Fetches(); got != 1 {
+		t.Errorf("origin fetches = %d, want 1", got)
+	}
+}
+
+// TestPeerStillFillingIsNotDemoted: B's consult names A while A's own fill
+// is still at the origin. A answers B's object call 409, "not yet", and B
+// goes to the origin, MISS,STALE-HINT, without demoting A: an invalidate
+// routed behind the 409 would delete, at the homes, a record that comes true
+// when A's fill lands. Once it has, and after a round, C's fetch is REMOTE
+// from A. (B's own copy is purged first, so only A can serve C.)
+func TestPeerStillFillingIsNotDemoted(t *testing.T) {
+	const url = "http://part.example/still-filling"
+	f := startPartFleet(t, 6, func(cfg *FleetConfig) { cfg.HedgeBudget = time.Hour })
+	ns := nonOwners(f, url)
+	a, b, c := f.Nodes[ns[0]], ns[1], ns[2]
+	h := hintcache.HashURL(url)
+	f.Origin.SetLatency(500 * time.Millisecond)
+	filled := make(chan error, 1)
+	go func() {
+		res, err := FetchFrom(f.client, a.URL(), url)
+		if err == nil && !res.Miss() {
+			err = fmt.Errorf("A's fetch = %+v, want MISS", res)
+		}
+		filled <- err
+	}()
+	waitFor(t, "A's consult to put it on record at the home", func() bool {
+		for _, n := range f.Nodes {
+			if m, ok := n.hints.Lookup(h); ok && m == a.machineID {
+				return true
+			}
+		}
+		return false
+	})
+	res, err := f.Fetch(b, url)
+	if err != nil || res.How != "MISS,STALE-HINT" {
+		t.Fatalf("B's fetch = %+v, %v; want MISS,STALE-HINT", res, err)
+	}
+	if i := slices.IndexFunc(res.Hops, func(hop obs.Hop) bool { return hop.Outcome == "PEER-REJECT" }); i < 0 || res.Hops[i].Node != hostPortOf(a.URL()) {
+		t.Errorf("B's hops %v, want a PEER-REJECT at A", res.Hops)
+	}
+	if err := <-filled; err != nil {
+		t.Fatal(err)
+	}
+	f.Origin.SetLatency(0)
+	if st := f.Nodes[b].Stats(); st.FalsePositives != 1 {
+		t.Errorf("B's FalsePositives = %d, want 1: a 409 is a wasted probe", st.FalsePositives)
+	}
+	if got := f.Nodes[b].Breakers()[a.URL()]; got.Failures != 0 || got.Successes != 1 {
+		t.Errorf("A's breaker at B = %+v, want one success: a 409 is a healthy peer", got)
+	}
+	if err := f.Purge(b, url); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+	serves := a.Stats().PeerServes
+	if res, err := f.Fetch(c, url); err != nil || !res.Remote() {
+		t.Fatalf("C's fetch = %+v, %v; want REMOTE from A", res, err)
+	}
+	if got := a.Stats().PeerServes - serves; got != 1 {
+		t.Errorf("A served C %d times, want 1", got)
 	}
 }
 

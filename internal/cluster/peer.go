@@ -125,10 +125,11 @@ type peerReply struct {
 }
 
 // call writes one call on a leased connection, under the next ID, and reads
-// its answer. An answer that is not this call's — another ID, a request, a
-// body past what its op allows (none; a digest frame; for an object any
-// length, readSized bounding what the length alone can allocate) — fails the
-// call, and the connection with it.
+// its answer. An answer that is not this call's — another ID or op, a
+// request, a body past what its op allows (none; a digest frame; for an
+// object, or a holder answer serving the home's own copy, any length,
+// readSized bounding what the length alone can allocate) — fails the call,
+// and the connection with it.
 func (uc *upConn) call(h wire.PeerHeader, body []byte) (peerReply, error) {
 	uc.calls++
 	h.ID = uc.calls
@@ -142,7 +143,8 @@ func (uc *upConn) call(h wire.PeerHeader, body []byte) (peerReply, error) {
 	a, err := wire.DecodePeerHeader(hdr)
 	uc.br.Discard(wire.PeerHeaderSize)
 	uc.lr.N = math.MaxInt64
-	if err == nil && (!a.Response || a.ID != h.ID || a.Len > 0 && a.Op != wire.PeerObject && (a.Op != wire.PeerDigest || a.Len > digestBodyLimit)) {
+	bodyOK := a.Len == 0 || a.Op == wire.PeerObject || a.Op == wire.PeerHolder || a.Op == wire.PeerDigest && a.Len <= digestBodyLimit
+	if err == nil && (!a.Response || a.ID != h.ID || a.Op != h.Op || !bodyOK) {
 		err = fmt.Errorf("peer plane: unexpected frame (op %d, call %d, %d body bytes)", a.Op, a.ID, a.Len)
 	}
 	if err != nil {
@@ -195,30 +197,43 @@ func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte
 
 // errPeerMiss is a peer's definitive "not here" (status 404): the hint was
 // stale, but the peer answered — the metadata is suspect, not the peer.
-var errPeerMiss = errors.New("status 404")
+// errPeerFilling is its "not yet" (status 409): no copy, but a fill of its
+// own in flight, so the hint that named it is about to come true. Both speak
+// for a healthy peer; only a 404 demotes the hint.
+var (
+	errPeerMiss    = errors.New("status 404")
+	errPeerFilling = errors.New("status 409")
+)
 
 // fetchPeer performs a cache-to-cache transfer: one object call on the
-// peer plane. On success it returns the hop chain for the transfer: the
-// peer's self-timed serve segment (from its answer's fixed fields) followed
-// by this node's round-trip measurement — the difference between the two is
-// time on the wire. ctx carries the per-hop peer deadline (and, on the
-// hedged path, the race's abandon signal).
+// peer plane. ctx carries the per-hop peer deadline (and, on the hedged
+// path, the race's abandon signal).
 func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sampled bool) (fetched, error) {
 	start := time.Now()
 	r, err := n.call(ctx, p, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
 	switch {
 	case err == nil && r.Status == http.StatusNotFound:
 		err = errPeerMiss
+	case err == nil && r.Status == http.StatusConflict:
+		err = errPeerFilling
 	case err == nil && r.Status != http.StatusOK:
 		err = fmt.Errorf("status %d", r.Status)
 	}
 	if err != nil {
 		return fetched{}, fmt.Errorf("peer fetch: %w", err)
 	}
-	return fetched{version: int64(r.A), body: r.body, hops: []obs.Hop{
+	return servedBy(p, r, int64(r.A), start), nil
+}
+
+// servedBy is a transfer p served in its answer r, of the given version, to
+// a call made at start. Its hop chain is the peer's self-timed serve segment
+// (the answer's B field) followed by this node's round-trip measurement —
+// the difference between the two is time on the wire.
+func servedBy(p *peer, r peerReply, version int64, start time.Time) fetched {
+	return fetched{version: version, body: r.body, hops: []obs.Hop{
 		{Node: r.label, Outcome: "PEER-SERVE", Elapsed: time.Duration(r.B)},
 		{Node: p.host, Outcome: "PEER", Elapsed: time.Since(start)},
-	}}, nil
+	}}
 }
 
 // sampledCall starts a peer call's header; a sampled request's calls carry
@@ -352,32 +367,47 @@ func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, body []byte) []b
 	case wire.PeerPing:
 		resp.Status = http.StatusNoContent
 	case wire.PeerHolder:
-		n.answerHolder(resp, h, start)
+		return n.answerHolder(resp, h, start)
 	case wire.PeerHints:
 		resp.Status = uint16(n.ingestHints(body, h.A, int64(h.C)))
 	case wire.PeerDigest:
 		return n.loc.serveDigest(h.A, resp)
 	case wire.PeerObject:
-		obj, body, ok := n.data.Get(h.B)
-		if !ok && n.tier != nil {
-			// The hint that led the peer here may point at a spilled (or
-			// just-recovered) object: still locally cached, just on disk.
-			obj, body, ok = n.tier.Get(h.B)
+		if version, out, ok := n.serveCopy(resp, h, start); ok {
+			resp.A = uint64(version)
+			return out
 		}
-		elapsed := time.Since(start)
-		if !ok {
-			n.stats.peerRejects.Add(1)
-			n.recordPeerSpan(h, "PEER-REJECT", elapsed)
-			resp.Status = http.StatusNotFound
-			break
+		n.stats.peerRejects.Add(1)
+		n.recordPeerSpan(h, "PEER-REJECT", time.Since(start))
+		resp.Status = http.StatusNotFound
+		if n.flights.inFlight(string(body)) {
+			// A home named this node on its consult, ahead of the fill
+			// now running here: not yet, rather than not here.
+			resp.Status = http.StatusConflict
 		}
-		n.stats.peerServes.Add(1)
-		n.hist.peerServe.Observe(elapsed)
-		n.recordPeerSpan(h, "PEER-SERVE", elapsed)
-		resp.A, resp.B = uint64(obj.Version), uint64(elapsed)
-		return body
 	}
 	return nil
+}
+
+// serveCopy answers a peer's call for h.B from this node's own copy, if
+// either tier holds one — the hint that led the peer here may point at a
+// spilled (or just-recovered) object: still locally cached, just on disk. A
+// copy served is counted, timed and recorded as PEER-SERVE, its self-time in
+// resp's B field.
+func (n *Node) serveCopy(resp *wire.PeerHeader, h wire.PeerHeader, start time.Time) (int64, []byte, bool) {
+	obj, body, ok := n.data.Get(h.B)
+	if !ok && n.tier != nil {
+		obj, body, ok = n.tier.Get(h.B)
+	}
+	if !ok {
+		return 0, nil, false
+	}
+	elapsed := time.Since(start)
+	n.stats.peerServes.Add(1)
+	n.hist.peerServe.Observe(elapsed)
+	n.recordPeerSpan(h, "PEER-SERVE", elapsed)
+	resp.B = uint64(elapsed)
+	return obj.Version, body, true
 }
 
 // ingestHints applies one hint batch — msg is the call's body, which must

@@ -609,8 +609,8 @@ func TestPeerHostileFrames(t *testing.T) {
 
 	t.Run("an answer nobody waits for", func(t *testing.T) {
 		s := newStubPeer(t, func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
-			if h.Op == wire.PeerHolder {
-				return wire.PeerHeader{Status: http.StatusOK}, []byte{1} // a body no holder answer carries
+			if h.A == 1 {
+				return wire.PeerHeader{Status: http.StatusNoContent}, []byte{1} // a body no ping answer carries
 			}
 			return wire.PeerHeader{Status: http.StatusNoContent}, nil
 		})
@@ -637,8 +637,8 @@ func TestPeerHostileFrames(t *testing.T) {
 		// An answer whose body exceeds its op's limit fails its call too.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if _, err := caller.call(ctx, peerOf(caller, s.URL), wire.PeerHeader{Op: wire.PeerHolder}, nil); err == nil {
-			t.Error("a holder answer declaring a body was taken")
+		if _, err := caller.call(ctx, peerOf(caller, s.URL), wire.PeerHeader{Op: wire.PeerPing, A: 1}, nil); err == nil {
+			t.Error("a ping answer declaring a body was taken")
 		}
 		if got := idleOf(caller, s.URL); len(got) != 0 {
 			t.Error("the connection that carried a bad answer was kept")
@@ -659,6 +659,7 @@ func FuzzPeerFrame(f *testing.F) {
 	f.Add(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerDigest, Response: true, ID: 1, Len: 1 << 30}))
 	f.Add(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerHolder, ID: 1, B: 9, Len: 1 << 20}))
 	f.Add([]byte("bp\x01\x00"))
+	f.Add(append(wire.AppendPeerHeader(nil, wire.PeerHeader{Op: wire.PeerHolder, Response: true, Status: http.StatusOK, ID: 1, A: 7, C: 2, Len: 5}), "hello"...))
 	n := newMetaNode(f, NodeConfig{Name: "fuzzed"})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		// pipe runs end against one end of an in-process connection, closing
@@ -683,7 +684,13 @@ func FuzzPeerFrame(f *testing.F) {
 			}
 		}
 		pipe(func(c net.Conn) { n.servePeer(&upConn{c: c, br: bufio.NewReader(c)}) })
-		pipe(func(c net.Conn) { newUpConn(c).call(pingHeader(), nil) })
+		// The dialed side's call is of the op the stream's answer names, if
+		// it names one, so each op's answer rules are reached.
+		call := pingHeader()
+		if len(stream) > 2 && stream[2] >= byte(wire.PeerObject) && stream[2] <= byte(wire.PeerPing) {
+			call.Op = wire.PeerOp(stream[2])
+		}
+		pipe(func(c net.Conn) { newUpConn(c).call(call, nil) })
 	})
 }
 
@@ -748,12 +755,12 @@ func TestPeerSmallCallBesideStalledBody(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	start := time.Now()
-	machine, err := n.queryHintHome(ctx, p, hintcache.HashURL("http://example.com/large"), "", false)
+	r, err := n.queryHintHome(ctx, p, hintcache.HashURL("http://example.com/large"), "", false)
 	took := time.Since(start)
 	cancel()
 	close(resume)
-	if err != nil || machine != 42 || took > 100*time.Millisecond {
-		t.Errorf("holder lookup beside a stalled body = %d, %v after %v; want machine 42 within 100 ms", machine, err, took)
+	if err != nil || r.A != 42 || took > 100*time.Millisecond {
+		t.Errorf("holder lookup beside a stalled body = %d, %v after %v; want machine 42 within 100 ms", r.A, err, took)
 	}
 	if err := <-transfer; err != nil {
 		t.Errorf("the 8 MiB transfer, resumed: %v; want it whole", err)

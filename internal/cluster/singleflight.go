@@ -69,3 +69,11 @@ func (g *flightGroup[T]) do(key string, fn func() T) (out T, shared bool) {
 	close(f.done)
 	return f.out, false
 }
+
+// inFlight reports whether a call for key is running now.
+func (g *flightGroup[T]) inFlight(key string) bool {
+	g.mu.Lock()
+	_, ok := g.m[key]
+	g.mu.Unlock()
+	return ok
+}

@@ -8,9 +8,10 @@ import (
 
 // Peer-plane framing: what two cache nodes say to each other once GET /peer
 // has upgraded a connection (DESIGN.md §15). A call and its answer are each
-// one frame: this fixed header, then Len body bytes. The caller picks the
-// ID and the answer echoes it, so any number of calls share a connection
-// and answers return in whatever order they finish.
+// one frame: this fixed header, then Len body bytes. A caller holds its
+// connection for one call at a time and the peer answers calls in the order
+// they arrive; the caller numbers its calls and the answer echoes the ID and
+// the op, so an answer that is not the call's is caught.
 //
 // Header layout (all integers little-endian):
 //
@@ -30,8 +31,11 @@ import (
 //
 //	op      request                              response
 //	object  A trace ID if sampled; body = URL    A version, B serve self-time ns; body = object
-//	holder  A trace ID if sampled, B URL hash,   A holder machine ID, B serve self-time ns
-//	        C asker machine ID (0: none)
+//	                                             (404 not here; 409 not here, a fill in flight)
+//	holder  A trace ID if sampled, B URL hash,   A holder machine ID, B serve self-time ns;
+//	        C asker machine ID (0: none)         from a home holding the object itself:
+//	                                             A its own machine ID, C version; body = object
+//	                                             (404 no holder on record)
 //	hints   A sender machine ID, B batch seq,    status only
 //	        C oldest-enqueue Unix ns;
 //	        body = one KindHintBatch frame
