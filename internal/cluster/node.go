@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -128,89 +127,6 @@ type NodeConfig struct {
 	SpillQueue int
 }
 
-// Stats counts node activity.
-type Stats struct {
-	LocalHits      int64 `json:"localHits"`
-	RemoteHits     int64 `json:"remoteHits"`
-	Misses         int64 `json:"misses"`
-	FalsePositives int64 `json:"falsePositives"`
-	// CoalescedHits is the subset of LocalHits that were served by
-	// sharing another request's in-flight fill (the singleflight path)
-	// instead of probing the cache themselves. LocalHits + RemoteHits +
-	// Misses still accounts for every successful /fetch.
-	CoalescedHits int64 `json:"coalescedHits"`
-	// DiskHits is the subset of LocalHits served from the disk tier
-	// (X-Cache LOCAL-DISK) and promoted back into memory on the way out.
-	DiskHits        int64 `json:"diskHits"`
-	PeerServes      int64 `json:"peerServes"`
-	PeerRejects     int64 `json:"peerRejects"`
-	UpdatesSent     int64 `json:"updatesSent"`
-	UpdatesReceived int64 `json:"updatesReceived"`
-	BatchesSent     int64 `json:"batchesSent"`
-	SendErrors      int64 `json:"sendErrors"`
-	DigestsPulled   int64 `json:"digestsPulled"`
-	// BreakerSkips counts peer probes skipped outright because the
-	// peer's circuit breaker was open — requests that went straight to
-	// the origin without waiting out a timeout on a known-bad peer.
-	BreakerSkips int64 `json:"breakerSkips"`
-	// HedgesStarted counts races where the origin fetch was launched
-	// while the hinted peer was still silent past the hedge budget;
-	// HedgeOriginWins/HedgePeerWins split them by who answered first.
-	HedgesStarted   int64 `json:"hedgesStarted"`
-	HedgeOriginWins int64 `json:"hedgeOriginWins"`
-	HedgePeerWins   int64 `json:"hedgePeerWins"`
-	// Retries counts metadata-path re-attempts (hint batches and digest
-	// pulls) spent after a failure.
-	Retries int64 `json:"retries"`
-	// Coalesced counts pending hint updates folded onto an existing
-	// record for the same object before being sent (repeated informs
-	// dedupe; inform-then-invalidate collapses to the invalidate).
-	Coalesced int64 `json:"coalesced"`
-	// PendingDropped counts records the bounded node-level pending queue
-	// discarded under overflow (oldest informs first); QueueDropped is
-	// the same for the per-peer sender queues, summed across peers.
-	PendingDropped int64 `json:"pendingDropped"`
-	QueueDropped   int64 `json:"queueDropped"`
-	// OversizeRejects counts hint batches refused as too large (status
-	// 413) for exceeding the size limit.
-	OversizeRejects int64 `json:"oversizeRejects"`
-	// DigestServesFull / DigestServesDelta split digest serves by
-	// transfer mode, and DigestServeBytesFull / DigestServeBytesDelta
-	// count the frame bytes each mode shipped — the delta-proportional
-	// metadata claim is the ratio of these.
-	DigestServesFull      int64 `json:"digestServesFull"`
-	DigestServesDelta     int64 `json:"digestServesDelta"`
-	DigestServeBytesFull  int64 `json:"digestServeBytesFull"`
-	DigestServeBytesDelta int64 `json:"digestServeBytesDelta"`
-	// DigestCursorLost counts delta requests whose cursor had aged out of
-	// the journal (the peer got a full snapshot instead); DigestRebuilds
-	// counts own-digest rebuilds forced by counter saturation;
-	// DigestDeltaOps counts membership ops applied from pulled deltas.
-	DigestCursorLost int64 `json:"digestCursorLost"`
-	DigestRebuilds   int64 `json:"digestRebuilds"`
-	DigestDeltaOps   int64 `json:"digestDeltaOps"`
-	// WireHintBytes counts framed hint-batch bytes successfully delivered
-	// to their targets at R = 0. At R > 0 the same bytes land in
-	// WireHintBytesPartitioned instead, so the two wire costs stay
-	// separately comparable.
-	WireHintBytes            int64 `json:"wireHintBytes"`
-	WireHintBytesPartitioned int64 `json:"wireHintBytesPartitioned"`
-	// HintHomeHits/Misses/Errors classify hint-home consults on the miss
-	// path (R > 0): the home served its own copy or named a live holder /
-	// answered "no holder" / failed or timed out. HintHomeServes/ServeMisses
-	// are the serving side of the consult; a served copy counts in
-	// PeerServes too.
-	HintHomeHits        int64 `json:"hintHomeHits"`
-	HintHomeMisses      int64 `json:"hintHomeMisses"`
-	HintHomeErrors      int64 `json:"hintHomeErrors"`
-	HintHomeServes      int64 `json:"hintHomeServes"`
-	HintHomeServeMisses int64 `json:"hintHomeServeMisses"`
-	// RehomedObjects counts re-homing work units: records re-announced,
-	// forwarded, or dropped because their owner set changed with
-	// membership (proportional to churn, not directory size).
-	RehomedObjects int64 `json:"rehomedObjects"`
-}
-
 // counters is the node's live (concurrently updated) form of Stats.
 type counters struct {
 	localHits       atomic.Int64
@@ -252,54 +168,6 @@ type counters struct {
 	hintHomeServes      atomic.Int64
 	hintHomeServeMisses atomic.Int64
 	rehomeObjects       atomic.Int64
-}
-
-// nodeHists are the node's latency histograms: client-facing fetch time per
-// outcome class, plus the internal latencies the paper's design principles
-// are stated in terms of — the wasted false-positive peer probe, the
-// hint-batch flush round, and the peer-serve path.
-type nodeHists struct {
-	local         *obs.Histogram // X-Cache LOCAL
-	localDisk     *obs.Histogram // X-Cache LOCAL-DISK (disk-tier hit)
-	coalesced     *obs.Histogram // X-Cache "LOCAL,COALESCED"
-	remote        *obs.Histogram // X-Cache REMOTE
-	miss          *obs.Histogram // X-Cache MISS and "MISS,STALE-HINT"
-	falsePositive *obs.Histogram // failed peer probe paid before origin
-	flush         *obs.Histogram // one flush round (slowest target's delivery)
-	fanout        *obs.Histogram // one sender's successful batch delivery
-	peerServe     *obs.Histogram // serving an object to a peer
-	digestServe   *obs.Histogram // serving a digest pull (full or delta)
-}
-
-func newNodeHists() nodeHists {
-	return nodeHists{
-		local:         obs.NewHistogram(nil),
-		localDisk:     obs.NewHistogram(nil),
-		coalesced:     obs.NewHistogram(nil),
-		remote:        obs.NewHistogram(nil),
-		miss:          obs.NewHistogram(nil),
-		falsePositive: obs.NewHistogram(nil),
-		flush:         obs.NewHistogram(nil),
-		fanout:        obs.NewHistogram(nil),
-		peerServe:     obs.NewHistogram(nil),
-		digestServe:   obs.NewHistogram(nil),
-	}
-}
-
-// observeFetch files one client-facing fetch under its outcome class.
-func (h *nodeHists) observeFetch(how string, d time.Duration) {
-	switch how {
-	case "LOCAL":
-		h.local.Observe(d)
-	case "LOCAL-DISK":
-		h.localDisk.Observe(d)
-	case "LOCAL,COALESCED":
-		h.coalesced.Observe(d)
-	case "REMOTE":
-		h.remote.Observe(d)
-	default: // MISS, MISS,STALE-HINT, MISS,HEDGE
-		h.miss.Observe(d)
-	}
 }
 
 // snapshot copies the counters into an externally visible Stats.
@@ -876,85 +744,6 @@ func (n *Node) handlePurge(w http.ResponseWriter, r *http.Request) {
 	}
 	n.loc.publish(h, false)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// fetched is one successful upstream fetch (peer or origin).
-type fetched struct {
-	version int64
-	body    []byte
-	hops    []obs.Hop
-}
-
-// fetchOrigin fetches from the origin server over the origin link, on the
-// calling goroutine, returning the origin's self-timed serve segment (when
-// present) plus the measured round trip. OriginTimeout is applied here; the
-// outbound fault decision is drawn once per fetch and touches only it.
-func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
-	defer cancel()
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("origin fetch: %w", err)
-		}
-	}()
-	start := time.Now()
-	if n.inj != nil {
-		code, err := n.inj.Decide(n.origin.host).Apply(ctx, n.origin.host)
-		if err == nil && code > 0 {
-			err = fmt.Errorf("status %d", code)
-		}
-		if err != nil {
-			return fetched{}, err
-		}
-	}
-	version, body, hop, err := n.origin.get(ctx, url)
-	if err != nil {
-		return fetched{}, err
-	}
-	var hops []obs.Hop
-	if h, ok := obs.ParseSegment(hop); ok {
-		hops = append(hops, h)
-	}
-	hops = append(hops, obs.Hop{Node: "origin", Outcome: "ORIGIN", Elapsed: time.Since(start)})
-	return fetched{version: version, body: body, hops: hops}, nil
-}
-
-// maxBodyPrealloc is the most readSized allocates on a declared length's
-// say-so; a longer (or undeclared) body is read incrementally.
-const maxBodyPrealloc = 4 << 20
-
-// readObject reads the origin's object response.
-func readObject(resp *http.Response) (int64, []byte, error) {
-	version, err := strconv.ParseInt(resp.Header.Get(headerVersion), 10, 64)
-	if err != nil {
-		return 0, nil, fmt.Errorf("bad %s header: %w", headerVersion, err)
-	}
-	body, err := readSized(resp.Body, resp.ContentLength)
-	return version, body, err
-}
-
-// readSized reads a body of declared length n (negative: undeclared, read
-// to EOF) into one slice the caller owns. A body that ends short of its
-// declared length is an error, never an object to cache.
-func readSized(r io.Reader, n int64) ([]byte, error) {
-	var body []byte
-	var err error
-	switch {
-	case n < 0:
-		body, err = io.ReadAll(r)
-	case n <= maxBodyPrealloc:
-		body = make([]byte, n)
-		_, err = io.ReadFull(r, body)
-	default:
-		body, err = io.ReadAll(io.LimitReader(r, n))
-	}
-	if err == nil && n >= 0 && int64(len(body)) != n {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
-	}
-	return body, nil
 }
 
 // octetStream is every object body's Content-Type (shared, read-only):

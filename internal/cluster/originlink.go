@@ -18,8 +18,11 @@ import (
 	"net"
 	"net/http"
 	neturl "net/url"
+	"strconv"
 	"sync"
 	"time"
+
+	"beyondcache/internal/obs"
 )
 
 const (
@@ -293,4 +296,83 @@ func (l *originLink) exchange(uc *upConn, url string) (version int64, body []byt
 	}
 	version, body, err = readObject(resp)
 	return version, body, resp.Header.Get(headerTraceHop), err == nil && !resp.Close, err
+}
+
+// fetched is one successful upstream fetch (peer or origin).
+type fetched struct {
+	version int64
+	body    []byte
+	hops    []obs.Hop
+}
+
+// fetchOrigin fetches from the origin server over the origin link, on the
+// calling goroutine, returning the origin's self-timed serve segment (when
+// present) plus the measured round trip. OriginTimeout is applied here; the
+// outbound fault decision is drawn once per fetch and touches only it.
+func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
+	defer cancel()
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("origin fetch: %w", err)
+		}
+	}()
+	start := time.Now()
+	if n.inj != nil {
+		code, err := n.inj.Decide(n.origin.host).Apply(ctx, n.origin.host)
+		if err == nil && code > 0 {
+			err = fmt.Errorf("status %d", code)
+		}
+		if err != nil {
+			return fetched{}, err
+		}
+	}
+	version, body, hop, err := n.origin.get(ctx, url)
+	if err != nil {
+		return fetched{}, err
+	}
+	var hops []obs.Hop
+	if h, ok := obs.ParseSegment(hop); ok {
+		hops = append(hops, h)
+	}
+	hops = append(hops, obs.Hop{Node: "origin", Outcome: "ORIGIN", Elapsed: time.Since(start)})
+	return fetched{version: version, body: body, hops: hops}, nil
+}
+
+// maxBodyPrealloc is the most readSized allocates on a declared length's
+// say-so; a longer (or undeclared) body is read incrementally.
+const maxBodyPrealloc = 4 << 20
+
+// readObject reads the origin's object response.
+func readObject(resp *http.Response) (int64, []byte, error) {
+	version, err := strconv.ParseInt(resp.Header.Get(headerVersion), 10, 64)
+	if err != nil {
+		return 0, nil, fmt.Errorf("bad %s header: %w", headerVersion, err)
+	}
+	body, err := readSized(resp.Body, resp.ContentLength)
+	return version, body, err
+}
+
+// readSized reads a body of declared length n (negative: undeclared, read
+// to EOF) into one slice the caller owns. A body that ends short of its
+// declared length is an error, never an object to cache.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	var body []byte
+	var err error
+	switch {
+	case n < 0:
+		body, err = io.ReadAll(r)
+	case n <= maxBodyPrealloc:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r, body)
+	default:
+		body, err = io.ReadAll(io.LimitReader(r, n))
+	}
+	if err == nil && n >= 0 && int64(len(body)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	return body, nil
 }
