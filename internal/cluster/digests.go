@@ -137,7 +137,7 @@ func (d *digestLocator) rebuildDigestLocked() {
 		d.own.Add(id)
 	}
 	d.journal.Invalidate()
-	d.n.stats.digestRebuilds.Add(1)
+	atomic.AddInt64(&d.n.stats.DigestRebuilds, 1)
 }
 
 // digestSnapshotFrame returns the framed full-snapshot encoding of the own
@@ -173,11 +173,11 @@ func (d *digestLocator) serveDigest(since uint64, resp *wire.PeerHeader) []byte 
 		frame, head = d.digestSnapshotFrame()
 	}
 	if delta {
-		n.stats.digestServesDelta.Add(1)
-		n.stats.digestServeBytesDelta.Add(int64(len(frame)))
+		atomic.AddInt64(&n.stats.DigestServesDelta, 1)
+		atomic.AddInt64(&n.stats.DigestServeBytesDelta, int64(len(frame)))
 	} else {
-		n.stats.digestServesFull.Add(1)
-		n.stats.digestServeBytesFull.Add(int64(len(frame)))
+		atomic.AddInt64(&n.stats.DigestServesFull, 1)
+		atomic.AddInt64(&n.stats.DigestServeBytesFull, int64(len(frame)))
 	}
 	n.hist.digestServe.Observe(time.Since(start))
 
@@ -202,7 +202,7 @@ func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint6
 	snapSize := int(d.own.SizeBytes())
 	d.mu.RUnlock()
 	if !served {
-		d.n.stats.digestCursorLost.Add(1)
+		atomic.AddInt64(&d.n.stats.DigestCursorLost, 1)
 		return nil, 0, false
 	}
 	if len(ops) >= snapSize {
@@ -274,22 +274,22 @@ func (d *digestLocator) pullDigest(p *peer) {
 		}
 		return err
 	})
-	n.stats.retries.Add(int64(retries))
+	atomic.AddInt64(&n.stats.Retries, int64(retries))
 	if err != nil {
-		n.stats.sendErrors.Add(1)
+		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return
 	}
 	if frame.RawLen > digestBodyLimit {
-		n.stats.sendErrors.Add(1)
+		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return
 	}
 	payload, err := frame.Payload(nil)
 	if err != nil {
-		n.stats.sendErrors.Add(1)
+		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return
 	}
 	if err := d.applyDigestResponse(p, frame.Kind, payload, cursor); err != nil {
-		n.stats.sendErrors.Add(1)
+		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return
 	}
 	now := time.Now().UnixNano()
@@ -308,7 +308,7 @@ func (d *digestLocator) pullDigest(p *peer) {
 		// digest staleness the paper's summary-scheme tradeoff pays.
 		p.digestStale.Observe(time.Duration(now - prev))
 	}
-	n.stats.digestsPulled.Add(1)
+	atomic.AddInt64(&n.stats.DigestsPulled, 1)
 }
 
 // applyDigestResponse installs one pulled digest frame on the peer's
@@ -347,7 +347,7 @@ func (d *digestLocator) applyDigestResponse(p *peer, kind wire.Kind, payload []b
 			p.digest.Apply(op)
 		}
 		p.cursor = cursor
-		d.n.stats.digestDeltaOps.Add(int64(len(ops)))
+		atomic.AddInt64(&d.n.stats.DigestDeltaOps, int64(len(ops)))
 		return nil
 
 	default:

@@ -333,8 +333,8 @@ func (f *Fleet) FlushAll() {
 
 // FetchResult describes how a /fetch was served.
 type FetchResult struct {
-	// How is LOCAL, "LOCAL,COALESCED", REMOTE, MISS, "MISS,STALE-HINT",
-	// or "MISS,HEDGE".
+	// How is LOCAL, LOCAL-DISK, "LOCAL,COALESCED", REMOTE, MISS,
+	// "MISS,STALE-HINT", or "MISS,HEDGE".
 	How string
 	// Version is the object version served.
 	Version int64

@@ -38,6 +38,8 @@ const (
 	// doorDrain is how much is read off behind a refused request (its body,
 	// typically) before the connection closes.
 	doorDrain = 64 << 10
+	// lingerTimeout bounds the reading-off behind a refusal (readOff).
+	lingerTimeout = 500 * time.Millisecond
 )
 
 // frontDoor owns a listener and the connections accepted on it.
@@ -197,16 +199,23 @@ func (dc *doorConn) loop() {
 }
 
 // refuse answers a request the handler will not see; the connection closes
-// behind it. Closing on unread bytes would reset it, and the refusal away, so
-// a little is read off first, briefly: nothing behind a refusal is parsed.
+// behind it, after readOff: nothing behind a refusal is parsed.
 func (dc *doorConn) refuse(code int) (keep bool) {
 	text := strconv.Itoa(code) + " " + http.StatusText(code)
-	dc.c.SetDeadline(time.Now().Add(peerLingerTimeout)) // the last response's write deadline may be past
+	dc.c.SetDeadline(time.Now().Add(lingerTimeout)) // the last response's write deadline may be past
 	io.WriteString(dc.c, "HTTP/1.1 "+text+"\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: "+
 		strconv.Itoa(len(text))+"\r\nConnection: close\r\n\r\n"+text)
-	dc.lr.N = doorDrain
-	io.Copy(io.Discard, dc.br)
+	// What br already holds is off the socket; up to doorDrain more is read.
+	readOff(dc.c, dc.c, doorDrain)
 	return false
+}
+
+// readOff drops up to n bytes of r, the rest of a refused request on c, for
+// at most lingerTimeout before the close. Closing on unread bytes resets the
+// connection, and a sender still writing would see that, not the refusal.
+func readOff(c net.Conn, r io.Reader, n int64) {
+	c.SetReadDeadline(time.Now().Add(lingerTimeout))
+	io.CopyN(io.Discard, r, n)
 }
 
 // serve answers one request, which carries the door's context; keep says the

@@ -546,7 +546,7 @@ func TestFrontDoorHostileRequests(t *testing.T) {
 			"100-continue": "POST /purge?url=x HTTP/1.1\r\nHost: node\r\nContent-Length: 100\r\nExpect: 100-continue\r\n\r\n",
 		} {
 			t.Run(name, func(t *testing.T) {
-				t.Parallel() // each refusal lingers peerLingerTimeout for more of its body
+				t.Parallel() // each refusal lingers lingerTimeout for more of its body
 				refused(t, raw, http.StatusRequestEntityTooLarge, http.StatusBadRequest)
 			})
 		}
@@ -560,7 +560,7 @@ func TestFrontDoorHostileRequests(t *testing.T) {
 			t.Fatalf("a 1 GiB body = %d, want 413", resp.StatusCode)
 		}
 		// The client keeps writing; the door reads at most doorDrain of it
-		// (for at most peerLingerTimeout) and closes.
+		// (for at most lingerTimeout) and closes.
 		chunk, sent := make([]byte, 32<<10), 0
 		for rc.c.SetWriteDeadline(time.Now().Add(5 * time.Second)); sent < 64<<20; sent += len(chunk) {
 			if _, err := rc.c.Write(chunk); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/obs"
@@ -81,7 +82,7 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	// Re-check the cache: the object may have been filled between the
 	// caller's miss and winning flight leadership.
 	if obj, body, ok := n.data.Get(h); ok {
-		n.stats.localHits.Add(1)
+		atomic.AddInt64(&n.stats.LocalHits, 1)
 		return fetchOutcome{how: "LOCAL", version: obj.Version, body: body}
 	}
 
@@ -91,8 +92,8 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	// leaders, already off the fast path, pay the disk lookup.
 	if n.tier != nil {
 		if obj, body, ok := n.tier.Get(h); ok {
-			n.stats.localHits.Add(1)
-			n.stats.diskHits.Add(1)
+			atomic.AddInt64(&n.stats.LocalHits, 1)
+			atomic.AddInt64(&n.stats.DiskHits, 1)
 			return fetchOutcome{how: "LOCAL-DISK", version: obj.Version, body: body}
 		}
 	}
@@ -112,7 +113,7 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 		// The peer's breaker is open: a known-bad peer must not cost
 		// this request anything. Straight to the origin, hint kept —
 		// the half-open probe will revalidate the peer later.
-		n.stats.breakerSkips.Add(1)
+		atomic.AddInt64(&n.stats.BreakerSkips, 1)
 		hops = append(hops, obs.Hop{Node: c.peer.host, Outcome: "BREAKER-SKIP"})
 	}
 
@@ -122,7 +123,7 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	}
 	hops = append(hops, got.hops...)
 	n.store(h, got.version, got.body)
-	n.stats.misses.Add(1)
+	atomic.AddInt64(&n.stats.Misses, 1)
 	return fetchOutcome{how: "MISS", version: got.version, body: got.body, hops: hops}
 }
 
@@ -186,7 +187,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	r := resilience.Race(context.Background(), n.cfg.HedgeBudget, primary, fallback)
 	p, probe, consult := leg.peer, leg.probe, leg.consult
 	if r.Hedged {
-		n.stats.hedgesStarted.Add(1)
+		atomic.AddInt64(&n.stats.HedgesStarted, 1)
 	}
 	if p != nil {
 		// A prompt "not here" or "not yet" is a healthy peer under a stale
@@ -200,10 +201,10 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	switch r.Winner {
 	case resilience.PrimaryWon:
 		if r.Hedged {
-			n.stats.hedgePeerWins.Add(1)
+			atomic.AddInt64(&n.stats.HedgePeerWins, 1)
 		}
 		n.store(h, r.Value.version, r.Value.body)
-		n.stats.remoteHits.Add(1)
+		atomic.AddInt64(&n.stats.RemoteHits, 1)
 		return fetchOutcome{how: "REMOTE", version: r.Value.version, body: r.Value.body, hops: r.Value.hops}
 	case resilience.BothFailed:
 		return fetchOutcome{err: fmt.Errorf("peer: %v; %w", r.PrimaryErr, r.Err)}
@@ -212,7 +213,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	// The origin served. What the primary leg cost, and what it says about
 	// the hint, depends on how far it got.
 	if r.Hedged {
-		n.stats.hedgeOriginWins.Add(1)
+		atomic.AddInt64(&n.stats.HedgeOriginWins, 1)
 	}
 	abandoned := r.Winner == resilience.FallbackWon
 	var hops []obs.Hop
@@ -235,7 +236,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		if !errors.Is(r.PrimaryErr, errPeerFilling) {
 			n.loc.demote(h, p.id)
 		}
-		n.stats.falsePositives.Add(1)
+		atomic.AddInt64(&n.stats.FalsePositives, 1)
 		how = "MISS,STALE-HINT"
 		hops = append(hops, obs.Hop{Node: p.host, Outcome: "PEER-REJECT", Elapsed: probe})
 	case abandoned:
@@ -258,6 +259,6 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	}
 	hops = append(hops, r.Value.hops...)
 	n.store(h, r.Value.version, r.Value.body)
-	n.stats.misses.Add(1)
+	atomic.AddInt64(&n.stats.Misses, 1)
 	return fetchOutcome{how: how, version: r.Value.version, body: r.Value.body, hops: hops}
 }

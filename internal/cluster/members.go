@@ -48,7 +48,7 @@ type hintLocator struct {
 	// wire counts the frame bytes delivered: Stats.WireHintBytes at R = 0,
 	// WireHintBytesPartitioned at R > 0, so the two settings' wire costs
 	// stay separately comparable.
-	wire *atomic.Int64
+	wire *int64
 	// overlay is the live routing plane; mbr tracks the per-peer liveness
 	// evidence that feeds it; homedView is the membership view the
 	// directory was last re-homed against — sync compares it to the
@@ -69,9 +69,9 @@ func newHintLocator(n *Node, replicas int) (*hintLocator, error) {
 	if err != nil {
 		return nil, err
 	}
-	delivered := &n.stats.wireHintBytes
+	delivered := &n.stats.WireHintBytes
 	if replicas > 0 {
-		delivered = &n.stats.wireHintBytesPart
+		delivered = &n.stats.WireHintBytesPartitioned
 	}
 	return &hintLocator{n: n, pend: newPendq(hintQueueCap), wire: delivered, overlay: ov}, nil
 }
@@ -268,7 +268,7 @@ func (l *hintLocator) rehome(old, cur *overlay.View) {
 		n.hints.Delete(r.URLHash, r.Machine)
 	}
 	if count > 0 {
-		n.stats.rehomeObjects.Add(count)
+		atomic.AddInt64(&n.stats.RehomedObjects, count)
 	}
 }
 
@@ -357,10 +357,10 @@ func (l *hintLocator) publish(h uint64, present bool) {
 func (l *hintLocator) enqueue(u hintcache.Update) {
 	coalesced, dropped := l.pend.add(u)
 	if coalesced {
-		l.n.stats.coalesced.Add(1)
+		atomic.AddInt64(&l.n.stats.Coalesced, 1)
 	}
 	if dropped {
-		l.n.stats.pendingDropped.Add(1)
+		atomic.AddInt64(&l.n.stats.PendingDropped, 1)
 	}
 }
 
@@ -426,7 +426,7 @@ func (l *hintLocator) hintHomeFor(h uint64) *peer {
 	if skipped {
 		// Owners exist but every one was breaker-refused: straight to
 		// the origin, same accounting as a breaker-skipped peer probe.
-		n.stats.breakerSkips.Add(1)
+		atomic.AddInt64(&n.stats.BreakerSkips, 1)
 	}
 	return nil
 }
@@ -459,15 +459,15 @@ func (n *Node) queryHintHome(ctx context.Context, home *peer, h uint64, reqID st
 func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time.Time) []byte {
 	version, body, ok := n.serveCopy(resp, h, start)
 	if ok {
-		n.stats.hintHomeServes.Add(1)
+		atomic.AddInt64(&n.stats.HintHomeServes, 1)
 		resp.A, resp.C = n.machineID, uint64(version)
 	} else if machine, named := n.loc.holder(h.B, h.C); named {
 		elapsed := time.Since(start)
-		n.stats.hintHomeServes.Add(1)
+		atomic.AddInt64(&n.stats.HintHomeServes, 1)
 		n.recordPeerSpan(h, "HINT-SERVE", elapsed)
 		resp.A, resp.B = machine, uint64(elapsed)
 	} else {
-		n.stats.hintHomeServeMisses.Add(1)
+		atomic.AddInt64(&n.stats.HintHomeServeMisses, 1)
 		n.recordPeerSpan(h, "HINT-MISS", time.Since(start))
 		resp.Status = http.StatusNotFound
 	}
@@ -526,7 +526,7 @@ func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID stri
 		return nil, fetched{}, fmt.Errorf("%w: %v", errHintHomeFail, ctx.Err())
 	}
 	if !holder.br.Allow() {
-		n.stats.breakerSkips.Add(1)
+		atomic.AddInt64(&n.stats.BreakerSkips, 1)
 		return nil, fetched{}, errHintHomeMiss
 	}
 	return holder, fetched{}, nil
@@ -537,19 +537,15 @@ func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID stri
 // with a holder this node went on to probe. A primary win is a hit as well:
 // the home served its own copy, or named the holder that did.
 func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr error, named bool) {
-	br := home.br
+	// Otherwise the consult failed, or was still running when the origin won.
+	answered, count := false, &n.stats.HintHomeErrors
 	switch {
 	case winner == resilience.BothFailed:
-		br.Record(false)
-		n.stats.hintHomeErrors.Add(1)
 	case named || winner == resilience.PrimaryWon:
-		br.Record(true)
-		n.stats.hintHomeHits.Add(1)
+		answered, count = true, &n.stats.HintHomeHits
 	case errors.Is(primaryErr, errHintHomeMiss):
-		br.Record(true)
-		n.stats.hintHomeMisses.Add(1)
-	default: // the consult failed, or was still running when the origin won
-		br.Record(false)
-		n.stats.hintHomeErrors.Add(1)
+		answered, count = true, &n.stats.HintHomeMisses
 	}
+	home.br.Record(answered)
+	atomic.AddInt64(count, 1)
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/faults"
@@ -37,7 +39,9 @@ func writeExpo(w http.ResponseWriter, e *obs.Expo) {
 	io.WriteString(w, e.String())
 }
 
-// Stats counts node activity.
+// Stats counts node activity; Node.stats is the live set, changed only with
+// atomic.AddInt64. Every field is a plain int64: the benchmark sums the
+// fields of that kind, and a field of any other would drop out unnoticed.
 type Stats struct {
 	LocalHits      int64 `json:"localHits"`
 	RemoteHits     int64 `json:"remoteHits"`
@@ -120,6 +124,17 @@ type Stats struct {
 	RehomedObjects int64 `json:"rehomedObjects"`
 }
 
+// Stats returns a snapshot of the node's counters, each field loaded
+// atomically (the fields are not read at one instant).
+func (n *Node) Stats() Stats {
+	var st Stats
+	live, out := reflect.ValueOf(&n.stats).Elem(), reflect.ValueOf(&st).Elem()
+	for i := range out.NumField() {
+		out.Field(i).SetInt(atomic.LoadInt64(live.Field(i).Addr().Interface().(*int64)))
+	}
+	return st
+}
+
 // nodeHists are the node's latency histograms: client-facing fetch time per
 // outcome class, plus the internal latencies the paper's design principles
 // are stated in terms of — the wasted false-positive peer probe, the
@@ -174,7 +189,7 @@ func (h *nodeHists) observeFetch(how string, d time.Duration) {
 // per-shard eviction series).
 func (n *Node) Metrics() *obs.Expo {
 	e := obs.NewExpo()
-	st := n.stats.snapshot()
+	st := n.Stats()
 	e.Counter("beyondcache_fetch_total",
 		"Successful /fetch requests by terminal outcome class.",
 		st.LocalHits, obs.L("outcome", "local"))

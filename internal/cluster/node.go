@@ -127,94 +127,6 @@ type NodeConfig struct {
 	SpillQueue int
 }
 
-// counters is the node's live (concurrently updated) form of Stats.
-type counters struct {
-	localHits       atomic.Int64
-	remoteHits      atomic.Int64
-	misses          atomic.Int64
-	falsePositives  atomic.Int64
-	coalescedHits   atomic.Int64
-	diskHits        atomic.Int64
-	peerServes      atomic.Int64
-	peerRejects     atomic.Int64
-	updatesSent     atomic.Int64
-	updatesReceived atomic.Int64
-	batchesSent     atomic.Int64
-	sendErrors      atomic.Int64
-	digestsPulled   atomic.Int64
-	breakerSkips    atomic.Int64
-	hedgesStarted   atomic.Int64
-	hedgeOriginWins atomic.Int64
-	hedgePeerWins   atomic.Int64
-	retries         atomic.Int64
-	coalesced       atomic.Int64
-	pendingDropped  atomic.Int64
-	queueDropped    atomic.Int64
-	oversizeRejects atomic.Int64
-
-	digestServesFull      atomic.Int64
-	digestServesDelta     atomic.Int64
-	digestServeBytesFull  atomic.Int64
-	digestServeBytesDelta atomic.Int64
-	digestCursorLost      atomic.Int64
-	digestRebuilds        atomic.Int64
-	digestDeltaOps        atomic.Int64
-	wireHintBytes         atomic.Int64
-	wireHintBytesPart     atomic.Int64
-
-	hintHomeHits        atomic.Int64
-	hintHomeMisses      atomic.Int64
-	hintHomeErrors      atomic.Int64
-	hintHomeServes      atomic.Int64
-	hintHomeServeMisses atomic.Int64
-	rehomeObjects       atomic.Int64
-}
-
-// snapshot copies the counters into an externally visible Stats.
-func (c *counters) snapshot() Stats {
-	return Stats{
-		LocalHits:       c.localHits.Load(),
-		RemoteHits:      c.remoteHits.Load(),
-		Misses:          c.misses.Load(),
-		FalsePositives:  c.falsePositives.Load(),
-		CoalescedHits:   c.coalescedHits.Load(),
-		DiskHits:        c.diskHits.Load(),
-		PeerServes:      c.peerServes.Load(),
-		PeerRejects:     c.peerRejects.Load(),
-		UpdatesSent:     c.updatesSent.Load(),
-		UpdatesReceived: c.updatesReceived.Load(),
-		BatchesSent:     c.batchesSent.Load(),
-		SendErrors:      c.sendErrors.Load(),
-		DigestsPulled:   c.digestsPulled.Load(),
-		BreakerSkips:    c.breakerSkips.Load(),
-		HedgesStarted:   c.hedgesStarted.Load(),
-		HedgeOriginWins: c.hedgeOriginWins.Load(),
-		HedgePeerWins:   c.hedgePeerWins.Load(),
-		Retries:         c.retries.Load(),
-		Coalesced:       c.coalesced.Load(),
-		PendingDropped:  c.pendingDropped.Load(),
-		QueueDropped:    c.queueDropped.Load(),
-		OversizeRejects: c.oversizeRejects.Load(),
-
-		DigestServesFull:      c.digestServesFull.Load(),
-		DigestServesDelta:     c.digestServesDelta.Load(),
-		DigestServeBytesFull:  c.digestServeBytesFull.Load(),
-		DigestServeBytesDelta: c.digestServeBytesDelta.Load(),
-		DigestCursorLost:      c.digestCursorLost.Load(),
-		DigestRebuilds:        c.digestRebuilds.Load(),
-		DigestDeltaOps:        c.digestDeltaOps.Load(),
-		WireHintBytes:         c.wireHintBytes.Load(),
-
-		WireHintBytesPartitioned: c.wireHintBytesPart.Load(),
-		HintHomeHits:             c.hintHomeHits.Load(),
-		HintHomeMisses:           c.hintHomeMisses.Load(),
-		HintHomeErrors:           c.hintHomeErrors.Load(),
-		HintHomeServes:           c.hintHomeServes.Load(),
-		HintHomeServeMisses:      c.hintHomeServeMisses.Load(),
-		RehomedObjects:           c.rehomeObjects.Load(),
-	}
-}
-
 // Node is one proxy cache in the prototype. There is no node-wide lock:
 // object state lives in a lock-striped cache, hint state in a lock-striped
 // table, and everything else behind small purpose-scoped mutexes, so
@@ -223,6 +135,12 @@ func (c *counters) snapshot() Stats {
 // down misses" applied to the implementation itself). See DESIGN.md for the
 // locking hierarchy.
 type Node struct {
+	// stats is the live counter set: atomics, never a lock, so counting
+	// cannot slow down a miss. It is the first field because 64-bit atomics
+	// need 8-byte alignment, which 32-bit platforms guarantee only for the
+	// first word of an allocated struct.
+	stats Stats
+
 	cfg NodeConfig
 
 	// data is the sharded object cache: metadata and bodies under
@@ -240,7 +158,7 @@ type Node struct {
 	// hints is the striped concurrent hint table.
 	hints *hintcache.Striped
 	// flights collapses duplicate in-flight fills per URL.
-	flights flightGroup[fetchOutcome]
+	flights flightGroup
 	// loc is the metadata path (see locator), chosen once in NewNode.
 	loc locator
 
@@ -250,8 +168,7 @@ type Node struct {
 	peers  []*peer // AddPeer order
 	byID   map[uint64]*peer
 
-	stats counters
-	hist  nodeHists
+	hist nodeHists
 
 	// spans is the lock-free structured-span ring behind /debug/spans;
 	// sampler decides which requests are recorded. reqSeq numbers
@@ -501,9 +418,6 @@ func (n *Node) Addr() string {
 // URL returns the node's base URL.
 func (n *Node) URL() string { return "http://" + n.Addr() }
 
-// MachineID returns the node's 8-byte machine identifier.
-func (n *Node) MachineID() uint64 { return n.machineID }
-
 // hostPortOf returns the host:port of a base URL ("http://host:port/"), or
 // the string itself when it is a bare host:port.
 func hostPortOf(baseURL string) string {
@@ -544,16 +458,6 @@ func (n *Node) Close() error {
 		n.origin.close()
 	})
 	return nil
-}
-
-// Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats {
-	return n.stats.snapshot()
-}
-
-// HintStats returns the hint table's counters.
-func (n *Node) HintStats() hintcache.Stats {
-	return n.hints.Stats()
 }
 
 // FaultInjector returns the node's outbound fault injector, or nil when
@@ -651,7 +555,7 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 
 	// Local cache.
 	if obj, body, ok := n.data.Get(h); ok {
-		n.stats.localHits.Add(1)
+		atomic.AddInt64(&n.stats.LocalHits, 1)
 		n.finishFetch(w, reqID, start, "LOCAL", obj.Version, body, nil, sampled)
 		return
 	}
@@ -667,8 +571,8 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		// Served by the leader's fill without any fetch of our own: a
 		// local hit on the in-flight result.
-		n.stats.localHits.Add(1)
-		n.stats.coalescedHits.Add(1)
+		atomic.AddInt64(&n.stats.LocalHits, 1)
+		atomic.AddInt64(&n.stats.CoalescedHits, 1)
 		how = "LOCAL,COALESCED"
 	}
 	n.finishFetch(w, reqID, start, how, out.version, out.body, out.hops, sampled)

@@ -283,7 +283,7 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 
 	// Fetch-duration histogram counts must equal the fetch counters.
 	for i, p := range first {
-		st := f.nodes[i].stats.snapshot()
+		st := f.nodes[i].Stats()
 		var total float64
 		for _, s := range p.Family("beyondcache_fetch_duration_seconds").Series {
 			if strings.HasSuffix(s.Name, "_count") {
@@ -415,6 +415,159 @@ func TestMetricNamesGolden(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("metric family drift at %d: got %q, golden %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStatsAgreeWithMetrics: /metrics reads its counters from Stats, so
+// after traffic that moves most of them each series must equal its field.
+// An R = 2, 4-node fleet serves a MISS behind a clean-miss consult, a LOCAL,
+// a REMOTE from the holder a consult named, a stale hint, a coalesced fill
+// and a purge whose invalidate a round carries. Every field must also be a
+// plain int64 — the benchmark sums the fields of that kind — and have a
+// series: a counter /metrics does not show is one nobody reads.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	for i := range typ.NumField() {
+		if fl := typ.Field(i); fl.Type != reflect.TypeOf(int64(0)) {
+			t.Errorf("Stats.%s is a %s, want int64", fl.Name, fl.Type)
+		}
+	}
+
+	f := startPartFleet(t, 4, nil)
+	fetch := func(i int, url string, want func(FetchResult) bool) {
+		t.Helper()
+		if res, err := f.Fetch(i, url); err != nil || !want(res) {
+			t.Fatalf("node %d fetch of %s = %+v, %v", i, url, res, err)
+		}
+	}
+	const remote, stale, herd = "http://stats.example/remote", "http://stats.example/stale", "http://stats.example/herd"
+	ns := nonOwners(f, remote)
+	fetch(ns[0], remote, FetchResult.Miss)
+	fetch(ns[0], remote, FetchResult.Local)
+	fetch(ns[1], remote, FetchResult.Remote)
+	ns = nonOwners(f, stale)
+	fetch(ns[0], stale, FetchResult.Miss)
+	if err := f.Purge(ns[0], stale); err != nil {
+		t.Fatal(err)
+	}
+	fetch(ns[1], stale, FetchResult.StaleHint)
+
+	// A fill held at the origin, and three requests that share it.
+	f.Origin.SetLatency(300 * time.Millisecond)
+	var wg sync.WaitGroup
+	coalesced := make(chan bool, 4)
+	for i := range 4 {
+		if i == 1 {
+			waitFor(t, "the herd's leader to start its fill", func() bool { return f.Nodes[0].flights.inFlight(herd) })
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := f.Fetch(0, herd)
+			coalesced <- err == nil && res.Coalesced()
+		}()
+	}
+	wg.Wait()
+	f.Origin.SetLatency(0)
+	close(coalesced)
+	shared := 0
+	for c := range coalesced {
+		if c {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no request shared the held fill")
+	}
+	if err := f.Purge(ns[1], stale); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+
+	table := []struct{ field, family, label, value string }{
+		{"LocalHits", "beyondcache_fetch_total", "outcome", "local"},
+		{"RemoteHits", "beyondcache_fetch_total", "outcome", "remote"},
+		{"Misses", "beyondcache_fetch_total", "outcome", "miss"},
+		{"FalsePositives", "beyondcache_fetch_false_positives_total", "", ""},
+		{"CoalescedHits", "beyondcache_fetch_coalesced_total", "", ""},
+		{"DiskHits", "beyondcache_fetch_disk_hits_total", "", ""},
+		{"PeerServes", "beyondcache_peer_serves_total", "", ""},
+		{"PeerRejects", "beyondcache_peer_rejects_total", "", ""},
+		{"UpdatesSent", "beyondcache_hint_updates_sent_total", "", ""},
+		{"UpdatesReceived", "beyondcache_hint_updates_received_total", "", ""},
+		{"BatchesSent", "beyondcache_hint_batches_sent_total", "", ""},
+		{"SendErrors", "beyondcache_hint_send_errors_total", "", ""},
+		{"DigestsPulled", "beyondcache_digest_pulls_total", "", ""},
+		{"BreakerSkips", "beyondcache_breaker_skips_total", "", ""},
+		{"HedgesStarted", "beyondcache_hedges_started_total", "", ""},
+		{"HedgeOriginWins", "beyondcache_hedges_total", "winner", "origin"},
+		{"HedgePeerWins", "beyondcache_hedges_total", "winner", "peer"},
+		{"Retries", "beyondcache_retries_total", "", ""},
+		{"Coalesced", "beyondcache_hint_coalesced_total", "", ""},
+		{"PendingDropped", "beyondcache_hint_pending_dropped_total", "", ""},
+		{"QueueDropped", "beyondcache_hint_queue_dropped_total", "peer", "*"}, // the per-peer series' sum
+		{"OversizeRejects", "beyondcache_updates_oversize_total", "", ""},
+		{"DigestServesFull", "beyondcache_digest_serves_total", "mode", "full"},
+		{"DigestServesDelta", "beyondcache_digest_serves_total", "mode", "delta"},
+		{"DigestServeBytesFull", "beyondcache_digest_serve_bytes_total", "mode", "full"},
+		{"DigestServeBytesDelta", "beyondcache_digest_serve_bytes_total", "mode", "delta"},
+		{"DigestCursorLost", "beyondcache_digest_cursor_lost_total", "", ""},
+		{"DigestRebuilds", "beyondcache_digest_rebuilds_total", "", ""},
+		{"DigestDeltaOps", "beyondcache_digest_delta_ops_total", "", ""},
+		{"WireHintBytes", "beyondcache_hint_wire_bytes_total", "mode", "broadcast"},
+		{"WireHintBytesPartitioned", "beyondcache_hint_wire_bytes_total", "mode", "partitioned"},
+		{"HintHomeHits", "beyondcache_hint_home_hops_total", "outcome", "hit"},
+		{"HintHomeMisses", "beyondcache_hint_home_hops_total", "outcome", "miss"},
+		{"HintHomeErrors", "beyondcache_hint_home_hops_total", "outcome", "error"},
+		{"HintHomeServes", "beyondcache_hint_home_serves_total", "outcome", "hit"},
+		{"HintHomeServeMisses", "beyondcache_hint_home_serves_total", "outcome", "miss"},
+		{"RehomedObjects", "beyondcache_hint_rehome_objects_total", "", ""},
+	}
+	if len(table) != typ.NumField() {
+		t.Errorf("the table names %d fields, Stats has %d", len(table), typ.NumField())
+	}
+	var fleet Stats
+	for i, n := range f.Nodes {
+		st := n.Stats()
+		p := scrape(t, f.client, n.URL())
+		for _, row := range table {
+			want := reflect.ValueOf(st).FieldByName(row.field)
+			if !want.IsValid() {
+				t.Fatalf("Stats has no field %s", row.field)
+			}
+			sum := reflect.ValueOf(&fleet).Elem().FieldByName(row.field)
+			sum.SetInt(sum.Int() + want.Int())
+			var got float64
+			var ok bool
+			switch fam := p.Family(row.family); {
+			case row.value == "*" && fam != nil:
+				for _, s := range fam.Series {
+					got += s.Value
+				}
+				ok = true
+			case row.label == "":
+				got, ok = p.Value(row.family)
+			default:
+				got, ok = p.Value(row.family, obs.L(row.label, row.value))
+			}
+			if !ok || got != float64(want.Int()) {
+				t.Errorf("node %d: Stats.%s = %d, %s{%s=%q} = %v (found %v)", i, row.field, want.Int(), row.family, row.label, row.value, got, ok)
+			}
+		}
+	}
+	// The traffic reached what it was meant to.
+	for name, v := range map[string]int64{
+		"Misses": fleet.Misses, "LocalHits": fleet.LocalHits, "RemoteHits": fleet.RemoteHits,
+		"CoalescedHits": fleet.CoalescedHits, "FalsePositives": fleet.FalsePositives,
+		"PeerServes": fleet.PeerServes, "PeerRejects": fleet.PeerRejects,
+		"HintHomeHits": fleet.HintHomeHits, "HintHomeMisses": fleet.HintHomeMisses,
+		"HintHomeServes": fleet.HintHomeServes, "HintHomeServeMisses": fleet.HintHomeServeMisses,
+		"UpdatesSent": fleet.UpdatesSent, "UpdatesReceived": fleet.UpdatesReceived,
+		"BatchesSent": fleet.BatchesSent, "WireHintBytesPartitioned": fleet.WireHintBytesPartitioned,
+	} {
+		if v == 0 {
+			t.Errorf("fleet-wide %s = 0: the traffic did not reach it", name)
 		}
 	}
 }

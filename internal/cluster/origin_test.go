@@ -79,16 +79,16 @@ func TestOriginBumpEndpoint(t *testing.T) {
 func TestNodeIdentity(t *testing.T) {
 	f := startFleet(t, 2, FleetConfig{})
 	n := f.Nodes[0]
-	if n.MachineID() == 0 {
+	if n.machineID == 0 {
 		t.Error("zero machine ID")
 	}
-	if n.MachineID() == f.Nodes[1].MachineID() {
+	if n.machineID == f.Nodes[1].machineID {
 		t.Error("nodes share a machine ID")
 	}
 	if n.Addr() == "" || !strings.Contains(n.URL(), n.Addr()) {
 		t.Errorf("addr/url inconsistent: %q / %q", n.Addr(), n.URL())
 	}
-	// HintStats reflects activity after a fetch.
+	// The hint table's counters reflect activity after a fetch.
 	if _, err := f.Fetch(0, "http://example.com/id"); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNodeIdentity(t *testing.T) {
 	if _, err := f.Fetch(1, "http://example.com/id"); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Nodes[1].HintStats(); st.Lookups == 0 {
+	if st := f.Nodes[1].hints.Stats(); st.Lookups == 0 {
 		t.Errorf("hint stats empty after traffic: %+v", st)
 	}
 }

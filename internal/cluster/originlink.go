@@ -258,16 +258,6 @@ func newOriginLink(originURL string, nw network) (*originLink, error) {
 	return l, nil
 }
 
-// get fetches url's object on the calling goroutine, returning with it the
-// origin's self-timed hop segment.
-func (l *originLink) get(ctx context.Context, url string) (version int64, body []byte, hop string, err error) {
-	err = l.do(ctx, func(uc *upConn) (keep bool, err error) {
-		version, body, hop, keep, err = l.exchange(uc, url)
-		return keep, err
-	})
-	return version, body, hop, err
-}
-
 // exchange writes one GET on a leased connection and reads its answer. keep
 // says the answer was read to its end and the origin did not ask to close.
 func (l *originLink) exchange(uc *upConn, url string) (version int64, body []byte, hop string, keep bool, err error) {
@@ -327,16 +317,20 @@ func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err erro
 			return fetched{}, err
 		}
 	}
-	version, body, hop, err := n.origin.get(ctx, url)
+	var f fetched
+	var hop string
+	err = n.origin.do(ctx, func(uc *upConn) (keep bool, err error) {
+		f.version, f.body, hop, keep, err = n.origin.exchange(uc, url)
+		return keep, err
+	})
 	if err != nil {
 		return fetched{}, err
 	}
-	var hops []obs.Hop
 	if h, ok := obs.ParseSegment(hop); ok {
-		hops = append(hops, h)
+		f.hops = append(f.hops, h)
 	}
-	hops = append(hops, obs.Hop{Node: "origin", Outcome: "ORIGIN", Elapsed: time.Since(start)})
-	return fetched{version: version, body: body, hops: hops}, nil
+	f.hops = append(f.hops, obs.Hop{Node: "origin", Outcome: "ORIGIN", Elapsed: time.Since(start)})
+	return f, nil
 }
 
 // maxBodyPrealloc is the most readSized allocates on a declared length's

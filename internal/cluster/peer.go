@@ -18,6 +18,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/faults"
@@ -39,10 +40,8 @@ const (
 	// peerDialTimeout bounds connect plus handshake. peerWriteTimeout
 	// bounds the write of an answer (and of the 101): a peer that stops
 	// reading costs its connection, not a serve loop for ever.
-	// peerLingerTimeout bounds the reading-off of a refused batch.
-	peerDialTimeout   = 2 * time.Second
-	peerWriteTimeout  = 5 * time.Second
-	peerLingerTimeout = 500 * time.Millisecond
+	peerDialTimeout  = 2 * time.Second
+	peerWriteTimeout = 5 * time.Second
 	// peerInlineBody is the largest body copied behind its header into one
 	// write; larger ones go out as a two-part vectored write instead.
 	peerInlineBody = 4 << 10
@@ -294,12 +293,9 @@ func (n *Node) servePeer(uc *upConn) {
 			// Refused unread, so the stream cannot be picked up again: an
 			// oversized batch is told why, then the connection goes.
 			if h.Op == wire.PeerHints {
-				n.stats.oversizeRejects.Add(1)
+				atomic.AddInt64(&n.stats.OversizeRejects, 1)
 				uc.reply(wire.PeerHeader{Op: h.Op, Response: true, ID: h.ID, Status: http.StatusRequestEntityTooLarge}, nil)
-				// Closing on unread bytes would reset the connection under a
-				// caller still writing: read its batch off first, briefly.
-				uc.c.SetReadDeadline(time.Now().Add(peerLingerTimeout))
-				io.CopyN(io.Discard, uc.br, int64(h.Len))
+				readOff(uc.c, uc.br, int64(h.Len))
 			}
 			return
 		}
@@ -377,7 +373,7 @@ func (n *Node) answer(resp *wire.PeerHeader, h wire.PeerHeader, body []byte) []b
 			resp.A = uint64(version)
 			return out
 		}
-		n.stats.peerRejects.Add(1)
+		atomic.AddInt64(&n.stats.PeerRejects, 1)
 		n.recordPeerSpan(h, "PEER-REJECT", time.Since(start))
 		resp.Status = http.StatusNotFound
 		if n.flights.inFlight(string(body)) {
@@ -403,7 +399,7 @@ func (n *Node) serveCopy(resp *wire.PeerHeader, h wire.PeerHeader, start time.Ti
 		return 0, nil, false
 	}
 	elapsed := time.Since(start)
-	n.stats.peerServes.Add(1)
+	atomic.AddInt64(&n.stats.PeerServes, 1)
 	n.hist.peerServe.Observe(elapsed)
 	n.recordPeerSpan(h, "PEER-SERVE", elapsed)
 	resp.B = uint64(elapsed)
@@ -422,7 +418,7 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	// The declared raw length is checked before inflating so a compressed
 	// bomb cannot expand past the limit.
 	if f.RawLen > updatesLimit {
-		n.stats.oversizeRejects.Add(1)
+		atomic.AddInt64(&n.stats.OversizeRejects, 1)
 		return http.StatusRequestEntityTooLarge
 	}
 	records, err := f.Payload(nil)
@@ -433,7 +429,7 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	if err != nil {
 		return http.StatusBadRequest
 	}
-	n.stats.updatesReceived.Add(int64(len(updates)))
+	atomic.AddInt64(&n.stats.UpdatesReceived, int64(len(updates)))
 	for _, u := range updates {
 		n.applyHint(u)
 	}

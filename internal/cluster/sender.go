@@ -56,7 +56,7 @@ func (s *peerSender) enqueue(l *hintLocator, batch []hintcache.Update, stampNs i
 	_, dropped := s.q.addBatch(batch, stampNs)
 	if dropped > 0 {
 		s.dropped.Add(int64(dropped))
-		l.n.stats.queueDropped.Add(int64(dropped))
+		atomic.AddInt64(&l.n.stats.QueueDropped, int64(dropped))
 	}
 	s.mu.Lock()
 	if s.idle == nil {
@@ -123,16 +123,16 @@ func (s *peerSender) send(l *hintLocator, body []byte, records int, stampNs int6
 		}
 		return err
 	})
-	n.stats.retries.Add(int64(retries))
+	atomic.AddInt64(&n.stats.Retries, int64(retries))
 	// Delivery outcomes double as liveness evidence: a target that burned
 	// the whole retry budget counts one failed contact.
 	l.contact(s.target, err == nil)
 	if err != nil {
-		n.stats.sendErrors.Add(1)
+		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return
 	}
-	n.stats.batchesSent.Add(1)
-	n.stats.updatesSent.Add(int64(records))
-	l.wire.Add(int64(len(body)))
+	atomic.AddInt64(&n.stats.BatchesSent, 1)
+	atomic.AddInt64(&n.stats.UpdatesSent, int64(records))
+	atomic.AddInt64(l.wire, int64(len(body)))
 	n.hist.fanout.Observe(time.Since(start))
 }

@@ -11,23 +11,21 @@ import (
 // before it finishes blocks and shares the result. The paper's second
 // design principle — do not slow down misses — is why this exists: without
 // it a burst of concurrent requests for one uncached object pays one origin
-// round trip per request (thundering herd) instead of one per object. The
-// same mechanism coalesces digest-snapshot builds: N concurrent GET
-// /digest scrapes marshal the filter once, not N times.
+// round trip per request (thundering herd) instead of one per object.
 //
 // This is a minimal purpose-built singleflight (the repository takes no
 // dependencies beyond the standard library). Results are not cached: the
 // entry is removed before waiters are released, so a fill that completes
 // and is then invalidated cannot be re-served to later arrivals.
-type flightGroup[T any] struct {
+type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flight[T]
+	m  map[string]*flight
 }
 
 // flight is one in-progress call.
-type flight[T any] struct {
+type flight struct {
 	done chan struct{}
-	out  T
+	out  fetchOutcome
 }
 
 // fetchOutcome is what a fill produces: how it was served (REMOTE, MISS,
@@ -47,17 +45,17 @@ type fetchOutcome struct {
 // do runs fn for key, collapsing concurrent calls: exactly one caller
 // executes fn; the rest wait and share its outcome. shared reports whether
 // the caller was a waiter rather than the leader.
-func (g *flightGroup[T]) do(key string, fn func() T) (out T, shared bool) {
+func (g *flightGroup) do(key string, fn func() fetchOutcome) (out fetchOutcome, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flight[T])
+		g.m = make(map[string]*flight)
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		<-f.done
 		return f.out, true
 	}
-	f := &flight[T]{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{})}
 	g.m[key] = f
 	g.mu.Unlock()
 
@@ -71,7 +69,7 @@ func (g *flightGroup[T]) do(key string, fn func() T) (out T, shared bool) {
 }
 
 // inFlight reports whether a call for key is running now.
-func (g *flightGroup[T]) inFlight(key string) bool {
+func (g *flightGroup) inFlight(key string) bool {
 	g.mu.Lock()
 	_, ok := g.m[key]
 	g.mu.Unlock()

@@ -320,7 +320,7 @@ func TestSingleflightDistinctObjectsDoNotSerialize(t *testing.T) {
 // without HTTP: one leader runs the fill, waiters share it, and the key is
 // released after completion.
 func TestFlightGroupLeaderAndWaiters(t *testing.T) {
-	var g flightGroup[fetchOutcome]
+	var g flightGroup
 	var fills atomic.Int64
 	release := make(chan struct{})
 
