@@ -408,13 +408,15 @@ func TestUpdatesEndpointRejectsGarbage(t *testing.T) {
 	if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, []byte("not a multiple of twenty")); r.Status != http.StatusBadRequest {
 		t.Errorf("garbage hint batch answered %d, want 400", r.Status)
 	}
-	// So are well-formed records without a frame around them, and a frame
-	// of the wrong kind.
-	bare := hintcache.AppendUpdate(nil, hintcache.Update{Action: hintcache.ActionInform, URLHash: 1, Machine: 2})
+	// So are a torn record, a record of an unknown action, and records
+	// inside a bw frame (16 + 20k bytes is never whole records): the
+	// records are the body, nothing around them.
+	inform := hintcache.Update{Action: hintcache.ActionInform, URLHash: 1, Machine: 2}
+	bare := hintBatch(inform)
 	for name, body := range map[string][]byte{
-		"unframed":   bare,
-		"wrong kind": wire.AppendFrame(nil, wire.KindDigestDelta, bare, 0),
-		"torn":       hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: 1, Machine: 2})[:30],
+		"torn":           bare[:15],
+		"unknown action": hintBatch(hintcache.Update{Action: 9, URLHash: 1, Machine: 2}),
+		"framed":         wire.AppendFrame(nil, wire.KindHintBatch, bare, 0),
 	} {
 		if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, body); r.Status != http.StatusBadRequest {
 			t.Errorf("%s hint batch answered %d, want 400", name, r.Status)
@@ -422,6 +424,13 @@ func TestUpdatesEndpointRejectsGarbage(t *testing.T) {
 	}
 	if st := f.Nodes[0].Stats(); st.UpdatesReceived != 0 {
 		t.Errorf("UpdatesReceived = %d after rejected bodies, want 0", st.UpdatesReceived)
+	}
+	// The same record bare is a batch.
+	if r := c.mustCall(wire.PeerHeader{Op: wire.PeerHints}, bare); r.Status != http.StatusNoContent {
+		t.Errorf("bare hint batch answered %d, want 204", r.Status)
+	}
+	if st := f.Nodes[0].Stats(); st.UpdatesReceived != 1 {
+		t.Errorf("UpdatesReceived = %d after one bare record, want 1", st.UpdatesReceived)
 	}
 }
 

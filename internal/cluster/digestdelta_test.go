@@ -12,26 +12,15 @@ import (
 )
 
 // digestGet pulls a node's digest over the peer plane (optionally presenting
-// a cursor) and returns the decoded frame, its wire size, and the journal
-// cursor the node stamped on the answer.
-func digestGet(t *testing.T, n *Node, since uint64) (frame wire.Frame, payload []byte, wireBytes int, cursor uint64) {
+// a cursor) and returns the answer's status — 200 for a full snapshot, 206
+// for a delta —, its body, and the journal cursor the node stamped on it.
+func digestGet(t *testing.T, n *Node, since uint64) (status uint16, body []byte, cursor uint64) {
 	t.Helper()
 	r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
-	if r.Status != http.StatusOK {
+	if r.Status != http.StatusOK && r.Status != http.StatusPartialContent {
 		t.Fatalf("digest pull status %d", r.Status)
 	}
-	frame, rest, err := wire.Decode(r.body)
-	if err != nil {
-		t.Fatalf("decode digest frame: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("digest answer has %d trailing bytes after the frame", len(rest))
-	}
-	payload, err = frame.Payload(nil)
-	if err != nil {
-		t.Fatalf("digest frame payload: %v", err)
-	}
-	return frame, payload, len(r.body), r.B
+	return r.Status, r.body, r.B
 }
 
 // TestDigestDeltaBytesBound is the wire-bench smoke the CI runs on every
@@ -45,10 +34,14 @@ func TestDigestDeltaBytesBound(t *testing.T) {
 		n.loc.publish(i, true)
 	}
 
-	fullFrame, _, fullBytes, cursor := digestGet(t, n, 0)
-	if fullFrame.Kind != wire.KindDigestFull {
-		t.Fatalf("first pull kind = %s, want %s", fullFrame.Kind, wire.KindDigestFull)
+	status, full, cursor := digestGet(t, n, 0)
+	if status != http.StatusOK {
+		t.Fatalf("first pull status = %d, want 200 (a full snapshot)", status)
 	}
+	if err := (&digest.Counting{}).UnmarshalBinary(full); err != nil {
+		t.Fatalf("first pull body is not a counting filter: %v", err)
+	}
+	fullBytes := len(full)
 
 	// 1% churn: evict 1%/2 of the resident set and admit as many new
 	// objects, so adds+removes together touch 1% of the population.
@@ -58,10 +51,14 @@ func TestDigestDeltaBytesBound(t *testing.T) {
 		n.loc.publish(objects+i, true)
 	}
 
-	deltaFrame, payload, deltaBytes, _ := digestGet(t, n, cursor)
-	if deltaFrame.Kind != wire.KindDigestDelta {
-		t.Fatalf("churn pull kind = %s, want %s", deltaFrame.Kind, wire.KindDigestDelta)
+	status, payload, _ := digestGet(t, n, cursor)
+	if status != http.StatusPartialContent {
+		t.Fatalf("churn pull status = %d, want 206 (a delta)", status)
 	}
+	if _, err := digest.AppendDecodedOps(nil, payload); err != nil {
+		t.Fatalf("churn pull body is not delta ops: %v", err)
+	}
+	deltaBytes := len(payload)
 	if wantOps := 2 * churn; len(payload) != wantOps*9 {
 		t.Errorf("delta payload = %d bytes, want %d ops * 9", len(payload), wantOps)
 	}
@@ -136,7 +133,7 @@ func TestDigestCursorLossFallsBackToFull(t *testing.T) {
 	// DigestCapacity 16 floors the journal at 1024 slots.
 	n := newMetaNode(t, NodeConfig{Name: "cursor-loss", UseDigests: true, DigestCapacity: 16})
 	n.loc.publish(1, true)
-	_, _, _, cursor := digestGet(t, n, 0)
+	_, _, cursor := digestGet(t, n, 0)
 
 	// Push more ops than the ring holds; the early cursor ages out. Track
 	// add+remove pairs so the tiny filter never saturates into a rebuild.
@@ -144,9 +141,8 @@ func TestDigestCursorLossFallsBackToFull(t *testing.T) {
 		n.loc.publish(i, true)
 		n.loc.publish(i, false)
 	}
-	frame, _, _, _ := digestGet(t, n, cursor)
-	if frame.Kind != wire.KindDigestFull {
-		t.Fatalf("post-overflow pull kind = %s, want %s (full fallback)", frame.Kind, wire.KindDigestFull)
+	if status, _, _ := digestGet(t, n, cursor); status != http.StatusOK {
+		t.Fatalf("post-overflow pull status = %d, want 200 (full fallback)", status)
 	}
 	if st := n.Stats(); st.DigestCursorLost != 1 {
 		t.Errorf("cursor losses = %d, want 1", st.DigestCursorLost)
@@ -162,15 +158,14 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 	// (144 bytes) already exceed it.
 	n := newMetaNode(t, NodeConfig{Name: "delta-beats-full", UseDigests: true, DigestCapacity: 16})
 	n.loc.publish(1, true)
-	_, _, _, cursor := digestGet(t, n, 0)
+	_, _, cursor := digestGet(t, n, 0)
 
 	for i := uint64(2); i <= 40; i++ {
 		n.loc.publish(i, true)
 		n.loc.publish(i, false)
 	}
-	frame, _, _, _ := digestGet(t, n, cursor)
-	if frame.Kind != wire.KindDigestFull {
-		t.Fatalf("oversized-delta pull kind = %s, want %s", frame.Kind, wire.KindDigestFull)
+	if status, _, _ := digestGet(t, n, cursor); status != http.StatusOK {
+		t.Fatalf("oversized-delta pull status = %d, want 200 (a full snapshot)", status)
 	}
 	st := n.Stats()
 	if st.DigestCursorLost != 0 {
@@ -183,10 +178,10 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 
 // TestDigestCursorAtomicWithFrame hammers the journal with churn while a
 // puller replays serves against a local replica, checking two things on
-// every response: the advertised cursor matches the ops the frame
+// every response: the advertised cursor matches the ops the body
 // actually carries (head == since + ops), and — once the churn quiesces —
 // the delta-maintained replica is byte-identical to the owner's filter. A
-// cursor read outside the lock that encoded the frame attributes ops
+// cursor read outside the lock that encoded the body attributes ops
 // journaled in the gap to the response without delivering them, so the
 // replica silently diverges.
 func TestDigestCursorAtomicWithFrame(t *testing.T) {
@@ -197,24 +192,16 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 
 	// Serve through the locator directly (no connection in between), so the
 	// serve path runs tens of thousands of times against live churn.
-	serve := func(since uint64) (wire.Frame, []byte, uint64) {
-		t.Helper()
+	serve := func(since uint64) (uint16, []byte, uint64) {
 		var resp wire.PeerHeader
-		frame, _, err := wire.Decode(n.loc.serveDigest(since, &resp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := frame.Payload(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame, payload, resp.B
+		body := n.loc.serveDigest(since, &resp)
+		return resp.Status, body, resp.B
 	}
 
 	replica := &digest.Counting{}
-	frame, payload, cursor := serve(0)
-	if frame.Kind != wire.KindDigestFull {
-		t.Fatalf("first serve kind = %s, want %s", frame.Kind, wire.KindDigestFull)
+	status, payload, cursor := serve(0)
+	if status != http.StatusOK {
+		t.Fatalf("first serve status = %d, want 200 (a full snapshot)", status)
 	}
 	if err := replica.UnmarshalBinary(payload); err != nil {
 		t.Fatal(err)
@@ -236,10 +223,10 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 		}
 	}()
 
-	apply := func(round int, kind wire.Kind, payload []byte, since, next uint64) {
+	apply := func(round int, status uint16, payload []byte, since, next uint64) {
 		t.Helper()
-		switch kind {
-		case wire.KindDigestDelta:
+		switch status {
+		case http.StatusPartialContent:
 			ops, err := digest.AppendDecodedOps(nil, payload)
 			if err != nil {
 				t.Fatal(err)
@@ -251,18 +238,18 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 			for _, op := range ops {
 				replica.Apply(op)
 			}
-		case wire.KindDigestFull:
+		case http.StatusOK:
 			if err := replica.UnmarshalBinary(payload); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			t.Fatalf("round %d: unexpected frame kind %s", round, kind)
+			t.Fatalf("round %d: unexpected digest status %d", round, status)
 		}
 	}
 
 	for round := 1; round <= 20000; round++ {
-		frame, payload, next := serve(cursor)
-		apply(round, frame.Kind, payload, cursor, next)
+		status, payload, next := serve(cursor)
+		apply(round, status, payload, cursor, next)
 		cursor = next
 	}
 	close(stop)
@@ -271,8 +258,8 @@ func TestDigestCursorAtomicWithFrame(t *testing.T) {
 	// Churn has quiesced: one more pull drains the tail, after which the
 	// replica must match the owner bit for bit — any op a skewed cursor
 	// skipped shows up here as a counter mismatch.
-	frame, payload, next := serve(cursor)
-	apply(-1, frame.Kind, payload, cursor, next)
+	status, payload, next := serve(cursor)
+	apply(-1, status, payload, cursor, next)
 
 	want := ownDigestBytes(n)
 	if got := replica.AppendBinary(nil); !bytes.Equal(got, want) {

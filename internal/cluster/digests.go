@@ -21,9 +21,9 @@ import (
 //     by publish on every residency transition — serving a pull never
 //     walks the cache. Each transition is also journaled.
 //   - Pullers present their journal cursor in the digest call; the owner
-//     answers with just the membership ops past it (KindDigestDelta) when the
+//     answers with just the membership ops past it (status 206) when the
 //     journal still holds them and the delta is smaller than a full
-//     snapshot, falling back to the full frame (KindDigestFull) otherwise.
+//     snapshot, falling back to the full filter (status 200) otherwise.
 //     Replaying ops is deterministic, so a delta-maintained peer copy is
 //     byte-identical to the owner's filter — metadata bytes per round are
 //     proportional to churn, not cache size.
@@ -58,8 +58,6 @@ type digestLocator struct {
 	own        *digest.Counting
 	ownPresent map[uint64]struct{}
 	journal    *digest.Journal
-	// seq numbers the digest snapshots this node serves.
-	seq atomic.Int64
 }
 
 // newDigestLocator sizes the own filter for capacity entries (<= 0 means
@@ -140,62 +138,61 @@ func (d *digestLocator) rebuildDigestLocked() {
 	atomic.AddInt64(&d.n.stats.DigestRebuilds, 1)
 }
 
-// digestSnapshotFrame returns the framed full-snapshot encoding of the own
-// digest plus the journal head it encodes (the puller's next delta cursor).
-// A node serves one per peer per cursor loss, so each serve marshals afresh.
-func (d *digestLocator) digestSnapshotFrame() ([]byte, uint64) {
+// digestSnapshot returns the full-snapshot encoding of the own digest plus
+// the journal head it encodes (the puller's next delta cursor). A node
+// serves one per peer per cursor loss, so each serve marshals afresh.
+func (d *digestLocator) digestSnapshot() ([]byte, uint64) {
 	d.mu.RLock()
-	head := d.journal.Head()
-	payload, _ := d.own.MarshalBinary()
-	d.mu.RUnlock()
-	return wire.AppendFrame(nil, wire.KindDigestFull, payload, 0), head
+	defer d.mu.RUnlock()
+	snap, _ := d.own.MarshalBinary()
+	return snap, d.journal.Head()
 }
 
-// serveDigest serves the node's current contents summary as one wire
-// frame — a delta of membership ops when the puller's cursor is still
+// serveDigest serves the node's current contents summary as the answer's
+// body — the membership ops past the puller's cursor (206) when it is still
 // journaled and the delta is the smaller transfer, the full counting-filter
-// snapshot otherwise.
+// snapshot (200) otherwise.
 func (d *digestLocator) serveDigest(since uint64, resp *wire.PeerHeader) []byte {
 	n := d.n
 	start := time.Now()
 
 	// The advertised cursor is captured under the same lock that encoded
-	// the frame: a head read taken afterwards could attribute ops journaled
+	// the body: a head read taken afterwards could attribute ops journaled
 	// during the gap to this response without delivering them, silently
 	// diverging the puller's delta-maintained replica.
-	var frame []byte
+	var body []byte
 	var head uint64
 	var delta bool
 	if since > 0 {
-		frame, head, delta = d.digestDeltaFrame(since)
-	}
-	if !delta {
-		frame, head = d.digestSnapshotFrame()
+		body, head, delta = d.digestDelta(since)
 	}
 	if delta {
+		resp.Status = http.StatusPartialContent
 		atomic.AddInt64(&n.stats.DigestServesDelta, 1)
-		atomic.AddInt64(&n.stats.DigestServeBytesDelta, int64(len(frame)))
+		atomic.AddInt64(&n.stats.DigestServeBytesDelta, int64(len(body)))
 	} else {
+		body, head = d.digestSnapshot()
+		resp.Status = http.StatusOK
 		atomic.AddInt64(&n.stats.DigestServesFull, 1)
-		atomic.AddInt64(&n.stats.DigestServeBytesFull, int64(len(frame)))
+		atomic.AddInt64(&n.stats.DigestServeBytesFull, int64(len(body)))
 	}
 	n.hist.digestServe.Observe(time.Since(start))
 
-	// The answer is stamped with its generation sequence and wall clock so
-	// the puller can measure how stale each pulled digest grows between
-	// exchanges (the digest twin of the hint batch's stamp), and carries
-	// the journal cursor for the puller's next delta request.
-	resp.A, resp.B, resp.C = uint64(d.seq.Add(1)), head, uint64(time.Now().UnixNano())
-	return frame
+	// The answer is stamped with its wall clock so the puller can measure
+	// how stale each pulled digest grows between exchanges (the digest twin
+	// of the hint batch's stamp), and carries the journal cursor for the
+	// puller's next delta request.
+	resp.B, resp.C = head, uint64(time.Now().UnixNano())
+	return body
 }
 
-// digestDeltaFrame encodes the membership ops since the given cursor as a
-// KindDigestDelta frame, plus the journal head observed under the same
-// lock (the cursor the serve must advertise — exactly the last op the
-// frame carries). ok is false — and the caller serves a full snapshot
-// instead — when the cursor has aged out of the journal (counted as a
-// cursor loss) or when the delta would not beat the full transfer.
-func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint64, ok bool) {
+// digestDelta encodes the membership ops since the given cursor, plus the
+// journal head observed under the same lock (the cursor the serve must
+// advertise — exactly the last op the body carries). ok is false — and the
+// caller serves a full snapshot instead — when the cursor has aged out of
+// the journal (counted as a cursor loss) or when the delta would not beat
+// the full transfer.
+func (d *digestLocator) digestDelta(since uint64) (ops []byte, head uint64, ok bool) {
 	d.mu.RLock()
 	ops, served := d.journal.AppendSince(nil, since)
 	head = d.journal.Head()
@@ -210,11 +207,11 @@ func (d *digestLocator) digestDeltaFrame(since uint64) (frame []byte, head uint6
 		// transfer. The cursor itself was fine — not a loss.
 		return nil, 0, false
 	}
-	return wire.AppendFrame(nil, wire.KindDigestDelta, ops, 0), head, true
+	return ops, head, true
 }
 
-// digestBodyLimit bounds one pulled digest's wire size (stored frame and
-// declared payload alike).
+// digestBodyLimit bounds one pulled digest's wire size: call holds an
+// answer's declared length to it before reading a byte.
 const digestBodyLimit = 8 << 20
 
 // round fetches every peer's digest now, waited or not: the batcher's
@@ -256,39 +253,27 @@ func (d *digestLocator) pullDigest(p *peer) {
 	d.mu.RUnlock()
 	var genNs int64
 	var cursor uint64
-	var frame wire.Frame
+	var delta bool
+	var body []byte
 	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
 		r, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
-		if err == nil && r.Status != http.StatusOK {
+		if err == nil && r.Status != http.StatusOK && r.Status != http.StatusPartialContent {
 			err = fmt.Errorf("digest pull: status %d", r.Status)
 		}
 		if err != nil {
 			return err
 		}
 		genNs, cursor = int64(r.C), r.B
-		var rest []byte
-		if frame, rest, err = wire.Decode(r.body); err == nil && len(rest) != 0 {
-			err = fmt.Errorf("digest pull: %d trailing bytes after frame", len(rest))
-		}
-		return err
+		delta, body = r.Status == http.StatusPartialContent, r.body
+		return nil
 	})
 	atomic.AddInt64(&n.stats.Retries, int64(retries))
+	if err == nil {
+		err = d.applyDigestResponse(p, delta, body, cursor)
+	}
 	if err != nil {
-		atomic.AddInt64(&n.stats.SendErrors, 1)
-		return
-	}
-	if frame.RawLen > digestBodyLimit {
-		atomic.AddInt64(&n.stats.SendErrors, 1)
-		return
-	}
-	payload, err := frame.Payload(nil)
-	if err != nil {
-		atomic.AddInt64(&n.stats.SendErrors, 1)
-		return
-	}
-	if err := d.applyDigestResponse(p, frame.Kind, payload, cursor); err != nil {
 		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return
 	}
@@ -311,48 +296,42 @@ func (d *digestLocator) pullDigest(p *peer) {
 	atomic.AddInt64(&n.stats.DigestsPulled, 1)
 }
 
-// applyDigestResponse installs one pulled digest frame on the peer's
-// record: a full snapshot replaces (reusing the existing filter's storage
-// when shapes match) and a delta patches in place. The peer's next-pull
-// cursor advances either way.
-func (d *digestLocator) applyDigestResponse(p *peer, kind wire.Kind, payload []byte, cursor uint64) error {
-	switch kind {
-	case wire.KindDigestFull:
+// applyDigestResponse installs one pulled digest on the peer's record: a
+// full snapshot replaces (reusing the existing filter's storage when shapes
+// match) and a delta patches in place. The peer's next-pull cursor advances
+// either way.
+func (d *digestLocator) applyDigestResponse(p *peer, delta bool, body []byte, cursor uint64) error {
+	if !delta {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		f := p.digest
 		if f == nil {
 			f = &digest.Counting{}
 		}
-		if err := f.UnmarshalBinary(payload); err != nil {
+		if err := f.UnmarshalBinary(body); err != nil {
 			p.digest, p.cursor = nil, 0
 			return err
 		}
 		p.digest, p.cursor = f, cursor
 		return nil
-
-	case wire.KindDigestDelta:
-		ops, err := digest.AppendDecodedOps(nil, payload)
-		if err != nil {
-			return err
-		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if p.digest == nil {
-			// A delta with no base to patch: the cursor is already 0, so the
-			// next pull fetches a full snapshot.
-			return fmt.Errorf("digest delta for unknown peer filter")
-		}
-		for _, op := range ops {
-			p.digest.Apply(op)
-		}
-		p.cursor = cursor
-		atomic.AddInt64(&d.n.stats.DigestDeltaOps, int64(len(ops)))
-		return nil
-
-	default:
-		return fmt.Errorf("unexpected digest frame kind %s", kind)
 	}
+	ops, err := digest.AppendDecodedOps(nil, body)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p.digest == nil {
+		// A delta with no base to patch: the cursor is already 0, so the
+		// next pull fetches a full snapshot.
+		return fmt.Errorf("digest delta for unknown peer filter")
+	}
+	for _, op := range ops {
+		p.digest.Apply(op)
+	}
+	p.cursor = cursor
+	atomic.AddInt64(&d.n.stats.DigestDeltaOps, int64(len(ops)))
+	return nil
 }
 
 // holder returns the first peer other than asker, in AddPeer order, whose

@@ -52,11 +52,9 @@ type FleetConfig struct {
 	HintPartition bool
 	HintReplicas  int
 
-	// PeerTimeout, OriginTimeout and HedgeBudget pass through to every
-	// node's NodeConfig (see there for semantics and defaults).
-	PeerTimeout   time.Duration
-	OriginTimeout time.Duration
-	HedgeBudget   time.Duration
+	// HedgeBudget passes through to every node's NodeConfig (see there for
+	// semantics and the default).
+	HedgeBudget time.Duration
 	// FaultSpec applies the same outbound fault spec to every node; node
 	// i's injector is seeded with i, so injected randomness is
 	// deterministic but not lock-stepped across the fleet.
@@ -65,9 +63,8 @@ type FleetConfig struct {
 	// every node instead of per-node injectors built from FaultSpec. A
 	// shared injector is the live fault plane of the load scenarios: one
 	// SetSpec (see Fleet.SetFaultSpec) breaks or heals targets fleet-wide
-	// mid-run. InboundFaults is the serving-side twin.
-	Faults        *faults.Injector
-	InboundFaults *faults.Injector
+	// mid-run.
+	Faults *faults.Injector
 
 	// CacheDirs gives node i a persistent disk tier rooted at
 	// CacheDirs[i] (see NodeConfig.CacheDir); nodes beyond the slice —
@@ -112,11 +109,8 @@ func (f *Fleet) newNode(i int) (*Node, error) {
 		UpdateInterval: cfg.UpdateInterval,
 		UseDigests:     cfg.UseDigests,
 		HintReplicas:   replicas,
-		PeerTimeout:    cfg.PeerTimeout,
-		OriginTimeout:  cfg.OriginTimeout,
 		HedgeBudget:    cfg.HedgeBudget,
 		Faults:         inj,
-		InboundFaults:  cfg.InboundFaults,
 	}, f.nw)
 }
 

@@ -53,7 +53,7 @@ func BenchmarkUpdatesIngest(b *testing.B) {
 	for i := range batch {
 		batch[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 0xABCD}
 	}
-	msg := hintFrame(batch...)
+	msg := hintBatch(batch...)
 	b.SetBytes(int64(len(msg)))
 	b.ReportAllocs()
 	b.ResetTimer()

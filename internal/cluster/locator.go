@@ -48,9 +48,9 @@ type locator interface {
 	// every peer's share has been delivered or abandoned.
 	round(wait bool)
 	// serveDigest answers a peer's digest pull from cursor since: it
-	// returns one digest frame and fills in the answer's fixed fields (or a
-	// 404 status: this mechanism serves none). collect reports the gauges
-	// for /metrics.
+	// returns the answer's body and fills in its status and fixed fields
+	// (or a 404 status: this mechanism serves none). collect reports the
+	// gauges for /metrics.
 	serveDigest(since uint64, resp *wire.PeerHeader) []byte
 	collect() locatorGauges
 }

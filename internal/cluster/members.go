@@ -45,7 +45,7 @@ type hintLocator struct {
 	// pend is the bounded coalescing queue of hint updates awaiting the
 	// next round (at most one record per machine's copy; see pendq).
 	pend *pendq
-	// wire counts the frame bytes delivered: Stats.WireHintBytes at R = 0,
+	// wire counts the batch bytes delivered: Stats.WireHintBytes at R = 0,
 	// WireHintBytesPartitioned at R > 0, so the two settings' wire costs
 	// stay separately comparable.
 	wire *int64

@@ -34,7 +34,7 @@ func newUpdateSink(t testing.TB) *updateSink {
 		if h.Op != wire.PeerHints {
 			return wire.PeerHeader{Status: http.StatusNoContent}, nil
 		}
-		us, err := decodeHintBody(body)
+		us, err := hintcache.AppendDecodedUpdates(nil, body)
 		if err != nil {
 			return wire.PeerHeader{Status: http.StatusBadRequest}, nil
 		}
@@ -49,28 +49,14 @@ func newUpdateSink(t testing.TB) *updateSink {
 	return s
 }
 
-// decodeHintBody reads a hint call's body the way a node does: one frame,
-// its payload the records.
-func decodeHintBody(body []byte) ([]hintcache.Update, error) {
-	f, _, err := wire.Decode(body)
-	if err != nil {
-		return nil, err
-	}
-	records, err := f.Payload(nil)
-	if err != nil {
-		return nil, err
-	}
-	return hintcache.AppendDecodedUpdates(nil, records)
-}
-
-// hintFrame encodes updates the way a sender puts them on the wire: one
-// uncompressed KindHintBatch frame.
-func hintFrame(us ...hintcache.Update) []byte {
+// hintBatch encodes updates the way a sender puts them on the wire: the
+// hint call's body is the records, nothing around them.
+func hintBatch(us ...hintcache.Update) []byte {
 	var records []byte
 	for _, u := range us {
 		records = hintcache.AppendUpdate(records, u)
 	}
-	return wire.AppendFrame(nil, wire.KindHintBatch, records, 0)
+	return records
 }
 
 func (s *updateSink) records() []hintcache.Update {
@@ -165,8 +151,8 @@ func TestFlushCoalescesOverWire(t *testing.T) {
 	if st.UpdatesSent != 2 {
 		t.Errorf("UpdatesSent = %d, want 2", st.UpdatesSent)
 	}
-	if wb := sink.wireBytes(); wb != wire.HeaderSize+2*hintcache.UpdateSize {
-		t.Errorf("wire bytes = %d, want %d (frame header + 2 records)", wb, wire.HeaderSize+2*hintcache.UpdateSize)
+	if wb := sink.wireBytes(); wb != 2*hintcache.UpdateSize {
+		t.Errorf("wire bytes = %d, want %d (2 records)", wb, 2*hintcache.UpdateSize)
 	}
 }
 
@@ -242,7 +228,7 @@ func TestPendingQueueBounded(t *testing.T) {
 // reject.
 func TestUpdatesOversizeRejected(t *testing.T) {
 	n := newMetaNode(t, NodeConfig{Name: "oversize"}) // limit: 1 MB of records
-	big := wire.AppendFrame(nil, wire.KindHintBatch, bytes.Repeat([]byte{0}, 1<<20+hintcache.UpdateSize), 0)
+	big := bytes.Repeat([]byte{0}, updatesLimit+hintcache.UpdateSize)
 	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, big); r.Status != http.StatusRequestEntityTooLarge {
 		t.Errorf("node oversized hint batch = %d, want 413", r.Status)
 	}
@@ -256,7 +242,7 @@ func TestUpdatesOversizeRejected(t *testing.T) {
 	for i := range fit {
 		fit[i] = hintcache.Update{Action: hintcache.ActionInform, URLHash: uint64(i) + 1, Machine: 42}
 	}
-	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, hintFrame(fit...)); r.Status != http.StatusNoContent {
+	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, hintBatch(fit...)); r.Status != http.StatusNoContent {
 		t.Errorf("node valid hint batch = %d, want 204", r.Status)
 	}
 	if st := n.Stats(); st.UpdatesReceived != int64(len(fit)) {
@@ -264,10 +250,11 @@ func TestUpdatesOversizeRejected(t *testing.T) {
 	}
 }
 
-// TestDigestPullChecksStatusFirst checks that a non-200 digest answer is
-// an error without the body being decoded, that a 200 whose body is not a
-// digest frame (bare filter bytes) is one too, and that the peer's digest
-// stays absent either way.
+// TestDigestPullChecksStatusFirst checks that a digest answer other than
+// 200 or 206 is an error without the body being decoded, that a 200 whose
+// body is not a counting filter (plain Bloom filter bytes, or a counting
+// filter inside a bw frame) is one too, and that the peer's digest stays
+// absent either way.
 func TestDigestPullChecksStatusFirst(t *testing.T) {
 	bare, err := digest.NewForCapacity(64, 8)
 	if err != nil {
@@ -278,12 +265,21 @@ func TestDigestPullChecksStatusFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counting, err := digest.NewCountingForCapacity(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting.Add(1)
+	framedBody := wire.AppendFrame(nil, wire.KindDigestFull, counting.AppendBinary(nil), 0)
 	for name, answer := range map[string]func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte){
 		"status-500": func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 			return wire.PeerHeader{Status: http.StatusInternalServerError}, []byte("digest rebuild failed")
 		},
-		"unframed-body": func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
+		"bloom-body": func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 			return wire.PeerHeader{Status: http.StatusOK}, bareBody
+		},
+		"framed-body": func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
+			return wire.PeerHeader{Status: http.StatusOK}, framedBody
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -315,16 +311,15 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := own.MarshalBinary()
+	snapshot, err := own.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := wire.AppendFrame(nil, wire.KindDigestFull, payload, 0)
 	n := newMetaNode(t, NodeConfig{Name: "parallel-pull", UseDigests: true})
 	for i := 0; i < 4; i++ {
 		srv := newStubPeer(t, func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 			time.Sleep(delay)
-			return wire.PeerHeader{Status: http.StatusOK}, frame
+			return wire.PeerHeader{Status: http.StatusOK}, snapshot
 		})
 		n.AddPeer(srv.URL)
 	}

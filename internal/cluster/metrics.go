@@ -89,7 +89,7 @@ type Stats struct {
 	OversizeRejects int64 `json:"oversizeRejects"`
 	// DigestServesFull / DigestServesDelta split digest serves by
 	// transfer mode, and DigestServeBytesFull / DigestServeBytesDelta
-	// count the frame bytes each mode shipped — the delta-proportional
+	// count the body bytes each mode shipped — the delta-proportional
 	// metadata claim is the ratio of these.
 	DigestServesFull      int64 `json:"digestServesFull"`
 	DigestServesDelta     int64 `json:"digestServesDelta"`
@@ -102,7 +102,7 @@ type Stats struct {
 	DigestCursorLost int64 `json:"digestCursorLost"`
 	DigestRebuilds   int64 `json:"digestRebuilds"`
 	DigestDeltaOps   int64 `json:"digestDeltaOps"`
-	// WireHintBytes counts framed hint-batch bytes successfully delivered
+	// WireHintBytes counts hint-batch body bytes successfully delivered
 	// to their targets at R = 0. At R > 0 the same bytes land in
 	// WireHintBytesPartitioned instead, so the two wire costs stay
 	// separately comparable.
@@ -217,7 +217,7 @@ func (n *Node) Metrics() *obs.Expo {
 		"Peer digest pulls completed (digest mode).", st.DigestsPulled)
 
 	// Incremental digest plane: serve modes, delta-proportional bytes,
-	// cursor losses, saturation rebuilds, and framed hint-batch wire bytes
+	// cursor losses, saturation rebuilds, and hint-batch wire bytes
 	// (see DESIGN.md §13).
 	e.Counter("beyondcache_digest_serves_total",
 		"Digest pulls served, by transfer mode.",
@@ -225,7 +225,7 @@ func (n *Node) Metrics() *obs.Expo {
 	e.Counter("beyondcache_digest_serves_total", "",
 		st.DigestServesDelta, obs.L("mode", "delta"))
 	e.Counter("beyondcache_digest_serve_bytes_total",
-		"Frame bytes shipped by digest serves, by transfer mode.",
+		"Body bytes shipped by digest serves, by transfer mode.",
 		st.DigestServeBytesFull, obs.L("mode", "full"))
 	e.Counter("beyondcache_digest_serve_bytes_total", "",
 		st.DigestServeBytesDelta, obs.L("mode", "delta"))
@@ -239,7 +239,7 @@ func (n *Node) Metrics() *obs.Expo {
 		"Membership ops applied from pulled digest deltas.",
 		st.DigestDeltaOps)
 	e.Counter("beyondcache_hint_wire_bytes_total",
-		"Framed hint-batch bytes successfully delivered to their targets, by owner-set size: mode=broadcast is R = 0 (every member an owner), mode=partitioned R > 0.",
+		"Hint-batch body bytes successfully delivered to their targets, by owner-set size: mode=broadcast is R = 0 (every member an owner), mode=partitioned R > 0.",
 		st.WireHintBytes, obs.L("mode", "broadcast"))
 	e.Counter("beyondcache_hint_wire_bytes_total", "",
 		st.WireHintBytesPartitioned, obs.L("mode", "partitioned"))

@@ -3,7 +3,7 @@
 // HTTP over TCP to clients and the origin and a framed protocol to each
 // other (peer.go), keep 16-byte location-hint records in a set-associative
 // table, exchange batched 20-byte hint updates (4-byte action, 8-byte object
-// hash, 8-byte machine ID) as periodic hint frames, and serve each other's
+// hash, 8-byte machine ID) as periodic hint calls, and serve each other's
 // misses with direct cache-to-cache transfers. A miss whose hint turns out stale
 // gets an error from the peer and falls through to the origin server — the
 // false-positive path of Section 3.1.1.

@@ -139,7 +139,7 @@ func TestOwnershipFilterRejectsForeignRecords(t *testing.T) {
 			break
 		}
 	}
-	body := hintFrame(hintcache.Update{Action: hintcache.ActionInform, URLHash: h, Machine: f.Nodes[1].machineID})
+	body := hintBatch(hintcache.Update{Action: hintcache.ActionInform, URLHash: h, Machine: f.Nodes[1].machineID})
 	if r := dialTestPeer(t, n.URL()).mustCall(wire.PeerHeader{Op: wire.PeerHints}, body); r.Status != http.StatusNoContent {
 		t.Fatalf("hint batch = %d, want 204", r.Status)
 	}

@@ -125,10 +125,10 @@ type peerReply struct {
 
 // call writes one call on a leased connection, under the next ID, and reads
 // its answer. An answer that is not this call's — another ID or op, a
-// request, a body past what its op allows (none; a digest frame; for an
-// object, or a holder answer serving the home's own copy, any length,
-// readSized bounding what the length alone can allocate) — fails the call,
-// and the connection with it.
+// request, a body past what its op allows (none; a digest up to
+// digestBodyLimit; for an object, or a holder answer serving the home's own
+// copy, any length, readSized bounding what the length alone can allocate) —
+// fails the call, and the connection with it.
 func (uc *upConn) call(h wire.PeerHeader, body []byte) (peerReply, error) {
 	uc.calls++
 	h.ID = uc.calls
@@ -285,9 +285,7 @@ func (n *Node) servePeer(uc *upConn) {
 		uc.br.Discard(wire.PeerHeaderSize)
 		limit := peerRequestLimit
 		if h.Op == wire.PeerHints {
-			// One frame header over the record limit; the record bytes the
-			// frame declares are held to updatesLimit by ingestHints.
-			limit = updatesLimit + wire.HeaderSize
+			limit = updatesLimit
 		}
 		if h.Len > limit {
 			// Refused unread, so the stream cannot be picked up again: an
@@ -406,26 +404,12 @@ func (n *Node) serveCopy(resp *wire.PeerHeader, h wire.PeerHeader, start time.Ti
 	return obj.Version, body, true
 }
 
-// ingestHints applies one hint batch — msg is the call's body, which must
-// be exactly one KindHintBatch frame, sender and stampNs its fixed fields —
-// and returns the status to answer with (413 for oversize, 400 for
-// anything else undecodable).
+// ingestHints applies one hint batch — msg is the call's body, its 20-byte
+// records, sender and stampNs its fixed fields — and returns the status to
+// answer with (400 for a body that is not whole records of known actions;
+// servePeer has already held it to updatesLimit).
 func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
-	f, rest, err := wire.Decode(msg)
-	if err != nil || len(rest) != 0 || f.Kind != wire.KindHintBatch {
-		return http.StatusBadRequest
-	}
-	// The declared raw length is checked before inflating so a compressed
-	// bomb cannot expand past the limit.
-	if f.RawLen > updatesLimit {
-		atomic.AddInt64(&n.stats.OversizeRejects, 1)
-		return http.StatusRequestEntityTooLarge
-	}
-	records, err := f.Payload(nil)
-	if err != nil {
-		return http.StatusBadRequest
-	}
-	updates, err := hintcache.AppendDecodedUpdates(make([]hintcache.Update, 0, len(records)/hintcache.UpdateSize), records)
+	updates, err := hintcache.AppendDecodedUpdates(make([]hintcache.Update, 0, len(msg)/hintcache.UpdateSize), msg)
 	if err != nil {
 		return http.StatusBadRequest
 	}

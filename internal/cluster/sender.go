@@ -42,11 +42,10 @@ type peerSender struct {
 	mu   sync.Mutex
 	idle chan struct{}
 
-	// scratch, recs and frame belong to the running drain and are reused
-	// from one to the next, so steady-state sending does not allocate per
-	// round.
-	scratch     []hintcache.Update
-	recs, frame []byte
+	// scratch and recs belong to the running drain and are reused from one
+	// to the next, so steady-state sending does not allocate per round.
+	scratch []hintcache.Update
+	recs    []byte
 }
 
 // enqueue folds a batch into the sender's queue (carrying the batch's
@@ -96,9 +95,7 @@ func (s *peerSender) drain(l *hintLocator) {
 		for _, u := range s.scratch {
 			s.recs = hintcache.AppendUpdate(s.recs, u)
 		}
-		// One frame per batch: the records ride raw as a KindHintBatch payload.
-		s.frame = wire.AppendFrame(s.frame[:0], wire.KindHintBatch, s.recs, 0)
-		s.send(l, s.frame, len(s.scratch), stampNs)
+		s.send(l, s.recs, len(s.scratch), stampNs)
 	}
 }
 

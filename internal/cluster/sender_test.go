@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"beyondcache/internal/hintcache"
 	"beyondcache/internal/wire"
 )
 
@@ -32,7 +33,7 @@ func newHeldPeer(t *testing.T) *heldPeer {
 		if req.Op != wire.PeerHints {
 			return wire.PeerHeader{Status: http.StatusNoContent}, nil
 		}
-		us, err := decodeHintBody(body)
+		us, err := hintcache.AppendDecodedUpdates(nil, body)
 		if err != nil {
 			t.Errorf("hint call body: %v", err)
 		}

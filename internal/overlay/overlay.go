@@ -15,7 +15,6 @@ package overlay
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -162,7 +161,7 @@ func (o *Overlay) Join(id uint64, addr string) bool {
 		return false
 	}
 	o.members[id] = addr
-	o.rebuildLocked(plaxton.Node{ID: id, Addr: addr}, 0)
+	o.rebuildLocked()
 	return true
 }
 
@@ -174,47 +173,29 @@ func (o *Overlay) Leave(id uint64) bool {
 		return false
 	}
 	delete(o.members, id)
-	o.rebuildLocked(plaxton.Node{}, id)
+	o.rebuildLocked()
 	return true
 }
 
-// rebuildLocked publishes a new view after a membership change, riding the
-// embedding's incremental Add/Remove path when possible and falling back
-// to a full rebuild (first member, re-join under a new address).
-func (o *Overlay) rebuildLocked(join plaxton.Node, leave uint64) {
+// rebuildLocked publishes a new view after a membership change: the
+// embedding and the replica ring are both built from the sorted member
+// list, so every node that sees the same membership derives the same view.
+func (o *Overlay) rebuildLocked() {
 	o.version++
 	v := &View{replicas: o.replicas, version: o.version}
-	defer o.view.Store(v)
-	if len(o.members) == 0 {
-		return
-	}
-
-	var nw *plaxton.Network
-	var err error
-	if prev := o.view.Load().nw; prev != nil {
-		switch {
-		case join.ID != 0:
-			if _, exists := prev.Index(join.ID); !exists {
-				nw, err = prev.AddNode(join)
-			}
-		case leave != 0:
-			nw, err = prev.RemoveNodeID(leave)
+	if len(o.members) > 0 {
+		v.sorted = make([]uint64, 0, len(o.members))
+		for id := range o.members {
+			v.sorted = append(v.sorted, id)
 		}
-	}
-	if nw == nil || err != nil {
-		nodes := make([]plaxton.Node, 0, len(o.members))
-		for id, addr := range o.members {
-			nodes = append(nodes, plaxton.Node{ID: id, Addr: addr})
+		slices.Sort(v.sorted)
+		nodes := make([]plaxton.Node, len(v.sorted))
+		for i, id := range v.sorted {
+			nodes[i] = plaxton.Node{ID: id, Addr: o.members[id]}
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 		// Cannot fail: IDs are map keys (unique, nonzero) and bits was
 		// validated in New.
-		nw, _ = plaxton.NewHashed(nodes, o.bits)
+		v.nw, _ = plaxton.NewHashed(nodes, o.bits)
 	}
-	v.nw = nw
-	v.sorted = make([]uint64, 0, len(o.members))
-	for id := range o.members {
-		v.sorted = append(v.sorted, id)
-	}
-	sort.Slice(v.sorted, func(i, j int) bool { return v.sorted[i] < v.sorted[j] })
+	o.view.Store(v)
 }

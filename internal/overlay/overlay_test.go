@@ -212,9 +212,8 @@ func TestViewsAgreeAcrossBuildOrder(t *testing.T) {
 	for i := len(ids) - 1; i >= 0; i-- {
 		join(t, b, ids[i])
 	}
-	// Different join orders (and hence different incremental Add chains)
-	// must yield the same owner assignment — that is what lets every node
-	// derive routing locally.
+	// Different join orders must yield the same owner assignment — that is
+	// what lets every node derive routing locally.
 	var abuf, bbuf [MaxReplicas]uint64
 	for i := 0; i < 500; i++ {
 		obj := rng.Uint64()

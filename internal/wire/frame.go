@@ -1,12 +1,11 @@
-// Package wire is the metadata plane's single binary framing: one
-// length-prefixed, append-based frame layout shared by hint
-// batches, digest transfer (full snapshots and cursor deltas), and the load
-// generator's schedule stream — replacing the three ad-hoc encodings those
-// paths grew independently. Encoding appends into caller-supplied buffers
+// Package wire holds two binary framings. The peer-plane header (peer.go) is
+// what cache nodes say to each other: one fixed header per call, the op's
+// bytes bare behind it. The frame codec in this file is a length-prefixed,
+// append-based layout used by the load generator's schedule fingerprint
+// (internal/loadgen) and the bench probe that times the hint-record codec;
+// no cache node decodes one. Encoding appends into caller-supplied buffers
 // (no per-record allocations), and a frame's payload may be flate-
-// compressed per batch through the pooled helpers in flate.go, which also
-// back internal/store's body compression. Between cache nodes a frame rides
-// as the body of a peer-plane call, whose own header is in peer.go.
+// compressed through the pooled helpers in flate.go.
 //
 // Frame layout (all integers little-endian):
 //
@@ -38,13 +37,13 @@ type Kind uint8
 // Frame kinds. The zero value is invalid on the wire.
 const (
 	// KindHintBatch is a batch of 20-byte hint-update records
-	// (hintcache.AppendUpdate encoding), the body of a PeerHints call.
+	// (hintcache.AppendUpdate encoding); a PeerHints body is the same, bare.
 	KindHintBatch Kind = 1
 	// KindDigestFull is a complete counting-filter digest snapshot
-	// (digest.Counting.AppendBinary encoding), the body of a PeerDigest answer.
+	// (digest.Counting.AppendBinary encoding), a PeerDigest 200 body bare.
 	KindDigestFull Kind = 2
 	// KindDigestDelta is an ordered run of digest add/remove ops
-	// (digest.AppendOps encoding), a PeerDigest answer to a cursor still journaled.
+	// (digest.AppendOps encoding), a PeerDigest 206 body bare.
 	KindDigestDelta Kind = 3
 	// KindSchedule is a load-generator schedule (loadgen columnar
 	// encoding).

@@ -36,15 +36,17 @@ import (
 //	        C asker machine ID (0: none)         from a home holding the object itself:
 //	                                             A its own machine ID, C version; body = object
 //	                                             (404 no holder on record)
-//	hints   A sender machine ID, B batch seq,    status only
+//	hints   A sender machine ID, B batch seq,    status only (400 not whole records)
 //	        C oldest-enqueue Unix ns;
-//	        body = one KindHintBatch frame
-//	digest  A journal cursor (0: none)           A snapshot seq, B next cursor, C generated-at
-//	                                             Unix ns; body = one KindDigestFull/Delta frame
+//	        body = the batch's 20-byte records
+//	digest  A journal cursor (0: none)           B next cursor, C generated-at Unix ns;
+//	                                             200: body = the counting filter;
+//	                                             206: body = the journal ops since A
 //	ping    —                                    status only
 //
-// The header's body length is attacker-controlled: a receiver checks Len
-// against the op's limit before reading or allocating anything.
+// A body is the op's bytes and nothing else: Len is the one length a call
+// declares. It is attacker-controlled: a receiver checks Len against the
+// op's limit before reading or allocating anything.
 
 // PeerOp names a peer-plane exchange.
 type PeerOp uint8
