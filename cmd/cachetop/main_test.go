@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"beyondcache/internal/cluster"
-	"beyondcache/internal/faults"
 	"beyondcache/internal/obs"
 )
 
@@ -35,13 +34,7 @@ func TestFleetObservabilitySmoke(t *testing.T) {
 	}
 	defer origin.Close()
 
-	// node-0 gets a prebuilt outbound injector so the test can blackhole
-	// one of its links once peer ports are known.
-	inj, err := faults.New("", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(i int, inj *faults.Injector) *cluster.Node {
+	mk := func(i int) *cluster.Node {
 		n, err := cluster.NewNode(cluster.NodeConfig{
 			Name:           fmt.Sprintf("obs-%d", i),
 			OriginURL:      origin.URL(),
@@ -49,7 +42,6 @@ func TestFleetObservabilitySmoke(t *testing.T) {
 			TraceSample:    1,
 			PeerTimeout:    500 * time.Millisecond,
 			HedgeBudget:    20 * time.Millisecond,
-			Faults:         inj,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -59,11 +51,11 @@ func TestFleetObservabilitySmoke(t *testing.T) {
 		}
 		return n
 	}
-	n0 := mk(0, inj)
+	n0 := mk(0)
 	defer n0.Close()
-	n1 := mk(1, nil)
+	n1 := mk(1)
 	defer n1.Close()
-	n2 := mk(2, nil)
+	n2 := mk(2)
 	defer n2.Close()
 	nodes := []*cluster.Node{n0, n1, n2}
 	for _, a := range nodes {
@@ -76,6 +68,7 @@ func TestFleetObservabilitySmoke(t *testing.T) {
 
 	// Blackhole node-0's link to node-2 only; heal it before the deferred
 	// Closes so node-0's final flush doesn't burn the retry budget.
+	inj := n0.FaultInjector()
 	if err := inj.SetSpec(hostPort(n2.URL()) + ":blackhole"); err != nil {
 		t.Fatal(err)
 	}

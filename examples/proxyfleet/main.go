@@ -25,11 +25,8 @@ func run() error {
 		Nodes:          4,
 		ObjectSize:     8 << 10,
 		UpdateInterval: 50 * time.Millisecond,
-		// A hinted peer gets 20ms to answer before the origin is raced;
-		// the placeholder fault rule (matching nothing) arms each node's
-		// injector so the chaos act below can break links live.
+		// A hinted peer gets 20ms to answer before the origin is raced.
 		HedgeBudget: 20 * time.Millisecond,
-		FaultSpec:   "0.0.0.0:1:latency=0ms",
 	})
 	if err != nil {
 		return err

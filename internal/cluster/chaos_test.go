@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"beyondcache/internal/faults"
 	"beyondcache/internal/resilience"
 )
 
@@ -108,17 +107,8 @@ func TestChaosHedgedMissLatencyBudget(t *testing.T) {
 	const samples = 30
 
 	var peerHost string
-	f := newChaosFleetBreakers(t, 2, noBreaker, func(i int, cfg *NodeConfig) {
+	f := newChaosFleetBreakers(t, 2, noBreaker, func(_ int, cfg *NodeConfig) {
 		cfg.HedgeBudget = budget
-		if i == 0 {
-			// The spec targets node 1's host:port, rewritten below once
-			// the servers exist; start with a placeholder injector.
-			inj, err := faults.New("", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Faults = inj
-		}
 	})
 	f.origin.SetLatency(originLatency)
 
@@ -178,15 +168,8 @@ func TestChaosHedgedMissLatencyBudget(t *testing.T) {
 func TestChaosBreakerOpensAndSkips(t *testing.T) {
 	const cooldown = 200 * time.Millisecond
 	brk := resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: cooldown}
-	f := newChaosFleetBreakers(t, 2, brk, func(i int, cfg *NodeConfig) {
+	f := newChaosFleetBreakers(t, 2, brk, func(_ int, cfg *NodeConfig) {
 		cfg.HedgeBudget = 10 * time.Millisecond
-		if i == 0 {
-			inj, err := faults.New("", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Faults = inj
-		}
 	})
 
 	hinted := urlsN("breaker", 8)
@@ -258,15 +241,8 @@ func TestChaosBreakerOpensAndSkips(t *testing.T) {
 // surface only as outcome taxonomy (REMOTE vs MISS variants), never as
 // client errors.
 func TestChaosFlappingPeerNeverFailsClient(t *testing.T) {
-	f := newChaosFleetBreakers(t, 2, noBreaker, func(i int, cfg *NodeConfig) {
+	f := newChaosFleetBreakers(t, 2, noBreaker, func(_ int, cfg *NodeConfig) {
 		cfg.HedgeBudget = 10 * time.Millisecond
-		if i == 0 {
-			inj, err := faults.New("", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Faults = inj
-		}
 	})
 
 	hinted := urlsN("flap", 30)

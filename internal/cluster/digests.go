@@ -33,12 +33,8 @@ import (
 // locator's mu. publish and delta application take it in write mode; probes
 // and serves take it in read mode.
 
-// digestWorkers bounds one round's concurrent peer digest pulls;
 // digestBitsPerEntry sizes the filters.
-const (
-	digestWorkers      = 4
-	digestBitsPerEntry = 8
-)
+const digestBitsPerEntry = 8
 
 // digestLocator is the digest mechanism. It runs no hint plane: a
 // residency transition touches the own filter and its journal, nothing is
@@ -215,25 +211,17 @@ func (d *digestLocator) digestDelta(since uint64) (ops []byte, head uint64, ok b
 const digestBodyLimit = 8 << 20
 
 // round fetches every peer's digest now, waited or not: the batcher's
-// periodic round has nothing else to do meanwhile. Pulls fan out over a
-// bounded worker pool (digestWorkers), so one round costs roughly the
+// periodic round has nothing else to do meanwhile. Each peer's pull runs on
+// a goroutine of its own, as each hint sender does, so one round costs the
 // slowest peer rather than the sum of all peers, and a sick peer burning
-// its retry budget delays only the worker holding it.
+// its retry budget delays no other pull.
 func (d *digestLocator) round(bool) {
-	peers := d.n.peerList()
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < digestWorkers && w < len(peers); w++ {
+	for _, p := range d.n.peerList() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(peers) {
-					return
-				}
-				d.pullDigest(peers[i])
-			}
+			d.pullDigest(p)
 		}()
 	}
 	wg.Wait()

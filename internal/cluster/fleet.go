@@ -22,7 +22,9 @@ type Fleet struct {
 	Nodes  []*Node
 	client *http.Client
 	nw     network // every node's, the origin's and the client's
-	faults *faults.Injector
+	// spec is the outbound fault spec last given to SetFaultSpec; every
+	// node, a restarted one too, is born holding it.
+	spec string
 	// cfg remembers the boot configuration so RestartNode can rebuild a
 	// node identically (same cache dir, same knobs).
 	cfg FleetConfig
@@ -37,8 +39,6 @@ type FleetConfig struct {
 	Nodes int
 	// CacheBytes per node (<= 0 for the node default).
 	CacheBytes int64
-	// HintEntries per node (<= 0 for the node default).
-	HintEntries int
 	// UpdateInterval between hint batches or digest pulls (<= 0 for 1s).
 	UpdateInterval time.Duration
 	// ObjectSize is the origin's default object size (<= 0 for 8 KB).
@@ -55,16 +55,6 @@ type FleetConfig struct {
 	// HedgeBudget passes through to every node's NodeConfig (see there for
 	// semantics and the default).
 	HedgeBudget time.Duration
-	// FaultSpec applies the same outbound fault spec to every node; node
-	// i's injector is seeded with i, so injected randomness is
-	// deterministic but not lock-stepped across the fleet.
-	FaultSpec string
-	// Faults, when non-nil, shares ONE prebuilt outbound injector across
-	// every node instead of per-node injectors built from FaultSpec. A
-	// shared injector is the live fault plane of the load scenarios: one
-	// SetSpec (see Fleet.SetFaultSpec) breaks or heals targets fleet-wide
-	// mid-run.
-	Faults *faults.Injector
 
 	// CacheDirs gives node i a persistent disk tier rooted at
 	// CacheDirs[i] (see NodeConfig.CacheDir); nodes beyond the slice —
@@ -76,17 +66,12 @@ type FleetConfig struct {
 }
 
 // newNode builds node i from the fleet-wide settings, with an outbound
-// injector of its own from FaultSpec where the fleet shares none.
+// injector of its own that holds the fleet's fault spec. It is seeded with
+// i, so injected randomness is deterministic but not lock-stepped across
+// the fleet.
 func (f *Fleet) newNode(i int) (*Node, error) {
 	cfg := f.cfg
-	name := fmt.Sprintf("node-%d", i)
-	inj := cfg.Faults
-	if inj == nil && cfg.FaultSpec != "" {
-		var err error
-		if inj, err = faults.New(cfg.FaultSpec, int64(i)); err != nil {
-			return nil, fmt.Errorf("cluster: node %q: %w", name, err)
-		}
-	}
+	inj, _ := faults.New(f.spec, int64(i)) // SetFaultSpec parsed the spec
 	var cacheDir string
 	if i < len(cfg.CacheDirs) {
 		cacheDir = cfg.CacheDirs[i]
@@ -102,9 +87,8 @@ func (f *Fleet) newNode(i int) (*Node, error) {
 		CacheDir:       cacheDir,
 		DiskCapacity:   cfg.DiskCapacity,
 		SpillQueue:     cfg.SpillQueue,
-		Name:           name,
+		Name:           fmt.Sprintf("node-%d", i),
 		CacheBytes:     cfg.CacheBytes,
-		HintEntries:    cfg.HintEntries,
 		OriginURL:      f.Origin.URL(),
 		UpdateInterval: cfg.UpdateInterval,
 		UseDigests:     cfg.UseDigests,
@@ -137,9 +121,8 @@ func startFleetOn(cfg FleetConfig, nw network) (*Fleet, error) {
 			MaxIdleConnsPerHost: 32,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		nw:     nw,
-		faults: cfg.Faults,
-		cfg:    cfg,
+		nw:  nw,
+		cfg: cfg,
 	}
 	f.Origin.nw = nw
 	if err := f.Origin.Start("127.0.0.1:0"); err != nil {
@@ -252,26 +235,19 @@ func (f *Fleet) NodeURLs() []string {
 	return urls
 }
 
-// SetFaultSpec re-specs the fleet's live fault plane: the shared injector
-// if the fleet was started with one (FleetConfig.Faults), else every
-// node's own outbound injector. Scenario timelines call this to break and
-// heal targets mid-run; an empty spec heals everything. It errors when no
-// node has an injector to re-spec (the fleet was started without faults).
+// SetFaultSpec re-specs every node's outbound fault injector, and the
+// injector a node RestartNode brings back is born holding the same spec.
+// Scenario timelines call this to break and heal targets mid-run; an empty
+// spec heals everything. A spec that does not parse is an error and changes
+// nothing. It walks f.Nodes, so, like PurgeAll, it is not safe to call while
+// RestartNode swaps a node in.
 func (f *Fleet) SetFaultSpec(spec string) error {
-	if f.faults != nil {
-		return f.faults.SetSpec(spec)
+	if _, err := faults.ParseSpec(spec); err != nil {
+		return err
 	}
-	applied := false
+	f.spec = spec
 	for _, n := range f.Nodes {
-		if inj := n.FaultInjector(); inj != nil {
-			if err := inj.SetSpec(spec); err != nil {
-				return err
-			}
-			applied = true
-		}
-	}
-	if !applied {
-		return fmt.Errorf("cluster: fleet has no fault injector (start it with FleetConfig.Faults or FaultSpec)")
+		n.FaultInjector().SetSpec(spec) // parsed above
 	}
 	return nil
 }

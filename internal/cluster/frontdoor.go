@@ -10,7 +10,6 @@ package cluster
 // response is chunked.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"io"
@@ -51,10 +50,11 @@ type frontDoor struct {
 	lis     net.Listener
 	handler http.Handler
 	// upgrade, if set, is handed a connection that asked for the peer plane
-	// (GET /peer, Upgrade: beyondcache-peer/1) with what was read behind the
-	// request; the door forgets it. The recogniser declines a head with
-	// Upgrade in it, so such a request is always http.ReadRequest's.
-	upgrade      func(net.Conn, *bufio.Reader)
+	// (GET /peer, Upgrade: beyondcache-peer/1), its reader holding what was
+	// read behind the request; the door forgets it. The recogniser declines
+	// a head with Upgrade in it, so such a request is always
+	// http.ReadRequest's.
+	upgrade      func(*upConn)
 	idle, header time.Duration // the timeouts, as they were at the start
 	// quit ends when close begins, and idle connections with it. ctx — every
 	// request's context, which a client going away does not end — ends when
@@ -66,7 +66,7 @@ type frontDoor struct {
 
 // startFrontDoor serves handler on lis until close, handing peer upgrades to
 // upgrade.
-func startFrontDoor(lis net.Listener, handler http.Handler, upgrade func(net.Conn, *bufio.Reader)) *frontDoor {
+func startFrontDoor(lis net.Listener, handler http.Handler, upgrade func(*upConn)) *frontDoor {
 	d := &frontDoor{lis: lis, handler: handler, upgrade: upgrade, idle: doorIdleTimeout, header: doorHeaderTimeout}
 	d.quit, d.begin = context.WithCancel(context.Background())
 	d.ctx, d.finish = context.WithCancel(context.Background())
@@ -91,10 +91,8 @@ func startFrontDoor(lis net.Listener, handler http.Handler, upgrade func(net.Con
 // serve starts a connection's goroutine. The connection is closed under it
 // when quit ends, if idle then (else it sees for itself), and when ctx ends.
 func (d *frontDoor) serve(c net.Conn) {
-	dc := &doorConn{d: d, c: c, hdr: make(http.Header)}
+	dc := &doorConn{d: d, upConn: newUpConn(c), hdr: make(http.Header)}
 	dc.plain.init(d.ctx)
-	dc.lr.R = c
-	dc.br = bufio.NewReaderSize(&dc.lr, 4<<10)
 	idle := context.AfterFunc(d.quit, func() {
 		if !dc.busy.Load() {
 			c.Close()
@@ -121,13 +119,12 @@ func (d *frontDoor) close() {
 	d.finish()
 }
 
-// doorConn is a connection and each request's http.ResponseWriter.
+// doorConn is a connection and each request's http.ResponseWriter. Its
+// upConn meters what br reads off c while a header is being parsed, and is
+// what an upgrade hands the peer plane.
 type doorConn struct {
 	d *frontDoor
-	c net.Conn
-	// lr meters what br reads off c while a header is being parsed.
-	lr    io.LimitedReader
-	br    *bufio.Reader
+	*upConn
 	plain plainHead // the request a recognised head is read into
 	// busy is set from a request's first byte to its answer's last: before
 	// quit is read here, and read after quit ends, so one always sees the other.
@@ -232,7 +229,7 @@ func (dc *doorConn) serve(req *http.Request) (keep bool) {
 		dc.handedOver = true
 		dc.unhook()
 		dc.lr.N = 1 << 62 // no header is being parsed any more; the deadlines are upgrade's to clear
-		dc.d.upgrade(dc.c, dc.br)
+		dc.d.upgrade(dc.upConn)
 		return false
 	}
 	clear(dc.hdr)

@@ -87,10 +87,9 @@ const (
 	// leaves the routing plane within two flush rounds while one unlucky
 	// probe never triggers a re-homing storm.
 	deadAfterFails = 2
-	// pingTimeout bounds one liveness probe; pingFanout bounds how many
-	// run concurrently per membership sync.
+	// pingTimeout bounds one liveness probe; a membership sync runs each
+	// probe on a goroutine of its own.
 	pingTimeout = 300 * time.Millisecond
-	pingFanout  = 8
 )
 
 // membership accumulates per-peer liveness evidence between membership
@@ -172,15 +171,12 @@ func (l *hintLocator) sync() {
 
 	alive := make([]bool, len(probe))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, pingFanout)
 	for i, p := range probe {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p *peer) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
 			alive[i] = n.ping(p)
-		}(i, p)
+		}()
 	}
 	wg.Wait()
 

@@ -303,9 +303,11 @@ func TestDigestPullChecksStatusFirst(t *testing.T) {
 	}
 }
 
-// TestDigestPullsRunConcurrently boots four slow digest peers and checks
-// that one pull round costs roughly the slowest peer, not the sum.
+// TestDigestPullsRunConcurrently boots eight slow digest peers and checks
+// that one pull round costs roughly the slowest peer, not the sum: every
+// peer's pull runs at once, not in waves.
 func TestDigestPullsRunConcurrently(t *testing.T) {
+	const peers = 8
 	const delay = 300 * time.Millisecond
 	own, err := digest.NewCountingForCapacity(64, 8)
 	if err != nil {
@@ -316,7 +318,7 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := newMetaNode(t, NodeConfig{Name: "parallel-pull", UseDigests: true})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < peers; i++ {
 		srv := newStubPeer(t, func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 			time.Sleep(delay)
 			return wire.PeerHeader{Status: http.StatusOK}, snapshot
@@ -328,13 +330,13 @@ func TestDigestPullsRunConcurrently(t *testing.T) {
 	n.Flush()
 	elapsed := time.Since(start)
 
-	if st := n.Stats(); st.DigestsPulled != 4 {
-		t.Errorf("DigestsPulled = %d, want 4", st.DigestsPulled)
+	if st := n.Stats(); st.DigestsPulled != peers {
+		t.Errorf("DigestsPulled = %d, want %d", st.DigestsPulled, peers)
 	}
-	// Serial pulls would cost 4 x delay = 1.2s; allow generous headroom
-	// over one delay for scheduling noise.
-	if elapsed > 3*delay {
-		t.Errorf("the digest round took %v for 4 peers at %v each, want concurrent (< %v)", elapsed, delay, 3*delay)
+	// Serial pulls would cost 8 x delay = 2.4s, and two waves of four
+	// 2 x delay; allow headroom over one delay for scheduling noise.
+	if bound := delay * 3 / 2; elapsed > bound {
+		t.Errorf("the digest round took %v for %d peers at %v each, want all at once (< %v)", elapsed, peers, delay, bound)
 	}
 }
 

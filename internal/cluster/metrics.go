@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"beyondcache/internal/faults"
 	"beyondcache/internal/obs"
 	"beyondcache/internal/resilience"
 	"beyondcache/internal/store"
@@ -345,10 +344,7 @@ func (n *Node) Metrics() *obs.Expo {
 
 	// Injected-fault counters, one series per fault kind; all zero (but
 	// present) when the node runs without a fault spec.
-	var fc faults.Counts
-	if n.inj != nil {
-		fc = n.inj.Counts()
-	}
+	fc := n.inj.Counts()
 	e.Counter("beyondcache_faults_injected_total",
 		"Faults injected into outbound requests by the chaos layer, by kind.",
 		fc.Latency, obs.L("kind", "latency"))

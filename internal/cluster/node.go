@@ -98,9 +98,10 @@ type NodeConfig struct {
 	HedgeBudget time.Duration
 
 	// Faults injects faults (internal/faults) into every outbound call and
-	// origin fetch; nil means none. InboundFaults injects them on the
+	// origin fetch; nil gives the node an empty injector of its own, which
+	// injects nothing until re-specced. InboundFaults injects them on the
 	// serving side instead: this node misbehaving as seen by its clients
-	// and peers (rules match the node's own label).
+	// and peers (rules match the node's own label); nil means none.
 	Faults        *faults.Injector
 	InboundFaults *faults.Injector
 
@@ -184,8 +185,8 @@ type Node struct {
 
 	// breakerCfg shapes the breaker AddPeer gives each peer (the zero value
 	// is resilience's defaults; tests tighten it before AddPeer); backoff
-	// paces metadata-path retries; inj is the outbound fault injector (nil
-	// without chaos). The per-hop budgets are cfg's, resolved in NewNode.
+	// paces metadata-path retries; inj is the outbound fault injector. The
+	// per-hop budgets are cfg's, resolved in NewNode.
 	breakerCfg resilience.BreakerConfig
 	backoff    *resilience.Backoff
 	inj        *faults.Injector
@@ -245,6 +246,9 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	}
 	if cfg.HedgeBudget <= 0 {
 		cfg.HedgeBudget = 50 * time.Millisecond
+	}
+	if cfg.Faults == nil {
+		cfg.Faults, _ = faults.New("", 0) // an empty spec always parses
 	}
 	n := &Node{
 		cfg: cfg,
@@ -460,9 +464,8 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// FaultInjector returns the node's outbound fault injector, or nil when
-// the node runs without chaos. Tests and demos use it to break and heal
-// targets mid-run (Injector.SetSpec).
+// FaultInjector returns the node's outbound fault injector. Tests and demos
+// use it to break and heal targets mid-run (Injector.SetSpec).
 func (n *Node) FaultInjector() *faults.Injector { return n.inj }
 
 // batchLoop runs the locator's periodic metadata round, with a randomized

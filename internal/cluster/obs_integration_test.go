@@ -580,7 +580,7 @@ func TestConfigSurfaceOnlyShrinks(t *testing.T) {
 		want int
 	}{
 		{NodeConfig{}, 17},
-		{FleetConfig{}, 14},
+		{FleetConfig{}, 11},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		if got := typ.NumField(); got != c.want {

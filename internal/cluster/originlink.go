@@ -308,14 +308,12 @@ func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err erro
 		}
 	}()
 	start := time.Now()
-	if n.inj != nil {
-		code, err := n.inj.Decide(n.origin.host).Apply(ctx, n.origin.host)
-		if err == nil && code > 0 {
-			err = fmt.Errorf("status %d", code)
-		}
-		if err != nil {
-			return fetched{}, err
-		}
+	code, err := n.inj.Decide(n.origin.host).Apply(ctx, n.origin.host)
+	if err == nil && code > 0 {
+		err = fmt.Errorf("status %d", code)
+	}
+	if err != nil {
+		return fetched{}, err
 	}
 	var f fetched
 	var hop string

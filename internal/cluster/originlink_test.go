@@ -337,11 +337,8 @@ func TestOriginFaultsArePerFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { origin.Close() })
-	inj, err := faults.New("", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newMetaNode(t, NodeConfig{Name: "faulted", OriginURL: origin.URL(), OriginTimeout: timeout, Faults: inj})
+	n := newMetaNode(t, NodeConfig{Name: "faulted", OriginURL: origin.URL(), OriginTimeout: timeout})
+	inj := n.FaultInjector()
 	fetch := func(i int) (time.Duration, error) {
 		start := time.Now()
 		_, err := n.fetchOrigin(context.Background(), fmt.Sprintf("http://example.com/fault/%d", i))

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/obs"
 	"beyondcache/internal/overlay"
@@ -343,12 +342,7 @@ func TestPeerStillFillingIsNotDemoted(t *testing.T) {
 // the home that answered (which keeps its HINT-HOME hop and a healthy
 // breaker).
 func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
-	inj, err := faults.New("", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := startPartFleet(t, 8, func(cfg *FleetConfig) {
-		cfg.Faults = inj
 		cfg.HedgeBudget = 20 * time.Millisecond
 	})
 	holder, fetcher := f.Nodes[0], f.Nodes[1]

@@ -10,7 +10,6 @@ package cluster
 // retries and fault injection stay per call, above this file.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -177,11 +176,8 @@ func (uc *upConn) writeFrame(h wire.PeerHeader, body []byte) error {
 // outbound fault decision is drawn once per call and touches only this call.
 // A nil error means the peer answered; the status is the caller's to judge.
 func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte) (r peerReply, err error) {
-	if n.inj != nil {
-		code, err := n.inj.Decide(p.host).Apply(ctx, p.host)
-		if err != nil || code > 0 {
-			return peerReply{PeerHeader: wire.PeerHeader{Status: uint16(code)}}, err
-		}
+	if code, err := n.inj.Decide(p.host).Apply(ctx, p.host); err != nil || code > 0 {
+		return peerReply{PeerHeader: wire.PeerHeader{Status: uint16(code)}}, err
 	}
 	err = p.link.do(ctx, func(uc *upConn) (bool, error) {
 		var err error
@@ -253,18 +249,18 @@ func (n *Node) handlePeer(w http.ResponseWriter, _ *http.Request) {
 	http.Error(w, "peer plane: upgrade required", http.StatusUpgradeRequired)
 }
 
-// acceptPeer takes a connection the front door read a GET /peer upgrade on,
-// with br holding whatever the peer sent behind it: it answers 101 with this
-// node's label and serves the connection's calls until either side closes
-// it. Faults are drawn per call, so the handshake is not judged.
-func (n *Node) acceptPeer(c net.Conn, br *bufio.Reader) {
-	c.SetDeadline(time.Now().Add(peerWriteTimeout))
-	if _, err := io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n"+headerPeerLabel+": "+n.label()+"\r\n\r\n"); err != nil {
-		c.Close()
+// acceptPeer takes the connection the front door read a GET /peer upgrade
+// on, its reader holding whatever the peer sent behind it: it answers 101
+// with this node's label and serves the connection's calls until either side
+// closes it. Faults are drawn per call, so the handshake is not judged.
+func (n *Node) acceptPeer(uc *upConn) {
+	uc.c.SetDeadline(time.Now().Add(peerWriteTimeout))
+	if _, err := io.WriteString(uc.c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+peerProto+"\r\n"+headerPeerLabel+": "+n.label()+"\r\n\r\n"); err != nil {
+		uc.c.Close()
 		return
 	}
-	c.SetDeadline(time.Time{})
-	n.plane.add(&upConn{c: c, br: br}, n.servePeer)
+	uc.c.SetDeadline(time.Time{})
+	n.plane.add(uc, n.servePeer)
 }
 
 // servePeer is an accepted connection's loop. It reads one call, plays out

@@ -228,11 +228,8 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := newMetaNode(t, NodeConfig{Name: "target", InboundFaults: in})
-	inj, err := faults.New("", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newMetaNode(t, NodeConfig{Name: "caller", Faults: inj})
+	n := newMetaNode(t, NodeConfig{Name: "caller"})
+	inj := n.FaultInjector()
 	host := hostPortOf(target.URL())
 	ping := func() (peerReply, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -153,7 +153,7 @@ func TestPeerTableConcurrent(t *testing.T) {
 			if len(n.plane.conns) != 0 {
 				t.Errorf("%d peer connections outlived Close", len(n.plane.conns))
 			}
-			conns, sent := 0, int64(0)
+			conns := 0
 			for _, p := range n.peerList() {
 				for _, uc := range p.link.idle {
 					conns++
@@ -164,9 +164,8 @@ func TestPeerTableConcurrent(t *testing.T) {
 				if draining(p) {
 					t.Errorf("sender to %s has a drain running after Close", p.host)
 				}
-				sent += p.sender.batchSeq.Load()
 			}
-			if conns == 0 || (sent == 0) != cfg.UseDigests {
+			if sent := n.Stats().BatchesSent; conns == 0 || (sent == 0) != cfg.UseDigests {
 				t.Errorf("%d connections dialed and %d batches sent, want some of each (no batch under digests: nothing is pushed)", conns, sent)
 			}
 		})

@@ -32,9 +32,6 @@ type peerSender struct {
 	// dropped counts records this sender's queue bound discarded; depth
 	// and drops surface per peer in /metrics.
 	dropped atomic.Int64
-	// batchSeq numbers the batches actually sent to this target; it rides
-	// the hint call's stamp so the receiver can see delivery gaps.
-	batchSeq atomic.Int64
 
 	// mu guards idle: nil while no drain runs, else the channel the running
 	// drain closes on its way out. The drain empties q under mu, so a share
@@ -107,9 +104,6 @@ func (s *peerSender) send(l *hintLocator, body []byte, records int, stampNs int6
 	n := l.n
 	start := time.Now()
 	h := wire.PeerHeader{Op: wire.PeerHints, A: n.machineID, C: uint64(stampNs)}
-	if stampNs > 0 {
-		h.B = uint64(s.batchSeq.Add(1))
-	}
 	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()

@@ -118,8 +118,9 @@ func (a memAddr) String() string  { return string(a) }
 // TestSimFleet boots three nodes in a bubble, fills an object at one and
 // fetches it from another, then lets an hour of fake time pass — every idle
 // connection the origin and the front doors keep is closed under the fleet by
-// their idle timeouts — and fetches again before closing the fleet. For hints
-// at R = 0 and R = 2, and for digests.
+// their idle timeouts — and fetches again. Last it partitions the one node
+// holding an object, so a fetch elsewhere falls back to the origin, and heals
+// it before closing the fleet. For hints at R = 0 and R = 2, and for digests.
 func TestSimFleet(t *testing.T) {
 	for name, cfg := range map[string]FleetConfig{
 		"R=0":         {},
@@ -158,11 +159,31 @@ func TestSimFleet(t *testing.T) {
 				}
 				// The node's pooled origin connection is stale by now: the
 				// miss finds it out and redials once.
-				if fetch(2, a, "REMOTE") && fetch(1, a, "LOCAL") && fetch(0, b, "MISS") {
-					if got := f.Origin.Fetches(); got != 2 {
-						t.Errorf("the origin served %d fetches, want 2", got)
-					}
+				if !fetch(2, a, "REMOTE") || !fetch(1, a, "LOCAL") || !fetch(0, b, "MISS") {
+					return
 				}
+				if got := f.Origin.Fetches(); got != 2 {
+					t.Errorf("the origin served %d fetches, want 2", got)
+				}
+
+				// Only node 0 holds b. Partitioned, it fails node 2's call,
+				// and the origin serves the fetch; healed, it serves node 1.
+				f.FlushAll()
+				if err := f.SetFaultSpec(hostPortOf(f.Nodes[0].URL()) + ":partition"); err != nil {
+					t.Error(err)
+					return
+				}
+				if res, err := f.Fetch(2, b); err != nil || !res.Miss() {
+					t.Errorf("node 2 fetch %s under the partition = %q, %v; want a MISS", b, res.How, err)
+				}
+				if got := f.Nodes[2].FaultInjector().Counts().Drops; got == 0 {
+					t.Error("node 2's injector dropped no call under the partition")
+				}
+				if err := f.SetFaultSpec(""); err != nil {
+					t.Error(err)
+					return
+				}
+				fetch(1, b, "REMOTE")
 			})
 		})
 	}

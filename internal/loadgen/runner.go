@@ -83,10 +83,6 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 	var fleet *cluster.Fleet
 	targets := opt.Targets
 	if len(targets) == 0 {
-		inj, err := faults.New("", sc.Seed)
-		if err != nil {
-			return nil, err
-		}
 		interval := sc.UpdateInterval
 		if interval == 0 {
 			interval = 100 * time.Millisecond
@@ -105,12 +101,10 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 		fleet, err = cluster.StartFleet(cluster.FleetConfig{
 			Nodes:          sc.Nodes,
 			CacheBytes:     sc.CacheBytes,
-			HintEntries:    sc.HintEntries,
 			UpdateInterval: interval,
 			HedgeBudget:    sc.HedgeBudget,
 			HintPartition:  sc.HintPartition > 0,
 			HintReplicas:   sc.HintPartition,
-			Faults:         inj,
 			CacheDirs:      cacheDirs,
 		})
 		if err != nil {

@@ -163,9 +163,8 @@ type Scenario struct {
 	HedgeBudget time.Duration
 	// UpdateInterval is the fleet's metadata exchange interval (0 = 100ms).
 	UpdateInterval time.Duration
-	// CacheBytes and HintEntries bound each node (0 = node defaults).
-	CacheBytes  int64
-	HintEntries int
+	// CacheBytes bounds each node (0 = the node default).
+	CacheBytes int64
 	// HintPartition > 0 switches the fleet to the partitioned hint
 	// directory (Plaxton-routed hint homes, DESIGN.md §14) with an
 	// owner-set size of HintPartition replicas per object; 0 keeps the
@@ -297,8 +296,6 @@ func Parse(text string) (*Scenario, error) {
 			if err = oneInt(args, &v); err == nil {
 				sc.CacheBytes = int64(v)
 			}
-		case "hint-entries":
-			err = oneInt(args, &sc.HintEntries)
 		case "hint-partition":
 			err = oneInt(args, &sc.HintPartition)
 		case "disk-tier":
@@ -539,7 +536,7 @@ func (s *Scenario) Validate() error {
 	if s.Nodes <= 0 {
 		return fmt.Errorf("loadgen: %s: nodes must be positive", s.Name)
 	}
-	if s.Workers < 0 || s.Requests < 0 || s.Warmup < 0 || s.HintEntries < 0 || s.CacheBytes < 0 {
+	if s.Workers < 0 || s.Requests < 0 || s.Warmup < 0 || s.CacheBytes < 0 {
 		return fmt.Errorf("loadgen: %s: negative counts", s.Name)
 	}
 	if s.OriginLatency < 0 || s.UpdateInterval < 0 || s.Duration < 0 {
@@ -701,9 +698,6 @@ func (s *Scenario) Format() string {
 	}
 	if s.CacheBytes != 0 {
 		line("cache-bytes", strconv.FormatInt(s.CacheBytes, 10))
-	}
-	if s.HintEntries != 0 {
-		line("hint-entries", strconv.Itoa(s.HintEntries))
 	}
 	if s.HintPartition != 0 {
 		line("hint-partition", strconv.Itoa(s.HintPartition))

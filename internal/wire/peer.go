@@ -36,7 +36,7 @@ import (
 //	        C asker machine ID (0: none)         from a home holding the object itself:
 //	                                             A its own machine ID, C version; body = object
 //	                                             (404 no holder on record)
-//	hints   A sender machine ID, B batch seq,    status only (400 not whole records)
+//	hints   A sender machine ID, B unused,       status only (400 not whole records)
 //	        C oldest-enqueue Unix ns;
 //	        body = the batch's 20-byte records
 //	digest  A journal cursor (0: none)           B next cursor, C generated-at Unix ns;
