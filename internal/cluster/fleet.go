@@ -20,6 +20,10 @@ import (
 type Fleet struct {
 	Origin *Origin
 	Nodes  []*Node
+	// urls holds each slot's base URL, fixed at boot: RestartNode rebinds
+	// a slot's own address, so Fetch, Purge and NodeURLs read it without
+	// racing the restart's write to Nodes.
+	urls   []string
 	client *http.Client
 	nw     network // every node's, the origin's and the client's
 	// spec is the outbound fault spec last given to SetFaultSpec; every
@@ -139,12 +143,13 @@ func startFleetOn(cfg FleetConfig, nw network) (*Fleet, error) {
 			f.Close()
 			return nil, err
 		}
+		f.urls = append(f.urls, n.URL())
 	}
 	// Full mesh.
-	for _, a := range f.Nodes {
-		for _, b := range f.Nodes {
-			if a != b {
-				a.AddPeer(b.URL())
+	for i, n := range f.Nodes {
+		for j, u := range f.urls {
+			if i != j {
+				n.AddPeer(u)
 			}
 		}
 	}
@@ -176,9 +181,9 @@ func (f *Fleet) RestartNode(i int) error {
 	}
 	// Peers first: Start begins the boot recovery, and its republish round
 	// goes to the peers known when it ends — lost, if the scan beat the mesh.
-	for j, p := range f.Nodes {
+	for j, u := range f.urls {
 		if j != i {
-			n.AddPeer(p.URL())
+			n.AddPeer(u)
 		}
 	}
 	// The old listener just closed; give the kernel a few tries to hand
@@ -227,13 +232,7 @@ func (f *Fleet) Alive(i int) bool {
 }
 
 // NodeURLs returns every node's base URL, in node order.
-func (f *Fleet) NodeURLs() []string {
-	urls := make([]string, len(f.Nodes))
-	for i, n := range f.Nodes {
-		urls[i] = n.URL()
-	}
-	return urls
-}
+func (f *Fleet) NodeURLs() []string { return append([]string(nil), f.urls...) }
 
 // SetFaultSpec re-specs every node's outbound fault injector, and the
 // injector a node RestartNode brings back is born holding the same spec.
@@ -339,13 +338,13 @@ func (r FetchResult) StaleHint() bool { return strings.HasSuffix(r.How, "STALE-H
 
 // Fetch asks node i of the fleet for a URL.
 func (f *Fleet) Fetch(i int, url string) (FetchResult, error) {
-	return FetchFrom(f.client, f.Nodes[i].URL(), url)
+	return FetchFrom(f.client, f.urls[i], url)
 }
 
 // Purge drops node i's copy of a URL (404 from the node is reported as an
 // error).
 func (f *Fleet) Purge(i int, url string) error {
-	resp, err := f.client.Post(f.Nodes[i].URL()+"/purge?url="+neturl.QueryEscape(url), "", nil)
+	resp, err := f.client.Post(f.urls[i]+"/purge?url="+neturl.QueryEscape(url), "", nil)
 	if err != nil {
 		return fmt.Errorf("purge: %w", err)
 	}

@@ -311,3 +311,36 @@ func TestRestartNodeFailedStartReleasesNode(t *testing.T) {
 		t.Errorf("recovered %d objects from the reopened directory, want %d", got, onDisk)
 	}
 }
+
+// TestFleetFetchDuringRestart: load keeps flowing at a slot while
+// RestartNode swaps its node, as a scenario's restart event does. The
+// fetches read the slot's URL, not the node RestartNode replaces, so -race
+// sees no conflict; those that land in the down window may fail, and once
+// the restarts are over a fetch succeeds.
+func TestFleetFetchDuringRestart(t *testing.T) {
+	f := startFleet(t, 2, FleetConfig{ObjectSize: 256})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f.Fetch(0, fmt.Sprintf("http://example.com/during-restart/%d", i%8))
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		if err := f.RestartNode(0); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	<-done
+	if _, err := f.Fetch(0, "http://example.com/during-restart/last"); err != nil {
+		t.Fatalf("fetch after the restarts: %v", err)
+	}
+}

@@ -3,39 +3,27 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	neturl "net/url"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"beyondcache/internal/cluster"
 	"beyondcache/internal/obs"
 )
 
 // DriverConfig parameterizes an open-loop run.
 type DriverConfig struct {
-	// Targets are the node base URLs; request i goes to
-	// Targets[Clients[i] % len(Targets)], the same client→node mapping the
-	// simulators and Fleet.Replay use.
-	Targets []string
-	// Workers bounds concurrent in-flight requests (<= 0 means 64). The
-	// driver stays open-loop regardless: latency is measured from each
-	// request's INTENDED arrival time, so when every worker is wedged
-	// behind a stalled server, the queueing delay of the requests that
-	// could not be issued on time still lands in the recorded latencies —
-	// a closed-loop driver would silently omit it (coordinated omission).
-	Workers int
-	// Client issues the requests (nil builds a tuned loopback client).
-	Client *http.Client
+	// Nodes is the fleet size; request i goes to node Clients[i] % Nodes,
+	// the same client→node mapping the simulators and Fleet.Replay use.
+	Nodes int
+	// Fetch asks one node for a URL (the runner passes Fleet.Fetch). An
+	// error counts the request as failed.
+	Fetch func(node int, url string) (cluster.FetchResult, error)
 	// NumPhases sizes the per-phase result slots (<= 0 derives it from
 	// the schedule's max phase index).
 	NumPhases int
 	// AdvanceVersion, when non-nil, is invoked before issuing a request
 	// whose scheduled version exceeds anything yet seen for its object —
-	// exactly once per (object, version) step, serialized per object. The
+	// exactly once per (object, version) step, in schedule order. The
 	// runner uses it to bump the origin and purge stale copies (the
 	// strong-consistency validation mode).
 	AdvanceVersion func(url string, from, to int64)
@@ -77,120 +65,56 @@ type Result struct {
 	Phases  []PhaseResult
 }
 
-// workerStats is one worker's private accumulation — no sharing on the
-// request path; merged (via obs.Histogram.Merge) when the run ends.
-type workerStats struct {
-	phases []PhaseResult
-	hists  []*obs.Histogram
+// outcome is one request's record: its latency from intended arrival and
+// what the fetch returned.
+type outcome struct {
+	lat time.Duration
+	res cluster.FetchResult
+	err error
 }
 
-func newWorkerStats(numPhases int) *workerStats {
-	w := &workerStats{
-		phases: make([]PhaseResult, numPhases),
-		hists:  make([]*obs.Histogram, numPhases),
-	}
-	for i := range w.hists {
-		w.hists[i] = obs.NewHistogram(nil)
-	}
-	return w
-}
-
-// versionGate serializes origin version advances per object.
-type versionGate struct {
-	mu   sync.Mutex
-	seen map[uint64]int64
-}
-
-// advance reports the version step to apply for obj (from, to) and records
-// it, or ok=false when another request already advanced past v.
-func (g *versionGate) advance(obj uint64, v int64) (from int64, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cur := g.seen[obj]
-	if v <= cur {
-		return 0, false
-	}
-	g.seen[obj] = v
-	return cur, true
-}
-
-// newLoadClient builds the driver's HTTP client: a deep idle pool per
-// target (every worker hammers the same few hosts) and generous timeouts —
-// the scenario bounds judge latency, the driver just measures it.
-func newLoadClient() *http.Client {
-	return &http.Client{
-		Timeout: 30 * time.Second,
-		Transport: &http.Transport{
-			DialContext: (&net.Dialer{
-				Timeout:   2 * time.Second,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			MaxIdleConns:        512,
-			MaxIdleConnsPerHost: 128,
-			IdleConnTimeout:     90 * time.Second,
-		},
-	}
-}
-
-// RunSchedule replays the schedule open-loop. It returns when every
-// scheduled request has completed (or errored), or with ctx's error if the
-// context ends first.
+// RunSchedule replays the schedule open-loop. One dispatcher sleeps to
+// each request's intended arrival and hands the fetch to a goroutine of its
+// own; it never waits for a response, so a stalled node cannot delay the
+// sends behind it, and every latency runs from the intended arrival — a
+// closed-loop driver would silently omit the queueing delay of requests it
+// could not issue on time (coordinated omission). RunSchedule returns when
+// every scheduled request has completed (or errored), or with ctx's error
+// if the context ends first.
 func RunSchedule(ctx context.Context, sched *Schedule, cfg DriverConfig) (*Result, error) {
-	if len(cfg.Targets) == 0 {
-		return nil, fmt.Errorf("loadgen: driver needs at least one target")
+	if cfg.Nodes < 1 || cfg.Fetch == nil {
+		return nil, fmt.Errorf("loadgen: driver needs at least one node and a fetch function")
 	}
 	if sched.Len() == 0 {
 		return nil, fmt.Errorf("loadgen: empty schedule")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 64
-	}
-	if workers > sched.Len() {
-		workers = sched.Len()
-	}
 	numPhases := cfg.NumPhases
 	if numPhases <= 0 {
 		for _, p := range sched.Phases {
-			if int(p)+1 > numPhases {
-				numPhases = int(p) + 1
-			}
+			numPhases = max(numPhases, int(p)+1)
 		}
 	}
-	client := cfg.Client
-	if client == nil {
-		client = newLoadClient()
-	}
-	gate := &versionGate{seen: make(map[uint64]int64)}
 
-	var next atomic.Int64
-	stats := make([]*workerStats, workers)
+	out := make([]outcome, sched.Len())
+	seen := make(map[uint64]int64) // each object's highest version so far
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ws := newWorkerStats(numPhases)
-		stats[w] = ws
+	for i := 0; i < sched.Len(); i++ {
+		if !sleepTo(ctx, start, sched.Offsets[i]) {
+			break
+		}
+		intended := start.Add(sched.Offsets[i])
+		url := sched.URL(i)
+		if v := sched.Versions[i]; cfg.AdvanceVersion != nil && v > seen[sched.Objects[i]] {
+			cfg.AdvanceVersion(url, seen[sched.Objects[i]], v)
+			seen[sched.Objects[i]] = v
+		}
+		node := int(sched.Clients[i]) % cfg.Nodes
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= sched.Len() {
-					return
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				intended := start.Add(sched.Offsets[i])
-				if d := time.Until(intended); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-						return
-					}
-				}
-				issueOne(ctx, client, cfg, gate, sched, i, intended, ws)
-			}
+			res, err := cfg.Fetch(node, url)
+			out[i] = outcome{lat: time.Since(intended), res: res, err: err}
 		}()
 	}
 	wg.Wait()
@@ -199,34 +123,35 @@ func RunSchedule(ctx context.Context, sched *Schedule, cfg DriverConfig) (*Resul
 	}
 
 	res := &Result{Wall: time.Since(start), Phases: make([]PhaseResult, numPhases)}
-	overallHist := obs.NewHistogram(nil)
-	phaseHists := make([]*obs.Histogram, numPhases)
-	for i := range phaseHists {
-		phaseHists[i] = obs.NewHistogram(nil)
+	overall := obs.NewHistogram(nil)
+	hists := make([]*obs.Histogram, numPhases)
+	for pi := range hists {
+		hists[pi] = obs.NewHistogram(nil)
 	}
-	for _, ws := range stats {
-		for pi := range ws.phases {
-			p := &res.Phases[pi]
-			q := ws.phases[pi]
-			p.Requests += q.Requests
-			p.Errors += q.Errors
-			p.Local += q.Local
-			p.Remote += q.Remote
-			p.Miss += q.Miss
-			p.Bytes += q.Bytes
-			snap := ws.hists[pi].Snapshot()
-			if err := phaseHists[pi].Merge(snap); err != nil {
-				return nil, err
-			}
-			if err := overallHist.Merge(snap); err != nil {
-				return nil, err
-			}
+	for i, o := range out {
+		pi := int(sched.Phases[i])
+		p := &res.Phases[pi]
+		p.Requests++
+		hists[pi].Observe(o.lat)
+		overall.Observe(o.lat)
+		if o.err != nil {
+			p.Errors++
+			continue
+		}
+		p.Bytes += o.res.Bytes
+		switch {
+		case o.res.Local():
+			p.Local++
+		case o.res.Remote():
+			p.Remote++
+		default:
+			p.Miss++
 		}
 	}
+	o := &res.Overall
 	for pi := range res.Phases {
-		res.Phases[pi].Hist = phaseHists[pi].Snapshot()
-		o := &res.Overall
-		p := res.Phases[pi]
+		p := &res.Phases[pi]
+		p.Hist = hists[pi].Snapshot()
 		o.Requests += p.Requests
 		o.Errors += p.Errors
 		o.Local += p.Local
@@ -234,54 +159,18 @@ func RunSchedule(ctx context.Context, sched *Schedule, cfg DriverConfig) (*Resul
 		o.Miss += p.Miss
 		o.Bytes += p.Bytes
 	}
-	res.Overall.Hist = overallHist.Snapshot()
+	o.Hist = overall.Snapshot()
 	return res, nil
 }
 
-// issueOne sends request i and records its outcome into ws. The recorded
-// latency runs from the request's intended arrival, not from the moment a
-// worker got around to issuing it.
-func issueOne(ctx context.Context, client *http.Client, cfg DriverConfig, gate *versionGate, sched *Schedule, i int, intended time.Time, ws *workerStats) {
-	pi := int(sched.Phases[i])
-	p := &ws.phases[pi]
-	p.Requests++
-
-	url := sched.URL(i)
-	if cfg.AdvanceVersion != nil && sched.Versions[i] > 0 {
-		if from, ok := gate.advance(sched.Objects[i], sched.Versions[i]); ok {
-			cfg.AdvanceVersion(url, from, sched.Versions[i])
+// sleepTo sleeps until offset at from start, and reports whether ctx is
+// still live.
+func sleepTo(ctx context.Context, start time.Time, at time.Duration) bool {
+	if d := at - time.Since(start); d > 0 {
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
 		}
 	}
-	target := cfg.Targets[int(sched.Clients[i])%len(cfg.Targets)]
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		target+"/fetch?url="+neturl.QueryEscape(url), nil)
-	if err != nil {
-		p.Errors++
-		ws.hists[pi].Observe(time.Since(intended))
-		return
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		p.Errors++
-		ws.hists[pi].Observe(time.Since(intended))
-		return
-	}
-	n, _ := io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	lat := time.Since(intended)
-	ws.hists[pi].Observe(lat)
-	if resp.StatusCode != http.StatusOK {
-		p.Errors++
-		return
-	}
-	p.Bytes += n
-	switch how := resp.Header.Get("X-Cache"); {
-	case strings.HasPrefix(how, "LOCAL"):
-		p.Local++
-	case how == "REMOTE":
-		p.Remote++
-	default:
-		p.Miss++
-	}
+	return ctx.Err() == nil
 }

@@ -2,12 +2,12 @@ package loadgen
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"beyondcache/internal/cluster"
 	"beyondcache/internal/obs"
 )
 
@@ -46,27 +46,31 @@ func countAtLeast(h obs.HistogramSnapshot, min time.Duration) int64 {
 	return n
 }
 
+// serveAs is a stub fleet fetch that serves every URL as how, one byte.
+func serveAs(how string) func(int, string) (cluster.FetchResult, error) {
+	return func(int, string) (cluster.FetchResult, error) {
+		return cluster.FetchResult{How: how, Bytes: 1}, nil
+	}
+}
+
 // TestCoordinatedOmissionNotHidden is the regression test for the driver's
-// core property. The server stalls every in-flight request for a window
-// mid-run; with only a few workers, a closed-loop driver would record the
-// stall on just those few requests and measure everything issued afterwards
-// as fast. The open-loop driver measures from intended arrival instead, so
-// all the requests whose send was delayed by the stall must surface the
-// queueing delay in the recorded latencies.
+// core property. The fleet stalls every in-flight request for a window
+// mid-run; a closed-loop driver would record the stall on just the few
+// requests it had in flight and measure everything issued afterwards as
+// fast. The open-loop driver measures from intended arrival instead, so all
+// the requests that arrived during the stall must surface the delay in the
+// recorded latencies.
 func TestCoordinatedOmissionNotHidden(t *testing.T) {
 	var stalled atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	fetch := func(int, string) (cluster.FetchResult, error) {
 		if stalled.Load() {
 			time.Sleep(250 * time.Millisecond)
 		}
-		w.Header().Set("X-Cache", "LOCAL")
-		w.Write([]byte("ok"))
-	}))
-	defer srv.Close()
+		return cluster.FetchResult{How: "LOCAL", Bytes: 2}, nil
+	}
 
 	const n = 600
 	sched := uniformSchedule(n, time.Millisecond) // 600ms span
-	const workers = 4
 
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -75,10 +79,7 @@ func TestCoordinatedOmissionNotHidden(t *testing.T) {
 		stalled.Store(false)
 	}()
 
-	res, err := RunSchedule(context.Background(), sched, DriverConfig{
-		Targets: []string{srv.URL},
-		Workers: workers,
-	})
+	res, err := RunSchedule(context.Background(), sched, DriverConfig{Nodes: 1, Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +90,12 @@ func TestCoordinatedOmissionNotHidden(t *testing.T) {
 		t.Fatalf("%d errors", res.Overall.Errors)
 	}
 
-	// Roughly 250 intended arrivals fall inside the stall window but only
-	// `workers` requests can be in flight, so the rest queue and their
-	// recorded latency must include the wait. A closed-loop driver would
-	// show at most ~2*workers samples over 100ms; require far more than
-	// that could ever produce.
+	// Roughly 250 intended arrivals fall inside the stall window, and each
+	// of them waits out the stall. A closed-loop driver with four workers
+	// would show at most ~8 samples over 100ms; require far more than that
+	// could ever produce.
 	slow := countAtLeast(res.Overall.Hist, 100*time.Millisecond)
-	if slow < 10*workers {
+	if slow < 40 {
 		t.Fatalf("only %d samples >= 100ms; the stall's queueing delay was hidden (coordinated omission)", slow)
 	}
 	if p99 := res.Overall.Hist.Quantile(0.99); p99 < 100*time.Millisecond {
@@ -105,26 +105,24 @@ func TestCoordinatedOmissionNotHidden(t *testing.T) {
 
 func TestDriverClassifiesAndPartitionsPhases(t *testing.T) {
 	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	fetch := func(int, string) (cluster.FetchResult, error) {
+		how := "MISS"
 		switch hits.Add(1) % 3 {
 		case 0:
-			w.Header().Set("X-Cache", "LOCAL hint")
+			how = "LOCAL,COALESCED"
 		case 1:
-			w.Header().Set("X-Cache", "REMOTE")
-		default:
-			w.Header().Set("X-Cache", "MISS")
+			how = "REMOTE"
 		}
-		w.Write([]byte("x"))
-	}))
-	defer srv.Close()
+		return cluster.FetchResult{How: how, Bytes: 1}, nil
+	}
 
 	sched := uniformSchedule(90, 100*time.Microsecond)
 	for i := 45; i < 90; i++ {
 		sched.Phases[i] = 1
 	}
 	res, err := RunSchedule(context.Background(), sched, DriverConfig{
-		Targets:   []string{srv.URL},
-		Workers:   8,
+		Nodes:     1,
+		Fetch:     fetch,
 		NumPhases: 2,
 	})
 	if err != nil {
@@ -149,13 +147,11 @@ func TestDriverClassifiesAndPartitionsPhases(t *testing.T) {
 }
 
 func TestDriverCountsErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-
+	fetch := func(int, string) (cluster.FetchResult, error) {
+		return cluster.FetchResult{}, errors.New("fetch: status 500: boom")
+	}
 	sched := uniformSchedule(20, 0)
-	res, err := RunSchedule(context.Background(), sched, DriverConfig{Targets: []string{srv.URL}})
+	res, err := RunSchedule(context.Background(), sched, DriverConfig{Nodes: 1, Fetch: fetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +169,6 @@ func TestDriverCountsErrors(t *testing.T) {
 }
 
 func TestDriverAdvancesVersionsOncePerStep(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Cache", "LOCAL")
-		w.Write([]byte("x"))
-	}))
-	defer srv.Close()
-
 	sched := uniformSchedule(40, 0)
 	for i := range sched.Objects {
 		sched.Objects[i] = 7 // one object, forty requests
@@ -186,40 +176,41 @@ func TestDriverAdvancesVersionsOncePerStep(t *testing.T) {
 	}
 	sched.Versions[20] = 3 // modified once mid-trace
 
-	var calls atomic.Int64
-	var lastFrom, lastTo atomic.Int64
+	// The dispatcher calls AdvanceVersion itself, on RunSchedule's own
+	// goroutine, so plain variables do.
+	var calls int
+	var lastFrom, lastTo int64
 	_, err := RunSchedule(context.Background(), sched, DriverConfig{
-		Targets: []string{srv.URL},
-		Workers: 1, // single worker: the advance sequence is deterministic
+		Nodes: 1,
+		Fetch: serveAs("LOCAL"),
 		AdvanceVersion: func(url string, from, to int64) {
-			calls.Add(1)
-			lastFrom.Store(from)
-			lastTo.Store(to)
+			calls++
+			lastFrom, lastTo = from, to
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exactly two advances: 0→1 on first sight, then (1)→3 — never one per
-	// request, no matter how many workers race.
-	if calls.Load() != 2 {
-		t.Fatalf("AdvanceVersion called %d times, want 2", calls.Load())
+	// Exactly two advances, in schedule order: 0→1 on first sight, then
+	// (1)→3 — never one per request.
+	if calls != 2 {
+		t.Fatalf("AdvanceVersion called %d times, want 2", calls)
 	}
-	if lastFrom.Load() != 1 || lastTo.Load() != 3 {
-		t.Fatalf("last advance %d->%d, want 1->3", lastFrom.Load(), lastTo.Load())
+	if lastFrom != 1 || lastTo != 3 {
+		t.Fatalf("last advance %d->%d, want 1->3", lastFrom, lastTo)
 	}
 }
 
 func TestRunScheduleRejectsBadInput(t *testing.T) {
-	if _, err := RunSchedule(context.Background(), uniformSchedule(1, 0), DriverConfig{}); err == nil {
-		t.Fatal("accepted empty target list")
+	if _, err := RunSchedule(context.Background(), uniformSchedule(1, 0), DriverConfig{Fetch: serveAs("LOCAL")}); err == nil {
+		t.Fatal("accepted a fleet of no nodes")
 	}
-	if _, err := RunSchedule(context.Background(), &Schedule{}, DriverConfig{Targets: []string{"http://x"}}); err == nil {
+	if _, err := RunSchedule(context.Background(), &Schedule{}, DriverConfig{Nodes: 1, Fetch: serveAs("LOCAL")}); err == nil {
 		t.Fatal("accepted empty schedule")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSchedule(ctx, uniformSchedule(10, time.Second), DriverConfig{Targets: []string{"http://x"}}); err == nil {
+	if _, err := RunSchedule(ctx, uniformSchedule(10, time.Second), DriverConfig{Nodes: 1, Fetch: serveAs("LOCAL")}); err == nil {
 		t.Fatal("cancelled context did not abort the run")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // (mirroring the digest wire-format fuzz target):
 //
 //  1. Parse never panics on arbitrary text — it may only error — so a bad
-//     scenario file cannot take down cmd/cacheload.
+//     scenario file cannot take down the run that loads it.
 //  2. Any scenario Parse accepts renders to a canonical Format whose
 //     re-parse is the identical scenario and whose re-render is the
 //     identical text (Format is a fixed point).

@@ -8,8 +8,9 @@ import (
 )
 
 // The shipped scenario matrix. Each file is a declarative text spec (see
-// Parse) with its own acceptance bounds; cmd/cacheload runs them all by
-// default and EXPERIMENTS.md documents what each one models.
+// Parse) with its own acceptance bounds; internal/cluster's
+// TestSimScenarios runs them all and EXPERIMENTS.md documents what each one
+// models.
 //
 //go:embed scenarios/*.scenario
 var scenarioFS embed.FS

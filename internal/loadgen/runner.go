@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/cluster"
@@ -17,13 +18,9 @@ import (
 
 // RunOptions tunes a scenario run.
 type RunOptions struct {
-	// Targets, when non-empty, drives an already-running external fleet
-	// instead of booting an in-process one. Scenarios with fault, origin,
-	// or invalidate events need the in-process fleet (the runner cannot
-	// reach an external fleet's fault plane) and refuse external targets.
-	Targets []string
-	// Workers overrides the scenario's worker count when positive.
-	Workers int
+	// StartFleet boots the fleet the scenario runs on (nil means
+	// cluster.StartFleet: loopback TCP).
+	StartFleet func(cluster.FleetConfig) (*cluster.Fleet, error)
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -51,9 +48,6 @@ type RunReport struct {
 	Fingerprint string
 	Result      *Result
 	Bounds      []BoundResult
-	// Obs is the observability section diffed from before/after /metrics
-	// scrapes of every node, or nil when no node could be scraped.
-	Obs *BenchObs
 	// Restarts records each restart event's disk-recovery outcome, in
 	// execution order.
 	Restarts []RestartResult
@@ -62,12 +56,16 @@ type RunReport struct {
 }
 
 // Run executes one scenario end to end: build the deterministic schedule,
-// boot (or attach to) the fleet, replay open-loop while the event timeline
-// breaks and heals things, then evaluate the acceptance bounds.
+// boot the fleet, replay open-loop while the event timeline breaks and
+// heals things, then evaluate the acceptance bounds.
 func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	startFleet := opt.StartFleet
+	if startFleet == nil {
+		startFleet = cluster.StartFleet
 	}
 	sched, err := BuildSchedule(sc)
 	if err != nil {
@@ -79,62 +77,49 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 	}
 	logf("%s: schedule %d requests over %v (sha256 %s...)", sc.Name, sched.Len(), sc.Span(), fp[:12])
 
-	hasEvents := len(sc.Faults)+len(sc.OriginEvents)+len(sc.Invalidates)+len(sc.Restarts)+len(sc.Kills) > 0
-	var fleet *cluster.Fleet
-	targets := opt.Targets
-	if len(targets) == 0 {
-		interval := sc.UpdateInterval
-		if interval == 0 {
-			interval = 100 * time.Millisecond
-		}
-		var cacheDirs []string
-		if sc.DiskTier {
-			root, err := os.MkdirTemp("", "cacheload-disk-")
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: %s: disk tier: %w", sc.Name, err)
-			}
-			defer os.RemoveAll(root)
-			for i := 0; i < sc.Nodes; i++ {
-				cacheDirs = append(cacheDirs, filepath.Join(root, fmt.Sprintf("node-%d", i)))
-			}
-		}
-		fleet, err = cluster.StartFleet(cluster.FleetConfig{
-			Nodes:          sc.Nodes,
-			CacheBytes:     sc.CacheBytes,
-			UpdateInterval: interval,
-			HedgeBudget:    sc.HedgeBudget,
-			HintPartition:  sc.HintPartition > 0,
-			HintReplicas:   sc.HintPartition,
-			CacheDirs:      cacheDirs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer fleet.Close()
-		fleet.Origin.SetLatency(sc.OriginLatency)
-		targets = fleet.NodeURLs()
-		primeOrigin(fleet, sched)
-	} else if hasEvents || sc.StrongConsistency {
-		return nil, fmt.Errorf("loadgen: %s: fault/origin/invalidate events and strong consistency need the in-process fleet, not external targets", sc.Name)
+	interval := sc.UpdateInterval
+	if interval == 0 {
+		interval = 100 * time.Millisecond
 	}
+	var cacheDirs []string
+	if sc.DiskTier {
+		root, err := os.MkdirTemp("", "loadgen-disk-")
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: %s: disk tier: %w", sc.Name, err)
+		}
+		defer os.RemoveAll(root)
+		for i := 0; i < sc.Nodes; i++ {
+			cacheDirs = append(cacheDirs, filepath.Join(root, fmt.Sprintf("node-%d", i)))
+		}
+	}
+	fleet, err := startFleet(cluster.FleetConfig{
+		Nodes:          sc.Nodes,
+		CacheBytes:     sc.CacheBytes,
+		UpdateInterval: interval,
+		HedgeBudget:    sc.HedgeBudget,
+		HintPartition:  sc.HintPartition > 0,
+		HintReplicas:   sc.HintPartition,
+		CacheDirs:      cacheDirs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer fleet.Close()
+	fleet.Origin.SetLatency(sc.OriginLatency)
+	primeOrigin(fleet, sched)
 
 	cfg := DriverConfig{
-		Targets:   targets,
-		Workers:   sc.Workers,
+		Nodes:     sc.Nodes,
+		Fetch:     fleet.Fetch,
 		NumPhases: max(len(sc.Phases), 1),
-	}
-	if opt.Workers > 0 {
-		cfg.Workers = opt.Workers
 	}
 	if sc.StrongConsistency {
 		cfg.AdvanceVersion = advanceVersionFunc(fleet)
 	}
 
 	if sc.Warmup > 0 {
-		warm(cfg, sched, sc.Warmup)
-		if fleet != nil {
-			fleet.FlushAll()
-		}
+		warm(fleet, sched, sc.Warmup)
+		fleet.FlushAll()
 		logf("%s: warmed %d requests", sc.Name, min(sc.Warmup, sched.Len()))
 	}
 
@@ -143,6 +128,21 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 	var errMu sync.Mutex
 	var eventsErr error
 	var eventsDone sync.WaitGroup
+	// walk runs one event timeline beside the load; the first error one
+	// returns before the run ends fails the run.
+	walk := func(timeline func() error) {
+		eventsDone.Add(1)
+		go func() {
+			defer eventsDone.Done()
+			if err := timeline(); err != nil && ctx.Err() == nil {
+				errMu.Lock()
+				if eventsErr == nil {
+					eventsErr = err
+				}
+				errMu.Unlock()
+			}
+		}()
+	}
 	if len(sc.Faults) > 0 {
 		events := make([]faults.TimelineEvent, 0, len(sc.Faults))
 		for _, e := range sc.Faults {
@@ -152,64 +152,28 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		eventsDone.Add(1)
-		go func() {
-			defer eventsDone.Done()
-			if err := tl.Run(ctx, func(spec string) error {
+		walk(func() error {
+			return tl.Run(ctx, func(spec string) error {
 				logf("%s: fault: %s", sc.Name, specLabel(spec))
 				return fleet.SetFaultSpec(spec)
-			}); err != nil && ctx.Err() == nil {
-				errMu.Lock()
-				eventsErr = err
-				errMu.Unlock()
-			}
-		}()
+			})
+		})
 	}
 	if len(sc.OriginEvents)+len(sc.Invalidates) > 0 {
-		eventsDone.Add(1)
-		go func() {
-			defer eventsDone.Done()
-			runOriginEvents(ctx, fleet, sc, logf)
-		}()
+		walk(func() error { runOriginEvents(ctx, fleet, sc, logf); return nil })
 	}
-	var restartMu sync.Mutex
+	// Only the restart walker appends, and the report reads after
+	// eventsDone.Wait.
 	var restarts []RestartResult
 	if len(sc.Restarts) > 0 {
-		eventsDone.Add(1)
-		go func() {
-			defer eventsDone.Done()
-			if err := runRestarts(ctx, fleet, sc, logf, func(r RestartResult) {
-				restartMu.Lock()
-				restarts = append(restarts, r)
-				restartMu.Unlock()
-			}); err != nil && ctx.Err() == nil {
-				errMu.Lock()
-				if eventsErr == nil {
-					eventsErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
+		walk(func() error {
+			return runRestarts(ctx, fleet, sc, logf, func(r RestartResult) { restarts = append(restarts, r) })
+		})
 	}
-
 	if len(sc.Kills) > 0 {
-		eventsDone.Add(1)
-		go func() {
-			defer eventsDone.Done()
-			if err := runKills(ctx, fleet, sc, logf); err != nil && ctx.Err() == nil {
-				errMu.Lock()
-				if eventsErr == nil {
-					eventsErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
+		walk(func() error { return runKills(ctx, fleet, sc, logf) })
 	}
 
-	// Bracket the measured window with /metrics captures (warmup traffic is
-	// already behind us) so the report can carry the run's observability
-	// deltas alongside its client-side latencies.
-	obsBefore := captureExpos(targets)
 	res, err := RunSchedule(ctx, sched, cfg)
 	cancel()
 	eventsDone.Wait()
@@ -219,9 +183,8 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 	if eventsErr != nil {
 		return nil, fmt.Errorf("loadgen: %s: event timeline: %w", sc.Name, eventsErr)
 	}
-	obsAfter := captureExpos(targets)
 
-	rep := &RunReport{Scenario: sc, Fingerprint: fp, Result: res, Obs: summarizeObs(obsBefore, obsAfter), Restarts: restarts, Pass: true}
+	rep := &RunReport{Scenario: sc, Fingerprint: fp, Result: res, Restarts: restarts, Pass: true}
 	for _, b := range sc.Bounds {
 		actual, err := evalBound(sc, res, b)
 		if err != nil {
@@ -257,9 +220,6 @@ func primeOrigin(fleet *cluster.Fleet, sched *Schedule) {
 // the origin to the scheduled version and purge stale cached copies (the
 // simulators' invalidation-based consistency).
 func advanceVersionFunc(fleet *cluster.Fleet) func(url string, from, to int64) {
-	if fleet == nil {
-		return nil
-	}
 	return func(url string, from, to int64) {
 		start := from
 		if start < 1 {
@@ -274,28 +234,27 @@ func advanceVersionFunc(fleet *cluster.Fleet) func(url string, from, to int64) {
 	}
 }
 
+// warmers is how many closed-loop goroutines warm runs.
+const warmers = 16
+
 // warm issues the schedule's first n requests closed-loop (paced only by
-// completions, unrecorded) to pre-fill caches before the measured run.
-func warm(cfg DriverConfig, sched *Schedule, n int) {
-	if n > sched.Len() {
-		n = sched.Len()
+// completions, unrecorded, never advancing versions) to pre-fill caches
+// before the measured run.
+func warm(fleet *cluster.Fleet, sched *Schedule, n int) {
+	n = min(n, sched.Len())
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < warmers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				// Errors intentionally dropped: warmup is unmeasured.
+				fleet.Fetch(int(sched.Clients[i])%len(fleet.Nodes), sched.URL(i))
+			}
+		}()
 	}
-	head := &Schedule{
-		Offsets:  make([]time.Duration, n), // all zero: no pacing, issue ASAP
-		Phases:   make([]uint8, n),
-		Objects:  sched.Objects[:n],
-		Clients:  sched.Clients[:n],
-		Sizes:    sched.Sizes[:n],
-		Versions: sched.Versions[:n],
-	}
-	wcfg := cfg
-	wcfg.NumPhases = 1
-	wcfg.AdvanceVersion = nil // warmup never advances versions
-	if wcfg.Workers <= 0 || wcfg.Workers > 16 {
-		wcfg.Workers = 16
-	}
-	// Result and errors intentionally dropped: warmup is unmeasured.
-	_, _ = RunSchedule(context.Background(), head, wcfg)
+	wg.Wait()
 }
 
 // originEvent is one origin-plane timeline entry: either a latency change
@@ -320,14 +279,7 @@ func runOriginEvents(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, lo
 	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 	start := time.Now()
 	for _, e := range events {
-		if d := e.at - time.Since(start); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return
-			}
-		}
-		if ctx.Err() != nil {
+		if !sleepTo(ctx, start, e.at) {
 			return
 		}
 		if e.invalidate < 0 {
@@ -349,14 +301,7 @@ func runRestarts(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf f
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	start := time.Now()
 	for _, e := range events {
-		if d := e.At - time.Since(start); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return nil
-			}
-		}
-		if ctx.Err() != nil {
+		if !sleepTo(ctx, start, e.At) {
 			return nil
 		}
 		logf("%s: restarting node %d", sc.Name, e.Node)
@@ -381,14 +326,7 @@ func runKills(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf func
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	start := time.Now()
 	for _, e := range events {
-		if d := e.At - time.Since(start); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return nil
-			}
-		}
-		if ctx.Err() != nil {
+		if !sleepTo(ctx, start, e.At) {
 			return nil
 		}
 		logf("%s: killing node %d", sc.Name, e.Node)

@@ -1,13 +1,11 @@
 package loadgen
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"beyondcache/internal/obs"
 )
 
 // smokeScenario is the CI load-smoke configuration: the flash-crowd shape
@@ -19,7 +17,6 @@ profile DEC
 nodes 3
 seed 42
 warmup 100
-workers 32
 origin-latency 10ms
 
 phase steady 1500ms rate=60
@@ -33,8 +30,7 @@ accept p99 <= 2s
 
 // TestLoadSmokeFlashCrowd boots a 3-node in-process fleet and drives the
 // shortened flash crowd end to end — the CI smoke. It asserts the run's
-// acceptance bounds hold and that the resulting bench row survives a
-// BENCH_load.json write/read round trip.
+// acceptance bounds hold and that the spike phase spikes.
 func TestLoadSmokeFlashCrowd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping live-fleet smoke in -short mode")
@@ -64,47 +60,6 @@ func TestLoadSmokeFlashCrowd(t *testing.T) {
 	if len(phases) != 3 || phases[1].Requests <= phases[0].Requests {
 		t.Fatalf("spike did not spike: %+v", phases)
 	}
-
-	// The in-process fleet is always scrapable, so the observability
-	// section must be present, and the run's hint traffic must have left
-	// propagation-lag observations behind.
-	if rep.Obs == nil {
-		t.Fatal("run report has no observability section")
-	}
-	if rep.Obs.HintPropagationCount < 1 {
-		t.Errorf("hint propagation count = %d, want >= 1", rep.Obs.HintPropagationCount)
-	}
-	if rep.Obs.HintPropagationCount > 0 && rep.Obs.HintPropagationP99Ms <= 0 {
-		t.Errorf("hint propagation p99 = %vms with %d observations",
-			rep.Obs.HintPropagationP99Ms, rep.Obs.HintPropagationCount)
-	}
-
-	// BENCH row schema round trip.
-	row := rep.Row()
-	if row.Scenario != "flash-crowd-smoke" || row.ScheduleSHA256 != rep.Fingerprint || len(row.Phases) != 3 {
-		t.Fatalf("bench row malformed: %+v", row)
-	}
-	if row.Obs == nil {
-		t.Fatal("bench row lost the observability section")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	if err := WriteBenchFile(path, []BenchRow{row}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc BenchFile
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Description == "" || len(doc.Rows) != 1 {
-		t.Fatalf("bench file malformed: %+v", doc)
-	}
-	if !reflect.DeepEqual(doc.Rows[0], row) {
-		t.Fatalf("bench row changed across write/read:\n%+v\nvs\n%+v", doc.Rows[0], row)
-	}
 }
 
 // TestRunnerAppliesEventTimeline runs a compressed scenario exercising all
@@ -122,7 +77,6 @@ profile DEC
 nodes 2
 seed 5
 warmup 50
-workers 16
 origin-latency 5ms
 
 phase a 1s rate=50 hotset=16
@@ -149,20 +103,6 @@ accept error_rate <= 0.2
 	}
 }
 
-func TestRunnerRejectsEventsAgainstExternalTargets(t *testing.T) {
-	sc := mustParse(t, `
-name ext
-profile DEC
-nodes 1
-phase p 1s rate=10
-fault 0s node-0:partition
-`)
-	_, err := Run(sc, RunOptions{Targets: []string{"http://127.0.0.1:1"}})
-	if err == nil || !strings.Contains(err.Error(), "external targets") {
-		t.Fatalf("want external-targets error, got %v", err)
-	}
-}
-
 func TestEvalBoundMetrics(t *testing.T) {
 	sc := mustParse(t, `
 name eb
@@ -173,11 +113,11 @@ phase b 1s rate=10
 `)
 	mk := func(lat time.Duration, n int) PhaseResult {
 		p := PhaseResult{Requests: int64(n), Local: int64(n)}
-		h := newWorkerStats(1)
+		h := obs.NewHistogram(nil)
 		for i := 0; i < n; i++ {
-			h.hists[0].Observe(lat)
+			h.Observe(lat)
 		}
-		p.Hist = h.hists[0].Snapshot()
+		p.Hist = h.Snapshot()
 		return p
 	}
 	res := &Result{

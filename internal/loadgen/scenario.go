@@ -1,19 +1,21 @@
-// Package loadgen is the wire-level load plane of the prototype: an
-// open-loop, coordinated-omission-safe HTTP load driver that replays the
-// paper's synthetic workloads against a live cache fleet, and a scenario
-// matrix on top of it — flash crowds, diurnal ramps, partitions that heal,
+// Package loadgen is the load plane of the prototype: an open-loop,
+// coordinated-omission-safe driver that replays the paper's synthetic
+// workloads against a cache fleet, and a scenario matrix on top of it —
+// flash crowds, diurnal ramps, partitions that heal, node loss and restart,
 // origin brownouts, and mass-invalidation storms — each written as a small
 // declarative text spec with acceptance bounds.
 //
 // The pieces compose like the rest of the repository: scenarios parse into
 // a deterministic request Schedule (fixed seed ⇒ byte-identical schedule),
-// the Driver replays the schedule against node /fetch endpoints pacing by
-// intended arrival time (never by response completion, so a stalled server
-// cannot hide queueing delay from the recorded latencies), per-phase
-// latencies land in the same obs.Histogram the nodes export on /metrics,
-// and the Runner boots an internal/cluster fleet, applies the scenario's
-// fault/origin/invalidate timeline mid-run via the internal/faults DSL, and
-// emits one BENCH_load.json row per scenario.
+// RunSchedule replays the schedule through the fleet's own client
+// (Fleet.Fetch) pacing by intended arrival time (never by response
+// completion, so a stalled node cannot hide queueing delay from the
+// recorded latencies), per-phase latencies land in the same obs.Histogram
+// the nodes export on /metrics, and Run boots an internal/cluster fleet,
+// applies the scenario's fault/origin/invalidate/restart/kill timeline
+// mid-run via the internal/faults DSL, and judges the bounds. The fleet
+// runs on loopback TCP, or on an in-memory network inside a synctest bubble
+// (internal/cluster's TestSimScenarios runs the shipped matrix that way).
 package loadgen
 
 import (
@@ -142,8 +144,6 @@ type Scenario struct {
 	Nodes int
 	// Seed fixes all schedule randomness (arrivals, hot-set draws).
 	Seed int64
-	// Workers bounds the driver's concurrent in-flight requests (0 = 64).
-	Workers int
 	// Pacing selects the arrival process: "poisson" (default) derives
 	// arrivals from the phases' rates; "trace" rescales the profile's own
 	// virtual timestamps onto Duration (the measured-vs-simulated
@@ -277,8 +277,6 @@ func Parse(text string) (*Scenario, error) {
 			if err = oneInt(args, &v); err == nil {
 				sc.Seed = int64(v)
 			}
-		case "workers":
-			err = oneInt(args, &sc.Workers)
 		case "requests":
 			err = oneInt(args, &sc.Requests)
 		case "warmup":
@@ -536,7 +534,7 @@ func (s *Scenario) Validate() error {
 	if s.Nodes <= 0 {
 		return fmt.Errorf("loadgen: %s: nodes must be positive", s.Name)
 	}
-	if s.Workers < 0 || s.Requests < 0 || s.Warmup < 0 || s.CacheBytes < 0 {
+	if s.Requests < 0 || s.Warmup < 0 || s.CacheBytes < 0 {
 		return fmt.Errorf("loadgen: %s: negative counts", s.Name)
 	}
 	if s.OriginLatency < 0 || s.UpdateInterval < 0 || s.Duration < 0 {
@@ -669,9 +667,6 @@ func (s *Scenario) Format() string {
 	}
 	line("nodes", strconv.Itoa(s.Nodes))
 	line("seed", strconv.FormatInt(s.Seed, 10))
-	if s.Workers != 0 {
-		line("workers", strconv.Itoa(s.Workers))
-	}
 	if s.Pacing != "" {
 		line("pacing", s.Pacing)
 	}

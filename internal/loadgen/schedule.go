@@ -28,7 +28,7 @@ const maxScheduleRequests = 5_000_000
 // workload draw, and is accounted to phase Phases[i]. Schedules are built
 // deterministically from (scenario, seed) — the same inputs yield
 // byte-identical MarshalBinary output, which tests pin — and are read-only
-// during a run, so any number of driver workers can share one.
+// during a run, so any number of driver goroutines can share one.
 type Schedule struct {
 	// Offsets are intended arrival times from run start, non-decreasing.
 	Offsets []time.Duration

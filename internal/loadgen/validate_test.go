@@ -48,7 +48,6 @@ seed 17
 pacing trace
 duration 4s
 requests 900
-workers 32
 strong-consistency true
 origin-latency 2ms
 update-interval 25ms
