@@ -241,15 +241,17 @@ func TestMissFillAllocBudget(t *testing.T) {
 // frontDoorHitAllocBudget is what the serving side of one LOCAL hit over a
 // real loopback connection may allocate, the client (one write of the head the
 // benchmark's client sends, reads into a fixed buffer) allocating nothing: the
-// request-target string, the handler's 9 (TestHitPathAllocBudget), and
-// nothing else — the request, its URL and its header map are the
-// connection's, refilled in place by the front door's recogniser and the map
-// left as it is while the header lines repeat, as are the response's header
-// map, head scratch and write vector. Measured at 10; through
-// http.ReadRequest, with a request, a URL, a header map and its values and a
-// copy under the door's context per request, it took 18 (17 without
-// User-Agent), and through http.Server 27.
-const frontDoorHitAllocBudget = 11
+// request-target string and the unescaped object URL, and nothing else — the
+// request, its URL and its header map are the connection's, refilled in place
+// by the front door's recogniser and the map left as it is while the header
+// lines repeat, and the door renders the answer's head itself into the
+// connection's scratch, the minted request ID and the X-Trace chain appended
+// in place. Measured at 2. Through the handler's header map it took 10 (the
+// request-target string and TestHitPathAllocBudget's 9: a string and a slice
+// per header value); through http.ReadRequest, with a request, a URL, a
+// header map and its values and a copy under the door's context per request,
+// it took 18 (17 without User-Agent), and through http.Server 27.
+const frontDoorHitAllocBudget = 2
 
 // TestFrontDoorHitAllocBudget holds the client-facing hop to its allocation
 // budget: the front door must not grow back a per-request request, URL,

@@ -74,7 +74,7 @@ func TestDigestModeLeavesHintPlaneIdle(t *testing.T) {
 	}
 	f.FlushAll()
 	for i, n := range f.Nodes {
-		p := scrape(t, f.client, n.URL())
+		p := scrapeNode(t, n)
 		for _, family := range []string{
 			"beyondcache_hint_pending_dropped_total",
 			"beyondcache_hint_pending_records",

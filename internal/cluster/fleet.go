@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	neturl "net/url"
 	"strconv"
@@ -23,9 +22,14 @@ type Fleet struct {
 	// urls holds each slot's base URL, fixed at boot: RestartNode rebinds
 	// a slot's own address, so Fetch, Purge and NodeURLs read it without
 	// racing the restart's write to Nodes.
-	urls   []string
-	client *http.Client
-	nw     network // every node's, the origin's and the client's
+	urls []string
+	// links holds the fleet's own keep-alive connections to each slot's
+	// address — the way a browser would talk to the node, but through the
+	// same lease, idle set and retry as a node's origin link — and conns all
+	// of them, for Close to cut.
+	links []link
+	conns connSet
+	nw    network // every node's, the origin's and the links'
 	// spec is the outbound fault spec last given to SetFaultSpec; every
 	// node, a restarted one too, is born holding it.
 	spec string
@@ -114,19 +118,9 @@ func startFleetOn(cfg FleetConfig, nw network) (*Fleet, error) {
 	}
 	f := &Fleet{
 		Origin: NewOrigin(cfg.ObjectSize),
-		// The driver talks to the nodes the way a browser would. Its
-		// concurrent requests must not re-dial a node (the default
-		// transport keeps two idle connections per host), and a dead node
-		// must fail a connection attempt in seconds, not minutes.
-		client: &http.Client{Timeout: clientTimeout, Transport: &http.Transport{
-			DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
-				return nw.dial(ctx, addr)
-			},
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}},
-		nw:  nw,
-		cfg: cfg,
+		conns:  connSet{conns: make(map[*upConn]struct{})},
+		nw:     nw,
+		cfg:    cfg,
 	}
 	f.Origin.nw = nw
 	if err := f.Origin.Start("127.0.0.1:0"); err != nil {
@@ -144,6 +138,7 @@ func startFleetOn(cfg FleetConfig, nw network) (*Fleet, error) {
 			return nil, err
 		}
 		f.urls = append(f.urls, n.URL())
+		f.links = append(f.links, link{set: &f.conns, dial: dialHTTP(nw, n.Addr())})
 	}
 	// Full mesh.
 	for i, n := range f.Nodes {
@@ -171,7 +166,7 @@ func (f *Fleet) RestartNode(i int) error {
 	// The slot is dead from here until a replacement has started: a failed
 	// restart leaves it holding the closed node.
 	f.setKilled(i, true)
-	f.dropIdleConns()
+	f.links[i].dropIdle()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("cluster: restart: close node %d: %w", i, err)
 	}
@@ -214,7 +209,7 @@ func (f *Fleet) KillNode(i int) error {
 		return fmt.Errorf("cluster: kill: no node %d", i)
 	}
 	f.setKilled(i, true)
-	f.dropIdleConns()
+	f.links[i].dropIdle()
 	return f.Nodes[i].Close()
 }
 
@@ -251,16 +246,10 @@ func (f *Fleet) SetFaultSpec(spec string) error {
 	return nil
 }
 
-// dropIdleConns closes the idle HTTP connections the fleet's own client
-// holds to the nodes, before any of them shuts down. A node's front door
-// cuts idle connections itself, at once; but the client would find one of
-// its pooled connections dead only by using it, and a POST (a purge) that
-// meets a dead connection is not retried the way a GET is.
-func (f *Fleet) dropIdleConns() { f.client.CloseIdleConnections() }
-
-// Close shuts down every node and the origin, returning the first error.
+// Close shuts down every node and the origin, returning the first error,
+// and cuts the fleet's own connections to the nodes.
 func (f *Fleet) Close() error {
-	f.dropIdleConns()
+	f.conns.close()
 	var first error
 	for _, n := range f.Nodes {
 		if err := n.Close(); err != nil && first == nil {
@@ -336,28 +325,63 @@ func (r FetchResult) Miss() bool { return strings.HasPrefix(r.How, "MISS") }
 // fetch.
 func (r FetchResult) StaleHint() bool { return strings.HasSuffix(r.How, "STALE-HINT") }
 
-// Fetch asks node i of the fleet for a URL.
+// Fetch asks node i of the fleet for a URL, over the fleet's link to it.
 func (f *Fleet) Fetch(i int, url string) (FetchResult, error) {
-	return FetchFrom(f.client, f.urls[i], url)
+	start := time.Now()
+	var res FetchResult
+	var rerr error // reading the answer: fetchResult names itself
+	err := f.call(i, http.MethodGet, "/fetch?url=", url, func(resp *http.Response) error {
+		res, rerr = fetchResult(resp, start)
+		return rerr
+	})
+	switch {
+	case rerr != nil:
+		return FetchResult{}, rerr
+	case err != nil:
+		return FetchResult{}, fmt.Errorf("fetch: %w", err)
+	}
+	return res, nil
 }
 
 // Purge drops node i's copy of a URL (404 from the node is reported as an
 // error).
 func (f *Fleet) Purge(i int, url string) error {
-	resp, err := f.client.Post(f.urls[i]+"/purge?url="+neturl.QueryEscape(url), "", nil)
-	if err != nil {
+	status := 0
+	err := f.call(i, http.MethodPost, "/purge?url=", url, func(resp *http.Response) error {
+		status = resp.StatusCode
+		_, err := io.Copy(io.Discard, resp.Body)
+		return err
+	})
+	switch {
+	case err != nil:
 		return fmt.Errorf("purge: %w", err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("purge: status %d", resp.StatusCode)
+	case status != http.StatusNoContent:
+		return fmt.Errorf("purge: status %d", status)
 	}
 	return nil
 }
 
-// FetchFrom asks an arbitrary node (by base URL) for a URL, measuring the
-// client-observed duration.
+// call runs one bodiless request to node i over its link, within
+// clientTimeout, and hands the answer to read, which reads its body to the
+// end. A purge is retried on a fresh connection as a fetch is, when a pooled
+// one turns out dead (link.do): a second purge of the same URL finds nothing
+// more to drop.
+func (f *Fleet) call(i int, method, path, url string, read func(*http.Response) error) error {
+	ctx, cancel := context.WithTimeout(context.Background(), clientTimeout)
+	defer cancel()
+	host := strings.TrimPrefix(f.urls[i], "http://")
+	return f.links[i].do(ctx, func(uc *upConn) (keep bool, err error) {
+		resp, err := request(uc, method, path, url, host)
+		if err != nil {
+			return false, err
+		}
+		err = read(resp)
+		return err == nil && !resp.Close, err
+	})
+}
+
+// FetchFrom asks an arbitrary node (by base URL) for a URL with the caller's
+// client, measuring the client-observed duration.
 func FetchFrom(client *http.Client, nodeURL, url string) (FetchResult, error) {
 	start := time.Now()
 	resp, err := client.Get(nodeURL + "/fetch?url=" + neturl.QueryEscape(url))
@@ -365,6 +389,12 @@ func FetchFrom(client *http.Client, nodeURL, url string) (FetchResult, error) {
 		return FetchResult{}, fmt.Errorf("fetch: %w", err)
 	}
 	defer resp.Body.Close()
+	return fetchResult(resp, start)
+}
+
+// fetchResult reads a /fetch answer whole and describes it; a status other
+// than 200 is an error that carries the node's error text.
+func fetchResult(resp *http.Response, start time.Time) (FetchResult, error) {
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return FetchResult{}, fmt.Errorf("fetch read: %w", err)

@@ -6,8 +6,9 @@ package cluster
 // (frontdoor_head.go), anything else with http.ReadRequest — and hands it to
 // the node's ordinary http.Handler; the connection is the http.ResponseWriter
 // too, reused from request to request, and sends a response as one vectored
-// write of status line, headers and body. No request carries a body and no
-// response is chunked.
+// write of status line, headers and body — a /fetch answer's head rendered
+// by the door itself (sendObject). No request carries a body and no response
+// is chunked.
 
 import (
 	"bytes"
@@ -21,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"beyondcache/internal/obs"
 )
 
 // An idle connection's, a header's (from its first byte) and close's time
@@ -292,17 +295,63 @@ func (dc *doorConn) WriteHeader(code int) {
 	h.WriteString(http.StatusText(code))
 	h.WriteString("\r\n")
 	dc.hdr.Write(h) // sorted, and a line break in a value written as a space
-	h.WriteString("Date: ")
+	h.Write(dc.appendTail(h.AvailableBuffer()))
+}
+
+// appendTail appends what ends every head the door writes: Date, from the
+// door's clock, and the Connection line the response needs, if any.
+func (dc *doorConn) appendTail(b []byte) []byte {
+	b = append(b, "Date: "...)
 	if now := time.Now(); now.Unix() != dc.dateAt {
 		dc.dateAt, dc.date = now.Unix(), now.UTC().AppendFormat(dc.date[:0], http.TimeFormat)
 	}
-	h.Write(dc.date)
+	b = append(b, dc.date...)
 	if dc.last {
-		h.WriteString("\r\nConnection: close")
+		b = append(b, "\r\nConnection: close"...)
 	} else if !dc.req.ProtoAtLeast(1, 1) {
-		h.WriteString("\r\nConnection: keep-alive")
+		b = append(b, "\r\nConnection: keep-alive"...)
 	}
-	h.WriteString("\r\n")
+	return append(b, "\r\n"...)
+}
+
+// sendObject answers a GET /fetch with its object (finishFetch). The head is
+// rendered straight into the connection's buffer, byte for byte what
+// WriteHeader renders from the headers serveObject and finishFetch set —
+// Header.Write's sorted order, and its treatment of a value (oneLine) for
+// the two that carry outside text — but with no header map, no slice per
+// header and no string for a number; the chain and a minted request ID are
+// appended in place too. how is one of finishFetch's constants.
+func (dc *doorConn) sendObject(how string, version int64, body []byte, id requestID, upstream []obs.Hop, term obs.Hop) {
+	dc.status, dc.declared, dc.written = http.StatusOK, int64(len(body)), int64(len(body))
+	b := append(dc.head.AvailableBuffer(), "HTTP/1.1 200 OK\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, dc.declared, 10)
+	b = append(b, "\r\nContent-Type: application/octet-stream\r\nX-Cache: "...)
+	b = append(b, how...)
+	b = append(b, "\r\nX-Object-Version: "...)
+	b = strconv.AppendInt(b, version, 10)
+	b = append(b, "\r\nX-Request-Id: "...)
+	at := len(b)
+	b = oneLine(id.append(b), at)
+	b = append(b, "\r\nX-Trace: "...)
+	at = len(b)
+	b = oneLine(obs.AppendChain(b, upstream, term), at)
+	b = append(b, "\r\n"...)
+	dc.head.Write(dc.appendTail(b))
+	dc.send(body)
+}
+
+// oneLine leaves b[from:], a header value just appended to b, as
+// Header.Write writes a value: each CR or LF a space, then white space
+// trimmed from both ends. No value — a node's name in the chain, or an echoed
+// request ID — can end its line and start another.
+func oneLine(b []byte, from int) []byte {
+	v := b[from:]
+	for i, c := range v {
+		if c == '\r' || c == '\n' {
+			v[i] = ' '
+		}
+	}
+	return b[:from+copy(v, bytes.Trim(v, " \t"))]
 }
 
 // Write sends p if the handler declared a Content-Length — the first time,

@@ -1,11 +1,11 @@
 package cluster
 
 // The front door's fast path for a request head (DESIGN.md §16): a recogniser,
-// not a parser. It says yes to the plainest GET, whole in the bytes already
-// read, and fills the connection's one reused request exactly as
-// http.ReadRequest would have; it declines everything else untouched, so no
-// input is parsed here that http.ReadRequest does not parse the same way
-// (FuzzDoorPlainHead).
+// not a parser. It says yes to the plainest GET or bodiless POST, whole in
+// the bytes already read, and fills the connection's one reused request
+// exactly as http.ReadRequest would have; it declines everything else
+// untouched, so no input is parsed here that http.ReadRequest does not parse
+// the same way (FuzzDoorPlainHead).
 
 import (
 	"bytes"
@@ -46,16 +46,26 @@ func (h *plainHead) init(ctx context.Context) {
 
 // read fills h.req from the head b starts with and returns that head's
 // length, if the head is plain: complete in b, "GET /path[?query] HTTP/1.1"
-// over bytes no URL parser rewrites, then CRLF-ended "Name: value" lines with
-// no continuation, no repeated name, one non-empty Host, and no name that
-// frames a body, ends the connection or changes another header's meaning.
-// Otherwise it returns 0 and b is http.ReadRequest's, none of it consumed.
+// (or POST) over bytes no URL parser rewrites, then CRLF-ended "Name: value"
+// lines with no continuation, no repeated name, one non-empty Host, and no
+// name that frames a body, ends the connection or changes another header's
+// meaning — so a POST, like a GET, has no body (RFC 9112 §6.3). Otherwise it
+// returns 0 and b is http.ReadRequest's, none of it consumed.
 func (h *plainHead) read(b []byte) int {
-	eol := bytes.Index(b, []byte(plainLineEnd))
-	if eol < 0 || !bytes.HasPrefix(b, []byte("GET /")) {
+	var method string
+	switch {
+	case bytes.HasPrefix(b, []byte("GET /")):
+		method = http.MethodGet
+	case bytes.HasPrefix(b, []byte("POST /")):
+		method = http.MethodPost
+	default:
 		return 0
 	}
-	target := b[len("GET "):eol]
+	eol := bytes.Index(b, []byte(plainLineEnd))
+	if eol < 0 {
+		return 0
+	}
+	target := b[len(method)+1 : eol]
 	path, _, _ := bytes.Cut(target, []byte("?"))
 	for i, c := range path {
 		if !plainByte(c, plainPathBytes) || c == '/' && i > 0 && path[i-1] == '/' {
@@ -73,7 +83,7 @@ func (h *plainHead) read(b []byte) int {
 	}
 	uri := string(target)
 	h.req = h.base
-	h.req.RequestURI = uri
+	h.req.Method, h.req.RequestURI = method, uri
 	h.url = url.URL{Path: uri[:len(path)]}
 	if len(path) < len(uri) {
 		h.url.RawQuery = uri[len(path)+1:]

@@ -35,7 +35,11 @@ func TestDoorPlainHeadGrammar(t *testing.T) {
 		"GET /fetch?url=x HTTP/1.1\r\nHost:\r\n\r\n":                            false,
 		"GET /fetch?url=x HTTP/1.0\r\nHost: node\r\n\r\n":                       false,
 		"HEAD /fetch?url=x HTTP/1.1\r\nHost: node\r\n\r\n":                      false,
+		"POST /purge?url=x HTTP/1.1\r\nHost: node\r\n\r\n":                      true, // no framing header: no body
 		"POST /purge?url=x HTTP/1.1\r\nHost: node\r\nContent-Length: 0\r\n\r\n": false,
+		"POST /purge?url=x HTTP/1.0\r\nHost: node\r\n\r\n":                      false,
+		"PUT /purge?url=x HTTP/1.1\r\nHost: node\r\n\r\n":                       false,
+		"POST* HTTP/1.1\r\nHost: node\r\n\r\n":                                  false,
 		"GET http://node/fetch?url=x HTTP/1.1\r\nHost: node\r\n\r\n":            false,
 		"GET * HTTP/1.1\r\nHost: node\r\n\r\n":                                  false,
 		"GET //fetch?url=x HTTP/1.1\r\nHost: node\r\n\r\n":                      false,
@@ -86,6 +90,7 @@ func FuzzDoorPlainHead(f *testing.F) {
 	f.Add([]byte(benchHead))
 	f.Add([]byte("GET /fetch?url=http://example.com/a&x=%zz HTTP/1.1\r\nHost: 127.0.0.1:8001\r\nUser-Agent: curl/8.5.0\r\nAccept: */*\r\n\r\n"))
 	f.Add([]byte("GET /metrics? HTTP/1.1\r\nHost: node\r\n\r\n"))
+	f.Add([]byte("POST /purge?url=http%3A%2F%2Fexample.com%2Fa HTTP/1.1\r\nHost: 127.0.0.1:8001\r\n\r\n"))
 	f.Add([]byte("GET /debug/spans?since=3&limit=1 HTTP/1.1\r\nhost: node\r\nx-request-id:  a b  \r\n\r\nGET /"))
 	f.Add([]byte("GET /0 HTTP/1.1\r\r\n\r\n"))
 	f.Add([]byte("GET /a??b=? HTTP/1.1\r\nHost: a\r\nX-A:\r\nX-B: 1\r\nx-b: 2\r\n\r\n"))

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"beyondcache/internal/faults"
+	"beyondcache/internal/obs"
 	"beyondcache/internal/wire"
 )
 
@@ -165,23 +166,31 @@ func exchangeOn(t *testing.T, addr, raw string, cut int, methods ...string) (exc
 // connection's fate must agree. The differences allowed are the documented
 // ones: the door sends Date from its own clock, gives a long response that
 // declared no length a Content-Length where net/http chunks it (/metrics),
-// and refuses request bodies (TestFrontDoorHostileRequests). Every GET is sent
-// to the door a second time with its request line split across two segments:
-// whole it may be read by the recogniser, split it is http.ReadRequest's, and
-// the two must be answered alike.
+// and refuses request bodies (TestFrontDoorHostileRequests). Every GET and
+// POST is sent to the door a second time with its request line split across
+// two segments: whole it may be read by the recogniser, split it is
+// http.ReadRequest's, and the two must be answered alike. A /fetch answer's
+// head is the door's own rendering (sendObject), so the answers it gives —
+// a hit, a miss, and a node whose name would break a header line — are held
+// to net/http's Header.Write here too (and byte for byte in
+// TestFrontDoorObjectHead).
 func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 	n, origin := doorNode(t, NodeConfig{Name: "door", TraceSample: -1})
-	ref := httptest.NewServer(n.Handler())
-	defer ref.Close()
-	refAddr := strings.TrimPrefix(ref.URL, "http://")
+	crlf, _ := doorNode(t, NodeConfig{Name: "\ndoor\r\nX-Injected: 1", TraceSample: -1})
+	refs := map[*Node]string{}
+	for _, node := range []*Node{n, crlf} {
+		ref := httptest.NewServer(node.Handler())
+		defer ref.Close()
+		refs[node] = strings.TrimPrefix(ref.URL, "http://")
+	}
 
 	const obj = "http://example.com/door/obj"
 	q := "?url=" + neturl.QueryEscape(obj)
-	warm := func() {
+	call := func(node *Node, method, target string, want int) {
 		rec := httptest.NewRecorder()
-		n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/fetch"+q, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("warming %s: %d %s", obj, rec.Code, rec.Body)
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		if rec.Code != want {
+			t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
 		}
 	}
 	get := func(target string, extra ...string) string {
@@ -193,18 +202,24 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 	cases := []struct {
 		name    string
 		raw     string
+		node    *Node    // default n
 		methods []string // one per response expected; default one GET
 		status  int      // of the first response
 		closed  bool
 		loose   bool // the body holds counters, and net/http chunks it
 		prep    func()
 		once    string // the first body says this exactly once
+		trace   string // the first answer's X-Trace, timings aside
 	}{
-		{name: "local hit", raw: get("/fetch" + q), status: 200},
+		{name: "local hit", raw: get("/fetch" + q), status: 200, trace: "door;LOCAL;Nus"},
+		{name: "miss", raw: get("/fetch" + q), status: 200, prep: func() { call(n, http.MethodPost, "/purge"+q, http.StatusNoContent) },
+			trace: "origin;ORIGIN-SERVE;Nus|origin;ORIGIN;Nus|door;MISS;Nus"},
+		{name: "a name with a line break", raw: get("/fetch" + q), node: crlf, status: 200, trace: "door  X-Injected: 1;LOCAL;Nus"},
 		{name: "missing url", raw: get("/fetch"), status: 400},
 		{name: "fetch by POST", raw: post("/fetch" + q), status: 405},
 		{name: "fetch by HEAD", raw: "HEAD /fetch" + q + " HTTP/1.1\r\nHost: node\r\n\r\n", methods: []string{"HEAD"}, status: 405},
 		{name: "purge", raw: post("/purge" + q), status: 204},
+		{name: "bodiless purge", raw: "POST /purge" + q + " HTTP/1.1\r\nHost: node\r\n\r\n", methods: []string{"POST"}, status: 204},
 		{name: "purge of an absent object", raw: post("/purge?url=absent"), status: 404},
 		{name: "purge by GET", raw: get("/purge" + q), status: 405},
 		{name: "purge without url", raw: post("/purge"), status: 400},
@@ -230,22 +245,25 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 			if tc.methods == nil {
 				tc.methods = []string{"GET"}
 			}
+			if tc.node == nil {
+				tc.node = n
+			}
 			type side struct {
 				addr string
 				cut  int
 			}
-			sides := []side{{n.Addr(), 0}, {refAddr, 0}}
-			if strings.HasPrefix(tc.raw, "GET ") {
-				sides = append(sides, side{n.Addr(), 12})
+			sides := []side{{tc.node.Addr(), 0}, {refs[tc.node], 0}}
+			if strings.HasPrefix(tc.raw, "GET ") || strings.HasPrefix(tc.raw, "POST ") {
+				sides = append(sides, side{tc.node.Addr(), 12})
 			}
 			got := make([]exchange, len(sides))
 			for i, s := range sides {
-				warm()
+				call(tc.node, http.MethodGet, "/fetch"+q, http.StatusOK) // warm
 				if tc.prep != nil {
 					tc.prep()
 				}
 				ex, resps := exchangeOn(t, s.addr, tc.raw, s.cut, tc.methods...)
-				if s.addr == n.Addr() {
+				if s.addr == tc.node.Addr() {
 					for _, resp := range resps {
 						if _, err := http.ParseTime(resp.Header.Get("Date")); err != nil {
 							t.Errorf("the door's Date header: %v", err)
@@ -267,6 +285,9 @@ func TestFrontDoorMatchesNetHTTP(t *testing.T) {
 			door, want := got[0], got[1]
 			if door.Statuses[0] != tc.status || door.Closed != tc.closed {
 				t.Errorf("the door answered %d, closed %v; want %d, closed %v", door.Statuses[0], door.Closed, tc.status, tc.closed)
+			}
+			if got := door.Headers[0].Get(headerTrace); got != tc.trace && tc.trace != "" {
+				t.Errorf("the door's X-Trace is %q, want %q", got, tc.trace)
 			}
 			if tc.once != "" && strings.Count(door.Bodies[0], tc.once) != 1 {
 				t.Errorf("the door's body %q says %q %d times, want once", door.Bodies[0], tc.once, strings.Count(door.Bodies[0], tc.once))
@@ -355,6 +376,74 @@ func TestFrontDoorOneWrite(t *testing.T) {
 			t.Errorf("door: a gathered 404 made %d plain writes beside its vectored one", got)
 		}
 	}
+}
+
+// recConn is a connection that keeps what is written to it.
+type recConn struct {
+	net.Conn
+	out bytes.Buffer
+}
+
+func (c *recConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
+
+var dateLine = regexp.MustCompile(`\r\nDate: [^\r]*\r\n`)
+
+// TestFrontDoorObjectHead: the answer the door renders for a /fetch
+// (sendObject) is, byte for byte, the one WriteHeader renders through
+// Header.Write from the headers finishFetch and serveObject set — for a
+// minted and an echoed request ID, an upstream chain, names with line breaks
+// and with white space at their ends, and each Connection line.
+func TestFrontDoorObjectHead(t *testing.T) {
+	upstream := []obs.Hop{{Node: "origin", Outcome: "ORIGIN-SERVE", Elapsed: 7 * time.Microsecond}, {Node: "peer\r\nX-Injected: 1", Outcome: "PEER", Elapsed: 150 * time.Microsecond}}
+	for _, tc := range []struct {
+		name     string
+		label    string
+		id       requestID
+		upstream []obs.Hop
+		http10   bool
+		last     bool
+	}{
+		{name: "minted ID", label: "door", id: requestID{label: "door", seq: 0x2a}},
+		{name: "echoed ID, upstream hops", label: "door", id: requestID{echo: "client-7"}, upstream: upstream},
+		{name: "white space at a name's ends", label: "\r\n door\n\t", id: requestID{label: "\r\n door\n\t", seq: 1}, upstream: upstream[1:]},
+		{name: "HTTP/1.0", label: "door", id: requestID{echo: "x"}, http10: true},
+		{name: "closing", label: "door", id: requestID{echo: "x"}, last: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			render := func(door bool) string {
+				c := &recConn{}
+				dc := &doorConn{upConn: newUpConn(c), hdr: make(http.Header), declared: -1, last: tc.last,
+					req: &http.Request{Method: http.MethodGet, ProtoMajor: 1, ProtoMinor: 1 - btoi(tc.http10)}}
+				term := obs.Hop{Node: tc.label, Outcome: "LOCAL,COALESCED", Elapsed: 12 * time.Microsecond}
+				if door {
+					dc.sendObject(term.Outcome, 3, []byte("object"), tc.id, tc.upstream, term)
+				} else {
+					dc.hdr[headerRequestID] = []string{tc.id.String()}
+					dc.hdr[headerTrace] = []string{obs.FormatChain(tc.upstream, term)}
+					serveObject(dc, term.Outcome, 3, []byte("object"))
+				}
+				if !dc.sent || dc.written != dc.declared {
+					t.Errorf("sent %v, %d bytes of %d declared", dc.sent, dc.written, dc.declared)
+				}
+				return dateLine.ReplaceAllString(c.out.String(), "\r\nDate: D\r\n")
+			}
+			door, want := render(true), render(false)
+			if door != want {
+				t.Errorf("the door rendered\n%q\nHeader.Write renders\n%q", door, want)
+			}
+			if strings.Count(door, "\n") != 9+btoi(tc.http10 || tc.last) || !strings.HasSuffix(door, "\r\n\r\nobject") {
+				t.Errorf("not a head of eight lines, a Connection line if one is due, a blank line, then the body: %q", door)
+			}
+		})
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestFrontDoorWriter holds the response writer to what net/http's promised

@@ -401,14 +401,40 @@ func (n *Node) label() string {
 	return "node"
 }
 
-// newRequestID mints a node-unique request identifier. The scratch array
-// keeps the append chain off the heap; only the final string allocates.
-func (n *Node) newRequestID() string {
-	var buf [48]byte
-	b := append(buf[:0], n.label()...)
+// requestID is a /fetch's X-Request-Id: the client's own, echoed, or one
+// the node mints from its label and a sequence number. It is rendered only
+// where it is wanted: into a sampled request's trace ID and its answer — the
+// front door renders it straight into the answer's head.
+type requestID struct {
+	echo, label string
+	seq         int64
+}
+
+// newRequestID is r's request ID: the one it carries, or a node-unique one.
+func (n *Node) newRequestID(r *http.Request) requestID {
+	if v := r.Header[headerRequestID]; len(v) > 0 && v[0] != "" {
+		return requestID{echo: v[0]}
+	}
+	return requestID{label: n.label(), seq: n.reqSeq.Add(1)}
+}
+
+func (id requestID) append(b []byte) []byte {
+	if id.echo != "" {
+		return append(b, id.echo...)
+	}
+	b = append(b, id.label...)
 	b = append(b, '-')
-	b = strconv.AppendInt(b, n.reqSeq.Add(1), 16)
-	return string(b)
+	return strconv.AppendInt(b, id.seq, 16)
+}
+
+// String renders the ID through a stack scratch array: only the string
+// allocates.
+func (id requestID) String() string {
+	if id.echo != "" {
+		return id.echo
+	}
+	var buf [48]byte
+	return string(id.append(buf[:0]))
 }
 
 // Addr returns the node's listening address.
@@ -543,12 +569,7 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	var reqID string
-	if v := r.Header[headerRequestID]; len(v) > 0 && v[0] != "" {
-		reqID = v[0]
-	} else {
-		reqID = n.newRequestID()
-	}
+	id := n.newRequestID(r)
 	// The sampling decision is made on entry so the whole request shares
 	// it: a sampled request's peer calls carry its trace ID, letting the
 	// contacted peer record its own span group under it. Unsampled requests
@@ -559,11 +580,17 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 	// Local cache.
 	if obj, body, ok := n.data.Get(h); ok {
 		atomic.AddInt64(&n.stats.LocalHits, 1)
-		n.finishFetch(w, reqID, start, "LOCAL", obj.Version, body, nil, sampled)
+		n.finishFetch(w, id, start, "LOCAL", obj.Version, body, nil, sampled)
 		return
 	}
 
-	out, shared := n.flights.do(url, func() fetchOutcome { return n.fill(h, url, reqID, sampled) })
+	out, shared := n.flights.do(url, func() fetchOutcome {
+		var reqID string // what a sampled request's peer calls carry
+		if sampled {
+			reqID = id.String()
+		}
+		return n.fill(h, url, reqID, sampled)
+	})
 	if out.err != nil {
 		// fetchOrigin names itself in the error; a peer leg's failure,
 		// when both failed, is named beside it.
@@ -578,7 +605,7 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt64(&n.stats.CoalescedHits, 1)
 		how = "LOCAL,COALESCED"
 	}
-	n.finishFetch(w, reqID, start, how, out.version, out.body, out.hops, sampled)
+	n.finishFetch(w, id, start, how, out.version, out.body, out.hops, sampled)
 }
 
 // finishFetch completes a successful /fetch: it observes the outcome
@@ -590,19 +617,28 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 // data the spans are built from, so the three views can never disagree.
 // Recording happens before the response is written: a client holding the
 // response can immediately pull its spans from /debug/spans.
-func (n *Node) finishFetch(w http.ResponseWriter, reqID string, start time.Time, how string, version int64, body []byte, upstream []obs.Hop, sampled bool) {
+//
+// Through the node's own front door (faults.Middleware and the mux pass its
+// connection on as w), the door renders the answer's head itself, unless
+// something upstream has set a header the rendering would leave out; any
+// other writer is given the headers.
+func (n *Node) finishFetch(w http.ResponseWriter, id requestID, start time.Time, how string, version int64, body []byte, upstream []obs.Hop, sampled bool) {
 	elapsed := time.Since(start)
 	n.hist.observeFetch(how, elapsed)
 	term := obs.Hop{Node: n.label(), Outcome: how, Elapsed: elapsed}
 	if sampled {
 		// The span group is built only for sampled requests; the
 		// unsampled majority never allocates.
-		n.spans.AddGroup(obs.SpansFromHops(obs.TraceID(reqID), upstream, term))
+		n.spans.AddGroup(obs.SpansFromHops(obs.TraceID(id.String()), upstream, term))
+	}
+	if dc, ok := w.(*doorConn); ok && len(dc.hdr) == 0 {
+		dc.sendObject(how, version, body, id, upstream, term)
+		return
 	}
 	// The header keys are pre-canonicalized constants: direct map
 	// assignment skips Set's canonicalization scan on the hot path.
 	hdr := w.Header()
-	hdr[headerRequestID] = []string{reqID}
+	hdr[headerRequestID] = []string{id.String()}
 	hdr[headerTrace] = []string{obs.FormatChain(upstream, term)}
 	serveObject(w, how, version, body)
 }

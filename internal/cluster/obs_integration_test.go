@@ -114,6 +114,14 @@ func scrape(t *testing.T, client *http.Client, base string) *obs.Exposition {
 	return p
 }
 
+// scrapeNode scrapes a fleet node's /metrics on a connection of its own.
+func scrapeNode(t *testing.T, n *Node) *obs.Exposition {
+	t.Helper()
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	return scrape(t, client, n.URL())
+}
+
 // histConsistent checks every histogram family's invariants: cumulative
 // buckets are monotone, the +Inf bucket equals _count, and _sum is present.
 func histConsistent(t *testing.T, p *obs.Exposition) {
@@ -530,7 +538,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	var fleet Stats
 	for i, n := range f.Nodes {
 		st := n.Stats()
-		p := scrape(t, f.client, n.URL())
+		p := scrapeNode(t, n)
 		for _, row := range table {
 			want := reflect.ValueOf(st).FieldByName(row.field)
 			if !want.IsValid() {

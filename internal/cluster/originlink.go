@@ -5,8 +5,9 @@ package cluster
 // meanwhile — does its one exchange on the calling goroutine, not through
 // http.Transport's pool and per-connection read and write loops, and hands
 // the connection back only at the end of an answer it read whole. The origin
-// is spoken to in HTTP/1.1 (below), a peer in frames (peer.go); the lease,
-// the idle set and the retry are the same code.
+// is spoken to in HTTP/1.1 (below), a peer in frames (peer.go), and a Fleet
+// reaches its nodes in HTTP/1.1 too (fleet.go); the lease, the idle set and
+// the retry are the same code.
 
 import (
 	"bufio"
@@ -41,7 +42,7 @@ var (
 )
 
 // network is how the package reaches sockets: a node's links and listener,
-// an origin's listener and a Fleet's own client each go through one. It is
+// an origin's listener and a Fleet's links each go through one. It is
 // real TCP unless a test fleet is started on another (startFleetOn).
 type network struct {
 	dial   func(ctx context.Context, addr string) (net.Conn, error)
@@ -57,9 +58,10 @@ func tcp() network {
 	}
 }
 
-// connSet is what a holder — the origin link, or the peer plane — keeps of
-// its connections: every live one, leased, idle or (the plane's) served, for
-// close to cut. mu also guards the idle sets of the holder's links.
+// connSet is what a holder — the origin link, the peer plane, a Fleet —
+// keeps of its connections: every live one, leased, idle or (the plane's)
+// served, for close to cut. mu also guards the idle sets of the holder's
+// links.
 type connSet struct {
 	mu     sync.Mutex
 	conns  map[*upConn]struct{}
@@ -139,7 +141,8 @@ func newUpConn(c net.Conn) *upConn {
 }
 
 // link is one upstream's idle set, under its holder's connSet, and how to
-// dial it: the origin link holds one, and each peer record one.
+// dial it: the origin link holds one, each peer record one, and a Fleet one
+// per slot.
 type link struct {
 	set  *connSet
 	idle []*upConn // most recently used last; guarded by set.mu
@@ -183,6 +186,17 @@ func (l *link) release(uc *upConn) {
 	}
 	l.set.mu.Unlock()
 	if uc != nil {
+		l.set.drop(uc)
+	}
+}
+
+// dropIdle closes every connection in the idle set.
+func (l *link) dropIdle() {
+	l.set.mu.Lock()
+	idle := l.idle
+	l.idle = nil
+	l.set.mu.Unlock()
+	for _, uc := range idle {
 		l.set.drop(uc)
 	}
 }
@@ -248,36 +262,53 @@ func newOriginLink(originURL string, nw network) (*originLink, error) {
 	}
 	l := &originLink{host: u.Host, path: u.EscapedPath() + "/obj?url="}
 	l.conns = make(map[*upConn]struct{})
-	l.link = link{set: &l.connSet, dial: func(ctx context.Context) (*upConn, error) {
+	l.link = link{set: &l.connSet, dial: dialHTTP(nw, addr)}
+	return l, nil
+}
+
+// dialHTTP dials addr on nw for a link that speaks HTTP/1.1 over it.
+func dialHTTP(nw network, addr string) func(context.Context) (*upConn, error) {
+	return func(ctx context.Context) (*upConn, error) {
 		c, err := nw.dial(ctx, addr)
 		if err != nil {
 			return nil, err
 		}
 		return newUpConn(c), nil
-	}}
-	return l, nil
+	}
 }
 
-// exchange writes one GET on a leased connection and reads its answer. keep
-// says the answer was read to its end and the origin did not ask to close.
-func (l *originLink) exchange(uc *upConn, url string) (version int64, body []byte, hop string, keep bool, err error) {
-	uc.buf = append(uc.buf[:0], "GET "...)
-	uc.buf = append(uc.buf, l.path...)
+// request writes "method path<url, query-escaped> HTTP/1.1" and a Host
+// header on a leased connection, and reads the answer's head. Its body is the
+// caller's to read, no longer metered.
+func request(uc *upConn, method, path, url, host string) (*http.Response, error) {
+	uc.buf = append(uc.buf[:0], method...)
+	uc.buf = append(uc.buf, ' ')
+	uc.buf = append(uc.buf, path...)
 	uc.buf = append(uc.buf, neturl.QueryEscape(url)...)
 	uc.buf = append(uc.buf, " HTTP/1.1\r\nHost: "...)
-	uc.buf = append(uc.buf, l.host...)
+	uc.buf = append(uc.buf, host...)
 	uc.buf = append(uc.buf, "\r\n\r\n"...)
-	if _, err = uc.c.Write(uc.buf); err != nil {
-		return 0, nil, "", false, err
+	if _, err := uc.c.Write(uc.buf); err != nil {
+		return nil, err
 	}
 	resp, err := http.ReadResponse(uc.br, nil)
 	if err != nil {
 		if uc.lr.N <= 0 {
 			err = errHeadTooLong
 		}
-		return 0, nil, "", false, err
+		return nil, err
 	}
 	uc.lr.N = math.MaxInt64
+	return resp, nil
+}
+
+// exchange writes one GET on a leased connection and reads its answer. keep
+// says the answer was read to its end and the origin did not ask to close.
+func (l *originLink) exchange(uc *upConn, url string) (version int64, body []byte, hop string, keep bool, err error) {
+	resp, err := request(uc, http.MethodGet, l.path, url, l.host)
+	if err != nil {
+		return 0, nil, "", false, err
+	}
 	if resp.StatusCode != http.StatusOK {
 		// An error page is not an object: a token amount is read for the
 		// connection's sake, and a longer page costs the connection.

@@ -216,20 +216,21 @@ func TestHomeServesItsOwnCopy(t *testing.T) {
 	var buf [overlay.MaxReplicas]uint64
 	first := homedView(f.Nodes[0]).Owners(hintcache.HashURL(url), buf[:0])[0]
 	var home *Node
-	for _, n := range f.Nodes {
+	for i, n := range f.Nodes {
 		if n.machineID == first {
 			home = n
+			if _, err := f.Fetch(i, url); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if home == nil {
 		t.Fatal("the object's first owner is not in the fleet")
 	}
-	if _, err := FetchFrom(f.client, home.URL(), url); err != nil {
-		t.Fatal(err)
-	}
-	fetcher := f.Nodes[nonOwners(f, url)[0]]
+	fi := nonOwners(f, url)[0]
+	fetcher := f.Nodes[fi]
 	before := home.Stats()
-	res, err := FetchFrom(f.client, fetcher.URL(), url)
+	res, err := f.Fetch(fi, url)
 	if err != nil || !res.Remote() {
 		t.Fatalf("non-owner's fetch = %+v, %v; want REMOTE", res, err)
 	}
@@ -285,12 +286,13 @@ func TestPeerStillFillingIsNotDemoted(t *testing.T) {
 	const url = "http://part.example/still-filling"
 	f := startPartFleet(t, 6, func(cfg *FleetConfig) { cfg.HedgeBudget = time.Hour })
 	ns := nonOwners(f, url)
-	a, b, c := f.Nodes[ns[0]], ns[1], ns[2]
+	ai, b, c := ns[0], ns[1], ns[2]
+	a := f.Nodes[ai]
 	h := hintcache.HashURL(url)
 	f.Origin.SetLatency(500 * time.Millisecond)
 	filled := make(chan error, 1)
 	go func() {
-		res, err := FetchFrom(f.client, a.URL(), url)
+		res, err := f.Fetch(ai, url)
 		if err == nil && !res.Miss() {
 			err = fmt.Errorf("A's fetch = %+v, want MISS", res)
 		}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -343,4 +344,89 @@ func TestFleetFetchDuringRestart(t *testing.T) {
 	if _, err := f.Fetch(0, "http://example.com/during-restart/last"); err != nil {
 		t.Fatalf("fetch after the restarts: %v", err)
 	}
+}
+
+// TestFleetLinks: the fleet reaches each node over a link of its own — calls
+// one after another reuse one connection, and at most as many stay idle as
+// ran at once — and Fetch and Purge keep working across RestartNode and
+// KillNode: a killed slot fails both at once, and the slot restarted on its
+// own address is reached again.
+func TestFleetLinks(t *testing.T) {
+	f := startFleet(t, 2, FleetConfig{ObjectSize: 256})
+	const url = "http://example.com/links/a"
+	idle := func(i int) int {
+		f.conns.mu.Lock()
+		defer f.conns.mu.Unlock()
+		return len(f.links[i].idle)
+	}
+	fetch := func(i int, want string) {
+		t.Helper()
+		if res, err := f.Fetch(i, url); err != nil || res.How != want || res.Bytes != 256 {
+			t.Fatalf("node %d fetch = %+v, %v; want %s, 256 bytes", i, res, err, want)
+		}
+	}
+	purge := func(i int, want string) {
+		t.Helper()
+		if err := f.Purge(i, url); fmt.Sprint(err) != want {
+			t.Fatalf("node %d purge = %v, want %s", i, err, want)
+		}
+	}
+
+	fetch(0, "MISS")
+	for range 5 {
+		fetch(0, "LOCAL")
+	}
+	purge(0, "<nil>")
+	purge(0, "purge: status 404")
+	if n := idle(0); n != 1 {
+		t.Errorf("eight calls in turn left %d idle connections, want one reused", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				if _, err := f.Fetch(0, url); err != nil {
+					t.Error(err)
+				}
+				f.Purge(0, url) // 404 when another goroutine's purge came first
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idle(0); n < 1 || n > 8 {
+		t.Errorf("eight callers at once left %d idle connections, want 1 to 8", n)
+	}
+
+	if err := f.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := idle(0); n != 0 {
+		t.Errorf("%d idle connections to a restarted node, want none", n)
+	}
+	fetch(0, "MISS")
+	purge(0, "<nil>")
+
+	if err := f.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := f.Fetch(1, url); err == nil || !strings.HasPrefix(err.Error(), "fetch: ") {
+		t.Errorf("fetch from a killed node = %v, want a fetch error", err)
+	}
+	if err := f.Purge(1, url); err == nil || !strings.HasPrefix(err.Error(), "purge: ") {
+		t.Errorf("purge at a killed node = %v, want a purge error", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("a killed node took %v to fail a fetch and a purge", took)
+	}
+	if err := f.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Fetch(1, url); err != nil {
+		t.Fatal(err)
+	}
+	purge(1, "<nil>")
+	fetch(0, "MISS")
 }

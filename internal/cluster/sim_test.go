@@ -29,6 +29,8 @@ import (
 	"testing"
 	"testing/synctest"
 	"time"
+
+	"beyondcache/internal/resilience"
 )
 
 // memNet is an in-memory network: a dial is one net.Pipe, whose far end the
@@ -187,4 +189,58 @@ func TestSimFleet(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestSimHedgedMissLatency is TestChaosHedgedMissLatencyBudget on the fake
+// clock (ROADMAP 1(d)), over the fleet's own links: node 0 holds a hint for
+// each of 30 objects at node 1, which the fleet's fault spec blackholes.
+// Each of those misses then costs exactly the hedge budget and the origin's
+// latency, and a miss nothing is hinted for the origin's latency alone — as
+// FetchResult.Elapsed, which the bubble makes exact — so hedged stays within
+// 2x direct. The wall-clock original judges the same bound on a median and a
+// third-largest; here every sample is the bound's own arithmetic.
+func TestSimHedgedMissLatency(t *testing.T) {
+	const originLatency, budget, samples = 30 * time.Millisecond, 15 * time.Millisecond, 30
+	synctest.Run(func() {
+		cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour, HedgeBudget: budget}
+		f, err := startFleetOn(cfg, (&memNet{lis: make(map[string]*memListener)}).network())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		// Losses never open the breaker: every hinted miss pays the hedge,
+		// none is a breaker skip.
+		peerOf(f.Nodes[0], f.urls[1]).br = resilience.NewBreaker(noBreaker)
+		f.Origin.SetLatency(originLatency)
+		hinted, direct := urlsN("sim-hedged", samples), urlsN("sim-direct", samples)
+		for _, u := range hinted {
+			if _, err := f.Fetch(1, u); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		f.FlushAll()
+		if err := f.SetFaultSpec(hostPortOf(f.urls[1]) + ":blackhole"); err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.SetFaultSpec("") // healed before the close-time flush
+		fetch := func(u, want string, took time.Duration) time.Duration {
+			res, err := f.Fetch(0, u)
+			if err != nil || res.How != want || res.Elapsed != took {
+				t.Errorf("fetch %s = %q in %v, %v; want %s in %v", u, res.How, res.Elapsed, err, want, took)
+			}
+			return res.Elapsed
+		}
+		for i := range hinted {
+			d := fetch(direct[i], "MISS", originLatency)
+			if h := fetch(hinted[i], "MISS,HEDGE", budget+originLatency); h > 2*d {
+				t.Errorf("hedged miss %v exceeds 2x direct-origin %v: a dead peer is slowing down misses", h, d)
+			}
+		}
+		if st := f.Nodes[0].Stats(); st.HedgesStarted < samples || st.HedgeOriginWins < samples {
+			t.Errorf("%d hedges started and %d origin wins, want >= %d each", st.HedgesStarted, st.HedgeOriginWins, samples)
+		}
+	})
 }

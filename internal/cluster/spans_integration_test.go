@@ -290,7 +290,7 @@ func TestDigestStalenessRecorded(t *testing.T) {
 	if age := from.digestStale.Sum(); age < 20*time.Millisecond || age > 10*time.Second {
 		t.Errorf("recorded staleness %v, want >= 20ms (the inter-pull gap)", age)
 	}
-	p := scrape(t, f.client, f.Nodes[0].URL())
+	p := scrapeNode(t, f.Nodes[0])
 	checkPeerHistograms(t, p, "beyondcache_digest_staleness_seconds", map[string]int64{from.host: 1})
 }
 

@@ -44,20 +44,22 @@ func (h Hop) appendSegment(b []byte) []byte {
 // Segment renders the hop as one X-Trace segment.
 func (h Hop) Segment() string { return string(h.appendSegment(nil)) }
 
-// FormatChain renders upstream hops plus a terminal hop as one X-Trace
-// value without materializing the combined slice — the /fetch hot path
-// calls this per request, so it builds through a stack scratch buffer and
-// allocates only the final string.
-func FormatChain(upstream []Hop, term Hop) string {
-	var sb strings.Builder
-	sb.Grow(48 * (len(upstream) + 1))
-	var scratch [96]byte
+// AppendChain appends upstream hops plus a terminal hop to b as one X-Trace
+// value, without materializing the combined slice: the front door appends
+// it straight into a /fetch answer's head.
+func AppendChain(b []byte, upstream []Hop, term Hop) []byte {
 	for _, h := range upstream {
-		sb.Write(h.appendSegment(scratch[:0]))
-		sb.WriteByte('|')
+		b = h.appendSegment(b)
+		b = append(b, '|')
 	}
-	sb.Write(term.appendSegment(scratch[:0]))
-	return sb.String()
+	return term.appendSegment(b)
+}
+
+// FormatChain is AppendChain as a string, built through a stack scratch
+// buffer: a chain that fits it allocates only the string.
+func FormatChain(upstream []Hop, term Hop) string {
+	var scratch [256]byte
+	return string(AppendChain(scratch[:0], upstream, term))
 }
 
 // ParseSegment parses one hop segment; ok is false on malformed input.
