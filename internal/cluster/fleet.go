@@ -233,8 +233,8 @@ func (f *Fleet) NodeURLs() []string { return append([]string(nil), f.urls...) }
 // injector a node RestartNode brings back is born holding the same spec.
 // Scenario timelines call this to break and heal targets mid-run; an empty
 // spec heals everything. A spec that does not parse is an error and changes
-// nothing. It walks f.Nodes, so, like PurgeAll, it is not safe to call while
-// RestartNode swaps a node in.
+// nothing. It walks f.Nodes, so it is not safe to call while RestartNode
+// swaps a node in.
 func (f *Fleet) SetFaultSpec(spec string) error {
 	if _, err := faults.ParseSpec(spec); err != nil {
 		return err

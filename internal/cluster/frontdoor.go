@@ -368,7 +368,7 @@ func (dc *doorConn) Write(p []byte) (int, error) {
 		dc.body = append(dc.body, p...)
 	case !dc.sent:
 		dc.send(p)
-	case dc.werr == nil:
+	case dc.werr == nil && len(p) > 0:
 		_, dc.werr = dc.c.Write(p)
 	}
 	return len(p), dc.werr
@@ -376,12 +376,18 @@ func (dc *doorConn) Write(p []byte) (int, error) {
 
 // send finishes the head and writes it with p behind it: one writev on a
 // TCP connection, so the client wakes once, with all of it. The response's
-// one write deadline is armed here, for this write and any behind it.
+// one write deadline is armed here, for this write and any behind it. An
+// empty p stays out of the vector: a connection is never handed an empty
+// write, which on a synchronous one (net.Pipe) blocks until the client reads
+// again — and a client waiting to send its next request never does.
 func (dc *doorConn) send(p []byte) {
 	dc.c.SetWriteDeadline(time.Now().Add(doorWriteTimeout))
 	dc.head.WriteString("\r\n")
 	dc.sent, dc.iov[0], dc.iov[1] = true, dc.head.Bytes(), p
 	dc.vec = dc.iov[:]
+	if len(p) == 0 {
+		dc.vec = dc.iov[:1]
+	}
 	_, dc.werr = dc.vec.WriteTo(dc.c)
 	dc.iov[1] = nil // the body is the cache's: not ours to pin
 }

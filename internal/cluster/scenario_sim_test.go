@@ -15,6 +15,11 @@ package cluster_test
 // the build.)
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/synctest"
 
@@ -23,7 +28,8 @@ import (
 )
 
 // TestSimScenarios runs every shipped scenario end to end and fails on any
-// bound that does not hold.
+// bound that does not hold. A scenario that neither kills nor restarts a
+// node takes none down, so none of its requests may fail.
 func TestSimScenarios(t *testing.T) {
 	scenarios, err := loadgen.Builtins()
 	if err != nil {
@@ -63,8 +69,98 @@ func TestSimScenarios(t *testing.T) {
 			for _, r := range rep.Restarts {
 				t.Logf("restart of node %d at %v: %d objects (%d bytes) recovered", r.Node, r.At, r.Objects, r.Bytes)
 			}
-			if len(sc.Restarts) > 0 && (len(rep.Restarts) == 0 || rep.Restarts[0].Objects == 0) {
-				t.Errorf("restarts %+v: the restarted node recovered nothing from its disk tier", rep.Restarts)
+			restarts, kills := 0, 0
+			for _, e := range sc.Events {
+				switch e.Kind {
+				case "restart":
+					restarts++
+				case "kill":
+					kills++
+				}
+			}
+			if restarts > 0 && (len(rep.Restarts) != restarts || rep.Restarts[0].Objects == 0) {
+				t.Errorf("restarts %+v for %d restart events: each must report, and the first recover objects from its disk tier", rep.Restarts, restarts)
+			}
+			if got := rep.Result.Overall.Errors; restarts+kills == 0 && got != 0 {
+				t.Errorf("%d requests failed, and no node was taken down", got)
+			}
+		})
+	}
+}
+
+// everyEventKind writes each event kind into one timeline, with events that
+// share an offset in an order a sort by kind would change (the kill before
+// the restart): node 1 restarts under its partition and is born holding it,
+// and node 2 is killed and brought back.
+const everyEventKind = `
+name every-event-kind
+profile DEC
+nodes 3
+seed 7
+warmup 100
+origin-latency 10ms
+
+phase a 1s rate=100 hotset=32
+phase b 1s rate=100 hotset=32
+phase c 1s rate=100 hotset=32
+
+fault 500ms node-1:partition
+origin-at 500ms 40ms
+invalidate 1s 32
+kill 1500ms 2
+restart 1500ms 1
+heal 2s
+origin-at 2s 10ms
+restart 2500ms 2
+
+accept error_rate <= 0.25
+`
+
+// TestSimScenarioEveryEventKind runs one timeline holding every event kind,
+// with and without strong consistency, whose purges run beside the kills and
+// restarts. The walker applies the events one at a time in offset order,
+// those at one offset in the file's order, and each restart reports.
+func TestSimScenarioEveryEventKind(t *testing.T) {
+	for _, strong := range []bool{false, true} {
+		t.Run(fmt.Sprintf("strong=%v", strong), func(t *testing.T) {
+			text := everyEventKind
+			if strong {
+				text += "strong-consistency true\n"
+			}
+			sc, err := loadgen.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{
+				"fault 500ms node-1:partition", "origin-at 500ms 40ms", "invalidate 1s 32",
+				"kill 1.5s 2", "restart 1.5s 1", "heal 2s", "origin-at 2s 10ms", "restart 2.5s 2",
+			}
+			var mu sync.Mutex
+			var applied []string
+			logf := func(format string, args ...any) {
+				line := fmt.Sprintf(format, args...)
+				if ev, ok := strings.CutPrefix(line, sc.Name+": "); ok && slices.Contains(want, ev) {
+					mu.Lock()
+					applied = append(applied, ev)
+					mu.Unlock()
+				}
+				t.Log(line)
+			}
+			var rep *loadgen.RunReport
+			synctest.Run(func() {
+				rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: cluster.StartMemFleet, Logf: logf})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(applied, want) {
+				t.Errorf("events applied in the order %q, want %q", applied, want)
+			}
+			if len(rep.Restarts) != 2 || rep.Restarts[0].Node != 1 || rep.Restarts[1].Node != 2 {
+				t.Errorf("restarts %+v, want node 1 then node 2", rep.Restarts)
+			}
+			if !rep.Pass {
+				t.Errorf("bounds do not hold: %+v", rep.Bounds)
 			}
 		})
 	}

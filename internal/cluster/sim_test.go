@@ -191,6 +191,45 @@ func TestSimFleet(t *testing.T) {
 	}
 }
 
+// TestSimBodilessAnswerThenReuse sends a fetch, a purge and a fetch down a
+// one-node fleet's one link, three times over. A purge that drops a copy is
+// answered 204, with no body; on net.Pipe a zero-length write blocks until
+// the far end reads again, which the link does not do between exchanges, so
+// a door that wrote one would stall the next request on that connection
+// until the client's timeout. Here each purge and the fetch behind it take
+// no fake time at all.
+func TestSimBodilessAnswerThenReuse(t *testing.T) {
+	synctest.Run(func() {
+		cfg := FleetConfig{Nodes: 1, ObjectSize: 256, UpdateInterval: time.Hour}
+		f, err := startFleetOn(cfg, (&memNet{lis: make(map[string]*memListener)}).network())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		const u = "http://example.com/sim/bodiless"
+		for round := 0; round < 3; round++ {
+			if _, err := f.Fetch(0, u); err != nil {
+				t.Errorf("round %d: %v", round, err)
+				return
+			}
+			start := time.Now()
+			if err := f.Purge(0, u); err != nil {
+				t.Errorf("round %d: %v", round, err)
+				return
+			}
+			res, err := f.Fetch(0, u)
+			if err != nil || res.How != "MISS" {
+				t.Errorf("round %d: fetch after the purge = %q, %v after %v; want a MISS", round, res.How, err, time.Since(start))
+				return
+			}
+			if took := time.Since(start); took != 0 {
+				t.Errorf("round %d: the purge and the fetch behind it took %v of fake time, want 0", round, took)
+			}
+		}
+	})
+}
+
 // TestSimHedgedMissLatency is TestChaosHedgedMissLatencyBudget on the fake
 // clock (ROADMAP 1(d)), over the fleet's own links: node 0 holds a hint for
 // each of 30 objects at node 1, which the fleet's fault spec blackholes.

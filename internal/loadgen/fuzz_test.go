@@ -24,6 +24,8 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("name x\nprofile Berkeley\nnodes 2\npacing trace\nduration 2s\nrequests 100")
 	f.Add("phase p 1s rate=1e300\nname \x00")
 	f.Add("accept p99_ratio a b <= 1\nfault -1s x:partition")
+	f.Add("name x\nprofile DEC\nnodes 3\nphase p 2s rate=1\n" +
+		"restart 1s 1\nkill 1s 0\ninvalidate 1s 4\norigin-at 1s 9ms\nheal 1s\nfault 1s node-2:partition")
 
 	f.Fuzz(func(t *testing.T, text string) {
 		sc, err := Parse(text)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"beyondcache/internal/cluster"
-	"beyondcache/internal/faults"
 	"beyondcache/internal/trace"
 )
 
@@ -96,7 +95,6 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 		Nodes:          sc.Nodes,
 		CacheBytes:     sc.CacheBytes,
 		UpdateInterval: interval,
-		HedgeBudget:    sc.HedgeBudget,
 		HintPartition:  sc.HintPartition > 0,
 		HintReplicas:   sc.HintPartition,
 		CacheDirs:      cacheDirs,
@@ -125,58 +123,19 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var errMu sync.Mutex
-	var eventsErr error
-	var eventsDone sync.WaitGroup
-	// walk runs one event timeline beside the load; the first error one
-	// returns before the run ends fails the run.
-	walk := func(timeline func() error) {
-		eventsDone.Add(1)
-		go func() {
-			defer eventsDone.Done()
-			if err := timeline(); err != nil && ctx.Err() == nil {
-				errMu.Lock()
-				if eventsErr == nil {
-					eventsErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
-	}
-	if len(sc.Faults) > 0 {
-		events := make([]faults.TimelineEvent, 0, len(sc.Faults))
-		for _, e := range sc.Faults {
-			events = append(events, faults.TimelineEvent{At: e.At, Spec: expandTargets(e.Spec, fleet)})
-		}
-		tl, err := faults.NewTimeline(events)
-		if err != nil {
-			return nil, err
-		}
-		walk(func() error {
-			return tl.Run(ctx, func(spec string) error {
-				logf("%s: fault: %s", sc.Name, specLabel(spec))
-				return fleet.SetFaultSpec(spec)
-			})
-		})
-	}
-	if len(sc.OriginEvents)+len(sc.Invalidates) > 0 {
-		walk(func() error { runOriginEvents(ctx, fleet, sc, logf); return nil })
-	}
-	// Only the restart walker appends, and the report reads after
-	// eventsDone.Wait.
+	// One walker applies the timeline beside the load. Only it writes
+	// restarts and eventsErr, and they are read once it is done.
 	var restarts []RestartResult
-	if len(sc.Restarts) > 0 {
-		walk(func() error {
-			return runRestarts(ctx, fleet, sc, logf, func(r RestartResult) { restarts = append(restarts, r) })
-		})
-	}
-	if len(sc.Kills) > 0 {
-		walk(func() error { return runKills(ctx, fleet, sc, logf) })
-	}
+	var eventsErr error
+	walked := make(chan struct{})
+	go func() {
+		defer close(walked)
+		restarts, eventsErr = walkEvents(ctx, fleet, sc, logf)
+	}()
 
 	res, err := RunSchedule(ctx, sched, cfg)
 	cancel()
-	eventsDone.Wait()
+	<-walked
 	if err != nil {
 		return nil, err
 	}
@@ -257,84 +216,49 @@ func warm(fleet *cluster.Fleet, sched *Schedule, n int) {
 	wg.Wait()
 }
 
-// originEvent is one origin-plane timeline entry: either a latency change
-// (invalidate < 0) or a hot-set invalidation of `invalidate` objects.
-type originEvent struct {
-	at         time.Duration
-	latency    time.Duration
-	invalidate int
-}
-
-// runOriginEvents walks the scenario's origin-latency and invalidation
-// events in offset order, sleeping to each one. These events cannot fail
-// (they were validated with the scenario), so the loop returns nothing.
-func runOriginEvents(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf func(string, ...any)) {
-	events := make([]originEvent, 0, len(sc.OriginEvents)+len(sc.Invalidates))
-	for _, e := range sc.OriginEvents {
-		events = append(events, originEvent{at: e.At, latency: e.Latency, invalidate: -1})
-	}
-	for _, e := range sc.Invalidates {
-		events = append(events, originEvent{at: e.At, invalidate: e.Count})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
+// walkEvents applies the scenario's events one at a time, in order, each
+// at its offset from the walk's start. An event that takes time — a
+// restart's boot recovery scan, an invalidation's purges — delays the ones
+// behind it, and no two ever act on the fleet at once. Load keeps flowing
+// throughout: requests routed at a node that is down fail and are recorded
+// like any other. It returns each restart's recovery outcome, and the error
+// of the first event that fails, unless the run ended first.
+func walkEvents(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf func(string, ...any)) ([]RestartResult, error) {
+	var restarts []RestartResult
 	start := time.Now()
-	for _, e := range events {
-		if !sleepTo(ctx, start, e.at) {
-			return
-		}
-		if e.invalidate < 0 {
-			logf("%s: origin latency -> %v", sc.Name, e.latency)
-			fleet.Origin.SetLatency(e.latency)
-		} else {
-			logf("%s: invalidating %d hottest objects", sc.Name, e.invalidate)
-			invalidateHotSet(fleet, e.invalidate)
-		}
-	}
-}
-
-// runRestarts walks the scenario's restart events in offset order, sleeping
-// to each one, restarting the named node in place, and waiting out its boot
-// recovery scan before reporting the result. Load keeps flowing while the
-// node is down; the driver records the window's failures like any other.
-func runRestarts(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf func(string, ...any), record func(RestartResult)) error {
-	events := append([]RestartEvent(nil), sc.Restarts...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	start := time.Now()
-	for _, e := range events {
+	for _, e := range sc.Events {
 		if !sleepTo(ctx, start, e.At) {
-			return nil
+			break
 		}
-		logf("%s: restarting node %d", sc.Name, e.Node)
-		if err := fleet.RestartNode(e.Node); err != nil {
-			return fmt.Errorf("restart node %d: %w", e.Node, err)
+		logf("%s: %v", sc.Name, e)
+		var err error
+		switch e.Kind {
+		case "fault":
+			err = fleet.SetFaultSpec(expandTargets(e.Spec, fleet))
+		case "origin-at":
+			fleet.Origin.SetLatency(e.Latency)
+		case "invalidate":
+			invalidateHotSet(fleet, e.Count)
+		case "kill":
+			err = fleet.KillNode(e.Node)
+		case "restart":
+			if err = fleet.RestartNode(e.Node); err == nil {
+				n := fleet.Nodes[e.Node]
+				n.WaitRecovery()
+				rec := n.RecoveryStats()
+				logf("%s: node %d recovered %d objects (%d bytes) in %v",
+					sc.Name, e.Node, rec.Objects, rec.Bytes, rec.Duration)
+				restarts = append(restarts, RestartResult{Node: e.Node, At: e.At, Objects: rec.Objects, Bytes: rec.Bytes, Duration: rec.Duration})
+			}
 		}
-		fleet.Nodes[e.Node].WaitRecovery()
-		rec := fleet.Nodes[e.Node].RecoveryStats()
-		logf("%s: node %d recovered %d objects (%d bytes) in %v",
-			sc.Name, e.Node, rec.Objects, rec.Bytes, rec.Duration)
-		record(RestartResult{Node: e.Node, At: e.At, Objects: rec.Objects, Bytes: rec.Bytes, Duration: rec.Duration})
-	}
-	return nil
-}
-
-// runKills walks the scenario's kill events in offset order, sleeping to
-// each one and taking the named node down for good. Load keeps flowing:
-// requests pointed at the dead node fail and are recorded, and the
-// survivors re-home the dead node's directory share.
-func runKills(ctx context.Context, fleet *cluster.Fleet, sc *Scenario, logf func(string, ...any)) error {
-	events := append([]KillEvent(nil), sc.Kills...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	start := time.Now()
-	for _, e := range events {
-		if !sleepTo(ctx, start, e.At) {
-			return nil
-		}
-		logf("%s: killing node %d", sc.Name, e.Node)
-		if err := fleet.KillNode(e.Node); err != nil {
-			return fmt.Errorf("kill node %d: %w", e.Node, err)
+		if err != nil {
+			if ctx.Err() != nil {
+				break // cut short by the run's end
+			}
+			return restarts, fmt.Errorf("%v: %w", e, err)
 		}
 	}
-	return nil
+	return restarts, nil
 }
 
 // invalidateHotSet bumps and purges the count most popular objects
@@ -378,14 +302,6 @@ func expandTargets(spec string, fleet *cluster.Fleet) string {
 func hostPort(u string) string {
 	u = strings.TrimPrefix(u, "http://")
 	return strings.TrimSuffix(u, "/")
-}
-
-// specLabel compresses an event spec for progress logs.
-func specLabel(spec string) string {
-	if spec == "" {
-		return "heal (clear fault spec)"
-	}
-	return spec
 }
 
 // evalBound extracts a bound's measured value from the run result.

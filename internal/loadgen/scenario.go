@@ -12,8 +12,9 @@
 // completion, so a stalled node cannot hide queueing delay from the
 // recorded latencies), per-phase latencies land in the same obs.Histogram
 // the nodes export on /metrics, and Run boots an internal/cluster fleet,
-// applies the scenario's fault/origin/invalidate/restart/kill timeline
-// mid-run via the internal/faults DSL, and judges the bounds. The fleet
+// walks the scenario's one event timeline — faults in the internal/faults
+// DSL, origin latency steps, invalidation storms, kills, restarts — mid-run,
+// and judges the bounds. The fleet
 // runs on loopback TCP, or on an in-memory network inside a synctest bubble
 // (internal/cluster's TestSimScenarios runs the shipped matrix that way).
 package loadgen
@@ -25,6 +26,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"beyondcache/internal/faults"
 )
 
 // Phase is one contiguous window of a scenario's arrival process. Arrivals
@@ -51,47 +54,48 @@ type Phase struct {
 	HotFrac  float64
 }
 
-// FaultEvent re-specs the fleet's fault plane At after the run starts. The
-// spec is the internal/faults DSL with node names ("node-1") and "origin"
-// as targets; the runner rewrites them to live host:port addresses. An
-// empty spec heals everything.
-type FaultEvent struct {
-	At   time.Duration
-	Spec string
-}
-
-// OriginEvent changes the origin's artificial service latency At after the
-// run starts (origin brownout and recovery).
-type OriginEvent struct {
+// Event is one step of a scenario's timeline, applied At after the run
+// starts. Kind is the keyword that wrote it, and the one argument that
+// keyword takes sits in its field:
+//
+//	fault <offset> <spec>       Spec: re-spec every node's fault injector,
+//	                            in the internal/faults DSL with node names
+//	                            ("node-1") and "origin" as targets, which
+//	                            the runner rewrites to host:port addresses
+//	heal <offset>               a fault event with an empty Spec: heal all
+//	origin-at <offset> <dur>    Latency: the origin's service latency from
+//	                            here on (brownout and recovery)
+//	invalidate <offset> <n>     Count: bump the origin version of the n most
+//	                            popular objects and purge every cached copy
+//	kill <offset> <node>        Node: shut it down; requests the driver
+//	                            routes at it fail until a restart
+//	restart <offset> <node>     Node: stop it and boot a replacement on the
+//	                            same address (and, with disk-tier, the same
+//	                            cache directory, which it recovers from)
+type Event struct {
 	At      time.Duration
+	Kind    string
+	Spec    string
 	Latency time.Duration
+	Count   int
+	Node    int
 }
 
-// InvalidateEvent bumps the origin version of the Count most popular
-// objects At after the run starts and purges every cached copy — a
-// mass-invalidation storm.
-type InvalidateEvent struct {
-	At    time.Duration
-	Count int
-}
-
-// KillEvent shuts fleet node Node down At after the run starts and leaves
-// it down for the rest of the run — the crash a partitioned hint directory
-// (hint-partition) must detect and re-home around while load continues.
-// Requests the driver routes at the dead node fail and are recorded like
-// any other error.
-type KillEvent struct {
-	At   time.Duration
-	Node int
-}
-
-// RestartEvent stops fleet node Node At after the run starts and boots a
-// replacement on the same address — and, with disk-tier enabled, the same
-// cache directory, so the replacement recovers its population from disk and
-// republishes it into the hint plane while load continues.
-type RestartEvent struct {
-	At   time.Duration
-	Node int
+// String renders the event as its scenario line.
+func (e Event) String() string {
+	at := e.At.String()
+	switch e.Kind {
+	case "fault":
+		if e.Spec == "" {
+			return "heal " + at
+		}
+		return "fault " + at + " " + e.Spec
+	case "origin-at":
+		return "origin-at " + at + " " + e.Latency.String()
+	case "invalidate":
+		return "invalidate " + at + " " + strconv.Itoa(e.Count)
+	}
+	return e.Kind + " " + at + " " + strconv.Itoa(e.Node)
 }
 
 // Bound is one acceptance bound over the run's measured results:
@@ -159,8 +163,6 @@ type Scenario struct {
 	StrongConsistency bool
 	// OriginLatency is the origin's baseline artificial service latency.
 	OriginLatency time.Duration
-	// HedgeBudget passes through to every node (0 = node default 50ms).
-	HedgeBudget time.Duration
 	// UpdateInterval is the fleet's metadata exchange interval (0 = 100ms).
 	UpdateInterval time.Duration
 	// CacheBytes bounds each node (0 = the node default).
@@ -178,13 +180,11 @@ type Scenario struct {
 	// unrecorded before the measured run, pre-filling caches.
 	Warmup int
 
-	Phases       []Phase
-	Faults       []FaultEvent
-	OriginEvents []OriginEvent
-	Invalidates  []InvalidateEvent
-	Restarts     []RestartEvent
-	Kills        []KillEvent
-	Bounds       []Bound
+	Phases []Phase
+	// Events is the timeline, ordered by offset; events at one offset keep
+	// the order the file wrote them in, and are applied in it.
+	Events []Event
+	Bounds []Bound
 }
 
 // Span returns the measured run's wall window: the phase durations summed
@@ -235,8 +235,8 @@ func durationMetric(m string) bool {
 // Parse reads a scenario from its text form. The format is line-oriented:
 // '#' starts a comment, blank lines are skipped, and each line is a
 // keyword followed by space-separated fields (see the scenarios/ directory
-// for the matrix this repo ships). Parse validates cross-field constraints
-// so a scenario that parses is runnable.
+// for the matrix this repo ships). Parse orders the events by offset and
+// validates cross-field constraints, so a scenario that parses is runnable.
 func Parse(text string) (*Scenario, error) {
 	sc := &Scenario{}
 	seen := map[string]bool{}
@@ -250,8 +250,8 @@ func Parse(text string) (*Scenario, error) {
 			continue
 		}
 		key, args := fields[0], fields[1:]
-		// Singleton keys may appear once; phase/fault/origin-at/invalidate/
-		// accept accumulate.
+		// Singleton keys may appear once; phases, events and bounds
+		// accumulate.
 		switch key {
 		case "phase", "fault", "heal", "origin-at", "invalidate", "restart", "kill", "accept":
 		default:
@@ -285,8 +285,6 @@ func Parse(text string) (*Scenario, error) {
 			err = oneDur(args, &sc.Duration)
 		case "origin-latency":
 			err = oneDur(args, &sc.OriginLatency)
-		case "hedge-budget":
-			err = oneDur(args, &sc.HedgeBudget)
 		case "update-interval":
 			err = oneDur(args, &sc.UpdateInterval)
 		case "cache-bytes":
@@ -327,77 +325,11 @@ func Parse(text string) (*Scenario, error) {
 					sc.Phases = append(sc.Phases, p)
 				}
 			}
-		case "fault":
-			if len(args) < 2 {
-				err = fmt.Errorf("want: fault <offset> <spec>")
-				break
+		case "fault", "heal", "origin-at", "invalidate", "restart", "kill":
+			var e Event
+			if e, err = parseEvent(key, args); err == nil {
+				sc.Events = append(sc.Events, e)
 			}
-			var at time.Duration
-			if at, err = time.ParseDuration(args[0]); err != nil {
-				break
-			}
-			sc.Faults = append(sc.Faults, FaultEvent{At: at, Spec: strings.Join(args[1:], " ")})
-		case "heal":
-			var at time.Duration
-			if at, err = oneDurVal(args); err == nil {
-				sc.Faults = append(sc.Faults, FaultEvent{At: at})
-			}
-		case "origin-at":
-			if len(args) != 2 {
-				err = fmt.Errorf("want: origin-at <offset> <latency>")
-				break
-			}
-			var ev OriginEvent
-			if ev.At, err = time.ParseDuration(args[0]); err != nil {
-				break
-			}
-			if ev.Latency, err = time.ParseDuration(args[1]); err != nil {
-				break
-			}
-			sc.OriginEvents = append(sc.OriginEvents, ev)
-		case "invalidate":
-			if len(args) != 2 {
-				err = fmt.Errorf("want: invalidate <offset> <count>")
-				break
-			}
-			var ev InvalidateEvent
-			if ev.At, err = time.ParseDuration(args[0]); err != nil {
-				break
-			}
-			if ev.Count, err = strconv.Atoi(args[1]); err != nil {
-				break
-			}
-			if ev.Count <= 0 {
-				err = fmt.Errorf("invalidate count must be positive, got %d", ev.Count)
-				break
-			}
-			sc.Invalidates = append(sc.Invalidates, ev)
-		case "restart":
-			if len(args) != 2 {
-				err = fmt.Errorf("want: restart <offset> <node>")
-				break
-			}
-			var ev RestartEvent
-			if ev.At, err = time.ParseDuration(args[0]); err != nil {
-				break
-			}
-			if ev.Node, err = strconv.Atoi(args[1]); err != nil {
-				break
-			}
-			sc.Restarts = append(sc.Restarts, ev)
-		case "kill":
-			if len(args) != 2 {
-				err = fmt.Errorf("want: kill <offset> <node>")
-				break
-			}
-			var ev KillEvent
-			if ev.At, err = time.ParseDuration(args[0]); err != nil {
-				break
-			}
-			if ev.Node, err = strconv.Atoi(args[1]); err != nil {
-				break
-			}
-			sc.Kills = append(sc.Kills, ev)
 		case "accept":
 			var b Bound
 			if b, err = parseBound(args); err == nil {
@@ -410,10 +342,47 @@ func Parse(text string) (*Scenario, error) {
 			return nil, fmt.Errorf("loadgen: line %d (%s): %w", ln+1, key, err)
 		}
 	}
+	sort.SliceStable(sc.Events, func(i, j int) bool { return sc.Events[i].At < sc.Events[j].At })
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	return sc, nil
+}
+
+// eventArg is what each event keyword takes after its offset.
+var eventArg = map[string]string{"fault": " <spec>", "heal": "", "origin-at": " <latency>",
+	"invalidate": " <count>", "restart": " <node>", "kill": " <node>"}
+
+// parseEvent parses an event line's fields after its keyword. heal is a
+// fault event with an empty spec.
+func parseEvent(key string, args []string) (e Event, err error) {
+	want := 2
+	switch {
+	case key == "heal":
+		want = 1
+	case key == "fault" && len(args) > 2:
+		args = []string{args[0], strings.Join(args[1:], " ")} // a spec may hold spaces
+	}
+	if len(args) != want {
+		return Event{}, fmt.Errorf("want: %s <offset>%s", key, eventArg[key])
+	}
+	e.Kind = key
+	if e.At, err = time.ParseDuration(args[0]); err != nil {
+		return Event{}, err
+	}
+	switch key {
+	case "heal":
+		e.Kind = "fault"
+	case "fault":
+		e.Spec = args[1]
+	case "origin-at":
+		e.Latency, err = time.ParseDuration(args[1])
+	case "invalidate":
+		e.Count, err = strconv.Atoi(args[1])
+	default:
+		e.Node, err = strconv.Atoi(args[1])
+	}
+	return e, err
 }
 
 // parsePhase parses "name dur [rate=R | rate=R..R2] [hotset=N]
@@ -581,62 +550,47 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("loadgen: %s: unknown pacing %q (want poisson or trace)", s.Name, s.Pacing)
 	}
 	span := s.Span()
-	for _, e := range s.Faults {
+	down := map[int]bool{} // the nodes a kill has taken down, until a restart
+	for i, e := range s.Events {
 		if e.At < 0 || e.At > span {
-			return fmt.Errorf("loadgen: %s: fault offset %v outside the run window %v", s.Name, e.At, span)
+			return fmt.Errorf("loadgen: %s: %s: offset outside the run window %v", s.Name, e, span)
 		}
-		if _, err := parseFaultsSpec(e.Spec); err != nil {
-			return fmt.Errorf("loadgen: %s: %w", s.Name, err)
+		if i > 0 && e.At < s.Events[i-1].At {
+			return fmt.Errorf("loadgen: %s: %s: events out of offset order", s.Name, e)
 		}
-	}
-	for _, e := range s.OriginEvents {
-		if e.At < 0 || e.At > span {
-			return fmt.Errorf("loadgen: %s: origin-at offset %v outside the run window %v", s.Name, e.At, span)
+		switch e.Kind {
+		case "fault":
+			// Targets are free-form (node names, "origin", "*"), so the
+			// DSL's own parser checks a spec before the runner expands it.
+			if _, err := faults.ParseSpec(e.Spec); err != nil {
+				return fmt.Errorf("loadgen: %s: %w", s.Name, err)
+			}
+		case "origin-at":
+			if e.Latency < 0 {
+				return fmt.Errorf("loadgen: %s: %s: latency must be >= 0", s.Name, e)
+			}
+		case "invalidate":
+			if e.Count <= 0 {
+				return fmt.Errorf("loadgen: %s: %s: count must be positive", s.Name, e)
+			}
+		case "restart", "kill":
+			if e.Node < 0 || e.Node >= s.Nodes {
+				return fmt.Errorf("loadgen: %s: %s names node %d of a %d-node fleet", s.Name, e.Kind, e.Node, s.Nodes)
+			}
+			if e.Kind == "restart" {
+				delete(down, e.Node)
+				break
+			}
+			if down[e.Node] {
+				return fmt.Errorf("loadgen: %s: node %d killed twice with no restart between", s.Name, e.Node)
+			}
+			down[e.Node] = true
+			if len(down) == s.Nodes {
+				return fmt.Errorf("loadgen: %s: kill events would take down the whole %d-node fleet", s.Name, s.Nodes)
+			}
+		default:
+			return fmt.Errorf("loadgen: %s: unknown event kind %q", s.Name, e.Kind)
 		}
-		if e.Latency < 0 {
-			return fmt.Errorf("loadgen: %s: origin-at latency must be >= 0", s.Name)
-		}
-	}
-	for _, e := range s.Invalidates {
-		if e.At < 0 || e.At > span {
-			return fmt.Errorf("loadgen: %s: invalidate offset %v outside the run window %v", s.Name, e.At, span)
-		}
-	}
-	for _, e := range s.Restarts {
-		if e.At < 0 || e.At > span {
-			return fmt.Errorf("loadgen: %s: restart offset %v outside the run window %v", s.Name, e.At, span)
-		}
-		if e.Node < 0 || e.Node >= s.Nodes {
-			return fmt.Errorf("loadgen: %s: restart names node %d of a %d-node fleet", s.Name, e.Node, s.Nodes)
-		}
-	}
-	if len(s.Restarts) > 0 && (len(s.Invalidates) > 0 || len(s.Faults) > 0 || s.StrongConsistency) {
-		// A restart swaps the fleet's node slot mid-run; the purge fan-out
-		// behind invalidations/strong consistency and the fault re-spec
-		// walk that slot concurrently.
-		return fmt.Errorf("loadgen: %s: restart events cannot combine with fault or invalidation events or strong consistency", s.Name)
-	}
-	killed := map[int]bool{}
-	for _, e := range s.Kills {
-		if e.At < 0 || e.At > span {
-			return fmt.Errorf("loadgen: %s: kill offset %v outside the run window %v", s.Name, e.At, span)
-		}
-		if e.Node < 0 || e.Node >= s.Nodes {
-			return fmt.Errorf("loadgen: %s: kill names node %d of a %d-node fleet", s.Name, e.Node, s.Nodes)
-		}
-		if killed[e.Node] {
-			return fmt.Errorf("loadgen: %s: node %d killed twice", s.Name, e.Node)
-		}
-		killed[e.Node] = true
-	}
-	if len(s.Kills) > 0 && (len(s.Restarts) > 0 || len(s.Invalidates) > 0 || s.StrongConsistency) {
-		// A killed node stays dead: the purge fan-out behind invalidations
-		// and strong consistency would error against it, and a restart of
-		// the same fleet races the kill bookkeeping.
-		return fmt.Errorf("loadgen: %s: kill events cannot combine with restart or invalidation events or strong consistency", s.Name)
-	}
-	if len(s.Kills) >= s.Nodes {
-		return fmt.Errorf("loadgen: %s: kill events would take down the whole %d-node fleet", s.Name, s.Nodes)
 	}
 	for _, b := range s.Bounds {
 		for _, a := range b.Args {
@@ -685,9 +639,6 @@ func (s *Scenario) Format() string {
 	if s.OriginLatency != 0 {
 		line("origin-latency", s.OriginLatency.String())
 	}
-	if s.HedgeBudget != 0 {
-		line("hedge-budget", s.HedgeBudget.String())
-	}
 	if s.UpdateInterval != 0 {
 		line("update-interval", s.UpdateInterval.String())
 	}
@@ -720,24 +671,9 @@ func (s *Scenario) Format() string {
 		}
 		line("phase", vals...)
 	}
-	for _, e := range s.Faults {
-		if e.Spec == "" {
-			line("heal", e.At.String())
-		} else {
-			line("fault", e.At.String(), e.Spec)
-		}
-	}
-	for _, e := range s.OriginEvents {
-		line("origin-at", e.At.String(), e.Latency.String())
-	}
-	for _, e := range s.Invalidates {
-		line("invalidate", e.At.String(), strconv.Itoa(e.Count))
-	}
-	for _, e := range s.Restarts {
-		line("restart", e.At.String(), strconv.Itoa(e.Node))
-	}
-	for _, e := range s.Kills {
-		line("kill", e.At.String(), strconv.Itoa(e.Node))
+	for _, e := range s.Events {
+		sb.WriteString(e.String())
+		sb.WriteByte('\n')
 	}
 	for _, b := range s.Bounds {
 		line("accept", b.Expr())
@@ -806,40 +742,13 @@ func parseFinite(s string) (float64, error) {
 }
 
 func oneDur(args []string, dst *time.Duration) error {
-	v, err := oneDurVal(args)
+	if len(args) != 1 {
+		return fmt.Errorf("want one duration, got %q", strings.Join(args, " "))
+	}
+	v, err := time.ParseDuration(args[0])
 	if err != nil {
 		return err
 	}
 	*dst = v
 	return nil
-}
-
-func oneDurVal(args []string) (time.Duration, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("want one duration, got %q", strings.Join(args, " "))
-	}
-	return time.ParseDuration(args[0])
-}
-
-// sortedEventOffsets returns every timed event's offset, ordered — handy
-// for tests and docs.
-func (s *Scenario) sortedEventOffsets() []time.Duration {
-	var out []time.Duration
-	for _, e := range s.Faults {
-		out = append(out, e.At)
-	}
-	for _, e := range s.OriginEvents {
-		out = append(out, e.At)
-	}
-	for _, e := range s.Invalidates {
-		out = append(out, e.At)
-	}
-	for _, e := range s.Restarts {
-		out = append(out, e.At)
-	}
-	for _, e := range s.Kills {
-		out = append(out, e.At)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -15,7 +15,6 @@ nodes 3
 seed 42
 warmup 10          # trailing comment
 origin-latency 5ms
-hedge-budget 40ms
 
 phase steady 2s rate=50
 phase spike 1s rate=200..400 hotset=16 hotalpha=1.2 hotfrac=0.8
@@ -41,7 +40,7 @@ func TestParseScenario(t *testing.T) {
 	if sc.Name != "demo" || sc.Profile != "DEC" || sc.Nodes != 3 || sc.Seed != 42 {
 		t.Fatalf("header fields wrong: %+v", sc)
 	}
-	if sc.Warmup != 10 || sc.OriginLatency != 5*time.Millisecond || sc.HedgeBudget != 40*time.Millisecond {
+	if sc.Warmup != 10 || sc.OriginLatency != 5*time.Millisecond {
 		t.Fatalf("tuning fields wrong: %+v", sc)
 	}
 	if len(sc.Phases) != 3 {
@@ -51,14 +50,16 @@ func TestParseScenario(t *testing.T) {
 	if spike.Rate != 200 || spike.RateEnd != 400 || spike.HotSet != 16 || spike.HotAlpha != 1.2 || spike.HotFrac != 0.8 {
 		t.Fatalf("spike phase wrong: %+v", spike)
 	}
-	if len(sc.Faults) != 2 || sc.Faults[0].Spec != "node-1:partition" || sc.Faults[1].Spec != "" {
-		t.Fatalf("faults wrong: %+v", sc.Faults)
+	// One list, ordered by offset: the heal written before origin-at
+	// comes after it.
+	wantEvents := []Event{
+		{At: 2 * time.Second, Kind: "fault", Spec: "node-1:partition"},
+		{At: 2500 * time.Millisecond, Kind: "origin-at", Latency: 80 * time.Millisecond},
+		{At: 3 * time.Second, Kind: "fault"},
+		{At: 3500 * time.Millisecond, Kind: "invalidate", Count: 8},
 	}
-	if len(sc.OriginEvents) != 1 || sc.OriginEvents[0].Latency != 80*time.Millisecond {
-		t.Fatalf("origin events wrong: %+v", sc.OriginEvents)
-	}
-	if len(sc.Invalidates) != 1 || sc.Invalidates[0].Count != 8 {
-		t.Fatalf("invalidates wrong: %+v", sc.Invalidates)
+	if !reflect.DeepEqual(sc.Events, wantEvents) {
+		t.Fatalf("events = %+v\nwant %+v", sc.Events, wantEvents)
 	}
 	if len(sc.Bounds) != 5 {
 		t.Fatalf("want 5 bounds, got %d", len(sc.Bounds))
@@ -68,9 +69,6 @@ func TestParseScenario(t *testing.T) {
 	}
 	if sc.Span() != 4*time.Second {
 		t.Fatalf("span = %v", sc.Span())
-	}
-	if got := sc.sortedEventOffsets(); len(got) != 4 || got[0] != 2*time.Second || got[3] != 3500*time.Millisecond {
-		t.Fatalf("event offsets = %v", got)
 	}
 }
 
@@ -118,8 +116,11 @@ func TestParseRejects(t *testing.T) {
 		{"kill late", "name x\nprofile DEC\nnodes 2\nphase p 1s rate=1\nkill 2s 0", "outside the run window"},
 		{"kill twice", "name x\nprofile DEC\nnodes 2\nphase p 1s rate=1\nkill 0s 0\nkill 1s 0", "killed twice"},
 		{"kill all", "name x\nprofile DEC\nnodes 2\nphase p 1s rate=1\nkill 0s 0\nkill 0s 1", "whole 2-node fleet"},
-		{"kill plus restart", "name x\nprofile DEC\nnodes 3\nphase p 1s rate=1\nkill 0s 0\nrestart 0s 1", "cannot combine"},
-		{"kill plus invalidate", "name x\nprofile DEC\nnodes 3\nphase p 1s rate=1\nkill 0s 0\ninvalidate 0s 2", "cannot combine"},
+		{"kill all after a restart", "name x\nprofile DEC\nnodes 2\nphase p 1s rate=1\nkill 0s 0\nrestart 0s 0\nkill 0s 1\nkill 1s 0", "whole 2-node fleet"},
+		{"kill while down", "name x\nprofile DEC\nnodes 3\nphase p 1s rate=1\nkill 0s 0\nrestart 0s 1\nkill 1s 0", "killed twice"},
+		{"bad origin latency", "name x\nprofile DEC\nnodes 1\nphase p 1s rate=1\norigin-at 0s -1ms", "latency must be >= 0"},
+		{"restart bad node", "name x\nprofile DEC\nnodes 2\nphase p 1s rate=1\nrestart 0s 2", "of a 2-node fleet"},
+		{"event arity", "name x\nprofile DEC\nnodes 2\nphase p 1s rate=1\nkill 0s", "want: kill <offset> <node>"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.text)
@@ -130,6 +131,35 @@ func TestParseRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
 		}
+	}
+}
+
+// TestParseComposesEventKinds: every event kind composes with every other
+// and with strong consistency, a killed node may be killed again once a
+// restart has brought it back (so a fleet may see more kills than it has
+// nodes, never all of them down at once), and events at one offset keep the
+// file's order.
+func TestParseComposesEventKinds(t *testing.T) {
+	const head = "name x\nprofile DEC\nnodes 3\nphase p 1s rate=1\n"
+	for _, text := range []string{
+		head + "kill 0s 0\nrestart 0s 1",
+		head + "kill 0s 0\ninvalidate 0s 2",
+		head + "strong-consistency true\nrestart 0s 1\nfault 0s node-1:partition\nkill 1s 2",
+		head + "kill 0s 0\nrestart 500ms 0\nkill 1s 0",
+		head + "kill 0s 0\nkill 0s 1\nrestart 0s 1\nkill 1s 1\nrestart 1s 0\nkill 1s 2",
+	} {
+		if _, err := Parse(text); err != nil {
+			t.Errorf("Parse(%q): %v", text, err)
+		}
+	}
+	sc := mustParse(t, head+"kill 500ms 2\nrestart 500ms 2\nheal 0s\ninvalidate 500ms 4\norigin-at 0s 1ms")
+	var got []string
+	for _, e := range sc.Events {
+		got = append(got, e.String())
+	}
+	want := []string{"heal 0s", "origin-at 0s 1ms", "kill 500ms 2", "restart 500ms 2", "invalidate 500ms 4"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("events = %q, want %q", got, want)
 	}
 }
 

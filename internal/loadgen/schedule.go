@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"time"
 
-	"beyondcache/internal/faults"
 	"beyondcache/internal/trace"
 	"beyondcache/internal/wire"
 )
@@ -54,13 +53,6 @@ func (s *Schedule) Span() time.Duration {
 
 // URL renders request i's fetch URL.
 func (s *Schedule) URL(i int) string { return trace.ObjectURL(s.Objects[i]) }
-
-// parseFaultsSpec validates a scenario fault spec. Targets are free-form
-// (node names, "origin", "*"), so the shared DSL parser covers it; the
-// runner rewrites symbolic targets to live addresses before applying.
-func parseFaultsSpec(spec string) ([]faults.Rule, error) {
-	return faults.ParseSpec(spec)
-}
 
 // profileFor builds the trace profile a scenario draws from. requests, when
 // positive, overrides the profile's request count.
