@@ -66,7 +66,6 @@ func run(args []string, out io.Writer, wait func()) error {
 		cacheDir    = fs.String("cache-dir", "", "directory for the persistent disk tier; evictions spill here and the population is recovered and re-advertised on boot (off when empty)")
 		diskCap     = fs.Int64("disk-capacity", 0, "disk tier capacity in bytes; overflow retires the oldest log segment (0: unbounded; requires -cache-dir)")
 		spillQueue  = fs.Int("spill-queue", 0, "bounded write-behind spill queue, in evicted objects; overflow drops oldest (0: 1024 default)")
-		hintEntries = fs.Int("hint-entries", 65536, "hint table entries (16 bytes each)")
 		interval    = fs.Duration("update-interval", time.Second, "mean hint batch interval")
 		digests     = fs.Bool("digests", false, "exchange Bloom-filter cache digests instead of exact hint records")
 		hintReps    = fs.Int("hint-replicas", 0, "hint directory owner-set size R: each object's hints live on a Plaxton-routed owner set of this many nodes (0: every node owns every object and keeps the whole directory; DESIGN.md \u00a714)")
@@ -79,7 +78,6 @@ func run(args []string, out io.Writer, wait func()) error {
 		faultSeed   = fs.Int64("fault-seed", 0, "seed for injected-fault randomness")
 		hedgeBudget = fs.Duration("hedge-budget", 0, "how long a hinted peer may stay silent before the origin is raced (0: 50ms default)")
 		peerTimeout = fs.Duration("peer-timeout", 0, "deadline for one cache-to-cache probe (0: 2s default)")
-		originTO    = fs.Duration("origin-timeout", 0, "deadline for one origin fetch (0: 10s default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,14 +122,12 @@ func run(args []string, out io.Writer, wait func()) error {
 		CacheDir:       *cacheDir,
 		DiskCapacity:   *diskCap,
 		SpillQueue:     *spillQueue,
-		HintEntries:    *hintEntries,
 		OriginURL:      *originURL,
 		UpdateInterval: *interval,
 		UseDigests:     *digests,
 		HintReplicas:   *hintReps,
 		TraceSample:    *traceSample,
 		PeerTimeout:    *peerTimeout,
-		OriginTimeout:  *originTO,
 		HedgeBudget:    *hedgeBudget,
 		Faults:         outbound,
 		InboundFaults:  inbound,

@@ -1,84 +1,17 @@
-// Integration tests exercising the whole stack: the same synthetic workload
-// replayed through the trace-driven hint simulator and through the real
-// networked prototype, checking that the two implementations of the
-// architecture agree on what matters.
+// Integration tests of the simulators through the core facade: every policy
+// on one synthetic workload, in the order the paper predicts. The check that
+// the networked prototype agrees with the hint simulator is loadgen's
+// TestMeasuredVsSimulatedDEC (and its fake-clock twin in internal/cluster).
 package beyondcache_test
 
 import (
 	"testing"
 	"time"
 
-	"beyondcache/internal/cluster"
 	"beyondcache/internal/core"
-	"beyondcache/internal/hints"
 	"beyondcache/internal/netmodel"
-	"beyondcache/internal/sim"
 	"beyondcache/internal/trace"
 )
-
-// integrationProfile is a workload small enough to push through real
-// sockets but large enough to have stable hit ratios.
-func integrationProfile() trace.Profile {
-	p := trace.DECProfile(trace.ScaleSmall)
-	p.Requests = 2000
-	p.DistinctURLs = 400
-	p.Clients = 64
-	p.MaxSize = 64 << 10
-	p.MutableFrac = 0 // isolate the hint mechanics from consistency
-	return p
-}
-
-// TestSimulatorAndPrototypeAgree replays one workload through both the
-// in-process hint simulator and the loopback HTTP fleet and compares global
-// hit ratios. The two share the data structures (LRU cache, hint records)
-// but none of the plumbing, so agreement is a strong end-to-end check.
-func TestSimulatorAndPrototypeAgree(t *testing.T) {
-	p := integrationProfile()
-
-	// Simulator: topology with 8 L1s to match an 8-node fleet; clients
-	// map client%8 in both (sim.Topology.L1OfClient is client%NumL1 and
-	// Replay uses client%len(nodes)).
-	topo := sim.Topology{NumL1: 8, ClientsPerL1: 8, L1PerL2: 4}
-	hsim, err := hints.New(hints.Config{Topology: topo, Model: netmodel.NewTestbed()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(trace.MustGenerator(p), hsim); err != nil {
-		t.Fatal(err)
-	}
-	simHit := hsim.HitRatio()
-
-	// Prototype: 8 real nodes, flushing hints frequently.
-	fleet, err := cluster.StartFleet(cluster.FleetConfig{
-		Nodes:          8,
-		UpdateInterval: time.Hour, // replay flushes explicitly
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-	stats, err := fleet.Replay(trace.MustGenerator(p), cluster.ReplayConfig{
-		FlushEvery:        20,
-		StrongConsistency: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	protoHit := stats.HitRatio()
-
-	if simHit <= 0 || protoHit <= 0 {
-		t.Fatalf("degenerate hit ratios: sim %.3f, prototype %.3f", simHit, protoHit)
-	}
-	diff := simHit - protoHit
-	if diff < 0 {
-		diff = -diff
-	}
-	// The prototype flushes every 20 requests (a little staleness) and
-	// the simulator records only post-warmup requests; allow a band.
-	if diff > 0.12 {
-		t.Errorf("hit ratios diverge: simulator %.3f vs prototype %.3f", simHit, protoHit)
-	}
-}
 
 // TestAllPoliciesEndToEnd runs every policy through the core facade on a
 // shared workload and sanity-checks the full ordering the paper predicts.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"beyondcache/internal/obs"
-	"beyondcache/internal/trace"
 	"beyondcache/internal/wire"
 )
 
@@ -128,25 +127,6 @@ func TestDigestStalenessFalsePositiveOverWire(t *testing.T) {
 	}
 	if res.StaleHint() {
 		t.Errorf("digest still stale after re-pull: %+v", res)
-	}
-}
-
-func TestDigestFleetReplay(t *testing.T) {
-	f := startDigestFleet(t, 4)
-	p := trace.DECProfile(trace.ScaleSmall)
-	p.Requests = 1000
-	p.DistinctURLs = 200
-	p.Clients = 32
-	p.MaxSize = 64 << 10
-	stats, err := f.Replay(trace.MustGenerator(p), ReplayConfig{FlushEvery: 25, StrongConsistency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RemoteHits == 0 {
-		t.Error("digest fleet produced no cache-to-cache hits")
-	}
-	if stats.HitRatio() <= 0.2 {
-		t.Errorf("hit ratio %.3f too low", stats.HitRatio())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	neturl "net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"beyondcache/internal/faults"
@@ -359,6 +360,22 @@ func (f *Fleet) Purge(i int, url string) error {
 		return fmt.Errorf("purge: status %d", status)
 	}
 	return nil
+}
+
+// PurgeAll drops every node's copy of a URL, ignoring nodes that do not
+// have one (their 404) or cannot be reached. The nodes are asked at once —
+// a purge costs the slowest node's round trip, not the sum — and PurgeAll
+// returns when all have answered.
+func (f *Fleet) PurgeAll(url string) {
+	var wg sync.WaitGroup
+	for i := range f.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = f.Purge(i, url) // an absent copy or an unreachable node is fine
+		}()
+	}
+	wg.Wait()
 }
 
 // call runs one bodiless request to node i over its link, within

@@ -53,8 +53,6 @@ type NodeConfig struct {
 	Name string
 	// CacheBytes bounds the object cache (<= 0 means 64 MB).
 	CacheBytes int64
-	// HintEntries sizes the 4-way hint table (<= 0 means 65536).
-	HintEntries int
 	// OriginURL is the origin server's base URL.
 	OriginURL string
 	// UpdateInterval is the mean delay between hint-update batches. The
@@ -89,8 +87,6 @@ type NodeConfig struct {
 	// hinted peer that cannot produce the object inside this deadline
 	// is treated as failed — a hint must never cost more than this.
 	PeerTimeout time.Duration
-	// OriginTimeout bounds one origin fetch (<= 0 means 10s).
-	OriginTimeout time.Duration
 	// HedgeBudget is how long a hinted peer may stay silent before the
 	// origin fetch is started in parallel and the two race (the hedged
 	// miss path; the paper: cache-to-cache transfer must beat origin or
@@ -210,6 +206,10 @@ type Node struct {
 	closeOnce sync.Once
 }
 
+// hintEntries sizes a node's hint table: the paper's 4-way table at 1 MiB
+// (16 bytes an entry).
+const hintEntries = 65536
+
 // NewNode builds a node; call Start to begin serving, and Close whether or
 // not Start was called or succeeded.
 func NewNode(cfg NodeConfig) (*Node, error) { return newNodeOn(cfg, tcp()) }
@@ -226,9 +226,6 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	if cfg.HintEntries <= 0 {
-		cfg.HintEntries = 65536
-	}
 	if cfg.UpdateInterval <= 0 {
 		cfg.UpdateInterval = time.Second
 	}
@@ -241,9 +238,6 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = 2 * time.Second
 	}
-	if cfg.OriginTimeout <= 0 {
-		cfg.OriginTimeout = 10 * time.Second
-	}
 	if cfg.HedgeBudget <= 0 {
 		cfg.HedgeBudget = 50 * time.Millisecond
 	}
@@ -255,7 +249,7 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 		// Shard, stripe, ring and breaker shapes are the callees' own
 		// defaults; the hint table is the paper's 4-way one.
 		data:         cache.NewSharded(0, cfg.CacheBytes),
-		hints:        hintcache.NewStriped(cfg.HintEntries, 4, 0),
+		hints:        hintcache.NewStriped(hintEntries, 4, 0),
 		hist:         newNodeHists(),
 		spans:        obs.NewSpanRing(0),
 		sampler:      obs.NewSampler(sample),
@@ -271,6 +265,17 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	}
 	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
 	n.plane.conns = make(map[*upConn]struct{})
+	// The one place that knows there is more than one mechanism. It refuses
+	// a bad configuration before the disk tier starts its spiller, which a
+	// refused node would leave running.
+	if cfg.UseDigests {
+		n.loc, err = newDigestLocator(n, cfg.DigestCapacity, cfg.HintReplicas)
+	} else {
+		n.loc, err = newHintLocator(n, cfg.HintReplicas)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
+	}
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir, store.Options{Capacity: cfg.DiskCapacity})
 		if err != nil {
@@ -283,15 +288,6 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 		n.tier = store.NewTier(n.data, st, cfg.SpillQueue, func(o cache.Object) {
 			n.loc.publish(o.ID, false)
 		})
-	}
-	// The one place that knows there is more than one mechanism.
-	if cfg.UseDigests {
-		n.loc, err = newDigestLocator(n, cfg.DigestCapacity, cfg.HintReplicas)
-	} else {
-		n.loc, err = newHintLocator(n, cfg.HintReplicas)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}
 	// Capacity evictions either spill to the disk tier (hints stay valid:
 	// the object is still locally resident) or, memory-only, advertise

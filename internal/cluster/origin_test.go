@@ -101,20 +101,9 @@ func TestNodeIdentity(t *testing.T) {
 	}
 }
 
-func TestReplayStatsHitRatio(t *testing.T) {
-	var s ReplayStats
-	if s.HitRatio() != 0 {
-		t.Error("empty stats nonzero hit ratio")
-	}
-	s = ReplayStats{Requests: 10, LocalHits: 3, RemoteHits: 2, Misses: 5}
-	if s.HitRatio() != 0.5 {
-		t.Errorf("hit ratio = %g, want 0.5", s.HitRatio())
-	}
-}
-
 // TestOriginErrorPageIsNotDrained: the origin is the one upstream outside
 // the fleet, so a non-200 answer of any length must cost a token drain, not
-// a read to the end (or to OriginTimeout) on the miss path.
+// a read to the end (or to originTimeout) on the miss path.
 func TestOriginErrorPageIsNotDrained(t *testing.T) {
 	stop := make(chan struct{})
 	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -135,16 +124,17 @@ func TestOriginErrorPageIsNotDrained(t *testing.T) {
 	}))
 	t.Cleanup(endless.Close)
 	t.Cleanup(func() { close(stop) })
-	n := newMetaNode(t, NodeConfig{Name: "drain", OriginURL: endless.URL, OriginTimeout: 5 * time.Second})
+	shorten(t, &originTimeout, 5*time.Second)
+	n := newMetaNode(t, NodeConfig{Name: "drain", OriginURL: endless.URL})
 
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.OriginTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), originTimeout)
 	defer cancel()
 	start := time.Now()
 	_, err := n.fetchOrigin(ctx, "http://example.com/broken")
 	if err == nil || !strings.Contains(err.Error(), "status 500") {
 		t.Errorf("fetch from a failing origin = %v, want a status 500 error", err)
 	}
-	if took := time.Since(start); took > n.cfg.OriginTimeout/5 {
-		t.Errorf("fetch read an endless error page for %v, want well under OriginTimeout %v", took, n.cfg.OriginTimeout)
+	if took := time.Since(start); took > originTimeout/5 {
+		t.Errorf("fetch read an endless error page for %v, want well under originTimeout %v", took, originTimeout)
 	}
 }

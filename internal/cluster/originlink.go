@@ -326,12 +326,16 @@ type fetched struct {
 	hops    []obs.Hop
 }
 
+// originTimeout bounds one origin fetch (a variable so tests can shorten
+// it).
+var originTimeout = 10 * time.Second
+
 // fetchOrigin fetches from the origin server over the origin link, on the
 // calling goroutine, returning the origin's self-timed serve segment (when
-// present) plus the measured round trip. OriginTimeout is applied here; the
+// present) plus the measured round trip. originTimeout is applied here; the
 // outbound fault decision is drawn once per fetch and touches only it.
 func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.OriginTimeout)
+	ctx, cancel := context.WithTimeout(ctx, originTimeout)
 	defer cancel()
 	defer func() {
 		if err != nil {

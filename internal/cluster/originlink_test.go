@@ -191,7 +191,7 @@ func TestOriginStaleConnectionRetriedOnce(t *testing.T) {
 // TestOriginStuckNeverOutlivesItsContext: the origin leg runs on the
 // goroutine that wants the object (or, hedged, on the hedge's), so it must
 // return the moment its context ends, wherever the origin has got stuck —
-// before the status line, mid-header, mid-body. A fetch whose OriginTimeout
+// before the status line, mid-header, mid-body. A fetch whose originTimeout
 // lapses returns on time; a hedged fill whose peer wins leaves no origin leg
 // behind; either way the connection is closed, never pooled.
 func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
@@ -217,7 +217,8 @@ func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 				time.Sleep(3 * budget)
 				return wire.PeerHeader{Status: http.StatusOK, A: 7}, []byte("from the peer")
 			})
-			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url, OriginTimeout: timeout, HedgeBudget: budget})
+			shorten(t, &originTimeout, timeout)
+			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url, HedgeBudget: budget})
 			n.breakerCfg = noBreaker
 			n.AddPeer(peer.URL)
 
@@ -235,7 +236,7 @@ func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 				}
 			}
 			if took > timeout+5*time.Millisecond {
-				t.Errorf("fetch took %v under a %v OriginTimeout: the stuck origin held it", took, timeout)
+				t.Errorf("fetch took %v under a %v originTimeout: the stuck origin held it", took, timeout)
 			}
 			tries := stuck.accepted.Load()
 			waitFor(t, "the timed-out connections to be closed", func() bool { return stuck.hungUp.Load() == tries })
@@ -250,7 +251,7 @@ func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 			if st := n.Stats(); st.HedgesStarted != 1 || st.HedgePeerWins != 1 {
 				t.Fatalf("stats = %d hedges, %d peer wins; the origin leg never ran beside the peer's", st.HedgesStarted, st.HedgePeerWins)
 			}
-			// The abandoned leg is cut at once, not at its OriginTimeout.
+			// The abandoned leg is cut at once, not at its originTimeout.
 			cut := time.Now()
 			waitFor(t, "the abandoned origin leg's connection to be closed", func() bool { return stuck.hungUp.Load() == tries+1 })
 			if waited := time.Since(cut); waited > timeout/2 {
@@ -297,7 +298,8 @@ func TestOriginHostileResponses(t *testing.T) {
 					o.untilHangUp(conn)
 				}
 			})
-			n := newMetaNode(t, NodeConfig{Name: "careful", OriginURL: o.url, OriginTimeout: 2 * time.Second})
+			shorten(t, &originTimeout, 2*time.Second)
+			n := newMetaNode(t, NodeConfig{Name: "careful", OriginURL: o.url})
 			const url = "http://example.com/hostile"
 			h := hintcache.HashURL(url)
 			start := time.Now()
@@ -337,7 +339,8 @@ func TestOriginFaultsArePerFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { origin.Close() })
-	n := newMetaNode(t, NodeConfig{Name: "faulted", OriginURL: origin.URL(), OriginTimeout: timeout})
+	shorten(t, &originTimeout, timeout)
+	n := newMetaNode(t, NodeConfig{Name: "faulted", OriginURL: origin.URL()})
 	inj := n.FaultInjector()
 	fetch := func(i int) (time.Duration, error) {
 		start := time.Now()

@@ -260,6 +260,24 @@ func TestCloseBeforeStart(t *testing.T) {
 	}
 }
 
+// TestNewNodeRefusedConfigLeaksNothing: a configuration NewNode refuses
+// returns no node to Close, so nothing may be running behind the error — in
+// particular not a disk tier's spiller, which a node with a CacheDir starts.
+func TestNewNodeRefusedConfigLeaksNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, cfg := range []NodeConfig{
+		{HintReplicas: -1},
+		{UseDigests: true, HintReplicas: 2},
+	} {
+		cfg.Name, cfg.OriginURL, cfg.CacheDir = "refused", "http://127.0.0.1:1", t.TempDir()
+		if n, err := NewNode(cfg); err == nil {
+			n.Close()
+			t.Fatalf("NewNode(%+v) succeeded, want a refusal", cfg)
+		}
+	}
+	goroutinesSettle(t, base, "after two refused NewNode calls")
+}
+
 // TestRestartNodeFailedStartReleasesNode: a replacement that cannot get its
 // port back is closed, not dropped — nothing of it is left running — and the
 // next RestartNode opens the same cache directory and recovers from it.

@@ -16,6 +16,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -24,7 +25,10 @@ import (
 	"testing/synctest"
 
 	"beyondcache/internal/cluster"
+	"beyondcache/internal/core"
 	"beyondcache/internal/loadgen"
+	"beyondcache/internal/sim"
+	"beyondcache/internal/trace"
 )
 
 // TestSimScenarios runs every shipped scenario end to end and fails on any
@@ -163,5 +167,148 @@ func TestSimScenarioEveryEventKind(t *testing.T) {
 				t.Errorf("bounds do not hold: %+v", rep.Bounds)
 			}
 		})
+	}
+}
+
+// replayStream is a DEC request stream, trace-paced and strongly consistent:
+// the runner bumps the origin and purges every node's copy each time an
+// object's version advances.
+const replayStream = `
+name replay
+profile DEC
+nodes 4
+seed 17
+pacing trace
+duration 4s
+requests 1500
+strong-consistency true
+update-interval 25ms
+`
+
+// TestSimReplayDrivesFleet replays one request stream through a live fleet
+// under each way a node locates a copy: hints with every node an owner
+// (R = 0), a partitioned hint directory (R = 2), and digests. Each mode must
+// serve every request, find copies both locally and at a peer, and fetch
+// from the origin exactly once per miss: on fake time no hedge fires, so no
+// miss costs a second origin fetch.
+func TestSimReplayDrivesFleet(t *testing.T) {
+	sc, err := loadgen.Parse(replayStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		set  func(*cluster.FleetConfig)
+	}{
+		{"hints R=0", func(*cluster.FleetConfig) {}},
+		{"hints R=2", func(c *cluster.FleetConfig) { c.HintPartition, c.HintReplicas = true, 2 }},
+		{"digests", func(c *cluster.FleetConfig) { c.UseDigests = true }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			var fleet *cluster.Fleet
+			start := func(cfg cluster.FleetConfig) (*cluster.Fleet, error) {
+				mode.set(&cfg)
+				f, err := cluster.StartMemFleet(cfg)
+				fleet = f
+				return f, err
+			}
+			var rep *loadgen.RunReport
+			synctest.Run(func() {
+				rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: start})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := rep.Result.Overall
+			t.Logf("%d requests: %d local, %d remote, %d miss; %d origin fetches",
+				o.Requests, o.Local, o.Remote, o.Miss, fleet.Origin.Fetches())
+			if o.Errors != 0 {
+				t.Errorf("%d requests failed", o.Errors)
+			}
+			if o.Local == 0 || o.Remote == 0 || o.Miss == 0 {
+				t.Errorf("outcomes local %d, remote %d, miss %d: want each above zero", o.Local, o.Remote, o.Miss)
+			}
+			if hit := o.HitRate(); hit <= 0.2 {
+				t.Errorf("hit rate %.3f, want above 0.2", hit)
+			}
+			if got := fleet.Origin.Fetches(); got != o.Miss {
+				t.Errorf("origin fetches %d, misses %d: want one origin fetch per miss", got, o.Miss)
+			}
+		})
+	}
+}
+
+// decValidate is loadgen's TestMeasuredVsSimulatedDEC stream.
+const decValidate = `
+name dec-validate
+profile DEC
+nodes 3
+seed 17
+pacing trace
+duration 4s
+requests 900
+strong-consistency true
+origin-latency 2ms
+update-interval 25ms
+`
+
+// TestSimMeasuredVsSimulatedDEC is TestMeasuredVsSimulatedDEC on fake time:
+// one request stream through a live 3-node fleet and through the hint-policy
+// simulator with three L1s (both map a client to client mod 3). In the bubble
+// a hint takes the configured interval to travel, never longer, so the band
+// that wall-clock hint lag needs (±0.12) shrinks to what the interval costs:
+// over seeds 1–10 and 17 the live hit rate trails the simulator's by at most
+// 0.0048, and the local rates are equal.
+func TestSimMeasuredVsSimulatedDEC(t *testing.T) {
+	sc, err := loadgen.Parse(decValidate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := loadgen.BuildSchedule(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(core.Config{
+		Policy:   core.PolicyHints,
+		Topology: sim.Topology{NumL1: sc.Nodes, ClientsPerL1: 256, L1PerL2: sc.Nodes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]trace.Request, sched.Len())
+	for i := range reqs {
+		reqs[i] = trace.Request{
+			Seq:     int64(i),
+			Time:    sched.Offsets[i],
+			Client:  int(sched.Clients[i]),
+			Object:  sched.Objects[i],
+			Size:    sched.Sizes[i],
+			Version: sched.Versions[i],
+		}
+	}
+	simRep, err := sys.Run(trace.NewSliceReader(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var rep *loadgen.RunReport
+	synctest.Run(func() {
+		rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: cluster.StartMemFleet})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := rep.Result.Overall
+	if live.Errors != 0 || live.Requests != int64(sched.Len()) {
+		t.Fatalf("live run: %d of %d requests, %d failed", live.Requests, sched.Len(), live.Errors)
+	}
+	liveLocal := float64(live.Local) / float64(live.Local+live.Remote+live.Miss)
+	t.Logf("hit rate: live %.4f vs simulated %.4f; local: live %.4f vs simulated %.4f",
+		live.HitRate(), simRep.HitRatio, liveLocal, simRep.LocalHitRatio)
+	if diff := math.Abs(live.HitRate() - simRep.HitRatio); diff > 0.01 {
+		t.Errorf("hit rate: live %.4f vs simulated %.4f, |diff| %.4f > 0.01", live.HitRate(), simRep.HitRatio, diff)
+	}
+	if diff := math.Abs(liveLocal - simRep.LocalHitRatio); diff > 0.005 {
+		t.Errorf("local hit rate: live %.4f vs simulated %.4f, |diff| %.4f > 0.005", liveLocal, simRep.LocalHitRatio, diff)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // DriverConfig parameterizes an open-loop run.
 type DriverConfig struct {
 	// Nodes is the fleet size; request i goes to node Clients[i] % Nodes,
-	// the same client→node mapping the simulators and Fleet.Replay use.
+	// the same client→node mapping the simulators use.
 	Nodes int
 	// Fetch asks one node for a URL (the runner passes Fleet.Fetch). An
 	// error counts the request as failed.

@@ -175,9 +175,9 @@ func primeOrigin(fleet *cluster.Fleet, sched *Schedule) {
 	}
 }
 
-// advanceVersionFunc mirrors Fleet.Replay's version bookkeeping: advance
-// the origin to the scheduled version and purge stale cached copies (the
-// simulators' invalidation-based consistency).
+// advanceVersionFunc is the one place a live replay keeps an object's
+// version: advance the origin to the scheduled version and purge stale
+// cached copies (the simulators' invalidation-based consistency).
 func advanceVersionFunc(fleet *cluster.Fleet) func(url string, from, to int64) {
 	return func(url string, from, to int64) {
 		start := from
