@@ -4,11 +4,12 @@
 // tier.
 //
 // A record (format.go) is appended to the active segment file; an in-memory
-// index maps each object id to its newest record. Segment files stay open,
-// so a read is one pread and a write one pwrite. Space comes back a segment
-// at a time: the oldest is retired at capacity, an emptied one deleted at
-// once. Nothing is fsynced: a torn write ends its segment's recovery walk or
-// fails its checksum on first read, and is never served.
+// index maps each object id to its newest record. Segment files stay open
+// and mapped read-only, so a write is one pwrite and a read one copy out of
+// the mapping, verified on the copy. Space comes back a segment at a time:
+// the oldest is retired at capacity, an emptied one deleted at once. Nothing
+// is fsynced: a torn write ends its segment's recovery walk or fails its
+// checksum on first read, and is never served.
 package store
 
 import (
@@ -16,11 +17,13 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"beyondcache/internal/cache"
@@ -69,8 +72,17 @@ type Store struct {
 }
 
 type segment struct {
-	seq  uint64
-	f    *os.File
+	seq uint64
+	f   *os.File
+	// m maps the file read-only and shared, so it sees every pwrite; a
+	// record is read only once its pwrite has finished, so the tail beyond
+	// the end of the file is never touched. Nil while the file is empty.
+	m []byte
+	// refs is the log's own reference while the segment is in segs, plus
+	// one per read copying out of m. A read takes its reference in the index
+	// lock's hold that found its record, so never on a segment that has left
+	// segs; m is unmapped when the count reaches zero.
+	refs atomic.Int32
 	size int64    // bytes appended: live, superseded and tombstones alike
 	live int64    // bytes of records the index points at
 	ids  []uint64 // ids with a record committed here, for retirement
@@ -120,7 +132,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		name, ok := strings.CutSuffix(e.Name(), ".seg")
 		fi, ierr := e.Info()
 		if seq, err := strconv.ParseUint(name, 16, 64); ok && err == nil && ierr == nil {
-			s.pending = append(s.pending, &segment{seq: seq, size: fi.Size()})
+			seg := &segment{seq: seq, size: fi.Size()}
+			seg.refs.Store(1)
+			s.pending = append(s.pending, seg)
 			s.nextSeq = max(s.nextSeq, seq+1)
 		}
 	}
@@ -137,8 +151,9 @@ func (s *Store) segPath(seq uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%016x.seg", seq))
 }
 
-// Close closes the segment files, once Recover has returned. Afterwards the
-// store is empty: reads miss and writes fail.
+// Close closes and unmaps the segment files, once Recover has returned; a
+// read still copying keeps its segment mapped until it is done. Afterwards
+// the store is empty: reads miss and writes fail.
 func (s *Store) Close() {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -149,6 +164,23 @@ func (s *Store) Close() {
 	s.mu.Unlock()
 	for _, seg := range segs {
 		seg.f.Close() // appends are unbuffered pwrites: an error here loses nothing
+		seg.release()
+	}
+}
+
+// mapSegment maps the first n bytes of f read-only and shared.
+func mapSegment(f *os.File, n int64) ([]byte, error) {
+	m, err := syscall.Mmap(int(f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("store: map segment: %w", err)
+	}
+	return m, nil
+}
+
+// release drops one reference to seg, unmapping it with the last.
+func (seg *segment) release() {
+	if seg.refs.Add(-1) == 0 && seg.m != nil {
+		_ = syscall.Munmap(seg.m) // fails only on a mapping Mmap never returned
 	}
 }
 
@@ -157,6 +189,7 @@ func (s *Store) clear(d debris) {
 	for _, seg := range d.segs {
 		seg.f.Close()
 		os.Remove(s.segPath(seg.seq))
+		seg.release() // the log's: no read can take a new one now
 	}
 	for _, o := range d.objs {
 		s.onDrop(o)
@@ -256,13 +289,23 @@ func (s *Store) append(raw []byte, e rec, keep func() bool) (wrote bool, err err
 	e.n = int64(len(raw))
 	var d debris
 	if s.active == nil || s.active.size > 0 && s.active.size+e.n > s.segSize {
-		f, err := os.OpenFile(s.segPath(s.nextSeq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		path := s.segPath(s.nextSeq)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return false, fmt.Errorf("store: new segment: %w", err)
 		}
+		// Every record but a first one longer than segSize fits in segSize.
+		m, err := mapSegment(f, max(s.segSize, e.n))
+		if err != nil {
+			f.Close()
+			os.Remove(path)
+			return false, err
+		}
+		seg := &segment{seq: s.nextSeq, f: f, m: m}
+		seg.refs.Store(1)
 		s.mu.Lock()
 		sealed := s.active
-		s.active = &segment{seq: s.nextSeq, f: f}
+		s.active = seg
 		s.segs = append(s.segs, s.active)
 		if sealed != nil {
 			s.unrefLocked(sealed, 0, &d) // nothing live in it: delete it
@@ -357,9 +400,12 @@ func (s *Store) put(obj cache.Object, body []byte, keep func() bool) (wrote bool
 	// it (unrefLocked deletes the file): never more writes than the puts made.
 	if s.active != sealed && s.opts.Capacity <= 0 {
 		s.mu.Lock()
+		var doomed *segment
 		var move map[uint64]rec
 		if s.doomedLocked(s.segs[0]) {
-			move = s.liveLocked(s.segs[0])
+			doomed = s.segs[0]
+			doomed.refs.Add(1)
+			move = s.liveLocked(doomed)
 		}
 		s.mu.Unlock()
 		for _, e := range move {
@@ -370,23 +416,31 @@ func (s *Store) put(obj cache.Object, body []byte, keep func() bool) (wrote bool
 				_, _ = s.append(raw, rec{obj: e.obj, flags: e.flags}, nil)
 			}
 		}
+		if doomed != nil {
+			doomed.release()
+		}
 	}
 	return wrote, err
 }
 
-// Get reads an object back: one pread of exactly its record, verified
-// before anything is returned (see read). The body is the caller's to keep:
-// the tail of the read buffer itself. A record that fails is condemned; a
-// read that merely lost a race looks again.
+// Get reads an object back: one copy of exactly its record out of its
+// segment's mapping, verified before anything is returned (see read). The
+// body is the caller's to keep: the tail of the copy itself. A record that
+// fails is condemned; a read that merely lost a race looks again.
 func (s *Store) Get(id uint64) (cache.Object, []byte, bool) {
 	for {
 		s.mu.Lock()
 		e, ok := s.index[id]
+		if ok {
+			e.seg.refs.Add(1)
+		}
 		s.mu.Unlock()
 		if !ok {
 			break
 		}
-		if raw, ok := e.read(); ok {
+		raw, ok := e.read()
+		e.seg.release()
+		if ok {
 			s.hits.Add(1)
 			return e.obj, raw[headerLen:], true
 		}
@@ -401,17 +455,35 @@ func (s *Store) Get(id uint64) (cache.Object, []byte, bool) {
 	return cache.Object{}, nil, false
 }
 
-// read fetches the record e points at and verifies it: header checksum,
-// magic and flags (see decodeHeader), the id, version and flags it carries,
-// its lengths against the index entry, and the body checksum.
+// read copies the record e points at out of its segment's mapping, the
+// caller holding a reference to it, and verifies the copy — never the
+// mapping, so a byte changed in the file afterwards cannot reach a client:
+// header checksum, magic and flags (see decodeHeader), the id, version and
+// flags it carries, its lengths against the index entry, and the body
+// checksum.
 func (e rec) read() ([]byte, bool) {
-	raw := make([]byte, e.n)
-	_, err := e.seg.f.ReadAt(raw, e.off)
+	raw, copied := e.seg.copyOut(e.off, e.n)
 	h, ok := decodeHeader(raw)
-	return raw, err == nil && ok &&
+	return raw, copied && ok &&
 		h.id == e.obj.ID && h.version == e.obj.Version && h.flags == e.flags &&
 		int64(h.stored) == e.n-headerLen && int64(h.size) == e.obj.Size &&
 		crc32.Checksum(raw[headerLen:], castagnoli) == h.bodyCRC
+}
+
+// copyOut copies n bytes at off out of the mapping into a fresh slice,
+// which is not zeroed first. A file cut short under the mapping faults the
+// copy: a failed copy here, not a crash.
+func (seg *segment) copyOut(off, n int64) (raw []byte, ok bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			raw, ok = nil, false
+		}
+	}()
+	return append([]byte(nil), seg.m[off:off+n]...), true
 }
 
 // forget takes id out of the index — when only is given, only while it still
@@ -562,8 +634,10 @@ func (s *Store) points(e rec) bool {
 // is caught by verify-on-read — up to the first record whose header is
 // invalid (see decodeHeader) or that runs past the end of the file: a torn
 // tail, which is cut off so that one crash is one failure, not one at every
-// later boot. A segment that cannot be opened is all tail: it recovers empty
-// and is deleted.
+// later boot. What is left is mapped for reads. A segment that cannot be
+// opened or mapped is all tail: it recovers empty and is deleted. The walk
+// itself preads its headers: touching them through the mapping costs a page
+// fault each, more than the pread at large records.
 func (s *Store) walk(seg *segment) walked {
 	w := walked{seg: seg}
 	f, err := os.OpenFile(s.segPath(seg.seq), os.O_RDWR, 0)
@@ -584,6 +658,12 @@ func (s *Store) walk(seg *segment) walked {
 	if w.torn {
 		seg.size = off
 		_ = f.Truncate(off) // best effort: failing, the tail is counted again next boot
+	}
+	if seg.size > 0 {
+		var err error
+		if seg.m, err = mapSegment(f, seg.size); err != nil {
+			w.recs, w.torn = nil, true
+		}
 	}
 	return w
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -714,6 +715,26 @@ func BenchmarkStorePutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreGet is the read alone, on 16 KiB records: one copy out of
+// the mapping and its verification, one allocation.
+func BenchmarkStoreGet(b *testing.B) {
+	s := openT(b, Options{})
+	body := bytes.Repeat([]byte("payload-"), 2048) // 16 KiB
+	const n = 1024
+	for id := uint64(1); id <= n; id++ {
+		if err := s.Put(cache.Object{ID: id, Size: int64(len(body)), Version: 1}, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := s.Get(uint64(i%n + 1)); !ok {
+			b.Fatal("miss on a stored object")
+		}
+	}
+}
+
 func BenchmarkRecoveryScan(b *testing.B) {
 	dir := b.TempDir()
 	s, _ := Open(dir, Options{})
@@ -1246,4 +1267,134 @@ func TestStoreLogTornTailCountedOnce(t *testing.T) {
 	}
 	wantBody(t, s3, 1, 1)
 	wantBody(t, s3, 2, 1)
+}
+
+// TestStoreLogTruncatedUnderMapping: a segment file cut short under its
+// mapping faults the copy out of it. Each read fails and is counted like a
+// corrupt record; nothing is served and the process survives.
+func TestStoreLogTruncatedUnderMapping(t *testing.T) {
+	s := openT(t, Options{})
+	const n = 200
+	putRange(t, s, 1, n)
+	path, _, _ := place(t, s, 1)
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= n; id++ {
+		if obj, b, ok := s.Get(id); ok {
+			t.Fatalf("Get(%d) served v%d %q from a truncated segment", id, obj.Version, b)
+		}
+	}
+	if st := s.StatsSnapshot(); st.VerifyFailures != n || st.Objects != 0 {
+		t.Errorf("stats = %+v, want %d verify failures and nothing indexed", st, n)
+	}
+}
+
+// mappedUnder lists the files under dir that the process has mapped.
+func mappedUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, line := range strings.Split(string(maps), "\n") {
+		if i := strings.Index(line, dir+string(filepath.Separator)); i >= 0 {
+			files = append(files, strings.TrimSuffix(line[i:], " (deleted)"))
+		}
+	}
+	return files
+}
+
+// TestStoreLogUnmapsWhatLeaves: a segment that leaves the log — emptied,
+// retired at capacity, or closed with the store — is unmapped once no read
+// is copying out of it, even with reads racing its departure.
+func TestStoreLogUnmapsWhatLeaves(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps")
+	}
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openDir(t, dir, Options{Capacity: 8 * 4 * rec100})
+	s.segSize = 4 * rec100
+	seen := map[string]bool{}
+	note := func() {
+		for _, f := range segFiles(t, dir) {
+			seen[f] = true
+		}
+	}
+	const ids = 64 // twice what the capacity holds: constant retirement
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := uint64(rng.Intn(ids))
+				if obj, b, ok := s.Get(id); ok && !bytes.Equal(b, body100(id, obj.Version)) {
+					t.Errorf("Get(%d) = v%d %q", id, obj.Version, b)
+					return
+				}
+			}
+		}(r)
+	}
+	// The first segment empties: every record in it is superseded.
+	putRange(t, s, 1, 4)
+	note()
+	for id := uint64(1); id <= 4; id++ {
+		s.Put(cache.Object{ID: id, Size: 100, Version: 2}, body100(id, 2))
+	}
+	note()
+	first := s.segPath(1)
+	if _, err := os.Stat(first); !os.IsNotExist(err) || s.StatsSnapshot().Evictions != 0 {
+		t.Fatalf("the emptied first segment is still on disk (%v), or something was retired", err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 3; i <= 2000; i++ {
+		id := uint64(rng.Intn(ids))
+		if rng.Intn(8) == 0 {
+			s.Remove(id)
+		} else if err := s.Put(cache.Object{ID: id, Size: 100, Version: int64(i)}, body100(id, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		note()
+	}
+	close(stop)
+	wg.Wait()
+	if s.StatsSnapshot().Evictions == 0 {
+		t.Fatal("no segment was retired")
+	}
+	live := map[string]bool{}
+	for _, f := range segFiles(t, dir) {
+		live[f] = true
+	}
+	mapped := mappedUnder(t, dir)
+	var stale []string
+	for _, f := range mapped {
+		if !live[f] {
+			stale = append(stale, f)
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d segments are still mapped after they left the log, first %s", len(stale), stale[0])
+	}
+	if !slices.Contains(mapped, s.segPath(s.nextSeq-1)) {
+		t.Fatalf("the active segment %s is not among the mappings %v", s.segPath(s.nextSeq-1), mapped)
+	}
+	if removed := len(seen) - len(live); removed < 2 {
+		t.Fatalf("only %d segments left the log", removed)
+	}
+	s.Close()
+	if mapped := mappedUnder(t, dir); len(mapped) != 0 {
+		t.Errorf("after Close, %d segments are still mapped, first %s", len(mapped), mapped[0])
+	}
 }
