@@ -188,6 +188,26 @@ func TestOriginStaleConnectionRetriedOnce(t *testing.T) {
 	}
 }
 
+// stuckOriginAnswers are where an origin can get stuck, by name: what it
+// sends of its answer before it goes silent.
+var stuckOriginAnswers = map[string]string{
+	"before the status line": "",
+	"mid-header":             "HTTP/1.1 200 OK\r\n" + headerVersion + ": 1\r\nContent-Le",
+	"mid-body":               "HTTP/1.1 200 OK\r\n" + headerVersion + ": 1\r\nContent-Length: 100\r\n\r\nhalf",
+}
+
+// servesAfter answers an object call with "from the peer" after d, and any
+// other call at once with 204.
+func servesAfter(d time.Duration) func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
+	return func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
+		if h.Op != wire.PeerObject {
+			return wire.PeerHeader{Status: http.StatusNoContent}, nil
+		}
+		time.Sleep(d)
+		return wire.PeerHeader{Status: http.StatusOK, A: 7}, []byte("from the peer")
+	}
+}
+
 // TestOriginStuckNeverOutlivesItsContext: the origin leg runs on the
 // goroutine that wants the object (or, hedged, on the hedge's), so it must
 // return the moment its context ends, wherever the origin has got stuck —
@@ -196,11 +216,7 @@ func TestOriginStaleConnectionRetriedOnce(t *testing.T) {
 // behind; either way the connection is closed, never pooled.
 func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 	const timeout = 40 * time.Millisecond
-	for name, sent := range map[string]string{
-		"before the status line": "",
-		"mid-header":             "HTTP/1.1 200 OK\r\n" + headerVersion + ": 1\r\nContent-Le",
-		"mid-body":               "HTTP/1.1 200 OK\r\n" + headerVersion + ": 1\r\nContent-Length: 100\r\n\r\nhalf",
-	} {
+	for name, sent := range stuckOriginAnswers {
 		t.Run(name, func(t *testing.T) {
 			var stuck *rawOrigin
 			stuck = newRawOrigin(t, func(_ int64, c net.Conn, _ *bufio.Reader) {
@@ -210,13 +226,7 @@ func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 			// The peer answers, but only after the hedge has started the
 			// origin leg.
 			const budget = 10 * time.Millisecond
-			peer := newStubPeer(t, func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
-				if h.Op != wire.PeerObject {
-					return wire.PeerHeader{Status: http.StatusNoContent}, nil
-				}
-				time.Sleep(3 * budget)
-				return wire.PeerHeader{Status: http.StatusOK, A: 7}, []byte("from the peer")
-			})
+			peer := newStubPeer(t, servesAfter(3*budget))
 			shorten(t, &originTimeout, timeout)
 			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url, HedgeBudget: budget})
 			n.breakerCfg = noBreaker

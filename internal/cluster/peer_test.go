@@ -81,32 +81,36 @@ func newStubPeer(t testing.TB, answer func(h wire.PeerHeader, body []byte) (wire
 	t.Helper()
 	s := &stubPeer{}
 	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, brw := s.upgrade(w)
-		if c == nil {
-			return
-		}
-		hdr := make([]byte, wire.PeerHeaderSize)
-		for {
-			if _, err := io.ReadFull(brw, hdr); err != nil {
-				return
-			}
-			h, err := wire.DecodePeerHeader(hdr)
-			if err != nil {
-				return
-			}
-			body := make([]byte, h.Len)
-			if _, err := io.ReadFull(brw, body); err != nil {
-				return
-			}
-			resp, out := answer(h, body)
-			resp.Op, resp.Response, resp.ID, resp.Len = h.Op, true, h.ID, len(out)
-			if _, err := c.Write(append(wire.AppendPeerHeader(nil, resp), out...)); err != nil {
-				return
-			}
+		if c, br := s.upgrade(w); c != nil {
+			answerCalls(br, c, answer)
 		}
 	}))
 	t.Cleanup(s.close)
 	return s
+}
+
+// answerCalls reads calls off r and writes answer's reply to each to w, one
+// at a time, until either side fails.
+func answerCalls(r io.Reader, w io.Writer, answer func(h wire.PeerHeader, body []byte) (wire.PeerHeader, []byte)) {
+	hdr := make([]byte, wire.PeerHeaderSize)
+	for {
+		if _, err := io.ReadFull(r, hdr); err != nil {
+			return
+		}
+		h, err := wire.DecodePeerHeader(hdr)
+		if err != nil {
+			return
+		}
+		body := make([]byte, h.Len)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return
+		}
+		resp, out := answer(h, body)
+		resp.Op, resp.Response, resp.ID, resp.Len = h.Op, true, h.ID, len(out)
+		if _, err := w.Write(append(wire.AppendPeerHeader(nil, resp), out...)); err != nil {
+			return
+		}
+	}
 }
 
 // upgrade hijacks w's connection and completes the handshake.

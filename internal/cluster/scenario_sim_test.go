@@ -31,6 +31,50 @@ import (
 	"beyondcache/internal/trace"
 )
 
+// memRun is a finished run on an in-memory fleet: the report, the fleet
+// (closed by then), and the bytes its network carried.
+type memRun struct {
+	*loadgen.RunReport
+	fleet *cluster.Fleet
+	wired int64
+}
+
+// runMem runs sc on a fresh in-memory fleet inside a bubble, with set (when
+// non-nil) reshaping the fleet's configuration first.
+func runMem(t *testing.T, sc *loadgen.Scenario, set func(*cluster.FleetConfig), logf func(string, ...any)) memRun {
+	t.Helper()
+	var run memRun
+	var wired func() int64
+	start := func(cfg cluster.FleetConfig) (f *cluster.Fleet, err error) {
+		if set != nil {
+			set(&cfg)
+		}
+		f, wired, err = cluster.StartMemFleet(cfg)
+		run.fleet = f
+		return f, err
+	}
+	var err error
+	synctest.Run(func() {
+		run.RunReport, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: start, Logf: logf})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.wired = wired()
+	return run
+}
+
+// locators are the ways a node locates a copy: hints with every node an
+// owner (R = 0), a partitioned hint directory (R = 2), and digests.
+var locators = []struct {
+	name string
+	set  func(*cluster.FleetConfig)
+}{
+	{"R=0", func(*cluster.FleetConfig) {}},
+	{"R=2", func(c *cluster.FleetConfig) { c.HintPartition, c.HintReplicas = true, 2 }},
+	{"digests", func(c *cluster.FleetConfig) { c.UseDigests = true }},
+}
+
 // TestSimScenarios runs every shipped scenario end to end and fails on any
 // bound that does not hold. A scenario that neither kills nor restarts a
 // node takes none down, so none of its requests may fail.
@@ -48,13 +92,7 @@ func TestSimScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rep *loadgen.RunReport
-			synctest.Run(func() {
-				rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: cluster.StartMemFleet, Logf: t.Logf})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := runMem(t, sc, nil, t.Logf)
 			if got := rep.Result.Overall.Requests; got != int64(sched.Len()) {
 				t.Errorf("issued %d requests, the schedule has %d", got, sched.Len())
 			}
@@ -150,13 +188,7 @@ func TestSimScenarioEveryEventKind(t *testing.T) {
 				}
 				t.Log(line)
 			}
-			var rep *loadgen.RunReport
-			synctest.Run(func() {
-				rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: cluster.StartMemFleet, Logf: logf})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := runMem(t, sc, nil, logf)
 			if !reflect.DeepEqual(applied, want) {
 				t.Errorf("events applied in the order %q, want %q", applied, want)
 			}
@@ -196,32 +228,12 @@ func TestSimReplayDrivesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		set  func(*cluster.FleetConfig)
-	}{
-		{"hints R=0", func(*cluster.FleetConfig) {}},
-		{"hints R=2", func(c *cluster.FleetConfig) { c.HintPartition, c.HintReplicas = true, 2 }},
-		{"digests", func(c *cluster.FleetConfig) { c.UseDigests = true }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			var fleet *cluster.Fleet
-			start := func(cfg cluster.FleetConfig) (*cluster.Fleet, error) {
-				mode.set(&cfg)
-				f, err := cluster.StartMemFleet(cfg)
-				fleet = f
-				return f, err
-			}
-			var rep *loadgen.RunReport
-			synctest.Run(func() {
-				rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: start})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := rep.Result.Overall
+	for _, loc := range locators {
+		t.Run(loc.name, func(t *testing.T) {
+			run := runMem(t, sc, loc.set, nil)
+			o := run.Result.Overall
 			t.Logf("%d requests: %d local, %d remote, %d miss; %d origin fetches",
-				o.Requests, o.Local, o.Remote, o.Miss, fleet.Origin.Fetches())
+				o.Requests, o.Local, o.Remote, o.Miss, run.fleet.Origin.Fetches())
 			if o.Errors != 0 {
 				t.Errorf("%d requests failed", o.Errors)
 			}
@@ -231,7 +243,7 @@ func TestSimReplayDrivesFleet(t *testing.T) {
 			if hit := o.HitRate(); hit <= 0.2 {
 				t.Errorf("hit rate %.3f, want above 0.2", hit)
 			}
-			if got := fleet.Origin.Fetches(); got != o.Miss {
+			if got := run.fleet.Origin.Fetches(); got != o.Miss {
 				t.Errorf("origin fetches %d, misses %d: want one origin fetch per miss", got, o.Miss)
 			}
 		})
@@ -260,6 +272,30 @@ update-interval 25ms
 // over seeds 1–10 and 17 the live hit rate trails the simulator's by at most
 // 0.0048, and the local rates are equal.
 func TestSimMeasuredVsSimulatedDEC(t *testing.T) {
+	live, simulated := decTwin(t)
+	if live.Errors != 0 || live.Requests != simulated.Requests {
+		t.Fatalf("live run: %d requests, %d failed; the simulator saw %d", live.Requests, live.Errors, simulated.Requests)
+	}
+	liveLocal := localRate(live)
+	t.Logf("hit rate: live %.4f vs simulated %.4f; local: live %.4f vs simulated %.4f",
+		live.HitRate(), simulated.HitRatio, liveLocal, simulated.LocalHitRatio)
+	if diff := math.Abs(live.HitRate() - simulated.HitRatio); diff > 0.01 {
+		t.Errorf("hit rate: live %.4f vs simulated %.4f, |diff| %.4f > 0.01", live.HitRate(), simulated.HitRatio, diff)
+	}
+	if diff := math.Abs(liveLocal - simulated.LocalHitRatio); diff > 0.005 {
+		t.Errorf("local hit rate: live %.4f vs simulated %.4f, |diff| %.4f > 0.005", liveLocal, simulated.LocalHitRatio, diff)
+	}
+}
+
+// localRate is the share of a run's successful requests served LOCAL.
+func localRate(p loadgen.PhaseResult) float64 {
+	return float64(p.Local) / float64(p.Local+p.Remote+p.Miss)
+}
+
+// decTwin runs decValidate through a live fleet in a bubble and through the
+// simulator, and returns the live run's totals and the simulator's report.
+func decTwin(t *testing.T) (loadgen.PhaseResult, core.Report) {
+	t.Helper()
 	sc, err := loadgen.Parse(decValidate)
 	if err != nil {
 		t.Fatal(err)
@@ -286,29 +322,9 @@ func TestSimMeasuredVsSimulatedDEC(t *testing.T) {
 			Version: sched.Versions[i],
 		}
 	}
-	simRep, err := sys.Run(trace.NewSliceReader(reqs))
+	simulated, err := sys.Run(trace.NewSliceReader(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var rep *loadgen.RunReport
-	synctest.Run(func() {
-		rep, err = loadgen.Run(sc, loadgen.RunOptions{StartFleet: cluster.StartMemFleet})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := rep.Result.Overall
-	if live.Errors != 0 || live.Requests != int64(sched.Len()) {
-		t.Fatalf("live run: %d of %d requests, %d failed", live.Requests, sched.Len(), live.Errors)
-	}
-	liveLocal := float64(live.Local) / float64(live.Local+live.Remote+live.Miss)
-	t.Logf("hit rate: live %.4f vs simulated %.4f; local: live %.4f vs simulated %.4f",
-		live.HitRate(), simRep.HitRatio, liveLocal, simRep.LocalHitRatio)
-	if diff := math.Abs(live.HitRate() - simRep.HitRatio); diff > 0.01 {
-		t.Errorf("hit rate: live %.4f vs simulated %.4f, |diff| %.4f > 0.01", live.HitRate(), simRep.HitRatio, diff)
-	}
-	if diff := math.Abs(liveLocal - simRep.LocalHitRatio); diff > 0.005 {
-		t.Errorf("local hit rate: live %.4f vs simulated %.4f, |diff| %.4f > 0.005", liveLocal, simRep.LocalHitRatio, diff)
-	}
+	return runMem(t, sc, nil, nil).Result.Overall, simulated
 }

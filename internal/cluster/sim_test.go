@@ -21,25 +21,34 @@ package cluster
 //     that ticks, "no leak" is caught by the -timeout, not by a panic.
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/synctest"
 	"time"
 
+	"beyondcache/internal/hintcache"
 	"beyondcache/internal/resilience"
 )
 
 // memNet is an in-memory network: a dial is one net.Pipe, whose far end the
 // listener at the dialed address accepts. Listening on port 0 picks a port.
+// wired counts the bytes written on every connection, either way.
 type memNet struct {
 	mu    sync.Mutex
 	ports int
 	lis   map[string]*memListener
+	wired atomic.Int64
 }
+
+func newMemNet() *memNet { return &memNet{lis: make(map[string]*memListener)} }
 
 func (m *memNet) network() network { return network{dial: m.dial, listen: m.listen} }
 
@@ -70,7 +79,8 @@ func (m *memNet) dial(ctx context.Context, addr string) (net.Conn, error) {
 	if l == nil {
 		return nil, err
 	}
-	near, far := net.Pipe()
+	p, q := net.Pipe()
+	near, far := wiredConn{p, &m.wired}, wiredConn{q, &m.wired}
 	select {
 	case l.conns <- far:
 		return near, nil
@@ -81,6 +91,18 @@ func (m *memNet) dial(ctx context.Context, addr string) (net.Conn, error) {
 	near.Close()
 	far.Close()
 	return nil, err
+}
+
+// wiredConn is one end of a memNet connection.
+type wiredConn struct {
+	net.Conn
+	wired *atomic.Int64
+}
+
+func (c wiredConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.wired.Add(int64(n))
+	return n, err
 }
 
 type memListener struct {
@@ -132,7 +154,7 @@ func TestSimFleet(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			synctest.Run(func() {
 				cfg.Nodes, cfg.ObjectSize, cfg.UpdateInterval = 3, 1024, time.Hour
-				f, err := startFleetOn(cfg, (&memNet{lis: make(map[string]*memListener)}).network())
+				f, err := startFleetOn(cfg, newMemNet().network())
 				if err != nil {
 					t.Error(err)
 					return
@@ -201,7 +223,7 @@ func TestSimFleet(t *testing.T) {
 func TestSimBodilessAnswerThenReuse(t *testing.T) {
 	synctest.Run(func() {
 		cfg := FleetConfig{Nodes: 1, ObjectSize: 256, UpdateInterval: time.Hour}
-		f, err := startFleetOn(cfg, (&memNet{lis: make(map[string]*memListener)}).network())
+		f, err := startFleetOn(cfg, newMemNet().network())
 		if err != nil {
 			t.Error(err)
 			return
@@ -242,7 +264,7 @@ func TestSimHedgedMissLatency(t *testing.T) {
 	const originLatency, budget, samples = 30 * time.Millisecond, 15 * time.Millisecond, 30
 	synctest.Run(func() {
 		cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour, HedgeBudget: budget}
-		f, err := startFleetOn(cfg, (&memNet{lis: make(map[string]*memListener)}).network())
+		f, err := startFleetOn(cfg, newMemNet().network())
 		if err != nil {
 			t.Error(err)
 			return
@@ -282,4 +304,202 @@ func TestSimHedgedMissLatency(t *testing.T) {
 			t.Errorf("%d hedges started and %d origin wins, want >= %d each", st.HedgesStarted, st.HedgeOriginWins, samples)
 		}
 	})
+}
+
+// startMemNode starts a node on nw with its breaker never opening; the
+// caller closes it.
+func startMemNode(nw network, cfg NodeConfig) (*Node, error) {
+	cfg.UpdateInterval = time.Hour // no round but the close-time one
+	n, err := newNodeOn(cfg, nw)
+	if err != nil {
+		return nil, err
+	}
+	n.breakerCfg = noBreaker
+	if err := n.Start("127.0.0.1:0"); err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// TestSimOriginStuckNeverOutlivesItsContext is
+// TestOriginStuckNeverOutlivesItsContext on the fake clock, with the wall
+// clock's slack gone: wherever the origin has got stuck, a fetch returns at
+// its originTimeout exactly, and a hedged fill returns the instant its peer
+// answers, the abandoned origin leg's connection closed in that same
+// instant. Neither connection is pooled.
+func TestSimOriginStuckNeverOutlivesItsContext(t *testing.T) {
+	const timeout, budget = 40 * time.Millisecond, 10 * time.Millisecond
+	shorten(t, &originTimeout, timeout)
+	for name, sent := range stuckOriginAnswers {
+		t.Run(name, func(t *testing.T) {
+			synctest.Run(func() {
+				nw := newMemNet().network()
+				lis, err := nw.listen("127.0.0.1:0")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var accepted, hungUp atomic.Int64
+				go func() {
+					for {
+						c, err := lis.Accept()
+						if err != nil {
+							return
+						}
+						accepted.Add(1)
+						go func() {
+							defer c.Close()
+							if readRequestHead(bufio.NewReader(c)) && sent != "" {
+								io.WriteString(c, sent)
+							}
+							io.Copy(io.Discard, c)
+							hungUp.Add(1)
+						}()
+					}
+				}()
+				defer lis.Close()
+				n, err := startMemNode(nw, NodeConfig{Name: "waiter", OriginURL: "http://" + lis.Addr().String(), HedgeBudget: budget})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer n.Close()
+
+				start := time.Now()
+				_, err = n.fetchOrigin(context.Background(), "http://example.com/stuck")
+				if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took != timeout {
+					t.Errorf("fetch from a stuck origin = %v after %v, want deadline exceeded after %v", err, took, timeout)
+				}
+				synctest.Wait()
+				if a, h := accepted.Load(), hungUp.Load(); a != 1 || h != 1 {
+					t.Errorf("%d connections, %d closed; want the one closed", a, h)
+				}
+
+				// The peer answers after 3 budgets: the origin leg starts at
+				// one and is stuck by the time the peer wins.
+				const peerURL = "http://127.0.0.1:1"
+				near, far := net.Pipe()
+				go func() {
+					defer far.Close()
+					answerCalls(far, far, servesAfter(3*budget))
+				}()
+				putIdle(n, peerURL, near)
+				const url = "http://example.com/peer-wins"
+				h := hintcache.HashURL(url)
+				n.hints.ApplyBatch([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: h, Machine: hintcache.HashMachine(hostPortOf(peerURL))}})
+				start = time.Now()
+				out := n.fill(h, url, "", false)
+				if took := time.Since(start); out.err != nil || out.how != "REMOTE" || string(out.body) != "from the peer" || took != 3*budget {
+					t.Errorf("hedged fill = %q, %q, %v after %v; want REMOTE from the peer after %v", out.how, out.body, out.err, took, 3*budget)
+				}
+				if st := n.Stats(); st.HedgesStarted != 1 || st.HedgePeerWins != 1 {
+					t.Errorf("stats = %d hedges, %d peer wins; the origin leg never ran beside the peer's", st.HedgesStarted, st.HedgePeerWins)
+				}
+				// Wait moves no fake time: what is closed now was closed the
+				// instant the peer won.
+				synctest.Wait()
+				if a, h := accepted.Load(), hungUp.Load(); a != 2 || h != 2 {
+					t.Errorf("%d connections, %d closed when the peer won; want both", a, h)
+				}
+				if got := idleOriginConns(n); got != 0 {
+					t.Errorf("%d connections pooled after cut-short answers, want none", got)
+				}
+			})
+		})
+	}
+}
+
+// TestSimPeerStuckPeerNeverSlowsHedgedMiss is
+// TestPeerStuckPeerNeverSlowsHedgedMiss on the fake clock: against a peer
+// that never answers the upgrade, one that never reads the request frame and
+// one that reads it and never answers, a hinted miss is MISS,HEDGE behind an
+// abandoned peer and takes the hedge budget plus the origin's latency
+// exactly, where a direct miss takes the origin's latency.
+func TestSimPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
+	const budget, originLatency = 15 * time.Millisecond, 20 * time.Millisecond
+	for name, stick := range map[string]func(far net.Conn){
+		"upgrade answer never sent": nil,
+		"request frame never read":  func(net.Conn) {},
+		"answer never sent":         func(c net.Conn) { io.Copy(io.Discard, c) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			synctest.Run(func() {
+				nw := newMemNet().network()
+				origin := NewOrigin(256)
+				origin.nw = nw
+				origin.SetLatency(originLatency)
+				if err := origin.Start("127.0.0.1:0"); err != nil {
+					t.Error(err)
+					return
+				}
+				defer origin.Close()
+				n, err := startMemNode(nw, NodeConfig{Name: "hedger", OriginURL: origin.URL(), HedgeBudget: budget})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer n.Close()
+				// The peer accepts connections and says nothing on them. It
+				// goes before the node's Close, whose flush is then refused.
+				mute, err := nw.listen("127.0.0.1:0")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var mu sync.Mutex
+				var held []net.Conn
+				hold := func(c net.Conn) {
+					mu.Lock()
+					held = append(held, c)
+					mu.Unlock()
+				}
+				go func() {
+					for {
+						c, err := mute.Accept()
+						if err != nil {
+							return
+						}
+						hold(c)
+					}
+				}()
+				defer func() {
+					mute.Close()
+					mu.Lock()
+					for _, c := range held {
+						c.Close()
+					}
+					mu.Unlock()
+				}()
+				peerURL := "http://" + mute.Addr().String()
+				n.AddPeer(peerURL)
+				if stick != nil {
+					near, far := net.Pipe()
+					hold(far)
+					go stick(far)
+					putIdle(n, peerURL, near)
+				}
+
+				fill := func(url string, hinted bool) (fetchOutcome, time.Duration) {
+					h := hintcache.HashURL(url)
+					if hinted {
+						n.hints.ApplyBatch([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: h, Machine: hintcache.HashMachine(hostPortOf(peerURL))}})
+					}
+					start := time.Now()
+					out := n.fill(h, url, "", false)
+					return out, time.Since(start)
+				}
+				if out, took := fill("http://example.com/direct", false); out.err != nil || out.how != "MISS" || took != originLatency {
+					t.Errorf("direct fetch = %q, %v after %v; want a MISS after %v", out.how, out.err, took, originLatency)
+				}
+				out, took := fill("http://example.com/hedged", true)
+				if out.err != nil || out.how != "MISS,HEDGE" || len(out.hops) == 0 || out.hops[0].Outcome != "PEER-ABANDON" || took != budget+originLatency {
+					t.Errorf("hedged fetch = %q, hops %+v, %v after %v; want MISS,HEDGE behind a PEER-ABANDON hop after %v", out.how, out.hops, out.err, took, budget+originLatency)
+				}
+				if st := n.Stats(); st.HedgeOriginWins != 1 || st.RemoteHits != 0 {
+					t.Errorf("stats = %d origin wins, %d remote hits; want the hedged fill won by the origin", st.HedgeOriginWins, st.RemoteHits)
+				}
+			})
+		})
+	}
 }

@@ -43,10 +43,9 @@ type RestartResult struct {
 
 // RunReport is a completed scenario run.
 type RunReport struct {
-	Scenario    *Scenario
-	Fingerprint string
-	Result      *Result
-	Bounds      []BoundResult
+	Scenario *Scenario
+	Result   *Result
+	Bounds   []BoundResult
 	// Restarts records each restart event's disk-recovery outcome, in
 	// execution order.
 	Restarts []RestartResult
@@ -70,11 +69,7 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, err := sched.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	logf("%s: schedule %d requests over %v (sha256 %s...)", sc.Name, sched.Len(), sc.Span(), fp[:12])
+	logf("%s: schedule %d requests over %v", sc.Name, sched.Len(), sc.Span())
 
 	interval := sc.UpdateInterval
 	if interval == 0 {
@@ -143,7 +138,7 @@ func Run(sc *Scenario, opt RunOptions) (*RunReport, error) {
 		return nil, fmt.Errorf("loadgen: %s: event timeline: %w", sc.Name, eventsErr)
 	}
 
-	rep := &RunReport{Scenario: sc, Fingerprint: fp, Result: res, Restarts: restarts, Pass: true}
+	rep := &RunReport{Scenario: sc, Result: res, Restarts: restarts, Pass: true}
 	for _, b := range sc.Bounds {
 		actual, err := evalBound(sc, res, b)
 		if err != nil {

@@ -1,16 +1,12 @@
 package loadgen
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
 	"beyondcache/internal/trace"
-	"beyondcache/internal/wire"
 )
 
 // defaultScale is the workload scale used when a scenario omits one: small
@@ -25,9 +21,9 @@ const maxScheduleRequests = 5_000_000
 // Schedule is a fully materialized open-loop request plan: request i is
 // issued at start+Offsets[i], carries the object/client/size/version of the
 // workload draw, and is accounted to phase Phases[i]. Schedules are built
-// deterministically from (scenario, seed) — the same inputs yield
-// byte-identical MarshalBinary output, which tests pin — and are read-only
-// during a run, so any number of driver goroutines can share one.
+// deterministically from (scenario, seed) — the same inputs yield equal
+// columns, which tests pin — and are read-only during a run, so any number
+// of driver goroutines can share one.
 type Schedule struct {
 	// Offsets are intended arrival times from run start, non-decreasing.
 	Offsets []time.Duration
@@ -266,51 +262,4 @@ func buildTraceSchedule(sc *Scenario) (*Schedule, error) {
 		return nil, fmt.Errorf("loadgen: %s: trace has no cachable requests", sc.Name)
 	}
 	return s, nil
-}
-
-// scheduleVersion versions the schedule payload inside its wire frame.
-const scheduleVersion = 1
-
-// MarshalBinary renders the schedule as one KindSchedule wire frame whose
-// payload is deterministic little-endian bytes: format version, count,
-// then the six columns in order. Equal schedules marshal to equal bytes —
-// the determinism tests and the bench row's schedule fingerprint rely on
-// it.
-func (s *Schedule) MarshalBinary() ([]byte, error) {
-	n := s.Len()
-	if len(s.Phases) != n || len(s.Objects) != n || len(s.Clients) != n ||
-		len(s.Sizes) != n || len(s.Versions) != n {
-		return nil, fmt.Errorf("loadgen: ragged schedule columns")
-	}
-	out := make([]byte, 0, 4+8+n*(8+1+8+4+8+8))
-	out = binary.LittleEndian.AppendUint32(out, scheduleVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(n))
-	for _, v := range s.Offsets {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	out = append(out, s.Phases...)
-	for _, v := range s.Objects {
-		out = binary.LittleEndian.AppendUint64(out, v)
-	}
-	for _, v := range s.Clients {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
-	}
-	for _, v := range s.Sizes {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	for _, v := range s.Versions {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	return wire.AppendFrame(nil, wire.KindSchedule, out, 0), nil
-}
-
-// Fingerprint returns the hex SHA-256 of the schedule's binary form: the
-// run's identity for bench rows and cross-run comparison.
-func (s *Schedule) Fingerprint() (string, error) {
-	b, err := s.MarshalBinary()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }

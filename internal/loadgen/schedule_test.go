@@ -1,12 +1,9 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/binary"
+	"reflect"
 	"testing"
 	"time"
-
-	"beyondcache/internal/wire"
 )
 
 func mustParse(t *testing.T, text string) *Scenario {
@@ -28,7 +25,8 @@ func mustSchedule(t *testing.T, sc *Scenario) *Schedule {
 }
 
 // TestScheduleDeterministic pins the acceptance criterion: a fixed seed
-// yields a byte-identical request schedule, for every shipped scenario.
+// yields an identical request schedule, column for column, for every shipped
+// scenario, and a different seed a different one.
 func TestScheduleDeterministic(t *testing.T) {
 	scs, err := Builtins()
 	if err != nil {
@@ -36,35 +34,12 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 	for _, sc := range scs {
 		a := mustSchedule(t, sc)
-		b := mustSchedule(t, sc)
-		ab, err := a.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		if b := mustSchedule(t, sc); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: same seed produced different schedules (%d vs %d requests)", sc.Name, a.Len(), b.Len())
 		}
-		bb, err := b.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Fatalf("%s: same seed produced different schedules (%d vs %d bytes)", sc.Name, len(ab), len(bb))
-		}
-		fa, err := a.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, _ := b.Fingerprint()
-		if fa != fb {
-			t.Fatalf("%s: fingerprints differ: %s vs %s", sc.Name, fa, fb)
-		}
-
-		// A different seed must change the schedule: reseed and rebuild.
 		reseeded := *sc
 		reseeded.Seed = sc.Seed + 1
-		fc, err := mustSchedule(t, &reseeded).Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fc == fa {
+		if reflect.DeepEqual(a, mustSchedule(t, &reseeded)) {
 			t.Fatalf("%s: seed change did not change the schedule", sc.Name)
 		}
 	}
@@ -169,15 +144,7 @@ requests 500
 		}
 	}
 	// Deterministic here too.
-	fa, err := sched.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := mustSchedule(t, sc).Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa != fb {
+	if !reflect.DeepEqual(sched, mustSchedule(t, sc)) {
 		t.Fatal("trace schedule not deterministic")
 	}
 }
@@ -191,50 +158,5 @@ phase p 10s rate=10000000
 `)
 	if _, err := BuildSchedule(sc); err == nil {
 		t.Fatal("BuildSchedule accepted a schedule beyond the request cap")
-	}
-}
-
-// TestScheduleWireRoundTrip pins the framed schedule encoding the
-// fingerprint hashes: one uncompressed KindSchedule frame whose payload is
-// the version, the count and 37 bytes per request, and ragged columns are
-// refused.
-func TestScheduleWireRoundTrip(t *testing.T) {
-	sc := mustParse(t, `
-name roundtrip
-profile DEC
-nodes 1
-phase warm 2s rate=40
-phase hot 2s rate=60 hotset=16
-`)
-	orig := mustSchedule(t, sc)
-	data, err := orig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, rest, err := wire.Decode(data)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("Decode: %v, %d trailing bytes", err, len(rest))
-	}
-	if f.Kind != wire.KindSchedule || f.Compressed {
-		t.Fatalf("frame kind %s compressed %v, want an uncompressed %s", f.Kind, f.Compressed, wire.KindSchedule)
-	}
-	p, err := f.Payload(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 12 + orig.Len()*37; len(p) != want {
-		t.Fatalf("payload is %d bytes, want %d", len(p), want)
-	}
-	if v, n := binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint64(p[4:12]); v != scheduleVersion || n != uint64(orig.Len()) {
-		t.Fatalf("payload opens with version %d count %d, want %d and %d", v, n, scheduleVersion, orig.Len())
-	}
-	if first := time.Duration(binary.LittleEndian.Uint64(p[12:20])); first != orig.Offsets[0] {
-		t.Fatalf("first encoded offset %v, want %v", first, orig.Offsets[0])
-	}
-
-	ragged := *orig
-	ragged.Sizes = ragged.Sizes[:len(ragged.Sizes)-1]
-	if _, err := ragged.MarshalBinary(); err == nil {
-		t.Fatal("MarshalBinary accepted ragged columns")
 	}
 }

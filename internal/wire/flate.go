@@ -11,7 +11,7 @@ import (
 // Pooled flate plumbing behind a compressed frame's payload: one writer
 // pool, one reader pool, append-based in/out so steady-state compression
 // allocates nothing beyond buffer growth. No caller compresses today (the
-// schedule fingerprint and the bench probe frame with compressMin 0).
+// bench probe frames with compressMin 0).
 
 // byteWriter appends everything written to it onto buf.
 type byteWriter struct{ buf []byte }

@@ -1,9 +1,8 @@
 // Package wire holds two binary framings. The peer-plane header (peer.go) is
 // what cache nodes say to each other: one fixed header per call, the op's
 // bytes bare behind it. The frame codec in this file is a length-prefixed,
-// append-based layout used by the load generator's schedule fingerprint
-// (internal/loadgen) and the bench probe that times the hint-record codec;
-// no cache node decodes one. Encoding appends into caller-supplied buffers
+// append-based layout used by the bench probe that times the hint-record
+// codec; no cache node decodes one. Encoding appends into caller-supplied buffers
 // (no per-record allocations), and a frame's payload may be flate-
 // compressed through the pooled helpers in flate.go.
 //
@@ -12,7 +11,7 @@
 //	offset  size  field
 //	0       2     magic "bw"
 //	2       1     format version (1)
-//	3       1     kind (KindHintBatch, KindDigestFull, KindDigestDelta, KindSchedule)
+//	3       1     kind (KindHintBatch, KindDigestFull, KindDigestDelta)
 //	4       1     flags (bit 0: payload is flate-compressed)
 //	5       3     reserved, must be zero
 //	8       4     stored payload length (bytes following the header)
@@ -45,11 +44,8 @@ const (
 	// KindDigestDelta is an ordered run of digest add/remove ops
 	// (digest.AppendOps encoding), a PeerDigest 206 body bare.
 	KindDigestDelta Kind = 3
-	// KindSchedule is a load-generator schedule (loadgen columnar
-	// encoding).
-	KindSchedule Kind = 4
 
-	kindMax = KindSchedule
+	kindMax = KindDigestDelta
 )
 
 // String labels the kind.
@@ -61,8 +57,6 @@ func (k Kind) String() string {
 		return "digest-full"
 	case KindDigestDelta:
 		return "digest-ops"
-	case KindSchedule:
-		return "schedule"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFrameRoundTripUncompressed(t *testing.T) {
-	for _, kind := range []Kind{KindHintBatch, KindDigestFull, KindDigestDelta, KindSchedule} {
+	for _, kind := range []Kind{KindHintBatch, KindDigestFull, KindDigestDelta} {
 		payload := []byte("twenty-byte-ish payload for " + kind.String())
 		frame := AppendFrame(nil, kind, payload, 0)
 		f, rest, err := Decode(frame)
@@ -79,7 +79,7 @@ func TestFrameCompression(t *testing.T) {
 
 func TestFrameAppendsToExistingBuffer(t *testing.T) {
 	prefix := []byte("prefix")
-	frame := AppendFrame(append([]byte(nil), prefix...), KindSchedule, []byte("payload"), 0)
+	frame := AppendFrame(append([]byte(nil), prefix...), KindDigestDelta, []byte("payload"), 0)
 	if !bytes.HasPrefix(frame, prefix) {
 		t.Fatal("AppendFrame clobbered the existing buffer contents")
 	}
