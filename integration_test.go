@@ -1,7 +1,11 @@
 // Integration tests of the simulators through the core facade: every policy
 // on one synthetic workload, in the order the paper predicts. The check that
-// the networked prototype agrees with the hint simulator is loadgen's
-// TestMeasuredVsSimulatedDEC (and its fake-clock twin in internal/cluster).
+// the networked prototype agrees with the hint simulator is
+// internal/cluster's TestSimOracle, on fake time: request by request, LOCAL
+// and MISS must match, and the one disagreement allowed is a simulated
+// REMOTE served live as a MISS within 1.5 update intervals of the holder's
+// fill. Over loopback TCP, loadgen's TestMeasuredVsSimulatedDEC compares the
+// two hit rates in aggregate.
 package beyondcache_test
 
 import (

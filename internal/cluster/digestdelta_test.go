@@ -23,13 +23,22 @@ func digestGet(t *testing.T, n *Node, since uint64) (status uint16, body []byte,
 	return r.Status, r.body, r.B
 }
 
+// setDigestCapacity sizes the filters of nodes the test starts after it,
+// restoring the default when the test ends.
+func setDigestCapacity(t *testing.T, entries int) {
+	old := digestCapacity
+	digestCapacity = entries
+	t.Cleanup(func() { digestCapacity = old })
+}
+
 // TestDigestDeltaBytesBound is the wire-bench smoke the CI runs on every
 // push: at 64Ki resident objects and 1% churn, one delta round must cost at
 // most 10% of a full snapshot transfer (the issue's acceptance bound; the
 // actual ratio is ~2%).
 func TestDigestDeltaBytesBound(t *testing.T) {
 	const objects = 64 << 10
-	n := newMetaNode(t, NodeConfig{Name: "delta-bound", UseDigests: true, DigestCapacity: objects})
+	setDigestCapacity(t, objects)
+	n := newMetaNode(t, NodeConfig{Name: "delta-bound", UseDigests: true})
 	for i := uint64(1); i <= objects; i++ {
 		n.loc.publish(i, true)
 	}
@@ -130,8 +139,9 @@ func TestDigestDeltaFleetEquivalence(t *testing.T) {
 // and checks the owner detects the loss, serves a full snapshot, and counts
 // it.
 func TestDigestCursorLossFallsBackToFull(t *testing.T) {
-	// DigestCapacity 16 floors the journal at 1024 slots.
-	n := newMetaNode(t, NodeConfig{Name: "cursor-loss", UseDigests: true, DigestCapacity: 16})
+	// Capacity 16 floors the journal at 1024 slots.
+	setDigestCapacity(t, 16)
+	n := newMetaNode(t, NodeConfig{Name: "cursor-loss", UseDigests: true})
 	n.loc.publish(1, true)
 	_, _, cursor := digestGet(t, n, 0)
 
@@ -156,7 +166,8 @@ func TestDigestCursorLossFallsBackToFull(t *testing.T) {
 func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 	// Capacity 16 at 8 bits/entry: a 140-byte snapshot; 16 journaled ops
 	// (144 bytes) already exceed it.
-	n := newMetaNode(t, NodeConfig{Name: "delta-beats-full", UseDigests: true, DigestCapacity: 16})
+	setDigestCapacity(t, 16)
+	n := newMetaNode(t, NodeConfig{Name: "delta-beats-full", UseDigests: true})
 	n.loc.publish(1, true)
 	_, _, cursor := digestGet(t, n, 0)
 
@@ -185,7 +196,8 @@ func TestDigestDeltaLargerThanSnapshotServesFull(t *testing.T) {
 // journaled in the gap to the response without delivering them, so the
 // replica silently diverges.
 func TestDigestCursorAtomicWithFrame(t *testing.T) {
-	n := newMetaNode(t, NodeConfig{Name: "cursor-atomic", UseDigests: true, DigestCapacity: 64 << 10})
+	setDigestCapacity(t, 64<<10)
+	n := newMetaNode(t, NodeConfig{Name: "cursor-atomic", UseDigests: true})
 	for i := uint64(1); i <= 1024; i++ {
 		n.loc.publish(i, true)
 	}

@@ -56,29 +56,26 @@ type digestLocator struct {
 	journal    *digest.Journal
 }
 
-// newDigestLocator sizes the own filter for capacity entries (<= 0 means
-// 8192). Digests replace the hint directory, so asking for a partitioned
-// one (HintReplicas > 0) as well is a configuration error.
-func newDigestLocator(n *Node, capacity, hintReplicas int) (*digestLocator, error) {
+// digestCapacity sizes each node's own filter in entries (a variable so
+// tests can resize it).
+var digestCapacity = 8192
+
+// newDigestLocator sizes the own filter for digestCapacity entries. Digests
+// replace the hint directory, so asking for a partitioned one
+// (HintReplicas > 0) as well is a configuration error.
+func newDigestLocator(n *Node, hintReplicas int) (*digestLocator, error) {
 	if hintReplicas > 0 {
 		return nil, fmt.Errorf("HintReplicas and UseDigests are mutually exclusive (digests already replace the hint directory)")
 	}
-	if capacity <= 0 {
-		capacity = 8192
-	}
-	own, err := digest.NewCountingForCapacity(capacity, digestBitsPerEntry)
+	own, err := digest.NewCountingForCapacity(digestCapacity, digestBitsPerEntry)
 	if err != nil {
 		return nil, err
-	}
-	jcap := capacity
-	if jcap < 1024 {
-		jcap = 1024
 	}
 	return &digestLocator{
 		n:          n,
 		own:        own,
 		ownPresent: make(map[uint64]struct{}),
-		journal:    digest.NewJournal(jcap),
+		journal:    digest.NewJournal(max(digestCapacity, 1024)),
 	}, nil
 }
 
@@ -243,7 +240,7 @@ func (d *digestLocator) pullDigest(p *peer) {
 	var cursor uint64
 	var delta bool
 	var body []byte
-	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
+	retries, err := n.backoffFor(p).Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
 		r, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)

@@ -4,7 +4,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"beyondcache/internal/cluster"
+	"beyondcache/internal/core"
 	"beyondcache/internal/loadgen"
 )
 
@@ -39,13 +39,11 @@ const ladderHeader = `# The fake-time ladder: what a fleet in a synctest bubble 
 #     trace-paced requests over 30 s, origin 20 ms, strong consistency) under
 #     hints at R = 0, hints at R = 2 and digests, at three update intervals:
 #     the same phase and fleet rows.
-# dec-twin/...  TestSimMeasuredVsSimulatedDEC's live and simulated hit and
-#     local rates.
-#
-# A row that is not reproduced exactly carries a band and its cause:
-# "<name> <value> ±<band>  # <cause>" holds any value within the band of the
-# one written, and -update keeps the band, the cause and, while the new value
-# is within the band, the value.
+# dec-twin/...  one DEC stream (3 nodes, seed 17, 900 trace-paced requests
+#     over 4 s, origin 2 ms, strong consistency) through a live fleet and
+#     through the hint simulator: each side's hit and local rates.
+#     TestSimOracle compares live and simulated request by request, on
+#     streams of its own; these rows pin one stream's totals.
 `
 
 // ladderFleetRows are the fleet rows: Stats fields summed over live nodes.
@@ -77,40 +75,8 @@ strong-consistency true
 origin-latency 20ms
 `
 
-// ladderRow is one golden line: a name and a value, and for a row that is
-// not reproduced exactly, the band it moves within either side of the value
-// and the cause, after a #.
-type ladderRow struct {
-	name, value string
-	band        float64
-	cause       string
-}
-
-// entry is the row's value, and its band if it has one.
-func (r ladderRow) entry() string {
-	if r.band == 0 {
-		return r.value
-	}
-	return r.value + " ±" + strconv.FormatFloat(r.band, 'f', -1, 64)
-}
-
-func (r ladderRow) String() string {
-	line := fmt.Sprintf("%-60s %s", r.name, r.entry())
-	if r.band > 0 {
-		line += "  # " + r.cause
-	}
-	return line
-}
-
-// holds reports whether got is r's value, or within r's band of it.
-func (r ladderRow) holds(got string) bool {
-	if got == r.value {
-		return true
-	}
-	g, err1 := strconv.ParseFloat(got, 64)
-	w, err2 := strconv.ParseFloat(r.value, 64)
-	return r.band > 0 && err1 == nil && err2 == nil && math.Abs(g-w) <= r.band
-}
+// ladderRow is one golden line: a name and a value.
+type ladderRow struct{ name, value string }
 
 type ladder []ladderRow
 
@@ -161,19 +127,26 @@ func (l *ladder) addRun(prefix string, sc *loadgen.Scenario, run memRun) {
 }
 
 // TestSimLadder measures the ladder — every shipped scenario, the locator
-// table and the DEC twin — and compares it with the golden: each row
-// exactly, or within its band. A moved row fails the test with its name, its
+// table and the DEC twin — and compares it with the golden, each row
+// exactly. A moved row fails the test with its name, its
 // golden value and its new value; -update rewrites the golden.
 func TestSimLadder(t *testing.T) {
-	var got ladder
+	// Each run is a bubble of its own, so the runs go in parallel and the
+	// rows are read off them in a fixed order afterwards.
+	type ladderRun struct {
+		prefix string
+		sc     *loadgen.Scenario
+		set    func(*cluster.FleetConfig)
+		memRun
+	}
+	var runs []*ladderRun
 	scenarios, err := loadgen.Builtins()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range scenarios {
-		got.addRun("scenario/"+sc.Name, sc, runMem(t, sc, nil, nil))
+		runs = append(runs, &ladderRun{prefix: "scenario/" + sc.Name, sc: sc})
 	}
-
 	base, err := loadgen.Parse(locatorStream)
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +155,31 @@ func TestSimLadder(t *testing.T) {
 		for _, interval := range []time.Duration{25 * time.Millisecond, 250 * time.Millisecond, time.Second} {
 			sc := *base
 			sc.UpdateInterval = interval
-			got.addRun("locator/"+loc.name+"/"+interval.String(), &sc, runMem(t, &sc, loc.set, nil))
+			runs = append(runs, &ladderRun{prefix: "locator/" + loc.name + "/" + interval.String(), sc: &sc, set: loc.set})
 		}
 	}
+	var live loadgen.PhaseResult
+	var simulated core.Report
+	t.Run("runs", func(t *testing.T) {
+		for _, r := range runs {
+			t.Run(r.prefix, func(t *testing.T) {
+				t.Parallel()
+				r.memRun = runMem(t, r.sc, r.set, nil)
+			})
+		}
+		t.Run("dec-twin", func(t *testing.T) {
+			t.Parallel()
+			live, simulated = decTwin(t)
+		})
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
 
-	live, simulated := decTwin(t)
+	var got ladder
+	for _, r := range runs {
+		got.addRun(r.prefix, r.sc, r.memRun)
+	}
 	got.addRate("dec-twin/live/hit_rate", live.HitRate())
 	got.addRate("dec-twin/live/local_rate", localRate(live))
 	got.addRate("dec-twin/simulated/hit_rate", simulated.HitRatio)
@@ -197,18 +190,10 @@ func TestSimLadder(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if *cluster.UpdateGolden {
-		// A banded row keeps its band and cause, and its value while the
-		// new one is within the band: regenerating twice gives one file.
 		var b strings.Builder
 		b.WriteString(ladderHeader)
 		for _, r := range got {
-			if old, ok := want[r.name]; ok && old.band > 0 {
-				r.band, r.cause = old.band, old.cause
-				if old.holds(r.value) {
-					r.value = old.value
-				}
-			}
-			b.WriteString(r.String() + "\n")
+			fmt.Fprintf(&b, "%-60s %s\n", r.name, r.value)
 		}
 		if err := os.WriteFile(ladderGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -222,43 +207,32 @@ func TestSimLadder(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("%s: not in the golden, now %s", r.name, r.value)
-		case !old.holds(r.value):
-			t.Errorf("%s: golden %s, now %s", r.name, old.entry(), r.value)
+		case old != r.value:
+			t.Errorf("%s: golden %s, now %s", r.name, old, r.value)
 		}
 		delete(want, r.name)
 	}
 	for name, old := range want {
-		t.Errorf("%s: golden %s, no longer measured", name, old.value)
+		t.Errorf("%s: golden %s, no longer measured", name, old)
 	}
 }
 
-// readLadder reads a golden's rows by name.
-func readLadder(path string) (map[string]ladderRow, error) {
+// readLadder reads a golden's values by row name.
+func readLadder(path string) (map[string]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	rows := make(map[string]ladderRow)
+	rows := make(map[string]string)
 	for _, line := range strings.Split(string(data), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		row, cause, _ := strings.Cut(line, "#")
-		f := strings.Fields(row)
-		r := ladderRow{cause: strings.TrimSpace(cause)}
-		switch {
-		case len(f) == 2:
-			r.name, r.value = f[0], f[1]
-		case len(f) == 3 && strings.HasPrefix(f[2], "±") && r.cause != "":
-			r.name, r.value = f[0], f[1]
-			r.band, err = strconv.ParseFloat(strings.TrimPrefix(f[2], "±"), 64)
-		default:
-			err = fmt.Errorf("malformed row")
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			return nil, fmt.Errorf("%s: %q: a row is a name and a value", path, line)
 		}
-		if err != nil || (len(f) == 3) != (r.band > 0) {
-			return nil, fmt.Errorf("%s: %q: a row is a name and a value, and a band (±n, n > 0) with its cause after a #", path, line)
-		}
-		rows[r.name] = r
+		rows[f[0]] = f[1]
 	}
 	return rows, nil
 }

@@ -59,16 +59,15 @@ type NodeConfig struct {
 	// actual period is randomized uniformly in [0.5, 1.5] x interval to
 	// avoid synchronization effects (Section 3.2 cites Floyd & Jacobson).
 	// Zero means 1 second. In digest mode it is the digest pull interval.
-	// Each node seeds the jitter (and its retry backoff) from its machine
-	// ID, so no two nodes draw the same sequence.
+	// Each node seeds the jitter from its machine ID, and each peer's retry
+	// backoff from both machine IDs, so no two draw the same sequence.
 	UpdateInterval time.Duration
 
 	// UseDigests switches the node from exact hint records to pulling
 	// Bloom-filter cache digests from its peers (the Summary Cache /
-	// Squid Cache Digests alternative). DigestCapacity sizes each digest
-	// in entries (<= 0 means 8192), at 8 bits an entry.
-	UseDigests     bool
-	DigestCapacity int
+	// Squid Cache Digests alternative), each 8192 entries at 8 bits an
+	// entry.
+	UseDigests bool
 
 	// HintReplicas is the hint directory's owner-set size R. 0: every live
 	// member owns every object, so every node holds the whole directory and
@@ -174,17 +173,16 @@ type Node struct {
 	sampler *obs.Sampler
 	reqSeq  atomic.Int64
 
-	// rngMu guards the batch loop's jitter source. It and backoff are
-	// seeded from machineID, so both are built in boot.
+	// rngMu guards the batch loop's jitter source. It is seeded from
+	// machineID, so it is built in boot.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
 	// breakerCfg shapes the breaker AddPeer gives each peer (the zero value
-	// is resilience's defaults; tests tighten it before AddPeer); backoff
-	// paces metadata-path retries; inj is the outbound fault injector. The
-	// per-hop budgets are cfg's, resolved in NewNode.
+	// is resilience's defaults; tests tighten it before AddPeer); inj is
+	// the outbound fault injector. The per-hop budgets are cfg's, resolved
+	// in NewNode.
 	breakerCfg resilience.BreakerConfig
-	backoff    *resilience.Backoff
 	inj        *faults.Injector
 	inboundInj *faults.Injector
 
@@ -269,7 +267,7 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 	// a bad configuration before the disk tier starts its spiller, which a
 	// refused node would leave running.
 	if cfg.UseDigests {
-		n.loc, err = newDigestLocator(n, cfg.DigestCapacity, cfg.HintReplicas)
+		n.loc, err = newDigestLocator(n, cfg.HintReplicas)
 	} else {
 		n.loc, err = newHintLocator(n, cfg.HintReplicas)
 	}
@@ -340,12 +338,10 @@ func (n *Node) Start(addr string) error {
 }
 
 // boot fixes the node's identity from its served address, seeds the jitter
-// and the retry backoff from it, and starts the batcher and the disk recovery.
+// from it, and starts the batcher and the disk recovery.
 func (n *Node) boot(hostport string) {
 	n.machineID = hintcache.HashMachine(hostport)
-	seed := int64(n.machineID)
-	n.rng = rand.New(rand.NewSource(seed))
-	n.backoff = resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, seed+1)
+	n.rng = rand.New(rand.NewSource(int64(n.machineID)))
 	if n.nodeLabel == "" {
 		n.nodeLabel = hostport
 	}

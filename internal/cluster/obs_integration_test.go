@@ -587,7 +587,7 @@ func TestConfigSurfaceOnlyShrinks(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{NodeConfig{}, 15},
+		{NodeConfig{}, 14},
 		{FleetConfig{}, 11},
 	} {
 		typ := reflect.TypeOf(c.cfg)

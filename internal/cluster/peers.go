@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"sync"
+	"time"
 
 	"beyondcache/internal/digest"
 	"beyondcache/internal/hintcache"
@@ -19,6 +21,11 @@ type peer struct {
 	url  string // as given to AddPeer: the key Breakers reports
 	host string // dial address, outbound-fault target, hop and metric label
 	br   *resilience.Breaker
+
+	// backoff paces metadata-path retries to the peer (backoffFor), built
+	// on first use: its seed needs this node's machine ID, fixed in boot.
+	backoffOnce sync.Once
+	backoff     *resilience.Backoff
 
 	// hintLag is how old each hint batch from the peer was on arrival (its
 	// oldest record's enqueue stamp against this node's clock); digestStale
@@ -77,6 +84,17 @@ func (n *Node) AddPeer(baseURL string) {
 	p.sender = &peerSender{target: p, q: newPendq(hintQueueCap)}
 	n.peers = append(n.peers, p)
 	n.byID[id] = p
+}
+
+// backoffFor is p's retry backoff, seeded from both machine IDs. Each peer
+// draws its own sequence: calls retried to several peers at one instant
+// never share a source, so which retry waits how long does not depend on
+// which goroutine ran first.
+func (n *Node) backoffFor(p *peer) *resilience.Backoff {
+	p.backoffOnce.Do(func() {
+		p.backoff = resilience.NewBackoff(25*time.Millisecond, 200*time.Millisecond, 2, int64(n.machineID^p.id)+1)
+	})
+	return p.backoff
 }
 
 // peerByID resolves a machine ID to its record (nil when unknown).

@@ -104,7 +104,7 @@ func (s *peerSender) send(l *hintLocator, body []byte, records int, stampNs int6
 	n := l.n
 	start := time.Now()
 	h := wire.PeerHeader{Op: wire.PeerHints, A: n.machineID, C: uint64(stampNs)}
-	retries, err := n.backoff.Retry(context.Background(), 3, func() error {
+	retries, err := n.backoffFor(s.target).Retry(context.Background(), 3, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
 		defer cancel()
 		r, err := n.call(ctx, s.target, h, body)

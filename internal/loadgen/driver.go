@@ -58,16 +58,24 @@ func (p PhaseResult) ErrorRate() float64 {
 	return float64(p.Errors) / float64(p.Requests)
 }
 
-// Result aggregates a full run: per-phase slices plus the merged totals.
+// Result aggregates a full run: per-phase slices plus the merged totals,
+// and each request's outcome in schedule order.
 type Result struct {
-	Wall    time.Duration
-	Overall PhaseResult
-	Phases  []PhaseResult
+	Overall  PhaseResult
+	Phases   []PhaseResult
+	Outcomes []Outcome
 }
 
-// outcome is one request's record: its latency from intended arrival and
-// what the fetch returned.
-type outcome struct {
+// Outcome is how one request was served — its answer's How (LOCAL, REMOTE,
+// MISS, ...) — or the error it failed with.
+type Outcome struct {
+	How string
+	Err error
+}
+
+// record is one request's latency from intended arrival and what its fetch
+// returned.
+type record struct {
 	lat time.Duration
 	res cluster.FetchResult
 	err error
@@ -95,7 +103,7 @@ func RunSchedule(ctx context.Context, sched *Schedule, cfg DriverConfig) (*Resul
 		}
 	}
 
-	out := make([]outcome, sched.Len())
+	out := make([]record, sched.Len())
 	seen := make(map[uint64]int64) // each object's highest version so far
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -114,7 +122,7 @@ func RunSchedule(ctx context.Context, sched *Schedule, cfg DriverConfig) (*Resul
 		go func() {
 			defer wg.Done()
 			res, err := cfg.Fetch(node, url)
-			out[i] = outcome{lat: time.Since(intended), res: res, err: err}
+			out[i] = record{lat: time.Since(intended), res: res, err: err}
 		}()
 	}
 	wg.Wait()
@@ -122,13 +130,14 @@ func RunSchedule(ctx context.Context, sched *Schedule, cfg DriverConfig) (*Resul
 		return nil, err
 	}
 
-	res := &Result{Wall: time.Since(start), Phases: make([]PhaseResult, numPhases)}
+	res := &Result{Phases: make([]PhaseResult, numPhases), Outcomes: make([]Outcome, len(out))}
 	overall := obs.NewHistogram(nil)
 	hists := make([]*obs.Histogram, numPhases)
 	for pi := range hists {
 		hists[pi] = obs.NewHistogram(nil)
 	}
 	for i, o := range out {
+		res.Outcomes[i] = Outcome{How: o.res.How, Err: o.err}
 		pi := int(sched.Phases[i])
 		p := &res.Phases[pi]
 		p.Requests++

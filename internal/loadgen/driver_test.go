@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,6 +144,33 @@ func TestDriverClassifiesAndPartitionsPhases(t *testing.T) {
 	}
 	if o.Hist.Count() != 90 {
 		t.Fatalf("histogram holds %d samples", o.Hist.Count())
+	}
+}
+
+// TestDriverKeepsEachOutcome: the result holds every request's answer, or
+// its error, at the request's place in the schedule, whatever order the
+// fetches finished in.
+func TestDriverKeepsEachOutcome(t *testing.T) {
+	fails := func(url string) bool { return strings.HasSuffix(url, "3") }
+	fetch := func(_ int, url string) (cluster.FetchResult, error) {
+		if fails(url) {
+			return cluster.FetchResult{}, errors.New("boom")
+		}
+		return cluster.FetchResult{How: url}, nil // the answer names its request
+	}
+	sched := uniformSchedule(64, 0)
+	res, err := RunSchedule(context.Background(), sched, DriverConfig{Nodes: 1, Fetch: fetch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outcomes) != sched.Len() {
+		t.Fatalf("%d outcomes for %d requests", len(res.Outcomes), sched.Len())
+	}
+	for i, o := range res.Outcomes {
+		url := sched.URL(i)
+		if fails(url) != (o.Err != nil) || (o.Err == nil && o.How != url) {
+			t.Errorf("request %d (%s): outcome %+v", i, url, o)
+		}
 	}
 }
 

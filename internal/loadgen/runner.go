@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"beyondcache/internal/cluster"
@@ -188,27 +187,16 @@ func advanceVersionFunc(fleet *cluster.Fleet) func(url string, from, to int64) {
 	}
 }
 
-// warmers is how many closed-loop goroutines warm runs.
-const warmers = 16
-
-// warm issues the schedule's first n requests closed-loop (paced only by
-// completions, unrecorded, never advancing versions) to pre-fill caches
-// before the measured run.
+// warm issues the schedule's first n requests one at a time, in schedule
+// order (unrecorded, never advancing versions), to pre-fill caches before
+// the measured run. One fetcher makes the warm-up the same every run: on a
+// fake clock, fetchers sharing an instant would order themselves by real
+// time.
 func warm(fleet *cluster.Fleet, sched *Schedule, n int) {
-	n = min(n, sched.Len())
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < warmers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				// Errors intentionally dropped: warmup is unmeasured.
-				fleet.Fetch(int(sched.Clients[i])%len(fleet.Nodes), sched.URL(i))
-			}
-		}()
+	for i := range min(n, sched.Len()) {
+		// Errors intentionally dropped: warmup is unmeasured.
+		fleet.Fetch(int(sched.Clients[i])%len(fleet.Nodes), sched.URL(i))
 	}
-	wg.Wait()
 }
 
 // walkEvents applies the scenario's events one at a time, in order, each

@@ -176,8 +176,8 @@ type Scenario struct {
 	// temporary directory: memory evictions spill to disk, and a restart
 	// event's replacement node recovers the population from it.
 	DiskTier bool
-	// Warmup issues the first N schedule requests closed-loop and
-	// unrecorded before the measured run, pre-filling caches.
+	// Warmup issues the first N schedule requests one at a time, in
+	// order and unrecorded, before the measured run, pre-filling caches.
 	Warmup int
 
 	Phases []Phase
