@@ -73,11 +73,9 @@ func run(args []string, out io.Writer, wait func()) error {
 		traceSample = fs.Float64("trace-sample", 0, "fraction of fetches recorded in /debug/spans (0: node default of 1/64, >=1: all, <0: none)")
 		debugAddr   = fs.String("debug-addr", "", "optional address for a net/http/pprof debug listener (off when empty)")
 
-		inject      = fs.String("inject", "", `outbound fault spec, e.g. "127.0.0.1:8002:latency=200ms,errrate=0.1;*:droprate=0.01" (see internal/faults)`)
-		injectIn    = fs.String("inject-inbound", "", "inbound fault spec: this node misbehaving as seen by its clients (rules match the node's own address)")
-		faultSeed   = fs.Int64("fault-seed", 0, "seed for injected-fault randomness")
-		hedgeBudget = fs.Duration("hedge-budget", 0, "how long a hinted peer may stay silent before the origin is raced (0: 50ms default)")
-		peerTimeout = fs.Duration("peer-timeout", 0, "deadline for one cache-to-cache probe (0: 2s default)")
+		inject    = fs.String("inject", "", `outbound fault spec, e.g. "127.0.0.1:8002:latency=200ms,errrate=0.1;*:droprate=0.01" (see internal/faults)`)
+		injectIn  = fs.String("inject-inbound", "", "inbound fault spec: this node misbehaving as seen by its clients (rules match the node's own address)")
+		faultSeed = fs.Int64("fault-seed", 0, "seed for injected-fault randomness")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -127,8 +125,6 @@ func run(args []string, out io.Writer, wait func()) error {
 		UseDigests:     *digests,
 		HintReplicas:   *hintReps,
 		TraceSample:    *traceSample,
-		PeerTimeout:    *peerTimeout,
-		HedgeBudget:    *hedgeBudget,
 		Faults:         outbound,
 		InboundFaults:  inbound,
 	})

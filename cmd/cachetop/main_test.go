@@ -40,8 +40,6 @@ func TestFleetObservabilitySmoke(t *testing.T) {
 			OriginURL:      origin.URL(),
 			UpdateInterval: interval,
 			TraceSample:    1,
-			PeerTimeout:    500 * time.Millisecond,
-			HedgeBudget:    20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -25,8 +25,6 @@ func run() error {
 		Nodes:          4,
 		ObjectSize:     8 << 10,
 		UpdateInterval: 50 * time.Millisecond,
-		// A hinted peer gets 20ms to answer before the origin is raced.
-		HedgeBudget: 20 * time.Millisecond,
 	})
 	if err != nil {
 		return err
@@ -98,9 +96,10 @@ func run() error {
 
 	// Chaos act: cache a fresh URL at node 0 only, let its hint spread,
 	// then blackhole the wire from node 3 to node 0 and fetch it there.
-	// The hedge abandons the silent peer after its 20ms budget and the
-	// origin answers — the miss path stays near direct-origin latency
-	// even with the hinted peer dead.
+	// The origin is raced once the peer has been silent past node 3's
+	// hedge point (50ms until the node has measured enough of its own
+	// REMOTEs to take their p99), and it answers — the miss path stays
+	// near direct-origin latency even with the hinted peer dead.
 	const chaosURL = "http://www.research.att.com/~bala/papers/"
 	if _, err := fleet.Fetch(0, chaosURL); err != nil {
 		return err

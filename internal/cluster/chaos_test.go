@@ -21,15 +21,15 @@ import (
 // straight to the origin, and must never fail a request the origin could
 // have served.
 
-// chaosFleet is a testFleet whose nodes are built by the caller's config
-// hook, so chaos tests can set fault specs and hedge budgets per test.
-func newChaosFleet(t *testing.T, n int, tweak func(i int, cfg *NodeConfig)) *testFleet {
-	return newChaosFleetBreakers(t, n, resilience.BreakerConfig{}, tweak)
+// newChaosFleet is a testFleet of n meshed nodes with no periodic round;
+// chaos tests set fault specs on it per test.
+func newChaosFleet(t *testing.T, n int) *testFleet {
+	return newChaosFleetBreakers(t, n, resilience.BreakerConfig{})
 }
 
 // newChaosFleetBreakers also swaps in per-peer breakers of the given shape
 // (the shipped one is the resilience default, not a knob).
-func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig, tweak func(i int, cfg *NodeConfig)) *testFleet {
+func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig) *testFleet {
 	t.Helper()
 	f := &testFleet{
 		origin: NewOrigin(256),
@@ -38,15 +38,11 @@ func newChaosFleetBreakers(t *testing.T, n int, brk resilience.BreakerConfig, tw
 	f.originS = httptest.NewServer(f.origin.Handler())
 	t.Cleanup(f.originS.Close)
 	for i := 0; i < n; i++ {
-		cfg := NodeConfig{
+		node, err := NewNode(NodeConfig{
 			Name:           fmt.Sprintf("chaos-%d", i),
 			OriginURL:      f.originS.URL,
 			UpdateInterval: time.Hour,
-		}
-		if tweak != nil {
-			tweak(i, &cfg)
-		}
-		node, err := NewNode(cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +69,12 @@ func (f *testFleet) prime(t *testing.T, node int, urls []string) {
 // test exercises the hedge path on every request.
 var noBreaker = resilience.BreakerConfig{FailureThreshold: 2}
 
+// neverHedge makes every node built after it wait out its peer leg, so a
+// fill resolves peer-then-origin with no timer in the outcome: the hedge
+// point starts at an hour, and a node whose update interval is an hour (the
+// test fleets') runs no periodic round to derive another.
+func neverHedge(t testing.TB) { shorten(t, &hedgeCold, time.Hour) }
+
 func urlsN(prefix string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -95,7 +97,7 @@ func nthLargest(durations []time.Duration, n int) time.Duration {
 // TestChaosHedgedMissLatencyBudget is the subsystem's acceptance test: with
 // one hinted peer blackholed, the hedged miss path must stay within 2x the
 // direct-origin path (the paper's "do not slow down misses" held under a
-// dead peer). A dead peer adds at most the hedge budget to EVERY miss, so
+// dead peer). A dead peer adds at most the hedge point to EVERY miss, so
 // the whole distribution shifts: the bound is judged on the median and on
 // the third-largest of the 30 samples a side — not on the single slowest,
 // which on a 2-vCPU box is one descheduling, not the property — with the
@@ -107,9 +109,8 @@ func TestChaosHedgedMissLatencyBudget(t *testing.T) {
 	const samples = 30
 
 	var peerHost string
-	f := newChaosFleetBreakers(t, 2, noBreaker, func(_ int, cfg *NodeConfig) {
-		cfg.HedgeBudget = budget
-	})
+	shorten(t, &hedgeCold, budget) // the point every node starts from
+	f := newChaosFleetBreakers(t, 2, noBreaker)
 	f.origin.SetLatency(originLatency)
 
 	hinted := urlsN("hedged", samples)
@@ -168,9 +169,8 @@ func TestChaosHedgedMissLatencyBudget(t *testing.T) {
 func TestChaosBreakerOpensAndSkips(t *testing.T) {
 	const cooldown = 200 * time.Millisecond
 	brk := resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: cooldown}
-	f := newChaosFleetBreakers(t, 2, brk, func(_ int, cfg *NodeConfig) {
-		cfg.HedgeBudget = 10 * time.Millisecond
-	})
+	shorten(t, &hedgeCold, 10*time.Millisecond)
+	f := newChaosFleetBreakers(t, 2, brk)
 
 	hinted := urlsN("breaker", 8)
 	f.prime(t, 1, hinted)
@@ -241,9 +241,8 @@ func TestChaosBreakerOpensAndSkips(t *testing.T) {
 // surface only as outcome taxonomy (REMOTE vs MISS variants), never as
 // client errors.
 func TestChaosFlappingPeerNeverFailsClient(t *testing.T) {
-	f := newChaosFleetBreakers(t, 2, noBreaker, func(_ int, cfg *NodeConfig) {
-		cfg.HedgeBudget = 10 * time.Millisecond
-	})
+	shorten(t, &hedgeCold, 10*time.Millisecond)
+	f := newChaosFleetBreakers(t, 2, noBreaker)
 
 	hinted := urlsN("flap", 30)
 	f.prime(t, 1, hinted)
@@ -275,7 +274,7 @@ func TestChaosFlappingPeerNeverFailsClient(t *testing.T) {
 // a purge the refetch is a clean MISS — the dead peer's hint no longer
 // exists to mislead anyone.
 func TestPeerDeathHintDemotion(t *testing.T) {
-	f := newChaosFleet(t, 2, nil)
+	f := newChaosFleet(t, 2)
 	const url = "http://chaos.example/dead-peer"
 	f.prime(t, 1, []string{url})
 
@@ -314,7 +313,7 @@ func TestPeerDeathHintDemotion(t *testing.T) {
 // The peer-only routes the peer plane replaced are gone, not aliased, and
 // /peer itself answers only an upgrade.
 func TestEndpointMethodGuards(t *testing.T) {
-	f := newChaosFleet(t, 1, nil)
+	f := newChaosFleet(t, 1)
 	base := f.nodes[0].URL()
 	q := "?url=" + neturl.QueryEscape("http://chaos.example/guard")
 	do := func(method, path string, want int) {

@@ -82,10 +82,10 @@ func newDigestLocator(n *Node, hintReplicas int) (*digestLocator, error) {
 // Peers are pulled from the node's own peer table, a filter bit cannot be
 // retracted (a stale one ages out at the next pull), and the mechanism
 // tracks no liveness and runs no goroutines of its own.
-func (d *digestLocator) sync()                  {}
-func (d *digestLocator) demote(_, _ uint64)     {}
-func (d *digestLocator) contact(*peer, bool)    {}
-func (d *digestLocator) collect() locatorGauges { return locatorGauges{} }
+func (d *digestLocator) sync()                     {}
+func (d *digestLocator) demote(_, _ uint64)        {}
+func (d *digestLocator) contact(*peer, bool, bool) {}
+func (d *digestLocator) collect() locatorGauges    { return locatorGauges{} }
 
 // publish feeds one cache residency transition into the incremental digest
 // plane. The exact resident set dedupes non-transitions (a version refresh

@@ -61,10 +61,6 @@ type FleetConfig struct {
 	HintPartition bool
 	HintReplicas  int
 
-	// HedgeBudget passes through to every node's NodeConfig (see there for
-	// semantics and the default).
-	HedgeBudget time.Duration
-
 	// CacheDirs gives node i a persistent disk tier rooted at
 	// CacheDirs[i] (see NodeConfig.CacheDir); nodes beyond the slice —
 	// or all nodes, when nil — stay memory-only. DiskCapacity and
@@ -102,7 +98,6 @@ func (f *Fleet) newNode(i int) (*Node, error) {
 		UpdateInterval: cfg.UpdateInterval,
 		UseDigests:     cfg.UseDigests,
 		HintReplicas:   replicas,
-		HedgeBudget:    cfg.HedgeBudget,
 		Faults:         inj,
 	}, f.nw)
 }

@@ -10,7 +10,8 @@ import (
 // each node counts only its own draws, a restarted node is born holding the
 // spec set live, and a spec that does not parse is refused.
 func TestFleetLiveRespec(t *testing.T) {
-	f := startFleet(t, 3, FleetConfig{HedgeBudget: 10 * time.Millisecond})
+	shorten(t, &hedgeCold, 10*time.Millisecond)
+	f := startFleet(t, 3, FleetConfig{})
 
 	const url = "http://example.com/respec"
 	if _, err := f.Fetch(1, url); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"beyondcache/internal/hintcache"
 	"beyondcache/internal/trace"
@@ -125,10 +124,10 @@ func TestHintHomeNamesHolderOtherThanAsker(t *testing.T) {
 //	go test -run TestHintMissBudget -v ./internal/cluster
 func TestHintMissBudget(t *testing.T) {
 	const nodes, slots, objectSize = 4, 512, 64
+	neverHedge(t) // peer-then-origin: no timer in the outcome
 	f := startFleet(t, nodes, FleetConfig{
-		CacheBytes:  slots * objectSize,
-		ObjectSize:  objectSize,
-		HedgeBudget: time.Hour, // peer-then-origin: no timer in the outcome
+		CacheBytes: slots * objectSize,
+		ObjectSize: objectSize,
 	})
 	missBudget(t, f, budgetRun{population: 2048, requests: 24000, flushEvery: 457, peerHeldBound: 0.019})
 }
@@ -146,10 +145,10 @@ func TestHintMissBudget(t *testing.T) {
 //	go test -run TestPartitionedHintMissBudget -v ./internal/cluster
 func TestPartitionedHintMissBudget(t *testing.T) {
 	const slots, objectSize = 683, 64
+	neverHedge(t)
 	f := startPartFleet(t, 6, func(cfg *FleetConfig) {
 		cfg.CacheBytes = slots * objectSize
 		cfg.ObjectSize = objectSize
-		cfg.HedgeBudget = time.Hour
 	})
 	missBudget(t, f, budgetRun{population: 4096, requests: 30000, flushEvery: 200, writeEvery: 50, peerHeldBound: 0.006})
 }

@@ -13,6 +13,7 @@ import (
 	"beyondcache/internal/cluster"
 	"beyondcache/internal/core"
 	"beyondcache/internal/loadgen"
+	"beyondcache/internal/netmodel"
 )
 
 // ladderGolden is the fake-time ladder: what the bubble measures exactly,
@@ -39,6 +40,14 @@ const ladderHeader = `# The fake-time ladder: what a fleet in a synctest bubble 
 #     trace-paced requests over 30 s, origin 20 ms, strong consistency) under
 #     hints at R = 0, hints at R = 2 and digests, at three update intervals:
 #     the same phase and fleet rows.
+# testbed/<locator>/...  the locator stream at the paper's distances, hints
+#     at R = 0 and R = 2 with a 1 s update interval: every call a node makes
+#     to a peer pays netmodel.Testbed's direct cache-to-cache access (the
+#     directL2 link, 180 ms) and every origin fetch its direct server access
+#     (directSrv, 290 ms), both at size 0 (memNet carries no bandwidth). The
+#     same phase and fleet rows, and: the fleet's mean REMOTE and MISS
+#     latency from the nodes' own histograms; each node's hedge point at the
+#     end (hedge_point_ns) and MISS p50 (miss_p50_ns).
 # dec-twin/...  one DEC stream (3 nodes, seed 17, 900 trace-paced requests
 #     over 4 s, origin 2 ms, strong consistency) through a live fleet and
 #     through the hint simulator: each side's hit and local rates.
@@ -60,6 +69,39 @@ var ladderFleetRows = []struct {
 	{"wire_hint_bytes_partitioned", func(s cluster.Stats) int64 { return s.WireHintBytesPartitioned }},
 	{"digest_serve_bytes_full", func(s cluster.Stats) int64 { return s.DigestServeBytesFull }},
 	{"digest_serve_bytes_delta", func(s cluster.Stats) int64 { return s.DigestServeBytesDelta }},
+}
+
+// testbedInterval is the testbed block's update interval.
+const testbedInterval = time.Second
+
+// atTestbedDistance puts every peer of the fleet at the testbed's direct
+// cache-to-cache access time: one latency rule per node, in every node's
+// outbound injector (a node never calls itself).
+func atTestbedDistance(f *cluster.Fleet) error {
+	d := netmodel.NewTestbed().DirectHit(netmodel.L2, 0)
+	var rules []string
+	for _, u := range f.NodeURLs() {
+		rules = append(rules, strings.TrimPrefix(u, "http://")+":latency="+d.String())
+	}
+	return f.SetFaultSpec(strings.Join(rules, ";"))
+}
+
+// addTestbed adds a testbed run's rows beyond addRun's: latency by class
+// from the nodes' own histograms, and each node's final hedge point and
+// MISS p50.
+func (l *ladder) addTestbed(prefix string, run memRun) {
+	var remoteSum, missSum time.Duration
+	var remotes, misses int64
+	for i, n := range run.fleet.Nodes {
+		remote, miss := n.FetchHists()
+		remoteSum, remotes = remoteSum+remote.Sum, remotes+remote.Count()
+		missSum, misses = missSum+miss.Sum, misses+miss.Count()
+		l.add(fmt.Sprintf("%s/node%d/hedge_point_ns", prefix, i), int64(n.HedgePoint()))
+		l.add(fmt.Sprintf("%s/node%d/miss_p50_ns", prefix, i), int64(miss.Quantile(0.5)))
+	}
+	// Both runs serve REMOTEs and MISSes, so neither count is zero.
+	l.add(prefix+"/fleet/remote_mean_ns", int64(remoteSum)/remotes)
+	l.add(prefix+"/fleet/miss_mean_ns", int64(missSum)/misses)
 }
 
 // locatorStream is the locator table's stream; each cell sets its interval.
@@ -137,6 +179,7 @@ func TestSimLadder(t *testing.T) {
 		prefix string
 		sc     *loadgen.Scenario
 		set    func(*cluster.FleetConfig)
+		ready  func(*cluster.Fleet) error // set for the testbed block only
 		memRun
 	}
 	var runs []*ladderRun
@@ -158,13 +201,19 @@ func TestSimLadder(t *testing.T) {
 			runs = append(runs, &ladderRun{prefix: "locator/" + loc.name + "/" + interval.String(), sc: &sc, set: loc.set})
 		}
 	}
+	for _, loc := range locators[:2] { // the hint directory at R = 0 and R = 2
+		sc := *base
+		sc.UpdateInterval = testbedInterval
+		sc.OriginLatency = netmodel.NewTestbed().DirectMiss(0)
+		runs = append(runs, &ladderRun{prefix: "testbed/" + loc.name, sc: &sc, set: loc.set, ready: atTestbedDistance})
+	}
 	var live loadgen.PhaseResult
 	var simulated core.Report
 	t.Run("runs", func(t *testing.T) {
 		for _, r := range runs {
 			t.Run(r.prefix, func(t *testing.T) {
 				t.Parallel()
-				r.memRun = runMem(t, r.sc, r.set, nil)
+				r.memRun = runMemOn(t, r.sc, r.set, r.ready, nil)
 			})
 		}
 		t.Run("dec-twin", func(t *testing.T) {
@@ -178,7 +227,13 @@ func TestSimLadder(t *testing.T) {
 
 	var got ladder
 	for _, r := range runs {
+		if r.RunReport == nil {
+			continue // not run: -run named other subtests
+		}
 		got.addRun(r.prefix, r.sc, r.memRun)
+		if r.ready != nil {
+			got.addTestbed(r.prefix, r.memRun)
+		}
 	}
 	got.addRate("dec-twin/live/hit_rate", live.HitRate())
 	got.addRate("dec-twin/live/local_rate", localRate(live))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -40,9 +41,9 @@ type locator interface {
 	// machine that was probed.
 	demote(h, holder uint64)
 	// contact is liveness evidence about a peer (nil: a machine this node
-	// does not know): a hint batch arrived from it, or a delivery to it
-	// succeeded or burned its retry budget.
-	contact(p *peer, ok bool)
+	// does not know): a hint batch arrived from it (sent false), or a
+	// delivery to it succeeded (ok) or burned its retry budget.
+	contact(p *peer, sent, ok bool)
 	// round runs one metadata exchange. The periodic one (wait false) does
 	// not wait for what it pushes to arrive; a waited one returns once
 	// every peer's share has been delivered or abandoned.
@@ -75,8 +76,8 @@ type locatorGauges struct {
 }
 
 // fill resolves a cache miss as the singleflight leader: peer transfer if
-// the locator points somewhere (raced against the origin under the hedge
-// budget), origin otherwise. Leader-side stats are counted here so waiters
+// the locator points somewhere (raced against the origin past the hedge
+// point), origin otherwise. Leader-side stats are counted here so waiters
 // sharing the outcome do not double-count them.
 func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	// Re-check the cache: the object may have been filled between the
@@ -127,6 +128,26 @@ func (n *Node) fill(h uint64, url, reqID string, sampled bool) fetchOutcome {
 	return fetchOutcome{how: "MISS", version: got.version, body: got.body, hops: hops}
 }
 
+// The hedge point is measured, not configured (DESIGN.md §8): hedgeCold (a
+// variable so tests can pin it) until a window holds hedgeWindow REMOTEs.
+var hedgeCold = 50 * time.Millisecond
+
+const hedgeWindow = 8
+
+// deriveHedge runs at the top of each periodic round: once the REMOTEs
+// since the last derivation number hedgeWindow, their p99, rounded up to
+// its histogram bucket's upper bound, is the new point and the next window
+// opens. Until then the point stands.
+func (n *Node) deriveHedge() {
+	now := n.hist.remote.Snapshot()
+	win, _ := now.Diff(n.hedgeBase) // one histogram: the bounds match
+	if win.Count() >= hedgeWindow {
+		i, _ := slices.BinarySearch(win.Bounds, win.Quantile(0.99))
+		n.hedgeAt.Store(int64(win.Bounds[i]))
+		n.hedgeBase = now
+	}
+}
+
 // errHintHomeMiss distinguishes a definitive "no holder" answer (or a
 // holder this node cannot use) from a failed consult (errHintHomeFail);
 // the two resolve a lost race differently — a clean miss is the home
@@ -141,7 +162,7 @@ var (
 // (the HINT-HOME hop; a home that holds the object serves it in its answer,
 // and that is the transfer), then runs the
 // cache-to-cache transfer under its own deadline; if the leg stays silent
-// past the hedge budget the origin fetch starts in parallel and the first
+// past the hedge point the origin fetch starts in parallel and the first
 // success wins. Either way a peer that did not serve is demoted; one that
 // failed or was abandoned — not one that promptly said "not here" — feeds
 // its breaker, and a failed consult feeds the home's, so a dead peer or a
@@ -174,7 +195,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 			leg.peer = p
 			chain = []obs.Hop{{Node: c.home.host, Outcome: "HINT-HOME", Elapsed: leg.consult}}
 		}
-		pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
+		pctx, cancel := context.WithTimeout(ctx, metadataTimeout)
 		defer cancel()
 		got, err := n.fetchPeer(pctx, leg.peer, url, reqID, sampled)
 		leg.probe = time.Since(start)
@@ -184,19 +205,22 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		return got, err
 	}
 	fallback := func(ctx context.Context) (fetched, error) { return n.fetchOrigin(ctx, url) }
-	r := resilience.Race(context.Background(), n.cfg.HedgeBudget, primary, fallback)
+	r := resilience.Race(context.Background(), time.Duration(n.hedgeAt.Load()), primary, fallback)
 	p, probe, consult := leg.peer, leg.probe, leg.consult
 	if r.Hedged {
 		atomic.AddInt64(&n.stats.HedgesStarted, 1)
 	}
-	if p != nil {
-		// A prompt "not here" or "not yet" is a healthy peer under a stale
-		// or early hint; an error, a timeout, a 5xx or an abandon is a peer
-		// to stop asking.
+	// A prompt "not here" or "not yet" is a healthy peer under a stale or
+	// early hint; an error, a timeout, a 5xx or an abandon is a peer to stop
+	// asking — an abandon once the leg has been silent for hedgeCold. One
+	// the origin beat sooner, past a point measured below that, lost a race
+	// it is run to lose now and then, and judges nobody (DESIGN.md §8).
+	judged := r.Winner != resilience.FallbackWon || probe >= hedgeCold
+	if p != nil && judged {
 		p.br.Record(r.Winner == resilience.PrimaryWon || errors.Is(r.PrimaryErr, errPeerMiss) || errors.Is(r.PrimaryErr, errPeerFilling))
 	}
 	if c.home != nil {
-		n.settleConsult(c.home, r.Winner, r.PrimaryErr, p != nil)
+		n.settleConsult(c.home, r.Winner, r.PrimaryErr, p != nil, judged)
 	}
 	switch r.Winner {
 	case resilience.PrimaryWon:
@@ -220,8 +244,8 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	how, wasted := "MISS", true // wasted: the probe time bought nothing
 	switch {
 	case p != nil && abandoned:
-		// The named peer never answered inside the budget and the origin
-		// beat it: abandon the transfer, demote the hint; the breaker
+		// The named peer was still silent when the hedged origin fetch
+		// answered: abandon the transfer, demote the hint; the breaker
 		// record above makes later requests skip the peer.
 		n.loc.demote(h, p.id)
 		how = "MISS,HEDGE"
@@ -240,7 +264,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 		how = "MISS,STALE-HINT"
 		hops = append(hops, obs.Hop{Node: p.host, Outcome: "PEER-REJECT", Elapsed: probe})
 	case abandoned:
-		// The consult itself never finished inside the budget.
+		// The consult itself never finished before the origin did.
 		how = "MISS,HEDGE"
 		hops = append(hops, obs.Hop{Node: c.home.host, Outcome: "PEER-ABANDON", Elapsed: probe})
 	case errors.Is(r.PrimaryErr, errHintHomeMiss):

@@ -19,8 +19,9 @@ package cluster
 // Membership is maintained from liveness evidence the node already
 // generates — successful hint-batch deliveries, inbound batches, breaker
 // state — topped up with cheap ping calls for peers that were silent
-// a whole flush round. A membership change re-homes incrementally: only
-// objects whose owner set actually moved are re-announced or forwarded.
+// a whole flush round, and for dead ones. A membership change re-homes
+// incrementally: only objects whose owner set actually moved are
+// re-announced or forwarded.
 
 import (
 	"context"
@@ -103,17 +104,21 @@ type membership struct {
 
 // contact feeds one piece of liveness evidence into the tracker. A
 // delivered hint batch is contact; a delivery that burned the sender's full
-// retry budget counts toward deadAfterFails; an inbound batch is contact
-// too — a restarted or healed node re-announces itself by flushing to us,
-// which must revive it even if our own probes to it still fail.
-func (l *hintLocator) contact(p *peer, ok bool) {
+// retry budget counts toward deadAfterFails. An inbound batch spares a live
+// peer this round's ping but revives no dead one: under a one-way partition
+// it arrives while every call to its sender fails. Only a ping or a
+// delivery that succeeds revives a peer.
+func (l *hintLocator) contact(p *peer, sent, ok bool) {
 	if p == nil {
 		return
 	}
 	l.mbr.mu.Lock()
-	if ok {
+	switch {
+	case !sent:
+		p.contact = l.mbr.gen
+	case ok:
 		p.fails, p.contact = 0, l.mbr.gen
-	} else {
+	default:
 		p.fails++
 	}
 	l.mbr.mu.Unlock()
@@ -131,8 +136,8 @@ func (n *Node) ping(p *peer) bool {
 
 // sync runs at the top of each round, and in Fleet.FlushAll's pre-pass:
 // fold the round's liveness evidence into the overlay and re-home against
-// the resulting view before any records are routed. Peers with recent
-// contact are alive for free; the rest get one bounded-concurrency probe.
+// the resulting view before any records are routed. Live peers with recent
+// contact are alive for free; the rest, dead ones too, get one probe each.
 // A peer is dead when its consecutive failures reach deadAfterFails or its
 // breaker is open (breaker-detected peer death); dead peers keep being
 // probed, so revival is symmetric.
@@ -162,8 +167,8 @@ func (l *hintLocator) sync() {
 	gen := l.mbr.gen
 	probe := peers[:0:0]
 	for _, p := range peers {
-		if p.contact+1 >= gen {
-			continue // heard from it this round or the last
+		if p.contact+1 >= gen && p.fails < deadAfterFails {
+			continue // alive, and heard from this round or the last
 		}
 		probe = append(probe, p)
 	}
@@ -490,10 +495,9 @@ func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 }
 
 // consultHome is the optional first step of a raced fill's primary leg: ask
-// the hint home for h, under the shorter of the metadata and the peer
-// timeouts (the answer may carry the object). A home that holds h serves it
-// in its answer, and consultHome returns that as the transfer, with no peer
-// to probe: one round trip where asking the home again took two. Otherwise
+// the hint home for h, under the peer-call timeout (the answer may carry
+// the object). A home that holds h serves it in its answer, and
+// consultHome returns that as the transfer, with no peer to probe: one round trip where asking the home again took two. Otherwise
 // it turns the holder the home names into a peer to probe. errHintHomeMiss
 // covers every definitive "nobody you can use" — no record of a holder other
 // than this node (the home passes over a record naming the asker: it just
@@ -501,7 +505,7 @@ func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 // whose breaker refuses the probe.
 func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (*peer, fetched, error) {
 	start := time.Now()
-	cctx, cancel := context.WithTimeout(ctx, min(metadataTimeout, n.cfg.PeerTimeout))
+	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
 	r, err := n.queryHintHome(cctx, home, h, reqID, sampled)
 	cancel()
 	switch {
@@ -529,10 +533,11 @@ func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID stri
 }
 
 // settleConsult accounts one resolved hint-home consult on the home's
-// breaker and the hint_home_hops counters: named says the home answered
-// with a holder this node went on to probe. A primary win is a hit as well:
-// the home served its own copy, or named the holder that did.
-func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr error, named bool) {
+// breaker (unless fillRaced has not judged the race) and the hint_home_hops
+// counters: named says the home answered with a holder this node went on
+// to probe. A primary win is a hit as well: the home served its own copy,
+// or named the holder that did.
+func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr error, named, judged bool) {
 	// Otherwise the consult failed, or was still running when the origin won.
 	answered, count := false, &n.stats.HintHomeErrors
 	switch {
@@ -542,6 +547,8 @@ func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr er
 	case errors.Is(primaryErr, errHintHomeMiss):
 		answered, count = true, &n.stats.HintHomeMisses
 	}
-	home.br.Record(answered)
+	if judged {
+		home.br.Record(answered)
+	}
 	atomic.AddInt64(count, 1)
 }

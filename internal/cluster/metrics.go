@@ -66,7 +66,7 @@ type Stats struct {
 	// the origin without waiting out a timeout on a known-bad peer.
 	BreakerSkips int64 `json:"breakerSkips"`
 	// HedgesStarted counts races where the origin fetch was launched
-	// while the hinted peer was still silent past the hedge budget;
+	// while the hinted peer was still silent past the hedge point;
 	// HedgeOriginWins/HedgePeerWins split them by who answered first.
 	HedgesStarted   int64 `json:"hedgesStarted"`
 	HedgeOriginWins int64 `json:"hedgeOriginWins"`

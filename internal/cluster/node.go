@@ -82,16 +82,6 @@ type NodeConfig struct {
 	// DESIGN.md §14.
 	HintReplicas int
 
-	// PeerTimeout bounds one cache-to-cache probe (<= 0 means 2s). A
-	// hinted peer that cannot produce the object inside this deadline
-	// is treated as failed — a hint must never cost more than this.
-	PeerTimeout time.Duration
-	// HedgeBudget is how long a hinted peer may stay silent before the
-	// origin fetch is started in parallel and the two race (the hedged
-	// miss path; the paper: cache-to-cache transfer must beat origin or
-	// be abandoned). <= 0 means the 50ms default.
-	HedgeBudget time.Duration
-
 	// Faults injects faults (internal/faults) into every outbound call and
 	// origin fetch; nil gives the node an empty injector of its own, which
 	// injects nothing until re-specced. InboundFaults injects them on the
@@ -165,6 +155,10 @@ type Node struct {
 	byID   map[uint64]*peer
 
 	hist nodeHists
+	// hedgeAt is the hedge point in nanoseconds (deriveHedge); hedgeBase
+	// is the REMOTE histogram where its window opened (the batch loop's).
+	hedgeAt   atomic.Int64
+	hedgeBase obs.HistogramSnapshot
 
 	// spans is the lock-free structured-span ring behind /debug/spans;
 	// sampler decides which requests are recorded. reqSeq numbers
@@ -180,8 +174,7 @@ type Node struct {
 
 	// breakerCfg shapes the breaker AddPeer gives each peer (the zero value
 	// is resilience's defaults; tests tighten it before AddPeer); inj is
-	// the outbound fault injector. The per-hop budgets are cfg's, resolved
-	// in NewNode.
+	// the outbound fault injector.
 	breakerCfg resilience.BreakerConfig
 	inj        *faults.Injector
 	inboundInj *faults.Injector
@@ -233,12 +226,6 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 		// while keeping /debug/spans fresh.
 		sample = 1.0 / 64
 	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 2 * time.Second
-	}
-	if cfg.HedgeBudget <= 0 {
-		cfg.HedgeBudget = 50 * time.Millisecond
-	}
 	if cfg.Faults == nil {
 		cfg.Faults, _ = faults.New("", 0) // an empty spec always parses
 	}
@@ -261,6 +248,8 @@ func newNodeOn(cfg NodeConfig, nw network) (*Node, error) {
 		batchDone:    make(chan struct{}),
 		recoveryDone: make(chan struct{}),
 	}
+	n.hedgeAt.Store(int64(hedgeCold))
+	n.hedgeBase = n.hist.remote.Snapshot()
 	n.plane.ctx, n.plane.stop = context.WithCancel(context.Background())
 	n.plane.conns = make(map[*upConn]struct{})
 	// The one place that knows there is more than one mechanism. It refuses
@@ -487,9 +476,9 @@ func (n *Node) Close() error {
 func (n *Node) FaultInjector() *faults.Injector { return n.inj }
 
 // batchLoop runs the locator's periodic metadata round, with a randomized
-// period to avoid synchronization. Periodic rounds do not wait for delivery;
-// the final round on shutdown does, so Close does not abandon queued updates
-// untried.
+// period to avoid synchronization, and re-derives the hedge point before
+// each. Periodic rounds do not wait for delivery; the final round on
+// shutdown does, so Close does not abandon queued updates untried.
 func (n *Node) batchLoop() {
 	defer close(n.batchDone)
 	for {
@@ -499,6 +488,7 @@ func (n *Node) batchLoop() {
 			n.loc.round(true)
 			return
 		case <-time.After(interval):
+			n.deriveHedge()
 			n.loc.round(false)
 		}
 	}

@@ -587,8 +587,8 @@ func TestConfigSurfaceOnlyShrinks(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{NodeConfig{}, 14},
-		{FleetConfig{}, 11},
+		{NodeConfig{}, 12},
+		{FleetConfig{}, 10},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		if got := typ.NumField(); got != c.want {

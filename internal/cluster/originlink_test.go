@@ -228,7 +228,8 @@ func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
 			const budget = 10 * time.Millisecond
 			peer := newStubPeer(t, servesAfter(3*budget))
 			shorten(t, &originTimeout, timeout)
-			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url, HedgeBudget: budget})
+			shorten(t, &hedgeCold, budget)
+			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url})
 			n.breakerCfg = noBreaker
 			n.AddPeer(peer.URL)
 

@@ -284,7 +284,8 @@ func TestConsultRecordsAsker(t *testing.T) {
 // from A. (B's own copy is purged first, so only A can serve C.)
 func TestPeerStillFillingIsNotDemoted(t *testing.T) {
 	const url = "http://part.example/still-filling"
-	f := startPartFleet(t, 6, func(cfg *FleetConfig) { cfg.HedgeBudget = time.Hour })
+	neverHedge(t)
+	f := startPartFleet(t, 6, nil)
 	ns := nonOwners(f, url)
 	ai, b, c := ns[0], ns[1], ns[2]
 	a := f.Nodes[ai]
@@ -338,15 +339,14 @@ func TestPeerStillFillingIsNotDemoted(t *testing.T) {
 
 // TestHintHomeAbandonedHolderResolvesLikeDirectPath pins the one event the
 // direct and the via-home fills used to resolve differently: the home
-// answers in time, the holder it names stays silent past the hedge budget,
+// answers in time, the holder it names stays silent past the hedge point,
 // the origin wins. As on the direct path the abandoned holder feeds its own
 // breaker, and the PEER-ABANDON hop names the holder — the slow leg — not
 // the home that answered (which keeps its HINT-HOME hop and a healthy
 // breaker).
 func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
-	f := startPartFleet(t, 8, func(cfg *FleetConfig) {
-		cfg.HedgeBudget = 20 * time.Millisecond
-	})
+	shorten(t, &hedgeCold, 20*time.Millisecond)
+	f := startPartFleet(t, 8, nil)
 	holder, fetcher := f.Nodes[0], f.Nodes[1]
 	var url string
 	for i := 0; ; i++ {
@@ -470,11 +470,10 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 		nodes   = 16
 		objects = 128
 	)
-	f := startPartFleet(t, nodes, func(cfg *FleetConfig) {
-		// Hedging off: a reconverged fetch must succeed through the consult
-		// path on its own, not because the origin hedge papered over it.
-		cfg.HedgeBudget = time.Hour
-	})
+	// Hedging off: a reconverged fetch must succeed through the consult
+	// path on its own, not because the origin hedge papered over it.
+	neverHedge(t)
+	f := startPartFleet(t, nodes, nil)
 
 	urls := make([]string, objects)
 	for i := range urls {
@@ -607,7 +606,8 @@ func TestSetupFlushDialsNoPeer(t *testing.T) {
 // fill leaves it answering MISS for everything the fleet already held.
 func TestRestartRelearnsDirectory(t *testing.T) {
 	const nodes, objects = 4, 120
-	f := startFleet(t, nodes, FleetConfig{ObjectSize: 256, HedgeBudget: time.Hour})
+	neverHedge(t)
+	f := startFleet(t, nodes, FleetConfig{ObjectSize: 256})
 	urls := urlsN("relearn", objects)
 	for i, u := range urls {
 		if _, err := f.Fetch(1+i%(nodes-1), u); err != nil { // never node 0

@@ -48,10 +48,10 @@ const (
 	// driver's per request, and how long an injected inbound hang holds a
 	// peer call.
 	clientTimeout = 10 * time.Second
-	// metadataTimeout bounds one metadata-path attempt (a hint batch, a
-	// digest pull or a hint-home consult). Metadata is retried and
-	// eventually consistent, so one attempt to a dead target should fail
-	// fast, not ride out clientTimeout.
+	// metadataTimeout bounds one call to a peer: a hint batch, a digest
+	// pull, a hint-home consult or an object transfer. One attempt to a dead
+	// target should fail fast, not ride out clientTimeout; a transfer has
+	// had the origin raced beside it long before (DESIGN.md §8).
 	metadataTimeout = 2 * time.Second
 )
 
@@ -420,10 +420,9 @@ func (n *Node) ingestHints(msg []byte, sender uint64, stampNs int64) int {
 	if stampNs > 0 && from != nil {
 		from.hintLag.Observe(time.Since(time.Unix(0, stampNs)))
 	}
-	// An inbound batch is a sign of life from its sender: a locator that
-	// tracks membership lets a revived peer rejoin the routing plane
-	// without waiting out a probe round.
-	n.loc.contact(from, true)
+	// An inbound batch is a sign of life from its sender, though not that
+	// this node can reach it (DESIGN.md §14).
+	n.loc.contact(from, false, true)
 	return http.StatusNoContent
 }
 

@@ -320,7 +320,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 	healthy := newStubPeer(t, func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
 		return wire.PeerHeader{Status: http.StatusNoContent}, nil
 	})
-	n := newMetaNode(t, NodeConfig{Name: "patient", PeerTimeout: 150 * time.Millisecond})
+	n := newMetaNode(t, NodeConfig{Name: "patient"})
 	n.breakerCfg = resilience.BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Hour}
 	n.AddPeer(healthy.URL)
 	p := peerOf(n, healthy.URL)
@@ -346,7 +346,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 	// The data path sees a string of timeouts, each on time, and the
 	// peer's breaker opens.
 	for i := 0; i < 2; i++ {
-		timed("object call into a stuck peer", n.cfg.PeerTimeout, func(ctx context.Context) error {
+		timed("object call into a stuck peer", 150*time.Millisecond, func(ctx context.Context) error {
 			_, err := n.fetchPeer(ctx, p, "http://example.com/stuck", "", false)
 			return err
 		})
@@ -796,9 +796,10 @@ func goroutinesSettle(t *testing.T, base int, when string) {
 // returns as soon as the origin has won — wherever the peer has got stuck.
 // Against a peer that accepts the connection and never answers the upgrade,
 // one that never reads the request frame, and one that reads it and never
-// answers, a hedged miss costs the hedge budget plus the origin fetch and
-// reports MISS,HEDGE with the peer abandoned. PeerTimeout is two seconds: a
-// leg that sat out its deadline instead would be off by a hundredfold.
+// answers, a hedged miss costs the node's cold-start hedge point plus the
+// origin fetch and reports MISS,HEDGE with the peer abandoned. A peer call's
+// deadline is two seconds: a leg that sat out its deadline instead would be
+// off by a hundredfold.
 func TestPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 	const budget = 15 * time.Millisecond
 	const originLatency = 20 * time.Millisecond
@@ -825,7 +826,8 @@ func TestPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			n := newMetaNode(t, NodeConfig{Name: "hedger", OriginURL: osrv.URL, HedgeBudget: budget})
+			shorten(t, &hedgeCold, budget)
+			n := newMetaNode(t, NodeConfig{Name: "hedger", OriginURL: osrv.URL})
 			n.breakerCfg = noBreaker
 			// The peer accepts connections and says nothing on them. Its
 			// cleanup (and a pipe's) runs before the node's Close, whose flush

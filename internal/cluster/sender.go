@@ -117,7 +117,7 @@ func (s *peerSender) send(l *hintLocator, body []byte, records int, stampNs int6
 	atomic.AddInt64(&n.stats.Retries, int64(retries))
 	// Delivery outcomes double as liveness evidence: a target that burned
 	// the whole retry budget counts one failed contact.
-	l.contact(s.target, err == nil)
+	l.contact(s.target, true, err == nil)
 	if err != nil {
 		atomic.AddInt64(&n.stats.SendErrors, 1)
 		return

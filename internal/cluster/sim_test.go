@@ -255,15 +255,17 @@ func TestSimBodilessAnswerThenReuse(t *testing.T) {
 // TestSimHedgedMissLatency is TestChaosHedgedMissLatencyBudget on the fake
 // clock (ROADMAP 1(d)), over the fleet's own links: node 0 holds a hint for
 // each of 30 objects at node 1, which the fleet's fault spec blackholes.
-// Each of those misses then costs exactly the hedge budget and the origin's
-// latency, and a miss nothing is hinted for the origin's latency alone — as
-// FetchResult.Elapsed, which the bubble makes exact — so hedged stays within
-// 2x direct. The wall-clock original judges the same bound on a median and a
-// third-largest; here every sample is the bound's own arithmetic.
+// Each of those misses then costs exactly the cold-start hedge point and the
+// origin's latency, and a miss nothing is hinted for the origin's latency
+// alone — as FetchResult.Elapsed, which the bubble makes exact — so hedged
+// stays within 2x direct. The wall-clock original judges the same bound on
+// a median and a third-largest; here every sample is the bound's own
+// arithmetic.
 func TestSimHedgedMissLatency(t *testing.T) {
 	const originLatency, budget, samples = 30 * time.Millisecond, 15 * time.Millisecond, 30
+	shorten(t, &hedgeCold, budget) // the point every node starts from
 	synctest.Run(func() {
-		cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour, HedgeBudget: budget}
+		cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour}
 		f, err := startFleetOn(cfg, newMemNet().network())
 		if err != nil {
 			t.Error(err)
@@ -331,6 +333,7 @@ func startMemNode(nw network, cfg NodeConfig) (*Node, error) {
 func TestSimOriginStuckNeverOutlivesItsContext(t *testing.T) {
 	const timeout, budget = 40 * time.Millisecond, 10 * time.Millisecond
 	shorten(t, &originTimeout, timeout)
+	shorten(t, &hedgeCold, budget)
 	for name, sent := range stuckOriginAnswers {
 		t.Run(name, func(t *testing.T) {
 			synctest.Run(func() {
@@ -359,7 +362,7 @@ func TestSimOriginStuckNeverOutlivesItsContext(t *testing.T) {
 					}
 				}()
 				defer lis.Close()
-				n, err := startMemNode(nw, NodeConfig{Name: "waiter", OriginURL: "http://" + lis.Addr().String(), HedgeBudget: budget})
+				n, err := startMemNode(nw, NodeConfig{Name: "waiter", OriginURL: "http://" + lis.Addr().String()})
 				if err != nil {
 					t.Error(err)
 					return
@@ -414,10 +417,11 @@ func TestSimOriginStuckNeverOutlivesItsContext(t *testing.T) {
 // TestPeerStuckPeerNeverSlowsHedgedMiss on the fake clock: against a peer
 // that never answers the upgrade, one that never reads the request frame and
 // one that reads it and never answers, a hinted miss is MISS,HEDGE behind an
-// abandoned peer and takes the hedge budget plus the origin's latency
-// exactly, where a direct miss takes the origin's latency.
+// abandoned peer and takes the cold-start hedge point plus the origin's
+// latency exactly, where a direct miss takes the origin's latency.
 func TestSimPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 	const budget, originLatency = 15 * time.Millisecond, 20 * time.Millisecond
+	shorten(t, &hedgeCold, budget)
 	for name, stick := range map[string]func(far net.Conn){
 		"upgrade answer never sent": nil,
 		"request frame never read":  func(net.Conn) {},
@@ -434,7 +438,7 @@ func TestSimPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 					return
 				}
 				defer origin.Close()
-				n, err := startMemNode(nw, NodeConfig{Name: "hedger", OriginURL: origin.URL(), HedgeBudget: budget})
+				n, err := startMemNode(nw, NodeConfig{Name: "hedger", OriginURL: origin.URL()})
 				if err != nil {
 					t.Error(err)
 					return
@@ -502,4 +506,162 @@ func TestSimPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 			})
 		})
 	}
+}
+
+// startHedgeFleet starts a two-node fleet in the bubble with no periodic
+// round — the test derives node 0's hedge point itself, as each round
+// would — and node 1 holding urls, which node 0 knows of. Node 0's calls to
+// node 1 then pay spec, and node 0's breaker on node 1 never opens, so every
+// abandoned leg shows as a hedge, not as a breaker skip.
+func startHedgeFleet(originLatency time.Duration, spec string, urls []string) (*Fleet, error) {
+	cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour}
+	f, err := startFleetOn(cfg, newMemNet().network())
+	if err != nil {
+		return nil, err
+	}
+	peerOf(f.Nodes[0], f.urls[1]).br = resilience.NewBreaker(noBreaker)
+	f.Origin.SetLatency(originLatency)
+	for _, u := range urls {
+		if _, err = f.Fetch(1, u); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		f.FlushAll()
+		err = f.SetFaultSpec(hostPortOf(f.urls[1]) + ":" + spec)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// TestSimHedgePointDerived warms node 0 with REMOTEs from a peer 30 ms
+// away. A window one REMOTE short of hedgeWindow leaves the cold-start point
+// standing; a full one sets the point to the upper bound of the histogram
+// bucket holding 30 ms, 40.96 ms. Then the holder is blackholed, and a
+// hinted miss takes exactly that point plus the origin's latency.
+func TestSimHedgePointDerived(t *testing.T) {
+	const peerLatency, originLatency, warm = 30 * time.Millisecond, 100 * time.Millisecond, hedgeWindow + 4
+	synctest.Run(func() {
+		urls := urlsN("sim-derive", warm+1)
+		f, err := startHedgeFleet(originLatency, "latency="+peerLatency.String(), urls)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		n := f.Nodes[0]
+		point := func() time.Duration { return time.Duration(n.hedgeAt.Load()) }
+		fetch := func(u, want string, took time.Duration) {
+			if res, err := f.Fetch(0, u); err != nil || res.How != want || res.Elapsed != took {
+				t.Errorf("fetch %s = %q in %v, %v; want %s in %v", u, res.How, res.Elapsed, err, want, took)
+			}
+		}
+		for _, u := range urls[:hedgeWindow-1] {
+			fetch(u, "REMOTE", peerLatency)
+		}
+		if n.deriveHedge(); point() != hedgeCold {
+			t.Errorf("a window of %d REMOTEs set the point to %v, want the cold-start %v", hedgeWindow-1, point(), hedgeCold)
+		}
+		for _, u := range urls[hedgeWindow-1 : warm] {
+			fetch(u, "REMOTE", peerLatency)
+		}
+		const want = 40960 * time.Microsecond
+		if n.deriveHedge(); point() != want {
+			t.Errorf("a window of %d REMOTEs at %v set the point to %v, want %v", warm, peerLatency, point(), want)
+		}
+		if err := f.SetFaultSpec(hostPortOf(f.urls[1]) + ":blackhole"); err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.SetFaultSpec("") // healed before the close-time flush
+		fetch(urls[warm], "MISS,HEDGE", point()+originLatency)
+	})
+}
+
+// TestSimHedgePointDoesNotRatchetDown: a peer that is slow but healthy, its
+// answers spread over 20–220 ms, and an origin 100 ms away. A REMOTE slower
+// than the point plus the origin's latency is cut off by the hedge — the
+// origin answers first — so it never reaches the histogram the next point
+// is taken from. That cut must not pull the point down, round after round,
+// until every REMOTE is hedged: each window's point is at least the last
+// one's, it climbs above the slowest answer the peer gives, and from there
+// no hedge starts.
+func TestSimHedgePointDoesNotRatchetDown(t *testing.T) {
+	const windows, perWindow = 6, hedgeWindow + 4
+	synctest.Run(func() {
+		urls := urlsN("sim-ratchet", windows*perWindow)
+		f, err := startHedgeFleet(100*time.Millisecond, "latency=20ms,jitter=200ms", urls)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		n := f.Nodes[0]
+		last, hedges := hedgeCold, int64(0)
+		for w := range windows {
+			for _, u := range urls[w*perWindow : (w+1)*perWindow] {
+				if _, err := f.Fetch(0, u); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			n.deriveHedge()
+			st := n.Stats()
+			point := time.Duration(n.hedgeAt.Load())
+			t.Logf("window %d: point %v, %d hedges", w, point, st.HedgesStarted-hedges)
+			if point < last {
+				t.Errorf("window %d: the point fell from %v to %v", w, last, point)
+			}
+			if last >= 220*time.Millisecond && st.HedgesStarted != hedges {
+				t.Errorf("window %d: %d hedges behind a point of %v, above the peer's slowest answer", w, st.HedgesStarted-hedges, last)
+			}
+			if w == windows-1 && point < 220*time.Millisecond {
+				t.Errorf("last window: point %v, want it above the peer's slowest answer, 220 ms", point)
+			}
+			last, hedges = point, st.HedgesStarted
+		}
+	})
+}
+
+// TestSimShortAbandonJudgesNoBreaker: node 0 measures its peer 1 ms away,
+// so its point is 1.28 ms; then the peer slows to 5 ms behind an origin 1
+// ms away. Every hinted miss is now MISS,HEDGE, the peer abandoned at
+// 2.28 ms — beaten by a fast origin, not dead — and the peer's breaker,
+// which three abandons in a row would open, stays closed.
+func TestSimShortAbandonJudgesNoBreaker(t *testing.T) {
+	const misses = 5
+	synctest.Run(func() {
+		urls := urlsN("sim-short", hedgeWindow+misses)
+		f, err := startHedgeFleet(time.Millisecond, "latency=1ms", urls)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		n := f.Nodes[0]
+		peerOf(n, f.urls[1]).br = resilience.NewBreaker(resilience.BreakerConfig{})
+		for _, u := range urls[:hedgeWindow] {
+			if res, err := f.Fetch(0, u); err != nil || res.How != "REMOTE" {
+				t.Errorf("warm fetch %s = %q, %v; want REMOTE", u, res.How, err)
+			}
+		}
+		if n.deriveHedge(); n.hedgeAt.Load() != int64(1280*time.Microsecond) {
+			t.Errorf("point %v, want 1.28ms", time.Duration(n.hedgeAt.Load()))
+		}
+		if err := f.SetFaultSpec(hostPortOf(f.urls[1]) + ":latency=5ms"); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, u := range urls[hedgeWindow:] {
+			if res, err := f.Fetch(0, u); err != nil || res.How != "MISS,HEDGE" || res.Elapsed != 2280*time.Microsecond {
+				t.Errorf("fetch %s = %q in %v, %v; want MISS,HEDGE in 2.28ms", u, res.How, res.Elapsed, err)
+			}
+		}
+		if st := n.Breakers()[f.urls[1]]; st.State != resilience.Closed {
+			t.Errorf("breaker after %d abandons short of hedgeCold = %v, want closed", misses, st.State)
+		}
+	})
 }
