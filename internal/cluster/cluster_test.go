@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"beyondcache/internal/hintcache"
-	"beyondcache/internal/overlay"
 	"beyondcache/internal/resilience"
 	"beyondcache/internal/wire"
 )
@@ -42,9 +41,6 @@ func startFleet(t *testing.T, nodes int, cfg FleetConfig) *Fleet {
 // the one the test configured.
 func digestsOf(n *Node) *digestLocator { return n.loc.(*digestLocator) }
 func hintsOf(n *Node) *hintLocator     { return n.loc.(*hintLocator) }
-
-// homedView is the membership view a hint node last re-homed against.
-func homedView(n *Node) *overlay.View { return hintsOf(n).homedView.Load() }
 
 // ownDigestBytes marshals a digest node's own filter.
 func ownDigestBytes(n *Node) []byte {
@@ -329,6 +325,50 @@ func TestStaleHintDoesNotTripBreaker(t *testing.T) {
 	}
 	if got := f.Nodes[1].Stats().BreakerSkips; got != 0 {
 		t.Errorf("%d breaker skips against a peer that never failed", got)
+	}
+}
+
+// TestOpenBreakerKeepsMembership: a breaker is a data-path verdict, and
+// membership hears only the metadata plane. With node 0's breaker on node 1
+// open, node 1 answers every delivery and ping, so two rounds of membership
+// syncs leave node 0's view as it was, node 1 in it, and the record naming
+// node 1 on file; the breaker still gates the fetch, which skips the peer
+// (a BREAKER-SKIP hop) and goes to the origin.
+func TestOpenBreakerKeepsMembership(t *testing.T) {
+	f := startFleet(t, 3, FleetConfig{})
+	const url = "http://example.com/breaker-member"
+	if _, err := f.Fetch(1, url); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+	n0, holder := f.Nodes[0], f.Nodes[1].machineID
+	br := n0.peerByID(holder).br
+	for br.State() != resilience.Open {
+		if !br.Allow() {
+			t.Fatal("a closed breaker refused a call")
+		}
+		br.Record(false)
+	}
+	before := hintsOf(n0).overlay.View()
+	f.FlushAll()
+	f.FlushAll()
+	if after := hintsOf(n0).overlay.View(); after.Version() != before.Version() || !after.Contains(holder) {
+		t.Errorf("view after an open breaker: version %d -> %d, holds node 1: %v; want unchanged",
+			before.Version(), after.Version(), after.Contains(holder))
+	}
+	if m, ok := n0.hints.Lookup(hintcache.HashURL(url)); !ok || m != holder {
+		t.Errorf("record for %s = (%d, %v), want node 1 (%d)", url, m, ok, holder)
+	}
+	res, err := f.Fetch(0, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := false
+	for _, h := range res.Hops {
+		skipped = skipped || h.Outcome == "BREAKER-SKIP"
+	}
+	if res.How != "MISS" || !skipped {
+		t.Errorf("fetch past an open breaker = %s, hops %v; want MISS with a BREAKER-SKIP hop", res.How, res.Hops)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // the nodes for the URL, not a URL for fixed nodes: three nodes that
 // alternate on a ring of six own every object between them at R = 2.)
 func nonOwners(f *Fleet, url string) []int {
-	v, h := homedView(f.Nodes[0]), hintcache.HashURL(url)
+	v, h := hintsOf(f.Nodes[0]).overlay.View(), hintcache.HashURL(url)
 	var out []int
 	for i, n := range f.Nodes {
 		if !v.IsOwner(h, n.machineID) {

@@ -16,12 +16,13 @@ package cluster
 // records its asker as a holder at the home. At R > 0 each node holds and
 // receives only its O(R/N) share.
 //
-// Membership is maintained from liveness evidence the node already
-// generates — successful hint-batch deliveries, inbound batches, breaker
-// state — topped up with cheap ping calls for peers that were silent
-// a whole flush round, and for dead ones. A membership change re-homes
-// incrementally: only objects whose owner set actually moved are
-// re-announced or forwarded.
+// Membership is a metadata-plane decision, maintained from liveness evidence
+// the node already generates — hint-batch deliveries and inbound batches —
+// topped up with cheap ping calls for peers that were silent a whole flush
+// round, and for dead ones. A peer's breaker gates requests and consults
+// and nothing else. A membership change re-homes incrementally: only
+// objects whose owner set actually moved are re-announced or forwarded, and
+// every record naming a departed machine goes.
 
 import (
 	"context"
@@ -39,8 +40,8 @@ import (
 )
 
 // hintLocator is the hint directory: the pending queue that feeds the peer
-// records' senders (sender.go), the routing overlay, the membership that
-// feeds it and the view the directory was last re-homed against.
+// records' senders (sender.go), the routing overlay and the membership that
+// feeds it.
 type hintLocator struct {
 	n *Node
 	// pend is the bounded coalescing queue of hint updates awaiting the
@@ -50,14 +51,11 @@ type hintLocator struct {
 	// WireHintBytesPartitioned at R > 0, so the two settings' wire costs
 	// stay separately comparable.
 	wire *int64
-	// overlay is the live routing plane; mbr tracks the per-peer liveness
-	// evidence that feeds it; homedView is the membership view the
-	// directory was last re-homed against — sync compares it to the
-	// overlay's current view and runs one incremental re-homing pass per
-	// version step.
-	overlay   *overlay.Overlay
-	mbr       membership
-	homedView atomic.Pointer[overlay.View]
+	// overlay is the live routing plane, changed only by sync, which runs
+	// one incremental re-homing pass per version step; mbr tracks the
+	// per-peer liveness evidence that feeds it.
+	overlay *overlay.Overlay
+	mbr     membership
 }
 
 // newHintLocator builds the locator for an owner-set size of replicas (0:
@@ -138,9 +136,9 @@ func (n *Node) ping(p *peer) bool {
 // fold the round's liveness evidence into the overlay and re-home against
 // the resulting view before any records are routed. Live peers with recent
 // contact are alive for free; the rest, dead ones too, get one probe each.
-// A peer is dead when its consecutive failures reach deadAfterFails or its
-// breaker is open (breaker-detected peer death); dead peers keep being
-// probed, so revival is symmetric.
+// A peer is dead when its consecutive failed contacts (deliveries and
+// pings) reach deadAfterFails; dead peers keep being probed, so revival is
+// symmetric. An open breaker is a data-path verdict and moves no member.
 //
 // The first call, from Start, only seeds the routing plane with the
 // node itself, now that its machine ID is fixed. The first real sync folds
@@ -149,9 +147,9 @@ func (n *Node) ping(p *peer) bool {
 // homes).
 func (l *hintLocator) sync() {
 	n := l.n
-	if l.homedView.Load() == nil {
+	old := l.overlay.View()
+	if old.Size() == 0 {
 		l.overlay.Join(n.machineID, n.URL())
-		l.homedView.Store(l.overlay.View())
 		// Ownership admission: the directory only stores records for
 		// objects this node is currently a home of. Records for everything
 		// else are refused at insert (counted in hintcache FilterRejects) —
@@ -200,27 +198,24 @@ func (l *hintLocator) sync() {
 	l.mbr.mu.Unlock()
 
 	for i, p := range peers {
-		if dead[i] || p.br.State() == resilience.Open {
+		if dead[i] {
 			l.overlay.Leave(p.id)
 		} else {
 			l.overlay.Join(p.id, p.url)
 		}
 	}
 
-	view := l.overlay.View()
-	old := l.homedView.Load()
-	if old.Version() == view.Version() {
-		return
+	if view := l.overlay.View(); view.Version() != old.Version() {
+		l.rehome(old, view)
 	}
-	l.homedView.Store(view)
-	l.rehome(old, view)
 }
 
 // rehome is the incremental re-homing pass after a membership change:
 // re-announce every locally resident object whose owner set moved (ground
 // truth — this is what repopulates a partition whose homes all died),
 // forward directory records likewise, and drop records this node no
-// longer owns or whose holder died. The pass walks the resident set and
+// longer owns or whose holder left. It is the one place a departed
+// holder's records go, moved owners or not. The pass walks the resident set and
 // the directory (empty stripes cost nothing), but its work is proportional
 // to ownership churn: objects with unmoved owners produce nothing. Owner
 // sets are ring positions over the sorted members, so a join or a leave
@@ -244,21 +239,23 @@ func (l *hintLocator) rehome(old, cur *overlay.View) {
 			announce(id)
 		}
 	}
-	// Directory records held as a home: forward moved records to their
-	// new owners (the pending queue coalesces duplicates with the
-	// residency announcements above), then drop what no longer belongs
-	// here. Records naming a machine that left the membership are dropped
-	// outright — a dead holder's hints must not outlive it.
+	// Directory records held as a home: records naming a machine that left
+	// the membership are dropped outright, whether or not their object's
+	// owners moved — a dead holder's hints must not outlive it. Moved
+	// records are forwarded to their new owners (the pending queue
+	// coalesces duplicates with the residency announcements above), then
+	// dropped if they no longer belong here.
 	var drop []hintcache.Record
 	n.hints.Range(func(r hintcache.Record) bool {
+		if !cur.Contains(r.Machine) {
+			count++
+			drop = append(drop, r)
+			return true
+		}
 		if overlay.SameOwners(old, cur, r.URLHash) {
 			return true
 		}
 		count++
-		if !cur.Contains(r.Machine) {
-			drop = append(drop, r)
-			return true
-		}
 		l.enqueue(hintcache.Update{Action: hintcache.ActionInform, URLHash: r.URLHash, Machine: r.Machine})
 		if !cur.IsOwner(r.URLHash, n.machineID) {
 			drop = append(drop, r)
@@ -408,7 +405,7 @@ func (l *hintLocator) collect() locatorGauges {
 // usable.
 func (l *hintLocator) hintHomeFor(h uint64) *peer {
 	n := l.n
-	view := l.homedView.Load()
+	view := l.overlay.View()
 	if view.IsOwner(h, n.machineID) {
 		return nil
 	}
@@ -479,19 +476,13 @@ func (n *Node) answerHolder(resp *wire.PeerHeader, h wire.PeerHeader, start time
 }
 
 // holder serves this node's directory partition to peers: the most recent
-// holder on record other than the asker. A record naming a machine the
-// current view considers dead is dropped lazily instead of served; the
-// object's next record, if it has one, is then the answer. No record names
-// this node (applyHint): its own copy is served in the answer instead
-// (answerHolder).
+// holder on record other than the asker. A departed holder's records go in
+// the re-homing pass (rehome); one that arrives later, from a peer yet to
+// see the departure, is demoted by the first asker whose probe of it fails.
+// No record names this node (applyHint): its own copy is served in the
+// answer instead (answerHolder).
 func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
-	for {
-		machine, ok := l.n.hints.LookupExcept(h, asker)
-		if !ok || l.overlay.View().Contains(machine) {
-			return machine, ok
-		}
-		l.n.hints.Delete(h, machine)
-	}
+	return l.n.hints.LookupExcept(h, asker)
 }
 
 // consultHome is the optional first step of a raced fill's primary leg: ask

@@ -43,7 +43,7 @@ func startPartFleet(t *testing.T, nodes int, tweak func(*FleetConfig)) *Fleet {
 	})
 	f.FlushAll()
 	for i, n := range f.Nodes {
-		if got := homedView(n).Size(); got != nodes {
+		if got := hintsOf(n).overlay.View().Size(); got != nodes {
 			t.Fatalf("node %d membership = %d after first sync, want %d", i, got, nodes)
 		}
 	}
@@ -70,13 +70,13 @@ func TestPartitionedRoutingTargetsOwners(t *testing.T) {
 		h := hintcache.HashURL(url)
 
 		var want [overlay.MaxReplicas]uint64
-		owners := homedView(f.Nodes[0]).Owners(h, want[:0])
+		owners := hintsOf(f.Nodes[0]).overlay.View().Owners(h, want[:0])
 		if len(owners) != 2 {
 			t.Fatalf("object %d has %d owners, want R=2", i, len(owners))
 		}
 		for j := 1; j < nodes; j++ {
 			var buf [overlay.MaxReplicas]uint64
-			got := homedView(f.Nodes[j]).Owners(h, buf[:0])
+			got := hintsOf(f.Nodes[j]).overlay.View().Owners(h, buf[:0])
 			if len(got) != len(owners) || got[0] != owners[0] || got[1] != owners[1] {
 				t.Fatalf("node %d owners(%#x) = %v, node 0 says %v", j, h, got, owners)
 			}
@@ -134,7 +134,7 @@ func TestOwnershipFilterRejectsForeignRecords(t *testing.T) {
 	var h uint64
 	for i := 0; ; i++ {
 		h = hintcache.HashURL(fmt.Sprintf("http://part.example/foreign-%d", i))
-		if !homedView(n).IsOwner(h, n.machineID) {
+		if !hintsOf(n).overlay.View().IsOwner(h, n.machineID) {
 			break
 		}
 	}
@@ -165,7 +165,7 @@ func TestHintHomeConsultResolvesMiss(t *testing.T) {
 	for i := 0; ; i++ {
 		url = fmt.Sprintf("http://part.example/consult-%d", i)
 		h = hintcache.HashURL(url)
-		v := homedView(f.Nodes[0])
+		v := hintsOf(f.Nodes[0]).overlay.View()
 		if !v.IsOwner(h, f.Nodes[0].machineID) && !v.IsOwner(h, f.Nodes[1].machineID) {
 			break
 		}
@@ -214,7 +214,7 @@ func TestHomeServesItsOwnCopy(t *testing.T) {
 	const url = "http://part.example/home-copy"
 	f := startPartFleet(t, 6, nil)
 	var buf [overlay.MaxReplicas]uint64
-	first := homedView(f.Nodes[0]).Owners(hintcache.HashURL(url), buf[:0])[0]
+	first := hintsOf(f.Nodes[0]).overlay.View().Owners(hintcache.HashURL(url), buf[:0])[0]
 	var home *Node
 	for i, n := range f.Nodes {
 		if n.machineID == first {
@@ -351,7 +351,7 @@ func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
 	var url string
 	for i := 0; ; i++ {
 		url = fmt.Sprintf("http://part.example/abandon-%d", i)
-		h, v := hintcache.HashURL(url), homedView(holder)
+		h, v := hintcache.HashURL(url), hintsOf(holder).overlay.View()
 		if !v.IsOwner(h, holder.machineID) && !v.IsOwner(h, fetcher.machineID) {
 			break
 		}
@@ -483,7 +483,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 		}
 	}
 	f.FlushAll()
-	viewBefore := homedView(f.Nodes[0])
+	viewBefore := hintsOf(f.Nodes[0]).overlay.View()
 
 	dead := map[int]bool{5: true, 11: true}
 	for i := range dead {
@@ -502,7 +502,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 			if dead[i] {
 				continue
 			}
-			if homedView(n).Size() != nodes-len(dead) {
+			if hintsOf(n).overlay.View().Size() != nodes-len(dead) {
 				ok = false
 				break
 			}
@@ -518,7 +518,7 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 	t.Logf("membership re-converged after %d flush rounds", reconverged)
 	f.FlushAll() // settle: deliver the re-homed records everywhere
 
-	viewAfter := homedView(f.Nodes[0])
+	viewAfter := hintsOf(f.Nodes[0]).overlay.View()
 	changedAll, changedSurvivorHeld := 0, 0
 	for i, u := range urls {
 		if overlay.SameOwners(viewBefore, viewAfter, hintcache.HashURL(u)) {
@@ -571,6 +571,54 @@ func TestChaosPartitionedHintsReconverge(t *testing.T) {
 	}
 	if max := int64(4*changedAll + 16); rehomed > max {
 		t.Errorf("rehomed %d > %d (~4x changed objects): re-home work not proportional to churn", rehomed, max)
+	}
+}
+
+// TestDepartedHolderRecordsDropped: a departed machine's records all go in
+// the re-homing pass, even for an object whose owners did not move. Node 5
+// holds one object whose R = 2 homes exclude it and stay its homes once it
+// leaves; after node 5 is killed and the survivors have synced, no
+// survivor's directory names node 5.
+func TestDepartedHolderRecordsDropped(t *testing.T) {
+	const nodes = 6
+	f := startPartFleet(t, nodes, nil)
+	viewOf := func(members int) *overlay.View {
+		ov, err := overlay.New(overlayBits, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range f.Nodes[:members] {
+			ov.Join(n.machineID, n.URL())
+		}
+		return ov.View()
+	}
+	all, survivors := viewOf(nodes), viewOf(nodes-1)
+	departed := f.Nodes[nodes-1].machineID
+	url := ""
+	for i := 0; url == ""; i++ {
+		u := fmt.Sprintf("http://part.example/departed-%d", i)
+		h := hintcache.HashURL(u)
+		if !all.IsOwner(h, departed) && overlay.SameOwners(all, survivors, h) {
+			url = u
+		}
+	}
+	if _, err := f.Fetch(nodes-1, url); err != nil {
+		t.Fatal(err)
+	}
+	f.FlushAll()
+	if err := f.KillNode(nodes - 1); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		f.FlushAll()
+	}
+	for i, n := range f.Nodes[:nodes-1] {
+		n.hints.Range(func(r hintcache.Record) bool {
+			if r.Machine == departed {
+				t.Errorf("node %d still holds a record of %s naming the departed node 5", i, url)
+			}
+			return true
+		})
 	}
 }
 

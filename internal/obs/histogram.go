@@ -10,6 +10,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -211,9 +212,10 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	// rank is the 1-based index of the target observation, rounded up, so
-	// q=0 maps to the first observation and q=1 to the last.
-	rank := int64(q * float64(total))
+	// rank is the 1-based index of the target observation, rounded up (the
+	// nearest rank), so q=0 maps to the first observation and q=1 to the
+	// last, and a p99 of fewer than 100 observations is the slowest.
+	rank := int64(math.Ceil(q * float64(total)))
 	if rank < 1 {
 		rank = 1
 	}

@@ -127,6 +127,20 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	})
 }
 
+// TestHistogramQuantileNearestRank: the target rank rounds up. Of 8
+// observations, one per bucket, the p99 is the 8th (7.92 rounded up), so it
+// lands in the slowest one's bucket, not the second-slowest's.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	bounds := ExpBounds(10*time.Microsecond, 2, 8) // 10µs .. 1.28ms
+	h := NewHistogram(bounds)
+	for _, b := range bounds {
+		h.Observe(b)
+	}
+	if got := h.Quantile(0.99); got <= bounds[6] || got > bounds[7] {
+		t.Errorf("p99 of one observation per bucket = %v, want in (%v, %v]", got, bounds[6], bounds[7])
+	}
+}
+
 func TestHistogramDefaultBoundsCoverPrototypeRange(t *testing.T) {
 	b := DefaultLatencyBounds()
 	if b[0] > 10*time.Microsecond {

@@ -19,8 +19,8 @@ const (
 	Closed BreakerState = iota
 	// Open: requests are refused outright until the cooldown elapses.
 	Open
-	// HalfOpen: a bounded number of probes may test the target; one
-	// success closes the breaker, one failure reopens it.
+	// HalfOpen: one probe at a time may test the target; its success
+	// closes the breaker, its failure reopens it.
 	HalfOpen
 )
 
@@ -52,8 +52,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker refuses before allowing
 	// half-open probes (<= 0 means 5s).
 	Cooldown time.Duration
-	// HalfOpenProbes bounds concurrent half-open probes (<= 0 means 1).
-	HalfOpenProbes int
 
 	// now overrides the clock (tests).
 	now func() time.Time
@@ -71,9 +69,6 @@ func (c *BreakerConfig) defaults() {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -103,7 +98,7 @@ type Breaker struct {
 
 	state    BreakerState
 	openedAt time.Time
-	probes   int // in-flight half-open probes
+	probing  bool // a half-open probe is in flight
 
 	failures    int64
 	successes   int64
@@ -118,8 +113,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // Allow reports whether an operation may proceed now. An open breaker
-// whose cooldown has elapsed moves to half-open and admits a bounded
-// number of probes; refusals are counted.
+// whose cooldown has elapsed moves to half-open and admits one probe at a
+// time; refusals are counted.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -132,11 +127,11 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.setState(HalfOpen)
-		b.probes = 1
+		b.probing = true
 		return true
 	default: // HalfOpen
-		if b.probes < b.cfg.HalfOpenProbes {
-			b.probes++
+		if !b.probing {
+			b.probing = true
 			return true
 		}
 		b.refusals++
@@ -158,9 +153,7 @@ func (b *Breaker) Record(ok bool) {
 	}
 	switch b.state {
 	case HalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
+		b.probing = false
 		if ok {
 			b.setState(Closed)
 			b.resetWindow()

@@ -58,7 +58,7 @@ func TestBreakerOpensOnFailureRate(t *testing.T) {
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := testBreaker(BreakerConfig{Window: 4, MinSamples: 2, Cooldown: time.Second, HalfOpenProbes: 1}, clk)
+	b := testBreaker(BreakerConfig{Window: 4, MinSamples: 2, Cooldown: time.Second}, clk)
 	b.Record(false)
 	b.Record(false)
 	if b.State() != Open {
