@@ -190,7 +190,7 @@ func TestChaosBreakerOpensAndSkips(t *testing.T) {
 			t.Fatalf("pre-trip fetch served %q, want MISS,HEDGE", how)
 		}
 	}
-	if st := f.nodes[0].Breakers()[peerURL]; st.State != resilience.Open {
+	if st := peerOf(f.nodes[0], peerURL).br.Stats(); st.State != resilience.Open {
 		t.Fatalf("breaker state after losses = %v, want open", st.State)
 	}
 
@@ -230,7 +230,7 @@ func TestChaosBreakerOpensAndSkips(t *testing.T) {
 	if how != "REMOTE" {
 		t.Errorf("post-heal fetch served %q, want REMOTE", how)
 	}
-	if st := f.nodes[0].Breakers()[peerURL]; st.State != resilience.Closed {
+	if st := peerOf(f.nodes[0], peerURL).br.Stats(); st.State != resilience.Closed {
 		t.Errorf("breaker state after successful probe = %v, want closed", st.State)
 	}
 }

@@ -311,7 +311,7 @@ func TestStaleHintDoesNotTripBreaker(t *testing.T) {
 			t.Fatalf("fetch under a stale hint = %+v, %v; want MISS,STALE-HINT", res, err)
 		}
 	}
-	br := f.Nodes[1].Breakers()[f.Nodes[0].URL()]
+	br := peerOf(f.Nodes[1], f.Nodes[0].URL()).br.Stats()
 	if br.State != resilience.Closed || br.Failures != 0 || br.Successes != int64(len(urls)) {
 		t.Errorf("breaker for the live peer = %+v after %d definitive 404s; want closed, all successes", br, len(urls))
 	}
@@ -343,7 +343,7 @@ func TestOpenBreakerKeepsMembership(t *testing.T) {
 	f.FlushAll()
 	n0, holder := f.Nodes[0], f.Nodes[1].machineID
 	br := n0.peerByID(holder).br
-	for br.State() != resilience.Open {
+	for br.Stats().State != resilience.Open {
 		if !br.Allow() {
 			t.Fatal("a closed breaker refused a call")
 		}

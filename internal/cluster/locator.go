@@ -163,12 +163,12 @@ var (
 // and that is the transfer), then runs the
 // cache-to-cache transfer under its own deadline; if the leg stays silent
 // past the hedge point the origin fetch starts in parallel and the first
-// success wins. Either way a peer that did not serve is demoted; one that
-// failed or was abandoned — not one that promptly said "not here" — feeds
-// its breaker, and a failed consult feeds the home's, so a dead peer or a
-// dead home stops costing anything — the paper's principles 1–2 enforced
-// under faults: neither a stale hint nor the extra metadata hop may make a
-// request slower than going straight to the origin.
+// success wins. Either way a peer that did not serve is demoted. The
+// consult and the transfer each give their own peer's breaker its verdict
+// (judge), so a dead peer or a dead home stops costing anything — the
+// paper's principles 1–2 enforced under faults: neither a stale hint nor
+// the extra metadata hop may make a request slower than going straight to
+// the origin.
 func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool) fetchOutcome {
 	start := time.Now()
 	// What the primary leg learned and took, read once the race is over:
@@ -176,8 +176,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	// the transfer is asked of, its breaker having admitted the probe —
 	// stays nil until a holder is known: from the start on the direct path,
 	// once the home has named a usable one otherwise — and for good when the
-	// home served the object itself, so its breaker is recorded once, as
-	// the home's.
+	// home served the object itself.
 	var leg struct {
 		probe, consult time.Duration
 		peer           *peer
@@ -210,17 +209,8 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	if r.Hedged {
 		atomic.AddInt64(&n.stats.HedgesStarted, 1)
 	}
-	// A prompt "not here" or "not yet" is a healthy peer under a stale or
-	// early hint; an error, a timeout, a 5xx or an abandon is a peer to stop
-	// asking — an abandon once the leg has been silent for hedgeCold. One
-	// the origin beat sooner, past a point measured below that, lost a race
-	// it is run to lose now and then, and judges nobody (DESIGN.md §8).
-	judged := r.Winner != resilience.FallbackWon || probe >= hedgeCold
-	if p != nil && judged {
-		p.br.Record(r.Winner == resilience.PrimaryWon || errors.Is(r.PrimaryErr, errPeerMiss) || errors.Is(r.PrimaryErr, errPeerFilling))
-	}
 	if c.home != nil {
-		n.settleConsult(c.home, r.Winner, r.PrimaryErr, p != nil, judged)
+		n.settleConsult(r.Winner, r.PrimaryErr, p != nil)
 	}
 	switch r.Winner {
 	case resilience.PrimaryWon:
@@ -245,8 +235,8 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 	switch {
 	case p != nil && abandoned:
 		// The named peer was still silent when the hedged origin fetch
-		// answered: abandon the transfer, demote the hint; the breaker
-		// record above makes later requests skip the peer.
+		// answered: abandon the transfer, demote the hint; the call's own
+		// verdict (judge) feeds the breaker that gates later requests.
 		n.loc.demote(h, p.id)
 		how = "MISS,HEDGE"
 		hops = append(hops, obs.Hop{Node: p.host, Outcome: "PEER-ABANDON", Elapsed: probe})

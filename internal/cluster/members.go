@@ -20,9 +20,11 @@ package cluster
 // the node already generates — hint-batch deliveries and inbound batches —
 // topped up with cheap ping calls for peers that were silent a whole flush
 // round, and for dead ones. A peer's breaker gates requests and consults
-// and nothing else. A membership change re-homes incrementally: only
-// objects whose owner set actually moved are re-announced or forwarded, and
-// every record naming a departed machine goes.
+// and nothing else, and hears only the calls it admits: each transfer and
+// each consult gives its own verdict (judge). A membership change re-homes
+// incrementally: only objects whose owner set actually moved are
+// re-announced or forwarded, and every record naming a departed machine
+// goes.
 
 import (
 	"context"
@@ -429,17 +431,19 @@ func (l *hintLocator) hintHomeFor(h uint64) *peer {
 	return nil
 }
 
-// queryHintHome asks a hint home for h: one holder call. A 200 carries the
-// machine ID of a holder other than this node, or the home's own and its
-// copy of the object; a 404 is a definitive miss. Any other status is a
-// consult failure.
+// queryHintHome asks a hint home for h: one holder call, which gives the
+// home's breaker its verdict. A 200 carries the machine ID of a holder other
+// than this node, or the home's own and its copy of the object; a 404 is a
+// definitive miss. Any other status is a consult failure.
 func (n *Node) queryHintHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (peerReply, error) {
+	start := time.Now()
 	req := sampledCall(wire.PeerHolder, reqID, sampled)
 	req.B, req.C = h, n.machineID
 	r, err := n.call(ctx, home, req, nil)
 	if err == nil && r.Status != http.StatusOK && r.Status != http.StatusNotFound {
 		err = fmt.Errorf("status %d", r.Status)
 	}
+	judge(ctx, home, start, err == nil)
 	return r, err
 }
 
@@ -488,12 +492,14 @@ func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 // consultHome is the optional first step of a raced fill's primary leg: ask
 // the hint home for h, under the peer-call timeout (the answer may carry
 // the object). A home that holds h serves it in its answer, and
-// consultHome returns that as the transfer, with no peer to probe: one round trip where asking the home again took two. Otherwise
-// it turns the holder the home names into a peer to probe. errHintHomeMiss
-// covers every definitive "nobody you can use" — no record of a holder other
-// than this node (the home passes over a record naming the asker: it just
-// checked both tiers, so that record is stale), an unknown machine, a holder
-// whose breaker refuses the probe.
+// consultHome returns that as the transfer, with no peer to probe: one
+// round trip where asking the home again took two. Otherwise it turns the
+// holder the home names into a peer to probe, admitted by its breaker: the
+// transfer that follows gives that breaker its verdict, as the consult gave
+// the home's. errHintHomeMiss covers every definitive "nobody you can use" —
+// no record of a holder other than this node (the home passes over a record
+// naming the asker: it just checked both tiers, so that record is stale),
+// an unknown machine, a holder whose breaker refuses the probe.
 func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (*peer, fetched, error) {
 	start := time.Now()
 	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
@@ -511,11 +517,6 @@ func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID stri
 	if r.A == n.machineID || holder == nil {
 		return nil, fetched{}, errHintHomeMiss
 	}
-	if ctx.Err() != nil {
-		// Abandoned while the home answered: ask no breaker for a probe
-		// the resolution will never record.
-		return nil, fetched{}, fmt.Errorf("%w: %v", errHintHomeFail, ctx.Err())
-	}
 	if !holder.br.Allow() {
 		atomic.AddInt64(&n.stats.BreakerSkips, 1)
 		return nil, fetched{}, errHintHomeMiss
@@ -523,23 +524,20 @@ func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID stri
 	return holder, fetched{}, nil
 }
 
-// settleConsult accounts one resolved hint-home consult on the home's
-// breaker (unless fillRaced has not judged the race) and the hint_home_hops
-// counters: named says the home answered with a holder this node went on
-// to probe. A primary win is a hit as well: the home served its own copy,
-// or named the holder that did.
-func (n *Node) settleConsult(home *peer, winner resilience.Winner, primaryErr error, named, judged bool) {
+// settleConsult counts one resolved hint-home consult in the hint_home_hops
+// counters (the home's breaker had its verdict when the consult ended):
+// named says the home answered with a holder this node went on to probe. A
+// primary win is a hit as well: the home served its own copy, or named the
+// holder that did.
+func (n *Node) settleConsult(winner resilience.Winner, primaryErr error, named bool) {
 	// Otherwise the consult failed, or was still running when the origin won.
-	answered, count := false, &n.stats.HintHomeErrors
+	count := &n.stats.HintHomeErrors
 	switch {
 	case winner == resilience.BothFailed:
 	case named || winner == resilience.PrimaryWon:
-		answered, count = true, &n.stats.HintHomeHits
+		count = &n.stats.HintHomeHits
 	case errors.Is(primaryErr, errHintHomeMiss):
-		answered, count = true, &n.stats.HintHomeMisses
-	}
-	if judged {
-		home.br.Record(answered)
+		count = &n.stats.HintHomeMisses
 	}
 	atomic.AddInt64(count, 1)
 }

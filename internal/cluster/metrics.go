@@ -319,7 +319,7 @@ func (n *Node) Metrics() *obs.Expo {
 		e.Counter("beyondcache_breaker_transitions_total",
 			"Per-peer breaker state changes.", bs.Transitions, label)
 		e.Counter("beyondcache_breaker_refusals_total",
-			"Per-peer requests refused while the breaker was open or probing.", bs.Refusals, label)
+			"Per-peer requests refused while the breaker was open or half-open.", bs.Refusals, label)
 		e.Gauge("beyondcache_hint_queue_depth",
 			"Records waiting in the per-peer sender queue.", float64(depth), label)
 		e.Counter("beyondcache_hint_queue_dropped_total",

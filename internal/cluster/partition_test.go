@@ -247,7 +247,7 @@ func TestHomeServesItsOwnCopy(t *testing.T) {
 	if st := fetcher.Stats(); st.HintHomeHits != 1 || st.RemoteHits != 1 {
 		t.Errorf("fetcher: HintHomeHits=%d RemoteHits=%d, want 1 and 1", st.HintHomeHits, st.RemoteHits)
 	}
-	if got := fetcher.Breakers()[home.URL()]; got.Successes != 1 || got.Failures != 0 {
+	if got := peerOf(fetcher, home.URL()).br.Stats(); got.Successes != 1 || got.Failures != 0 {
 		t.Errorf("the home's breaker at the fetcher = %+v, want one success recorded", got)
 	}
 }
@@ -321,7 +321,7 @@ func TestPeerStillFillingIsNotDemoted(t *testing.T) {
 	if st := f.Nodes[b].Stats(); st.FalsePositives != 1 {
 		t.Errorf("B's FalsePositives = %d, want 1: a 409 is a wasted probe", st.FalsePositives)
 	}
-	if got := f.Nodes[b].Breakers()[a.URL()]; got.Failures != 0 || got.Successes != 1 {
+	if got := peerOf(f.Nodes[b], a.URL()).br.Stats(); got.Failures != 0 || got.Successes != 1 {
 		t.Errorf("A's breaker at B = %+v, want one success: a 409 is a healthy peer", got)
 	}
 	if err := f.Purge(b, url); err != nil {
@@ -341,9 +341,9 @@ func TestPeerStillFillingIsNotDemoted(t *testing.T) {
 // direct and the via-home fills used to resolve differently: the home
 // answers in time, the holder it names stays silent past the hedge point,
 // the origin wins. As on the direct path the abandoned holder feeds its own
-// breaker, and the PEER-ABANDON hop names the holder — the slow leg — not
-// the home that answered (which keeps its HINT-HOME hop and a healthy
-// breaker).
+// breaker, judged by its own call's silence, and the PEER-ABANDON hop names
+// the holder — the slow leg — not the home that answered (which keeps its
+// HINT-HOME hop and a healthy breaker).
 func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
 	shorten(t, &hedgeCold, 20*time.Millisecond)
 	f := startPartFleet(t, 8, nil)
@@ -360,6 +360,10 @@ func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.FlushAll()
+	// The holder's own silence, the hedge point plus the origin's latency
+	// less the consult, must clear hedgeCold by a margin for its abandon to
+	// judge it.
+	f.Origin.SetLatency(40 * time.Millisecond)
 	holderHost := hostPortOf(holder.URL())
 	if err := f.SetFaultSpec(holderHost + ":latency=500ms"); err != nil {
 		t.Fatal(err)
@@ -378,11 +382,10 @@ func TestHintHomeAbandonedHolderResolvesLikeDirectPath(t *testing.T) {
 	if abandon.Outcome != "PEER-ABANDON" || abandon.Node != holderHost {
 		t.Errorf("second hop = %+v, want PEER-ABANDON at the holder %s", abandon, holderHost)
 	}
-	brk := fetcher.Breakers()
-	if got := brk[holder.URL()]; got.Failures != 1 {
+	if got := peerOf(fetcher, holder.URL()).br.Stats(); got.Failures != 1 {
 		t.Errorf("abandoned holder's breaker = %+v, want one failure recorded", got)
 	}
-	if got := brk["http://"+consult.Node]; got.Failures != 0 || got.Successes == 0 {
+	if got := peerOf(fetcher, "http://"+consult.Node).br.Stats(); got.Failures != 0 || got.Successes == 0 {
 		t.Errorf("answering home's breaker = %+v, want successes only", got)
 	}
 	if st := fetcher.Stats(); st.HintHomeHits != 1 || st.HedgeOriginWins != 1 {

@@ -200,9 +200,23 @@ var (
 	errPeerFilling = errors.New("status 409")
 )
 
+// judge gives p's breaker its verdict on one call to it, made at start:
+// healthy if the peer gave an answer the call's op defines, a failure
+// otherwise. The exception is a call its race abandoned (ctx canceled, not
+// timed out) before it had been silent for hedgeCold: the origin beat a
+// peer that may be no more than slower than it, a race the hedge is run to
+// lose now and then, and that judges nobody (DESIGN.md §8).
+func judge(ctx context.Context, p *peer, start time.Time, healthy bool) {
+	if !healthy && errors.Is(ctx.Err(), context.Canceled) && time.Since(start) < hedgeCold {
+		return
+	}
+	p.br.Record(healthy)
+}
+
 // fetchPeer performs a cache-to-cache transfer: one object call on the
-// peer plane. ctx carries the per-hop peer deadline (and, on the hedged
-// path, the race's abandon signal).
+// peer plane, which gives the peer's breaker its verdict. ctx carries the
+// per-hop peer deadline (and, on the hedged path, the race's abandon
+// signal).
 func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sampled bool) (fetched, error) {
 	start := time.Now()
 	r, err := n.call(ctx, p, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
@@ -214,6 +228,7 @@ func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sample
 	case err == nil && r.Status != http.StatusOK:
 		err = fmt.Errorf("status %d", r.Status)
 	}
+	judge(ctx, p, start, err == nil || err == errPeerMiss || err == errPeerFilling)
 	if err != nil {
 		return fetched{}, fmt.Errorf("peer fetch: %w", err)
 	}

@@ -341,7 +341,6 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 		if took := time.Since(start); err == nil || took > d+100*time.Millisecond {
 			t.Errorf("%s: %v after %v, want an error by its own %v deadline", name, err, took, d)
 		}
-		p.br.Record(err == nil)
 	}
 	// The data path sees a string of timeouts, each on time, and the
 	// peer's breaker opens.
@@ -351,7 +350,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 			return err
 		})
 	}
-	if st := n.Breakers()[healthy.URL]; st.State != resilience.Open {
+	if st := p.br.Stats(); st.State != resilience.Open {
 		t.Errorf("breaker after calls into a stuck peer = %v, want open", st.State)
 	}
 	timed("1 MiB batch", 200*time.Millisecond, func(ctx context.Context) error {

@@ -18,7 +18,7 @@ import (
 // mutex of the code that owns it.
 type peer struct {
 	id   uint64 // hintcache.HashMachine(host)
-	url  string // as given to AddPeer: the key Breakers reports
+	url  string // as given to AddPeer: the address its overlay entry carries
 	host string // dial address, outbound-fault target, hop and metric label
 	br   *resilience.Breaker
 
@@ -110,15 +110,4 @@ func (n *Node) peerList() []*peer {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
 	return n.peers
-}
-
-// Breakers snapshots every per-peer circuit breaker, keyed by peer base
-// URL.
-func (n *Node) Breakers() map[string]resilience.BreakerStats {
-	peers := n.peerList()
-	out := make(map[string]resilience.BreakerStats, len(peers))
-	for _, p := range peers {
-		out[p.url] = p.br.Stats()
-	}
-	return out
 }

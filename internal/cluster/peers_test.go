@@ -22,12 +22,8 @@ func TestAddPeerOneRecordPerAddress(t *testing.T) {
 		n.AddPeer(spellings[0])
 		n.AddPeer(spellings[1])
 
-		br := n.Breakers()
-		if _, ok := br[spellings[0]]; !ok || len(br) != 1 {
-			t.Errorf("Breakers() after AddPeer(%q), AddPeer(%q) = %v; want the first spelling alone", spellings[0], spellings[1], br)
-		}
-		if got := len(n.peerList()); got != 1 {
-			t.Errorf("%d peer records, want 1", got)
+		if ps := n.peerList(); len(ps) != 1 || ps[0].url != spellings[0] {
+			t.Errorf("%d peer records after AddPeer(%q), AddPeer(%q); want one, under the first spelling", len(ps), spellings[0], spellings[1])
 		}
 		expo, err := obs.ParseExposition(n.Metrics().String())
 		if err != nil {
@@ -142,7 +138,7 @@ func TestPeerTableConcurrent(t *testing.T) {
 			if remote == 0 {
 				t.Error("no fetch went REMOTE: nothing resolved a hint to a peer record")
 			}
-			if got := len(n.Breakers()); got != 4 {
+			if got := len(n.peerList()); got != 4 {
 				t.Errorf("%d peers after adding 2 + 2 addresses many times over, want 4", got)
 			}
 			if err := n.Close(); err != nil {

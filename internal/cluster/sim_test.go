@@ -510,11 +510,13 @@ func TestSimPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
 
 // startHedgeFleet starts a two-node fleet in the bubble with no periodic
 // round — the test derives node 0's hedge point itself, as each round
-// would — and node 1 holding urls, which node 0 knows of. Node 0's calls to
-// node 1 then pay spec, and node 0's breaker on node 1 never opens, so every
-// abandoned leg shows as a hedge, not as a breaker skip.
-func startHedgeFleet(originLatency time.Duration, spec string, urls []string) (*Fleet, error) {
-	cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour}
+// would — and node 1 holding urls, which node 0 knows of: at R = 0 from a
+// record of its own, at a replicas > 0 partition through node 1 as the hint
+// home of the objects node 1 owns. Node 0's calls to node 1 then pay spec,
+// and node 0's breaker on node 1 never opens, so every abandoned leg shows
+// as a hedge, not as a breaker skip.
+func startHedgeFleet(originLatency time.Duration, spec string, urls []string, replicas int) (*Fleet, error) {
+	cfg := FleetConfig{Nodes: 2, ObjectSize: 256, UpdateInterval: time.Hour, HintPartition: replicas > 0, HintReplicas: replicas}
 	f, err := startFleetOn(cfg, newMemNet().network())
 	if err != nil {
 		return nil, err
@@ -546,7 +548,7 @@ func TestSimHedgePointDerived(t *testing.T) {
 	const peerLatency, originLatency, warm = 30 * time.Millisecond, 100 * time.Millisecond, hedgeWindow + 4
 	synctest.Run(func() {
 		urls := urlsN("sim-derive", warm+1)
-		f, err := startHedgeFleet(originLatency, "latency="+peerLatency.String(), urls)
+		f, err := startHedgeFleet(originLatency, "latency="+peerLatency.String(), urls, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -593,7 +595,7 @@ func TestSimHedgePointDoesNotRatchetDown(t *testing.T) {
 	const windows, perWindow = 6, hedgeWindow + 4
 	synctest.Run(func() {
 		urls := urlsN("sim-ratchet", windows*perWindow)
-		f, err := startHedgeFleet(100*time.Millisecond, "latency=20ms,jitter=200ms", urls)
+		f, err := startHedgeFleet(100*time.Millisecond, "latency=20ms,jitter=200ms", urls, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -635,7 +637,7 @@ func TestSimShortAbandonJudgesNoBreaker(t *testing.T) {
 	const misses = 5
 	synctest.Run(func() {
 		urls := urlsN("sim-short", hedgeWindow+misses)
-		f, err := startHedgeFleet(time.Millisecond, "latency=1ms", urls)
+		f, err := startHedgeFleet(time.Millisecond, "latency=1ms", urls, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -660,8 +662,85 @@ func TestSimShortAbandonJudgesNoBreaker(t *testing.T) {
 				t.Errorf("fetch %s = %q in %v, %v; want MISS,HEDGE in 2.28ms", u, res.How, res.Elapsed, err)
 			}
 		}
-		if st := n.Breakers()[f.urls[1]]; st.State != resilience.Closed {
+		if st := peerOf(n, f.urls[1]).br.Stats(); st.State != resilience.Closed {
 			t.Errorf("breaker after %d abandons short of hedgeCold = %v, want closed", misses, st.State)
 		}
 	})
+}
+
+// TestSimEarlyAbandonedProbeFreesBreaker: node 0 measures its peer 1 ms
+// away (point 1.28 ms), its breaker on the peer is tripped by hand, and the
+// peer slows to 5 ms behind an origin 1 ms away. Once the cooldown has run,
+// the half-open probe — the transfer, or at R = 1 the consult of the peer
+// as the object's hint home — is abandoned at 2.28 ms, beaten by the
+// origin, and judges nobody. That must not lock a healthy peer out: healed
+// and one cooldown later, the next hinted miss is REMOTE and closes the
+// breaker.
+func TestSimEarlyAbandonedProbeFreesBreaker(t *testing.T) {
+	for _, tc := range []struct {
+		probe    string
+		replicas int
+	}{{"transfer", 0}, {"consult", 1}} {
+		t.Run(tc.probe, func(t *testing.T) {
+			synctest.Run(func() {
+				urls := urlsN("sim-probe", 4*(hedgeWindow+2))
+				f, err := startHedgeFleet(time.Millisecond, "latency=1ms", urls, tc.replicas)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer f.Close()
+				n, host := f.Nodes[0], hostPortOf(f.urls[1])
+				var probed []string // the URLs whose miss at node 0 asks node 1 by tc.probe
+				view := hintsOf(n).overlay.View()
+				for _, u := range urls {
+					if view.IsOwner(hintcache.HashURL(u), n.machineID) == (tc.replicas == 0) {
+						probed = append(probed, u)
+					}
+				}
+				if len(probed) < hedgeWindow+2 {
+					t.Errorf("%d of %d URLs reach node 1 by %s, want %d", len(probed), len(urls), tc.probe, hedgeWindow+2)
+					return
+				}
+				br := resilience.NewBreaker(resilience.BreakerConfig{})
+				peerOf(n, f.urls[1]).br = br
+				for _, u := range probed[:hedgeWindow] {
+					if res, err := f.Fetch(0, u); err != nil || res.How != "REMOTE" {
+						t.Errorf("warm fetch %s = %q, %v; want REMOTE", u, res.How, err)
+					}
+				}
+				if n.deriveHedge(); n.hedgeAt.Load() != int64(1280*time.Microsecond) {
+					t.Errorf("point %v, want 1.28ms", time.Duration(n.hedgeAt.Load()))
+				}
+				for br.Stats().State != resilience.Open {
+					br.Allow()
+					br.Record(false)
+				}
+				const cooldown = 5 * time.Second // the default
+				if err := f.SetFaultSpec(host + ":latency=5ms"); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(cooldown)
+				before := br.Stats()
+				if res, err := f.Fetch(0, probed[hedgeWindow]); err != nil || res.How != "MISS,HEDGE" || res.Elapsed != 2280*time.Microsecond {
+					t.Errorf("half-open probe = %q in %v, %v; want MISS,HEDGE in 2.28ms", res.How, res.Elapsed, err)
+				}
+				if st := br.Stats(); st.State != resilience.HalfOpen || st.Failures != before.Failures || st.Successes != before.Successes {
+					t.Errorf("breaker after an early abandon = %+v, want half-open with no verdict", st)
+				}
+				if err := f.SetFaultSpec(host + ":latency=1ms"); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(cooldown)
+				if res, err := f.Fetch(0, probed[hedgeWindow+1]); err != nil || res.How != "REMOTE" {
+					t.Errorf("fetch from the healed peer = %q, hops %v, %v; want REMOTE", res.How, res.Hops, err)
+				}
+				if st := br.Stats(); st.State != resilience.Closed {
+					t.Errorf("breaker after the healed peer's answer = %v, want closed", st.State)
+				}
+			})
+		})
+	}
 }

@@ -19,7 +19,7 @@ const (
 	Closed BreakerState = iota
 	// Open: requests are refused outright until the cooldown elapses.
 	Open
-	// HalfOpen: one probe at a time may test the target; its success
+	// HalfOpen: one probe per cooldown may test the target; its success
 	// closes the breaker, its failure reopens it.
 	HalfOpen
 )
@@ -49,8 +49,9 @@ type BreakerConfig struct {
 	// MinSamples is the fewest outcomes before the rate is trusted
 	// (<= 0 means 3).
 	MinSamples int
-	// Cooldown is how long an open breaker refuses before allowing
-	// half-open probes (<= 0 means 5s).
+	// Cooldown is how long an open breaker refuses before admitting a
+	// half-open probe, and how long after admitting one it admits the
+	// next (<= 0 means 5s).
 	Cooldown time.Duration
 
 	// now overrides the clock (tests).
@@ -96,9 +97,10 @@ type Breaker struct {
 	head   int
 	filled int
 
-	state    BreakerState
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
+	state BreakerState
+	// armedAt is when the cooldown last started: the trip, a failed
+	// probe, or a probe's admission.
+	armedAt time.Time
 
 	failures    int64
 	successes   int64
@@ -112,31 +114,25 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
 }
 
-// Allow reports whether an operation may proceed now. An open breaker
-// whose cooldown has elapsed moves to half-open and admits one probe at a
-// time; refusals are counted.
+// Allow reports whether an operation may proceed now. A closed breaker
+// admits every call. An open or half-open one refuses until its cooldown
+// has run, then admits one probe, moves to half-open and restarts the
+// cooldown from that instant: a probe that never reports holds the target
+// for one cooldown, not for good. Refusals are counted.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case Closed:
+	if b.state == Closed {
 		return true
-	case Open:
-		if b.cfg.now().Sub(b.openedAt) < b.cfg.Cooldown {
-			b.refusals++
-			return false
-		}
-		b.setState(HalfOpen)
-		b.probing = true
-		return true
-	default: // HalfOpen
-		if !b.probing {
-			b.probing = true
-			return true
-		}
+	}
+	now := b.cfg.now()
+	if now.Sub(b.armedAt) < b.cfg.Cooldown {
 		b.refusals++
 		return false
 	}
+	b.setState(HalfOpen)
+	b.armedAt = now
+	return true
 }
 
 // Record reports an operation's outcome. In the closed state failures
@@ -153,13 +149,12 @@ func (b *Breaker) Record(ok bool) {
 	}
 	switch b.state {
 	case HalfOpen:
-		b.probing = false
 		if ok {
 			b.setState(Closed)
 			b.resetWindow()
 		} else {
 			b.setState(Open)
-			b.openedAt = b.cfg.now()
+			b.armedAt = b.cfg.now()
 		}
 	case Open:
 		// A straggler from before the trip; the window restarts when
@@ -168,16 +163,9 @@ func (b *Breaker) Record(ok bool) {
 		b.push(!ok)
 		if b.filled >= b.cfg.MinSamples && b.rate() >= b.cfg.FailureThreshold {
 			b.setState(Open)
-			b.openedAt = b.cfg.now()
+			b.armedAt = b.cfg.now()
 		}
 	}
-}
-
-// State returns the breaker's current position without mutating it.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // Stats snapshots the breaker's counters.

@@ -38,14 +38,14 @@ func TestBreakerOpensOnFailureRate(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b := testBreaker(BreakerConfig{Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Second}, clk)
 
-	if b.State() != Closed || !b.Allow() {
+	if b.Stats().State != Closed || !b.Allow() {
 		t.Fatal("new breaker not closed/allowing")
 	}
 	b.Record(true)
 	b.Record(false)
 	// 1 failure in 2 samples = 0.5 >= threshold: open.
-	if b.State() != Open {
-		t.Fatalf("state after threshold = %v, want open", b.State())
+	if b.Stats().State != Open {
+		t.Fatalf("state after threshold = %v, want open", b.Stats().State)
 	}
 	if b.Allow() {
 		t.Error("open breaker allowed a request before cooldown")
@@ -61,30 +61,56 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	b := testBreaker(BreakerConfig{Window: 4, MinSamples: 2, Cooldown: time.Second}, clk)
 	b.Record(false)
 	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state = %v, want open", b.State())
+	if b.Stats().State != Open {
+		t.Fatalf("state = %v, want open", b.Stats().State)
 	}
 
 	clk.advance(1100 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed but probe refused")
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if b.Stats().State != HalfOpen {
+		t.Fatalf("state = %v, want half-open", b.Stats().State)
 	}
-	// Only one probe at a time.
+	// One probe per cooldown.
 	if b.Allow() {
-		t.Error("second concurrent half-open probe allowed")
+		t.Error("second half-open probe allowed within the cooldown")
 	}
 	// Probe succeeds: closed, with a fresh window (one failure must not
 	// re-open it).
 	b.Record(true)
-	if b.State() != Closed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
+	if b.Stats().State != Closed {
+		t.Fatalf("state after successful probe = %v, want closed", b.Stats().State)
 	}
 	b.Record(false)
-	if b.State() != Closed {
+	if b.Stats().State != Closed {
 		t.Error("single failure after recovery re-opened the breaker (window not reset)")
+	}
+}
+
+// TestBreakerUnreportedProbeHoldsOneCooldown: a half-open probe that never
+// reports — its caller abandoned it and gave no verdict — holds the target
+// for one cooldown from its admission, not for good: then the next probe is
+// admitted.
+func TestBreakerUnreportedProbeHoldsOneCooldown(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	b := testBreaker(BreakerConfig{MinSamples: 2, Cooldown: time.Second}, clk)
+	b.Record(false)
+	b.Record(false)
+	clk.advance(1100 * time.Millisecond)
+	if !b.Allow() {
+		t.Fatal("cooldown elapsed but probe refused")
+	}
+	clk.advance(900 * time.Millisecond)
+	if b.Allow() {
+		t.Error("a second probe admitted within one cooldown of the first's admission")
+	}
+	clk.advance(100 * time.Millisecond)
+	if !b.Allow() {
+		t.Fatalf("a probe refused one cooldown after an unreported probe's admission (state %v)", b.Stats().State)
+	}
+	if st := b.Stats(); st.State != HalfOpen || st.Refusals != 1 {
+		t.Errorf("stats = %+v, want half-open with one refusal", st)
 	}
 }
 
@@ -98,8 +124,8 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatal("probe refused")
 	}
 	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
+	if b.Stats().State != Open {
+		t.Fatalf("state after failed probe = %v, want open", b.Stats().State)
 	}
 	// The cooldown restarts from the failed probe.
 	clk.advance(500 * time.Millisecond)
@@ -114,8 +140,8 @@ func TestBreakerThresholdAboveOneNeverOpens(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b.Record(false)
 	}
-	if b.State() != Closed || !b.Allow() {
-		t.Errorf("breaker with threshold > 1 opened: %v", b.State())
+	if b.Stats().State != Closed || !b.Allow() {
+		t.Errorf("breaker with threshold > 1 opened: %v", b.Stats().State)
 	}
 }
 
