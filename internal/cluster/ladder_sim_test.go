@@ -5,6 +5,7 @@ package cluster_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -257,18 +258,27 @@ func TestSimLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The first failure names the host's GOMAXPROCS: no row may depend on
+	// it, and one that does shows as a row that moves on one host only.
+	fail := func(format string, args ...any) {
+		if !t.Failed() {
+			format = "at GOMAXPROCS %d: " + format
+			args = append([]any{runtime.GOMAXPROCS(0)}, args...)
+		}
+		t.Errorf(format, args...)
+	}
 	for _, r := range got {
 		old, ok := want[r.name]
 		switch {
 		case !ok:
-			t.Errorf("%s: not in the golden, now %s", r.name, r.value)
+			fail("%s: not in the golden, now %s", r.name, r.value)
 		case old != r.value:
-			t.Errorf("%s: golden %s, now %s", r.name, old, r.value)
+			fail("%s: golden %s, now %s", r.name, old, r.value)
 		}
 		delete(want, r.name)
 	}
 	for name, old := range want {
-		t.Errorf("%s: golden %s, no longer measured", name, old)
+		fail("%s: golden %s, no longer measured", name, old)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"beyondcache/internal/faults"
 	"beyondcache/internal/hintcache"
-	"beyondcache/internal/wire"
 )
 
 // rawOrigin is a bare TCP listener standing in for an origin: serve gets
@@ -185,93 +184,6 @@ func TestOriginStaleConnectionRetriedOnce(t *testing.T) {
 	}
 	if got := hangsUp.accepted.Load(); got != 3 {
 		t.Errorf("%d connections after a fresh one failed, want 3: no retry", got)
-	}
-}
-
-// stuckOriginAnswers are where an origin can get stuck, by name: what it
-// sends of its answer before it goes silent.
-var stuckOriginAnswers = map[string]string{
-	"before the status line": "",
-	"mid-header":             "HTTP/1.1 200 OK\r\n" + headerVersion + ": 1\r\nContent-Le",
-	"mid-body":               "HTTP/1.1 200 OK\r\n" + headerVersion + ": 1\r\nContent-Length: 100\r\n\r\nhalf",
-}
-
-// servesAfter answers an object call with "from the peer" after d, and any
-// other call at once with 204.
-func servesAfter(d time.Duration) func(wire.PeerHeader, []byte) (wire.PeerHeader, []byte) {
-	return func(h wire.PeerHeader, _ []byte) (wire.PeerHeader, []byte) {
-		if h.Op != wire.PeerObject {
-			return wire.PeerHeader{Status: http.StatusNoContent}, nil
-		}
-		time.Sleep(d)
-		return wire.PeerHeader{Status: http.StatusOK, A: 7}, []byte("from the peer")
-	}
-}
-
-// TestOriginStuckNeverOutlivesItsContext: the origin leg runs on the
-// goroutine that wants the object (or, hedged, on the hedge's), so it must
-// return the moment its context ends, wherever the origin has got stuck —
-// before the status line, mid-header, mid-body. A fetch whose originTimeout
-// lapses returns on time; a hedged fill whose peer wins leaves no origin leg
-// behind; either way the connection is closed, never pooled.
-func TestOriginStuckNeverOutlivesItsContext(t *testing.T) {
-	const timeout = 40 * time.Millisecond
-	for name, sent := range stuckOriginAnswers {
-		t.Run(name, func(t *testing.T) {
-			var stuck *rawOrigin
-			stuck = newRawOrigin(t, func(_ int64, c net.Conn, _ *bufio.Reader) {
-				io.WriteString(c, sent)
-				stuck.untilHangUp(c)
-			})
-			// The peer answers, but only after the hedge has started the
-			// origin leg.
-			const budget = 10 * time.Millisecond
-			peer := newStubPeer(t, servesAfter(3*budget))
-			shorten(t, &originTimeout, timeout)
-			shorten(t, &hedgeCold, budget)
-			n := newMetaNode(t, NodeConfig{Name: "waiter", OriginURL: stuck.url})
-			n.breakerCfg = noBreaker
-			n.AddPeer(peer.URL)
-
-			// The budget is the host's to keep as well: best of five.
-			var took time.Duration
-			for try := 0; try < 5; try++ {
-				start := time.Now()
-				_, err := n.fetchOrigin(context.Background(), "http://example.com/stuck")
-				took = time.Since(start)
-				if !errors.Is(err, context.DeadlineExceeded) || !strings.HasPrefix(err.Error(), "origin fetch: ") {
-					t.Fatalf("fetch from a stuck origin = %v, want origin fetch: deadline exceeded", err)
-				}
-				if took <= timeout+5*time.Millisecond {
-					break
-				}
-			}
-			if took > timeout+5*time.Millisecond {
-				t.Errorf("fetch took %v under a %v originTimeout: the stuck origin held it", took, timeout)
-			}
-			tries := stuck.accepted.Load()
-			waitFor(t, "the timed-out connections to be closed", func() bool { return stuck.hungUp.Load() == tries })
-
-			const url = "http://example.com/peer-wins"
-			h := hintcache.HashURL(url)
-			n.hints.ApplyBatch([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: h, Machine: hintcache.HashMachine(hostPortOf(peer.URL))}})
-			out := n.fill(h, url, "", false)
-			if out.err != nil || out.how != "REMOTE" || string(out.body) != "from the peer" {
-				t.Fatalf("hedged fill = %q, %q, %v; want REMOTE from the peer", out.how, out.body, out.err)
-			}
-			if st := n.Stats(); st.HedgesStarted != 1 || st.HedgePeerWins != 1 {
-				t.Fatalf("stats = %d hedges, %d peer wins; the origin leg never ran beside the peer's", st.HedgesStarted, st.HedgePeerWins)
-			}
-			// The abandoned leg is cut at once, not at its originTimeout.
-			cut := time.Now()
-			waitFor(t, "the abandoned origin leg's connection to be closed", func() bool { return stuck.hungUp.Load() == tries+1 })
-			if waited := time.Since(cut); waited > timeout/2 {
-				t.Errorf("the abandoned origin leg held its connection %v after the peer won", waited)
-			}
-			if got := idleOriginConns(n); got != 0 {
-				t.Errorf("%d connections pooled after cut-short answers, want none", got)
-			}
-		})
 	}
 }
 

@@ -789,104 +789,3 @@ func goroutinesSettle(t *testing.T, base int, when string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// TestPeerStuckPeerNeverSlowsHedgedMiss: the raced fill runs its peer leg on
-// the request's own goroutine, so "never slow a miss" holds only if that leg
-// returns as soon as the origin has won — wherever the peer has got stuck.
-// Against a peer that accepts the connection and never answers the upgrade,
-// one that never reads the request frame, and one that reads it and never
-// answers, a hedged miss costs the node's cold-start hedge point plus the
-// origin fetch and reports MISS,HEDGE with the peer abandoned. A peer call's
-// deadline is two seconds: a leg that sat out its deadline instead would be
-// off by a hundredfold.
-func TestPeerStuckPeerNeverSlowsHedgedMiss(t *testing.T) {
-	const budget = 15 * time.Millisecond
-	const originLatency = 20 * time.Millisecond
-	origin := NewOrigin(256)
-	origin.SetLatency(originLatency)
-	osrv := httptest.NewServer(origin.Handler())
-	t.Cleanup(osrv.Close)
-
-	// pipe installs, as the node's idle connection to the peer, one end of
-	// an in-process pipe whose other end is given to far.
-	pipe := func(t *testing.T, n *Node, peerURL string, far func(net.Conn)) {
-		near, other := net.Pipe()
-		t.Cleanup(func() { other.Close() })
-		go far(other)
-		putIdle(n, peerURL, near)
-	}
-	for name, stick := range map[string]func(t *testing.T, n *Node, peerURL string){
-		"upgrade answer never sent": func(*testing.T, *Node, string) {},
-		"request frame never read": func(t *testing.T, n *Node, peerURL string) {
-			pipe(t, n, peerURL, func(net.Conn) {})
-		},
-		"answer never sent": func(t *testing.T, n *Node, peerURL string) {
-			pipe(t, n, peerURL, func(c net.Conn) { io.Copy(io.Discard, c) })
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			shorten(t, &hedgeCold, budget)
-			n := newMetaNode(t, NodeConfig{Name: "hedger", OriginURL: osrv.URL})
-			n.breakerCfg = noBreaker
-			// The peer accepts connections and says nothing on them. Its
-			// cleanup (and a pipe's) runs before the node's Close, whose flush
-			// is then refused at once instead of waiting out three dials.
-			mute, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			accepted := make(chan net.Conn, 8) // one dial a try, three tries
-			go func() {
-				for {
-					c, err := mute.Accept()
-					if err != nil {
-						close(accepted)
-						return
-					}
-					accepted <- c
-				}
-			}()
-			t.Cleanup(func() {
-				mute.Close()
-				for c := range accepted {
-					c.Close()
-				}
-			})
-			peerURL := "http://" + mute.Addr().String()
-			n.AddPeer(peerURL)
-			fill := func(url string, hinted bool) (fetchOutcome, time.Duration) {
-				h := hintcache.HashURL(url)
-				if hinted {
-					n.hints.ApplyBatch([]hintcache.Update{{Action: hintcache.ActionInform, URLHash: h, Machine: hintcache.HashMachine(hostPortOf(peerURL))}})
-				}
-				start := time.Now()
-				out := n.fill(h, url, "", false)
-				return out, time.Since(start)
-			}
-			// The budget is the host's to keep as well as the node's: judged
-			// on the best of three tries, each beside its own direct fetch.
-			var took, limit time.Duration
-			for try := 0; try < 3; try++ {
-				direct, originTime := fill(fmt.Sprintf("http://example.com/direct/%d", try), false)
-				if direct.err != nil || direct.how != "MISS" {
-					t.Fatalf("direct fetch = %q, %v; want a plain MISS", direct.how, direct.err)
-				}
-				stick(t, n, peerURL)
-				var out fetchOutcome
-				out, took = fill(fmt.Sprintf("http://example.com/hedged/%d", try), true)
-				if out.err != nil || out.how != "MISS,HEDGE" || len(out.hops) == 0 || out.hops[0].Outcome != "PEER-ABANDON" {
-					t.Fatalf("hedged fetch = %q, hops %+v, %v; want MISS,HEDGE behind a PEER-ABANDON hop", out.how, out.hops, out.err)
-				}
-				if limit = budget + originTime + 5*time.Millisecond; took <= limit {
-					break
-				}
-			}
-			if took > limit {
-				t.Errorf("hedged miss took %v, want at most %v (budget + origin + 5ms): the stuck peer held the miss", took, limit)
-			}
-			if st := n.Stats(); st.HedgeOriginWins == 0 || st.RemoteHits != 0 {
-				t.Errorf("stats = %d origin wins, %d remote hits; want every hedged fill won by the origin", st.HedgeOriginWins, st.RemoteHits)
-			}
-		})
-	}
-}

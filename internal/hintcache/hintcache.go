@@ -6,16 +6,18 @@
 // hint cache can index two to three orders of magnitude more objects than
 // the data cache it sits next to.
 //
-// Two tables share the record and the set layout. Cache is the paper's: one
-// record per object, the nearest known copy, behind a Store; it is the
-// simulator's table, and Figures 4-5 are drawn from it. Two backing stores
-// are provided for it: an in-memory array (the common case, with lookups
-// measured in nanoseconds) and a file-backed array (for hint tables larger
-// than memory, with one pread per lookup, mirroring the paper's
-// memory-mapped file). Striped is the live table a cluster node runs: lock
-// striped for concurrent probes, and keeping an object's two most recent
-// holders, so that the newest copy going first does not leave the older one
-// invisible to the fleet.
+// Two tables share the record and the set layout: an object's set is its
+// mixed hash modulo the table's set count (setOf), so what a table holds
+// depends on its entries and ways alone. Cache is the paper's: one record per
+// object, the nearest known copy, behind a Store; it is the simulator's
+// table, and Figures 4-5 are drawn from it. Two backing stores are provided
+// for it: an in-memory array (the common case, with lookups measured in
+// nanoseconds) and a file-backed array (for hint tables larger than memory,
+// with one pread per lookup, mirroring the paper's memory-mapped file).
+// Striped is the live table a cluster node runs: lock striped for
+// concurrent probes, a stripe being a lock and nothing more, and keeping an
+// object's two most recent holders, so that the newest copy going first
+// does not leave the older one invisible to the fleet.
 package hintcache
 
 import (
@@ -117,12 +119,11 @@ func (c *Cache) Entries() int { return c.sets * c.ways }
 // SizeBytes returns the table size in bytes (entries x 16).
 func (c *Cache) SizeBytes() int64 { return int64(c.Entries()) * RecordSize }
 
-// setFor maps a URL hash to its set index.
-func (c *Cache) setFor(urlHash uint64) int {
-	// Mix before reducing: URL hashes are already MD5-derived, but the
-	// simulators also feed dense object IDs through this path.
-	h := urlHash * 0x9e3779b97f4a7c15
-	return int(h % uint64(c.sets))
+// setOf maps a URL hash to its set among sets, for Cache and Striped alike.
+// Mix before reducing: URL hashes are already MD5-derived, but the
+// simulators also feed dense object IDs through this path.
+func setOf(urlHash uint64, sets int) int {
+	return int(urlHash * 0x9e3779b97f4a7c15 % uint64(sets))
 }
 
 func normalizeHash(urlHash uint64) uint64 {
@@ -136,7 +137,7 @@ func normalizeHash(urlHash uint64) uint64 {
 func (c *Cache) Lookup(urlHash uint64) (machine uint64, ok bool) {
 	urlHash = normalizeHash(urlHash)
 	c.lookups++
-	idx := c.setFor(urlHash)
+	idx := setOf(urlHash, c.sets)
 	if err := c.store.ReadSet(idx, c.buf); err != nil {
 		return 0, false
 	}
@@ -162,7 +163,7 @@ func (c *Cache) Lookup(urlHash uint64) (machine uint64, ok bool) {
 // set is full.
 func (c *Cache) Insert(urlHash, machine uint64) error {
 	urlHash = normalizeHash(urlHash)
-	idx := c.setFor(urlHash)
+	idx := setOf(urlHash, c.sets)
 	if err := c.store.ReadSet(idx, c.buf); err != nil {
 		return fmt.Errorf("hint insert: %w", err)
 	}
@@ -204,7 +205,7 @@ func (c *Cache) Insert(urlHash, machine uint64) error {
 // destroyed by a stale invalidation.
 func (c *Cache) Delete(urlHash, machine uint64) bool {
 	urlHash = normalizeHash(urlHash)
-	idx := c.setFor(urlHash)
+	idx := setOf(urlHash, c.sets)
 	if err := c.store.ReadSet(idx, c.buf); err != nil {
 		return false
 	}

@@ -6,13 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Striped is a concurrency-safe k-way set-associative hint table: the entry
-// array is partitioned into stripes, each guarded by its own sync.RWMutex,
-// so hint probes on the fetch hot path never contend with hint-update
-// batches landing on other stripes. Slot 0 of a set is MRU, informs insert
-// and invalidates delete only on a machine match, as in Cache — but where
-// Cache keeps the paper's single nearest-copy record per object, a set here
-// keeps up to holdersPerObject records for one object, most recent first:
+// Striped is a concurrency-safe k-way set-associative hint table. Its sets
+// are the whole table's, as in Cache: an object's set is setOf(hash, sets),
+// whatever the lock count. Runs of consecutive sets share a stripe, one
+// sync.RWMutex, so hint probes on the fetch hot path never contend with
+// hint-update batches landing on other stripes; a stripe is a lock and
+// decides nothing about what the table holds. Slot 0 of a set is MRU, informs
+// insert and invalidates delete only on a machine match, as in Cache — but
+// where Cache keeps the paper's single nearest-copy record per object, a set
+// here keeps up to holdersPerObject records for one object, most recent first:
 // when the newest holder evicts, its machine-matched invalidate withdraws
 // its own record and the holder before it is still on record.
 //
@@ -20,10 +22,11 @@ import (
 // MRU promotion is needed (a repeat probe of the hottest record stays
 // read-only), so concurrent lookups of hot hints scale with GOMAXPROCS.
 type Striped struct {
+	recs    []Record // sets*ways, flat; set i occupies recs[i*ways : (i+1)*ways]
 	stripes []hintStripe
-	mask    uint64 // len(stripes)-1; stripe count is a power of two
+	shift   uint // set i is guarded by stripes[i>>shift]
 	ways    int
-	sets    int // sets per stripe
+	sets    int
 
 	lookups  atomic.Int64
 	hits     atomic.Int64
@@ -46,62 +49,48 @@ type Striped struct {
 // first; four were measured and bought nothing more (DESIGN.md §10).
 const holdersPerObject = 2
 
-// hintStripe is one independently locked slice of the table. live counts
-// its records, so walks skip an empty stripe and occupancy is a sum.
+// hintStripe locks one run of 1<<shift consecutive sets. live counts the
+// run's records, so walks skip an empty stripe and occupancy is a sum.
 type hintStripe struct {
 	mu   sync.RWMutex
-	recs []Record // sets*ways, flat; set i occupies recs[i*ways : (i+1)*ways]
 	live int
-	_    [16]byte
+	_    [32]byte
 }
 
-// NewStriped builds a striped hint table with at least the requested total
-// entry count and associativity, spread over the given stripe count
-// (rounded up to a power of two; <= 0 picks a default sized to GOMAXPROCS).
-// Capacity is rounded up to a whole number of sets per stripe.
+// NewStriped builds a striped hint table of ceil(entries/ways) sets of the
+// given associativity: the sets, and so what the table holds, depend on
+// entries and ways alone. stripes only sets how many locks guard them (<= 0
+// picks a default sized to GOMAXPROCS): at least that many, rounded to whole
+// power-of-two runs of sets, and never more than there are sets.
 func NewStriped(entries, ways, stripes int) *Striped {
-	if ways < 1 {
-		ways = 1
-	}
+	ways = max(ways, 1)
+	sets := max((entries+ways-1)/ways, 1)
 	if stripes <= 0 {
-		stripes = 4 * runtime.GOMAXPROCS(0)
-		if stripes < 16 {
-			stripes = 16
-		}
+		stripes = max(16, 4*runtime.GOMAXPROCS(0))
 	}
-	n := 1
-	for n < stripes {
-		n <<= 1
+	shift := uint(0)
+	for sets>>(shift+1) >= stripes {
+		shift++
 	}
-	if entries < n*ways {
-		entries = n * ways
-	}
-	perStripe := (entries + n - 1) / n
-	sets := (perStripe + ways - 1) / ways
-	s := &Striped{
-		stripes: make([]hintStripe, n),
-		mask:    uint64(n - 1),
+	return &Striped{
+		recs:    make([]Record, sets*ways),
+		stripes: make([]hintStripe, (sets-1)>>shift+1),
+		shift:   shift,
 		ways:    ways,
 		sets:    sets,
 	}
-	for i := range s.stripes {
-		s.stripes[i].recs = make([]Record, sets*ways)
-	}
-	return s
 }
 
 // Entries returns the total slot count.
-func (s *Striped) Entries() int { return len(s.stripes) * s.sets * s.ways }
+func (s *Striped) Entries() int { return len(s.recs) }
 
 // SizeBytes returns the table size in bytes (entries x 16).
 func (s *Striped) SizeBytes() int64 { return int64(s.Entries()) * RecordSize }
 
-// locate maps a URL hash to its stripe and the base index of its set. The
-// stripe comes from the high mixed bits and the set from the low ones, so
-// the two reductions stay decorrelated.
+// locate maps a URL hash to its set's stripe and the set's base index.
 func (s *Striped) locate(urlHash uint64) (*hintStripe, int) {
-	mixed := urlHash * 0x9e3779b97f4a7c15
-	return &s.stripes[(mixed>>48)&s.mask], int(mixed%uint64(s.sets)) * s.ways
+	set := setOf(urlHash, s.sets)
+	return &s.stripes[set>>s.shift], set * s.ways
 }
 
 // Lookup returns the most recently recorded holder of the object.
@@ -118,7 +107,7 @@ func (s *Striped) LookupExcept(urlHash, except uint64) (machine uint64, ok bool)
 	st, base := s.locate(urlHash)
 
 	st.mu.RLock()
-	set := st.recs[base : base+s.ways]
+	set := s.recs[base : base+s.ways]
 	pos := -1
 	for i, r := range set {
 		if r.URLHash == urlHash && r.Machine != except {
@@ -138,7 +127,7 @@ func (s *Striped) LookupExcept(urlHash, except uint64) (machine uint64, ok bool)
 		// are advisory, and a just-deleted hint merely costs the caller
 		// the usual false-positive fallback.
 		st.mu.Lock()
-		set = st.recs[base : base+s.ways]
+		set = s.recs[base : base+s.ways]
 		for i, r := range set {
 			if r.URLHash == urlHash && r.Machine == machine {
 				copy(set[1:i+1], set[:i])
@@ -186,7 +175,7 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 	s.inserts.Add(1)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	set := st.recs[base : base+s.ways]
+	set := s.recs[base : base+s.ways]
 	// same: this (object, machine)'s record; oldest: the object's least
 	// recent record, held counting them; free: the first empty slot.
 	same, oldest, held, free := -1, -1, 0, -1
@@ -251,7 +240,7 @@ func (s *Striped) Delete(urlHash, machine uint64) bool {
 	st, base := s.locate(urlHash)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	set := st.recs[base : base+s.ways]
+	set := s.recs[base : base+s.ways]
 	kept := 0
 	for i, r := range set {
 		if r.URLHash == urlHash && (machine == 0 || r.Machine == machine) {
@@ -313,17 +302,19 @@ func (s *Striped) Occupied() int {
 	return total
 }
 
-// Range calls fn for every live record, stripe by stripe under each
-// stripe's read lock, stopping early when fn returns false. A stripe is
-// walked only as far as its last live record, so an empty table costs one
-// lock per stripe. fn must not call back into the table (it would deadlock
-// on the stripe lock); the iteration is not a cross-stripe atomic snapshot.
+// Range calls fn for every live record in set order, and within a set from
+// MRU to LRU, stopping early when fn returns false. Each stripe's run of
+// sets is walked under its read lock, and only as far as its last live
+// record, so an empty table costs one lock per stripe. fn must not call back
+// into the table (it would deadlock on the stripe lock); the iteration is
+// not a cross-stripe atomic snapshot.
 func (s *Striped) Range(fn func(Record) bool) {
+	run := s.ways << s.shift
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		for j, left := 0, st.live; left > 0; j++ {
-			r := st.recs[j]
+		for j, left := i*run, st.live; left > 0; j++ {
+			r := s.recs[j]
 			if r.URLHash == invalidHash {
 				continue
 			}

@@ -1,6 +1,9 @@
 package hintcache
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -116,6 +119,74 @@ func TestStripedSizing(t *testing.T) {
 	}
 }
 
+// TestStripedContentsIgnoreStripeCount: a stripe is a lock, not a layout.
+// One seeded sequence of informs, invalidates and probes, over four times
+// as many objects as the table has slots so that sets overflow, leaves
+// tables built with any stripe count — given, or the default under
+// GOMAXPROCS 1 and 64 — with the same size, the same records, visited by
+// Range in the same order, and the same counters.
+func TestStripedContentsIgnoreStripeCount(t *testing.T) {
+	const entries, ways = 1000, 4 // 250 sets: no multiple of a stripe count
+	us := randomUpdates(20000, 4*entries, 6, 46)
+	type table struct {
+		name    string
+		stripes int
+		procs   int // GOMAXPROCS while the table is built; 0 leaves it
+	}
+	build := func(stripes, procs int) *Striped {
+		if procs > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		}
+		return NewStriped(entries, ways, stripes)
+	}
+	sorted := func(recs []Record) []Record {
+		recs = slices.Clone(recs)
+		slices.SortFunc(recs, func(a, b Record) int {
+			if c := cmp.Compare(a.URLHash, b.URLHash); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Machine, b.Machine)
+		})
+		return recs
+	}
+	var first []Record
+	var firstStats Stats
+	for i, tb := range []table{
+		{"stripes=1", 1, 0}, {"stripes=2", 2, 0}, {"stripes=16", 16, 0}, {"stripes=64", 64, 0},
+		{"default, GOMAXPROCS=1", 0, 1}, {"default, GOMAXPROCS=64", 0, 64},
+	} {
+		s := build(tb.stripes, tb.procs)
+		for j, u := range us {
+			if err := s.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+			if j%3 == 0 {
+				s.LookupExcept(us[(j*7)%len(us)].URLHash, u.Machine)
+			}
+		}
+		if s.Entries() != entries {
+			t.Errorf("%s: Entries = %d, want %d", tb.name, s.Entries(), entries)
+		}
+		var recs []Record
+		s.Range(func(r Record) bool { recs = append(recs, r); return true })
+		if i == 0 {
+			first, firstStats = recs, s.Stats()
+			if firstStats.Conflicts == 0 {
+				t.Fatal("no set overflowed: the sequence does not tell layouts apart")
+			}
+			continue
+		}
+		if !slices.Equal(sorted(recs), sorted(first)) {
+			t.Errorf("%s (%d stripes): holds %d records, not the %d that stripes=1 holds", tb.name, len(s.stripes), len(recs), len(first))
+		} else if !slices.Equal(recs, first) {
+			t.Errorf("%s (%d stripes): Range visits the records in another order than stripes=1", tb.name, len(s.stripes))
+		}
+		if st := s.Stats(); st != firstStats {
+			t.Errorf("%s (%d stripes): stats %+v, want stripes=1's %+v", tb.name, len(s.stripes), st, firstStats)
+		}
+	}
+}
+
 // TestStripedConcurrentProbesAndUpdates is the -race workout the tentpole
 // demands: lookups racing inserts and deletes over overlapping keys.
 func TestStripedConcurrentProbesAndUpdates(t *testing.T) {
@@ -157,11 +228,9 @@ func TestStripedConcurrentProbesAndUpdates(t *testing.T) {
 func checkLiveCounts(t *testing.T, s *Striped) {
 	t.Helper()
 	scanned, ranged := 0, 0
-	for i := range s.stripes {
-		for _, r := range s.stripes[i].recs {
-			if r.URLHash != invalidHash {
-				scanned++
-			}
+	for _, r := range s.recs {
+		if r.URLHash != invalidHash {
+			scanned++
 		}
 	}
 	s.Range(func(Record) bool { ranged++; return true })
