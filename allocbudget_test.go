@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"beyondcache/internal/cluster"
+	"beyondcache/internal/trace"
 )
 
 // hitPathAllocBudget and hitPathBytesBudget are what the handler may
@@ -141,10 +142,21 @@ func TestHomeServedFillAllocBudget(t *testing.T) {
 	}
 	defer f.Close()
 	f.FlushAll() // membership: every node sees the other two
-	var reqs []*http.Request
+	// The set-up is bounded in time, not in tries: a breaker that opens on
+	// a stall of the box refuses node 0's consults for its cooldown (the
+	// default 5 s), which a count of tries burns through in milliseconds.
+	// Each skip waits the cooldown out.
+	const setupBudget, breakerCooldown = time.Minute, 5 * time.Second
+	var (
+		reqs []*http.Request
+		last cluster.FetchResult
+	)
+	deadline := time.Now().Add(setupBudget)
 	for i := 0; len(reqs) < objects; i++ {
-		if i == 20*objects {
-			t.Fatalf("%d of %d objects came back REMOTE from their home", len(reqs), i)
+		if time.Now().After(deadline) {
+			st := f.Nodes[0].Stats()
+			t.Fatalf("%d of %d objects came back REMOTE from their home in %v; node 0: %d breaker skips, %d hedges, %d hint-home errors; last fetch %s, hops %+v",
+				len(reqs), i, setupBudget, st.BreakerSkips, st.HedgesStarted, st.HintHomeErrors, last.How, last.Hops)
 		}
 		url := fmt.Sprintf("http://example.com/home/%d", i)
 		for _, at := range []int{1, 2} {
@@ -155,12 +167,18 @@ func TestHomeServedFillAllocBudget(t *testing.T) {
 		// No round has run: an owner of the object goes to the origin, or to
 		// a holder a consult of nodes 1 and 2 recorded at it; a non-owner's
 		// consult finds a home holding the object.
-		consults := f.Nodes[0].Stats().HintHomeHits
+		before := f.Nodes[0].Stats()
 		res, err := f.Fetch(0, url)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Remote() || f.Nodes[0].Stats().HintHomeHits == consults {
+		last = res
+		after := f.Nodes[0].Stats()
+		if after.BreakerSkips != before.BreakerSkips {
+			t.Logf("object %d: node 0's breaker skipped a peer (%s, hops %+v); waiting out its cooldown", i, res.How, res.Hops)
+			time.Sleep(breakerCooldown)
+		}
+		if !res.Remote() || after.HintHomeHits == before.HintHomeHits {
 			continue
 		}
 		if err := f.Purge(0, url); err != nil {
@@ -266,7 +284,7 @@ func TestFrontDoorHitAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	const url = "http://example.com/frontdoor/hit"
+	url := trace.ObjectURL(78976) // as long as the URLs bench sends
 	if _, err := f.Fetch(0, url); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,10 @@ import (
 // The simulators are seeded and must stay deterministic: the same
 // seed/scale yields byte-identical Render() output run after run, whether
 // experiments execute serially or concurrently (the -parallel path). This
-// guards the sharded concurrency layer in internal/cache and
-// internal/hintcache against nondeterminism leaking into the simulators,
-// which deliberately keep using the single-threaded structures.
+// guards the simulators against nondeterminism leaking in from the
+// concurrent structures: their object caches are the single-threaded
+// cache.LRU, and their bounded hint table is the node's hintcache.Striped,
+// whose records do not depend on its stripe count.
 
 // determinismIDs is a cheap cross-section: trace-driven simulation, hint
 // tables, ICP extension, and workload characterization.

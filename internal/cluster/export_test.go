@@ -17,6 +17,10 @@ func StartMemFleet(cfg FleetConfig) (f *Fleet, wired func() int64, err error) {
 	return f, m.wired.Load, err
 }
 
+// HintEntries is the size of every node's hint table, 4-way, for the
+// oracle's simulator to bound its own by.
+const HintEntries = hintEntries
+
 // UpdateGolden is the -update flag, for the external tests' goldens.
 var UpdateGolden = updateGolden
 

@@ -323,7 +323,7 @@ func (n *Node) servePeer(uc *upConn) {
 			return
 		}
 		if h.Op == wire.PeerObject {
-			h.B = hintcache.HashURL(string(body)) // all the call needs of its URL
+			h.B = hintcache.HashURL(body) // all the call needs of its URL
 		}
 		var d faults.Decision
 		if n.inboundInj != nil {

@@ -301,6 +301,9 @@ func judge(t *testing.T, sched *loadgen.Schedule, nodes int) []verdict {
 		Topology: sim.Topology{NumL1: nodes, ClientsPerL1: 256, L1PerL2: nodes},
 		Model:    netmodel.NewTestbed(),
 		Pusher:   o,
+		// The node's table: what the simulator forgets, a node forgets.
+		HintEntries: cluster.HintEntries,
+		HintWays:    4,
 	})
 	if err != nil {
 		t.Fatal(err)

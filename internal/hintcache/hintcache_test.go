@@ -1,95 +1,9 @@
 package hintcache
 
 import (
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
-
-func TestInsertLookup(t *testing.T) {
-	c := NewMem(1024, 4)
-	if err := c.Insert(42, 7); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := c.Lookup(42)
-	if !ok || m != 7 {
-		t.Fatalf("Lookup(42) = (%d, %v), want (7, true)", m, ok)
-	}
-	if _, ok := c.Lookup(43); ok {
-		t.Error("Lookup(43) hit on absent key")
-	}
-}
-
-func TestInsertReplacesSameKey(t *testing.T) {
-	c := NewMem(1024, 4)
-	c.Insert(42, 7)
-	c.Insert(42, 9)
-	m, _ := c.Lookup(42)
-	if m != 9 {
-		t.Errorf("machine = %d, want 9 after replace", m)
-	}
-	// Replacement must not consume a second slot.
-	s := c.Stats()
-	if s.Evictions != 0 {
-		t.Errorf("evictions = %d, want 0", s.Evictions)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	c := NewMem(1024, 4)
-	c.Insert(42, 7)
-	if !c.Delete(42, 7) {
-		t.Error("Delete with matching machine failed")
-	}
-	if _, ok := c.Lookup(42); ok {
-		t.Error("record survived delete")
-	}
-
-	c.Insert(42, 8)
-	if c.Delete(42, 9) {
-		t.Error("Delete with mismatched machine succeeded")
-	}
-	if _, ok := c.Lookup(42); !ok {
-		t.Error("mismatched delete destroyed a fresher hint")
-	}
-	if !c.Delete(42, 0) {
-		t.Error("unconditional delete (machine 0) failed")
-	}
-	if c.Delete(42, 0) {
-		t.Error("delete of absent record reported success")
-	}
-}
-
-func TestSetAssociativeEviction(t *testing.T) {
-	// One set of 2 ways: the third distinct key must evict the set LRU.
-	c := NewMem(2, 2)
-	c.Insert(1, 10)
-	c.Insert(2, 20)
-	c.Lookup(1) // promote 1; 2 becomes LRU
-	c.Insert(3, 30)
-	if _, ok := c.Lookup(2); ok {
-		t.Error("set-LRU record 2 survived eviction")
-	}
-	if _, ok := c.Lookup(1); !ok {
-		t.Error("MRU record 1 was evicted")
-	}
-	if _, ok := c.Lookup(3); !ok {
-		t.Error("new record 3 missing")
-	}
-	if c.Stats().Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", c.Stats().Evictions)
-	}
-}
-
-func TestZeroHashNormalized(t *testing.T) {
-	c := NewMem(64, 4)
-	if err := c.Insert(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := c.Lookup(0); !ok || m != 5 {
-		t.Errorf("zero-hash lookup = (%d, %v)", m, ok)
-	}
-}
 
 func TestHashURLProperties(t *testing.T) {
 	a := HashURL("http://example.com/a")
@@ -106,10 +20,35 @@ func TestHashURLProperties(t *testing.T) {
 	if HashMachine("10.0.0.1:3128") == 0 {
 		t.Error("HashMachine produced zero")
 	}
+	// The value is the MD5 prefix whatever the URL's length or form: on
+	// the stack, past it, and as bytes.
+	for _, url := range []string{"", "http://server-1234.example.com/obj/78976", string(make([]byte, urlStack+1))} {
+		if got, want := HashURL([]byte(url)), HashURL(url); got != want {
+			t.Errorf("HashURL of %d bytes: %#x as bytes, %#x as a string", len(url), got, want)
+		}
+	}
+	if got := HashURL("http://server-1234.example.com/obj/78976"); got != 0x6241c5087c52d53c {
+		t.Errorf("HashURL = %#x, want the MD5 prefix 0x6241c5087c52d53c", got)
+	}
+}
+
+// TestHashURLAllocatesNothing: the node hashes every fetched, purged and
+// peer-served URL. One as long as trace.ObjectURL's, past the 32 bytes a
+// plain []byte(url) conversion keeps on the stack, costs no allocation,
+// held as a string or as the bytes a peer call reads.
+func TestHashURLAllocatesNothing(t *testing.T) {
+	url := "http://server-1234.example.com/obj/78976"
+	body := []byte(url)
+	if n := testing.AllocsPerRun(100, func() { HashURL(url) }); n != 0 {
+		t.Errorf("HashURL(string) = %.0f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { HashURL(body) }); n != 0 {
+		t.Errorf("HashURL([]byte) = %.0f allocs/op, want 0", n)
+	}
 }
 
 func TestEntriesRounding(t *testing.T) {
-	c := NewMem(10, 4) // rounds up to 12 entries (3 sets x 4 ways)
+	c := NewStriped(10, 4, 1) // rounds up to 12 entries (3 sets x 4 ways)
 	if c.Entries() != 12 {
 		t.Errorf("Entries = %d, want 12", c.Entries())
 	}
@@ -124,87 +63,6 @@ func TestEntriesRounding(t *testing.T) {
 	}
 }
 
-func TestFileStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hints.dat")
-	fs, err := NewFileStore(path, 256, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(fs)
-	defer c.Close()
-
-	for i := uint64(1); i <= 100; i++ {
-		if err := c.Insert(i, i*10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	misses := 0
-	for i := uint64(1); i <= 100; i++ {
-		m, ok := c.Lookup(i)
-		if ok && m != i*10 {
-			t.Fatalf("Lookup(%d) = %d, want %d", i, m, i*10)
-		}
-		if !ok {
-			misses++
-		}
-	}
-	// 100 inserts into 256 slots: a few conflict evictions are possible,
-	// but most records must survive.
-	if misses > 20 {
-		t.Errorf("%d misses out of 100, too many for a 256-entry table", misses)
-	}
-}
-
-func TestMemAndFileStoreAgree(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hints.dat")
-	fs, err := NewFileStore(path, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMem(64, 4)
-	fc := New(fs)
-	defer fc.Close()
-
-	ops := []struct {
-		url, machine uint64
-		del          bool
-	}{
-		{1, 10, false}, {2, 20, false}, {3, 30, false},
-		{1, 11, false}, {2, 0, true}, {4, 40, false},
-		{99, 5, false}, {3, 30, true},
-	}
-	for _, op := range ops {
-		if op.del {
-			mc.Delete(op.url, op.machine)
-			fc.Delete(op.url, op.machine)
-		} else {
-			mc.Insert(op.url, op.machine)
-			fc.Insert(op.url, op.machine)
-		}
-	}
-	for u := uint64(0); u < 120; u++ {
-		m1, ok1 := mc.Lookup(u)
-		m2, ok2 := fc.Lookup(u)
-		if m1 != m2 || ok1 != ok2 {
-			t.Errorf("stores disagree on %d: mem=(%d,%v) file=(%d,%v)", u, m1, ok1, m2, ok2)
-		}
-	}
-}
-
-func TestStoreBoundsChecked(t *testing.T) {
-	m := NewMemStore(16, 4)
-	dst := make([]Record, 4)
-	if err := m.ReadSet(-1, dst); err == nil {
-		t.Error("ReadSet(-1) accepted")
-	}
-	if err := m.ReadSet(m.Sets(), dst); err == nil {
-		t.Error("ReadSet(Sets()) accepted")
-	}
-	if err := m.WriteSet(-1, dst); err == nil {
-		t.Error("WriteSet(-1) accepted")
-	}
-}
-
 // TestLookupAfterInsertQuick: any inserted record is immediately findable
 // (inserts are never silently dropped), for arbitrary key/machine pairs and
 // table shapes.
@@ -212,7 +70,7 @@ func TestLookupAfterInsertQuick(t *testing.T) {
 	f := func(url, machine uint64, entriesRaw uint8, waysRaw uint8) bool {
 		entries := int(entriesRaw)%512 + 1
 		ways := int(waysRaw)%8 + 1
-		c := NewMem(entries, ways)
+		c := NewStriped(entries, ways, 1)
 		if machine == 0 {
 			machine = 1
 		}
@@ -228,28 +86,28 @@ func TestLookupAfterInsertQuick(t *testing.T) {
 }
 
 // TestSetNeverOverflowsQuick: after arbitrary operation sequences every set
-// holds at most `ways` valid records and no duplicated keys.
+// holds no (object, machine) pair twice and no object more than
+// holdersPerObject times.
 func TestSetNeverOverflowsQuick(t *testing.T) {
 	f := func(keys []uint16) bool {
-		c := NewMem(64, 4)
+		c := NewStriped(64, 4, 1)
 		for _, k := range keys {
-			c.Insert(uint64(k%200), uint64(k)+1)
+			c.Insert(uint64(k%200), uint64(k%3)+1)
 		}
-		ms := c.store.(*MemStore)
-		dst := make([]Record, 4)
-		for s := 0; s < ms.Sets(); s++ {
-			if err := ms.ReadSet(s, dst); err != nil {
-				return false
-			}
-			seen := map[uint64]bool{}
-			for _, r := range dst {
+		for base := 0; base < len(c.recs); base += c.ways {
+			held := map[uint64]int{}
+			pairs := map[Record]bool{}
+			for _, r := range c.recs[base : base+c.ways] {
 				if r.URLHash == invalidHash {
 					continue
 				}
-				if seen[r.URLHash] {
-					return false // duplicate key within a set
+				if pairs[r] {
+					return false // one holder recorded twice
 				}
-				seen[r.URLHash] = true
+				pairs[r] = true
+				if held[r.URLHash]++; held[r.URLHash] > holdersPerObject {
+					return false
+				}
 			}
 		}
 		return true

@@ -1,22 +1,23 @@
 package hintcache
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // Striped is a concurrency-safe k-way set-associative hint table. Its sets
-// are the whole table's, as in Cache: an object's set is setOf(hash, sets),
-// whatever the lock count. Runs of consecutive sets share a stripe, one
-// sync.RWMutex, so hint probes on the fetch hot path never contend with
-// hint-update batches landing on other stripes; a stripe is a lock and
-// decides nothing about what the table holds. Slot 0 of a set is MRU, informs
-// insert and invalidates delete only on a machine match, as in Cache — but
-// where Cache keeps the paper's single nearest-copy record per object, a set
-// here keeps up to holdersPerObject records for one object, most recent first:
-// when the newest holder evicts, its machine-matched invalidate withdraws
-// its own record and the holder before it is still on record.
+// are the whole table's: an object's set is setOf(hash, sets), whatever the
+// lock count. Runs of consecutive sets share a stripe, one sync.RWMutex, so
+// hint probes on the fetch hot path never contend with hint-update batches
+// landing on other stripes; a stripe is a lock and decides nothing about
+// what the table holds. Slot 0 of a set is MRU, and informs insert and
+// invalidates delete only on a machine match. Where the paper keeps a single
+// nearest-copy record per object, a set here keeps up to holdersPerObject
+// records for one object, most recent first: when the newest holder evicts,
+// its machine-matched invalidate withdraws its own record and the holder
+// before it is still on record.
 //
 // Probes take a stripe in read mode and upgrade to write mode only when an
 // MRU promotion is needed (a repeat probe of the hottest record stays
@@ -107,13 +108,9 @@ func (s *Striped) LookupExcept(urlHash, except uint64) (machine uint64, ok bool)
 	st, base := s.locate(urlHash)
 
 	st.mu.RLock()
-	set := s.recs[base : base+s.ways]
-	pos := -1
-	for i, r := range set {
-		if r.URLHash == urlHash && r.Machine != except {
-			machine, pos = r.Machine, i
-			break
-		}
+	pos := mostRecent(s.recs[base:base+s.ways], urlHash, except)
+	if pos >= 0 {
+		machine = s.recs[base+pos].Machine
 	}
 	st.mu.RUnlock()
 	if pos < 0 {
@@ -127,14 +124,7 @@ func (s *Striped) LookupExcept(urlHash, except uint64) (machine uint64, ok bool)
 		// are advisory, and a just-deleted hint merely costs the caller
 		// the usual false-positive fallback.
 		st.mu.Lock()
-		set = s.recs[base : base+s.ways]
-		for i, r := range set {
-			if r.URLHash == urlHash && r.Machine == machine {
-				copy(set[1:i+1], set[:i])
-				set[0] = r
-				break
-			}
-		}
+		promote(s.recs[base:base+s.ways], urlHash, machine)
 		st.mu.Unlock()
 	}
 	return machine, true
@@ -162,10 +152,8 @@ func (s *Striped) admit(urlHash uint64) bool {
 	return false
 }
 
-// Insert records that machine holds a copy of the object, at MRU. A record
-// for the same (object, machine) is replaced; an object already holding
-// holdersPerObject records loses its oldest; otherwise the record takes a
-// free slot or, in a full set, the slot victim picks.
+// Insert records that machine holds a copy of the object, at MRU, by
+// place's rule.
 func (s *Striped) Insert(urlHash, machine uint64) error {
 	urlHash = normalizeHash(urlHash)
 	if !s.admit(urlHash) {
@@ -175,7 +163,68 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 	s.inserts.Add(1)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	set := s.recs[base : base+s.ways]
+	took, evicted := place(s.recs[base:base+s.ways], urlHash, machine)
+	if took {
+		st.live++
+	}
+	if evicted {
+		s.evicts.Add(1)
+		s.conflict.Add(1)
+	}
+	return nil
+}
+
+// Delete removes the object's record naming machine, or every record the
+// object has when machine is 0, and reports whether any was removed. A
+// machine that matches none leaves the records in place: a stale
+// invalidation must not destroy another holder's hint.
+func (s *Striped) Delete(urlHash, machine uint64) bool {
+	urlHash = normalizeHash(urlHash)
+	st, base := s.locate(urlHash)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	removed := withdraw(s.recs[base:base+s.ways], urlHash, machine)
+	if removed == 0 {
+		return false
+	}
+	st.live -= removed
+	s.deletes.Add(int64(removed))
+	return true
+}
+
+// The set rules below act on one set's records, slot 0 the most recent,
+// and are the whole of what a table decides; Striped adds only the locks
+// and counters around them. A caller normalizes urlHash first.
+
+// mostRecent returns the slot of the object's most recent record that does
+// not name except, or -1.
+func mostRecent(set []Record, urlHash, except uint64) int {
+	for i, r := range set {
+		if r.URLHash == urlHash && r.Machine != except {
+			return i
+		}
+	}
+	return -1
+}
+
+// promote moves the object's record naming machine, if the set still has
+// it, to slot 0.
+func promote(set []Record, urlHash, machine uint64) {
+	for i, r := range set {
+		if r.URLHash == urlHash && r.Machine == machine {
+			copy(set[1:i+1], set[:i])
+			set[0] = r
+			return
+		}
+	}
+}
+
+// place records that machine holds the object, at slot 0. A record for
+// the same (object, machine) is replaced; an object already holding
+// holdersPerObject records loses its oldest; otherwise the record takes a
+// free slot (took) or, in a full set, the slot victim picks (evicted when
+// that slot held another object's record).
+func place(set []Record, urlHash, machine uint64) (took, evicted bool) {
 	// same: this (object, machine)'s record; oldest: the object's least
 	// recent record, held counting them; free: the first empty slot.
 	same, oldest, held, free := -1, -1, 0, -1
@@ -198,18 +247,14 @@ func (s *Striped) Insert(urlHash, machine uint64) error {
 	case held == holdersPerObject:
 		pos = oldest
 	case free >= 0:
-		pos = free
-		st.live++
+		pos, took = free, true
 	default:
 		pos = victim(set, oldest)
-		if set[pos].URLHash != urlHash {
-			s.evicts.Add(1)
-			s.conflict.Add(1)
-		}
+		evicted = set[pos].URLHash != urlHash
 	}
 	copy(set[1:pos+1], set[:pos])
 	set[0] = Record{URLHash: urlHash, Machine: machine}
-	return nil
+	return took, evicted
 }
 
 // victim picks the slot a full set gives up to a record it has no room for:
@@ -231,16 +276,10 @@ func victim(set []Record, own int) int {
 	return len(set) - 1
 }
 
-// Delete removes the object's record naming machine, or every record the
-// object has when machine is 0, and reports whether any was removed. A
-// machine that matches none leaves the records in place: a stale
-// invalidation must not destroy another holder's hint.
-func (s *Striped) Delete(urlHash, machine uint64) bool {
-	urlHash = normalizeHash(urlHash)
-	st, base := s.locate(urlHash)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	set := s.recs[base : base+s.ways]
+// withdraw removes the object's record naming machine, or all of its
+// records when machine is 0, closing the gap toward slot 0, and returns how
+// many went.
+func withdraw(set []Record, urlHash, machine uint64) int {
 	kept := 0
 	for i, r := range set {
 		if r.URLHash == urlHash && (machine == 0 || r.Machine == machine) {
@@ -251,14 +290,8 @@ func (s *Striped) Delete(urlHash, machine uint64) bool {
 		}
 		kept++
 	}
-	removed := len(set) - kept
-	if removed == 0 {
-		return false
-	}
 	clear(set[kept:])
-	st.live -= removed
-	s.deletes.Add(int64(removed))
-	return true
+	return len(set) - kept
 }
 
 // Apply folds an update into the table: informs insert, invalidates delete
@@ -271,7 +304,7 @@ func (s *Striped) Apply(u Update) error {
 		s.Delete(u.URLHash, u.Machine)
 		return nil
 	default:
-		return applyUnknown(u)
+		return fmt.Errorf("hintcache: apply unknown action %d", u.Action)
 	}
 }
 

@@ -70,24 +70,3 @@ func AppendDecodedUpdates(dst []Update, msg []byte) ([]Update, error) {
 	}
 	return dst, nil
 }
-
-// Apply folds an update into the cache: informs insert, invalidates delete
-// (only when the machine matches, so a stale invalidate cannot destroy a
-// fresher hint).
-func (c *Cache) Apply(u Update) error {
-	switch u.Action {
-	case ActionInform:
-		return c.Insert(u.URLHash, u.Machine)
-	case ActionInvalidate:
-		c.Delete(u.URLHash, u.Machine)
-		return nil
-	default:
-		return applyUnknown(u)
-	}
-}
-
-// applyUnknown is the shared error for updates carrying an action neither
-// table implementation understands.
-func applyUnknown(u Update) error {
-	return fmt.Errorf("hintcache: apply unknown action %d", u.Action)
-}

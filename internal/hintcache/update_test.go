@@ -53,12 +53,19 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 }
 
 func TestApply(t *testing.T) {
-	c := NewMem(64, 4)
+	c := NewStriped(64, 4, 1)
 	if err := c.Apply(Update{Action: ActionInform, URLHash: 5, Machine: 50}); err != nil {
 		t.Fatal(err)
 	}
 	if m, ok := c.Lookup(5); !ok || m != 50 {
 		t.Fatalf("after inform: (%d, %v)", m, ok)
+	}
+	// A stale invalidate names another holder: the record stays.
+	if err := c.Apply(Update{Action: ActionInvalidate, URLHash: 5, Machine: 51}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Lookup(5); !ok {
+		t.Fatal("a stale invalidate destroyed the record")
 	}
 	if err := c.Apply(Update{Action: ActionInvalidate, URLHash: 5, Machine: 50}); err != nil {
 		t.Fatal(err)

@@ -131,10 +131,11 @@ type Simulator struct {
 	dir *directory
 
 	// hintIndex models the bounded, shared-content hint table each node
-	// keeps (nil when unbounded). Because updates are broadcast to every
-	// node, all nodes' tables converge to the same contents, so one
-	// structure stands in for all of them.
-	hintIndex *hintcache.Cache
+	// keeps (nil when unbounded): the table a cluster node runs, with one
+	// lock, since its stripe count changes nothing it holds. Because
+	// updates are broadcast to every node, all nodes' tables converge to
+	// the same contents, so one structure stands in for all of them.
+	hintIndex *hintcache.Striped
 
 	// metaRouter, when configured, mirrors update traffic onto Plaxton
 	// virtual trees for load measurement.
@@ -192,7 +193,7 @@ func New(cfg Config) (*Simulator, error) {
 		bw:    metrics.NewBandwidth(),
 	}
 	if cfg.HintEntries > 0 {
-		s.hintIndex = hintcache.NewMem(cfg.HintEntries, cfg.HintWays)
+		s.hintIndex = hintcache.NewStriped(cfg.HintEntries, cfg.HintWays, 1)
 	}
 	if cfg.MetaRouterBits > 0 {
 		mr, err := NewMetaRouter(s, cfg.MetaRouterBits)
@@ -242,8 +243,7 @@ func machineOf(node int) uint64 { return uint64(node) + 1 }
 func (s *Simulator) noteAdded(node int, object uint64, version int64) {
 	s.dir.addCopy(object, int32(node), s.topo.L2OfL1(node), version, s.clock.Now())
 	if s.hintIndex != nil {
-		// Errors are impossible for the memory store; ignore defensively.
-		_ = s.hintIndex.Insert(object, machineOf(node))
+		_ = s.hintIndex.Insert(object, machineOf(node)) // never fails
 	}
 	if s.metaRouter != nil {
 		s.metaRouter.Add(node, object)
