@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"sync"
@@ -256,15 +257,13 @@ func TestUpdatesOversizeRejected(t *testing.T) {
 // filter inside a bw frame) is one too, and that the peer's digest stays
 // absent either way.
 func TestDigestPullChecksStatusFirst(t *testing.T) {
-	bare, err := digest.NewForCapacity(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare.Add(1)
-	bareBody, err := bare.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A plain Bloom filter of 512 bits and 6 hashes as a Summary Cache peer
+	// ships it: the 12-byte header (bit count, hash count), then m/8 bytes
+	// of bits, all set, so a node that took it would find id 1 at the peer.
+	const bloomBits = 512
+	bareBody := binary.LittleEndian.AppendUint64(nil, bloomBits)
+	bareBody = binary.LittleEndian.AppendUint32(bareBody, 6)
+	bareBody = append(bareBody, bytes.Repeat([]byte{0xff}, bloomBits/8)...)
 	counting, err := digest.NewCountingForCapacity(64, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -1,3 +1,16 @@
+// Package digest implements Bloom-filter cache digests (Fan et al.'s
+// Summary Cache / Squid's Cache Digests, contemporaries of the paper): each
+// cache summarizes its contents in a compact filter that peers consult
+// instead of an exact hint table. Digests trade the paper's 16-byte-exact
+// hint records for a few bits per object, at the price of hash false
+// positives and of staleness wherever a removal has not reached the filter.
+//
+// There is one filter, Counting. The simulator (internal/hints) rebuilds
+// one per node from its true contents every rebuild interval and never
+// removes, so between rebuilds an evicted object stays in it (Summary
+// Cache's staleness); a nonzero counter there is exactly a plain Bloom
+// filter's set bit. The live node (internal/cluster) maintains its own in
+// place on every insert and evict and ships deltas of those transitions.
 package digest
 
 import (
@@ -8,8 +21,8 @@ import (
 
 // Counting is a counting Bloom filter over 64-bit object identifiers: one
 // saturating uint8 counter per position instead of one bit. Counters buy
-// what the cluster's incremental digests need and a plain Filter cannot
-// give: deletion. The node maintains its own Counting in place on every
+// what the cluster's incremental digests need and a plain Bloom filter
+// cannot give: deletion. The node maintains its own Counting in place on every
 // insert/evict transition (no more O(objects) rebuild per digest pull), and
 // peers replay the same add/remove op stream against their pulled copies —
 // counters, and therefore membership bits, stay byte-identical to the
@@ -23,7 +36,6 @@ type Counting struct {
 	counts []uint8
 	m      uint64 // number of counters
 	k      int    // number of hash functions
-	n      int64  // live insertions (adds minus removes)
 	// unsound is set when a counter saturates (or an unmatched remove
 	// hits zero): membership answers may now have false negatives, so
 	// the owner must rebuild from exact state.
@@ -34,8 +46,8 @@ type Counting struct {
 const counterMax = 0xff
 
 // NewCounting builds a counting filter with m counters and k hash
-// functions. m is rounded up to a multiple of 64 so a Counting and a Filter
-// sized by the same parameters probe identical positions.
+// functions. m is rounded up to a multiple of 64, the word size of the plain
+// bit vector a Summary Cache peer ships (Bits()/8 bytes).
 func NewCounting(m uint64, k int) (*Counting, error) {
 	if m == 0 {
 		return nil, fmt.Errorf("digest: counting filter needs at least one counter")
@@ -49,8 +61,8 @@ func NewCounting(m uint64, k int) (*Counting, error) {
 
 // NewCountingForCapacity sizes a counting filter for n entries at
 // bitsPerEntry counters each, with the optimal hash count
-// k = bitsPerEntry * ln2 — the same geometry as NewForCapacity, spending a
-// byte where the plain filter spends a bit.
+// k = bitsPerEntry * ln2, spending a byte where a plain Bloom filter spends
+// a bit.
 func NewCountingForCapacity(n int, bitsPerEntry float64) (*Counting, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("digest: capacity must be positive, got %d", n)
@@ -69,8 +81,16 @@ func NewCountingForCapacity(n int, bitsPerEntry float64) (*Counting, error) {
 	return NewCounting(m, k)
 }
 
+// splitmix64 is the hash kernel used to derive the k probe positions.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // probe returns the counter position of the i-th hash of id (double
-// hashing, identical to Filter.probe).
+// hashing).
 func (c *Counting) probe(id uint64, i int) uint64 {
 	h1 := splitmix64(id)
 	h2 := splitmix64(id ^ 0x5bd1e9955bd1e995)
@@ -88,7 +108,6 @@ func (c *Counting) Add(id uint64) {
 		}
 		c.counts[p]++
 	}
-	c.n++
 }
 
 // Remove deletes an identifier previously Added. Removing an identifier
@@ -103,7 +122,6 @@ func (c *Counting) Remove(id uint64) {
 		}
 		c.counts[p]--
 	}
-	c.n--
 }
 
 // MayContain reports whether the identifier might be present. False
@@ -127,38 +145,14 @@ func (c *Counting) Reset() {
 	for i := range c.counts {
 		c.counts[i] = 0
 	}
-	c.n = 0
 	c.unsound = false
 }
 
 // Bits returns the filter size in counter positions.
 func (c *Counting) Bits() uint64 { return c.m }
 
-// K returns the hash count.
-func (c *Counting) K() int { return c.k }
-
-// Live returns adds minus removes since the last Reset.
-func (c *Counting) Live() int64 { return c.n }
-
 // SizeBytes returns the wire/storage size of the counter array.
 func (c *Counting) SizeBytes() int64 { return int64(c.m) }
-
-// FillRatio returns the fraction of nonzero counters.
-func (c *Counting) FillRatio() float64 {
-	var set int
-	for _, v := range c.counts {
-		if v != 0 {
-			set++
-		}
-	}
-	return float64(set) / float64(c.m)
-}
-
-// EstimatedFPR returns the expected false-positive rate at the current
-// fill: fill^k.
-func (c *Counting) EstimatedFPR() float64 {
-	return math.Pow(c.FillRatio(), float64(c.k))
-}
 
 // countingHeaderSize is the marshaled counting-filter header: 8-byte
 // counter count, 4-byte hash count.
@@ -205,7 +199,6 @@ func (c *Counting) UnmarshalBinary(data []byte) error {
 	c.counts = counts
 	c.m = m
 	c.k = k
-	c.n = 0 // unknown after transfer; only stats are affected
 	c.unsound = false
 	return nil
 }

@@ -7,25 +7,25 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 4); err == nil {
-		t.Error("zero bits accepted")
+	if _, err := NewCounting(0, 4); err == nil {
+		t.Error("zero counters accepted")
 	}
-	if _, err := New(100, 0); err == nil {
+	if _, err := NewCounting(100, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := New(100, 17); err == nil {
+	if _, err := NewCounting(100, 17); err == nil {
 		t.Error("k=17 accepted")
 	}
-	if _, err := NewForCapacity(0, 8); err == nil {
+	if _, err := NewCountingForCapacity(0, 8); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewForCapacity(100, 0); err == nil {
+	if _, err := NewCountingForCapacity(100, 0); err == nil {
 		t.Error("zero bits/entry accepted")
 	}
 }
 
 func TestNoFalseNegatives(t *testing.T) {
-	f, err := NewForCapacity(1000, 8)
+	c, err := NewCountingForCapacity(1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,29 +33,29 @@ func TestNoFalseNegatives(t *testing.T) {
 	ids := make([]uint64, 1000)
 	for i := range ids {
 		ids[i] = rng.Uint64()
-		f.Add(ids[i])
+		c.Add(ids[i])
 	}
 	for _, id := range ids {
-		if !f.MayContain(id) {
+		if !c.MayContain(id) {
 			t.Fatalf("false negative for %#x", id)
 		}
 	}
 }
 
 func TestFalsePositiveRateNearTheory(t *testing.T) {
-	f, err := NewForCapacity(10_000, 10)
+	c, err := NewCountingForCapacity(10_000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10_000; i++ {
-		f.Add(rng.Uint64())
+		c.Add(rng.Uint64())
 	}
 	// Probe fresh identifiers; at 10 bits/entry theory predicts ~0.8%.
 	fp := 0
 	const probes = 50_000
 	for i := 0; i < probes; i++ {
-		if f.MayContain(rng.Uint64()) {
+		if c.MayContain(rng.Uint64()) {
 			fp++
 		}
 	}
@@ -63,70 +63,53 @@ func TestFalsePositiveRateNearTheory(t *testing.T) {
 	if rate > 0.03 {
 		t.Errorf("false-positive rate %.4f, want ~0.008 at 10 bits/entry", rate)
 	}
-	est := f.EstimatedFPR()
-	if est <= 0 || est > 0.05 {
-		t.Errorf("estimated FPR %.4f implausible", est)
-	}
 }
 
 func TestResetClears(t *testing.T) {
-	f, err := New(1024, 4)
+	c, err := NewCounting(1024, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Add(42)
-	if !f.MayContain(42) {
+	c.Add(42)
+	if !c.MayContain(42) {
 		t.Fatal("added id missing")
 	}
-	f.Reset()
-	if f.MayContain(42) {
+	c.Reset()
+	if c.MayContain(42) {
 		t.Error("id survived reset")
 	}
-	if f.FillRatio() != 0 || f.Insertions() != 0 {
-		t.Error("reset did not clear stats")
+	for i, v := range c.counts {
+		if v != 0 {
+			t.Fatalf("counter %d = %d after reset", i, v)
+		}
 	}
 }
 
 func TestSizing(t *testing.T) {
-	f, err := New(100, 4) // rounds up to 128 bits
+	c, err := NewCounting(100, 4) // rounds up to 128 counters
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Bits() != 128 || f.SizeBytes() != 16 {
-		t.Errorf("bits=%d size=%d, want 128/16", f.Bits(), f.SizeBytes())
+	if c.Bits() != 128 || c.SizeBytes() != 128 {
+		t.Errorf("bits=%d size=%d, want 128/128", c.Bits(), c.SizeBytes())
 	}
-	f2, err := NewForCapacity(1000, 8)
+	c2, err := NewCountingForCapacity(1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// k = round(8 ln2) = 6.
-	if f2.K() != 6 {
-		t.Errorf("k = %d, want 6", f2.K())
+	// k = round(8 ln2) = 6, and m = 1000×8 rounded up to a multiple of 64.
+	if c2.k != 6 {
+		t.Errorf("k = %d, want 6", c2.k)
 	}
-	if f2.Bits() < 8000 {
-		t.Errorf("bits = %d, want >= 8000", f2.Bits())
+	if c2.Bits() != 8000 {
+		t.Errorf("bits = %d, want 8000", c2.Bits())
 	}
-}
-
-func TestFillRatioGrows(t *testing.T) {
-	f, err := NewForCapacity(1000, 8)
+	c3, err := NewCountingForCapacity(500, 8.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	prev := f.FillRatio()
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 250; i++ {
-			f.Add(rng.Uint64())
-		}
-		cur := f.FillRatio()
-		if cur <= prev {
-			t.Errorf("fill ratio did not grow: %g -> %g", prev, cur)
-		}
-		prev = cur
-	}
-	if prev >= 1 {
-		t.Errorf("fill ratio %g saturated at design load", prev)
+	if c3.Bits() != 4096 || c3.k != 6 {
+		t.Errorf("bits=%d k=%d, want 4096/6 (ceil(4050) rounded up to 64)", c3.Bits(), c3.k)
 	}
 }
 
@@ -136,15 +119,15 @@ func TestAddedAlwaysFoundQuick(t *testing.T) {
 	f := func(ids []uint64, mRaw uint16, kRaw uint8) bool {
 		m := uint64(mRaw)%4096 + 64
 		k := int(kRaw)%8 + 1
-		fl, err := New(m, k)
+		c, err := NewCounting(m, k)
 		if err != nil {
 			return false
 		}
 		for _, id := range ids {
-			fl.Add(id)
+			c.Add(id)
 		}
 		for _, id := range ids {
-			if !fl.MayContain(id) {
+			if !c.MayContain(id) {
 				return false
 			}
 		}

@@ -15,9 +15,11 @@ import (
 // Bloom filter that peers consult on a miss. Insertions enter a digest
 // immediately; deletions only disappear when the digest is periodically
 // rebuilt from the cache's true contents — the scheme's defining staleness,
-// on top of its hash false positives.
+// on top of its hash false positives. The filters are the node's
+// digest.Counting, never sent a Remove, so a nonzero counter is a plain
+// filter's set bit.
 type digestState struct {
-	filters   []*digest.Filter
+	filters   []*digest.Counting
 	rebuiltAt []time.Duration
 	interval  time.Duration
 
@@ -31,12 +33,12 @@ func newDigestState(nodes int, entriesPerNode int, bitsPerEntry float64, interva
 		return nil, fmt.Errorf("hints: digest rebuild interval must be positive")
 	}
 	ds := &digestState{
-		filters:   make([]*digest.Filter, nodes),
+		filters:   make([]*digest.Counting, nodes),
 		rebuiltAt: make([]time.Duration, nodes),
 		interval:  interval,
 	}
 	for i := range ds.filters {
-		f, err := digest.NewForCapacity(entriesPerNode, bitsPerEntry)
+		f, err := digest.NewCountingForCapacity(entriesPerNode, bitsPerEntry)
 		if err != nil {
 			return nil, fmt.Errorf("hints: digest: %w", err)
 		}
@@ -69,12 +71,13 @@ func (ds *digestState) maybeRebuild(now time.Duration, contents func(node int) [
 	}
 }
 
-// SizePerNode returns one digest's size in bytes.
+// SizePerNode returns one digest's size in bytes: the plain bit vector a
+// Summary Cache peer ships, one bit per counter.
 func (ds *digestState) SizePerNode() int64 {
 	if len(ds.filters) == 0 {
 		return 0
 	}
-	return ds.filters[0].SizeBytes()
+	return int64(ds.filters[0].Bits() / 8)
 }
 
 // processDigests handles an L1 miss under ModeDigests: scan peers'
@@ -134,12 +137,4 @@ func (s *Simulator) DigestSizePerNode() int64 {
 		return 0
 	}
 	return s.digests.SizePerNode()
-}
-
-// DigestRebuilds returns how many digest rebuilds have happened.
-func (s *Simulator) DigestRebuilds() int64 {
-	if s.digests == nil {
-		return 0
-	}
-	return s.digests.rebuilds
 }

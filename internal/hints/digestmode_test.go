@@ -63,7 +63,7 @@ func TestDigestRebuildClearsStaleEntries(t *testing.T) {
 	if got := s.Stats().Count(sim.OutcomeFalsePos); got != 0 {
 		t.Errorf("false positives = %d after rebuild, want 0", got)
 	}
-	if s.DigestRebuilds() == 0 {
+	if s.digests.rebuilds == 0 {
 		t.Error("no rebuilds recorded")
 	}
 }
@@ -80,7 +80,7 @@ func TestDigestSizing(t *testing.T) {
 	}
 	// Non-digest simulators report zero.
 	plain := mustSim(t, Config{})
-	if plain.DigestSizePerNode() != 0 || plain.DigestRebuilds() != 0 {
+	if plain.DigestSizePerNode() != 0 || plain.digests != nil {
 		t.Error("plain simulator reports digest stats")
 	}
 }

@@ -361,16 +361,3 @@ func (d *directory) anyHolder(object uint64) int32 {
 	}
 	return st.holders[0].node
 }
-
-// holderNodes returns the nodes currently holding the object.
-func (d *directory) holderNodes(object uint64) []int32 {
-	st := d.peek(object)
-	if st == nil {
-		return nil
-	}
-	out := make([]int32, len(st.holders))
-	for i, h := range st.holders {
-		out[i] = h.node
-	}
-	return out
-}

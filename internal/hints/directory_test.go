@@ -6,6 +6,19 @@ import (
 	"time"
 )
 
+// holderNodes returns the nodes currently holding the object.
+func (d *directory) holderNodes(object uint64) []int32 {
+	st := d.peek(object)
+	if st == nil {
+		return nil
+	}
+	out := make([]int32, len(st.holders))
+	for i, h := range st.holders {
+		out[i] = h.node
+	}
+	return out
+}
+
 // l2of maps nodes to subtrees of 2 for directory-level tests.
 func l2of(n int32) int { return int(n) / 2 }
 

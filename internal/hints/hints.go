@@ -577,17 +577,6 @@ func (s *Simulator) UpdateRate(count int64) float64 {
 	return float64(count) / span.Seconds()
 }
 
-// HolderNodes exposes the live holders of an object (for push algorithms
-// and tests).
-func (s *Simulator) HolderNodes(object uint64) []int {
-	hs := s.dir.holderNodes(object)
-	out := make([]int, len(hs))
-	for i, h := range hs {
-		out[i] = int(h)
-	}
-	return out
-}
-
 // Topology returns the simulator's topology.
 func (s *Simulator) Topology() sim.Topology { return s.topo }
 
@@ -598,13 +587,4 @@ func (s *Simulator) MetaLoad() (MetaLoad, bool) {
 		return MetaLoad{}, false
 	}
 	return s.metaRouter.Load(), true
-}
-
-// HintTableStats returns the bounded hint table's counters, or zero stats
-// when unbounded.
-func (s *Simulator) HintTableStats() hintcache.Stats {
-	if s.hintIndex == nil {
-		return hintcache.Stats{}
-	}
-	return s.hintIndex.Stats()
 }

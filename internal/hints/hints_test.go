@@ -112,8 +112,8 @@ func TestVersionChangeInvalidatesEverywhere(t *testing.T) {
 		t.Errorf("misses = %d, want 2 (stale remote copies must not serve)", got)
 	}
 	// Old holders must be gone from the directory.
-	for _, n := range s.HolderNodes(1) {
-		if !s.HasCopy(n, 1, 2) {
+	for _, n := range s.dir.holderNodes(1) {
+		if !s.HasCopy(int(n), 1, 2) {
 			t.Errorf("node %d holds a stale copy per directory", n)
 		}
 	}

@@ -70,7 +70,7 @@ func TestAccessorsAndRefresh(t *testing.T) {
 	if s.LocalHitRatio() != 0.5 {
 		t.Errorf("LocalHitRatio = %g, want 0.5", s.LocalHitRatio())
 	}
-	if st := s.HintTableStats(); st.Inserts == 0 {
+	if st := s.hintIndex.Stats(); st.Inserts == 0 {
 		t.Errorf("hint table stats empty: %+v", st)
 	}
 
@@ -90,10 +90,10 @@ func TestAccessorsAndRefresh(t *testing.T) {
 	if !s.HasCopy(3, 1, 1) {
 		t.Error("AgeObject removed the copy")
 	}
-	// The unbounded simulator reports zero hint-table stats.
+	// The unbounded simulator keeps no hint table.
 	plain := mustSim(t, Config{})
-	if st := plain.HintTableStats(); st.Inserts != 0 || st.Lookups != 0 {
-		t.Errorf("unbounded table stats nonzero: %+v", st)
+	if plain.hintIndex != nil {
+		t.Error("unbounded simulator has a hint table")
 	}
 	if plain.LeafUpdates() != 0 {
 		t.Error("fresh sim has leaf updates")

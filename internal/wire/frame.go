@@ -42,7 +42,7 @@ const (
 	// (digest.Counting.AppendBinary encoding), a PeerDigest 200 body bare.
 	KindDigestFull Kind = 2
 	// KindDigestDelta is an ordered run of digest add/remove ops
-	// (digest.AppendOps encoding), a PeerDigest 206 body bare.
+	// (digest.AppendOp encoding), a PeerDigest 206 body bare.
 	KindDigestDelta Kind = 3
 
 	kindMax = KindDigestDelta
