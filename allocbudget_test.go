@@ -66,12 +66,14 @@ func TestHitPathAllocBudget(t *testing.T) {
 // remoteFillAllocBudget is what one REMOTE fill may allocate, both nodes
 // counted: the requesting node's handler and flight, the raced fill (the
 // primary's context, the hedge timer and its state, the leg closures), the
-// peer deadline's context, the object call and its cancellation hook, the
-// serving node's answer, the body, the cache insert and the hint it queues.
-// Measured at 33 on a leased connection (35 when calls shared one, each
-// behind a channel of its own); the race that ran its primary on a goroutine
-// of its own, behind a channel and two contexts, took 43.
-const remoteFillAllocBudget = 37
+// object call and the hook that cuts its connection's deadline when the race
+// abandons it, the serving node's answer, the body, the cache insert and the
+// hint it queues. Measured at 26, the call bounded by its connection's
+// deadline; a deadline context of its own per call, with its timer, took 33
+// (35 when calls shared a connection, each behind a channel of its own), and
+// the race that ran its primary on a goroutine of its own, behind a channel
+// and two contexts, 43.
+const remoteFillAllocBudget = 28
 
 // TestRemoteFillAllocBudget holds a hint-driven cache-to-cache fill to its
 // allocation budget: the straight-line race must not grow back a goroutine,
@@ -118,12 +120,13 @@ func TestRemoteFillAllocBudget(t *testing.T) {
 
 // homeServedFillAllocBudget is what one fill answered by the hint home's own
 // copy may allocate, both nodes counted: the REMOTE fill's parts
-// (remoteFillAllocBudget), with the consult's deadline context and its
-// cancellation hook where the transfer's were, the holder call's answer
-// carrying the body where the object call's did, and the home's record of
-// the asker. Measured at 32; when the home answered with its own machine ID
-// and was then asked for the object in a second call, the fill took 45.
-const homeServedFillAllocBudget = 34
+// (remoteFillAllocBudget), with the consult's cancellation hook where the
+// transfer's was, the holder call's answer carrying the body where the
+// object call's did, and the home's record of the asker. Measured at 25; with
+// a deadline context and its timer per consult it took 32, and when the home
+// answered with its own machine ID and was then asked for the object in a
+// second call, 45.
+const homeServedFillAllocBudget = 27
 
 // TestHomeServedFillAllocBudget holds a fill that the hint home serves from
 // its own copy to its allocation budget. On a 3-node fleet at R = 2, objects
@@ -210,13 +213,15 @@ func TestHomeServedFillAllocBudget(t *testing.T) {
 
 // missFillAllocBudget is what one candidate-less MISS fill may allocate,
 // the in-process origin's serving side counted: the node's handler and
-// flight, the origin deadline's context and its cancel hook, the request
-// line's escaped URL, http.ReadResponse's response, header and body reader,
-// the body, the two hops, the cache insert and the hint it queues — and the
-// origin's net/http server. Measured at 67; through http.Client and
-// http.Transport (a request, its context, a round trip handed between three
-// goroutines) it took 105.
-const missFillAllocBudget = 72
+// flight, the request line's escaped URL, the answer's X-Trace-Hop, the
+// body, the two hops, the cache insert and the hint it queues — and the
+// origin's net/http server. The fetch is bounded by its connection's
+// deadline, and the origin's plain head is recognised in place. Measured at
+// 46; with a deadline context, its timer and its cancel hook per fetch, and
+// http.ReadResponse's response, header map and values and body reader, it
+// took 67, and through http.Client and http.Transport (a request, its
+// context, a round trip handed between three goroutines) 105.
+const missFillAllocBudget = 50
 
 // TestMissFillAllocBudget holds an origin fill to its allocation budget: the
 // origin link must not grow back a request object, a pool round trip or a
@@ -320,5 +325,49 @@ func TestFrontDoorHitAllocBudget(t *testing.T) {
 	t.Logf("LOCAL hit through the front door: %.1f allocs (budget %d)", allocs, frontDoorHitAllocBudget)
 	if allocs > frontDoorHitAllocBudget {
 		t.Errorf("a LOCAL hit through the front door allocates %.1f, budget is %d", allocs, frontDoorHitAllocBudget)
+	}
+}
+
+// purgeAllocBudget is what one Fleet.Purge of a cached object may allocate,
+// both sides counted: the request line's escaped URL, and the node's
+// request-target string and unescaped object URL. The call is bounded by its
+// connection's deadline, the 204's head is recognised in place, and the
+// door parses no length the answer never set. Measured at 3; with a deadline
+// context and its timer, http.ReadResponse's response and header, and a
+// strconv error for each 204's absent length, it took 19.
+const purgeAllocBudget = 3
+
+// TestPurgeAllocBudget holds a purge, the write path of a fleet's driver, to
+// its allocation budget: the link must not grow back a context or a parsed
+// response per call, nor the door an error per length-less answer.
+func TestPurgeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const objects = 300
+	f, err := cluster.StartFleet(cluster.FleetConfig{Nodes: 1, ObjectSize: 1024, UpdateInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	urls := make([]string, objects)
+	for i := range urls {
+		urls[i] = trace.ObjectURL(uint64(i))
+		if _, err := f.Fetch(0, urls[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	purge := func() {
+		if err := f.Purge(0, urls[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	purge() // the link's connection
+	allocs := testing.AllocsPerRun(objects-2, purge)
+	t.Logf("purge: %.1f allocs (budget %d)", allocs, purgeAllocBudget)
+	if allocs > purgeAllocBudget {
+		t.Errorf("a purge allocates %.1f, budget is %d", allocs, purgeAllocBudget)
 	}
 }

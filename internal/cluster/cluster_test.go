@@ -599,12 +599,8 @@ func TestBackgroundBatcherDeliversWithoutFlush(t *testing.T) {
 // that length is refused rather than cached, and a header alone never buys
 // more than maxBodyPrealloc of memory.
 func TestReadObjectSizedAndChecked(t *testing.T) {
-	resp := func(declared int64, body string) *http.Response {
-		return &http.Response{
-			Header:        http.Header{headerVersion: []string{"3"}},
-			ContentLength: declared,
-			Body:          io.NopCloser(strings.NewReader(body)),
-		}
+	resp := func(declared int64, body string) answer {
+		return answer{version: "3", length: declared, body: strings.NewReader(body)}
 	}
 	big := strings.Repeat("x", maxBodyPrealloc+1)
 	for _, c := range []struct {

@@ -241,9 +241,7 @@ func (d *digestLocator) pullDigest(p *peer) {
 	var delta bool
 	var body []byte
 	retries, err := n.backoffFor(p).Retry(context.Background(), 3, func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
-		defer cancel()
-		r, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
+		r, err := n.call(context.Background(), p, metadataTimeout, wire.PeerHeader{Op: wire.PeerDigest, A: since}, nil)
 		if err == nil && r.Status != http.StatusOK && r.Status != http.StatusPartialContent {
 			err = fmt.Errorf("digest pull: status %d", r.Status)
 		}

@@ -326,8 +326,8 @@ func (f *Fleet) Fetch(i int, url string) (FetchResult, error) {
 	start := time.Now()
 	var res FetchResult
 	var rerr error // reading the answer: fetchResult names itself
-	err := f.call(i, http.MethodGet, "/fetch?url=", url, func(resp *http.Response) error {
-		res, rerr = fetchResult(resp, start)
+	err := f.call(i, http.MethodGet, "/fetch?url=", url, func(a answer) error {
+		res, rerr = fetchResult(a, start)
 		return rerr
 	})
 	switch {
@@ -343,9 +343,9 @@ func (f *Fleet) Fetch(i int, url string) (FetchResult, error) {
 // error).
 func (f *Fleet) Purge(i int, url string) error {
 	status := 0
-	err := f.call(i, http.MethodPost, "/purge?url=", url, func(resp *http.Response) error {
-		status = resp.StatusCode
-		_, err := io.Copy(io.Discard, resp.Body)
+	err := f.call(i, http.MethodPost, "/purge?url=", url, func(a answer) error {
+		status = a.status
+		_, err := io.Copy(io.Discard, a.body)
 		return err
 	})
 	switch {
@@ -378,17 +378,15 @@ func (f *Fleet) PurgeAll(url string) {
 // end. A purge is retried on a fresh connection as a fetch is, when a pooled
 // one turns out dead (link.do): a second purge of the same URL finds nothing
 // more to drop.
-func (f *Fleet) call(i int, method, path, url string, read func(*http.Response) error) error {
-	ctx, cancel := context.WithTimeout(context.Background(), clientTimeout)
-	defer cancel()
+func (f *Fleet) call(i int, method, path, url string, read func(answer) error) error {
 	host := strings.TrimPrefix(f.urls[i], "http://")
-	return f.links[i].do(ctx, func(uc *upConn) (keep bool, err error) {
-		resp, err := request(uc, method, path, url, host)
+	return f.links[i].do(context.Background(), clientTimeout, func(uc *upConn) (keep bool, err error) {
+		a, err := request(uc, method, path, url, host)
 		if err != nil {
 			return false, err
 		}
-		err = read(resp)
-		return err == nil && !resp.Close, err
+		err = read(a)
+		return err == nil && !a.close, err
 	})
 }
 
@@ -401,26 +399,26 @@ func FetchFrom(client *http.Client, nodeURL, url string) (FetchResult, error) {
 		return FetchResult{}, fmt.Errorf("fetch: %w", err)
 	}
 	defer resp.Body.Close()
-	return fetchResult(resp, start)
+	return fetchResult(answerOf(resp), start)
 }
 
 // fetchResult reads a /fetch answer whole and describes it; a status other
 // than 200 is an error that carries the node's error text.
-func fetchResult(resp *http.Response, start time.Time) (FetchResult, error) {
-	body, err := io.ReadAll(resp.Body)
+func fetchResult(a answer, start time.Time) (FetchResult, error) {
+	body, err := io.ReadAll(a.body)
 	if err != nil {
 		return FetchResult{}, fmt.Errorf("fetch read: %w", err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return FetchResult{}, fmt.Errorf("fetch: status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+	if a.status != http.StatusOK {
+		return FetchResult{}, fmt.Errorf("fetch: status %d: %s", a.status, strings.TrimSpace(string(body)))
 	}
-	version, _ := strconv.ParseInt(resp.Header.Get(headerVersion), 10, 64)
+	version, _ := strconv.ParseInt(a.version, 10, 64)
 	return FetchResult{
-		How:       resp.Header.Get(headerCache),
+		How:       a.header.Get(headerCache),
 		Version:   version,
 		Bytes:     int64(len(body)),
 		Elapsed:   time.Since(start),
-		RequestID: resp.Header.Get(headerRequestID),
-		Hops:      obs.ParseHops(resp.Header.Get(headerTrace)),
+		RequestID: a.header.Get(headerRequestID),
+		Hops:      obs.ParseHops(a.header.Get(headerTrace)),
 	}, nil
 }

@@ -278,12 +278,17 @@ func (dc *doorConn) WriteHeader(code int) {
 		return
 	}
 	dc.status = code
-	n, err := strconv.ParseInt(dc.hdr.Get("Content-Length"), 10, 64)
+	n := int64(-1) // a length never set is not parsed: its error would be an allocation
+	if v := dc.hdr["Content-Length"]; len(v) > 0 {
+		if l, err := strconv.ParseInt(v[0], 10, 64); err == nil {
+			n = l
+		}
+	}
 	switch {
 	case code < 200 || code == http.StatusNoContent || code == http.StatusNotModified:
 		dc.declared = 0 // no body goes with these, and no length
 		dc.hdr.Del("Content-Length")
-	case err == nil && n >= 0:
+	case n >= 0:
 		dc.declared = n
 	default:
 		dc.hdr.Del("Content-Length")

@@ -1,11 +1,13 @@
 package cluster
 
-// The front door's fast path for a request head (DESIGN.md §16): a recogniser,
-// not a parser. It says yes to the plainest GET or bodiless POST, whole in
-// the bytes already read, and fills the connection's one reused request
-// exactly as http.ReadRequest would have; it declines everything else
-// untouched, so no input is parsed here that http.ReadRequest does not parse
-// the same way (FuzzDoorPlainHead).
+// The fast paths for an HTTP head: recognisers, not parsers. The front
+// door's (DESIGN.md §16) says yes to the plainest GET or bodiless POST, whole
+// in the bytes already read, and fills the connection's one reused request
+// exactly as http.ReadRequest would have; the HTTP links' (DESIGN.md §15)
+// says yes to the plainest 200, 204 or 404 answer, and reads what the link's
+// callers use of it as http.ReadResponse would have. Each declines
+// everything else untouched, so no input is parsed here that net/http does
+// not parse the same way (FuzzDoorPlainHead, FuzzOriginPlainAnswer).
 
 import (
 	"bytes"
@@ -137,4 +139,93 @@ func (h *plainHead) readBlock(p []byte) bool {
 		}
 		hdr[key] = []string{val}
 	}
+}
+
+// plainStatus holds the status lines readPlainAnswer knows, by code.
+var plainStatus = []struct {
+	code int
+	line string
+}{
+	{http.StatusOK, "HTTP/1.1 200 OK\r\n"},
+	{http.StatusNoContent, "HTTP/1.1 204 No Content\r\n"},
+	{http.StatusNotFound, "HTTP/1.1 404 Not Found\r\n"},
+}
+
+// plainAnswerNames are the header names a plain answer may carry, each at
+// most once, as net/http canonicalises them: an origin's object answer's, a
+// node's bodiless 204 and its http.Error 404.
+var plainAnswerNames = [...]string{"Content-Length", headerVersion, headerTraceHop, "Content-Type", "X-Content-Type-Options", "Date"}
+
+// readPlainAnswer returns the answer b starts with and that head's length,
+// if the head is plain: complete in b, a status line of plainStatus, then
+// CRLF-ended "Name: value" lines, each name one of plainAnswerNames written
+// as listed and at most once, each value printable ASCII with no white space
+// at either end; a 200 or 404 declares its length in at most 18 digits, a
+// 204 declares none. So it asks for nothing to be closed, frames no body in
+// chunks and folds no line (RFC 9112 §6.3). Otherwise it returns 0 and b is
+// http.ReadResponse's, none of it consumed. The body is the caller's to set.
+func readPlainAnswer(b []byte) (a answer, n int) {
+	for _, s := range plainStatus {
+		if len(b) >= len(s.line) && string(b[:len(s.line)]) == s.line {
+			a.status, n = s.code, len(s.line)
+			break
+		}
+	}
+	if n == 0 {
+		return answer{}, 0
+	}
+	a.length = -1
+	var seen uint
+	for {
+		end := bytes.IndexByte(b[n:], '\n')
+		if end < 1 || b[n+end-1] != '\r' {
+			return answer{}, 0 // not all here yet, or a bare LF
+		}
+		line := b[n : n+end-1]
+		n += end + 1
+		if len(line) == 0 {
+			break
+		}
+		name, value, _ := bytes.Cut(line, []byte(": "))
+		which := -1
+		for i, known := range plainAnswerNames {
+			if string(name) == known {
+				which = i
+				break
+			}
+		}
+		if which < 0 || seen&(1<<which) != 0 || len(value) == 0 || value[0] == ' ' || value[len(value)-1] == ' ' {
+			return answer{}, 0
+		}
+		seen |= 1 << which
+		for _, c := range value {
+			if c < ' ' || c >= 0x7f {
+				return answer{}, 0
+			}
+		}
+		switch plainAnswerNames[which] {
+		case "Content-Length":
+			if len(value) > 18 {
+				return answer{}, 0
+			}
+			a.length = 0
+			for _, c := range value {
+				if c < '0' || c > '9' {
+					return answer{}, 0
+				}
+				a.length = a.length*10 + int64(c-'0')
+			}
+		case headerVersion:
+			a.version = string(value)
+		case headerTraceHop:
+			a.hop = string(value)
+		}
+	}
+	if (a.status == http.StatusNoContent) != (a.length < 0) {
+		return answer{}, 0
+	}
+	if a.length < 0 {
+		a.length = 0
+	}
+	return a, n
 }

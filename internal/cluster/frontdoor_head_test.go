@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"beyondcache/internal/hintcache"
 )
 
 // benchHead is the head the benchmark's client (an http.Transport given no
@@ -165,3 +169,161 @@ func TestFrontDoorNoBleed(t *testing.T) {
 		t.Errorf("request IDs answered = %q; want a, one the node made, b", ids)
 	}
 }
+
+// Answer heads as the links meet them: an origin's object answer (net/http's
+// server), and a node's door answering a purge, 204 and http.Error's 404.
+const (
+	originAnswer    = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Type: application/octet-stream\r\nX-Object-Version: 3\r\nX-Trace-Hop: origin;ORIGIN-SERVE;12us\r\nDate: Tue, 20 Oct 2026 16:46:23 GMT\r\n\r\nhello"
+	purgedAnswer    = "HTTP/1.1 204 No Content\r\nDate: Tue, 20 Oct 2026 16:46:23 GMT\r\n\r\n"
+	notCachedAnswer = "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\nX-Content-Type-Options: nosniff\r\nDate: Tue, 20 Oct 2026 16:46:23 GMT\r\nContent-Length: 11\r\n\r\nnot cached\n"
+)
+
+// TestPlainAnswerGrammar pins which answer heads the links' recogniser takes
+// and which it leaves to http.ReadResponse, and what it reads of those it
+// takes.
+func TestPlainAnswerGrammar(t *testing.T) {
+	head := func(s string) string { return "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n" + s + "\r\nhello" }
+	for raw, want := range map[string]answer{
+		originAnswer:    {status: 200, length: 5, version: "3", hop: "origin;ORIGIN-SERVE;12us"},
+		purgedAnswer:    {status: 204},
+		notCachedAnswer: {status: 404, length: 11},
+		head(""):        {status: 200, length: 5},
+		"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n":                  {status: 200},
+		"HTTP/1.1 200 OK\r\nContent-Length: 000000000000000007\r\n\r\n": {status: 200, length: 7},
+		head("X-Object-Version: not a number\r\n"):                      {status: 200, length: 5, version: "not a number"},
+
+		originAnswer[:strings.Index(originAnswer, "\r\n\r\n")+3]:                       {}, // not all here
+		"HTTP/1.1 200 OK\r\nContent-Le":                                                {},
+		"HTTP/1.1 200 OK\r\n\r\n":                                                      {}, // no length: read to the close
+		"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n":                         {},
+		"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\n":                                 {},
+		"HTTP/1.1 200 Fine\r\nContent-Length: 5\r\n\r\n":                               {},
+		"HTTP/1.1 206 Partial Content\r\nContent-Length: 5\r\n\r\n":                    {},
+		"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 5\r\n\r\n":                        {},
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n": {},
+		head("Connection: close\r\n"):                                                  {},
+		head("Content-Length: 5\r\n"):                                                  {},
+		head("X-Object-Version: 1\r\nX-Object-Version: 1\r\n"):                         {},
+		"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\n":                                {},
+		"HTTP/1.1 200 OK\r\nContent-Length: 1234567890123456789\r\n\r\n":               {},
+		"HTTP/1.1 200 OK\r\nContent-Length: 5 \r\n\r\n":                                {},
+		"HTTP/1.1 200 OK\r\nContent-Length:5\r\n\r\n":                                  {},
+		"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\n":                                 {},
+		head("X-Trace-Hop: a\r\n b\r\n"):                                               {},
+		head(" X-Trace-Hop: a\r\n"):                                                    {},
+		head("X-Trace-Hop: a\tb\r\n"):                                                  {},
+		head("X-Trace-Hop:  a\r\n"):                                                    {},
+		head("X-Trace-Hop: \r\n"):                                                      {},
+		head("X-Trace-Hop: caf\xc3\xa9\r\n"):                                           {},
+		head("X-Cache: LOCAL\r\n"):                                                     {},
+		"HTTP/1.1 200 OK\nContent-Length: 5\n\nhello":                                  {}, // bare LF line ends
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\r\n\r\n":                               {},
+	} {
+		got, n := readPlainAnswer([]byte(raw))
+		if want.status == 0 {
+			if n != 0 {
+				t.Errorf("readPlainAnswer(%q) took %d bytes, want it declined", raw, n)
+			}
+			continue
+		}
+		if end := strings.Index(raw, "\r\n\r\n") + 4; n != end || headOf(got) != headOf(want) {
+			t.Errorf("readPlainAnswer(%q) = %+v, %d; want %+v, %d", raw, got, n, want, end)
+		}
+	}
+}
+
+// TestPlainAnswerLive: the answers an origin and a node's door really send a
+// link — an object, a purge's 204 and its 404 — are the plain ones the
+// recogniser takes, so the links' common answers never reach net/http.
+func TestPlainAnswerLive(t *testing.T) {
+	n, origin := doorNode(t, NodeConfig{Name: "plain"})
+	const url = "http://example.com/plain"
+	if out := n.fill(hintcache.HashURL(url), url, "", false); out.err != nil {
+		t.Fatal(out.err)
+	}
+	for _, c := range []struct {
+		addr, req string
+		status    int
+		body      string
+	}{
+		{origin.Addr(), "GET /obj?url=" + url + " HTTP/1.1\r\nHost: o\r\n\r\n", http.StatusOK, string(objectBody(url, 1, 8<<10))},
+		{n.Addr(), "POST /purge?url=" + url + " HTTP/1.1\r\nHost: n\r\n\r\n", http.StatusNoContent, ""},
+		{n.Addr(), "POST /purge?url=" + url + " HTTP/1.1\r\nHost: n\r\n\r\n", http.StatusNotFound, "not cached\n"},
+	} {
+		rc := dialRaw(t, c.addr).send(c.req)
+		var got []byte
+		for {
+			b := make([]byte, 4<<10)
+			m, err := rc.c.Read(b)
+			if err != nil {
+				t.Fatalf("%s: read %q, then %v; the recogniser never took the head", c.req, got, err)
+			}
+			got = append(got, b[:m]...)
+			if a, n := readPlainAnswer(got); n > 0 && int64(len(got)) >= int64(n)+a.length {
+				if a.status != c.status || string(got[n:]) != c.body {
+					t.Errorf("%s: answered %d, %q; want %d, %q", c.req, a.status, got[n:], c.status, c.body)
+				}
+				break
+			}
+		}
+	}
+}
+
+// TestPlainAnswerShortBody: the body of a recognised answer that ends short
+// of its declared length fails its reader, as net/http's body does, so the
+// link does not keep a connection its upstream closed mid-body.
+func TestPlainAnswerShortBody(t *testing.T) {
+	c, s := net.Pipe()
+	defer c.Close()
+	go func() {
+		defer s.Close()
+		if _, err := http.ReadRequest(bufio.NewReader(s)); err == nil {
+			s.Write([]byte(notCachedAnswer[:len(notCachedAnswer)-5]))
+		}
+	}()
+	a, err := request(newUpConn(c), http.MethodPost, "/purge?url=", "u", "n")
+	if err != nil || a.header != nil {
+		t.Fatalf("request = %+v, %v; want a recognised 404", a, err)
+	}
+	if _, err := io.Copy(io.Discard, a.body); err != io.ErrUnexpectedEOF {
+		t.Errorf("reading a body cut 5 bytes short: %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+}
+
+// FuzzOriginPlainAnswer: whatever answer head the links' recogniser accepts,
+// http.ReadResponse accepts, to the same length, with the same status, body
+// length, connection verdict, X-Object-Version and X-Trace-Hop.
+func FuzzOriginPlainAnswer(f *testing.F) {
+	f.Add([]byte(originAnswer))
+	f.Add([]byte(purgedAnswer))
+	f.Add([]byte(notCachedAnswer))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhello"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nX-Trace-Hop: a\r\n b\r\n\r\nhello"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nX-Object-Version: 1\r\nContent-Le"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, n := readPlainAnswer(b)
+		if n == 0 {
+			return
+		}
+		src := bytes.NewReader(b)
+		br := bufio.NewReaderSize(src, len(b)+16)
+		want, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%d bytes accepted of a head http.ReadResponse rejects: %v", n, err)
+		}
+		if took := len(b) - src.Len() - br.Buffered(); n != took {
+			t.Fatalf("%d bytes accepted, http.ReadResponse took %d", n, took)
+		}
+		if w := answerOf(want); headOf(got) != headOf(w) {
+			t.Fatalf("read %v, http.ReadResponse %v", headOf(got), headOf(w))
+		}
+	})
+}
+
+// headOf is what an answer's head says: status, body length, connection
+// verdict, X-Object-Version and X-Trace-Hop.
+func headOf(a answer) [5]any { return [5]any{a.status, a.length, a.close, a.version, a.hop} }

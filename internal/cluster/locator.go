@@ -194,9 +194,7 @@ func (n *Node) fillRaced(h uint64, url, reqID string, c candidate, sampled bool)
 			leg.peer = p
 			chain = []obs.Hop{{Node: c.home.host, Outcome: "HINT-HOME", Elapsed: leg.consult}}
 		}
-		pctx, cancel := context.WithTimeout(ctx, metadataTimeout)
-		defer cancel()
-		got, err := n.fetchPeer(pctx, leg.peer, url, reqID, sampled)
+		got, err := n.fetchPeer(ctx, leg.peer, url, reqID, sampled)
 		leg.probe = time.Since(start)
 		if chain != nil {
 			got.hops = append(chain, got.hops...)

@@ -128,9 +128,7 @@ func (l *hintLocator) contact(p *peer, sent, ok bool) {
 // injectors like any other, so a blackholed or stalled node fails its peers'
 // probes exactly as it fails their real traffic.
 func (n *Node) ping(p *peer) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
-	defer cancel()
-	r, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerPing}, nil)
+	r, err := n.call(context.Background(), p, pingTimeout, wire.PeerHeader{Op: wire.PeerPing}, nil)
 	return err == nil && r.Status == http.StatusNoContent
 }
 
@@ -439,7 +437,7 @@ func (n *Node) queryHintHome(ctx context.Context, home *peer, h uint64, reqID st
 	start := time.Now()
 	req := sampledCall(wire.PeerHolder, reqID, sampled)
 	req.B, req.C = h, n.machineID
-	r, err := n.call(ctx, home, req, nil)
+	r, err := n.call(ctx, home, metadataTimeout, req, nil)
 	if err == nil && r.Status != http.StatusOK && r.Status != http.StatusNotFound {
 		err = fmt.Errorf("status %d", r.Status)
 	}
@@ -502,9 +500,7 @@ func (l *hintLocator) holder(h, asker uint64) (uint64, bool) {
 // an unknown machine, a holder whose breaker refuses the probe.
 func (n *Node) consultHome(ctx context.Context, home *peer, h uint64, reqID string, sampled bool) (*peer, fetched, error) {
 	start := time.Now()
-	cctx, cancel := context.WithTimeout(ctx, metadataTimeout)
-	r, err := n.queryHintHome(cctx, home, h, reqID, sampled)
-	cancel()
+	r, err := n.queryHintHome(ctx, home, h, reqID, sampled)
 	switch {
 	case err != nil:
 		return nil, fetched{}, fmt.Errorf("%w: %v", errHintHomeFail, err)

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"beyondcache/internal/faults"
 	"beyondcache/internal/obs"
 )
 
@@ -124,6 +125,8 @@ type upConn struct {
 	lr  io.LimitedReader
 	br  *bufio.Reader
 	buf []byte // the request (or frame) scratch
+	// body reads a recognised answer's body off br (request).
+	body sizedBody
 	// cut is the hook a call arms on its context: it fails the read or
 	// write in progress by moving the deadline into the past.
 	cut    func()
@@ -150,8 +153,8 @@ type link struct {
 }
 
 // lease takes the most recently used idle connection, or dials one (always,
-// if fresh) under the caller's deadline.
-func (l *link) lease(ctx context.Context, fresh bool) (*upConn, error) {
+// if fresh) by the call's deadline.
+func (l *link) lease(ctx context.Context, deadline time.Time, fresh bool) (*upConn, error) {
 	l.set.mu.Lock()
 	closed := l.set.closed
 	var uc *upConn
@@ -166,7 +169,9 @@ func (l *link) lease(ctx context.Context, fresh bool) (*upConn, error) {
 		uc.reused = true
 		return uc, nil
 	}
-	uc, err := l.dial(ctx)
+	dctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	uc, err := l.dial(dctx)
 	if err != nil {
 		return nil, err
 	}
@@ -201,31 +206,49 @@ func (l *link) dropIdle() {
 	}
 }
 
-// do runs one exchange on a leased connection, returning promptly once ctx
+// do runs one exchange on a leased connection, within timeout. The call's
+// deadline — timeout from now, or ctx's deadline if that is sooner — is the
+// connection's, so a call that sees no answer fails on it whichever parser
+// is reading, with no timer or context of its own; only a ctx that can end
+// early (a race's leg) arms a hook that cuts that deadline short when it
 // ends. The connection goes back to the idle set only if exchange says it
 // read its answer whole, nothing is buffered behind that answer, and the
-// cancel hook has not fired (its deadline may yet be cut); otherwise it is
-// closed, so a call cut short costs its own connection and nothing else. A
-// call whose context has already ended leases nothing.
-func (l *link) do(ctx context.Context, exchange func(*upConn) (keep bool, err error)) error {
+// hook, if armed, has not fired; otherwise it is closed, so a call cut short
+// costs its own connection and nothing else. A call whose context has
+// already ended leases nothing.
+func (l *link) do(ctx context.Context, timeout time.Duration, exchange func(*upConn) (keep bool, err error)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	deadline := time.Now().Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	for fresh := false; ; fresh = true {
-		uc, err := l.lease(ctx, fresh)
+		uc, err := l.lease(ctx, deadline, fresh)
 		if err != nil {
 			return err
 		}
 		uc.lr.N = headLimit
-		stop := context.AfterFunc(ctx, uc.cut)
+		uc.c.SetDeadline(deadline)
+		stop := func() bool { return true }
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, uc.cut)
+		}
 		keep, err := exchange(uc)
 		if stop() && keep && uc.br.Buffered() == 0 {
 			l.release(uc)
 		} else {
 			l.set.drop(uc)
 		}
-		if err != nil && ctx.Err() != nil {
+		switch {
+		case err == nil:
+			return nil
+		case ctx.Err() != nil:
 			return ctx.Err() // not the cut deadline's "i/o timeout"
+		case !time.Now().Before(deadline):
+			// Nor whatever the parser made of a head the deadline cut.
+			return context.DeadlineExceeded
 		}
 		// A connection the upstream closed while it sat idle (its
 		// IdleTimeout, a restart) is found out by the first call to use it:
@@ -233,7 +256,7 @@ func (l *link) do(ctx context.Context, exchange func(*upConn) (keep bool, err er
 		// net/http does with a stale pooled connection — that call is tried
 		// once more, on a fresh connection, if its deadline allows; a fresh
 		// connection that fails is the upstream failing.
-		if err == nil || !uc.reused || uc.lr.N != headLimit {
+		if !uc.reused || uc.lr.N != headLimit {
 			return err
 		}
 	}
@@ -277,10 +300,59 @@ func dialHTTP(nw network, addr string) func(context.Context) (*upConn, error) {
 	}
 }
 
+// answer is the head of one HTTP answer on a link, as much of it as the
+// link's callers read, and its body, no longer metered.
+type answer struct {
+	status int
+	// length is the body's declared length; -1 when undeclared (read to the
+	// end).
+	length       int64
+	version, hop string // X-Object-Version, X-Trace-Hop
+	close        bool   // the upstream closes the connection behind the body
+	body         io.Reader
+	// header is http.ReadResponse's, every header line of the head; nil when
+	// the head was recognised (readPlainAnswer), which names no header the
+	// fields above do not hold beside Content-Type, X-Content-Type-Options
+	// and Date.
+	header http.Header
+}
+
+// answerOf is what a head http.ReadResponse parsed says.
+func answerOf(resp *http.Response) answer {
+	return answer{
+		status: resp.StatusCode, length: resp.ContentLength,
+		version: resp.Header.Get(headerVersion), hop: resp.Header.Get(headerTraceHop),
+		close: resp.Close, body: resp.Body, header: resp.Header,
+	}
+}
+
+// sizedBody reads the n bytes of a body off br; a stream that ends short of
+// them is io.ErrUnexpectedEOF, as net/http's body reader has it.
+type sizedBody struct {
+	br *bufio.Reader
+	n  int64
+}
+
+func (b *sizedBody) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	k, err := b.br.Read(p)
+	b.n -= int64(k)
+	if err == io.EOF && b.n > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return k, err
+}
+
 // request writes "method path<url, query-escaped> HTTP/1.1" and a Host
-// header on a leased connection, and reads the answer's head. Its body is the
-// caller's to read, no longer metered.
-func request(uc *upConn, method, path, url, host string) (*http.Response, error) {
+// header on a leased connection, and reads the answer's head: a plain one
+// whole in what the first read brought is recognised (readPlainAnswer), any
+// other goes to http.ReadResponse untouched.
+func request(uc *upConn, method, path, url, host string) (answer, error) {
 	uc.buf = append(uc.buf[:0], method...)
 	uc.buf = append(uc.buf, ' ')
 	uc.buf = append(uc.buf, path...)
@@ -289,34 +361,52 @@ func request(uc *upConn, method, path, url, host string) (*http.Response, error)
 	uc.buf = append(uc.buf, host...)
 	uc.buf = append(uc.buf, "\r\n\r\n"...)
 	if _, err := uc.c.Write(uc.buf); err != nil {
-		return nil, err
+		return answer{}, err
 	}
-	resp, err := http.ReadResponse(uc.br, nil)
-	if err != nil {
-		if uc.lr.N <= 0 {
-			err = errHeadTooLong
+	if _, err := uc.br.Peek(1); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // as http.ReadResponse has it
 		}
-		return nil, err
+		return answer{}, err
+	}
+	b, _ := uc.br.Peek(uc.br.Buffered())
+	a, n := readPlainAnswer(b)
+	if n > 0 {
+		uc.br.Discard(n)
+		a.body = http.NoBody
+		if a.length > 0 {
+			uc.body = sizedBody{br: uc.br, n: a.length}
+			a.body = &uc.body
+		}
+	} else {
+		resp, err := http.ReadResponse(uc.br, nil)
+		if err != nil {
+			if uc.lr.N <= 0 {
+				err = errHeadTooLong
+			}
+			return answer{}, err
+		}
+		a = answerOf(resp)
 	}
 	uc.lr.N = math.MaxInt64
-	return resp, nil
+	return a, nil
 }
 
 // exchange writes one GET on a leased connection and reads its answer. keep
 // says the answer was read to its end and the origin did not ask to close.
 func (l *originLink) exchange(uc *upConn, url string) (version int64, body []byte, hop string, keep bool, err error) {
-	resp, err := request(uc, http.MethodGet, l.path, url, l.host)
+	a, err := request(uc, http.MethodGet, l.path, url, l.host)
 	if err != nil {
 		return 0, nil, "", false, err
 	}
-	if resp.StatusCode != http.StatusOK {
+	if a.status != http.StatusOK {
 		// An error page is not an object: a token amount is read for the
 		// connection's sake, and a longer page costs the connection.
-		_, derr := io.CopyN(io.Discard, resp.Body, 4<<10)
-		return 0, nil, "", derr == io.EOF && !resp.Close, fmt.Errorf("status %d", resp.StatusCode)
+		_, derr := io.CopyN(io.Discard, a.body, 4<<10)
+		return 0, nil, "", derr == io.EOF && !a.close, fmt.Errorf("status %d", a.status)
 	}
-	version, body, err = readObject(resp)
-	return version, body, resp.Header.Get(headerTraceHop), err == nil && !resp.Close, err
+	version, body, err = readObject(a)
+	return version, body, a.hop, err == nil && !a.close, err
 }
 
 // fetched is one successful upstream fetch (peer or origin).
@@ -332,18 +422,17 @@ var originTimeout = 10 * time.Second
 
 // fetchOrigin fetches from the origin server over the origin link, on the
 // calling goroutine, returning the origin's self-timed serve segment (when
-// present) plus the measured round trip. originTimeout is applied here; the
+// present) plus the measured round trip. originTimeout bounds it; the
 // outbound fault decision is drawn once per fetch and touches only it.
 func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err error) {
-	ctx, cancel := context.WithTimeout(ctx, originTimeout)
-	defer cancel()
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("origin fetch: %w", err)
 		}
 	}()
 	start := time.Now()
-	code, err := n.inj.Decide(n.origin.host).Apply(ctx, n.origin.host)
+	ctx, cancel, code, err := applyFault(ctx, n.inj.Decide(n.origin.host), n.origin.host, originTimeout)
+	defer cancel()
 	if err == nil && code > 0 {
 		err = fmt.Errorf("status %d", code)
 	}
@@ -352,7 +441,7 @@ func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err erro
 	}
 	var f fetched
 	var hop string
-	err = n.origin.do(ctx, func(uc *upConn) (keep bool, err error) {
+	err = n.origin.do(ctx, originTimeout, func(uc *upConn) (keep bool, err error) {
 		f.version, f.body, hop, keep, err = n.origin.exchange(uc, url)
 		return keep, err
 	})
@@ -366,17 +455,31 @@ func (n *Node) fetchOrigin(ctx context.Context, url string) (_ fetched, err erro
 	return f, nil
 }
 
+// applyFault plays out the outbound fault d drawn for one call to target,
+// bounded by the call's timeout. A delay or a hang is slept under a context
+// of its own, which the call goes on under, so the sleep and the exchange
+// share one deadline; a call that draws nothing to sleep — nearly every
+// call — makes no context and no timer for it.
+func applyFault(ctx context.Context, d faults.Decision, target string, timeout time.Duration) (context.Context, context.CancelFunc, int, error) {
+	cancel := context.CancelFunc(func() {})
+	if d.Delay > 0 || d.Hang > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	code, err := d.Apply(ctx, target)
+	return ctx, cancel, code, err
+}
+
 // maxBodyPrealloc is the most readSized allocates on a declared length's
 // say-so; a longer (or undeclared) body is read incrementally.
 const maxBodyPrealloc = 4 << 20
 
-// readObject reads the origin's object response.
-func readObject(resp *http.Response) (int64, []byte, error) {
-	version, err := strconv.ParseInt(resp.Header.Get(headerVersion), 10, 64)
+// readObject reads the origin's object answer.
+func readObject(a answer) (int64, []byte, error) {
+	version, err := strconv.ParseInt(a.version, 10, 64)
 	if err != nil {
 		return 0, nil, fmt.Errorf("bad %s header: %w", headerVersion, err)
 	}
-	body, err := readSized(resp.Body, resp.ContentLength)
+	body, err := readSized(a.body, a.length)
 	return version, body, err
 }
 

@@ -172,14 +172,17 @@ func (uc *upConn) writeFrame(h wire.PeerHeader, body []byte) error {
 	return err
 }
 
-// call makes one call to a peer on a connection leased from its record. The
-// outbound fault decision is drawn once per call and touches only this call.
-// A nil error means the peer answered; the status is the caller's to judge.
-func (n *Node) call(ctx context.Context, p *peer, h wire.PeerHeader, body []byte) (r peerReply, err error) {
-	if code, err := n.inj.Decide(p.host).Apply(ctx, p.host); err != nil || code > 0 {
+// call makes one call to a peer on a connection leased from its record,
+// within timeout. The outbound fault decision is drawn once per call and
+// touches only this call. A nil error means the peer answered; the status is
+// the caller's to judge.
+func (n *Node) call(ctx context.Context, p *peer, timeout time.Duration, h wire.PeerHeader, body []byte) (r peerReply, err error) {
+	ctx, cancel, code, err := applyFault(ctx, n.inj.Decide(p.host), p.host, timeout)
+	defer cancel()
+	if err != nil || code > 0 {
 		return peerReply{PeerHeader: wire.PeerHeader{Status: uint16(code)}}, err
 	}
-	err = p.link.do(ctx, func(uc *upConn) (bool, error) {
+	err = p.link.do(ctx, timeout, func(uc *upConn) (bool, error) {
 		var err error
 		r, err = uc.call(h, body)
 		return err == nil, err
@@ -214,12 +217,11 @@ func judge(ctx context.Context, p *peer, start time.Time, healthy bool) {
 }
 
 // fetchPeer performs a cache-to-cache transfer: one object call on the
-// peer plane, which gives the peer's breaker its verdict. ctx carries the
-// per-hop peer deadline (and, on the hedged path, the race's abandon
-// signal).
+// peer plane, within the peer-call timeout, which gives the peer's breaker
+// its verdict. ctx carries the race's abandon signal.
 func (n *Node) fetchPeer(ctx context.Context, p *peer, url, reqID string, sampled bool) (fetched, error) {
 	start := time.Now()
-	r, err := n.call(ctx, p, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
+	r, err := n.call(ctx, p, metadataTimeout, sampledCall(wire.PeerObject, reqID, sampled), []byte(url))
 	switch {
 	case err == nil && r.Status == http.StatusNotFound:
 		err = errPeerMiss

@@ -165,9 +165,7 @@ func putIdle(n *Node, peerURL string, c net.Conn) *upConn {
 
 // pingPeer pings the peer at peerURL from n, with a deadline of d.
 func pingPeer(n *Node, peerURL string, d time.Duration) (peerReply, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return n.call(ctx, peerOf(n, peerURL), pingHeader(), nil)
+	return n.call(context.Background(), peerOf(n, peerURL), d, pingHeader(), nil)
 }
 
 // TestPeerNoHeadOfLineBlocking: with one call from a node held by an inbound
@@ -184,7 +182,7 @@ func TestPeerNoHeadOfLineBlocking(t *testing.T) {
 	call := func(h wire.PeerHeader, body []byte) (peerReply, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		return n.call(ctx, peerOf(n, target.URL()), h, body)
+		return n.call(ctx, peerOf(n, target.URL()), metadataTimeout, h, body)
 	}
 
 	slow := make(chan time.Duration, 1)
@@ -238,7 +236,7 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 	ping := func() (peerReply, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		return n.call(ctx, peerOf(n, target.URL()), pingHeader(), nil)
+		return n.call(ctx, peerOf(n, target.URL()), metadataTimeout, pingHeader(), nil)
 	}
 	healthy := func(when string) {
 		t.Helper()
@@ -282,7 +280,7 @@ func TestPeerFaultsArePerCall(t *testing.T) {
 	// nothing, so it cannot cut the connection it would have leased.
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		if _, err := n.call(ctx, peerOf(n, target.URL()), pingHeader(), nil); err != context.DeadlineExceeded {
+		if _, err := n.call(ctx, peerOf(n, target.URL()), metadataTimeout, pingHeader(), nil); err != context.DeadlineExceeded {
 			t.Errorf("ping under an expired deadline = %v", err)
 		}
 		cancel()
@@ -354,7 +352,7 @@ func TestPeerStuckPeerCostsDeadlinesOnly(t *testing.T) {
 		t.Errorf("breaker after calls into a stuck peer = %v, want open", st.State)
 	}
 	timed("1 MiB batch", 200*time.Millisecond, func(ctx context.Context) error {
-		_, err := n.call(ctx, p, wire.PeerHeader{Op: wire.PeerHints}, make([]byte, updatesLimit))
+		_, err := n.call(ctx, p, metadataTimeout, wire.PeerHeader{Op: wire.PeerHints}, make([]byte, updatesLimit))
 		return err
 	})
 
@@ -610,7 +608,7 @@ func TestPeerHostileFrames(t *testing.T) {
 		// An answer whose body exceeds its op's limit fails its call too.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if _, err := caller.call(ctx, peerOf(caller, s.URL), wire.PeerHeader{Op: wire.PeerPing, A: 1}, nil); err == nil {
+		if _, err := caller.call(ctx, peerOf(caller, s.URL), metadataTimeout, wire.PeerHeader{Op: wire.PeerPing, A: 1}, nil); err == nil {
 			t.Error("a ping answer declaring a body was taken")
 		}
 		if got := idleOf(caller, s.URL); len(got) != 0 {

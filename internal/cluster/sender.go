@@ -105,9 +105,7 @@ func (s *peerSender) send(l *hintLocator, body []byte, records int, stampNs int6
 	start := time.Now()
 	h := wire.PeerHeader{Op: wire.PeerHints, A: n.machineID, C: uint64(stampNs)}
 	retries, err := n.backoffFor(s.target).Retry(context.Background(), 3, func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), metadataTimeout)
-		defer cancel()
-		r, err := n.call(ctx, s.target, h, body)
+		r, err := n.call(context.Background(), s.target, metadataTimeout, h, body)
 		// A refusal is not an acknowledgement: count the attempt as failed.
 		if err == nil && r.Status != http.StatusNoContent {
 			err = fmt.Errorf("hint batch: status %d", r.Status)

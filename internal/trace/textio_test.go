@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -99,5 +101,21 @@ func TestObjectURLStable(t *testing.T) {
 	}
 	if ObjectURL(0) == "" || !strings.HasPrefix(ObjectURL(0), "http://") {
 		t.Errorf("unexpected URL form: %q", ObjectURL(0))
+	}
+}
+
+// TestObjectURLMatchesItsFormat: the URL is byte for byte the format it was
+// first written as, fmt's, across the widths of both numbers in it — every
+// generated schedule, and so every determinism golden and scenario
+// fingerprint, is built from these bytes — and costs one allocation.
+func TestObjectURLMatchesItsFormat(t *testing.T) {
+	for _, id := range []uint64{0, 63, 64, 4095, 1 << 32, math.MaxUint64} {
+		want := fmt.Sprintf("http://server-%d.example.com/obj/%d", id/64, id)
+		if got := ObjectURL(id); got != want {
+			t.Errorf("ObjectURL(%d) = %q, want %q", id, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ObjectURL(math.MaxUint64) }); allocs != 1 {
+		t.Errorf("ObjectURL allocates %.0f, want the string's 1", allocs)
 	}
 }

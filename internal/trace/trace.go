@@ -14,8 +14,8 @@
 package trace
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"time"
 )
 
@@ -70,7 +70,14 @@ func ObjectURL(object uint64) string {
 	// ~1 server per 64 objects mirrors the many-servers shape of real
 	// traces without tracking server state.
 	server := object / 64
-	return fmt.Sprintf("http://server-%d.example.com/obj/%d", server, object)
+	// fmt.Sprintf("http://server-%d.example.com/obj/%d", server, object),
+	// built in one buffer: every URL of a generated schedule comes from here.
+	var buf [len("http://server-.example.com/obj/") + 2*20]byte
+	b := append(buf[:0], "http://server-"...)
+	b = strconv.AppendUint(b, server, 10)
+	b = append(b, ".example.com/obj/"...)
+	b = strconv.AppendUint(b, object, 10)
+	return string(b)
 }
 
 // Cachable reports whether a cache may store the reply to this request.
